@@ -45,13 +45,13 @@ from .bspline import (
     bspline_basis_he,
     bspline_basis_plain,
     col_tile,
-    default_bsgs_split,
     fuse_weights,
     gen_permutation,
     pack_rotations,
     repeat_pack,
     repeat_pack_naive,
 )
+from .matvec import default_bsgs_split
 from .model import (
     Dataset,
     KanLayer,

@@ -388,14 +388,6 @@ def bspline_basis_plain(x: float, knots, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def default_bsgs_split(n: int) -> tuple:
-    """Baby/giant split (ceil(sqrt(n)), ceil(n / ceil(sqrt(n))))."""
-    b = math.isqrt(n)
-    if b * b < n:
-        b += 1
-    return b, math.ceil(n / b)
-
-
 def gen_permutation(n_r: int, n_c: int) -> PermutationSpec:
     """Permutation sending column-major index (c-1)*n_r + r to row-major
     (r-1)*n_c + c (both 1-indexed)."""

@@ -32,10 +32,12 @@ from .errors import (
     DepthBudgetInfeasible,
     HeKanError,
     IllConditioned,
+    NonFiniteInput,
     RemezNonConvergence,
     SchemaMismatch,
     ShapeMismatch,
     SingularSystem,
+    UnsupportedLayer,
 )
 from .bspline import GridMatrix
 from .inference import (
@@ -393,7 +395,7 @@ def main(argv=None) -> int:
     except DepthBudgetInfeasible as exc:
         print(f"depth budget infeasible:\n{exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ShapeMismatch, SchemaMismatch) as exc:
+    except (ShapeMismatch, SchemaMismatch, NonFiniteInput, UnsupportedLayer) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllConditioned, RemezNonConvergence, SingularSystem) as exc:

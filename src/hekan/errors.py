@@ -73,7 +73,15 @@ class ShapeMismatch(HeKanError):
     """Input tensor shape disagrees with the model."""
 
 
+class NonFiniteInput(HeKanError):
+    """Input to encrypt holds NaN or infinity."""
+
+
 # --- inference ---
+
+class UnsupportedLayer(HeKanError):
+    """Layer the encrypted pipeline cannot evaluate (spline degree k = 0)."""
+
 
 class DepthBudgetInfeasible(HeKanError):
     """Planned depth exceeds the available budget.

@@ -21,11 +21,16 @@ from .bspline import (
     EXACT_COMPARATOR,
     basis_depth,
     bspline_basis_he,
-    default_bsgs_split,
     gen_permutation,
     repeat_pack,
 )
-from .errors import DepthBudgetInfeasible, DimensionMismatch, ShapeMismatch
+from .errors import (
+    DepthBudgetInfeasible,
+    NonFiniteInput,
+    ShapeMismatch,
+    UnsupportedLayer,
+)
+from .matvec import default_bsgs_split, matvec_schedule
 from .model import KanLayer, KanModel
 
 
@@ -120,6 +125,8 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
             pass  # already rastered
         else:
             raise ShapeMismatch(f"input shape {arr.shape}, model expects {expect}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteInput("input holds NaN or infinity")
     flat = raster_flatten(arr)
     return backend.encrypt(flat)
 
@@ -133,52 +140,13 @@ def bsgs_matvec(W: np.ndarray, v: CipherText, split: tuple | None = None) -> Cip
     """Diagonal-method matrix-vector product with baby/giant rotation steps.
 
     W is n_o x n_in (cleartext); v holds the operand in its first n_in slots
-    with zeros elsewhere. The matrix is zero-padded square, so the result
-    occupies exactly the first n_o slots (zeros elsewhere). Consumes one
-    level; rotations <= babies + giants - 1 including the wraparound
-    duplication.
+    with zeros elsewhere. The result is valid in slots [0, n_o); other slots
+    may hold partial sums. Consumes one level. Runs the wide schedule when
+    W is wide enough (see ``matvec_schedule``), else the square one with
+    max(n_o, n_in) plaintext multiplies and at most babies + giants - 1
+    rotations including the wraparound duplication.
     """
-    be = v.backend
-    S = be.config.slot_count
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    n_o, n_in = W.shape
-    m = max(n_o, n_in)
-    if m > S:
-        raise DimensionMismatch(f"matrix dimension {m} exceeds {S} slots")
-    if m > 1 and 2 * m > S:
-        raise DimensionMismatch(
-            f"diagonal wraparound needs 2 * {m} <= {S} slots (single-ciphertext scope)")
-    wsq = np.zeros((m, m))
-    wsq[:n_o, :n_in] = W
-
-    if split is None:
-        split = default_bsgs_split(m)
-    b, gs = split
-    if b < 1 or gs < 1 or b * gs < m:
-        raise DimensionMismatch(f"split {split} cannot cover dimension {m}")
-
-    # duplicated operand so rotations read wrapped coordinates correctly
-    vfull = be.add(v, be.rotate(v, -m)) if m > 1 else v
-    babies = [be.rotate(vfull, i) for i in range(min(b, m))]
-
-    rows = np.arange(m)
-    acc = None
-    for j in range(gs):
-        base = j * b
-        if base >= m:
-            break
-        block = None
-        for i in range(min(b, m - base)):
-            d = base + i
-            diag = wsq[rows, (rows + d) % m]
-            pt = np.zeros(S)
-            pt[:m] = diag
-            pt = np.roll(pt, base)
-            term = be.mul(babies[i], pt)
-            block = term if block is None else be.add(block, term)
-        rotated = be.rotate(block, base)
-        acc = rotated if acc is None else be.add(acc, rotated)
-    return acc
+    return matvec_schedule(W, split).run_he(v)
 
 
 def bsgs_rotation_bound(n: int, split: tuple | None = None) -> int:
@@ -223,7 +191,16 @@ class ModelPlan:
         return "\n".join(lines)
 
 
+def _check_supported(layer: KanLayer) -> None:
+    # With k = 0 no recursion step zeroes the basis tail, so comp(0)^2 = 1/4
+    # stays in every slot past n_i * g and the matvec's wraparound reads it.
+    if layer.k < 1:
+        raise UnsupportedLayer(
+            f"spline degree k = {layer.k}: the encrypted pipeline needs k >= 1")
+
+
 def plan_layer(layer: KanLayer, cfg: PipelineConfig) -> LayerPlan:
+    _check_supported(layer)
     comp = cfg.comparator()
     d_poly = poly_eval_depth(layer.silu_poly)
     stages = {
@@ -261,6 +238,7 @@ def check_depth_budget(model: KanModel, cfg: PipelineConfig, available: int) -> 
 
 
 def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> CipherText:
+    _check_supported(layer)
     be = ct.backend
     comp = cfg.comparator()
     S = be.config.slot_count

@@ -25,7 +25,6 @@ from .bspline import (
     GridMatrix,
     basis_clear,
     bspline_basis_plain,
-    default_bsgs_split,
     fuse_weights,
     gen_permutation,
 )
@@ -35,6 +34,7 @@ from .errors import (
     SchemaMismatch,
     SingularSystem,
 )
+from .matvec import matvec_schedule
 
 SCHEMA_VERSION = 1
 
@@ -164,33 +164,6 @@ def _basis_matrix_exact(layer: KanLayer, x: np.ndarray) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _matvec_schedule(W: np.ndarray, v: np.ndarray, split: tuple | None = None) -> np.ndarray:
-    """W @ v summed in the diagonal baby/giant order of the encrypted
-    matvec, so the mirrored forward accumulates bit-for-bit like the
-    pipeline. Returns the padded square dimension (first n_o slots valid)."""
-    W = np.atleast_2d(W)
-    n_o, n_in = W.shape
-    m = max(n_o, n_in)
-    wsq = np.zeros((m, m))
-    wsq[:n_o, :n_in] = W
-    vp = np.zeros(m)
-    vp[: v.size] = v
-    b, gs = split if split is not None else default_bsgs_split(m)
-    rows = np.arange(m)
-    acc = None
-    for j in range(gs):
-        base = j * b
-        if base >= m:
-            break
-        block = None
-        for i in range(min(b, m - base)):
-            cols = (rows + base + i) % m
-            term = wsq[rows, cols] * vp[cols]
-            block = term if block is None else block + term
-        acc = block if acc is None else acc + block
-    return acc[:n_o]
-
-
 def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
                         comparator=None, path: str = "lazy",
                         bsgs_split: tuple | None = None) -> np.ndarray:
@@ -198,9 +171,9 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
 
     exact: true silu and exact Cox-de Boor basis values, plain matvecs.
     mirrored: the fitted activation polynomial, the comparator emulation,
-    and the encrypted pipeline's combination schedule (same comparator,
-    path, and split as the pipeline), so it predicts the encrypted result
-    exactly on the arithmetic backend.
+    and the encrypted pipeline's matvec schedules run by their cleartext
+    executor (same comparator, path, and split as the pipeline), so it
+    predicts the encrypted result exactly on the arithmetic backend.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != layer.n_i:
@@ -214,15 +187,15 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
     if comparator is None:
         raise ValueError("mirrored mode needs the pipeline's comparator")
     base = eval_poly_clear(layer.silu_poly, x)
-    base_out = _matvec_schedule(layer.W_b, base, bsgs_split)
+    base_out = matvec_schedule(layer.W_b, bsgs_split).run_clear(base)
     bvals = basis_clear(x, layer.grid, comparator)
     coltile = bvals.T.ravel()  # slot m * n_i + i holds B_m(x_i)
     if path == "lazy":
-        spline_out = _matvec_schedule(layer.w_fused, coltile, bsgs_split)
+        spline_out = matvec_schedule(layer.w_fused, bsgs_split).run_clear(coltile)
     elif path == "naive":
         perm = gen_permutation(layer.n_i, layer.grid.n_basis).as_matrix()
-        repacked = _matvec_schedule(perm, coltile, bsgs_split)
-        spline_out = _matvec_schedule(layer.w_prime, repacked, bsgs_split)
+        repacked = matvec_schedule(perm, bsgs_split).run_clear(coltile)
+        spline_out = matvec_schedule(layer.w_prime, bsgs_split).run_clear(repacked)
     else:
         raise ValueError(f"unknown path {path!r}")
     return base_out + spline_out

@@ -129,6 +129,20 @@ class TestInfer:
                    "--mode", "plain-exact"])
         assert rc == 2
 
+    def test_non_finite_input_exit_code(self, model_path, tmp_path):
+        bad = tmp_path / "nan.csv"
+        np.savetxt(bad, [[0.1, np.nan, 0.2, 0.3]], delimiter=",")
+        rc = main(["infer", "--model", model_path, "--input", str(bad),
+                   "--mode", "he", "--backend", BACKEND])
+        assert rc == 2
+
+    def test_k_zero_model_exit_code(self, input_path, tmp_path):
+        path = tmp_path / "k0.json"
+        save_model(random_model([4, 3], g=4, k=0, seed=1), path)
+        rc = main(["infer", "--model", str(path), "--input", input_path,
+                   "--mode", "he", "--backend", BACKEND])
+        assert rc == 2
+
     def test_depth_budget_exit_code(self, model_path, input_path):
         rc = main(["infer", "--model", model_path, "--input", input_path,
                    "--mode", "he", "--backend", '{"slot_count": 512, "depth_budget": 4}'])

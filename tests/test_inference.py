@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from hekan.approx import build_composite_sign
-from hekan.backend import BackendConfig, CleartextBackend, make_backend
+from hekan.backend import BackendConfig, CleartextBackend, OpCounter, make_backend
 from hekan.bspline import EXACT_COMPARATOR, repeat_pack
 from hekan.errors import (
     DepthBudgetInfeasible,
     DimensionMismatch,
+    NonFiniteInput,
     PackingOverflow,
     ShapeMismatch,
+    UnsupportedLayer,
 )
 from hekan.inference import (
     PipelineConfig,
@@ -23,6 +25,7 @@ from hekan.inference import (
     plan_model,
     write_bench_csv,
 )
+from hekan.matvec import matvec_schedule
 from hekan.model import KanModel, model_forward_plain, random_model
 
 
@@ -57,6 +60,12 @@ class TestEncryptInput:
         mdl = random_model([4, 2], g=4, k=1, seed=0)
         with pytest.raises(ShapeMismatch):
             encrypt_input(np.zeros((2, 2, 2)), mdl, cleartext())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        mdl = random_model([4, 2], g=4, k=1, seed=0)
+        with pytest.raises(NonFiniteInput):
+            encrypt_input(np.array([0.1, bad, 0.2, 0.3]), mdl, cleartext())
 
 
 class TestBsgsMatvec:
@@ -120,6 +129,110 @@ class TestBsgsMatvec:
         be = cleartext(slots=64)
         bsgs_matvec(np.eye(12), be.encrypt(np.ones(12)))
         assert be.counter.pt_mults == 12
+
+
+class TestWideMatvec:
+    """n_o < n_in = p * 2^j: p extended diagonals, then log2(n_in / p) folds."""
+
+    @staticmethod
+    def run(n_o, n_in, slots, split=None, seed=0):
+        rng = np.random.default_rng(seed)
+        W, v = rng.normal(size=(n_o, n_in)), rng.normal(size=n_in)
+        be = cleartext(slots=slots)
+        out = bsgs_matvec(W, be.encrypt(v), split=split)
+        return W, v, out, be.counter
+
+    @pytest.mark.parametrize("n_o, n_in, slots, p, pt_mults, rotations", [
+        (10, 3840, 8192, 15, 15, 15),  # split(15) = (4, 4): 1 + 3 + 3 + 8 folds
+        (10, 256, 512, 16, 16, 11),    # split(16) = (4, 4): 1 + 3 + 3 + 4 folds
+    ])
+    def test_closed_form_counts(self, n_o, n_in, slots, p, pt_mults, rotations):
+        assert matvec_schedule(np.zeros((n_o, n_in))).W.shape == (p, n_in)
+        W, v, out, c = self.run(n_o, n_in, slots)
+        assert (c.pt_mults, c.rotations, c.ct_mults) == (pt_mults, rotations, 0)
+        np.testing.assert_allclose(out.slots[:n_o], W @ v, atol=1e-9)
+
+    @pytest.mark.parametrize("n_o, n_in, split, pt_mults, rotations", [
+        (7, 3, None, 7, 5),           # tall: m = 7, split (3, 3)
+        (12, 12, None, 12, 6),        # square: split (4, 3)
+        (3, 7, None, 7, 5),           # odd n_in
+        (12, 12, (6, 2), 12, 7),      # square with an explicit split
+    ])
+    def test_other_shapes_take_square_path(self, n_o, n_in, split, pt_mults, rotations):
+        m = max(n_o, n_in)
+        assert matvec_schedule(np.zeros((n_o, n_in)), split).W.shape == (m, m)
+        W, v, out, c = self.run(n_o, n_in, slots=512, split=split)
+        assert (c.pt_mults, c.rotations) == (pt_mults, rotations)
+        np.testing.assert_allclose(out.slots[:n_o], W @ v, atol=1e-9)
+        assert np.all(out.slots[m:] == 0.0)
+
+    def test_explicit_split_applies_to_wide_diagonals(self):
+        # split (16, 16) over p = 16: 1 + 15 babies + no giant + 4 folds
+        assert matvec_schedule(np.zeros((10, 256)), (16, 16)).W.shape == (16, 256)
+        W, v, out, c = self.run(10, 256, slots=512, split=(16, 16))
+        assert (c.pt_mults, c.rotations) == (16, 20)
+        np.testing.assert_allclose(out.slots[:10], W @ v, atol=1e-9)
+        with pytest.raises(DimensionMismatch):
+            matvec_schedule(np.zeros((10, 256)), (3, 5))  # 15 < p = 16
+
+    def test_square_input_is_not_copied(self):
+        W = np.eye(8)
+        assert matvec_schedule(W).W is W
+
+    def test_capacity_boundary(self):
+        self.run(10, 256, slots=512)         # 2 * n_in == slot_count
+        with pytest.raises(DimensionMismatch):
+            self.run(10, 258, slots=512)     # p = 129: wide, but 2 * 258 > 512
+
+    @pytest.mark.parametrize("n_o, n_in", [(1, 2), (3, 12), (4, 112), (10, 320)])
+    def test_valid_slots_hold_product(self, n_o, n_in):
+        W, v, out, _ = self.run(n_o, n_in, slots=1024, seed=n_in)
+        assert matvec_schedule(W).W.shape[0] < n_in
+        np.testing.assert_allclose(out.slots[:n_o], W @ v, atol=1e-9)
+
+    def test_cleartext_executor_is_bit_exact(self):
+        rng = np.random.default_rng(3)
+        for n_o, n_in in [(10, 3840), (3, 7), (8, 8), (2, 40)]:
+            W, v = rng.normal(size=(n_o, n_in)), rng.normal(size=n_in)
+            sched = matvec_schedule(W)
+            out = sched.run_he(cleartext(slots=8192).encrypt(v))
+            assert np.array_equal(out.slots[:n_o], sched.run_clear(v))
+
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_two_layer_wide_model_matches_mirror_bit_for_bit(self, path):
+        # every layer matvec is wide: W_b 4x16 (p = 4), W_f 4x112 (p = 7),
+        # W_b 2x4 (p = 2), W_f 2x28 (p = 7)
+        mdl = random_model([16, 4, 2], g=5, k=2, seed=24)
+        for layer in mdl.layers:
+            for W in (layer.W_b, layer.w_fused):
+                assert matvec_schedule(W).W.shape[0] < W.shape[1]
+        cs = build_composite_sign()
+        bcfg = BackendConfig(slot_count=512, depth_budget=40)
+        x = np.random.default_rng(25).uniform(-1, 1, 16)
+        be = CleartextBackend(bcfg)
+        out, _ = model_forward_he(mdl, encrypt_input(x, mdl, be),
+                                  PipelineConfig(path=path, backend=bcfg))
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs, path=path)
+        assert np.array_equal(be.decrypt(out)[:2], mirrored)
+
+
+class TestUnsupportedLayer:
+    def test_k_zero_rejected_before_any_operation(self):
+        mdl = random_model([4, 2], g=4, k=0, seed=26)
+        bcfg = BackendConfig(slot_count=256, depth_budget=40)
+        be = CleartextBackend(bcfg)
+        ct = encrypt_input(np.array([0.1, -0.2, 0.3, -0.4]), mdl, be)
+        cfg = PipelineConfig(comparator_mode="exact", backend=bcfg)
+        with pytest.raises(UnsupportedLayer):
+            model_forward_he(mdl, ct, cfg)
+        with pytest.raises(UnsupportedLayer):
+            layer_forward_he(mdl.layers[0], ct, cfg)
+        assert be.counter == OpCounter()
+
+    def test_exact_plain_forward_accepts_k_zero(self):
+        mdl = random_model([4, 2], g=4, k=0, seed=26)
+        out = model_forward_plain(mdl, [0.1, -0.2, 0.3, -0.4], mode="exact")
+        assert out.shape == (2,) and np.all(np.isfinite(out))
 
 
 class TestLayerForward:
