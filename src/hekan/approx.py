@@ -446,6 +446,15 @@ class CompositeSign:
         """Levels consumed by poly_comp: the stages plus the (s+1)/2 map."""
         return sum(poly_eval_depth(s) for s in self.stages) + 1
 
+    def compare_he(self, scaled: CipherText, check_range: bool = False) -> CipherText:
+        """Slot-wise step(scaled) through poly_comp against zero."""
+        zero = np.zeros(scaled.backend.config.slot_count)
+        return poly_comp(scaled, zero, self, check_range=check_range)
+
+    def compare_clear(self, d: np.ndarray) -> np.ndarray:
+        """Cleartext twin of compare_he."""
+        return poly_comp_clear(d, self)
+
     def apply_clear(self, y: np.ndarray) -> np.ndarray:
         """Composed sign approximation on plain values (schedule-exact)."""
         s = np.asarray(y, dtype=float)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import CipherText, CleartextBackend
-from .approx import poly_comp, poly_comp_clear
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -215,17 +214,20 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 
 
 class ExactComparator:
-    """Step-function oracle with the composite comparator's dataflow.
+    """Step-function oracle with the composite comparator's interface.
 
     Reads slots directly, so it is only meaningful on the arithmetic
     simulator; it consumes no depth and counts no operations. Useful to
-    isolate comparator error from the rest of the pipeline.
+    isolate comparator error from the rest of the pipeline. Exact at any
+    distance from zero, hence delta = 0.
     """
+
+    delta = 0.0
 
     def depth(self) -> int:
         return 0
 
-    def compare_he(self, scaled: CipherText) -> CipherText:
+    def compare_he(self, scaled: CipherText, check_range: bool = False) -> CipherText:
         be = scaled.backend
         return be.encrypt(step_clear(scaled.slots), scaled.level)
 
@@ -257,11 +259,25 @@ def basis_depth(k: int, comparator) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compare(scaled: CipherText, comparator, check_range: bool):
-    if isinstance(comparator, ExactComparator):
-        return comparator.compare_he(scaled)
-    zero = np.zeros(scaled.backend.config.slot_count)
-    return poly_comp(scaled, zero, comparator, check_range=check_range)
+def basis_tiles(G: GridMatrix):
+    """Plaintext knot tiles of the basis evaluation, unpadded, column-tiled.
+
+    Returns (g1, g2, orders): the order-0 interval endpoints, and for each
+    recursion order j = 1..k the tuple (t1, 1/(t2 - t1), t3, -1/(t3 - t4))
+    of the step b_j = (x - t1) / (t2 - t1) * b + (t3 - x) / (t3 - t4) * b',
+    where b' reads b one tile ahead (B_{m+1} at tile m). bspline_basis_he
+    and basis_clear both run these tiles, so their factors agree bit for
+    bit.
+    """
+    r = G.g + 2 * G.k + 1
+    orders = []
+    for j in range(1, G.k + 1):
+        t1 = col_tile(G, 1, r - j)
+        t2 = col_tile(G, j + 1, r)
+        t3 = col_tile(G, j + 2, r + 1)
+        t4 = col_tile(G, 2, r - j + 1)
+        orders.append((t1, 1.0 / (t2 - t1), t3, -1.0 / (t3 - t4)))
+    return col_tile(G, 1, r), col_tile(G, 2, r + 1), orders
 
 
 def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
@@ -277,8 +293,7 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
     be = xp.ct.backend
     if G.n_i != xp.n_i or G.g != xp.g or G.k != xp.k:
         raise DimensionMismatch("grid and packed input disagree on (n_i, g, k)")
-    g, k, n_i = G.g, G.k, G.n_i
-    r = g + 2 * k + 1
+    n_i = G.n_i
     S = be.config.slot_count
     inv2R = 1.0 / (2.0 * G.R)
 
@@ -286,71 +301,51 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
         x_vals = xp.ct.slots[:n_i]
         if np.max(np.abs(x_vals)) > G.R:
             raise InputOutOfRange(f"input exceeds [-R, R] with R = {G.R}")
-        if not isinstance(comparator, ExactComparator):
-            gap = np.min(np.abs(x_vals[:, None] - G.entries), axis=1)
-            margin = comparator.delta * 2.0 * G.R
-            if np.any(gap < margin):
-                raise InputOutOfRange(
-                    f"input within delta*2R = {margin:.3g} of a knot; "
-                    "comparator accuracy is not certified there")
+        gap = np.min(np.abs(x_vals[:, None] - G.entries), axis=1)
+        margin = comparator.delta * 2.0 * G.R
+        if np.any(gap < margin):
+            raise InputOutOfRange(
+                f"input within delta*2R = {margin:.3g} of a knot; "
+                "comparator accuracy is not certified there")
 
     def pad(values: np.ndarray) -> np.ndarray:
         out = np.zeros(S)
         out[: values.size] = values
         return out
 
-    g1 = pad(col_tile(G, 1, r))
-    g2 = pad(col_tile(G, 2, r + 1))
-    x1 = _compare(be.mul(be.sub(xp.ct, g1), inv2R), comparator, check_range)
-    x2 = _compare(be.mul(be.sub(xp.ct, g2), -inv2R), comparator, check_range)
+    g1, g2, orders = basis_tiles(G)
+    x1 = comparator.compare_he(be.mul(be.sub(xp.ct, pad(g1)), inv2R), check_range)
+    x2 = comparator.compare_he(be.mul(be.sub(xp.ct, pad(g2)), -inv2R), check_range)
     b = be.mul(x1, x2)
-
-    for j in range(1, k + 1):
-        t1 = col_tile(G, 1, r - j)
-        t2 = col_tile(G, j + 1, r)
-        t3 = col_tile(G, j + 2, r + 1)
-        t4 = col_tile(G, 2, r - j + 1)
-        recip1 = pad(1.0 / (t2 - t1))
-        neg_recip2 = pad(-1.0 / (t3 - t4))
-        b1 = be.mul(be.mul(be.sub(xp.ct, pad(t1)), recip1), b)
-        b2 = be.mul(be.mul(be.sub(xp.ct, pad(t3)), neg_recip2), be.rotate(b, n_i))
+    for t1, recip1, t3, neg_recip2 in orders:
+        b1 = be.mul(be.mul(be.sub(xp.ct, pad(t1)), pad(recip1)), b)
+        b2 = be.mul(be.mul(be.sub(xp.ct, pad(t3)), pad(neg_recip2)), be.rotate(b, n_i))
         b = be.add(b1, b2)
-    return BasisVector(b, n_i, g + k)
+    return BasisVector(b, n_i, G.n_basis)
 
 
 def basis_clear(x: np.ndarray, G: GridMatrix, comparator) -> np.ndarray:
-    """Cleartext twin of bspline_basis_he: same factors, same op order.
+    """Cleartext twin of bspline_basis_he: same tiles, same op order.
 
     Returns an (n_i, g + k) array of comparator-approximated basis values;
     row i column m matches slot m * n_i + i of the encrypted result.
     """
-    g, k = G.g, G.k
-    r = g + 2 * k + 1
-    x = np.asarray(x, dtype=float)
+    xs = np.asarray(x, dtype=float)[None, :]
     inv2R = 1.0 / (2.0 * G.R)
-    compare = (comparator.compare_clear if isinstance(comparator, ExactComparator)
-               else lambda d: poly_comp_clear(d, comparator))
 
-    def tile(l, rr):
-        return col_tile(G, l, rr).reshape(-1, G.n_i)  # (cols, n_i)
+    def tile(values: np.ndarray) -> np.ndarray:
+        return values.reshape(-1, G.n_i)  # (cols, n_i)
 
-    xs = x[None, :]
-    g1 = tile(1, r)
-    g2 = tile(2, r + 1)
-    x1 = compare((xs - g1) * inv2R)
-    x2 = compare((xs - g2) * -inv2R)
+    g1, g2, orders = basis_tiles(G)
+    x1 = comparator.compare_clear((xs - tile(g1)) * inv2R)
+    x2 = comparator.compare_clear((xs - tile(g2)) * -inv2R)
     b = x1 * x2
-    for j in range(1, k + 1):
-        t1 = tile(1, r - j)
-        t2 = tile(j + 1, r)
-        t3 = tile(j + 2, r + 1)
-        t4 = tile(2, r - j + 1)
-        width = t1.shape[0]
-        shifted = np.vstack([b[1:width + 1]])
-        b1 = (xs - t1) * (1.0 / (t2 - t1)) * b[:width]
-        b2 = (xs - t3) * (-1.0 / (t3 - t4)) * shifted
+    for t1, recip1, t3, neg_recip2 in orders:
+        width = t1.size // G.n_i
+        b1 = (xs - tile(t1)) * tile(recip1) * b[:width]
+        b2 = (xs - tile(t3)) * tile(neg_recip2) * b[1:width + 1]
         b = b1 + b2
-    return b[:g + k].T
+    return b.T
 
 
 # ---------------------------------------------------------------------------

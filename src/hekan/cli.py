@@ -1,9 +1,9 @@
 """Command-line front end: activation fitting, layer fitting, inference,
 and lazy-vs-naive benchmarking.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 depth budget
-infeasible. All subcommands are deterministic for a fixed --seed
-(HEKAN_SEED is the fallback).
+Exit codes: 0 success, 2 usage error (including a malformed model file),
+3 numerical failure, 4 depth budget infeasible. All subcommands are
+deterministic for a fixed --seed (HEKAN_SEED is the fallback).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .approx import (
 )
 from .backend import BackendConfig, make_backend
 from .errors import (
+    CorruptFile,
     DepthBudgetInfeasible,
     HeKanError,
     IllConditioned,
@@ -395,7 +396,8 @@ def main(argv=None) -> int:
     except DepthBudgetInfeasible as exc:
         print(f"depth budget infeasible:\n{exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ShapeMismatch, SchemaMismatch, NonFiniteInput, UnsupportedLayer) as exc:
+    except (ShapeMismatch, SchemaMismatch, CorruptFile, NonFiniteInput,
+            UnsupportedLayer) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllConditioned, RemezNonConvergence, SingularSystem) as exc:

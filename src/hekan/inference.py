@@ -11,7 +11,7 @@ consumption before anything runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .bspline import (
     EXACT_COMPARATOR,
     basis_depth,
     bspline_basis_he,
-    gen_permutation,
     repeat_pack,
 )
 from .errors import (
@@ -88,23 +87,12 @@ class InferenceStats:
 
     @property
     def total(self) -> LayerStats:
-        tot = LayerStats()
-        for ls in self.per_layer:
-            tot.rotations += ls.rotations
-            tot.ct_mults += ls.ct_mults
-            tot.pt_mults += ls.pt_mults
-            tot.adds += ls.adds
-            tot.depth_consumed += ls.depth_consumed
-            tot.wall_time_ms += ls.wall_time_ms
-        return tot
+        return LayerStats(*(sum((getattr(ls, f.name) for ls in self.per_layer), f.default)
+                            for f in fields(LayerStats)))
 
     def to_json(self) -> dict:
-        def row(ls):
-            return {"rotations": ls.rotations, "ct_mults": ls.ct_mults,
-                    "pt_mults": ls.pt_mults, "adds": ls.adds,
-                    "depth_consumed": ls.depth_consumed,
-                    "wall_time_ms": ls.wall_time_ms}
-        return {"per_layer": [row(l) for l in self.per_layer], "total": row(self.total)}
+        return {"per_layer": [asdict(l) for l in self.per_layer],
+                "total": asdict(self.total)}
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +241,9 @@ def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> Ci
     # spline branch: packed basis then the (fused or two-step) linear map
     xp = repeat_pack(ct, layer.g, layer.k, layer.n_i)
     bv = bspline_basis_he(xp, layer.grid, comp, check_range=cfg.check_range)
-    if cfg.path == "lazy":
-        spline_out = bsgs_matvec(layer.w_fused, bv.ct, cfg.bsgs_split)
-    else:
-        perm = gen_permutation(layer.n_i, layer.grid.n_basis).as_matrix()
-        repacked = bsgs_matvec(perm, bv.ct, cfg.bsgs_split)
-        spline_out = bsgs_matvec(layer.w_prime, repacked, cfg.bsgs_split)
+    spline_out = bv.ct
+    for W in layer.spline_maps(cfg.path):
+        spline_out = bsgs_matvec(W, spline_out, cfg.bsgs_split)
 
     return be.add(base_out, spline_out)
 
@@ -311,42 +296,31 @@ def bench_compare(model: KanModel, inputs, cfgs) -> list:
     if not inputs:
         raise ValueError("bench_compare needs at least one input")
     rows = []
+    by_twin = {}
     for cfg in cfgs:
         if cfg.backend is None:
             raise ValueError(f"config {cfg.describe()} has no backend settings")
         backend = make_backend(cfg.backend)
-        agg = LayerStats()
-        depth = 0
+        runs = InferenceStats()  # one total per input
         for x in inputs:
             ct = encrypt_input(np.asarray(x), model, backend)
             _, stats = model_forward_he(model, ct, cfg)
-            tot = stats.total
-            agg.rotations += tot.rotations
-            agg.ct_mults += tot.ct_mults
-            agg.pt_mults += tot.pt_mults
-            agg.adds += tot.adds
-            agg.wall_time_ms += tot.wall_time_ms
-            depth = tot.depth_consumed
-        rows.append({
+            runs.per_layer.append(stats.total)
+        agg = runs.total
+        row = {
             "config": cfg.describe(), "path": cfg.path,
             "rotations": agg.rotations, "ct_mults": agg.ct_mults,
-            "pt_mults": agg.pt_mults, "depth": depth,
+            "pt_mults": agg.pt_mults, "depth": runs.per_layer[-1].depth_consumed,
             "wall_ms": round(agg.wall_time_ms, 3),
             "speedup_vs_naive_counts": 1.0,
-            "_twin": (cfg.label, cfg.comparator_mode, cfg.alpha, cfg.backend.slot_count),
-        })
-    by_twin = {}
-    for row, cfg in zip(rows, cfgs):
-        by_twin.setdefault(row["_twin"], {})[cfg.path] = row
+        }
+        rows.append(row)
+        twin = (cfg.label, cfg.comparator_mode, cfg.alpha, cfg.backend.slot_count)
+        by_twin.setdefault(twin, {})[cfg.path] = (row, agg)
     for pair in by_twin.values():
         if "lazy" in pair and "naive" in pair:
-            lazy_counts = (pair["lazy"]["rotations"] + pair["lazy"]["ct_mults"]
-                           + pair["lazy"]["pt_mults"])
-            naive_counts = (pair["naive"]["rotations"] + pair["naive"]["ct_mults"]
-                            + pair["naive"]["pt_mults"])
-            pair["lazy"]["speedup_vs_naive_counts"] = round(naive_counts / lazy_counts, 4)
-    for row in rows:
-        row.pop("_twin")
+            (lazy_row, lazy), (_, naive) = pair["lazy"], pair["naive"]
+            lazy_row["speedup_vs_naive_counts"] = round(naive.count_total / lazy.count_total, 4)
     return rows
 
 

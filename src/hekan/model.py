@@ -31,6 +31,7 @@ from .bspline import (
 from .errors import (
     CorruptFile,
     DimensionMismatch,
+    HeKanError,
     SchemaMismatch,
     SingularSystem,
 )
@@ -105,6 +106,18 @@ class KanLayer:
         the encrypted basis layout."""
         perm = gen_permutation(self.n_i, self.grid.n_basis)
         return fuse_weights(self.w_prime, perm)
+
+    def spline_maps(self, path: str) -> tuple:
+        """The matrices the spline branch applies to the column-tiled basis,
+        in order: the fused weights on the lazy path; the permutation
+        matrix, then W', on the naive path. The permutation matrix is
+        rebuilt on every call rather than kept: it holds (n_i(g+k))^2
+        doubles, 112.5 MB at n_i(g+k) = 3840."""
+        if path == "lazy":
+            return (self.w_fused,)
+        if path == "naive":
+            return (gen_permutation(self.n_i, self.grid.n_basis).as_matrix(), self.w_prime)
+        raise ValueError(f"unknown path {path!r}")
 
 
 @dataclass(eq=False)
@@ -189,15 +202,9 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
     base = eval_poly_clear(layer.silu_poly, x)
     base_out = matvec_schedule(layer.W_b, bsgs_split).run_clear(base)
     bvals = basis_clear(x, layer.grid, comparator)
-    coltile = bvals.T.ravel()  # slot m * n_i + i holds B_m(x_i)
-    if path == "lazy":
-        spline_out = matvec_schedule(layer.w_fused, bsgs_split).run_clear(coltile)
-    elif path == "naive":
-        perm = gen_permutation(layer.n_i, layer.grid.n_basis).as_matrix()
-        repacked = matvec_schedule(perm, bsgs_split).run_clear(coltile)
-        spline_out = matvec_schedule(layer.w_prime, bsgs_split).run_clear(repacked)
-    else:
-        raise ValueError(f"unknown path {path!r}")
+    spline_out = bvals.T.ravel()  # slot m * n_i + i holds B_m(x_i)
+    for W in layer.spline_maps(path):
+        spline_out = matvec_schedule(W, bsgs_split).run_clear(spline_out)
     return base_out + spline_out
 
 
@@ -388,11 +395,22 @@ def _layer_from_json(doc: dict, idx: int) -> KanLayer:
 
 
 def load_model(path) -> KanModel:
+    """Read a model file. Unparseable text raises CorruptFile; a document
+    that parses but does not build a valid model raises SchemaMismatch."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise CorruptFile(f"{path}: {exc}") from exc
+    try:
+        return _model_from_json(doc)
+    except SchemaMismatch:
+        raise
+    except (HeKanError, ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+        raise SchemaMismatch(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _model_from_json(doc) -> KanModel:
     if not isinstance(doc, dict):
         raise SchemaMismatch("model document must be a JSON object")
     if doc.get("version") != SCHEMA_VERSION:

@@ -30,6 +30,9 @@ def backend(slots=256, depth=30):
     return CleartextBackend(BackendConfig(slot_count=slots, depth_budget=depth))
 
 
+COMPARATORS = {"exact": lambda: EXACT_COMPARATOR, "composite": build_composite_sign}
+
+
 def he_basis_values(x, G, comparator, slots=512, depth=30, check_range=False):
     """Run the encrypted path and return the (n_i, g+k) value matrix."""
     be = backend(slots, depth)
@@ -204,12 +207,15 @@ class TestEncryptedBasis:
                           for i, xi in enumerate(x)])
         assert np.max(np.abs(vals - plain)) <= 10 * cs.target_eps
 
-    def test_composite_he_equals_clear_twin(self):
-        cs = build_composite_sign()
-        G = GridMatrix.uniform(2, 4, 2, -1.0, 1.0)
-        x = np.array([0.31, -0.62])
-        vals, _, _ = he_basis_values(x, G, cs)
-        np.testing.assert_array_equal(vals, basis_clear(x, G, cs))
+    @pytest.mark.parametrize("n_i,g,k", [(1, 1, 1), (3, 2, 1), (2, 4, 2), (4, 5, 3), (2, 3, 5)])
+    @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
+    def test_composite_he_equals_clear_twin(self, comparator, n_i, g, k):
+        comp = COMPARATORS[comparator]()
+        G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+        x = np.random.default_rng(19).uniform(-1, 1, n_i)
+        vals, bv, _ = he_basis_values(x, G, comp)
+        assert np.array_equal(vals, basis_clear(x, G, comp))
+        assert np.all(bv.ct.slots[n_i * (g + k):] == 0.0)
 
     def test_depth_consumption(self):
         cs = build_composite_sign()
@@ -236,6 +242,21 @@ class TestEncryptedBasis:
         xp = repeat_pack(be.encrypt([knot + 1e-9]), 4, 1, 1)
         with pytest.raises(InputOutOfRange):
             bspline_basis_he(xp, G, cs, check_range=True)
+
+    @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
+    def test_check_range_rejects_input_beyond_R(self, comparator):
+        G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
+        be = backend(slots=64, depth=30)
+        xp = repeat_pack(be.encrypt([1.01 * G.R]), 4, 1, 1)
+        with pytest.raises(InputOutOfRange):
+            bspline_basis_he(xp, G, COMPARATORS[comparator](), check_range=True)
+
+    def test_check_range_exact_comparator_accepts_input_near_knot(self):
+        G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
+        x = np.array([G.entries[0][3] + 1e-9])
+        vals, _, _ = he_basis_values(x, G, EXACT_COMPARATOR, slots=64, check_range=True)
+        np.testing.assert_allclose(vals[0], bspline_basis_plain(x[0], G.entries[0], 1),
+                                   atol=1e-9)
 
     def test_basis_support_with_comparator(self):
         cs = build_composite_sign()

@@ -6,6 +6,7 @@ import pytest
 
 from hekan.cli import main
 from hekan.approx import Polynomial
+from hekan.errors import SchemaMismatch
 from hekan.model import load_model, random_model, save_model, silu
 
 
@@ -207,4 +208,42 @@ class TestUsage:
     def test_missing_model_file(self, input_path):
         rc = main(["infer", "--model", "/does/not/exist.json",
                    "--input", input_path, "--mode", "plain-exact"])
+        assert rc == 2
+
+
+def _set_lo_above_hi(layer):
+    u = layer["uniform_grid"]
+    u["lo"], u["hi"] = u["hi"], u["lo"]
+
+
+MALFORMED_MODELS = {
+    "input_shape_not_hwc": lambda doc: doc.update(input_shape=[4]),
+    "negative_R": lambda doc: doc["layers"][0].update(R=-1),
+    "silu_poly_not_numbers": lambda doc: doc["layers"][0].update(silu_poly="abc"),
+    "act_stats_empty": lambda doc: doc["layers"][0].update(act_stats={}),
+    "uniform_grid_lo_above_hi": lambda doc: _set_lo_above_hi(doc["layers"][0]),
+    "W_b_wrong_shape": lambda doc: doc["layers"][0].update(W_b=[[0.0, 1.0]]),
+    "no_layers": lambda doc: doc.update(layers=[]),
+}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("mutate", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+    def test_schema_mismatch_and_usage_exit(self, mutate, model_path, input_path):
+        with open(model_path) as fh:
+            doc = json.load(fh)
+        mutate(doc)
+        with open(model_path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(SchemaMismatch):
+            load_model(model_path)
+        rc = main(["infer", "--model", model_path, "--input", input_path,
+                   "--mode", "plain-exact"])
+        assert rc == 2
+
+    def test_corrupt_file_usage_exit(self, input_path, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{this is not json")
+        rc = main(["infer", "--model", str(path), "--input", input_path,
+                   "--mode", "plain-exact"])
         assert rc == 2
