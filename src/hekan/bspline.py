@@ -388,12 +388,7 @@ def gen_permutation(n_r: int, n_c: int) -> PermutationSpec:
     (r-1)*n_c + c (both 1-indexed)."""
     if n_r < 1 or n_c < 1:
         raise ValueError("n_r and n_c must be >= 1")
-    source_of = np.empty(n_r * n_c, dtype=np.int64)
-    for row in range(n_r):
-        for col in range(n_c):
-            src = col * n_r + row
-            dst = row * n_c + col
-            source_of[dst] = src
+    source_of = np.arange(n_r * n_c).reshape(n_c, n_r).T.ravel()
     return PermutationSpec(n_r, n_c, source_of)
 
 

@@ -124,15 +124,16 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
 # ---------------------------------------------------------------------------
 
 
-def bsgs_matvec(W: np.ndarray, v: CipherText, split: tuple | None = None) -> CipherText:
+def bsgs_matvec(W, v: CipherText, split: tuple | None = None) -> CipherText:
     """Diagonal-method matrix-vector product with baby/giant rotation steps.
 
-    W is n_o x n_in (cleartext); v holds the operand in its first n_in slots
-    with zeros elsewhere. The result is valid in slots [0, n_o); other slots
-    may hold partial sums. Consumes one level. Runs the wide schedule when
-    W is wide enough (see ``matvec_schedule``), else the square one with
-    max(n_o, n_in) plaintext multiplies and at most babies + giants - 1
-    rotations including the wraparound duplication.
+    W is an n_o x n_in cleartext matrix, or a PermutationSpec (square, with
+    its diagonals read from ``source_of``). v holds the operand in its first
+    n_in slots with zeros elsewhere. The result is valid in slots [0, n_o);
+    other slots may hold partial sums. Consumes one level. Runs the wide
+    schedule when W is wide enough (see ``matvec_schedule``), else the
+    square one with max(n_o, n_in) plaintext multiplies and at most
+    babies + giants - 1 rotations including the wraparound duplication.
     """
     return matvec_schedule(W, split).run_he(v)
 

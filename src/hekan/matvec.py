@@ -13,6 +13,11 @@ when n_o < n_in = p * 2^j with p >= n_o and j >= 1, only p extended
 diagonals of length n_in are multiplied and log2(n_in / p) folds add the
 partial rows together. The choice depends on the shape alone, so a caller
 without a slot count (the mirror) makes the same one.
+
+Permutation operand: a :class:`PermutationSpec` takes the square path with
+its diagonals read from ``source_of`` (diagonal d is 1 where
+``(source_of[t] - t) mod n == d``), so the dense n x n matrix is never
+built. Every diagonal is still multiplied, the all-zero ones too.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import CipherText
+from .backend import CipherText, PlainVector
+from .bspline import PermutationSpec
 from .errors import DimensionMismatch
 
 
@@ -46,17 +52,28 @@ def _pad(W: np.ndarray, rows: int, cols: int) -> np.ndarray:
 class MatvecSchedule:
     """W @ v as p extended diagonals over a period of n slots.
 
-    diag_d[t] = W[t mod p, (t + d) mod n] for d < p and t < n. The operand
+    diag_d[t] = W[t mod p, (t + d) mod n] for d < p and t < n; for a
+    permutation operand, diag_d[t] = 1 where offset[t] == d. The operand
     is duplicated with period n so that rotations read wrapped coordinates.
     Slot r < p of the folded sum holds row r; only slots [0, n_out) are
     promised, the others may hold partial sums.
     """
 
-    W: np.ndarray   # (p, n): rows zero-padded to p; square path also pads columns
+    W: np.ndarray | None  # (p, n): rows zero-padded to p; square path also pads columns
     n_out: int
     split: tuple    # (babies, giants) over the p diagonals
+    offset: np.ndarray | None = None  # permutation operand (W is None): (source_of[t] - t) mod n
+
+    @property
+    def shape(self) -> tuple:
+        """(p, n): the diagonals multiplied, and the period they span."""
+        if self.W is None:
+            return self.offset.size, self.offset.size
+        return self.W.shape
 
     def diagonal(self, d: int) -> np.ndarray:
+        if self.W is None:
+            return (self.offset == d).astype(float)
         p, n = self.W.shape
         t = np.arange(n)
         return self.W[t % p, (t + d) % n]
@@ -64,14 +81,14 @@ class MatvecSchedule:
     def blocks(self):
         """Giant steps in order: (base, the diagonals base + i it sums)."""
         b, gs = self.split
-        p = self.W.shape[0]
+        p = self.shape[0]
         for base in range(0, min(b * gs, p), b):
             yield base, range(base, min(base + b, p))
 
     @property
     def folds(self) -> tuple:
         """Rotate-and-add shifts n/2, n/4, ..., p (none on the square path)."""
-        p, n = self.W.shape
+        p, n = self.shape
         return tuple(n >> i for i in range(1, (n // p).bit_length()))
 
     def run_he(self, v: CipherText) -> CipherText:
@@ -79,7 +96,7 @@ class MatvecSchedule:
         and zeros in the rest. One level; p plaintext multiplies."""
         be = v.backend
         S = be.config.slot_count
-        p, n = self.W.shape
+        p, n = self.shape
         if n > S:
             raise DimensionMismatch(f"matrix dimension {n} exceeds {S} slots")
         if n > 1 and 2 * n > S:
@@ -93,7 +110,7 @@ class MatvecSchedule:
             for d in diags:
                 pt = np.zeros(S)
                 pt[base:base + n] = self.diagonal(d)
-                term = be.mul(babies[d - base], pt)
+                term = be.mul(babies[d - base], PlainVector(pt))
                 block = term if block is None else be.add(block, term)
             rotated = be.rotate(block, base)
             acc = rotated if acc is None else be.add(acc, rotated)
@@ -104,7 +121,7 @@ class MatvecSchedule:
     def run_clear(self, v: np.ndarray) -> np.ndarray:
         """Cleartext executor: the same products summed in the same order;
         returns the n_out valid outputs."""
-        n = self.W.shape[1]
+        n = self.shape[1]
         vfull = np.zeros(2 * n)
         vfull[: v.size] = v
         vfull[n:] = vfull[:n]
@@ -124,8 +141,13 @@ class MatvecSchedule:
 def matvec_schedule(W, split: tuple | None = None) -> MatvecSchedule:
     """The schedule for W, chosen by its shape alone: wide when
     n_in = p * 2^j (j >= 1) with p >= n_o (smallest such p), square
-    otherwise. ``split`` replaces the default baby/giant split over the
+    otherwise. A PermutationSpec is square, with its diagonals read from
+    ``source_of``. ``split`` replaces the default baby/giant split over the
     schedule's diagonals."""
+    if isinstance(W, PermutationSpec):
+        n = W.size
+        offset = (W.source_of - np.arange(n)) % n
+        return MatvecSchedule(None, n, _checked_split(n, split), offset)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n_o, n_in = W.shape
     p = n_in
@@ -136,7 +158,11 @@ def matvec_schedule(W, split: tuple | None = None) -> MatvecSchedule:
     else:
         p = max(n_o, n_in)
         W = _pad(W, p, p)
+    return MatvecSchedule(W, n_o, _checked_split(p, split))
+
+
+def _checked_split(p: int, split: tuple | None) -> tuple:
     b, gs = split if split is not None else default_bsgs_split(p)
     if b < 1 or gs < 1 or b * gs < p:
         raise DimensionMismatch(f"split {split} cannot cover {p} diagonals")
-    return MatvecSchedule(W, n_o, (b, gs))
+    return b, gs

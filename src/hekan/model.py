@@ -108,15 +108,16 @@ class KanLayer:
         return fuse_weights(self.w_prime, perm)
 
     def spline_maps(self, path: str) -> tuple:
-        """The matrices the spline branch applies to the column-tiled basis,
-        in order: the fused weights on the lazy path; the permutation
-        matrix, then W', on the naive path. The permutation matrix is
-        rebuilt on every call rather than kept: it holds (n_i(g+k))^2
-        doubles, 112.5 MB at n_i(g+k) = 3840."""
+        """The linear maps the spline branch applies to the column-tiled
+        basis, in order: the fused weights on the lazy path; the
+        column-tile permutation, then W', on the naive path. The
+        permutation stays a PermutationSpec: ``matvec_schedule`` reads its
+        diagonals from ``source_of``, so the dense (n_i(g+k))^2 matrix
+        (112.5 MB at n_i(g+k) = 3840) is never built."""
         if path == "lazy":
             return (self.w_fused,)
         if path == "naive":
-            return (gen_permutation(self.n_i, self.grid.n_basis).as_matrix(), self.w_prime)
+            return (gen_permutation(self.n_i, self.grid.n_basis), self.w_prime)
         raise ValueError(f"unknown path {path!r}")
 
 
@@ -361,6 +362,10 @@ def _layer_from_json(doc: dict, idx: int) -> KanLayer:
     g = _require(doc, "g", where)
     k = _require(doc, "k", where)
     R = _require(doc, "R", where)
+    W_b = np.asarray(_require(doc, "W_b", where), dtype=float)
+    if W_b.shape != (n_o, n_i):
+        raise SchemaMismatch(f"{where}: W_b shape {W_b.shape} != declared (n_o, n_i) = "
+                             f"{(n_o, n_i)}")
 
     if "grid" in doc:
         grid = GridMatrix(np.asarray(doc["grid"], dtype=float), g, k, R)
@@ -386,7 +391,7 @@ def _layer_from_json(doc: dict, idx: int) -> KanLayer:
 
     stats = _require(doc, "act_stats", where)
     return KanLayer(
-        W_b=np.asarray(_require(doc, "W_b", where), dtype=float),
+        W_b=W_b,
         S=S,
         grid=grid,
         silu_poly=Polynomial.from_json(_require(doc, "silu_poly", where)),

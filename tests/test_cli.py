@@ -6,6 +6,7 @@ import pytest
 
 from hekan.cli import main
 from hekan.approx import Polynomial
+from hekan.bspline import GridMatrix
 from hekan.errors import SchemaMismatch
 from hekan.model import load_model, random_model, save_model, silu
 
@@ -216,6 +217,14 @@ def _set_lo_above_hi(layer):
     u["lo"], u["hi"] = u["hi"], u["lo"]
 
 
+def _declare_wrong_shape(layer):
+    # an explicit grid, so n_i is not needed to build it
+    u = layer.pop("uniform_grid")
+    grid = GridMatrix.uniform(layer["n_i"], layer["g"], layer["k"], u["lo"], u["hi"],
+                              R=layer["R"])
+    layer.update(grid=grid.entries.tolist(), n_i=77, n_o=99)
+
+
 MALFORMED_MODELS = {
     "input_shape_not_hwc": lambda doc: doc.update(input_shape=[4]),
     "negative_R": lambda doc: doc["layers"][0].update(R=-1),
@@ -224,6 +233,7 @@ MALFORMED_MODELS = {
     "uniform_grid_lo_above_hi": lambda doc: _set_lo_above_hi(doc["layers"][0]),
     "W_b_wrong_shape": lambda doc: doc["layers"][0].update(W_b=[[0.0, 1.0]]),
     "no_layers": lambda doc: doc.update(layers=[]),
+    "declared_shape_not_W_b": lambda doc: _declare_wrong_shape(doc["layers"][0]),
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from hekan.approx import build_composite_sign
 from hekan.backend import BackendConfig, CleartextBackend, OpCounter, make_backend
-from hekan.bspline import EXACT_COMPARATOR, repeat_pack
+from hekan.bspline import EXACT_COMPARATOR, PermutationSpec, gen_permutation, repeat_pack
 from hekan.errors import (
     DepthBudgetInfeasible,
     DimensionMismatch,
@@ -216,6 +216,68 @@ class TestWideMatvec:
         assert np.array_equal(be.decrypt(out)[:2], mirrored)
 
 
+class TestPermutationMatvec:
+    """A PermutationSpec operand runs the square schedule of its dense
+    matrix, with the diagonals read from source_of."""
+
+    @pytest.mark.parametrize("n_r, n_c, split", [
+        (1, 1, None),
+        (1, 6, None),
+        (6, 1, None),
+        (3, 4, None),
+        (5, 7, None),
+        (4, 6, (6, 4)),    # explicit split
+        (4, 6, (24, 1)),   # all babies, one giant
+        (256, 15, None),   # the (256, 10, 5) table config
+    ])
+    def test_equals_dense_schedule(self, n_r, n_c, split):
+        P = gen_permutation(n_r, n_c)
+        n = P.size
+        spec, dense = matvec_schedule(P, split), matvec_schedule(P.as_matrix(), split)
+        assert spec.shape == dense.W.shape == (n, n)
+        assert spec.split == dense.split
+        assert list(spec.blocks()) == list(dense.blocks())
+        for d in range(n):
+            assert np.array_equal(spec.diagonal(d), dense.diagonal(d)), d
+
+        v = np.random.default_rng(n).normal(size=n)
+        assert np.array_equal(spec.run_clear(v), dense.run_clear(v))
+        assert np.array_equal(spec.run_clear(v), P.apply(v))
+
+        slots = max(64, 1 << (2 * n - 1).bit_length())  # 2n <= slots
+        outs, counters = [], []
+        for sched in (spec, dense):
+            be = cleartext(slots=slots)
+            outs.append(be.decrypt(sched.run_he(be.encrypt(v)))[:n])
+            counters.append(be.counter)
+        assert np.array_equal(outs[0], outs[1])
+        assert counters[0] == counters[1]
+        assert counters[0].pt_mults == n
+
+    def test_split_and_capacity_checks(self):
+        P = gen_permutation(4, 6)
+        with pytest.raises(DimensionMismatch):
+            matvec_schedule(P, (4, 5))  # 20 < 24 diagonals
+        be = cleartext(slots=32)
+        with pytest.raises(DimensionMismatch):
+            bsgs_matvec(P, be.encrypt(np.ones(24)))  # needs 2 * 24 slots
+
+    def test_naive_path_never_builds_the_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense permutation matrix built")
+
+        monkeypatch.setattr(PermutationSpec, "as_matrix", refuse)
+        mdl = random_model([6, 4, 2], g=4, k=2, seed=31)
+        cs = build_composite_sign()
+        bcfg = BackendConfig(slot_count=256, depth_budget=40)
+        x = np.random.default_rng(32).uniform(-1, 1, 6)
+        be = CleartextBackend(bcfg)
+        out, _ = model_forward_he(mdl, encrypt_input(x, mdl, be),
+                                  PipelineConfig(path="naive", backend=bcfg))
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs, path="naive")
+        assert np.array_equal(be.decrypt(out)[:2], mirrored)
+
+
 class TestUnsupportedLayer:
     def test_k_zero_rejected_before_any_operation(self):
         mdl = random_model([4, 2], g=4, k=0, seed=26)
@@ -416,6 +478,24 @@ class TestBench:
         mdl = random_model([4, 2], g=3, k=1, seed=23)
         with pytest.raises(ValueError):
             bench_compare(mdl, [np.zeros(4)], [PipelineConfig()])
+
+    def test_table_config_op_counts_are_pinned(self):
+        # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15 slots
+        pinned = {
+            "(64,3,2)": {"lazy": (25, 104, 86), "naive": (60, 424, 86)},
+            "(128,5,3)": {"lazy": (30, 112, 88), "naive": (93, 1136, 88)},
+            "(256,5,3)": {"lazy": (32, 112, 88), "naive": (122, 2160, 88)},
+            "(256,10,3)": {"lazy": (33, 109, 88), "naive": (148, 3437, 88)},
+            "(256,10,5)": {"lazy": (36, 115, 92), "naive": (159, 3955, 92)},
+        }
+        configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
+        rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,
+                                   n_o=10, seed=0)
+        measured = {}
+        for row in rows:
+            measured.setdefault(row["config"], {})[row["path"]] = (
+                row["rotations"], row["pt_mults"], row["ct_mults"])
+        assert measured == pinned
 
     def test_determinism_across_runs(self):
         kwargs = dict(slot_count=512, depth_budget=40, n_o=3, seed=5)
