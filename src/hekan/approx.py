@@ -329,7 +329,7 @@ class _HeOps:
 
     def const(self, c):
         # trivial encryption of a public constant; no depth, no op counts
-        return self.be.encrypt(np.full(self.be.config.slot_count, c), self.x.level)
+        return self.be.encrypt(c, self.x.level)
 
 
 class _ArrayOps:
@@ -384,25 +384,30 @@ def _estrin(ops, coeffs: np.ndarray):
     for _ in range(m - 1):
         pows.append(ops.mul(pows[-1], pows[-1]))
 
-    def block(lo: int, size: int):
-        if size == 1:
-            return float(padded[lo])
-        half = size // 2
-        lo_val = block(lo, half)
-        hi_val = block(lo + half, half)
-        xpow = pows[half.bit_length() - 1]
-        if isinstance(hi_val, float):
-            term = None if hi_val == 0.0 else ops.mul_const(xpow, hi_val)
-        else:
-            term = ops.mul(xpow, hi_val)
-        if term is None:
-            return lo_val
-        if isinstance(lo_val, float):
-            return term if lo_val == 0.0 else ops.add_const(term, lo_val)
-        return ops.add(term, lo_val)
-
-    out = block(0, 1 << m)
+    out = _estrin_block(ops, padded, pows, 0, 1 << m)
     return ops.const(out) if isinstance(out, float) else out
+
+
+def _estrin_block(ops, padded: np.ndarray, pows: list, lo: int, size: int):
+    """Coefficients lo .. lo+size-1 of the power tree; a float when the
+    block is constant. Module-level rather than a recursive closure, whose
+    reference cycle would keep every power alive until the next garbage
+    collection."""
+    if size == 1:
+        return float(padded[lo])
+    half = size // 2
+    lo_val = _estrin_block(ops, padded, pows, lo, half)
+    hi_val = _estrin_block(ops, padded, pows, lo + half, half)
+    xpow = pows[half.bit_length() - 1]
+    if isinstance(hi_val, float):
+        term = None if hi_val == 0.0 else ops.mul_const(xpow, hi_val)
+    else:
+        term = ops.mul(xpow, hi_val)
+    if term is None:
+        return lo_val
+    if isinstance(lo_val, float):
+        return term if lo_val == 0.0 else ops.add_const(term, lo_val)
+    return ops.add(term, lo_val)
 
 
 def poly_eval_depth(p: Polynomial | int) -> int:
@@ -448,8 +453,7 @@ class CompositeSign:
 
     def compare_he(self, scaled: CipherText, check_range: bool = False) -> CipherText:
         """Slot-wise step(scaled) through poly_comp against zero."""
-        zero = np.zeros(scaled.backend.config.slot_count)
-        return poly_comp(scaled, zero, self, check_range=check_range)
+        return poly_comp(scaled, 0.0, self, check_range=check_range)
 
     def compare_clear(self, d: np.ndarray) -> np.ndarray:
         """Cleartext twin of compare_he."""

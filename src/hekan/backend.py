@@ -5,12 +5,25 @@ level. All arithmetic is slot-wise; rotation is cyclic. Two backends ship:
 :class:`CleartextBackend` (exact arithmetic) and :class:`NoisyBackend`
 (additive Gaussian perturbation per operation). The backend is a swappable
 contract so a real scheme can be substituted behind the same semantics.
+
+Representation: a ciphertext stores a cyclic window of slots (``start``
+and the window's values ``data``) over a constant ``tail`` that every
+other slot holds. A rotation moves ``start`` only; a slot-wise op computes
+over the smallest cyclic window covering both operands and combines the
+two tails, so it costs O(window), not O(slot_count). Invariant: every slot
+is bit-identical to the same arithmetic on dense slot_count-long vectors,
+since each slot sees the same float operation on the same operands.
+Windows never shrink (``x * 0`` keeps the sign of ``x``, ``inf * 0`` is
+NaN). :class:`PlainVector` is the same window over a tail, or a dense
+vector. A noisy backend perturbs every slot, so its results are full
+windows.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -105,28 +118,94 @@ class OpCounter:
         return self.ct_mults + self.pt_mults
 
 
+_EMPTY = np.empty(0)
+_EMPTY.setflags(write=False)
+
+_ARITH = {"add": operator.add, "sub": operator.sub,
+          "mul_ct": operator.mul, "mul_pt": operator.mul}
+
+
+def _place(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int) -> np.ndarray:
+    """Fresh array of slots s .. s+n-1 (mod S) of the vector whose slots
+    start .. start+len(data)-1 hold data and whose other slots hold tail.
+    The window must lie inside the requested range unless n == S."""
+    out = np.full(n, tail)
+    if data.size:
+        o = (start - s) % S
+        head = min(data.size, n - o)
+        out[o:o + head] = data[:head]
+        out[:data.size - head] = data[head:]
+    return out
+
+
+def _cover(sa: int, na: int, sb: int, nb: int, S: int) -> tuple:
+    """Smallest cyclic window (start, length) that holds both windows."""
+    if nb == 0:
+        return sa, na
+    if na == 0:
+        return sb, nb
+    from_a = min(S, max(na, (sb - sa) % S + nb))
+    from_b = min(S, max(nb, (sa - sb) % S + na))
+    return (sa, from_a) if from_a <= from_b else (sb, from_b)
+
+
+def _over(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int):
+    """Slots s .. s+n-1 as a numpy operand: the tail itself for an empty
+    window, data itself when the windows coincide, else a placed copy."""
+    if data.size == 0:
+        return tail
+    if start == s and data.size == n:
+        return data
+    return _place(start, data, tail, s, n, S)
+
+
 @dataclass(frozen=True)
 class PlainVector:
-    """Unencrypted slot vector, the right-hand operand of plaintext ops."""
+    """Unencrypted slot vector, the right-hand operand of plaintext ops.
 
-    slots: np.ndarray
+    With an offset, ``values`` fill slots offset .. offset+len-1 (mod
+    slot_count) and every other slot holds ``tail``. Without one it is a
+    dense vector of exactly slot_count values.
+    """
+
+    values: np.ndarray
+    offset: int | None = None
+    tail: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).ravel())
 
 
 @dataclass(frozen=True)
 class CipherText:
-    """Slot vector plus remaining multiplicative level.
+    """Cyclic window of slots over a constant tail, plus remaining level.
 
-    Immutable: every operation returns a new ciphertext. `tag` is an opaque
-    identifier for counter attribution.
+    Slots start .. start+len(data)-1 (mod slot_count) hold ``data``; every
+    other slot holds ``tail``. A full window is the case len(data) ==
+    slot_count, a broadcast constant an empty one. Immutable: every
+    operation returns a new ciphertext, and a rotation shares ``data``.
+    `tag` is an opaque identifier for counter attribution.
     """
 
-    slots: np.ndarray = field(repr=False)
+    start: int
+    data: np.ndarray = field(repr=False)
+    tail: float
     level: int
     tag: str
     backend: "HeBackend" = field(repr=False, compare=False)
 
     def __post_init__(self):
-        self.slots.setflags(write=False)
+        self.data.setflags(write=False)
+
+    @property
+    def slots(self) -> np.ndarray:
+        """All slot_count slots, read-only. Materialised on every read, so
+        it costs O(slot_count); no pipeline stage reads it (only the
+        ``check_range`` checks do)."""
+        S = self.backend.config.slot_count
+        out = _place(self.start, self.data, self.tail, 0, S, S)
+        out.setflags(write=False)
+        return out
 
 
 class HeBackend:
@@ -147,27 +226,30 @@ class HeBackend:
     # ------------------------------------------------------------------
 
     def encode(self, values) -> PlainVector:
-        """Zero-pad a vector (or broadcast a scalar) to the slot count."""
+        """Compact plaintext, never padded to the slot count: a vector fills
+        slots [0, len) over a zero tail, a scalar is an empty window whose
+        tail is the scalar."""
         if np.isscalar(values):
-            return PlainVector(np.full(self.config.slot_count, float(values)))
+            return PlainVector(_EMPTY, 0, float(values))
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size > self.config.slot_count:
             raise InputTooLong(f"{arr.size} values > {self.config.slot_count} slots")
-        out = np.zeros(self.config.slot_count)
-        out[: arr.size] = arr
-        return PlainVector(out)
+        return PlainVector(arr, 0)
 
     def encrypt(self, values, level: int | None = None) -> CipherText:
+        """Encrypt a vector (slots [0, len), zeros elsewhere), a scalar (every
+        slot) or a PlainVector; the ciphertext keeps the input's window."""
         if level is None:
             level = self.config.depth_budget
         if not 0 <= level <= self.config.depth_budget:
             raise ValueError(f"level {level} outside [0, {self.config.depth_budget}]")
-        slots = self._perturb(self.encode(values).slots.copy())
-        return self._wrap(slots, level)
+        start, data, tail = self._plain(values)
+        return self._wrap(*self._perturb(start, data.copy(), tail), level)
 
     def decrypt(self, a: CipherText) -> np.ndarray:
         self._check_ours(a)
-        return a.slots.copy()
+        S = self.config.slot_count
+        return _place(a.start, a.data, a.tail, 0, S, S)
 
     def refresh(self, a: CipherText, level: int | None = None) -> CipherText:
         """Reset a ciphertext's level (bootstrapping stand-in, zero cost).
@@ -177,7 +259,7 @@ class HeBackend:
         if level is None:
             level = self.config.depth_budget
         self._check_ours(a)
-        return self._wrap(a.slots.copy(), level)
+        return self._wrap(a.start, a.data, a.tail, level)
 
     def reset_counter(self) -> OpCounter:
         """Install a fresh counter; returns the retired one."""
@@ -190,7 +272,9 @@ class HeBackend:
     # ------------------------------------------------------------------
 
     def slotwise(self, op_kind: str, a: CipherText, b) -> CipherText:
-        """Element-wise add/sub/mul of a ciphertext with a cipher or plain operand."""
+        """Element-wise add/sub/mul of a ciphertext with a cipher or plain
+        operand, over the smallest cyclic window holding both operands'
+        windows; the tails combine into the result's tail."""
         if op_kind not in OP_KINDS:
             raise ValueError(f"unknown op_kind {op_kind!r}")
         self._check_ours(a)
@@ -201,27 +285,29 @@ class HeBackend:
             raise LengthMismatch("mul_pt requires a plaintext right operand")
         if is_ct:
             self._check_ours(b)
-            b_slots, level = b.slots, min(a.level, b.level)
+            sb, db, tb, level = b.start, b.data, b.tail, min(a.level, b.level)
         else:
-            b_slots = self._plain_slots(b)
-            level = a.level
+            (sb, db, tb), level = self._plain(b), a.level
 
         if op_kind == "add":
-            out = a.slots + b_slots
             self.counter.adds += 1
         elif op_kind == "sub":
-            out = a.slots - b_slots
             self.counter.subs += 1
         else:
             if level < 1:
                 raise DepthExhausted(f"multiplication at level {level} (tag {a.tag})")
-            out = a.slots * b_slots
             level -= 1
             if op_kind == "mul_ct":
                 self.counter.ct_mults += 1
             else:
                 self.counter.pt_mults += 1
-        return self._wrap(self._perturb(out), level)
+
+        S = self.config.slot_count
+        s, n = _cover(a.start, a.data.size, sb, db.size, S)
+        fn = _ARITH[op_kind]
+        data = (fn(_over(a.start, a.data, a.tail, s, n, S), _over(sb, db, tb, s, n, S))
+                if n else _EMPTY)
+        return self._wrap(*self._perturb(s, data, fn(a.tail, tb)), level)
 
     def add(self, a: CipherText, b) -> CipherText:
         return self.slotwise("add", a, b)
@@ -235,46 +321,51 @@ class HeBackend:
         return self.slotwise(kind, a, b)
 
     def rotate(self, a: CipherText, t: int) -> CipherText:
-        """Cyclic shift: left for t > 0, right for t < 0. Level unchanged."""
+        """Cyclic shift: left for t > 0, right for t < 0. Level unchanged.
+        Moves the window's start only; the data is shared."""
         self._check_ours(a)
-        if abs(t) >= self.config.slot_count:
-            raise ValueError(f"|t| = {abs(t)} must be < slot_count {self.config.slot_count}")
+        S = self.config.slot_count
+        if abs(t) >= S:
+            raise ValueError(f"|t| = {abs(t)} must be < slot_count {S}")
         if t == 0:
             return a
         self.counter.rotations += 1
-        return self._wrap(np.roll(a.slots, -t), a.level)
+        return self._wrap((a.start - t) % S, a.data, a.tail, a.level)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _plain_slots(self, b) -> np.ndarray:
-        if isinstance(b, PlainVector):
-            if b.slots.size != self.config.slot_count:
-                raise LengthMismatch(
-                    f"plain operand has {b.slots.size} slots, backend {self.config.slot_count}")
-            return b.slots
-        return self.encode(b).slots
+    def _plain(self, b) -> tuple:
+        """(start, data, tail) of a plaintext: a PlainVector, or anything
+        encode accepts."""
+        if not isinstance(b, PlainVector):
+            b = self.encode(b)
+        S = self.config.slot_count
+        size = b.values.size
+        if size > S or (b.offset is None and size != S):
+            raise LengthMismatch(f"plain operand has {size} slots, backend {S}")
+        return (b.offset or 0) % S, b.values, b.tail
 
     def _check_ours(self, a: CipherText) -> None:
         if a.backend is not self:
             raise LengthMismatch("ciphertext belongs to a different backend")
 
-    def _wrap(self, slots: np.ndarray, level: int) -> CipherText:
+    def _wrap(self, start: int, data: np.ndarray, tail: float, level: int) -> CipherText:
         consumed = self.config.depth_budget - level
         if consumed > self.counter.max_depth_consumed:
             self.counter.max_depth_consumed = consumed
-        return CipherText(slots=slots, level=level, tag=f"ct{next(self._tags)}", backend=self)
+        return CipherText(start, data, tail, level, f"ct{next(self._tags)}", self)
 
-    def _perturb(self, slots: np.ndarray) -> np.ndarray:
+    def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
         raise NotImplementedError
 
 
 class CleartextBackend(HeBackend):
     """Exact backend: arithmetic model with no perturbation."""
 
-    def _perturb(self, slots: np.ndarray) -> np.ndarray:
-        return slots
+    def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
+        return start, data, tail
 
 
 class NoisyBackend(HeBackend):
@@ -284,10 +375,13 @@ class NoisyBackend(HeBackend):
         super().__init__(config)
         self._rng = np.random.default_rng(config.rng_seed)
 
-    def _perturb(self, slots: np.ndarray) -> np.ndarray:
+    def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
+        """Materialise all slot_count slots and perturb each one."""
         if self.config.noise_std == 0.0:
-            return slots
-        return slots + self._rng.normal(0.0, self.config.noise_std, slots.shape)
+            return start, data, tail
+        S = self.config.slot_count
+        dense = _place(start, data, tail, 0, S, S)
+        return 0, dense + self._rng.normal(0.0, self.config.noise_std, S), 0.0
 
 
 def make_backend(config: BackendConfig) -> HeBackend:

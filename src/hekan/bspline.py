@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import CipherText, CleartextBackend
+from .backend import CipherText, CleartextBackend, PlainVector
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -168,9 +168,7 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int) -> PackedInput:
         raise PackingOverflow(
             f"doubling to {1 << reps} copies of {n_i} slots wraps past "
             f"{be.config.slot_count}; the fast packing needs power-of-two headroom")
-    mask = np.zeros(be.config.slot_count)
-    mask[:n_i] = 1.0
-    packed = be.mul(ct, mask)
+    packed = be.mul(ct, np.ones(n_i))
     for j in range(reps):
         packed = be.add(be.rotate(packed, -(n_i << j)), packed)
     return PackedInput(packed, n_i, g, k)
@@ -181,9 +179,7 @@ def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> PackedInput:
     be = ct.backend
     copies = g + 2 * k
     _check_packing(be.config.slot_count, n_i, copies)
-    mask = np.zeros(be.config.slot_count)
-    mask[:n_i] = 1.0
-    base = be.mul(ct, mask)
+    base = be.mul(ct, np.ones(n_i))
     packed = base
     for j in range(1, copies):
         packed = be.add(packed, be.rotate(base, -n_i * j))
@@ -216,10 +212,10 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 class ExactComparator:
     """Step-function oracle with the composite comparator's interface.
 
-    Reads slots directly, so it is only meaningful on the arithmetic
-    simulator; it consumes no depth and counts no operations. Useful to
-    isolate comparator error from the rest of the pipeline. Exact at any
-    distance from zero, hence delta = 0.
+    Reads the slot window directly, so it is only meaningful on the
+    arithmetic simulator; it consumes no depth and counts no operations.
+    Useful to isolate comparator error from the rest of the pipeline. Exact
+    at any distance from zero, hence delta = 0.
     """
 
     delta = 0.0
@@ -228,8 +224,9 @@ class ExactComparator:
         return 0
 
     def compare_he(self, scaled: CipherText, check_range: bool = False) -> CipherText:
-        be = scaled.backend
-        return be.encrypt(step_clear(scaled.slots), scaled.level)
+        step = PlainVector(step_clear(scaled.data), scaled.start,
+                           float(step_clear(scaled.tail)))
+        return scaled.backend.encrypt(step, scaled.level)
 
     @staticmethod
     def compare_clear(d: np.ndarray) -> np.ndarray:
@@ -294,7 +291,6 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
     if G.n_i != xp.n_i or G.g != xp.g or G.k != xp.k:
         raise DimensionMismatch("grid and packed input disagree on (n_i, g, k)")
     n_i = G.n_i
-    S = be.config.slot_count
     inv2R = 1.0 / (2.0 * G.R)
 
     if check_range and isinstance(be, CleartextBackend):
@@ -308,18 +304,13 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
                 f"input within delta*2R = {margin:.3g} of a knot; "
                 "comparator accuracy is not certified there")
 
-    def pad(values: np.ndarray) -> np.ndarray:
-        out = np.zeros(S)
-        out[: values.size] = values
-        return out
-
     g1, g2, orders = basis_tiles(G)
-    x1 = comparator.compare_he(be.mul(be.sub(xp.ct, pad(g1)), inv2R), check_range)
-    x2 = comparator.compare_he(be.mul(be.sub(xp.ct, pad(g2)), -inv2R), check_range)
+    x1 = comparator.compare_he(be.mul(be.sub(xp.ct, g1), inv2R), check_range)
+    x2 = comparator.compare_he(be.mul(be.sub(xp.ct, g2), -inv2R), check_range)
     b = be.mul(x1, x2)
     for t1, recip1, t3, neg_recip2 in orders:
-        b1 = be.mul(be.mul(be.sub(xp.ct, pad(t1)), pad(recip1)), b)
-        b2 = be.mul(be.mul(be.sub(xp.ct, pad(t3)), pad(neg_recip2)), be.rotate(b, n_i))
+        b1 = be.mul(be.mul(be.sub(xp.ct, t1), recip1), b)
+        b2 = be.mul(be.mul(be.sub(xp.ct, t3), neg_recip2), be.rotate(b, n_i))
         b = be.add(b1, b2)
     return BasisVector(b, n_i, G.n_basis)
 

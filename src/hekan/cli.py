@@ -236,26 +236,19 @@ def cmd_infer(args) -> int:
 
 
 def _configs_from_json(doc, default_backend: BackendConfig) -> list:
-    cfgs = []
-    for entry in doc:
-        backend = (BackendConfig.from_json(entry["backend"])
-                   if "backend" in entry else default_backend)
-        cfgs.append(PipelineConfig(
-            comparator_mode=entry.get("comparator_mode", "composite"),
-            path=entry.get("path", "lazy"),
-            backend=backend,
-            bsgs_split=tuple(entry["bsgs_split"]) if "bsgs_split" in entry else None,
-            alpha=entry.get("alpha", 7.0),
-            target_eps=entry.get("target_eps", 2.0 ** -10),
-            label=entry.get("label", ""),
-        ))
-    return cfgs
+    try:
+        return [PipelineConfig.from_json(entry, default_backend) for entry in doc]
+    except (ValueError, TypeError) as exc:
+        raise SchemaMismatch(f"--configs: {exc}") from exc
 
 
 def cmd_bench(args) -> int:
     mdl = load_model(args.model)
-    with open(args.configs) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.configs) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise CorruptFile(f"{args.configs}: {exc}") from exc
     if not isinstance(doc, list) or not doc:
         print("bench: --configs must be a non-empty JSON list", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ consumption before anything runs.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedLayer,
 )
-from .matvec import default_bsgs_split, matvec_schedule
+from .matvec import matvec_schedule
 from .model import KanLayer, KanModel
 
 
@@ -56,6 +56,24 @@ class PipelineConfig:
             raise ValueError(f"unknown comparator_mode {self.comparator_mode!r}")
         if self.path not in ("lazy", "naive"):
             raise ValueError(f"unknown path {self.path!r}")
+
+    @classmethod
+    def from_json(cls, doc, backend: BackendConfig | None = None) -> "PipelineConfig":
+        """Build a config from a parsed JSON object. Absent keys take the
+        dataclass defaults; a ``backend`` entry is read by
+        BackendConfig.from_json, else ``backend`` is used. Unknown keys
+        raise ValueError, as in BackendConfig.from_json."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a PipelineConfig must be a JSON object, got {type(doc).__name__}")
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown PipelineConfig keys: {sorted(unknown)}")
+        kwargs = {"backend": backend, **doc}
+        if "backend" in doc:
+            kwargs["backend"] = BackendConfig.from_json(doc["backend"])
+        if kwargs.get("bsgs_split") is not None:
+            kwargs["bsgs_split"] = tuple(kwargs["bsgs_split"])
+        return cls(**kwargs)
 
     def comparator(self):
         if self.comparator_mode == "exact":
@@ -132,18 +150,10 @@ def bsgs_matvec(W, v: CipherText, split: tuple | None = None) -> CipherText:
     n_in slots with zeros elsewhere. The result is valid in slots [0, n_o);
     other slots may hold partial sums. Consumes one level. Runs the wide
     schedule when W is wide enough (see ``matvec_schedule``), else the
-    square one with max(n_o, n_in) plaintext multiplies and at most
-    babies + giants - 1 rotations including the wraparound duplication.
+    square one with max(n_o, n_in) plaintext multiplies. The schedule's
+    ``rotations`` and ``pt_mults`` give the exact counts.
     """
     return matvec_schedule(W, split).run_he(v)
-
-
-def bsgs_rotation_bound(n: int, split: tuple | None = None) -> int:
-    """Upper bound on rotations used by bsgs_matvec for dimension n."""
-    if n <= 1:
-        return 0
-    b, gs = split if split is not None else default_bsgs_split(n)
-    return b + gs - 1
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +240,10 @@ def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> Ci
     _check_supported(layer)
     be = ct.backend
     comp = cfg.comparator()
-    S = be.config.slot_count
 
     # activation branch: polynomial on the raw input, masked, then W_b
     base = eval_poly_he(ct, layer.silu_poly)
-    mask = np.zeros(S)
-    mask[: layer.n_i] = 1.0
-    base = be.mul(base, mask)
+    base = be.mul(base, np.ones(layer.n_i))
     base_out = bsgs_matvec(layer.W_b, base, cfg.bsgs_split)
 
     # spline branch: packed basis then the (fused or two-step) linear map
@@ -316,8 +323,7 @@ def bench_compare(model: KanModel, inputs, cfgs) -> list:
             "speedup_vs_naive_counts": 1.0,
         }
         rows.append(row)
-        twin = (cfg.label, cfg.comparator_mode, cfg.alpha, cfg.backend.slot_count)
-        by_twin.setdefault(twin, {})[cfg.path] = (row, agg)
+        by_twin.setdefault(replace(cfg, path="lazy"), {})[cfg.path] = (row, agg)
     for pair in by_twin.values():
         if "lazy" in pair and "naive" in pair:
             (lazy_row, lazy), (_, naive) = pair["lazy"], pair["naive"]

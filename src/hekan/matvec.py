@@ -91,6 +91,19 @@ class MatvecSchedule:
         p, n = self.shape
         return tuple(n >> i for i in range(1, (n // p).bit_length()))
 
+    @property
+    def rotations(self) -> int:
+        """Rotations run_he performs: the wraparound duplication, the
+        babies after the first, the giant steps after the first, the folds."""
+        p, n = self.shape
+        blocks = sum(1 for _ in self.blocks())
+        return (n > 1) + (min(self.split[0], p) - 1) + (blocks - 1) + len(self.folds)
+
+    @property
+    def pt_mults(self) -> int:
+        """Plaintext multiplies run_he performs: one per diagonal."""
+        return self.shape[0]
+
     def run_he(self, v: CipherText) -> CipherText:
         """Encrypted executor: v holds the operand in its first n_in slots
         and zeros in the rest. One level; p plaintext multiplies."""
@@ -108,9 +121,7 @@ class MatvecSchedule:
         for base, diags in self.blocks():
             block = None
             for d in diags:
-                pt = np.zeros(S)
-                pt[base:base + n] = self.diagonal(d)
-                term = be.mul(babies[d - base], PlainVector(pt))
+                term = be.mul(babies[d - base], PlainVector(self.diagonal(d), base))
                 block = term if block is None else be.add(block, term)
             rotated = be.rotate(block, base)
             acc = rotated if acc is None else be.add(acc, rotated)

@@ -1,13 +1,18 @@
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hekan.backend import (
     BackendConfig,
+    CipherText,
     CleartextBackend,
     NoisyBackend,
     OpCounter,
+    PlainVector,
     make_backend,
     rotate,
     slotwise,
@@ -264,3 +269,131 @@ class TestExactness:
         ct = be.sub(ct, be.encrypt(x))
         expected = np.roll((x + y) * z, -3) - x
         np.testing.assert_array_equal(be.decrypt(ct), expected)
+
+
+# The hardware's default NaN, the only NaN that arithmetic produces. Inputs
+# carry no other NaN: which payload survives when both operands are NaNs
+# with different payloads depends on numpy's loop, already for dense vectors.
+with np.errstate(invalid="ignore"):
+    DEFAULT_NAN = float(np.float64(np.inf) * 0.0)
+
+VALUES = (st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e300, -3e300, np.inf, -np.inf, DEFAULT_NAN])
+          | st.floats(-4.0, 4.0))
+ARITH = {"add": operator.add, "sub": operator.sub,
+         "mul_ct": operator.mul, "mul_pt": operator.mul}
+
+
+def dense(start, values, tail, S):
+    """Reference placement: values from slot start on (cyclic), tail elsewhere."""
+    out = np.full(S, tail)
+    out[(start + np.arange(len(values))) % S] = values
+    return out
+
+
+class TestWindowedSlots:
+    """The window-plus-tail representation against dense numpy arithmetic."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_dense_reference(self, data):
+        draw = data.draw
+        S = draw(st.sampled_from([8, 16, 32, 64]))
+        noise = draw(st.sampled_from([0.0, 0.25]))
+        seed = draw(st.integers(0, 2 ** 16))
+        depth = 30
+        be = make_backend(BackendConfig(slot_count=S, depth_budget=depth,
+                                        noise_std=noise, rng_seed=seed))
+        rng = np.random.default_rng(seed)  # the reference's draws
+        ref = OpCounter()
+
+        def perturb(x):
+            return x + rng.normal(0.0, noise, S) if noise else x
+
+        def values(lo=0, hi=S):
+            return np.array(draw(st.lists(VALUES, min_size=lo, max_size=hi)), dtype=float)
+
+        pool = []
+        for _ in range(2):  # wrapped, full and empty windows over any tail
+            start, vals, tail = draw(st.integers(0, S - 1)), values(), draw(VALUES)
+            pool.append((CipherText(start, vals, tail, depth, "input", be),
+                         dense(start, vals, tail, S)))
+
+        with np.errstate(all="ignore"):
+            for _ in range(draw(st.integers(1, 10))):
+                kind = draw(st.sampled_from(["add", "sub", "mul_ct", "mul_pt", "rotate", "encrypt"]))
+                a, da = pool[draw(st.integers(0, len(pool) - 1))]
+                if kind == "rotate":
+                    t = draw(st.integers(-(S - 1), S - 1))
+                    out, want, level = be.rotate(a, t), np.roll(da, -t), a.level
+                    ref.rotations += t != 0
+                elif kind == "encrypt":
+                    if draw(st.booleans()):
+                        c = draw(VALUES)
+                        out, want = be.encrypt(c, a.level), perturb(np.full(S, c))
+                    else:
+                        vals = values()
+                        out, want = be.encrypt(vals, a.level), perturb(dense(0, vals, 0.0, S))
+                    level = a.level
+                else:
+                    operands = {"mul_ct": ["ct"], "mul_pt": ["scalar", "short", "offset", "dense"]}
+                    operand = draw(st.sampled_from(
+                        operands.get(kind, ["ct", "scalar", "short", "offset", "dense"])))
+                    level = a.level
+                    if operand == "ct":
+                        b, db = pool[draw(st.integers(0, len(pool) - 1))]
+                        level = min(a.level, b.level)
+                    elif operand == "scalar":
+                        b = draw(VALUES)
+                        db = np.full(S, b)
+                    elif operand == "short":
+                        b = values()
+                        db = dense(0, b, 0.0, S)
+                    elif operand == "offset":
+                        offset, vals = draw(st.integers(-S, 2 * S)), values()
+                        b, db = PlainVector(vals, offset), dense(offset % S, vals, 0.0, S)
+                    else:
+                        vals = values(S, S)
+                        b, db = PlainVector(vals), vals
+                    out = be.slotwise(kind, a, b)
+                    want = perturb(ARITH[kind](da, db))
+                    level -= kind.startswith("mul")
+                    name = {"add": "adds", "sub": "subs",
+                            "mul_ct": "ct_mults", "mul_pt": "pt_mults"}[kind]
+                    setattr(ref, name, getattr(ref, name) + 1)
+                ref.max_depth_consumed = max(ref.max_depth_consumed, depth - level)
+                assert np.array_equal(out.slots.view(np.int64), want.view(np.int64))
+                assert np.array_equal(be.decrypt(out).view(np.int64), want.view(np.int64))
+                assert out.level == level
+                pool.append((out, want))
+        assert be.counter == ref
+
+    def test_rotation_moves_the_window_only(self):
+        be = fresh(slot_count=16)
+        a = be.add(be.encrypt([1.0, 2.0, 3.0]), 0.5)
+        r = be.rotate(a, 5)
+        assert r.data is a.data and r.tail == 0.5 and r.start == 11
+        np.testing.assert_array_equal(r.slots, np.roll(a.slots, -5))
+
+    def test_multiply_by_zero_tail_keeps_the_window(self):
+        # x * 0 keeps x's sign and inf * 0 is NaN, so the window stays
+        be = fresh(slot_count=8)
+        a = be.encrypt([-1.0, np.inf, 2.0])
+        with np.errstate(invalid="ignore"):
+            out = be.mul(a, PlainVector([1.0], 0))
+            zeroed = be.mul(a, 0.0)
+        assert out.data.size == 3
+        np.testing.assert_array_equal(out.slots[:4], [-1.0, np.nan, 0.0, 0.0])
+        assert np.signbit(zeroed.slots[0]) and np.isnan(zeroed.slots[1])
+
+    def test_constants_and_offsets_stay_compact(self):
+        be = fresh(slot_count=1 << 20)
+        c = be.encrypt(2.0)
+        assert c.data.size == 0 and c.tail == 2.0
+        out = be.mul(be.add(be.encrypt([1.0, 2.0]), c), PlainVector([3.0, 4.0], 1))
+        assert (out.start, out.data.size, out.tail) == (0, 3, 0.0)
+        np.testing.assert_array_equal(be.decrypt(out)[:4], [0.0, 12.0, 8.0, 0.0])
+
+    def test_slots_is_read_only(self):
+        a = fresh().encrypt([1.0])
+        with pytest.raises(ValueError):
+            a.slots[0] = 2.0

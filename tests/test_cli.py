@@ -173,6 +173,24 @@ class TestBench:
         rc = main(["bench", "--model", model_path, "--configs", str(cfgs)])
         assert rc == 2
 
+    @pytest.mark.parametrize("entry", [
+        {"path": "sideways"},
+        {"pathh": "naive"},
+        {"backend": {"slot_count": 512, "depth_budget": 40, "slots": 512}},
+    ], ids=["bad_path", "unknown_key", "unknown_backend_key"])
+    def test_malformed_configs_usage_error(self, model_path, tmp_path, capsys, entry):
+        cfgs = tmp_path / "cfgs.json"
+        cfgs.write_text(json.dumps([{"path": "lazy"}, entry]))
+        rc = main(["bench", "--model", model_path, "--configs", str(cfgs), "--backend", BACKEND])
+        assert rc == 2
+        assert "--configs" in capsys.readouterr().err
+
+    def test_configs_not_json_usage_error(self, model_path, tmp_path):
+        cfgs = tmp_path / "cfgs.json"
+        cfgs.write_text("[{")
+        rc = main(["bench", "--model", model_path, "--configs", str(cfgs)])
+        assert rc == 2
+
     def test_deterministic_under_seed(self, model_path, tmp_path):
         cfgs = tmp_path / "cfgs.json"
         cfgs.write_text(json.dumps([{"path": "lazy"}, {"path": "naive"}]))

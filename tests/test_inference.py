@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from hekan.inference import (
     bench_compare,
     bench_lazy_vs_naive,
     bsgs_matvec,
-    bsgs_rotation_bound,
     check_depth_budget,
     encrypt_input,
     layer_forward_he,
@@ -90,15 +91,34 @@ class TestBsgsMatvec:
         np.testing.assert_allclose(out.slots[:16], W @ v, atol=1e-9)
 
     def test_rotations_below_naive_diagonal(self):
-        # the bound includes the wraparound duplication; at n = 4 and 5 it
+        # the count includes the wraparound duplication; at n = 4 and 5 it
         # ties the naive diagonal count and wins strictly from n = 6 on
         for n in (4, 5, 6, 9, 16, 33, 64):
             be = cleartext(slots=256)
             W = np.random.default_rng(n).normal(size=(n, n))
             bsgs_matvec(W, be.encrypt(np.ones(n)))
-            assert be.counter.rotations <= bsgs_rotation_bound(n) <= n - 1
+            assert be.counter.rotations == matvec_schedule(W).rotations <= n - 1
             if n >= 6:
                 assert be.counter.rotations < n - 1
+
+    @pytest.mark.parametrize("W, split, rotations, pt_mults", [
+        (np.ones((12, 12)), None, 6, 12),       # square, split (4, 3): 1 + 3 + 2
+        (np.ones((7, 3)), None, 5, 7),          # tall, m = 7, split (3, 3): 1 + 2 + 2
+        (np.ones((10, 256)), None, 11, 16),     # wide, p = 16: 1 + 3 + 3 + 4 folds
+        (np.ones((10, 256)), (4, 4), 11, 16),   # the same split given explicitly
+        (np.ones((10, 256)), (16, 16), 20, 16),  # 1 + 15 babies + 4 folds
+        (np.ones((1, 6)), None, 4, 3),          # wide, p = 3, split (2, 2): 1 + 1 + 1 + 1
+        (gen_permutation(4, 6), None, 9, 24),   # permutation, split (5, 5): 1 + 4 + 4
+        (np.ones((1, 1)), None, 0, 1),          # n = 1: no duplication, nothing to rotate
+    ], ids=["square", "tall", "wide", "wide-split4x4", "wide-split16x16", "wide-1x6",
+            "permutation", "n1"])
+    def test_schedule_counts_are_exact(self, W, split, rotations, pt_mults):
+        sched = matvec_schedule(W, split)
+        assert (sched.rotations, sched.pt_mults) == (rotations, pt_mults)
+        n_in = W.size if isinstance(W, PermutationSpec) else W.shape[1]
+        be = cleartext(slots=512)
+        bsgs_matvec(W, be.encrypt(np.ones(n_in)), split)
+        assert (be.counter.rotations, be.counter.pt_mults) == (rotations, pt_mults)
 
     def test_rectangular_shapes(self):
         rng = np.random.default_rng(2)
@@ -381,6 +401,26 @@ class TestModelForward:
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=EXACT_COMPARATOR)
         assert np.max(np.abs(out.slots[:2] - mirrored)) <= 1e-4
 
+    def test_forward_memory_does_not_scale_with_slot_count(self):
+        # one dense 2^20-slot vector is 8 MB; the forward only touches the
+        # slots its vectors use
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=13)
+        cfg = PipelineConfig()
+        cs = cfg.comparator()  # fitted outside the measured region
+        bcfg = BackendConfig(slot_count=2 ** 20, depth_budget=plan_model(mdl, cfg).total)
+        be = make_backend(bcfg)
+        x = np.array([0.3, -0.4])
+        ct = encrypt_input(x, mdl, be)
+        tracemalloc.start()
+        try:
+            out, _ = model_forward_he(mdl, ct, PipelineConfig(backend=bcfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs)
+        assert np.array_equal(out.slots[:1], mirrored)
+
     def test_stats_totals_are_sums(self):
         mdl = random_model([6, 4, 2], g=4, k=2, seed=13)
         bcfg = BackendConfig(slot_count=512, depth_budget=40)
@@ -478,6 +518,33 @@ class TestBench:
         mdl = random_model([4, 2], g=3, k=1, seed=23)
         with pytest.raises(ValueError):
             bench_compare(mdl, [np.zeros(4)], [PipelineConfig()])
+
+    def test_twins_differ_only_in_path(self):
+        # configs that share a label but differ in depth_budget or target_eps
+        # are not twins; only the first lazy row has the naive row's twin
+        mdl = random_model([4, 2], g=3, k=1, seed=24)
+        bcfg = BackendConfig(slot_count=256, depth_budget=40)
+        cfgs = [PipelineConfig(path="lazy", backend=bcfg, label="x"),
+                PipelineConfig(path="naive", backend=bcfg, label="x"),
+                PipelineConfig(path="lazy", backend=BackendConfig(slot_count=256, depth_budget=45),
+                               label="x"),
+                PipelineConfig(path="lazy", backend=bcfg, target_eps=2.0 ** -12, label="x")]
+        rows = bench_compare(mdl, [np.full(4, 0.3)], cfgs)
+        count = [r["rotations"] + r["ct_mults"] + r["pt_mults"] for r in rows]
+        assert rows[0]["speedup_vs_naive_counts"] == round(count[1] / count[0], 4) > 1.0
+        assert [r["speedup_vs_naive_counts"] for r in rows[1:]] == [1.0, 1.0, 1.0]
+
+    def test_config_from_json_takes_the_dataclass_defaults(self):
+        bcfg = BackendConfig(slot_count=256, depth_budget=40)
+        assert PipelineConfig.from_json({}, bcfg) == PipelineConfig(backend=bcfg)
+        cfg = PipelineConfig.from_json({"path": "naive", "bsgs_split": [4, 4], "check_range": True,
+                                        "backend": {"slot_count": 64, "depth_budget": 9}}, bcfg)
+        assert cfg == PipelineConfig(path="naive", bsgs_split=(4, 4), check_range=True,
+                                     backend=BackendConfig(slot_count=64, depth_budget=9))
+        for doc in ({"pathh": "naive"}, {"path": "sideways"}, ["lazy"],
+                    {"backend": {"slot_count": 64, "depth_budget": 9, "slots": 1}}):
+            with pytest.raises(ValueError):
+                PipelineConfig.from_json(doc, bcfg)
 
     def test_table_config_op_counts_are_pinned(self):
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15 slots
