@@ -20,7 +20,7 @@ from hekan import (
 )
 from hekan.bspline import EXACT_COMPARATOR
 
-cs = build_composite_sign()  # separation 2^-7, certified error 2^-10
+cs = build_composite_sign()  # separation 2^-5, certified error 2^-20
 print("composite sign: stage degrees", [s.degree for s in cs.stages],
       f"-> certified max error {cs.certified_max_error():.2e}, "
       f"depth {cs.depth()} levels")

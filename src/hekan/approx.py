@@ -3,7 +3,8 @@
 Covers range estimation from activation samples, weighted/ordinary least
 squares and Remez minimax fitting, a depth-minimal homomorphic polynomial
 evaluator, and the composite-polynomial comparator used by the encrypted
-B-spline machinery.
+B-spline machinery. This module supplies the evaluation schedule only; the
+backend runs it on a ciphertext's live window (see eval_poly_he).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from .backend import CipherText, CleartextBackend, HeBackend
+from .backend import CipherText, CleartextBackend
 from .errors import (
     EmptySamples,
     IllConditioned,
@@ -308,32 +309,10 @@ def fit_odd_sign_stage(lo: float, hi: float, degree: int,
 # ---------------------------------------------------------------------------
 
 
-class _HeOps:
-    """Adapter running the evaluation schedule on a backend."""
-
-    def __init__(self, x: CipherText):
-        self.x = x
-        self.be: HeBackend = x.backend
-
-    def mul(self, a, b):
-        return self.be.mul(a, b)
-
-    def mul_const(self, a, c):
-        return self.be.mul(a, c)
-
-    def add(self, a, b):
-        return self.be.add(a, b)
-
-    def add_const(self, a, c):
-        return self.be.add(a, c)
-
-    def const(self, c):
-        # trivial encryption of a public constant; no depth, no op counts
-        return self.be.encrypt(c, self.x.level)
-
-
 class _ArrayOps:
-    """Adapter running the same schedule on plain numpy arrays."""
+    """Adapter running the schedule on plain numpy arrays (the mirror).
+    The encrypted path runs the same schedule over the ciphertext's window
+    through the backend's counting adapter (HeBackend.run_on_window)."""
 
     def __init__(self, x: np.ndarray):
         self.x = x
@@ -358,24 +337,17 @@ class _ArrayOps:
         return np.full_like(self.x, c)
 
 
-def _trimmed(coeffs) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float).ravel()
-    n = len(c)
-    while n > 1 and c[n - 1] == 0.0:
-        n -= 1
-    return c[:n]
+def _estrin(ops, coeffs):
+    """Balanced power-tree evaluation of a Polynomial's coefficients, whose
+    last one is nonzero unless it is the only one.
 
-
-def _estrin(ops, coeffs: np.ndarray):
-    """Balanced power-tree evaluation.
-
-    Consumes exactly ceil(log2(n)) multiplicative levels for n trimmed
-    coefficients (0 for constants); the schedule is identical between the
-    backend and array adapters so cleartext mirroring is bit-exact.
+    Consumes exactly ceil(log2(n)) multiplicative levels for n coefficients
+    (0 for constants); the schedule is identical between the backend and
+    array adapters so cleartext mirroring is bit-exact.
     """
     n = len(coeffs)
-    if n == 1 or (n > 0 and not np.any(coeffs[1:])):
-        return ops.const(float(coeffs[0]))
+    if n == 1:
+        return ops.const(coeffs[0])
     m = max(1, (n - 1).bit_length())
     padded = np.zeros(1 << m)
     padded[:n] = coeffs
@@ -384,8 +356,7 @@ def _estrin(ops, coeffs: np.ndarray):
     for _ in range(m - 1):
         pows.append(ops.mul(pows[-1], pows[-1]))
 
-    out = _estrin_block(ops, padded, pows, 0, 1 << m)
-    return ops.const(out) if isinstance(out, float) else out
+    return _estrin_block(ops, padded, pows, 0, 1 << m)
 
 
 def _estrin_block(ops, padded: np.ndarray, pows: list, lo: int, size: int):
@@ -419,13 +390,20 @@ def poly_eval_depth(p: Polynomial | int) -> int:
 
 
 def eval_poly_he(a: CipherText, p: Polynomial) -> CipherText:
-    """Apply a polynomial slot-wise under the backend's arithmetic."""
-    return _estrin(_HeOps(a), _trimmed(p.coeffs))
+    """Apply a polynomial slot-wise under the backend's arithmetic.
+
+    The schedule runs as one array program on a's live window
+    (HeBackend.run_on_window). It adds and multiplies only values derived
+    from a and scalars, so the slots, op counts, level and noise draws are
+    those of running it one backend op at a time.
+    """
+    return a.backend.run_on_window(a, lambda ops: _estrin(ops, p.coeffs),
+                                   poly_eval_depth(p))
 
 
 def eval_poly_clear(p: Polynomial, x: np.ndarray) -> np.ndarray:
     """Cleartext twin of eval_poly_he: same schedule, same rounding."""
-    return _estrin(_ArrayOps(np.asarray(x, dtype=float)), _trimmed(p.coeffs))
+    return _estrin(_ArrayOps(np.asarray(x, dtype=float)), p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +467,18 @@ def _plan_depth(degrees) -> int:
     return sum(poly_eval_depth(d) for d in degrees)
 
 
+# The default comparator: certified to 2^-20 for inputs at least 2^-5 from
+# zero, in stages [31, 31] (depth 11). In a B-spline basis the far-field
+# residual is what the Cox-de Boor factors amplify, while a blurred step
+# near a knot barely moves a continuous basis, so the default buys
+# flatness (eps) rather than sharpness (alpha). PipelineConfig reads these.
+DEFAULT_ALPHA = 5.0
+DEFAULT_TARGET_EPS = 2.0 ** -20
+
+
 @functools.lru_cache(maxsize=None)
-def build_composite_sign(alpha: float = 7.0, target_eps: float = 2.0 ** -10) -> CompositeSign:
+def build_composite_sign(alpha: float = DEFAULT_ALPHA,
+                         target_eps: float = DEFAULT_TARGET_EPS) -> CompositeSign:
     """Fit comparator stages with the library's own minimax fitter.
 
     Tries stage-degree plans in order of increasing depth and returns the

@@ -17,6 +17,14 @@ Windows never shrink (``x * 0`` keeps the sign of ``x``, ``inf * 0`` is
 NaN). :class:`PlainVector` is the same window over a tail, or a dense
 vector. A noisy backend perturbs every slot, so its results are full
 windows.
+
+Polynomial schedules run through :meth:`HeBackend.run_on_window`: the
+whole schedule is one numpy program over the input's window with its tail
+appended, instead of one ``slotwise`` call per operation. It multiplies
+and adds only ciphertexts derived from the input and scalars, so every
+intermediate keeps the input's window, and each array op is the float op
+``slotwise`` would perform on the same operands; the results, op counts,
+levels and noise draws are those of the op-by-op run.
 """
 
 from __future__ import annotations
@@ -320,6 +328,32 @@ class HeBackend:
         kind = "mul_ct" if isinstance(b, CipherText) else "mul_pt"
         return self.slotwise(kind, a, b)
 
+    def run_on_window(self, a: CipherText, program, depth: int) -> CipherText:
+        """Run ``program(ops)`` as one numpy program over a's live window
+        and return its result at level ``a.level - depth``.
+
+        ``program`` may only add and multiply values derived from ``ops.x``
+        (a's window with its tail as the last element) and scalars, through
+        ``ops.mul``, ``mul_const``, ``add``, ``add_const`` and ``const``. So
+        every intermediate keeps a's window, and each op counts, perturbs
+        and computes exactly as the matching ``slotwise`` call (``const``
+        as ``encrypt``). ``depth`` is the levels the program consumes;
+        DepthExhausted is raised before any op when a has fewer. A
+        perturbing backend runs on the full window, as its ops would
+        produce it.
+        """
+        self._check_ours(a)
+        if a.level < depth:
+            raise DepthExhausted(f"{depth} levels needed at level {a.level} (tag {a.tag})")
+        S = self.config.slot_count
+        start, data = a.start, a.data
+        # a perturbing backend's ops return full windows at slot 0, so the
+        # program starts there; a full window is aligned to slot 0 as well
+        if (data.size == S or self._perturbs()) and (start or data.size < S):
+            start, data = 0, _place(a.start, a.data, a.tail, 0, S, S)
+        out = program(_WindowOps(self, np.append(data, a.tail)))
+        return self._wrap(start, out[:-1], out[-1], a.level - depth)
+
     def rotate(self, a: CipherText, t: int) -> CipherText:
         """Cyclic shift: left for t > 0, right for t < 0. Level unchanged.
         Moves the window's start only; the data is shared."""
@@ -360,12 +394,57 @@ class HeBackend:
     def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
         raise NotImplementedError
 
+    def _perturbs(self) -> bool:
+        """Whether _perturb changes its operands; a perturbing backend
+        returns full windows starting at slot 0."""
+        return True
+
+
+class _WindowOps:
+    """The ops of HeBackend.run_on_window: arrays of one window's slots
+    plus the tail as the last element, counted on the backend's counter as
+    slotwise counts them and perturbed as slotwise perturbs them."""
+
+    def __init__(self, be: HeBackend, x: np.ndarray):
+        self.be = be
+        self.x = x
+        self.noisy = be._perturbs()
+
+    def mul(self, a, b):
+        self.be.counter.ct_mults += 1
+        return self._out(a * b)
+
+    def mul_const(self, a, c):
+        self.be.counter.pt_mults += 1
+        return self._out(a * c)
+
+    def add(self, a, b):
+        self.be.counter.adds += 1
+        return self._out(a + b)
+
+    def add_const(self, a, c):
+        self.be.counter.adds += 1
+        return self._out(a + c)
+
+    def const(self, c):
+        # a trivial encryption of a public constant: no depth, no op count
+        return self._out(np.full_like(self.x, c))
+
+    def _out(self, arr: np.ndarray) -> np.ndarray:
+        if not self.noisy:
+            return arr
+        _, data, tail = self.be._perturb(0, arr[:-1], arr[-1])
+        return np.append(data, tail)
+
 
 class CleartextBackend(HeBackend):
     """Exact backend: arithmetic model with no perturbation."""
 
     def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
         return start, data, tail
+
+    def _perturbs(self) -> bool:
+        return False
 
 
 class NoisyBackend(HeBackend):
@@ -377,11 +456,14 @@ class NoisyBackend(HeBackend):
 
     def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
         """Materialise all slot_count slots and perturb each one."""
-        if self.config.noise_std == 0.0:
+        if not self._perturbs():
             return start, data, tail
         S = self.config.slot_count
         dense = _place(start, data, tail, 0, S, S)
         return 0, dense + self._rng.normal(0.0, self.config.noise_std, S), 0.0
+
+    def _perturbs(self) -> bool:
+        return self.config.noise_std > 0
 
 
 def make_backend(config: BackendConfig) -> HeBackend:

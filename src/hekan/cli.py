@@ -1,9 +1,10 @@
 """Command-line front end: activation fitting, layer fitting, inference,
 and lazy-vs-naive benchmarking.
 
-Exit codes: 0 success, 2 usage error (including a malformed model file),
-3 numerical failure, 4 depth budget infeasible. All subcommands are
-deterministic for a fixed --seed (HEKAN_SEED is the fallback).
+Exit codes: 0 success, 2 usage error (including a malformed model or
+input file, and an input the model rejects), 3 numerical failure, 4 depth
+budget infeasible. All subcommands are deterministic for a fixed --seed
+(HEKAN_SEED is the fallback).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     DepthBudgetInfeasible,
     HeKanError,
     IllConditioned,
+    InputOutOfRange,
     NonFiniteInput,
     RemezNonConvergence,
     SchemaMismatch,
@@ -82,7 +84,10 @@ def _load_backend(args) -> BackendConfig:
 
 
 def _load_inputs(path, n_expected: int) -> np.ndarray:
-    rows = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        rows = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:  # a field that is not a number
+        raise CorruptFile(f"{path}: {exc}") from exc
     if rows.shape[1] != n_expected:
         raise ShapeMismatch(f"input rows have {rows.shape[1]} values, model takes {n_expected}")
     return rows
@@ -257,7 +262,8 @@ def cmd_bench(args) -> int:
         inputs = list(_load_inputs(args.inputs, mdl.n_in))
     else:
         rng = np.random.default_rng(_seed(args))
-        inputs = [rng.uniform(-1, 1, mdl.n_in)]
+        bound = min(1.0, mdl.layers[0].grid.R)  # encrypt_input rejects |x| > R
+        inputs = [rng.uniform(-bound, bound, mdl.n_in)]
     rows = bench_compare(mdl, inputs, cfgs)
     header = "  ".join(f"{c:>10}" for c in
                        ("config", "path", "rotations", "ct_mults", "pt_mults",
@@ -390,7 +396,7 @@ def main(argv=None) -> int:
         print(f"depth budget infeasible:\n{exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ShapeMismatch, SchemaMismatch, CorruptFile, NonFiniteInput,
-            UnsupportedLayer) as exc:
+            InputOutOfRange, UnsupportedLayer) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllConditioned, RemezNonConvergence, SingularSystem) as exc:

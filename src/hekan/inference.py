@@ -15,7 +15,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .approx import build_composite_sign, eval_poly_he, poly_eval_depth
+from .approx import (
+    DEFAULT_ALPHA,
+    DEFAULT_TARGET_EPS,
+    build_composite_sign,
+    eval_poly_he,
+    poly_eval_depth,
+)
 from .backend import BackendConfig, CipherText, HeBackend, make_backend
 from .bspline import (
     EXACT_COMPARATOR,
@@ -25,6 +31,7 @@ from .bspline import (
 )
 from .errors import (
     DepthBudgetInfeasible,
+    InputOutOfRange,
     NonFiniteInput,
     ShapeMismatch,
     UnsupportedLayer,
@@ -46,8 +53,8 @@ class PipelineConfig:
     path: str = "lazy"                   # "lazy" | "naive"
     backend: BackendConfig | None = None
     bsgs_split: tuple | None = None
-    alpha: float = 7.0                   # comparator separation 2^-alpha
-    target_eps: float = 2.0 ** -10
+    alpha: float = DEFAULT_ALPHA         # comparator separation 2^-alpha
+    target_eps: float = DEFAULT_TARGET_EPS
     check_range: bool = False
     label: str = ""
 
@@ -133,6 +140,10 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
             raise ShapeMismatch(f"input shape {arr.shape}, model expects {expect}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("input holds NaN or infinity")
+    R = model.layers[0].grid.R
+    if np.any(np.abs(arr) > R):
+        raise InputOutOfRange(
+            f"input max |x| = {np.max(np.abs(arr))} exceeds the first grid's bound R = {R}")
     flat = raster_flatten(arr)
     return backend.encrypt(flat)
 

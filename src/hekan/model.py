@@ -32,6 +32,7 @@ from .errors import (
     CorruptFile,
     DimensionMismatch,
     HeKanError,
+    NonFiniteInput,
     SchemaMismatch,
     SingularSystem,
 )
@@ -215,6 +216,8 @@ def model_forward_plain(model: KanModel, x, mode: str = "exact",
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise DimensionMismatch("empty input")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("input holds NaN or infinity")
     out = x
     for layer in model.layers:
         out = layer_forward_plain(layer, out, mode=mode, comparator=comparator,

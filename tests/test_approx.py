@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hekan import approx
 from hekan.approx import (
     ACTIVATION_PRESETS,
     ApproxRange,
@@ -19,7 +22,7 @@ from hekan.approx import (
     poly_eval_depth,
     range_from_moments,
 )
-from hekan.backend import BackendConfig, CleartextBackend
+from hekan.backend import BackendConfig, CipherText, CleartextBackend, make_backend
 from hekan.errors import (
     DepthExhausted,
     EmptySamples,
@@ -231,10 +234,82 @@ class TestEvalPolyHe:
             eval_poly_he(a, Polynomial(tuple(np.ones(16))))
 
 
+# Inputs hold only the hardware's default NaN (see tests/test_backend.py).
+with np.errstate(invalid="ignore"):
+    DEFAULT_NAN = float(np.float64(np.inf) * 0.0)
+
+VALUES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 3e300, np.inf, -np.inf, DEFAULT_NAN])
+          | st.floats(-2.0, 2.0))
+
+
+class _OneOpAtATime:
+    """Reference ops adapter: every op is one backend call, a constant is
+    a trivial encryption at the input's level."""
+
+    def __init__(self, x: CipherText):
+        self.x, self.be = x, x.backend
+
+    def mul(self, a, b):
+        return self.be.mul(a, b)
+
+    mul_const = mul
+
+    def add(self, a, b):
+        return self.be.add(a, b)
+
+    add_const = add
+
+    def const(self, c):
+        return self.be.encrypt(c, self.x.level)
+
+
+class TestEvalPolyHeWindow:
+    """eval_poly_he's array program on the live window against the same
+    schedule run one backend op at a time."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_op_by_op_schedule(self, data):
+        draw = data.draw
+        S = draw(st.sampled_from([8, 16, 64]))
+        noise = draw(st.sampled_from([0.0, 1e-3]))
+        degree = draw(st.integers(0, 31))
+        parity = draw(st.sampled_from(["any", "odd", "even"]))
+        coeffs = [draw(st.sampled_from([0.0, 0.5, -1.25]) | st.floats(-3.0, 3.0))
+                  for _ in range(degree + 1)]
+        for i in range(len(coeffs)):
+            if (parity == "odd" and i % 2 == 0) or (parity == "even" and i % 2 == 1):
+                coeffs[i] = 0.0
+        p = Polynomial(tuple(coeffs))
+        start = draw(st.integers(0, S - 1))
+        size = draw(st.sampled_from([0, S]) | st.integers(1, S - 1))  # empty, full, wrapped
+        vals = np.array(draw(st.lists(VALUES, min_size=size, max_size=size)), dtype=float)
+        tail, level = draw(VALUES), draw(st.integers(0, 6))
+
+        runs = []
+        for evaluate in (eval_poly_he,
+                         lambda a, p: approx._estrin(_OneOpAtATime(a), p.coeffs)):
+            be = make_backend(BackendConfig(slot_count=S, depth_budget=6,
+                                            noise_std=noise, rng_seed=11))
+            a = CipherText(start, vals, tail, level, "input", be)
+            with np.errstate(all="ignore"):
+                if level < poly_eval_depth(p):
+                    with pytest.raises(DepthExhausted):
+                        evaluate(a, p)
+                    continue
+                out = evaluate(a, p)
+            runs.append((be.decrypt(out).view(np.int64), out.level, be.counter))
+        if runs:
+            (got, got_level, got_ops), (want, want_level, want_ops) = runs
+            assert np.array_equal(got, want)
+            assert got_level == want_level == level - poly_eval_depth(p)
+            assert got_ops == want_ops
+
+
 class TestCompositeSign:
     def test_default_build_certifies(self):
         cs = build_composite_sign()
-        assert cs.delta == 2.0 ** -7
+        assert cs.delta == 2.0 ** -5
         assert 2 <= len(cs.stages) <= 3
         assert cs.certified_max_error() <= cs.target_eps
         for stage in cs.stages:

@@ -138,6 +138,17 @@ class TestInfer:
                    "--mode", "he", "--backend", BACKEND])
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["he", "plain-exact"])
+    def test_input_the_model_rejects_exit_code(self, tmp_path, capsys, mode):
+        # R = 2.8: 5.0 used to decrypt to NaN, and NaN ran in plain-exact, with rc 0
+        path = tmp_path / "m.json"
+        save_model(random_model([2, 3], g=3, k=2, seed=0), path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("5.0,0.2\n" if mode == "he" else "nan,0.2\n")
+        rc = main(["infer", "--model", str(path), "--input", str(bad), "--mode", mode])
+        assert rc == 2
+        assert "output:" not in capsys.readouterr().out
+
     def test_k_zero_model_exit_code(self, input_path, tmp_path):
         path = tmp_path / "k0.json"
         save_model(random_model([4, 3], g=4, k=0, seed=1), path)
@@ -166,6 +177,15 @@ class TestBench:
         assert len(rows) == 2
         lazy = next(r for r in rows if r["path"] == "lazy")
         assert float(lazy["speedup_vs_naive_counts"]) > 1.0
+
+    def test_default_input_stays_within_R(self, tmp_path):
+        # R = 0.72: the default random input is drawn inside [-R, R]
+        path = tmp_path / "narrow.json"
+        save_model(random_model([4, 3], g=4, k=2, seed=1, lo=-0.3, hi=0.3), path)
+        cfgs = tmp_path / "cfgs.json"
+        cfgs.write_text(json.dumps([{"path": "lazy"}]))
+        rc = main(["bench", "--model", str(path), "--configs", str(cfgs), "--backend", BACKEND])
+        assert rc == 0
 
     def test_empty_configs_usage_error(self, model_path, tmp_path):
         cfgs = tmp_path / "cfgs.json"
@@ -219,6 +239,17 @@ class TestCompare:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["infer", "compare", "bench"])
+    def test_non_numeric_inputs_usage_exit(self, model_path, tmp_path, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,c,d\n")
+        cfgs = tmp_path / "cfgs.json"
+        cfgs.write_text(json.dumps([{"path": "lazy"}]))
+        extra = {"infer": ["--input", str(bad)], "compare": ["--input", str(bad)],
+                 "bench": ["--inputs", str(bad), "--configs", str(cfgs)]}[command]
+        rc = main([command, "--model", model_path, "--backend", BACKEND, *extra])
+        assert rc == 2
+
     def test_unknown_flag_rejected(self, model_path):
         with pytest.raises(SystemExit) as err:
             main(["infer", "--model", model_path, "--bogus", "1"])

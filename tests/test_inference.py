@@ -9,6 +9,7 @@ from hekan.bspline import EXACT_COMPARATOR, PermutationSpec, gen_permutation, re
 from hekan.errors import (
     DepthBudgetInfeasible,
     DimensionMismatch,
+    InputOutOfRange,
     NonFiniteInput,
     PackingOverflow,
     ShapeMismatch,
@@ -35,8 +36,9 @@ def cleartext(slots=1024, depth=40):
 
 
 class TestEncryptInput:
+    # the layout tests label slots 0..5, so their grids cover |x| <= 5
     def test_raster_order_2x2(self):
-        mdl = random_model([4, 2], g=4, k=1, seed=0)
+        mdl = random_model([4, 2], g=4, k=1, seed=0, lo=-5.0, hi=5.0)
         be = cleartext(slots=64)
         ct = encrypt_input(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]),
                            KanModel(mdl.layers, (2, 2, 1)), be)
@@ -45,7 +47,7 @@ class TestEncryptInput:
 
     def test_channel_major_order(self):
         # oracle: index (y * w + x) * c + ch
-        mdl = random_model([6, 2], g=4, k=1, seed=0)
+        mdl = random_model([6, 2], g=4, k=1, seed=0, lo=-5.0, hi=5.0)
         mdl = KanModel(mdl.layers, (1, 2, 3))
         be = cleartext(slots=64)
         tensor = np.arange(6.0).reshape(1, 2, 3)
@@ -67,6 +69,20 @@ class TestEncryptInput:
         mdl = random_model([4, 2], g=4, k=1, seed=0)
         with pytest.raises(NonFiniteInput):
             encrypt_input(np.array([0.1, bad, 0.2, 0.3]), mdl, cleartext())
+        with pytest.raises(NonFiniteInput):
+            model_forward_plain(mdl, np.array([0.1, bad, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_input_beyond_R_rejected(self, sign):
+        # the grid's R bounds |input|; beyond it the comparator's operand
+        # leaves [-1, 1] and the composite stages diverge
+        mdl = random_model([2, 3], g=3, k=2, seed=0)
+        R = mdl.layers[0].grid.R
+        be = cleartext()
+        ct = encrypt_input(np.array([sign * R, 0.2]), mdl, be)
+        assert be.decrypt(ct)[0] == sign * R
+        with pytest.raises(InputOutOfRange):
+            encrypt_input(np.array([sign * np.nextafter(R, np.inf), 0.2]), mdl, be)
 
 
 class TestBsgsMatvec:
@@ -475,6 +491,26 @@ class TestModelForward:
             t = stats.total
             runs.append((t.rotations, t.ct_mults, t.pt_mults, t.adds, t.depth_consumed))
         assert runs[0] == runs[1]
+
+
+class TestDefaultComparatorAccuracy:
+    """The default composite comparator keeps the mirrored forward within
+    2e-3 of the exact forward: on the five table configs the far-field
+    residual, amplified by the Cox-de Boor factors, stays small."""
+
+    @pytest.mark.parametrize("dims,g,k", [
+        ([64, 10], 3, 2), ([128, 10], 5, 3), ([256, 10], 5, 3),
+        ([256, 10], 10, 3), ([256, 10], 10, 5), ([2, 5, 1], 5, 3)])
+    def test_mirrored_composite_forward_is_accurate(self, dims, g, k):
+        comparator = PipelineConfig().comparator()
+        mdl = random_model(dims, g=g, k=k, seed=7)
+        rng = np.random.default_rng(7)
+        for x in rng.uniform(-1, 1, (2, dims[0])):
+            exact = model_forward_plain(mdl, x, "exact")
+            for path in ("lazy", "naive"):
+                mirrored = model_forward_plain(mdl, x, "mirrored", comparator=comparator,
+                                               path=path)
+                assert np.max(np.abs(mirrored - exact)) <= 2e-3
 
 
 class TestPackingFeasibility:
