@@ -29,7 +29,6 @@ levels and noise draws are those of the op-by-op run.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import dataclass, field, fields, replace
@@ -96,19 +95,9 @@ class OpCounter:
     ct_mults: int = 0
     pt_mults: int = 0
     rotations: int = 0
-    max_depth_consumed: int = 0
 
     def copy(self) -> "OpCounter":
         return replace(self)
-
-    def merge(self, other: "OpCounter") -> None:
-        """Fold another evaluation's tallies into this one (join point)."""
-        self.adds += other.adds
-        self.subs += other.subs
-        self.ct_mults += other.ct_mults
-        self.pt_mults += other.pt_mults
-        self.rotations += other.rotations
-        self.max_depth_consumed = max(self.max_depth_consumed, other.max_depth_consumed)
 
     def since(self, earlier: "OpCounter") -> "OpCounter":
         """Per-field difference against an earlier snapshot."""
@@ -118,7 +107,6 @@ class OpCounter:
             ct_mults=self.ct_mults - earlier.ct_mults,
             pt_mults=self.pt_mults - earlier.pt_mults,
             rotations=self.rotations - earlier.rotations,
-            max_depth_consumed=self.max_depth_consumed,
         )
 
     @property
@@ -192,14 +180,12 @@ class CipherText:
     other slot holds ``tail``. A full window is the case len(data) ==
     slot_count, a broadcast constant an empty one. Immutable: every
     operation returns a new ciphertext, and a rotation shares ``data``.
-    `tag` is an opaque identifier for counter attribution.
     """
 
     start: int
     data: np.ndarray = field(repr=False)
     tail: float
     level: int
-    tag: str
     backend: "HeBackend" = field(repr=False, compare=False)
 
     def __post_init__(self):
@@ -227,7 +213,6 @@ class HeBackend:
     def __init__(self, config: BackendConfig):
         self.config = config
         self.counter = OpCounter()
-        self._tags = itertools.count()
 
     # ------------------------------------------------------------------
     # boundary plumbing
@@ -252,28 +237,12 @@ class HeBackend:
         if not 0 <= level <= self.config.depth_budget:
             raise ValueError(f"level {level} outside [0, {self.config.depth_budget}]")
         start, data, tail = self._plain(values)
-        return self._wrap(*self._perturb(start, data.copy(), tail), level)
+        return CipherText(*self._perturb(start, data.copy(), tail), level, self)
 
     def decrypt(self, a: CipherText) -> np.ndarray:
         self._check_ours(a)
         S = self.config.slot_count
         return _place(a.start, a.data, a.tail, 0, S, S)
-
-    def refresh(self, a: CipherText, level: int | None = None) -> CipherText:
-        """Reset a ciphertext's level (bootstrapping stand-in, zero cost).
-
-        Extension point only; no pipeline stage invokes it implicitly.
-        """
-        if level is None:
-            level = self.config.depth_budget
-        self._check_ours(a)
-        return self._wrap(a.start, a.data, a.tail, level)
-
-    def reset_counter(self) -> OpCounter:
-        """Install a fresh counter; returns the retired one."""
-        old = self.counter
-        self.counter = OpCounter()
-        return old
 
     # ------------------------------------------------------------------
     # homomorphic operations
@@ -303,7 +272,7 @@ class HeBackend:
             self.counter.subs += 1
         else:
             if level < 1:
-                raise DepthExhausted(f"multiplication at level {level} (tag {a.tag})")
+                raise DepthExhausted(f"multiplication at level {level}")
             level -= 1
             if op_kind == "mul_ct":
                 self.counter.ct_mults += 1
@@ -315,7 +284,7 @@ class HeBackend:
         fn = _ARITH[op_kind]
         data = (fn(_over(a.start, a.data, a.tail, s, n, S), _over(sb, db, tb, s, n, S))
                 if n else _EMPTY)
-        return self._wrap(*self._perturb(s, data, fn(a.tail, tb)), level)
+        return CipherText(*self._perturb(s, data, fn(a.tail, tb)), level, self)
 
     def add(self, a: CipherText, b) -> CipherText:
         return self.slotwise("add", a, b)
@@ -344,7 +313,7 @@ class HeBackend:
         """
         self._check_ours(a)
         if a.level < depth:
-            raise DepthExhausted(f"{depth} levels needed at level {a.level} (tag {a.tag})")
+            raise DepthExhausted(f"{depth} levels needed at level {a.level}")
         S = self.config.slot_count
         start, data = a.start, a.data
         # a perturbing backend's ops return full windows at slot 0, so the
@@ -352,7 +321,7 @@ class HeBackend:
         if (data.size == S or self._perturbs()) and (start or data.size < S):
             start, data = 0, _place(a.start, a.data, a.tail, 0, S, S)
         out = program(_WindowOps(self, np.append(data, a.tail)))
-        return self._wrap(start, out[:-1], out[-1], a.level - depth)
+        return CipherText(start, out[:-1], out[-1], a.level - depth, self)
 
     def rotate(self, a: CipherText, t: int) -> CipherText:
         """Cyclic shift: left for t > 0, right for t < 0. Level unchanged.
@@ -364,7 +333,7 @@ class HeBackend:
         if t == 0:
             return a
         self.counter.rotations += 1
-        return self._wrap((a.start - t) % S, a.data, a.tail, a.level)
+        return CipherText((a.start - t) % S, a.data, a.tail, a.level, self)
 
     # ------------------------------------------------------------------
     # internals
@@ -384,12 +353,6 @@ class HeBackend:
     def _check_ours(self, a: CipherText) -> None:
         if a.backend is not self:
             raise LengthMismatch("ciphertext belongs to a different backend")
-
-    def _wrap(self, start: int, data: np.ndarray, tail: float, level: int) -> CipherText:
-        consumed = self.config.depth_budget - level
-        if consumed > self.counter.max_depth_consumed:
-            self.counter.max_depth_consumed = consumed
-        return CipherText(start, data, tail, level, f"ct{next(self._tags)}", self)
 
     def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
         raise NotImplementedError

@@ -35,7 +35,8 @@ class GridMatrix:
 
     Rows must be strictly increasing; repeated knots would put a zero in the
     recursion denominators and are rejected up front. R bounds |input| and
-    |knot| for the comparator's [-1, 1] scaling.
+    |knot| for the comparator's [-1, 1] scaling; a knot beyond R is
+    rejected, since its comparator operand would leave [-1, 1].
     """
 
     entries: np.ndarray
@@ -54,6 +55,9 @@ class GridMatrix:
             raise InsufficientKnots("knot rows must be strictly increasing (no repeats)")
         if self.R <= 0:
             raise ValueError("R must be positive")
+        largest = float(np.max(np.abs(entries), initial=0.0))
+        if self.R < largest:
+            raise InputOutOfRange(f"R = {self.R} is below the largest |knot| {largest}")
 
     @property
     def n_i(self) -> int:
@@ -85,10 +89,6 @@ class PackedInput:
     n_i: int
     g: int
     k: int
-
-    @property
-    def copies(self) -> int:
-        return self.g + 2 * self.k
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,6 @@ class PermutationSpec:
         if v.shape[0] != self.size:
             raise DimensionMismatch(f"vector length {v.shape[0]} != {self.size}")
         return v[self.source_of]
-
-    def transpose(self) -> "PermutationSpec":
-        inverse = np.empty_like(self.source_of)
-        inverse[self.source_of] = np.arange(self.size)
-        return PermutationSpec(self.n_c, self.n_r, inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -76,18 +76,30 @@ def _seed(args) -> int:
 
 
 def _load_backend(args) -> BackendConfig:
+    """--backend (inline JSON or a path), else the defaults. Text that does
+    not parse raises CorruptFile; a document that parses but is not a valid
+    config raises SchemaMismatch."""
     if args.backend:
-        return BackendConfig.from_json(args.backend)
+        try:
+            return BackendConfig.from_json(args.backend)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CorruptFile(f"--backend: {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise SchemaMismatch(f"--backend: {exc}") from exc
     doc = dict(DEFAULT_BACKEND)
     doc["rng_seed"] = _seed(args)
     return BackendConfig.from_json(doc)
 
 
-def _load_inputs(path, n_expected: int) -> np.ndarray:
+def _load_csv(path) -> np.ndarray:
     try:
-        rows = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:  # a field that is not a number
         raise CorruptFile(f"{path}: {exc}") from exc
+
+
+def _load_inputs(path, n_expected: int) -> np.ndarray:
+    rows = _load_csv(path)
     if rows.shape[1] != n_expected:
         raise ShapeMismatch(f"input rows have {rows.shape[1]} values, model takes {n_expected}")
     return rows
@@ -123,7 +135,7 @@ def cmd_fit_activation(args) -> int:
         lo, hi = ACTIVATION_PRESETS[args.preset]["range"]
         rng = ApproxRange(lo, hi, (lo + hi) / 2, (hi - lo) / 10)
     elif has_samples:
-        samples = np.loadtxt(args.samples, delimiter=",", dtype=float).ravel()
+        samples = _load_csv(args.samples).ravel()
         rng = estimate_range(samples, args.x_min, args.x_max, factor=args.factor)
     else:
         rng = range_from_moments(args.mu, args.sigma, args.x_min, args.x_max,

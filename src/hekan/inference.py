@@ -52,7 +52,6 @@ class PipelineConfig:
     comparator_mode: str = "composite"   # "composite" | "exact"
     path: str = "lazy"                   # "lazy" | "naive"
     backend: BackendConfig | None = None
-    bsgs_split: tuple | None = None
     alpha: float = DEFAULT_ALPHA         # comparator separation 2^-alpha
     target_eps: float = DEFAULT_TARGET_EPS
     check_range: bool = False
@@ -78,8 +77,6 @@ class PipelineConfig:
         kwargs = {"backend": backend, **doc}
         if "backend" in doc:
             kwargs["backend"] = BackendConfig.from_json(doc["backend"])
-        if kwargs.get("bsgs_split") is not None:
-            kwargs["bsgs_split"] = tuple(kwargs["bsgs_split"])
         return cls(**kwargs)
 
     def comparator(self):
@@ -153,7 +150,7 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
 # ---------------------------------------------------------------------------
 
 
-def bsgs_matvec(W, v: CipherText, split: tuple | None = None) -> CipherText:
+def bsgs_matvec(W, v: CipherText) -> CipherText:
     """Diagonal-method matrix-vector product with baby/giant rotation steps.
 
     W is an n_o x n_in cleartext matrix, or a PermutationSpec (square, with
@@ -161,10 +158,11 @@ def bsgs_matvec(W, v: CipherText, split: tuple | None = None) -> CipherText:
     n_in slots with zeros elsewhere. The result is valid in slots [0, n_o);
     other slots may hold partial sums. Consumes one level. Runs the wide
     schedule when W is wide enough (see ``matvec_schedule``), else the
-    square one with max(n_o, n_in) plaintext multiplies. The schedule's
-    ``rotations`` and ``pt_mults`` give the exact counts.
+    square one with max(n_o, n_in) plaintext multiplies. The baby/giant
+    split is derived from the matrix (``MatvecSchedule.split``). The
+    schedule's ``rotations`` and ``pt_mults`` give the exact counts.
     """
-    return matvec_schedule(W, split).run_he(v)
+    return matvec_schedule(W).run_he(v)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ def plan_layer(layer: KanLayer, cfg: PipelineConfig) -> LayerPlan:
         "comparator": comp.depth(),
         "basis_order0": 1,
         "basis_recursion": layer.k,
-        "spline_matvec": 1 if cfg.path == "lazy" else 2,
+        "spline_matvec": len(layer.spline_maps(cfg.path)),
     }
     silu_branch = d_poly + 2
     spline_branch = 1 + basis_depth(layer.k, comp) + stages["spline_matvec"]
@@ -255,14 +253,14 @@ def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> Ci
     # activation branch: polynomial on the raw input, masked, then W_b
     base = eval_poly_he(ct, layer.silu_poly)
     base = be.mul(base, np.ones(layer.n_i))
-    base_out = bsgs_matvec(layer.W_b, base, cfg.bsgs_split)
+    base_out = bsgs_matvec(layer.W_b, base)
 
     # spline branch: packed basis then the (fused or two-step) linear map
     xp = repeat_pack(ct, layer.g, layer.k, layer.n_i)
     bv = bspline_basis_he(xp, layer.grid, comp, check_range=cfg.check_range)
     spline_out = bv.ct
     for W in layer.spline_maps(cfg.path):
-        spline_out = bsgs_matvec(W, spline_out, cfg.bsgs_split)
+        spline_out = bsgs_matvec(W, spline_out)
 
     return be.add(base_out, spline_out)
 

@@ -61,7 +61,6 @@ class MatvecSchedule:
 
     W: np.ndarray | None  # (p, n): rows zero-padded to p; square path also pads columns
     n_out: int
-    split: tuple    # (babies, giants) over the p diagonals
     offset: np.ndarray | None = None  # permutation operand (W is None): (source_of[t] - t) mod n
 
     @property
@@ -78,11 +77,17 @@ class MatvecSchedule:
         t = np.arange(n)
         return self.W[t % p, (t + d) % n]
 
+    @property
+    def split(self) -> tuple:
+        """(babies, giants) = default_bsgs_split(p) over the p diagonals.
+        It always has b <= p <= b * giants, so every baby is used and the
+        giant steps cover the diagonals exactly."""
+        return default_bsgs_split(self.shape[0])
+
     def blocks(self):
         """Giant steps in order: (base, the diagonals base + i it sums)."""
-        b, gs = self.split
-        p = self.shape[0]
-        for base in range(0, min(b * gs, p), b):
+        b, p = self.split[0], self.shape[0]
+        for base in range(0, p, b):
             yield base, range(base, min(base + b, p))
 
     @property
@@ -95,9 +100,8 @@ class MatvecSchedule:
     def rotations(self) -> int:
         """Rotations run_he performs: the wraparound duplication, the
         babies after the first, the giant steps after the first, the folds."""
-        p, n = self.shape
-        blocks = sum(1 for _ in self.blocks())
-        return (n > 1) + (min(self.split[0], p) - 1) + (blocks - 1) + len(self.folds)
+        b, gs = self.split
+        return (self.shape[1] > 1) + (b - 1) + (gs - 1) + len(self.folds)
 
     @property
     def pt_mults(self) -> int:
@@ -109,14 +113,14 @@ class MatvecSchedule:
         and zeros in the rest. One level; p plaintext multiplies."""
         be = v.backend
         S = be.config.slot_count
-        p, n = self.shape
+        n = self.shape[1]
         if n > S:
             raise DimensionMismatch(f"matrix dimension {n} exceeds {S} slots")
         if n > 1 and 2 * n > S:
             raise DimensionMismatch(
                 f"diagonal wraparound needs 2 * {n} <= {S} slots (single-ciphertext scope)")
         vfull = be.add(v, be.rotate(v, -n)) if n > 1 else v
-        babies = [be.rotate(vfull, i) for i in range(min(self.split[0], p))]
+        babies = [be.rotate(vfull, i) for i in range(self.split[0])]
         acc = None
         for base, diags in self.blocks():
             block = None
@@ -149,16 +153,14 @@ class MatvecSchedule:
         return acc[: self.n_out]
 
 
-def matvec_schedule(W, split: tuple | None = None) -> MatvecSchedule:
+def matvec_schedule(W) -> MatvecSchedule:
     """The schedule for W, chosen by its shape alone: wide when
     n_in = p * 2^j (j >= 1) with p >= n_o (smallest such p), square
     otherwise. A PermutationSpec is square, with its diagonals read from
-    ``source_of``. ``split`` replaces the default baby/giant split over the
-    schedule's diagonals."""
+    ``source_of``."""
     if isinstance(W, PermutationSpec):
         n = W.size
-        offset = (W.source_of - np.arange(n)) % n
-        return MatvecSchedule(None, n, _checked_split(n, split), offset)
+        return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n_o, n_in = W.shape
     p = n_in
@@ -169,11 +171,4 @@ def matvec_schedule(W, split: tuple | None = None) -> MatvecSchedule:
     else:
         p = max(n_o, n_in)
         W = _pad(W, p, p)
-    return MatvecSchedule(W, n_o, _checked_split(p, split))
-
-
-def _checked_split(p: int, split: tuple | None) -> tuple:
-    b, gs = split if split is not None else default_bsgs_split(p)
-    if b < 1 or gs < 1 or b * gs < p:
-        raise DimensionMismatch(f"split {split} cannot cover {p} diagonals")
-    return b, gs
+    return MatvecSchedule(W, n_o)

@@ -161,8 +161,12 @@ class Dataset:
 
 
 def load_dataset_csv(path, n_targets: int = 1) -> Dataset:
-    """CSV rows are samples; the trailing n_targets columns are targets."""
-    data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    """CSV rows are samples; the trailing n_targets columns are targets. A
+    field that is not a number raises CorruptFile."""
+    try:
+        data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc
     if data.shape[1] <= n_targets:
         raise DimensionMismatch(f"{data.shape[1]} columns cannot hold {n_targets} targets")
     return Dataset(data[:, :-n_targets], data[:, -n_targets:])
@@ -180,14 +184,13 @@ def _basis_matrix_exact(layer: KanLayer, x: np.ndarray) -> np.ndarray:
 
 
 def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
-                        comparator=None, path: str = "lazy",
-                        bsgs_split: tuple | None = None) -> np.ndarray:
+                        comparator=None, path: str = "lazy") -> np.ndarray:
     """Evaluate one layer.
 
     exact: true silu and exact Cox-de Boor basis values, plain matvecs.
     mirrored: the fitted activation polynomial, the comparator emulation,
     and the encrypted pipeline's matvec schedules run by their cleartext
-    executor (same comparator, path, and split as the pipeline), so it
+    executor (same comparator, path, and schedules as the pipeline), so it
     predicts the encrypted result exactly on the arithmetic backend.
     """
     x = np.asarray(x, dtype=float).ravel()
@@ -202,17 +205,16 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
     if comparator is None:
         raise ValueError("mirrored mode needs the pipeline's comparator")
     base = eval_poly_clear(layer.silu_poly, x)
-    base_out = matvec_schedule(layer.W_b, bsgs_split).run_clear(base)
+    base_out = matvec_schedule(layer.W_b).run_clear(base)
     bvals = basis_clear(x, layer.grid, comparator)
     spline_out = bvals.T.ravel()  # slot m * n_i + i holds B_m(x_i)
     for W in layer.spline_maps(path):
-        spline_out = matvec_schedule(W, bsgs_split).run_clear(spline_out)
+        spline_out = matvec_schedule(W).run_clear(spline_out)
     return base_out + spline_out
 
 
 def model_forward_plain(model: KanModel, x, mode: str = "exact",
-                        comparator=None, path: str = "lazy",
-                        bsgs_split: tuple | None = None) -> np.ndarray:
+                        comparator=None, path: str = "lazy") -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise DimensionMismatch("empty input")
@@ -221,7 +223,7 @@ def model_forward_plain(model: KanModel, x, mode: str = "exact",
     out = x
     for layer in model.layers:
         out = layer_forward_plain(layer, out, mode=mode, comparator=comparator,
-                                  path=path, bsgs_split=bsgs_split)
+                                  path=path)
     return out
 
 

@@ -240,7 +240,8 @@ def test_criterion_6_weighted_fit_superiority():
 def test_criterion_7_symbolic_formula_accuracy():
     """One-layer model fitted to exp(sin(pi x)) on [-1, 1], g=10, k=3:
     encrypted inference tracks the plaintext model within 1e-3 RMSE
-    (arithmetic backend) and 5e-3 (noisy backend, sigma = 1e-8)."""
+    (arithmetic backend, exact and default composite comparator) and 5e-3
+    (noisy backend, sigma = 1e-8)."""
     t0 = time.time()
     rng = np.random.default_rng(7)
     x_train = rng.uniform(-1, 1, 400)
@@ -253,13 +254,15 @@ def test_criterion_7_symbolic_formula_accuracy():
     x_test = np.linspace(-0.98, 0.98, 80)
     plain = np.array([model_forward_plain(mdl, [v], "exact")[0] for v in x_test])
 
-    # comparator error would swamp the budget; the step oracle isolates the
-    # encrypted pipeline's own arithmetic (activation polynomial included)
+    # the step oracle isolates the encrypted pipeline's own arithmetic
+    # (activation polynomial included); the composite run adds the default
+    # comparator's error on top
     results = {}
-    for label, noise in (("cleartext", 0.0), ("noisy", 1e-8)):
+    for label, noise, comparator in (("cleartext", 0.0, "exact"), ("noisy", 1e-8, "exact"),
+                                     ("composite", 0.0, "composite")):
         bcfg = BackendConfig(slot_count=64, depth_budget=24,
                              noise_std=noise, rng_seed=11)
-        cfg = PipelineConfig(comparator_mode="exact", backend=bcfg)
+        cfg = PipelineConfig(comparator_mode=comparator, backend=bcfg)
         be = make_backend(bcfg)
         outs = []
         for v in x_test:
@@ -270,11 +273,12 @@ def test_criterion_7_symbolic_formula_accuracy():
     elapsed = time.time() - t0
     assert results["cleartext"] <= 1e-3
     assert results["noisy"] <= 5e-3
+    assert results["composite"] <= 1e-3
     assert elapsed < 120
     report("criterion 7 (symbolic formula accuracy)",
            f"fit rmse {fit_rmse:.2e}; encrypted-vs-plain RMSE "
            f"{results['cleartext']:.2e} (cleartext) / {results['noisy']:.2e} "
-           f"(noisy), {elapsed:.1f}s")
+           f"(noisy) / {results['composite']:.2e} (composite), {elapsed:.1f}s")
 
 
 def test_criterion_8_depth_planner_exactness():

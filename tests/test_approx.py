@@ -291,7 +291,7 @@ class TestEvalPolyHeWindow:
                          lambda a, p: approx._estrin(_OneOpAtATime(a), p.coeffs)):
             be = make_backend(BackendConfig(slot_count=S, depth_budget=6,
                                             noise_std=noise, rng_seed=11))
-            a = CipherText(start, vals, tail, level, "input", be)
+            a = CipherText(start, vals, tail, level, be)
             with np.errstate(all="ignore"):
                 if level < poly_eval_depth(p):
                     with pytest.raises(DepthExhausted):

@@ -197,7 +197,8 @@ class TestBench:
         {"path": "sideways"},
         {"pathh": "naive"},
         {"backend": {"slot_count": 512, "depth_budget": 40, "slots": 512}},
-    ], ids=["bad_path", "unknown_key", "unknown_backend_key"])
+        {"bsgs_split": [4, 4]},  # the split is derived from each matrix
+    ], ids=["bad_path", "unknown_key", "unknown_backend_key", "bsgs_split"])
     def test_malformed_configs_usage_error(self, model_path, tmp_path, capsys, entry):
         cfgs = tmp_path / "cfgs.json"
         cfgs.write_text(json.dumps([{"path": "lazy"}, entry]))
@@ -238,17 +239,45 @@ class TestCompare:
         assert doc[0]["max_dev_he_vs_mirrored"] <= 1e-9
 
 
+def _input_args(command, inputs, tmp_path):
+    """The arguments that give infer, compare or bench the input file."""
+    cfgs = tmp_path / "cfgs.json"
+    cfgs.write_text(json.dumps([{"path": "lazy"}]))
+    return {"infer": ["--input", str(inputs)], "compare": ["--input", str(inputs)],
+            "bench": ["--inputs", str(inputs), "--configs", str(cfgs)]}[command]
+
+
 class TestUsage:
     @pytest.mark.parametrize("command", ["infer", "compare", "bench"])
     def test_non_numeric_inputs_usage_exit(self, model_path, tmp_path, command):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c,d\n")
-        cfgs = tmp_path / "cfgs.json"
-        cfgs.write_text(json.dumps([{"path": "lazy"}]))
-        extra = {"infer": ["--input", str(bad)], "compare": ["--input", str(bad)],
-                 "bench": ["--inputs", str(bad), "--configs", str(cfgs)]}[command]
+        extra = _input_args(command, bad, tmp_path)
         rc = main([command, "--model", model_path, "--backend", BACKEND, *extra])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["infer", "compare", "bench"])
+    @pytest.mark.parametrize("backend", [
+        '{"slot_count": 512, depth_budget: 40}',
+        '{"slot_count": 512, "depth_budget": 40, "slots": 512}',
+        '{"slot_count": 3, "depth_budget": 40}',
+        '{"slot_count": 512}',
+    ], ids=["not_json", "unknown_key", "slot_count_not_power_of_two", "no_depth_budget"])
+    def test_malformed_backend_usage_exit(self, model_path, input_path, tmp_path, capsys,
+                                          command, backend):
+        extra = _input_args(command, input_path, tmp_path)
+        rc = main([command, "--model", model_path, "--backend", backend, *extra])
+        assert rc == 2
+        assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["fit-layer", "--data"],
+        ["fit-activation", "--degree", "3", "--samples"],
+    ], ids=["fit-layer", "fit-activation"])
+    def test_non_numeric_fit_file_usage_exit(self, tmp_path, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.5,1.0\nx,2.0\n")
+        assert main([*command, str(bad)]) == 2
 
     def test_unknown_flag_rejected(self, model_path):
         with pytest.raises(SystemExit) as err:
@@ -283,6 +312,7 @@ MALFORMED_MODELS = {
     "W_b_wrong_shape": lambda doc: doc["layers"][0].update(W_b=[[0.0, 1.0]]),
     "no_layers": lambda doc: doc.update(layers=[]),
     "declared_shape_not_W_b": lambda doc: _declare_wrong_shape(doc["layers"][0]),
+    "R_below_largest_knot": lambda doc: doc["layers"][0].update(R=0.5),
 }
 
 

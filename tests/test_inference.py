@@ -27,7 +27,7 @@ from hekan.inference import (
     plan_model,
     write_bench_csv,
 )
-from hekan.matvec import matvec_schedule
+from hekan.matvec import default_bsgs_split, matvec_schedule
 from hekan.model import KanModel, model_forward_plain, random_model
 
 
@@ -102,7 +102,7 @@ class TestBsgsMatvec:
         be = cleartext(slots=64)
         W = np.random.default_rng(0).normal(size=(16, 16))
         v = np.random.default_rng(1).normal(size=16)
-        out = bsgs_matvec(W, be.encrypt(v), split=(4, 4))
+        out = bsgs_matvec(W, be.encrypt(v))
         assert be.counter.rotations <= 7
         np.testing.assert_allclose(out.slots[:16], W @ v, atol=1e-9)
 
@@ -117,24 +117,32 @@ class TestBsgsMatvec:
             if n >= 6:
                 assert be.counter.rotations < n - 1
 
-    @pytest.mark.parametrize("W, split, rotations, pt_mults", [
-        (np.ones((12, 12)), None, 6, 12),       # square, split (4, 3): 1 + 3 + 2
-        (np.ones((7, 3)), None, 5, 7),          # tall, m = 7, split (3, 3): 1 + 2 + 2
-        (np.ones((10, 256)), None, 11, 16),     # wide, p = 16: 1 + 3 + 3 + 4 folds
-        (np.ones((10, 256)), (4, 4), 11, 16),   # the same split given explicitly
-        (np.ones((10, 256)), (16, 16), 20, 16),  # 1 + 15 babies + 4 folds
-        (np.ones((1, 6)), None, 4, 3),          # wide, p = 3, split (2, 2): 1 + 1 + 1 + 1
-        (gen_permutation(4, 6), None, 9, 24),   # permutation, split (5, 5): 1 + 4 + 4
-        (np.ones((1, 1)), None, 0, 1),          # n = 1: no duplication, nothing to rotate
-    ], ids=["square", "tall", "wide", "wide-split4x4", "wide-split16x16", "wide-1x6",
-            "permutation", "n1"])
-    def test_schedule_counts_are_exact(self, W, split, rotations, pt_mults):
-        sched = matvec_schedule(W, split)
+    @pytest.mark.parametrize("W, rotations, pt_mults", [
+        (np.ones((12, 12)), 6, 12),       # square, split (4, 3): 1 + 3 + 2
+        (np.ones((7, 3)), 5, 7),          # tall, m = 7, split (3, 3): 1 + 2 + 2
+        (np.ones((10, 256)), 11, 16),     # wide, p = 16: 1 + 3 + 3 + 4 folds
+        (np.ones((1, 6)), 4, 3),          # wide, p = 3, split (2, 2): 1 + 1 + 1 + 1
+        (gen_permutation(4, 6), 9, 24),   # permutation, split (5, 5): 1 + 4 + 4
+        (np.ones((1, 1)), 0, 1),          # n = 1: no duplication, nothing to rotate
+    ], ids=["square", "tall", "wide", "wide-1x6", "permutation", "n1"])
+    def test_schedule_counts_are_exact(self, W, rotations, pt_mults):
+        sched = matvec_schedule(W)
         assert (sched.rotations, sched.pt_mults) == (rotations, pt_mults)
         n_in = W.size if isinstance(W, PermutationSpec) else W.shape[1]
         be = cleartext(slots=512)
-        bsgs_matvec(W, be.encrypt(np.ones(n_in)), split)
+        bsgs_matvec(W, be.encrypt(np.ones(n_in)))
         assert (be.counter.rotations, be.counter.pt_mults) == (rotations, pt_mults)
+
+    def test_derived_split_covers_the_diagonals_exactly(self):
+        # the schedule relies on b <= p <= b * gs with no empty giant step
+        for p in range(1, 5000):
+            b, gs = default_bsgs_split(p)
+            assert 1 <= b <= p <= b * gs and (gs - 1) * b < p, p
+        for W in (np.ones((12, 12)), np.ones((10, 3840)), gen_permutation(4, 6)):
+            sched = matvec_schedule(W)
+            p = sched.shape[0]
+            assert sched.split == default_bsgs_split(p)
+            assert [d for _, diags in sched.blocks() for d in diags] == list(range(p))
 
     def test_rectangular_shapes(self):
         rng = np.random.default_rng(2)
@@ -156,11 +164,6 @@ class TestBsgsMatvec:
         with pytest.raises(DimensionMismatch):
             bsgs_matvec(np.eye(16), be.encrypt(np.ones(16)))  # needs 2 * 16 slots
 
-    def test_bad_split(self):
-        be = cleartext(slots=64)
-        with pytest.raises(DimensionMismatch):
-            bsgs_matvec(np.eye(8), be.encrypt(np.ones(8)), split=(2, 2))
-
     def test_pt_mult_count_is_dimension(self):
         be = cleartext(slots=64)
         bsgs_matvec(np.eye(12), be.encrypt(np.ones(12)))
@@ -171,11 +174,11 @@ class TestWideMatvec:
     """n_o < n_in = p * 2^j: p extended diagonals, then log2(n_in / p) folds."""
 
     @staticmethod
-    def run(n_o, n_in, slots, split=None, seed=0):
+    def run(n_o, n_in, slots, seed=0):
         rng = np.random.default_rng(seed)
         W, v = rng.normal(size=(n_o, n_in)), rng.normal(size=n_in)
         be = cleartext(slots=slots)
-        out = bsgs_matvec(W, be.encrypt(v), split=split)
+        out = bsgs_matvec(W, be.encrypt(v))
         return W, v, out, be.counter
 
     @pytest.mark.parametrize("n_o, n_in, slots, p, pt_mults, rotations", [
@@ -188,28 +191,18 @@ class TestWideMatvec:
         assert (c.pt_mults, c.rotations, c.ct_mults) == (pt_mults, rotations, 0)
         np.testing.assert_allclose(out.slots[:n_o], W @ v, atol=1e-9)
 
-    @pytest.mark.parametrize("n_o, n_in, split, pt_mults, rotations", [
-        (7, 3, None, 7, 5),           # tall: m = 7, split (3, 3)
-        (12, 12, None, 12, 6),        # square: split (4, 3)
-        (3, 7, None, 7, 5),           # odd n_in
-        (12, 12, (6, 2), 12, 7),      # square with an explicit split
+    @pytest.mark.parametrize("n_o, n_in, pt_mults, rotations", [
+        (7, 3, 7, 5),           # tall: m = 7, split (3, 3)
+        (12, 12, 12, 6),        # square: split (4, 3)
+        (3, 7, 7, 5),           # odd n_in
     ])
-    def test_other_shapes_take_square_path(self, n_o, n_in, split, pt_mults, rotations):
+    def test_other_shapes_take_square_path(self, n_o, n_in, pt_mults, rotations):
         m = max(n_o, n_in)
-        assert matvec_schedule(np.zeros((n_o, n_in)), split).W.shape == (m, m)
-        W, v, out, c = self.run(n_o, n_in, slots=512, split=split)
+        assert matvec_schedule(np.zeros((n_o, n_in))).W.shape == (m, m)
+        W, v, out, c = self.run(n_o, n_in, slots=512)
         assert (c.pt_mults, c.rotations) == (pt_mults, rotations)
         np.testing.assert_allclose(out.slots[:n_o], W @ v, atol=1e-9)
         assert np.all(out.slots[m:] == 0.0)
-
-    def test_explicit_split_applies_to_wide_diagonals(self):
-        # split (16, 16) over p = 16: 1 + 15 babies + no giant + 4 folds
-        assert matvec_schedule(np.zeros((10, 256)), (16, 16)).W.shape == (16, 256)
-        W, v, out, c = self.run(10, 256, slots=512, split=(16, 16))
-        assert (c.pt_mults, c.rotations) == (16, 20)
-        np.testing.assert_allclose(out.slots[:10], W @ v, atol=1e-9)
-        with pytest.raises(DimensionMismatch):
-            matvec_schedule(np.zeros((10, 256)), (3, 5))  # 15 < p = 16
 
     def test_square_input_is_not_copied(self):
         W = np.eye(8)
@@ -256,20 +249,18 @@ class TestPermutationMatvec:
     """A PermutationSpec operand runs the square schedule of its dense
     matrix, with the diagonals read from source_of."""
 
-    @pytest.mark.parametrize("n_r, n_c, split", [
-        (1, 1, None),
-        (1, 6, None),
-        (6, 1, None),
-        (3, 4, None),
-        (5, 7, None),
-        (4, 6, (6, 4)),    # explicit split
-        (4, 6, (24, 1)),   # all babies, one giant
-        (256, 15, None),   # the (256, 10, 5) table config
+    @pytest.mark.parametrize("n_r, n_c", [
+        (1, 1),
+        (1, 6),
+        (6, 1),
+        (3, 4),
+        (5, 7),
+        (256, 15),   # the (256, 10, 5) table config
     ])
-    def test_equals_dense_schedule(self, n_r, n_c, split):
+    def test_equals_dense_schedule(self, n_r, n_c):
         P = gen_permutation(n_r, n_c)
         n = P.size
-        spec, dense = matvec_schedule(P, split), matvec_schedule(P.as_matrix(), split)
+        spec, dense = matvec_schedule(P), matvec_schedule(P.as_matrix())
         assert spec.shape == dense.W.shape == (n, n)
         assert spec.split == dense.split
         assert list(spec.blocks()) == list(dense.blocks())
@@ -292,8 +283,6 @@ class TestPermutationMatvec:
 
     def test_split_and_capacity_checks(self):
         P = gen_permutation(4, 6)
-        with pytest.raises(DimensionMismatch):
-            matvec_schedule(P, (4, 5))  # 20 < 24 diagonals
         be = cleartext(slots=32)
         with pytest.raises(DimensionMismatch):
             bsgs_matvec(P, be.encrypt(np.ones(24)))  # needs 2 * 24 slots
@@ -573,11 +562,11 @@ class TestBench:
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
         assert PipelineConfig.from_json({}, bcfg) == PipelineConfig(backend=bcfg)
-        cfg = PipelineConfig.from_json({"path": "naive", "bsgs_split": [4, 4], "check_range": True,
+        cfg = PipelineConfig.from_json({"path": "naive", "check_range": True,
                                         "backend": {"slot_count": 64, "depth_budget": 9}}, bcfg)
-        assert cfg == PipelineConfig(path="naive", bsgs_split=(4, 4), check_range=True,
+        assert cfg == PipelineConfig(path="naive", check_range=True,
                                      backend=BackendConfig(slot_count=64, depth_budget=9))
-        for doc in ({"pathh": "naive"}, {"path": "sideways"}, ["lazy"],
+        for doc in ({"pathh": "naive"}, {"path": "sideways"}, ["lazy"], {"bsgs_split": [4, 4]},
                     {"backend": {"slot_count": 64, "depth_budget": 9, "slots": 1}}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_json(doc, bcfg)
