@@ -10,9 +10,7 @@ against an exact plaintext reference model.
 from .backend import (
     BackendConfig,
     CipherText,
-    CleartextBackend,
     HeBackend,
-    NoisyBackend,
     OpCounter,
     PlainVector,
     make_backend,

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from .backend import CipherText, CleartextBackend
+from .backend import CipherText
 from .errors import (
     EmptySamples,
     IllConditioned,
@@ -429,9 +429,9 @@ class CompositeSign:
         """Levels consumed by poly_comp: the stages plus the (s+1)/2 map."""
         return sum(poly_eval_depth(s) for s in self.stages) + 1
 
-    def compare_he(self, scaled: CipherText, check_range: bool = False) -> CipherText:
+    def compare_he(self, scaled: CipherText) -> CipherText:
         """Slot-wise step(scaled) through poly_comp against zero."""
-        return poly_comp(scaled, 0.0, self, check_range=check_range)
+        return poly_comp(scaled, 0.0, self)
 
     def compare_clear(self, d: np.ndarray) -> np.ndarray:
         """Cleartext twin of compare_he."""
@@ -514,14 +514,14 @@ def poly_comp(a: CipherText, b, cs: CompositeSign,
     """Slot-wise step(a - b): ~1 where a > b, ~0 where a < b, 1/2 at ties.
 
     Caller guarantees a - b lies in [-1, 1]; accuracy is certified only for
-    |a - b| >= cs.delta.
+    |a - b| >= cs.delta. With check_range, a difference outside [-1, 1]
+    raises InputOutOfRange.
     """
     be = a.backend
     d = be.sub(a, b)
-    if check_range and isinstance(be, CleartextBackend):
-        if np.max(np.abs(d.slots)) > 1.0 + 1e-12:
-            raise InputOutOfRange(
-                f"comparator operand out of [-1, 1]: max |d| = {np.max(np.abs(d.slots))}")
+    if check_range and np.max(np.abs(d.slots)) > 1.0 + 1e-12:
+        raise InputOutOfRange(
+            f"comparator operand out of [-1, 1]: max |d| = {np.max(np.abs(d.slots))}")
     s = d
     for stage in cs.stages:
         s = eval_poly_he(s, stage)

@@ -1,10 +1,12 @@
 """Functional model of a leveled SIMD homomorphic-encryption scheme.
 
 Ciphertexts are fixed-width slot vectors with a remaining multiplicative
-level. All arithmetic is slot-wise; rotation is cyclic. Two backends ship:
-:class:`CleartextBackend` (exact arithmetic) and :class:`NoisyBackend`
-(additive Gaussian perturbation per operation). The backend is a swappable
-contract so a real scheme can be substituted behind the same semantics.
+level. All arithmetic is slot-wise; rotation is cyclic. One backend,
+:class:`HeBackend`, simulates the scheme: with ``noise_std == 0`` its
+arithmetic is exact, otherwise every operation and encryption adds
+N(0, noise_std) to each slot, drawn from ``rng_seed``. The backend is a
+swappable contract so a real scheme can be substituted behind the same
+semantics.
 
 Representation: a ciphertext stores a cyclic window of slots (``start``
 and the window's values ``data``) over a constant ``tail`` that every
@@ -14,9 +16,8 @@ two tails, so it costs O(window), not O(slot_count). Invariant: every slot
 is bit-identical to the same arithmetic on dense slot_count-long vectors,
 since each slot sees the same float operation on the same operands.
 Windows never shrink (``x * 0`` keeps the sign of ``x``, ``inf * 0`` is
-NaN). :class:`PlainVector` is the same window over a tail, or a dense
-vector. A noisy backend perturbs every slot, so its results are full
-windows.
+NaN). :class:`PlainVector` is the same window over a tail. A noisy
+backend perturbs every slot, so its results are full windows.
 
 Polynomial schedules run through :meth:`HeBackend.run_on_window`: the
 whole schedule is one numpy program over the input's window with its tail
@@ -30,6 +31,7 @@ levels and noise draws are those of the op-by-op run.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 
@@ -58,8 +60,11 @@ class BackendConfig:
             raise ValueError(f"slot_count must be a positive power of two, got {self.slot_count}")
         if self.depth_budget < 0:
             raise ValueError("depth_budget must be >= 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if (isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer))
+                or self.rng_seed < 0):
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
     @classmethod
     def from_json(cls, source) -> "BackendConfig":
@@ -159,13 +164,12 @@ def _over(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int):
 class PlainVector:
     """Unencrypted slot vector, the right-hand operand of plaintext ops.
 
-    With an offset, ``values`` fill slots offset .. offset+len-1 (mod
-    slot_count) and every other slot holds ``tail``. Without one it is a
-    dense vector of exactly slot_count values.
+    ``values`` fill slots offset .. offset+len-1 (mod slot_count) and every
+    other slot holds ``tail``; at most slot_count values.
     """
 
     values: np.ndarray
-    offset: int | None = None
+    offset: int = 0
     tail: float = 0.0
 
     def __post_init__(self):
@@ -203,16 +207,20 @@ class CipherText:
 
 
 class HeBackend:
-    """Backend contract: slot-wise arithmetic, rotation, depth accounting.
+    """The simulated scheme: slot-wise arithmetic, rotation, depth accounting.
 
-    Subclasses control the per-operation perturbation via `_perturb`.
-    Each backend owns one active :class:`OpCounter`; evaluations that need a
-    private tally snapshot it before and diff after (see OpCounter.since).
+    ``noisy`` (``config.noise_std > 0``) adds N(0, noise_std) per slot
+    after every operation and at encryption, drawn from one generator
+    seeded with ``config.rng_seed``; otherwise the arithmetic is exact.
+    Each backend owns one active :class:`OpCounter`; evaluations that need
+    a private tally snapshot it before and diff after (see OpCounter.since).
     """
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self.counter = OpCounter()
+        self.noisy = config.noise_std > 0
+        self._rng = np.random.default_rng(config.rng_seed)
 
     # ------------------------------------------------------------------
     # boundary plumbing
@@ -223,11 +231,11 @@ class HeBackend:
         slots [0, len) over a zero tail, a scalar is an empty window whose
         tail is the scalar."""
         if np.isscalar(values):
-            return PlainVector(_EMPTY, 0, float(values))
+            return PlainVector(_EMPTY, tail=float(values))
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size > self.config.slot_count:
             raise InputTooLong(f"{arr.size} values > {self.config.slot_count} slots")
-        return PlainVector(arr, 0)
+        return PlainVector(arr)
 
     def encrypt(self, values, level: int | None = None) -> CipherText:
         """Encrypt a vector (slots [0, len), zeros elsewhere), a scalar (every
@@ -308,17 +316,16 @@ class HeBackend:
         and computes exactly as the matching ``slotwise`` call (``const``
         as ``encrypt``). ``depth`` is the levels the program consumes;
         DepthExhausted is raised before any op when a has fewer. A
-        perturbing backend runs on the full window, as its ops would
-        produce it.
+        noisy backend runs on the full window, as its ops would produce it.
         """
         self._check_ours(a)
         if a.level < depth:
             raise DepthExhausted(f"{depth} levels needed at level {a.level}")
         S = self.config.slot_count
         start, data = a.start, a.data
-        # a perturbing backend's ops return full windows at slot 0, so the
+        # a noisy backend's ops return full windows at slot 0, so the
         # program starts there; a full window is aligned to slot 0 as well
-        if (data.size == S or self._perturbs()) and (start or data.size < S):
+        if (data.size == S or self.noisy) and (start or data.size < S):
             start, data = 0, _place(a.start, a.data, a.tail, 0, S, S)
         out = program(_WindowOps(self, np.append(data, a.tail)))
         return CipherText(start, out[:-1], out[-1], a.level - depth, self)
@@ -345,22 +352,22 @@ class HeBackend:
         if not isinstance(b, PlainVector):
             b = self.encode(b)
         S = self.config.slot_count
-        size = b.values.size
-        if size > S or (b.offset is None and size != S):
-            raise LengthMismatch(f"plain operand has {size} slots, backend {S}")
-        return (b.offset or 0) % S, b.values, b.tail
+        if b.values.size > S:
+            raise LengthMismatch(f"plain operand has {b.values.size} slots, backend {S}")
+        return b.offset % S, b.values, b.tail
 
     def _check_ours(self, a: CipherText) -> None:
         if a.backend is not self:
             raise LengthMismatch("ciphertext belongs to a different backend")
 
     def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
-        raise NotImplementedError
-
-    def _perturbs(self) -> bool:
-        """Whether _perturb changes its operands; a perturbing backend
-        returns full windows starting at slot 0."""
-        return True
+        """The operands unchanged, or with noise all slot_count slots
+        materialised from slot 0 and each one perturbed."""
+        if not self.noisy:
+            return start, data, tail
+        S = self.config.slot_count
+        dense = _place(start, data, tail, 0, S, S)
+        return 0, dense + self._rng.normal(0.0, self.config.noise_std, S), 0.0
 
 
 class _WindowOps:
@@ -371,7 +378,6 @@ class _WindowOps:
     def __init__(self, be: HeBackend, x: np.ndarray):
         self.be = be
         self.x = x
-        self.noisy = be._perturbs()
 
     def mul(self, a, b):
         self.be.counter.ct_mults += 1
@@ -394,46 +400,15 @@ class _WindowOps:
         return self._out(np.full_like(self.x, c))
 
     def _out(self, arr: np.ndarray) -> np.ndarray:
-        if not self.noisy:
+        if not self.be.noisy:
             return arr
         _, data, tail = self.be._perturb(0, arr[:-1], arr[-1])
         return np.append(data, tail)
 
 
-class CleartextBackend(HeBackend):
-    """Exact backend: arithmetic model with no perturbation."""
-
-    def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
-        return start, data, tail
-
-    def _perturbs(self) -> bool:
-        return False
-
-
-class NoisyBackend(HeBackend):
-    """Adds N(0, noise_std) per slot after every operation and at encryption."""
-
-    def __init__(self, config: BackendConfig):
-        super().__init__(config)
-        self._rng = np.random.default_rng(config.rng_seed)
-
-    def _perturb(self, start: int, data: np.ndarray, tail: float) -> tuple:
-        """Materialise all slot_count slots and perturb each one."""
-        if not self._perturbs():
-            return start, data, tail
-        S = self.config.slot_count
-        dense = _place(start, data, tail, 0, S, S)
-        return 0, dense + self._rng.normal(0.0, self.config.noise_std, S), 0.0
-
-    def _perturbs(self) -> bool:
-        return self.config.noise_std > 0
-
-
 def make_backend(config: BackendConfig) -> HeBackend:
-    """Cleartext when noise_std is zero, Noisy otherwise."""
-    if config.noise_std > 0:
-        return NoisyBackend(config)
-    return CleartextBackend(config)
+    """The simulator for config; exact when noise_std is zero."""
+    return HeBackend(config)
 
 
 def slotwise(op_kind: str, a: CipherText, b) -> CipherText:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import CipherText, CleartextBackend, PlainVector
+from .backend import CipherText, PlainVector
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InputOutOfRange,
     InsufficientKnots,
+    NonFiniteInput,
     PackingOverflow,
 )
 
@@ -36,7 +37,8 @@ class GridMatrix:
     Rows must be strictly increasing; repeated knots would put a zero in the
     recursion denominators and are rejected up front. R bounds |input| and
     |knot| for the comparator's [-1, 1] scaling; a knot beyond R is
-    rejected, since its comparator operand would leave [-1, 1].
+    rejected, since its comparator operand would leave [-1, 1]. Knots and R
+    must be finite: an infinite R scales every comparator operand to 0.
     """
 
     entries: np.ndarray
@@ -51,6 +53,8 @@ class GridMatrix:
         if entries.ndim != 2 or entries.shape[1] != self.g + 2 * self.k + 1:
             raise DimensionMismatch(
                 f"grid needs shape (n_i, {self.g + 2 * self.k + 1}), got {entries.shape}")
+        if not (np.all(np.isfinite(entries)) and math.isfinite(self.R)):
+            raise NonFiniteInput("knots and R must be finite")
         if np.any(np.diff(entries, axis=1) <= 0):
             raise InsufficientKnots("knot rows must be strictly increasing (no repeats)")
         if self.R <= 0:
@@ -218,7 +222,7 @@ class ExactComparator:
     def depth(self) -> int:
         return 0
 
-    def compare_he(self, scaled: CipherText, check_range: bool = False) -> CipherText:
+    def compare_he(self, scaled: CipherText) -> CipherText:
         step = PlainVector(step_clear(scaled.data), scaled.start,
                            float(step_clear(scaled.tail)))
         return scaled.backend.encrypt(step, scaled.level)
@@ -280,7 +284,9 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
     endpoints (column-tiled across the copies); the Cox-de Boor recursion
     then runs slot-parallel, one rotation per order. Plaintext knot factors
     are zero beyond the shrinking valid region, which keeps the wrapped-in
-    tail slots at zero with no extra masking.
+    tail slots at zero with no extra masking. With check_range, an input
+    beyond R (so a comparator operand beyond [-1, 1]) or within
+    comparator.delta * 2R of a knot raises InputOutOfRange.
     """
     be = xp.ct.backend
     if G.n_i != xp.n_i or G.g != xp.g or G.k != xp.k:
@@ -288,7 +294,7 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
     n_i = G.n_i
     inv2R = 1.0 / (2.0 * G.R)
 
-    if check_range and isinstance(be, CleartextBackend):
+    if check_range:
         x_vals = xp.ct.slots[:n_i]
         if np.max(np.abs(x_vals)) > G.R:
             raise InputOutOfRange(f"input exceeds [-R, R] with R = {G.R}")
@@ -300,8 +306,8 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
                 "comparator accuracy is not certified there")
 
     g1, g2, orders = basis_tiles(G)
-    x1 = comparator.compare_he(be.mul(be.sub(xp.ct, g1), inv2R), check_range)
-    x2 = comparator.compare_he(be.mul(be.sub(xp.ct, g2), -inv2R), check_range)
+    x1 = comparator.compare_he(be.mul(be.sub(xp.ct, g1), inv2R))
+    x2 = comparator.compare_he(be.mul(be.sub(xp.ct, g2), -inv2R))
     b = be.mul(x1, x2)
     for t1, recip1, t3, neg_recip2 in orders:
         b1 = be.mul(be.mul(be.sub(xp.ct, t1), recip1), b)

@@ -32,6 +32,7 @@ from .backend import BackendConfig, make_backend
 from .errors import (
     CorruptFile,
     DepthBudgetInfeasible,
+    EmptySamples,
     HeKanError,
     IllConditioned,
     InputOutOfRange,
@@ -76,19 +77,17 @@ def _seed(args) -> int:
 
 
 def _load_backend(args) -> BackendConfig:
-    """--backend (inline JSON or a path), else the defaults. Text that does
-    not parse raises CorruptFile; a document that parses but is not a valid
-    config raises SchemaMismatch."""
-    if args.backend:
-        try:
-            return BackendConfig.from_json(args.backend)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CorruptFile(f"--backend: {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise SchemaMismatch(f"--backend: {exc}") from exc
-    doc = dict(DEFAULT_BACKEND)
-    doc["rng_seed"] = _seed(args)
-    return BackendConfig.from_json(doc)
+    """--backend (inline JSON or a path), else the defaults with rng_seed
+    from --seed. Text that does not parse raises CorruptFile; a document
+    that parses but is not a valid config, or a negative seed, raises
+    SchemaMismatch."""
+    try:
+        return BackendConfig.from_json(
+            args.backend or dict(DEFAULT_BACKEND, rng_seed=_seed(args)))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptFile(f"--backend: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise SchemaMismatch(f"{'--backend' if args.backend else '--seed'}: {exc}") from exc
 
 
 def _load_csv(path) -> np.ndarray:
@@ -408,7 +407,7 @@ def main(argv=None) -> int:
         print(f"depth budget infeasible:\n{exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ShapeMismatch, SchemaMismatch, CorruptFile, NonFiniteInput,
-            InputOutOfRange, UnsupportedLayer) as exc:
+            InputOutOfRange, UnsupportedLayer, EmptySamples) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllConditioned, RemezNonConvergence, SingularSystem) as exc:

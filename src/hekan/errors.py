@@ -74,7 +74,7 @@ class ShapeMismatch(HeKanError):
 
 
 class NonFiniteInput(HeKanError):
-    """Input to encrypt holds NaN or infinity."""
+    """Input to encrypt, or a grid's knots or R, holds NaN or infinity."""
 
 
 # --- inference ---

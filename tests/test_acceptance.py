@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hekan.approx import build_composite_sign, poly_comp
-from hekan.backend import BackendConfig, CleartextBackend, make_backend
+from hekan.backend import BackendConfig, HeBackend, make_backend
 from hekan.bspline import (
     EXACT_COMPARATOR,
     GridMatrix,
@@ -61,7 +61,7 @@ def test_criterion_1_oracle_equivalence():
         mdl = random_model(dims, g=g, k=k, seed=3000 + trial)
         x = rng.uniform(-1, 1, dims[0])
         for path in ("lazy", "naive"):
-            be = CleartextBackend(bcfg)
+            be = HeBackend(bcfg)
             ct = encrypt_input(x.reshape(1, 1, dims[0]), mdl, be)
             out, _ = model_forward_he(mdl, ct, PipelineConfig(path=path, backend=bcfg))
             mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs, path=path)
@@ -86,14 +86,14 @@ def test_criterion_2_repeat_packing_rotation_law():
             expected = int(np.ceil(np.log2(copies)))
             assert pack_rotations(g, k) == expected
 
-            be = CleartextBackend(bcfg)
+            be = HeBackend(bcfg)
             ct = be.encrypt(np.arange(1.0, n_i + 1))
             packed = repeat_pack(ct, g, k, n_i)
             assert be.counter.rotations == expected, (n_i, copies)
             blocks = packed.ct.slots[: n_i * copies].reshape(copies, n_i)
             np.testing.assert_array_equal(blocks, np.tile(blocks[0], (copies, 1)))
 
-            be2 = CleartextBackend(bcfg)
+            be2 = HeBackend(bcfg)
             repeat_pack_naive(be2.encrypt(np.arange(1.0, n_i + 1)), g, k, n_i)
             assert be2.counter.rotations == copies - 1
             checked += 1
@@ -144,7 +144,7 @@ def test_criterion_4_comparator_accuracy():
     worst_anti = 0.0
     for start in range(0, diffs.size, S):
         chunk = diffs[start:start + S]
-        be = CleartextBackend(bcfg)
+        be = HeBackend(bcfg)
         a = be.encrypt(chunk)
         zeros = np.zeros(S)
         out = poly_comp(a, zeros, cs)
@@ -179,7 +179,7 @@ def test_criterion_5_bspline_correctness():
     worst_he = 0.0
     for start in range(0, 1000, 4):
         x = pts[start:start + 4]
-        be = CleartextBackend(bcfg)
+        be = HeBackend(bcfg)
         xp = repeat_pack(be.encrypt(x), 10, 3, 4)
         bv = bspline_basis_he(xp, G, EXACT_COMPARATOR)
         sums = bv.ct.slots[: bv.length].reshape(bv.n_basis, 4).sum(axis=0)
@@ -197,7 +197,7 @@ def test_criterion_5_bspline_correctness():
     bcfg_c = BackendConfig(slot_count=256, depth_budget=24)
     for start in range(0, sweep.size - 3, 4):
         x = sweep[start:start + 4]
-        be = CleartextBackend(bcfg_c)
+        be = HeBackend(bcfg_c)
         xp = repeat_pack(be.encrypt(x), 3, 2, 4)
         bv = bspline_basis_he(xp, Gc, cs)
         vals = bv.ct.slots[: bv.length].reshape(bv.n_basis, 4).T
@@ -294,7 +294,7 @@ def test_criterion_8_depth_planner_exactness():
         for path in ("lazy", "naive"):
             cfg = PipelineConfig(path=path, backend=bcfg)
             plan = plan_model(mdl, cfg)
-            be = CleartextBackend(bcfg)
+            be = HeBackend(bcfg)
             ct = encrypt_input(x.reshape(1, 1, n_i), mdl, be)
             _, stats = model_forward_he(mdl, ct, cfg)
             assert stats.total.depth_consumed == plan.total, (n_i, g, k, path)

@@ -22,7 +22,7 @@ from hekan.approx import (
     poly_eval_depth,
     range_from_moments,
 )
-from hekan.backend import BackendConfig, CipherText, CleartextBackend, make_backend
+from hekan.backend import BackendConfig, CipherText, HeBackend, make_backend
 from hekan.errors import (
     DepthExhausted,
     EmptySamples,
@@ -34,7 +34,7 @@ from hekan.model import silu
 
 
 def backend(slots=64, depth=30):
-    return CleartextBackend(BackendConfig(slot_count=slots, depth_budget=depth))
+    return HeBackend(BackendConfig(slot_count=slots, depth_budget=depth))
 
 
 class TestPolynomial:

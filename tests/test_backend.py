@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from hekan.backend import (
     BackendConfig,
     CipherText,
-    CleartextBackend,
-    NoisyBackend,
     OpCounter,
     PlainVector,
     make_backend,
@@ -51,9 +49,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             BackendConfig.from_json({"slot_count": 8, "depth_budget": 1, "bogus": 2})
 
+    def test_seed_and_noise_must_be_usable(self):
+        for seed in (-1, 1.5, "3", True):
+            with pytest.raises(ValueError):
+                BackendConfig(slot_count=8, depth_budget=1, rng_seed=seed)
+        for noise in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                BackendConfig(slot_count=8, depth_budget=1, noise_std=noise)
+        assert BackendConfig(slot_count=8, depth_budget=1, rng_seed=np.int64(2)).rng_seed == 2
+
     def test_make_backend_kind(self):
-        assert isinstance(fresh(noise=0.0), CleartextBackend)
-        assert isinstance(fresh(noise=1e-9), NoisyBackend)
+        # exact iff noise_std == 0, perturbed otherwise
+        want = np.array([1.5, 2.5, 3.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+        for noise in (0.0, 1e-9):
+            be = fresh(noise=noise)
+            out = be.decrypt(be.add(be.encrypt([1.0, 2.0, 3.0]), 0.5))
+            assert np.array_equal(out, want) == (noise == 0)
+            np.testing.assert_allclose(out, want, atol=1e-7)
 
 
 class TestSlotwise:
@@ -108,7 +120,7 @@ class TestSlotwise:
         be = fresh()
         from hekan.backend import PlainVector
         with pytest.raises(LengthMismatch):
-            be.add(be.encrypt([1.0]), PlainVector(np.ones(4)))
+            be.add(be.encrypt([1.0]), PlainVector(np.ones(16)))
 
     def test_foreign_ciphertext_rejected(self):
         be1, be2 = fresh(), fresh()

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 from hekan.approx import build_composite_sign
-from hekan.backend import BackendConfig, CleartextBackend
+from hekan.backend import BackendConfig, HeBackend
 from hekan.bspline import (
     EXACT_COMPARATOR,
     GridMatrix,
@@ -22,12 +22,13 @@ from hekan.errors import (
     IndexOutOfRange,
     InputOutOfRange,
     InsufficientKnots,
+    NonFiniteInput,
     PackingOverflow,
 )
 
 
 def backend(slots=256, depth=30):
-    return CleartextBackend(BackendConfig(slot_count=slots, depth_budget=depth))
+    return HeBackend(BackendConfig(slot_count=slots, depth_budget=depth))
 
 
 COMPARATORS = {"exact": lambda: EXACT_COMPARATOR, "composite": build_composite_sign}
@@ -67,6 +68,17 @@ class TestGridMatrix:
             GridMatrix(rows, g=2, k=1, R=1.9)
         with pytest.raises(InputOutOfRange):
             GridMatrix.uniform(2, 3, 2, -1.0, 1.0, R=0.5)  # knots reach 1 + 2h
+
+    def test_rejects_non_finite_knots_and_R(self):
+        # R = inf scaled every comparator operand to 0; a NaN knot passed
+        # both the ordering and the R check
+        rows = np.array([[-1.0, -0.5, 0.0, 0.5, 1.0]])
+        with pytest.raises(NonFiniteInput):
+            GridMatrix(rows, g=2, k=1, R=np.inf)
+        with pytest.raises(NonFiniteInput):
+            GridMatrix(rows, g=2, k=1, R=np.nan)
+        with pytest.raises(NonFiniteInput):
+            GridMatrix([[-1.0, -0.5, np.nan, 0.5, 1.0]], g=2, k=1, R=2.0)
 
 
 class TestRepeatPack:
@@ -250,6 +262,13 @@ class TestEncryptedBasis:
         xp = repeat_pack(be.encrypt([knot + 1e-9]), 4, 1, 1)
         with pytest.raises(InputOutOfRange):
             bspline_basis_he(xp, G, cs, check_range=True)
+
+    def test_check_range_flags_knot_proximity_on_a_noisy_backend(self):
+        G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=30, noise_std=1e-12))
+        xp = repeat_pack(be.encrypt([G.entries[0][3] + 1e-4]), 4, 1, 1)
+        with pytest.raises(InputOutOfRange):
+            bspline_basis_he(xp, G, build_composite_sign(), check_range=True)
 
     @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
     def test_check_range_rejects_input_beyond_R(self, comparator):

@@ -64,6 +64,13 @@ class TestFitActivation:
                    "--sigma", "1", "--degree", "3"])
         assert rc == 2
 
+    def test_empty_samples_is_usage_error(self, tmp_path):
+        samples = tmp_path / "empty.csv"
+        samples.write_text("")
+        with pytest.warns(UserWarning):  # numpy: "Empty input file"
+            rc = main(["fit-activation", "--samples", str(samples), "--degree", "3"])
+        assert rc == 2
+
     def test_samples_source(self, tmp_path):
         samples = tmp_path / "s.csv"
         np.savetxt(samples, np.random.default_rng(3).normal(0, 1, 500), delimiter=",")
@@ -146,6 +153,21 @@ class TestInfer:
         bad = tmp_path / "bad.csv"
         bad.write_text("5.0,0.2\n" if mode == "he" else "nan,0.2\n")
         rc = main(["infer", "--model", str(path), "--input", str(bad), "--mode", mode])
+        assert rc == 2
+        assert "output:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-12])
+    def test_check_range_rejects_input_near_knot(self, tmp_path, capsys, noise):
+        # the check used to run on an exact backend only: with noise the
+        # input was accepted, printed an output and gave rc 0
+        mdl = random_model([2, 3, 1], g=3, k=2, seed=0)
+        path = tmp_path / "m.json"
+        save_model(mdl, path)
+        near = tmp_path / "near.csv"
+        near.write_text(f"{mdl.layers[0].grid.entries[0, 3] + 1e-4},0.2\n")
+        backend = json.dumps({"slot_count": 4096, "depth_budget": 80, "noise_std": noise})
+        rc = main(["infer", "--model", str(path), "--input", str(near), "--mode", "he",
+                   "--check-range", "--backend", backend])
         assert rc == 2
         assert "output:" not in capsys.readouterr().out
 
@@ -262,13 +284,25 @@ class TestUsage:
         '{"slot_count": 512, "depth_budget": 40, "slots": 512}',
         '{"slot_count": 3, "depth_budget": 40}',
         '{"slot_count": 512}',
-    ], ids=["not_json", "unknown_key", "slot_count_not_power_of_two", "no_depth_budget"])
+        '{"slot_count": 512, "depth_budget": 40, "rng_seed": -1, "noise_std": 1e-12}',
+        '{"slot_count": 512, "depth_budget": 40, "rng_seed": 1.5}',
+        '{"slot_count": 512, "depth_budget": 40, "noise_std": NaN}',
+    ], ids=["not_json", "unknown_key", "slot_count_not_power_of_two", "no_depth_budget",
+            "negative_rng_seed", "fractional_rng_seed", "nan_noise_std"])
     def test_malformed_backend_usage_exit(self, model_path, input_path, tmp_path, capsys,
                                           command, backend):
         extra = _input_args(command, input_path, tmp_path)
         rc = main([command, "--model", model_path, "--backend", backend, *extra])
         assert rc == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infer", "compare", "bench"])
+    def test_negative_seed_usage_exit(self, model_path, input_path, tmp_path, capsys, command):
+        # the default backend takes its rng_seed from --seed
+        extra = _input_args(command, input_path, tmp_path)
+        rc = main(["--seed", "-1", command, "--model", model_path, *extra])
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["fit-layer", "--data"],
@@ -303,6 +337,14 @@ def _declare_wrong_shape(layer):
     layer.update(grid=grid.entries.tolist(), n_i=77, n_o=99)
 
 
+def _set_nan_knot(layer):
+    u = layer.pop("uniform_grid")
+    grid = GridMatrix.uniform(layer["n_i"], layer["g"], layer["k"], u["lo"], u["hi"],
+                              R=layer["R"]).entries.tolist()
+    grid[0][3] = float("nan")
+    layer["grid"] = grid
+
+
 MALFORMED_MODELS = {
     "input_shape_not_hwc": lambda doc: doc.update(input_shape=[4]),
     "negative_R": lambda doc: doc["layers"][0].update(R=-1),
@@ -313,6 +355,8 @@ MALFORMED_MODELS = {
     "no_layers": lambda doc: doc.update(layers=[]),
     "declared_shape_not_W_b": lambda doc: _declare_wrong_shape(doc["layers"][0]),
     "R_below_largest_knot": lambda doc: doc["layers"][0].update(R=0.5),
+    "R_infinite": lambda doc: [layer.update(R=float("inf")) for layer in doc["layers"]],
+    "knot_nan": lambda doc: _set_nan_knot(doc["layers"][0]),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hekan.approx import build_composite_sign
-from hekan.backend import BackendConfig, CleartextBackend, OpCounter, make_backend
+from hekan.backend import BackendConfig, HeBackend, OpCounter, make_backend
 from hekan.bspline import EXACT_COMPARATOR, PermutationSpec, gen_permutation, repeat_pack
 from hekan.errors import (
     DepthBudgetInfeasible,
@@ -32,7 +32,7 @@ from hekan.model import KanModel, model_forward_plain, random_model
 
 
 def cleartext(slots=1024, depth=40):
-    return CleartextBackend(BackendConfig(slot_count=slots, depth_budget=depth))
+    return HeBackend(BackendConfig(slot_count=slots, depth_budget=depth))
 
 
 class TestEncryptInput:
@@ -238,7 +238,7 @@ class TestWideMatvec:
         cs = build_composite_sign()
         bcfg = BackendConfig(slot_count=512, depth_budget=40)
         x = np.random.default_rng(25).uniform(-1, 1, 16)
-        be = CleartextBackend(bcfg)
+        be = HeBackend(bcfg)
         out, _ = model_forward_he(mdl, encrypt_input(x, mdl, be),
                                   PipelineConfig(path=path, backend=bcfg))
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs, path=path)
@@ -296,7 +296,7 @@ class TestPermutationMatvec:
         cs = build_composite_sign()
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
         x = np.random.default_rng(32).uniform(-1, 1, 6)
-        be = CleartextBackend(bcfg)
+        be = HeBackend(bcfg)
         out, _ = model_forward_he(mdl, encrypt_input(x, mdl, be),
                                   PipelineConfig(path="naive", backend=bcfg))
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs, path="naive")
@@ -307,7 +307,7 @@ class TestUnsupportedLayer:
     def test_k_zero_rejected_before_any_operation(self):
         mdl = random_model([4, 2], g=4, k=0, seed=26)
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
-        be = CleartextBackend(bcfg)
+        be = HeBackend(bcfg)
         ct = encrypt_input(np.array([0.1, -0.2, 0.3, -0.4]), mdl, be)
         cfg = PipelineConfig(comparator_mode="exact", backend=bcfg)
         with pytest.raises(UnsupportedLayer):
@@ -331,7 +331,7 @@ class TestLayerForward:
         layer.__dict__.pop("w_prime", None)
         layer.__dict__.pop("w_fused", None)
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
-        be = CleartextBackend(bcfg)
+        be = HeBackend(bcfg)
         ct = be.encrypt([0.1, 0.2, 0.3])
         out = layer_forward_he(layer, ct, PipelineConfig(backend=bcfg))
         np.testing.assert_array_equal(out.slots, np.zeros(256))
@@ -344,7 +344,7 @@ class TestLayerForward:
             x = rng.uniform(-1, 1, 5)
             outs = {}
             for path in ("lazy", "naive"):
-                be = CleartextBackend(bcfg)
+                be = HeBackend(bcfg)
                 ct = be.encrypt(x)
                 outs[path] = layer_forward_he(mdl.layers[0], ct,
                                               PipelineConfig(path=path, backend=bcfg))
@@ -359,7 +359,7 @@ class TestLayerForward:
         bcfg = BackendConfig(slot_count=2048, depth_budget=40)
         counts = {}
         for path in ("lazy", "naive"):
-            be = CleartextBackend(bcfg)
+            be = HeBackend(bcfg)
             ct = be.encrypt(np.random.default_rng(7).uniform(-1, 1, 16))
             layer_forward_he(mdl.layers[0], ct, PipelineConfig(path=path, backend=bcfg))
             counts[path] = be.counter
@@ -374,7 +374,7 @@ class TestModelForward:
         mdl = random_model([4, 2], g=4, k=2, seed=8)
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
         x = np.array([0.1, -0.2, 0.3, -0.4])
-        be1, be2 = CleartextBackend(bcfg), CleartextBackend(bcfg)
+        be1, be2 = HeBackend(bcfg), HeBackend(bcfg)
         cfg = PipelineConfig(backend=bcfg)
         full, _ = model_forward_he(mdl, be1.encrypt(x), cfg)
         single = layer_forward_he(mdl.layers[0], be2.encrypt(x), cfg)
@@ -386,7 +386,7 @@ class TestModelForward:
         bcfg = BackendConfig(slot_count=1024, depth_budget=40)
         x = np.random.default_rng(10).uniform(-1, 1, 8)
         for path in ("lazy", "naive"):
-            be = CleartextBackend(bcfg)
+            be = HeBackend(bcfg)
             ct = encrypt_input(x.reshape(1, 1, 8), mdl, be)
             out, _ = model_forward_he(mdl, ct, PipelineConfig(path=path, backend=bcfg))
             mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs, path=path)
@@ -429,7 +429,7 @@ class TestModelForward:
     def test_stats_totals_are_sums(self):
         mdl = random_model([6, 4, 2], g=4, k=2, seed=13)
         bcfg = BackendConfig(slot_count=512, depth_budget=40)
-        be = CleartextBackend(bcfg)
+        be = HeBackend(bcfg)
         ct = be.encrypt(np.random.default_rng(14).uniform(-1, 1, 6))
         _, stats = model_forward_he(mdl, ct, PipelineConfig(backend=bcfg))
         assert len(stats.per_layer) == 2
@@ -445,7 +445,7 @@ class TestModelForward:
             for path in ("lazy", "naive"):
                 for comp in ("composite", "exact"):
                     cfg = PipelineConfig(path=path, comparator_mode=comp, backend=bcfg)
-                    be = CleartextBackend(bcfg)
+                    be = HeBackend(bcfg)
                     ct = be.encrypt(np.random.default_rng(seed).uniform(-1, 1, dims[0]))
                     _, stats = model_forward_he(mdl, ct, cfg)
                     assert stats.total.depth_consumed == plan_model(mdl, cfg).total
@@ -453,7 +453,7 @@ class TestModelForward:
     def test_budget_infeasible_reports_stages(self):
         mdl = random_model([4, 2], g=4, k=3, seed=18)
         bcfg = BackendConfig(slot_count=256, depth_budget=8)
-        be = CleartextBackend(bcfg)
+        be = HeBackend(bcfg)
         ct = be.encrypt(np.zeros(4))
         with pytest.raises(DepthBudgetInfeasible) as err:
             model_forward_he(mdl, ct, PipelineConfig(backend=bcfg))
@@ -474,7 +474,7 @@ class TestModelForward:
         x = np.random.default_rng(21).uniform(-1, 1, 5)
         runs = []
         for _ in range(2):
-            be = CleartextBackend(bcfg)
+            be = HeBackend(bcfg)
             ct = be.encrypt(x)
             _, stats = model_forward_he(mdl, ct, PipelineConfig(backend=bcfg))
             t = stats.total
@@ -507,7 +507,7 @@ class TestPackingFeasibility:
         # n_i = 4 in 64 slots: feasible iff 4 * (g + 2k) <= 64
         bcfg = BackendConfig(slot_count=64, depth_budget=10)
         for copies in range(2, 24):
-            be = CleartextBackend(bcfg)
+            be = HeBackend(bcfg)
             ct = be.encrypt(np.ones(4))
             feasible = 4 * copies <= 64
             if feasible:

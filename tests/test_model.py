@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hekan.approx import ApproxRange, Polynomial, build_composite_sign, fit_weighted_ls
-from hekan.backend import BackendConfig, CleartextBackend
+from hekan.backend import BackendConfig, HeBackend
 from hekan.bspline import EXACT_COMPARATOR, GridMatrix
 from hekan.errors import CorruptFile, DimensionMismatch, SchemaMismatch, SingularSystem
 from hekan.model import (
@@ -294,7 +294,7 @@ class TestMirrorEquivalence:
         x = np.random.default_rng(18).uniform(-1, 1, 4)
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
         for path in ("lazy", "naive"):
-            be = CleartextBackend(bcfg)
+            be = HeBackend(bcfg)
             ct = encrypt_input(x.reshape(1, 1, 4), mdl, be)
             out_ct, _ = model_forward_he(mdl, ct, PipelineConfig(path=path, backend=bcfg))
             mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs, path=path)
