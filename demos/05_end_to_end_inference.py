@@ -40,7 +40,9 @@ print(f"\n{'x':>7} {'f(x)':>9} {'plain':>9} {'encrypted':>10}")
 encrypted = []
 for v in x_test:
     ct = encrypt_input(np.array([[[v]]]), model, backend)
-    out_ct, stats = model_forward_he(model, ct, cfg)
+    before = backend.counter.copy()
+    out_ct, _ = model_forward_he(model, ct, cfg)
+    cost = backend.counter.since(before)
     he_val = backend.decrypt(out_ct)[0]
     plain = model_forward_plain(model, [v])[0]
     encrypted.append(he_val)
@@ -49,7 +51,6 @@ for v in x_test:
 plain_all = np.array([model_forward_plain(model, [v])[0] for v in x_test])
 print(f"\nencrypted vs plain RMSE: "
       f"{np.sqrt(np.mean((np.array(encrypted) - plain_all) ** 2)):.2e}")
-total = stats.total
-print(f"per-inference cost: {total.rotations} rotations, "
-      f"{total.ct_mults} ct mults, {total.pt_mults} pt mults, "
-      f"depth {total.depth_consumed}")
+print(f"per-inference cost: {cost.rotations} rotations, "
+      f"{cost.ct_mults} ct mults, {cost.pt_mults} pt mults, "
+      f"depth {ct.level - out_ct.level}")

@@ -65,8 +65,6 @@ from .model import (
     silu,
 )
 from .inference import (
-    InferenceStats,
-    LayerStats,
     PipelineConfig,
     bench_compare,
     bench_lazy_vs_naive,

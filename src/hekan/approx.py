@@ -483,7 +483,11 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
 
     Tries stage-degree plans in order of increasing depth and returns the
     first whose composed error certifies below target_eps on a dense grid.
+    alpha must be positive: at delta = 2^-alpha >= 1 the certified interval
+    [delta, 1] is empty.
     """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     delta = 2.0 ** (-alpha)
     for degrees in sorted(_STAGE_PLANS, key=lambda d: (_plan_depth(d), len(d))):
         stages = []

@@ -47,7 +47,7 @@ class GridMatrix:
     R: float
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+        entries = np.array(self.entries, dtype=float)  # own copy, frozen below
         object.__setattr__(self, "entries", entries)
         entries.setflags(write=False)
         if entries.ndim != 2 or entries.shape[1] != self.g + 2 * self.k + 1:

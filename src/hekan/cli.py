@@ -3,7 +3,8 @@ and lazy-vs-naive benchmarking.
 
 Exit codes: 0 success, 2 usage error (including a malformed model or
 input file, and an input the model rejects), 3 numerical failure, 4 depth
-budget infeasible. All subcommands are deterministic for a fixed --seed
+budget infeasible. A decrypted output that is NaN or infinite is a numerical
+failure. All subcommands are deterministic for a fixed --seed
 (HEKAN_SEED is the fallback).
 """
 
@@ -14,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .errors import (
     IllConditioned,
     InputOutOfRange,
     NonFiniteInput,
+    NonFiniteOutput,
     RemezNonConvergence,
     SchemaMismatch,
     ShapeMismatch,
@@ -209,6 +212,16 @@ def _pipeline_config(args, backend_cfg) -> PipelineConfig:
     )
 
 
+def _decrypt_output(backend, out_ct, n_out: int) -> np.ndarray:
+    """The client side: decrypt the model's outputs and reject a diverged
+    computation, so a NaN or infinity is never reported as a result."""
+    out = backend.decrypt(out_ct)[:n_out]
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteOutput(f"decrypted output {out} holds NaN or infinity: "
+                              "the encrypted computation diverged")
+    return out
+
+
 def cmd_infer(args) -> int:
     mdl = load_model(args.model)
     rows = _load_inputs(args.input, mdl.n_in)
@@ -230,13 +243,13 @@ def cmd_infer(args) -> int:
         print("depth plan:")
         print(plan.describe())
         backend = make_backend(backend_cfg)
-        stats_out = []
+        result["stats"] = []
         for row in rows:
             ct = encrypt_input(row.reshape(mdl.input_shape), mdl, backend)
-            out_ct, stats = model_forward_he(mdl, ct, cfg)
-            result["outputs"].append(backend.decrypt(out_ct)[: mdl.n_out].tolist())
-            stats_out.append(stats.to_json())
-        result["stats"] = stats_out
+            out_ct, per_layer = model_forward_he(mdl, ct, cfg)
+            result["outputs"].append(_decrypt_output(backend, out_ct, mdl.n_out).tolist())
+            result["stats"].append({"levels": ct.level - out_ct.level,
+                                    "per_layer": [asdict(c) for c in per_layer]})
 
     for out in result["outputs"]:
         print("output:", np.array2string(np.asarray(out), precision=6))
@@ -308,7 +321,7 @@ def cmd_compare(args) -> int:
                                        comparator=comparator, path=args.path)
         ct = encrypt_input(row.reshape(mdl.input_shape), mdl, backend)
         out_ct, _ = model_forward_he(mdl, ct, cfg)
-        he = backend.decrypt(out_ct)[: mdl.n_out]
+        he = _decrypt_output(backend, out_ct, mdl.n_out)
         report.append({
             "exact": exact.tolist(),
             "mirrored": mirrored.tolist(),
@@ -410,7 +423,7 @@ def main(argv=None) -> int:
             InputOutOfRange, UnsupportedLayer, EmptySamples) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IllConditioned, RemezNonConvergence, SingularSystem) as exc:
+    except (IllConditioned, RemezNonConvergence, SingularSystem, NonFiniteOutput) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except HeKanError as exc:

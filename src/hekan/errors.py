@@ -83,6 +83,11 @@ class UnsupportedLayer(HeKanError):
     """Layer the encrypted pipeline cannot evaluate (spline degree k = 0)."""
 
 
+class NonFiniteOutput(HeKanError):
+    """A decrypted output holds NaN or infinity: the encrypted computation
+    diverged (e.g. the composite comparator under backend noise)."""
+
+
 class DepthBudgetInfeasible(HeKanError):
     """Planned depth exceeds the available budget.
 

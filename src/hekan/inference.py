@@ -10,8 +10,10 @@ consumption before anything runs.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .model import KanLayer, KanModel
 
 
 # ---------------------------------------------------------------------------
-# configuration and statistics
+# configuration
 # ---------------------------------------------------------------------------
 
 
@@ -62,6 +64,19 @@ class PipelineConfig:
             raise ValueError(f"unknown comparator_mode {self.comparator_mode!r}")
         if self.path not in ("lazy", "naive"):
             raise ValueError(f"unknown path {self.path!r}")
+        for name in ("alpha", "target_eps"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive (delta = 2^-alpha < 1), got {self.alpha}")
+        if not 0 < self.target_eps < 1:
+            raise ValueError(f"target_eps must lie in (0, 1), got {self.target_eps}")
+        if not isinstance(self.check_range, bool):
+            raise ValueError(f"check_range must be true or false, got {self.check_range!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
 
     @classmethod
     def from_json(cls, doc, backend: BackendConfig | None = None) -> "PipelineConfig":
@@ -86,35 +101,6 @@ class PipelineConfig:
 
     def describe(self) -> str:
         return self.label or f"{self.path}/{self.comparator_mode}"
-
-
-@dataclass
-class LayerStats:
-    rotations: int = 0
-    ct_mults: int = 0
-    pt_mults: int = 0
-    adds: int = 0
-    depth_consumed: int = 0
-    wall_time_ms: float = 0.0
-
-    @property
-    def count_total(self) -> int:
-        """Rotations plus all multiplications: the portable cost metric."""
-        return self.rotations + self.ct_mults + self.pt_mults
-
-
-@dataclass
-class InferenceStats:
-    per_layer: list = field(default_factory=list)
-
-    @property
-    def total(self) -> LayerStats:
-        return LayerStats(*(sum((getattr(ls, f.name) for ls in self.per_layer), f.default)
-                            for f in fields(LayerStats)))
-
-    def to_json(self) -> dict:
-        return {"per_layer": [asdict(l) for l in self.per_layer],
-                "total": asdict(self.total)}
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +253,22 @@ def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> Ci
 
 def model_forward_he(model: KanModel, ct: CipherText,
                      cfg: PipelineConfig) -> tuple:
-    """Run the whole model; returns (ciphertext, InferenceStats).
+    """Run the whole model; returns (ciphertext, per_layer), where
+    per_layer holds each layer's OpCounter delta. The forward uses
+    ``ct.level - out.level`` levels, layer by layer the planner's totals.
 
     Depth feasibility is checked statically against the input level before
     any homomorphic work happens.
     """
     be = ct.backend
     check_depth_budget(model, cfg, ct.level)
-    stats = InferenceStats()
+    per_layer = []
     out = ct
     for layer in model.layers:
         before = be.counter.copy()
-        level_in = out.level
-        t0 = time.perf_counter()
         out = layer_forward_he(layer, out, cfg)
-        dt = (time.perf_counter() - t0) * 1e3
-        delta = be.counter.since(before)
-        stats.per_layer.append(LayerStats(
-            rotations=delta.rotations,
-            ct_mults=delta.ct_mults,
-            pt_mults=delta.pt_mults,
-            adds=delta.adds + delta.subs,
-            depth_consumed=level_in - out.level,
-            wall_time_ms=dt,
-        ))
-    return out, stats
+        per_layer.append(be.counter.since(before))
+    return out, per_layer
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +282,11 @@ BENCH_CSV_COLUMNS = ("config", "path", "rotations", "ct_mults", "pt_mults",
 def bench_compare(model: KanModel, inputs, cfgs) -> list:
     """Run each config over the inputs; returns one row dict per config.
 
-    Counts are summed across inputs; depth is per inference. Lazy rows carry
-    the rotation+multiplication count ratio of their naive twin (same config
-    apart from the path); naive rows carry 1.0.
+    Each config runs on its own backend, whose counter sums the counts
+    across inputs; depth is per inference, and wall_ms sums the forwards'
+    time (encryption excluded). Lazy rows carry the rotation+multiplication
+    count ratio of their naive twin (same config apart from the path); naive
+    rows carry 1.0.
     """
     inputs = list(inputs)
     if not inputs:
@@ -318,25 +297,27 @@ def bench_compare(model: KanModel, inputs, cfgs) -> list:
         if cfg.backend is None:
             raise ValueError(f"config {cfg.describe()} has no backend settings")
         backend = make_backend(cfg.backend)
-        runs = InferenceStats()  # one total per input
+        wall = 0.0
         for x in inputs:
             ct = encrypt_input(np.asarray(x), model, backend)
-            _, stats = model_forward_he(model, ct, cfg)
-            runs.per_layer.append(stats.total)
-        agg = runs.total
+            t0 = time.perf_counter()
+            out, _ = model_forward_he(model, ct, cfg)
+            wall += time.perf_counter() - t0
+        total = backend.counter  # encryption counts nothing
         row = {
             "config": cfg.describe(), "path": cfg.path,
-            "rotations": agg.rotations, "ct_mults": agg.ct_mults,
-            "pt_mults": agg.pt_mults, "depth": runs.per_layer[-1].depth_consumed,
-            "wall_ms": round(agg.wall_time_ms, 3),
+            "rotations": total.rotations, "ct_mults": total.ct_mults,
+            "pt_mults": total.pt_mults, "depth": ct.level - out.level,
+            "wall_ms": round(wall * 1e3, 3),
             "speedup_vs_naive_counts": 1.0,
         }
         rows.append(row)
-        by_twin.setdefault(replace(cfg, path="lazy"), {})[cfg.path] = (row, agg)
+        by_twin.setdefault(replace(cfg, path="lazy"), {})[cfg.path] = (
+            row, total.rotations + total.mults)
     for pair in by_twin.values():
         if "lazy" in pair and "naive" in pair:
             (lazy_row, lazy), (_, naive) = pair["lazy"], pair["naive"]
-            lazy_row["speedup_vs_naive_counts"] = round(naive.count_total / lazy.count_total, 4)
+            lazy_row["speedup_vs_naive_counts"] = round(naive / lazy, 4)
     return rows
 
 

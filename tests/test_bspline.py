@@ -80,6 +80,15 @@ class TestGridMatrix:
         with pytest.raises(NonFiniteInput):
             GridMatrix([[-1.0, -0.5, np.nan, 0.5, 1.0]], g=2, k=1, R=2.0)
 
+    def test_copies_the_callers_array(self):
+        # the grid freezes its own copy, never the caller's array
+        rows = np.array([[-1.0, -0.5, 0.0, 0.5, 1.0]])
+        G = GridMatrix(rows, g=2, k=1, R=2.0)
+        assert rows.flags.writeable
+        rows[0, 2] = 0.1
+        assert G.entries[0, 2] == 0.0
+        assert not G.entries.flags.writeable
+
 
 class TestRepeatPack:
     def test_small_example(self):

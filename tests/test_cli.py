@@ -129,7 +129,7 @@ class TestInfer:
                    "--mode", "he", "--backend", BACKEND, "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["stats"][0]["total"]["depth_consumed"] > 0
+        assert doc["stats"][0]["levels"] > 0
 
     def test_shape_mismatch_exit_code(self, model_path, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -170,6 +170,19 @@ class TestInfer:
                    "--check-range", "--backend", backend])
         assert rc == 2
         assert "output:" not in capsys.readouterr().out
+
+    def test_he_result_has_per_layer_counts(self, model_path, input_path, tmp_path):
+        out = tmp_path / "res.json"
+        rc = main(["infer", "--model", model_path, "--input", input_path,
+                   "--mode", "he", "--backend", BACKEND, "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["stats"]) == 2
+        for entry in doc["stats"]:
+            assert set(entry) == {"levels", "per_layer"}
+            assert [set(c) for c in entry["per_layer"]] == [
+                {"adds", "subs", "ct_mults", "pt_mults", "rotations"}]
+            assert entry["per_layer"][0]["rotations"] > 0
 
     def test_k_zero_model_exit_code(self, input_path, tmp_path):
         path = tmp_path / "k0.json"
@@ -220,7 +233,11 @@ class TestBench:
         {"pathh": "naive"},
         {"backend": {"slot_count": 512, "depth_budget": 40, "slots": 512}},
         {"bsgs_split": [4, 4]},  # the split is derived from each matrix
-    ], ids=["bad_path", "unknown_key", "unknown_backend_key", "bsgs_split"])
+        {"alpha": "x"},
+        {"alpha": -3},           # delta = 8: the certified interval is empty
+        {"check_range": "no"},   # a truthy string, not a bool
+    ], ids=["bad_path", "unknown_key", "unknown_backend_key", "bsgs_split",
+            "alpha_string", "alpha_negative", "check_range_string"])
     def test_malformed_configs_usage_error(self, model_path, tmp_path, capsys, entry):
         cfgs = tmp_path / "cfgs.json"
         cfgs.write_text(json.dumps([{"path": "lazy"}, entry]))
@@ -259,6 +276,30 @@ class TestCompare:
         doc = json.loads(out.read_text())
         assert len(doc) == 2
         assert doc[0]["max_dev_he_vs_mirrored"] <= 1e-9
+
+
+class TestDivergedOutput:
+    """The default composite comparator diverges under backend noise; a
+    decrypted NaN is a numerical failure, never printed as a result."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(random_model([2, 5, 1], g=5, k=3, seed=1), path)
+        row = tmp_path / "row.csv"
+        row.write_text("0.4,-0.3\n")
+        return ["--model", str(path), "--input", str(row)]
+
+    @pytest.mark.parametrize("command", ["infer", "compare"])
+    @pytest.mark.parametrize("noise,rc", [(1e-9, 3), (0.0, 0)])
+    def test_non_finite_output_is_a_numerical_failure(self, files, capsys, command,
+                                                      noise, rc):
+        backend = json.dumps({"slot_count": 4096, "depth_budget": 80, "noise_std": noise})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, *files, "--backend", backend]) == rc
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        assert ("NaN or infinity" in captured.err) is (rc == 3)
 
 
 def _input_args(command, inputs, tmp_path):

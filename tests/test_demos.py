@@ -1,10 +1,12 @@
-"""The demos run cleanly against the library in src/.
+"""The demos and the README quick start run cleanly against the library
+in src/.
 
 Demo 04 (a table-config sweep, several seconds) is left out; its
 bench_lazy_vs_naive call is covered by the acceptance suite.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +18,23 @@ DEMOS = ["01_simd_backend_tour.py", "02_activation_fitting.py",
          "03_comparator_and_bspline.py", "05_end_to_end_inference.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
+def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    proc = _run([str(ROOT / "demos" / demo)])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert block is not None, "README has no python block"
+    proc = _run(["-c", block.group(1)])
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -431,11 +432,10 @@ class TestModelForward:
         bcfg = BackendConfig(slot_count=512, depth_budget=40)
         be = HeBackend(bcfg)
         ct = be.encrypt(np.random.default_rng(14).uniform(-1, 1, 6))
-        _, stats = model_forward_he(mdl, ct, PipelineConfig(backend=bcfg))
-        assert len(stats.per_layer) == 2
-        tot = stats.total
-        for name in ("rotations", "ct_mults", "pt_mults", "adds", "depth_consumed"):
-            assert getattr(tot, name) == sum(getattr(ls, name) for ls in stats.per_layer)
+        _, per_layer = model_forward_he(mdl, ct, PipelineConfig(backend=bcfg))
+        assert len(per_layer) == 2
+        for f in fields(OpCounter):
+            assert getattr(be.counter, f.name) == sum(getattr(c, f.name) for c in per_layer)
 
     def test_depth_plan_matches_measurement(self):
         for seed, dims, g, k in [(15, [4, 3], 4, 1), (16, [6, 2], 5, 3),
@@ -447,8 +447,8 @@ class TestModelForward:
                     cfg = PipelineConfig(path=path, comparator_mode=comp, backend=bcfg)
                     be = HeBackend(bcfg)
                     ct = be.encrypt(np.random.default_rng(seed).uniform(-1, 1, dims[0]))
-                    _, stats = model_forward_he(mdl, ct, cfg)
-                    assert stats.total.depth_consumed == plan_model(mdl, cfg).total
+                    out, _ = model_forward_he(mdl, ct, cfg)
+                    assert ct.level - out.level == plan_model(mdl, cfg).total
 
     def test_budget_infeasible_reports_stages(self):
         mdl = random_model([4, 2], g=4, k=3, seed=18)
@@ -476,9 +476,10 @@ class TestModelForward:
         for _ in range(2):
             be = HeBackend(bcfg)
             ct = be.encrypt(x)
-            _, stats = model_forward_he(mdl, ct, PipelineConfig(backend=bcfg))
-            t = stats.total
-            runs.append((t.rotations, t.ct_mults, t.pt_mults, t.adds, t.depth_consumed))
+            out, _ = model_forward_he(mdl, ct, PipelineConfig(backend=bcfg))
+            t = be.counter
+            runs.append((t.rotations, t.ct_mults, t.pt_mults, t.adds, t.subs,
+                         ct.level - out.level))
         assert runs[0] == runs[1]
 
 
@@ -559,6 +560,22 @@ class TestBench:
         assert rows[0]["speedup_vs_naive_counts"] == round(count[1] / count[0], 4) > 1.0
         assert [r["speedup_vs_naive_counts"] for r in rows[1:]] == [1.0, 1.0, 1.0]
 
+    def test_counts_sum_over_inputs(self):
+        # each config's backend counts every input, so three inputs cost
+        # three times one; depth is that of one inference
+        mdl = random_model([4, 3, 2], g=3, k=2, seed=25)
+        bcfg = BackendConfig(slot_count=256, depth_budget=60)
+        cfgs = [PipelineConfig(path=path, backend=bcfg) for path in ("lazy", "naive")]
+        xs = list(np.random.default_rng(26).uniform(-1, 1, (3, 4)))
+        one = bench_compare(mdl, xs[:1], cfgs)
+        three = bench_compare(mdl, xs, cfgs)
+        for cfg, r1, r3 in zip(cfgs, one, three):
+            for key in ("rotations", "ct_mults", "pt_mults"):
+                assert r3[key] == 3 * r1[key] > 0
+            assert r3["depth"] == r1["depth"] == plan_model(mdl, cfg).total
+            assert r3["speedup_vs_naive_counts"] == r1["speedup_vs_naive_counts"]
+        assert three[0]["speedup_vs_naive_counts"] > 1.0
+
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
         assert PipelineConfig.from_json({}, bcfg) == PipelineConfig(backend=bcfg)
@@ -567,7 +584,11 @@ class TestBench:
         assert cfg == PipelineConfig(path="naive", check_range=True,
                                      backend=BackendConfig(slot_count=64, depth_budget=9))
         for doc in ({"pathh": "naive"}, {"path": "sideways"}, ["lazy"], {"bsgs_split": [4, 4]},
-                    {"backend": {"slot_count": 64, "depth_budget": 9, "slots": 1}}):
+                    {"backend": {"slot_count": 64, "depth_budget": 9, "slots": 1}},
+                    {"alpha": "x"}, {"alpha": True}, {"alpha": float("nan")}, {"alpha": 0},
+                    {"alpha": -3}, {"target_eps": float("inf")}, {"target_eps": 0},
+                    {"target_eps": 1}, {"target_eps": "1e-6"}, {"check_range": "no"},
+                    {"check_range": 1}, {"label": 7}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_json(doc, bcfg)
 
