@@ -26,6 +26,14 @@ and adds only ciphertexts derived from the input and scalars, so every
 intermediate keeps the input's window, and each array op is the float op
 ``slotwise`` would perform on the same operands; the results, op counts,
 levels and noise draws are those of the op-by-op run.
+
+Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
+the wraparound duplication and each giant step are one numpy program over
+the slots the schedule reads, with the op counts, level and noise draws of
+the op-by-op run. One exception to the bit-identity invariant: the exact
+result is the window [0, n) over a +0.0 tail, where the op-by-op run
+leaves ±0 partial products past slot n. Only the sign of those zeros
+differs, and no consumer reads them.
 """
 
 from __future__ import annotations
@@ -136,6 +144,17 @@ def _place(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int) ->
         head = min(data.size, n - o)
         out[o:o + head] = data[:head]
         out[:data.size - head] = data[head:]
+    return out
+
+
+def _read(a: "CipherText", s: int, m: int) -> np.ndarray:
+    """Fresh array of slots s .. s+m-1 (mod slot_count) of a; past
+    slot_count slots the vector repeats. Costs O(m)."""
+    S = a.backend.config.slot_count
+    i = (np.arange(s, s + m) - a.start) % S
+    out = np.full(m, a.tail)
+    inside = i < a.data.size
+    out[inside] = a.data[i[inside]]
     return out
 
 
@@ -330,6 +349,43 @@ class HeBackend:
         out = program(_WindowOps(self, np.append(data, a.tail)))
         return CipherText(start, out[:-1], out[-1], a.level - depth, self)
 
+    def run_block_sum(self, a: CipherText, schedule) -> CipherText:
+        """Run a diagonal matvec schedule up to its folds and return the sum
+        of its rotated giant-step blocks at level ``a.level - 1``.
+
+        a holds the operand; the wraparound duplication (``a`` plus ``a``
+        rotated right by n, when n > 1) and every giant step run as numpy
+        programs (``schedule.block_sum``). The counter is charged what the
+        op-by-op run charges: for the duplication one rotation and one add,
+        b - 1 baby and gs - 1 giant rotations, p plaintext multiplies, and
+        p - gs block adds plus gs - 1 adds into the sum. DepthExhausted is
+        raised before any of it when a has no level left. The exact result
+        is the window [0, n) over a zero tail (see the module docstring); a
+        noisy backend runs on all slot_count slots and draws the op-by-op
+        run's noise in its order, so every slot matches that run.
+        """
+        self._check_ours(a)
+        if a.level < 1:
+            raise DepthExhausted(f"matrix-vector product at level {a.level}")
+        p, n = schedule.shape
+        b, gs = schedule.split
+        S = self.config.slot_count
+        m = S if self.noisy else n + p - 1
+        x = _read(a, 0, m)
+        if n > 1:
+            x = x + _read(a, -n, m)
+            if self.noisy:
+                x += self._noise(1)[0]
+        c = self.counter
+        c.rotations += (n > 1) + (b - 1) + (gs - 1)
+        c.adds += (n > 1) + (p - gs) + (gs - 1)
+        c.pt_mults += p
+        if self.noisy:
+            out = schedule.block_sum(np.concatenate((x, x[:p - 1])), S, self._noise)
+        else:
+            out = schedule.block_sum(x, n)
+        return CipherText(0, out, 0.0, a.level - 1, self)
+
     def rotate(self, a: CipherText, t: int) -> CipherText:
         """Cyclic shift: left for t > 0, right for t < 0. Level unchanged.
         Moves the window's start only; the data is shared."""
@@ -367,7 +423,11 @@ class HeBackend:
             return start, data, tail
         S = self.config.slot_count
         dense = _place(start, data, tail, 0, S, S)
-        return 0, dense + self._rng.normal(0.0, self.config.noise_std, S), 0.0
+        return 0, dense + self._noise(1)[0], 0.0
+
+    def _noise(self, k: int) -> np.ndarray:
+        """k rows of slot_count draws, as k successive draws of one row."""
+        return self._rng.normal(0.0, self.config.noise_std, (k, self.config.slot_count))
 
 
 class _WindowOps:
@@ -410,14 +470,3 @@ def make_backend(config: BackendConfig) -> HeBackend:
     """The simulator for config; exact when noise_std is zero."""
     return HeBackend(config)
 
-
-def slotwise(op_kind: str, a: CipherText, b) -> CipherText:
-    return a.backend.slotwise(op_kind, a, b)
-
-
-def rotate(a: CipherText, t: int) -> CipherText:
-    return a.backend.rotate(a, t)
-
-
-def decrypt(a: CipherText) -> np.ndarray:
-    return a.backend.decrypt(a)

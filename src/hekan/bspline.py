@@ -152,6 +152,17 @@ def _check_packing(slot_count: int, n_i: int, copies: int) -> None:
             f"n_i * (g + 2k) = {n_i * copies} exceeds {slot_count} slots")
 
 
+def check_repeat_pack(slot_count: int, n_i: int, g: int, k: int) -> None:
+    """Raise PackingOverflow unless repeat_pack fits: n_i * (g + 2k) slots,
+    and the doubling loop's power of two of copies."""
+    _check_packing(slot_count, n_i, g + 2 * k)
+    copies = 1 << pack_rotations(g, k)
+    if n_i * copies > slot_count:
+        raise PackingOverflow(
+            f"doubling to {copies} copies of {n_i} slots wraps past "
+            f"{slot_count}; the fast packing needs power-of-two headroom")
+
+
 def repeat_pack(ct: CipherText, g: int, k: int, n_i: int) -> PackedInput:
     """Fast repeat packing: one mask multiply plus doubling rotations.
 
@@ -160,15 +171,9 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int) -> PackedInput:
     the front copies.
     """
     be = ct.backend
-    copies = g + 2 * k
-    _check_packing(be.config.slot_count, n_i, copies)
-    reps = pack_rotations(g, k)
-    if n_i * (1 << reps) > be.config.slot_count:
-        raise PackingOverflow(
-            f"doubling to {1 << reps} copies of {n_i} slots wraps past "
-            f"{be.config.slot_count}; the fast packing needs power-of-two headroom")
+    check_repeat_pack(be.config.slot_count, n_i, g, k)
     packed = be.mul(ct, np.ones(n_i))
-    for j in range(reps):
+    for j in range(pack_rotations(g, k)):
         packed = be.add(be.rotate(packed, -(n_i << j)), packed)
     return PackedInput(packed, n_i, g, k)
 

@@ -2,8 +2,9 @@
 and lazy-vs-naive benchmarking.
 
 Exit codes: 0 success, 2 usage error (including a malformed model or
-input file, and an input the model rejects), 3 numerical failure, 4 depth
-budget infeasible. A decrypted output that is NaN or infinite is a numerical
+input file, an input the model rejects, and a model whose layers do not
+fit the backend's slot count), 3 numerical failure, 4 depth budget
+infeasible. A decrypted output that is NaN or infinite is a numerical
 failure. All subcommands are deterministic for a fixed --seed
 (HEKAN_SEED is the fallback).
 """
@@ -34,12 +35,14 @@ from .backend import BackendConfig, make_backend
 from .errors import (
     CorruptFile,
     DepthBudgetInfeasible,
+    DimensionMismatch,
     EmptySamples,
     HeKanError,
     IllConditioned,
     InputOutOfRange,
     NonFiniteInput,
     NonFiniteOutput,
+    PackingOverflow,
     RemezNonConvergence,
     SchemaMismatch,
     ShapeMismatch,
@@ -420,7 +423,8 @@ def main(argv=None) -> int:
         print(f"depth budget infeasible:\n{exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ShapeMismatch, SchemaMismatch, CorruptFile, NonFiniteInput,
-            InputOutOfRange, UnsupportedLayer, EmptySamples) as exc:
+            InputOutOfRange, UnsupportedLayer, EmptySamples, DimensionMismatch,
+            PackingOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllConditioned, RemezNonConvergence, SingularSystem, NonFiniteOutput) as exc:

@@ -29,6 +29,7 @@ from .bspline import (
     EXACT_COMPARATOR,
     basis_depth,
     bspline_basis_he,
+    check_repeat_pack,
     repeat_pack,
 )
 from .errors import (
@@ -226,6 +227,17 @@ def check_depth_budget(model: KanModel, cfg: PipelineConfig, available: int) -> 
     return plan
 
 
+def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> None:
+    """Raise before any homomorphic op unless every layer fits in one
+    ciphertext of slot_count slots: the laws repeat_pack (PackingOverflow)
+    and each matvec schedule (DimensionMismatch) enforce when they run."""
+    for layer in model.layers:
+        matvec_schedule(layer.W_b).check_capacity(slot_count)
+        check_repeat_pack(slot_count, layer.n_i, layer.g, layer.k)
+        for W in layer.spline_maps(cfg.path):
+            matvec_schedule(W).check_capacity(slot_count)
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
@@ -257,11 +269,13 @@ def model_forward_he(model: KanModel, ct: CipherText,
     per_layer holds each layer's OpCounter delta. The forward uses
     ``ct.level - out.level`` levels, layer by layer the planner's totals.
 
-    Depth feasibility is checked statically against the input level before
-    any homomorphic work happens.
+    Depth feasibility is checked statically against the input level, and
+    every layer's slot capacity against the slot count, before any
+    homomorphic work happens.
     """
     be = ct.backend
     check_depth_budget(model, cfg, ct.level)
+    check_capacity(model, cfg, be.config.slot_count)
     per_layer = []
     out = ct
     for layer in model.layers:

@@ -4,8 +4,14 @@ A :class:`MatvecSchedule` fixes every term of ``W @ v``: the extended
 diagonals, the baby-step/giant-step order in which their products are
 summed, and the rotate-and-add folds that finish a wide matrix.
 ``run_he`` executes it on a ciphertext and ``run_clear`` on a cleartext
-vector. Both sum the same products in the same order, so the mirrored
-forward reproduces the encrypted result bit for bit on the exact backend.
+vector. Both run the same kernel, ``block_sum``: each giant step is one
+array program that multiplies the step's babies (rows of a sliding window
+over the duplicated operand) by the step's diagonals and reduces them in
+diagonal order. So the mirrored forward reproduces the encrypted result
+bit for bit on the exact backend. The encrypted executor runs the kernel
+through ``HeBackend.run_block_sum``, which counts the rotations, plaintext
+multiplies and adds of the op-by-op schedule, spends its one level and
+draws its noise; only the folds are separate backend calls.
 
 Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
@@ -17,7 +23,8 @@ without a slot count (the mirror) makes the same one.
 Permutation operand: a :class:`PermutationSpec` takes the square path with
 its diagonals read from ``source_of`` (diagonal d is 1 where
 ``(source_of[t] - t) mod n == d``), so the dense n x n matrix is never
-built. Every diagonal is still multiplied, the all-zero ones too.
+built. Every diagonal is still multiplied, the all-zero ones too. The
+kernel builds one giant step's diagonals at a time, never all p of them.
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .backend import CipherText, PlainVector
+from .backend import CipherText
 from .bspline import PermutationSpec
 from .errors import DimensionMismatch
 
@@ -70,12 +78,17 @@ class MatvecSchedule:
             return self.offset.size, self.offset.size
         return self.W.shape
 
-    def diagonal(self, d: int) -> np.ndarray:
+    def diagonals(self, ds) -> np.ndarray:
+        """Diagonals ds as the rows of one (len(ds), n) array."""
+        p, n = self.shape
+        d = np.asarray(ds)[:, None]
         if self.W is None:
             return (self.offset == d).astype(float)
-        p, n = self.W.shape
         t = np.arange(n)
         return self.W[t % p, (t + d) % n]
+
+    def diagonal(self, d: int) -> np.ndarray:
+        return self.diagonals([d])[0]
 
     @property
     def split(self) -> tuple:
@@ -108,46 +121,86 @@ class MatvecSchedule:
         """Plaintext multiplies run_he performs: one per diagonal."""
         return self.shape[0]
 
-    def run_he(self, v: CipherText) -> CipherText:
-        """Encrypted executor: v holds the operand in its first n_in slots
-        and zeros in the rest. One level; p plaintext multiplies."""
-        be = v.backend
-        S = be.config.slot_count
+    def check_capacity(self, slot_count: int) -> None:
+        """The single-ciphertext law: the period fits in the slots, twice
+        over when the wraparound duplication is needed (n > 1)."""
         n = self.shape[1]
-        if n > S:
-            raise DimensionMismatch(f"matrix dimension {n} exceeds {S} slots")
-        if n > 1 and 2 * n > S:
-            raise DimensionMismatch(
-                f"diagonal wraparound needs 2 * {n} <= {S} slots (single-ciphertext scope)")
-        vfull = be.add(v, be.rotate(v, -n)) if n > 1 else v
-        babies = [be.rotate(vfull, i) for i in range(self.split[0])]
+        if n > slot_count:
+            raise DimensionMismatch(f"matrix dimension {n} exceeds {slot_count} slots")
+        if n > 1 and 2 * n > slot_count:
+            raise DimensionMismatch(f"diagonal wraparound needs 2 * {n} <= {slot_count} "
+                                    "slots (single-ciphertext scope)")
+
+    def block_sum(self, x: np.ndarray, width: int, draw=None) -> np.ndarray:
+        """The giant steps, one array program each. Slot t < width of the
+        result is the sum over giant steps, in order, of
+        sum_d x[t + d] * diag_d[t] (diag_d zero past n), each step's terms
+        reduced in diagonal order: the block sum rotated into place. x holds
+        at least slots [0, width + p - 1) of the duplicated operand; the
+        babies are rows of one sliding window over it.
+
+        With width == n a step computes its block's slots [base, base + n)
+        only, which its rotation by base moves to [0, n). A wider window (a
+        noisy backend: width = slot_count) computes the block's slots from 0,
+        where its noise lands, then rotates the step's sum by base. With
+        ``draw``, every op of the op-by-op schedule gets its noise: draw(k)
+        returns k rows, in the order the ops draw them. A step draws its
+        products and adds interleaved (t0, t1, a1, t2, a2, ...); the add
+        into the sum draws one more.
+        """
+        rows = sliding_window_view(x, width)
         acc = None
         for base, diags in self.blocks():
-            block = None
-            for d in diags:
-                term = be.mul(babies[d - base], PlainVector(self.diagonal(d), base))
-                block = term if block is None else be.add(block, term)
-            rotated = be.rotate(block, base)
-            acc = rotated if acc is None else be.add(acc, rotated)
+            block = self._giant_step(rows, base, diags, draw)
+            if acc is None:
+                acc = block
+            else:
+                acc = acc + block
+                if draw is not None:
+                    acc += draw(1)[0]
+        return acc
+
+    def _giant_step(self, rows, base: int, diags: range, draw) -> np.ndarray:
+        """One giant step's block sum, rotated by base (see block_sum)."""
+        n = self.shape[1]
+        width = rows.shape[1]
+        start = base if width == n else 0
+        D = self.diagonals(diags)
+        if width > n:
+            D = np.pad(D, ((0, 0), (base, width - n - base)))
+        terms = np.multiply(rows[start:start + len(diags)], D, out=D)  # D is a fresh array
+        if draw is not None:
+            # rows t0 + n0, t1 + n1, n2, t2 + n3, n4, ...: one reduce in row
+            # order then sums the perturbed products and adds
+            noisy = draw(2 * len(diags) - 1)
+            noisy[0] += terms[0]
+            noisy[1::2] += terms[1:]
+            terms = noisy
+        # numpy reduces axis 0 row by row, in the schedule's order; it starts
+        # from the identity, and -0.0 + t0 == t0 keeps t0's sign
+        block = np.add.reduce(terms, axis=0, initial=-0.0)
+        return block if start == base else np.roll(block, start - base)
+
+    def run_he(self, v: CipherText) -> CipherText:
+        """Encrypted executor: v holds the operand in its first n_in slots
+        and zeros in the rest. One level; p plaintext multiplies. On the
+        exact backend the block sum is the window [0, n) over a zero tail;
+        only slots [0, n_out) of the result are promised."""
+        be = v.backend
+        self.check_capacity(be.config.slot_count)
+        acc = be.run_block_sum(v, self)
         for shift in self.folds:
             acc = be.add(acc, be.rotate(acc, shift))
         return acc
 
     def run_clear(self, v: np.ndarray) -> np.ndarray:
-        """Cleartext executor: the same products summed in the same order;
-        returns the n_out valid outputs."""
+        """Cleartext executor: the same kernel and folds; returns the n_out
+        valid outputs."""
         n = self.shape[1]
         vfull = np.zeros(2 * n)
         vfull[: v.size] = v
         vfull[n:] = vfull[:n]
-        t = np.arange(n)
-        acc = None
-        for _, diags in self.blocks():
-            block = None
-            for d in diags:
-                term = vfull[t + d] * self.diagonal(d)
-                block = term if block is None else block + term
-            acc = block if acc is None else acc + block
+        acc = self.block_sum(vfull, n)
         for shift in self.folds:
             acc = acc[:shift] + acc[shift:2 * shift]
         return acc[: self.n_out]

@@ -12,8 +12,6 @@ from hekan.backend import (
     OpCounter,
     PlainVector,
     make_backend,
-    rotate,
-    slotwise,
 )
 from hekan.errors import DepthExhausted, InputTooLong, LengthMismatch
 
@@ -130,25 +128,25 @@ class TestSlotwise:
     def test_slotwise_kind_dispatch(self):
         be = fresh()
         a, b = be.encrypt([2.0]), be.encrypt([5.0])
-        assert slotwise("sub", a, b).slots[0] == -3.0
+        assert be.slotwise("sub", a, b).slots[0] == -3.0
         with pytest.raises(ValueError):
-            slotwise("pow", a, b)
+            be.slotwise("pow", a, b)
         with pytest.raises(LengthMismatch):
-            slotwise("mul_ct", a, np.ones(8))
+            be.slotwise("mul_ct", a, np.ones(8))
         with pytest.raises(LengthMismatch):
-            slotwise("mul_pt", a, b)
+            be.slotwise("mul_pt", a, b)
 
 
 class TestRotate:
     def test_left_rotation(self):
         be = fresh(slot_count=4)
         a = be.encrypt([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(rotate(a, 1).slots, [2.0, 3.0, 4.0, 1.0])
+        np.testing.assert_array_equal(be.rotate(a, 1).slots, [2.0, 3.0, 4.0, 1.0])
 
     def test_right_rotation(self):
         be = fresh(slot_count=4)
         a = be.encrypt([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(rotate(a, -1).slots, [4.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(be.rotate(a, -1).slots, [4.0, 1.0, 2.0, 3.0])
 
     def test_zero_is_noop_and_uncounted(self):
         be = fresh()

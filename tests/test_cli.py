@@ -191,6 +191,16 @@ class TestInfer:
                    "--mode", "he", "--backend", BACKEND])
         assert rc == 2
 
+    def test_model_too_wide_for_slots_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        save_model(random_model([16, 40], g=3, k=1, seed=3), path)
+        inputs = tmp_path / "x.csv"
+        np.savetxt(inputs, np.zeros((1, 16)), delimiter=",")
+        rc = main(["infer", "--model", str(path), "--input", str(inputs), "--mode", "he",
+                   "--backend", '{"slot_count": 64, "depth_budget": 16}'])
+        assert rc == 2
+        assert "2 * 40 <= 64" in capsys.readouterr().err
+
     def test_depth_budget_exit_code(self, model_path, input_path):
         rc = main(["infer", "--model", model_path, "--input", input_path,
                    "--mode", "he", "--backend", '{"slot_count": 512, "depth_budget": 4}'])

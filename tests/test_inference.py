@@ -517,6 +517,21 @@ class TestPackingFeasibility:
                 with pytest.raises(PackingOverflow):
                     repeat_pack(ct, copies, 0, 4)
 
+    @pytest.mark.parametrize("dims, g, k, error", [
+        ([16, 40], 3, 1, DimensionMismatch),  # W_b's period 40: 2 * 40 > 64
+        ([12, 2], 3, 1, PackingOverflow),     # 12 * 5 fits, 8 doubled copies do not
+        ([8, 2], 5, 1, DimensionMismatch),    # packs 8 * 8, spline map period 48
+    ])
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_too_wide_model_rejected_before_any_op(self, dims, g, k, error, path):
+        mdl = random_model(dims, g=g, k=k, seed=3)
+        bcfg = BackendConfig(slot_count=64, depth_budget=40)
+        be = HeBackend(bcfg)
+        ct = encrypt_input(np.zeros(dims[0]), mdl, be)
+        with pytest.raises(error):
+            model_forward_he(mdl, ct, PipelineConfig(path=path, backend=bcfg))
+        assert be.counter == OpCounter()
+
 
 class TestBench:
     def test_rows_and_ratio(self, tmp_path):

@@ -1,0 +1,165 @@
+"""The matvec block kernel against an op-by-op replay of its schedule.
+
+``replay`` is the per-diagonal loop the encrypted executor used to run:
+one backend rotation, plaintext multiply or add per schedule op. The
+kernel (``HeBackend.run_block_sum`` plus the folds) must give the same
+valid slots, op counts and level, and on a noisy backend the same slots
+everywhere.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hekan.backend import BackendConfig, HeBackend, OpCounter, PlainVector
+from hekan.bspline import PermutationSpec, gen_permutation
+from hekan.errors import DepthExhausted
+from hekan.matvec import matvec_schedule
+
+
+def replay(sched, v):
+    """The schedule op by op: (the giant-step sum before the folds, the
+    folded result)."""
+    be = v.backend
+    n = sched.shape[1]
+    vfull = be.add(v, be.rotate(v, -n)) if n > 1 else v
+    babies = [be.rotate(vfull, i) for i in range(sched.split[0])]
+    acc = None
+    for base, diags in sched.blocks():
+        block = None
+        for d in diags:
+            term = be.mul(babies[d - base], PlainVector(sched.diagonal(d), base))
+            block = term if block is None else be.add(block, term)
+        rotated = be.rotate(block, base)
+        acc = rotated if acc is None else be.add(acc, rotated)
+    summed = acc
+    for shift in sched.folds:
+        acc = be.add(acc, be.rotate(acc, shift))
+    return summed, acc
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@st.composite
+def operands(draw):
+    """(matrix or PermutationSpec, n_in) over the schedule's shapes."""
+    kind = draw(st.sampled_from(["square", "tall", "wide", "permutation", "n1"]))
+    if kind == "square":
+        m = draw(st.integers(1, 40))
+        shape = (m, m)
+    elif kind == "tall":
+        n_in = draw(st.integers(1, 20))
+        shape = (draw(st.integers(n_in + 1, 40)), n_in)
+    elif kind == "wide":
+        p = draw(st.integers(1, 12))
+        shape = (draw(st.integers(1, p)), p << draw(st.integers(1, 4)))
+    elif kind == "permutation":
+        P = gen_permutation(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+        return P, P.size
+    else:
+        shape = (1, 1)
+    W = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=shape)
+    return W, shape[1]
+
+
+def case(W, n_in, seed, spare, neg_zero, tight):
+    """(schedule, config kwargs, input slots): the operand in [0, n_in) with
+    ``spare`` more zeros (negative ones if neg_zero) inside its window, and
+    the smallest slot count (2n == slot_count when n is a power of two) or
+    twice that."""
+    sched = matvec_schedule(W)
+    n = sched.shape[1]
+    slots = max(2, 1 << (2 * n - 1).bit_length()) * (1 if tight else 2)
+    v = np.random.default_rng(seed).normal(size=n_in)
+    pad = np.full(min(spare, slots - n_in), -0.0 if neg_zero else 0.0)
+    return sched, {"slot_count": slots, "depth_budget": 3}, np.concatenate((v, pad))
+
+
+flags = st.tuples(st.integers(0, 2 ** 16), st.integers(0, 8), st.booleans(), st.booleans())
+
+
+class TestKernelEqualsReplay:
+    @settings(max_examples=150, deadline=None)
+    @given(operands(), flags)
+    @example((np.ones((10, 256)), 256), (0, 0, False, True))       # wide, 2n == slots
+    @example((gen_permutation(4, 4), 16), (1, 3, True, True))      # permutation, 2n == slots
+    @example((np.ones((1, 1)), 1), (2, 0, False, True))            # n = 1
+    def test_exact(self, operand, flags):
+        sched, cfg, x = case(*operand, *flags)
+        S, n = cfg["slot_count"], sched.shape[1]
+        ref = HeBackend(BackendConfig(**cfg))
+        summed, want = replay(sched, ref.encrypt(x))
+        be = HeBackend(BackendConfig(**cfg))
+        v = be.encrypt(x)
+        got = sched.run_he(v)
+
+        assert np.array_equal(bits(be.decrypt(got)[:sched.n_out]),
+                              bits(ref.decrypt(want)[:sched.n_out]))
+        assert be.counter == ref.counter
+        assert got.level == want.level == v.level - 1
+
+        before = be.counter.copy()
+        block_sum = be.run_block_sum(v, sched)
+        assert np.array_equal(bits(be.decrypt(block_sum)[:n]), bits(ref.decrypt(summed)[:n]))
+        assert np.all(be.decrypt(block_sum)[n:] == 0.0)
+        assert block_sum.level == v.level - 1
+        folds = len(sched.folds)
+        assert be.counter.since(before) == OpCounter(
+            adds=ref.counter.adds - folds, pt_mults=sched.pt_mults,
+            rotations=sched.rotations - folds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(operands(), flags)
+    @example((gen_permutation(3, 5), 15), (4, 2, False, True))
+    def test_noisy(self, operand, flags):
+        sched, cfg, x = case(*operand, *flags)
+        cfg.update(noise_std=1e-6, rng_seed=flags[0])
+        ref = HeBackend(BackendConfig(**cfg))
+        _, want = replay(sched, ref.encrypt(x))
+        be = HeBackend(BackendConfig(**cfg))
+        got = sched.run_he(be.encrypt(x))
+        assert np.array_equal(bits(be.decrypt(got)), bits(ref.decrypt(want)))
+        assert be.counter == ref.counter
+        assert got.level == want.level
+        # both drew the same number of values: the next draws agree too
+        assert np.array_equal(be.decrypt(be.encrypt(0.0)), ref.decrypt(ref.encrypt(0.0)))
+
+    def test_clear_executor_runs_the_same_kernel(self):
+        W = np.random.default_rng(5).normal(size=(3, 40))
+        sched = matvec_schedule(W)
+        v = np.random.default_rng(6).normal(size=40)
+        be = HeBackend(BackendConfig(slot_count=128, depth_budget=1))
+        _, want = replay(sched, be.encrypt(v))
+        assert np.array_equal(bits(sched.run_clear(v)), bits(be.decrypt(want)[:3]))
+
+
+class TestKernelLimits:
+    def test_never_builds_all_diagonals(self):
+        # the (256, 10, 5) table config's permutation: n = 3840 diagonals of
+        # 3840 slots are 118 MB at once; one giant step's 62 are 1.9 MB
+        P = gen_permutation(256, 15)
+        assert isinstance(P, PermutationSpec) and P.size == 3840
+        sched = matvec_schedule(P)
+        be = HeBackend(BackendConfig(slot_count=8192, depth_budget=1))
+        v = be.encrypt(np.random.default_rng(0).normal(size=3840))
+        tracemalloc.start()
+        try:
+            out = sched.run_he(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
+        assert np.array_equal(be.decrypt(out)[:3840], P.apply(be.decrypt(v)[:3840]))
+
+    def test_level_zero_raises_before_any_op(self):
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=2))
+        v = be.encrypt(np.ones(8), level=0)
+        for W in (np.eye(8), np.ones((2, 8)), gen_permutation(2, 4)):
+            with pytest.raises(DepthExhausted):
+                matvec_schedule(W).run_he(v)
+        assert be.counter == OpCounter()
