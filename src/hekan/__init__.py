@@ -29,7 +29,6 @@ from .approx import (
     fit_remez,
     fit_weighted_ls,
     poly_comp,
-    poly_comp_clear,
     poly_eval_depth,
     range_from_moments,
 )

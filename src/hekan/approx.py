@@ -3,14 +3,16 @@
 Covers range estimation from activation samples, weighted/ordinary least
 squares and Remez minimax fitting, a depth-minimal homomorphic polynomial
 evaluator, and the composite-polynomial comparator used by the encrypted
-B-spline machinery. This module supplies the evaluation schedule only; the
-backend runs it on a ciphertext's live window (see eval_poly_he).
+B-spline machinery. Each schedule is one program over an ``ops`` adapter:
+the backend runs it on a ciphertext's live window (see eval_poly_he), the
+mirror on plain arrays (_ArrayOps), so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ from .errors import (
     EmptySamples,
     IllConditioned,
     InputOutOfRange,
+    InvalidArgument,
     RemezNonConvergence,
 )
 
@@ -118,7 +121,7 @@ def range_from_moments(mu: float, sigma: float, x_min: float = -math.inf,
     zero-width range.
     """
     if x_min > x_max:
-        raise ValueError(f"x_min {x_min} > x_max {x_max}")
+        raise InvalidArgument(f"x_min {x_min} > x_max {x_max}")
     if sigma == 0.0:
         return ApproxRange(mu - degenerate_halfwidth, mu + degenerate_halfwidth,
                            mu, 0.0, degenerate=True)
@@ -163,7 +166,7 @@ def fit_weighted_ls(target, rng: ApproxRange, degree: int,
     coefficients are plain monomials.
     """
     if degree < 0:
-        raise ValueError("degree must be >= 0")
+        raise InvalidArgument(f"degree must be >= 0, got {degree}")
     x = _sample_grid(rng, degree, n_samples)
     y = np.asarray(target(x), dtype=float)
     weights = w.weights(x) if w is not None else np.ones_like(x)
@@ -267,7 +270,7 @@ def fit_remez(target, rng: ApproxRange, degree: int,
               rel_tol: float = 0.1) -> Polynomial:
     """Minimax polynomial fit via Remez exchange on [rng.lo, rng.hi]."""
     if degree < 0:
-        raise ValueError("degree must be >= 0")
+        raise InvalidArgument(f"degree must be >= 0, got {degree}")
     lo, hi = rng.lo, rng.hi
 
     def basis_eval(x):
@@ -310,36 +313,38 @@ def fit_odd_sign_stage(lo: float, hi: float, degree: int,
 
 
 class _ArrayOps:
-    """Adapter running the schedule on plain numpy arrays (the mirror).
-    The encrypted path runs the same schedule over the ciphertext's window
-    through the backend's counting adapter (HeBackend.run_on_window)."""
+    """The mirror's ops adapter: every schedule run on plain numpy arrays.
+    The encrypted stages pass the backend (add, sub, mul, rotate,
+    run_block_sum) or its window adapter (HeBackend.run_on_window)."""
+
+    mul = mul_const = staticmethod(operator.mul)
+    add = add_const = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
 
     def __init__(self, x: np.ndarray):
         self.x = x
 
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def mul_const(a, c):
-        return a * c
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def add_const(a, c):
-        return a + c
-
     def const(self, c):
         return np.full_like(self.x, c)
 
+    @staticmethod
+    def rotate(a, t):
+        return np.roll(a, -t)
 
-def _estrin(ops, coeffs):
-    """Balanced power-tree evaluation of a Polynomial's coefficients, whose
-    last one is nonzero unless it is the only one.
+    @staticmethod
+    def run_block_sum(v, schedule):
+        """The block sum on v zero-padded to the period n and duplicated,
+        as the encrypted wraparound duplication reads it."""
+        n = schedule.shape[1]
+        x = np.zeros(2 * n)
+        x[: v.size] = v
+        x[n:] = x[:n]
+        return schedule.block_sum(x, n)
+
+
+def _estrin(ops, x, coeffs):
+    """Balanced power-tree evaluation at x of a Polynomial's coefficients,
+    whose last one is nonzero unless it is the only one.
 
     Consumes exactly ceil(log2(n)) multiplicative levels for n coefficients
     (0 for constants); the schedule is identical between the backend and
@@ -352,7 +357,7 @@ def _estrin(ops, coeffs):
     padded = np.zeros(1 << m)
     padded[:n] = coeffs
 
-    pows = [ops.x]
+    pows = [x]
     for _ in range(m - 1):
         pows.append(ops.mul(pows[-1], pows[-1]))
 
@@ -397,13 +402,14 @@ def eval_poly_he(a: CipherText, p: Polynomial) -> CipherText:
     from a and scalars, so the slots, op counts, level and noise draws are
     those of running it one backend op at a time.
     """
-    return a.backend.run_on_window(a, lambda ops: _estrin(ops, p.coeffs),
+    return a.backend.run_on_window(a, lambda ops: _estrin(ops, ops.x, p.coeffs),
                                    poly_eval_depth(p))
 
 
 def eval_poly_clear(p: Polynomial, x: np.ndarray) -> np.ndarray:
     """Cleartext twin of eval_poly_he: same schedule, same rounding."""
-    return _estrin(_ArrayOps(np.asarray(x, dtype=float)), p.coeffs)
+    x = np.asarray(x, dtype=float)
+    return _estrin(_ArrayOps(x), x, p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +435,29 @@ class CompositeSign:
         """Levels consumed by poly_comp: the stages plus the (s+1)/2 map."""
         return sum(poly_eval_depth(s) for s in self.stages) + 1
 
+    def sign(self, ops, s):
+        """The composed sign stages on s, run by ops (see _estrin)."""
+        for stage in self.stages:
+            s = _estrin(ops, s, stage.coeffs)
+        return s
+
+    def step(self, ops, d):
+        """The comparator's program: the sign stages, then (s + 1)/2."""
+        return ops.mul_const(ops.add_const(self.sign(ops, d), 1.0), 0.5)
+
     def compare_he(self, scaled: CipherText) -> CipherText:
         """Slot-wise step(scaled) through poly_comp against zero."""
         return poly_comp(scaled, 0.0, self)
 
     def compare_clear(self, d: np.ndarray) -> np.ndarray:
         """Cleartext twin of compare_he."""
-        return poly_comp_clear(d, self)
+        d = np.asarray(d, dtype=float)
+        return self.step(_ArrayOps(d), d)
 
     def apply_clear(self, y: np.ndarray) -> np.ndarray:
         """Composed sign approximation on plain values (schedule-exact)."""
         s = np.asarray(y, dtype=float)
-        for stage in self.stages:
-            s = eval_poly_clear(stage, s)
-        return s
+        return self.sign(_ArrayOps(s), s)
 
     def certified_max_error(self, grid_size: int = 100_000) -> float:
         y = np.linspace(self.delta, 1.0, grid_size)
@@ -519,21 +534,12 @@ def poly_comp(a: CipherText, b, cs: CompositeSign,
 
     Caller guarantees a - b lies in [-1, 1]; accuracy is certified only for
     |a - b| >= cs.delta. With check_range, a difference outside [-1, 1]
-    raises InputOutOfRange.
+    raises InputOutOfRange. CompositeSign.step runs on the difference's
+    window.
     """
     be = a.backend
     d = be.sub(a, b)
     if check_range and np.max(np.abs(d.slots)) > 1.0 + 1e-12:
         raise InputOutOfRange(
             f"comparator operand out of [-1, 1]: max |d| = {np.max(np.abs(d.slots))}")
-    s = d
-    for stage in cs.stages:
-        s = eval_poly_he(s, stage)
-    s = be.add(s, 1.0)
-    return be.mul(s, 0.5)
-
-
-def poly_comp_clear(d: np.ndarray, cs: CompositeSign) -> np.ndarray:
-    """Cleartext twin of poly_comp on precomputed differences."""
-    s = cs.apply_clear(d)
-    return (s + 1.0) * 0.5
+    return be.run_on_window(d, lambda ops: cs.step(ops, ops.x), cs.depth())

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import _ArrayOps
 from .backend import CipherText, PlainVector
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InputOutOfRange,
     InsufficientKnots,
+    InvalidArgument,
     NonFiniteInput,
     PackingOverflow,
 )
@@ -32,7 +34,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class GridMatrix:
-    """Per-input-feature knot matrix: n_i rows of g + 2k + 1 knots.
+    """Per-input-feature knot matrix: n_i rows of g + 2k + 1 knots, with
+    g >= 1 and k >= 0 (InvalidArgument otherwise).
 
     Rows must be strictly increasing; repeated knots would put a zero in the
     recursion denominators and are rejected up front. R bounds |input| and
@@ -47,6 +50,7 @@ class GridMatrix:
     R: float
 
     def __post_init__(self):
+        _check_degrees(self.g, self.k)
         entries = np.array(self.entries, dtype=float)  # own copy, frozen below
         object.__setattr__(self, "entries", entries)
         entries.setflags(write=False)
@@ -77,12 +81,18 @@ class GridMatrix:
                 R: float | None = None) -> "GridMatrix":
         """Uniform grid on [lo, hi] with k extra intervals on each side."""
         if hi <= lo:
-            raise ValueError("need hi > lo")
+            raise InvalidArgument(f"need hi > lo, got lo = {lo}, hi = {hi}")
+        _check_degrees(g, k)
         h = (hi - lo) / g
         knots = lo + h * (np.arange(g + 2 * k + 1) - k)
         if R is None:
             R = 1.2 * float(np.max(np.abs(knots)))
         return cls(np.tile(knots, (n_i, 1)), g, k, R)
+
+
+def _check_degrees(g: int, k: int) -> None:
+    if g < 1 or k < 0:
+        raise InvalidArgument(f"a grid needs g >= 1 and k >= 0, got g = {g}, k = {k}")
 
 
 @dataclass(frozen=True)
@@ -261,14 +271,16 @@ def basis_depth(k: int, comparator) -> int:
 
 
 def basis_tiles(G: GridMatrix):
-    """Plaintext knot tiles of the basis evaluation, unpadded, column-tiled.
+    """Plaintext knot tiles of the basis evaluation, column-tiled and
+    zero-padded to the packed width n_i(g + 2k).
 
     Returns (g1, g2, orders): the order-0 interval endpoints, and for each
-    recursion order j = 1..k the tuple (t1, 1/(t2 - t1), t3, -1/(t3 - t4))
-    of the step b_j = (x - t1) / (t2 - t1) * b + (t3 - x) / (t3 - t4) * b',
-    where b' reads b one tile ahead (B_{m+1} at tile m). bspline_basis_he
-    and basis_clear both run these tiles, so their factors agree bit for
-    bit.
+    recursion order j = 1..k a (4, n_i(g + 2k)) array of the tiles
+    (t1, 1/(t2 - t1), t3, -1/(t3 - t4)) of the step
+    b_j = (x - t1) / (t2 - t1) * b + (t3 - x) / (t3 - t4) * b', where b'
+    reads b one tile ahead (B_{m+1} at tile m). Order j's tiles are zero
+    past slot n_i(g + 2k - j); there a ciphertext gets what the zero tail
+    of a shorter plaintext would give.
     """
     r = G.g + 2 * G.k + 1
     orders = []
@@ -277,27 +289,42 @@ def basis_tiles(G: GridMatrix):
         t2 = col_tile(G, j + 1, r)
         t3 = col_tile(G, j + 2, r + 1)
         t4 = col_tile(G, 2, r - j + 1)
-        orders.append((t1, 1.0 / (t2 - t1), t3, -1.0 / (t3 - t4)))
+        tiles = np.zeros((4, G.n_i * (r - 1)))
+        tiles[:, :t1.size] = t1, 1.0 / (t2 - t1), t3, -1.0 / (t3 - t4)
+        orders.append(tiles)
     return col_tile(G, 1, r), col_tile(G, 2, r + 1), orders
+
+
+def _basis(ops, x, G: GridMatrix, compare):
+    """The basis schedule, run by ops on x, the input packed as g + 2k
+    copies: interval membership from two comparator calls (``compare``) on
+    the knot endpoints, then the slot-parallel Cox-de Boor recursion, one
+    rotation per order. Slot m * n_i + i of the result holds B_m(x_i) for
+    m < g + k. The knot factors are zero past the shrinking valid region,
+    so with k >= 1 every later slot is zero with no extra masking."""
+    inv2R = 1.0 / (2.0 * G.R)
+    g1, g2, orders = basis_tiles(G)
+    x1 = compare(ops.mul(ops.sub(x, g1), inv2R))
+    x2 = compare(ops.mul(ops.sub(x, g2), -inv2R))
+    b = ops.mul(x1, x2)
+    for t1, recip1, t3, neg_recip2 in orders:
+        b1 = ops.mul(ops.mul(ops.sub(x, t1), recip1), b)
+        b2 = ops.mul(ops.mul(ops.sub(x, t3), neg_recip2), ops.rotate(b, G.n_i))
+        b = ops.add(b1, b2)
+    return b
 
 
 def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
                      check_range: bool = False) -> BasisVector:
-    """All-basis evaluation on a repeat-packed input.
-
-    Interval membership comes from two comparator calls on the knot
-    endpoints (column-tiled across the copies); the Cox-de Boor recursion
-    then runs slot-parallel, one rotation per order. Plaintext knot factors
-    are zero beyond the shrinking valid region, which keeps the wrapped-in
-    tail slots at zero with no extra masking. With check_range, an input
-    beyond R (so a comparator operand beyond [-1, 1]) or within
+    """All-basis evaluation on a repeat-packed input: _basis run by the
+    backend, with comparator.compare_he. With check_range, an input beyond
+    R (so a comparator operand beyond [-1, 1]) or within
     comparator.delta * 2R of a knot raises InputOutOfRange.
     """
     be = xp.ct.backend
     if G.n_i != xp.n_i or G.g != xp.g or G.k != xp.k:
         raise DimensionMismatch("grid and packed input disagree on (n_i, g, k)")
     n_i = G.n_i
-    inv2R = 1.0 / (2.0 * G.R)
 
     if check_range:
         x_vals = xp.ct.slots[:n_i]
@@ -310,39 +337,19 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
                 f"input within delta*2R = {margin:.3g} of a knot; "
                 "comparator accuracy is not certified there")
 
-    g1, g2, orders = basis_tiles(G)
-    x1 = comparator.compare_he(be.mul(be.sub(xp.ct, g1), inv2R))
-    x2 = comparator.compare_he(be.mul(be.sub(xp.ct, g2), -inv2R))
-    b = be.mul(x1, x2)
-    for t1, recip1, t3, neg_recip2 in orders:
-        b1 = be.mul(be.mul(be.sub(xp.ct, t1), recip1), b)
-        b2 = be.mul(be.mul(be.sub(xp.ct, t3), neg_recip2), be.rotate(b, n_i))
-        b = be.add(b1, b2)
-    return BasisVector(b, n_i, G.n_basis)
+    return BasisVector(_basis(be, xp.ct, G, comparator.compare_he), n_i, G.n_basis)
 
 
 def basis_clear(x: np.ndarray, G: GridMatrix, comparator) -> np.ndarray:
-    """Cleartext twin of bspline_basis_he: same tiles, same op order.
+    """Cleartext twin of bspline_basis_he: the same schedule run on the
+    tiled input array, with comparator.compare_clear.
 
     Returns an (n_i, g + k) array of comparator-approximated basis values;
     row i column m matches slot m * n_i + i of the encrypted result.
     """
-    xs = np.asarray(x, dtype=float)[None, :]
-    inv2R = 1.0 / (2.0 * G.R)
-
-    def tile(values: np.ndarray) -> np.ndarray:
-        return values.reshape(-1, G.n_i)  # (cols, n_i)
-
-    g1, g2, orders = basis_tiles(G)
-    x1 = comparator.compare_clear((xs - tile(g1)) * inv2R)
-    x2 = comparator.compare_clear((xs - tile(g2)) * -inv2R)
-    b = x1 * x2
-    for t1, recip1, t3, neg_recip2 in orders:
-        width = t1.size // G.n_i
-        b1 = (xs - tile(t1)) * tile(recip1) * b[:width]
-        b2 = (xs - tile(t3)) * tile(neg_recip2) * b[1:width + 1]
-        b = b1 + b2
-    return b.T
+    xs = np.tile(np.asarray(x, dtype=float), G.g + 2 * G.k)
+    b = _basis(_ArrayOps(xs), xs, G, comparator.compare_clear)
+    return b[:G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line front end: activation fitting, layer fitting, inference,
 and lazy-vs-naive benchmarking.
 
-Exit codes: 0 success, 2 usage error (including a malformed model or
-input file, an input the model rejects, and a model whose layers do not
-fit the backend's slot count), 3 numerical failure, 4 depth budget
+Exit codes: 0 success, 2 usage error (including an argument outside its
+domain, a malformed model or input file, an input the model rejects, and a
+model whose layers do not fit the backend's slot count or that the
+encrypted pipeline cannot run), 3 numerical failure, 4 depth budget
 infeasible. A decrypted output that is NaN or infinite is a numerical
 failure. All subcommands are deterministic for a fixed --seed
 (HEKAN_SEED is the fallback).
@@ -40,6 +41,7 @@ from .errors import (
     HeKanError,
     IllConditioned,
     InputOutOfRange,
+    InvalidArgument,
     NonFiniteInput,
     NonFiniteOutput,
     PackingOverflow,
@@ -424,7 +426,7 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (ShapeMismatch, SchemaMismatch, CorruptFile, NonFiniteInput,
             InputOutOfRange, UnsupportedLayer, EmptySamples, DimensionMismatch,
-            PackingOverflow) as exc:
+            PackingOverflow, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllConditioned, RemezNonConvergence, SingularSystem, NonFiniteOutput) as exc:

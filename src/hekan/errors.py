@@ -5,6 +5,11 @@ class HeKanError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(HeKanError, ValueError):
+    """An argument outside its domain: a negative degree, an empty
+    interval, a grid with g < 1 or k < 0, no target column."""
+
+
 # --- SIMD backend ---
 
 class LengthMismatch(HeKanError):

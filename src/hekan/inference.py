@@ -37,7 +37,6 @@ from .errors import (
     InputOutOfRange,
     NonFiniteInput,
     ShapeMismatch,
-    UnsupportedLayer,
 )
 from .matvec import matvec_schedule
 from .model import KanLayer, KanModel
@@ -186,16 +185,8 @@ class ModelPlan:
         return "\n".join(lines)
 
 
-def _check_supported(layer: KanLayer) -> None:
-    # With k = 0 no recursion step zeroes the basis tail, so comp(0)^2 = 1/4
-    # stays in every slot past n_i * g and the matvec's wraparound reads it.
-    if layer.k < 1:
-        raise UnsupportedLayer(
-            f"spline degree k = {layer.k}: the encrypted pipeline needs k >= 1")
-
-
 def plan_layer(layer: KanLayer, cfg: PipelineConfig) -> LayerPlan:
-    _check_supported(layer)
+    layer.check_supported()
     comp = cfg.comparator()
     d_poly = poly_eval_depth(layer.silu_poly)
     stages = {
@@ -244,7 +235,7 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 
 
 def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> CipherText:
-    _check_supported(layer)
+    layer.check_supported()
     be = ct.backend
     comp = cfg.comparator()
 

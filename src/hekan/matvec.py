@@ -1,17 +1,17 @@
-"""Diagonal-method matrix-vector products: one schedule, two executors.
+"""Diagonal-method matrix-vector products: one schedule, two ops adapters.
 
 A :class:`MatvecSchedule` fixes every term of ``W @ v``: the extended
 diagonals, the baby-step/giant-step order in which their products are
-summed, and the rotate-and-add folds that finish a wide matrix.
-``run_he`` executes it on a ciphertext and ``run_clear`` on a cleartext
-vector. Both run the same kernel, ``block_sum``: each giant step is one
-array program that multiplies the step's babies (rows of a sliding window
-over the duplicated operand) by the step's diagonals and reduces them in
+summed, and the rotate-and-add folds that finish a wide matrix. ``run``
+is its one program, the block sum and then the folds; ``run_he`` passes
+the backend as ``ops`` and ``run_clear`` the mirror's array adapter. Both
+block sums run one kernel, ``block_sum``: each giant step is one array
+program that multiplies the step's babies (rows of a sliding window over
+the duplicated operand) by the step's diagonals and reduces them in
 diagonal order. So the mirrored forward reproduces the encrypted result
-bit for bit on the exact backend. The encrypted executor runs the kernel
-through ``HeBackend.run_block_sum``, which counts the rotations, plaintext
-multiplies and adds of the op-by-op schedule, spends its one level and
-draws its noise; only the folds are separate backend calls.
+bit for bit on the exact backend. ``HeBackend.run_block_sum`` counts the
+rotations, plaintext multiplies and adds of the op-by-op schedule, spends
+its one level and draws its noise.
 
 Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .approx import _ArrayOps
 from .backend import CipherText
 from .bspline import PermutationSpec
 from .errors import DimensionMismatch
@@ -181,6 +182,13 @@ class MatvecSchedule:
         block = np.add.reduce(terms, axis=0, initial=-0.0)
         return block if start == base else np.roll(block, start - base)
 
+    def run(self, ops, v):
+        """The schedule on v, run by ops: the block sum, then the folds."""
+        acc = ops.run_block_sum(v, self)
+        for shift in self.folds:
+            acc = ops.add(acc, ops.rotate(acc, shift))
+        return acc
+
     def run_he(self, v: CipherText) -> CipherText:
         """Encrypted executor: v holds the operand in its first n_in slots
         and zeros in the rest. One level; p plaintext multiplies. On the
@@ -188,22 +196,12 @@ class MatvecSchedule:
         only slots [0, n_out) of the result are promised."""
         be = v.backend
         self.check_capacity(be.config.slot_count)
-        acc = be.run_block_sum(v, self)
-        for shift in self.folds:
-            acc = be.add(acc, be.rotate(acc, shift))
-        return acc
+        return self.run(be, v)
 
     def run_clear(self, v: np.ndarray) -> np.ndarray:
-        """Cleartext executor: the same kernel and folds; returns the n_out
-        valid outputs."""
-        n = self.shape[1]
-        vfull = np.zeros(2 * n)
-        vfull[: v.size] = v
-        vfull[n:] = vfull[:n]
-        acc = self.block_sum(vfull, n)
-        for shift in self.folds:
-            acc = acc[:shift] + acc[shift:2 * shift]
-        return acc[: self.n_out]
+        """Cleartext executor: the same program on arrays; returns the
+        n_out valid outputs."""
+        return self.run(_ArrayOps(v), v)[: self.n_out]
 
 
 def matvec_schedule(W) -> MatvecSchedule:

@@ -32,9 +32,11 @@ from .errors import (
     CorruptFile,
     DimensionMismatch,
     HeKanError,
+    InvalidArgument,
     NonFiniteInput,
     SchemaMismatch,
     SingularSystem,
+    UnsupportedLayer,
 )
 from .matvec import matvec_schedule
 
@@ -95,6 +97,15 @@ class KanLayer:
     @property
     def k(self) -> int:
         return self.grid.k
+
+    def check_supported(self) -> None:
+        """Raise UnsupportedLayer unless the encrypted pipeline, and so its
+        mirrored forward, can evaluate this layer. With k = 0 no recursion
+        step zeroes the basis tail, so comp(0)^2 = 1/4 stays in every slot
+        past n_i * g and the matvec's wraparound reads it."""
+        if self.k < 1:
+            raise UnsupportedLayer(
+                f"spline degree k = {self.k}: the encrypted pipeline needs k >= 1")
 
     @cached_property
     def w_prime(self) -> np.ndarray:
@@ -163,6 +174,8 @@ class Dataset:
 def load_dataset_csv(path, n_targets: int = 1) -> Dataset:
     """CSV rows are samples; the trailing n_targets columns are targets. A
     field that is not a number raises CorruptFile."""
+    if n_targets < 1:
+        raise InvalidArgument(f"need at least one target column, got {n_targets}")
     try:
         data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
@@ -189,9 +202,10 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
 
     exact: true silu and exact Cox-de Boor basis values, plain matvecs.
     mirrored: the fitted activation polynomial, the comparator emulation,
-    and the encrypted pipeline's matvec schedules run by their cleartext
-    executor (same comparator, path, and schedules as the pipeline), so it
-    predicts the encrypted result exactly on the arithmetic backend.
+    and the encrypted pipeline's basis and matvec schedules run on arrays
+    (same comparator, path, and schedules as the pipeline), so it predicts
+    the encrypted result exactly on the arithmetic backend. Like the
+    pipeline, it raises UnsupportedLayer for k = 0.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != layer.n_i:
@@ -204,6 +218,7 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
         raise ValueError(f"unknown mode {mode!r}")
     if comparator is None:
         raise ValueError("mirrored mode needs the pipeline's comparator")
+    layer.check_supported()
     base = eval_poly_clear(layer.silu_poly, x)
     base_out = matvec_schedule(layer.W_b).run_clear(base)
     bvals = basis_clear(x, layer.grid, comparator)

@@ -18,7 +18,6 @@ from hekan.approx import (
     fit_remez,
     fit_weighted_ls,
     poly_comp,
-    poly_comp_clear,
     poly_eval_depth,
     range_from_moments,
 )
@@ -288,7 +287,7 @@ class TestEvalPolyHeWindow:
 
         runs = []
         for evaluate in (eval_poly_he,
-                         lambda a, p: approx._estrin(_OneOpAtATime(a), p.coeffs)):
+                         lambda a, p: approx._estrin(_OneOpAtATime(a), a, p.coeffs)):
             be = make_backend(BackendConfig(slot_count=S, depth_budget=6,
                                             noise_std=noise, rng_seed=11))
             a = CipherText(start, vals, tail, level, be)
@@ -353,7 +352,7 @@ class TestCompositeSign:
         be = backend(slots=128)
         d = np.linspace(-1, 1, 128)
         he = poly_comp(be.encrypt(d), np.zeros(128), cs)
-        np.testing.assert_array_equal(he.slots, poly_comp_clear(d, cs))
+        np.testing.assert_array_equal(he.slots, cs.compare_clear(d))
 
     def test_range_check(self):
         cs = build_composite_sign()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from hekan.approx import build_composite_sign
@@ -245,6 +247,24 @@ class TestEncryptedBasis:
         vals, bv, _ = he_basis_values(x, G, comp)
         assert np.array_equal(vals, basis_clear(x, G, comp))
         assert np.all(bv.ct.slots[n_i * (g + k):] == 0.0)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(n_i=st.integers(1, 6), g=st.integers(1, 6), k=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_per_feature_grids(self, n_i, g, k, seed):
+        """Distinct knot rows per feature, so a tile-order mix-up between
+        features shows."""
+        rng = np.random.default_rng(seed)
+        knots = np.sort(rng.uniform(-1, 1, (n_i, g + 2 * k + 1)), axis=1)
+        assume(np.all(np.diff(knots, axis=1) > 0))
+        G = GridMatrix(knots, g, k, R=1.0)
+        x = rng.uniform(-1, 1, n_i)
+        plain = np.array([bspline_basis_plain(xi, G.entries[i], k) for i, xi in enumerate(x)])
+        for comp in (build_composite_sign(), EXACT_COMPARATOR):
+            vals, bv, _ = he_basis_values(x, G, comp)
+            assert np.array_equal(vals.view(np.int64), basis_clear(x, G, comp).view(np.int64))
+            assert np.all(bv.ct.slots[n_i * (g + k):] == 0.0)
+        assert np.max(np.abs(vals - plain)) <= 1e-12  # vals: the exact comparator's run
 
     def test_depth_consumption(self):
         cs = build_composite_sign()

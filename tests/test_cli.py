@@ -191,6 +191,17 @@ class TestInfer:
                    "--mode", "he", "--backend", BACKEND])
         assert rc == 2
 
+    def test_k_zero_model_mirrored_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "k0.json"
+        save_model(random_model([2, 3, 1], g=3, k=0, seed=0), path)
+        inputs = tmp_path / "x.csv"
+        inputs.write_text("0.4,-0.3\n")
+        rc = main(["infer", "--model", str(path), "--input", str(inputs),
+                   "--mode", "plain-mirrored"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "k >= 1" in captured.err and "output:" not in captured.out
+
     def test_model_too_wide_for_slots_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
         save_model(random_model([16, 40], g=3, k=1, seed=3), path)
@@ -363,6 +374,24 @@ class TestUsage:
         bad = tmp_path / "bad.csv"
         bad.write_text("0.5,1.0\nx,2.0\n")
         assert main([*command, str(bad)]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["fit-activation", "--mu", "0", "--sigma", "1", "--degree", "-1"],
+        ["fit-activation", "--samples", "{data}", "--x-min", "1", "--x-max", "0",
+         "--degree", "3"],
+        ["fit-layer", "--data", "{data}", "--g", "0"],
+        ["fit-layer", "--data", "{data}", "--k", "-1"],
+        ["fit-layer", "--data", "{data}", "--targets", "0"],
+        ["fit-layer", "--data", "{data}", "--grid-lo", "1", "--grid-hi", "0"],
+        ["fit-layer", "--data", "{data}", "--silu-degree", "-2"],
+    ], ids=["degree", "x-range", "g", "k", "targets", "grid-range", "silu-degree"])
+    def test_fit_argument_out_of_domain_usage_exit(self, tmp_path, capsys, args):
+        data = tmp_path / "data.csv"
+        x = np.random.default_rng(5).uniform(-1, 1, 50)
+        np.savetxt(data, np.column_stack([x, np.sin(x)]), delimiter=",")
+        rc = main([a.format(data=data) for a in args])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self, model_path):
         with pytest.raises(SystemExit) as err:

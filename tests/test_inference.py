@@ -317,6 +317,12 @@ class TestUnsupportedLayer:
             layer_forward_he(mdl.layers[0], ct, cfg)
         assert be.counter == OpCounter()
 
+    def test_mirrored_plain_forward_rejects_k_zero(self):
+        mdl = random_model([2, 3, 1], g=3, k=0, seed=0)
+        with pytest.raises(UnsupportedLayer):
+            model_forward_plain(mdl, [0.4, -0.3], mode="mirrored",
+                                comparator=EXACT_COMPARATOR)
+
     def test_exact_plain_forward_accepts_k_zero(self):
         mdl = random_model([4, 2], g=4, k=0, seed=26)
         out = model_forward_plain(mdl, [0.1, -0.2, 0.3, -0.4], mode="exact")
