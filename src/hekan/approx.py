@@ -118,15 +118,24 @@ def range_from_moments(mu: float, sigma: float, x_min: float = -math.inf,
     """Interval [max(mu - factor*sigma, x_min), min(mu + factor*sigma, x_max)].
 
     A zero sigma yields a tiny flagged interval around mu instead of a
-    zero-width range.
+    zero-width range. Non-finite moments or factor, a negative sigma, a
+    factor <= 0, a NaN bound, and an interval that is empty or unbounded
+    after the clipping raise InvalidArgument.
     """
-    if x_min > x_max:
+    if not (math.isfinite(mu) and math.isfinite(sigma) and math.isfinite(factor)):
+        raise InvalidArgument(f"mu {mu}, sigma {sigma} and factor {factor} must be finite")
+    if sigma < 0 or factor <= 0:
+        raise InvalidArgument(f"need sigma >= 0 and factor > 0, got {sigma} and {factor}")
+    if not x_min <= x_max:  # NaN included
         raise InvalidArgument(f"x_min {x_min} > x_max {x_max}")
     if sigma == 0.0:
         return ApproxRange(mu - degenerate_halfwidth, mu + degenerate_halfwidth,
                            mu, 0.0, degenerate=True)
     lo = max(mu - factor * sigma, x_min)
     hi = min(mu + factor * sigma, x_max)
+    if not -math.inf < lo < hi < math.inf:
+        raise InvalidArgument(f"[mu - factor*sigma, mu + factor*sigma] clipped to "
+                              f"[{x_min}, {x_max}] is [{lo}, {hi}]: empty or unbounded")
     return ApproxRange(lo, hi, mu, sigma)
 
 

@@ -1,13 +1,13 @@
 """Command-line front end: activation fitting, layer fitting, inference,
 and lazy-vs-naive benchmarking.
 
-Exit codes: 0 success, 2 usage error (including an argument outside its
-domain, a malformed model or input file, an input the model rejects, and a
-model whose layers do not fit the backend's slot count or that the
-encrypted pipeline cannot run), 3 numerical failure, 4 depth budget
-infeasible. A decrypted output that is NaN or infinite is a numerical
-failure. All subcommands are deterministic for a fixed --seed
-(HEKAN_SEED is the fallback).
+Exit codes follow the error's category in ``hekan.errors``: 0 success,
+2 ``UsageError`` (an argument outside its domain, a malformed model or
+input file, an input the model rejects, a model the backend cannot fit or
+run) or a missing file, 3 ``NumericalFailure`` (a fitter that fails, a
+decrypted output that is NaN or infinite) or any other ``HeKanError``,
+4 ``DepthBudgetInfeasible``. All subcommands are deterministic for a fixed
+--seed (HEKAN_SEED is the fallback).
 """
 
 from __future__ import annotations
@@ -36,20 +36,13 @@ from .backend import BackendConfig, make_backend
 from .errors import (
     CorruptFile,
     DepthBudgetInfeasible,
-    DimensionMismatch,
-    EmptySamples,
     HeKanError,
-    IllConditioned,
-    InputOutOfRange,
     InvalidArgument,
-    NonFiniteInput,
     NonFiniteOutput,
-    PackingOverflow,
-    RemezNonConvergence,
+    NumericalFailure,
     SchemaMismatch,
     ShapeMismatch,
-    SingularSystem,
-    UnsupportedLayer,
+    UsageError,
 )
 from .bspline import GridMatrix
 from .inference import (
@@ -135,9 +128,8 @@ def cmd_fit_activation(args) -> int:
     has_moments = args.mu is not None and args.sigma is not None
     has_preset = args.preset is not None
     if has_samples + has_moments + has_preset != 1:
-        print("fit-activation: provide exactly one of --samples, --mu/--sigma, "
-              "or --preset", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidArgument("fit-activation: provide exactly one of --samples, "
+                              "--mu/--sigma, or --preset")
     if has_preset:
         lo, hi = ACTIVATION_PRESETS[args.preset]["range"]
         rng = ApproxRange(lo, hi, (lo + hi) / 2, (hi - lo) / 10)
@@ -148,16 +140,12 @@ def cmd_fit_activation(args) -> int:
         rng = range_from_moments(args.mu, args.sigma, args.x_min, args.x_max,
                                  factor=args.factor)
     w = WeightScheme.from_moments(rng.mu, rng.sigma)
-    try:
-        if args.method == "wls":
-            poly = fit_weighted_ls(silu, rng, args.degree, w=w)
-        elif args.method == "ols":
-            poly = fit_ols(silu, rng, args.degree)
-        else:
-            poly = fit_remez(silu, rng, args.degree)
-    except (IllConditioned, RemezNonConvergence) as exc:
-        print(f"fit-activation: fitter failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if args.method == "wls":
+        poly = fit_weighted_ls(silu, rng, args.degree, w=w)
+    elif args.method == "ols":
+        poly = fit_ols(silu, rng, args.degree)
+    else:
+        poly = fit_remez(silu, rng, args.degree)
 
     report = _fit_report_row(poly, rng, w)
     print(f"range [{rng.lo:.6g}, {rng.hi:.6g}]  degree {poly.degree}  method {args.method}")
@@ -186,13 +174,8 @@ def cmd_fit_layer(args) -> int:
     lo = args.grid_lo if args.grid_lo is not None else float(ds.inputs.min()) - 1e-6
     hi = args.grid_hi if args.grid_hi is not None else float(ds.inputs.max()) + 1e-6
     grid = GridMatrix.uniform(n_i, args.g, args.k, lo, hi)
-    try:
-        layer, rmse = fit_layer_ls(ds, args.targets, grid,
-                                   w_b_mode=args.w_b_mode, ridge=args.ridge,
-                                   silu_degree=args.silu_degree)
-    except (SingularSystem, IllConditioned) as exc:
-        print(f"fit-layer: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    layer, rmse = fit_layer_ls(ds, args.targets, grid, w_b_mode=args.w_b_mode,
+                               ridge=args.ridge, silu_degree=args.silu_degree)
     from .model import KanModel
     mdl = KanModel(layers=[layer], input_shape=(1, 1, n_i))
     print(f"fit-layer: n_i={n_i} n_o={args.targets} g={args.g} k={args.k} "
@@ -284,8 +267,7 @@ def cmd_bench(args) -> int:
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise CorruptFile(f"{args.configs}: {exc}") from exc
     if not isinstance(doc, list) or not doc:
-        print("bench: --configs must be a non-empty JSON list", file=sys.stderr)
-        return EXIT_USAGE
+        raise SchemaMismatch("--configs must be a non-empty JSON list")
     cfgs = _configs_from_json(doc, _load_backend(args))
     if args.inputs:
         inputs = list(_load_inputs(args.inputs, mdl.n_in))
@@ -424,15 +406,13 @@ def main(argv=None) -> int:
     except DepthBudgetInfeasible as exc:
         print(f"depth budget infeasible:\n{exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ShapeMismatch, SchemaMismatch, CorruptFile, NonFiniteInput,
-            InputOutOfRange, UnsupportedLayer, EmptySamples, DimensionMismatch,
-            PackingOverflow, InvalidArgument) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IllConditioned, RemezNonConvergence, SingularSystem, NonFiniteOutput) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except HeKanError as exc:
+    except HeKanError as exc:  # an internal invariant broke
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except FileNotFoundError as exc:

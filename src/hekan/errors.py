@@ -1,11 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. A type's base class is its
+category (``UsageError``, ``NumericalFailure``, or plain ``HeKanError`` for
+a broken internal invariant), and ``hekan.cli`` maps categories to exit codes.
+"""
 
 
 class HeKanError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidArgument(HeKanError, ValueError):
+class UsageError(HeKanError):
+    """The caller's input is wrong: an argument, file, model or input the
+    library rejects before computing."""
+
+
+class NumericalFailure(HeKanError):
+    """The input was accepted but the computation failed numerically."""
+
+
+class InvalidArgument(UsageError, ValueError):
     """An argument outside its domain: a negative degree, an empty
     interval, a grid with g < 1 or k < 0, no target column."""
 
@@ -26,25 +38,25 @@ class InputTooLong(HeKanError):
 
 # --- polynomial approximation ---
 
-class EmptySamples(HeKanError):
+class EmptySamples(UsageError):
     """Range estimation called with no samples."""
 
 
-class IllConditioned(HeKanError):
+class IllConditioned(NumericalFailure):
     """The least-squares normal system is numerically singular."""
 
 
-class RemezNonConvergence(HeKanError):
+class RemezNonConvergence(NumericalFailure):
     """Remez exchange failed to level the error within the iteration cap."""
 
 
-class InputOutOfRange(HeKanError):
+class InputOutOfRange(UsageError):
     """Debug check: comparator input outside its certified range."""
 
 
 # --- B-spline machinery ---
 
-class PackingOverflow(HeKanError):
+class PackingOverflow(UsageError):
     """Repeat packing does not fit in the available slots."""
 
 
@@ -56,39 +68,39 @@ class InsufficientKnots(HeKanError):
     """Knot vector too short for the requested spline degree."""
 
 
-class DimensionMismatch(HeKanError):
+class DimensionMismatch(UsageError):
     """Matrix/vector shapes incompatible."""
 
 
 # --- model ---
 
-class SingularSystem(HeKanError):
+class SingularSystem(NumericalFailure):
     """Layer fit produced a singular system (grid too fine for the data)."""
 
 
-class SchemaMismatch(HeKanError):
+class SchemaMismatch(UsageError):
     """Model JSON does not match the expected schema."""
 
 
-class CorruptFile(HeKanError):
+class CorruptFile(UsageError):
     """Model file is not parseable."""
 
 
-class ShapeMismatch(HeKanError):
+class ShapeMismatch(UsageError):
     """Input tensor shape disagrees with the model."""
 
 
-class NonFiniteInput(HeKanError):
+class NonFiniteInput(UsageError):
     """Input to encrypt, or a grid's knots or R, holds NaN or infinity."""
 
 
 # --- inference ---
 
-class UnsupportedLayer(HeKanError):
+class UnsupportedLayer(UsageError):
     """Layer the encrypted pipeline cannot evaluate (spline degree k = 0)."""
 
 
-class NonFiniteOutput(HeKanError):
+class NonFiniteOutput(NumericalFailure):
     """A decrypted output holds NaN or infinity: the encrypted computation
     diverged (e.g. the composite comparator under backend noise)."""
 

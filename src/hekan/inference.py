@@ -34,7 +34,6 @@ from .bspline import (
 )
 from .errors import (
     DepthBudgetInfeasible,
-    InputOutOfRange,
     NonFiniteInput,
     ShapeMismatch,
 )
@@ -123,10 +122,7 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
             raise ShapeMismatch(f"input shape {arr.shape}, model expects {expect}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("input holds NaN or infinity")
-    R = model.layers[0].grid.R
-    if np.any(np.abs(arr) > R):
-        raise InputOutOfRange(
-            f"input max |x| = {np.max(np.abs(arr))} exceeds the first grid's bound R = {R}")
+    model.check_input_range(arr)
     flat = raster_flatten(arr)
     return backend.encrypt(flat)
 

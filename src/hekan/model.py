@@ -32,6 +32,7 @@ from .errors import (
     CorruptFile,
     DimensionMismatch,
     HeKanError,
+    InputOutOfRange,
     InvalidArgument,
     NonFiniteInput,
     SchemaMismatch,
@@ -154,6 +155,16 @@ class KanModel:
     def n_in(self) -> int:
         return self.layers[0].n_i
 
+    def check_input_range(self, x) -> None:
+        """Raise InputOutOfRange if some |x| exceeds the first grid's bound
+        R. The encrypted pipeline and its mirror take only such inputs:
+        beyond R the comparator's operand leaves [-1, 1] and the composite
+        stages diverge."""
+        R = self.layers[0].grid.R
+        if np.any(np.abs(x) > R):
+            raise InputOutOfRange(
+                f"input max |x| = {np.max(np.abs(x))} exceeds the first grid's bound R = {R}")
+
     @property
     def n_out(self) -> int:
         return self.layers[-1].n_o
@@ -230,11 +241,16 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
 
 def model_forward_plain(model: KanModel, x, mode: str = "exact",
                         comparator=None, path: str = "lazy") -> np.ndarray:
+    """Run every layer in `mode` (see ``layer_forward_plain``). Like
+    ``encrypt_input``, the mirrored mode rejects an input beyond the first
+    grid's R; the exact mode evaluates it, since the KAN is defined there."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise DimensionMismatch("empty input")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("input holds NaN or infinity")
+    if mode == "mirrored":
+        model.check_input_range(x)
     out = x
     for layer in model.layers:
         out = layer_forward_plain(layer, out, mode=mode, comparator=comparator,
@@ -264,6 +280,8 @@ def fit_layer_ls(dataset: Dataset, n_o: int, grid: GridMatrix,
         raise DimensionMismatch(f"targets have {Y.shape[1]} columns, n_o = {n_o}")
     if w_b_mode not in ("fitted", "fixed"):
         raise ValueError(f"unknown w_b_mode {w_b_mode!r}")
+    if not 0.0 <= ridge < np.inf:  # NaN included
+        raise InvalidArgument(f"ridge must be finite and >= 0, got {ridge}")
     nb = grid.n_basis
 
     basis_feats = np.empty((n_samples, n_i * nb))

@@ -27,6 +27,7 @@ from hekan.errors import (
     EmptySamples,
     IllConditioned,
     InputOutOfRange,
+    InvalidArgument,
     RemezNonConvergence,
 )
 from hekan.model import silu
@@ -68,10 +69,23 @@ class TestEstimateRange:
         r = estimate_range([2.0, 2.0, 2.0])
         assert r.degenerate
         assert r.lo < 2.0 < r.hi
+        assert range_from_moments(2.0, 0.0, x_min=2.0, x_max=2.0).degenerate
 
     def test_invalid_clamp_order(self):
         with pytest.raises(ValueError):
             range_from_moments(0.0, 1.0, x_min=5.0, x_max=-5.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mu": np.nan}, {"mu": np.inf}, {"sigma": np.nan}, {"sigma": np.inf},
+        {"factor": np.nan}, {"factor": np.inf}, {"sigma": -1.0}, {"factor": 0.0},
+        {"factor": -1.0}, {"x_min": np.nan}, {"x_max": np.nan},
+        {"x_min": 0.0, "x_max": 0.0}, {"mu": 100.0, "x_min": -1.0, "x_max": 1.0},
+        {"sigma": 1e308},
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_argument_outside_domain_rejected(self, kwargs):
+        args = {"mu": 0.0, "sigma": 1.0, **kwargs}
+        with pytest.raises(InvalidArgument):
+            range_from_moments(**args)
 
     def test_factor_monotonicity(self):
         rng = np.random.default_rng(3)

@@ -4,11 +4,16 @@ import json
 import numpy as np
 import pytest
 
+from hekan import cli, errors
 from hekan.cli import main
 from hekan.approx import Polynomial
 from hekan.bspline import GridMatrix
 from hekan.errors import SchemaMismatch
 from hekan.model import load_model, random_model, save_model, silu
+
+# a command that warns (overflow, divide by zero, NaN) before it exits has
+# computed on an input it should have rejected
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture
@@ -145,13 +150,14 @@ class TestInfer:
                    "--mode", "he", "--backend", BACKEND])
         assert rc == 2
 
-    @pytest.mark.parametrize("mode", ["he", "plain-exact"])
+    @pytest.mark.parametrize("mode", ["he", "plain-exact", "plain-mirrored"])
     def test_input_the_model_rejects_exit_code(self, tmp_path, capsys, mode):
-        # R = 2.8: 5.0 used to decrypt to NaN, and NaN ran in plain-exact, with rc 0
+        # R = 2.8: 5.0 used to decrypt to NaN and to give NaN in plain-mirrored,
+        # and NaN ran in plain-exact, with rc 0
         path = tmp_path / "m.json"
         save_model(random_model([2, 3], g=3, k=2, seed=0), path)
         bad = tmp_path / "bad.csv"
-        bad.write_text("5.0,0.2\n" if mode == "he" else "nan,0.2\n")
+        bad.write_text("nan,0.2\n" if mode == "plain-exact" else "5.0,0.2\n")
         rc = main(["infer", "--model", str(path), "--input", str(bad), "--mode", mode])
         assert rc == 2
         assert "output:" not in capsys.readouterr().out
@@ -384,7 +390,20 @@ class TestUsage:
         ["fit-layer", "--data", "{data}", "--targets", "0"],
         ["fit-layer", "--data", "{data}", "--grid-lo", "1", "--grid-hi", "0"],
         ["fit-layer", "--data", "{data}", "--silu-degree", "-2"],
-    ], ids=["degree", "x-range", "g", "k", "targets", "grid-range", "silu-degree"])
+        ["fit-activation", "--mu", "0", "--sigma", "1", "--degree", "3", "--factor", "-1"],
+        ["fit-activation", "--mu", "0", "--sigma", "-1", "--degree", "3"],
+        ["fit-activation", "--mu", "0", "--sigma", "1", "--degree", "3", "--factor", "0",
+         "--method", "remez"],
+        ["fit-activation", "--mu", "0", "--sigma", "1", "--degree", "3", "--x-min", "0",
+         "--x-max", "0"],
+        ["fit-activation", "--mu", "nan", "--sigma", "1", "--degree", "3"],
+        ["fit-activation", "--mu", "0", "--sigma", "inf", "--degree", "3"],
+        ["fit-activation", "--mu", "0", "--sigma", "1e308", "--degree", "3"],
+        ["fit-layer", "--data", "{data}", "--ridge", "-1"],
+        ["fit-layer", "--data", "{data}", "--ridge", "nan"],
+    ], ids=["degree", "x-range", "g", "k", "targets", "grid-range", "silu-degree",
+            "negative-factor", "negative-sigma", "zero-factor-remez", "empty-clip",
+            "nan-mu", "inf-sigma", "overflowing-sigma", "negative-ridge", "nan-ridge"])
     def test_fit_argument_out_of_domain_usage_exit(self, tmp_path, capsys, args):
         data = tmp_path / "data.csv"
         x = np.random.default_rng(5).uniform(-1, 1, 50)
@@ -460,3 +479,32 @@ class TestMalformedModel:
         rc = main(["infer", "--model", str(path), "--input", input_path,
                    "--mode", "plain-exact"])
         assert rc == 2
+
+
+# Every HeKanError type in hekan.errors with the exit code and stderr prefix
+# main gives it. A type added without a category has no entry and fails.
+USAGE = ("InvalidArgument", "ShapeMismatch", "SchemaMismatch", "CorruptFile",
+         "NonFiniteInput", "InputOutOfRange", "UnsupportedLayer", "EmptySamples",
+         "DimensionMismatch", "PackingOverflow")
+NUMERIC = ("IllConditioned", "RemezNonConvergence", "SingularSystem", "NonFiniteOutput")
+INTERNAL = ("LengthMismatch", "DepthExhausted", "InputTooLong", "IndexOutOfRange",
+            "InsufficientKnots")
+EXIT_BY_TYPE = {
+    **{name: (2, "error:") for name in USAGE + ("UsageError",)},
+    **{name: (3, "numerical failure:") for name in NUMERIC + ("NumericalFailure",)},
+    **{name: (3, "error:") for name in INTERNAL + ("HeKanError",)},
+    "DepthBudgetInfeasible": (4, "depth budget infeasible:"),
+}
+ERROR_TYPES = [t for t in vars(errors).values()
+               if isinstance(t, type) and issubclass(t, errors.HeKanError)]
+
+
+@pytest.mark.parametrize("error_type", ERROR_TYPES, ids=lambda t: t.__name__)
+def test_exit_code_follows_error_category(monkeypatch, capsys, error_type):
+    def stub(args):
+        raise error_type("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_fit_activation", stub)
+    code, prefix = EXIT_BY_TYPE[error_type.__name__]
+    assert main(["fit-activation", "--degree", "3"]) == code
+    assert capsys.readouterr().err.startswith(prefix)

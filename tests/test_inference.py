@@ -85,6 +85,19 @@ class TestEncryptInput:
         with pytest.raises(InputOutOfRange):
             encrypt_input(np.array([sign * np.nextafter(R, np.inf), 0.2]), mdl, be)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mirrored_forward_rejects_input_beyond_R(self, sign):
+        # the exact forward is defined beyond the grid and keeps evaluating
+        mdl = random_model([2, 3], g=3, k=2, seed=0)
+        R = mdl.layers[0].grid.R
+        beyond = np.array([sign * np.nextafter(R, np.inf), 0.2])
+        with pytest.raises(InputOutOfRange):
+            model_forward_plain(mdl, beyond, mode="mirrored", comparator=build_composite_sign())
+        assert np.all(np.isfinite(model_forward_plain(mdl, beyond, mode="exact")))
+        at_R = model_forward_plain(mdl, np.array([sign * R, 0.2]), mode="mirrored",
+                                   comparator=EXACT_COMPARATOR)
+        assert np.all(np.isfinite(at_R))
+
 
 class TestBsgsMatvec:
     def test_identity(self):

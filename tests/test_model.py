@@ -6,7 +6,13 @@ import pytest
 from hekan.approx import ApproxRange, Polynomial, build_composite_sign, fit_weighted_ls
 from hekan.backend import BackendConfig, HeBackend
 from hekan.bspline import EXACT_COMPARATOR, GridMatrix
-from hekan.errors import CorruptFile, DimensionMismatch, SchemaMismatch, SingularSystem
+from hekan.errors import (
+    CorruptFile,
+    DimensionMismatch,
+    InvalidArgument,
+    SchemaMismatch,
+    SingularSystem,
+)
 from hekan.model import (
     Dataset,
     KanLayer,
@@ -187,6 +193,13 @@ class TestFitLayer:
         grid = GridMatrix.uniform(1, 40, 3, -1.0, 1.0)
         with pytest.raises(SingularSystem):
             fit_layer_ls(ds, 1, grid, ridge=0.0)
+
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+    def test_ridge_outside_domain_rejected(self, ridge):
+        x = np.random.default_rng(9).uniform(-1, 1, 40).reshape(-1, 1)
+        with pytest.raises(InvalidArgument):
+            fit_layer_ls(Dataset(x, np.sin(x)), 1, GridMatrix.uniform(1, 4, 3, -1.0, 1.0),
+                         ridge=ridge)
 
     def test_fixed_base_mode(self):
         rng = np.random.default_rng(10)
