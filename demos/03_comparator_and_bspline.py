@@ -18,7 +18,7 @@ from hekan import (
     poly_comp,
     repeat_pack,
 )
-from hekan.bspline import EXACT_COMPARATOR
+from hekan.approx import EXACT_COMPARATOR
 
 cs = build_composite_sign()  # separation 2^-5, certified error 2^-20
 print("composite sign: stage degrees", [s.degree for s in cs.stages],

@@ -17,8 +17,10 @@ from .backend import (
 )
 from .approx import (
     ACTIVATION_PRESETS,
+    EXACT_COMPARATOR,
     ApproxRange,
     CompositeSign,
+    ExactComparator,
     Polynomial,
     WeightScheme,
     build_composite_sign,
@@ -33,9 +35,7 @@ from .approx import (
     range_from_moments,
 )
 from .bspline import (
-    EXACT_COMPARATOR,
     BasisVector,
-    ExactComparator,
     GridMatrix,
     PackedInput,
     PermutationSpec,

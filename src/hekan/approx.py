@@ -2,10 +2,11 @@
 
 Covers range estimation from activation samples, weighted/ordinary least
 squares and Remez minimax fitting, a depth-minimal homomorphic polynomial
-evaluator, and the composite-polynomial comparator used by the encrypted
-B-spline machinery. Each schedule is one program over an ``ops`` adapter:
-the backend runs it on a ciphertext's live window (see eval_poly_he), the
-mirror on plain arrays (_ArrayOps), so the two agree bit for bit.
+evaluator, and the two comparators used by the encrypted B-spline
+machinery: the composite-polynomial sign and the exact step oracle. Each
+schedule is one program over an ``ops`` adapter: the backend runs it on a
+ciphertext's live window (see eval_poly_he), the mirror on plain arrays
+(_ArrayOps), so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -334,6 +335,8 @@ class _ArrayOps:
         self.x = x
 
     def const(self, c):
+        """c, a scalar or one value per element of x, as an array of x's
+        shape: the twin of the backend's trivial encryption."""
         return np.full_like(self.x, c)
 
     @staticmethod
@@ -422,8 +425,12 @@ def eval_poly_clear(p: Polynomial, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# composite-polynomial comparison
+# comparators
 # ---------------------------------------------------------------------------
+# A comparator is three things: step(ops, d), its program for the step
+# function of d run by ops (see _estrin); depth(), the levels that program
+# consumes; and delta, the distance from zero beyond which it is certified.
+# poly_comp runs it on a ciphertext, the mirror on arrays (_ArrayOps).
 
 
 @dataclass(frozen=True)
@@ -454,23 +461,34 @@ class CompositeSign:
         """The comparator's program: the sign stages, then (s + 1)/2."""
         return ops.mul_const(ops.add_const(self.sign(ops, d), 1.0), 0.5)
 
-    def compare_he(self, scaled: CipherText) -> CipherText:
-        """Slot-wise step(scaled) through poly_comp against zero."""
-        return poly_comp(scaled, 0.0, self)
-
-    def compare_clear(self, d: np.ndarray) -> np.ndarray:
-        """Cleartext twin of compare_he."""
-        d = np.asarray(d, dtype=float)
-        return self.step(_ArrayOps(d), d)
-
-    def apply_clear(self, y: np.ndarray) -> np.ndarray:
-        """Composed sign approximation on plain values (schedule-exact)."""
-        s = np.asarray(y, dtype=float)
-        return self.sign(_ArrayOps(s), s)
-
     def certified_max_error(self, grid_size: int = 100_000) -> float:
         y = np.linspace(self.delta, 1.0, grid_size)
-        return float(np.max(np.abs(self.apply_clear(y) - 1.0)))
+        return float(np.max(np.abs(self.sign(_ArrayOps(y), y) - 1.0)))
+
+
+class ExactComparator:
+    """Step-function oracle: its program is the exact step of d as a
+    trivial encryption (ops.const), so it consumes no depth and counts no
+    operations. Only meaningful on the arithmetic simulator; useful to
+    isolate comparator error from the rest of the pipeline. Exact at any
+    distance from zero, hence delta = 0."""
+
+    delta = 0.0
+
+    def depth(self) -> int:
+        return 0
+
+    def step(self, ops, d):
+        return ops.const(step_clear(d))
+
+
+EXACT_COMPARATOR = ExactComparator()
+
+
+def step_clear(d: np.ndarray) -> np.ndarray:
+    """1 for d > 0, 0 for d < 0, 1/2 at d = 0."""
+    d = np.asarray(d)
+    return np.where(d > 0, 1.0, np.where(d < 0, 0.0, 0.5))
 
 
 # Candidate stage-degree plans, cheapest total depth first. Degree 15 costs
@@ -537,18 +555,19 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
         f"no stage plan certified eps <= {target_eps} for alpha = {alpha}")
 
 
-def poly_comp(a: CipherText, b, cs: CompositeSign,
+def poly_comp(a: CipherText, b, comparator,
               check_range: bool = False) -> CipherText:
     """Slot-wise step(a - b): ~1 where a > b, ~0 where a < b, 1/2 at ties.
 
-    Caller guarantees a - b lies in [-1, 1]; accuracy is certified only for
-    |a - b| >= cs.delta. With check_range, a difference outside [-1, 1]
-    raises InputOutOfRange. CompositeSign.step runs on the difference's
-    window.
+    The one encrypted runner of both comparators: comparator.step runs on
+    the difference's window (HeBackend.run_on_window) and consumes
+    comparator.depth() levels. Caller guarantees a - b lies in [-1, 1];
+    accuracy is certified only for |a - b| >= comparator.delta. With
+    check_range, a difference outside [-1, 1] raises InputOutOfRange.
     """
     be = a.backend
     d = be.sub(a, b)
     if check_range and np.max(np.abs(d.slots)) > 1.0 + 1e-12:
         raise InputOutOfRange(
             f"comparator operand out of [-1, 1]: max |d| = {np.max(np.abs(d.slots))}")
-    return be.run_on_window(d, lambda ops: cs.step(ops, ops.x), cs.depth())
+    return be.run_on_window(d, lambda ops: comparator.step(ops, ops.x), comparator.depth())

@@ -332,10 +332,11 @@ class HeBackend:
         (a's window with its tail as the last element) and scalars, through
         ``ops.mul``, ``mul_const``, ``add``, ``add_const`` and ``const``. So
         every intermediate keeps a's window, and each op counts, perturbs
-        and computes exactly as the matching ``slotwise`` call (``const``
-        as ``encrypt``). ``depth`` is the levels the program consumes;
-        DepthExhausted is raised before any op when a has fewer. A
-        noisy backend runs on the full window, as its ops would produce it.
+        and computes exactly as the matching ``slotwise`` call (``const``,
+        of a scalar or of values computed from ``ops.x``, as ``encrypt``).
+        ``depth`` is the levels the program consumes; DepthExhausted is
+        raised before any op when a has fewer. A noisy backend runs on the
+        full window, as its ops would produce it.
         """
         self._check_ours(a)
         if a.level < depth:
@@ -456,7 +457,9 @@ class _WindowOps:
         return self._out(a + c)
 
     def const(self, c):
-        # a trivial encryption of a public constant: no depth, no op count
+        """A trivial encryption of c, a scalar or one value per element of
+        x (the exact comparator's step of x): no depth, no op count, and
+        the noise draw of ``encrypt``."""
         return self._out(np.full_like(self.x, c))
 
     def _out(self, arr: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import _ArrayOps
-from .backend import CipherText, PlainVector
+from .approx import _ArrayOps, poly_comp
+from .backend import CipherText
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -219,41 +219,8 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# comparators
+# encrypted basis evaluation
 # ---------------------------------------------------------------------------
-
-
-class ExactComparator:
-    """Step-function oracle with the composite comparator's interface.
-
-    Reads the slot window directly, so it is only meaningful on the
-    arithmetic simulator; it consumes no depth and counts no operations.
-    Useful to isolate comparator error from the rest of the pipeline. Exact
-    at any distance from zero, hence delta = 0.
-    """
-
-    delta = 0.0
-
-    def depth(self) -> int:
-        return 0
-
-    def compare_he(self, scaled: CipherText) -> CipherText:
-        step = PlainVector(step_clear(scaled.data), scaled.start,
-                           float(step_clear(scaled.tail)))
-        return scaled.backend.encrypt(step, scaled.level)
-
-    @staticmethod
-    def compare_clear(d: np.ndarray) -> np.ndarray:
-        return step_clear(d)
-
-
-EXACT_COMPARATOR = ExactComparator()
-
-
-def step_clear(d: np.ndarray) -> np.ndarray:
-    """1 for d > 0, 0 for d < 0, 1/2 at d = 0."""
-    d = np.asarray(d)
-    return np.where(d > 0, 1.0, np.where(d < 0, 0.0, 0.5))
 
 
 def basis_depth(k: int, comparator) -> int:
@@ -263,11 +230,6 @@ def basis_depth(k: int, comparator) -> int:
     product, then one ciphertext multiply per recursion step.
     """
     return 1 + comparator.depth() + 1 + k
-
-
-# ---------------------------------------------------------------------------
-# encrypted basis evaluation
-# ---------------------------------------------------------------------------
 
 
 def basis_tiles(G: GridMatrix):
@@ -317,9 +279,10 @@ def _basis(ops, x, G: GridMatrix, compare):
 def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
                      check_range: bool = False) -> BasisVector:
     """All-basis evaluation on a repeat-packed input: _basis run by the
-    backend, with comparator.compare_he. With check_range, an input beyond
-    R (so a comparator operand beyond [-1, 1]) or within
-    comparator.delta * 2R of a knot raises InputOutOfRange.
+    backend, each comparator call one poly_comp against zero. With
+    check_range, an input beyond R (so a comparator operand beyond
+    [-1, 1]) or within comparator.delta * 2R of a knot raises
+    InputOutOfRange.
     """
     be = xp.ct.backend
     if G.n_i != xp.n_i or G.g != xp.g or G.k != xp.k:
@@ -337,18 +300,19 @@ def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
                 f"input within delta*2R = {margin:.3g} of a knot; "
                 "comparator accuracy is not certified there")
 
-    return BasisVector(_basis(be, xp.ct, G, comparator.compare_he), n_i, G.n_basis)
+    return BasisVector(_basis(be, xp.ct, G, lambda s: poly_comp(s, 0.0, comparator)),
+                       n_i, G.n_basis)
 
 
 def basis_clear(x: np.ndarray, G: GridMatrix, comparator) -> np.ndarray:
     """Cleartext twin of bspline_basis_he: the same schedule run on the
-    tiled input array, with comparator.compare_clear.
+    tiled input array, each comparator call comparator.step on arrays.
 
     Returns an (n_i, g + k) array of comparator-approximated basis values;
     row i column m matches slot m * n_i + i of the encrypted result.
     """
     xs = np.tile(np.asarray(x, dtype=float), G.g + 2 * G.k)
-    b = _basis(_ArrayOps(xs), xs, G, comparator.compare_clear)
+    b = _basis(_ArrayOps(xs), xs, G, lambda d: comparator.step(_ArrayOps(d), d))
     return b[:G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
 
 

@@ -20,14 +20,13 @@ import numpy as np
 from .approx import (
     DEFAULT_ALPHA,
     DEFAULT_TARGET_EPS,
+    EXACT_COMPARATOR,
     build_composite_sign,
     eval_poly_he,
     poly_eval_depth,
 )
 from .backend import BackendConfig, CipherText, HeBackend, make_backend
 from .bspline import (
-    EXACT_COMPARATOR,
-    basis_depth,
     bspline_basis_he,
     check_repeat_pack,
     repeat_pack,
@@ -152,11 +151,24 @@ def bsgs_matvec(W, v: CipherText) -> CipherText:
 # ---------------------------------------------------------------------------
 
 
+# The stages of the activation branch; every other stage is the spline
+# branch's. The branches run side by side, so a layer costs the larger sum.
+_SILU_STAGES = ("silu_poly", "silu_mask", "base_matvec")
+
+
 @dataclass(frozen=True)
 class LayerPlan:
+    """Levels each stage of a layer consumes, in pipeline order."""
+
     stages: dict
-    silu_branch: int
-    spline_branch: int
+
+    @property
+    def silu_branch(self) -> int:
+        return sum(self.stages[s] for s in _SILU_STAGES)
+
+    @property
+    def spline_branch(self) -> int:
+        return sum(self.stages.values()) - self.silu_branch
 
     @property
     def total(self) -> int:
@@ -183,22 +195,18 @@ class ModelPlan:
 
 def plan_layer(layer: KanLayer, cfg: PipelineConfig) -> LayerPlan:
     layer.check_supported()
-    comp = cfg.comparator()
-    d_poly = poly_eval_depth(layer.silu_poly)
     stages = {
-        "silu_poly": d_poly,
+        "silu_poly": poly_eval_depth(layer.silu_poly),
         "silu_mask": 1,
         "base_matvec": 1,
         "repeat_pack": 1,
         "comparator_scale": 1,
-        "comparator": comp.depth(),
+        "comparator": cfg.comparator().depth(),
         "basis_order0": 1,
         "basis_recursion": layer.k,
         "spline_matvec": len(layer.spline_maps(cfg.path)),
     }
-    silu_branch = d_poly + 2
-    spline_branch = 1 + basis_depth(layer.k, comp) + stages["spline_matvec"]
-    return LayerPlan(stages=stages, silu_branch=silu_branch, spline_branch=spline_branch)
+    return LayerPlan(stages)
 
 
 def plan_model(model: KanModel, cfg: PipelineConfig) -> ModelPlan:

@@ -184,13 +184,16 @@ class Dataset:
 
 def load_dataset_csv(path, n_targets: int = 1) -> Dataset:
     """CSV rows are samples; the trailing n_targets columns are targets. A
-    field that is not a number raises CorruptFile."""
+    field that is not a number raises CorruptFile, a NaN or infinite one
+    NonFiniteInput."""
     if n_targets < 1:
         raise InvalidArgument(f"need at least one target column, got {n_targets}")
     try:
         data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteInput(f"{path}: holds NaN or infinity")
     if data.shape[1] <= n_targets:
         raise DimensionMismatch(f"{data.shape[1]} columns cannot hold {n_targets} targets")
     return Dataset(data[:, :-n_targets], data[:, -n_targets:])

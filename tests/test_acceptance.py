@@ -9,10 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from hekan.approx import build_composite_sign, poly_comp
+from hekan.approx import EXACT_COMPARATOR, build_composite_sign, poly_comp
 from hekan.backend import BackendConfig, HeBackend, make_backend
 from hekan.bspline import (
-    EXACT_COMPARATOR,
     GridMatrix,
     bspline_basis_he,
     bspline_basis_plain,

