@@ -4,23 +4,22 @@ Covers range estimation from activation samples, weighted/ordinary least
 squares and Remez minimax fitting, a depth-minimal homomorphic polynomial
 evaluator, and the two comparators used by the encrypted B-spline
 machinery: the composite-polynomial sign and the exact step oracle. Each
-schedule is one program over an ``ops`` adapter: the backend runs it on a
-ciphertext's live window (see eval_poly_he), the mirror on plain arrays
-(_ArrayOps), so the two agree bit for bit.
+schedule is one program in the backend's op vocabulary: the backend runs
+it on a ciphertext's live window (see eval_poly_he), the mirror on plain
+arrays (backend._ArrayOps), so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from .backend import CipherText
+from .backend import CipherText, _ArrayOps
 from .errors import (
     EmptySamples,
     IllConditioned,
@@ -322,80 +321,38 @@ def fit_odd_sign_stage(lo: float, hi: float, degree: int,
 # ---------------------------------------------------------------------------
 
 
-class _ArrayOps:
-    """The mirror's ops adapter: every schedule run on plain numpy arrays.
-    The encrypted stages pass the backend (add, sub, mul, rotate,
-    run_block_sum) or its window adapter (HeBackend.run_on_window)."""
-
-    mul = mul_const = staticmethod(operator.mul)
-    add = add_const = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-
-    def __init__(self, x: np.ndarray):
-        self.x = x
-
-    def const(self, c):
-        """c, a scalar or one value per element of x, as an array of x's
-        shape: the twin of the backend's trivial encryption."""
-        return np.full_like(self.x, c)
-
-    @staticmethod
-    def rotate(a, t):
-        return np.roll(a, -t)
-
-    @staticmethod
-    def run_block_sum(v, schedule):
-        """The block sum on v zero-padded to the period n and duplicated,
-        as the encrypted wraparound duplication reads it."""
-        n = schedule.shape[1]
-        x = np.zeros(2 * n)
-        x[: v.size] = v
-        x[n:] = x[:n]
-        return schedule.block_sum(x, n)
-
-
 def _estrin(ops, x, coeffs):
     """Balanced power-tree evaluation at x of a Polynomial's coefficients,
     whose last one is nonzero unless it is the only one.
 
     Consumes exactly ceil(log2(n)) multiplicative levels for n coefficients
-    (0 for constants); the schedule is identical between the backend and
-    array adapters so cleartext mirroring is bit-exact.
+    (0 for constants). Reads the coefficients, zero-padded to 2^m, from left
+    to right and merges two blocks of 2^j as lo + x^(2^j) * hi as soon as
+    both exist: the balanced tree's post-order. A constant block stays a
+    float and zero terms are skipped. The schedule is identical between the
+    backend and array adapters, so cleartext mirroring is bit-exact.
     """
     n = len(coeffs)
     if n == 1:
         return ops.const(coeffs[0])
     m = max(1, (n - 1).bit_length())
-    padded = np.zeros(1 << m)
-    padded[:n] = coeffs
-
     pows = [x]
     for _ in range(m - 1):
         pows.append(ops.mul(pows[-1], pows[-1]))
-
-    return _estrin_block(ops, padded, pows, 0, 1 << m)
-
-
-def _estrin_block(ops, padded: np.ndarray, pows: list, lo: int, size: int):
-    """Coefficients lo .. lo+size-1 of the power tree; a float when the
-    block is constant. Module-level rather than a recursive closure, whose
-    reference cycle would keep every power alive until the next garbage
-    collection."""
-    if size == 1:
-        return float(padded[lo])
-    half = size // 2
-    lo_val = _estrin_block(ops, padded, pows, lo, half)
-    hi_val = _estrin_block(ops, padded, pows, lo + half, half)
-    xpow = pows[half.bit_length() - 1]
-    if isinstance(hi_val, float):
-        term = None if hi_val == 0.0 else ops.mul_const(xpow, hi_val)
-    else:
-        term = ops.mul(xpow, hi_val)
-    if term is None:
-        return lo_val
-    if isinstance(lo_val, float):
-        return term if lo_val == 0.0 else ops.add_const(term, lo_val)
-    return ops.add(term, lo_val)
+    blocks = []  # (j, value): the pending blocks of 2^j coefficients
+    for i in range(1 << m):
+        j, val = 0, float(coeffs[i]) if i < n else 0.0
+        while blocks and blocks[-1][0] == j:
+            lo, hi = blocks.pop()[1], val
+            if isinstance(hi, float) and hi == 0.0:
+                val = lo
+            else:
+                val = ops.mul(pows[j], hi)
+                if not (isinstance(lo, float) and lo == 0.0):
+                    val = ops.add(val, lo)
+            j += 1
+        blocks.append((j, val))
+    return blocks[0][1]
 
 
 def poly_eval_depth(p: Polynomial | int) -> int:
@@ -459,7 +416,7 @@ class CompositeSign:
 
     def step(self, ops, d):
         """The comparator's program: the sign stages, then (s + 1)/2."""
-        return ops.mul_const(ops.add_const(self.sign(ops, d), 1.0), 0.5)
+        return ops.mul(ops.add(self.sign(ops, d), 1.0), 0.5)
 
     def certified_max_error(self, grid_size: int = 100_000) -> float:
         y = np.linspace(self.delta, 1.0, grid_size)
@@ -491,8 +448,8 @@ def step_clear(d: np.ndarray) -> np.ndarray:
     return np.where(d > 0, 1.0, np.where(d < 0, 0.0, 0.5))
 
 
-# Candidate stage-degree plans, cheapest total depth first. Degree 15 costs
-# 4 levels, 31 costs 5.
+# Candidate stage-degree plans in the order they are tried: by total depth,
+# then by number of stages. Degree 15 costs 4 levels, 31 costs 5.
 _STAGE_PLANS = (
     (15, 15),
     (31, 15),
@@ -503,10 +460,6 @@ _STAGE_PLANS = (
     (31, 31, 15),
     (31, 31, 31),
 )
-
-
-def _plan_depth(degrees) -> int:
-    return sum(poly_eval_depth(d) for d in degrees)
 
 
 # The default comparator: certified to 2^-20 for inputs at least 2^-5 from
@@ -531,7 +484,7 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     delta = 2.0 ** (-alpha)
-    for degrees in sorted(_STAGE_PLANS, key=lambda d: (_plan_depth(d), len(d))):
+    for degrees in _STAGE_PLANS:
         stages = []
         lo, hi = delta, 1.0
         feasible = True

@@ -27,6 +27,10 @@ intermediate keeps the input's window, and each array op is the float op
 ``slotwise`` would perform on the same operands; the results, op counts,
 levels and noise draws are those of the op-by-op run.
 
+Every stage program speaks one op vocabulary (add, sub, mul, rotate,
+const, run_block_sum): HeBackend, ``_WindowOps`` (inside ``run_on_window``)
+and the mirror's ``_ArrayOps`` each implement the ops their programs use.
+
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
 the wraparound duplication and each giant step are one numpy program over
 the slots the schedule reads, with the op counts, level and noise draws of
@@ -328,12 +332,13 @@ class HeBackend:
         """Run ``program(ops)`` as one numpy program over a's live window
         and return its result at level ``a.level - depth``.
 
-        ``program`` may only add and multiply values derived from ``ops.x``
-        (a's window with its tail as the last element) and scalars, through
-        ``ops.mul``, ``mul_const``, ``add``, ``add_const`` and ``const``. So
-        every intermediate keeps a's window, and each op counts, perturbs
-        and computes exactly as the matching ``slotwise`` call (``const``,
-        of a scalar or of values computed from ``ops.x``, as ``encrypt``).
+        ``program`` runs ``ops.add``, ``mul`` and ``const`` on values
+        derived from ``ops.x``, a's window with its tail as the last
+        element. In a window program every array is a ciphertext value and
+        every plaintext is a scalar. So every intermediate keeps a's window,
+        and each op counts, perturbs and computes exactly as the matching
+        ``slotwise`` call (``const``, of a scalar or of values computed
+        from ``ops.x``, as ``encrypt``).
         ``depth`` is the levels the program consumes; DepthExhausted is
         raised before any op when a has fewer. A noisy backend runs on the
         full window, as its ops would produce it.
@@ -357,9 +362,7 @@ class HeBackend:
         a holds the operand; the wraparound duplication (``a`` plus ``a``
         rotated right by n, when n > 1) and every giant step run as numpy
         programs (``schedule.block_sum``). The counter is charged what the
-        op-by-op run charges: for the duplication one rotation and one add,
-        b - 1 baby and gs - 1 giant rotations, p plaintext multiplies, and
-        p - gs block adds plus gs - 1 adds into the sum. DepthExhausted is
+        op-by-op run charges, ``schedule.block_sum_counts``. DepthExhausted is
         raised before any of it when a has no level left. The exact result
         is the window [0, n) over a zero tail (see the module docstring); a
         noisy backend runs on all slot_count slots and draws the op-by-op
@@ -369,7 +372,6 @@ class HeBackend:
         if a.level < 1:
             raise DepthExhausted(f"matrix-vector product at level {a.level}")
         p, n = schedule.shape
-        b, gs = schedule.split
         S = self.config.slot_count
         m = S if self.noisy else n + p - 1
         x = _read(a, 0, m)
@@ -377,10 +379,11 @@ class HeBackend:
             x = x + _read(a, -n, m)
             if self.noisy:
                 x += self._noise(1)[0]
+        rotations, adds, pt_mults = schedule.block_sum_counts
         c = self.counter
-        c.rotations += (n > 1) + (b - 1) + (gs - 1)
-        c.adds += (n > 1) + (p - gs) + (gs - 1)
-        c.pt_mults += p
+        c.rotations += rotations
+        c.adds += adds
+        c.pt_mults += pt_mults
         if self.noisy:
             out = schedule.block_sum(np.concatenate((x, x[:p - 1])), S, self._noise)
         else:
@@ -441,20 +444,15 @@ class _WindowOps:
         self.x = x
 
     def mul(self, a, b):
-        self.be.counter.ct_mults += 1
+        if isinstance(b, np.ndarray):  # a ciphertext value, as in HeBackend.mul
+            self.be.counter.ct_mults += 1
+        else:
+            self.be.counter.pt_mults += 1
         return self._out(a * b)
-
-    def mul_const(self, a, c):
-        self.be.counter.pt_mults += 1
-        return self._out(a * c)
 
     def add(self, a, b):
         self.be.counter.adds += 1
         return self._out(a + b)
-
-    def add_const(self, a, c):
-        self.be.counter.adds += 1
-        return self._out(a + c)
 
     def const(self, c):
         """A trivial encryption of c, a scalar or one value per element of
@@ -467,6 +465,36 @@ class _WindowOps:
             return arr
         _, data, tail = self.be._perturb(0, arr[:-1], arr[-1])
         return np.append(data, tail)
+
+
+class _ArrayOps:
+    """The mirror's ops adapter: every schedule run on plain numpy arrays."""
+
+    mul = staticmethod(operator.mul)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+
+    def const(self, c):
+        """c, a scalar or one value per element of x, as an array of x's
+        shape: the twin of the backend's trivial encryption."""
+        return np.full_like(self.x, c)
+
+    @staticmethod
+    def rotate(a, t):
+        return np.roll(a, -t)
+
+    @staticmethod
+    def run_block_sum(v, schedule):
+        """The block sum on v zero-padded to the period n and duplicated,
+        as the encrypted wraparound duplication reads it."""
+        n = schedule.shape[1]
+        x = np.zeros(2 * n)
+        x[: v.size] = v
+        x[n:] = x[:n]
+        return schedule.block_sum(x, n)
 
 
 def make_backend(config: BackendConfig) -> HeBackend:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import _ArrayOps, poly_comp
-from .backend import CipherText
+from .approx import poly_comp
+from .backend import CipherText, _ArrayOps
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -223,13 +223,21 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def basis_depth(k: int, comparator) -> int:
-    """Levels bspline_basis_he consumes from the packed input.
+def basis_stages(k: int, comparator) -> dict:
+    """Levels each stage of bspline_basis_he consumes, in order: the
+    comparator's scale multiply, the comparator, the order-0 product, then
+    one ciphertext multiply per recursion step."""
+    return {
+        "comparator_scale": 1,
+        "comparator": comparator.depth(),
+        "basis_order0": 1,
+        "basis_recursion": k,
+    }
 
-    Scale multiply, comparator (stages plus output map), the order-0
-    product, then one ciphertext multiply per recursion step.
-    """
-    return 1 + comparator.depth() + 1 + k
+
+def basis_depth(k: int, comparator) -> int:
+    """Levels bspline_basis_he consumes from the packed input."""
+    return sum(basis_stages(k, comparator).values())
 
 
 def basis_tiles(G: GridMatrix):

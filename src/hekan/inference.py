@@ -27,6 +27,7 @@ from .approx import (
 )
 from .backend import BackendConfig, CipherText, HeBackend, make_backend
 from .bspline import (
+    basis_stages,
     bspline_basis_he,
     check_repeat_pack,
     repeat_pack,
@@ -106,11 +107,6 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def raster_flatten(tensor) -> np.ndarray:
-    """Raster-scan order: index (y * w + x) * c + ch."""
-    return np.asarray(tensor, dtype=float).reshape(-1)
-
-
 def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
     arr = np.asarray(tensor, dtype=float)
     expect = tuple(model.input_shape)
@@ -122,8 +118,7 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("input holds NaN or infinity")
     model.check_input_range(arr)
-    flat = raster_flatten(arr)
-    return backend.encrypt(flat)
+    return backend.encrypt(arr.reshape(-1))  # raster order: (y * w + x) * c + ch
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +195,7 @@ def plan_layer(layer: KanLayer, cfg: PipelineConfig) -> LayerPlan:
         "silu_mask": 1,
         "base_matvec": 1,
         "repeat_pack": 1,
-        "comparator_scale": 1,
-        "comparator": cfg.comparator().depth(),
-        "basis_order0": 1,
-        "basis_recursion": layer.k,
+        **basis_stages(layer.k, cfg.comparator()),
         "spline_matvec": len(layer.spline_maps(cfg.path)),
     }
     return LayerPlan(stages)

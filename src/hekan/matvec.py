@@ -9,9 +9,9 @@ block sums run one kernel, ``block_sum``: each giant step is one array
 program that multiplies the step's babies (rows of a sliding window over
 the duplicated operand) by the step's diagonals and reduces them in
 diagonal order. So the mirrored forward reproduces the encrypted result
-bit for bit on the exact backend. ``HeBackend.run_block_sum`` counts the
-rotations, plaintext multiplies and adds of the op-by-op schedule, spends
-its one level and draws its noise.
+bit for bit on the exact backend. ``HeBackend.run_block_sum`` charges the
+rotations, plaintext multiplies and adds of the op-by-op schedule
+(``block_sum_counts``), spends its one level and draws its noise.
 
 Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .approx import _ArrayOps
-from .backend import CipherText
+from .backend import CipherText, _ArrayOps
 from .bspline import PermutationSpec
 from .errors import DimensionMismatch
 
@@ -111,16 +110,24 @@ class MatvecSchedule:
         return tuple(n >> i for i in range(1, (n // p).bit_length()))
 
     @property
-    def rotations(self) -> int:
-        """Rotations run_he performs: the wraparound duplication, the
-        babies after the first, the giant steps after the first, the folds."""
+    def block_sum_counts(self) -> tuple:
+        """(rotations, adds, pt_mults) of the op-by-op block sum, which
+        HeBackend.run_block_sum charges: the wraparound duplication (n > 1)
+        rotates and adds once, each baby and giant step after the first
+        rotates, and the p diagonal products are summed by p - 1 adds."""
+        p, n = self.shape
         b, gs = self.split
-        return (self.shape[1] > 1) + (b - 1) + (gs - 1) + len(self.folds)
+        return (n > 1) + (b - 1) + (gs - 1), (n > 1) + p - 1, p
+
+    @property
+    def rotations(self) -> int:
+        """Rotations run_he performs: the block sum's, then the folds."""
+        return self.block_sum_counts[0] + len(self.folds)
 
     @property
     def pt_mults(self) -> int:
         """Plaintext multiplies run_he performs: one per diagonal."""
-        return self.shape[0]
+        return self.block_sum_counts[2]
 
     def check_capacity(self, slot_count: int) -> None:
         """The single-ciphertext law: the period fits in the slots, twice

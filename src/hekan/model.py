@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .approx import (
     Polynomial,
@@ -45,9 +44,11 @@ SCHEMA_VERSION = 1
 
 
 def silu(x):
-    """x * sigmoid(x)."""
+    """x * sigmoid(x), the sigmoid from e = exp(-|x|), which cannot
+    overflow: 1 / (1 + e) for x >= 0, e / (1 + e) below."""
     x = np.asarray(x, dtype=float)
-    out = x * expit(x)
+    e = np.exp(-np.abs(x))
+    out = x * (np.where(x >= 0, 1.0, e) / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 
@@ -204,8 +205,9 @@ def load_dataset_csv(path, n_targets: int = 1) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _basis_matrix_exact(layer: KanLayer, x: np.ndarray) -> np.ndarray:
-    rows = [bspline_basis_plain(xi, layer.grid.entries[i], layer.k)
+def _basis_matrix_exact(grid: GridMatrix, x: np.ndarray) -> np.ndarray:
+    """(n_i, g + k) exact basis values: row i is B_{m,k}(x_i) on row i's knots."""
+    rows = [bspline_basis_plain(xi, grid.entries[i], grid.k)
             for i, xi in enumerate(x)]
     return np.asarray(rows)
 
@@ -226,7 +228,7 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
         raise DimensionMismatch(f"input length {x.size} != n_i {layer.n_i}")
     if mode == "exact":
         base = silu(x)
-        bvals = _basis_matrix_exact(layer, x)
+        bvals = _basis_matrix_exact(layer.grid, x)
         return layer.W_b @ base + layer.w_prime @ bvals.ravel()
     if mode != "mirrored":
         raise ValueError(f"unknown mode {mode!r}")
@@ -287,11 +289,8 @@ def fit_layer_ls(dataset: Dataset, n_o: int, grid: GridMatrix,
         raise InvalidArgument(f"ridge must be finite and >= 0, got {ridge}")
     nb = grid.n_basis
 
-    basis_feats = np.empty((n_samples, n_i * nb))
-    for s in range(n_samples):
-        for i in range(n_i):
-            basis_feats[s, i * nb:(i + 1) * nb] = bspline_basis_plain(
-                X[s, i], grid.entries[i], grid.k)
+    basis_feats = np.reshape([_basis_matrix_exact(grid, xs) for xs in X],
+                             (n_samples, n_i * nb))
     silu_feats = silu(X)
 
     if w_b_mode == "fitted":

@@ -23,7 +23,7 @@ from hekan.approx import (
     range_from_moments,
     step_clear,
 )
-from hekan.backend import BackendConfig, CipherText, HeBackend, make_backend
+from hekan.backend import BackendConfig, CipherText, HeBackend, _ArrayOps, make_backend
 from hekan.errors import (
     DepthExhausted,
     EmptySamples,
@@ -267,15 +267,81 @@ class _OneOpAtATime:
     def mul(self, a, b):
         return self.be.mul(a, b)
 
-    mul_const = mul
-
     def add(self, a, b):
         return self.be.add(a, b)
 
-    add_const = add
-
     def const(self, c):
         return self.be.encrypt(c, self.x.level)
+
+
+class _Recorder:
+    """Symbolic ops adapter: each op returns a fresh token ("v", i) and
+    logs its name and operands (tokens, or scalars as they are)."""
+
+    def __init__(self):
+        self.x = ("v", 0)
+        self.log = []
+
+    def _op(self, name, a, b):
+        self.log.append((name, a, b))
+        return ("v", len(self.log))
+
+    def mul(self, a, b):
+        return self._op("mul", a, b)
+
+    def add(self, a, b):
+        return self._op("add", a, b)
+
+    def const(self, c):
+        return self._op("const", c, None)
+
+
+def _estrin_recursive(ops, x, coeffs):
+    """Reference power tree: the balanced recursion, lo block before hi
+    block, a block a float while it is constant, zero terms skipped."""
+    n = len(coeffs)
+    if n == 1:
+        return ops.const(coeffs[0])
+    m = max(1, (n - 1).bit_length())
+    padded = np.zeros(1 << m)
+    padded[:n] = coeffs
+    pows = [x]
+    for _ in range(m - 1):
+        pows.append(ops.mul(pows[-1], pows[-1]))
+
+    def block(lo, size):
+        if size == 1:
+            return float(padded[lo])
+        half = size // 2
+        lo_val = block(lo, half)
+        hi_val = block(lo + half, half)
+        if isinstance(hi_val, float) and hi_val == 0.0:
+            return lo_val
+        term = ops.mul(pows[half.bit_length() - 1], hi_val)
+        if isinstance(lo_val, float) and lo_val == 0.0:
+            return term
+        return ops.add(term, lo_val)
+
+    return block(0, 1 << m)
+
+
+class TestEstrinOpOrder:
+    """The flat power tree issues the recursion's ops in its order: the
+    order of the noise draws a noisy backend's bit-identity rests on."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_recursive_reference(self, data):
+        draw = data.draw
+        degree = draw(st.integers(0, 31))
+        parity = draw(st.sampled_from(["any", "odd", "even"]))
+        coeffs = [0.0 if (parity == "odd" and i % 2 == 0) or (parity == "even" and i % 2)
+                  else draw(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3.0, 3.0))
+                  for i in range(degree + 1)]
+        coeffs = Polynomial(tuple(coeffs)).coeffs
+        got, want = _Recorder(), _Recorder()
+        assert approx._estrin(got, got.x, coeffs) == _estrin_recursive(want, want.x, coeffs)
+        assert got.log == want.log
 
 
 class TestEvalPolyHeWindow:
@@ -382,6 +448,11 @@ class TestCompositeSign:
         for stage in cs.stages:
             assert all(c == 0.0 for c in stage.coeffs[0::2])
 
+    def test_stage_plans_ordered_by_depth_then_stage_count(self):
+        keys = [(sum(poly_eval_depth(d) for d in plan), len(plan))
+                for plan in approx._STAGE_PLANS]
+        assert keys == sorted(keys)
+
     def test_depth_is_stage_sum_plus_map(self):
         cs = build_composite_sign()
         assert cs.depth() == sum(poly_eval_depth(s) for s in cs.stages) + 1
@@ -420,7 +491,7 @@ class TestCompositeSign:
         be = backend(slots=128)
         d = np.linspace(-1, 1, 128)
         he = poly_comp(be.encrypt(d), np.zeros(128), cs)
-        np.testing.assert_array_equal(he.slots, cs.step(approx._ArrayOps(d), d))
+        np.testing.assert_array_equal(he.slots, cs.step(_ArrayOps(d), d))
 
     def test_range_check(self):
         cs = build_composite_sign()

@@ -9,6 +9,7 @@ from hekan.backend import BackendConfig, HeBackend
 from hekan.bspline import (
     GridMatrix,
     basis_clear,
+    basis_depth,
     bspline_basis_he,
     bspline_basis_plain,
     col_tile,
@@ -26,6 +27,8 @@ from hekan.errors import (
     NonFiniteInput,
     PackingOverflow,
 )
+from hekan.inference import PipelineConfig, plan_layer
+from hekan.model import random_model
 
 
 def backend(slots=256, depth=30):
@@ -265,15 +268,21 @@ class TestEncryptedBasis:
             assert np.all(bv.ct.slots[n_i * (g + k):] == 0.0)
         assert np.max(np.abs(vals - plain)) <= 1e-12  # vals: the exact comparator's run
 
-    def test_depth_consumption(self):
-        cs = build_composite_sign()
-        G = GridMatrix.uniform(2, 4, 2, -1.0, 1.0)
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("mode", ["exact", "composite"])
+    def test_depth_consumption(self, mode, k):
+        """The measured level drop, basis_depth and the plan's four basis
+        stages agree."""
+        cfg = PipelineConfig(comparator_mode=mode)
+        comp = cfg.comparator()
+        G = GridMatrix.uniform(2, 4, k, -1.0, 1.0)
         be = backend(slots=512, depth=30)
         ct = be.encrypt([0.1, 0.2])
-        xp = repeat_pack(ct, 4, 2, 2)
-        bv = bspline_basis_he(xp, G, cs)
-        from hekan.bspline import basis_depth
-        assert ct.level - bv.ct.level == 1 + basis_depth(2, cs)
+        bv = bspline_basis_he(repeat_pack(ct, 4, k, 2), G, comp)
+        stages = plan_layer(random_model([2, 1], g=4, k=k).layers[0], cfg).stages
+        planned = sum(stages[s] for s in ("comparator_scale", "comparator",
+                                          "basis_order0", "basis_recursion"))
+        assert ct.level - bv.ct.level == 1 + basis_depth(k, comp) == 1 + planned
 
     def test_grid_mismatch(self):
         G = GridMatrix.uniform(2, 4, 2, -1.0, 1.0)

@@ -1,5 +1,5 @@
 """The demos and the README quick start run cleanly against the library
-in src/.
+in src/, and importing it loads numpy only.
 
 Demo 04 (a table-config sweep, several seconds) is left out; its
 bench_lazy_vs_naive call is covered by the acceptance suite.
@@ -38,3 +38,11 @@ def test_readme_quick_start_runs():
     assert block is not None, "README has no python block"
     proc = _run(["-c", block.group(1)])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: scipy is for the tests."""
+    proc = _run(["-c", "import sys, hekan; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

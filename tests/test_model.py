@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from hekan.approx import (
     EXACT_COMPARATOR,
@@ -59,6 +61,14 @@ class TestSilu:
     def test_vectorized(self):
         x = np.array([-1.0, 0.0, 1.0])
         np.testing.assert_allclose(silu(x), x / (1 + np.exp(-x)))
+
+    def test_matches_scipy_expit_without_warnings(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                            [1e308, -1e308, 0.0, -0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = silu(x)
+        np.testing.assert_allclose(got, x * expit(x), rtol=0.0, atol=2e-15)
 
 
 class TestPhi:
