@@ -4,7 +4,9 @@ The basis computation leaves results in column-tile order. The naive path
 reorders them with a permutation-matrix product before the linear layer;
 the lazy path folds that permutation into the weights offline, so the
 encrypted pipeline never pays for it. Counts are deterministic, so the
-comparison is hardware-independent.
+comparison is hardware-independent. The CSV's wall_ms column times the
+simulator, which runs the exact permutation matvec as one gather; it is not
+the permutation's cost under a real scheme.
 """
 
 from hekan.inference import bench_lazy_vs_naive, write_bench_csv

@@ -329,8 +329,10 @@ def basis_clear(x: np.ndarray, G: GridMatrix, comparator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bspline_basis_plain(x: float, knots, k: int) -> np.ndarray:
-    """Exact basis values B_{m,k}(x) by the Cox-de Boor recursion.
+def bspline_basis_plain(x, knots, k: int) -> np.ndarray:
+    """Exact basis values B_{m,k}(x), shape x.shape + (n_basis,), by the
+    Cox-de Boor recursion. Each element of an array x takes a scalar x's
+    float ops, so both give the same bits.
 
     Order-0 uses half-open intervals [t_m, t_{m+1}); 0/0 at repeated knots
     is taken as 0.
@@ -340,12 +342,13 @@ def bspline_basis_plain(x: float, knots, k: int) -> np.ndarray:
         raise InsufficientKnots(f"need at least {k + 2} knots for degree {k}")
     if np.any(np.diff(t) < 0):
         raise InsufficientKnots("knots must be non-decreasing")
+    x = np.asarray(x, dtype=float)[..., None]
     b = np.where((t[:-1] <= x) & (x < t[1:]), 1.0, 0.0)
     for j in range(1, k + 1):
         nb = t.size - 1 - j
-        num1 = (x - t[:nb]) * b[:nb]
+        num1 = (x - t[:nb]) * b[..., :nb]
         den1 = t[j:j + nb] - t[:nb]
-        num2 = (t[j + 1:j + 1 + nb] - x) * b[1:nb + 1]
+        num2 = (t[j + 1:j + 1 + nb] - x) * b[..., 1:nb + 1]
         den2 = t[j + 1:j + 1 + nb] - t[1:nb + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             left = np.where(den1 > 0, num1 / np.where(den1 > 0, den1, 1.0), 0.0)

@@ -287,7 +287,10 @@ def bench_compare(model: KanModel, inputs, cfgs) -> list:
     across inputs; depth is per inference, and wall_ms sums the forwards'
     time (encryption excluded). Lazy rows carry the rotation+multiplication
     count ratio of their naive twin (same config apart from the path); naive
-    rows carry 1.0.
+    rows carry 1.0. The count ratio carries the lazy-versus-naive comparison:
+    a naive row's wall_ms times the simulator, whose exact backend runs the
+    permutation matvec as one gather, not the permutation's cost under a
+    real scheme.
     """
     inputs = list(inputs)
     if not inputs:

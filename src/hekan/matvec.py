@@ -23,8 +23,12 @@ without a slot count (the mirror) makes the same one.
 Permutation operand: a :class:`PermutationSpec` takes the square path with
 its diagonals read from ``source_of`` (diagonal d is 1 where
 ``(source_of[t] - t) mod n == d``), so the dense n x n matrix is never
-built. Every diagonal is still multiplied, the all-zero ones too. The
-kernel builds one giant step's diagonals at a time, never all p of them.
+built. On the exact backend its block sum is one gather that reproduces the
+dense kernel's bits, signed zeros included, and no diagonal is built. The
+noisy backend needs every product's noise draw, so there the kernel
+multiplies every diagonal, the all-zero ones too, building one giant step's
+diagonals at a time, never all p of them. The op counts charged are those
+of the op-by-op schedule either way.
 """
 
 from __future__ import annotations
@@ -155,7 +159,23 @@ class MatvecSchedule:
         returns k rows, in the order the ops draw them. A step draws its
         products and adds interleaved (t0, t1, a1, t2, a2, ...); the add
         into the sum draws one more.
+
+        An exact permutation operand (W is None, no ``draw``) is one gather
+        with the same bits. Column t's only nonzero diagonal is offset[t],
+        so it is v = x[t + offset[t]] when v != 0. Otherwise every term is a
+        signed zero, and the sum is -0.0 only if all of x[t : t + n] have
+        the sign bit set. A non-finite x takes the dense loop, where inf * 0
+        makes every column that reads it NaN.
         """
+        if self.W is None and draw is None:
+            n = self.shape[1]
+            read = x[:2 * n - 1]
+            if np.isfinite(read).all():
+                t = np.arange(n)
+                v = read[t + self.offset]
+                signs = np.concatenate(([0], np.cumsum(np.signbit(read))))
+                all_neg = signs[t + n] - signs[t] == n
+                return np.where(v != 0, v, np.where(all_neg, -0.0, 0.0))
         rows = sliding_window_view(x, width)
         acc = None
         for base, diags in self.blocks():

@@ -206,10 +206,10 @@ def load_dataset_csv(path, n_targets: int = 1) -> Dataset:
 
 
 def _basis_matrix_exact(grid: GridMatrix, x: np.ndarray) -> np.ndarray:
-    """(n_i, g + k) exact basis values: row i is B_{m,k}(x_i) on row i's knots."""
-    rows = [bspline_basis_plain(xi, grid.entries[i], grid.k)
-            for i, xi in enumerate(x)]
-    return np.asarray(rows)
+    """x.shape + (g + k,) exact basis values for x of shape (..., n_i):
+    feature i is B_{m,k}(x[..., i]) on row i's knots, one call per feature."""
+    return np.stack([bspline_basis_plain(x[..., i], grid.entries[i], grid.k)
+                     for i in range(grid.n_i)], axis=-2)
 
 
 def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
@@ -289,8 +289,7 @@ def fit_layer_ls(dataset: Dataset, n_o: int, grid: GridMatrix,
         raise InvalidArgument(f"ridge must be finite and >= 0, got {ridge}")
     nb = grid.n_basis
 
-    basis_feats = np.reshape([_basis_matrix_exact(grid, xs) for xs in X],
-                             (n_samples, n_i * nb))
+    basis_feats = _basis_matrix_exact(grid, X).reshape(n_samples, n_i * nb)
     silu_feats = silu(X)
 
     if w_b_mode == "fitted":

@@ -208,6 +208,21 @@ class TestPlainBasis:
                 vals = bspline_basis_plain(x, knots, k)
                 assert vals[m] == 0.0
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+    def test_array_x_is_the_scalar_calls(self, k):
+        # uniform and repeated knots; x on every knot, inside and outside
+        rng = np.random.default_rng(k)
+        for knots in (GridMatrix.uniform(1, 10, max(k, 1), -1.0, 1.0).entries[0],
+                      np.sort(np.r_[rng.uniform(-2, 2, 9), 0.5, 0.5, -1.0, -1.0])):
+            x = np.r_[rng.uniform(-2.5, 2.5, 2000), knots, -0.0]
+            scalar = np.array([bspline_basis_plain(xi, knots, k) for xi in x])
+            vals = bspline_basis_plain(x, knots, k)
+            assert vals.shape == (x.size, knots.size - k - 1)
+            assert np.array_equal(vals.view(np.int64), scalar.view(np.int64))
+            grid = bspline_basis_plain(x[:2000].reshape(-1, 4), knots, k)
+            assert np.array_equal(grid.reshape(2000, -1).view(np.int64),
+                                  vals[:2000].view(np.int64))
+
 
 class TestEncryptedBasis:
     def test_exact_comparator_matches_plain(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hekan.backend import BackendConfig, HeBackend, OpCounter, PlainVector
 from hekan.bspline import PermutationSpec, gen_permutation
 from hekan.errors import DepthExhausted
-from hekan.matvec import matvec_schedule
+from hekan.matvec import MatvecSchedule, matvec_schedule
 
 
 def replay(sched, v):
@@ -45,10 +45,15 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+VALUES = ("normal", "signed zeros", "negative", "non-finite")
+
+
 @st.composite
-def operands(draw):
-    """(matrix or PermutationSpec, n_in) over the schedule's shapes."""
+def operands(draw, values=("normal",)):
+    """(matrix or PermutationSpec, n_in, values) over the schedule's shapes,
+    with the operand's values drawn from ``values`` (see ``case``)."""
     kind = draw(st.sampled_from(["square", "tall", "wide", "permutation", "n1"]))
+    fill = draw(st.sampled_from(values))
     if kind == "square":
         m = draw(st.integers(1, 40))
         shape = (m, m)
@@ -60,22 +65,34 @@ def operands(draw):
         shape = (draw(st.integers(1, p)), p << draw(st.integers(1, 4)))
     elif kind == "permutation":
         P = gen_permutation(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
-        return P, P.size
+        return P, P.size, fill
     else:
         shape = (1, 1)
     W = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=shape)
-    return W, shape[1]
+    return W, shape[1], fill
 
 
-def case(W, n_in, seed, spare, neg_zero, tight):
+def case(W, n_in, values, seed, spare, neg_zero, tight):
     """(schedule, config kwargs, input slots): the operand in [0, n_in) with
     ``spare`` more zeros (negative ones if neg_zero) inside its window, and
     the smallest slot count (2n == slot_count when n is a power of two) or
-    twice that."""
+    twice that. The operand is normal, or has about a quarter of its values
+    -0.0 and, for "signed zeros", another quarter +0.0; "negative" makes the
+    rest negative, and "non-finite" puts inf, -inf or NaN in one slot."""
     sched = matvec_schedule(W)
     n = sched.shape[1]
     slots = max(2, 1 << (2 * n - 1).bit_length()) * (1 if tight else 2)
-    v = np.random.default_rng(seed).normal(size=n_in)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n_in)
+    if values == "non-finite":
+        v[rng.integers(n_in)] = rng.choice([np.inf, -np.inf, np.nan])
+    elif values != "normal":
+        if values == "negative":
+            v = -np.abs(v)
+        pick = rng.integers(0, 4, n_in)
+        v[pick == 0] = -0.0
+        if values == "signed zeros":
+            v[pick == 1] = 0.0
     pad = np.full(min(spare, slots - n_in), -0.0 if neg_zero else 0.0)
     return sched, {"slot_count": slots, "depth_budget": 3}, np.concatenate((v, pad))
 
@@ -85,26 +102,34 @@ flags = st.tuples(st.integers(0, 2 ** 16), st.integers(0, 8), st.booleans(), st.
 
 class TestKernelEqualsReplay:
     @settings(max_examples=150, deadline=None)
-    @given(operands(), flags)
-    @example((np.ones((10, 256)), 256), (0, 0, False, True))       # wide, 2n == slots
-    @example((gen_permutation(4, 4), 16), (1, 3, True, True))      # permutation, 2n == slots
-    @example((np.ones((1, 1)), 1), (2, 0, False, True))            # n = 1
+    @given(operands(VALUES), flags)
+    @example((np.ones((10, 256)), 256, "normal"), (0, 0, False, True))       # wide, 2n == slots
+    @example((gen_permutation(4, 4), 16, "normal"), (1, 3, True, True))      # permutation, 2n == slots
+    @example((np.ones((1, 1)), 1, "normal"), (2, 0, False, True))            # n = 1
+    # the permutation gather: a gathered -0.0 in a column that also reads
+    # +0.0; -0.0 columns of a negative operand whose duplicate is not
+    # periodic in sign (spare < n); inf, which the dense loop spreads as NaN
+    @example((gen_permutation(2, 3), 6, "signed zeros"), (2, 8, True, True))
+    @example((gen_permutation(3, 3), 9, "negative"), (1, 3, True, True))
+    @example((gen_permutation(4, 4), 16, "non-finite"), (0, 0, False, True))
     def test_exact(self, operand, flags):
         sched, cfg, x = case(*operand, *flags)
         S, n = cfg["slot_count"], sched.shape[1]
-        ref = HeBackend(BackendConfig(**cfg))
-        summed, want = replay(sched, ref.encrypt(x))
-        be = HeBackend(BackendConfig(**cfg))
-        v = be.encrypt(x)
-        got = sched.run_he(v)
+        # inf * 0 in a non-finite operand's products is NaN on both sides
+        with np.errstate(invalid="ignore"):
+            ref = HeBackend(BackendConfig(**cfg))
+            summed, want = replay(sched, ref.encrypt(x))
+            be = HeBackend(BackendConfig(**cfg))
+            v = be.encrypt(x)
+            got = sched.run_he(v)
+            before = be.counter.copy()
+            block_sum = be.run_block_sum(v, sched)
 
         assert np.array_equal(bits(be.decrypt(got)[:sched.n_out]),
                               bits(ref.decrypt(want)[:sched.n_out]))
-        assert be.counter == ref.counter
+        assert before == ref.counter
         assert got.level == want.level == v.level - 1
 
-        before = be.counter.copy()
-        block_sum = be.run_block_sum(v, sched)
         assert np.array_equal(bits(be.decrypt(block_sum)[:n]), bits(ref.decrypt(summed)[:n]))
         assert np.all(be.decrypt(block_sum)[n:] == 0.0)
         assert block_sum.level == v.level - 1
@@ -115,7 +140,7 @@ class TestKernelEqualsReplay:
 
     @settings(max_examples=60, deadline=None)
     @given(operands(), flags)
-    @example((gen_permutation(3, 5), 15), (4, 2, False, True))
+    @example((gen_permutation(3, 5), 15, "normal"), (4, 2, False, True))
     def test_noisy(self, operand, flags):
         sched, cfg, x = case(*operand, *flags)
         cfg.update(noise_std=1e-6, rng_seed=flags[0])
@@ -155,6 +180,29 @@ class TestKernelLimits:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20, peak
         assert np.array_equal(be.decrypt(out)[:3840], P.apply(be.decrypt(v)[:3840]))
+
+    def test_exact_permutation_gathers(self, monkeypatch):
+        # the same permutation on the exact backend is one gather: no
+        # diagonal is built, by the encrypted or the clear executor
+        def no_diagonals(self, ds):
+            raise AssertionError("exact permutation block sum built diagonals")
+
+        monkeypatch.setattr(MatvecSchedule, "diagonals", no_diagonals)
+        P = gen_permutation(256, 15)
+        sched = matvec_schedule(P)
+        x = np.random.default_rng(1).normal(size=3840)
+        be = HeBackend(BackendConfig(slot_count=8192, depth_budget=1))
+        v = be.encrypt(x)
+        tracemalloc.start()
+        try:
+            out = sched.run_he(v)
+            clear = sched.run_clear(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        assert np.array_equal(be.decrypt(out)[:3840], P.apply(x))
+        assert np.array_equal(clear, P.apply(x))
 
     def test_level_zero_raises_before_any_op(self):
         be = HeBackend(BackendConfig(slot_count=64, depth_budget=2))

@@ -13,7 +13,7 @@ from hekan.approx import (
     fit_weighted_ls,
 )
 from hekan.backend import BackendConfig, HeBackend
-from hekan.bspline import GridMatrix
+from hekan.bspline import GridMatrix, bspline_basis_plain
 from hekan.errors import (
     CorruptFile,
     DimensionMismatch,
@@ -23,6 +23,7 @@ from hekan.errors import (
 )
 from hekan.model import (
     Dataset,
+    _basis_matrix_exact,
     KanLayer,
     KanModel,
     fit_layer_ls,
@@ -173,6 +174,19 @@ class TestFitLayer:
         xt = np.linspace(-0.9, 0.9, 50)
         preds = np.array([layer_forward_plain(layer, [v])[0] for v in xt])
         np.testing.assert_allclose(preds, silu(xt), atol=1e-3)
+
+    def test_basis_features_are_the_scalar_calls(self):
+        # one call per feature gives the bits of one call per (sample, feature)
+        rng = np.random.default_rng(11)
+        grid = GridMatrix(np.sort(rng.uniform(-1.5, 1.5, (3, 12)), axis=1), 5, 3, 2.0)
+        X = np.vstack([rng.uniform(-2.0, 2.0, (300, 3)), grid.entries.T])
+        want = np.array([[bspline_basis_plain(x, grid.entries[i], 3) for i, x in enumerate(row)]
+                         for row in X])
+        got = _basis_matrix_exact(grid, X)
+        assert got.shape == (X.shape[0], 3, 8)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(_basis_matrix_exact(grid, X[7]).view(np.int64),
+                              want[7].view(np.int64))
 
     def test_zero_target_gives_zero_coefficients(self):
         rng = np.random.default_rng(6)
