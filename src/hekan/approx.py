@@ -23,7 +23,6 @@ from .backend import CipherText, _ArrayOps
 from .errors import (
     EmptySamples,
     IllConditioned,
-    InputOutOfRange,
     InvalidArgument,
     RemezNonConvergence,
 )
@@ -384,10 +383,11 @@ def eval_poly_clear(p: Polynomial, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # comparators
 # ---------------------------------------------------------------------------
-# A comparator is three things: step(ops, d), its program for the step
-# function of d run by ops (see _estrin); depth(), the levels that program
-# consumes; and delta, the distance from zero beyond which it is certified.
-# poly_comp runs it on a ciphertext, the mirror on arrays (_ArrayOps).
+# A comparator is two things: step(ops, d), its program for the step
+# function of d run by ops (see _estrin), and depth(), the levels that
+# program consumes. poly_comp runs it on a ciphertext, the mirror on arrays
+# (_ArrayOps). Neither reads d to check it: the range contract (every input
+# in [-R, R], see KanModel.check_input_range) keeps each operand in [-1, 1].
 
 
 @dataclass(frozen=True)
@@ -427,10 +427,7 @@ class ExactComparator:
     """Step-function oracle: its program is the exact step of d as a
     trivial encryption (ops.const), so it consumes no depth and counts no
     operations. Only meaningful on the arithmetic simulator; useful to
-    isolate comparator error from the rest of the pipeline. Exact at any
-    distance from zero, hence delta = 0."""
-
-    delta = 0.0
+    isolate comparator error from the rest of the pipeline."""
 
     def depth(self) -> int:
         return 0
@@ -508,19 +505,16 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
         f"no stage plan certified eps <= {target_eps} for alpha = {alpha}")
 
 
-def poly_comp(a: CipherText, b, comparator,
-              check_range: bool = False) -> CipherText:
+def poly_comp(a: CipherText, b, comparator) -> CipherText:
     """Slot-wise step(a - b): ~1 where a > b, ~0 where a < b, 1/2 at ties.
 
     The one encrypted runner of both comparators: comparator.step runs on
     the difference's window (HeBackend.run_on_window) and consumes
-    comparator.depth() levels. Caller guarantees a - b lies in [-1, 1];
-    accuracy is certified only for |a - b| >= comparator.delta. With
-    check_range, a difference outside [-1, 1] raises InputOutOfRange.
+    comparator.depth() levels. The caller keeps |a - b| <= 1; in the
+    pipeline the range contract does (input and knots in [-R, R], the
+    difference scaled by 1/(2R)). The composite comparator is certified
+    only for |a - b| >= its delta.
     """
     be = a.backend
     d = be.sub(a, b)
-    if check_range and np.max(np.abs(d.slots)) > 1.0 + 1e-12:
-        raise InputOutOfRange(
-            f"comparator operand out of [-1, 1]: max |d| = {np.max(np.abs(d.slots))}")
     return be.run_on_window(d, lambda ops: comparator.step(ops, ops.x), comparator.depth())

@@ -187,12 +187,11 @@ def _over(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int):
 class PlainVector:
     """Unencrypted slot vector, the right-hand operand of plaintext ops.
 
-    ``values`` fill slots offset .. offset+len-1 (mod slot_count) and every
-    other slot holds ``tail``; at most slot_count values.
+    ``values`` fill slots 0 .. len-1 and every other slot holds ``tail``;
+    at most slot_count values.
     """
 
     values: np.ndarray
-    offset: int = 0
     tail: float = 0.0
 
     def __post_init__(self):
@@ -221,8 +220,7 @@ class CipherText:
     @property
     def slots(self) -> np.ndarray:
         """All slot_count slots, read-only. Materialised on every read, so
-        it costs O(slot_count); no pipeline stage reads it (only the
-        ``check_range`` checks do)."""
+        it costs O(slot_count); no pipeline stage reads it."""
         S = self.backend.config.slot_count
         out = _place(self.start, self.data, self.tail, 0, S, S)
         out.setflags(write=False)
@@ -267,8 +265,8 @@ class HeBackend:
             level = self.config.depth_budget
         if not 0 <= level <= self.config.depth_budget:
             raise ValueError(f"level {level} outside [0, {self.config.depth_budget}]")
-        start, data, tail = self._plain(values)
-        return CipherText(*self._perturb(start, data.copy(), tail), level, self)
+        data, tail = self._plain(values)
+        return CipherText(*self._perturb(0, data.copy(), tail), level, self)
 
     def decrypt(self, a: CipherText) -> np.ndarray:
         self._check_ours(a)
@@ -295,7 +293,8 @@ class HeBackend:
             self._check_ours(b)
             sb, db, tb, level = b.start, b.data, b.tail, min(a.level, b.level)
         else:
-            (sb, db, tb), level = self._plain(b), a.level
+            db, tb = self._plain(b)
+            sb, level = 0, a.level
 
         if op_kind == "add":
             self.counter.adds += 1
@@ -407,14 +406,14 @@ class HeBackend:
     # ------------------------------------------------------------------
 
     def _plain(self, b) -> tuple:
-        """(start, data, tail) of a plaintext: a PlainVector, or anything
-        encode accepts."""
+        """(data, tail) of a plaintext, whose window starts at slot 0: a
+        PlainVector, or anything encode accepts."""
         if not isinstance(b, PlainVector):
             b = self.encode(b)
         S = self.config.slot_count
         if b.values.size > S:
             raise LengthMismatch(f"plain operand has {b.values.size} slots, backend {S}")
-        return b.offset % S, b.values, b.tail
+        return b.values, b.tail
 
     def _check_ours(self, a: CipherText) -> None:
         if a.backend is not self:

@@ -284,32 +284,16 @@ def _basis(ops, x, G: GridMatrix, compare):
     return b
 
 
-def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator,
-                     check_range: bool = False) -> BasisVector:
+def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator) -> BasisVector:
     """All-basis evaluation on a repeat-packed input: _basis run by the
-    backend, each comparator call one poly_comp against zero. With
-    check_range, an input beyond R (so a comparator operand beyond
-    [-1, 1]) or within comparator.delta * 2R of a knot raises
-    InputOutOfRange.
-    """
+    backend, each comparator call one poly_comp against zero. An input in
+    [-R, R] (the range contract, KanModel.check_input_range) keeps every
+    comparator operand in [-1, 1]."""
     be = xp.ct.backend
     if G.n_i != xp.n_i or G.g != xp.g or G.k != xp.k:
         raise DimensionMismatch("grid and packed input disagree on (n_i, g, k)")
-    n_i = G.n_i
-
-    if check_range:
-        x_vals = xp.ct.slots[:n_i]
-        if np.max(np.abs(x_vals)) > G.R:
-            raise InputOutOfRange(f"input exceeds [-R, R] with R = {G.R}")
-        gap = np.min(np.abs(x_vals[:, None] - G.entries), axis=1)
-        margin = comparator.delta * 2.0 * G.R
-        if np.any(gap < margin):
-            raise InputOutOfRange(
-                f"input within delta*2R = {margin:.3g} of a knot; "
-                "comparator accuracy is not certified there")
-
     return BasisVector(_basis(be, xp.ct, G, lambda s: poly_comp(s, 0.0, comparator)),
-                       n_i, G.n_basis)
+                       G.n_i, G.n_basis)
 
 
 def basis_clear(x: np.ndarray, G: GridMatrix, comparator) -> np.ndarray:

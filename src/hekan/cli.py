@@ -192,12 +192,8 @@ def cmd_fit_layer(args) -> int:
 
 
 def _pipeline_config(args, backend_cfg) -> PipelineConfig:
-    return PipelineConfig(
-        comparator_mode=args.comparator,
-        path=args.path,
-        backend=backend_cfg,
-        check_range=args.check_range,
-    )
+    return PipelineConfig(comparator_mode=args.comparator, path=args.path,
+                          backend=backend_cfg)
 
 
 def _decrypt_output(backend, out_ct, n_out: int) -> np.ndarray:
@@ -373,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", help="backend config JSON (path or inline)")
     p.add_argument("--path", choices=("lazy", "naive"), default="lazy")
     p.add_argument("--comparator", choices=("composite", "exact"), default="composite")
-    p.add_argument("--check-range", action="store_true")
     p.add_argument("--out", help="result JSON path")
     p.set_defaults(func=cmd_infer)
 
@@ -391,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend")
     p.add_argument("--path", choices=("lazy", "naive"), default="lazy")
     p.add_argument("--comparator", choices=("composite", "exact"), default="composite")
-    p.add_argument("--check-range", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 

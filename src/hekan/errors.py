@@ -51,7 +51,8 @@ class RemezNonConvergence(NumericalFailure):
 
 
 class InputOutOfRange(UsageError):
-    """Debug check: comparator input outside its certified range."""
+    """A value outside its grid's [-R, R]: a layer's input (the range
+    contract, KanModel.check_input_range) or a knot (GridMatrix)."""
 
 
 # --- B-spline machinery ---

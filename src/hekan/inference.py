@@ -55,7 +55,6 @@ class PipelineConfig:
     backend: BackendConfig | None = None
     alpha: float = DEFAULT_ALPHA         # comparator separation 2^-alpha
     target_eps: float = DEFAULT_TARGET_EPS
-    check_range: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class PipelineConfig:
             raise ValueError(f"alpha must be positive (delta = 2^-alpha < 1), got {self.alpha}")
         if not 0 < self.target_eps < 1:
             raise ValueError(f"target_eps must lie in (0, 1), got {self.target_eps}")
-        if not isinstance(self.check_range, bool):
-            raise ValueError(f"check_range must be true or false, got {self.check_range!r}")
         if not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
 
@@ -242,7 +239,7 @@ def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> Ci
 
     # spline branch: packed basis then the (fused or two-step) linear map
     xp = repeat_pack(ct, layer.g, layer.k, layer.n_i)
-    bv = bspline_basis_he(xp, layer.grid, comp, check_range=cfg.check_range)
+    bv = bspline_basis_he(xp, layer.grid, comp)
     spline_out = bv.ct
     for W in layer.spline_maps(cfg.path):
         spline_out = bsgs_matvec(W, spline_out)

@@ -91,9 +91,6 @@ class MatvecSchedule:
         t = np.arange(n)
         return self.W[t % p, (t + d) % n]
 
-    def diagonal(self, d: int) -> np.ndarray:
-        return self.diagonals([d])[0]
-
     @property
     def split(self) -> tuple:
         """(babies, giants) = default_bsgs_split(p) over the p diagonals.

@@ -156,15 +156,18 @@ class KanModel:
     def n_in(self) -> int:
         return self.layers[0].n_i
 
-    def check_input_range(self, x) -> None:
-        """Raise InputOutOfRange if some |x| exceeds the first grid's bound
-        R. The encrypted pipeline and its mirror take only such inputs:
-        beyond R the comparator's operand leaves [-1, 1] and the composite
-        stages diverge."""
-        R = self.layers[0].grid.R
+    def check_input_range(self, x, layer: int = 0) -> None:
+        """The range contract: raise InputOutOfRange if some |x| of x, the
+        input of ``layers[layer]``, exceeds that layer's grid bound R. The
+        encrypted pipeline and its mirror take only such inputs: beyond R
+        the comparator's operand leaves [-1, 1] and the composite stages
+        diverge. encrypt_input checks layer 0; the mirrored forward checks
+        every layer."""
+        R = self.layers[layer].grid.R
         if np.any(np.abs(x) > R):
             raise InputOutOfRange(
-                f"input max |x| = {np.max(np.abs(x))} exceeds the first grid's bound R = {R}")
+                f"layer {layer} input max |x| = {np.max(np.abs(x))} exceeds its grid's "
+                f"bound R = {R}")
 
     @property
     def n_out(self) -> int:
@@ -246,18 +249,19 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
 
 def model_forward_plain(model: KanModel, x, mode: str = "exact",
                         comparator=None, path: str = "lazy") -> np.ndarray:
-    """Run every layer in `mode` (see ``layer_forward_plain``). Like
-    ``encrypt_input``, the mirrored mode rejects an input beyond the first
-    grid's R; the exact mode evaluates it, since the KAN is defined there."""
+    """Run every layer in `mode` (see ``layer_forward_plain``). The
+    mirrored mode rejects any layer's input beyond that layer's R
+    (``KanModel.check_input_range``), a hidden layer's too; the exact mode
+    evaluates it, since the KAN is defined there."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise DimensionMismatch("empty input")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("input holds NaN or infinity")
-    if mode == "mirrored":
-        model.check_input_range(x)
     out = x
-    for layer in model.layers:
+    for idx, layer in enumerate(model.layers):
+        if mode == "mirrored":
+            model.check_input_range(out, idx)
         out = layer_forward_plain(layer, out, mode=mode, comparator=comparator,
                                   path=path)
     return out

@@ -28,7 +28,6 @@ from hekan.errors import (
     DepthExhausted,
     EmptySamples,
     IllConditioned,
-    InputOutOfRange,
     InvalidArgument,
     RemezNonConvergence,
 )
@@ -492,9 +491,3 @@ class TestCompositeSign:
         d = np.linspace(-1, 1, 128)
         he = poly_comp(be.encrypt(d), np.zeros(128), cs)
         np.testing.assert_array_equal(he.slots, cs.step(_ArrayOps(d), d))
-
-    def test_range_check(self):
-        cs = build_composite_sign()
-        be = backend()
-        with pytest.raises(InputOutOfRange):
-            poly_comp(be.encrypt([1.5]), np.zeros(8), cs, check_range=True)

@@ -321,9 +321,9 @@ class TestWindowedSlots:
                         out, want = be.encrypt(vals, a.level), perturb(dense(0, vals, 0.0, S))
                     level = a.level
                 else:
-                    operands = {"mul_ct": ["ct"], "mul_pt": ["scalar", "short", "offset", "dense"]}
+                    operands = {"mul_ct": ["ct"], "mul_pt": ["scalar", "short", "dense"]}
                     operand = draw(st.sampled_from(
-                        operands.get(kind, ["ct", "scalar", "short", "offset", "dense"])))
+                        operands.get(kind, ["ct", "scalar", "short", "dense"])))
                     level = a.level
                     if operand == "ct":
                         b, db = pool[draw(st.integers(0, len(pool) - 1))]
@@ -334,9 +334,6 @@ class TestWindowedSlots:
                     elif operand == "short":
                         b = values()
                         db = dense(0, b, 0.0, S)
-                    elif operand == "offset":
-                        offset, vals = draw(st.integers(-S, 2 * S)), values()
-                        b, db = PlainVector(vals, offset), dense(offset % S, vals, 0.0, S)
                     else:
                         vals = values(S, S)
                         b, db = PlainVector(vals), vals
@@ -364,17 +361,17 @@ class TestWindowedSlots:
         be = fresh(slot_count=8)
         a = be.encrypt([-1.0, np.inf, 2.0])
         with np.errstate(invalid="ignore"):
-            out = be.mul(a, PlainVector([1.0], 0))
+            out = be.mul(a, PlainVector([1.0]))
             zeroed = be.mul(a, 0.0)
         assert out.data.size == 3
         np.testing.assert_array_equal(out.slots[:4], [-1.0, np.nan, 0.0, 0.0])
         assert np.signbit(zeroed.slots[0]) and np.isnan(zeroed.slots[1])
 
-    def test_constants_and_offsets_stay_compact(self):
+    def test_constants_stay_compact(self):
         be = fresh(slot_count=1 << 20)
         c = be.encrypt(2.0)
         assert c.data.size == 0 and c.tail == 2.0
-        out = be.mul(be.add(be.encrypt([1.0, 2.0]), c), PlainVector([3.0, 4.0], 1))
+        out = be.mul(be.add(be.encrypt([1.0, 2.0]), c), PlainVector([0.0, 3.0, 4.0]))
         assert (out.start, out.data.size, out.tail) == (0, 3, 0.0)
         np.testing.assert_array_equal(be.decrypt(out)[:4], [0.0, 12.0, 8.0, 0.0])
 

@@ -38,12 +38,12 @@ def backend(slots=256, depth=30):
 COMPARATORS = {"exact": lambda: EXACT_COMPARATOR, "composite": build_composite_sign}
 
 
-def he_basis_values(x, G, comparator, slots=512, depth=30, check_range=False):
+def he_basis_values(x, G, comparator, slots=512, depth=30):
     """Run the encrypted path and return the (n_i, g+k) value matrix."""
     be = backend(slots, depth)
     ct = be.encrypt(x)
     xp = repeat_pack(ct, G.g, G.k, G.n_i)
-    bv = bspline_basis_he(xp, G, comparator, check_range=check_range)
+    bv = bspline_basis_he(xp, G, comparator)
     vals = bv.ct.slots[: bv.length].reshape(bv.n_basis, bv.n_i).T
     return vals, bv, be
 
@@ -306,34 +306,10 @@ class TestEncryptedBasis:
         with pytest.raises(DimensionMismatch):
             bspline_basis_he(xp, G, EXACT_COMPARATOR)
 
-    def test_check_range_flags_knot_proximity(self):
-        cs = build_composite_sign()
-        G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
-        knot = G.entries[0][3]
-        be = backend(slots=64, depth=30)
-        xp = repeat_pack(be.encrypt([knot + 1e-9]), 4, 1, 1)
-        with pytest.raises(InputOutOfRange):
-            bspline_basis_he(xp, G, cs, check_range=True)
-
-    def test_check_range_flags_knot_proximity_on_a_noisy_backend(self):
-        G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
-        be = HeBackend(BackendConfig(slot_count=64, depth_budget=30, noise_std=1e-12))
-        xp = repeat_pack(be.encrypt([G.entries[0][3] + 1e-4]), 4, 1, 1)
-        with pytest.raises(InputOutOfRange):
-            bspline_basis_he(xp, G, build_composite_sign(), check_range=True)
-
-    @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
-    def test_check_range_rejects_input_beyond_R(self, comparator):
-        G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
-        be = backend(slots=64, depth=30)
-        xp = repeat_pack(be.encrypt([1.01 * G.R]), 4, 1, 1)
-        with pytest.raises(InputOutOfRange):
-            bspline_basis_he(xp, G, COMPARATORS[comparator](), check_range=True)
-
-    def test_check_range_exact_comparator_accepts_input_near_knot(self):
+    def test_exact_comparator_is_exact_near_a_knot(self):
         G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
         x = np.array([G.entries[0][3] + 1e-9])
-        vals, _, _ = he_basis_values(x, G, EXACT_COMPARATOR, slots=64, check_range=True)
+        vals, _, _ = he_basis_values(x, G, EXACT_COMPARATOR, slots=64)
         np.testing.assert_allclose(vals[0], bspline_basis_plain(x[0], G.entries[0], 1),
                                    atol=1e-9)
 

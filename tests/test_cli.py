@@ -157,21 +157,6 @@ class TestInfer:
         assert rc == 2
         assert "output:" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("noise", [0.0, 1e-12])
-    def test_check_range_rejects_input_near_knot(self, tmp_path, capsys, noise):
-        # the check used to run on an exact backend only: with noise the
-        # input was accepted, printed an output and gave rc 0
-        mdl = random_model([2, 3, 1], g=3, k=2, seed=0)
-        path = tmp_path / "m.json"
-        save_model(mdl, path)
-        near = tmp_path / "near.csv"
-        near.write_text(f"{mdl.layers[0].grid.entries[0, 3] + 1e-4},0.2\n")
-        backend = json.dumps({"slot_count": 4096, "depth_budget": 80, "noise_std": noise})
-        rc = main(["infer", "--model", str(path), "--input", str(near), "--mode", "he",
-                   "--check-range", "--backend", backend])
-        assert rc == 2
-        assert "output:" not in capsys.readouterr().out
-
     def test_he_result_has_per_layer_counts(self, model_path, input_path, tmp_path):
         out = tmp_path / "res.json"
         rc = main(["infer", "--model", model_path, "--input", input_path,
@@ -257,9 +242,9 @@ class TestBench:
         {"bsgs_split": [4, 4]},  # the split is derived from each matrix
         {"alpha": "x"},
         {"alpha": -3},           # delta = 8: the certified interval is empty
-        {"check_range": "no"},   # a truthy string, not a bool
+        {"check_range": True},   # removed: the range is the model's contract
     ], ids=["bad_path", "unknown_key", "unknown_backend_key", "bsgs_split",
-            "alpha_string", "alpha_negative", "check_range_string"])
+            "alpha_string", "alpha_negative", "check_range_removed"])
     def test_malformed_configs_usage_error(self, model_path, tmp_path, capsys, entry):
         cfgs = tmp_path / "cfgs.json"
         cfgs.write_text(json.dumps([{"path": "lazy"}, entry]))
@@ -298,6 +283,40 @@ class TestCompare:
         doc = json.loads(out.read_text())
         assert len(doc) == 2
         assert doc[0]["max_dev_he_vs_mirrored"] <= 1e-9
+
+
+class TestRangeContract:
+    """Every layer's input lies in its grid's [-R, R]. With layer 0's S
+    scaled by 14, the input (0.4, -0.3) of random_model([2, 3, 1], g=5,
+    k=3, seed=0) lies inside layer 0's R = 2.64 but gives layer 1 an input
+    of 3.22: the encrypted output is about -2.4e58 against an exact -0.39."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        mdl = random_model([2, 3, 1], g=5, k=3, seed=0)
+        mdl.layers[0].S = mdl.layers[0].S * 14
+        path = tmp_path / "m.json"
+        save_model(mdl, path)
+        row = tmp_path / "row.csv"
+        row.write_text("0.4,-0.3\n")
+        return ["--model", str(path), "--input", str(row),
+                "--backend", '{"slot_count": 4096, "depth_budget": 80}']
+
+    @pytest.mark.parametrize("command", [["compare"], ["infer", "--mode", "plain-mirrored"]],
+                             ids=["compare", "plain-mirrored"])
+    @pytest.mark.parametrize("comparator", ["composite", "exact"])
+    def test_hidden_layer_overflow_is_usage_error(self, files, capsys, command, comparator):
+        rc = main([*command, *files, "--comparator", comparator])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "layer 1" in captured.err
+        assert "output:" not in captured.out and "|he - mirrored|" not in captured.out
+
+    @pytest.mark.parametrize("command", ["infer", "compare"])
+    def test_check_range_flag_is_gone(self, files, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, *files, "--check-range"])
+        assert err.value.code == 2
 
 
 class TestDivergedOutput:

@@ -30,7 +30,7 @@ from hekan.inference import (
     write_bench_csv,
 )
 from hekan.matvec import default_bsgs_split, matvec_schedule
-from hekan.model import KanModel, model_forward_plain, random_model
+from hekan.model import KanModel, layer_forward_plain, model_forward_plain, random_model
 
 
 def cleartext(slots=1024, depth=40):
@@ -98,6 +98,22 @@ class TestEncryptInput:
         at_R = model_forward_plain(mdl, np.array([sign * R, 0.2]), mode="mirrored",
                                    comparator=EXACT_COMPARATOR)
         assert np.all(np.isfinite(at_R))
+
+    @pytest.mark.parametrize("comparator", [build_composite_sign(), EXACT_COMPARATOR],
+                             ids=["composite", "exact"])
+    def test_mirrored_forward_rejects_hidden_layer_input_beyond_R(self, comparator):
+        # layer 0's S scaled by 14 (before the first forward caches
+        # w_prime): layer 1's input reaches 3.22 > R = 2.64, where the
+        # encrypted output used to be about -2.4e58 against an exact -0.39
+        mdl = random_model([2, 3, 1], g=5, k=3, seed=0)
+        mdl.layers[0].S = mdl.layers[0].S * 14
+        x = np.array([0.4, -0.3])
+        mdl.check_input_range(x)
+        hidden = layer_forward_plain(mdl.layers[0], x, "mirrored", comparator=comparator)
+        assert np.max(np.abs(hidden)) > mdl.layers[1].grid.R
+        with pytest.raises(InputOutOfRange, match="layer 1"):
+            model_forward_plain(mdl, x, mode="mirrored", comparator=comparator)
+        assert np.all(np.isfinite(model_forward_plain(mdl, x, mode="exact")))
 
 
 class TestBsgsMatvec:
@@ -280,7 +296,7 @@ class TestPermutationMatvec:
         assert spec.split == dense.split
         assert list(spec.blocks()) == list(dense.blocks())
         for d in range(n):
-            assert np.array_equal(spec.diagonal(d), dense.diagonal(d)), d
+            assert np.array_equal(spec.diagonals([d]), dense.diagonals([d])), d
 
         v = np.random.default_rng(n).normal(size=n)
         assert np.array_equal(spec.run_clear(v), dense.run_clear(v))
@@ -426,6 +442,29 @@ class TestModelForward:
                                   PipelineConfig(comparator_mode="exact", backend=bcfg))
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=EXACT_COMPARATOR)
         assert np.max(np.abs(out.slots[:2] - mirrored)) <= 1e-4
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-12])
+    @pytest.mark.parametrize("comparator", ["composite", "exact"])
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_never_reads_plaintext(self, monkeypatch, path, comparator, noise):
+        # the server computes on ciphertexts only: no stage may read a
+        # slot or decrypt, whatever the config
+        def no_plaintext(*args):
+            raise AssertionError("the encrypted forward read plaintext slots")
+
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=1)
+        x = np.array([0.4, -0.3])
+        bcfg = BackendConfig(slot_count=4096, depth_budget=80, noise_std=noise, rng_seed=2)
+        cfg = PipelineConfig(path=path, comparator_mode=comparator, backend=bcfg)
+        be = make_backend(bcfg)
+        ct = encrypt_input(x, mdl, be)
+        monkeypatch.setattr(CipherText, "slots", property(no_plaintext))
+        monkeypatch.setattr(HeBackend, "decrypt", no_plaintext)
+        out, _ = model_forward_he(mdl, ct, cfg)
+        monkeypatch.undo()
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(),
+                                       path=path)
+        assert np.max(np.abs(be.decrypt(out)[:1] - mirrored)) <= (1e-9 if noise == 0 else 1e-5)
 
     def test_forward_memory_does_not_scale_with_slot_count(self):
         # one dense 2^20-slot vector is 8 MB; the forward only touches the
@@ -706,16 +745,17 @@ class TestBench:
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
         assert PipelineConfig.from_json({}, bcfg) == PipelineConfig(backend=bcfg)
-        cfg = PipelineConfig.from_json({"path": "naive", "check_range": True,
+        cfg = PipelineConfig.from_json({"path": "naive", "label": "run",
                                         "backend": {"slot_count": 64, "depth_budget": 9}}, bcfg)
-        assert cfg == PipelineConfig(path="naive", check_range=True,
+        assert cfg == PipelineConfig(path="naive", label="run",
                                      backend=BackendConfig(slot_count=64, depth_budget=9))
+        with pytest.raises(ValueError, match="unknown PipelineConfig keys"):
+            PipelineConfig.from_json({"check_range": True}, bcfg)  # removed option
         for doc in ({"pathh": "naive"}, {"path": "sideways"}, ["lazy"], {"bsgs_split": [4, 4]},
                     {"backend": {"slot_count": 64, "depth_budget": 9, "slots": 1}},
                     {"alpha": "x"}, {"alpha": True}, {"alpha": float("nan")}, {"alpha": 0},
                     {"alpha": -3}, {"target_eps": float("inf")}, {"target_eps": 0},
-                    {"target_eps": 1}, {"target_eps": "1e-6"}, {"check_range": "no"},
-                    {"check_range": 1}, {"label": 7}):
+                    {"target_eps": 1}, {"target_eps": "1e-6"}, {"label": 7}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_json(doc, bcfg)
 

@@ -22,8 +22,10 @@ from hekan.matvec import MatvecSchedule, matvec_schedule
 
 def replay(sched, v):
     """The schedule op by op: (the giant-step sum before the folds, the
-    folded result)."""
+    folded result). Diagonal d's plaintext is pre-rotated by its giant
+    step's base: a dense slot vector holding the diagonal from slot base."""
     be = v.backend
+    S = be.config.slot_count
     n = sched.shape[1]
     vfull = be.add(v, be.rotate(v, -n)) if n > 1 else v
     babies = [be.rotate(vfull, i) for i in range(sched.split[0])]
@@ -31,7 +33,9 @@ def replay(sched, v):
     for base, diags in sched.blocks():
         block = None
         for d in diags:
-            term = be.mul(babies[d - base], PlainVector(sched.diagonal(d), base))
+            plain = np.zeros(S)
+            plain[:n] = sched.diagonals([d])[0]
+            term = be.mul(babies[d - base], PlainVector(np.roll(plain, base)))
             block = term if block is None else be.add(block, term)
         rotated = be.rotate(block, base)
         acc = rotated if acc is None else be.add(acc, rotated)
