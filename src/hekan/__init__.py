@@ -25,7 +25,6 @@ from .approx import (
     WeightScheme,
     build_composite_sign,
     estimate_range,
-    eval_poly_clear,
     eval_poly_he,
     fit_ols,
     fit_remez,
@@ -35,9 +34,7 @@ from .approx import (
     range_from_moments,
 )
 from .bspline import (
-    BasisVector,
     GridMatrix,
-    PackedInput,
     PermutationSpec,
     bspline_basis_he,
     bspline_basis_plain,

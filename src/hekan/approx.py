@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from .backend import CipherText, _ArrayOps
+from .backend import CipherText, _ArrayOps, _ops_of
 from .errors import (
     EmptySamples,
     IllConditioned,
@@ -363,21 +363,16 @@ def poly_eval_depth(p: Polynomial | int) -> int:
 
 
 def eval_poly_he(a: CipherText, p: Polynomial) -> CipherText:
-    """Apply a polynomial slot-wise under the backend's arithmetic.
+    """Apply a polynomial slot-wise to a ciphertext, or to an array (the
+    mirror, which gets the same bits).
 
-    The schedule runs as one array program on a's live window
-    (HeBackend.run_on_window). It adds and multiplies only values derived
-    from a and scalars, so the slots, op counts, level and noise draws are
-    those of running it one backend op at a time.
+    On a ciphertext the schedule runs as one array program on a's live
+    window (HeBackend.run_on_window). It adds and multiplies only values
+    derived from a and scalars, so the slots, op counts, level and noise
+    draws are those of running it one backend op at a time.
     """
-    return a.backend.run_on_window(a, lambda ops: _estrin(ops, ops.x, p.coeffs),
-                                   poly_eval_depth(p))
-
-
-def eval_poly_clear(p: Polynomial, x: np.ndarray) -> np.ndarray:
-    """Cleartext twin of eval_poly_he: same schedule, same rounding."""
-    x = np.asarray(x, dtype=float)
-    return _estrin(_ArrayOps(x), x, p.coeffs)
+    return _ops_of(a).run_on_window(a, lambda ops: _estrin(ops, ops.x, p.coeffs),
+                                    poly_eval_depth(p))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +380,8 @@ def eval_poly_clear(p: Polynomial, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # A comparator is two things: step(ops, d), its program for the step
 # function of d run by ops (see _estrin), and depth(), the levels that
-# program consumes. poly_comp runs it on a ciphertext, the mirror on arrays
-# (_ArrayOps). Neither reads d to check it: the range contract (every input
+# program consumes. poly_comp runs it, on a ciphertext or, for the mirror,
+# on an array. Neither reads d to check it: the range contract (every input
 # in [-R, R], see KanModel.check_input_range) keeps each operand in [-1, 1].
 
 
@@ -508,13 +503,14 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
 def poly_comp(a: CipherText, b, comparator) -> CipherText:
     """Slot-wise step(a - b): ~1 where a > b, ~0 where a < b, 1/2 at ties.
 
-    The one encrypted runner of both comparators: comparator.step runs on
-    the difference's window (HeBackend.run_on_window) and consumes
-    comparator.depth() levels. The caller keeps |a - b| <= 1; in the
+    The one runner of both comparators: comparator.step runs on the
+    difference's window (HeBackend.run_on_window) and consumes
+    comparator.depth() levels; on an array (the mirror) it runs on the
+    array. The caller keeps |a - b| <= 1; in the
     pipeline the range contract does (input and knots in [-R, R], the
     difference scaled by 1/(2R)). The composite comparator is certified
     only for |a - b| >= its delta.
     """
-    be = a.backend
-    d = be.sub(a, b)
-    return be.run_on_window(d, lambda ops: comparator.step(ops, ops.x), comparator.depth())
+    ops = _ops_of(a)
+    d = ops.sub(a, b)
+    return ops.run_on_window(d, lambda w: comparator.step(w, w.x), comparator.depth())

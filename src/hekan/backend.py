@@ -28,8 +28,13 @@ intermediate keeps the input's window, and each array op is the float op
 levels and noise draws are those of the op-by-op run.
 
 Every stage program speaks one op vocabulary (add, sub, mul, rotate,
-const, run_block_sum): HeBackend, ``_WindowOps`` (inside ``run_on_window``)
-and the mirror's ``_ArrayOps`` each implement the ops their programs use.
+const, run_on_window, run_block_sum): HeBackend, ``_WindowOps`` (inside
+``run_on_window``) and the mirror's ``_ArrayOps`` each implement the ops
+their programs use; ``_ops_of(v)`` picks HeBackend for a ciphertext and
+``_ArrayOps`` for an array, so one stage function serves both forwards.
+``_ArrayOps`` reads an array as a ciphertext over a zero tail: the shorter
+operand of a slot-wise op is zero-extended, a right rotation prepends
+zeros and a left rotation drops the leading slots.
 
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
 the wraparound duplication and each giant step are one numpy program over
@@ -239,6 +244,7 @@ class HeBackend:
 
     def __init__(self, config: BackendConfig):
         self.config = config
+        self.slot_count = config.slot_count
         self.counter = OpCounter()
         self.noisy = config.noise_std > 0
         self._rng = np.random.default_rng(config.rng_seed)
@@ -365,8 +371,11 @@ class HeBackend:
         raised before any of it when a has no level left. The exact result
         is the window [0, n) over a zero tail (see the module docstring); a
         noisy backend runs on all slot_count slots and draws the op-by-op
-        run's noise in its order, so every slot matches that run.
+        run's noise in its order, so every slot matches that run. A
+        schedule that does not fit one ciphertext raises DimensionMismatch
+        (``schedule.check_capacity``) first.
         """
+        schedule.check_capacity(self.config.slot_count)
         self._check_ours(a)
         if a.level < 1:
             raise DepthExhausted(f"matrix-vector product at level {a.level}")
@@ -466,12 +475,29 @@ class _WindowOps:
         return np.append(data, tail)
 
 
-class _ArrayOps:
-    """The mirror's ops adapter: every schedule run on plain numpy arrays."""
+def _zero_extending(fn):
+    """fn as an op on two operands, the shorter of two arrays zero-extended
+    to the other's length as a plaintext's zero tail extends it."""
+    def op(a, b):
+        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.size != b.size:
+            if a.size < b.size:
+                a = np.concatenate((a, np.zeros(b.size - a.size)))
+            else:
+                b = np.concatenate((b, np.zeros(a.size - b.size)))
+        return fn(a, b)
+    return staticmethod(op)
 
-    mul = staticmethod(operator.mul)
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
+
+class _ArrayOps:
+    """The mirror's ops adapter: every stage program run on plain arrays,
+    with no window, tail, gather or level accounting. An array holds slots
+    [0, len) of an endless vector whose other slots are zero; there is no
+    slot limit (``slot_count`` is infinite), so nothing wraps."""
+
+    slot_count = math.inf
+    add = _zero_extending(operator.add)
+    sub = _zero_extending(operator.sub)
+    mul = _zero_extending(operator.mul)
 
     def __init__(self, x: np.ndarray):
         self.x = x
@@ -483,17 +509,30 @@ class _ArrayOps:
 
     @staticmethod
     def rotate(a, t):
-        return np.roll(a, -t)
+        """Left by t > 0 drops the first t slots; right by -t prepends
+        -t zeros."""
+        return a[t:] if t >= 0 else np.concatenate((np.zeros(-t), a))
+
+    @staticmethod
+    def run_on_window(a, program, depth):
+        return program(_ArrayOps(a))
 
     @staticmethod
     def run_block_sum(v, schedule):
-        """The block sum on v zero-padded to the period n and duplicated,
-        as the encrypted wraparound duplication reads it."""
+        """The block sum on v's first n slots (n the period), zero-extended
+        to n and duplicated, as the encrypted wraparound duplication reads
+        them."""
         n = schedule.shape[1]
         x = np.zeros(2 * n)
-        x[: v.size] = v
+        x[: min(n, v.size)] = v[:n]
         x[n:] = x[:n]
         return schedule.block_sum(x, n)
+
+
+def _ops_of(v):
+    """The ops that run a stage program on v: the backend of a ciphertext,
+    the mirror's array adapter for anything else."""
+    return v.backend if isinstance(v, CipherText) else _ArrayOps(v)
 
 
 def make_backend(config: BackendConfig) -> HeBackend:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import poly_comp
-from .backend import CipherText, _ArrayOps
+from .backend import CipherText, _ops_of
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -96,29 +96,6 @@ def _check_degrees(g: int, k: int) -> None:
 
 
 @dataclass(frozen=True)
-class PackedInput:
-    """Ciphertext holding g + 2k copies of the input vector back to back."""
-
-    ct: CipherText
-    n_i: int
-    g: int
-    k: int
-
-
-@dataclass(frozen=True)
-class BasisVector:
-    """Basis values in column-tile order: slot m*n_i + i holds B_m(x_i)."""
-
-    ct: CipherText
-    n_i: int
-    n_basis: int
-
-    @property
-    def length(self) -> int:
-        return self.n_i * self.n_basis
-
-
-@dataclass(frozen=True)
 class PermutationSpec:
     """Column-major to row-major reordering of an n_r x n_c value matrix.
 
@@ -173,22 +150,24 @@ def check_repeat_pack(slot_count: int, n_i: int, g: int, k: int) -> None:
             f"{slot_count}; the fast packing needs power-of-two headroom")
 
 
-def repeat_pack(ct: CipherText, g: int, k: int, n_i: int) -> PackedInput:
-    """Fast repeat packing: one mask multiply plus doubling rotations.
+def repeat_pack(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:
+    """Fast repeat packing: one mask multiply plus doubling rotations, on a
+    ciphertext or an array (the mirror). The result holds the input's
+    first n_i slots as at least g + 2k copies back to back.
 
     The doubling loop produces 2^ceil(log2(g+2k)) copies, so that power of
     two must also fit in the slot vector or the final shift would wrap onto
     the front copies.
     """
-    be = ct.backend
-    check_repeat_pack(be.config.slot_count, n_i, g, k)
-    packed = be.mul(ct, np.ones(n_i))
+    ops = _ops_of(ct)
+    check_repeat_pack(ops.slot_count, n_i, g, k)
+    packed = ops.mul(ct, np.ones(n_i))
     for j in range(pack_rotations(g, k)):
-        packed = be.add(be.rotate(packed, -(n_i << j)), packed)
-    return PackedInput(packed, n_i, g, k)
+        packed = ops.add(ops.rotate(packed, -(n_i << j)), packed)
+    return packed
 
 
-def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> PackedInput:
+def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:
     """Reference packing: one rotation per extra copy (g + 2k - 1 total)."""
     be = ct.backend
     copies = g + 2 * k
@@ -197,7 +176,7 @@ def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> PackedInput:
     packed = base
     for j in range(1, copies):
         packed = be.add(packed, be.rotate(base, -n_i * j))
-    return PackedInput(packed, n_i, g, k)
+    return packed
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +245,10 @@ def basis_tiles(G: GridMatrix):
 
 
 def _basis(ops, x, G: GridMatrix, compare):
-    """The basis schedule, run by ops on x, the input packed as g + 2k
-    copies: interval membership from two comparator calls (``compare``) on
-    the knot endpoints, then the slot-parallel Cox-de Boor recursion, one
-    rotation per order. Slot m * n_i + i of the result holds B_m(x_i) for
+    """The basis schedule, run by ops on x, the input packed as at least
+    g + 2k copies: interval membership from two comparator calls
+    (``compare``) on the knot endpoints, then the slot-parallel Cox-de Boor
+    recursion, one rotation per order. Slot m * n_i + i of the result holds B_m(x_i) for
     m < g + k. The knot factors are zero past the shrinking valid region,
     so with k >= 1 every later slot is zero with no extra masking."""
     inv2R = 1.0 / (2.0 * G.R)
@@ -284,28 +263,13 @@ def _basis(ops, x, G: GridMatrix, compare):
     return b
 
 
-def bspline_basis_he(xp: PackedInput, G: GridMatrix, comparator) -> BasisVector:
-    """All-basis evaluation on a repeat-packed input: _basis run by the
-    backend, each comparator call one poly_comp against zero. An input in
-    [-R, R] (the range contract, KanModel.check_input_range) keeps every
-    comparator operand in [-1, 1]."""
-    be = xp.ct.backend
-    if G.n_i != xp.n_i or G.g != xp.g or G.k != xp.k:
-        raise DimensionMismatch("grid and packed input disagree on (n_i, g, k)")
-    return BasisVector(_basis(be, xp.ct, G, lambda s: poly_comp(s, 0.0, comparator)),
-                       G.n_i, G.n_basis)
-
-
-def basis_clear(x: np.ndarray, G: GridMatrix, comparator) -> np.ndarray:
-    """Cleartext twin of bspline_basis_he: the same schedule run on the
-    tiled input array, each comparator call comparator.step on arrays.
-
-    Returns an (n_i, g + k) array of comparator-approximated basis values;
-    row i column m matches slot m * n_i + i of the encrypted result.
-    """
-    xs = np.tile(np.asarray(x, dtype=float), G.g + 2 * G.k)
-    b = _basis(_ArrayOps(xs), xs, G, lambda d: comparator.step(_ArrayOps(d), d))
-    return b[:G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
+def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
+    """All-basis evaluation on a repeat-packed input, a ciphertext or an
+    array (the mirror): _basis run by its ops, each comparator call one
+    poly_comp against zero. Slot m * n_i + i of the result holds B_m(x_i)
+    for m < g + k. An input in [-R, R] (the range contract,
+    KanModel.check_input_range) keeps every comparator operand in [-1, 1]."""
+    return _basis(_ops_of(xp), xp, G, lambda s: poly_comp(s, 0.0, comparator))
 
 
 # ---------------------------------------------------------------------------

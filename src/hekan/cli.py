@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .inference import (
     check_depth_budget,
     encrypt_input,
     model_forward_he,
+    plan_model,
     write_bench_csv,
 )
 from .model import (
@@ -67,8 +68,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_BUDGET = 4
 
-DEFAULT_BACKEND = {"slot_count": 2 ** 15, "depth_budget": 20,
-                   "noise_std": 0.0, "rng_seed": 0}
+DEFAULT_BACKEND = {"slot_count": 2 ** 15, "noise_std": 0.0, "rng_seed": 0}
 
 
 def _seed(args) -> int:
@@ -77,14 +77,19 @@ def _seed(args) -> int:
     return int(os.environ.get("HEKAN_SEED", "0"))
 
 
-def _load_backend(args) -> BackendConfig:
+def _load_backend(args, model=None, cfgs=()) -> BackendConfig:
     """--backend (inline JSON or a path), else the defaults with rng_seed
-    from --seed. Text that does not parse raises CorruptFile; a document
-    that parses but is not a valid config, or a negative seed, raises
-    SchemaMismatch."""
+    from --seed and depth_budget the largest planned depth of model over
+    cfgs (0 with no cfgs: the plain modes encrypt nothing), so every
+    config the run uses fits. Text that does not parse raises CorruptFile;
+    a document that parses but is not a valid config, or a negative seed,
+    raises SchemaMismatch."""
+    doc = args.backend
+    if not doc:
+        depth = max((plan_model(model, cfg).total for cfg in cfgs), default=0)
+        doc = dict(DEFAULT_BACKEND, depth_budget=depth, rng_seed=_seed(args))
     try:
-        return BackendConfig.from_json(
-            args.backend or dict(DEFAULT_BACKEND, rng_seed=_seed(args)))
+        return BackendConfig.from_json(doc)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"--backend: {exc}") from exc
     except (ValueError, TypeError) as exc:
@@ -212,8 +217,7 @@ def cmd_infer(args) -> int:
     result = {"mode": args.mode, "outputs": []}
 
     if args.mode in ("plain-exact", "plain-mirrored"):
-        backend_cfg = _load_backend(args)
-        cfg = _pipeline_config(args, backend_cfg)
+        cfg = _pipeline_config(args, _load_backend(args))
         comparator = cfg.comparator() if args.mode == "plain-mirrored" else None
         mode = "exact" if args.mode == "plain-exact" else "mirrored"
         for row in rows:
@@ -221,7 +225,7 @@ def cmd_infer(args) -> int:
                                       path=args.path)
             result["outputs"].append(out.tolist())
     else:
-        backend_cfg = _load_backend(args)
+        backend_cfg = _load_backend(args, mdl, [_pipeline_config(args, None)])
         cfg = _pipeline_config(args, backend_cfg)
         plan = check_depth_budget(mdl, cfg, backend_cfg.depth_budget)
         print("depth plan:")
@@ -264,7 +268,9 @@ def cmd_bench(args) -> int:
         raise CorruptFile(f"{args.configs}: {exc}") from exc
     if not isinstance(doc, list) or not doc:
         raise SchemaMismatch("--configs must be a non-empty JSON list")
-    cfgs = _configs_from_json(doc, _load_backend(args))
+    cfgs = _configs_from_json(doc, None)
+    default = _load_backend(args, mdl, [cfg for cfg in cfgs if cfg.backend is None])
+    cfgs = [cfg if cfg.backend else replace(cfg, backend=default) for cfg in cfgs]
     if args.inputs:
         inputs = list(_load_inputs(args.inputs, mdl.n_in))
     else:
@@ -293,7 +299,7 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     mdl = load_model(args.model)
     rows = _load_inputs(args.input, mdl.n_in)
-    backend_cfg = _load_backend(args)
+    backend_cfg = _load_backend(args, mdl, [_pipeline_config(args, None)])
     cfg = _pipeline_config(args, backend_cfg)
     comparator = cfg.comparator()
     report = []
@@ -366,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("plain-exact", "plain-mirrored", "he"),
                    default="he")
-    p.add_argument("--backend", help="backend config JSON (path or inline)")
+    p.add_argument("--backend", help="backend config JSON (path or inline); default "
+                   "2^15 slots and the planned depth")
     p.add_argument("--path", choices=("lazy", "naive"), default="lazy")
     p.add_argument("--comparator", choices=("composite", "exact"), default="composite")
     p.add_argument("--out", help="result JSON path")
@@ -376,14 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--configs", required=True, help="JSON list of pipeline configs")
     p.add_argument("--inputs", help="CSV of inputs (default: one seeded random)")
-    p.add_argument("--backend", help="default backend config JSON")
+    p.add_argument("--backend", help="default backend config JSON; default 2^15 slots "
+                   "and the largest planned depth over the configs")
     p.add_argument("--out", help="bench CSV path")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("compare", help="plain-exact vs mirrored vs encrypted")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--backend")
+    p.add_argument("--backend", help="backend config JSON (path or inline); default "
+                   "2^15 slots and the planned depth")
     p.add_argument("--path", choices=("lazy", "naive"), default="lazy")
     p.add_argument("--comparator", choices=("composite", "exact"), default="composite")
     p.add_argument("--out")

@@ -25,7 +25,7 @@ from .approx import (
     eval_poly_he,
     poly_eval_depth,
 )
-from .backend import BackendConfig, CipherText, HeBackend, make_backend
+from .backend import BackendConfig, CipherText, HeBackend, _ops_of, make_backend
 from .bspline import (
     basis_stages,
     bspline_basis_he,
@@ -127,15 +127,17 @@ def bsgs_matvec(W, v: CipherText) -> CipherText:
     """Diagonal-method matrix-vector product with baby/giant rotation steps.
 
     W is an n_o x n_in cleartext matrix, or a PermutationSpec (square, with
-    its diagonals read from ``source_of``). v holds the operand in its first
-    n_in slots with zeros elsewhere. The result is valid in slots [0, n_o);
-    other slots may hold partial sums. Consumes one level. Runs the wide
+    its diagonals read from ``source_of``). v, a ciphertext or an array (the
+    mirror), holds the operand in its first n_in slots with zeros elsewhere.
+    The result is valid in slots [0, n_o); other slots may hold partial
+    sums. Consumes one level; DimensionMismatch is raised before any op
+    when the schedule does not fit one ciphertext. Runs the wide
     schedule when W is wide enough (see ``matvec_schedule``), else the
     square one with max(n_o, n_in) plaintext multiplies. The baby/giant
     split is derived from the matrix (``MatvecSchedule.split``). The
     schedule's ``rotations`` and ``pt_mults`` give the exact counts.
     """
-    return matvec_schedule(W).run_he(v)
+    return matvec_schedule(W).run(_ops_of(v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +229,27 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 # ---------------------------------------------------------------------------
 
 
-def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> CipherText:
+def _layer(layer: KanLayer, x, path: str, comparator):
+    """The layer program on x, a ciphertext (the encrypted forward) or an
+    array (the mirror): the activation branch (the polynomial on the raw
+    input, masked, then W_b) and the spline branch (the packed basis, then
+    the path's linear maps), added. Slots [0, n_o) hold the output."""
     layer.check_supported()
-    be = ct.backend
-    comp = cfg.comparator()
-
-    # activation branch: polynomial on the raw input, masked, then W_b
-    base = eval_poly_he(ct, layer.silu_poly)
-    base = be.mul(base, np.ones(layer.n_i))
+    ops = _ops_of(x)
+    base = eval_poly_he(x, layer.silu_poly)
+    base = ops.mul(base, np.ones(layer.n_i))
     base_out = bsgs_matvec(layer.W_b, base)
 
-    # spline branch: packed basis then the (fused or two-step) linear map
-    xp = repeat_pack(ct, layer.g, layer.k, layer.n_i)
-    bv = bspline_basis_he(xp, layer.grid, comp)
-    spline_out = bv.ct
-    for W in layer.spline_maps(cfg.path):
+    xp = repeat_pack(x, layer.g, layer.k, layer.n_i)
+    spline_out = bspline_basis_he(xp, layer.grid, comparator)
+    for W in layer.spline_maps(path):
         spline_out = bsgs_matvec(W, spline_out)
 
-    return be.add(base_out, spline_out)
+    return ops.add(base_out, spline_out)
+
+
+def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> CipherText:
+    return _layer(layer, ct, cfg.path, cfg.comparator())
 
 
 def model_forward_he(model: KanModel, ct: CipherText,

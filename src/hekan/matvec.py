@@ -3,15 +3,17 @@
 A :class:`MatvecSchedule` fixes every term of ``W @ v``: the extended
 diagonals, the baby-step/giant-step order in which their products are
 summed, and the rotate-and-add folds that finish a wide matrix. ``run``
-is its one program, the block sum and then the folds; ``run_he`` passes
-the backend as ``ops`` and ``run_clear`` the mirror's array adapter. Both
-block sums run one kernel, ``block_sum``: each giant step is one array
-program that multiplies the step's babies (rows of a sliding window over
-the duplicated operand) by the step's diagonals and reduces them in
-diagonal order. So the mirrored forward reproduces the encrypted result
-bit for bit on the exact backend. ``HeBackend.run_block_sum`` charges the
-rotations, plaintext multiplies and adds of the op-by-op schedule
-(``block_sum_counts``), spends its one level and draws its noise.
+is its one program, the block sum and then the folds; the encrypted
+forward passes the backend as ``ops``, the mirror its array adapter
+(``inference.bsgs_matvec`` picks one by ``backend._ops_of``). Both block
+sums run one kernel, ``block_sum``: each giant step is one array program
+that multiplies the step's babies (rows of a sliding window over the
+duplicated operand) by the step's diagonals and reduces them in diagonal
+order. So the mirrored forward reproduces the encrypted result bit for bit
+on the exact backend. ``HeBackend.run_block_sum`` checks the schedule's
+slot capacity (``check_capacity``), charges the rotations, plaintext
+multiplies and adds of the op-by-op schedule (``block_sum_counts``),
+spends its one level and draws its noise.
 
 Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .backend import CipherText, _ArrayOps
 from .bspline import PermutationSpec
 from .errors import DimensionMismatch
 
@@ -122,12 +123,12 @@ class MatvecSchedule:
 
     @property
     def rotations(self) -> int:
-        """Rotations run_he performs: the block sum's, then the folds."""
+        """Rotations ``run`` performs: the block sum's, then the folds."""
         return self.block_sum_counts[0] + len(self.folds)
 
     @property
     def pt_mults(self) -> int:
-        """Plaintext multiplies run_he performs: one per diagonal."""
+        """Plaintext multiplies ``run`` performs: one per diagonal."""
         return self.block_sum_counts[2]
 
     def check_capacity(self, slot_count: int) -> None:
@@ -207,25 +208,12 @@ class MatvecSchedule:
         return block if start == base else np.roll(block, start - base)
 
     def run(self, ops, v):
-        """The schedule on v, run by ops: the block sum, then the folds."""
+        """The schedule on v, run by ops: the block sum, then the folds.
+        Only slots [0, n_out) of the result are promised."""
         acc = ops.run_block_sum(v, self)
         for shift in self.folds:
             acc = ops.add(acc, ops.rotate(acc, shift))
         return acc
-
-    def run_he(self, v: CipherText) -> CipherText:
-        """Encrypted executor: v holds the operand in its first n_in slots
-        and zeros in the rest. One level; p plaintext multiplies. On the
-        exact backend the block sum is the window [0, n) over a zero tail;
-        only slots [0, n_out) of the result are promised."""
-        be = v.backend
-        self.check_capacity(be.config.slot_count)
-        return self.run(be, v)
-
-    def run_clear(self, v: np.ndarray) -> np.ndarray:
-        """Cleartext executor: the same program on arrays; returns the
-        n_out valid outputs."""
-        return self.run(_ArrayOps(v), v)[: self.n_out]
 
 
 def matvec_schedule(W) -> MatvecSchedule:

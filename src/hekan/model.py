@@ -1,7 +1,8 @@
 """Plaintext KAN reference model, desk-scale layer fitting, and model JSON.
 
 The exact forward pass is the ground-truth oracle; the mirrored forward
-substitutes the fitted activation polynomial and the comparator emulation so
+runs the encrypted pipeline's one layer program (``inference._layer``) on
+plain arrays, with the fitted activation polynomial and the comparator, so
 it predicts the encrypted pipeline on the arithmetic backend.
 """
 
@@ -17,12 +18,10 @@ from .approx import (
     Polynomial,
     WeightScheme,
     estimate_range,
-    eval_poly_clear,
     fit_weighted_ls,
 )
 from .bspline import (
     GridMatrix,
-    basis_clear,
     bspline_basis_plain,
     fuse_weights,
     gen_permutation,
@@ -38,7 +37,6 @@ from .errors import (
     SingularSystem,
     UnsupportedLayer,
 )
-from .matvec import matvec_schedule
 
 SCHEMA_VERSION = 1
 
@@ -220,11 +218,12 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
     """Evaluate one layer.
 
     exact: true silu and exact Cox-de Boor basis values, plain matvecs.
-    mirrored: the fitted activation polynomial, the comparator emulation,
-    and the encrypted pipeline's basis and matvec schedules run on arrays
-    (same comparator, path, and schedules as the pipeline), so it predicts
-    the encrypted result exactly on the arithmetic backend. Like the
-    pipeline, it raises UnsupportedLayer for k = 0.
+    mirrored: the encrypted pipeline's layer program (``inference._layer``:
+    the fitted activation polynomial, the comparator, the packing, basis
+    and matvec schedules) run on arrays (``backend._ArrayOps``), with the
+    same comparator and path as the pipeline, so it predicts the encrypted
+    result exactly on the arithmetic backend. Like the pipeline, it raises
+    UnsupportedLayer for k = 0.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.size != layer.n_i:
@@ -237,14 +236,8 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
         raise ValueError(f"unknown mode {mode!r}")
     if comparator is None:
         raise ValueError("mirrored mode needs the pipeline's comparator")
-    layer.check_supported()
-    base = eval_poly_clear(layer.silu_poly, x)
-    base_out = matvec_schedule(layer.W_b).run_clear(base)
-    bvals = basis_clear(x, layer.grid, comparator)
-    spline_out = bvals.T.ravel()  # slot m * n_i + i holds B_m(x_i)
-    for W in layer.spline_maps(path):
-        spline_out = matvec_schedule(W).run_clear(spline_out)
-    return base_out + spline_out
+    from .inference import _layer  # inference imports this module
+    return _layer(layer, x, path, comparator)[: layer.n_o]
 
 
 def model_forward_plain(model: KanModel, x, mode: str = "exact",

@@ -89,7 +89,7 @@ def test_criterion_2_repeat_packing_rotation_law():
             ct = be.encrypt(np.arange(1.0, n_i + 1))
             packed = repeat_pack(ct, g, k, n_i)
             assert be.counter.rotations == expected, (n_i, copies)
-            blocks = packed.ct.slots[: n_i * copies].reshape(copies, n_i)
+            blocks = packed.slots[: n_i * copies].reshape(copies, n_i)
             np.testing.assert_array_equal(blocks, np.tile(blocks[0], (copies, 1)))
 
             be2 = HeBackend(bcfg)
@@ -181,7 +181,7 @@ def test_criterion_5_bspline_correctness():
         be = HeBackend(bcfg)
         xp = repeat_pack(be.encrypt(x), 10, 3, 4)
         bv = bspline_basis_he(xp, G, EXACT_COMPARATOR)
-        sums = bv.ct.slots[: bv.length].reshape(bv.n_basis, 4).sum(axis=0)
+        sums = bv.slots[: 4 * G.n_basis].reshape(G.n_basis, 4).sum(axis=0)
         worst_he = max(worst_he, float(np.max(np.abs(sums - 1.0))))
     assert worst_he <= 1e-6
 
@@ -199,7 +199,7 @@ def test_criterion_5_bspline_correctness():
         be = HeBackend(bcfg_c)
         xp = repeat_pack(be.encrypt(x), 3, 2, 4)
         bv = bspline_basis_he(xp, Gc, cs)
-        vals = bv.ct.slots[: bv.length].reshape(bv.n_basis, 4).T
+        vals = bv.slots[: 4 * Gc.n_basis].reshape(Gc.n_basis, 4).T
         plain = np.array([bspline_basis_plain(xi, Gc.entries[i], 2)
                           for i, xi in enumerate(x)])
         worst_comp = max(worst_comp, float(np.max(np.abs(vals - plain))))

@@ -12,7 +12,6 @@ from hekan.approx import (
     WeightScheme,
     build_composite_sign,
     estimate_range,
-    eval_poly_clear,
     eval_poly_he,
     fit_odd_sign_stage,
     fit_ols,
@@ -239,7 +238,7 @@ class TestEvalPolyHe:
         p = Polynomial(tuple(rng.normal(size=12)))
         x = rng.uniform(-2, 2, 32)
         he = eval_poly_he(be.encrypt(x), p)
-        np.testing.assert_array_equal(he.slots, eval_poly_clear(p, x))
+        np.testing.assert_array_equal(he.slots, eval_poly_he(x, p))
 
     def test_depth_exhausted(self):
         be = backend(depth=2)

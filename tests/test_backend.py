@@ -1,4 +1,5 @@
 import json
+import math
 import operator
 
 import numpy as np
@@ -11,9 +12,13 @@ from hekan.backend import (
     CipherText,
     OpCounter,
     PlainVector,
+    _ArrayOps,
+    _ops_of,
     make_backend,
 )
+from hekan.bspline import repeat_pack
 from hekan.errors import DepthExhausted, InputTooLong, LengthMismatch
+from hekan.matvec import matvec_schedule
 
 
 def fresh(slot_count=8, depth=20, noise=0.0, seed=0):
@@ -379,3 +384,58 @@ class TestWindowedSlots:
         a = fresh().encrypt([1.0])
         with pytest.raises(ValueError):
             a.slots[0] = 2.0
+
+
+class TestArrayOpsSlotSemantics:
+    """The mirror's adapter treats an array as slots [0, len) of an endless
+    vector whose other slots are zero, so it computes what a ciphertext over
+    a zero tail holds in those slots."""
+
+    A = np.array([1.0, -2.0, 3.0])
+    B = np.array([4.0, 5.0])
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_shorter_operand_is_zero_extended(self, op):
+        fn = getattr(_ArrayOps, op)
+        ref = getattr(operator, op)
+        b_ext = np.array([4.0, 5.0, 0.0])
+        np.testing.assert_array_equal(fn(self.A, self.B), ref(self.A, b_ext))
+        np.testing.assert_array_equal(fn(self.B, self.A), ref(b_ext, self.A))
+        # the backend's op with the shorter operand as plaintext
+        be = fresh(slot_count=8)
+        out = getattr(be, op)(be.encrypt(self.A), PlainVector(self.B))
+        np.testing.assert_array_equal(be.decrypt(out)[:3], fn(self.A, self.B))
+
+    def test_right_rotation_grows_and_left_rotation_drops(self):
+        np.testing.assert_array_equal(_ArrayOps.rotate(self.A, -2), [0.0, 0.0, 1.0, -2.0, 3.0])
+        np.testing.assert_array_equal(_ArrayOps.rotate(self.A, 1), [-2.0, 3.0])
+        be = fresh(slot_count=8)
+        a = be.encrypt(self.A)
+        np.testing.assert_array_equal(be.rotate(a, -2).slots[:5], _ArrayOps.rotate(self.A, -2))
+        np.testing.assert_array_equal(be.rotate(a, 1).slots[:2], _ArrayOps.rotate(self.A, 1))
+
+    def test_repeat_pack_equals_the_ciphertext_run(self):
+        x = np.random.default_rng(3).normal(size=3)
+        packed = repeat_pack(x, 3, 2, 3)  # 7 copies, doubled to 8
+        be = fresh(slot_count=64)
+        ct = repeat_pack(be.encrypt(x), 3, 2, 3)
+        assert packed.size == 3 * 8
+        np.testing.assert_array_equal(packed, ct.slots[: packed.size])
+
+    def test_block_sum_reads_the_first_period(self):
+        W = np.random.default_rng(4).normal(size=(3, 4))
+        sched = matvec_schedule(W)
+        n = sched.shape[1]
+        v = np.random.default_rng(5).normal(size=3 * n)
+        out = _ArrayOps.run_block_sum(v, sched)
+        np.testing.assert_array_equal(out, _ArrayOps.run_block_sum(v[:n], sched))
+        be = fresh(slot_count=16)
+        want = be.run_block_sum(be.encrypt(v[:n]), sched)
+        np.testing.assert_array_equal(out, be.decrypt(want)[:n])
+
+    def test_no_slot_limit(self):
+        assert _ArrayOps(self.A).slot_count == math.inf
+        assert fresh(slot_count=8).slot_count == 8
+        assert isinstance(_ops_of(self.A), _ArrayOps)
+        be = fresh()
+        assert _ops_of(be.encrypt(self.A)) is be

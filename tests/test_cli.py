@@ -285,6 +285,49 @@ class TestCompare:
         assert doc[0]["max_dev_he_vs_mirrored"] <= 1e-9
 
 
+class TestDefaultBackendDepth:
+    """With no --backend, the default backend's depth budget is the plan's
+    total: a [2, 3, 1] model with g=5, k=3 plans 36 levels lazy and 38
+    naive with the default (composite) comparator."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(random_model([2, 3, 1], g=5, k=3, seed=0), path)
+        row = tmp_path / "row.csv"
+        row.write_text("0.4,-0.3\n")
+        return str(path), str(row)
+
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_infer_he_equals_mirrored(self, files, tmp_path, path):
+        model, row = files
+        outputs = {}
+        for mode in ("he", "plain-mirrored"):
+            out = tmp_path / f"{mode}.json"
+            rc = main(["infer", "--model", model, "--input", row, "--mode", mode,
+                       "--path", path, "--out", str(out)])
+            assert rc == 0
+            outputs[mode] = np.array(json.loads(out.read_text())["outputs"])
+        doc = json.loads((tmp_path / "he.json").read_text())
+        assert doc["stats"][0]["levels"] == {"lazy": 36, "naive": 38}[path]
+        assert np.max(np.abs(outputs["he"] - outputs["plain-mirrored"])) <= 1e-9
+
+    def test_compare(self, files, tmp_path):
+        model, row = files
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--model", model, "--input", row, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())[0]["max_dev_he_vs_mirrored"] <= 1e-9
+
+    def test_bench_takes_the_largest_plan(self, files, tmp_path):
+        model, _ = files
+        cfgs = tmp_path / "cfgs.json"
+        cfgs.write_text(json.dumps([{"path": "lazy"}, {"path": "naive"}]))
+        out = tmp_path / "bench.csv"
+        rc = main(["bench", "--model", model, "--configs", str(cfgs), "--out", str(out)])
+        assert rc == 0
+        assert [int(r["depth"]) for r in csv.DictReader(out.open())] == [36, 38]
+
+
 class TestRangeContract:
     """Every layer's input lies in its grid's [-R, R]. With layer 0's S
     scaled by 14, the input (0.4, -0.3) of random_model([2, 3, 1], g=5,

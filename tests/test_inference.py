@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hekan import bspline, inference
 from hekan.approx import EXACT_COMPARATOR, build_composite_sign
@@ -22,6 +24,7 @@ from hekan.inference import (
     bench_compare,
     bench_lazy_vs_naive,
     bsgs_matvec,
+    check_capacity,
     check_depth_budget,
     encrypt_input,
     layer_forward_he,
@@ -254,9 +257,8 @@ class TestWideMatvec:
         rng = np.random.default_rng(3)
         for n_o, n_in in [(10, 3840), (3, 7), (8, 8), (2, 40)]:
             W, v = rng.normal(size=(n_o, n_in)), rng.normal(size=n_in)
-            sched = matvec_schedule(W)
-            out = sched.run_he(cleartext(slots=8192).encrypt(v))
-            assert np.array_equal(out.slots[:n_o], sched.run_clear(v))
+            out = bsgs_matvec(W, cleartext(slots=8192).encrypt(v))
+            assert np.array_equal(out.slots[:n_o], bsgs_matvec(W, v)[:n_o])
 
     @pytest.mark.parametrize("path", ["lazy", "naive"])
     def test_two_layer_wide_model_matches_mirror_bit_for_bit(self, path):
@@ -299,14 +301,14 @@ class TestPermutationMatvec:
             assert np.array_equal(spec.diagonals([d]), dense.diagonals([d])), d
 
         v = np.random.default_rng(n).normal(size=n)
-        assert np.array_equal(spec.run_clear(v), dense.run_clear(v))
-        assert np.array_equal(spec.run_clear(v), P.apply(v))
+        assert np.array_equal(bsgs_matvec(P, v), bsgs_matvec(P.as_matrix(), v))
+        assert np.array_equal(bsgs_matvec(P, v), P.apply(v))
 
         slots = max(64, 1 << (2 * n - 1).bit_length())  # 2n <= slots
         outs, counters = [], []
         for sched in (spec, dense):
             be = cleartext(slots=slots)
-            outs.append(be.decrypt(sched.run_he(be.encrypt(v)))[:n])
+            outs.append(be.decrypt(sched.run(be, be.encrypt(v)))[:n])
             counters.append(be.counter)
         assert np.array_equal(outs[0], outs[1])
         assert counters[0] == counters[1]
@@ -542,6 +544,57 @@ class TestModelForward:
         assert runs[0] == runs[1]
 
 
+def _smallest_slot_count(mdl, cfg) -> int:
+    """The smallest power-of-two slot count check_capacity accepts."""
+    slots = 1
+    while True:
+        try:
+            check_capacity(mdl, cfg, slots)
+            return slots
+        except (DimensionMismatch, PackingOverflow):
+            slots *= 2
+
+
+class TestOneLayerProgram:
+    """The layer program is written once (inference._layer): run on a
+    ciphertext it is the encrypted forward, on an array the mirror. Drawn
+    shapes reach what criterion 1 does not: n_i = 1, n_o > n_i, g = 1,
+    k up to 5, chains of three and four layers, and the tightest slot count
+    (2n == slot_count for some matvec period n)."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(dims=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+           g=st.integers(1, 4), k=st.integers(1, 5),
+           path=st.sampled_from(["lazy", "naive"]),
+           comparator_mode=st.sampled_from(["composite", "exact"]),
+           seed=st.integers(0, 2 ** 16))
+    @example(dims=[1, 3, 2, 4, 1], g=1, k=5, path="naive", comparator_mode="composite", seed=0)
+    @example(dims=[1, 6, 2, 5], g=1, k=1, path="lazy", comparator_mode="exact", seed=1)
+    def test_encrypted_equals_mirror_bit_for_bit(self, dims, g, k, path, comparator_mode,
+                                                 seed):
+        mdl = random_model(dims, g=g, k=k, seed=seed)
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        x = np.random.default_rng(seed).uniform(-1, 1, dims[0])
+        try:
+            mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(),
+                                           path=path)
+        except InputOutOfRange:
+            assume(False)  # a hidden layer's input beyond its R: outside the contract
+        assert mirrored.shape == (mdl.n_out,)
+
+        plan = plan_model(mdl, cfg)
+        slots = _smallest_slot_count(mdl, cfg)
+        be = HeBackend(BackendConfig(slot_count=slots, depth_budget=plan.total))
+        ct = encrypt_input(x, mdl, be)
+        for layer, lp in zip(mdl.layers, plan.layers):
+            out = layer_forward_he(layer, ct, cfg)
+            assert ct.level - out.level == lp.total
+            ct = out
+        assert out.level == 0
+        assert np.array_equal(be.decrypt(out)[:mdl.n_out].view(np.int64),
+                              mirrored.view(np.int64))
+
+
 class TestPlanStagesJoinMeasuredDrops:
     """Each planned stage joined to the level drop of the function that
     runs it, layer by layer, as perfbench's plan_mismatch joins them."""
@@ -552,7 +605,7 @@ class TestPlanStagesJoinMeasuredDrops:
         (name, first argument, level in, level out), the layer's own call
         last."""
         def level(obj):
-            return obj.level if isinstance(obj, CipherText) else obj.ct.level
+            return obj.level
 
         events = []
         for module, name, operand in ((inference, "eval_poly_he", 0),

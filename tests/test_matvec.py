@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hekan.backend import BackendConfig, HeBackend, OpCounter, PlainVector
 from hekan.bspline import PermutationSpec, gen_permutation
 from hekan.errors import DepthExhausted
+from hekan.inference import bsgs_matvec
 from hekan.matvec import MatvecSchedule, matvec_schedule
 
 
@@ -125,7 +126,7 @@ class TestKernelEqualsReplay:
             summed, want = replay(sched, ref.encrypt(x))
             be = HeBackend(BackendConfig(**cfg))
             v = be.encrypt(x)
-            got = sched.run_he(v)
+            got = sched.run(be, v)
             before = be.counter.copy()
             block_sum = be.run_block_sum(v, sched)
 
@@ -151,7 +152,7 @@ class TestKernelEqualsReplay:
         ref = HeBackend(BackendConfig(**cfg))
         _, want = replay(sched, ref.encrypt(x))
         be = HeBackend(BackendConfig(**cfg))
-        got = sched.run_he(be.encrypt(x))
+        got = sched.run(be, be.encrypt(x))
         assert np.array_equal(bits(be.decrypt(got)), bits(ref.decrypt(want)))
         assert be.counter == ref.counter
         assert got.level == want.level
@@ -164,7 +165,7 @@ class TestKernelEqualsReplay:
         v = np.random.default_rng(6).normal(size=40)
         be = HeBackend(BackendConfig(slot_count=128, depth_budget=1))
         _, want = replay(sched, be.encrypt(v))
-        assert np.array_equal(bits(sched.run_clear(v)), bits(be.decrypt(want)[:3]))
+        assert np.array_equal(bits(bsgs_matvec(W, v)[:3]), bits(be.decrypt(want)[:3]))
 
 
 class TestKernelLimits:
@@ -178,7 +179,7 @@ class TestKernelLimits:
         v = be.encrypt(np.random.default_rng(0).normal(size=3840))
         tracemalloc.start()
         try:
-            out = sched.run_he(v)
+            out = sched.run(be, v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -199,8 +200,8 @@ class TestKernelLimits:
         v = be.encrypt(x)
         tracemalloc.start()
         try:
-            out = sched.run_he(v)
-            clear = sched.run_clear(x)
+            out = sched.run(be, v)
+            clear = bsgs_matvec(P, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -213,5 +214,5 @@ class TestKernelLimits:
         v = be.encrypt(np.ones(8), level=0)
         for W in (np.eye(8), np.ones((2, 8)), gen_permutation(2, 4)):
             with pytest.raises(DepthExhausted):
-                matvec_schedule(W).run_he(v)
+                bsgs_matvec(W, v)
         assert be.counter == OpCounter()
