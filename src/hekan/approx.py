@@ -154,6 +154,19 @@ def estimate_range(samples, x_min: float = -math.inf, x_max: float = math.inf,
 # ---------------------------------------------------------------------------
 
 
+# The highest degree the fitters accept: 127 costs ceil(log2(128)) = 7
+# levels, four times the deepest comparator stage. The least-squares fit
+# samples 200 * (degree + 1) points into a samples x (degree + 1) matrix,
+# so its memory grows with the square of the degree (about 5 GB at 1000).
+MAX_FIT_DEGREE = 127
+
+
+def _check_fit_degree(degree: int) -> None:
+    if not 0 <= degree <= MAX_FIT_DEGREE:
+        raise InvalidArgument(
+            f"degree must lie in [0, {MAX_FIT_DEGREE}] (MAX_FIT_DEGREE), got {degree}")
+
+
 def _sample_grid(rng: ApproxRange, degree: int, n_samples: int | None) -> np.ndarray:
     if n_samples is None:
         n_samples = 200 * (degree + 1)
@@ -171,10 +184,10 @@ def fit_weighted_ls(target, rng: ApproxRange, degree: int,
 
     Minimizes sum_i w_i (target(x_i) - p(x_i))^2. The solve runs in a
     Chebyshev basis on the fitting interval for conditioning; the returned
-    coefficients are plain monomials.
+    coefficients are plain monomials. ``degree`` lies in [0,
+    MAX_FIT_DEGREE] (InvalidArgument otherwise, before any sampling).
     """
-    if degree < 0:
-        raise InvalidArgument(f"degree must be >= 0, got {degree}")
+    _check_fit_degree(degree)
     x = _sample_grid(rng, degree, n_samples)
     y = np.asarray(target(x), dtype=float)
     weights = w.weights(x) if w is not None else np.ones_like(x)
@@ -276,9 +289,9 @@ def _remez_core(f, lo: float, hi: float, basis_eval, n_basis: int,
 def fit_remez(target, rng: ApproxRange, degree: int,
               grid_size: int = 8192, max_iter: int = 80,
               rel_tol: float = 0.1) -> Polynomial:
-    """Minimax polynomial fit via Remez exchange on [rng.lo, rng.hi]."""
-    if degree < 0:
-        raise InvalidArgument(f"degree must be >= 0, got {degree}")
+    """Minimax polynomial fit via Remez exchange on [rng.lo, rng.hi];
+    ``degree`` lies in [0, MAX_FIT_DEGREE] (InvalidArgument otherwise)."""
+    _check_fit_degree(degree)
     lo, hi = rng.lo, rng.hi
 
     def basis_eval(x):

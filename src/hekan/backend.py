@@ -157,13 +157,21 @@ def _place(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int) ->
 
 
 def _read(a: "CipherText", s: int, m: int) -> np.ndarray:
-    """Fresh array of slots s .. s+m-1 (mod slot_count) of a; past
-    slot_count slots the vector repeats. Costs O(m)."""
+    """Fresh array of slots s .. s+m-1 (mod slot_count) of a, m <=
+    slot_count: the tail, with the at most two pieces of a's window that
+    fall in the range copied over it. Costs O(m)."""
     S = a.backend.config.slot_count
-    i = (np.arange(s, s + m) - a.start) % S
+    if m > S:
+        raise LengthMismatch(f"read of {m} slots from {S}")
     out = np.full(m, a.tail)
-    inside = i < a.data.size
-    out[inside] = a.data[i[inside]]
+    data = a.data
+    o = (a.start - s) % S  # where data[0] lands; data wraps past S - o
+    if o < m:
+        head = min(data.size, m - o)
+        out[o:o + head] = data[:head]
+    if data.size > S - o:
+        wrapped = min(data.size - (S - o), m)
+        out[:wrapped] = data[S - o:S - o + wrapped]
     return out
 
 

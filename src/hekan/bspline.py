@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,15 @@ class GridMatrix:
     @property
     def n_i(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def tiles(self) -> tuple:
+        """basis_tiles of this grid, built on first use and read-only: the
+        knots cannot change, so every basis evaluation reuses them."""
+        g1, g2, orders = basis_tiles(self)
+        for a in (g1, g2, *orders):
+            a.setflags(write=False)
+        return g1, g2, orders
 
     @property
     def n_basis(self) -> int:
@@ -252,7 +262,7 @@ def _basis(ops, x, G: GridMatrix, compare):
     m < g + k. The knot factors are zero past the shrinking valid region,
     so with k >= 1 every later slot is zero with no extra masking."""
     inv2R = 1.0 / (2.0 * G.R)
-    g1, g2, orders = basis_tiles(G)
+    g1, g2, orders = G.tiles
     x1 = compare(ops.mul(ops.sub(x, g1), inv2R))
     x2 = compare(ops.mul(ops.sub(x, g2), -inv2R))
     b = ops.mul(x1, x2)
@@ -312,10 +322,12 @@ def bspline_basis_plain(x, knots, k: int) -> np.ndarray:
 
 def gen_permutation(n_r: int, n_c: int) -> PermutationSpec:
     """Permutation sending column-major index (c-1)*n_r + r to row-major
-    (r-1)*n_c + c (both 1-indexed)."""
+    (r-1)*n_c + c (both 1-indexed). Its ``source_of`` is read-only, so
+    ``matvec_schedule`` builds its schedule once."""
     if n_r < 1 or n_c < 1:
         raise ValueError("n_r and n_c must be >= 1")
-    source_of = np.arange(n_r * n_c).reshape(n_c, n_r).T.ravel()
+    source_of = np.arange(n_r * n_c).reshape(n_c, n_r).T.flatten()  # owns its memory
+    source_of.setflags(write=False)
     return PermutationSpec(n_r, n_c, source_of)
 
 

@@ -15,6 +15,14 @@ slot capacity (``check_capacity``), charges the rotations, plaintext
 multiplies and adds of the op-by-op schedule (``block_sum_counts``),
 spends its one level and draws its noise.
 
+Built once: a schedule computes its matrix's p diagonals on first use and
+keeps them, read-only, for every later giant step. ``matvec_schedule``
+returns the same schedule for the same matrix object as long as the matrix
+cannot change (a non-writeable array over read-only memory, or a
+PermutationSpec whose ``source_of`` is such an array); its memo holds the
+matrix by weak reference, so an entry dies with its matrix. A writeable
+matrix gets a new schedule on every call, so an in-place change is seen.
+
 Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
 when n_o < n_in = p * 2^j with p >= n_o and j >= 1, only p extended
@@ -36,7 +44,9 @@ of the op-by-op schedule either way.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,13 +94,25 @@ class MatvecSchedule:
         return self.W.shape
 
     def diagonals(self, ds) -> np.ndarray:
-        """Diagonals ds as the rows of one (len(ds), n) array."""
-        p, n = self.shape
-        d = np.asarray(ds)[:, None]
+        """Diagonals ds as the rows of one (len(ds), n) array: for a matrix
+        operand, rows of the cached ``all_diagonals`` (for a range of ds, a
+        read-only view, as the giant steps take them); for a permutation, a
+        fresh array built from ``offset``."""
         if self.W is None:
-            return (self.offset == d).astype(float)
+            return (self.offset == np.asarray(ds)[:, None]).astype(float)
+        if isinstance(ds, range) and ds.step == 1:
+            return self.all_diagonals[ds.start:ds.stop]
+        return self.all_diagonals[np.asarray(ds)]
+
+    @cached_property
+    def all_diagonals(self) -> np.ndarray:
+        """The (p, n) diagonals of a matrix operand, built on first use and
+        read-only: row d is diag_d."""
+        p, n = self.shape
         t = np.arange(n)
-        return self.W[t % p, (t + d) % n]
+        D = self.W[t % p, (t + np.arange(p)[:, None]) % n]
+        D.setflags(write=False)
+        return D
 
     @property
     def split(self) -> tuple:
@@ -194,7 +216,7 @@ class MatvecSchedule:
         D = self.diagonals(diags)
         if width > n:
             D = np.pad(D, ((0, 0), (base, width - n - base)))
-        terms = np.multiply(rows[start:start + len(diags)], D, out=D)  # D is a fresh array
+        terms = rows[start:start + len(diags)] * D
         if draw is not None:
             # rows t0 + n0, t1 + n1, n2, t2 + n3, n4, ...: one reduce in row
             # order then sums the perturbed products and adds
@@ -216,11 +238,57 @@ class MatvecSchedule:
         return acc
 
 
+# id(matrix) -> (weak reference to the matrix, its schedule). Process-wide,
+# since callers pass the matrix alone (bsgs_matvec(W, v)); it holds only
+# schedules of matrices that cannot change, so no caller sees another's state.
+_memo = {}
+
+
+def _frozen(a) -> bool:
+    """True when a is an array whose values cannot change: it and every
+    array it views are non-writeable, down to memory it or bytes own."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None or isinstance(a, bytes)
+
+
 def matvec_schedule(W) -> MatvecSchedule:
     """The schedule for W, chosen by its shape alone: wide when
     n_in = p * 2^j (j >= 1) with p >= n_o (smallest such p), square
     otherwise. A PermutationSpec is square, with its diagonals read from
-    ``source_of``."""
+    ``source_of``.
+
+    A matrix that cannot change (``_frozen``, or a PermutationSpec over a
+    frozen ``source_of``) gets the same schedule on every call, and so
+    its diagonals are built once; the memo entry dies with the matrix.
+    Any other W gets a new schedule per call."""
+    if not _frozen(W.source_of if isinstance(W, PermutationSpec) else W):
+        return _build_schedule(W)
+    key = id(W)
+    hit = _memo.get(key)
+    if hit is not None and hit[0]() is W:
+        return hit[1]
+    schedule = _build_schedule(W)
+    if schedule.W is not None:
+        # a shared schedule is read-only, and must not keep W alive
+        own = schedule.W.copy() if np.may_share_memory(schedule.W, W) else schedule.W
+        own.setflags(write=False)
+        schedule = MatvecSchedule(own, schedule.n_out)
+    _memo[key] = (weakref.ref(W, _forget(key)), schedule)
+    return schedule
+
+
+def _forget(key: int):
+    """The weak reference's callback: drop the memo entry of a dead matrix.
+    It holds the memo itself: at interpreter exit the module's globals may
+    be gone."""
+    memo = _memo
+    return lambda ref: memo.pop(key, None)
+
+
+def _build_schedule(W) -> MatvecSchedule:
     if isinstance(W, PermutationSpec):
         n = W.size
         return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n)

@@ -62,7 +62,13 @@ def phi(x: float, w_b: float, w_s: float, spline_coeffs, knots, k: int) -> float
 @dataclass(eq=False)
 class KanLayer:
     """One KAN layer: base weights, spline coefficient tensor, grid,
-    fitted activation polynomial, and the activation input moments."""
+    fitted activation polynomial, and the activation input moments.
+
+    The layer keeps read-only copies of W_b and S, as GridMatrix does with
+    its knots, so the values derived from them on first use (``w_prime``,
+    ``w_fused``, the matvec schedules and their diagonals) cannot go stale:
+    an in-place write raises ValueError. To change a weight, build a new
+    layer (``dataclasses.replace``)."""
 
     W_b: np.ndarray          # (n_o, n_i)
     S: np.ndarray            # (n_o, n_i, g + k)
@@ -71,8 +77,10 @@ class KanLayer:
     act_stats: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        self.W_b = np.asarray(self.W_b, dtype=float)
-        self.S = np.asarray(self.S, dtype=float)
+        self.W_b = np.array(self.W_b, dtype=float)
+        self.S = np.array(self.S, dtype=float)
+        self.W_b.setflags(write=False)
+        self.S.setflags(write=False)
         if self.W_b.ndim != 2:
             raise DimensionMismatch("W_b must be 2-D")
         n_o, n_i = self.W_b.shape
@@ -113,11 +121,18 @@ class KanLayer:
         return self.S.reshape(self.n_o, self.n_i * self.grid.n_basis)
 
     @cached_property
+    def permutation(self):
+        """The column-tile permutation of the basis layout, a
+        PermutationSpec over a read-only ``source_of``."""
+        return gen_permutation(self.n_i, self.grid.n_basis)
+
+    @cached_property
     def w_fused(self) -> np.ndarray:
-        """W' folded with the column-tile permutation: applies directly to
-        the encrypted basis layout."""
-        perm = gen_permutation(self.n_i, self.grid.n_basis)
-        return fuse_weights(self.w_prime, perm)
+        """W' folded with the column-tile permutation, read-only: applies
+        directly to the encrypted basis layout."""
+        fused = fuse_weights(self.w_prime, self.permutation)
+        fused.setflags(write=False)
+        return fused
 
     def spline_maps(self, path: str) -> tuple:
         """The linear maps the spline branch applies to the column-tiled
@@ -129,7 +144,7 @@ class KanLayer:
         if path == "lazy":
             return (self.w_fused,)
         if path == "naive":
-            return (gen_permutation(self.n_i, self.grid.n_basis), self.w_prime)
+            return (self.permutation, self.w_prime)
         raise ValueError(f"unknown path {path!r}")
 
 

@@ -144,6 +144,19 @@ class TestLeastSquares:
                 perturbed = np.sum(weights * (silu(x) - Polynomial(tuple(c))(x)) ** 2)
                 assert perturbed >= base
 
+    @pytest.mark.parametrize("fit", [fit_weighted_ls, fit_ols, fit_remez])
+    def test_degree_above_the_maximum_rejected_before_sampling(self, fit, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the degree")
+        monkeypatch.setattr(approx, "_sample_grid", no_sampling)
+        monkeypatch.setattr(approx, "_remez_core", no_sampling)
+        r = ApproxRange(-4.0, 6.0, 1.0, 1.0)
+        for degree in (approx.MAX_FIT_DEGREE + 1, 1000, -1):
+            with pytest.raises(InvalidArgument, match="MAX_FIT_DEGREE"):
+                fit(silu, r, degree)
+        with pytest.raises(AssertionError, match="sampled"):
+            fit(silu, r, approx.MAX_FIT_DEGREE)
+
     def test_ill_conditioned(self):
         degenerate = ApproxRange(1.0, 1.0, 1.0, 0.0)
         with pytest.raises(IllConditioned):

@@ -14,6 +14,7 @@ from hekan.backend import (
     PlainVector,
     _ArrayOps,
     _ops_of,
+    _read,
     make_backend,
 )
 from hekan.bspline import repeat_pack
@@ -439,3 +440,33 @@ class TestArrayOpsSlotSemantics:
         assert isinstance(_ops_of(self.A), _ArrayOps)
         be = fresh()
         assert _ops_of(be.encrypt(self.A)) is be
+
+
+def _read_by_gather(a, s, m):
+    """The reference read: every slot's index into a's window, gathered."""
+    S = a.backend.config.slot_count
+    i = (np.arange(s, s + m) - a.start) % S
+    out = np.full(m, a.tail)
+    inside = i < a.data.size
+    out[inside] = a.data[i[inside]]
+    return out
+
+
+class TestRead:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda j: st.tuples(
+        st.just(2 ** j), st.integers(0, 2 ** j), st.integers(-2 ** j, 2 ** (j + 1)),
+        st.integers(-2 ** (j + 1), 2 ** (j + 1)), st.integers(1, 2 ** j))))
+    def test_matches_the_gather(self, case):
+        S, size, start, s, m = case
+        be = fresh(slot_count=S)
+        data = np.arange(1.0, size + 1.0)
+        a = CipherText(start % S, data, -0.5, 3, be)
+        got = _read(a, s, m)
+        want = _read_by_gather(a, s, m)
+        np.testing.assert_array_equal(got, want)
+
+    def test_read_past_the_slot_count_is_rejected(self):
+        be = fresh(slot_count=8)
+        with pytest.raises(LengthMismatch):
+            _read(be.encrypt([1.0, 2.0]), 0, 9)

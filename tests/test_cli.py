@@ -466,9 +466,13 @@ class TestUsage:
         ["fit-activation", "--mu", "0", "--sigma", "1e308", "--degree", "3"],
         ["fit-layer", "--data", "{data}", "--ridge", "-1"],
         ["fit-layer", "--data", "{data}", "--ridge", "nan"],
+        ["fit-activation", "--mu", "0", "--sigma", "1", "--degree", "128"],
+        ["fit-activation", "--mu", "0", "--sigma", "1", "--degree", "128", "--method", "remez"],
+        ["fit-layer", "--data", "{data}", "--silu-degree", "128"],
     ], ids=["degree", "x-range", "g", "k", "targets", "grid-range", "silu-degree",
             "negative-factor", "negative-sigma", "zero-factor-remez", "empty-clip",
-            "nan-mu", "inf-sigma", "overflowing-sigma", "negative-ridge", "nan-ridge"])
+            "nan-mu", "inf-sigma", "overflowing-sigma", "negative-ridge", "nan-ridge",
+            "degree-above-max", "remez-degree-above-max", "silu-degree-above-max"])
     def test_fit_argument_out_of_domain_usage_exit(self, tmp_path, capsys, args):
         data = tmp_path / "data.csv"
         x = np.random.default_rng(5).uniform(-1, 1, 50)

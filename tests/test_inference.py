@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -363,12 +363,8 @@ class TestUnsupportedLayer:
 
 class TestLayerForward:
     def test_zero_weight_layer_zero_output(self):
-        mdl = random_model([3, 2], g=4, k=2, seed=3)
-        layer = mdl.layers[0]
-        layer.W_b[:] = 0.0
-        layer.S[:] = 0.0
-        layer.__dict__.pop("w_prime", None)
-        layer.__dict__.pop("w_fused", None)
+        layer = random_model([3, 2], g=4, k=2, seed=3).layers[0]
+        layer = replace(layer, W_b=np.zeros_like(layer.W_b), S=np.zeros_like(layer.S))
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
         be = HeBackend(bcfg)
         ct = be.encrypt([0.1, 0.2, 0.3])
@@ -794,6 +790,26 @@ class TestBench:
             assert r3["depth"] == r1["depth"] == plan_model(mdl, cfg).total
             assert r3["speedup_vs_naive_counts"] == r1["speedup_vs_naive_counts"]
         assert three[0]["speedup_vs_naive_counts"] > 1.0
+
+    def test_rows_count_only_the_timed_forwards(self, monkeypatch):
+        # the untimed warm-up forward runs on its own backend: the counts
+        # are those of the timed forwards alone, as before the warm-up
+        mdl = random_model([4, 3, 2], g=3, k=2, seed=25)
+        bcfg = BackendConfig(slot_count=256, depth_budget=60)
+        cfgs = [PipelineConfig(path=path, comparator_mode=mode, backend=bcfg)
+                for path in ("lazy", "naive") for mode in ("composite", "exact")]
+        xs = list(np.random.default_rng(26).uniform(-1, 1, (2, 4)))
+        forwards = []
+        run = inference.model_forward_he
+        monkeypatch.setattr(inference, "model_forward_he",
+                            lambda m, ct, cfg: forwards.append(ct.backend) or run(m, ct, cfg))
+        rows = bench_compare(mdl, xs, cfgs)
+        assert len(forwards) == len(cfgs) * (1 + len(xs))
+        assert len({id(be) for be in forwards}) == 2 * len(cfgs)
+        assert [(r["rotations"], r["ct_mults"], r["pt_mults"], r["depth"],
+                 r["speedup_vs_naive_counts"]) for r in rows] == [
+            (58, 344, 366, 34, 1.1302), (58, 40, 102, 12, 1.5),
+            (88, 344, 436, 36, 1.0), (88, 40, 172, 14, 1.0)]
 
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)

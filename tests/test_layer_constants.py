@@ -1,0 +1,165 @@
+"""A layer's constant plaintexts are built once: the matvec schedules and
+their diagonals, the knot tiles and the permutation. The layer's matrices
+are read-only, so none of them can go stale."""
+
+import copy
+import gc
+import weakref
+from functools import cached_property
+
+import numpy as np
+import pytest
+
+from hekan import bspline, matvec, model
+from hekan.approx import build_composite_sign
+from hekan.backend import BackendConfig, make_backend
+from hekan.inference import (
+    PipelineConfig,
+    bsgs_matvec,
+    encrypt_input,
+    model_forward_he,
+    plan_model,
+)
+from hekan.matvec import MatvecSchedule, matvec_schedule
+from hekan.model import model_forward_plain, random_model
+
+PATHS = ("lazy", "naive")
+
+
+def _forward(mdl, path, noise=0.0, x=None):
+    """One encrypted forward on a fresh backend: (decrypted slots, levels
+    left, per-layer counters)."""
+    depth = plan_model(mdl, PipelineConfig(path=path)).total
+    bcfg = BackendConfig(slot_count=512, depth_budget=depth, noise_std=noise, rng_seed=3)
+    cfg = PipelineConfig(path=path, backend=bcfg)
+    be = make_backend(bcfg)
+    if x is None:
+        x = np.linspace(-0.8, 0.7, mdl.n_in)
+    out, per_layer = model_forward_he(mdl, encrypt_input(x, mdl, be), cfg)
+    return be.decrypt(out), out.level, per_layer
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the builders of every layer constant: matvec schedules,
+    a schedule's diagonals, knot tiles and permutations."""
+    counts = {"schedule": 0, "diagonals": 0, "tiles": 0, "permutation": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(matvec, "_build_schedule",
+                        counting("schedule", matvec._build_schedule))
+    monkeypatch.setattr(bspline, "basis_tiles", counting("tiles", bspline.basis_tiles))
+    monkeypatch.setattr(model, "gen_permutation",
+                        counting("permutation", model.gen_permutation))
+    prop = cached_property(counting("diagonals", MatvecSchedule.all_diagonals.func))
+    prop.__set_name__(MatvecSchedule, "all_diagonals")
+    monkeypatch.setattr(MatvecSchedule, "all_diagonals", prop)
+    return counts
+
+
+class TestBuiltOnce:
+    @pytest.mark.parametrize("path", PATHS)
+    def test_second_forward_builds_nothing(self, builds, path):
+        mdl = random_model([3, 4, 2], g=3, k=2, seed=1)
+        first = _forward(mdl, path)
+        assert builds["schedule"] > 0 and builds["diagonals"] > 0
+        assert builds["tiles"] == 2
+        assert builds["permutation"] == 2  # one per layer, lazy or naive
+        done = dict(builds)
+        second = _forward(mdl, path)
+        model_forward_plain(mdl, np.linspace(-0.8, 0.7, 3), mode="mirrored",
+                            comparator=build_composite_sign(), path=path)
+        assert builds == done
+        np.testing.assert_array_equal(first[0].view(np.int64), second[0].view(np.int64))
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-12])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_cold_copy_equals_warm_model(self, path, noise):
+        mdl = random_model([3, 4, 2], g=3, k=2, seed=2)
+        cold = copy.deepcopy(mdl)
+        _forward(mdl, path, noise)
+        warm_slots, warm_level, warm_counts = _forward(mdl, path, noise)
+        cold_slots, cold_level, cold_counts = _forward(cold, path, noise)
+        np.testing.assert_array_equal(warm_slots.view(np.int64), cold_slots.view(np.int64))
+        assert warm_level == cold_level and warm_counts == cold_counts
+
+    def test_one_schedule_per_layer_matrix(self):
+        layer = random_model([3, 2], g=3, k=2, seed=3).layers[0]
+        for W in (layer.W_b, layer.w_prime, layer.w_fused, layer.permutation):
+            assert matvec_schedule(W) is matvec_schedule(W)
+        assert layer.spline_maps("naive")[0] is layer.permutation
+
+
+class TestMemo:
+    @pytest.mark.parametrize("shape", [(3, 8), (8, 8)], ids=["padded", "unpadded"])
+    def test_entry_dies_with_its_matrix(self, shape):
+        W = np.random.default_rng(4).normal(size=shape)
+        W.setflags(write=False)
+        key, ref = id(W), weakref.ref(W)
+        sched = matvec_schedule(W)
+        assert matvec_schedule(W) is sched and key in matvec._memo
+        del W
+        gc.collect()
+        assert ref() is None and key not in matvec._memo
+        sched.all_diagonals  # the schedule itself still works
+
+    def test_models_leave_no_entries(self):
+        before = len(matvec._memo)
+        for seed in range(3):
+            mdl = random_model([3, 4, 2], g=3, k=2, seed=seed)
+            for path in PATHS:
+                _forward(mdl, path)
+            assert len(matvec._memo) > before
+        del mdl
+        gc.collect()
+        assert len(matvec._memo) == before
+
+    def test_writeable_matrix_is_read_on_every_call(self):
+        be = make_backend(BackendConfig(slot_count=64, depth_budget=4))
+        W = np.arange(24.0).reshape(3, 8)
+        v = np.linspace(-1, 1, 8)
+        assert matvec_schedule(W) is not matvec_schedule(W)
+        bsgs_matvec(W, be.encrypt(v))
+        W[1, 2] = -7.0
+        got = be.decrypt(bsgs_matvec(W, be.encrypt(v)))[:3]
+        np.testing.assert_allclose(got, W @ v, rtol=1e-12)
+
+    def test_read_only_view_of_a_writeable_base_is_not_memoised(self):
+        base = np.ones((3, 8))
+        view = base[:]
+        view.setflags(write=False)
+        assert matvec_schedule(view) is not matvec_schedule(view)
+        spec = bspline.PermutationSpec(2, 2, np.array([0, 2, 1, 3]))
+        assert matvec_schedule(spec) is not matvec_schedule(spec)
+
+    def test_shared_schedule_holds_its_own_matrix(self):
+        W = np.eye(8)
+        W.setflags(write=False)
+        sched = matvec_schedule(W)
+        assert sched.W is not W and np.array_equal(sched.W, W)
+
+
+class TestReadOnly:
+    def test_layer_constants_reject_in_place_writes(self):
+        layer = random_model([3, 2], g=3, k=2, seed=5).layers[0]
+        sched = matvec_schedule(layer.w_fused)
+        targets = [layer.W_b, layer.S, layer.w_prime, layer.w_fused,
+                   sched.all_diagonals, sched.diagonals(range(2)),
+                   sched.W, layer.permutation.source_of, *layer.grid.tiles[:2],
+                   layer.grid.tiles[2][0]]
+        for a in targets:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_layer_keeps_its_own_copies(self):
+        W_b = np.ones((2, 3))
+        layer = random_model([3, 2], g=3, k=2, seed=6).layers[0]
+        fresh = model.KanLayer(W_b=W_b, S=layer.S, grid=layer.grid,
+                               silu_poly=layer.silu_poly)
+        assert W_b.flags.writeable and fresh.W_b is not W_b
+        assert fresh.S is not layer.S

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,8 +100,7 @@ class TestPhi:
 class TestLayerForward:
     def test_zero_weights_zero_output(self):
         layer = tiny_layer()
-        layer.W_b[:] = 0.0
-        layer.S[:] = 0.0
+        layer = replace(layer, W_b=np.zeros_like(layer.W_b), S=np.zeros_like(layer.S))
         out = layer_forward_plain(layer, [0.3, -0.4])
         np.testing.assert_array_equal(out, np.zeros(3))
 
