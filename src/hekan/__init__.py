@@ -12,7 +12,6 @@ from .backend import (
     CipherText,
     HeBackend,
     OpCounter,
-    PlainVector,
     make_backend,
 )
 from .approx import (

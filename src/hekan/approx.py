@@ -89,9 +89,9 @@ class WeightScheme:
             raise ValueError("need inner_weight >= outer_weight > 0")
 
     @classmethod
-    def from_moments(cls, mu: float, sigma: float, width: float = 3.0,
-                     inner_weight: float = 10.0, outer_weight: float = 1.0) -> "WeightScheme":
-        return cls(mu - width * sigma, mu + width * sigma, inner_weight, outer_weight)
+    def from_moments(cls, mu: float, sigma: float) -> "WeightScheme":
+        """Heavy within three standard deviations of the mean."""
+        return cls(mu - 3.0 * sigma, mu + 3.0 * sigma)
 
     def weights(self, x: np.ndarray) -> np.ndarray:
         inside = (x >= self.inner_lo) & (x <= self.inner_hi)
@@ -112,11 +112,10 @@ ACTIVATION_PRESETS = {
 
 
 def range_from_moments(mu: float, sigma: float, x_min: float = -math.inf,
-                       x_max: float = math.inf, factor: float = 5.0,
-                       degenerate_halfwidth: float = 1e-6) -> ApproxRange:
+                       x_max: float = math.inf, factor: float = 5.0) -> ApproxRange:
     """Interval [max(mu - factor*sigma, x_min), min(mu + factor*sigma, x_max)].
 
-    A zero sigma yields a tiny flagged interval around mu instead of a
+    A zero sigma yields the flagged interval mu +- 1e-6 instead of a
     zero-width range. Non-finite moments or factor, a negative sigma, a
     factor <= 0, a NaN bound, and an interval that is empty or unbounded
     after the clipping raise InvalidArgument.
@@ -128,8 +127,7 @@ def range_from_moments(mu: float, sigma: float, x_min: float = -math.inf,
     if not x_min <= x_max:  # NaN included
         raise InvalidArgument(f"x_min {x_min} > x_max {x_max}")
     if sigma == 0.0:
-        return ApproxRange(mu - degenerate_halfwidth, mu + degenerate_halfwidth,
-                           mu, 0.0, degenerate=True)
+        return ApproxRange(mu - 1e-6, mu + 1e-6, mu, 0.0, degenerate=True)
     lo = max(mu - factor * sigma, x_min)
     hi = min(mu + factor * sigma, x_max)
     if not -math.inf < lo < hi < math.inf:
@@ -241,15 +239,15 @@ def _alternating_reference(x: np.ndarray, err: np.ndarray, m: int) -> np.ndarray
 
 
 def _remez_core(f, lo: float, hi: float, basis_eval, n_basis: int,
-                grid_size: int = 8192, max_iter: int = 80,
-                rel_tol: float = 0.1):
+                max_iter: int = 80, rel_tol: float = 0.1):
     """Generalized Remez exchange over an arbitrary Chebyshev system.
 
     basis_eval(x) returns the (len(x), n_basis) design matrix. Convergence:
-    the dense-grid max error and the levelled reference error agree within
-    rel_tol (relative). Returns (basis coefficients, max error).
+    the max error on a grid of 8192 points and the levelled reference
+    error agree within rel_tol (relative). Returns (basis coefficients, max
+    error).
     """
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, 8192)
     fgrid = np.asarray(f(grid), dtype=float)
     bgrid = basis_eval(grid)
     m = n_basis + 1
@@ -271,8 +269,9 @@ def _remez_core(f, lo: float, hi: float, basis_eval, n_basis: int,
         coeffs, lev = sol[:n_basis], abs(sol[n_basis])
         if lev < 1e-14 * fscale:
             # degenerate levelling (e.g. symmetric nodes on an even target):
-            # skew the reference and retry
-            t = (ref - lo) / (hi - lo)
+            # skew the reference and retry; a reference point rounded just
+            # below lo stays at lo
+            t = np.maximum((ref - lo) / (hi - lo), 0.0)
             ref = lo + (hi - lo) * t ** 1.1
             continue
         err = fgrid - bgrid @ coeffs
@@ -287,8 +286,7 @@ def _remez_core(f, lo: float, hi: float, basis_eval, n_basis: int,
 
 
 def fit_remez(target, rng: ApproxRange, degree: int,
-              grid_size: int = 8192, max_iter: int = 80,
-              rel_tol: float = 0.1) -> Polynomial:
+              max_iter: int = 80, rel_tol: float = 0.1) -> Polynomial:
     """Minimax polynomial fit via Remez exchange on [rng.lo, rng.hi];
     ``degree`` lies in [0, MAX_FIT_DEGREE] (InvalidArgument otherwise)."""
     _check_fit_degree(degree)
@@ -299,7 +297,7 @@ def fit_remez(target, rng: ApproxRange, degree: int,
         return npcheb.chebvander(u, degree)
 
     coeffs, _ = _remez_core(target, lo, hi, basis_eval, degree + 1,
-                            grid_size=grid_size, max_iter=max_iter, rel_tol=rel_tol)
+                            max_iter=max_iter, rel_tol=rel_tol)
     series = npcheb.Chebyshev(coeffs, domain=[lo, hi])
     mono = series.convert(kind=nppoly.Polynomial)
     return Polynomial(tuple(mono.coef))
@@ -426,8 +424,9 @@ class CompositeSign:
         """The comparator's program: the sign stages, then (s + 1)/2."""
         return ops.mul(ops.add(self.sign(ops, d), 1.0), 0.5)
 
-    def certified_max_error(self, grid_size: int = 100_000) -> float:
-        y = np.linspace(self.delta, 1.0, grid_size)
+    def certified_max_error(self) -> float:
+        """Max |composed(y) - 1| over 100000 points of [delta, 1]."""
+        y = np.linspace(self.delta, 1.0, 100_000)
         return float(np.max(np.abs(self.sign(_ArrayOps(y), y) - 1.0)))
 
 

@@ -16,7 +16,8 @@ two tails, so it costs O(window), not O(slot_count). Invariant: every slot
 is bit-identical to the same arithmetic on dense slot_count-long vectors,
 since each slot sees the same float operation on the same operands.
 Windows never shrink (``x * 0`` keeps the sign of ``x``, ``inf * 0`` is
-NaN). :class:`PlainVector` is the same window over a tail. A noisy
+NaN). A plaintext operand is an array, which fills slots [0, len) over a
+zero tail, or a scalar, an empty window whose tail is the scalar. A noisy
 backend perturbs every slot, so its results are full windows.
 
 Polynomial schedules run through :meth:`HeBackend.run_on_window`: the
@@ -55,8 +56,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import DepthExhausted, InputTooLong, LengthMismatch
-
-OP_KINDS = ("add", "sub", "mul_ct", "mul_pt")
 
 
 @dataclass(frozen=True)
@@ -99,14 +98,6 @@ class BackendConfig:
             raise ValueError(f"unknown BackendConfig keys: {sorted(unknown)}")
         return cls(**doc)
 
-    def to_json(self) -> dict:
-        return {
-            "slot_count": self.slot_count,
-            "depth_budget": self.depth_budget,
-            "noise_std": self.noise_std,
-            "rng_seed": self.rng_seed,
-        }
-
 
 @dataclass
 class OpCounter:
@@ -144,35 +135,37 @@ _ARITH = {"add": operator.add, "sub": operator.sub,
 
 
 def _place(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int) -> np.ndarray:
-    """Fresh array of slots s .. s+n-1 (mod S) of the vector whose slots
-    start .. start+len(data)-1 hold data and whose other slots hold tail.
-    The window must lie inside the requested range unless n == S."""
+    """Fresh array of slots s .. s+n-1 (mod S), n <= S, of the vector whose
+    slots start .. start+len(data)-1 hold data and whose other slots hold
+    tail: the tail, with the at most two pieces of the window that fall in
+    the range copied over it. Costs O(n)."""
     out = np.full(n, tail)
-    if data.size:
-        o = (start - s) % S
+    o = (start - s) % S  # where data[0] lands; data wraps past S - o
+    if o < n:
         head = min(data.size, n - o)
         out[o:o + head] = data[:head]
-        out[:data.size - head] = data[head:]
+    if data.size > S - o:
+        wrapped = min(data.size - (S - o), n)
+        out[:wrapped] = data[S - o:S - o + wrapped]
     return out
 
 
 def _read(a: "CipherText", s: int, m: int) -> np.ndarray:
     """Fresh array of slots s .. s+m-1 (mod slot_count) of a, m <=
-    slot_count: the tail, with the at most two pieces of a's window that
-    fall in the range copied over it. Costs O(m)."""
+    slot_count (LengthMismatch otherwise)."""
     S = a.backend.config.slot_count
     if m > S:
         raise LengthMismatch(f"read of {m} slots from {S}")
-    out = np.full(m, a.tail)
-    data = a.data
-    o = (a.start - s) % S  # where data[0] lands; data wraps past S - o
-    if o < m:
-        head = min(data.size, m - o)
-        out[o:o + head] = data[:head]
-    if data.size > S - o:
-        wrapped = min(data.size - (S - o), m)
-        out[:wrapped] = data[S - o:S - o + wrapped]
-    return out
+    return _place(a.start, a.data, a.tail, s, m, S)
+
+
+def _plain(b) -> tuple:
+    """(data, tail) of a plaintext, whose window starts at slot 0: a scalar
+    is an empty window over itself, an array fills slots [0, len) over a
+    zero tail. Never padded to the slot count."""
+    if np.isscalar(b):
+        return _EMPTY, float(b)
+    return np.asarray(b, dtype=float).ravel(), 0.0
 
 
 def _cover(sa: int, na: int, sb: int, nb: int, S: int) -> tuple:
@@ -194,21 +187,6 @@ def _over(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int):
     if start == s and data.size == n:
         return data
     return _place(start, data, tail, s, n, S)
-
-
-@dataclass(frozen=True)
-class PlainVector:
-    """Unencrypted slot vector, the right-hand operand of plaintext ops.
-
-    ``values`` fill slots 0 .. len-1 and every other slot holds ``tail``;
-    at most slot_count values.
-    """
-
-    values: np.ndarray
-    tail: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).ravel())
 
 
 @dataclass(frozen=True)
@@ -261,25 +239,17 @@ class HeBackend:
     # boundary plumbing
     # ------------------------------------------------------------------
 
-    def encode(self, values) -> PlainVector:
-        """Compact plaintext, never padded to the slot count: a vector fills
-        slots [0, len) over a zero tail, a scalar is an empty window whose
-        tail is the scalar."""
-        if np.isscalar(values):
-            return PlainVector(_EMPTY, tail=float(values))
-        arr = np.asarray(values, dtype=float).ravel()
-        if arr.size > self.config.slot_count:
-            raise InputTooLong(f"{arr.size} values > {self.config.slot_count} slots")
-        return PlainVector(arr)
-
     def encrypt(self, values, level: int | None = None) -> CipherText:
-        """Encrypt a vector (slots [0, len), zeros elsewhere), a scalar (every
-        slot) or a PlainVector; the ciphertext keeps the input's window."""
+        """Encrypt a vector (slots [0, len), zeros elsewhere; InputTooLong
+        past slot_count values) or a scalar (every slot); the ciphertext
+        keeps the input's window."""
         if level is None:
             level = self.config.depth_budget
         if not 0 <= level <= self.config.depth_budget:
             raise ValueError(f"level {level} outside [0, {self.config.depth_budget}]")
-        data, tail = self._plain(values)
+        data, tail = _plain(values)
+        if data.size > self.config.slot_count:
+            raise InputTooLong(f"{data.size} values > {self.config.slot_count} slots")
         return CipherText(*self._perturb(0, data.copy(), tail), level, self)
 
     def decrypt(self, a: CipherText) -> np.ndarray:
@@ -293,9 +263,10 @@ class HeBackend:
 
     def slotwise(self, op_kind: str, a: CipherText, b) -> CipherText:
         """Element-wise add/sub/mul of a ciphertext with a cipher or plain
-        operand, over the smallest cyclic window holding both operands'
-        windows; the tails combine into the result's tail."""
-        if op_kind not in OP_KINDS:
+        operand (an array of at most slot_count values, LengthMismatch
+        otherwise, or a scalar), over the smallest cyclic window holding
+        both operands' windows; the tails combine into the result's tail."""
+        if op_kind not in _ARITH:
             raise ValueError(f"unknown op_kind {op_kind!r}")
         self._check_ours(a)
         is_ct = isinstance(b, CipherText)
@@ -307,7 +278,10 @@ class HeBackend:
             self._check_ours(b)
             sb, db, tb, level = b.start, b.data, b.tail, min(a.level, b.level)
         else:
-            db, tb = self._plain(b)
+            db, tb = _plain(b)
+            if db.size > self.config.slot_count:
+                raise LengthMismatch(
+                    f"plain operand has {db.size} slots, backend {self.config.slot_count}")
             sb, level = 0, a.level
 
         if op_kind == "add":
@@ -421,16 +395,6 @@ class HeBackend:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _plain(self, b) -> tuple:
-        """(data, tail) of a plaintext, whose window starts at slot 0: a
-        PlainVector, or anything encode accepts."""
-        if not isinstance(b, PlainVector):
-            b = self.encode(b)
-        S = self.config.slot_count
-        if b.values.size > S:
-            raise LengthMismatch(f"plain operand has {b.values.size} slots, backend {S}")
-        return b.values, b.tail
 
     def _check_ours(self, a: CipherText) -> None:
         if a.backend is not self:

@@ -150,9 +150,9 @@ def _check_packing(slot_count: int, n_i: int, copies: int) -> None:
 
 
 def check_repeat_pack(slot_count: int, n_i: int, g: int, k: int) -> None:
-    """Raise PackingOverflow unless repeat_pack fits: n_i * (g + 2k) slots,
-    and the doubling loop's power of two of copies."""
-    _check_packing(slot_count, n_i, g + 2 * k)
+    """Raise PackingOverflow unless repeat_pack fits: the doubling loop's
+    2^ceil(log2(g + 2k)) copies of n_i slots, which hold the g + 2k
+    copies it needs."""
     copies = 1 << pack_rotations(g, k)
     if n_i * copies > slot_count:
         raise PackingOverflow(
@@ -231,55 +231,54 @@ def basis_depth(k: int, comparator) -> int:
 
 def basis_tiles(G: GridMatrix):
     """Plaintext knot tiles of the basis evaluation, column-tiled and
-    zero-padded to the packed width n_i(g + 2k).
+    zero-padded to the packed width n_i * 2^ceil(log2(g + 2k)), the window
+    repeat_pack produces, so a tile op on a packed input reuses the tile.
 
     Returns (g1, g2, orders): the order-0 interval endpoints, and for each
-    recursion order j = 1..k a (4, n_i(g + 2k)) array of the tiles
+    recursion order j = 1..k a (4, width) array of the tiles
     (t1, 1/(t2 - t1), t3, -1/(t3 - t4)) of the step
     b_j = (x - t1) / (t2 - t1) * b + (t3 - x) / (t3 - t4) * b', where b'
     reads b one tile ahead (B_{m+1} at tile m). Order j's tiles are zero
-    past slot n_i(g + 2k - j); there a ciphertext gets what the zero tail
-    of a shorter plaintext would give.
+    past slot n_i(g + 2k - j) and the endpoints past n_i(g + 2k); there a
+    slot gets what the zero tail of a shorter plaintext would give.
     """
     r = G.g + 2 * G.k + 1
+    width = G.n_i << pack_rotations(G.g, G.k)
     orders = []
     for j in range(1, G.k + 1):
         t1 = col_tile(G, 1, r - j)
         t2 = col_tile(G, j + 1, r)
         t3 = col_tile(G, j + 2, r + 1)
         t4 = col_tile(G, 2, r - j + 1)
-        tiles = np.zeros((4, G.n_i * (r - 1)))
+        tiles = np.zeros((4, width))
         tiles[:, :t1.size] = t1, 1.0 / (t2 - t1), t3, -1.0 / (t3 - t4)
         orders.append(tiles)
-    return col_tile(G, 1, r), col_tile(G, 2, r + 1), orders
-
-
-def _basis(ops, x, G: GridMatrix, compare):
-    """The basis schedule, run by ops on x, the input packed as at least
-    g + 2k copies: interval membership from two comparator calls
-    (``compare``) on the knot endpoints, then the slot-parallel Cox-de Boor
-    recursion, one rotation per order. Slot m * n_i + i of the result holds B_m(x_i) for
-    m < g + k. The knot factors are zero past the shrinking valid region,
-    so with k >= 1 every later slot is zero with no extra masking."""
-    inv2R = 1.0 / (2.0 * G.R)
-    g1, g2, orders = G.tiles
-    x1 = compare(ops.mul(ops.sub(x, g1), inv2R))
-    x2 = compare(ops.mul(ops.sub(x, g2), -inv2R))
-    b = ops.mul(x1, x2)
-    for t1, recip1, t3, neg_recip2 in orders:
-        b1 = ops.mul(ops.mul(ops.sub(x, t1), recip1), b)
-        b2 = ops.mul(ops.mul(ops.sub(x, t3), neg_recip2), ops.rotate(b, G.n_i))
-        b = ops.add(b1, b2)
-    return b
+    ends = np.zeros((2, width))
+    ends[:, :G.n_i * (r - 1)] = col_tile(G, 1, r), col_tile(G, 2, r + 1)
+    return ends[0], ends[1], orders
 
 
 def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
-    """All-basis evaluation on a repeat-packed input, a ciphertext or an
-    array (the mirror): _basis run by its ops, each comparator call one
-    poly_comp against zero. Slot m * n_i + i of the result holds B_m(x_i)
-    for m < g + k. An input in [-R, R] (the range contract,
-    KanModel.check_input_range) keeps every comparator operand in [-1, 1]."""
-    return _basis(_ops_of(xp), xp, G, lambda s: poly_comp(s, 0.0, comparator))
+    """All-basis evaluation on xp, the input repeat-packed as at least
+    g + 2k copies, a ciphertext or an array (the mirror): interval
+    membership from two comparator calls (poly_comp against zero) on the
+    knot endpoints, then the slot-parallel Cox-de Boor recursion, one
+    rotation per order. Slot m * n_i + i of the result holds B_m(x_i) for
+    m < g + k. The knot factors are zero past the shrinking valid region,
+    so with k >= 1 every later slot is zero with no extra masking. An input
+    in [-R, R] (the range contract, KanModel.check_input_range) keeps every
+    comparator operand in [-1, 1]."""
+    ops = _ops_of(xp)
+    inv2R = 1.0 / (2.0 * G.R)
+    g1, g2, orders = G.tiles
+    x1 = poly_comp(ops.mul(ops.sub(xp, g1), inv2R), 0.0, comparator)
+    x2 = poly_comp(ops.mul(ops.sub(xp, g2), -inv2R), 0.0, comparator)
+    b = ops.mul(x1, x2)
+    for t1, recip1, t3, neg_recip2 in orders:
+        b1 = ops.mul(ops.mul(ops.sub(xp, t1), recip1), b)
+        b2 = ops.mul(ops.mul(ops.sub(xp, t3), neg_recip2), ops.rotate(b, G.n_i))
+        b = ops.add(b1, b2)
+    return b
 
 
 # ---------------------------------------------------------------------------

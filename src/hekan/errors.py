@@ -33,7 +33,7 @@ class DepthExhausted(HeKanError):
 
 
 class InputTooLong(HeKanError):
-    """Vector to encrypt/encode exceeds the slot count."""
+    """Vector to encrypt exceeds the slot count."""
 
 
 # --- polynomial approximation ---

@@ -59,16 +59,17 @@ def phi(x: float, w_b: float, w_s: float, spline_coeffs, knots, k: int) -> float
     return w_b * silu(x) + w_s * float(coeffs @ basis)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class KanLayer:
     """One KAN layer: base weights, spline coefficient tensor, grid,
     fitted activation polynomial, and the activation input moments.
 
-    The layer keeps read-only copies of W_b and S, as GridMatrix does with
-    its knots, so the values derived from them on first use (``w_prime``,
-    ``w_fused``, the matvec schedules and their diagonals) cannot go stale:
-    an in-place write raises ValueError. To change a weight, build a new
-    layer (``dataclasses.replace``)."""
+    The layer is frozen and keeps read-only copies of W_b and S, as
+    GridMatrix does with its knots, so the values derived from them on
+    first use (``w_prime``, ``w_fused``, the matvec schedules and their
+    diagonals) cannot go stale: rebinding a field raises
+    FrozenInstanceError, an in-place write ValueError. To change a weight,
+    build a new layer (``dataclasses.replace``)."""
 
     W_b: np.ndarray          # (n_o, n_i)
     S: np.ndarray            # (n_o, n_i, g + k)
@@ -77,10 +78,10 @@ class KanLayer:
     act_stats: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        self.W_b = np.array(self.W_b, dtype=float)
-        self.S = np.array(self.S, dtype=float)
-        self.W_b.setflags(write=False)
-        self.S.setflags(write=False)
+        for name in ("W_b", "S"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.W_b.ndim != 2:
             raise DimensionMismatch("W_b must be 2-D")
         n_o, n_i = self.W_b.shape

@@ -196,6 +196,13 @@ class TestRemez:
         with pytest.raises(RemezNonConvergence):
             fit_remez(np.abs, r, 8, max_iter=0)
 
+    def test_infeasible_comparator_raises_without_a_warning(self):
+        # the Chebyshev reference's end point rounds just below lo; the
+        # skew of a degenerate levelling clamps it at lo instead of taking
+        # a negative number to the power 1.1 (NaN, RuntimeWarning)
+        with pytest.raises(RemezNonConvergence):
+            build_composite_sign(2, 2 ** -6)
+
     def test_odd_sign_stage_is_odd(self):
         p, err = fit_odd_sign_stage(0.1, 1.0, 15)
         assert all(c == 0.0 for c in p.coeffs[0::2])

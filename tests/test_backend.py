@@ -11,7 +11,6 @@ from hekan.backend import (
     BackendConfig,
     CipherText,
     OpCounter,
-    PlainVector,
     _ArrayOps,
     _ops_of,
     _read,
@@ -121,10 +120,12 @@ class TestSlotwise:
         np.testing.assert_array_equal(out.slots[:2], [1.0, 2.0])
 
     def test_length_mismatch(self):
+        # an op's plaintext operand past slot_count; a vector to encrypt
+        # past it raises InputTooLong (test_input_too_long)
         be = fresh()
-        from hekan.backend import PlainVector
-        with pytest.raises(LengthMismatch):
-            be.add(be.encrypt([1.0]), PlainVector(np.ones(16)))
+        for op in (be.add, be.sub, be.mul):
+            with pytest.raises(LengthMismatch):
+                op(be.encrypt([1.0]), np.ones(9))
 
     def test_foreign_ciphertext_rejected(self):
         be1, be2 = fresh(), fresh()
@@ -342,7 +343,7 @@ class TestWindowedSlots:
                         db = dense(0, b, 0.0, S)
                     else:
                         vals = values(S, S)
-                        b, db = PlainVector(vals), vals
+                        b, db = vals, vals
                     out = be.slotwise(kind, a, b)
                     want = perturb(ARITH[kind](da, db))
                     level -= kind.startswith("mul")
@@ -367,7 +368,7 @@ class TestWindowedSlots:
         be = fresh(slot_count=8)
         a = be.encrypt([-1.0, np.inf, 2.0])
         with np.errstate(invalid="ignore"):
-            out = be.mul(a, PlainVector([1.0]))
+            out = be.mul(a, np.array([1.0]))
             zeroed = be.mul(a, 0.0)
         assert out.data.size == 3
         np.testing.assert_array_equal(out.slots[:4], [-1.0, np.nan, 0.0, 0.0])
@@ -377,7 +378,7 @@ class TestWindowedSlots:
         be = fresh(slot_count=1 << 20)
         c = be.encrypt(2.0)
         assert c.data.size == 0 and c.tail == 2.0
-        out = be.mul(be.add(be.encrypt([1.0, 2.0]), c), PlainVector([0.0, 3.0, 4.0]))
+        out = be.mul(be.add(be.encrypt([1.0, 2.0]), c), np.array([0.0, 3.0, 4.0]))
         assert (out.start, out.data.size, out.tail) == (0, 3, 0.0)
         np.testing.assert_array_equal(be.decrypt(out)[:4], [0.0, 12.0, 8.0, 0.0])
 
@@ -404,7 +405,7 @@ class TestArrayOpsSlotSemantics:
         np.testing.assert_array_equal(fn(self.B, self.A), ref(b_ext, self.A))
         # the backend's op with the shorter operand as plaintext
         be = fresh(slot_count=8)
-        out = getattr(be, op)(be.encrypt(self.A), PlainVector(self.B))
+        out = getattr(be, op)(be.encrypt(self.A), self.B)
         np.testing.assert_array_equal(be.decrypt(out)[:3], fn(self.A, self.B))
 
     def test_right_rotation_grows_and_left_rotation_drops(self):

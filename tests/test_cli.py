@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ class TestRangeContract:
     @pytest.fixture
     def files(self, tmp_path):
         mdl = random_model([2, 3, 1], g=5, k=3, seed=0)
-        mdl.layers[0].S = mdl.layers[0].S * 14
+        mdl.layers[0] = replace(mdl.layers[0], S=mdl.layers[0].S * 14)
         path = tmp_path / "m.json"
         save_model(mdl, path)
         row = tmp_path / "row.csv"

@@ -22,8 +22,9 @@ def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # the suite's own warning rule (pyproject's filterwarnings)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

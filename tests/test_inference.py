@@ -105,11 +105,11 @@ class TestEncryptInput:
     @pytest.mark.parametrize("comparator", [build_composite_sign(), EXACT_COMPARATOR],
                              ids=["composite", "exact"])
     def test_mirrored_forward_rejects_hidden_layer_input_beyond_R(self, comparator):
-        # layer 0's S scaled by 14 (before the first forward caches
-        # w_prime): layer 1's input reaches 3.22 > R = 2.64, where the
-        # encrypted output used to be about -2.4e58 against an exact -0.39
+        # layer 0's S scaled by 14: layer 1's input reaches 3.22 > R =
+        # 2.64, where the encrypted output used to be about -2.4e58 against
+        # an exact -0.39
         mdl = random_model([2, 3, 1], g=5, k=3, seed=0)
-        mdl.layers[0].S = mdl.layers[0].S * 14
+        mdl.layers[0] = replace(mdl.layers[0], S=mdl.layers[0].S * 14)
         x = np.array([0.4, -0.3])
         mdl.check_input_range(x)
         hidden = layer_forward_plain(mdl.layers[0], x, "mirrored", comparator=comparator)

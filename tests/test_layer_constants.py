@@ -3,6 +3,7 @@ their diagonals, the knot tiles and the permutation. The layer's matrices
 are read-only, so none of them can go stale."""
 
 import copy
+import dataclasses
 import gc
 import weakref
 from functools import cached_property
@@ -10,8 +11,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from hekan import bspline, matvec, model
-from hekan.approx import build_composite_sign
+from hekan import backend, bspline, matvec, model
+from hekan.approx import EXACT_COMPARATOR, build_composite_sign
 from hekan.backend import BackendConfig, make_backend
 from hekan.inference import (
     PipelineConfig,
@@ -156,6 +157,14 @@ class TestReadOnly:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1.0
 
+    @pytest.mark.parametrize("name", ["W_b", "S"])
+    def test_layer_rejects_rebinding(self, name):
+        # a rebound weight would leave w_prime, w_fused and the schedules
+        # computed from the old one
+        layer = random_model([2, 3, 1], g=5, k=3, seed=0).layers[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(layer, name, getattr(layer, name) * 2)
+
     def test_layer_keeps_its_own_copies(self):
         W_b = np.ones((2, 3))
         layer = random_model([3, 2], g=3, k=2, seed=6).layers[0]
@@ -163,3 +172,31 @@ class TestReadOnly:
                                silu_poly=layer.silu_poly)
         assert W_b.flags.writeable and fresh.W_b is not W_b
         assert fresh.S is not layer.S
+
+
+class TestKnotTilesAtThePackedWidth:
+    """The knot tiles span repeat_pack's window, so no tile op of the basis
+    evaluation on a layer-0 packed input copies a tile into a wider
+    window (backend._place)."""
+
+    @pytest.mark.parametrize("n_i, g, k", [(64, 3, 2), (256, 10, 5)])
+    @pytest.mark.parametrize("comparator", [EXACT_COMPARATOR, build_composite_sign()],
+                             ids=["exact", "composite"])
+    def test_no_tile_is_copied(self, monkeypatch, n_i, g, k, comparator):
+        G = bspline.GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+        be = make_backend(BackendConfig(slot_count=2 ** 15, depth_budget=20))
+        x = be.encrypt(np.random.default_rng(n_i).uniform(-1, 1, n_i))
+        xp = bspline.repeat_pack(x, g, k, n_i)
+        g1, g2, orders = G.tiles
+        tiles = (g1, g2, *orders)
+        copied = []
+
+        def spy(start, data, *args):
+            copied.extend(t for t in tiles if np.shares_memory(data, t))
+            return place(start, data, *args)
+
+        place = backend._place
+        monkeypatch.setattr(backend, "_place", spy)
+        bspline.bspline_basis_he(xp, G, comparator)
+        assert copied == []
+        assert xp.start == 0 and all(t.shape[-1] == xp.data.size for t in tiles)

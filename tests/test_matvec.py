@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hekan.backend import BackendConfig, HeBackend, OpCounter, PlainVector
+from hekan.backend import BackendConfig, HeBackend, OpCounter
 from hekan.bspline import PermutationSpec, gen_permutation
 from hekan.errors import DepthExhausted
 from hekan.inference import bsgs_matvec
@@ -36,7 +36,7 @@ def replay(sched, v):
         for d in diags:
             plain = np.zeros(S)
             plain[:n] = sched.diagonals([d])[0]
-            term = be.mul(babies[d - base], PlainVector(np.roll(plain, base)))
+            term = be.mul(babies[d - base], np.roll(plain, base))
             block = term if block is None else be.add(block, term)
         rotated = be.rotate(block, base)
         acc = rotated if acc is None else be.add(acc, rotated)

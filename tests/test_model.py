@@ -52,6 +52,18 @@ def tiny_layer(n_i=2, n_o=3, g=4, k=2, seed=0, silu_degree=6):
     )
 
 
+class TestLayerShapeChecks:
+    @pytest.mark.parametrize("W_b, S, n_i, match", [
+        (np.zeros(2), np.zeros((1, 2, 6)), 2, "W_b must be 2-D"),
+        (np.zeros((1, 2)), np.zeros((1, 2, 5)), 2, "S shape"),
+        (np.zeros((1, 2)), np.zeros((1, 2, 6)), 3, "grid has 3 rows"),
+    ], ids=["W_b-not-2d", "S-shape", "grid-rows"])
+    def test_shape_mismatch_rejected(self, W_b, S, n_i, match):
+        grid = GridMatrix.uniform(n_i, 4, 2, -1.0, 1.0)
+        with pytest.raises(DimensionMismatch, match=match):
+            KanLayer(W_b=W_b, S=S, grid=grid, silu_poly=Polynomial((0.0, 1.0)))
+
+
 class TestSilu:
     def test_zero(self):
         assert silu(0.0) == 0.0
@@ -270,6 +282,40 @@ class TestSerialization:
         doc["layers"][0].pop("grid", None)
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatch):
+            load_model(path)
+
+    @staticmethod
+    def _factored(W_s_shape, C_shape):
+        def edit(doc):
+            layer = doc["layers"][0]
+            del layer["S"]
+            layer["W_s"] = np.zeros(W_s_shape).tolist()
+            layer["C"] = np.zeros(C_shape).tolist()
+        return edit
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["layers"][0].pop("n_i"), "missing 'n_i' in layer 0"),
+        (lambda doc: doc["layers"][0]["uniform_grid"].update(k=3),
+         r"uniform_grid \(g, k\) disagrees"),
+        (_factored((4, 3), (3, 6)), "factored shapes"),
+        (_factored((3, 4), (3, 7)), "factored shapes"),
+        (lambda doc: doc["layers"][0].pop("S"), "needs 'S' or factored"),
+    ], ids=["missing-key", "uniform-grid-degrees", "factored-C", "factored-W_s",
+            "no-spline-weights"])
+    def test_schema_errors(self, tmp_path, edit, match):
+        # edit changes random_model([3, 4], g=5, k=2)'s document in place
+        path = tmp_path / "model.json"
+        save_model(random_model([3, 4], g=5, k=2, seed=17), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match=match):
+            load_model(path)
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaMismatch, match="must be a JSON object"):
             load_model(path)
 
     def test_version_checked(self, tmp_path):
