@@ -406,13 +406,24 @@ class CompositeSign:
     precision_alpha: float
     target_eps: float
 
+    def __post_init__(self):
+        if not self.stages:
+            raise InvalidArgument("a composite sign needs at least one stage")
+        # The last stage with its coefficients halved, built once. Halving
+        # is exact, so each of its Estrin nodes is half the original node
+        # (up to subnormal rounding, far below what adding 1/2 keeps), and
+        # s/2 + 1/2 rounds to round(s + 1)/2: step's bits are those of
+        # (s + 1) * 0.5, without the multiply's level.
+        object.__setattr__(self, "_half_last",
+                           tuple(0.5 * c for c in self.stages[-1].coeffs))
+
     @property
     def delta(self) -> float:
         return 2.0 ** (-self.precision_alpha)
 
     def depth(self) -> int:
-        """Levels consumed by poly_comp: the stages plus the (s+1)/2 map."""
-        return sum(poly_eval_depth(s) for s in self.stages) + 1
+        """Levels consumed by poly_comp: the sum of the stages'."""
+        return sum(poly_eval_depth(s) for s in self.stages)
 
     def sign(self, ops, s):
         """The composed sign stages on s, run by ops (see _estrin)."""
@@ -421,8 +432,11 @@ class CompositeSign:
         return s
 
     def step(self, ops, d):
-        """The comparator's program: the sign stages, then (s + 1)/2."""
-        return ops.mul(ops.add(self.sign(ops, d), 1.0), 0.5)
+        """The comparator's program: (s + 1)/2 of the sign s, as the sign
+        stages with the last one's coefficients halved, plus 1/2."""
+        for stage in self.stages[:-1]:
+            d = _estrin(ops, d, stage.coeffs)
+        return ops.add(_estrin(ops, d, self._half_last), 0.5)
 
     def certified_max_error(self) -> float:
         """Max |composed(y) - 1| over 100000 points of [delta, 1]."""
@@ -467,10 +481,11 @@ _STAGE_PLANS = (
 
 
 # The default comparator: certified to 2^-20 for inputs at least 2^-5 from
-# zero, in stages [31, 31] (depth 11). In a B-spline basis the far-field
-# residual is what the Cox-de Boor factors amplify, while a blurred step
-# near a knot barely moves a continuous basis, so the default buys
-# flatness (eps) rather than sharpness (alpha). PipelineConfig reads these.
+# zero, in stages [31, 31] (depth 10: the step map's 1/2 is folded into the
+# last stage). In a B-spline basis the far-field residual is what the
+# Cox-de Boor factors amplify, while a blurred step near a knot barely
+# moves a continuous basis, so the default buys flatness (eps) rather than
+# sharpness (alpha). PipelineConfig reads these.
 DEFAULT_ALPHA = 5.0
 DEFAULT_TARGET_EPS = 2.0 ** -20
 
@@ -482,11 +497,14 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
 
     Tries stage-degree plans in order of increasing depth and returns the
     first whose composed error certifies below target_eps on a dense grid.
-    alpha must be positive: at delta = 2^-alpha >= 1 the certified interval
-    [delta, 1] is empty.
+    alpha must be positive and finite (at delta = 2^-alpha >= 1 the
+    certified interval [delta, 1] is empty) and target_eps must lie in
+    (0, 1); InvalidArgument otherwise, before any fit.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:  # NaN included
+        raise InvalidArgument(f"alpha must be positive and finite, got {alpha}")
+    if not 0 < target_eps < 1:
+        raise InvalidArgument(f"target_eps must lie in (0, 1), got {target_eps}")
     delta = 2.0 ** (-alpha)
     for degrees in _STAGE_PLANS:
         stages = []

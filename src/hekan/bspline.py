@@ -214,12 +214,12 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 
 def basis_stages(k: int, comparator) -> dict:
     """Levels each stage of bspline_basis_he consumes, in order: the
-    comparator's scale multiply, the comparator, the order-0 product, then
-    one ciphertext multiply per recursion step."""
+    comparator's scale multiply, the comparator (the order-0 basis is a sum
+    of its two steps and costs none), then one ciphertext multiply per
+    recursion step."""
     return {
         "comparator_scale": 1,
         "comparator": comparator.depth(),
-        "basis_order0": 1,
         "basis_recursion": k,
     }
 
@@ -234,22 +234,32 @@ def basis_tiles(G: GridMatrix):
     zero-padded to the packed width n_i * 2^ceil(log2(g + 2k)), the window
     repeat_pack produces, so a tile op on a packed input reuses the tile.
 
-    Returns (g1, g2, orders): the order-0 interval endpoints, and for each
-    recursion order j = 1..k a (4, width) array of the tiles
-    (t1, 1/(t2 - t1), t3, -1/(t3 - t4)) of the step
-    b_j = (x - t1) / (t2 - t1) * b + (t3 - x) / (t3 - t4) * b', where b'
-    reads b one tile ahead (B_{m+1} at tile m). Order j's tiles are zero
-    past slot n_i(g + 2k - j) and the endpoints past n_i(g + 2k); there a
-    slot gets what the zero tail of a shorter plaintext would give.
+    Returns (g1, g2, orders): the order-0 interval endpoints (zero past
+    slot n_i(g + 2k)), and for each recursion order j = 1..k its tiles.
+    Orders j < k take the de Boor form
+    B_{m,j} = w_m B_{m,j-1} + (1 - w_{m+1}) B_{m+1,j-1} with
+    w_m = (x - t_m) / (t_{m+j} - t_m): a (2, width) array of the tiles
+    (t_m, 1/(t_{m+j} - t_m)) for m = 0..g + 2k - j, zero past them. The
+    last order keeps the two-factor form
+    b_k = (x - t1) / (t2 - t1) * b + (t3 - x) / (t3 - t4) * b', where b'
+    reads b one tile ahead: a (4, width) array of the tiles
+    (t1, 1/(t2 - t1), t3, -1/(t3 - t4)), zero past slot n_i(g + k), so
+    that order zeroes every later slot. There a slot gets what the zero
+    tail of a shorter plaintext would give.
     """
-    r = G.g + 2 * G.k + 1
-    width = G.n_i << pack_rotations(G.g, G.k)
+    k, r = G.k, G.g + 2 * G.k + 1
+    width = G.n_i << pack_rotations(G.g, k)
     orders = []
-    for j in range(1, G.k + 1):
-        t1 = col_tile(G, 1, r - j)
-        t2 = col_tile(G, j + 1, r)
-        t3 = col_tile(G, j + 2, r + 1)
-        t4 = col_tile(G, 2, r - j + 1)
+    for j in range(1, k):
+        t = col_tile(G, 1, r - j + 1)
+        tiles = np.zeros((2, width))
+        tiles[:, :t.size] = t, 1.0 / (col_tile(G, j + 1, r + 1) - t)
+        orders.append(tiles)
+    if k:
+        t1 = col_tile(G, 1, r - k)
+        t2 = col_tile(G, k + 1, r)
+        t3 = col_tile(G, k + 2, r + 1)
+        t4 = col_tile(G, 2, r - k + 1)
         tiles = np.zeros((4, width))
         tiles[:, :t1.size] = t1, 1.0 / (t2 - t1), t3, -1.0 / (t3 - t4)
         orders.append(tiles)
@@ -262,23 +272,37 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     """All-basis evaluation on xp, the input repeat-packed as at least
     g + 2k copies, a ciphertext or an array (the mirror): interval
     membership from two comparator calls (poly_comp against zero) on the
-    knot endpoints, then the slot-parallel Cox-de Boor recursion, one
-    rotation per order. Slot m * n_i + i of the result holds B_m(x_i) for
-    m < g + k. The knot factors are zero past the shrinking valid region,
-    so with k >= 1 every later slot is zero with no extra masking. An input
-    in [-R, R] (the range contract, KanModel.check_input_range) keeps every
+    knot endpoints, whose steps sum to the order-0 basis, then the
+    slot-parallel Cox-de Boor recursion, one rotation per order. Slot
+    m * n_i + i of the result holds B_m(x_i) for m < g + k.
+
+    The order-0 basis step(x - t_m) * step(t_{m+1} - x) of exact steps is
+    step(x - t_m) + step(t_{m+1} - x) - 1 (at a knot one step is 1/2), so
+    it costs no multiply. Orders 1..k-1 run in de Boor form, one plaintext
+    and one ciphertext multiply each: u = w * b, b <- u + (b - u) one tile
+    ahead (basis_tiles). Past its valid region a de Boor order leaves
+    finite values, which move left one tile per order as the region
+    shrinks by one, so they never reach it; nor do those that the rotation
+    wraps to the end, as the packing leaves g + 2k tiles of room. The last
+    order's knot factors are zero past slot n_i(g + k), so with k >= 1
+    every later slot is zero with no extra masking. An input in [-R, R]
+    (the range contract, KanModel.check_input_range) keeps every
     comparator operand in [-1, 1]."""
     ops = _ops_of(xp)
     inv2R = 1.0 / (2.0 * G.R)
     g1, g2, orders = G.tiles
     x1 = poly_comp(ops.mul(ops.sub(xp, g1), inv2R), 0.0, comparator)
     x2 = poly_comp(ops.mul(ops.sub(xp, g2), -inv2R), 0.0, comparator)
-    b = ops.mul(x1, x2)
-    for t1, recip1, t3, neg_recip2 in orders:
-        b1 = ops.mul(ops.mul(ops.sub(xp, t1), recip1), b)
-        b2 = ops.mul(ops.mul(ops.sub(xp, t3), neg_recip2), ops.rotate(b, G.n_i))
-        b = ops.add(b1, b2)
-    return b
+    b = ops.sub(ops.add(x1, x2), 1.0)
+    if not orders:
+        return b
+    *de_boor, (t1, recip1, t3, neg_recip2) = orders
+    for t, recip in de_boor:
+        u = ops.mul(ops.mul(ops.sub(xp, t), recip), b)
+        b = ops.add(u, ops.rotate(ops.sub(b, u), G.n_i))
+    b1 = ops.mul(ops.mul(ops.sub(xp, t1), recip1), b)
+    b2 = ops.mul(ops.mul(ops.sub(xp, t3), neg_recip2), ops.rotate(b, G.n_i))
+    return ops.add(b1, b2)
 
 
 # ---------------------------------------------------------------------------

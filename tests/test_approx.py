@@ -471,9 +471,9 @@ class TestCompositeSign:
                 for plan in approx._STAGE_PLANS]
         assert keys == sorted(keys)
 
-    def test_depth_is_stage_sum_plus_map(self):
+    def test_depth_is_stage_sum(self):
         cs = build_composite_sign()
-        assert cs.depth() == sum(poly_eval_depth(s) for s in cs.stages) + 1
+        assert cs.depth() == sum(poly_eval_depth(s) for s in cs.stages)
 
     def test_comp_greater(self):
         cs = build_composite_sign()
@@ -510,3 +510,34 @@ class TestCompositeSign:
         d = np.linspace(-1, 1, 128)
         he = poly_comp(be.encrypt(d), np.zeros(128), cs)
         np.testing.assert_array_equal(he.slots, cs.step(_ArrayOps(d), d))
+
+    @pytest.mark.parametrize("alpha, eps", [(approx.DEFAULT_ALPHA, approx.DEFAULT_TARGET_EPS),
+                                            (7.0, 2.0 ** -10)], ids=["default", "criterion4"])
+    def test_folded_map_keeps_the_bits_of_sign_plus_one_halved(self, alpha, eps):
+        """step adds 1/2 to the last stage run with halved coefficients;
+        its bits are those of (sign + 1) * 0.5, on the backend and in the
+        mirror, at signed zeros and subnormals too."""
+        cs = build_composite_sign(alpha, eps)
+        d = np.concatenate(([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324],
+                            np.linspace(-1.0, 1.0, 8001)))
+        want = ((cs.sign(_ArrayOps(d), d) + 1.0) * 0.5).view(np.int64)
+        be = backend(slots=16384)
+        he = be.decrypt(poly_comp(be.encrypt(d), 0.0, cs))[:d.size]
+        assert np.array_equal(he.view(np.int64), want)
+        assert np.array_equal(poly_comp(d, 0.0, cs).view(np.int64), want)
+
+    @pytest.mark.parametrize("alpha, eps", [
+        (5.0, float("nan")), (float("inf"), 2.0 ** -20), (float("nan"), 2.0 ** -20),
+        (0.0, 2.0 ** -20), (-1.0, 2.0 ** -20), (5.0, 0.0), (5.0, 1.0), (5.0, -0.5),
+        (5.0, float("inf"))])
+    def test_build_rejects_bad_arguments_before_any_fit(self, monkeypatch, alpha, eps):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the arguments")
+
+        monkeypatch.setattr(approx, "fit_odd_sign_stage", no_fit)
+        with pytest.raises(InvalidArgument):
+            build_composite_sign(alpha, eps)
+
+    def test_needs_a_stage(self):
+        with pytest.raises(InvalidArgument):
+            approx.CompositeSign((), 5.0, 2.0 ** -20)

@@ -273,27 +273,49 @@ class TestEncryptedBasis:
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(n_i=st.integers(1, 6), g=st.integers(1, 6), k=st.integers(1, 5),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_per_feature_grids(self, n_i, g, k, seed):
-        """Distinct knot rows per feature, so a tile-order mix-up between
-        features shows."""
+           roomy=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_per_feature_grids(self, n_i, g, k, roomy, seed):
+        """Distinct non-uniform knot rows per feature, so a tile-order
+        mix-up between features shows, and the slot contract the de Boor
+        orders rely on: every slot past n_i(g + k) is zero, the wrapped end
+        included (the slot count is the packed width rounded up to a power
+        of two, or twice that), also when the input holds values past slot
+        n_i, as a hidden layer's does."""
         rng = np.random.default_rng(seed)
         knots = np.sort(rng.uniform(-1, 1, (n_i, g + 2 * k + 1)), axis=1)
         assume(np.all(np.diff(knots, axis=1) > 0))
         G = GridMatrix(knots, g, k, R=1.0)
-        x = rng.uniform(-1, 1, n_i)
-        plain = np.array([bspline_basis_plain(xi, G.entries[i], k) for i, xi in enumerate(x)])
+        slots = (1 << ((n_i << pack_rotations(g, k)) - 1).bit_length()) << roomy
+        v = rng.uniform(-1, 1, slots)
+        plain = np.array([bspline_basis_plain(xi, G.entries[i], k)
+                          for i, xi in enumerate(v[:n_i])])
+        valid = n_i * (g + k)
         for comp in (build_composite_sign(), EXACT_COMPARATOR):
-            vals, bv, _ = he_basis_values(x, G, comp)
-            clear = clear_basis_values(x, G, comp)
-            assert np.array_equal(vals.view(np.int64), clear.view(np.int64))
-            assert np.all(bv.slots[n_i * (g + k):] == 0.0)
+            vals, bv, _ = he_basis_values(v, G, comp, slots=slots)
+            clear = bspline_basis_he(repeat_pack(v, g, k, n_i), G, comp)
+            assert np.array_equal(bv.slots[:valid].view(np.int64), clear[:valid].view(np.int64))
+            assert np.all(bv.slots[valid:] == 0.0) and np.all(clear[valid:] == 0.0)
         assert np.max(np.abs(vals - plain)) <= 1e-12  # vals: the exact comparator's run
+
+    @pytest.mark.parametrize("n_i, g, k", [(1, 1, 1), (3, 2, 4), (2, 5, 3)])
+    def test_knot_tiles_cover_their_orders(self, n_i, g, k):
+        """Order j < k's de Boor tiles cover blocks 0..g + 2k - j and are
+        zero past them; the last order's four tiles are zero past block
+        g + k - 1."""
+        G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+        _, _, orders = G.tiles
+        assert [o.shape[0] for o in orders] == [2] * (k - 1) + [4]
+        for j, (t, recip) in enumerate(orders[:-1], start=1):
+            cover = n_i * (g + 2 * k - j + 1)
+            assert np.all(recip[:cover] > 0) and not np.any(recip[cover:])
+            assert not np.any(t[cover:])
+        last = orders[-1]
+        assert np.all(last[1, :n_i * (g + k)] > 0) and not np.any(last[:, n_i * (g + k):])
 
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("mode", ["exact", "composite"])
     def test_depth_consumption(self, mode, k):
-        """The measured level drop, basis_depth and the plan's four basis
+        """The measured level drop, basis_depth and the plan's three basis
         stages agree."""
         cfg = PipelineConfig(comparator_mode=mode)
         comp = cfg.comparator()
@@ -303,7 +325,7 @@ class TestEncryptedBasis:
         bv = bspline_basis_he(repeat_pack(ct, 4, k, 2), G, comp)
         stages = plan_layer(random_model([2, 1], g=4, k=k).layers[0], cfg).stages
         planned = sum(stages[s] for s in ("comparator_scale", "comparator",
-                                          "basis_order0", "basis_recursion"))
+                                          "basis_recursion"))
         assert ct.level - bv.level == 1 + basis_depth(k, comp) == 1 + planned
 
     def test_exact_comparator_is_exact_near_a_knot(self):

@@ -660,7 +660,7 @@ class TestPlanStagesJoinMeasuredDrops:
                 "repeat_pack": pack_in - pack_out,
                 "comparator_scale": {pack_out - lin for lin, _ in comps},
                 "comparator": {lin - lout for lin, lout in comps},
-                "basis_order0 + basis_recursion": {lout - basis_out for _, lout in comps},
+                "basis_recursion": {lout - basis_out for _, lout in comps},
                 "spline_matvec": sum(lin - lout for lin, lout in maps),
             }
             stages = lp.stages
@@ -673,8 +673,7 @@ class TestPlanStagesJoinMeasuredDrops:
                 "repeat_pack": stages["repeat_pack"],
                 "comparator_scale": {stages["comparator_scale"]},
                 "comparator": {stages["comparator"]},
-                "basis_order0 + basis_recursion": {stages["basis_order0"]
-                                                   + stages["basis_recursion"]},
+                "basis_recursion": {stages["basis_recursion"]},
                 "spline_matvec": stages["spline_matvec"],
             }
             assert basis_in - basis_out == basis_depth(layer.k, cfg.comparator())
@@ -808,8 +807,8 @@ class TestBench:
         assert len({id(be) for be in forwards}) == 2 * len(cfgs)
         assert [(r["rotations"], r["ct_mults"], r["pt_mults"], r["depth"],
                  r["speedup_vs_naive_counts"]) for r in rows] == [
-            (58, 344, 366, 34, 1.1302), (58, 40, 102, 12, 1.5),
-            (88, 344, 436, 36, 1.0), (88, 40, 172, 14, 1.0)]
+            (58, 336, 354, 30, 1.1337), (58, 32, 98, 10, 1.5319),
+            (88, 336, 424, 32, 1.0), (88, 32, 168, 12, 1.0)]
 
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
@@ -831,11 +830,11 @@ class TestBench:
     def test_table_config_op_counts_are_pinned(self):
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15 slots
         pinned = {
-            "(64,3,2)": {"lazy": (25, 104, 86), "naive": (60, 424, 86)},
-            "(128,5,3)": {"lazy": (30, 112, 88), "naive": (93, 1136, 88)},
-            "(256,5,3)": {"lazy": (32, 112, 88), "naive": (122, 2160, 88)},
-            "(256,10,3)": {"lazy": (33, 109, 88), "naive": (148, 3437, 88)},
-            "(256,10,5)": {"lazy": (36, 115, 92), "naive": (159, 3955, 92)},
+            "(64,3,2)": {"lazy": (25, 101, 84), "naive": (60, 421, 84)},
+            "(128,5,3)": {"lazy": (30, 108, 85), "naive": (93, 1132, 85)},
+            "(256,5,3)": {"lazy": (32, 108, 85), "naive": (122, 2156, 85)},
+            "(256,10,3)": {"lazy": (33, 105, 85), "naive": (148, 3433, 85)},
+            "(256,10,5)": {"lazy": (36, 109, 87), "naive": (159, 3949, 87)},
         }
         configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
         rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,
