@@ -537,9 +537,10 @@ def poly_comp(a: CipherText, b, comparator) -> CipherText:
     difference's window (HeBackend.run_on_window) and consumes
     comparator.depth() levels; on an array (the mirror) it runs on the
     array. The caller keeps |a - b| <= 1; in the
-    pipeline the range contract does (input and knots in [-R, R], the
-    difference scaled by 1/(2R)). The composite comparator is certified
-    only for |a - b| >= its delta.
+    pipeline the range contract does (input and knots in [-R, R], both in
+    units of 2R: the packing mask scales the input by 1/(2R), and the knot
+    tiles are built scaled). The composite comparator is certified only
+    for |a - b| >= its delta.
     """
     ops = _ops_of(a)
     d = ops.sub(a, b)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import DepthExhausted, InputTooLong, LengthMismatch
+from .errors import DepthExhausted, InputTooLong, InvalidArgument, LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ class HeBackend:
         if level is None:
             level = self.config.depth_budget
         if not 0 <= level <= self.config.depth_budget:
-            raise ValueError(f"level {level} outside [0, {self.config.depth_budget}]")
+            raise InvalidArgument(f"level {level} outside [0, {self.config.depth_budget}]")
         data, tail = _plain(values)
         if data.size > self.config.slot_count:
             raise InputTooLong(f"{data.size} values > {self.config.slot_count} slots")
@@ -386,7 +386,7 @@ class HeBackend:
         self._check_ours(a)
         S = self.config.slot_count
         if abs(t) >= S:
-            raise ValueError(f"|t| = {abs(t)} must be < slot_count {S}")
+            raise InvalidArgument(f"|t| = {abs(t)} must be < slot_count {S}")
         if t == 0:
             return a
         self.counter.rotations += 1

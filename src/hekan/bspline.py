@@ -63,7 +63,7 @@ class GridMatrix:
         if np.any(np.diff(entries, axis=1) <= 0):
             raise InsufficientKnots("knot rows must be strictly increasing (no repeats)")
         if self.R <= 0:
-            raise ValueError("R must be positive")
+            raise InvalidArgument(f"R must be positive, got {self.R}")
         largest = float(np.max(np.abs(entries), initial=0.0))
         if self.R < largest:
             raise InputOutOfRange(f"R = {self.R} is below the largest |knot| {largest}")
@@ -71,6 +71,12 @@ class GridMatrix:
     @property
     def n_i(self) -> int:
         return self.entries.shape[0]
+
+    @property
+    def scale(self) -> float:
+        """1/(2R), the comparator's unit: it maps an input and a knot in
+        [-R, R] to a difference in [-1, 1]. The basis runs in this unit."""
+        return 1.0 / (2.0 * self.R)
 
     @cached_property
     def tiles(self) -> tuple:
@@ -160,10 +166,14 @@ def check_repeat_pack(slot_count: int, n_i: int, g: int, k: int) -> None:
             f"{slot_count}; the fast packing needs power-of-two headroom")
 
 
-def repeat_pack(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:
+def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
+                scale: float = 1.0) -> CipherText:
     """Fast repeat packing: one mask multiply plus doubling rotations, on a
     ciphertext or an array (the mirror). The result holds the input's
-    first n_i slots as at least g + 2k copies back to back.
+    first n_i slots, times scale, as at least g + 2k copies back to back.
+    The mask full(n_i, scale) carries the scale at no extra cost: the
+    layer program packs with the grid's scale, 1/(2R), so the basis
+    receives its input in comparator units.
 
     The doubling loop produces 2^ceil(log2(g+2k)) copies, so that power of
     two must also fit in the slot vector or the final shift would wrap onto
@@ -171,7 +181,7 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:
     """
     ops = _ops_of(ct)
     check_repeat_pack(ops.slot_count, n_i, g, k)
-    packed = ops.mul(ct, np.ones(n_i))
+    packed = ops.mul(ct, np.full(n_i, scale))
     for j in range(pack_rotations(g, k)):
         packed = ops.add(ops.rotate(packed, -(n_i << j)), packed)
     return packed
@@ -213,30 +223,36 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 
 
 def basis_stages(k: int, comparator) -> dict:
-    """Levels each stage of bspline_basis_he consumes, in order: the
-    comparator's scale multiply, the comparator (the order-0 basis is a sum
-    of its two steps and costs none), then one ciphertext multiply per
-    recursion step."""
+    """Levels each stage of bspline_basis_he consumes from a scaled input,
+    in order: the comparator (the order-0 basis is the difference of its
+    two steps and costs none), then the recursion, one ciphertext multiply
+    per order. The first order's knot factor is a plaintext multiply on
+    the packed input, off the comparator's path, so the recursion starts
+    max(comparator.depth(), 1) levels down: one level later than the
+    comparator's output when the comparator costs none (the exact one)."""
+    depth = comparator.depth()
     return {
-        "comparator_scale": 1,
-        "comparator": comparator.depth(),
-        "basis_recursion": k,
+        "comparator": depth,
+        "basis_recursion": max(depth, 1) - depth + k,
     }
 
 
 def basis_depth(k: int, comparator) -> int:
-    """Levels bspline_basis_he consumes from the packed input."""
+    """Levels bspline_basis_he consumes from a scaled input, the way the
+    layer program calls it: max(comparator.depth(), 1) + k. An unscaled
+    input costs one level more, its scale multiply."""
     return sum(basis_stages(k, comparator).values())
 
 
 def basis_tiles(G: GridMatrix):
-    """Plaintext knot tiles of the basis evaluation, column-tiled and
+    """Plaintext knot tiles of the basis evaluation, in comparator units
+    (the knots times G.scale, as the packed input is), column-tiled and
     zero-padded to the packed width n_i * 2^ceil(log2(g + 2k)), the window
     repeat_pack produces, so a tile op on a packed input reuses the tile.
 
-    Returns (g1, g2, orders): the order-0 interval endpoints (zero past
-    slot n_i(g + 2k)), and for each recursion order j = 1..k its tiles.
-    Orders j < k take the de Boor form
+    Returns (g1, g2, orders) in terms of the scaled knots t: the order-0
+    interval endpoints (zero past slot n_i(g + 2k)), and for each
+    recursion order j = 1..k its tiles. Orders j < k take the de Boor form
     B_{m,j} = w_m B_{m,j-1} + (1 - w_{m+1}) B_{m+1,j-1} with
     w_m = (x - t_m) / (t_{m+j} - t_m): a (2, width) array of the tiles
     (t_m, 1/(t_{m+j} - t_m)) for m = 0..g + 2k - j, zero past them. The
@@ -245,42 +261,53 @@ def basis_tiles(G: GridMatrix):
     reads b one tile ahead: a (4, width) array of the tiles
     (t1, 1/(t2 - t1), t3, -1/(t3 - t4)), zero past slot n_i(g + k), so
     that order zeroes every later slot. There a slot gets what the zero
-    tail of a shorter plaintext would give.
+    tail of a shorter plaintext would give. The ratios are those of the
+    unscaled knots: the scale cancels.
     """
     k, r = G.k, G.g + 2 * G.k + 1
+    knots = G.entries * G.scale
     width = G.n_i << pack_rotations(G.g, k)
     orders = []
     for j in range(1, k):
-        t = col_tile(G, 1, r - j + 1)
+        t = col_tile(knots, 1, r - j + 1)
         tiles = np.zeros((2, width))
-        tiles[:, :t.size] = t, 1.0 / (col_tile(G, j + 1, r + 1) - t)
+        tiles[:, :t.size] = t, 1.0 / (col_tile(knots, j + 1, r + 1) - t)
         orders.append(tiles)
     if k:
-        t1 = col_tile(G, 1, r - k)
-        t2 = col_tile(G, k + 1, r)
-        t3 = col_tile(G, k + 2, r + 1)
-        t4 = col_tile(G, 2, r - k + 1)
+        t1 = col_tile(knots, 1, r - k)
+        t2 = col_tile(knots, k + 1, r)
+        t3 = col_tile(knots, k + 2, r + 1)
+        t4 = col_tile(knots, 2, r - k + 1)
         tiles = np.zeros((4, width))
         tiles[:, :t1.size] = t1, 1.0 / (t2 - t1), t3, -1.0 / (t3 - t4)
         orders.append(tiles)
     ends = np.zeros((2, width))
-    ends[:, :G.n_i * (r - 1)] = col_tile(G, 1, r), col_tile(G, 2, r + 1)
+    ends[:, :G.n_i * (r - 1)] = col_tile(knots, 1, r), col_tile(knots, 2, r + 1)
     return ends[0], ends[1], orders
 
 
-def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
+def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
+                     scaled: bool = False) -> CipherText:
     """All-basis evaluation on xp, the input repeat-packed as at least
     g + 2k copies, a ciphertext or an array (the mirror): interval
-    membership from two comparator calls (poly_comp against zero) on the
-    knot endpoints, whose steps sum to the order-0 basis, then the
+    membership from two comparator calls (poly_comp) against the knot
+    endpoints, whose steps differ by the order-0 basis, then the
     slot-parallel Cox-de Boor recursion, one rotation per order. Slot
     m * n_i + i of the result holds B_m(x_i) for m < g + k.
 
-    The order-0 basis step(x - t_m) * step(t_{m+1} - x) of exact steps is
-    step(x - t_m) + step(t_{m+1} - x) - 1 (at a knot one step is 1/2), so
-    it costs no multiply. Orders 1..k-1 run in de Boor form, one plaintext
-    and one ciphertext multiply each: u = w * b, b <- u + (b - u) one tile
-    ahead (basis_tiles). Past its valid region a de Boor order leaves
+    The basis runs in comparator units: with scaled, xp is already there
+    (packed with scale = G.scale, as the layer program packs it); else a
+    prologue multiplies it by G.scale, one level more than basis_depth.
+    The knot tiles are in the same units (basis_tiles).
+
+    With exact steps, step(t_{m+1} - x) = 1 - step(x - t_{m+1}), so the
+    order-0 basis step(x - t_m) * step(t_{m+1} - x) is
+    step(x - t_m) - step(x - t_{m+1}), and it costs no multiply. At a
+    knot t_m the two blocks that meet there read the same step(0) = 1/2,
+    so their values sum to 1, as the recursion's first order needs.
+    Orders 1..k-1 run in de Boor form, one plaintext and one ciphertext
+    multiply each: u = w * b, b <- u + (b - u) one tile ahead
+    (basis_tiles). Past its valid region a de Boor order leaves
     finite values, which move left one tile per order as the region
     shrinks by one, so they never reach it; nor do those that the rotation
     wraps to the end, as the packing leaves g + 2k tiles of room. The last
@@ -289,11 +316,10 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     (the range contract, KanModel.check_input_range) keeps every
     comparator operand in [-1, 1]."""
     ops = _ops_of(xp)
-    inv2R = 1.0 / (2.0 * G.R)
+    if not scaled:
+        xp = ops.mul(xp, G.scale)
     g1, g2, orders = G.tiles
-    x1 = poly_comp(ops.mul(ops.sub(xp, g1), inv2R), 0.0, comparator)
-    x2 = poly_comp(ops.mul(ops.sub(xp, g2), -inv2R), 0.0, comparator)
-    b = ops.sub(ops.add(x1, x2), 1.0)
+    b = ops.sub(poly_comp(xp, g1, comparator), poly_comp(xp, g2, comparator))
     if not orders:
         return b
     *de_boor, (t1, recip1, t3, neg_recip2) = orders
@@ -348,7 +374,7 @@ def gen_permutation(n_r: int, n_c: int) -> PermutationSpec:
     (r-1)*n_c + c (both 1-indexed). Its ``source_of`` is read-only, so
     ``matvec_schedule`` builds its schedule once."""
     if n_r < 1 or n_c < 1:
-        raise ValueError("n_r and n_c must be >= 1")
+        raise InvalidArgument(f"n_r and n_c must be >= 1, got n_r = {n_r}, n_c = {n_c}")
     source_of = np.arange(n_r * n_c).reshape(n_c, n_r).T.flatten()  # owns its memory
     source_of.setflags(write=False)
     return PermutationSpec(n_r, n_c, source_of)

@@ -234,7 +234,8 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 def _layer(layer: KanLayer, x, path: str, comparator):
     """The layer program on x, a ciphertext (the encrypted forward) or an
     array (the mirror): the activation branch (the polynomial on the raw
-    input, masked, then W_b) and the spline branch (the packed basis, then
+    input, masked, then W_b) and the spline branch (the input packed in
+    comparator units, its mask carrying the grid's 1/(2R), the basis, then
     the path's linear maps), added. Slots [0, n_o) hold the output."""
     layer.check_supported()
     ops = _ops_of(x)
@@ -242,8 +243,8 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     base = ops.mul(base, np.ones(layer.n_i))
     base_out = bsgs_matvec(layer.W_b, base)
 
-    xp = repeat_pack(x, layer.g, layer.k, layer.n_i)
-    spline_out = bspline_basis_he(xp, layer.grid, comparator)
+    xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale)
+    spline_out = bspline_basis_he(xs, layer.grid, comparator, scaled=True)
     for W in layer.spline_maps(path):
         spline_out = bsgs_matvec(W, spline_out)
 

@@ -17,7 +17,7 @@ from hekan.backend import (
     make_backend,
 )
 from hekan.bspline import repeat_pack
-from hekan.errors import DepthExhausted, InputTooLong, LengthMismatch
+from hekan.errors import DepthExhausted, HeKanError, InputTooLong, LengthMismatch
 from hekan.matvec import matvec_schedule
 
 
@@ -167,6 +167,12 @@ class TestRotate:
         with pytest.raises(ValueError):
             be.rotate(be.encrypt([1.0]), 8)
 
+    @pytest.mark.parametrize("t", [8, -8, 9])
+    def test_out_of_range_rotation_is_a_library_error(self, t):
+        be = fresh(slot_count=8)
+        with pytest.raises(HeKanError, match="must be < slot_count 8"):
+            be.rotate(be.encrypt([1.0]), t)
+
     def test_level_unchanged(self):
         be = fresh()
         a = be.encrypt([1.0], level=3)
@@ -201,6 +207,12 @@ class TestEncryptDecrypt:
         be = fresh(depth=5)
         with pytest.raises(ValueError):
             be.encrypt([1.0], level=6)
+
+    @pytest.mark.parametrize("level", [-1, 6])
+    def test_level_outside_the_budget_is_a_library_error(self, level):
+        be = fresh(depth=5)
+        with pytest.raises(HeKanError, match=r"outside \[0, 5\]"):
+            be.encrypt([1.0], level=level)
 
     def test_noisy_round_trip_error_bound(self):
         # Monte-Carlo over >= 1e4 independent slot perturbations

@@ -20,6 +20,7 @@ from hekan.bspline import (
 )
 from hekan.errors import (
     DimensionMismatch,
+    HeKanError,
     IndexOutOfRange,
     InputOutOfRange,
     InsufficientKnots,
@@ -89,6 +90,11 @@ class TestGridMatrix:
             GridMatrix(rows, g=2, k=1, R=np.nan)
         with pytest.raises(NonFiniteInput):
             GridMatrix([[-1.0, -0.5, np.nan, 0.5, 1.0]], g=2, k=1, R=2.0)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_rejects_non_positive_R_as_a_library_error(self, R):
+        with pytest.raises(HeKanError, match="R must be positive"):
+            GridMatrix(np.array([[-1.0, 0.0, 1.0]]), g=2, k=0, R=R)
 
     def test_copies_the_callers_array(self):
         # the grid freezes its own copy, never the caller's array
@@ -280,22 +286,34 @@ class TestEncryptedBasis:
         orders rely on: every slot past n_i(g + k) is zero, the wrapped end
         included (the slot count is the packed width rounded up to a power
         of two, or twice that), also when the input holds values past slot
-        n_i, as a hidden layer's does."""
+        n_i, as a hidden layer's does. The basis runs on an unscaled packed
+        input and as the layer program runs it, on an input packed in
+        comparator units, with R drawn so that 1/(2R) rounds. About half
+        the features sit exactly on an interior knot t_m, where the two
+        order-0 blocks that meet there read the same step(0) (1/2), so
+        their values sum to 1 and the recursion's first order joins them
+        into the continuous basis."""
         rng = np.random.default_rng(seed)
         knots = np.sort(rng.uniform(-1, 1, (n_i, g + 2 * k + 1)), axis=1)
         assume(np.all(np.diff(knots, axis=1) > 0))
-        G = GridMatrix(knots, g, k, R=1.0)
+        G = GridMatrix(knots, g, k, R=rng.uniform(1.0, 1.5))
         slots = (1 << ((n_i << pack_rotations(g, k)) - 1).bit_length()) << roomy
         v = rng.uniform(-1, 1, slots)
+        on_knot = np.flatnonzero(rng.random(n_i) < 0.5)
+        v[on_knot] = knots[on_knot, rng.integers(1, g + 2 * k, on_knot.size)]
         plain = np.array([bspline_basis_plain(xi, G.entries[i], k)
                           for i, xi in enumerate(v[:n_i])])
         valid = n_i * (g + k)
-        for comp in (build_composite_sign(), EXACT_COMPARATOR):
-            vals, bv, _ = he_basis_values(v, G, comp, slots=slots)
-            clear = bspline_basis_he(repeat_pack(v, g, k, n_i), G, comp)
-            assert np.array_equal(bv.slots[:valid].view(np.int64), clear[:valid].view(np.int64))
-            assert np.all(bv.slots[valid:] == 0.0) and np.all(clear[valid:] == 0.0)
-        assert np.max(np.abs(vals - plain)) <= 1e-12  # vals: the exact comparator's run
+        for scaled in (False, True):
+            scale = G.scale if scaled else 1.0
+            for comp in (build_composite_sign(), EXACT_COMPARATOR):
+                xp = repeat_pack(backend(slots).encrypt(v), g, k, n_i, scale)
+                he = bspline_basis_he(xp, G, comp, scaled).slots
+                clear = bspline_basis_he(repeat_pack(v, g, k, n_i, scale), G, comp, scaled)
+                assert np.array_equal(he[:valid].view(np.int64), clear[:valid].view(np.int64))
+                assert np.all(he[valid:] == 0.0) and np.all(clear[valid:] == 0.0)
+            vals = he[:valid].reshape(g + k, n_i).T  # the exact comparator's run
+            assert np.max(np.abs(vals - plain)) <= 1e-12
 
     @pytest.mark.parametrize("n_i, g, k", [(1, 1, 1), (3, 2, 4), (2, 5, 3)])
     def test_knot_tiles_cover_their_orders(self, n_i, g, k):
@@ -315,18 +333,22 @@ class TestEncryptedBasis:
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("mode", ["exact", "composite"])
     def test_depth_consumption(self, mode, k):
-        """The measured level drop, basis_depth and the plan's three basis
-        stages agree."""
+        """The measured level drop of the basis run as the layer program
+        runs it (on an input packed in comparator units), basis_depth and
+        the plan's two basis stages agree: max(comparator depth, 1) + k.
+        An unscaled input costs one level more, its scale multiply."""
         cfg = PipelineConfig(comparator_mode=mode)
         comp = cfg.comparator()
         G = GridMatrix.uniform(2, 4, k, -1.0, 1.0)
         be = backend(slots=512, depth=30)
         ct = be.encrypt([0.1, 0.2])
-        bv = bspline_basis_he(repeat_pack(ct, 4, k, 2), G, comp)
+        bv = bspline_basis_he(repeat_pack(ct, 4, k, 2, G.scale), G, comp, scaled=True)
         stages = plan_layer(random_model([2, 1], g=4, k=k).layers[0], cfg).stages
-        planned = sum(stages[s] for s in ("comparator_scale", "comparator",
-                                          "basis_recursion"))
+        planned = stages["comparator"] + stages["basis_recursion"]
         assert ct.level - bv.level == 1 + basis_depth(k, comp) == 1 + planned
+        assert planned == max(comp.depth(), 1) + k
+        unscaled = bspline_basis_he(repeat_pack(ct, 4, k, 2), G, comp)
+        assert ct.level - unscaled.level == 2 + planned
 
     def test_exact_comparator_is_exact_near_a_knot(self):
         G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
@@ -365,6 +387,11 @@ class TestPermutation:
         coltile = data.T.ravel()
         P = gen_permutation(3, 4)
         np.testing.assert_array_equal(P.apply(coltile), data.ravel())
+
+    @pytest.mark.parametrize("n_r, n_c", [(0, 3), (3, 0)])
+    def test_rejects_empty_dimensions_as_a_library_error(self, n_r, n_c):
+        with pytest.raises(HeKanError, match="n_r and n_c must be >= 1"):
+            gen_permutation(n_r, n_c)
 
     def test_matrix_is_doubly_stochastic_zero_one(self):
         P = gen_permutation(4, 6).as_matrix()

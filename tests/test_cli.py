@@ -288,7 +288,7 @@ class TestCompare:
 
 class TestDefaultBackendDepth:
     """With no --backend, the default backend's depth budget is the plan's
-    total: a [2, 3, 1] model with g=5, k=3 plans 32 levels lazy and 34
+    total: a [2, 3, 1] model with g=5, k=3 plans 30 levels lazy and 32
     naive with the default (composite) comparator."""
 
     @pytest.fixture
@@ -310,7 +310,7 @@ class TestDefaultBackendDepth:
             assert rc == 0
             outputs[mode] = np.array(json.loads(out.read_text())["outputs"])
         doc = json.loads((tmp_path / "he.json").read_text())
-        assert doc["stats"][0]["levels"] == {"lazy": 32, "naive": 34}[path]
+        assert doc["stats"][0]["levels"] == {"lazy": 30, "naive": 32}[path]
         assert np.max(np.abs(outputs["he"] - outputs["plain-mirrored"])) <= 1e-9
 
     def test_compare(self, files, tmp_path):
@@ -326,7 +326,7 @@ class TestDefaultBackendDepth:
         out = tmp_path / "bench.csv"
         rc = main(["bench", "--model", model, "--configs", str(cfgs), "--out", str(out)])
         assert rc == 0
-        assert [int(r["depth"]) for r in csv.DictReader(out.open())] == [32, 34]
+        assert [int(r["depth"]) for r in csv.DictReader(out.open())] == [30, 32]
 
 
 class TestRangeContract:

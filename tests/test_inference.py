@@ -507,6 +507,22 @@ class TestModelForward:
                     out, _ = model_forward_he(mdl, ct, cfg)
                     assert ct.level - out.level == plan_model(mdl, cfg).total
 
+    @pytest.mark.parametrize("comparator_mode, path, depth", [
+        ("exact", "lazy", 12), ("exact", "naive", 14),
+        ("composite", "lazy", 30), ("composite", "naive", 32)])
+    def test_depth_pinned_with_and_without_a_comparator_level(self, comparator_mode,
+                                                               path, depth):
+        """Packing in comparator units puts the comparator on the packing
+        mask's level. The exact comparator costs none, so there the first
+        recursion factor's plaintext multiply sets the pace: each layer
+        takes max(comparator depth, 1) + k + 2 levels on the lazy path."""
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=0)
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        be = HeBackend(BackendConfig(slot_count=1024, depth_budget=depth))
+        ct = encrypt_input(np.array([0.4, -0.3]), mdl, be)
+        out, _ = model_forward_he(mdl, ct, cfg)
+        assert ct.level - out.level == plan_model(mdl, cfg).total == depth
+
     def test_budget_infeasible_reports_stages(self):
         mdl = random_model([4, 2], g=4, k=3, seed=18)
         bcfg = BackendConfig(slot_count=256, depth_budget=8)
@@ -658,7 +674,6 @@ class TestPlanStagesJoinMeasuredDrops:
                 "silu_mask": poly_out - base_in,
                 "base_matvec": base_in - base_out,
                 "repeat_pack": pack_in - pack_out,
-                "comparator_scale": {pack_out - lin for lin, _ in comps},
                 "comparator": {lin - lout for lin, lout in comps},
                 "basis_recursion": {lout - basis_out for _, lout in comps},
                 "spline_matvec": sum(lin - lout for lin, lout in maps),
@@ -666,12 +681,12 @@ class TestPlanStagesJoinMeasuredDrops:
             stages = lp.stages
             assert {n for key in measured for n in key.split(" + ")} == set(stages)
             assert len(comps) == 2 and len(maps) == stages["spline_matvec"]
+            assert {lin for lin, _ in comps} == {pack_out}  # packed in comparator units
             assert measured == {
                 "silu_poly": stages["silu_poly"],
                 "silu_mask": stages["silu_mask"],
                 "base_matvec": stages["base_matvec"],
                 "repeat_pack": stages["repeat_pack"],
-                "comparator_scale": {stages["comparator_scale"]},
                 "comparator": {stages["comparator"]},
                 "basis_recursion": {stages["basis_recursion"]},
                 "spline_matvec": stages["spline_matvec"],
@@ -807,8 +822,8 @@ class TestBench:
         assert len({id(be) for be in forwards}) == 2 * len(cfgs)
         assert [(r["rotations"], r["ct_mults"], r["pt_mults"], r["depth"],
                  r["speedup_vs_naive_counts"]) for r in rows] == [
-            (58, 336, 354, 30, 1.1337), (58, 32, 98, 10, 1.5319),
-            (88, 336, 424, 32, 1.0), (88, 32, 168, 12, 1.0)]
+            (58, 336, 346, 28, 1.1351), (58, 32, 90, 10, 1.5556),
+            (88, 336, 416, 30, 1.0), (88, 32, 160, 12, 1.0)]
 
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
@@ -830,11 +845,11 @@ class TestBench:
     def test_table_config_op_counts_are_pinned(self):
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15 slots
         pinned = {
-            "(64,3,2)": {"lazy": (25, 101, 84), "naive": (60, 421, 84)},
-            "(128,5,3)": {"lazy": (30, 108, 85), "naive": (93, 1132, 85)},
-            "(256,5,3)": {"lazy": (32, 108, 85), "naive": (122, 2156, 85)},
-            "(256,10,3)": {"lazy": (33, 105, 85), "naive": (148, 3433, 85)},
-            "(256,10,5)": {"lazy": (36, 109, 87), "naive": (159, 3949, 87)},
+            "(64,3,2)": {"lazy": (25, 99, 84), "naive": (60, 419, 84)},
+            "(128,5,3)": {"lazy": (30, 106, 85), "naive": (93, 1130, 85)},
+            "(256,5,3)": {"lazy": (32, 106, 85), "naive": (122, 2154, 85)},
+            "(256,10,3)": {"lazy": (33, 103, 85), "naive": (148, 3431, 85)},
+            "(256,10,5)": {"lazy": (36, 107, 87), "naive": (159, 3947, 87)},
         }
         configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
         rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,
