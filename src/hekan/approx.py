@@ -86,7 +86,7 @@ class WeightScheme:
 
     def __post_init__(self):
         if not self.inner_weight >= self.outer_weight > 0:
-            raise ValueError("need inner_weight >= outer_weight > 0")
+            raise InvalidArgument("need inner_weight >= outer_weight > 0")
 
     @classmethod
     def from_moments(cls, mu: float, sigma: float) -> "WeightScheme":
@@ -169,7 +169,7 @@ def _sample_grid(rng: ApproxRange, degree: int, n_samples: int | None) -> np.nda
     if n_samples is None:
         n_samples = 200 * (degree + 1)
     if n_samples <= degree:
-        raise ValueError(f"n_samples {n_samples} must exceed degree {degree}")
+        raise InvalidArgument(f"n_samples {n_samples} must exceed degree {degree}")
     if not rng.lo < rng.hi:
         raise IllConditioned(f"degenerate fitting interval [{rng.lo}, {rng.hi}]")
     return np.linspace(rng.lo, rng.hi, n_samples)
@@ -308,7 +308,7 @@ def fit_odd_sign_stage(lo: float, hi: float, degree: int,
     """Best odd polynomial approximation of +1 on [lo, hi] (hence of the
     sign function on [-hi, -lo] by symmetry). Returns (Polynomial, max_err)."""
     if degree < 1 or degree % 2 == 0:
-        raise ValueError("sign stages need odd degree >= 1")
+        raise InvalidArgument(f"sign stages need odd degree >= 1, got {degree}")
     n_basis = (degree + 1) // 2
 
     def basis_eval(x):
@@ -341,6 +341,18 @@ def _estrin(ops, x, coeffs):
     both exist: the balanced tree's post-order. A constant block stays a
     float and zero terms are skipped. The schedule is identical between the
     backend and array adapters, so cleartext mirroring is bit-exact.
+
+    x^3 leaves use the tree's slack. A lo block may finish one level after
+    its hi sibling, so the 4-coefficient block q (coefficients 4q … 4q+3)
+    may finish at level m - popcount(q) and the tree still ends at level m.
+    A block whose budget is at least 3, whose even coefficients are 0.0 and
+    whose c_{4q+3} is nonzero is formed directly as c_{4q+1} x + c_{4q+3} x^3
+    (level 3): the same pt mults and add as its pair merge, one ct mult
+    fewer. When at least two blocks qualify, x^3 = x * x^2 is computed once
+    (one ct mult) and each such block enters the post-order as a finished
+    block of 4; otherwise the schedule is the plain power tree. An odd
+    polynomial with nonzero odd coefficients costs 13 ct mults instead of
+    19 at degree 31 and 8 instead of 10 at degree 15.
     """
     n = len(coeffs)
     if n == 1:
@@ -349,17 +361,30 @@ def _estrin(ops, x, coeffs):
     pows = [x]
     for _ in range(m - 1):
         pows.append(ops.mul(pows[-1], pows[-1]))
+    cubic = {4 * q for q in range(n // 4)
+             if m - q.bit_count() >= 3 and coeffs[4 * q] == 0.0
+             and coeffs[4 * q + 2] == 0.0 and coeffs[4 * q + 3] != 0.0}
+    if len(cubic) >= 2:
+        x3 = ops.mul(x, pows[1])
+    else:
+        cubic = ()
+
+    def merge(lo, power, hi):  # lo + power * hi, zero terms skipped
+        if isinstance(hi, float) and hi == 0.0:
+            return lo
+        val = ops.mul(power, hi)
+        return val if isinstance(lo, float) and lo == 0.0 else ops.add(val, lo)
+
     blocks = []  # (j, value): the pending blocks of 2^j coefficients
-    for i in range(1 << m):
-        j, val = 0, float(coeffs[i]) if i < n else 0.0
+    i = 0
+    while i < 1 << m:
+        if i in cubic:  # the leaf c_{i+1} x + c_{i+3} x^3, formed here
+            val = merge(merge(0.0, x, float(coeffs[i + 1])), x3, float(coeffs[i + 3]))
+            j, i = 2, i + 4
+        else:
+            j, val, i = 0, float(coeffs[i]) if i < n else 0.0, i + 1
         while blocks and blocks[-1][0] == j:
-            lo, hi = blocks.pop()[1], val
-            if isinstance(hi, float) and hi == 0.0:
-                val = lo
-            else:
-                val = ops.mul(pows[j], hi)
-                if not (isinstance(lo, float) and lo == 0.0):
-                    val = ops.add(val, lo)
+            val = merge(blocks.pop()[1], pows[j], val)
             j += 1
         blocks.append((j, val))
     return blocks[0][1]

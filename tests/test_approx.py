@@ -26,6 +26,7 @@ from hekan.backend import BackendConfig, CipherText, HeBackend, _ArrayOps, make_
 from hekan.errors import (
     DepthExhausted,
     EmptySamples,
+    HeKanError,
     IllConditioned,
     InvalidArgument,
     RemezNonConvergence,
@@ -167,8 +168,18 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             fit_weighted_ls(silu, r, 5, n_samples=4)
 
+    @pytest.mark.parametrize("fit", [fit_weighted_ls, fit_ols])
+    def test_too_few_samples_is_a_library_error(self, fit):
+        r = ApproxRange(-1.0, 1.0, 0.0, 1.0)
+        with pytest.raises(HeKanError, match="must exceed degree"):
+            fit(silu, r, 5, n_samples=5)
+
     def test_weight_scheme_invariant(self):
         with pytest.raises(ValueError):
+            WeightScheme(-1.0, 1.0, inner_weight=1.0, outer_weight=5.0)
+
+    def test_weight_scheme_invariant_is_a_library_error(self):
+        with pytest.raises(HeKanError, match="inner_weight >= outer_weight"):
             WeightScheme(-1.0, 1.0, inner_weight=1.0, outer_weight=5.0)
 
 
@@ -203,6 +214,11 @@ class TestRemez:
         with pytest.raises(RemezNonConvergence):
             build_composite_sign(2, 2 ** -6)
 
+    @pytest.mark.parametrize("degree", [0, 2, 14, -1])
+    def test_sign_stage_of_even_degree_is_a_library_error(self, degree):
+        with pytest.raises(HeKanError, match="odd degree"):
+            fit_odd_sign_stage(0.1, 1.0, degree)
+
     def test_odd_sign_stage_is_odd(self):
         p, err = fit_odd_sign_stage(0.1, 1.0, 15)
         assert all(c == 0.0 for c in p.coeffs[0::2])
@@ -234,6 +250,18 @@ class TestEvalPolyHe:
         consumed = a.level - out.level
         assert consumed <= 5
         assert consumed == poly_eval_depth(p) == 4
+
+    @pytest.mark.parametrize("degree, ct, pt, adds, levels",
+                             [(31, 13, 16, 15, 5), (15, 8, 8, 7, 4)])
+    def test_odd_sign_stage_costs(self, degree, ct, pt, adds, levels):
+        # x^3 leaves: 4 squarings, x^3 and 8 merges at degree 31 (19
+        # without them), 3 squarings, x^3 and 4 merges at degree 15 (10)
+        p, _ = fit_odd_sign_stage(2.0 ** -5, 1.0, degree)
+        be = backend(slots=8, depth=6)
+        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
+        out = eval_poly_he(a, p)
+        c = be.counter
+        assert (c.ct_mults, c.pt_mults, c.adds, a.level - out.level) == (ct, pt, adds, levels)
 
     def test_depth_formula(self):
         assert poly_eval_depth(0) == 0
@@ -343,6 +371,76 @@ def _estrin_recursive(ops, x, coeffs):
     return block(0, 1 << m)
 
 
+def _x3_leaves(coeffs):
+    """First coefficient of each block of four that may be an x^3 leaf:
+    the tree's level budget m - popcount(q) of block q is at least 3, its
+    even coefficients are zero and its last one is not."""
+    m = max(1, (len(coeffs) - 1).bit_length())
+    padded = np.zeros(1 << m)
+    padded[:len(coeffs)] = coeffs
+    return [lo for lo in range(0, 1 << m, 4)
+            if m - bin(lo // 4).count("1") >= 3
+            and padded[lo] == padded[lo + 2] == 0.0 and padded[lo + 3] != 0.0]
+
+
+def _estrin_recursive_x3(ops, x, coeffs):
+    """Reference for the flat power tree: the balanced recursion of
+    _estrin_recursive, except that when at least two blocks of four may be
+    x^3 leaves, x^3 = x * x^2 follows the squarings and each such block is
+    c_{lo+1} x + c_{lo+3} x^3, its zero term skipped."""
+    n = len(coeffs)
+    if n == 1:
+        return ops.const(coeffs[0])
+    m = max(1, (n - 1).bit_length())
+    padded = np.zeros(1 << m)
+    padded[:n] = coeffs
+    pows = [x]
+    for _ in range(m - 1):
+        pows.append(ops.mul(pows[-1], pows[-1]))
+    leaves = _x3_leaves(coeffs)
+    if len(leaves) >= 2:
+        x3 = ops.mul(x, pows[1])
+    else:
+        leaves = []
+
+    def block(lo, size):
+        if size == 1:
+            return float(padded[lo])
+        if size == 4 and lo in leaves:
+            terms = [ops.mul(power, float(padded[lo + e]))
+                     for power, e in ((x, 1), (x3, 3)) if padded[lo + e] != 0.0]
+            return terms[0] if len(terms) == 1 else ops.add(terms[1], terms[0])
+        half = size // 2
+        lo_val = block(lo, half)
+        hi_val = block(lo + half, half)
+        if isinstance(hi_val, float) and hi_val == 0.0:
+            return lo_val
+        term = ops.mul(pows[half.bit_length() - 1], hi_val)
+        if isinstance(lo_val, float) and lo_val == 0.0:
+            return term
+        return ops.add(term, lo_val)
+
+    return block(0, 1 << m)
+
+
+def _draw_coeffs(draw):
+    """Coefficients of degree 0 to 31, of any, odd or even parity, zeros
+    (signed ones too) included, trimmed as a Polynomial trims them."""
+    degree = draw(st.integers(0, 31))
+    parity = draw(st.sampled_from(["any", "odd", "even"]))
+    coeffs = [0.0 if (parity == "odd" and i % 2 == 0) or (parity == "even" and i % 2)
+              else draw(st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-3.0, 3.0))
+              for i in range(degree + 1)]
+    return Polynomial(tuple(coeffs)).coeffs
+
+
+def _op_counts(log):
+    """(ct mults, pt mults, adds) of a _Recorder log."""
+    muls = [b for name, _, b in log if name == "mul"]
+    ct = sum(isinstance(b, tuple) for b in muls)
+    return ct, len(muls) - ct, sum(name == "add" for name, _, _ in log)
+
+
 class TestEstrinOpOrder:
     """The flat power tree issues the recursion's ops in its order: the
     order of the noise draws a noisy backend's bit-identity rests on."""
@@ -350,16 +448,38 @@ class TestEstrinOpOrder:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
     def test_matches_recursive_reference(self, data):
-        draw = data.draw
-        degree = draw(st.integers(0, 31))
-        parity = draw(st.sampled_from(["any", "odd", "even"]))
-        coeffs = [0.0 if (parity == "odd" and i % 2 == 0) or (parity == "even" and i % 2)
-                  else draw(st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-3.0, 3.0))
-                  for i in range(degree + 1)]
-        coeffs = Polynomial(tuple(coeffs)).coeffs
+        coeffs = _draw_coeffs(data.draw)
         got, want = _Recorder(), _Recorder()
-        assert approx._estrin(got, got.x, coeffs) == _estrin_recursive(want, want.x, coeffs)
+        assert approx._estrin(got, got.x, coeffs) == _estrin_recursive_x3(want, want.x, coeffs)
         assert got.log == want.log
+
+
+class TestEstrinX3Leaves:
+    """The x^3 leaves against the plain power tree (_estrin_recursive): the
+    same pt mults and adds, one ct mult fewer per leaf but one for x^3, at
+    the depth of poly_eval_depth; the plain tree's ops exactly when fewer
+    than two blocks qualify."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_never_costs_more_than_the_plain_tree(self, data):
+        coeffs = _draw_coeffs(data.draw)
+        got, old = _Recorder(), _Recorder()
+        approx._estrin(got, got.x, coeffs)
+        _estrin_recursive(old, old.x, coeffs)
+        (ct, pt, adds), (old_ct, old_pt, old_adds) = _op_counts(got.log), _op_counts(old.log)
+        assert (pt, adds) == (old_pt, old_adds)
+        assert ct <= old_ct
+        leaves = _x3_leaves(coeffs)
+        if len(leaves) < 2:
+            assert got.log == old.log
+        else:
+            assert ct == old_ct - len(leaves) + 1
+
+        be = backend(slots=8, depth=6)
+        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
+        out = approx._estrin(_OneOpAtATime(a), a, coeffs)
+        assert a.level - out.level == poly_eval_depth(len(coeffs) - 1)
 
 
 class TestEvalPolyHeWindow:
@@ -470,6 +590,16 @@ class TestCompositeSign:
         keys = [(sum(poly_eval_depth(d) for d in plan), len(plan))
                 for plan in approx._STAGE_PLANS]
         assert keys == sorted(keys)
+
+    def test_default_call_costs(self):
+        # two degree-31 stages at 13 ct, 16 pt and 15 adds each, plus 1/2
+        cs = build_composite_sign()
+        be = backend(slots=8, depth=12)
+        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
+        out = poly_comp(a, 0.25, cs)
+        c = be.counter
+        assert (c.ct_mults, c.pt_mults, c.adds, c.subs) == (26, 32, 31, 1)
+        assert a.level - out.level == cs.depth() == 10
 
     def test_depth_is_stage_sum(self):
         cs = build_composite_sign()
