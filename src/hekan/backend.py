@@ -36,6 +36,7 @@ their programs use; ``_ops_of(v)`` picks HeBackend for a ciphertext and
 ``_ArrayOps`` reads an array as a ciphertext over a zero tail: the shorter
 operand of a slot-wise op is zero-extended, a right rotation prepends
 zeros and a left rotation drops the leading slots.
+The label hook ``_stage(name, v_in, v_out)`` is a no-op except on ``_Probe``.
 
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
 the wraparound duplication and each giant step are one numpy program over
@@ -58,6 +59,10 @@ import numpy as np
 from .errors import DepthExhausted, InputTooLong, InvalidArgument, LengthMismatch
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     """Static parameters of the simulated scheme.
@@ -72,15 +77,15 @@ class BackendConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.slot_count <= 0 or (self.slot_count & (self.slot_count - 1)) != 0:
-            raise ValueError(f"slot_count must be a positive power of two, got {self.slot_count}")
-        if self.depth_budget < 0:
-            raise ValueError("depth_budget must be >= 0")
+        s = self.slot_count
+        if not _is_int(s) or s <= 0 or s & (s - 1):
+            raise InvalidArgument(f"slot_count must be a positive power of two, got {s!r}")
+        if not _is_int(self.depth_budget) or self.depth_budget < 0:
+            raise InvalidArgument(f"depth_budget must be an int >= 0, got {self.depth_budget!r}")
         if not math.isfinite(self.noise_std) or self.noise_std < 0:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if (isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer))
-                or self.rng_seed < 0):
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
+            raise InvalidArgument(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise InvalidArgument(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
     @classmethod
     def from_json(cls, source) -> "BackendConfig":
@@ -95,7 +100,7 @@ class BackendConfig:
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
-            raise ValueError(f"unknown BackendConfig keys: {sorted(unknown)}")
+            raise InvalidArgument(f"unknown BackendConfig keys: {sorted(unknown)}")
         return cls(**doc)
 
 
@@ -267,7 +272,7 @@ class HeBackend:
         otherwise, or a scalar), over the smallest cyclic window holding
         both operands' windows; the tails combine into the result's tail."""
         if op_kind not in _ARITH:
-            raise ValueError(f"unknown op_kind {op_kind!r}")
+            raise InvalidArgument(f"unknown op_kind {op_kind!r}")
         self._check_ours(a)
         is_ct = isinstance(b, CipherText)
         if op_kind == "mul_ct" and not is_ct:
@@ -392,6 +397,9 @@ class HeBackend:
         self.counter.rotations += 1
         return CipherText((a.start - t) % S, a.data, a.tail, a.level, self)
 
+    def _stage(self, name: str, v_in: CipherText, v_out: CipherText) -> None:
+        """Label hook, called after each labelled stage: a no-op (see _Probe)."""
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -489,6 +497,8 @@ class _ArrayOps:
     def run_on_window(a, program, depth):
         return program(_ArrayOps(a))
 
+    _stage = HeBackend._stage
+
     @staticmethod
     def run_block_sum(v, schedule):
         """The block sum on v's first n slots (n the period), zero-extended
@@ -499,6 +509,19 @@ class _ArrayOps:
         x[: min(n, v.size)] = v[:n]
         x[n:] = x[:n]
         return schedule.block_sum(x, n)
+
+
+class _Probe(HeBackend):
+    """The depth planner's exact backend, with room for any layer: its label
+    hook records each stage's level drop (``drops``) and end level."""
+
+    def __init__(self):
+        super().__init__(BackendConfig(slot_count=2 ** 20, depth_budget=2 ** 20))
+        self.drops, self.levels = {}, {}
+
+    def _stage(self, name, v_in, v_out):
+        self.drops[name] = v_in.level - v_out.level
+        self.levels[name] = v_out.level
 
 
 def _ops_of(v):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .approx import poly_comp
-from .backend import CipherText, _ops_of
+from .backend import CipherText, _ops_of, _Probe
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -222,26 +222,14 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def basis_stages(k: int, comparator) -> dict:
-    """Levels each stage of bspline_basis_he consumes from a scaled input,
-    in order: the comparator (the order-0 basis is the difference of its
-    two steps and costs none), then the recursion, one ciphertext multiply
-    per order. The first order's knot factor is a plaintext multiply on
-    the packed input, off the comparator's path, so the recursion starts
-    max(comparator.depth(), 1) levels down: one level later than the
-    comparator's output when the comparator costs none (the exact one)."""
-    depth = comparator.depth()
-    return {
-        "comparator": depth,
-        "basis_recursion": max(depth, 1) - depth + k,
-    }
-
-
 def basis_depth(k: int, comparator) -> int:
     """Levels bspline_basis_he consumes from a scaled input, the way the
-    layer program calls it: max(comparator.depth(), 1) + k. An unscaled
-    input costs one level more, its scale multiply."""
-    return sum(basis_stages(k, comparator).values())
+    layer program calls it, read off one run on a probe backend: for
+    k >= 1, max(comparator.depth(), 1) + k. An unscaled input costs one
+    level more, its scale multiply."""
+    ct = _Probe().encrypt(0.0)
+    G = GridMatrix.uniform(1, 1, k, -1.0, 1.0)
+    return ct.level - bspline_basis_he(ct, G, comparator, scaled=True).level
 
 
 def basis_tiles(G: GridMatrix):
@@ -319,7 +307,8 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     if not scaled:
         xp = ops.mul(xp, G.scale)
     g1, g2, orders = G.tiles
-    b = ops.sub(poly_comp(xp, g1, comparator), poly_comp(xp, g2, comparator))
+    b = steps = ops.sub(poly_comp(xp, g1, comparator), poly_comp(xp, g2, comparator))
+    ops._stage("comparator", xp, steps)
     if not orders:
         return b
     *de_boor, (t1, recip1, t3, neg_recip2) = orders
@@ -328,7 +317,9 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
         b = ops.add(u, ops.rotate(ops.sub(b, u), G.n_i))
     b1 = ops.mul(ops.mul(ops.sub(xp, t1), recip1), b)
     b2 = ops.mul(ops.mul(ops.sub(xp, t3), neg_recip2), ops.rotate(b, G.n_i))
-    return ops.add(b1, b2)
+    basis = ops.add(b1, b2)
+    ops._stage("basis_recursion", steps, basis)
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,18 @@ Wires the pieces together per layer: the activation-polynomial branch and
 the packed B-spline branch, joined by baby-step/giant-step matrix-vector
 products. The lazy path applies permutation-fused weights directly to the
 basis layout; the naive path first reorders homomorphically via a
-permutation-matrix product. A static depth planner predicts the exact level
-consumption before anything runs.
+permutation-matrix product. The depth planner reads each layer's levels
+off one run of the layer program on a probe backend, before anything runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,17 +25,12 @@ from .approx import (
     EXACT_COMPARATOR,
     build_composite_sign,
     eval_poly_he,
-    poly_eval_depth,
 )
-from .backend import BackendConfig, CipherText, HeBackend, _ops_of, make_backend
-from .bspline import (
-    basis_stages,
-    bspline_basis_he,
-    check_repeat_pack,
-    repeat_pack,
-)
+from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make_backend
+from .bspline import GridMatrix, bspline_basis_he, check_repeat_pack, repeat_pack
 from .errors import (
     DepthBudgetInfeasible,
+    InvalidArgument,
     NonFiniteInput,
     ShapeMismatch,
 )
@@ -59,32 +56,32 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.comparator_mode not in ("composite", "exact"):
-            raise ValueError(f"unknown comparator_mode {self.comparator_mode!r}")
+            raise InvalidArgument(f"unknown comparator_mode {self.comparator_mode!r}")
         if self.path not in ("lazy", "naive"):
-            raise ValueError(f"unknown path {self.path!r}")
+            raise InvalidArgument(f"unknown path {self.path!r}")
         for name in ("alpha", "target_eps"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+                raise InvalidArgument(f"{name} must be a finite real number, got {value!r}")
         if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive (delta = 2^-alpha < 1), got {self.alpha}")
+            raise InvalidArgument(f"alpha must be positive (2^-alpha < 1), got {self.alpha}")
         if not 0 < self.target_eps < 1:
-            raise ValueError(f"target_eps must lie in (0, 1), got {self.target_eps}")
+            raise InvalidArgument(f"target_eps must lie in (0, 1), got {self.target_eps}")
         if not isinstance(self.label, str):
-            raise ValueError(f"label must be a string, got {self.label!r}")
+            raise InvalidArgument(f"label must be a string, got {self.label!r}")
 
     @classmethod
     def from_json(cls, doc, backend: BackendConfig | None = None) -> "PipelineConfig":
         """Build a config from a parsed JSON object. Absent keys take the
         dataclass defaults; a ``backend`` entry is read by
         BackendConfig.from_json, else ``backend`` is used. Unknown keys
-        raise ValueError, as in BackendConfig.from_json."""
+        raise InvalidArgument, as in BackendConfig.from_json."""
         if not isinstance(doc, dict):
-            raise ValueError(f"a PipelineConfig must be a JSON object, got {type(doc).__name__}")
+            raise InvalidArgument(f"a PipelineConfig is a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
-            raise ValueError(f"unknown PipelineConfig keys: {sorted(unknown)}")
+            raise InvalidArgument(f"unknown PipelineConfig keys: {sorted(unknown)}")
         kwargs = {"backend": backend, **doc}
         if "backend" in doc:
             kwargs["backend"] = BackendConfig.from_json(doc["backend"])
@@ -147,28 +144,15 @@ def bsgs_matvec(W, v: CipherText) -> CipherText:
 # ---------------------------------------------------------------------------
 
 
-# The stages of the activation branch; every other stage is the spline
-# branch's. The branches run side by side, so a layer costs the larger sum.
-_SILU_STAGES = ("silu_poly", "silu_mask", "base_matvec")
-
-
 @dataclass(frozen=True)
 class LayerPlan:
-    """Levels each stage of a layer consumes, in pipeline order."""
+    """Levels each stage of a layer consumes, in pipeline order (read-only);
+    those of its two branches, which run side by side; and its total."""
 
-    stages: dict
-
-    @property
-    def silu_branch(self) -> int:
-        return sum(self.stages[s] for s in _SILU_STAGES)
-
-    @property
-    def spline_branch(self) -> int:
-        return sum(self.stages.values()) - self.silu_branch
-
-    @property
-    def total(self) -> int:
-        return max(self.silu_branch, self.spline_branch)
+    stages: MappingProxyType
+    silu_branch: int
+    spline_branch: int
+    total: int
 
 
 @dataclass(frozen=True)
@@ -190,16 +174,23 @@ class ModelPlan:
 
 
 def plan_layer(layer: KanLayer, cfg: PipelineConfig) -> LayerPlan:
-    layer.check_supported()
-    stages = {
-        "silu_poly": poly_eval_depth(layer.silu_poly),
-        "silu_mask": 1,
-        "base_matvec": 1,
-        "repeat_pack": 1,
-        **basis_stages(layer.k, cfg.comparator()),
-        "spline_matvec": len(layer.spline_maps(cfg.path)),
-    }
-    return LayerPlan(stages)
+    return _plan(layer.silu_poly, layer.k, cfg.path, cfg.comparator())
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(silu_poly, k: int, path: str, comparator) -> LayerPlan:
+    """The plan of every layer with this SiLU polynomial, k, path and
+    comparator: one run of the layer program on a probe. Levels do not depend
+    on width, grid size or weights, so it runs a one-feature zero-weight stand-in."""
+    grid = GridMatrix.uniform(1, 1, k, -1.0, 1.0)
+    stand_in = KanLayer(W_b=np.zeros((1, 1)), S=np.zeros((1, 1, grid.n_basis)),
+                        grid=grid, silu_poly=silu_poly)
+    probe = _Probe()
+    ct = probe.encrypt(0.0)
+    out = _layer(stand_in, ct, path, comparator)
+    return LayerPlan(MappingProxyType(probe.drops),
+                     ct.level - probe.levels["base_matvec"],
+                     ct.level - probe.levels["spline_matvec"], ct.level - out.level)
 
 
 def plan_model(model: KanModel, cfg: PipelineConfig) -> ModelPlan:
@@ -239,14 +230,19 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     the path's linear maps), added. Slots [0, n_o) hold the output."""
     layer.check_supported()
     ops = _ops_of(x)
-    base = eval_poly_he(x, layer.silu_poly)
-    base = ops.mul(base, np.ones(layer.n_i))
-    base_out = bsgs_matvec(layer.W_b, base)
+    poly = eval_poly_he(x, layer.silu_poly)
+    ops._stage("silu_poly", x, poly)
+    masked = ops.mul(poly, np.ones(layer.n_i))
+    ops._stage("silu_mask", poly, masked)
+    base_out = bsgs_matvec(layer.W_b, masked)
+    ops._stage("base_matvec", masked, base_out)
 
     xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale)
-    spline_out = bspline_basis_he(xs, layer.grid, comparator, scaled=True)
+    ops._stage("repeat_pack", x, xs)
+    basis = spline_out = bspline_basis_he(xs, layer.grid, comparator, scaled=True)
     for W in layer.spline_maps(path):
         spline_out = bsgs_matvec(W, spline_out)
+    ops._stage("spline_matvec", basis, spline_out)
 
     return ops.add(base_out, spline_out)
 
@@ -304,12 +300,12 @@ def bench_compare(model: KanModel, inputs, cfgs) -> list:
     """
     inputs = list(inputs)
     if not inputs:
-        raise ValueError("bench_compare needs at least one input")
+        raise InvalidArgument("bench_compare needs at least one input")
     rows = []
     by_twin = {}
     for cfg in cfgs:
         if cfg.backend is None:
-            raise ValueError(f"config {cfg.describe()} has no backend settings")
+            raise InvalidArgument(f"config {cfg.describe()} has no backend settings")
         warm = make_backend(cfg.backend)
         model_forward_he(model, encrypt_input(np.asarray(inputs[0]), model, warm), cfg)
         backend = make_backend(cfg.backend)

@@ -148,7 +148,7 @@ class KanLayer:
             return (self.w_fused,)
         if path == "naive":
             return (self.permutation, self.w_prime)
-        raise ValueError(f"unknown path {path!r}")
+        raise InvalidArgument(f"unknown path {path!r}")
 
 
 @dataclass(eq=False)
@@ -251,9 +251,9 @@ def layer_forward_plain(layer: KanLayer, x, mode: str = "exact",
         bvals = _basis_matrix_exact(layer.grid, x)
         return layer.W_b @ base + layer.w_prime @ bvals.ravel()
     if mode != "mirrored":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     if comparator is None:
-        raise ValueError("mirrored mode needs the pipeline's comparator")
+        raise InvalidArgument("mirrored mode needs the pipeline's comparator")
     from .inference import _layer  # inference imports this module
     return _layer(layer, x, path, comparator)[: layer.n_o]
 
@@ -299,7 +299,7 @@ def fit_layer_ls(dataset: Dataset, n_o: int, grid: GridMatrix,
     if Y.shape[1] != n_o:
         raise DimensionMismatch(f"targets have {Y.shape[1]} columns, n_o = {n_o}")
     if w_b_mode not in ("fitted", "fixed"):
-        raise ValueError(f"unknown w_b_mode {w_b_mode!r}")
+        raise InvalidArgument(f"unknown w_b_mode {w_b_mode!r}")
     if not 0.0 <= ridge < np.inf:  # NaN included
         raise InvalidArgument(f"ridge must be finite and >= 0, got {ridge}")
     nb = grid.n_basis

@@ -61,6 +61,31 @@ class TestConfig:
                 BackendConfig(slot_count=8, depth_budget=1, noise_std=noise)
         assert BackendConfig(slot_count=8, depth_budget=1, rng_seed=np.int64(2)).rng_seed == 2
 
+    @pytest.mark.parametrize("fields", [
+        {"slot_count": 1024, "depth_budget": 2.5},
+        {"slot_count": 1024, "depth_budget": True},
+        {"slot_count": True, "depth_budget": 4},
+        {"slot_count": 1024.0, "depth_budget": 4},
+        {"slot_count": "1024", "depth_budget": 4},
+        {"slot_count": 1024, "depth_budget": 4, "rng_seed": True},
+    ])
+    def test_fields_must_be_integers(self, fields):
+        # a fractional budget would give fractional levels; a bool is not
+        # a count; each is the library's InvalidArgument, a ValueError too
+        with pytest.raises(HeKanError) as info:
+            BackendConfig(**fields)
+        assert isinstance(info.value, ValueError)
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = BackendConfig(slot_count=np.int64(16), depth_budget=np.int32(3))
+        assert make_backend(cfg).encrypt([1.0]).level == 3
+
+    def test_from_json_errors_are_library_errors(self):
+        with pytest.raises(HeKanError):
+            BackendConfig.from_json({"slot_count": 8, "depth_budget": 1, "bogus": 2})
+        with pytest.raises(HeKanError):
+            BackendConfig.from_json('{"slot_count": 8, "depth_budget": 1.5}')
+
     def test_make_backend_kind(self):
         # exact iff noise_std == 0, perturbed otherwise
         want = np.array([1.5, 2.5, 3.5, 0.5, 0.5, 0.5, 0.5, 0.5])
@@ -137,6 +162,8 @@ class TestSlotwise:
         a, b = be.encrypt([2.0]), be.encrypt([5.0])
         assert be.slotwise("sub", a, b).slots[0] == -3.0
         with pytest.raises(ValueError):
+            be.slotwise("pow", a, b)
+        with pytest.raises(HeKanError):
             be.slotwise("pow", a, b)
         with pytest.raises(LengthMismatch):
             be.slotwise("mul_ct", a, np.ones(8))

@@ -413,8 +413,11 @@ class TestUsage:
         '{"slot_count": 512, "depth_budget": 40, "rng_seed": -1, "noise_std": 1e-12}',
         '{"slot_count": 512, "depth_budget": 40, "rng_seed": 1.5}',
         '{"slot_count": 512, "depth_budget": 40, "noise_std": NaN}',
+        '{"slot_count": 512, "depth_budget": 40.5}',
+        '{"slot_count": 512, "depth_budget": true}',
     ], ids=["not_json", "unknown_key", "slot_count_not_power_of_two", "no_depth_budget",
-            "negative_rng_seed", "fractional_rng_seed", "nan_noise_std"])
+            "negative_rng_seed", "fractional_rng_seed", "nan_noise_std",
+            "fractional_depth_budget", "bool_depth_budget"])
     def test_malformed_backend_usage_exit(self, model_path, input_path, tmp_path, capsys,
                                           command, backend):
         extra = _input_args(command, input_path, tmp_path)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from hekan import bspline, inference
 from hekan.approx import EXACT_COMPARATOR, build_composite_sign
-from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, make_backend
+from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, _ops_of, make_backend
 from hekan.bspline import PermutationSpec, basis_depth, gen_permutation, repeat_pack
 from hekan.errors import (
     DepthBudgetInfeasible,
     DimensionMismatch,
+    HeKanError,
     InputOutOfRange,
     NonFiniteInput,
     PackingOverflow,
@@ -29,6 +30,7 @@ from hekan.inference import (
     encrypt_input,
     layer_forward_he,
     model_forward_he,
+    plan_layer,
     plan_model,
     write_bench_csv,
 )
@@ -612,28 +614,30 @@ class TestPlanStagesJoinMeasuredDrops:
     runs it, layer by layer, as perfbench's plan_mismatch joins them."""
 
     @staticmethod
-    def _trace(monkeypatch, mdl, ct, cfg):
+    def _trace(mdl, ct, cfg):
         """Run the forward; returns, per layer, its staged calls as
         (name, first argument, level in, level out), the layer's own call
-        last."""
+        last. The plan must be cached already, or its probe run would be
+        traced too."""
         def level(obj):
             return obj.level
 
         events = []
-        for module, name, operand in ((inference, "eval_poly_he", 0),
-                                      (inference, "bsgs_matvec", 1),
-                                      (inference, "repeat_pack", 0),
-                                      (inference, "bspline_basis_he", 0),
-                                      (bspline, "poly_comp", 0),
-                                      (inference, "layer_forward_he", 1)):
-            def call(*args, _fn=getattr(module, name), _name=name, _operand=operand,
-                     **kwargs):
-                out = _fn(*args, **kwargs)
-                events.append((_name, args[0], level(args[_operand]), level(out)))
-                return out
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name, operand in ((inference, "eval_poly_he", 0),
+                                          (inference, "bsgs_matvec", 1),
+                                          (inference, "repeat_pack", 0),
+                                          (inference, "bspline_basis_he", 0),
+                                          (bspline, "poly_comp", 0),
+                                          (inference, "layer_forward_he", 1)):
+                def call(*args, _fn=getattr(module, name), _name=name, _operand=operand,
+                         **kwargs):
+                    out = _fn(*args, **kwargs)
+                    events.append((_name, args[0], level(args[_operand]), level(out)))
+                    return out
 
-            monkeypatch.setattr(module, name, call)
-        model_forward_he(mdl, ct, cfg)
+                mp.setattr(module, name, call)
+            model_forward_he(mdl, ct, cfg)
         layers, calls = [], []
         for event in events:
             calls.append(event)
@@ -646,14 +650,29 @@ class TestPlanStagesJoinMeasuredDrops:
                                             ([4, 3, 3, 2], 3, 2)])
     @pytest.mark.parametrize("comparator_mode", ["composite", "exact"])
     @pytest.mark.parametrize("path", ["lazy", "naive"])
-    def test_every_stage_matches_its_functions_drop(self, monkeypatch, dims, g, k,
-                                                    comparator_mode, path):
-        mdl = random_model(dims, g=g, k=k, seed=len(dims) + k)
+    def test_every_stage_matches_its_functions_drop(self, dims, g, k, comparator_mode,
+                                                    path):
+        self._check(random_model(dims, g=g, k=k, seed=len(dims) + k), k, comparator_mode,
+                    path)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(dims=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+           g=st.integers(1, 4), k=st.integers(1, 5),
+           path=st.sampled_from(["lazy", "naive"]),
+           comparator_mode=st.sampled_from(["composite", "exact"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_stand_in_plan_matches_drawn_layers(self, dims, g, k, path, comparator_mode,
+                                                seed):
+        """The plan comes from a one-feature stand-in; every stage's drop
+        on real layers of the shapes TestOneLayerProgram draws matches it."""
+        self._check(random_model(dims, g=g, k=k, seed=seed), seed, comparator_mode, path)
+
+    def _check(self, mdl, seed, comparator_mode, path):
         cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
         plan = plan_model(mdl, cfg)
         be = HeBackend(BackendConfig(slot_count=1024, depth_budget=plan.total))
-        ct = be.encrypt(np.random.default_rng(k).uniform(-1, 1, dims[0]))
-        layers = self._trace(monkeypatch, mdl, ct, cfg)
+        ct = be.encrypt(np.random.default_rng(seed).uniform(-1, 1, mdl.n_in))
+        layers = self._trace(mdl, ct, cfg)
         assert [calls[-1][1] for calls in layers] == list(mdl.layers)
         for lp, calls in zip(plan.layers, layers):
             layer = calls[-1][1]
@@ -695,6 +714,77 @@ class TestPlanStagesJoinMeasuredDrops:
             assert layer_in - base_out == lp.silu_branch
             assert layer_in - maps[-1][1] == lp.spline_branch
             assert layer_in - layer_out == lp.total
+
+
+class TestPlanIsReadOffTheProgram:
+    """The planner runs the layer program once per (SiLU polynomial, k,
+    path, comparator) on a probe backend and caches the plan."""
+
+    @pytest.fixture
+    def cold_plans(self):
+        inference._plan.cache_clear()
+        yield
+        inference._plan.cache_clear()
+
+    def test_plan_follows_the_program(self, monkeypatch, cold_plans):
+        # one extra plaintext multiply in the packing shows up in the plan
+        # with no edit to the planner
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=0)
+        cfg = PipelineConfig()
+        before = plan_layer(mdl.layers[0], cfg)
+        pack = inference.repeat_pack
+
+        def costlier_pack(*args):
+            xs = pack(*args)
+            return _ops_of(xs).mul(xs, 1.0)
+
+        monkeypatch.setattr(inference, "repeat_pack", costlier_pack)
+        inference._plan.cache_clear()
+        after = plan_layer(mdl.layers[0], cfg)
+        assert after.stages["repeat_pack"] == before.stages["repeat_pack"] + 1
+        assert after.total == before.total + 1
+        assert {**after.stages, "repeat_pack": 0} == {**before.stages, "repeat_pack": 0}
+        plan = plan_model(mdl, cfg)
+        be = HeBackend(BackendConfig(slot_count=1024, depth_budget=plan.total))
+        out, _ = model_forward_he(mdl, encrypt_input(np.array([0.4, -0.3]), mdl, be), cfg)
+        assert out.level == 0
+
+    @pytest.mark.parametrize("path, comparator_mode, line, total", [
+        ("lazy", "composite", "comparator=10, basis_recursion=3, spline_matvec=1 | "
+                              "silu branch 5, spline branch 15, layer 15", 30),
+        ("lazy", "exact", "comparator=0, basis_recursion=4, spline_matvec=1 | "
+                          "silu branch 5, spline branch 6, layer 6", 12),
+        ("naive", "composite", "comparator=10, basis_recursion=3, spline_matvec=2 | "
+                               "silu branch 5, spline branch 16, layer 16", 32),
+        ("naive", "exact", "comparator=0, basis_recursion=4, spline_matvec=2 | "
+                           "silu branch 5, spline branch 7, layer 7", 14)])
+    def test_describe_is_pinned(self, path, comparator_mode, line, total):
+        # the CLI prints this text
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=0)
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        head = "silu_poly=3, silu_mask=1, base_matvec=1, repeat_pack=1, "
+        assert plan_model(mdl, cfg).describe() == (
+            f"layer 0: {head}{line}\nlayer 1: {head}{line}\ntotal depth {total}")
+
+    def test_stages_are_read_only(self):
+        # plans are cached and shared between layers and calls
+        plan = plan_layer(random_model([2, 1], g=3, k=2, seed=0).layers[0], PipelineConfig())
+        with pytest.raises(TypeError):
+            plan.stages["comparator"] = 0
+        assert plan.stages["comparator"] == 10
+
+    def test_second_check_runs_no_layer_program(self, monkeypatch, cold_plans):
+        mdl = random_model([3, 4, 2], g=3, k=2, seed=1)
+        cfg = PipelineConfig(path="naive")
+        runs = []
+        layer = inference._layer
+        monkeypatch.setattr(inference, "_layer", lambda *args: runs.append(args) or layer(*args))
+        first = check_depth_budget(mdl, cfg, 100)
+        planned = len(runs)
+        assert 1 <= planned <= len(mdl.layers)
+        second = check_depth_budget(mdl, cfg, 100)
+        assert len(runs) == planned
+        assert all(a is b for a, b in zip(first.layers, second.layers))
 
 
 class TestDefaultComparatorAccuracy:
@@ -768,10 +858,14 @@ class TestBench:
         mdl = random_model([4, 2], g=3, k=1, seed=22)
         with pytest.raises(ValueError):
             bench_compare(mdl, [], [PipelineConfig()])
+        with pytest.raises(HeKanError):
+            bench_compare(mdl, [], [PipelineConfig()])
 
     def test_missing_backend_rejected(self):
         mdl = random_model([4, 2], g=3, k=1, seed=23)
         with pytest.raises(ValueError):
+            bench_compare(mdl, [np.zeros(4)], [PipelineConfig()])
+        with pytest.raises(HeKanError):
             bench_compare(mdl, [np.zeros(4)], [PipelineConfig()])
 
     def test_twins_differ_only_in_path(self):
@@ -841,6 +935,15 @@ class TestBench:
                     {"target_eps": 1}, {"target_eps": "1e-6"}, {"label": 7}):
             with pytest.raises(ValueError):
                 PipelineConfig.from_json(doc, bcfg)
+            with pytest.raises(HeKanError):
+                PipelineConfig.from_json(doc, bcfg)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"comparator_mode": "fuzzy"}, {"path": "sideways"}, {"alpha": "x"},
+        {"alpha": -1.0}, {"target_eps": 2.0}, {"label": 7}])
+    def test_config_errors_are_library_errors(self, kwargs):
+        with pytest.raises(HeKanError):
+            PipelineConfig(**kwargs)
 
     def test_table_config_op_counts_are_pinned(self):
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15 slots

@@ -18,6 +18,7 @@ from hekan.bspline import GridMatrix, bspline_basis_plain
 from hekan.errors import (
     CorruptFile,
     DimensionMismatch,
+    HeKanError,
     InvalidArgument,
     SchemaMismatch,
     SingularSystem,
@@ -144,6 +145,15 @@ class TestLayerForward:
         with pytest.raises(ValueError):
             layer_forward_plain(tiny_layer(), [0.1, 0.2], "mirrored")
 
+    @pytest.mark.parametrize("kwargs", [{"mode": "approx"}, {"mode": "mirrored"}])
+    def test_bad_mode_is_a_library_error(self, kwargs):
+        with pytest.raises(HeKanError):
+            layer_forward_plain(tiny_layer(), [0.1, 0.2], **kwargs)
+
+    def test_unknown_spline_path_is_a_library_error(self):
+        with pytest.raises(HeKanError):
+            tiny_layer().spline_maps("sideways")
+
 
 class TestModelForward:
     def test_one_layer_model_reduces_to_layer(self):
@@ -251,6 +261,12 @@ class TestFitLayer:
         layer, rmse = fit_layer_ls(ds, 1, grid, w_b_mode="fixed")
         assert np.all(layer.W_b == 0.0)
         assert rmse <= 1e-3
+
+    def test_unknown_w_b_mode_is_a_library_error(self):
+        x = np.random.default_rng(9).uniform(-1, 1, 40).reshape(-1, 1)
+        with pytest.raises(HeKanError):
+            fit_layer_ls(Dataset(x, np.sin(x)), 1, GridMatrix.uniform(1, 4, 3, -1.0, 1.0),
+                         w_b_mode="free")
 
     def test_target_width_validation(self):
         ds = Dataset(np.zeros((10, 1)), np.zeros((10, 2)))
