@@ -202,6 +202,23 @@ def fit_weighted_ls(target, rng: ApproxRange, degree: int,
     return Polynomial(tuple(mono.coef))
 
 
+# A fitted coefficient whose largest term on the fit range,
+# |c_j| * max(|lo|, |hi|)^j, is below this fraction of the fit's largest
+# |value| there is roundoff of the Chebyshev-to-monomial conversion: a
+# SiLU fit on a symmetric range leaves its odd terms past x near
+# 35 * eps, while a real term is at least 1e12 * eps.
+ROUNDOFF_COEFF = 1e-12
+
+
+def drop_roundoff(p: Polynomial, rng: ApproxRange) -> Polynomial:
+    """p with the coefficients that are roundoff on rng zeroed
+    (ROUNDOFF_COEFF), so the evaluation skips them and the degree may drop."""
+    c = np.asarray(p.coeffs)
+    peak = float(np.max(np.abs(p(_sample_grid(rng, p.degree, None)))))
+    terms = np.abs(c) * max(abs(rng.lo), abs(rng.hi)) ** np.arange(c.size)
+    return Polynomial(tuple(np.where(terms < ROUNDOFF_COEFF * peak, 0.0, c)))
+
+
 def fit_ols(target, rng: ApproxRange, degree: int,
             n_samples: int | None = None) -> Polynomial:
     """Unweighted least squares (all sample weights 1)."""

@@ -29,7 +29,7 @@ intermediate keeps the input's window, and each array op is the float op
 levels and noise draws are those of the op-by-op run.
 
 Every stage program speaks one op vocabulary (add, sub, mul, rotate,
-const, run_on_window, run_block_sum): HeBackend, ``_WindowOps`` (inside
+const, run_on_window, run_block_sum, run_folds): HeBackend, ``_WindowOps`` (inside
 ``run_on_window``) and the mirror's ``_ArrayOps`` each implement the ops
 their programs use; ``_ops_of(v)`` picks HeBackend for a ciphertext and
 ``_ArrayOps`` for an array, so one stage function serves both forwards.
@@ -39,18 +39,22 @@ zeros and a left rotation drops the leading slots.
 The label hook ``_stage(name, v_in, v_out)`` is a no-op except on ``_Probe``.
 
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
-the wraparound duplication and each giant step are one numpy program over
-the slots the schedule reads, with the op counts, level and noise draws of
-the op-by-op run. One exception to the bit-identity invariant: the exact
-result is the window [0, n) over a +0.0 tail, where the op-by-op run
-leaves ±0 partial products past slot n. Only the sign of those zeros
-differs, and no consumer reads them.
+the wraparound duplication (if the schedule needs one) and each giant step
+are one numpy program over the slots the schedule reads, with the op
+counts, level and noise draws of the op-by-op run. One exception to the
+bit-identity invariant: the exact result is the window [0, L) over a +0.0
+tail (L the diagonals' length), where the op-by-op run leaves ±0 partial
+products past slot L. Only the sign of those zeros differs, and no
+consumer reads them. A wide schedule's rotate-and-add folds run the same
+way (:meth:`HeBackend.run_folds`), with no exception: every slot is that
+of the op-by-op folds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, fields, replace
 
@@ -82,8 +86,10 @@ class BackendConfig:
             raise InvalidArgument(f"slot_count must be a positive power of two, got {s!r}")
         if not _is_int(self.depth_budget) or self.depth_budget < 0:
             raise InvalidArgument(f"depth_budget must be an int >= 0, got {self.depth_budget!r}")
-        if not math.isfinite(self.noise_std) or self.noise_std < 0:
-            raise InvalidArgument(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        noise = self.noise_std
+        if (isinstance(noise, bool) or not isinstance(noise, numbers.Real)
+                or not math.isfinite(noise) or noise < 0):
+            raise InvalidArgument(f"noise_std must be a finite real number >= 0, got {noise!r}")
         if not _is_int(self.rng_seed) or self.rng_seed < 0:
             raise InvalidArgument(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
@@ -351,27 +357,31 @@ class HeBackend:
         """Run a diagonal matvec schedule up to its folds and return the sum
         of its rotated giant-step blocks at level ``a.level - 1``.
 
-        a holds the operand; the wraparound duplication (``a`` plus ``a``
-        rotated right by n, when n > 1) and every giant step run as numpy
-        programs (``schedule.block_sum``). The counter is charged what the
-        op-by-op run charges, ``schedule.block_sum_counts``. DepthExhausted is
-        raised before any of it when a has no level left. The exact result
-        is the window [0, n) over a zero tail (see the module docstring); a
-        noisy backend runs on all slot_count slots and draws the op-by-op
-        run's noise in its order, so every slot matches that run. A
-        schedule that does not fit one ciphertext raises DimensionMismatch
-        (``schedule.check_capacity``) first.
+        a holds the operand as the schedule's contract says: its n_in
+        values over zeros, which the block sum first duplicates (``a``
+        plus ``a`` rotated right by the period n, when
+        ``schedule.duplicates``), or, for a repeated schedule, those values
+        already repeated with period n_in over the slots it reads
+        (``schedule.reads``). The duplication and every giant step run as
+        numpy programs (``schedule.block_sum``). The counter is charged
+        what the op-by-op run charges, ``schedule.block_sum_counts``.
+        DepthExhausted is raised before any of it when a has no level
+        left. The exact result is the window [0, L) over a zero tail (see
+        the module docstring); a noisy backend runs on all slot_count slots
+        and draws the op-by-op run's noise in its order, so every slot
+        matches that run. A schedule that does not fit one ciphertext
+        raises DimensionMismatch (``schedule.check_capacity``) first.
         """
         schedule.check_capacity(self.config.slot_count)
         self._check_ours(a)
         if a.level < 1:
             raise DepthExhausted(f"matrix-vector product at level {a.level}")
-        p, n = schedule.shape
+        p, L = schedule.shape
         S = self.config.slot_count
-        m = S if self.noisy else n + p - 1
+        m = S if self.noisy else schedule.reads
         x = _read(a, 0, m)
-        if n > 1:
-            x = x + _read(a, -n, m)
+        if schedule.duplicates:
+            x = x + _read(a, -schedule.period, m)
             if self.noisy:
                 x += self._noise(1)[0]
         rotations, adds, pt_mults = schedule.block_sum_counts
@@ -382,8 +392,37 @@ class HeBackend:
         if self.noisy:
             out = schedule.block_sum(np.concatenate((x, x[:p - 1])), S, self._noise)
         else:
-            out = schedule.block_sum(x, n)
+            out = schedule.block_sum(x, L)
         return CipherText(0, out, 0.0, a.level - 1, self)
+
+    def run_folds(self, a: CipherText, shifts) -> CipherText:
+        """a plus a rotated left by shifts[0], that plus itself rotated by
+        shifts[1], and so on: a matvec's folds, as one numpy program with
+        the op-by-op run's slots, op counts, level and noise draws. The
+        exact result's window is the op-by-op run's, [start - F, start +
+        len) for F = sum(shifts), computed with the tail padded in; a
+        window that could wrap onto itself (len + 2F > slot_count) and a
+        noisy backend compute all slots."""
+        if not shifts:
+            return a
+        self._check_ours(a)
+        self.counter.rotations += len(shifts)
+        self.counter.adds += len(shifts)
+        S = self.config.slot_count
+        F, tail = sum(shifts), a.tail
+        if self.noisy or a.data.size + 2 * F > S:
+            z = _place(a.start, a.data, a.tail, 0, S, S)
+            for t in shifts:
+                z = z + np.roll(z, -t)
+                tail = tail + tail
+                if self.noisy:
+                    z += self._noise(1)[0]
+            return CipherText(0, z, 0.0 if self.noisy else tail, a.level, self)
+        z = np.concatenate((np.full(F, tail), a.data))
+        for t in shifts:
+            z = z + np.concatenate((z[t:], np.full(t, tail)))
+            tail = tail + tail
+        return CipherText((a.start - F) % S, z, tail, a.level, self)
 
     def rotate(self, a: CipherText, t: int) -> CipherText:
         """Cyclic shift: left for t > 0, right for t < 0. Level unchanged.
@@ -501,14 +540,28 @@ class _ArrayOps:
 
     @staticmethod
     def run_block_sum(v, schedule):
-        """The block sum on v's first n slots (n the period), zero-extended
-        to n and duplicated, as the encrypted wraparound duplication reads
-        them."""
-        n = schedule.shape[1]
-        x = np.zeros(2 * n)
-        x[: min(n, v.size)] = v[:n]
-        x[n:] = x[:n]
-        return schedule.block_sum(x, n)
+        """The block sum on the slots the encrypted one reads: v's first n
+        slots (n the period), zero-extended to n and duplicated, when the
+        schedule duplicates; else v's first ``schedule.reads`` slots,
+        zero-extended."""
+        if schedule.duplicates:
+            n = schedule.period
+            x = np.zeros(2 * n)
+            x[: min(n, v.size)] = v[:n]
+            x[n:] = x[:n]
+        else:
+            m = schedule.reads
+            x = np.zeros(m)
+            x[: min(m, v.size)] = v[:m]
+        return schedule.block_sum(x, schedule.shape[1])
+
+    @staticmethod
+    def run_folds(a, shifts):
+        """The folds op by op: rotations drop the leading slots, and the
+        adds zero-extend."""
+        for t in shifts:
+            a = _ArrayOps.add(a, _ArrayOps.rotate(a, t))
+        return a
 
 
 class _Probe(HeBackend):

@@ -173,7 +173,9 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
     first n_i slots, times scale, as at least g + 2k copies back to back.
     The mask full(n_i, scale) carries the scale at no extra cost: the
     layer program packs with the grid's scale, 1/(2R), so the basis
-    receives its input in comparator units.
+    receives its input in comparator units, and the SiLU branch reads the
+    same copies (``KanLayer.packed_silu_poly``). The result's tail, past
+    the copies, is zero.
 
     The doubling loop produces 2^ceil(log2(g+2k)) copies, so that power of
     two must also fit in the slot vector or the final shift would wrap onto

@@ -1,10 +1,11 @@
 """Encrypted KAN inference pipeline.
 
-Wires the pieces together per layer: the activation-polynomial branch and
-the packed B-spline branch, joined by baby-step/giant-step matrix-vector
-products. The lazy path applies permutation-fused weights directly to the
-basis layout; the naive path first reorders homomorphically via a
-permutation-matrix product. The depth planner reads each layer's levels
+Wires the pieces together per layer: the input is repeat-packed once, and
+both the activation-polynomial branch and the B-spline branch read the
+packed copies; baby-step/giant-step matrix-vector products join them. The
+lazy path applies permutation-fused weights directly to the basis layout;
+the naive path first reorders homomorphically via a permutation-matrix
+product. The depth planner reads each layer's levels
 off one run of the layer program on a probe backend, before anything runs.
 """
 
@@ -27,9 +28,16 @@ from .approx import (
     eval_poly_he,
 )
 from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make_backend
-from .bspline import GridMatrix, bspline_basis_he, check_repeat_pack, repeat_pack
+from .bspline import (
+    GridMatrix,
+    bspline_basis_he,
+    check_repeat_pack,
+    pack_rotations,
+    repeat_pack,
+)
 from .errors import (
     DepthBudgetInfeasible,
+    DimensionMismatch,
     InvalidArgument,
     NonFiniteInput,
     ShapeMismatch,
@@ -120,23 +128,26 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
 # ---------------------------------------------------------------------------
 
 
-def bsgs_matvec(W, v: CipherText) -> CipherText:
+def bsgs_matvec(W, v: CipherText, repeated: bool = False) -> CipherText:
     """Diagonal-method matrix-vector product with baby/giant rotation steps.
 
     W is an n_o x n_in cleartext matrix, or a PermutationSpec (square, with
-    its diagonals read from ``source_of``). v, a ciphertext or an array (the
-    mirror), holds the operand in its first n_in slots with zeros elsewhere.
-    The result is valid in slots [0, n_o); other slots may hold partial
-    sums. Consumes one level; DimensionMismatch is raised before any op
-    when the schedule does not fit one ciphertext. Runs the wide
-    schedule when W is wide enough (see ``matvec_schedule``), else the
-    square one with max(n_o, n_in) plaintext multiplies. The baby/giant
-    split is derived from the matrix (``MatvecSchedule.split``). The
-    schedule's ``rotations`` and ``pt_mults`` give the exact counts. A
+    its diagonals read from ``source_of``). v is a ciphertext or an array
+    (the mirror). By default v holds the operand in its first n_in slots
+    with zeros elsewhere, and the schedule duplicates it for the diagonals
+    that wrap. With ``repeated``, v holds the operand repeated with period
+    n_in over every slot the schedule reads (``MatvecSchedule.reads``), as
+    the layer's packed input does: no duplication, and a tall W takes n_in
+    diagonals over n_o slots. The result is valid in slots [0, n_o); other
+    slots may hold partial sums. Consumes one level; DimensionMismatch is
+    raised before any op when the schedule does not fit one ciphertext.
+    The schedule follows the shape (see ``matvec_schedule``); its
+    baby/giant split is derived from the matrix (``MatvecSchedule.split``).
+    The schedule's ``rotations`` and ``pt_mults`` give the exact counts. A
     matrix that cannot change (a layer's) reuses its schedule and
     diagonals from call to call (``matvec_schedule``).
     """
-    return matvec_schedule(W).run(_ops_of(v), v)
+    return matvec_schedule(W, repeated).run(_ops_of(v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +185,18 @@ class ModelPlan:
 
 
 def plan_layer(layer: KanLayer, cfg: PipelineConfig) -> LayerPlan:
-    return _plan(layer.silu_poly, layer.k, cfg.path, cfg.comparator())
+    return _plan(layer.packed_silu_poly, layer.k, cfg.path, cfg.comparator())
 
 
 @functools.lru_cache(maxsize=None)
-def _plan(silu_poly, k: int, path: str, comparator) -> LayerPlan:
-    """The plan of every layer with this SiLU polynomial, k, path and
+def _plan(packed_silu_poly, k: int, path: str, comparator) -> LayerPlan:
+    """The plan of every layer with this packed SiLU polynomial, k, path and
     comparator: one run of the layer program on a probe. Levels do not depend
-    on width, grid size or weights, so it runs a one-feature zero-weight stand-in."""
-    grid = GridMatrix.uniform(1, 1, k, -1.0, 1.0)
+    on width, grid size or weights, so it runs a one-feature zero-weight
+    stand-in. Its grid has R = 1/2, so its own packed polynomial is this one."""
+    grid = GridMatrix(np.linspace(-0.5, 0.5, 2 * k + 2)[None], 1, k, 0.5)
     stand_in = KanLayer(W_b=np.zeros((1, 1)), S=np.zeros((1, 1, grid.n_basis)),
-                        grid=grid, silu_poly=silu_poly)
+                        grid=grid, silu_poly=packed_silu_poly)
     probe = _Probe()
     ct = probe.encrypt(0.0)
     out = _layer(stand_in, ct, path, comparator)
@@ -208,11 +220,11 @@ def check_depth_budget(model: KanModel, cfg: PipelineConfig, available: int) -> 
 
 def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> None:
     """Raise before any homomorphic op unless every layer fits in one
-    ciphertext of slot_count slots: the laws repeat_pack (PackingOverflow)
-    and each matvec schedule (DimensionMismatch) enforce when they run."""
+    ciphertext of slot_count slots: the laws repeat_pack (PackingOverflow),
+    the SiLU branch's copies and each spline matvec schedule
+    (DimensionMismatch) enforce when they run."""
     for layer in model.layers:
-        matvec_schedule(layer.W_b).check_capacity(slot_count)
-        check_repeat_pack(slot_count, layer.n_i, layer.g, layer.k)
+        _silu_copies(layer, slot_count)
         for W in layer.spline_maps(cfg.path):
             matvec_schedule(W).check_capacity(slot_count)
 
@@ -222,23 +234,48 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 # ---------------------------------------------------------------------------
 
 
+def _silu_copies(layer: KanLayer, slot_count) -> int:
+    """Copies of the packed input the SiLU branch reads: repeat_pack's
+    2^ceil(log2(g + 2k)), doubled until they cover the slots W_b's
+    repeated schedule reads (n_o + n_i - 1 for a tall W_b). With at least
+    4 copies, only a W_b with n_o > 3 n_i + 1 can need a doubling.
+    PackingOverflow unless the packing fits slot_count (check_repeat_pack),
+    DimensionMismatch unless the doubled copies do."""
+    check_repeat_pack(slot_count, layer.n_i, layer.g, layer.k)
+    reads = matvec_schedule(layer.W_b, repeated=True).reads
+    copies = 1 << pack_rotations(layer.g, layer.k)
+    while layer.n_i * copies < reads:
+        copies *= 2
+    if layer.n_i * copies > slot_count:
+        raise DimensionMismatch(
+            f"W_b reads {reads} slots of its repeated operand: {copies} copies of "
+            f"{layer.n_i} slots exceed {slot_count} (single-ciphertext scope)")
+    return copies
+
+
 def _layer(layer: KanLayer, x, path: str, comparator):
     """The layer program on x, a ciphertext (the encrypted forward) or an
-    array (the mirror): the activation branch (the polynomial on the raw
-    input, masked, then W_b) and the spline branch (the input packed in
-    comparator units, its mask carrying the grid's 1/(2R), the basis, then
-    the path's linear maps), added. Slots [0, n_o) hold the output."""
+    array (the mirror), whose first n_i slots hold the input: the input
+    packed in comparator units (its mask carrying the grid's 1/(2R) and
+    clearing every other slot), then the activation branch (the packed
+    SiLU polynomial on the packed copies, doubled first if W_b reads past
+    them, then W_b on that repeated operand) and the spline branch (the
+    basis, then the path's linear maps, each on a zero-tail operand),
+    added. Slots [0, n_o) hold the output."""
     layer.check_supported()
     ops = _ops_of(x)
-    poly = eval_poly_he(x, layer.silu_poly)
-    ops._stage("silu_poly", x, poly)
-    masked = ops.mul(poly, np.ones(layer.n_i))
-    ops._stage("silu_mask", poly, masked)
-    base_out = bsgs_matvec(layer.W_b, masked)
-    ops._stage("base_matvec", masked, base_out)
-
+    copies = _silu_copies(layer, ops.slot_count)
     xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale)
     ops._stage("repeat_pack", x, xs)
+    xr, shift = xs, layer.n_i << pack_rotations(layer.g, layer.k)
+    while shift < layer.n_i * copies:
+        xr = ops.add(xr, ops.rotate(xr, -shift))
+        shift *= 2
+    poly = eval_poly_he(xr, layer.packed_silu_poly)
+    ops._stage("silu_poly", xr, poly)
+    base_out = bsgs_matvec(layer.W_b, poly, repeated=True)
+    ops._stage("base_matvec", poly, base_out)
+
     basis = spline_out = bspline_basis_he(xs, layer.grid, comparator, scaled=True)
     for W in layer.spline_maps(path):
         spline_out = bsgs_matvec(W, spline_out)

@@ -8,12 +8,13 @@ forward passes the backend as ``ops``, the mirror its array adapter
 (``inference.bsgs_matvec`` picks one by ``backend._ops_of``). Both block
 sums run one kernel, ``block_sum``: each giant step is one array program
 that multiplies the step's babies (rows of a sliding window over the
-duplicated operand) by the step's diagonals and reduces them in diagonal
-order. So the mirrored forward reproduces the encrypted result bit for bit
-on the exact backend. ``HeBackend.run_block_sum`` checks the schedule's
-slot capacity (``check_capacity``), charges the rotations, plaintext
-multiplies and adds of the op-by-op schedule (``block_sum_counts``),
-spends its one level and draws its noise.
+duplicated or repeated operand) by the step's diagonals and reduces them
+in diagonal order. So the mirrored forward reproduces the encrypted result
+bit for bit on the exact backend. ``HeBackend.run_block_sum`` checks the
+schedule's slot capacity (``check_capacity``), charges the rotations,
+plaintext multiplies and adds of the op-by-op schedule
+(``block_sum_counts``), spends its one level and draws its noise;
+``HeBackend.run_folds`` runs the folds the same way.
 
 Built once: a schedule computes its matrix's p diagonals on first use and
 keeps them, read-only, for every later giant step. ``matvec_schedule``
@@ -27,8 +28,21 @@ Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
 when n_o < n_in = p * 2^j with p >= n_o and j >= 1, only p extended
 diagonals of length n_in are multiplied and log2(n_in / p) folds add the
-partial rows together. The choice depends on the shape alone, so a caller
-without a slot count (the mirror) makes the same one.
+partial rows together. A one-row matrix takes the wide path with p = 1
+over its columns zero-padded to the next power of two. The choice depends
+on the shape alone, so a caller without a slot count (the mirror) makes
+the same one.
+
+Operand contracts: by default the operand holds its n_in values in slots
+[0, n_in) over zeros, and the block sum first duplicates it with the
+schedule's period (one rotation and one add) so that the diagonals can
+wrap. A repeated schedule (``matvec_schedule(W, repeated=True)``) takes an
+operand that already holds its values repeated with period n_in over
+every slot the block sum reads (``MatvecSchedule.reads``), as the layer's
+packed input does, and skips the duplication. A tall repeated matrix
+(n_o > n_in) then takes n_in diagonals over n_o output slots instead of
+the padded square. A single diagonal never wraps, so a one-row matrix is
+never duplicated either.
 
 Permutation operand: a :class:`PermutationSpec` takes the square path with
 its diagonals read from ``source_of`` (diagonal d is 1 where
@@ -45,7 +59,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -73,28 +87,50 @@ def _pad(W: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatvecSchedule:
-    """W @ v as p extended diagonals over a period of n slots.
+    """W @ v as p extended diagonals of L slots over an operand of period n.
 
-    diag_d[t] = W[t mod p, (t + d) mod n] for d < p and t < n; for a
+    For the (r, n) matrix W, p = min(r, n), L = max(r, n) and
+    diag_d[t] = W[t mod r, (t + d) mod n] for d < p and t < L; for a
     permutation operand, diag_d[t] = 1 where offset[t] == d. The operand
-    is duplicated with period n so that rotations read wrapped coordinates.
-    Slot r < p of the folded sum holds row r; only slots [0, n_out) are
+    is duplicated with period n so that rotations read wrapped coordinates,
+    unless the schedule is ``repeated`` (the caller's operand is already
+    periodic over the slots read) or has one diagonal (nothing wraps).
+    Slot r' < r of the folded sum holds row r'; only slots [0, n_out) are
     promised, the others may hold partial sums.
     """
 
-    W: np.ndarray | None  # (p, n): rows zero-padded to p; square path also pads columns
+    W: np.ndarray | None  # (r, n): rows zero-padded to r, columns to the period n
     n_out: int
     offset: np.ndarray | None = None  # permutation operand (W is None): (source_of[t] - t) mod n
+    repeated: bool = False
 
     @property
     def shape(self) -> tuple:
-        """(p, n): the diagonals multiplied, and the period they span."""
+        """(p, L): the diagonals multiplied, and the slots each spans."""
         if self.W is None:
             return self.offset.size, self.offset.size
-        return self.W.shape
+        return min(self.W.shape), max(self.W.shape)
+
+    @property
+    def period(self) -> int:
+        """n, the operand's period: the padded matrix's columns."""
+        return self.offset.size if self.W is None else self.W.shape[1]
+
+    @property
+    def duplicates(self) -> bool:
+        """Whether the block sum duplicates its operand first: only when
+        the diagonals wrap (p > 1) and the operand is not repeated."""
+        return not self.repeated and self.shape[0] > 1
+
+    @property
+    def reads(self) -> int:
+        """Slots [0, L + p - 1) of the duplicated or repeated operand that
+        the block sum reads."""
+        p, L = self.shape
+        return L + p - 1
 
     def diagonals(self, ds) -> np.ndarray:
-        """Diagonals ds as the rows of one (len(ds), n) array: for a matrix
+        """Diagonals ds as the rows of one (len(ds), L) array: for a matrix
         operand, rows of the cached ``all_diagonals`` (for a range of ds, a
         read-only view, as the giant steps take them); for a permutation, a
         fresh array built from ``offset``."""
@@ -106,11 +142,11 @@ class MatvecSchedule:
 
     @cached_property
     def all_diagonals(self) -> np.ndarray:
-        """The (p, n) diagonals of a matrix operand, built on first use and
+        """The (p, L) diagonals of a matrix operand, built on first use and
         read-only: row d is diag_d."""
-        p, n = self.shape
-        t = np.arange(n)
-        D = self.W[t % p, (t + np.arange(p)[:, None]) % n]
+        (r, n), (p, L) = self.W.shape, self.shape
+        t = np.arange(L)
+        D = self.W[t % r, (t + np.arange(p)[:, None]) % n]
         D.setflags(write=False)
         return D
 
@@ -129,19 +165,24 @@ class MatvecSchedule:
 
     @property
     def folds(self) -> tuple:
-        """Rotate-and-add shifts n/2, n/4, ..., p (none on the square path)."""
-        p, n = self.shape
-        return tuple(n >> i for i in range(1, (n // p).bit_length()))
+        """Rotate-and-add shifts n/2, n/4, ..., r on the wide path (r < n
+        rows); none otherwise."""
+        if self.W is None:
+            return ()
+        r, n = self.W.shape
+        return tuple(n >> i for i in range(1, (n // r).bit_length()))
 
     @property
     def block_sum_counts(self) -> tuple:
         """(rotations, adds, pt_mults) of the op-by-op block sum, which
-        HeBackend.run_block_sum charges: the wraparound duplication (n > 1)
-        rotates and adds once, each baby and giant step after the first
-        rotates, and the p diagonal products are summed by p - 1 adds."""
-        p, n = self.shape
+        HeBackend.run_block_sum charges: the wraparound duplication
+        (``duplicates``) rotates and adds once, each baby and giant step
+        after the first rotates, and the p diagonal products are summed by
+        p - 1 adds."""
+        p = self.shape[0]
         b, gs = self.split
-        return (n > 1) + (b - 1) + (gs - 1), (n > 1) + p - 1, p
+        dup = self.duplicates
+        return dup + (b - 1) + (gs - 1), dup + p - 1, p
 
     @property
     def rotations(self) -> int:
@@ -154,25 +195,30 @@ class MatvecSchedule:
         return self.block_sum_counts[2]
 
     def check_capacity(self, slot_count: int) -> None:
-        """The single-ciphertext law: the period fits in the slots, twice
-        over when the wraparound duplication is needed (n > 1)."""
-        n = self.shape[1]
-        if n > slot_count:
-            raise DimensionMismatch(f"matrix dimension {n} exceeds {slot_count} slots")
-        if n > 1 and 2 * n > slot_count:
-            raise DimensionMismatch(f"diagonal wraparound needs 2 * {n} <= {slot_count} "
-                                    "slots (single-ciphertext scope)")
+        """The single-ciphertext law: the period fits twice over when the
+        wraparound duplication is needed (``duplicates``); otherwise the
+        slots the block sum reads fit (``reads``: n for a one-row matrix).
+        A repeated operand's copies are the caller's to fit
+        (``inference.check_capacity``)."""
+        n = self.period
+        if self.duplicates:
+            if 2 * n > slot_count:
+                raise DimensionMismatch(f"diagonal wraparound needs 2 * {n} <= {slot_count} "
+                                        "slots (single-ciphertext scope)")
+        elif self.reads > slot_count:
+            raise DimensionMismatch(f"the block sum reads {self.reads} slots, more than "
+                                    f"{slot_count} (single-ciphertext scope)")
 
     def block_sum(self, x: np.ndarray, width: int, draw=None) -> np.ndarray:
         """The giant steps, one array program each. Slot t < width of the
         result is the sum over giant steps, in order, of
         sum_d x[t + d] * diag_d[t] (diag_d zero past n), each step's terms
         reduced in diagonal order: the block sum rotated into place. x holds
-        at least slots [0, width + p - 1) of the duplicated operand; the
-        babies are rows of one sliding window over it.
+        at least slots [0, width + p - 1) of the duplicated or repeated
+        operand; the babies are rows of one sliding window over it.
 
-        With width == n a step computes its block's slots [base, base + n)
-        only, which its rotation by base moves to [0, n). A wider window (a
+        With width == L a step computes its block's slots [base, base + L)
+        only, which its rotation by base moves to [0, L). A wider window (a
         noisy backend: width = slot_count) computes the block's slots from 0,
         where its noise lands, then rotates the step's sum by base. With
         ``draw``, every op of the op-by-op schedule gets its noise: draw(k)
@@ -230,17 +276,17 @@ class MatvecSchedule:
         return block if start == base else np.roll(block, start - base)
 
     def run(self, ops, v):
-        """The schedule on v, run by ops: the block sum, then the folds.
+        """The schedule on v, run by ops: the block sum, then the folds
+        (``ops.run_folds``).
+        v is zero past its n_in values, or repeated if the schedule is.
         Only slots [0, n_out) of the result are promised."""
-        acc = ops.run_block_sum(v, self)
-        for shift in self.folds:
-            acc = ops.add(acc, ops.rotate(acc, shift))
-        return acc
+        return ops.run_folds(ops.run_block_sum(v, self), self.folds)
 
 
-# id(matrix) -> (weak reference to the matrix, its schedule). Process-wide,
-# since callers pass the matrix alone (bsgs_matvec(W, v)); it holds only
-# schedules of matrices that cannot change, so no caller sees another's state.
+# id(matrix) -> (weak reference to the matrix, {repeated: its schedule}).
+# Process-wide, since callers pass the matrix alone (bsgs_matvec(W, v)); it
+# holds only schedules of matrices that cannot change, so no caller sees
+# another's state.
 _memo = {}
 
 
@@ -254,30 +300,35 @@ def _frozen(a) -> bool:
     return a is None or isinstance(a, bytes)
 
 
-def matvec_schedule(W) -> MatvecSchedule:
-    """The schedule for W, chosen by its shape alone: wide when
-    n_in = p * 2^j (j >= 1) with p >= n_o (smallest such p), square
-    otherwise. A PermutationSpec is square, with its diagonals read from
-    ``source_of``.
+def matvec_schedule(W, repeated: bool = False) -> MatvecSchedule:
+    """The schedule for W, chosen by its shape alone: one diagonal over
+    the next power-of-two period for one row; wide when n_in = p * 2^j
+    (j >= 1) with p >= n_o (smallest such p); with ``repeated``, n_in
+    diagonals over n_o slots when tall (n_o > n_in); square otherwise. A
+    PermutationSpec is square, with its diagonals read from ``source_of``.
+    ``repeated`` says the operand is repeated with period n_in over the
+    slots the block sum reads (see the module docstring).
 
     A matrix that cannot change (``_frozen``, or a PermutationSpec over a
     frozen ``source_of``) gets the same schedule on every call, and so
     its diagonals are built once; the memo entry dies with the matrix.
     Any other W gets a new schedule per call."""
     if not _frozen(W.source_of if isinstance(W, PermutationSpec) else W):
-        return _build_schedule(W)
+        return _build_schedule(W, repeated)
     key = id(W)
     hit = _memo.get(key)
-    if hit is not None and hit[0]() is W:
-        return hit[1]
-    schedule = _build_schedule(W)
-    if schedule.W is not None:
-        # a shared schedule is read-only, and must not keep W alive
-        own = schedule.W.copy() if np.may_share_memory(schedule.W, W) else schedule.W
-        own.setflags(write=False)
-        schedule = MatvecSchedule(own, schedule.n_out)
-    _memo[key] = (weakref.ref(W, _forget(key)), schedule)
-    return schedule
+    if hit is None or hit[0]() is not W:
+        hit = _memo[key] = (weakref.ref(W, _forget(key)), {})
+    schedules = hit[1]
+    if repeated not in schedules:
+        schedule = _build_schedule(W, repeated)
+        if schedule.W is not None:
+            # a shared schedule is read-only, and must not keep W alive
+            own = schedule.W.copy() if np.may_share_memory(schedule.W, W) else schedule.W
+            own.setflags(write=False)
+            schedule = replace(schedule, W=own)
+        schedules[repeated] = schedule
+    return schedules[repeated]
 
 
 def _forget(key: int):
@@ -288,12 +339,16 @@ def _forget(key: int):
     return lambda ref: memo.pop(key, None)
 
 
-def _build_schedule(W) -> MatvecSchedule:
+def _build_schedule(W, repeated: bool) -> MatvecSchedule:
     if isinstance(W, PermutationSpec):
         n = W.size
-        return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n)
+        return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n, repeated)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n_o, n_in = W.shape
+    if n_o == 1:
+        n_in = 1 << (n_in - 1).bit_length()  # the wide path below takes p = 1
+    elif repeated and n_o > n_in:
+        return MatvecSchedule(W, n_o, repeated=True)
     p = n_in
     while p % 2 == 0 and p // 2 >= n_o:
         p //= 2
@@ -302,4 +357,4 @@ def _build_schedule(W) -> MatvecSchedule:
     else:
         p = max(n_o, n_in)
         W = _pad(W, p, p)
-    return MatvecSchedule(W, n_o)
+    return MatvecSchedule(W, n_o, repeated=repeated)

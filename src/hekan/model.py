@@ -17,6 +17,7 @@ import numpy as np
 from .approx import (
     Polynomial,
     WeightScheme,
+    drop_roundoff,
     estimate_range,
     fit_weighted_ls,
 )
@@ -66,8 +67,8 @@ class KanLayer:
 
     The layer is frozen and keeps read-only copies of W_b and S, as
     GridMatrix does with its knots, so the values derived from them on
-    first use (``w_prime``, ``w_fused``, the matvec schedules and their
-    diagonals) cannot go stale: rebinding a field raises
+    first use (``packed_silu_poly``, ``w_prime``, ``w_fused``, the matvec
+    schedules and their diagonals) cannot go stale: rebinding a field raises
     FrozenInstanceError, an in-place write ValueError. To change a weight,
     build a new layer (``dataclasses.replace``)."""
 
@@ -117,6 +118,15 @@ class KanLayer:
         if self.k < 1:
             raise UnsupportedLayer(
                 f"spline degree k = {self.k}: the encrypted pipeline needs k >= 1")
+
+    @cached_property
+    def packed_silu_poly(self) -> Polynomial:
+        """The SiLU polynomial in the packed input's unit, the grid's
+        1/(2R): coefficient j is c_j * (2R)^j, so at x / (2R) it takes
+        silu_poly's value at x. The layer program evaluates it on the
+        packed input, whose copies then feed W_b."""
+        two_r = 2.0 * self.grid.R
+        return Polynomial(tuple(c * two_r ** j for j, c in enumerate(self.silu_poly.coeffs)))
 
     @cached_property
     def w_prime(self) -> np.ndarray:
@@ -336,7 +346,7 @@ def fit_layer_ls(dataset: Dataset, n_o: int, grid: GridMatrix,
 
     act = estimate_range(X.ravel())
     weights = WeightScheme.from_moments(act.mu, act.sigma)
-    silu_poly = fit_weighted_ls(silu, act, silu_degree, w=weights)
+    silu_poly = drop_roundoff(fit_weighted_ls(silu, act, silu_degree, w=weights), act)
     layer = KanLayer(W_b=W_b, S=S, grid=grid, silu_poly=silu_poly,
                      act_stats=(act.mu, act.sigma))
     return layer, rmse
@@ -350,13 +360,13 @@ def random_model(dims, g: int, k: int, seed: int = 0, lo: float = -1.0,
     """
     rng = np.random.default_rng(seed)
     act = estimate_range(np.linspace(lo, hi, 64))
+    silu_poly = drop_roundoff(fit_weighted_ls(silu, act, silu_degree), act)
     layers = []
     for n_i, n_o in zip(dims, dims[1:]):
         grid = GridMatrix.uniform(n_i, g, k, lo, hi)
         scale = 1.0 / np.sqrt(n_i * (grid.n_basis + 1))
         W_b = rng.uniform(-1, 1, (n_o, n_i)) * scale
         S = rng.uniform(-1, 1, (n_o, n_i, grid.n_basis)) * scale
-        silu_poly = fit_weighted_ls(silu, act, silu_degree)
         layers.append(KanLayer(W_b=W_b, S=S, grid=grid, silu_poly=silu_poly,
                                act_stats=(act.mu, act.sigma)))
     return KanModel(layers=layers, input_shape=(1, 1, dims[0]))

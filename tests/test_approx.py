@@ -11,6 +11,7 @@ from hekan.approx import (
     Polynomial,
     WeightScheme,
     build_composite_sign,
+    drop_roundoff,
     estimate_range,
     eval_poly_he,
     fit_odd_sign_stage,
@@ -173,6 +174,14 @@ class TestLeastSquares:
         r = ApproxRange(-1.0, 1.0, 0.0, 1.0)
         with pytest.raises(HeKanError, match="must exceed degree"):
             fit(silu, r, 5, n_samples=5)
+
+    def test_drop_roundoff_zeroes_only_roundoff_terms(self):
+        # on [-2, 1] the largest |p| is 9 at x = -2: a term below 9e-12
+        # there is roundoff, one at 1e-10 is real
+        r = ApproxRange(-2.0, 1.0, 0.0, 1.0)
+        p = Polynomial((1.0, 1e-13, 2.0, 1e-10 / 8, 1e-14))
+        assert drop_roundoff(p, r).coeffs == (1.0, 0.0, 2.0, 1e-10 / 8)
+        assert drop_roundoff(Polynomial((0.0,)), r).coeffs == (0.0,)
 
     def test_weight_scheme_invariant(self):
         with pytest.raises(ValueError):

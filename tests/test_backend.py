@@ -17,7 +17,13 @@ from hekan.backend import (
     make_backend,
 )
 from hekan.bspline import repeat_pack
-from hekan.errors import DepthExhausted, HeKanError, InputTooLong, LengthMismatch
+from hekan.errors import (
+    DepthExhausted,
+    HeKanError,
+    InputTooLong,
+    InvalidArgument,
+    LengthMismatch,
+)
 from hekan.matvec import matvec_schedule
 
 
@@ -60,6 +66,16 @@ class TestConfig:
             with pytest.raises(ValueError):
                 BackendConfig(slot_count=8, depth_budget=1, noise_std=noise)
         assert BackendConfig(slot_count=8, depth_budget=1, rng_seed=np.int64(2)).rng_seed == 2
+
+    def test_noise_std_must_be_a_real_number(self):
+        # True would be sigma = 1, and "0.1" would fail in the comparison
+        for noise in (True, False, "0.1", None, [0.1]):
+            with pytest.raises(InvalidArgument, match="noise_std"):
+                BackendConfig(slot_count=8, depth_budget=1, noise_std=noise)
+        with pytest.raises(InvalidArgument, match="noise_std"):
+            BackendConfig.from_json('{"slot_count": 8, "depth_budget": 1, "noise_std": "0.1"}')
+        for noise in (0, 1e-8, np.float32(0.5), np.int64(1)):
+            assert BackendConfig(slot_count=8, depth_budget=1, noise_std=noise).noise_std == noise
 
     @pytest.mark.parametrize("fields", [
         {"slot_count": 1024, "depth_budget": 2.5},

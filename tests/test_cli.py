@@ -191,13 +191,13 @@ class TestInfer:
 
     def test_model_too_wide_for_slots_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
-        save_model(random_model([16, 40], g=3, k=1, seed=3), path)
+        save_model(random_model([9, 29], g=1, k=1, seed=3), path)
         inputs = tmp_path / "x.csv"
-        np.savetxt(inputs, np.zeros((1, 16)), delimiter=",")
+        np.savetxt(inputs, np.zeros((1, 9)), delimiter=",")
         rc = main(["infer", "--model", str(path), "--input", str(inputs), "--mode", "he",
                    "--backend", '{"slot_count": 64, "depth_budget": 16}'])
         assert rc == 2
-        assert "2 * 40 <= 64" in capsys.readouterr().err
+        assert "8 copies of 9 slots exceed 64" in capsys.readouterr().err
 
     def test_depth_budget_exit_code(self, model_path, input_path):
         rc = main(["infer", "--model", model_path, "--input", input_path,
@@ -413,11 +413,13 @@ class TestUsage:
         '{"slot_count": 512, "depth_budget": 40, "rng_seed": -1, "noise_std": 1e-12}',
         '{"slot_count": 512, "depth_budget": 40, "rng_seed": 1.5}',
         '{"slot_count": 512, "depth_budget": 40, "noise_std": NaN}',
+        '{"slot_count": 512, "depth_budget": 40, "noise_std": true}',
+        '{"slot_count": 512, "depth_budget": 40, "noise_std": "0.1"}',
         '{"slot_count": 512, "depth_budget": 40.5}',
         '{"slot_count": 512, "depth_budget": true}',
     ], ids=["not_json", "unknown_key", "slot_count_not_power_of_two", "no_depth_budget",
-            "negative_rng_seed", "fractional_rng_seed", "nan_noise_std",
-            "fractional_depth_budget", "bool_depth_budget"])
+            "negative_rng_seed", "fractional_rng_seed", "nan_noise_std", "bool_noise_std",
+            "string_noise_std", "fractional_depth_budget", "bool_depth_budget"])
     def test_malformed_backend_usage_exit(self, model_path, input_path, tmp_path, capsys,
                                           command, backend):
         extra = _input_args(command, input_path, tmp_path)

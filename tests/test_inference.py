@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hekan import bspline, inference
-from hekan.approx import EXACT_COMPARATOR, build_composite_sign
+from hekan.approx import EXACT_COMPARATOR, Polynomial, build_composite_sign
 from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, _ops_of, make_backend
 from hekan.bspline import PermutationSpec, basis_depth, gen_permutation, repeat_pack
 from hekan.errors import (
@@ -35,7 +35,13 @@ from hekan.inference import (
     write_bench_csv,
 )
 from hekan.matvec import default_bsgs_split, matvec_schedule
-from hekan.model import KanModel, layer_forward_plain, model_forward_plain, random_model
+from hekan.model import (
+    KanLayer,
+    KanModel,
+    layer_forward_plain,
+    model_forward_plain,
+    random_model,
+)
 
 
 def cleartext(slots=1024, depth=40):
@@ -157,7 +163,7 @@ class TestBsgsMatvec:
         (np.ones((12, 12)), 6, 12),       # square, split (4, 3): 1 + 3 + 2
         (np.ones((7, 3)), 5, 7),          # tall, m = 7, split (3, 3): 1 + 2 + 2
         (np.ones((10, 256)), 11, 16),     # wide, p = 16: 1 + 3 + 3 + 4 folds
-        (np.ones((1, 6)), 4, 3),          # wide, p = 3, split (2, 2): 1 + 1 + 1 + 1
+        (np.ones((1, 6)), 3, 1),          # one row: one diagonal over period 8, 3 folds
         (gen_permutation(4, 6), 9, 24),   # permutation, split (5, 5): 1 + 4 + 4
         (np.ones((1, 1)), 0, 1),          # n = 1: no duplication, nothing to rotate
     ], ids=["square", "tall", "wide", "wide-1x6", "permutation", "n1"])
@@ -188,7 +194,8 @@ class TestBsgsMatvec:
             v = rng.normal(size=n_in)
             out = bsgs_matvec(W, be.encrypt(v))
             np.testing.assert_allclose(out.slots[:n_o], W @ v, atol=1e-9)
-            assert np.all(out.slots[max(n_o, n_in):] == 0.0)
+            if not matvec_schedule(W).folds:  # folds leave partial sums behind
+                assert np.all(out.slots[max(n_o, n_in):] == 0.0)
 
     def test_depth_cost_is_one(self):
         be = cleartext()
@@ -609,6 +616,123 @@ class TestOneLayerProgram:
                               mirrored.view(np.int64))
 
 
+def _parent_matvec_slots(n_o: int, n_in: int) -> int:
+    """The slots a matrix needed before the SiLU branch read the packed
+    input: its wide or square period n, twice over for the wraparound
+    duplication when n > 1."""
+    p = n_in
+    while p % 2 == 0 and p // 2 >= n_o:
+        p //= 2
+    n = n_in if p < n_in else max(n_o, n_in)
+    return 2 * n if n > 1 else 1
+
+
+def _parent_slot_count(n_i: int, n_o: int, g: int, k: int, path: str) -> int:
+    """The smallest power-of-two slot count those laws accepted for one
+    layer: W_b's duplicated operand, the packing and the spline maps."""
+    nb = n_i * (g + k)
+    need = max(_parent_matvec_slots(n_o, n_i), n_i << bspline.pack_rotations(g, k),
+               _parent_matvec_slots(n_o, nb))
+    if path == "naive":
+        need = max(need, 2 * nb if nb > 1 else 1)
+    return 1 << (need - 1).bit_length()
+
+
+def _zero_layer_model(n_i: int, n_o: int, g: int, k: int) -> KanModel:
+    grid = bspline.GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+    layer = KanLayer(W_b=np.zeros((n_o, n_i)), S=np.zeros((n_o, n_i, grid.n_basis)),
+                     grid=grid, silu_poly=Polynomial((0.0, 0.5)))
+    return KanModel([layer], (1, 1, n_i))
+
+
+class TestSiluReadsThePackedInput:
+    """The SiLU branch runs the packed SiLU polynomial on repeat_pack's
+    copies and hands them to W_b's repeated schedule: no SiLU mask, no
+    wraparound duplication, and a tall W_b takes n_i diagonals. A W_b whose
+    reads (n_o + n_i - 1 slots) pass the 2^ceil(log2(g + 2k)) copies has
+    its copy doubled before the SiLU."""
+
+    @staticmethod
+    def _n_o(data, kind, n_i, copies):
+        if kind == "wide":
+            return data.draw(st.integers(1, n_i - 1)) if n_i > 1 else 1
+        if kind == "square":
+            return n_i
+        if kind == "tall":
+            return data.draw(st.integers(n_i + 1, (copies - 1) * n_i + 1))
+        return data.draw(st.integers((copies - 1) * n_i + 2, 2 * copies * n_i))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["wide", "square", "tall", "tall past the copies"]),
+           n_i=st.integers(1, 9), g=st.integers(1, 3), k=st.integers(1, 3),
+           path=st.sampled_from(["lazy", "naive"]),
+           comparator_mode=st.sampled_from(["composite", "exact"]),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    @example(kind="tall past the copies", n_i=9, g=1, k=1, path="lazy",
+             comparator_mode="exact", seed=0, data=None)
+    def test_layer_shapes(self, kind, n_i, g, k, path, comparator_mode, seed, data):
+        pack = 1 << bspline.pack_rotations(g, k)
+        n_o = 29 if data is None else self._n_o(data, kind, n_i, pack)
+        mdl = random_model([n_i, n_o], g=g, k=k, seed=seed)
+        layer = mdl.layers[0]
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(),
+                                       path=path)
+        plan = plan_layer(layer, cfg)
+        be = HeBackend(BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
+                                     depth_budget=plan.total))
+        ct = encrypt_input(x, mdl, be)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            def spy(W, v, repeated=False, _run=inference.bsgs_matvec):
+                before = be.counter.copy()
+                out = _run(W, v, repeated)
+                calls.append((W, repeated, be.counter.since(before)))
+                return out
+
+            mp.setattr(inference, "bsgs_matvec", spy)
+            out = layer_forward_he(layer, ct, cfg)
+
+        assert np.array_equal(be.decrypt(out)[:n_o].view(np.int64), mirrored.view(np.int64))
+        assert ct.level - out.level == plan.total
+        assert calls[0][:2] == (layer.W_b, True)
+        assert [W for W, _, _ in calls[1:]] == list(layer.spline_maps(path))
+        scheds = [matvec_schedule(W, repeated) for W, repeated, _ in calls]
+        for sched, (_, _, delta) in zip(scheds, calls):
+            assert (delta.rotations, delta.pt_mults) == (sched.rotations, sched.pt_mults)
+        copies = inference._silu_copies(layer, be.slot_count)
+        assert (copies > pack) == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
+        assert be.counter.rotations == (bspline.pack_rotations(g, k) + (copies // pack).bit_length()
+                                        - 1 + k + sum(s.rotations for s in scheds))
+        if n_o > n_i:
+            assert scheds[0].shape == (n_i, n_o)  # n_i diagonals over n_o slots
+        assert not scheds[0].duplicates
+
+    def test_no_shape_within_the_copies_needs_more_slots(self):
+        # every W_b with n_o <= 3 n_i + 1 reads inside the (at least 4)
+        # packed copies, so it needs no slot the packing does not
+        for g, k in ((1, 1), (2, 1), (3, 2), (5, 3), (1, 5)):
+            for n_i in range(1, 13):
+                for n_o in range(1, 3 * n_i + 2):
+                    mdl = _zero_layer_model(n_i, n_o, g, k)
+                    for path in ("lazy", "naive"):
+                        cfg = PipelineConfig(path=path)
+                        assert (_smallest_slot_count(mdl, cfg)
+                                <= _parent_slot_count(n_i, n_o, g, k, path)), (n_i, n_o, g, k)
+
+    def test_reads_past_the_copies_can_double_the_slots(self):
+        # W_b 29 x 9 reads 37 slots; g + 2k = 3 packs 4 copies of 9 (36), so
+        # the SiLU branch doubles them to 8: 72 slots, past 64
+        mdl = _zero_layer_model(9, 29, 1, 1)
+        cfg = PipelineConfig(comparator_mode="exact")
+        assert _parent_slot_count(9, 29, 1, 1, "lazy") == 64
+        assert _smallest_slot_count(mdl, cfg) == 128
+        assert inference._silu_copies(mdl.layers[0], 128) == 8
+        with pytest.raises(DimensionMismatch, match="8 copies of 9 slots exceed 64"):
+            check_capacity(mdl, cfg, 64)
+
+
 class TestPlanStagesJoinMeasuredDrops:
     """Each planned stage joined to the level drop of the function that
     runs it, layer by layer, as perfbench's plan_mismatch joins them."""
@@ -690,7 +814,6 @@ class TestPlanStagesJoinMeasuredDrops:
             (layer_in, layer_out), = by_name["layer_forward_he"]
             measured = {
                 "silu_poly": poly_in - poly_out,
-                "silu_mask": poly_out - base_in,
                 "base_matvec": base_in - base_out,
                 "repeat_pack": pack_in - pack_out,
                 "comparator": {lin - lout for lin, lout in comps},
@@ -701,9 +824,9 @@ class TestPlanStagesJoinMeasuredDrops:
             assert {n for key in measured for n in key.split(" + ")} == set(stages)
             assert len(comps) == 2 and len(maps) == stages["spline_matvec"]
             assert {lin for lin, _ in comps} == {pack_out}  # packed in comparator units
+            assert poly_in == pack_out and base_in == poly_out  # the SiLU reads the copies
             assert measured == {
                 "silu_poly": stages["silu_poly"],
-                "silu_mask": stages["silu_mask"],
                 "base_matvec": stages["base_matvec"],
                 "repeat_pack": stages["repeat_pack"],
                 "comparator": {stages["comparator"]},
@@ -762,7 +885,7 @@ class TestPlanIsReadOffTheProgram:
         # the CLI prints this text
         mdl = random_model([2, 5, 1], g=5, k=3, seed=0)
         cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
-        head = "silu_poly=3, silu_mask=1, base_matvec=1, repeat_pack=1, "
+        head = "repeat_pack=1, silu_poly=3, base_matvec=1, "
         assert plan_model(mdl, cfg).describe() == (
             f"layer 0: {head}{line}\nlayer 1: {head}{line}\ntotal depth {total}")
 
@@ -822,7 +945,7 @@ class TestPackingFeasibility:
                     repeat_pack(ct, copies, 0, 4)
 
     @pytest.mark.parametrize("dims, g, k, error", [
-        ([16, 40], 3, 1, DimensionMismatch),  # W_b's period 40: 2 * 40 > 64
+        ([9, 29], 1, 1, DimensionMismatch),   # W_b reads 37 slots: 4 copies of 9 doubled, 72 > 64
         ([12, 2], 3, 1, PackingOverflow),     # 12 * 5 fits, 8 doubled copies do not
         ([8, 2], 5, 1, DimensionMismatch),    # packs 8 * 8, spline map period 48
     ])
@@ -916,8 +1039,8 @@ class TestBench:
         assert len({id(be) for be in forwards}) == 2 * len(cfgs)
         assert [(r["rotations"], r["ct_mults"], r["pt_mults"], r["depth"],
                  r["speedup_vs_naive_counts"]) for r in rows] == [
-            (58, 240, 346, 28, 1.1553), (58, 32, 90, 10, 1.5556),
-            (88, 240, 416, 30, 1.0), (88, 32, 160, 12, 1.0)]
+            (54, 232, 338, 28, 1.1603), (54, 24, 82, 10, 1.625),
+            (84, 232, 408, 30, 1.0), (84, 24, 152, 12, 1.0)]
 
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
@@ -948,11 +1071,11 @@ class TestBench:
     def test_table_config_op_counts_are_pinned(self):
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15 slots
         pinned = {
-            "(64,3,2)": {"lazy": (25, 99, 60), "naive": (60, 419, 60)},
-            "(128,5,3)": {"lazy": (30, 106, 61), "naive": (93, 1130, 61)},
-            "(256,5,3)": {"lazy": (32, 106, 61), "naive": (122, 2154, 61)},
-            "(256,10,3)": {"lazy": (33, 103, 61), "naive": (148, 3431, 61)},
-            "(256,10,5)": {"lazy": (36, 107, 63), "naive": (159, 3947, 63)},
+            "(64,3,2)": {"lazy": (24, 97, 58), "naive": (59, 417, 58)},
+            "(128,5,3)": {"lazy": (29, 104, 59), "naive": (92, 1128, 59)},
+            "(256,5,3)": {"lazy": (31, 104, 59), "naive": (121, 2152, 59)},
+            "(256,10,3)": {"lazy": (32, 101, 59), "naive": (147, 3429, 59)},
+            "(256,10,5)": {"lazy": (35, 105, 61), "naive": (158, 3945, 61)},
         }
         configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
         rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,

@@ -11,6 +11,7 @@ from hekan.approx import (
     ApproxRange,
     Polynomial,
     build_composite_sign,
+    estimate_range,
     fit_weighted_ls,
 )
 from hekan.backend import BackendConfig, HeBackend
@@ -219,6 +220,27 @@ class TestFitLayer:
         assert rmse <= 1e-9
         assert np.max(np.abs(layer.S)) <= 1e-6
         assert np.max(np.abs(layer.W_b)) <= 1e-6
+
+    def test_silu_fit_keeps_real_odd_terms(self):
+        # criterion 7's data: the range is not symmetric about 0, so the odd
+        # terms past x are real (the smallest near 3e-8) and stay
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, 400)
+        ds = Dataset(x.reshape(-1, 1), np.exp(np.sin(np.pi * x)).reshape(-1, 1))
+        layer, _ = fit_layer_ls(ds, 1, GridMatrix.uniform(1, 10, 3, -1.0, 1.0))
+        c = layer.silu_poly.coeffs
+        assert layer.silu_poly.degree == 10 and all(c[j] != 0.0 for j in range(11))
+        assert 1e-6 < abs(c[3]) < 1e-5
+
+    def test_random_model_drops_roundoff_coefficients(self):
+        # silu(x) - x/2 is even, so on the symmetric fit range the odd
+        # terms past x are conversion roundoff: degree 7 drops to 6
+        layer = random_model([2, 1], g=3, k=1, seed=0).layers[0]
+        raw = fit_weighted_ls(silu, estimate_range(np.linspace(-1.0, 1.0, 64)), 7)
+        c = layer.silu_poly.coeffs
+        assert raw.degree == 7 and all(raw.coeffs[j] != 0.0 for j in (3, 5, 7))
+        assert layer.silu_poly.degree == 6 and c[3] == c[5] == 0.0
+        assert c == tuple(0.0 if j in (3, 5) else raw.coeffs[j] for j in range(7))
 
     def test_sine_fit_accuracy(self):
         rng = np.random.default_rng(7)
