@@ -1,8 +1,9 @@
 """Encrypted interval tests and the packed B-spline basis.
 
 The comparator is a composition of odd minimax polynomials approximating
-the sign function; interval membership is two comparator calls, and the
-Cox-de Boor recursion then runs over all basis functions in parallel
+the sign function; interval membership is one comparator call over all
+knot columns, h, whose order-0 basis is h minus h read one block ahead,
+and the Cox-de Boor recursion then runs over all basis functions in parallel
 thanks to repeat packing. Every stage function takes a ciphertext or a
 plain array: on an array it is the mirror, with the same bits.
 """

@@ -2,7 +2,8 @@
 
 Packs an input vector in repeat layout with logarithmically many rotations,
 evaluates all B-spline basis functions in parallel through comparator-based
-interval tests and the Cox-de Boor recursion, and provides the permutation /
+interval tests (one comparator call over every knot column) and the
+Cox-de Boor recursion, and provides the permutation /
 weight-fusion algebra that lets the basis output feed a linear layer without
 any homomorphic reordering.
 """
@@ -82,10 +83,10 @@ class GridMatrix:
     def tiles(self) -> tuple:
         """basis_tiles of this grid, built on first use and read-only: the
         knots cannot change, so every basis evaluation reuses them."""
-        g1, g2, orders = basis_tiles(self)
-        for a in (g1, g2, *orders):
+        knots, orders = basis_tiles(self)
+        for a in (knots, *orders):
             a.setflags(write=False)
-        return g1, g2, orders
+        return knots, orders
 
     @property
     def n_basis(self) -> int:
@@ -166,6 +167,24 @@ def check_repeat_pack(slot_count: int, n_i: int, g: int, k: int) -> None:
             f"{slot_count}; the fast packing needs power-of-two headroom")
 
 
+def basis_copies(g: int, k: int) -> int:
+    """Copies of the input the basis reads: 2^ceil(log2(g + 2k + 1)),
+    which hold the g + 2k + 1 its one comparator call needs. That is
+    repeat_pack's 2^ceil(log2(g + 2k)) copies, doubled once when g + 2k
+    is a power of two (bspline_basis_he adds the copy)."""
+    return 1 << (g + 2 * k).bit_length()
+
+
+def check_basis_pack(slot_count, n_i: int, g: int, k: int) -> None:
+    """Raise PackingOverflow unless the basis's copies fit (basis_copies);
+    then repeat_pack's fit too (check_repeat_pack)."""
+    copies = basis_copies(g, k)
+    if n_i * copies > slot_count:
+        raise PackingOverflow(
+            f"the basis reads {copies} copies of {n_i} slots ({g + 2 * k + 1} knot "
+            f"columns), more than {slot_count}")
+
+
 def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
                 scale: float = 1.0) -> CipherText:
     """Fast repeat packing: one mask multiply plus doubling rotations, on a
@@ -237,12 +256,13 @@ def basis_depth(k: int, comparator) -> int:
 def basis_tiles(G: GridMatrix):
     """Plaintext knot tiles of the basis evaluation, in comparator units
     (the knots times G.scale, as the packed input is), column-tiled and
-    zero-padded to the packed width n_i * 2^ceil(log2(g + 2k)), the window
-    repeat_pack produces, so a tile op on a packed input reuses the tile.
+    zero-padded to the width the basis reads, n_i * basis_copies(g, k),
+    so a tile op on a layer-0 packed input reuses the tile.
 
-    Returns (g1, g2, orders) in terms of the scaled knots t: the order-0
-    interval endpoints (zero past slot n_i(g + 2k)), and for each
-    recursion order j = 1..k its tiles. Orders j < k take the de Boor form
+    Returns (knots, orders) in terms of the scaled knots t: the comparator
+    call's tile, all g + 2k + 1 knot columns t_0 .. t_{g+2k} (zero past
+    slot n_i(g + 2k + 1)), and for each recursion order j = 1..k its
+    tiles. Orders j < k take the de Boor form
     B_{m,j} = w_m B_{m,j-1} + (1 - w_{m+1}) B_{m+1,j-1} with
     w_m = (x - t_m) / (t_{m+j} - t_m): a (2, width) array of the tiles
     (t_m, 1/(t_{m+j} - t_m)) for m = 0..g + 2k - j, zero past them. The
@@ -256,7 +276,7 @@ def basis_tiles(G: GridMatrix):
     """
     k, r = G.k, G.g + 2 * G.k + 1
     knots = G.entries * G.scale
-    width = G.n_i << pack_rotations(G.g, k)
+    width = G.n_i * basis_copies(G.g, k)
     orders = []
     for j in range(1, k):
         t = col_tile(knots, 1, r - j + 1)
@@ -271,28 +291,35 @@ def basis_tiles(G: GridMatrix):
         tiles = np.zeros((4, width))
         tiles[:, :t1.size] = t1, 1.0 / (t2 - t1), t3, -1.0 / (t3 - t4)
         orders.append(tiles)
-    ends = np.zeros((2, width))
-    ends[:, :G.n_i * (r - 1)] = col_tile(knots, 1, r), col_tile(knots, 2, r + 1)
-    return ends[0], ends[1], orders
+    columns = np.zeros(width)
+    columns[:G.n_i * r] = col_tile(knots, 1, r + 1)
+    return columns, orders
 
 
 def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
                      scaled: bool = False) -> CipherText:
-    """All-basis evaluation on xp, the input repeat-packed as at least
-    g + 2k copies, a ciphertext or an array (the mirror): interval
-    membership from two comparator calls (poly_comp) against the knot
-    endpoints, whose steps differ by the order-0 basis, then the
-    slot-parallel Cox-de Boor recursion, one rotation per order. Slot
-    m * n_i + i of the result holds B_m(x_i) for m < g + k.
+    """All-basis evaluation on xp, the input repeat-packed as repeat_pack
+    packs it, 2^ceil(log2(g + 2k)) copies, a ciphertext or an array (the
+    mirror): interval membership from one comparator call (poly_comp)
+    against all g + 2k + 1 knot columns, whose step h differs from itself
+    read one block ahead by the order-0 basis, then the slot-parallel
+    Cox-de Boor recursion, one rotation per order. Slot m * n_i + i of
+    the result holds B_m(x_i) for m < g + k.
 
-    The basis runs in comparator units: with scaled, xp is already there
-    (packed with scale = G.scale, as the layer program packs it); else a
-    prologue multiplies it by G.scale, one level more than basis_depth.
-    The knot tiles are in the same units (basis_tiles).
+    The call reads g + 2k + 1 copies. When g + 2k is a power of two the
+    packing left one too few, and the basis first doubles xp (one rotation
+    and one add): it needs n_i * basis_copies(g, k) slots, and
+    PackingOverflow is raised before any op when they do not fit
+    (check_basis_pack). The basis runs in comparator units: with scaled,
+    xp is already there (packed with scale = G.scale, as the layer program
+    packs it); else a prologue multiplies it by G.scale, one level more
+    than basis_depth. The knot tiles are in the same units (basis_tiles).
 
     With exact steps, step(t_{m+1} - x) = 1 - step(x - t_{m+1}), so the
     order-0 basis step(x - t_m) * step(t_{m+1} - x) is
-    step(x - t_m) - step(x - t_{m+1}), and it costs no multiply. At a
+    step(x - t_m) - step(x - t_{m+1}): h - rotate(h, n_i), since block
+    m + 1 of the packed input holds the same bits as block m. It costs no
+    multiply, and one comparator call where the two steps took two. At a
     knot t_m the two blocks that meet there read the same step(0) = 1/2,
     so their values sum to 1, as the recursion's first order needs.
     Orders 1..k-1 run in de Boor form, one plaintext and one ciphertext
@@ -306,10 +333,15 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     (the range contract, KanModel.check_input_range) keeps every
     comparator operand in [-1, 1]."""
     ops = _ops_of(xp)
+    check_basis_pack(ops.slot_count, G.n_i, G.g, G.k)
     if not scaled:
         xp = ops.mul(xp, G.scale)
-    g1, g2, orders = G.tiles
-    b = steps = ops.sub(poly_comp(xp, g1, comparator), poly_comp(xp, g2, comparator))
+    packed = G.n_i << pack_rotations(G.g, G.k)
+    if packed < G.n_i * basis_copies(G.g, G.k):
+        xp = ops.add(xp, ops.rotate(xp, -packed))
+    knots, orders = G.tiles
+    h = poly_comp(xp, knots, comparator)
+    b = steps = ops.sub(h, ops.rotate(h, G.n_i))
     ops._stage("comparator", xp, steps)
     if not orders:
         return b

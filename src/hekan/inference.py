@@ -1,12 +1,16 @@
 """Encrypted KAN inference pipeline.
 
 Wires the pieces together per layer: the input is repeat-packed once, and
-both the activation-polynomial branch and the B-spline branch read the
-packed copies; baby-step/giant-step matrix-vector products join them. The
-lazy path applies permutation-fused weights directly to the basis layout;
-the naive path first reorders homomorphically via a permutation-matrix
-product. The depth planner reads each layer's levels
-off one run of the layer program on a probe backend, before anything runs.
+both the activation-polynomial branch and the B-spline branch (one
+comparator call over every knot column) read the packed copies;
+baby-step/giant-step matrix-vector products join them. When W_b's block
+sum costs fewer rotations on the geometry of the spline branch's last map,
+it runs there and that map's rotate-and-add folds finish both products:
+one fold chain per layer. The lazy path applies permutation-fused weights
+directly to the basis layout; the naive path first reorders
+homomorphically via a permutation-matrix product. The depth planner reads
+each layer's levels off one run of the layer program on a probe backend,
+before anything runs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make
 from .bspline import (
     GridMatrix,
     bspline_basis_he,
-    check_repeat_pack,
+    check_basis_pack,
     pack_rotations,
     repeat_pack,
 )
@@ -128,7 +132,8 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
 # ---------------------------------------------------------------------------
 
 
-def bsgs_matvec(W, v: CipherText, repeated: bool = False) -> CipherText:
+def bsgs_matvec(W, v: CipherText, repeated: bool = False, over: tuple | None = None,
+                plus=None) -> CipherText:
     """Diagonal-method matrix-vector product with baby/giant rotation steps.
 
     W is an n_o x n_in cleartext matrix, or a PermutationSpec (square, with
@@ -146,8 +151,14 @@ def bsgs_matvec(W, v: CipherText, repeated: bool = False) -> CipherText:
     The schedule's ``rotations`` and ``pt_mults`` give the exact counts. A
     matrix that cannot change (a layer's) reuses its schedule and
     diagonals from call to call (``matvec_schedule``).
+
+    Shared folds: with ``over``, the ``shape`` (p, L) of another matrix's
+    schedule, the repeated product runs on that geometry and is returned
+    unfolded; passing it as ``plus`` to that matrix's product adds it
+    before the folds, which then finish both (slots [0, n_o) hold the sum
+    of the two products).
     """
-    return matvec_schedule(W, repeated).run(_ops_of(v), v)
+    return matvec_schedule(W, repeated, over).run(_ops_of(v), v, plus)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +231,12 @@ def check_depth_budget(model: KanModel, cfg: PipelineConfig, available: int) -> 
 
 def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> None:
     """Raise before any homomorphic op unless every layer fits in one
-    ciphertext of slot_count slots: the laws repeat_pack (PackingOverflow),
-    the SiLU branch's copies and each spline matvec schedule
-    (DimensionMismatch) enforce when they run."""
+    ciphertext of slot_count slots: the laws the basis's copies
+    (PackingOverflow), the SiLU branch's copies and each spline matvec
+    schedule (DimensionMismatch) enforce when they run."""
+    comparator = cfg.comparator()
     for layer in model.layers:
-        _silu_copies(layer, slot_count)
+        _silu_branch(layer, cfg.path, comparator, slot_count)
         for W in layer.spline_maps(cfg.path):
             matvec_schedule(W).check_capacity(slot_count)
 
@@ -234,23 +246,55 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _silu_copies(layer: KanLayer, slot_count) -> int:
-    """Copies of the packed input the SiLU branch reads: repeat_pack's
-    2^ceil(log2(g + 2k)), doubled until they cover the slots W_b's
-    repeated schedule reads (n_o + n_i - 1 for a tall W_b). With at least
-    4 copies, only a W_b with n_o > 3 n_i + 1 can need a doubling.
-    PackingOverflow unless the packing fits slot_count (check_repeat_pack),
+def _doublings(layer: KanLayer, reads: int) -> int:
+    """Doublings of repeat_pack's 2^ceil(log2(g + 2k)) copies that cover
+    the ``reads`` slots a W_b schedule reads of the SiLU's operand. With
+    at least 4 copies, W_b's own schedule needs one only for n_o > 3 n_i + 1."""
+    doublings = 0
+    while layer.n_i << (pack_rotations(layer.g, layer.k) + doublings) < reads:
+        doublings += 1
+    return doublings
+
+
+def _shared_geometry(layer: KanLayer, path: str, comparator):
+    """The geometry (p, L) of the spline branch's last map when W_b's block
+    sum runs on it, so that the map's folds finish both products
+    (``bsgs_matvec``'s ``over`` and ``plus``); None when W_b runs its own
+    schedule. Shared when the map folds (it is wide), when the shared form
+    costs fewer rotations than W_b's own schedule, ties going to fewer
+    plaintext multiplies (each with the doublings of the SiLU's copies its
+    reads need), and when the plan's SiLU branch is no deeper than its
+    spline branch, so that the shared add leaves every stage's level drop
+    as planned. Shapes and the plan decide, so the mirror decides the same."""
+    last = matvec_schedule(layer.spline_maps(path)[-1])
+    if not last.folds:
+        return None
+
+    def cost(schedule):
+        return schedule.rotations + _doublings(layer, schedule.reads), schedule.pt_mults
+
+    if cost(matvec_schedule(layer.W_b, True, last.shape)) >= cost(matvec_schedule(layer.W_b, True)):
+        return None  # a 1 x 1 W_b, the planner's stand-in, costs (0, 1): never beaten
+    plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
+    return last.shape if plan.silu_branch <= plan.spline_branch else None
+
+
+def _silu_branch(layer: KanLayer, path: str, comparator, slot_count) -> tuple:
+    """(over, doublings) of the layer's SiLU branch: the geometry W_b's
+    block sum runs on (``_shared_geometry``), and the doublings of the
+    packed copies that cover its reads. PackingOverflow unless the basis's
+    copies fit slot_count (check_basis_pack, which covers repeat_pack's),
     DimensionMismatch unless the doubled copies do."""
-    check_repeat_pack(slot_count, layer.n_i, layer.g, layer.k)
-    reads = matvec_schedule(layer.W_b, repeated=True).reads
-    copies = 1 << pack_rotations(layer.g, layer.k)
-    while layer.n_i * copies < reads:
-        copies *= 2
+    check_basis_pack(slot_count, layer.n_i, layer.g, layer.k)
+    over = _shared_geometry(layer, path, comparator)
+    reads = matvec_schedule(layer.W_b, True, over).reads
+    doublings = _doublings(layer, reads)
+    copies = 1 << (pack_rotations(layer.g, layer.k) + doublings)
     if layer.n_i * copies > slot_count:
         raise DimensionMismatch(
             f"W_b reads {reads} slots of its repeated operand: {copies} copies of "
             f"{layer.n_i} slots exceed {slot_count} (single-ciphertext scope)")
-    return copies
+    return over, doublings
 
 
 def _layer(layer: KanLayer, x, path: str, comparator):
@@ -259,29 +303,34 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     packed in comparator units (its mask carrying the grid's 1/(2R) and
     clearing every other slot), then the activation branch (the packed
     SiLU polynomial on the packed copies, doubled first if W_b reads past
-    them, then W_b on that repeated operand) and the spline branch (the
-    basis, then the path's linear maps, each on a zero-tail operand),
-    added. Slots [0, n_o) hold the output."""
+    them, then W_b's block sum on that repeated operand) and the spline
+    branch (the basis, then the path's linear maps, each on a zero-tail
+    operand). When W_b's block sum runs on the last map's geometry
+    (``_shared_geometry``), the last map adds it before its folds, and
+    one fold chain finishes both branches; otherwise W_b folds on its own
+    and the two outputs are added. Slots [0, n_o) hold the output."""
     layer.check_supported()
     ops = _ops_of(x)
-    copies = _silu_copies(layer, ops.slot_count)
+    over, doublings = _silu_branch(layer, path, comparator, ops.slot_count)
     xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale)
     ops._stage("repeat_pack", x, xs)
     xr, shift = xs, layer.n_i << pack_rotations(layer.g, layer.k)
-    while shift < layer.n_i * copies:
+    for _ in range(doublings):
         xr = ops.add(xr, ops.rotate(xr, -shift))
         shift *= 2
     poly = eval_poly_he(xr, layer.packed_silu_poly)
     ops._stage("silu_poly", xr, poly)
-    base_out = bsgs_matvec(layer.W_b, poly, repeated=True)
+    base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=over)
     ops._stage("base_matvec", poly, base_out)
 
     basis = spline_out = bspline_basis_he(xs, layer.grid, comparator, scaled=True)
-    for W in layer.spline_maps(path):
+    *maps, last = layer.spline_maps(path)
+    for W in maps:
         spline_out = bsgs_matvec(W, spline_out)
+    shared = over is not None
+    spline_out = bsgs_matvec(last, spline_out, plus=base_out if shared else None)
     ops._stage("spline_matvec", basis, spline_out)
-
-    return ops.add(base_out, spline_out)
+    return spline_out if shared else ops.add(base_out, spline_out)
 
 
 def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> CipherText:

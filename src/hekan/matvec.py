@@ -44,6 +44,17 @@ packed input does, and skips the duplication. A tall repeated matrix
 the padded square. A single diagonal never wraps, so a one-row matrix is
 never duplicated either.
 
+Shared folds: ``matvec_schedule(W, True, over=(p, L))`` runs W's block
+sum on another schedule's geometry, p diagonals over L slots, with W
+zero-padded to p x L, and leaves it unfolded (``unfolded``). It needs
+n_o <= p, n_in <= L, and the operand's period n_in dividing L when
+p > 1, so that the diagonals that wrap past L read the same copies.
+``run(ops, v, plus)`` of the schedule that lent its geometry adds such
+a block sum to its own before its folds, and its folds then finish both
+products: slot r of the folded sum is row r of W's product plus row r
+of its own (the hybrid method's fold sums every slot t = r mod p, and
+its diagonals d < p cover every column of the p x L matrix once).
+
 Permutation operand: a :class:`PermutationSpec` takes the square path with
 its diagonals read from ``source_of`` (diagonal d is 1 where
 ``(source_of[t] - t) mod n == d``), so the dense n x n matrix is never
@@ -66,7 +77,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bspline import PermutationSpec
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidArgument
 
 
 def default_bsgs_split(n: int) -> tuple:
@@ -96,13 +107,16 @@ class MatvecSchedule:
     unless the schedule is ``repeated`` (the caller's operand is already
     periodic over the slots read) or has one diagonal (nothing wraps).
     Slot r' < r of the folded sum holds row r'; only slots [0, n_out) are
-    promised, the others may hold partial sums.
+    promised, the others may hold partial sums. An ``unfolded`` schedule
+    (a block sum on another schedule's geometry, see the module docstring)
+    has no folds of its own.
     """
 
     W: np.ndarray | None  # (r, n): rows zero-padded to r, columns to the period n
     n_out: int
     offset: np.ndarray | None = None  # permutation operand (W is None): (source_of[t] - t) mod n
     repeated: bool = False
+    unfolded: bool = False
 
     @property
     def shape(self) -> tuple:
@@ -166,8 +180,8 @@ class MatvecSchedule:
     @property
     def folds(self) -> tuple:
         """Rotate-and-add shifts n/2, n/4, ..., r on the wide path (r < n
-        rows); none otherwise."""
-        if self.W is None:
+        rows); none otherwise, nor for an ``unfolded`` schedule."""
+        if self.W is None or self.unfolded:
             return ()
         r, n = self.W.shape
         return tuple(n >> i for i in range(1, (n // r).bit_length()))
@@ -275,15 +289,19 @@ class MatvecSchedule:
         block = np.add.reduce(terms, axis=0, initial=-0.0)
         return block if start == base else np.roll(block, start - base)
 
-    def run(self, ops, v):
-        """The schedule on v, run by ops: the block sum, then the folds
-        (``ops.run_folds``).
+    def run(self, ops, v, plus=None):
+        """The schedule on v, run by ops: the block sum, plus ``plus`` if
+        given (an unfolded block sum on this schedule's geometry, see the
+        module docstring), then the folds (``ops.run_folds``).
         v is zero past its n_in values, or repeated if the schedule is.
         Only slots [0, n_out) of the result are promised."""
-        return ops.run_folds(ops.run_block_sum(v, self), self.folds)
+        acc = ops.run_block_sum(v, self)
+        if plus is not None:
+            acc = ops.add(acc, plus)
+        return ops.run_folds(acc, self.folds)
 
 
-# id(matrix) -> (weak reference to the matrix, {repeated: its schedule}).
+# id(matrix) -> (weak reference to the matrix, {(repeated, over): its schedule}).
 # Process-wide, since callers pass the matrix alone (bsgs_matvec(W, v)); it
 # holds only schedules of matrices that cannot change, so no caller sees
 # another's state.
@@ -300,35 +318,39 @@ def _frozen(a) -> bool:
     return a is None or isinstance(a, bytes)
 
 
-def matvec_schedule(W, repeated: bool = False) -> MatvecSchedule:
+def matvec_schedule(W, repeated: bool = False, over: tuple | None = None) -> MatvecSchedule:
     """The schedule for W, chosen by its shape alone: one diagonal over
     the next power-of-two period for one row; wide when n_in = p * 2^j
     (j >= 1) with p >= n_o (smallest such p); with ``repeated``, n_in
     diagonals over n_o slots when tall (n_o > n_in); square otherwise. A
     PermutationSpec is square, with its diagonals read from ``source_of``.
     ``repeated`` says the operand is repeated with period n_in over the
-    slots the block sum reads (see the module docstring).
+    slots the block sum reads (see the module docstring). With ``over``,
+    another schedule's ``shape`` (p, L), W's repeated block sum runs on
+    that geometry, unfolded (shared folds, see the module docstring);
+    ``over`` needs ``repeated``, and a W that does not fit the geometry
+    raises DimensionMismatch.
 
     A matrix that cannot change (``_frozen``, or a PermutationSpec over a
     frozen ``source_of``) gets the same schedule on every call, and so
     its diagonals are built once; the memo entry dies with the matrix.
     Any other W gets a new schedule per call."""
     if not _frozen(W.source_of if isinstance(W, PermutationSpec) else W):
-        return _build_schedule(W, repeated)
+        return _build_schedule(W, repeated, over)
     key = id(W)
     hit = _memo.get(key)
     if hit is None or hit[0]() is not W:
         hit = _memo[key] = (weakref.ref(W, _forget(key)), {})
-    schedules = hit[1]
-    if repeated not in schedules:
-        schedule = _build_schedule(W, repeated)
+    schedules, flavour = hit[1], (repeated, over)
+    if flavour not in schedules:
+        schedule = _build_schedule(W, repeated, over)
         if schedule.W is not None:
             # a shared schedule is read-only, and must not keep W alive
             own = schedule.W.copy() if np.may_share_memory(schedule.W, W) else schedule.W
             own.setflags(write=False)
             schedule = replace(schedule, W=own)
-        schedules[repeated] = schedule
-    return schedules[repeated]
+        schedules[flavour] = schedule
+    return schedules[flavour]
 
 
 def _forget(key: int):
@@ -339,12 +361,20 @@ def _forget(key: int):
     return lambda ref: memo.pop(key, None)
 
 
-def _build_schedule(W, repeated: bool) -> MatvecSchedule:
+def _build_schedule(W, repeated: bool, over: tuple | None) -> MatvecSchedule:
     if isinstance(W, PermutationSpec):
         n = W.size
         return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n, repeated)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n_o, n_in = W.shape
+    if over is not None:
+        p, L = over
+        if not repeated:
+            raise InvalidArgument("a block sum on another geometry needs a repeated operand")
+        if n_o > p or n_in > L or (p > 1 and L % n_in):
+            raise DimensionMismatch(f"a {n_o} x {n_in} matrix does not fit {p} diagonals "
+                                    f"of {L} slots")
+        return MatvecSchedule(_pad(W, p, L), n_o, repeated=True, unfolded=True)
     if n_o == 1:
         n_in = 1 << (n_in - 1).bit_length()  # the wide path below takes p = 1
     elif repeated and n_o > n_in:

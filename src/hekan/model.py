@@ -112,9 +112,9 @@ class KanLayer:
         """Raise UnsupportedLayer unless the encrypted pipeline, and so its
         mirrored forward, can evaluate this layer. With k = 0 no recursion
         order's zero knot factors clear the basis tail: every slot past
-        n_i * g keeps the order-0 sum of the comparator's two steps minus
-        one, which nothing forces to zero, and the matvec's wraparound
-        reads it."""
+        n_i * g keeps the order-0 difference of the comparator's steps,
+        which nothing forces to zero, and the matvec's wraparound reads
+        it."""
         if self.k < 1:
             raise UnsupportedLayer(
                 f"spline degree k = {self.k}: the encrypted pipeline needs k >= 1")

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from hekan.approx import EXACT_COMPARATOR, build_composite_sign
-from hekan.backend import BackendConfig, HeBackend
+from hekan import bspline
+from hekan.approx import poly_comp
+from hekan.backend import BackendConfig, HeBackend, OpCounter
 from hekan.bspline import (
     GridMatrix,
+    basis_copies,
     basis_depth,
     bspline_basis_he,
     bspline_basis_plain,
@@ -284,8 +287,9 @@ class TestEncryptedBasis:
         """Distinct non-uniform knot rows per feature, so a tile-order
         mix-up between features shows, and the slot contract the de Boor
         orders rely on: every slot past n_i(g + k) is zero, the wrapped end
-        included (the slot count is the packed width rounded up to a power
-        of two, or twice that), also when the input holds values past slot
+        included (the slot count is the width the basis reads,
+        n_i * basis_copies(g, k), rounded up to a power of two, or twice
+        that), also when the input holds values past slot
         n_i, as a hidden layer's does. The basis runs on an unscaled packed
         input and as the layer program runs it, on an input packed in
         comparator units, with R drawn so that 1/(2R) rounds. About half
@@ -297,7 +301,7 @@ class TestEncryptedBasis:
         knots = np.sort(rng.uniform(-1, 1, (n_i, g + 2 * k + 1)), axis=1)
         assume(np.all(np.diff(knots, axis=1) > 0))
         G = GridMatrix(knots, g, k, R=rng.uniform(1.0, 1.5))
-        slots = (1 << ((n_i << pack_rotations(g, k)) - 1).bit_length()) << roomy
+        slots = (1 << (n_i * basis_copies(g, k) - 1).bit_length()) << roomy
         v = rng.uniform(-1, 1, slots)
         on_knot = np.flatnonzero(rng.random(n_i) < 0.5)
         v[on_knot] = knots[on_knot, rng.integers(1, g + 2 * k, on_knot.size)]
@@ -317,11 +321,15 @@ class TestEncryptedBasis:
 
     @pytest.mark.parametrize("n_i, g, k", [(1, 1, 1), (3, 2, 4), (2, 5, 3)])
     def test_knot_tiles_cover_their_orders(self, n_i, g, k):
-        """Order j < k's de Boor tiles cover blocks 0..g + 2k - j and are
-        zero past them; the last order's four tiles are zero past block
-        g + k - 1."""
+        """The comparator's tile holds all g + 2k + 1 knot columns and is
+        zero past them; order j < k's de Boor tiles cover blocks
+        0..g + 2k - j and are zero past them; the last order's four tiles
+        are zero past block g + k - 1."""
         G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
-        _, _, orders = G.tiles
+        knots, orders = G.tiles
+        columns = n_i * (g + 2 * k + 1)
+        assert np.array_equal(knots[:columns], G.entries.T.ravel() * G.scale)
+        assert not np.any(knots[columns:])
         assert [o.shape[0] for o in orders] == [2] * (k - 1) + [4]
         for j, (t, recip) in enumerate(orders[:-1], start=1):
             cover = n_i * (g + 2 * k - j + 1)
@@ -329,6 +337,34 @@ class TestEncryptedBasis:
             assert not np.any(t[cover:])
         last = orders[-1]
         assert np.all(last[1, :n_i * (g + k)] > 0) and not np.any(last[:, n_i * (g + k):])
+
+    @pytest.mark.parametrize("n_i, g, k", [(3, 2, 1), (2, 4, 2), (3, 3, 2), (1, 1, 1)])
+    def test_one_comparator_call_and_its_copies(self, n_i, g, k):
+        """One comparator call over the g + 2k + 1 knot columns, then
+        h - rotate(h, n_i); a power-of-two g + 2k doubles the packed copies
+        first (one rotation and one add). The tightest slot count runs, half
+        of it raises PackingOverflow before any op."""
+        G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+        x = np.random.default_rng(n_i + g).uniform(-1, 1, n_i)
+        tight = 1 << (n_i * basis_copies(g, k) - 1).bit_length()
+        be = backend(slots=tight)
+        xp = repeat_pack(be.encrypt(x), g, k, n_i, G.scale)
+        before = be.counter.copy()
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bspline, "poly_comp", lambda *a: calls.append(a) or poly_comp(*a))
+            out = bspline_basis_he(xp, G, EXACT_COMPARATOR, scaled=True)
+        extra = basis_copies(g, k) > 1 << pack_rotations(g, k)
+        assert extra == (((g + 2 * k) & (g + 2 * k - 1)) == 0)  # a power of two
+        assert len(calls) == 1
+        assert be.counter.since(before).rotations == extra + 1 + k
+        plain = np.array([bspline_basis_plain(xi, G.entries[i], k) for i, xi in enumerate(x)])
+        vals = out.slots[:n_i * (g + k)].reshape(g + k, n_i).T
+        assert np.max(np.abs(vals - plain)) <= 1e-12
+        small = backend(slots=tight // 2)
+        with pytest.raises(PackingOverflow):
+            bspline_basis_he(small.encrypt(x), G, EXACT_COMPARATOR, scaled=True)
+        assert small.counter == OpCounter()
 
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("mode", ["exact", "composite"])

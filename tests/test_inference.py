@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hekan import bspline, inference
-from hekan.approx import EXACT_COMPARATOR, Polynomial, build_composite_sign
+from hekan.approx import (
+    EXACT_COMPARATOR,
+    Polynomial,
+    build_composite_sign,
+    eval_poly_he,
+    poly_comp,
+)
 from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, _ops_of, make_backend
 from hekan.bspline import PermutationSpec, basis_depth, gen_permutation, repeat_pack
 from hekan.errors import (
@@ -15,6 +21,7 @@ from hekan.errors import (
     DimensionMismatch,
     HeKanError,
     InputOutOfRange,
+    InvalidArgument,
     NonFiniteInput,
     PackingOverflow,
     ShapeMismatch,
@@ -285,6 +292,39 @@ class TestWideMatvec:
                                   PipelineConfig(path=path, backend=bcfg))
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cs, path=path)
         assert np.array_equal(be.decrypt(out)[:2], mirrored)
+
+
+class TestSharedFolds:
+    """A repeated product on another matrix's geometry, left unfolded, then
+    added before that matrix's folds: the folded sum holds both products."""
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((10, 64), (10, 320)), ((1, 5), (1, 40)),
+                                                  ((3, 4), (3, 16)), ((4, 8), (5, 40))])
+    def test_one_fold_chain_gives_both_products(self, a_shape, b_shape):
+        rng = np.random.default_rng(a_shape[1])
+        A, B = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        x, v = rng.normal(size=A.shape[1]), rng.normal(size=B.shape[1])
+        geometry = matvec_schedule(B).shape
+        shared = matvec_schedule(A, True, geometry)
+        assert shared.shape == geometry and not shared.folds and matvec_schedule(B).folds
+        reads = -(-shared.reads // A.shape[1])
+        be = cleartext(slots=4096)
+        repeated = np.tile(x, reads)
+        a_sum = bsgs_matvec(A, be.encrypt(repeated), repeated=True, over=geometry)
+        out = bsgs_matvec(B, be.encrypt(v), plus=a_sum)
+        n_o = B.shape[0]
+        expect = np.pad(A @ x, (0, n_o - A.shape[0])) + B @ v  # A padded with zero rows
+        np.testing.assert_allclose(out.slots[:n_o], expect, atol=1e-12)
+        mirrored = bsgs_matvec(B, v, plus=bsgs_matvec(A, repeated, True, geometry))
+        assert np.array_equal(out.slots[:n_o].view(np.int64), mirrored[:n_o].view(np.int64))
+        assert be.counter.rotations == shared.rotations + matvec_schedule(B).rotations
+
+    def test_geometry_must_fit(self):
+        with pytest.raises(InvalidArgument):
+            matvec_schedule(np.ones((2, 4)), False, (2, 8))    # the operand must be repeated
+        for shape, geometry in (((3, 4), (2, 8)), ((2, 8), (2, 4)), ((2, 3), (2, 8))):
+            with pytest.raises(DimensionMismatch):              # rows, columns, period
+                matvec_schedule(np.ones(shape), True, geometry)
 
 
 class TestPermutationMatvec:
@@ -629,9 +669,11 @@ def _parent_matvec_slots(n_o: int, n_in: int) -> int:
 
 def _parent_slot_count(n_i: int, n_o: int, g: int, k: int, path: str) -> int:
     """The smallest power-of-two slot count those laws accepted for one
-    layer: W_b's duplicated operand, the packing and the spline maps."""
+    layer: W_b's duplicated operand, the packing and the spline maps, with
+    the packing at the copies the basis reads (basis_copies: one doubling
+    more when g + 2k is a power of two)."""
     nb = n_i * (g + k)
-    need = max(_parent_matvec_slots(n_o, n_i), n_i << bspline.pack_rotations(g, k),
+    need = max(_parent_matvec_slots(n_o, n_i), n_i * bspline.basis_copies(g, k),
                _parent_matvec_slots(n_o, nb))
     if path == "naive":
         need = max(need, 2 * nb if nb > 1 else 1)
@@ -685,10 +727,10 @@ class TestSiluReadsThePackedInput:
         ct = encrypt_input(x, mdl, be)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            def spy(W, v, repeated=False, _run=inference.bsgs_matvec):
+            def spy(W, v, repeated=False, over=None, plus=None, _run=inference.bsgs_matvec):
                 before = be.counter.copy()
-                out = _run(W, v, repeated)
-                calls.append((W, repeated, be.counter.since(before)))
+                out = _run(W, v, repeated, over, plus)
+                calls.append((W, repeated, over, be.counter.since(before)))
                 return out
 
             mp.setattr(inference, "bsgs_matvec", spy)
@@ -697,16 +739,19 @@ class TestSiluReadsThePackedInput:
         assert np.array_equal(be.decrypt(out)[:n_o].view(np.int64), mirrored.view(np.int64))
         assert ct.level - out.level == plan.total
         assert calls[0][:2] == (layer.W_b, True)
-        assert [W for W, _, _ in calls[1:]] == list(layer.spline_maps(path))
-        scheds = [matvec_schedule(W, repeated) for W, repeated, _ in calls]
-        for sched, (_, _, delta) in zip(scheds, calls):
+        assert [W for W, *_ in calls[1:]] == list(layer.spline_maps(path))
+        scheds = [matvec_schedule(W, repeated, over) for W, repeated, over, _ in calls]
+        for sched, (*_, delta) in zip(scheds, calls):
             assert (delta.rotations, delta.pt_mults) == (sched.rotations, sched.pt_mults)
-        copies = inference._silu_copies(layer, be.slot_count)
-        assert (copies > pack) == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
-        assert be.counter.rotations == (bspline.pack_rotations(g, k) + (copies // pack).bit_length()
-                                        - 1 + k + sum(s.rotations for s in scheds))
+        over, doublings = inference._silu_branch(layer, path, cfg.comparator(), be.slot_count)
+        assert calls[0][2] == over
+        own = inference._doublings(layer, matvec_schedule(layer.W_b, True).reads)
+        assert (own > 0) == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
+        extra = bspline.basis_copies(g, k) > pack  # the basis doubles the copies itself
+        assert be.counter.rotations == (bspline.pack_rotations(g, k) + doublings + extra + 1 + k
+                                        + sum(s.rotations for s in scheds))
         if n_o > n_i:
-            assert scheds[0].shape == (n_i, n_o)  # n_i diagonals over n_o slots
+            assert over is None and scheds[0].shape == (n_i, n_o)  # n_i diagonals, n_o slots
         assert not scheds[0].duplicates
 
     def test_no_shape_within_the_copies_needs_more_slots(self):
@@ -728,9 +773,103 @@ class TestSiluReadsThePackedInput:
         cfg = PipelineConfig(comparator_mode="exact")
         assert _parent_slot_count(9, 29, 1, 1, "lazy") == 64
         assert _smallest_slot_count(mdl, cfg) == 128
-        assert inference._silu_copies(mdl.layers[0], 128) == 8
+        assert inference._silu_branch(mdl.layers[0], "lazy", cfg.comparator(), 128) == (None, 1)
         with pytest.raises(DimensionMismatch, match="8 copies of 9 slots exceed 64"):
             check_capacity(mdl, cfg, 64)
+
+
+class TestOneFoldChain:
+    """One comparator call per layer, and one fold chain when W_b's block
+    sum on the last spline map's geometry saves rotations (ties: plaintext
+    multiplies) and the SiLU branch is no deeper than the spline branch."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_i=st.integers(1, 12), n_o=st.integers(1, 12), g=st.integers(1, 6),
+           k=st.integers(1, 4), path=st.sampled_from(["lazy", "naive"]),
+           comparator_mode=st.sampled_from(["composite", "exact"]),
+           seed=st.integers(0, 2 ** 16))
+    @example(n_i=2, n_o=5, g=5, k=3, path="lazy", comparator_mode="composite", seed=1)
+    @example(n_i=5, n_o=1, g=5, k=3, path="lazy", comparator_mode="composite", seed=1)
+    @example(n_i=5, n_o=1, g=5, k=1, path="lazy", comparator_mode="exact", seed=1)
+    @example(n_i=7, n_o=1, g=3, k=2, path="naive", comparator_mode="composite", seed=1)
+    def test_count_law(self, n_i, n_o, g, k, path, comparator_mode, seed):
+        mdl = random_model([n_i, n_o], g=g, k=k, seed=seed)
+        layer = mdl.layers[0]
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        comparator = cfg.comparator()
+        x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+        plan = plan_layer(layer, cfg)
+        be = HeBackend(BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
+                                     depth_budget=plan.total))
+        ct = encrypt_input(x, mdl, be)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            def spy(W, v, repeated=False, over=None, plus=None, _run=inference.bsgs_matvec):
+                calls.append((W, over, plus is not None))
+                return _run(W, v, repeated, over, plus)
+
+            mp.setattr(inference, "bsgs_matvec", spy)
+            out = layer_forward_he(layer, ct, cfg)
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=comparator, path=path)
+        assert np.array_equal(be.decrypt(out)[:n_o].view(np.int64), mirrored.view(np.int64))
+        assert ct.level - out.level == plan.total
+
+        # the shared chain is chosen exactly when it saves
+        maps = [matvec_schedule(W) for W in layer.spline_maps(path)]
+        own = matvec_schedule(layer.W_b, True)
+        shared = matvec_schedule(layer.W_b, True, maps[-1].shape) if maps[-1].folds else None
+
+        def cost(sched):
+            return sched.rotations + inference._doublings(layer, sched.reads), sched.pt_mults
+
+        saves = (shared is not None and cost(shared) < cost(own)
+                 and plan.silu_branch <= plan.spline_branch)
+        base = shared if saves else own
+        assert calls == [(layer.W_b, maps[-1].shape if saves else None, False),
+                         *[(W, None, False) for W in layer.spline_maps(path)[:-1]],
+                         (layer.spline_maps(path)[-1], None, saves)]
+        assert not base.folds or not saves
+
+        # the closed form: packing, the basis's extra copy, the telescoping
+        # rotation, one per recursion order, the SiLU's doublings, W_b's
+        # block sum (folds included when it keeps them), the spline maps
+        # (the last one's folds shared when W_b's are not its own)
+        alone = HeBackend(BackendConfig(slot_count=4, depth_budget=plan.total))
+        eval_poly_he(alone.encrypt([0.1]), layer.packed_silu_poly)
+        poly_comp(alone.encrypt([0.1]), 0.0, comparator)
+        extra = bspline.basis_copies(g, k) > 1 << bspline.pack_rotations(g, k)
+        rotations = (bspline.pack_rotations(g, k) + extra + 1 + k
+                     + inference._doublings(layer, base.reads) + base.rotations
+                     + sum(m.rotations for m in maps))
+        pt_mults = (1 + alone.counter.pt_mults + (k + 1) + base.pt_mults
+                    + sum(m.pt_mults for m in maps))
+        counter = be.counter
+        assert (counter.rotations, counter.pt_mults) == (rotations, pt_mults)
+        assert counter.ct_mults == alone.counter.ct_mults + k + 1
+
+    @pytest.mark.parametrize("dims, g, k, tight, error", [
+        ([4, 1], 2, 1, 32, PackingOverflow),     # g + 2k = 4: the basis reads 8 copies of 4
+        ([7, 1], 3, 2, 128, DimensionMismatch),  # W_b's block sum on 1 x 64 doubles 8 copies of 7
+    ])
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_tightest_slot_count_runs_and_the_next_is_rejected(self, dims, g, k, tight, error,
+                                                              path):
+        mdl = random_model(dims, g=g, k=k, seed=5)
+        cfg = PipelineConfig(path=path)
+        x = np.random.default_rng(5).uniform(-1, 1, dims[0])
+        assert _smallest_slot_count(mdl, cfg) == tight
+        depth = plan_model(mdl, cfg).total
+        be = HeBackend(BackendConfig(slot_count=tight, depth_budget=depth))
+        out, _ = model_forward_he(mdl, encrypt_input(x, mdl, be), cfg)
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(), path=path)
+        assert np.array_equal(be.decrypt(out)[:1].view(np.int64), mirrored.view(np.int64))
+        small = HeBackend(BackendConfig(slot_count=tight // 2, depth_budget=depth))
+        ct = encrypt_input(x, mdl, small)
+        with pytest.raises(error):
+            model_forward_he(mdl, ct, cfg)
+        with pytest.raises(error):
+            layer_forward_he(mdl.layers[0], ct, cfg)
+        assert small.counter == OpCounter()
 
 
 class TestPlanStagesJoinMeasuredDrops:
@@ -771,7 +910,7 @@ class TestPlanStagesJoinMeasuredDrops:
         return layers
 
     @pytest.mark.parametrize("dims, g, k", [([4, 3], 4, 1), ([6, 2], 5, 3),
-                                            ([4, 3, 3, 2], 3, 2)])
+                                            ([4, 3, 3, 2], 3, 2), ([4, 1], 3, 1)])
     @pytest.mark.parametrize("comparator_mode", ["composite", "exact"])
     @pytest.mark.parametrize("path", ["lazy", "naive"])
     def test_every_stage_matches_its_functions_drop(self, dims, g, k, comparator_mode,
@@ -822,7 +961,7 @@ class TestPlanStagesJoinMeasuredDrops:
             }
             stages = lp.stages
             assert {n for key in measured for n in key.split(" + ")} == set(stages)
-            assert len(comps) == 2 and len(maps) == stages["spline_matvec"]
+            assert len(comps) == 1 and len(maps) == stages["spline_matvec"]
             assert {lin for lin, _ in comps} == {pack_out}  # packed in comparator units
             assert poly_in == pack_out and base_in == poly_out  # the SiLU reads the copies
             assert measured == {
@@ -1039,8 +1178,8 @@ class TestBench:
         assert len({id(be) for be in forwards}) == 2 * len(cfgs)
         assert [(r["rotations"], r["ct_mults"], r["pt_mults"], r["depth"],
                  r["speedup_vs_naive_counts"]) for r in rows] == [
-            (54, 232, 338, 28, 1.1603), (54, 24, 82, 10, 1.625),
-            (84, 232, 408, 30, 1.0), (84, 24, 152, 12, 1.0)]
+            (58, 128, 210, 28, 1.2525), (58, 24, 82, 10, 1.6098),
+            (88, 128, 280, 30, 1.0), (88, 24, 152, 12, 1.0)]
 
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
@@ -1071,11 +1210,11 @@ class TestBench:
     def test_table_config_op_counts_are_pinned(self):
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15 slots
         pinned = {
-            "(64,3,2)": {"lazy": (24, 97, 58), "naive": (59, 417, 58)},
-            "(128,5,3)": {"lazy": (29, 104, 59), "naive": (92, 1128, 59)},
-            "(256,5,3)": {"lazy": (31, 104, 59), "naive": (121, 2152, 59)},
-            "(256,10,3)": {"lazy": (32, 101, 59), "naive": (147, 3429, 59)},
-            "(256,10,5)": {"lazy": (35, 105, 61), "naive": (158, 3945, 61)},
+            "(64,3,2)": {"lazy": (22, 59, 32), "naive": (57, 379, 32)},
+            "(128,5,3)": {"lazy": (27, 72, 33), "naive": (90, 1096, 33)},
+            "(256,5,3)": {"lazy": (28, 72, 33), "naive": (118, 2120, 33)},
+            "(256,10,3)": {"lazy": (30, 66, 33), "naive": (145, 3394, 33)},
+            "(256,10,5)": {"lazy": (32, 72, 35), "naive": (155, 3912, 35)},
         }
         configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
         rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,

@@ -153,8 +153,8 @@ class TestReadOnly:
         sched = matvec_schedule(layer.w_fused)
         targets = [layer.W_b, layer.S, layer.w_prime, layer.w_fused,
                    sched.all_diagonals, sched.diagonals(range(2)),
-                   sched.W, layer.permutation.source_of, *layer.grid.tiles[:2],
-                   layer.grid.tiles[2][0]]
+                   sched.W, layer.permutation.source_of, layer.grid.tiles[0],
+                   layer.grid.tiles[1][0]]
         for a in targets:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1.0
@@ -177,11 +177,13 @@ class TestReadOnly:
 
 
 class TestKnotTilesAtThePackedWidth:
-    """The knot tiles span repeat_pack's window, so no tile op of the basis
-    evaluation on a layer-0 packed input copies a tile into a wider
-    window (backend._place)."""
+    """The knot tiles span the window the basis reads (repeat_pack's, with
+    the basis's own extra doubling when g + 2k is a power of two), so no
+    tile op of the basis evaluation on a layer-0 packed input copies a
+    tile into a wider window (backend._place), before or after the
+    comparator's step is read one block ahead."""
 
-    @pytest.mark.parametrize("n_i, g, k", [(64, 3, 2), (256, 10, 5)])
+    @pytest.mark.parametrize("n_i, g, k", [(64, 3, 2), (256, 10, 3), (256, 10, 5)])
     @pytest.mark.parametrize("comparator", [EXACT_COMPARATOR, build_composite_sign()],
                              ids=["exact", "composite"])
     def test_no_tile_is_copied(self, monkeypatch, n_i, g, k, comparator):
@@ -189,8 +191,8 @@ class TestKnotTilesAtThePackedWidth:
         be = make_backend(BackendConfig(slot_count=2 ** 15, depth_budget=20))
         x = be.encrypt(np.random.default_rng(n_i).uniform(-1, 1, n_i))
         xp = bspline.repeat_pack(x, g, k, n_i)
-        g1, g2, orders = G.tiles
-        tiles = (g1, g2, *orders)
+        knots, orders = G.tiles
+        tiles = (knots, *orders)
         copied = []
 
         def spy(start, data, *args):
@@ -201,4 +203,5 @@ class TestKnotTilesAtThePackedWidth:
         monkeypatch.setattr(backend, "_place", spy)
         bspline.bspline_basis_he(xp, G, comparator)
         assert copied == []
-        assert xp.start == 0 and all(t.shape[-1] == xp.data.size for t in tiles)
+        assert xp.start == 0 and xp.data.size == n_i << bspline.pack_rotations(g, k)
+        assert all(t.shape[-1] == n_i * bspline.basis_copies(g, k) for t in tiles)
