@@ -297,7 +297,7 @@ def basis_tiles(G: GridMatrix):
 
 
 def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
-                     scaled: bool = False) -> CipherText:
+                     scaled: bool = False, doubled: bool = False) -> CipherText:
     """All-basis evaluation on xp, the input repeat-packed as repeat_pack
     packs it, 2^ceil(log2(g + 2k)) copies, a ciphertext or an array (the
     mirror): interval membership from one comparator call (poly_comp)
@@ -308,7 +308,9 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
 
     The call reads g + 2k + 1 copies. When g + 2k is a power of two the
     packing left one too few, and the basis first doubles xp (one rotation
-    and one add): it needs n_i * basis_copies(g, k) slots, and
+    and one add), unless doubled says xp already holds that doubling (the
+    layer program's SiLU branch may have made it): it needs
+    n_i * basis_copies(g, k) slots, and
     PackingOverflow is raised before any op when they do not fit
     (check_basis_pack). The basis runs in comparator units: with scaled,
     xp is already there (packed with scale = G.scale, as the layer program
@@ -337,7 +339,7 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     if not scaled:
         xp = ops.mul(xp, G.scale)
     packed = G.n_i << pack_rotations(G.g, G.k)
-    if packed < G.n_i * basis_copies(G.g, G.k):
+    if not doubled and packed < G.n_i * basis_copies(G.g, G.k):
         xp = ops.add(xp, ops.rotate(xp, -packed))
     knots, orders = G.tiles
     h = poly_comp(xp, knots, comparator)

@@ -103,7 +103,7 @@ class UnsupportedLayer(UsageError):
 
 class NonFiniteOutput(NumericalFailure):
     """A decrypted output holds NaN or infinity: the encrypted computation
-    diverged (e.g. the composite comparator under backend noise)."""
+    diverged (e.g. under backend noise far above the data's precision)."""
 
 
 class DepthBudgetInfeasible(HeKanError):

@@ -34,6 +34,7 @@ from .approx import (
 from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make_backend
 from .bspline import (
     GridMatrix,
+    basis_copies,
     bspline_basis_he,
     check_basis_pack,
     pack_rotations,
@@ -284,7 +285,13 @@ def _silu_branch(layer: KanLayer, path: str, comparator, slot_count) -> tuple:
     block sum runs on (``_shared_geometry``), and the doublings of the
     packed copies that cover its reads. PackingOverflow unless the basis's
     copies fit slot_count (check_basis_pack, which covers repeat_pack's),
-    DimensionMismatch unless the doubled copies do."""
+    DimensionMismatch unless the doubled copies do. Shapes decide it, so
+    it is worked out once per (path, comparator, slot_count) and kept on
+    the layer (``KanLayer.silu_branches``)."""
+    key = (path, comparator, slot_count)
+    found = layer.silu_branches.get(key)
+    if found is not None:
+        return found
     check_basis_pack(slot_count, layer.n_i, layer.g, layer.k)
     over = _shared_geometry(layer, path, comparator)
     reads = matvec_schedule(layer.W_b, True, over).reads
@@ -294,7 +301,8 @@ def _silu_branch(layer: KanLayer, path: str, comparator, slot_count) -> tuple:
         raise DimensionMismatch(
             f"W_b reads {reads} slots of its repeated operand: {copies} copies of "
             f"{layer.n_i} slots exceed {slot_count} (single-ciphertext scope)")
-    return over, doublings
+    found = layer.silu_branches[key] = (over, doublings)
+    return found
 
 
 def _layer(layer: KanLayer, x, path: str, comparator):
@@ -305,7 +313,9 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     SiLU polynomial on the packed copies, doubled first if W_b reads past
     them, then W_b's block sum on that repeated operand) and the spline
     branch (the basis, then the path's linear maps, each on a zero-tail
-    operand). When W_b's block sum runs on the last map's geometry
+    operand). When the basis needs one doubling of the packed copies
+    (``basis_copies``) and the activation branch made it, the basis reads
+    that one. When W_b's block sum runs on the last map's geometry
     (``_shared_geometry``), the last map adds it before its folds, and
     one fold chain finishes both branches; otherwise W_b folds on its own
     and the two outputs are added. Slots [0, n_o) hold the output."""
@@ -314,16 +324,20 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     over, doublings = _silu_branch(layer, path, comparator, ops.slot_count)
     xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale)
     ops._stage("repeat_pack", x, xs)
-    xr, shift = xs, layer.n_i << pack_rotations(layer.g, layer.k)
+    xr = xb = xs
+    copies = 1 << pack_rotations(layer.g, layer.k)
     for _ in range(doublings):
-        xr = ops.add(xr, ops.rotate(xr, -shift))
-        shift *= 2
+        xr = ops.add(xr, ops.rotate(xr, -layer.n_i * copies))
+        copies *= 2
+        if copies == basis_copies(layer.g, layer.k):
+            xb = xr
     poly = eval_poly_he(xr, layer.packed_silu_poly)
     ops._stage("silu_poly", xr, poly)
     base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=over)
     ops._stage("base_matvec", poly, base_out)
 
-    basis = spline_out = bspline_basis_he(xs, layer.grid, comparator, scaled=True)
+    basis = spline_out = bspline_basis_he(xb, layer.grid, comparator, scaled=True,
+                                          doubled=xb is not xs)
     *maps, last = layer.spline_maps(path)
     for W in maps:
         spline_out = bsgs_matvec(W, spline_out)

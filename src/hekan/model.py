@@ -147,6 +147,13 @@ class KanLayer:
         fused.setflags(write=False)
         return fused
 
+    @cached_property
+    def silu_branches(self) -> dict:
+        """The encrypted layer program's SiLU-branch geometry, (over,
+        doublings) per (path, comparator, slot count), filled on first use
+        by ``inference._silu_branch``; it lives as long as the layer."""
+        return {}
+
     def spline_maps(self, path: str) -> tuple:
         """The linear maps the spline branch applies to the column-tiled
         basis, in order: the fused weights on the lazy path; the

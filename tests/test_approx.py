@@ -590,24 +590,48 @@ class TestCompositeSign:
     def test_default_build_certifies(self):
         cs = build_composite_sign()
         assert cs.delta == 2.0 ** -5
-        assert 2 <= len(cs.stages) <= 3
+        assert [s.degree for s in cs.stages] == [7, 7, 15]
+        assert cs.depth() == 10
         assert cs.certified_max_error() <= cs.target_eps
         for stage in cs.stages:
             assert all(c == 0.0 for c in stage.coeffs[0::2])
 
-    def test_stage_plans_ordered_by_depth_then_stage_count(self):
-        keys = [(sum(poly_eval_depth(d) for d in plan), len(plan))
-                for plan in approx._STAGE_PLANS]
+    def test_default_coefficients_are_small(self):
+        # a noisy backend's error is multiplied by the coefficients: the
+        # default's stay far from the 2.2e10 of a degree-31 first stage
+        cs = build_composite_sign()
+        assert max(abs(c) for s in cs.stages for c in s.coeffs) <= 1e3
+
+    def test_criterion4_comparator_keeps_two_degree_31_stages(self):
+        # no cheaper plan at depth <= 10 certifies 2^-10 at alpha = 7
+        cs = build_composite_sign(7.0, 2.0 ** -10)
+        assert [s.degree for s in cs.stages] == [31, 31]
+
+    def test_stage_plans_ordered_by_depth_then_call_cost(self):
+        """Plans are tried by depth, then by one call's ct mults, then pt
+        mults, as step schedules odd stages whose odd coefficients are all
+        nonzero (as fitted ones are)."""
+        def key(plan):
+            stages = tuple(Polynomial(tuple(float(i % 2) for i in range(d + 1)))
+                           for d in plan)
+            cs = approx.CompositeSign(stages, 5.0, 0.5)
+            rec = _Recorder()
+            cs.step(rec, rec.x)
+            ct, pt, _ = _op_counts(rec.log)
+            return cs.depth(), ct, pt
+
+        keys = [key(plan) for plan in approx._STAGE_PLANS]
         assert keys == sorted(keys)
 
     def test_default_call_costs(self):
-        # two degree-31 stages at 13 ct, 16 pt and 15 adds each, plus 1/2
+        # stages 7, 7, 15: 5, 5 and 8 ct mults, one pt mult per odd
+        # coefficient (4, 4, 8), 3, 3 and 7 adds, plus the 1/2
         cs = build_composite_sign()
         be = backend(slots=8, depth=12)
         a = be.encrypt(np.linspace(-1.0, 1.0, 8))
         out = poly_comp(a, 0.25, cs)
         c = be.counter
-        assert (c.ct_mults, c.pt_mults, c.adds, c.subs) == (26, 32, 31, 1)
+        assert (c.ct_mults, c.pt_mults, c.adds, c.subs) == (18, 16, 14, 1)
         assert a.level - out.level == cs.depth() == 10
 
     def test_depth_is_stage_sum(self):

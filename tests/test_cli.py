@@ -364,8 +364,9 @@ class TestRangeContract:
 
 
 class TestDivergedOutput:
-    """The default composite comparator diverges under backend noise; a
-    decrypted NaN is a numerical failure, never printed as a result."""
+    """A decrypted NaN is a numerical failure, never printed as a result.
+    With the default comparator the forward stays finite at sigma = 1e-9
+    (and up to 1e-3) and overflows to NaN at sigma = 1e-2."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -376,7 +377,7 @@ class TestDivergedOutput:
         return ["--model", str(path), "--input", str(row)]
 
     @pytest.mark.parametrize("command", ["infer", "compare"])
-    @pytest.mark.parametrize("noise,rc", [(1e-9, 3), (0.0, 0)])
+    @pytest.mark.parametrize("noise,rc", [(1e-2, 3), (1e-9, 0), (0.0, 0)])
     def test_non_finite_output_is_a_numerical_failure(self, files, capsys, command,
                                                       noise, rc):
         backend = json.dumps({"slot_count": 4096, "depth_budget": 80, "noise_std": noise})
