@@ -150,21 +150,24 @@ def pack_rotations(g: int, k: int) -> int:
     return 0 if copies <= 1 else math.ceil(math.log2(copies))
 
 
-def _check_packing(slot_count: int, n_i: int, copies: int) -> None:
+def _check_copies(slot_count: int, n_i: int, copies: int,
+                  error: type = PackingOverflow) -> None:
+    """The one fit law of the packed layout: raise error unless copies
+    blocks of n_i slots fit in slot_count, before any op reads them."""
     if n_i * copies > slot_count:
-        raise PackingOverflow(
-            f"n_i * (g + 2k) = {n_i * copies} exceeds {slot_count} slots")
+        raise error(f"{copies} copies of {n_i} slots exceed {slot_count} slots")
 
 
-def check_repeat_pack(slot_count: int, n_i: int, g: int, k: int) -> None:
-    """Raise PackingOverflow unless repeat_pack fits: the doubling loop's
-    2^ceil(log2(g + 2k)) copies of n_i slots, which hold the g + 2k
-    copies it needs."""
-    copies = 1 << pack_rotations(g, k)
-    if n_i * copies > slot_count:
-        raise PackingOverflow(
-            f"doubling to {copies} copies of {n_i} slots wraps past "
-            f"{slot_count}; the fast packing needs power-of-two headroom")
+def _double_copies(x, n_i: int, copies: int, target: int):
+    """The one doubling step of the packed layout: x, a ciphertext or an
+    array holding copies blocks of n_i slots back to back, doubled by one
+    rotation and one add at a time until it holds target copies (a
+    power-of-two multiple of copies; none when they are equal)."""
+    ops = _ops_of(x)
+    while copies < target:
+        x = ops.add(ops.rotate(x, -n_i * copies), x)
+        copies *= 2
+    return x
 
 
 def basis_copies(g: int, k: int) -> int:
@@ -173,16 +176,6 @@ def basis_copies(g: int, k: int) -> int:
     repeat_pack's 2^ceil(log2(g + 2k)) copies, doubled once when g + 2k
     is a power of two (bspline_basis_he adds the copy)."""
     return 1 << (g + 2 * k).bit_length()
-
-
-def check_basis_pack(slot_count, n_i: int, g: int, k: int) -> None:
-    """Raise PackingOverflow unless the basis's copies fit (basis_copies);
-    then repeat_pack's fit too (check_repeat_pack)."""
-    copies = basis_copies(g, k)
-    if n_i * copies > slot_count:
-        raise PackingOverflow(
-            f"the basis reads {copies} copies of {n_i} slots ({g + 2 * k + 1} knot "
-            f"columns), more than {slot_count}")
 
 
 def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
@@ -196,23 +189,21 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
     same copies (``KanLayer.packed_silu_poly``). The result's tail, past
     the copies, is zero.
 
-    The doubling loop produces 2^ceil(log2(g+2k)) copies, so that power of
-    two must also fit in the slot vector or the final shift would wrap onto
-    the front copies.
+    The doublings produce 2^ceil(log2(g+2k)) copies, so PackingOverflow is
+    raised before any op unless that power of two fits in the slot vector;
+    else the final shift would wrap onto the front copies.
     """
     ops = _ops_of(ct)
-    check_repeat_pack(ops.slot_count, n_i, g, k)
-    packed = ops.mul(ct, np.full(n_i, scale))
-    for j in range(pack_rotations(g, k)):
-        packed = ops.add(ops.rotate(packed, -(n_i << j)), packed)
-    return packed
+    copies = 1 << pack_rotations(g, k)
+    _check_copies(ops.slot_count, n_i, copies)
+    return _double_copies(ops.mul(ct, np.full(n_i, scale)), n_i, 1, copies)
 
 
 def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:
     """Reference packing: one rotation per extra copy (g + 2k - 1 total)."""
     be = ct.backend
     copies = g + 2 * k
-    _check_packing(be.config.slot_count, n_i, copies)
+    _check_copies(be.config.slot_count, n_i, copies)
     base = be.mul(ct, np.ones(n_i))
     packed = base
     for j in range(1, copies):
@@ -310,12 +301,11 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     packing left one too few, and the basis first doubles xp (one rotation
     and one add), unless doubled says xp already holds that doubling (the
     layer program's SiLU branch may have made it): it needs
-    n_i * basis_copies(g, k) slots, and
-    PackingOverflow is raised before any op when they do not fit
-    (check_basis_pack). The basis runs in comparator units: with scaled,
-    xp is already there (packed with scale = G.scale, as the layer program
-    packs it); else a prologue multiplies it by G.scale, one level more
-    than basis_depth. The knot tiles are in the same units (basis_tiles).
+    n_i * basis_copies(g, k) slots, and PackingOverflow is raised before
+    any op when they do not fit. The basis runs in comparator units: with
+    scaled, xp is already there (packed with scale = G.scale, as the layer
+    program packs it); else a prologue multiplies it by G.scale, one level
+    more than basis_depth. The knot tiles are in the same units (basis_tiles).
 
     With exact steps, step(t_{m+1} - x) = 1 - step(x - t_{m+1}), so the
     order-0 basis step(x - t_m) * step(t_{m+1} - x) is
@@ -335,12 +325,12 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     (the range contract, KanModel.check_input_range) keeps every
     comparator operand in [-1, 1]."""
     ops = _ops_of(xp)
-    check_basis_pack(ops.slot_count, G.n_i, G.g, G.k)
+    copies = basis_copies(G.g, G.k)
+    _check_copies(ops.slot_count, G.n_i, copies)
     if not scaled:
         xp = ops.mul(xp, G.scale)
-    packed = G.n_i << pack_rotations(G.g, G.k)
-    if not doubled and packed < G.n_i * basis_copies(G.g, G.k):
-        xp = ops.add(xp, ops.rotate(xp, -packed))
+    if not doubled:
+        xp = _double_copies(xp, G.n_i, 1 << pack_rotations(G.g, G.k), copies)
     knots, orders = G.tiles
     h = poly_comp(xp, knots, comparator)
     b = steps = ops.sub(h, ops.rotate(h, G.n_i))

@@ -26,6 +26,7 @@ from .approx import (
     ApproxRange,
     Polynomial,
     WeightScheme,
+    drop_roundoff,
     estimate_range,
     fit_ols,
     fit_remez,
@@ -151,6 +152,7 @@ def cmd_fit_activation(args) -> int:
         poly = fit_ols(silu, rng, args.degree)
     else:
         poly = fit_remez(silu, rng, args.degree)
+    poly = drop_roundoff(poly, rng)
 
     report = _fit_report_row(poly, rng, w)
     print(f"range [{rng.lo:.6g}, {rng.hi:.6g}]  degree {poly.degree}  method {args.method}")

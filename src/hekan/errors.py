@@ -92,7 +92,8 @@ class ShapeMismatch(UsageError):
 
 
 class NonFiniteInput(UsageError):
-    """Input to encrypt, or a grid's knots or R, holds NaN or infinity."""
+    """Input to encrypt, a grid's knots or R, or a layer's weights hold
+    NaN or infinity."""
 
 
 # --- inference ---

@@ -34,9 +34,10 @@ from .approx import (
 from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make_backend
 from .bspline import (
     GridMatrix,
+    _check_copies,
+    _double_copies,
     basis_copies,
     bspline_basis_he,
-    check_basis_pack,
     pack_rotations,
     repeat_pack,
 )
@@ -283,24 +284,21 @@ def _shared_geometry(layer: KanLayer, path: str, comparator):
 def _silu_branch(layer: KanLayer, path: str, comparator, slot_count) -> tuple:
     """(over, doublings) of the layer's SiLU branch: the geometry W_b's
     block sum runs on (``_shared_geometry``), and the doublings of the
-    packed copies that cover its reads. PackingOverflow unless the basis's
-    copies fit slot_count (check_basis_pack, which covers repeat_pack's),
-    DimensionMismatch unless the doubled copies do. Shapes decide it, so
-    it is worked out once per (path, comparator, slot_count) and kept on
-    the layer (``KanLayer.silu_branches``)."""
+    packed copies that cover its reads. Both copy counts meet the packed
+    layout's one fit law (``bspline._check_copies``): PackingOverflow
+    unless the basis's copies (``basis_copies``, at least repeat_pack's)
+    fit slot_count, DimensionMismatch unless the SiLU's do. Shapes decide
+    it, so it is worked out once per (path, comparator, slot_count) and
+    kept on the layer (``KanLayer.silu_branches``)."""
     key = (path, comparator, slot_count)
     found = layer.silu_branches.get(key)
     if found is not None:
         return found
-    check_basis_pack(slot_count, layer.n_i, layer.g, layer.k)
+    _check_copies(slot_count, layer.n_i, basis_copies(layer.g, layer.k))
     over = _shared_geometry(layer, path, comparator)
-    reads = matvec_schedule(layer.W_b, True, over).reads
-    doublings = _doublings(layer, reads)
-    copies = 1 << (pack_rotations(layer.g, layer.k) + doublings)
-    if layer.n_i * copies > slot_count:
-        raise DimensionMismatch(
-            f"W_b reads {reads} slots of its repeated operand: {copies} copies of "
-            f"{layer.n_i} slots exceed {slot_count} (single-ciphertext scope)")
+    doublings = _doublings(layer, matvec_schedule(layer.W_b, True, over).reads)
+    _check_copies(slot_count, layer.n_i, 1 << (pack_rotations(layer.g, layer.k) + doublings),
+                  DimensionMismatch)
     found = layer.silu_branches[key] = (over, doublings)
     return found
 
@@ -313,9 +311,11 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     SiLU polynomial on the packed copies, doubled first if W_b reads past
     them, then W_b's block sum on that repeated operand) and the spline
     branch (the basis, then the path's linear maps, each on a zero-tail
-    operand). When the basis needs one doubling of the packed copies
-    (``basis_copies``) and the activation branch made it, the basis reads
-    that one. When W_b's block sum runs on the last map's geometry
+    operand). One doubling step (``bspline._double_copies``) takes the
+    packed copies first to those the basis reads (``basis_copies``), or
+    to the SiLU's if fewer, then on to the SiLU's; the basis reads the
+    first, and doubles them itself only when the SiLU's stopped short
+    (``doubled``). When W_b's block sum runs on the last map's geometry
     (``_shared_geometry``), the last map adds it before its folds, and
     one fold chain finishes both branches; otherwise W_b folds on its own
     and the two outputs are added. Slots [0, n_o) hold the output."""
@@ -324,20 +324,17 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     over, doublings = _silu_branch(layer, path, comparator, ops.slot_count)
     xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale)
     ops._stage("repeat_pack", x, xs)
-    xr = xb = xs
-    copies = 1 << pack_rotations(layer.g, layer.k)
-    for _ in range(doublings):
-        xr = ops.add(xr, ops.rotate(xr, -layer.n_i * copies))
-        copies *= 2
-        if copies == basis_copies(layer.g, layer.k):
-            xb = xr
+    pack, need = 1 << pack_rotations(layer.g, layer.k), basis_copies(layer.g, layer.k)
+    have = min(need, pack << doublings)
+    xb = _double_copies(xs, layer.n_i, pack, have)
+    xr = _double_copies(xb, layer.n_i, have, pack << doublings)
     poly = eval_poly_he(xr, layer.packed_silu_poly)
     ops._stage("silu_poly", xr, poly)
     base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=over)
     ops._stage("base_matvec", poly, base_out)
 
     basis = spline_out = bspline_basis_he(xb, layer.grid, comparator, scaled=True,
-                                          doubled=xb is not xs)
+                                          doubled=have == need)
     *maps, last = layer.spline_maps(path)
     for W in maps:
         spline_out = bsgs_matvec(W, spline_out)

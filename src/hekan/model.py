@@ -70,7 +70,8 @@ class KanLayer:
     first use (``packed_silu_poly``, ``w_prime``, ``w_fused``, the matvec
     schedules and their diagonals) cannot go stale: rebinding a field raises
     FrozenInstanceError, an in-place write ValueError. To change a weight,
-    build a new layer (``dataclasses.replace``)."""
+    build a new layer (``dataclasses.replace``). W_b, S and silu_poly's
+    coefficients must be finite (NonFiniteInput)."""
 
     W_b: np.ndarray          # (n_o, n_i)
     S: np.ndarray            # (n_o, n_i, g + k)
@@ -91,6 +92,8 @@ class KanLayer:
                 f"S shape {self.S.shape} != {(n_o, n_i, self.grid.n_basis)}")
         if self.grid.n_i != n_i:
             raise DimensionMismatch(f"grid has {self.grid.n_i} rows for n_i = {n_i}")
+        if not all(np.all(np.isfinite(w)) for w in (self.W_b, self.S, self.silu_poly.coeffs)):
+            raise NonFiniteInput("W_b, S and silu_poly's coefficients must be finite")
 
     @property
     def n_i(self) -> int:

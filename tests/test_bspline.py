@@ -7,7 +7,7 @@ from scipy.interpolate import BSpline
 from hekan.approx import EXACT_COMPARATOR, build_composite_sign
 from hekan import bspline
 from hekan.approx import poly_comp
-from hekan.backend import BackendConfig, HeBackend, OpCounter
+from hekan.backend import BackendConfig, HeBackend, OpCounter, _ArrayOps
 from hekan.bspline import (
     GridMatrix,
     basis_copies,
@@ -159,6 +159,64 @@ class TestRepeatPack:
         be = backend()
         repeat_pack(be.encrypt([1.0]), g=2, k=1, n_i=1)
         assert be.counter.pt_mults == 1
+
+
+class TestDoubleCopies:
+    @pytest.mark.parametrize("n_i, copies, target", [(3, 1, 8), (2, 4, 16), (5, 2, 2)])
+    def test_blocks_equal_and_one_rotation_per_doubling(self, n_i, copies, target,
+                                                        monkeypatch):
+        x = np.tile(np.random.default_rng(n_i).normal(size=n_i), copies)
+        be = backend(slots=64)
+        ct = bspline._double_copies(be.encrypt(x), n_i, copies, target)
+        rotations = []
+        monkeypatch.setattr(_ArrayOps, "rotate", staticmethod(
+            lambda a, t, _run=_ArrayOps.rotate: rotations.append(t) or _run(a, t)))
+        arr = bspline._double_copies(x, n_i, copies, target)
+        doublings = int(np.log2(target // copies))
+        assert be.counter.rotations == len(rotations) == doublings
+        assert be.counter.adds == doublings
+        for blocks in (ct.slots[:n_i * target], arr):
+            np.testing.assert_array_equal(blocks, np.tile(x[:n_i], target))
+        assert not np.any(ct.slots[n_i * target:])
+
+
+class TestDoubledContract:
+    """bspline_basis_he(..., doubled=True) on an operand that already holds
+    basis_copies(g, k) copies gives the bits of the call that doubles its
+    own, one rotation fewer; where g + 2k is no power of two, the packing
+    already holds them and doubled changes nothing."""
+
+    @staticmethod
+    def _basis(g, k, sigma, pre_doubled, doubled):
+        n_i = 4
+        G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+        x = np.random.default_rng(g + k).uniform(-1, 1, n_i)
+        be = HeBackend(BackendConfig(slot_count=n_i * basis_copies(g, k), depth_budget=30,
+                                     noise_std=sigma, rng_seed=5))
+        xp = repeat_pack(be.encrypt(x), g, k, n_i, G.scale)
+        if pre_doubled:
+            xp = bspline._double_copies(xp, n_i, 1 << pack_rotations(g, k), basis_copies(g, k))
+        before = be.counter.copy()
+        out = bspline_basis_he(xp, G, build_composite_sign(), scaled=True, doubled=doubled)
+        return be.decrypt(out).view(np.int64), out.level, be.counter.since(before)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-12])
+    @pytest.mark.parametrize("g, k", [(2, 1), (10, 3)])
+    def test_power_of_two_grid_takes_the_doubled_operand(self, g, k, sigma):
+        assert basis_copies(g, k) == 2 << pack_rotations(g, k)
+        own, own_level, own_ops = self._basis(g, k, sigma, pre_doubled=False, doubled=False)
+        bits, level, ops = self._basis(g, k, sigma, pre_doubled=True, doubled=True)
+        np.testing.assert_array_equal(bits, own)
+        assert level == own_level
+        assert ops.rotations == own_ops.rotations - 1 and ops.adds == own_ops.adds - 1
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-12])
+    def test_other_grids_ignore_doubled(self, sigma):
+        g, k = 5, 3
+        assert basis_copies(g, k) == 1 << pack_rotations(g, k)
+        runs = [self._basis(g, k, sigma, pre_doubled=False, doubled=d) for d in (False, True)]
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1:] == runs[1][1:]
 
 
 class TestColTile:

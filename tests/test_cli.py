@@ -31,17 +31,36 @@ def input_path(tmp_path):
 BACKEND = '{"slot_count": 512, "depth_budget": 40}'
 
 
+def _csv_rows(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestFitActivation:
     def test_moments_ols_writes_four_coefficients(self, tmp_path):
         out = tmp_path / "poly.json"
-        rc = main(["fit-activation", "--mu", "0", "--sigma", "1",
+        # off-centre, so c3 is a real term and not roundoff the fit drops
+        rc = main(["fit-activation", "--mu", "0.5", "--sigma", "1",
                    "--degree", "3", "--method", "ols", "--out", str(out)])
         assert rc == 0
         coeffs = json.loads(out.read_text())
         assert len(coeffs) == 4
         report = tmp_path / "poly_report.csv"
-        rows = list(csv.DictReader(report.open()))
+        rows = _csv_rows(report)
         assert rows[0]["degree"] == "3"
+
+    @pytest.mark.parametrize("method", ["ols", "wls", "remez"])
+    def test_symmetric_range_writes_no_roundoff_odd_terms(self, tmp_path, method):
+        # silu(x) - x/2 is even, so on a range symmetric about 0 every odd
+        # coefficient past c1 is roundoff, and the fit writes degree 6
+        out = tmp_path / "poly.json"
+        rc = main(["fit-activation", "--mu", "0", "--sigma", "1",
+                   "--degree", "7", "--method", method, "--out", str(out)])
+        assert rc == 0
+        coeffs = json.loads(out.read_text())
+        assert len(coeffs) == 7
+        assert coeffs[1] != 0 and coeffs[3::2] == [0.0, 0.0]
+        assert _csv_rows(tmp_path / "poly_report.csv")[0]["degree"] == "6"
 
     def test_weighted_beats_ols_on_inner_interval(self, tmp_path):
         outs = {}
@@ -216,7 +235,7 @@ class TestBench:
         rc = main(["bench", "--model", model_path, "--configs", str(cfgs),
                    "--inputs", input_path, "--backend", BACKEND, "--out", str(out)])
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _csv_rows(out)
         assert len(rows) == 2
         lazy = next(r for r in rows if r["path"] == "lazy")
         assert float(lazy["speedup_vs_naive_counts"]) > 1.0
@@ -269,7 +288,7 @@ class TestBench:
                        "--configs", str(cfgs), "--backend", BACKEND,
                        "--out", str(out)])
             assert rc == 0
-            rows = list(csv.DictReader(out.open()))
+            rows = _csv_rows(out)
             snapshots.append([{k: v for k, v in row.items() if k != "wall_ms"}
                               for row in rows])
         assert snapshots[0] == snapshots[1]
@@ -326,7 +345,7 @@ class TestDefaultBackendDepth:
         out = tmp_path / "bench.csv"
         rc = main(["bench", "--model", model, "--configs", str(cfgs), "--out", str(out)])
         assert rc == 0
-        assert [int(r["depth"]) for r in csv.DictReader(out.open())] == [30, 32]
+        assert [int(r["depth"]) for r in _csv_rows(out)] == [30, 32]
 
 
 class TestRangeContract:
@@ -532,6 +551,9 @@ MALFORMED_MODELS = {
     "R_below_largest_knot": lambda doc: doc["layers"][0].update(R=0.5),
     "R_infinite": lambda doc: [layer.update(R=float("inf")) for layer in doc["layers"]],
     "knot_nan": lambda doc: _set_nan_knot(doc["layers"][0]),
+    "W_b_nan": lambda doc: doc["layers"][0]["W_b"][0].__setitem__(1, float("nan")),
+    "S_inf": lambda doc: doc["layers"][0]["S"][1][0].__setitem__(2, float("inf")),
+    "silu_poly_nan": lambda doc: doc["layers"][0]["silu_poly"].__setitem__(0, float("nan")),
 }
 
 

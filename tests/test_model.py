@@ -21,6 +21,7 @@ from hekan.errors import (
     DimensionMismatch,
     HeKanError,
     InvalidArgument,
+    NonFiniteInput,
     SchemaMismatch,
     SingularSystem,
 )
@@ -64,6 +65,16 @@ class TestLayerShapeChecks:
         grid = GridMatrix.uniform(n_i, 4, 2, -1.0, 1.0)
         with pytest.raises(DimensionMismatch, match=match):
             KanLayer(W_b=W_b, S=S, grid=grid, silu_poly=Polynomial((0.0, 1.0)))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("W_b", np.array([[0.0, np.nan]])),
+        ("S", np.full((1, 2, 6), np.inf)),
+        ("silu_poly", Polynomial((0.0, -np.inf))),
+    ])
+    def test_non_finite_weights_rejected(self, field, bad):
+        layer = tiny_layer(n_o=1)
+        with pytest.raises(NonFiniteInput):
+            replace(layer, **{field: bad})
 
 
 class TestSilu:
