@@ -3,10 +3,11 @@
 Ciphertexts are fixed-width slot vectors with a remaining multiplicative
 level. All arithmetic is slot-wise; rotation is cyclic. One backend,
 :class:`HeBackend`, simulates the scheme: with ``noise_std == 0`` its
-arithmetic is exact, otherwise every operation and encryption adds
-N(0, noise_std) to each slot, drawn from ``rng_seed``. The backend is a
-swappable contract so a real scheme can be substituted behind the same
-semantics.
+arithmetic is exact, otherwise ``HeBackend._perturb``, the one noise
+site, adds N(0, noise_std) to each slot after every encryption, counted
+add, sub or multiply and trivial encryption (``const``), drawn from
+``rng_seed``; a rotation draws none. The backend is a swappable contract
+so a real scheme can be substituted behind the same semantics.
 
 Representation: a ciphertext stores a cyclic window of slots (``start``
 and the window's values ``data``) over a constant ``tail`` that every
@@ -39,15 +40,15 @@ zeros and a left rotation drops the leading slots.
 The label hook ``_stage(name, v_in, v_out)`` is a no-op except on ``_Probe``.
 
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
-the wraparound duplication (if the schedule needs one) and each giant step
-are one numpy program over the slots the schedule reads, with the op
-counts, level and noise draws of the op-by-op run. One exception to the
-bit-identity invariant: the exact result is the window [0, L) over a +0.0
-tail (L the diagonals' length), where the op-by-op run leaves ±0 partial
-products past slot L. Only the sign of those zeros differs, and no
-consumer reads them. A wide schedule's rotate-and-add folds run the same
-way (:meth:`HeBackend.run_folds`), with no exception: every slot is that
-of the op-by-op folds.
+on the exact backend, the wraparound duplication (if the schedule needs
+one) and each giant step are one numpy program over the slots the
+schedule reads, with the op counts and level of the op-by-op run. One
+exception to the bit-identity invariant: the result is the window [0, L)
+over a +0.0 tail (L the diagonals' length), where the op-by-op run leaves
+±0 partial products past slot L. Only the sign of those zeros differs,
+and no consumer reads them. A wide schedule's folds run the same way
+(:meth:`HeBackend.run_folds`), with no exception. A noisy backend runs
+both op by op, so each op draws its own noise.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import json
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -95,14 +97,19 @@ class BackendConfig:
 
     @classmethod
     def from_json(cls, source) -> "BackendConfig":
-        """Load a config from a dict, a JSON string, or a file path."""
+        """Load a config from a dict, a JSON string, or a file path (str,
+        bytes or os.PathLike; ``open`` would read an int as a descriptor)."""
         if isinstance(source, dict):
             doc = source
         elif isinstance(source, str) and source.lstrip().startswith("{"):
             doc = json.loads(source)
-        else:
+        elif isinstance(source, (str, bytes, os.PathLike)):
             with open(source) as fh:
                 doc = json.load(fh)
+        else:
+            raise InvalidArgument(f"a BackendConfig is a dict, JSON or a path, not {source!r}")
+        if not isinstance(doc, dict):
+            raise InvalidArgument(f"a BackendConfig is a JSON object, not {doc!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -233,8 +240,8 @@ class HeBackend:
     """The simulated scheme: slot-wise arithmetic, rotation, depth accounting.
 
     ``noisy`` (``config.noise_std > 0``) adds N(0, noise_std) per slot
-    after every operation and at encryption, drawn from one generator
-    seeded with ``config.rng_seed``; otherwise the arithmetic is exact.
+    after every counted operation and at encryption (``_perturb``), drawn
+    from one generator seeded with ``config.rng_seed``.
     Each backend owns one active :class:`OpCounter`; evaluations that need
     a private tally snapshot it before and diff after (see OpCounter.since).
     """
@@ -256,8 +263,9 @@ class HeBackend:
         keeps the input's window."""
         if level is None:
             level = self.config.depth_budget
-        if not 0 <= level <= self.config.depth_budget:
-            raise InvalidArgument(f"level {level} outside [0, {self.config.depth_budget}]")
+        if not _is_int(level) or not 0 <= level <= self.config.depth_budget:
+            raise InvalidArgument(f"level {level!r} is not an integer or lies outside "
+                                  f"[0, {self.config.depth_budget}]")
         data, tail = _plain(values)
         if data.size > self.config.slot_count:
             raise InputTooLong(f"{data.size} values > {self.config.slot_count} slots")
@@ -362,62 +370,47 @@ class HeBackend:
         plus ``a`` rotated right by the period n, when
         ``schedule.duplicates``), or, for a repeated schedule, those values
         already repeated with period n_in over the slots it reads
-        (``schedule.reads``). The duplication and every giant step run as
-        numpy programs (``schedule.block_sum``). The counter is charged
-        what the op-by-op run charges, ``schedule.block_sum_counts``.
-        DepthExhausted is raised before any of it when a has no level
-        left. The exact result is the window [0, L) over a zero tail (see
-        the module docstring); a noisy backend runs on all slot_count slots
-        and draws the op-by-op run's noise in its order, so every slot
-        matches that run. A schedule that does not fit one ciphertext
-        raises DimensionMismatch (``schedule.check_capacity``) first.
+        (``schedule.reads``). On the exact backend that is one numpy program
+        (``schedule.block_sum``), charged the op-by-op run's counts
+        (``schedule.block_sum_counts``), whose result is the window [0, L)
+        over a zero tail (see the module docstring); a noisy backend runs
+        it op by op (``schedule.block_sum_ops``). DepthExhausted is raised
+        before any of it when a has no level left, and DimensionMismatch
+        (``schedule.check_capacity``) first for a schedule that does not
+        fit one ciphertext.
         """
         schedule.check_capacity(self.config.slot_count)
         self._check_ours(a)
         if a.level < 1:
             raise DepthExhausted(f"matrix-vector product at level {a.level}")
-        p, L = schedule.shape
-        S = self.config.slot_count
-        m = S if self.noisy else schedule.reads
+        if self.noisy:
+            return schedule.block_sum_ops(self, a)
+        m = schedule.reads
         x = _read(a, 0, m)
         if schedule.duplicates:
             x = x + _read(a, -schedule.period, m)
-            if self.noisy:
-                x += self._noise(1)[0]
         rotations, adds, pt_mults = schedule.block_sum_counts
         c = self.counter
         c.rotations += rotations
         c.adds += adds
         c.pt_mults += pt_mults
-        if self.noisy:
-            out = schedule.block_sum(np.concatenate((x, x[:p - 1])), S, self._noise)
-        else:
-            out = schedule.block_sum(x, L)
-        return CipherText(0, out, 0.0, a.level - 1, self)
+        return CipherText(0, schedule.block_sum(x), 0.0, a.level - 1, self)
 
     def run_folds(self, a: CipherText, shifts) -> CipherText:
         """a plus a rotated left by shifts[0], that plus itself rotated by
-        shifts[1], and so on: a matvec's folds, as one numpy program with
-        the op-by-op run's slots, op counts, level and noise draws. The
-        exact result's window is the op-by-op run's, [start - F, start +
-        len) for F = sum(shifts), computed with the tail padded in; a
-        window that could wrap onto itself (len + 2F > slot_count) and a
-        noisy backend compute all slots."""
-        if not shifts:
-            return a
+        shifts[1], and so on: a matvec's folds. An exact window that cannot
+        wrap onto itself (len + 2F <= slot_count, F = sum(shifts)) is one
+        numpy program over the op-by-op run's window [start - F, start +
+        len), tail padded in, with its slots and op counts; every other
+        case runs op by op (``_folds``)."""
+        S = self.config.slot_count
+        F = sum(shifts)
+        if self.noisy or not shifts or a.data.size + 2 * F > S:
+            return _folds(self, a, shifts)
         self._check_ours(a)
         self.counter.rotations += len(shifts)
         self.counter.adds += len(shifts)
-        S = self.config.slot_count
-        F, tail = sum(shifts), a.tail
-        if self.noisy or a.data.size + 2 * F > S:
-            z = _place(a.start, a.data, a.tail, 0, S, S)
-            for t in shifts:
-                z = z + np.roll(z, -t)
-                tail = tail + tail
-                if self.noisy:
-                    z += self._noise(1)[0]
-            return CipherText(0, z, 0.0 if self.noisy else tail, a.level, self)
+        tail = a.tail
         z = np.concatenate((np.full(F, tail), a.data))
         for t in shifts:
             z = z + np.concatenate((z[t:], np.full(t, tail)))
@@ -429,6 +422,8 @@ class HeBackend:
         Moves the window's start only; the data is shared."""
         self._check_ours(a)
         S = self.config.slot_count
+        if not _is_int(t):
+            raise InvalidArgument(f"rotation amount must be an integer, got {t!r}")
         if abs(t) >= S:
             raise InvalidArgument(f"|t| = {abs(t)} must be < slot_count {S}")
         if t == 0:
@@ -454,11 +449,11 @@ class HeBackend:
             return start, data, tail
         S = self.config.slot_count
         dense = _place(start, data, tail, 0, S, S)
-        return 0, dense + self._noise(1)[0], 0.0
+        return 0, dense + self._noise(), 0.0
 
-    def _noise(self, k: int) -> np.ndarray:
-        """k rows of slot_count draws, as k successive draws of one row."""
-        return self._rng.normal(0.0, self.config.noise_std, (k, self.config.slot_count))
+    def _noise(self) -> np.ndarray:
+        """One row of slot_count draws: the noise of one operation."""
+        return self._rng.normal(0.0, self.config.noise_std, self.config.slot_count)
 
 
 class _WindowOps:
@@ -553,15 +548,19 @@ class _ArrayOps:
             m = schedule.reads
             x = np.zeros(m)
             x[: min(m, v.size)] = v[:m]
-        return schedule.block_sum(x, schedule.shape[1])
+        return schedule.block_sum(x)
 
     @staticmethod
     def run_folds(a, shifts):
-        """The folds op by op: rotations drop the leading slots, and the
-        adds zero-extend."""
-        for t in shifts:
-            a = _ArrayOps.add(a, _ArrayOps.rotate(a, t))
-        return a
+        return _folds(_ArrayOps, a, shifts)
+
+
+def _folds(ops, a, shifts):
+    """A matvec's folds op by op, one ops.rotate and ops.add per shift (see
+    HeBackend.run_folds); the mirror's rotations drop leading slots."""
+    for t in shifts:
+        a = ops.add(a, ops.rotate(a, t))
+    return a
 
 
 class _Probe(HeBackend):

@@ -5,16 +5,16 @@ diagonals, the baby-step/giant-step order in which their products are
 summed, and the rotate-and-add folds that finish a wide matrix. ``run``
 is its one program, the block sum and then the folds; the encrypted
 forward passes the backend as ``ops``, the mirror its array adapter
-(``inference.bsgs_matvec`` picks one by ``backend._ops_of``). Both block
-sums run one kernel, ``block_sum``: each giant step is one array program
-that multiplies the step's babies (rows of a sliding window over the
-duplicated or repeated operand) by the step's diagonals and reduces them
-in diagonal order. So the mirrored forward reproduces the encrypted result
-bit for bit on the exact backend. ``HeBackend.run_block_sum`` checks the
-schedule's slot capacity (``check_capacity``), charges the rotations,
-plaintext multiplies and adds of the op-by-op schedule
-(``block_sum_counts``), spends its one level and draws its noise;
-``HeBackend.run_folds`` runs the folds the same way.
+(``inference.bsgs_matvec`` picks one by ``backend._ops_of``). The mirror
+and the exact backend run one block-sum kernel, ``block_sum``: each giant
+step is one array program that multiplies the step's babies (rows of a
+sliding window over the duplicated or repeated operand) by the step's
+diagonals and reduces them in diagonal order. So the mirrored forward
+reproduces the encrypted result bit for bit on the exact backend, where
+``HeBackend.run_block_sum`` checks the slot capacity (``check_capacity``),
+charges the op-by-op schedule's counts (``block_sum_counts``) and spends
+its one level. A noisy backend runs the schedule op by op
+(``block_sum_ops``), so each op draws its own noise.
 
 Built once: a schedule computes its matrix's p diagonals on first use and
 keeps them, read-only, for every later giant step. ``matvec_schedule``
@@ -60,10 +60,9 @@ its diagonals read from ``source_of`` (diagonal d is 1 where
 ``(source_of[t] - t) mod n == d``), so the dense n x n matrix is never
 built. On the exact backend its block sum is one gather that reproduces the
 dense kernel's bits, signed zeros included, and no diagonal is built. The
-noisy backend needs every product's noise draw, so there the kernel
-multiplies every diagonal, the all-zero ones too, building one giant step's
-diagonals at a time, never all p of them. The op counts charged are those
-of the op-by-op schedule either way.
+noisy backend's op-by-op run multiplies every diagonal, the all-zero ones
+too, building one giant step's diagonals at a time, never all p of them.
+The op counts are those of the op-by-op schedule either way.
 """
 
 from __future__ import annotations
@@ -223,71 +222,58 @@ class MatvecSchedule:
             raise DimensionMismatch(f"the block sum reads {self.reads} slots, more than "
                                     f"{slot_count} (single-ciphertext scope)")
 
-    def block_sum(self, x: np.ndarray, width: int, draw=None) -> np.ndarray:
-        """The giant steps, one array program each. Slot t < width of the
+    def block_sum(self, x: np.ndarray) -> np.ndarray:
+        """The giant steps, one array program each. Slot t < L of the
         result is the sum over giant steps, in order, of
         sum_d x[t + d] * diag_d[t] (diag_d zero past n), each step's terms
         reduced in diagonal order: the block sum rotated into place. x holds
-        at least slots [0, width + p - 1) of the duplicated or repeated
-        operand; the babies are rows of one sliding window over it.
+        at least slots [0, L + p - 1) of the duplicated or repeated
+        operand; the babies are rows of one sliding window over it, and a
+        step computes its block's slots [base, base + L) only.
 
-        With width == L a step computes its block's slots [base, base + L)
-        only, which its rotation by base moves to [0, L). A wider window (a
-        noisy backend: width = slot_count) computes the block's slots from 0,
-        where its noise lands, then rotates the step's sum by base. With
-        ``draw``, every op of the op-by-op schedule gets its noise: draw(k)
-        returns k rows, in the order the ops draw them. A step draws its
-        products and adds interleaved (t0, t1, a1, t2, a2, ...); the add
-        into the sum draws one more.
-
-        An exact permutation operand (W is None, no ``draw``) is one gather
-        with the same bits. Column t's only nonzero diagonal is offset[t],
-        so it is v = x[t + offset[t]] when v != 0. Otherwise every term is a
-        signed zero, and the sum is -0.0 only if all of x[t : t + n] have
-        the sign bit set. A non-finite x takes the dense loop, where inf * 0
-        makes every column that reads it NaN.
+        A permutation operand (W is None) is one gather with the same bits.
+        Column t's only nonzero diagonal is offset[t], so it is
+        v = x[t + offset[t]] when v != 0. Otherwise every term is a signed
+        zero, and the sum is -0.0 only if all of x[t : t + n] have the sign
+        bit set. A non-finite x takes the dense loop, where inf * 0 makes
+        every column that reads it NaN.
         """
-        if self.W is None and draw is None:
-            n = self.shape[1]
-            read = x[:2 * n - 1]
+        L = self.shape[1]
+        if self.W is None:
+            read = x[:2 * L - 1]
             if np.isfinite(read).all():
-                t = np.arange(n)
+                t = np.arange(L)
                 v = read[t + self.offset]
                 signs = np.concatenate(([0], np.cumsum(np.signbit(read))))
-                all_neg = signs[t + n] - signs[t] == n
+                all_neg = signs[t + L] - signs[t] == L
                 return np.where(v != 0, v, np.where(all_neg, -0.0, 0.0))
-        rows = sliding_window_view(x, width)
+        rows = sliding_window_view(x, L)
         acc = None
         for base, diags in self.blocks():
-            block = self._giant_step(rows, base, diags, draw)
-            if acc is None:
-                acc = block
-            else:
-                acc = acc + block
-                if draw is not None:
-                    acc += draw(1)[0]
+            terms = rows[base:base + len(diags)] * self.diagonals(diags)
+            # numpy reduces axis 0 row by row, in the schedule's order; it
+            # starts from the identity, and -0.0 + t0 == t0 keeps t0's sign
+            block = np.add.reduce(terms, axis=0, initial=-0.0)
+            acc = block if acc is None else acc + block
         return acc
 
-    def _giant_step(self, rows, base: int, diags: range, draw) -> np.ndarray:
-        """One giant step's block sum, rotated by base (see block_sum)."""
-        n = self.shape[1]
-        width = rows.shape[1]
-        start = base if width == n else 0
-        D = self.diagonals(diags)
-        if width > n:
-            D = np.pad(D, ((0, 0), (base, width - n - base)))
-        terms = rows[start:start + len(diags)] * D
-        if draw is not None:
-            # rows t0 + n0, t1 + n1, n2, t2 + n3, n4, ...: one reduce in row
-            # order then sums the perturbed products and adds
-            noisy = draw(2 * len(diags) - 1)
-            noisy[0] += terms[0]
-            noisy[1::2] += terms[1:]
-            terms = noisy
-        # numpy reduces axis 0 row by row, in the schedule's order; it starts
-        # from the identity, and -0.0 + t0 == t0 keeps t0's sign
-        block = np.add.reduce(terms, axis=0, initial=-0.0)
-        return block if start == base else np.roll(block, start - base)
+    def block_sum_ops(self, ops, a):
+        """The block sum op by op, on a ciphertext a before its duplication
+        (``duplicates``): the baby rotations, then per giant step the babies
+        times its diagonals shifted right by its base, summed in diagonal
+        order, rotated left by the base and added to the sum."""
+        if self.duplicates:
+            a = ops.add(a, ops.rotate(a, -self.period))
+        babies = [ops.rotate(a, i) for i in range(self.split[0])]
+        acc = None
+        for base, diags in self.blocks():
+            block = None
+            for baby, diag in zip(babies, self.diagonals(diags)):
+                term = ops.mul(baby, np.concatenate((np.zeros(base), diag)))
+                block = term if block is None else ops.add(block, term)
+            block = ops.rotate(block, base)
+            acc = block if acc is None else ops.add(acc, block)
+        return acc
 
     def run(self, ops, v, plus=None):
         """The schedule on v, run by ops: the block sum, plus ``plus`` if

@@ -1,6 +1,8 @@
+import builtins
 import json
 import math
 import operator
+import os
 
 import numpy as np
 import pytest
@@ -53,6 +55,29 @@ class TestConfig:
         p = tmp_path / "b.json"
         p.write_text(json.dumps(doc))
         assert BackendConfig.from_json(str(p)).rng_seed == 3
+
+    def test_from_json_reads_path_like_and_bytes_paths(self, tmp_path):
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps({"slot_count": 16, "depth_budget": 7}))
+        assert BackendConfig.from_json(p).depth_budget == 7
+        assert BackendConfig.from_json(os.fsencode(p)).slot_count == 16
+
+    @pytest.mark.parametrize("source", [0, 7, True, False, np.int64(3), 1.5, None, ["x"]])
+    def test_from_json_rejects_what_is_not_a_path(self, source, monkeypatch):
+        # open() takes an integer (a bool too) for a file descriptor
+        def no_open(*args, **kwargs):
+            raise AssertionError("from_json opened a non-path source")
+
+        monkeypatch.setattr(builtins, "open", no_open)
+        with pytest.raises(InvalidArgument, match="BackendConfig is a dict"):
+            BackendConfig.from_json(source)
+
+    @pytest.mark.parametrize("text", ["5", "[16, 7]", "null"])
+    def test_from_json_file_must_hold_an_object(self, tmp_path, text):
+        p = tmp_path / "b.json"
+        p.write_text(text)
+        with pytest.raises(InvalidArgument, match="JSON object"):
+            BackendConfig.from_json(p)
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -216,6 +241,19 @@ class TestRotate:
         with pytest.raises(HeKanError, match="must be < slot_count 8"):
             be.rotate(be.encrypt([1.0]), t)
 
+    @pytest.mark.parametrize("t", [2.0, 2.5, True, "1", None])
+    def test_non_integer_rotation_rejected(self, t):
+        be = fresh()
+        with pytest.raises(InvalidArgument, match="integer"):
+            be.rotate(be.encrypt([1.0]), t)
+        assert be.counter.rotations == 0
+
+    def test_numpy_integer_rotation_accepted(self):
+        be = fresh()
+        a = be.encrypt([1.0, 2.0, 3.0])
+        for t in (np.int64(2), np.int32(-1)):
+            np.testing.assert_array_equal(be.rotate(a, t).slots, be.rotate(a, int(t)).slots)
+
     def test_level_unchanged(self):
         be = fresh()
         a = be.encrypt([1.0], level=3)
@@ -256,6 +294,16 @@ class TestEncryptDecrypt:
         be = fresh(depth=5)
         with pytest.raises(HeKanError, match=r"outside \[0, 5\]"):
             be.encrypt([1.0], level=level)
+
+    @pytest.mark.parametrize("level", [1.5, 2.0, True, "1"])
+    def test_non_integer_level_rejected(self, level):
+        with pytest.raises(InvalidArgument, match="integer"):
+            fresh(depth=5).encrypt([1.0], level=level)
+
+    def test_numpy_integer_level_accepted(self):
+        be = fresh(depth=5)
+        ct = be.mul(be.encrypt([1.0], level=np.int64(3)), 2.0)
+        assert ct.level == 2
 
     def test_noisy_round_trip_error_bound(self):
         # Monte-Carlo over >= 1e4 independent slot perturbations

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -269,6 +270,17 @@ class TestBench:
         cfgs = tmp_path / "cfgs.json"
         cfgs.write_text(json.dumps([{"path": "lazy"}, entry]))
         rc = main(["bench", "--model", model_path, "--configs", str(cfgs), "--backend", BACKEND])
+        assert rc == 2
+        assert "--configs" in capsys.readouterr().err
+
+    def test_integer_backend_is_a_usage_error(self, model_path, tmp_path, capsys):
+        # an integer is not a path: it is rejected, never opened as a file
+        # descriptor (this one was open a moment ago, so nothing holds it)
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        cfgs = tmp_path / "cfgs.json"
+        cfgs.write_text(json.dumps([{"path": "lazy", "backend": fd}]))
+        rc = main(["bench", "--model", model_path, "--configs", str(cfgs)])
         assert rc == 2
         assert "--configs" in capsys.readouterr().err
 

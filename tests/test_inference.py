@@ -16,7 +16,15 @@ from hekan.approx import (
     eval_poly_he,
     poly_comp,
 )
-from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, _ops_of, make_backend
+from hekan.backend import (
+    BackendConfig,
+    CipherText,
+    HeBackend,
+    OpCounter,
+    _ops_of,
+    _WindowOps,
+    make_backend,
+)
 from hekan.bspline import PermutationSpec, basis_depth, gen_permutation, repeat_pack
 from hekan.errors import (
     DepthBudgetInfeasible,
@@ -616,6 +624,35 @@ def _smallest_slot_count(mdl, cfg) -> int:
             return slots
         except (DimensionMismatch, PackingOverflow):
             slots *= 2
+
+
+class TestOneNoiseSite:
+    """A noisy backend draws its noise in one place, HeBackend._perturb:
+    one row per encryption, per counted add, sub or multiply and per
+    trivial encryption (``const``); rotations draw none. A noisy matvec
+    runs op by op, so its draws are counted the same way."""
+
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    @pytest.mark.parametrize("mode", ["composite", "exact"])
+    def test_draws_are_encryptions_ops_and_consts(self, path, mode, monkeypatch):
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=1)
+        cfg = PipelineConfig(comparator_mode=mode, path=path)
+        be = HeBackend(BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
+                                     depth_budget=plan_model(mdl, cfg).total, noise_std=1e-12))
+        calls = {"noise": 0, "const": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(HeBackend, "_noise", counted("noise", HeBackend._noise))
+        monkeypatch.setattr(_WindowOps, "const", counted("const", _WindowOps.const))
+        model_forward_he(mdl, encrypt_input(np.array([0.3, -0.6]), mdl, be), cfg)
+        c = be.counter
+        assert c.rotations > 0 and calls["noise"] > 0
+        assert calls["noise"] == 1 + c.adds + c.subs + c.ct_mults + c.pt_mults + calls["const"]
 
 
 class TestOneLayerProgram:

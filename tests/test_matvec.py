@@ -269,3 +269,23 @@ class TestKernelLimits:
             with pytest.raises(DepthExhausted):
                 bsgs_matvec(W, v)
         assert be.counter == OpCounter()
+
+
+class TestNoisyKernelMemory:
+    def test_noisy_permutation_matvec_runs_op_by_op(self):
+        # the noisy block sum runs op by op: its babies share the operand's
+        # slots, and each op draws one row of noise, so a few slot vectors
+        # and one giant step's diagonals are live at a time
+        P = gen_permutation(256, 15)
+        sched = matvec_schedule(P)
+        be = HeBackend(BackendConfig(slot_count=8192, depth_budget=1, noise_std=1e-9))
+        x = np.random.default_rng(2).normal(size=3840)
+        v = be.encrypt(x)
+        tracemalloc.start()
+        try:
+            out = sched.run(be, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
+        np.testing.assert_allclose(be.decrypt(out)[:3840], P.apply(x), atol=1e-6)
