@@ -215,6 +215,10 @@ class CipherText:
     other slot holds ``tail``. A full window is the case len(data) ==
     slot_count, a broadcast constant an empty one. Immutable: every
     operation returns a new ciphertext, and a rotation shares ``data``.
+
+    ``copies`` is the number of back-to-back copies of its input a
+    ciphertext arrived with: ``encrypt_input`` sets it, every operation's
+    result (and a plain ``encrypt``) holds one.
     """
 
     start: int
@@ -222,6 +226,7 @@ class CipherText:
     tail: float
     level: int
     backend: "HeBackend" = field(repr=False, compare=False)
+    copies: int = 1
 
     def __post_init__(self):
         self.data.setflags(write=False)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .approx import poly_comp
-from .backend import CipherText, _ops_of, _Probe
+from .backend import CipherText, _is_int, _ops_of, _Probe
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -179,24 +179,32 @@ def basis_copies(g: int, k: int) -> int:
 
 
 def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
-                scale: float = 1.0) -> CipherText:
+                scale: float = 1.0, arrived: int = 1) -> CipherText:
     """Fast repeat packing: one mask multiply plus doubling rotations, on a
-    ciphertext or an array (the mirror). The result holds the input's
-    first n_i slots, times scale, as at least g + 2k copies back to back.
-    The mask full(n_i, scale) carries the scale at no extra cost: the
-    layer program packs with the grid's scale, 1/(2R), so the basis
-    receives its input in comparator units, and the SiLU branch reads the
-    same copies (``KanLayer.packed_silu_poly``). The result's tail, past
-    the copies, is zero.
+    ciphertext or an array (the mirror). ct holds ``arrived`` copies of
+    the input's n_i slots back to back (a power of two: one for a raw
+    encryption or a hidden layer's output, more when the client encrypted
+    them, ``encrypt_input``). The result holds them, times scale, as
+    max(arrived, 2^ceil(log2(g+2k))) copies back to back: the mask
+    full(n_i * arrived, scale) keeps the arrived copies, and the doublings
+    start from them, so arrived copies save as many rotations as they
+    double. The mask carries the scale at no extra cost: the layer program
+    packs with the grid's scale, 1/(2R), so the basis receives its input in
+    comparator units, and the SiLU branch reads the same copies
+    (``KanLayer.packed_silu_poly``). The result's tail, past the copies,
+    is zero. Each doubling adds exact zeros, so every copy holds the value
+    of copy 0 however many arrived (a doubling turns a -0 into +0).
 
-    The doublings produce 2^ceil(log2(g+2k)) copies, so PackingOverflow is
-    raised before any op unless that power of two fits in the slot vector;
-    else the final shift would wrap onto the front copies.
+    PackingOverflow is raised before any op unless those copies fit in the
+    slot vector; else the final shift would wrap onto the front copies.
+    InvalidArgument if arrived is not a power of two.
     """
+    if not _is_int(arrived) or arrived < 1 or arrived & (arrived - 1):
+        raise InvalidArgument(f"arrived copies must be a power of two, got {arrived!r}")
     ops = _ops_of(ct)
     copies = 1 << pack_rotations(g, k)
-    _check_copies(ops.slot_count, n_i, copies)
-    return _double_copies(ops.mul(ct, np.full(n_i, scale)), n_i, 1, copies)
+    _check_copies(ops.slot_count, n_i, max(copies, arrived))
+    return _double_copies(ops.mul(ct, np.full(n_i * arrived, scale)), n_i, arrived, copies)
 
 
 def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:

@@ -1,6 +1,7 @@
 """Encrypted KAN inference pipeline.
 
-Wires the pieces together per layer: the input is repeat-packed once, and
+Wires the pieces together per layer: the input is repeat-packed once (layer
+0's arrives already replicated by the client, ``encrypt_input``), and
 both the activation-polynomial branch and the B-spline branch (one
 comparator call over every knot column) read the packed copies;
 baby-step/giant-step matrix-vector products join them. When W_b's block
@@ -116,6 +117,21 @@ class PipelineConfig:
 
 
 def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
+    """Encrypt an input for ``model_forward_he``, already replicated as
+    layer 0's packing would replicate it: the client knows x, so the copies
+    cost it nothing, and layer 0 packs with no rotation.
+
+    The input, raster-ordered (slot (y * w + x) * c + ch of a copy holds
+    tensor[y, x, ch]; a vector of n_in values passes as is), fills C
+    back-to-back copies: slot c * n_in + j holds input j for every copy
+    c < C, and every slot past C * n_in is zero. C is
+    ``basis_copies(g, k)`` of layer 0's grid, halved until C * n_in fits
+    the slot count (C >= 1); when it had to halve, the forward raises the
+    layer's capacity error before any op, as it would for one copy. The
+    ciphertext carries C as ``copies``. Raises ShapeMismatch for a shape
+    the model does not take, NonFiniteInput for NaN or infinity and
+    InputOutOfRange past layer 0's R.
+    """
     arr = np.asarray(tensor, dtype=float)
     expect = tuple(model.input_shape)
     if arr.shape != expect:
@@ -126,7 +142,12 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("input holds NaN or infinity")
     model.check_input_range(arr)
-    return backend.encrypt(arr.reshape(-1))  # raster order: (y * w + x) * c + ch
+    first = model.layers[0]
+    copies = basis_copies(first.g, first.k)
+    while copies > 1 and copies * arr.size > backend.config.slot_count:
+        copies //= 2
+    ct = backend.encrypt(np.tile(arr.reshape(-1), copies))  # raster order, C times
+    return replace(ct, copies=copies)
 
 
 # ---------------------------------------------------------------------------
@@ -305,29 +326,34 @@ def _silu_branch(layer: KanLayer, path: str, comparator, slot_count) -> tuple:
 
 def _layer(layer: KanLayer, x, path: str, comparator):
     """The layer program on x, a ciphertext (the encrypted forward) or an
-    array (the mirror), whose first n_i slots hold the input: the input
-    packed in comparator units (its mask carrying the grid's 1/(2R) and
-    clearing every other slot), then the activation branch (the packed
-    SiLU polynomial on the packed copies, doubled first if W_b reads past
-    them, then W_b's block sum on that repeated operand) and the spline
-    branch (the basis, then the path's linear maps, each on a zero-tail
-    operand). One doubling step (``bspline._double_copies``) takes the
-    packed copies first to those the basis reads (``basis_copies``), or
-    to the SiLU's if fewer, then on to the SiLU's; the basis reads the
-    first, and doubles them itself only when the SiLU's stopped short
-    (``doubled``). When W_b's block sum runs on the last map's geometry
+    array (the mirror), whose first n_i slots hold the input, or whose
+    first x.copies blocks of n_i slots do (``encrypt_input``; the one place
+    the program reads the field): the input packed in comparator units
+    (its mask carrying the grid's 1/(2R), keeping the copies that arrived,
+    up to the basis's, and clearing every other slot), then the activation
+    branch (the packed SiLU polynomial on the packed copies, doubled first
+    if W_b reads past them, then W_b's block sum on that repeated operand)
+    and the spline branch (the basis, then the path's linear maps, each on
+    a zero-tail operand). One doubling step (``bspline._double_copies``)
+    takes the packed copies (those that arrived, when more than the
+    packing's) first to those the basis reads (``basis_copies``), or to
+    the SiLU's if fewer, then on to the SiLU's; the basis reads the first,
+    and doubles them itself only when they stopped short (``doubled``).
+    When W_b's block sum runs on the last map's geometry
     (``_shared_geometry``), the last map adds it before its folds, and
     one fold chain finishes both branches; otherwise W_b folds on its own
     and the two outputs are added. Slots [0, n_o) hold the output."""
     layer.check_supported()
     ops = _ops_of(x)
     over, doublings = _silu_branch(layer, path, comparator, ops.slot_count)
-    xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale)
-    ops._stage("repeat_pack", x, xs)
     pack, need = 1 << pack_rotations(layer.g, layer.k), basis_copies(layer.g, layer.k)
-    have = min(need, pack << doublings)
-    xb = _double_copies(xs, layer.n_i, pack, have)
-    xr = _double_copies(xb, layer.n_i, have, pack << doublings)
+    arrived = min(getattr(x, "copies", 1), need)
+    xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale, arrived)
+    ops._stage("repeat_pack", x, xs)
+    packed, silu = max(pack, arrived), pack << doublings
+    have = max(packed, min(need, silu))
+    xb = _double_copies(xs, layer.n_i, packed, have)
+    xr = _double_copies(xb, layer.n_i, have, silu)
     poly = eval_poly_he(xr, layer.packed_silu_poly)
     ops._stage("silu_poly", xr, poly)
     base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=over)
@@ -353,6 +379,12 @@ def model_forward_he(model: KanModel, ct: CipherText,
     """Run the whole model; returns (ciphertext, per_layer), where
     per_layer holds each layer's OpCounter delta. The forward uses
     ``ct.level - out.level`` levels, layer by layer the planner's totals.
+
+    ct arrives either way: as ``encrypt_input`` returns it, layer 0's input
+    replicated ``ct.copies`` times, so layer 0 packs with log2(copies)
+    rotations and adds fewer; or as one copy (a raw ``encrypt`` of the
+    rastered input), which layer 0 packs on the server. Both give the same
+    decrypted slots, levels and multiplies on the exact backend.
 
     Depth feasibility is checked statically against the input level, and
     every layer's slot capacity against the slot count, before any

@@ -160,6 +160,32 @@ class TestRepeatPack:
         repeat_pack(be.encrypt([1.0]), g=2, k=1, n_i=1)
         assert be.counter.pt_mults == 1
 
+    @pytest.mark.parametrize("arrived", [1, 2, 4, 8, 16])
+    def test_arrived_copies_save_their_doublings(self, arrived):
+        # g + 2k = 7 packs 8 copies of 3: arrived copies double from there,
+        # keep the mask's one multiply and scale, and clear the slots past them
+        x = np.array([0.5, -0.25, 0.75])
+        be = backend(slots=64)
+        ct = be.encrypt(np.concatenate((np.tile(x, arrived), [9.0])))
+        xp = repeat_pack(ct, g=3, k=2, n_i=3, scale=0.5, arrived=arrived)
+        copies = max(8, arrived)
+        assert be.counter.rotations == max(0, 3 - arrived.bit_length() + 1)
+        assert be.counter.pt_mults == 1 and xp.level == ct.level - 1
+        np.testing.assert_array_equal(xp.slots[:3 * copies], np.tile(0.5 * x, copies))
+        np.testing.assert_array_equal(xp.slots[3 * copies:], 0.0)
+
+    @pytest.mark.parametrize("arrived", [0, 3, 6, -2, 2.0, True])
+    def test_arrived_copies_are_a_power_of_two(self, arrived):
+        with pytest.raises(HeKanError):
+            repeat_pack(backend().encrypt([1.0]), g=2, k=1, n_i=1, arrived=arrived)
+
+    def test_arrived_copies_must_fit(self):
+        # 32 copies of 3 are 96 slots, past 64
+        be = backend(slots=64)
+        with pytest.raises(PackingOverflow):
+            repeat_pack(be.encrypt(np.ones(3)), g=3, k=2, n_i=3, arrived=32)
+        assert be.counter == OpCounter()
+
 
 class TestDoubleCopies:
     @pytest.mark.parametrize("n_i, copies, target", [(3, 1, 8), (2, 4, 16), (5, 2, 2)])

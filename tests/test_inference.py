@@ -31,6 +31,7 @@ from hekan.errors import (
     DimensionMismatch,
     HeKanError,
     InputOutOfRange,
+    InputTooLong,
     InvalidArgument,
     NonFiniteInput,
     PackingOverflow,
@@ -66,13 +67,16 @@ def cleartext(slots=1024, depth=40):
 
 
 class TestEncryptInput:
-    # the layout tests label slots 0..5, so their grids cover |x| <= 5
+    # the layout tests label slots 0..5, so their grids cover |x| <= 5; g = 4,
+    # k = 1 replicates the input basis_copies(4, 1) = 8 times
     def test_raster_order_2x2(self):
         mdl = random_model([4, 2], g=4, k=1, seed=0, lo=-5.0, hi=5.0)
         be = cleartext(slots=64)
         ct = encrypt_input(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]),
                            KanModel(mdl.layers, (2, 2, 1)), be)
-        np.testing.assert_array_equal(ct.slots[:6], [1, 2, 3, 4, 0, 0])
+        assert ct.copies == 8
+        np.testing.assert_array_equal(ct.slots[:32], np.tile([1, 2, 3, 4], 8))
+        np.testing.assert_array_equal(ct.slots[32:], 0)
         assert ct.level == 40
 
     def test_channel_major_order(self):
@@ -87,7 +91,55 @@ class TestEncryptInput:
             for x in range(2):
                 for ch in range(3):
                     expected[(y * 2 + x) * 3 + ch] = tensor[y, x, ch]
-        np.testing.assert_array_equal(ct.slots[:6], expected)
+        assert ct.copies == 8
+        for c in range(8):
+            np.testing.assert_array_equal(ct.slots[6 * c:6 * c + 6], expected)
+        np.testing.assert_array_equal(ct.slots[48:], 0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_in=st.integers(1, 24), g=st.integers(1, 6), k=st.integers(1, 4),
+           log_slots=st.integers(0, 8), seed=st.integers(0, 2 ** 16))
+    def test_copies_then_zeros(self, n_in, g, k, log_slots, seed):
+        # C copies back to back, then zeros: C is basis_copies(g, k), or the
+        # largest power of two below it whose copies fit the slots
+        mdl = random_model([n_in, 2], g=g, k=k, seed=seed)
+        be = cleartext(slots=1 << log_slots)
+        x = np.random.default_rng(seed).uniform(-1, 1, n_in)
+        if n_in > be.slot_count:
+            with pytest.raises(InputTooLong):
+                encrypt_input(x, mdl, be)
+            return
+        ct = encrypt_input(x, mdl, be)
+        C = ct.copies
+        assert C & (C - 1) == 0 and C <= bspline.basis_copies(g, k)
+        assert C * n_in <= be.slot_count
+        assert C == bspline.basis_copies(g, k) or 2 * C * n_in > be.slot_count
+        slots = be.decrypt(ct)
+        for c in range(C):
+            assert np.array_equal(slots[c * n_in:(c + 1) * n_in].view(np.int64),
+                                  x.view(np.int64))
+        np.testing.assert_array_equal(slots[C * n_in:], 0.0)
+
+    @pytest.mark.parametrize("dims, g, k, slots, copies", [
+        ([4, 1], 2, 1, 16, 4),    # basis_copies(2, 1) = 8 copies of 4 need 32 slots
+        ([12, 2], 3, 1, 64, 4),   # 8 copies of 12 need 96
+        ([20, 2], 5, 3, 32, 1),   # 16 copies of 20 need 320; two need 40
+    ])
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_copies_that_do_not_fit_are_rejected_as_one_copy_is(self, dims, g, k, slots,
+                                                                copies, path):
+        mdl = random_model(dims, g=g, k=k, seed=3)
+        cfg = PipelineConfig(path=path)
+        be = cleartext(slots=slots, depth=plan_model(mdl, cfg).total)
+        x = np.random.default_rng(3).uniform(-1, 1, dims[0])
+        replicated = encrypt_input(x, mdl, be)
+        assert replicated.copies == copies
+        for ct in (replicated, be.encrypt(x)):
+            with pytest.raises(PackingOverflow):
+                model_forward_he(mdl, ct, cfg)
+            with pytest.raises(PackingOverflow):
+                layer_forward_he(mdl.layers[0], ct, cfg)
+        assert be.counter == OpCounter()
 
     def test_shape_mismatch(self):
         mdl = random_model([4, 2], g=4, k=1, seed=0)
@@ -695,6 +747,104 @@ class TestOneLayerProgram:
                               mirrored.view(np.int64))
 
 
+class TestTwoArrivals:
+    """An input arrives raw (``be.encrypt(x)``, one copy, packed on the
+    server) or replicated by the client (``encrypt_input``, C =
+    basis_copies(g, k) copies of layer 0's input): the same decrypted
+    slots, bit for bit and equal to the mirror's output, the same levels
+    and multiplies, and log2(C) rotations fewer for the replicated one, all
+    of them layer 0's."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dims=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+           g=st.integers(1, 5), k=st.integers(1, 4),
+           path=st.sampled_from(["lazy", "naive"]),
+           comparator_mode=st.sampled_from(["composite", "exact"]),
+           seed=st.integers(0, 2 ** 16),
+           zeros=st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=9, max_size=9))
+    @example(dims=[4, 8, 8, 2], g=5, k=3, path="lazy", comparator_mode="composite", seed=0,
+             zeros=[-0.0, 0.0] + [None] * 7)
+    @example(dims=[9, 29], g=2, k=1, path="naive", comparator_mode="exact", seed=1,
+             zeros=[None] * 9)
+    @example(dims=[9, 29], g=1, k=1, path="lazy", comparator_mode="exact", seed=2,
+             zeros=[-0.0] * 9)
+    @example(dims=[7, 1], g=3, k=2, path="lazy", comparator_mode="composite", seed=3,
+             zeros=[None, -0.0] * 4 + [0.0])
+    # g + 2k a power of two and no SiLU doubling: the client's copies are
+    # the basis's doubling, which the SiLU branch would not have made
+    @example(dims=[3, 4], g=2, k=1, path="lazy", comparator_mode="exact", seed=3,
+             zeros=[None] * 9)
+    @example(dims=[5, 3, 2], g=4, k=2, path="naive", comparator_mode="composite", seed=4,
+             zeros=[0.0, -0.0] + [None] * 7)
+    def test_replicated_equals_raw(self, dims, g, k, path, comparator_mode, seed, zeros):
+        mdl = random_model(dims, g=g, k=k, seed=seed)
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        x = np.random.default_rng(seed).uniform(-1, 1, dims[0])
+        for i, z in enumerate(zeros[:dims[0]]):
+            if z is not None:
+                x[i] = z
+        try:
+            mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(),
+                                           path=path)
+        except InputOutOfRange:
+            assume(False)  # a hidden layer's input beyond its R: outside the contract
+        bcfg = BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
+                             depth_budget=plan_model(mdl, cfg).total)
+        runs = []
+        for arrive in (lambda be: encrypt_input(x, mdl, be), lambda be: be.encrypt(x)):
+            be = HeBackend(bcfg)
+            ct = arrive(be)
+            out, per_layer = model_forward_he(mdl, ct, cfg)
+            assert out.level == 0
+            slots = be.decrypt(out)
+            assert np.array_equal(slots[:mdl.n_out].view(np.int64), mirrored.view(np.int64))
+            runs.append((ct.copies, slots, per_layer))
+        (copies, replicated, fewer), (one, raw, more) = runs
+        assert (copies, one) == (bspline.basis_copies(g, k), 1)
+        assert np.array_equal(replicated.view(np.int64), raw.view(np.int64))
+        # each doubling the client made is one rotation and one add
+        saved = copies.bit_length() - 1
+        assert ([(c.pt_mults, c.ct_mults, c.subs, c.adds, c.rotations) for c in fewer]
+                == [(c.pt_mults, c.ct_mults, c.subs, c.adds - saved * (i == 0),
+                     c.rotations - saved * (i == 0)) for i, c in enumerate(more)])
+
+
+class TestPackingRotationsPerStage:
+    """Each layer's repeat_pack stage rotates ceil(log2(g + 2k)) times on
+    the server, except layer 0's on the client's basis_copies(g, k) copies,
+    which rotates none."""
+
+    @pytest.mark.parametrize("dims, g, k", [
+        ([2, 5, 1], 5, 3), ([4, 8, 8, 2], 5, 3), ([9, 29], 2, 1), ([3, 4, 2], 2, 1),
+        ([5, 3, 3], 1, 1)])
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_only_layer_0_arrives_packed(self, dims, g, k, path):
+        mdl = random_model(dims, g=g, k=k, seed=4)
+        cfg = PipelineConfig(path=path)
+        x = np.random.default_rng(4).uniform(-1, 1, dims[0])
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(),
+                                       path=path)
+        bcfg = BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
+                             depth_budget=plan_model(mdl, cfg).total)
+        for arrive, first in ((lambda be: encrypt_input(x, mdl, be), 0),
+                              (lambda be: be.encrypt(x), bspline.pack_rotations(g, k))):
+            be = HeBackend(bcfg)
+            ct = arrive(be)
+            rotations = []
+            with pytest.MonkeyPatch.context() as mp:
+                def spy(*args, _run=inference.repeat_pack):
+                    before = be.counter.rotations
+                    out = _run(*args)
+                    rotations.append(be.counter.rotations - before)
+                    return out
+
+                mp.setattr(inference, "repeat_pack", spy)
+                out, _ = model_forward_he(mdl, ct, cfg)
+            assert rotations == [first] + [bspline.pack_rotations(g, k)] * (len(dims) - 2)
+            assert np.array_equal(be.decrypt(out)[:mdl.n_out].view(np.int64),
+                                  mirrored.view(np.int64))
+
+
 def _parent_matvec_slots(n_o: int, n_in: int) -> int:
     """The slots a matrix needed before the SiLU branch read the packed
     input: its wide or square period n, twice over for the wraparound
@@ -786,10 +936,13 @@ class TestSiluReadsThePackedInput:
         assert calls[0][2] == over
         own = inference._doublings(layer, matvec_schedule(layer.W_b, True).reads)
         assert (own > 0) == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
-        # the basis doubles the copies itself unless the SiLU branch did
+        # the basis doubles the copies itself unless the SiLU branch did;
+        # the client's copies save one doubling each
         extra = bspline.basis_copies(g, k) > pack and not doublings
+        arrived = ct.copies.bit_length() - 1
+        assert ct.copies == bspline.basis_copies(g, k)
         assert be.counter.rotations == (bspline.pack_rotations(g, k) + doublings + extra + 1 + k
-                                        + sum(s.rotations for s in scheds))
+                                        + sum(s.rotations for s in scheds) - arrived)
         if n_o > n_i:
             assert over is None and scheds[0].shape == (n_i, n_o)  # n_i diagonals, n_o slots
         assert not scheds[0].duplicates
@@ -843,22 +996,28 @@ class TestSiluReadsThePackedInput:
     def test_basis_reads_the_silu_doubling(self):
         # g + 2k = 4 packs 4 copies of 9; W_b 29 x 9 reads 37 slots, so the
         # SiLU branch doubles them to 8, the copies the basis's call reads:
-        # the basis takes that doubling instead of making it again
+        # the basis takes that doubling instead of making it again. A raw
+        # encryption packs on the server; the client's 8 copies save the
+        # packing's two doublings and that one
         mdl = random_model([9, 29], g=2, k=1, seed=0)
         layer = mdl.layers[0]
         cfg = PipelineConfig(comparator_mode="exact")
         x = np.random.default_rng(1).uniform(-1, 1, 9)
-        be = HeBackend(BackendConfig(slot_count=128, depth_budget=plan_layer(layer, cfg).total))
-        assert inference._silu_branch(layer, "lazy", cfg.comparator(), 128) == (None, 1)
-        shifts = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(HeBackend, "rotate",
-                       lambda self, a, t, _run=HeBackend.rotate: shifts.append(t) or _run(self, a, t))
-            out = layer_forward_he(layer, encrypt_input(x, mdl, be), cfg)
-        assert be.counter.rotations == 19
-        assert shifts.count(-36) == 1  # one doubling by n_i * 4
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator())
-        assert np.array_equal(be.decrypt(out)[:29].view(np.int64), mirrored.view(np.int64))
+        for arrive, rotations, doublings_by_36 in (
+                (lambda be: be.encrypt(x), 19, 1), (lambda be: encrypt_input(x, mdl, be), 16, 0)):
+            be = HeBackend(BackendConfig(slot_count=128,
+                                         depth_budget=plan_layer(layer, cfg).total))
+            assert inference._silu_branch(layer, "lazy", cfg.comparator(), 128) == (None, 1)
+            shifts = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(HeBackend, "rotate",
+                           lambda self, a, t, _run=HeBackend.rotate:
+                           shifts.append(t) or _run(self, a, t))
+                out = layer_forward_he(layer, arrive(be), cfg)
+            assert be.counter.rotations == rotations
+            assert shifts.count(-36) == doublings_by_36  # doublings by n_i * 4
+            assert np.array_equal(be.decrypt(out)[:29].view(np.int64), mirrored.view(np.int64))
 
 
 class TestOneFoldChain:
@@ -875,6 +1034,7 @@ class TestOneFoldChain:
     @example(n_i=5, n_o=1, g=5, k=3, path="lazy", comparator_mode="composite", seed=1)
     @example(n_i=5, n_o=1, g=5, k=1, path="lazy", comparator_mode="exact", seed=1)
     @example(n_i=7, n_o=1, g=3, k=2, path="naive", comparator_mode="composite", seed=1)
+    @example(n_i=1, n_o=5, g=2, k=1, path="lazy", comparator_mode="composite", seed=0)
     def test_count_law(self, n_i, n_o, g, k, path, comparator_mode, seed):
         mdl = random_model([n_i, n_o], g=g, k=k, seed=seed)
         layer = mdl.layers[0]
@@ -913,17 +1073,20 @@ class TestOneFoldChain:
                          (layer.spline_maps(path)[-1], None, saves)]
         assert not base.folds or not saves
 
-        # the closed form: packing, the basis's extra copy, the telescoping
+        # the closed form: packing, the basis's extra copy (unless the
+        # SiLU's doublings made it), the telescoping
         # rotation, one per recursion order, the SiLU's doublings, W_b's
         # block sum (folds included when it keeps them), the spline maps
-        # (the last one's folds shared when W_b's are not its own)
+        # (the last one's folds shared when W_b's are not its own), less
+        # the doublings the client's copies save
         alone = HeBackend(BackendConfig(slot_count=4, depth_budget=plan.total))
         eval_poly_he(alone.encrypt([0.1]), layer.packed_silu_poly)
         poly_comp(alone.encrypt([0.1]), 0.0, comparator)
-        extra = bspline.basis_copies(g, k) > 1 << bspline.pack_rotations(g, k)
+        doublings = inference._doublings(layer, base.reads)
+        extra = bspline.basis_copies(g, k) > 1 << bspline.pack_rotations(g, k) and not doublings
         rotations = (bspline.pack_rotations(g, k) + extra + 1 + k
-                     + inference._doublings(layer, base.reads) + base.rotations
-                     + sum(m.rotations for m in maps))
+                     + doublings + base.rotations
+                     + sum(m.rotations for m in maps) - (ct.copies.bit_length() - 1))
         pt_mults = (1 + alone.counter.pt_mults + (k + 1) + base.pt_mults
                     + sum(m.pt_mults for m in maps))
         counter = be.counter
@@ -1259,10 +1422,12 @@ class TestBench:
         rows = bench_compare(mdl, xs, cfgs)
         assert len(forwards) == len(cfgs) * (1 + len(xs))
         assert len({id(be) for be in forwards}) == 2 * len(cfgs)
+        # each input arrives as basis_copies(3, 2) = 8 copies, so layer 0
+        # packs with log2(8) = 3 rotations fewer than a raw encryption's
         assert [(r["rotations"], r["ct_mults"], r["pt_mults"], r["depth"],
                  r["speedup_vs_naive_counts"]) for r in rows] == [
-            (58, 96, 146, 28, 1.3333), (58, 24, 82, 10, 1.6098),
-            (88, 96, 216, 30, 1.0), (88, 24, 152, 12, 1.0)]
+            (52, 96, 146, 28, 1.3401), (52, 24, 82, 10, 1.6329),
+            (82, 96, 216, 30, 1.0), (82, 24, 152, 12, 1.0)]
 
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
@@ -1291,13 +1456,15 @@ class TestBench:
             PipelineConfig(**kwargs)
 
     def test_table_config_op_counts_are_pinned(self):
-        # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15 slots
+        # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15
+        # slots; the input arrives as basis_copies(g, k) copies, so layer 0
+        # packs with no rotation
         pinned = {
-            "(64,3,2)": {"lazy": (22, 43, 24), "naive": (57, 363, 24)},
-            "(128,5,3)": {"lazy": (27, 56, 25), "naive": (90, 1080, 25)},
-            "(256,5,3)": {"lazy": (28, 56, 25), "naive": (118, 2104, 25)},
-            "(256,10,3)": {"lazy": (30, 50, 25), "naive": (145, 3378, 25)},
-            "(256,10,5)": {"lazy": (32, 56, 27), "naive": (155, 3896, 27)},
+            "(64,3,2)": {"lazy": (19, 43, 24), "naive": (54, 363, 24)},
+            "(128,5,3)": {"lazy": (23, 56, 25), "naive": (86, 1080, 25)},
+            "(256,5,3)": {"lazy": (24, 56, 25), "naive": (114, 2104, 25)},
+            "(256,10,3)": {"lazy": (25, 50, 25), "naive": (140, 3378, 25)},
+            "(256,10,5)": {"lazy": (27, 56, 27), "naive": (150, 3896, 27)},
         }
         configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
         rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,
