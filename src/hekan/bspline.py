@@ -307,8 +307,9 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
 
     The call reads g + 2k + 1 copies. When g + 2k is a power of two the
     packing left one too few, and the basis first doubles xp (one rotation
-    and one add), unless doubled says xp already holds that doubling (the
-    layer program's SiLU branch may have made it): it needs
+    and one add), unless doubled says xp already holds basis_copies(g, k)
+    copies (the layer program always passes it: its one doubling chain
+    makes those copies, ``inference._layer``): it needs
     n_i * basis_copies(g, k) slots, and PackingOverflow is raised before
     any op when they do not fit. The basis runs in comparator units: with
     scaled, xp is already there (packed with scale = G.scale, as the layer

@@ -7,11 +7,14 @@ comparator call over every knot column) read the packed copies;
 baby-step/giant-step matrix-vector products join them. When W_b's block
 sum costs fewer rotations on the geometry of the spline branch's last map,
 it runs there and that map's rotate-and-add folds finish both products:
-one fold chain per layer. The lazy path applies permutation-fused weights
-directly to the basis layout; the naive path first reorders
-homomorphically via a permutation-matrix product. The depth planner reads
-each layer's levels off one run of the layer program on a probe backend,
-before anything runs.
+one fold chain per layer. One record per layer, path, comparator and slot
+count (``LayerLayout``, worked out once by ``_layout`` and kept on the
+layer) holds every copy count the layer program reads and W_b's geometry;
+the layer program and ``check_capacity`` both read it. The lazy path
+applies permutation-fused weights directly to the basis layout; the naive
+path first reorders homomorphically via a permutation-matrix product. The
+depth planner reads each layer's levels off one run of the layer program
+on a probe backend, before anything runs.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
     while copies > 1 and copies * arr.size > backend.config.slot_count:
         copies //= 2
     ct = backend.encrypt(np.tile(arr.reshape(-1), copies))  # raster order, C times
-    return replace(ct, copies=copies)
+    return replace(ct, copies=copies, width=arr.size)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +257,10 @@ def check_depth_budget(model: KanModel, cfg: PipelineConfig, available: int) -> 
 
 def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> None:
     """Raise before any homomorphic op unless every layer fits in one
-    ciphertext of slot_count slots: the laws the basis's copies
-    (PackingOverflow), the SiLU branch's copies and each spline matvec
-    schedule (DimensionMismatch) enforce when they run."""
+    ciphertext of slot_count slots: each layer's layout (``_layout``)."""
     comparator = cfg.comparator()
     for layer in model.layers:
-        _silu_branch(layer, cfg.path, comparator, slot_count)
-        for W in layer.spline_maps(cfg.path):
-            matvec_schedule(W).check_capacity(slot_count)
+        _layout(layer, cfg.path, comparator, slot_count)
 
 
 # ---------------------------------------------------------------------------
@@ -269,102 +268,107 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _doublings(layer: KanLayer, reads: int) -> int:
-    """Doublings of repeat_pack's 2^ceil(log2(g + 2k)) copies that cover
-    the ``reads`` slots a W_b schedule reads of the SiLU's operand. With
-    at least 4 copies, W_b's own schedule needs one only for n_o > 3 n_i + 1."""
-    doublings = 0
-    while layer.n_i << (pack_rotations(layer.g, layer.k) + doublings) < reads:
-        doublings += 1
-    return doublings
+@dataclass(frozen=True)
+class LayerLayout:
+    """The packed layout of a layer's input, in copies of its n_i slots:
+    those repeat_pack leaves (``pack``, 2^ceil(log2(g + 2k))), those the
+    basis's comparator call reads (``basis``, ``basis_copies(g, k)``) and
+    those the SiLU branch reads (``silu``, the least power-of-two multiple
+    of pack that covers the slots W_b's schedule reads), with the geometry
+    W_b's block sum runs on (``over``: the last spline map's shape when
+    one fold chain finishes both products, else None)."""
+
+    pack: int
+    basis: int
+    silu: int
+    over: tuple | None
 
 
-def _shared_geometry(layer: KanLayer, path: str, comparator):
-    """The geometry (p, L) of the spline branch's last map when W_b's block
-    sum runs on it, so that the map's folds finish both products
-    (``bsgs_matvec``'s ``over`` and ``plus``); None when W_b runs its own
-    schedule. Shared when the map folds (it is wide), when the shared form
-    costs fewer rotations than W_b's own schedule, ties going to fewer
+def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
+    """The layer's LayerLayout on this path, comparator and slot count,
+    worked out on first use and kept on the layer (``KanLayer.layouts``).
+
+    W_b's block sum runs on the last spline map's geometry (``bsgs_matvec``'s
+    ``over`` and ``plus``) when that map folds (it is wide), when the shared
+    form costs fewer rotations than W_b's own schedule, ties going to fewer
     plaintext multiplies (each with the doublings of the SiLU's copies its
     reads need), and when the plan's SiLU branch is no deeper than its
     spline branch, so that the shared add leaves every stage's level drop
-    as planned. Shapes and the plan decide, so the mirror decides the same."""
-    last = matvec_schedule(layer.spline_maps(path)[-1])
-    if not last.folds:
-        return None
+    as planned. Shapes and the plan decide, so the mirror decides the same.
 
-    def cost(schedule):
-        return schedule.rotations + _doublings(layer, schedule.reads), schedule.pt_mults
-
-    if cost(matvec_schedule(layer.W_b, True, last.shape)) >= cost(matvec_schedule(layer.W_b, True)):
-        return None  # a 1 x 1 W_b, the planner's stand-in, costs (0, 1): never beaten
-    plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
-    return last.shape if plan.silu_branch <= plan.spline_branch else None
-
-
-def _silu_branch(layer: KanLayer, path: str, comparator, slot_count) -> tuple:
-    """(over, doublings) of the layer's SiLU branch: the geometry W_b's
-    block sum runs on (``_shared_geometry``), and the doublings of the
-    packed copies that cover its reads. Both copy counts meet the packed
-    layout's one fit law (``bspline._check_copies``): PackingOverflow
-    unless the basis's copies (``basis_copies``, at least repeat_pack's)
-    fit slot_count, DimensionMismatch unless the SiLU's do. Shapes decide
-    it, so it is worked out once per (path, comparator, slot_count) and
-    kept on the layer (``KanLayer.silu_branches``)."""
+    Raises before any op unless the layer fits slot_count, in this order:
+    PackingOverflow unless the basis's copies fit and DimensionMismatch
+    unless the SiLU's do (the packed layout's one fit law,
+    ``bspline._check_copies``), then each spline map schedule's
+    DimensionMismatch (``MatvecSchedule.check_capacity``)."""
     key = (path, comparator, slot_count)
-    found = layer.silu_branches.get(key)
-    if found is not None:
-        return found
-    _check_copies(slot_count, layer.n_i, basis_copies(layer.g, layer.k))
-    over = _shared_geometry(layer, path, comparator)
-    doublings = _doublings(layer, matvec_schedule(layer.W_b, True, over).reads)
-    _check_copies(slot_count, layer.n_i, 1 << (pack_rotations(layer.g, layer.k) + doublings),
-                  DimensionMismatch)
-    found = layer.silu_branches[key] = (over, doublings)
-    return found
+    if (layout := layer.layouts.get(key)) is not None:
+        return layout
+    pack, basis = 1 << pack_rotations(layer.g, layer.k), basis_copies(layer.g, layer.k)
+    _check_copies(slot_count, layer.n_i, basis)
+
+    def copies(schedule):  # pack times ceil(reads / (n_i * pack)) rounded up to 2^d
+        return pack << (-(-schedule.reads // (layer.n_i * pack)) - 1).bit_length()
+
+    def cost(schedule):  # rotations, the doublings up to a constant
+        return schedule.rotations + copies(schedule).bit_length(), schedule.pt_mults
+
+    last, over = matvec_schedule(layer.spline_maps(path)[-1]), None
+    # a 1 x 1 W_b, the planner's stand-in, costs (0, 1) on its own and is
+    # never beaten, so _plan never runs on the stand-in it plans with
+    if last.folds and (cost(matvec_schedule(layer.W_b, True, last.shape))
+                       < cost(matvec_schedule(layer.W_b, True))):
+        plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
+        over = last.shape if plan.silu_branch <= plan.spline_branch else None
+    silu = copies(matvec_schedule(layer.W_b, True, over))
+    _check_copies(slot_count, layer.n_i, silu, DimensionMismatch)
+    for W in layer.spline_maps(path):
+        matvec_schedule(W).check_capacity(slot_count)
+    layout = layer.layouts[key] = LayerLayout(pack, basis, silu, over)
+    return layout
 
 
 def _layer(layer: KanLayer, x, path: str, comparator):
     """The layer program on x, a ciphertext (the encrypted forward) or an
     array (the mirror), whose first n_i slots hold the input, or whose
-    first x.copies blocks of n_i slots do (``encrypt_input``; the one place
-    the program reads the field): the input packed in comparator units
-    (its mask carrying the grid's 1/(2R), keeping the copies that arrived,
-    up to the basis's, and clearing every other slot), then the activation
-    branch (the packed SiLU polynomial on the packed copies, doubled first
-    if W_b reads past them, then W_b's block sum on that repeated operand)
-    and the spline branch (the basis, then the path's linear maps, each on
-    a zero-tail operand). One doubling step (``bspline._double_copies``)
-    takes the packed copies (those that arrived, when more than the
-    packing's) first to those the basis reads (``basis_copies``), or to
-    the SiLU's if fewer, then on to the SiLU's; the basis reads the first,
-    and doubles them itself only when they stopped short (``doubled``).
-    When W_b's block sum runs on the last map's geometry
-    (``_shared_geometry``), the last map adds it before its folds, and
-    one fold chain finishes both branches; otherwise W_b folds on its own
-    and the two outputs are added. Slots [0, n_o) hold the output."""
+    first x.copies blocks of x.width = n_i slots do (``encrypt_input``;
+    ShapeMismatch before any op for another width): the input packed in
+    comparator units (its mask carrying the grid's 1/(2R), keeping the
+    copies that arrived, up to the basis's, and clearing every other
+    slot), then the activation branch (the packed SiLU polynomial on the
+    SiLU's copies, then W_b's block sum on that repeated operand) and the
+    spline branch (the basis on the basis's copies, then the path's linear
+    maps, each on a zero-tail operand). The layer's layout (``_layout``)
+    gives every copy count, and one doubling chain
+    (``bspline._double_copies``) makes them: from the packed copies (or
+    those that arrived, when more) to the fewer of the two branches', on
+    to the SiLU's before its polynomial, and on to the basis's after W_b's
+    block sum. When W_b's block sum runs on the last map's geometry
+    (``LayerLayout.over``), the last map adds it before its folds, and one
+    fold chain finishes both branches; otherwise W_b folds on its own and
+    the two outputs are added. Slots [0, n_o) hold the output."""
     layer.check_supported()
     ops = _ops_of(x)
-    over, doublings = _silu_branch(layer, path, comparator, ops.slot_count)
-    pack, need = 1 << pack_rotations(layer.g, layer.k), basis_copies(layer.g, layer.k)
-    arrived = min(getattr(x, "copies", 1), need)
+    layout = _layout(layer, path, comparator, ops.slot_count)
+    if getattr(x, "width", None) not in (None, layer.n_i):
+        raise ShapeMismatch(f"input copies of {x.width} slots for a layer of n_i = {layer.n_i}")
+    arrived = min(getattr(x, "copies", 1), layout.basis)
     xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale, arrived)
     ops._stage("repeat_pack", x, xs)
-    packed, silu = max(pack, arrived), pack << doublings
-    have = max(packed, min(need, silu))
-    xb = _double_copies(xs, layer.n_i, packed, have)
-    xr = _double_copies(xb, layer.n_i, have, silu)
+    common = max(layout.pack, arrived, min(layout.basis, layout.silu))
+    xb = _double_copies(xs, layer.n_i, max(layout.pack, arrived), common)
+    xr = _double_copies(xb, layer.n_i, common, layout.silu)
     poly = eval_poly_he(xr, layer.packed_silu_poly)
     ops._stage("silu_poly", xr, poly)
-    base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=over)
+    base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=layout.over)
     ops._stage("base_matvec", poly, base_out)
 
-    basis = spline_out = bspline_basis_he(xb, layer.grid, comparator, scaled=True,
-                                          doubled=have == need)
+    xb = _double_copies(xb, layer.n_i, common, layout.basis)
+    basis = spline_out = bspline_basis_he(xb, layer.grid, comparator, scaled=True, doubled=True)
     *maps, last = layer.spline_maps(path)
     for W in maps:
         spline_out = bsgs_matvec(W, spline_out)
-    shared = over is not None
+    shared = layout.over is not None
     spline_out = bsgs_matvec(last, spline_out, plus=base_out if shared else None)
     ops._stage("spline_matvec", basis, spline_out)
     return spline_out if shared else ops.add(base_out, spline_out)

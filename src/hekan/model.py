@@ -151,10 +151,10 @@ class KanLayer:
         return fused
 
     @cached_property
-    def silu_branches(self) -> dict:
-        """The encrypted layer program's SiLU-branch geometry, (over,
-        doublings) per (path, comparator, slot count), filled on first use
-        by ``inference._silu_branch``; it lives as long as the layer."""
+    def layouts(self) -> dict:
+        """The layer program's packed layout, an ``inference.LayerLayout``
+        per (path, comparator, slot count), filled on first use by
+        ``inference._layout``; it lives as long as the layer."""
         return {}
 
     def spline_maps(self, path: str) -> tuple:

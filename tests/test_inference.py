@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -39,6 +40,7 @@ from hekan.errors import (
     UnsupportedLayer,
 )
 from hekan.inference import (
+    LayerLayout,
     PipelineConfig,
     bench_compare,
     bench_lazy_vs_naive,
@@ -145,6 +147,27 @@ class TestEncryptInput:
         mdl = random_model([4, 2], g=4, k=1, seed=0)
         with pytest.raises(ShapeMismatch):
             encrypt_input(np.zeros((2, 2, 2)), mdl, cleartext())
+
+    def test_copies_of_another_width_are_rejected_before_any_op(self):
+        # copies of 3 values read as copies of 2, and layer 0's copies
+        # read by layer 1, gave a wrong answer with no error (-0.1089
+        # against the mirror's -0.0928; -0.2045 against 0.0424)
+        two = random_model([2, 5, 1], g=5, k=3, seed=1)
+        three = random_model([3, 5, 1], g=5, k=3, seed=1)
+        cfg = PipelineConfig()
+        v = np.array([0.4, -0.3, 0.2])
+        be = cleartext(slots=4096, depth=plan_model(two, cfg).total)
+        replicated = encrypt_input(v, three, be)
+        with pytest.raises(ShapeMismatch, match="copies of 3 slots"):
+            model_forward_he(two, replicated, cfg)
+        assert (replicated.copies, replicated.width) == (16, 3)
+        with pytest.raises(ShapeMismatch, match="copies of 2 slots"):
+            layer_forward_he(two.layers[1], encrypt_input(v[:2], two, be), cfg)
+        assert be.counter == OpCounter()
+        # a raw encryption carries no width: the layer reads its first n_i slots
+        out, _ = model_forward_he(two, be.encrypt(v), cfg)
+        mirrored = model_forward_plain(two, v[:2], "mirrored", comparator=cfg.comparator())
+        assert np.array_equal(be.decrypt(out)[:1].view(np.int64), mirrored.view(np.int64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -869,6 +892,15 @@ def _parent_slot_count(n_i: int, n_o: int, g: int, k: int, path: str) -> int:
     return 1 << (need - 1).bit_length()
 
 
+def _silu_copies(n_i: int, pack: int, reads: int) -> int:
+    """The copies of n_i slots the SiLU branch reads: pack doubled until
+    they cover the reads of W_b's schedule."""
+    copies = pack
+    while n_i * copies < reads:
+        copies *= 2
+    return copies
+
+
 def _zero_layer_model(n_i: int, n_o: int, g: int, k: int) -> KanModel:
     grid = bspline.GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
     layer = KanLayer(W_b=np.zeros((n_o, n_i)), S=np.zeros((n_o, n_i, grid.n_basis)),
@@ -932,12 +964,14 @@ class TestSiluReadsThePackedInput:
         scheds = [matvec_schedule(W, repeated, over) for W, repeated, over, _ in calls]
         for sched, (*_, delta) in zip(scheds, calls):
             assert (delta.rotations, delta.pt_mults) == (sched.rotations, sched.pt_mults)
-        over, doublings = inference._silu_branch(layer, path, cfg.comparator(), be.slot_count)
+        layout = inference._layout(layer, path, cfg.comparator(), be.slot_count)
+        over, doublings = layout.over, layout.silu.bit_length() - pack.bit_length()
         assert calls[0][2] == over
-        own = inference._doublings(layer, matvec_schedule(layer.W_b, True).reads)
-        assert (own > 0) == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
-        # the basis doubles the copies itself unless the SiLU branch did;
-        # the client's copies save one doubling each
+        assert layout.silu == _silu_copies(n_i, pack, scheds[0].reads)
+        own = _silu_copies(n_i, pack, matvec_schedule(layer.W_b, True).reads) > pack
+        assert own == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
+        # the basis's copies take one doubling more unless the SiLU
+        # branch's made them; the client's copies save one doubling each
         extra = bspline.basis_copies(g, k) > pack and not doublings
         arrived = ct.copies.bit_length() - 1
         assert ct.copies == bspline.basis_copies(g, k)
@@ -966,7 +1000,8 @@ class TestSiluReadsThePackedInput:
         cfg = PipelineConfig(comparator_mode="exact")
         assert _parent_slot_count(9, 29, 1, 1, "lazy") == 64
         assert _smallest_slot_count(mdl, cfg) == 128
-        assert inference._silu_branch(mdl.layers[0], "lazy", cfg.comparator(), 128) == (None, 1)
+        assert (inference._layout(mdl.layers[0], "lazy", cfg.comparator(), 128)
+                == LayerLayout(pack=4, basis=4, silu=8, over=None))
         with pytest.raises(DimensionMismatch, match="8 copies of 9 slots exceed 64"):
             check_capacity(mdl, cfg, 64)
 
@@ -975,9 +1010,17 @@ class TestSiluReadsThePackedInput:
         # geometry kept on the layer, and nothing else keeps the layer alive
         mdl = random_model([2, 5, 1], g=5, k=3, seed=1)
         calls = []
-        monkeypatch.setattr(inference, "_shared_geometry",
-                            lambda layer, *a, _run=inference._shared_geometry:
-                            calls.append(id(layer)) or _run(layer, *a))
+
+        def spy(layer, path, comparator, slot_count, _run=inference._layout):
+            kept = layer.layouts.get((path, comparator, slot_count))
+            layout = _run(layer, path, comparator, slot_count)
+            if kept is None:
+                calls.append(id(layer))  # worked out
+            else:
+                assert layout is kept
+            return layout
+
+        monkeypatch.setattr(inference, "_layout", spy)
         cfg = PipelineConfig(backend=BackendConfig(slot_count=4096, depth_budget=80))
         x = np.array([0.4, -0.3])
         for _ in range(2):
@@ -1008,7 +1051,8 @@ class TestSiluReadsThePackedInput:
                 (lambda be: be.encrypt(x), 19, 1), (lambda be: encrypt_input(x, mdl, be), 16, 0)):
             be = HeBackend(BackendConfig(slot_count=128,
                                          depth_budget=plan_layer(layer, cfg).total))
-            assert inference._silu_branch(layer, "lazy", cfg.comparator(), 128) == (None, 1)
+            assert (inference._layout(layer, "lazy", cfg.comparator(), 128)
+                    == LayerLayout(pack=4, basis=8, silu=8, over=None))
             shifts = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(HeBackend, "rotate",
@@ -1062,8 +1106,13 @@ class TestOneFoldChain:
         own = matvec_schedule(layer.W_b, True)
         shared = matvec_schedule(layer.W_b, True, maps[-1].shape) if maps[-1].folds else None
 
+        pack = 1 << bspline.pack_rotations(g, k)
+
+        def doublings_for(sched):
+            return _silu_copies(n_i, pack, sched.reads).bit_length() - pack.bit_length()
+
         def cost(sched):
-            return sched.rotations + inference._doublings(layer, sched.reads), sched.pt_mults
+            return sched.rotations + doublings_for(sched), sched.pt_mults
 
         saves = (shared is not None and cost(shared) < cost(own)
                  and plan.silu_branch <= plan.spline_branch)
@@ -1072,6 +1121,9 @@ class TestOneFoldChain:
                          *[(W, None, False) for W in layer.spline_maps(path)[:-1]],
                          (layer.spline_maps(path)[-1], None, saves)]
         assert not base.folds or not saves
+        assert inference._layout(layer, path, comparator, be.slot_count) == LayerLayout(
+            pack, bspline.basis_copies(g, k), _silu_copies(n_i, pack, base.reads),
+            maps[-1].shape if saves else None)
 
         # the closed form: packing, the basis's extra copy (unless the
         # SiLU's doublings made it), the telescoping
@@ -1082,8 +1134,8 @@ class TestOneFoldChain:
         alone = HeBackend(BackendConfig(slot_count=4, depth_budget=plan.total))
         eval_poly_he(alone.encrypt([0.1]), layer.packed_silu_poly)
         poly_comp(alone.encrypt([0.1]), 0.0, comparator)
-        doublings = inference._doublings(layer, base.reads)
-        extra = bspline.basis_copies(g, k) > 1 << bspline.pack_rotations(g, k) and not doublings
+        doublings = doublings_for(base)
+        extra = bspline.basis_copies(g, k) > pack and not doublings
         rotations = (bspline.pack_rotations(g, k) + extra + 1 + k
                      + doublings + base.rotations
                      + sum(m.rotations for m in maps) - (ct.copies.bit_length() - 1))
@@ -1116,6 +1168,106 @@ class TestOneFoldChain:
         with pytest.raises(error):
             layer_forward_he(mdl.layers[0], ct, cfg)
         assert small.counter == OpCounter()
+
+
+class TestLayerLayout:
+    """One record per (layer, path, comparator, slot count) gives every
+    copy count of the layer program (``inference._layout``): the basis
+    reads basis_copies(g, k); the SiLU reads the least power-of-two
+    multiple of repeat_pack's copies that covers W_b's reads on ``over``,
+    or the copies that arrived when more; the fit errors are the packed
+    layout's laws, in order; and the forward doubles from the packed (or
+    arrived) copies up to the larger of the two branches' copies."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_i=st.integers(1, 10), n_o=st.integers(1, 30), g=st.integers(1, 6),
+           k=st.integers(1, 4), path=st.sampled_from(["lazy", "naive"]),
+           comparator_mode=st.sampled_from(["composite", "exact"]),
+           log_slots=st.integers(0, 10), raw=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(n_i=9, n_o=29, g=1, k=1, path="lazy", comparator_mode="exact", log_slots=6,
+             raw=False, seed=0)
+    @example(n_i=2, n_o=5, g=5, k=3, path="lazy", comparator_mode="composite", log_slots=4,
+             raw=True, seed=1)
+    def test_contract(self, n_i, n_o, g, k, path, comparator_mode, log_slots, raw, seed):
+        mdl = random_model([n_i, n_o], g=g, k=k, seed=seed)
+        layer = mdl.layers[0]
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        comparator = cfg.comparator()
+        pack, basis = 1 << bspline.pack_rotations(g, k), bspline.basis_copies(g, k)
+        layout = inference._layout(layer, path, comparator, math.inf)  # the mirror's
+        maps = [matvec_schedule(W) for W in layer.spline_maps(path)]
+        assert (layout.pack, layout.basis) == (pack, basis)
+        assert layout.over in (None, maps[-1].shape)
+        base = matvec_schedule(layer.W_b, True, layout.over)
+        assert layout.silu == _silu_copies(n_i, pack, base.reads)
+
+        # the fit errors: the basis's copies, then the SiLU's, then each map
+        slots = 1 << log_slots
+
+        def fits(sched):
+            try:
+                sched.check_capacity(slots)
+                return True
+            except DimensionMismatch:
+                return False
+
+        error = (PackingOverflow if n_i * basis > slots
+                 else DimensionMismatch if n_i * layout.silu > slots or not all(map(fits, maps))
+                 else None)
+        if error is not None:
+            with pytest.raises(error):
+                check_capacity(mdl, cfg, slots)
+            with pytest.raises(error):
+                inference._layout(layer, path, comparator, slots)
+            slots = _smallest_slot_count(mdl, cfg)
+        check_capacity(mdl, cfg, slots)
+        assert inference._layout(layer, path, comparator, slots) == layout
+
+        # the copies each branch reads, and the doublings that make them
+        be = HeBackend(BackendConfig(slot_count=slots, depth_budget=plan_layer(layer, cfg).total))
+        x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+        ct = be.encrypt(x) if raw else encrypt_input(x, mdl, be)
+        arrived = min(ct.copies, basis)
+        doublings, operands = [], {}
+
+        def double(v, n, copies, target, _run=inference._double_copies):
+            before = be.counter.rotations
+            out = _run(v, n, copies, target)
+            doublings.append(be.counter.rotations - before)
+            return out
+
+        def reads(name, run):
+            def spy(v, *args, **kwargs):
+                operands[name] = be.decrypt(v)
+                return run(v, *args, **kwargs)
+            return spy
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_double_copies", double)
+            mp.setattr(inference, "eval_poly_he", reads("silu", inference.eval_poly_he))
+            mp.setattr(inference, "bspline_basis_he", reads("basis", inference.bspline_basis_he))
+            out = layer_forward_he(layer, ct, cfg)
+        assert 1 << sum(doublings) == max(basis, layout.silu) // max(pack, arrived)
+        scaled = x * layer.grid.scale
+        for name, copies in (("silu", max(layout.silu, arrived)), ("basis", basis)):
+            assert np.array_equal(operands[name][:n_i * copies], np.tile(scaled, copies))
+            assert not operands[name][n_i * copies:].any()
+        mirrored = model_forward_plain(mdl, x, "mirrored", comparator=comparator, path=path)
+        assert np.array_equal(be.decrypt(out)[:n_o].view(np.int64), mirrored.view(np.int64))
+
+        # the planner's 1 x 1 stand-in never shares folds, so _plan never
+        # runs on the stand-in it plans with
+        stand_ins = []
+        with pytest.MonkeyPatch.context() as mp:
+            def spy(layer, *args, _run=inference._layout):
+                out = _run(layer, *args)
+                if layer.W_b.shape == (1, 1):
+                    stand_ins.append(out)
+                return out
+
+            mp.setattr(inference, "_layout", spy)
+            inference._plan.__wrapped__(layer.packed_silu_poly, k, path, comparator)
+        assert stand_ins and all(found.over is None for found in stand_ins)
 
 
 class TestPlanStagesJoinMeasuredDrops:

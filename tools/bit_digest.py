@@ -1,0 +1,110 @@
+"""Bit-identity digest of the encrypted pipeline.
+
+Runs a fixed matrix of encrypted forwards and prints the number of runs and
+one sha256 over everything they produce, so that a refactor meant to change
+no result can be checked by running this script in the old and the new
+checkout and comparing the two lines:
+
+    python tools/bit_digest.py
+
+The script imports hekan from the ``src`` directory next to it. The matrix
+is every shape in SHAPES, on both paths, both comparators, noise sigma 0
+and 1e-12, and both arrivals (``encrypt_input``'s replicated copies and a
+raw one-copy ``encrypt``), at the smallest power-of-two slot count that
+``check_capacity`` accepts. Each run hashes the decrypted slots, the
+mirrored output, the input and output levels, each layer's op counts and
+the backend generator's next draws; a typed error is hashed by its class
+name. Each (shape, path, comparator) also hashes the error that half that
+slot count raises and the op counts it left.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import astuple
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hekan import (  # noqa: E402
+    BackendConfig,
+    HeBackend,
+    PipelineConfig,
+    encrypt_input,
+    model_forward_he,
+    model_forward_plain,
+    plan_model,
+    random_model,
+)
+from hekan.errors import HeKanError  # noqa: E402
+from hekan.inference import check_capacity  # noqa: E402
+
+# (dims, g, k): shared and own fold chains, SiLU doublings past the packed
+# copies, g + 2k a power of two, n_i = 1, k up to 5, chains of up to five
+# layers and one table config
+SHAPES = (
+    ([2, 5, 1], 5, 3), ([9, 29], 1, 1), ([9, 29], 2, 1), ([3, 4], 2, 1),
+    ([7, 1], 3, 2), ([4, 8, 8, 2], 5, 3), ([1, 3, 2, 4, 1], 1, 5), ([1, 6, 2, 5], 1, 1),
+    ([5, 3, 2], 4, 2), ([16, 4], 3, 2), ([64, 10], 3, 2), ([12, 2], 3, 1),
+    ([8, 2], 5, 1), ([5, 1], 5, 3), ([1, 5], 2, 1), ([6, 6, 6], 2, 3), ([4, 1], 2, 1),
+)
+SIGMAS = (0.0, 1e-12)
+
+
+def smallest_slot_count(model, cfg) -> int:
+    slots = 1
+    while True:
+        try:
+            check_capacity(model, cfg, slots)
+            return slots
+        except HeKanError:
+            slots *= 2
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    runs = 0
+    for i, (dims, g, k) in enumerate(SHAPES):
+        model = random_model(dims, g=g, k=k, seed=i)
+        x = np.random.default_rng(i).uniform(-1, 1, dims[0])
+        for path in ("lazy", "naive"):
+            for mode in ("composite", "exact"):
+                cfg = PipelineConfig(path=path, comparator_mode=mode)
+                try:
+                    mirrored = model_forward_plain(model, x, "mirrored",
+                                                   comparator=cfg.comparator(), path=path)
+                    digest.update(mirrored.tobytes())
+                except HeKanError as err:
+                    digest.update(type(err).__name__.encode())
+                slots = smallest_slot_count(model, cfg)
+                depth = plan_model(model, cfg).total
+                small = HeBackend(BackendConfig(slot_count=slots // 2 or 1, depth_budget=depth))
+                try:
+                    model_forward_he(model, encrypt_input(x, model, small), cfg)
+                    digest.update(b"fits")
+                except HeKanError as err:
+                    digest.update(type(err).__name__.encode())
+                digest.update(repr(astuple(small.counter)).encode())
+                for sigma in SIGMAS:
+                    for replicated in (True, False):
+                        be = HeBackend(BackendConfig(slot_count=slots, depth_budget=depth,
+                                                     noise_std=sigma, rng_seed=i))
+                        ct = encrypt_input(x, model, be) if replicated else be.encrypt(x)
+                        try:
+                            out, per_layer = model_forward_he(model, ct, cfg)
+                            digest.update(be.decrypt(out).tobytes())
+                            digest.update(repr((ct.level, out.level,
+                                                [astuple(c) for c in per_layer])).encode())
+                        except HeKanError as err:
+                            digest.update(type(err).__name__.encode())
+                        digest.update(be._rng.standard_normal(4).tobytes())
+                        runs += 1
+    print(f"runs {runs}")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
