@@ -217,9 +217,11 @@ class CipherText:
     operation returns a new ciphertext, and a rotation shares ``data``.
 
     ``copies`` back-to-back copies of ``width`` slots each are the input
-    a ciphertext arrived with: ``encrypt_input`` sets both, every
-    operation's result (and a plain ``encrypt``) holds one copy of unknown
-    width (None).
+    a fresh ciphertext holds: ``encrypt_input`` sets both, a plain
+    ``encrypt`` of a vector holds one copy of its length, and every
+    operation's result (and a scalar's encryption) one copy of unknown
+    width (None). The layer program rejects a known width other than its
+    n_i before any op.
     """
 
     start: int
@@ -267,7 +269,8 @@ class HeBackend:
     def encrypt(self, values, level: int | None = None) -> CipherText:
         """Encrypt a vector (slots [0, len), zeros elsewhere; InputTooLong
         past slot_count values) or a scalar (every slot); the ciphertext
-        keeps the input's window."""
+        keeps the input's window, and a vector's ciphertext states its
+        length as ``width``."""
         if level is None:
             level = self.config.depth_budget
         if not _is_int(level) or not 0 <= level <= self.config.depth_budget:
@@ -276,7 +279,8 @@ class HeBackend:
         data, tail = _plain(values)
         if data.size > self.config.slot_count:
             raise InputTooLong(f"{data.size} values > {self.config.slot_count} slots")
-        return CipherText(*self._perturb(0, data.copy(), tail), level, self)
+        width = None if np.isscalar(values) else data.size
+        return CipherText(*self._perturb(0, data.copy(), tail), level, self, width=width)
 
     def decrypt(self, a: CipherText) -> np.ndarray:
         self._check_ours(a)

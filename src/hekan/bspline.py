@@ -315,6 +315,10 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     scaled, xp is already there (packed with scale = G.scale, as the layer
     program packs it); else a prologue multiplies it by G.scale, one level
     more than basis_depth. The knot tiles are in the same units (basis_tiles).
+    The public composition ``bspline_basis_he(repeat_pack(x, g, k, n_i), G,
+    comparator)`` needs both the doubling and the prologue: without the
+    doubling, GridMatrix.uniform(4, 10, 3, -1, 1) (g + 2k = 16) is 0.68 off
+    the exact basis at x = 1.919, between its last knot and R.
 
     With exact steps, step(t_{m+1} - x) = 1 - step(x - t_{m+1}), so the
     order-0 basis step(x - t_m) * step(t_{m+1} - x) is

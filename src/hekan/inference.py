@@ -128,12 +128,12 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
     tensor[y, x, ch]; a vector of n_in values passes as is), fills C
     back-to-back copies: slot c * n_in + j holds input j for every copy
     c < C, and every slot past C * n_in is zero. C is
-    ``basis_copies(g, k)`` of layer 0's grid, halved until C * n_in fits
-    the slot count (C >= 1); when it had to halve, the forward raises the
-    layer's capacity error before any op, as it would for one copy. The
-    ciphertext carries C as ``copies``. Raises ShapeMismatch for a shape
-    the model does not take, NonFiniteInput for NaN or infinity and
-    InputOutOfRange past layer 0's R.
+    ``basis_copies(g, k)`` of layer 0's grid, the copies its basis reads.
+    The ciphertext carries C as ``copies`` and n_in as ``width``. Raises
+    ShapeMismatch for a shape the model does not take, NonFiniteInput for
+    NaN or infinity, InputOutOfRange past layer 0's R and, before any noise
+    is drawn, PackingOverflow unless the C copies fit the slot count (the
+    packed layout's fit law, ``bspline._check_copies``).
     """
     arr = np.asarray(tensor, dtype=float)
     expect = tuple(model.input_shape)
@@ -147,8 +147,7 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
     model.check_input_range(arr)
     first = model.layers[0]
     copies = basis_copies(first.g, first.k)
-    while copies > 1 and copies * arr.size > backend.config.slot_count:
-        copies //= 2
+    _check_copies(backend.config.slot_count, arr.size, copies)
     ct = backend.encrypt(np.tile(arr.reshape(-1), copies))  # raster order, C times
     return replace(ct, copies=copies, width=arr.size)
 
@@ -330,20 +329,23 @@ def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
 
 def _layer(layer: KanLayer, x, path: str, comparator):
     """The layer program on x, a ciphertext (the encrypted forward) or an
-    array (the mirror), whose first n_i slots hold the input, or whose
-    first x.copies blocks of x.width = n_i slots do (``encrypt_input``;
-    ShapeMismatch before any op for another width): the input packed in
-    comparator units (its mask carrying the grid's 1/(2R), keeping the
-    copies that arrived, up to the basis's, and clearing every other
-    slot), then the activation branch (the packed SiLU polynomial on the
-    SiLU's copies, then W_b's block sum on that repeated operand) and the
-    spline branch (the basis on the basis's copies, then the path's linear
-    maps, each on a zero-tail operand). The layer's layout (``_layout``)
-    gives every copy count, and one doubling chain
-    (``bspline._double_copies``) makes them: from the packed copies (or
-    those that arrived, when more) to the fewer of the two branches', on
-    to the SiLU's before its polynomial, and on to the basis's after W_b's
-    block sum. When W_b's block sum runs on the last map's geometry
+    array (the mirror). x arrives one of three ways, each stating what it
+    holds: x.copies blocks of x.width = n_i slots (``encrypt_input``), one
+    vector of x.width = n_i slots (a raw ``encrypt``), or a previous
+    layer's output or an array, whose first n_i slots hold the input
+    (width None); another width raises ShapeMismatch before any op.
+
+    The program: the input packed in comparator units (its mask carrying
+    the grid's 1/(2R), keeping the copies that arrived, up to the basis's,
+    and clearing every other slot), then the activation branch (the packed
+    SiLU polynomial on the SiLU's copies, then W_b's block sum on that
+    repeated operand) and the spline branch (the basis on the basis's
+    copies, then the path's linear maps, each on a zero-tail operand). The
+    layer's layout (``_layout``) gives every copy count, and one doubling
+    chain (``bspline._double_copies``) makes them: from the packed copies
+    (or those that arrived, when more) to the fewer of the two branches',
+    on to the SiLU's before its polynomial, and on to the basis's after
+    W_b's block sum. When W_b's block sum runs on the last map's geometry
     (``LayerLayout.over``), the last map adds it before its folds, and one
     fold chain finishes both branches; otherwise W_b folds on its own and
     the two outputs are added. Slots [0, n_o) hold the output."""
@@ -355,7 +357,7 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     arrived = min(getattr(x, "copies", 1), layout.basis)
     xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale, arrived)
     ops._stage("repeat_pack", x, xs)
-    common = max(layout.pack, arrived, min(layout.basis, layout.silu))
+    common = max(arrived, min(layout.basis, layout.silu))
     xb = _double_copies(xs, layer.n_i, max(layout.pack, arrived), common)
     xr = _double_copies(xb, layer.n_i, common, layout.silu)
     poly = eval_poly_he(xr, layer.packed_silu_poly)
@@ -387,8 +389,10 @@ def model_forward_he(model: KanModel, ct: CipherText,
     ct arrives either way: as ``encrypt_input`` returns it, layer 0's input
     replicated ``ct.copies`` times, so layer 0 packs with log2(copies)
     rotations and adds fewer; or as one copy (a raw ``encrypt`` of the
-    rastered input), which layer 0 packs on the server. Both give the same
-    decrypted slots, levels and multiplies on the exact backend.
+    rastered input's n_in values), which layer 0 packs on the server. Both
+    give the same decrypted slots, levels and multiplies on the exact
+    backend; a ciphertext that states another width raises ShapeMismatch
+    before any op.
 
     Depth feasibility is checked statically against the input level, and
     every layer's slot capacity against the slot count, before any

@@ -460,6 +460,20 @@ class TestUsage:
         assert "--backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["infer", "compare", "bench"])
+    def test_input_copies_past_the_slots_usage_exit(self, tmp_path, capsys, command):
+        # basis_copies(3, 1) = 8 copies of 8 values need 64 slots: the fit
+        # law rejects them at encryption
+        path = tmp_path / "m.json"
+        save_model(random_model([8, 2], g=3, k=1, seed=0), path)
+        inputs = tmp_path / "x.csv"
+        np.savetxt(inputs, np.zeros((1, 8)), delimiter=",")
+        extra = _input_args(command, inputs, tmp_path)
+        rc = main([command, "--model", str(path), *extra,
+                   "--backend", '{"slot_count": 4, "depth_budget": 40}'])
+        assert rc == 2
+        assert "error: 8 copies of 8 slots exceed 4 slots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infer", "compare", "bench"])
     def test_negative_seed_usage_exit(self, model_path, input_path, tmp_path, capsys, command):
         # the default backend takes its rng_seed from --seed
         extra = _input_args(command, input_path, tmp_path)

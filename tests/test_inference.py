@@ -32,7 +32,6 @@ from hekan.errors import (
     DimensionMismatch,
     HeKanError,
     InputOutOfRange,
-    InputTooLong,
     InvalidArgument,
     NonFiniteInput,
     PackingOverflow,
@@ -102,45 +101,44 @@ class TestEncryptInput:
     @given(n_in=st.integers(1, 24), g=st.integers(1, 6), k=st.integers(1, 4),
            log_slots=st.integers(0, 8), seed=st.integers(0, 2 ** 16))
     def test_copies_then_zeros(self, n_in, g, k, log_slots, seed):
-        # C copies back to back, then zeros: C is basis_copies(g, k), or the
-        # largest power of two below it whose copies fit the slots
+        # C = basis_copies(g, k) copies back to back, then zeros; copies
+        # that do not fit the slots are rejected by the packed layout's
+        # fit law, as the forward would reject them
         mdl = random_model([n_in, 2], g=g, k=k, seed=seed)
         be = cleartext(slots=1 << log_slots)
         x = np.random.default_rng(seed).uniform(-1, 1, n_in)
-        if n_in > be.slot_count:
-            with pytest.raises(InputTooLong):
+        C = bspline.basis_copies(g, k)
+        if C * n_in > be.slot_count:
+            with pytest.raises(PackingOverflow):
                 encrypt_input(x, mdl, be)
             return
         ct = encrypt_input(x, mdl, be)
-        C = ct.copies
-        assert C & (C - 1) == 0 and C <= bspline.basis_copies(g, k)
-        assert C * n_in <= be.slot_count
-        assert C == bspline.basis_copies(g, k) or 2 * C * n_in > be.slot_count
+        assert (ct.copies, ct.width) == (C, n_in)
         slots = be.decrypt(ct)
         for c in range(C):
             assert np.array_equal(slots[c * n_in:(c + 1) * n_in].view(np.int64),
                                   x.view(np.int64))
         np.testing.assert_array_equal(slots[C * n_in:], 0.0)
 
-    @pytest.mark.parametrize("dims, g, k, slots, copies", [
-        ([4, 1], 2, 1, 16, 4),    # basis_copies(2, 1) = 8 copies of 4 need 32 slots
-        ([12, 2], 3, 1, 64, 4),   # 8 copies of 12 need 96
-        ([20, 2], 5, 3, 32, 1),   # 16 copies of 20 need 320; two need 40
+    @pytest.mark.parametrize("dims, g, k, slots", [
+        ([4, 1], 2, 1, 16),    # basis_copies(2, 1) = 8 copies of 4 need 32 slots
+        ([12, 2], 3, 1, 64),   # 8 copies of 12 need 96
+        ([20, 2], 5, 3, 32),   # 16 copies of 20 need 320; one fits
     ])
     @pytest.mark.parametrize("path", ["lazy", "naive"])
     def test_copies_that_do_not_fit_are_rejected_as_one_copy_is(self, dims, g, k, slots,
-                                                                copies, path):
+                                                                path):
         mdl = random_model(dims, g=g, k=k, seed=3)
         cfg = PipelineConfig(path=path)
         be = cleartext(slots=slots, depth=plan_model(mdl, cfg).total)
         x = np.random.default_rng(3).uniform(-1, 1, dims[0])
-        replicated = encrypt_input(x, mdl, be)
-        assert replicated.copies == copies
-        for ct in (replicated, be.encrypt(x)):
-            with pytest.raises(PackingOverflow):
-                model_forward_he(mdl, ct, cfg)
-            with pytest.raises(PackingOverflow):
-                layer_forward_he(mdl.layers[0], ct, cfg)
+        with pytest.raises(PackingOverflow):
+            encrypt_input(x, mdl, be)
+        ct = be.encrypt(x)
+        with pytest.raises(PackingOverflow):
+            model_forward_he(mdl, ct, cfg)
+        with pytest.raises(PackingOverflow):
+            layer_forward_he(mdl.layers[0], ct, cfg)
         assert be.counter == OpCounter()
 
     def test_shape_mismatch(self):
@@ -149,9 +147,10 @@ class TestEncryptInput:
             encrypt_input(np.zeros((2, 2, 2)), mdl, cleartext())
 
     def test_copies_of_another_width_are_rejected_before_any_op(self):
-        # copies of 3 values read as copies of 2, and layer 0's copies
-        # read by layer 1, gave a wrong answer with no error (-0.1089
-        # against the mirror's -0.0928; -0.2045 against 0.0424)
+        # copies of 3 values read as copies of 2, layer 0's copies read by
+        # layer 1, and a raw encryption of 3 values read as 2, gave a wrong
+        # answer with no error (-0.1089 against the mirror's -0.0928;
+        # -0.2045 against 0.0424; -0.0928, the answer for the first two)
         two = random_model([2, 5, 1], g=5, k=3, seed=1)
         three = random_model([3, 5, 1], g=5, k=3, seed=1)
         cfg = PipelineConfig()
@@ -163,11 +162,14 @@ class TestEncryptInput:
         assert (replicated.copies, replicated.width) == (16, 3)
         with pytest.raises(ShapeMismatch, match="copies of 2 slots"):
             layer_forward_he(two.layers[1], encrypt_input(v[:2], two, be), cfg)
+        # a raw encryption states its width, len(v)
+        raw = be.encrypt(v)
+        assert (raw.copies, raw.width) == (1, 3)
+        with pytest.raises(ShapeMismatch, match="copies of 3 slots"):
+            model_forward_he(two, raw, cfg)
+        with pytest.raises(ShapeMismatch, match="copies of 3 slots"):
+            layer_forward_he(two.layers[0], raw, cfg)
         assert be.counter == OpCounter()
-        # a raw encryption carries no width: the layer reads its first n_i slots
-        out, _ = model_forward_he(two, be.encrypt(v), cfg)
-        mirrored = model_forward_plain(two, v[:2], "mirrored", comparator=cfg.comparator())
-        assert np.array_equal(be.decrypt(out)[:1].view(np.int64), mirrored.view(np.int64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -832,6 +834,83 @@ class TestTwoArrivals:
                      c.rotations - saved * (i == 0)) for i, c in enumerate(more)])
 
 
+class TestArrivalContract:
+    """Every arrival states what it holds: ``encrypt_input``'s
+    basis_copies(g, k) copies of n_in slots, a raw ``encrypt`` of one
+    vector (width len), or a previous layer's output (width None). Each
+    is either rejected before any op and any noise draw (PackingOverflow
+    at encryption when the client's copies do not fit; the packed
+    layout's PackingOverflow or DimensionMismatch, or ShapeMismatch for a
+    stated width other than n_i, in the forward), or decrypts to the
+    mirrored forward: bit for bit at sigma = 0, within 1e-7 at
+    sigma = 1e-12 (the comparator amplifies the noise; up to 1.8e-9
+    measured on these shapes)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_i=st.integers(1, 8), n_h=st.integers(1, 6), n_o=st.integers(1, 3),
+           g=st.integers(1, 5), k=st.integers(1, 3), path=st.sampled_from(["lazy", "naive"]),
+           log_slots=st.integers(4, 10), noise=st.sampled_from([0.0, 1e-12]),
+           arrival=st.sampled_from(["client", "raw", "hidden"]), width=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 16))
+    # 3 values for n_i = 2: rejected, not read as the first two
+    @example(n_i=2, n_h=5, n_o=1, g=5, k=3, path="lazy", log_slots=10, noise=0.0,
+             arrival="raw", width=3, seed=1)
+    @example(n_i=2, n_h=5, n_o=1, g=5, k=3, path="naive", log_slots=6, noise=1e-12,
+             arrival="raw", width=1, seed=1)
+    @example(n_i=2, n_h=5, n_o=1, g=5, k=3, path="naive", log_slots=6, noise=1e-12,
+             arrival="raw", width=2, seed=1)
+    @example(n_i=8, n_h=2, n_o=1, g=3, k=1, path="lazy", log_slots=4, noise=1e-12,
+             arrival="client", width=8, seed=0)
+    def test_accepted_or_rejected_before_any_op(self, n_i, n_h, n_o, g, k, path, log_slots,
+                                                noise, arrival, width, seed):
+        mdl = random_model([n_i, n_h, n_o], g=g, k=k, seed=seed)
+        cfg = PipelineConfig(path=path)
+        x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+        try:
+            mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(),
+                                           path=path)
+        except InputOutOfRange:
+            assume(False)  # a hidden layer's input beyond its R: outside the contract
+        slots, target, w = 1 << log_slots, mdl, 1 + (width - 1) % (2 * n_i)  # w in [1, 2 n_i]
+        if arrival == "hidden":  # layer 1 receives layer 0's output: slots layer 0 fits
+            target = KanModel(mdl.layers[1:], (1, 1, n_h))
+            slots = max(slots, _smallest_slot_count(KanModel(mdl.layers[:1], (1, 1, n_i)), cfg))
+        be = HeBackend(BackendConfig(slot_count=slots, depth_budget=plan_model(mdl, cfg).total,
+                                     noise_std=noise, rng_seed=seed))
+
+        def untouched():
+            return be.counter.copy(), be._rng.bit_generator.state
+
+        before = untouched()
+        if arrival == "client" and n_i * bspline.basis_copies(g, k) > slots:
+            with pytest.raises(PackingOverflow):
+                encrypt_input(x, mdl, be)
+            assert untouched() == (OpCounter(), before[1])
+            return
+        ct = {"client": lambda: encrypt_input(x, mdl, be),
+              "raw": lambda: be.encrypt(np.resize(x, w)),  # x repeated or cut to w values
+              "hidden": lambda: layer_forward_he(mdl.layers[0], encrypt_input(x, mdl, be), cfg),
+              }[arrival]()
+        try:
+            check_capacity(target, cfg, slots)
+            error = ShapeMismatch if arrival == "raw" and w != n_i else None
+        except (PackingOverflow, DimensionMismatch) as exc:
+            error = type(exc)
+        before = untouched()
+        if error is not None:
+            with pytest.raises(error):
+                model_forward_he(target, ct, cfg)
+            assert untouched() == before
+            return
+        out, _ = model_forward_he(target, ct, cfg)
+        assert out.level == 0
+        got = be.decrypt(out)[:n_o]
+        if noise:
+            assert np.max(np.abs(got - mirrored)) <= 1e-7
+        else:
+            assert np.array_equal(got.view(np.int64), mirrored.view(np.int64))
+
+
 class TestPackingRotationsPerStage:
     """Each layer's repeat_pack stage rotates ceil(log2(g + 2k)) times on
     the server, except layer 0's on the client's basis_copies(g, k) copies,
@@ -1162,7 +1241,12 @@ class TestOneFoldChain:
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(), path=path)
         assert np.array_equal(be.decrypt(out)[:1].view(np.int64), mirrored.view(np.int64))
         small = HeBackend(BackendConfig(slot_count=tight // 2, depth_budget=depth))
-        ct = encrypt_input(x, mdl, small)
+        if error is PackingOverflow:  # the client's copies are the basis's
+            with pytest.raises(error):
+                encrypt_input(x, mdl, small)
+            ct = small.encrypt(x)
+        else:
+            ct = encrypt_input(x, mdl, small)
         with pytest.raises(error):
             model_forward_he(mdl, ct, cfg)
         with pytest.raises(error):
@@ -1491,7 +1575,12 @@ class TestPackingFeasibility:
         mdl = random_model(dims, g=g, k=k, seed=3)
         bcfg = BackendConfig(slot_count=64, depth_budget=40)
         be = HeBackend(bcfg)
-        ct = encrypt_input(np.zeros(dims[0]), mdl, be)
+        if error is PackingOverflow:  # the client's copies are the basis's
+            with pytest.raises(error):
+                encrypt_input(np.zeros(dims[0]), mdl, be)
+            ct = be.encrypt(np.zeros(dims[0]))
+        else:
+            ct = encrypt_input(np.zeros(dims[0]), mdl, be)
         with pytest.raises(error):
             model_forward_he(mdl, ct, PipelineConfig(path=path, backend=bcfg))
         assert be.counter == OpCounter()
