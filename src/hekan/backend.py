@@ -217,11 +217,11 @@ class CipherText:
     operation returns a new ciphertext, and a rotation shares ``data``.
 
     ``copies`` back-to-back copies of ``width`` slots each are the input
-    a fresh ciphertext holds: ``encrypt_input`` sets both, a plain
-    ``encrypt`` of a vector holds one copy of its length, and every
-    operation's result (and a scalar's encryption) one copy of unknown
-    width (None). The layer program rejects a known width other than its
-    n_i before any op.
+    a layer reads: ``encrypt_input`` sets both, a plain ``encrypt`` of a
+    vector holds one copy of its length, a layer's output one copy of its
+    n_o slots, and every other operation's result (and a scalar's
+    encryption) one copy of unknown width (None). The layer program
+    rejects a known width other than its n_i before any op.
     """
 
     start: int

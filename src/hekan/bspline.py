@@ -307,9 +307,11 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
 
     The call reads g + 2k + 1 copies. When g + 2k is a power of two the
     packing left one too few, and the basis first doubles xp (one rotation
-    and one add), unless doubled says xp already holds basis_copies(g, k)
-    copies (the layer program always passes it: its one doubling chain
-    makes those copies, ``inference._layer``): it needs
+    and one add), unless doubled says xp already holds at least
+    basis_copies(g, k) copies (the layer program always passes it: its one
+    doubling makes the copies both its branches read, ``inference._layer``;
+    copies past those hold the same values, and read like the copies past
+    the g + 2k + 1 that the call reads): it needs
     n_i * basis_copies(g, k) slots, and PackingOverflow is raised before
     any op when they do not fit. The basis runs in comparator units: with
     scaled, xp is already there (packed with scale = G.scale, as the layer

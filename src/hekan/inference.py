@@ -1,16 +1,16 @@
 """Encrypted KAN inference pipeline.
 
-Wires the pieces together per layer: the input is repeat-packed once (layer
-0's arrives already replicated by the client, ``encrypt_input``), and
-both the activation-polynomial branch and the B-spline branch (one
-comparator call over every knot column) read the packed copies;
-baby-step/giant-step matrix-vector products join them. When W_b's block
+Wires the pieces together per layer: the input is repeat-packed and doubled
+once (layer 0's arrives already replicated by the client,
+``encrypt_input``), and both the activation-polynomial branch and the
+B-spline branch (one comparator call over every knot column) read that one
+packed operand; baby-step/giant-step matrix-vector products join them. When W_b's block
 sum costs fewer rotations on the geometry of the spline branch's last map,
 it runs there and that map's rotate-and-add folds finish both products:
 one fold chain per layer. One record per layer, path, comparator and slot
 count (``LayerLayout``, worked out once by ``_layout`` and kept on the
-layer) holds every copy count the layer program reads and W_b's geometry;
-the layer program and ``check_capacity`` both read it. The lazy path
+layer) holds the copy count of that operand and W_b's geometry; the layer
+program and ``check_capacity`` both read it. The lazy path
 applies permutation-fused weights directly to the basis layout; the naive
 path first reorders homomorphically via a permutation-matrix product. The
 depth planner reads each layer's levels off one run of the layer program
@@ -269,23 +269,23 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 
 @dataclass(frozen=True)
 class LayerLayout:
-    """The packed layout of a layer's input, in copies of its n_i slots:
-    those repeat_pack leaves (``pack``, 2^ceil(log2(g + 2k))), those the
-    basis's comparator call reads (``basis``, ``basis_copies(g, k)``) and
-    those the SiLU branch reads (``silu``, the least power-of-two multiple
-    of pack that covers the slots W_b's schedule reads), with the geometry
-    W_b's block sum runs on (``over``: the last spline map's shape when
-    one fold chain finishes both products, else None)."""
+    """The packed layout of a layer's input: the copies of its n_i slots
+    that both branches read (``copies``: the larger of the basis's,
+    ``basis_copies(g, k)``, and the SiLU's, the least power-of-two
+    multiple of repeat_pack's 2^ceil(log2(g + 2k)) that covers the slots
+    W_b's schedule reads), with the geometry W_b's block sum runs on
+    (``over``: the last spline map's shape when one fold chain finishes
+    both products, else None)."""
 
-    pack: int
-    basis: int
-    silu: int
+    copies: int
     over: tuple | None
 
 
 def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
     """The layer's LayerLayout on this path, comparator and slot count,
-    worked out on first use and kept on the layer (``KanLayer.layouts``).
+    worked out on first use and kept on the layer (``KanLayer.layouts``):
+    W_b's geometry, and the copies both branches read, the larger of the
+    basis's and those the SiLU's reads on that geometry need.
 
     W_b's block sum runs on the last spline map's geometry (``bsgs_matvec``'s
     ``over`` and ``plus``) when that map folds (it is wide), when the shared
@@ -323,7 +323,7 @@ def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
     _check_copies(slot_count, layer.n_i, silu, DimensionMismatch)
     for W in layer.spline_maps(path):
         matvec_schedule(W).check_capacity(slot_count)
-    layout = layer.layouts[key] = LayerLayout(pack, basis, silu, over)
+    layout = layer.layouts[key] = LayerLayout(max(basis, silu), over)
     return layout
 
 
@@ -332,48 +332,47 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     array (the mirror). x arrives one of three ways, each stating what it
     holds: x.copies blocks of x.width = n_i slots (``encrypt_input``), one
     vector of x.width = n_i slots (a raw ``encrypt``), or a previous
-    layer's output or an array, whose first n_i slots hold the input
-    (width None); another width raises ShapeMismatch before any op.
+    layer's output (one copy of x.width = its n_o slots); an array's first
+    n_i slots hold the input (width None). Another width raises
+    ShapeMismatch before any op.
 
     The program: the input packed in comparator units (its mask carrying
-    the grid's 1/(2R), keeping the copies that arrived, up to the basis's,
-    and clearing every other slot), then the activation branch (the packed
-    SiLU polynomial on the SiLU's copies, then W_b's block sum on that
-    repeated operand) and the spline branch (the basis on the basis's
-    copies, then the path's linear maps, each on a zero-tail operand). The
-    layer's layout (``_layout``) gives every copy count, and one doubling
-    chain (``bspline._double_copies``) makes them: from the packed copies
-    (or those that arrived, when more) to the fewer of the two branches',
-    on to the SiLU's before its polynomial, and on to the basis's after
-    W_b's block sum. When W_b's block sum runs on the last map's geometry
-    (``LayerLayout.over``), the last map adds it before its folds, and one
-    fold chain finishes both branches; otherwise W_b folds on its own and
-    the two outputs are added. Slots [0, n_o) hold the output."""
+    the grid's 1/(2R), keeping the copies that arrived, up to the layout's,
+    and clearing every other slot) and doubled once, from the packed
+    copies (or those that arrived, when more) up to the layout's
+    (``LayerLayout.copies``, ``bspline._double_copies``). Both branches
+    read that one operand: the activation branch (the packed SiLU
+    polynomial, then W_b's block sum on the repeated operand) and the
+    spline branch (the basis, then the path's linear maps, each on a
+    zero-tail operand). When W_b's block sum runs on the last map's
+    geometry (``LayerLayout.over``), the last map adds it before its
+    folds, and one fold chain finishes both branches; otherwise W_b folds
+    on its own and the two outputs are added. Slots [0, n_o) hold the
+    output; a ciphertext result states its width, n_o."""
     layer.check_supported()
     ops = _ops_of(x)
     layout = _layout(layer, path, comparator, ops.slot_count)
     if getattr(x, "width", None) not in (None, layer.n_i):
-        raise ShapeMismatch(f"input copies of {x.width} slots for a layer of n_i = {layer.n_i}")
-    arrived = min(getattr(x, "copies", 1), layout.basis)
+        raise ShapeMismatch(f"input of width {x.width} for a layer of n_i = {layer.n_i}")
+    arrived = min(getattr(x, "copies", 1), layout.copies)
     xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale, arrived)
     ops._stage("repeat_pack", x, xs)
-    common = max(arrived, min(layout.basis, layout.silu))
-    xb = _double_copies(xs, layer.n_i, max(layout.pack, arrived), common)
-    xr = _double_copies(xb, layer.n_i, common, layout.silu)
-    poly = eval_poly_he(xr, layer.packed_silu_poly)
-    ops._stage("silu_poly", xr, poly)
+    pack = max(1 << pack_rotations(layer.g, layer.k), arrived)
+    xp = _double_copies(xs, layer.n_i, pack, layout.copies)
+    poly = eval_poly_he(xp, layer.packed_silu_poly)
+    ops._stage("silu_poly", xp, poly)
     base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=layout.over)
     ops._stage("base_matvec", poly, base_out)
 
-    xb = _double_copies(xb, layer.n_i, common, layout.basis)
-    basis = spline_out = bspline_basis_he(xb, layer.grid, comparator, scaled=True, doubled=True)
+    basis = spline_out = bspline_basis_he(xp, layer.grid, comparator, scaled=True, doubled=True)
     *maps, last = layer.spline_maps(path)
     for W in maps:
         spline_out = bsgs_matvec(W, spline_out)
     shared = layout.over is not None
     spline_out = bsgs_matvec(last, spline_out, plus=base_out if shared else None)
     ops._stage("spline_matvec", basis, spline_out)
-    return spline_out if shared else ops.add(base_out, spline_out)
+    out = spline_out if shared else ops.add(base_out, spline_out)
+    return replace(out, width=layer.n_o) if isinstance(out, CipherText) else out
 
 
 def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> CipherText:

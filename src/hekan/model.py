@@ -153,7 +153,8 @@ class KanLayer:
     @cached_property
     def layouts(self) -> dict:
         """The layer program's packed layout, an ``inference.LayerLayout``
-        per (path, comparator, slot count), filled on first use by
+        (the copies both branches read and W_b's geometry) per (path,
+        comparator, slot count), filled on first use by
         ``inference._layout``; it lives as long as the layer."""
         return {}
 

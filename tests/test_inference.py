@@ -157,19 +157,34 @@ class TestEncryptInput:
         v = np.array([0.4, -0.3, 0.2])
         be = cleartext(slots=4096, depth=plan_model(two, cfg).total)
         replicated = encrypt_input(v, three, be)
-        with pytest.raises(ShapeMismatch, match="copies of 3 slots"):
+        with pytest.raises(ShapeMismatch, match="input of width 3 for a layer"):
             model_forward_he(two, replicated, cfg)
         assert (replicated.copies, replicated.width) == (16, 3)
-        with pytest.raises(ShapeMismatch, match="copies of 2 slots"):
+        with pytest.raises(ShapeMismatch, match="input of width 2 for a layer"):
             layer_forward_he(two.layers[1], encrypt_input(v[:2], two, be), cfg)
         # a raw encryption states its width, len(v)
         raw = be.encrypt(v)
         assert (raw.copies, raw.width) == (1, 3)
-        with pytest.raises(ShapeMismatch, match="copies of 3 slots"):
+        with pytest.raises(ShapeMismatch, match="input of width 3 for a layer"):
             model_forward_he(two, raw, cfg)
-        with pytest.raises(ShapeMismatch, match="copies of 3 slots"):
+        with pytest.raises(ShapeMismatch, match="input of width 3 for a layer"):
             layer_forward_he(two.layers[0], raw, cfg)
         assert be.counter == OpCounter()
+
+    def test_a_layer_output_states_its_width(self):
+        # layer 0's output of a [3, 5, 1] model, 5 slots wide, read by a
+        # layer of n_i = 2 ran and returned numbers
+        three = random_model([3, 5, 1], g=5, k=3, seed=1)
+        two = random_model([2, 4, 1], g=5, k=3, seed=1)
+        cfg = PipelineConfig()
+        be = cleartext(slots=4096, depth=plan_model(three, cfg).total)
+        hidden = layer_forward_he(three.layers[0],
+                                  encrypt_input(np.array([0.4, -0.3, 0.2]), three, be), cfg)
+        assert (hidden.copies, hidden.width) == (1, 5)
+        before = be.counter.copy()
+        with pytest.raises(ShapeMismatch, match="input of width 5 for a layer of n_i = 2"):
+            layer_forward_he(two.layers[0], hidden, cfg)
+        assert be.counter == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -837,7 +852,8 @@ class TestTwoArrivals:
 class TestArrivalContract:
     """Every arrival states what it holds: ``encrypt_input``'s
     basis_copies(g, k) copies of n_in slots, a raw ``encrypt`` of one
-    vector (width len), or a previous layer's output (width None). Each
+    vector (width len), or a previous layer's output (width its n_o), read
+    by the next layer ("hidden") or by the whole model ("output"). Each
     is either rejected before any op and any noise draw (PackingOverflow
     at encryption when the client's copies do not fit; the packed
     layout's PackingOverflow or DimensionMismatch, or ShapeMismatch for a
@@ -850,7 +866,8 @@ class TestArrivalContract:
     @given(n_i=st.integers(1, 8), n_h=st.integers(1, 6), n_o=st.integers(1, 3),
            g=st.integers(1, 5), k=st.integers(1, 3), path=st.sampled_from(["lazy", "naive"]),
            log_slots=st.integers(4, 10), noise=st.sampled_from([0.0, 1e-12]),
-           arrival=st.sampled_from(["client", "raw", "hidden"]), width=st.integers(1, 16),
+           arrival=st.sampled_from(["client", "raw", "hidden", "output"]),
+           width=st.integers(1, 16),
            seed=st.integers(0, 2 ** 16))
     # 3 values for n_i = 2: rejected, not read as the first two
     @example(n_i=2, n_h=5, n_o=1, g=5, k=3, path="lazy", log_slots=10, noise=0.0,
@@ -861,21 +878,35 @@ class TestArrivalContract:
              arrival="raw", width=2, seed=1)
     @example(n_i=8, n_h=2, n_o=1, g=3, k=1, path="lazy", log_slots=4, noise=1e-12,
              arrival="client", width=8, seed=0)
+    # layer 0's output, 5 slots, read by the model's own 2-input layer 0
+    @example(n_i=2, n_h=5, n_o=1, g=5, k=3, path="lazy", log_slots=10, noise=0.0,
+             arrival="output", width=1, seed=1)
+    # of the same width: the model runs after its own layer 0
+    @example(n_i=3, n_h=3, n_o=1, g=5, k=3, path="naive", log_slots=6, noise=1e-12,
+             arrival="output", width=1, seed=1)
     def test_accepted_or_rejected_before_any_op(self, n_i, n_h, n_o, g, k, path, log_slots,
                                                 noise, arrival, width, seed):
         mdl = random_model([n_i, n_h, n_o], g=g, k=k, seed=seed)
         cfg = PipelineConfig(path=path)
         x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+        first = KanModel(mdl.layers[:1], (1, 1, n_i))
+        # the whole model after its layer 0, when their widths agree
+        chain = (KanModel([*first.layers, *mdl.layers], (1, 1, n_i))
+                 if arrival == "output" and n_h == n_i else mdl)
         try:
-            mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(),
+            mirrored = model_forward_plain(chain, x, "mirrored", comparator=cfg.comparator(),
                                            path=path)
         except InputOutOfRange:
             assume(False)  # a hidden layer's input beyond its R: outside the contract
         slots, target, w = 1 << log_slots, mdl, 1 + (width - 1) % (2 * n_i)  # w in [1, 2 n_i]
-        if arrival == "hidden":  # layer 1 receives layer 0's output: slots layer 0 fits
-            target = KanModel(mdl.layers[1:], (1, 1, n_h))
-            slots = max(slots, _smallest_slot_count(KanModel(mdl.layers[:1], (1, 1, n_i)), cfg))
-        be = HeBackend(BackendConfig(slot_count=slots, depth_budget=plan_model(mdl, cfg).total,
+        depth = plan_model(mdl, cfg).total
+        if arrival in ("hidden", "output"):  # layer 0's output: slots layer 0 fits
+            if arrival == "hidden":  # read by layer 1
+                target = KanModel(mdl.layers[1:], (1, 1, n_h))
+            else:  # read by the whole model, after layer 0's levels
+                depth += plan_model(first, cfg).total
+            slots = max(slots, _smallest_slot_count(first, cfg))
+        be = HeBackend(BackendConfig(slot_count=slots, depth_budget=depth,
                                      noise_std=noise, rng_seed=seed))
 
         def untouched():
@@ -887,13 +918,16 @@ class TestArrivalContract:
                 encrypt_input(x, mdl, be)
             assert untouched() == (OpCounter(), before[1])
             return
-        ct = {"client": lambda: encrypt_input(x, mdl, be),
-              "raw": lambda: be.encrypt(np.resize(x, w)),  # x repeated or cut to w values
-              "hidden": lambda: layer_forward_he(mdl.layers[0], encrypt_input(x, mdl, be), cfg),
-              }[arrival]()
+        if arrival == "client":
+            ct = encrypt_input(x, mdl, be)
+        elif arrival == "raw":
+            ct = be.encrypt(np.resize(x, w))  # x repeated or cut to w values
+        else:
+            ct = layer_forward_he(mdl.layers[0], encrypt_input(x, mdl, be), cfg)
         try:
             check_capacity(target, cfg, slots)
-            error = ShapeMismatch if arrival == "raw" and w != n_i else None
+            stated = {"raw": w, "output": n_h}.get(arrival, n_i)
+            error = ShapeMismatch if stated != n_i else None
         except (PackingOverflow, DimensionMismatch) as exc:
             error = type(exc)
         before = untouched()
@@ -972,7 +1006,7 @@ def _parent_slot_count(n_i: int, n_o: int, g: int, k: int, path: str) -> int:
 
 
 def _silu_copies(n_i: int, pack: int, reads: int) -> int:
-    """The copies of n_i slots the SiLU branch reads: pack doubled until
+    """The copies of n_i slots the SiLU branch needs: pack doubled until
     they cover the reads of W_b's schedule."""
     copies = pack
     while n_i * copies < reads:
@@ -992,7 +1026,7 @@ class TestSiluReadsThePackedInput:
     copies and hands them to W_b's repeated schedule: no SiLU mask, no
     wraparound duplication, and a tall W_b takes n_i diagonals. A W_b whose
     reads (n_o + n_i - 1 slots) pass the 2^ceil(log2(g + 2k)) copies has
-    its copy doubled before the SiLU."""
+    the packed copies doubled before the SiLU."""
 
     @staticmethod
     def _n_o(data, kind, n_i, copies):
@@ -1044,18 +1078,17 @@ class TestSiluReadsThePackedInput:
         for sched, (*_, delta) in zip(scheds, calls):
             assert (delta.rotations, delta.pt_mults) == (sched.rotations, sched.pt_mults)
         layout = inference._layout(layer, path, cfg.comparator(), be.slot_count)
-        over, doublings = layout.over, layout.silu.bit_length() - pack.bit_length()
+        over, copies = layout.over, max(bspline.basis_copies(g, k),
+                                        _silu_copies(n_i, pack, scheds[0].reads))
         assert calls[0][2] == over
-        assert layout.silu == _silu_copies(n_i, pack, scheds[0].reads)
+        assert layout.copies == copies
         own = _silu_copies(n_i, pack, matvec_schedule(layer.W_b, True).reads) > pack
         assert own == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
-        # the basis's copies take one doubling more unless the SiLU
-        # branch's made them; the client's copies save one doubling each
-        extra = bspline.basis_copies(g, k) > pack and not doublings
-        arrived = ct.copies.bit_length() - 1
+        # packing and doubling make the copies both branches read, one
+        # rotation per doubling; the client's copies save one each
         assert ct.copies == bspline.basis_copies(g, k)
-        assert be.counter.rotations == (bspline.pack_rotations(g, k) + doublings + extra + 1 + k
-                                        + sum(s.rotations for s in scheds) - arrived)
+        assert be.counter.rotations == (copies.bit_length() - ct.copies.bit_length() + 1 + k
+                                        + sum(s.rotations for s in scheds))
         if n_o > n_i:
             assert over is None and scheds[0].shape == (n_i, n_o)  # n_i diagonals, n_o slots
         assert not scheds[0].duplicates
@@ -1080,7 +1113,7 @@ class TestSiluReadsThePackedInput:
         assert _parent_slot_count(9, 29, 1, 1, "lazy") == 64
         assert _smallest_slot_count(mdl, cfg) == 128
         assert (inference._layout(mdl.layers[0], "lazy", cfg.comparator(), 128)
-                == LayerLayout(pack=4, basis=4, silu=8, over=None))
+                == LayerLayout(copies=8, over=None))
         with pytest.raises(DimensionMismatch, match="8 copies of 9 slots exceed 64"):
             check_capacity(mdl, cfg, 64)
 
@@ -1117,10 +1150,10 @@ class TestSiluReadsThePackedInput:
 
     def test_basis_reads_the_silu_doubling(self):
         # g + 2k = 4 packs 4 copies of 9; W_b 29 x 9 reads 37 slots, so the
-        # SiLU branch doubles them to 8, the copies the basis's call reads:
-        # the basis takes that doubling instead of making it again. A raw
-        # encryption packs on the server; the client's 8 copies save the
-        # packing's two doublings and that one
+        # SiLU branch needs 8, the copies the basis's call reads: one
+        # doubling makes the operand both read. A raw encryption packs on
+        # the server; the client's 8 copies save the packing's two
+        # doublings and that one
         mdl = random_model([9, 29], g=2, k=1, seed=0)
         layer = mdl.layers[0]
         cfg = PipelineConfig(comparator_mode="exact")
@@ -1131,7 +1164,7 @@ class TestSiluReadsThePackedInput:
             be = HeBackend(BackendConfig(slot_count=128,
                                          depth_budget=plan_layer(layer, cfg).total))
             assert (inference._layout(layer, "lazy", cfg.comparator(), 128)
-                    == LayerLayout(pack=4, basis=8, silu=8, over=None))
+                    == LayerLayout(copies=8, over=None))
             shifts = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(HeBackend, "rotate",
@@ -1200,24 +1233,20 @@ class TestOneFoldChain:
                          *[(W, None, False) for W in layer.spline_maps(path)[:-1]],
                          (layer.spline_maps(path)[-1], None, saves)]
         assert not base.folds or not saves
+        copies = max(bspline.basis_copies(g, k), _silu_copies(n_i, pack, base.reads))
         assert inference._layout(layer, path, comparator, be.slot_count) == LayerLayout(
-            pack, bspline.basis_copies(g, k), _silu_copies(n_i, pack, base.reads),
-            maps[-1].shape if saves else None)
+            copies=copies, over=maps[-1].shape if saves else None)
 
-        # the closed form: packing, the basis's extra copy (unless the
-        # SiLU's doublings made it), the telescoping
-        # rotation, one per recursion order, the SiLU's doublings, W_b's
-        # block sum (folds included when it keeps them), the spline maps
-        # (the last one's folds shared when W_b's are not its own), less
-        # the doublings the client's copies save
+        # the closed form: packing and the doublings up to the copies both
+        # branches read, less those the client's copies save, the
+        # telescoping rotation, one per recursion order, W_b's block sum
+        # (folds included when it keeps them), the spline maps (the last
+        # one's folds shared when W_b's are not its own)
         alone = HeBackend(BackendConfig(slot_count=4, depth_budget=plan.total))
         eval_poly_he(alone.encrypt([0.1]), layer.packed_silu_poly)
         poly_comp(alone.encrypt([0.1]), 0.0, comparator)
-        doublings = doublings_for(base)
-        extra = bspline.basis_copies(g, k) > pack and not doublings
-        rotations = (bspline.pack_rotations(g, k) + extra + 1 + k
-                     + doublings + base.rotations
-                     + sum(m.rotations for m in maps) - (ct.copies.bit_length() - 1))
+        rotations = (copies.bit_length() - ct.copies.bit_length() + 1 + k + base.rotations
+                     + sum(m.rotations for m in maps))
         pt_mults = (1 + alone.counter.pt_mults + (k + 1) + base.pt_mults
                     + sum(m.pt_mults for m in maps))
         counter = be.counter
@@ -1255,13 +1284,13 @@ class TestOneFoldChain:
 
 
 class TestLayerLayout:
-    """One record per (layer, path, comparator, slot count) gives every
-    copy count of the layer program (``inference._layout``): the basis
-    reads basis_copies(g, k); the SiLU reads the least power-of-two
-    multiple of repeat_pack's copies that covers W_b's reads on ``over``,
-    or the copies that arrived when more; the fit errors are the packed
-    layout's laws, in order; and the forward doubles from the packed (or
-    arrived) copies up to the larger of the two branches' copies."""
+    """One record per (layer, path, comparator, slot count) gives the copy
+    count of the layer program (``inference._layout``): the larger of the
+    basis's basis_copies(g, k) and the SiLU's least power-of-two multiple
+    of repeat_pack's copies that covers W_b's reads on ``over``; the fit
+    errors are the packed layout's laws, in order; and the forward doubles
+    once, from the packed (or arrived) copies up to the record's, into the
+    one operand both branches read."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_i=st.integers(1, 10), n_o=st.integers(1, 30), g=st.integers(1, 6),
@@ -1280,10 +1309,9 @@ class TestLayerLayout:
         pack, basis = 1 << bspline.pack_rotations(g, k), bspline.basis_copies(g, k)
         layout = inference._layout(layer, path, comparator, math.inf)  # the mirror's
         maps = [matvec_schedule(W) for W in layer.spline_maps(path)]
-        assert (layout.pack, layout.basis) == (pack, basis)
         assert layout.over in (None, maps[-1].shape)
-        base = matvec_schedule(layer.W_b, True, layout.over)
-        assert layout.silu == _silu_copies(n_i, pack, base.reads)
+        silu = _silu_copies(n_i, pack, matvec_schedule(layer.W_b, True, layout.over).reads)
+        assert layout.copies == max(basis, silu)
 
         # the fit errors: the basis's copies, then the SiLU's, then each map
         slots = 1 << log_slots
@@ -1296,7 +1324,7 @@ class TestLayerLayout:
                 return False
 
         error = (PackingOverflow if n_i * basis > slots
-                 else DimensionMismatch if n_i * layout.silu > slots or not all(map(fits, maps))
+                 else DimensionMismatch if n_i * silu > slots or not all(map(fits, maps))
                  else None)
         if error is not None:
             with pytest.raises(error):
@@ -1307,11 +1335,12 @@ class TestLayerLayout:
         check_capacity(mdl, cfg, slots)
         assert inference._layout(layer, path, comparator, slots) == layout
 
-        # the copies each branch reads, and the doublings that make them
+        # the one operand both branches read, and the one doubling chain
+        # that makes it
         be = HeBackend(BackendConfig(slot_count=slots, depth_budget=plan_layer(layer, cfg).total))
         x = np.random.default_rng(seed).uniform(-1, 1, n_i)
         ct = be.encrypt(x) if raw else encrypt_input(x, mdl, be)
-        arrived = min(ct.copies, basis)
+        arrived = min(ct.copies, layout.copies)
         doublings, operands = [], {}
 
         def double(v, n, copies, target, _run=inference._double_copies):
@@ -1331,9 +1360,10 @@ class TestLayerLayout:
             mp.setattr(inference, "eval_poly_he", reads("silu", inference.eval_poly_he))
             mp.setattr(inference, "bspline_basis_he", reads("basis", inference.bspline_basis_he))
             out = layer_forward_he(layer, ct, cfg)
-        assert 1 << sum(doublings) == max(basis, layout.silu) // max(pack, arrived)
-        scaled = x * layer.grid.scale
-        for name, copies in (("silu", max(layout.silu, arrived)), ("basis", basis)):
+        assert len(doublings) == 1
+        assert 1 << doublings[0] == layout.copies // max(pack, arrived)
+        scaled, copies = x * layer.grid.scale, layout.copies
+        for name in ("silu", "basis"):
             assert np.array_equal(operands[name][:n_i * copies], np.tile(scaled, copies))
             assert not operands[name][n_i * copies:].any()
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=comparator, path=path)

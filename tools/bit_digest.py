@@ -1,9 +1,9 @@
 """Bit-identity digest of the encrypted pipeline.
 
-Runs a fixed matrix of encrypted forwards and prints the number of runs and
-one sha256 over everything they produce, so that a refactor meant to change
-no result can be checked by running this script in the old and the new
-checkout and comparing the two lines:
+Runs a fixed matrix of encrypted forwards and prints the number of runs,
+one sha256 per noise level and one over everything they produce, so that a
+refactor meant to change no result can be checked by running this script
+in the old and the new checkout and comparing the lines:
 
     python tools/bit_digest.py
 
@@ -16,6 +16,11 @@ mirrored output, the input and output levels, each layer's op counts and
 the backend generator's next draws; a typed error is hashed by its class
 name. Each (shape, path, comparator) also hashes the error that half that
 slot count raises and the op counts it left.
+
+A noise level's digest covers its own runs and the mirrored outputs and
+capacity errors that every level shares; the last line covers them all. A
+change that only reorders noise draws keeps the sigma=0 line and moves
+the others.
 """
 
 from __future__ import annotations
@@ -65,7 +70,14 @@ def smallest_slot_count(model, cfg) -> int:
 
 
 def main() -> None:
-    digest = hashlib.sha256()
+    combined = hashlib.sha256()
+    by_sigma = {sigma: hashlib.sha256() for sigma in SIGMAS}
+
+    def update(data: bytes, sigmas=SIGMAS) -> None:
+        combined.update(data)
+        for sigma in sigmas:
+            by_sigma[sigma].update(data)
+
     runs = 0
     for i, (dims, g, k) in enumerate(SHAPES):
         model = random_model(dims, g=g, k=k, seed=i)
@@ -76,18 +88,18 @@ def main() -> None:
                 try:
                     mirrored = model_forward_plain(model, x, "mirrored",
                                                    comparator=cfg.comparator(), path=path)
-                    digest.update(mirrored.tobytes())
+                    update(mirrored.tobytes())
                 except HeKanError as err:
-                    digest.update(type(err).__name__.encode())
+                    update(type(err).__name__.encode())
                 slots = smallest_slot_count(model, cfg)
                 depth = plan_model(model, cfg).total
                 small = HeBackend(BackendConfig(slot_count=slots // 2 or 1, depth_budget=depth))
                 try:
                     model_forward_he(model, encrypt_input(x, model, small), cfg)
-                    digest.update(b"fits")
+                    update(b"fits")
                 except HeKanError as err:
-                    digest.update(type(err).__name__.encode())
-                digest.update(repr(astuple(small.counter)).encode())
+                    update(type(err).__name__.encode())
+                update(repr(astuple(small.counter)).encode())
                 for sigma in SIGMAS:
                     for replicated in (True, False):
                         be = HeBackend(BackendConfig(slot_count=slots, depth_budget=depth,
@@ -95,15 +107,17 @@ def main() -> None:
                         ct = encrypt_input(x, model, be) if replicated else be.encrypt(x)
                         try:
                             out, per_layer = model_forward_he(model, ct, cfg)
-                            digest.update(be.decrypt(out).tobytes())
-                            digest.update(repr((ct.level, out.level,
-                                                [astuple(c) for c in per_layer])).encode())
+                            update(be.decrypt(out).tobytes(), [sigma])
+                            update(repr((ct.level, out.level,
+                                         [astuple(c) for c in per_layer])).encode(), [sigma])
                         except HeKanError as err:
-                            digest.update(type(err).__name__.encode())
-                        digest.update(be._rng.standard_normal(4).tobytes())
+                            update(type(err).__name__.encode(), [sigma])
+                        update(be._rng.standard_normal(4).tobytes(), [sigma])
                         runs += 1
     print(f"runs {runs}")
-    print(f"sha256 {digest.hexdigest()}")
+    for sigma, digest in by_sigma.items():
+        print(f"sha256 sigma={sigma:g} {digest.hexdigest()}")
+    print(f"sha256 {combined.hexdigest()}")
 
 
 if __name__ == "__main__":
