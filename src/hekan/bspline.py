@@ -150,12 +150,15 @@ def pack_rotations(g: int, k: int) -> int:
     return 0 if copies <= 1 else math.ceil(math.log2(copies))
 
 
-def _check_copies(slot_count: int, n_i: int, copies: int,
-                  error: type = PackingOverflow) -> None:
-    """The one fit law of the packed layout: raise error unless copies
-    blocks of n_i slots fit in slot_count, before any op reads them."""
+def _check_copies(slot_count: int, n_i: int, copies: int) -> None:
+    """The one fit law of the packed layout: raise PackingOverflow unless
+    copies blocks of n_i slots fit in slot_count, before any op reads them.
+    Every packed copy count obeys it, under one error: the client's
+    (``inference.encrypt_input``), the packing's (``repeat_pack``), the
+    basis's (``bspline_basis_he``) and the layer operand's
+    (``inference._layout``)."""
     if n_i * copies > slot_count:
-        raise error(f"{copies} copies of {n_i} slots exceed {slot_count} slots")
+        raise PackingOverflow(f"{copies} copies of {n_i} slots exceed {slot_count} slots")
 
 
 def _double_copies(x, n_i: int, copies: int, target: int):
@@ -196,7 +199,8 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
     of copy 0 however many arrived (a doubling turns a -0 into +0).
 
     PackingOverflow is raised before any op unless those copies fit in the
-    slot vector; else the final shift would wrap onto the front copies.
+    slot vector (the packed layout's fit law, ``_check_copies``); else the
+    final shift would wrap onto the front copies.
     InvalidArgument if arrived is not a power of two.
     """
     if not _is_int(arrived) or arrived < 1 or arrived & (arrived - 1):
@@ -313,7 +317,8 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     copies past those hold the same values, and read like the copies past
     the g + 2k + 1 that the call reads): it needs
     n_i * basis_copies(g, k) slots, and PackingOverflow is raised before
-    any op when they do not fit. The basis runs in comparator units: with
+    any op when they do not fit (the packed layout's fit law,
+    ``_check_copies``). The basis runs in comparator units: with
     scaled, xp is already there (packed with scale = G.scale, as the layer
     program packs it); else a prologue multiplies it by G.scale, one level
     more than basis_depth. The knot tiles are in the same units (basis_tiles).

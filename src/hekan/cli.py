@@ -4,9 +4,9 @@ and lazy-vs-naive benchmarking.
 Exit codes follow the error's category in ``hekan.errors``: 0 success,
 2 ``UsageError`` (an argument outside its domain, a malformed model or
 input file, an input the model rejects, a model the backend cannot fit or
-run) or a missing file, 3 ``NumericalFailure`` (a fitter that fails, a
-decrypted output that is NaN or infinite) or any other ``HeKanError``,
-4 ``DepthBudgetInfeasible``. All subcommands are deterministic for a fixed
+run) or a file that cannot be opened, read or written (``OSError``),
+3 ``NumericalFailure`` (a fitter that fails, a decrypted output that is
+NaN or infinite) or any other ``HeKanError``, 4 ``DepthBudgetInfeasible``. All subcommands are deterministic for a fixed
 --seed (HEKAN_SEED is the fallback).
 """
 
@@ -111,6 +111,11 @@ def _load_inputs(path, n_expected: int) -> np.ndarray:
     return rows
 
 
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
 # ---------------------------------------------------------------------------
 # fit-activation
 # ---------------------------------------------------------------------------
@@ -160,8 +165,7 @@ def cmd_fit_activation(args) -> int:
           f"rmse_weighted {report['rmse_weighted']:.6g}  "
           f"max_error {report['max_error']:.6g}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(poly.to_json(), fh)
+        _write_json(args.out, poly.to_json())
         report_path = args.report or (os.path.splitext(args.out)[0] + "_report.csv")
         with open(report_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(report))
@@ -203,14 +207,25 @@ def _pipeline_config(args, backend_cfg) -> PipelineConfig:
                           backend=backend_cfg)
 
 
-def _decrypt_output(backend, out_ct, n_out: int) -> np.ndarray:
-    """The client side: decrypt the model's outputs and reject a diverged
-    computation, so a NaN or infinity is never reported as a result."""
-    out = backend.decrypt(out_ct)[:n_out]
+def _encrypted_setup(args, mdl) -> tuple:
+    """(cfg, backend) of an encrypted run: --backend, else the defaults with
+    the planned depth of mdl on --path and --comparator."""
+    cfg = _pipeline_config(args, _load_backend(args, mdl, [_pipeline_config(args, None)]))
+    return cfg, make_backend(cfg.backend)
+
+
+def _run_encrypted(mdl, row, cfg, backend) -> tuple:
+    """One row through the encrypted forward: (outputs, levels used,
+    per-layer OpCounter deltas). The client side decrypts the outputs and
+    rejects a diverged computation, so a NaN or infinity is never reported
+    as a result."""
+    ct = encrypt_input(row.reshape(mdl.input_shape), mdl, backend)
+    out_ct, per_layer = model_forward_he(mdl, ct, cfg)
+    out = backend.decrypt(out_ct)[:mdl.n_out]
     if not np.all(np.isfinite(out)):
         raise NonFiniteOutput(f"decrypted output {out} holds NaN or infinity: "
                               "the encrypted computation diverged")
-    return out
+    return out, ct.level - out_ct.level, per_layer
 
 
 def cmd_infer(args) -> int:
@@ -227,25 +242,21 @@ def cmd_infer(args) -> int:
                                       path=args.path)
             result["outputs"].append(out.tolist())
     else:
-        backend_cfg = _load_backend(args, mdl, [_pipeline_config(args, None)])
-        cfg = _pipeline_config(args, backend_cfg)
-        plan = check_depth_budget(mdl, cfg, backend_cfg.depth_budget)
+        cfg, backend = _encrypted_setup(args, mdl)
+        plan = check_depth_budget(mdl, cfg, cfg.backend.depth_budget)
         print("depth plan:")
         print(plan.describe())
-        backend = make_backend(backend_cfg)
         result["stats"] = []
         for row in rows:
-            ct = encrypt_input(row.reshape(mdl.input_shape), mdl, backend)
-            out_ct, per_layer = model_forward_he(mdl, ct, cfg)
-            result["outputs"].append(_decrypt_output(backend, out_ct, mdl.n_out).tolist())
-            result["stats"].append({"levels": ct.level - out_ct.level,
+            out, levels, per_layer = _run_encrypted(mdl, row, cfg, backend)
+            result["outputs"].append(out.tolist())
+            result["stats"].append({"levels": levels,
                                     "per_layer": [asdict(c) for c in per_layer]})
 
     for out in result["outputs"]:
         print("output:", np.array2string(np.asarray(out), precision=6))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result, fh)
+        _write_json(args.out, result)
     return EXIT_OK
 
 
@@ -301,18 +312,14 @@ def cmd_bench(args) -> int:
 def cmd_compare(args) -> int:
     mdl = load_model(args.model)
     rows = _load_inputs(args.input, mdl.n_in)
-    backend_cfg = _load_backend(args, mdl, [_pipeline_config(args, None)])
-    cfg = _pipeline_config(args, backend_cfg)
+    cfg, backend = _encrypted_setup(args, mdl)
     comparator = cfg.comparator()
     report = []
-    backend = make_backend(backend_cfg)
     for row in rows:
         exact = model_forward_plain(mdl, row, mode="exact")
         mirrored = model_forward_plain(mdl, row, mode="mirrored",
                                        comparator=comparator, path=args.path)
-        ct = encrypt_input(row.reshape(mdl.input_shape), mdl, backend)
-        out_ct, _ = model_forward_he(mdl, ct, cfg)
-        he = _decrypt_output(backend, out_ct, mdl.n_out)
+        he, _, _ = _run_encrypted(mdl, row, cfg, backend)
         report.append({
             "exact": exact.tolist(),
             "mirrored": mirrored.tolist(),
@@ -324,8 +331,7 @@ def cmd_compare(args) -> int:
         print(f"input {i}: |he - mirrored| = {entry['max_dev_he_vs_mirrored']:.3e}  "
               f"|he - exact| = {entry['max_dev_he_vs_exact']:.3e}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh)
+        _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -341,6 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="deterministic seed (HEKAN_SEED fallback)")
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # the options infer and compare share
+    run.add_argument("--model", required=True)
+    run.add_argument("--input", required=True)
+    run.add_argument("--backend", help="backend config JSON (path or inline); default "
+                     "2^15 slots and the planned depth")
+    run.add_argument("--path", choices=("lazy", "naive"), default="lazy")
+    run.add_argument("--comparator", choices=("composite", "exact"), default="composite")
 
     p = sub.add_parser("fit-activation", help="fit a polynomial to silu")
     p.add_argument("--samples", help="CSV of observed activation inputs")
@@ -369,15 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="model JSON path")
     p.set_defaults(func=cmd_fit_layer)
 
-    p = sub.add_parser("infer", help="run a model on CSV inputs")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("infer", parents=[run], help="run a model on CSV inputs")
     p.add_argument("--mode", choices=("plain-exact", "plain-mirrored", "he"),
                    default="he")
-    p.add_argument("--backend", help="backend config JSON (path or inline); default "
-                   "2^15 slots and the planned depth")
-    p.add_argument("--path", choices=("lazy", "naive"), default="lazy")
-    p.add_argument("--comparator", choices=("composite", "exact"), default="composite")
     p.add_argument("--out", help="result JSON path")
     p.set_defaults(func=cmd_infer)
 
@@ -390,13 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="bench CSV path")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("compare", help="plain-exact vs mirrored vs encrypted")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--backend", help="backend config JSON (path or inline); default "
-                   "2^15 slots and the planned depth")
-    p.add_argument("--path", choices=("lazy", "naive"), default="lazy")
-    p.add_argument("--comparator", choices=("composite", "exact"), default="composite")
+    p = sub.add_parser("compare", parents=[run],
+                       help="plain-exact vs mirrored vs encrypted")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
@@ -420,7 +422,7 @@ def main(argv=None) -> int:
     except HeKanError as exc:  # an internal invariant broke
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file that cannot be opened, read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

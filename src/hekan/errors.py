@@ -58,7 +58,8 @@ class InputOutOfRange(UsageError):
 # --- B-spline machinery ---
 
 class PackingOverflow(UsageError):
-    """Repeat packing does not fit in the available slots."""
+    """The packed layout's copies (the client's, the packing's, the
+    basis's or a layer operand's) do not fit in the available slots."""
 
 
 class IndexOutOfRange(HeKanError):

@@ -9,8 +9,10 @@ sum costs fewer rotations on the geometry of the spline branch's last map,
 it runs there and that map's rotate-and-add folds finish both products:
 one fold chain per layer. One record per layer, path, comparator and slot
 count (``LayerLayout``, worked out once by ``_layout`` and kept on the
-layer) holds the copy count of that operand and W_b's geometry; the layer
-program and ``check_capacity`` both read it. The lazy path
+layer) holds the copy count of that operand, by one rule from the
+basis's copies, and W_b's geometry; the layer program and
+``check_capacity`` both read it, and one error, PackingOverflow, rejects
+copies that do not fit. The lazy path
 applies permutation-fused weights directly to the basis layout; the naive
 path first reorders homomorphically via a permutation-matrix product. The
 depth planner reads each layer's levels off one run of the layer program
@@ -47,7 +49,6 @@ from .bspline import (
 )
 from .errors import (
     DepthBudgetInfeasible,
-    DimensionMismatch,
     InvalidArgument,
     NonFiniteInput,
     ShapeMismatch,
@@ -256,7 +257,9 @@ def check_depth_budget(model: KanModel, cfg: PipelineConfig, available: int) -> 
 
 def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> None:
     """Raise before any homomorphic op unless every layer fits in one
-    ciphertext of slot_count slots: each layer's layout (``_layout``)."""
+    ciphertext of slot_count slots: each layer's layout (``_layout``),
+    PackingOverflow unless the copies of its packed operand fit, then
+    DimensionMismatch unless each of its spline maps does."""
     comparator = cfg.comparator()
     for layer in model.layers:
         _layout(layer, cfg.path, comparator, slot_count)
@@ -270,9 +273,8 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 @dataclass(frozen=True)
 class LayerLayout:
     """The packed layout of a layer's input: the copies of its n_i slots
-    that both branches read (``copies``: the larger of the basis's,
-    ``basis_copies(g, k)``, and the SiLU's, the least power-of-two
-    multiple of repeat_pack's 2^ceil(log2(g + 2k)) that covers the slots
+    that both branches read (``copies``: the least power-of-two multiple
+    of the basis's ``basis_copies(g, k)`` whose blocks cover the slots
     W_b's schedule reads), with the geometry W_b's block sum runs on
     (``over``: the last spline map's shape when one fold chain finishes
     both products, else None)."""
@@ -284,30 +286,31 @@ class LayerLayout:
 def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
     """The layer's LayerLayout on this path, comparator and slot count,
     worked out on first use and kept on the layer (``KanLayer.layouts``):
-    W_b's geometry, and the copies both branches read, the larger of the
-    basis's and those the SiLU's reads on that geometry need.
+    W_b's geometry, and the copies both branches read. One rule gives the
+    copies a schedule of W_b needs: the least power-of-two multiple of
+    ``basis_copies(g, k)`` whose blocks of n_i slots cover the schedule's
+    reads. The basis reads those copies whatever W_b's shape, and W_b's
+    reads may need more.
 
     W_b's block sum runs on the last spline map's geometry (``bsgs_matvec``'s
     ``over`` and ``plus``) when that map folds (it is wide), when the shared
     form costs fewer rotations than W_b's own schedule, ties going to fewer
-    plaintext multiplies (each with the doublings of the SiLU's copies its
-    reads need), and when the plan's SiLU branch is no deeper than its
-    spline branch, so that the shared add leaves every stage's level drop
-    as planned. Shapes and the plan decide, so the mirror decides the same.
+    plaintext multiplies (each with the doublings of the copies its reads
+    need), and when the plan's SiLU branch is no deeper than its spline
+    branch, so that the shared add leaves every stage's level drop as
+    planned. Shapes and the plan decide, so the mirror decides the same.
 
     Raises before any op unless the layer fits slot_count, in this order:
-    PackingOverflow unless the basis's copies fit and DimensionMismatch
-    unless the SiLU's do (the packed layout's one fit law,
-    ``bspline._check_copies``), then each spline map schedule's
+    PackingOverflow unless the copies fit (the packed layout's one fit
+    law, ``bspline._check_copies``), then each spline map schedule's
     DimensionMismatch (``MatvecSchedule.check_capacity``)."""
     key = (path, comparator, slot_count)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
-    pack, basis = 1 << pack_rotations(layer.g, layer.k), basis_copies(layer.g, layer.k)
-    _check_copies(slot_count, layer.n_i, basis)
+    basis = basis_copies(layer.g, layer.k)
 
-    def copies(schedule):  # pack times ceil(reads / (n_i * pack)) rounded up to 2^d
-        return pack << (-(-schedule.reads // (layer.n_i * pack)) - 1).bit_length()
+    def copies(schedule):  # basis times ceil(reads / (n_i * basis)) rounded up to 2^d
+        return basis << (-(-schedule.reads // (layer.n_i * basis)) - 1).bit_length()
 
     def cost(schedule):  # rotations, the doublings up to a constant
         return schedule.rotations + copies(schedule).bit_length(), schedule.pt_mults
@@ -319,11 +322,11 @@ def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
                        < cost(matvec_schedule(layer.W_b, True))):
         plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
         over = last.shape if plan.silu_branch <= plan.spline_branch else None
-    silu = copies(matvec_schedule(layer.W_b, True, over))
-    _check_copies(slot_count, layer.n_i, silu, DimensionMismatch)
+    layout = LayerLayout(copies(matvec_schedule(layer.W_b, True, over)), over)
+    _check_copies(slot_count, layer.n_i, layout.copies)
     for W in layer.spline_maps(path):
         matvec_schedule(W).check_capacity(slot_count)
-    layout = layer.layouts[key] = LayerLayout(max(basis, silu), over)
+    layer.layouts[key] = layout
     return layout
 
 
@@ -340,7 +343,9 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     the grid's 1/(2R), keeping the copies that arrived, up to the layout's,
     and clearing every other slot) and doubled once, from the packed
     copies (or those that arrived, when more) up to the layout's
-    (``LayerLayout.copies``, ``bspline._double_copies``). Both branches
+    (``LayerLayout.copies``: the basis's ``basis_copies(g, k)``, or the
+    power-of-two multiple of them that W_b's reads need;
+    ``bspline._double_copies``). Both branches
     read that one operand: the activation branch (the packed SiLU
     polynomial, then W_b's block sum on the repeated operand) and the
     spline branch (the basis, then the path's linear maps, each on a

@@ -543,6 +543,20 @@ class TestUsage:
                    "--input", input_path, "--mode", "plain-exact"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", [
+        ["infer", "--model", "{dir}", "--input", "{input}"],
+        ["compare", "--model", "{model}", "--input", "{dir}"],
+        ["fit-activation", "--degree", "3", "--mu", "0", "--sigma", "1", "--out", "{dir}"],
+    ], ids=["infer-model", "compare-input", "fit-activation-out"])
+    def test_path_that_cannot_be_opened_usage_exit(self, tmp_path, capsys, model_path,
+                                                   input_path, command):
+        # a directory where a file is expected: IsADirectoryError, an OSError
+        rc = main([a.format(dir=tmp_path, model=model_path, input=input_path)
+                   for a in command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Is a directory" in err
+
 
 def _set_lo_above_hi(layer):
     u = layer["uniform_grid"]

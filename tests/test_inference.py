@@ -855,9 +855,9 @@ class TestArrivalContract:
     vector (width len), or a previous layer's output (width its n_o), read
     by the next layer ("hidden") or by the whole model ("output"). Each
     is either rejected before any op and any noise draw (PackingOverflow
-    at encryption when the client's copies do not fit; the packed
-    layout's PackingOverflow or DimensionMismatch, or ShapeMismatch for a
-    stated width other than n_i, in the forward), or decrypts to the
+    at encryption when the client's copies do not fit; in the forward,
+    the packed layout's PackingOverflow, a spline map's DimensionMismatch,
+    or ShapeMismatch for a stated width other than n_i), or decrypts to the
     mirrored forward: bit for bit at sigma = 0, within 1e-7 at
     sigma = 1e-12 (the comparator amplifies the noise; up to 1.8e-9
     measured on these shapes)."""
@@ -1005,10 +1005,11 @@ def _parent_slot_count(n_i: int, n_o: int, g: int, k: int, path: str) -> int:
     return 1 << (need - 1).bit_length()
 
 
-def _silu_copies(n_i: int, pack: int, reads: int) -> int:
-    """The copies of n_i slots the SiLU branch needs: pack doubled until
-    they cover the reads of W_b's schedule."""
-    copies = pack
+def _operand_copies(n_i: int, g: int, k: int, reads: int) -> int:
+    """The copies of n_i slots the layer's packed operand holds: the
+    basis's, basis_copies(g, k), doubled until they cover the reads of
+    W_b's schedule."""
+    copies = bspline.basis_copies(g, k)
     while n_i * copies < reads:
         copies *= 2
     return copies
@@ -1078,11 +1079,10 @@ class TestSiluReadsThePackedInput:
         for sched, (*_, delta) in zip(scheds, calls):
             assert (delta.rotations, delta.pt_mults) == (sched.rotations, sched.pt_mults)
         layout = inference._layout(layer, path, cfg.comparator(), be.slot_count)
-        over, copies = layout.over, max(bspline.basis_copies(g, k),
-                                        _silu_copies(n_i, pack, scheds[0].reads))
+        over, copies = layout.over, _operand_copies(n_i, g, k, scheds[0].reads)
         assert calls[0][2] == over
         assert layout.copies == copies
-        own = _silu_copies(n_i, pack, matvec_schedule(layer.W_b, True).reads) > pack
+        own = matvec_schedule(layer.W_b, True).reads > n_i * pack
         assert own == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
         # packing and doubling make the copies both branches read, one
         # rotation per doubling; the client's copies save one each
@@ -1114,7 +1114,7 @@ class TestSiluReadsThePackedInput:
         assert _smallest_slot_count(mdl, cfg) == 128
         assert (inference._layout(mdl.layers[0], "lazy", cfg.comparator(), 128)
                 == LayerLayout(copies=8, over=None))
-        with pytest.raises(DimensionMismatch, match="8 copies of 9 slots exceed 64"):
+        with pytest.raises(PackingOverflow, match="8 copies of 9 slots exceed 64"):
             check_capacity(mdl, cfg, 64)
 
     def test_geometry_is_worked_out_once_per_layer(self, monkeypatch):
@@ -1221,7 +1221,7 @@ class TestOneFoldChain:
         pack = 1 << bspline.pack_rotations(g, k)
 
         def doublings_for(sched):
-            return _silu_copies(n_i, pack, sched.reads).bit_length() - pack.bit_length()
+            return _operand_copies(n_i, g, k, sched.reads).bit_length() - pack.bit_length()
 
         def cost(sched):
             return sched.rotations + doublings_for(sched), sched.pt_mults
@@ -1233,7 +1233,7 @@ class TestOneFoldChain:
                          *[(W, None, False) for W in layer.spline_maps(path)[:-1]],
                          (layer.spline_maps(path)[-1], None, saves)]
         assert not base.folds or not saves
-        copies = max(bspline.basis_copies(g, k), _silu_copies(n_i, pack, base.reads))
+        copies = _operand_copies(n_i, g, k, base.reads)
         assert inference._layout(layer, path, comparator, be.slot_count) == LayerLayout(
             copies=copies, over=maps[-1].shape if saves else None)
 
@@ -1255,7 +1255,7 @@ class TestOneFoldChain:
 
     @pytest.mark.parametrize("dims, g, k, tight, error", [
         ([4, 1], 2, 1, 32, PackingOverflow),     # g + 2k = 4: the basis reads 8 copies of 4
-        ([7, 1], 3, 2, 128, DimensionMismatch),  # W_b's block sum on 1 x 64 doubles 8 copies of 7
+        ([7, 1], 3, 2, 128, PackingOverflow),    # W_b's block sum on 1 x 64 doubles 8 copies of 7
     ])
     @pytest.mark.parametrize("path", ["lazy", "naive"])
     def test_tightest_slot_count_runs_and_the_next_is_rejected(self, dims, g, k, tight, error,
@@ -1270,7 +1270,7 @@ class TestOneFoldChain:
         mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(), path=path)
         assert np.array_equal(be.decrypt(out)[:1].view(np.int64), mirrored.view(np.int64))
         small = HeBackend(BackendConfig(slot_count=tight // 2, depth_budget=depth))
-        if error is PackingOverflow:  # the client's copies are the basis's
+        if dims[0] * bspline.basis_copies(g, k) > tight // 2:  # the client's copies
             with pytest.raises(error):
                 encrypt_input(x, mdl, small)
             ct = small.encrypt(x)
@@ -1285,10 +1285,10 @@ class TestOneFoldChain:
 
 class TestLayerLayout:
     """One record per (layer, path, comparator, slot count) gives the copy
-    count of the layer program (``inference._layout``): the larger of the
-    basis's basis_copies(g, k) and the SiLU's least power-of-two multiple
-    of repeat_pack's copies that covers W_b's reads on ``over``; the fit
-    errors are the packed layout's laws, in order; and the forward doubles
+    count of the layer program (``inference._layout``): the least
+    power-of-two multiple of the basis's basis_copies(g, k) that covers
+    W_b's reads on ``over``; the fit errors are PackingOverflow for those
+    copies, then each spline map's DimensionMismatch; and the forward doubles
     once, from the packed (or arrived) copies up to the record's, into the
     one operand both branches read."""
 
@@ -1306,14 +1306,15 @@ class TestLayerLayout:
         layer = mdl.layers[0]
         cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
         comparator = cfg.comparator()
-        pack, basis = 1 << bspline.pack_rotations(g, k), bspline.basis_copies(g, k)
+        pack = 1 << bspline.pack_rotations(g, k)
         layout = inference._layout(layer, path, comparator, math.inf)  # the mirror's
         maps = [matvec_schedule(W) for W in layer.spline_maps(path)]
         assert layout.over in (None, maps[-1].shape)
-        silu = _silu_copies(n_i, pack, matvec_schedule(layer.W_b, True, layout.over).reads)
-        assert layout.copies == max(basis, silu)
+        copies = _operand_copies(n_i, g, k,
+                                 matvec_schedule(layer.W_b, True, layout.over).reads)
+        assert layout.copies == copies
 
-        # the fit errors: the basis's copies, then the SiLU's, then each map
+        # the fit errors: the operand's copies, then each map
         slots = 1 << log_slots
 
         def fits(sched):
@@ -1323,8 +1324,8 @@ class TestLayerLayout:
             except DimensionMismatch:
                 return False
 
-        error = (PackingOverflow if n_i * basis > slots
-                 else DimensionMismatch if n_i * silu > slots or not all(map(fits, maps))
+        error = (PackingOverflow if n_i * copies > slots
+                 else DimensionMismatch if not all(map(fits, maps))
                  else None)
         if error is not None:
             with pytest.raises(error):
@@ -1362,7 +1363,7 @@ class TestLayerLayout:
             out = layer_forward_he(layer, ct, cfg)
         assert len(doublings) == 1
         assert 1 << doublings[0] == layout.copies // max(pack, arrived)
-        scaled, copies = x * layer.grid.scale, layout.copies
+        scaled = x * layer.grid.scale
         for name in ("silu", "basis"):
             assert np.array_equal(operands[name][:n_i * copies], np.tile(scaled, copies))
             assert not operands[name][n_i * copies:].any()
@@ -1581,6 +1582,56 @@ class TestDefaultComparatorAccuracy:
                 assert np.max(np.abs(mirrored - exact)) <= 2e-3
 
 
+class TestOneOverflowError:
+    """Every copy count of the packed layout that does not fit raises
+    PackingOverflow before any op and any noise draw: the client's copies
+    at encryption, the basis's at the layer, and the layer operand's when
+    W_b's reads need more than the basis's."""
+
+    @staticmethod
+    def _backend(mdl, slots, cfg=PipelineConfig()):
+        depth = plan_model(mdl, cfg).total
+        return HeBackend(BackendConfig(slot_count=slots, depth_budget=depth,
+                                       noise_std=1e-12, rng_seed=0))
+
+    @staticmethod
+    def _state(be):
+        return be.counter.copy(), be._rng.bit_generator.state
+
+    def test_the_clients_copies(self):
+        # basis_copies(3, 1) = 8 copies of 8 values need 64 slots
+        mdl = random_model([8, 2], g=3, k=1, seed=0)
+        be = self._backend(mdl, 4)
+        before = self._state(be)
+        with pytest.raises(PackingOverflow, match="8 copies of 8 slots exceed 4"):
+            encrypt_input(np.zeros(8), mdl, be)
+        assert self._state(be) == before
+
+    @pytest.mark.parametrize("dims, g, k, seed, slots, replicated, message", [
+        # basis_copies(2, 1) = 8 copies of 4 need 32 slots
+        ([4, 1], 2, 1, 5, 16, False, "8 copies of 4 slots exceed 16"),
+        # the basis reads 4 copies of 9 (36 slots); W_b 29 x 9 reads 37, so
+        # the operand doubles them to 8: 72 slots
+        ([9, 29], 1, 1, 3, 64, False, "8 copies of 9 slots exceed 64"),
+        ([9, 29], 1, 1, 3, 64, True, "8 copies of 9 slots exceed 64"),
+    ], ids=["basis", "operand-raw", "operand-replicated"])
+    @pytest.mark.parametrize("path", ["lazy", "naive"])
+    def test_the_layers_copies(self, dims, g, k, seed, slots, replicated, message, path):
+        mdl = random_model(dims, g=g, k=k, seed=seed)
+        cfg = PipelineConfig(path=path)
+        be = self._backend(mdl, slots, cfg)
+        x = np.zeros(dims[0])
+        ct = encrypt_input(x, mdl, be) if replicated else be.encrypt(x)
+        before = self._state(be)
+        with pytest.raises(PackingOverflow, match=message):
+            check_capacity(mdl, cfg, slots)
+        with pytest.raises(PackingOverflow, match=message):
+            model_forward_he(mdl, ct, cfg)
+        with pytest.raises(PackingOverflow, match=message):
+            layer_forward_he(mdl.layers[0], ct, cfg)
+        assert self._state(be) == before
+
+
 class TestPackingFeasibility:
     def test_rejects_exactly_overflowing_configs(self):
         # n_i = 4 in 64 slots: feasible iff 4 * (g + 2k) <= 64
@@ -1596,7 +1647,7 @@ class TestPackingFeasibility:
                     repeat_pack(ct, copies, 0, 4)
 
     @pytest.mark.parametrize("dims, g, k, error", [
-        ([9, 29], 1, 1, DimensionMismatch),   # W_b reads 37 slots: 4 copies of 9 doubled, 72 > 64
+        ([9, 29], 1, 1, PackingOverflow),     # W_b reads 37 slots: 4 copies of 9 doubled, 72 > 64
         ([12, 2], 3, 1, PackingOverflow),     # 12 * 5 fits, 8 doubled copies do not
         ([8, 2], 5, 1, DimensionMismatch),    # packs 8 * 8, spline map period 48
     ])
@@ -1605,7 +1656,7 @@ class TestPackingFeasibility:
         mdl = random_model(dims, g=g, k=k, seed=3)
         bcfg = BackendConfig(slot_count=64, depth_budget=40)
         be = HeBackend(bcfg)
-        if error is PackingOverflow:  # the client's copies are the basis's
+        if dims[0] * bspline.basis_copies(g, k) > 64:  # the client's copies
             with pytest.raises(error):
                 encrypt_input(np.zeros(dims[0]), mdl, be)
             ct = be.encrypt(np.zeros(dims[0]))

@@ -2,8 +2,10 @@
 subprocess the way its docstring says to run it: ``bit_digest.py`` prints
 its run count, one sha256 per noise level and one over everything;
 ``code_lines.py`` prints one count per ``src/hekan`` module, then their
-total."""
+total. No linter ships with the project, so one more check here walks the
+package's syntax trees: no module imports a name it never references."""
 
+import ast
 import importlib.util
 import re
 import subprocess
@@ -55,3 +57,34 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
                       'class A:\n    """One line."""\n\n    def f(self):\n'
                       '        """Two\n        lines."""\n        return os.sep\n')
     assert _load("code_lines").code_lines(source) == 4  # import, class, def, return
+
+
+def _unused_imports(path: Path) -> list:
+    """Names path imports and never references: a name is referenced when it
+    is read as a name, the base of an attribute chain included."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used and name != "annotations")
+
+
+def test_no_module_imports_a_name_it_never_references():
+    # __init__.py imports to re-export
+    modules = [p for p in sorted((ROOT / "src" / "hekan").glob("*.py"))
+               if p.name != "__init__.py"]
+    assert modules
+    assert [found for path in modules for found in _unused_imports(path)] == []
+
+
+def test_unused_import_check_sees_names_and_attribute_bases(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("from __future__ import annotations\nimport os.path\nimport sys\n"
+                      "from math import pi, tau as t\nfrom .errors import Gone\n\n"
+                      "def f():\n    return os.path.sep, pi, t\n")
+    assert _unused_imports(source) == ["sample.py:3 sys", "sample.py:5 Gone"]
