@@ -17,8 +17,8 @@ from hekan import (
     bspline_basis_he,
     bspline_basis_plain,
     make_backend,
+    pack_operand,
     poly_comp,
-    repeat_pack,
 )
 from hekan.approx import EXACT_COMPARATOR
 
@@ -37,33 +37,35 @@ print(f"comp(x, x) = 1/2 exactly: {out[2]}")
 
 print("\n== repeat packing ==")
 n_i, g, k = 4, 5, 2
+grid = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
 be = make_backend(BackendConfig(slot_count=256, depth_budget=24))
 x = np.array([-0.62, -0.11, 0.33, 0.78])
 ct = be.encrypt(x)
-packed = repeat_pack(ct, g, k, n_i)
-print(f"{g + 2 * k} copies of {n_i} values in one ciphertext, "
+packed = pack_operand(ct, grid)  # copies of x / (2R), the comparator's unit
+print(f"{1 << be.counter.rotations} copies of {n_i} values in one ciphertext "
+      f"(the basis reads {g + 2 * k + 1}), "
       f"{be.counter.rotations} rotations (log2 instead of linear)")
 
 print("\n== all basis functions in one shot ==")
-grid = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
 bv = bspline_basis_he(packed, grid, EXACT_COMPARATOR)
 he_vals = be.decrypt(bv)[: n_i * grid.n_basis].reshape(grid.n_basis, n_i).T
 plain = np.array([bspline_basis_plain(xi, grid.entries[i], k)
                   for i, xi in enumerate(x)])
-print("worst deviation vs scalar Cox-de Boor:",
-      f"{np.max(np.abs(he_vals - plain)):.2e}")
+deviation = np.max(np.abs(he_vals - plain))
+print("worst deviation vs scalar Cox-de Boor:", f"{deviation:.2e}")
+assert deviation <= 1e-12, deviation
 print("per-feature basis sums (partition of unity):",
       np.round(he_vals.sum(axis=1), 12))
 
 print("\n== with the polynomial comparator ==")
 be2 = make_backend(BackendConfig(slot_count=256, depth_budget=24))
-packed2 = repeat_pack(be2.encrypt(x), g, k, n_i)
+packed2 = pack_operand(be2.encrypt(x), grid)
 bv2 = bspline_basis_he(packed2, grid, cs)
 vals2 = be2.decrypt(bv2)[: n_i * grid.n_basis].reshape(grid.n_basis, n_i).T
 print("deviation vs exact basis:", f"{np.max(np.abs(vals2 - plain)):.2e}",
       "(grows near knots and far outside each basis support)")
 
 print("\n== the same programs on the plain array (the mirror) ==")
-mirror = bspline_basis_he(repeat_pack(x, g, k, n_i), grid, cs)
+mirror = bspline_basis_he(pack_operand(x, grid), grid, cs)
 mirror_vals = mirror[: n_i * grid.n_basis].reshape(grid.n_basis, n_i).T
 print("bit-identical to the decrypted basis:", np.array_equal(mirror_vals, vals2))

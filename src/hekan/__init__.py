@@ -40,6 +40,7 @@ from .bspline import (
     col_tile,
     fuse_weights,
     gen_permutation,
+    pack_operand,
     pack_rotations,
     repeat_pack,
     repeat_pack_naive,

@@ -1,11 +1,12 @@
 """Encrypted B-spline machinery.
 
-Packs an input vector in repeat layout with logarithmically many rotations,
-evaluates all B-spline basis functions in parallel through comparator-based
-interval tests (one comparator call over every knot column) and the
-Cox-de Boor recursion, and provides the permutation /
-weight-fusion algebra that lets the basis output feed a linear layer without
-any homomorphic reordering.
+Packs an input vector in repeat layout with logarithmically many rotations
+into one operand in comparator units (``pack_operand``, the one builder of
+what the basis and the layer's SiLU branch read), evaluates all B-spline
+basis functions in parallel on it through comparator-based interval tests
+(one comparator call over every knot column) and the Cox-de Boor
+recursion, and provides the permutation / weight-fusion algebra that lets
+the basis output feed a linear layer without any homomorphic reordering.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def _check_copies(slot_count: int, n_i: int, copies: int) -> None:
     copies blocks of n_i slots fit in slot_count, before any op reads them.
     Every packed copy count obeys it, under one error: the client's
     (``inference.encrypt_input``), the packing's (``repeat_pack``), the
-    basis's (``bspline_basis_he``) and the layer operand's
-    (``inference._layout``)."""
+    operand's (``pack_operand``, at the copies the layer reads,
+    ``inference._layout``) and the basis's (``bspline_basis_he``)."""
     if n_i * copies > slot_count:
         raise PackingOverflow(f"{copies} copies of {n_i} slots exceed {slot_count} slots")
 
@@ -175,10 +176,16 @@ def _double_copies(x, n_i: int, copies: int, target: int):
 
 def basis_copies(g: int, k: int) -> int:
     """Copies of the input the basis reads: 2^ceil(log2(g + 2k + 1)),
-    which hold the g + 2k + 1 its one comparator call needs. That is
-    repeat_pack's 2^ceil(log2(g + 2k)) copies, doubled once when g + 2k
-    is a power of two (bspline_basis_he adds the copy)."""
+    which hold the g + 2k + 1 its one comparator call needs, and the
+    copies ``pack_operand`` makes by default. That is repeat_pack's
+    2^ceil(log2(g + 2k)) copies, doubled once more when g + 2k is a power
+    of two."""
     return 1 << (g + 2 * k).bit_length()
+
+
+def _packed_copies(g: int, k: int, arrived: int) -> int:
+    """The copies repeat_pack hands on: max(arrived, 2^ceil(log2(g + 2k)))."""
+    return max(arrived, 1 << pack_rotations(g, k))
 
 
 def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
@@ -191,12 +198,12 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
     max(arrived, 2^ceil(log2(g+2k))) copies back to back: the mask
     full(n_i * arrived, scale) keeps the arrived copies, and the doublings
     start from them, so arrived copies save as many rotations as they
-    double. The mask carries the scale at no extra cost: the layer program
-    packs with the grid's scale, 1/(2R), so the basis receives its input in
-    comparator units, and the SiLU branch reads the same copies
-    (``KanLayer.packed_silu_poly``). The result's tail, past the copies,
-    is zero. Each doubling adds exact zeros, so every copy holds the value
-    of copy 0 however many arrived (a doubling turns a -0 into +0).
+    double. The mask carries the scale at no extra cost. The result's
+    tail, past the copies, is zero. Each doubling adds exact zeros, so
+    every copy holds the value of copy 0 however many arrived (a doubling
+    turns a -0 into +0). This is the first step of ``pack_operand``, which
+    packs with the grid's scale and doubles on to the copies the basis
+    reads; the basis needs that operand, not this one.
 
     PackingOverflow is raised before any op unless those copies fit in the
     slot vector (the packed layout's fit law, ``_check_copies``); else the
@@ -206,9 +213,42 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
     if not _is_int(arrived) or arrived < 1 or arrived & (arrived - 1):
         raise InvalidArgument(f"arrived copies must be a power of two, got {arrived!r}")
     ops = _ops_of(ct)
-    copies = 1 << pack_rotations(g, k)
-    _check_copies(ops.slot_count, n_i, max(copies, arrived))
+    copies = _packed_copies(g, k, arrived)
+    _check_copies(ops.slot_count, n_i, copies)
     return _double_copies(ops.mul(ct, np.full(n_i * arrived, scale)), n_i, arrived, copies)
+
+
+def pack_operand(ct: CipherText, G: GridMatrix, copies: int | None = None) -> CipherText:
+    """The one builder of the packed operand the basis reads (and the
+    layer's SiLU branch with it), on a ciphertext or an array (the
+    mirror): ct's n_i input slots times G.scale, the comparator's unit, as
+    ``copies`` copies back to back over a zero tail. copies defaults to
+    ``basis_copies(g, k)``; the layer program passes its layout's
+    (``inference.LayerLayout.copies``), a power-of-two multiple of it.
+
+    Three steps. The copies ct arrived with (``ct.copies``, set by
+    ``inference.encrypt_input``; 1 for an array or a raw ``encrypt``),
+    capped at copies; ``repeat_pack`` with the grid's scale, whose mask
+    carries it at no extra multiply and keeps the arrived copies; then
+    ``_double_copies`` from the copies it hands on up to copies. It costs
+    one level (the mask) and at most log2(copies) rotations, one fewer per
+    doubling of the copies that arrived. The basis needs the last doubling
+    too: fed ``repeat_pack``'s copies alone, GridMatrix.uniform(4, 10, 3,
+    -1, 1) (g + 2k = 16 copies, one fewer than the comparator call reads)
+    is 0.68 off the exact basis at x = 1.919, between its last knot and R.
+
+    Raises before any op: InvalidArgument unless copies is a power of two
+    of at least basis_copies(g, k), then PackingOverflow unless n_i *
+    copies slots fit (the packed layout's fit law, ``_check_copies``)."""
+    g, k, n_i = G.g, G.k, G.n_i
+    basis = basis_copies(g, k)
+    copies = basis if copies is None else copies
+    if not _is_int(copies) or copies < basis or copies & (copies - 1):
+        raise InvalidArgument(f"copies must be a power of two of at least {basis}, got {copies!r}")
+    _check_copies(_ops_of(ct).slot_count, n_i, copies)
+    arrived = min(getattr(ct, "copies", 1), copies)
+    packed = repeat_pack(ct, g, k, n_i, G.scale, arrived)
+    return _double_copies(packed, n_i, _packed_copies(g, k, arrived), copies)
 
 
 def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:
@@ -247,13 +287,12 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 
 
 def basis_depth(k: int, comparator) -> int:
-    """Levels bspline_basis_he consumes from a scaled input, the way the
-    layer program calls it, read off one run on a probe backend: for
-    k >= 1, max(comparator.depth(), 1) + k. An unscaled input costs one
-    level more, its scale multiply."""
+    """Levels bspline_basis_he consumes from its input, ``pack_operand``'s
+    output, read off one run on a probe backend: for k >= 1,
+    max(comparator.depth(), 1) + k."""
     ct = _Probe().encrypt(0.0)
     G = GridMatrix.uniform(1, 1, k, -1.0, 1.0)
-    return ct.level - bspline_basis_he(ct, G, comparator, scaled=True).level
+    return ct.level - bspline_basis_he(ct, G, comparator).level
 
 
 def basis_tiles(G: GridMatrix):
@@ -299,33 +338,20 @@ def basis_tiles(G: GridMatrix):
     return columns, orders
 
 
-def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
-                     scaled: bool = False, doubled: bool = False) -> CipherText:
-    """All-basis evaluation on xp, the input repeat-packed as repeat_pack
-    packs it, 2^ceil(log2(g + 2k)) copies, a ciphertext or an array (the
-    mirror): interval membership from one comparator call (poly_comp)
-    against all g + 2k + 1 knot columns, whose step h differs from itself
-    read one block ahead by the order-0 basis, then the slot-parallel
-    Cox-de Boor recursion, one rotation per order. Slot m * n_i + i of
-    the result holds B_m(x_i) for m < g + k.
-
-    The call reads g + 2k + 1 copies. When g + 2k is a power of two the
-    packing left one too few, and the basis first doubles xp (one rotation
-    and one add), unless doubled says xp already holds at least
-    basis_copies(g, k) copies (the layer program always passes it: its one
-    doubling makes the copies both its branches read, ``inference._layer``;
-    copies past those hold the same values, and read like the copies past
-    the g + 2k + 1 that the call reads): it needs
-    n_i * basis_copies(g, k) slots, and PackingOverflow is raised before
-    any op when they do not fit (the packed layout's fit law,
-    ``_check_copies``). The basis runs in comparator units: with
-    scaled, xp is already there (packed with scale = G.scale, as the layer
-    program packs it); else a prologue multiplies it by G.scale, one level
-    more than basis_depth. The knot tiles are in the same units (basis_tiles).
-    The public composition ``bspline_basis_he(repeat_pack(x, g, k, n_i), G,
-    comparator)`` needs both the doubling and the prologue: without the
-    doubling, GridMatrix.uniform(4, 10, 3, -1, 1) (g + 2k = 16) is 0.68 off
-    the exact basis at x = 1.919, between its last knot and R.
+def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
+    """All-basis evaluation on xp, ``pack_operand``'s output: the input in
+    comparator units (times G.scale, as the knot tiles are, basis_tiles)
+    as at least basis_copies(g, k) copies over a zero tail, a ciphertext
+    or an array (the mirror). Interval membership comes from one
+    comparator call (poly_comp) against all g + 2k + 1 knot columns, whose
+    step h differs from itself read one block ahead by the order-0 basis,
+    then the slot-parallel Cox-de Boor recursion, one rotation per order.
+    Slot m * n_i + i of the result holds B_m(x_i) for m < g + k. The
+    public composition is ``bspline_basis_he(pack_operand(ct, G), G,
+    comparator)``; copies past the g + 2k + 1 the call reads hold the same
+    values and change nothing. PackingOverflow is raised before any op
+    unless n_i * basis_copies(g, k) slots fit (the packed layout's fit
+    law, ``_check_copies``).
 
     With exact steps, step(t_{m+1} - x) = 1 - step(x - t_{m+1}), so the
     order-0 basis step(x - t_m) * step(t_{m+1} - x) is
@@ -345,12 +371,7 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     (the range contract, KanModel.check_input_range) keeps every
     comparator operand in [-1, 1]."""
     ops = _ops_of(xp)
-    copies = basis_copies(G.g, G.k)
-    _check_copies(ops.slot_count, G.n_i, copies)
-    if not scaled:
-        xp = ops.mul(xp, G.scale)
-    if not doubled:
-        xp = _double_copies(xp, G.n_i, 1 << pack_rotations(G.g, G.k), copies)
+    _check_copies(ops.slot_count, G.n_i, basis_copies(G.g, G.k))
     knots, orders = G.tiles
     h = poly_comp(xp, knots, comparator)
     b = steps = ops.sub(h, ops.rotate(h, G.n_i))

@@ -56,6 +56,7 @@ from .inference import (
     write_bench_csv,
 )
 from .model import (
+    _read_csv,
     fit_layer_ls,
     load_dataset_csv,
     load_model,
@@ -97,15 +98,8 @@ def _load_backend(args, model=None, cfgs=()) -> BackendConfig:
         raise SchemaMismatch(f"{'--backend' if args.backend else '--seed'}: {exc}") from exc
 
 
-def _load_csv(path) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:  # a field that is not a number
-        raise CorruptFile(f"{path}: {exc}") from exc
-
-
 def _load_inputs(path, n_expected: int) -> np.ndarray:
-    rows = _load_csv(path)
+    rows = _read_csv(path)
     if rows.shape[1] != n_expected:
         raise ShapeMismatch(f"input rows have {rows.shape[1]} values, model takes {n_expected}")
     return rows
@@ -145,7 +139,7 @@ def cmd_fit_activation(args) -> int:
         lo, hi = ACTIVATION_PRESETS[args.preset]["range"]
         rng = ApproxRange(lo, hi, (lo + hi) / 2, (hi - lo) / 10)
     elif has_samples:
-        samples = _load_csv(args.samples).ravel()
+        samples = _read_csv(args.samples).ravel()
         rng = estimate_range(samples, args.x_min, args.x_max, factor=args.factor)
     else:
         rng = range_from_moments(args.mu, args.sigma, args.x_min, args.x_max,

@@ -1,10 +1,10 @@
 """Encrypted KAN inference pipeline.
 
-Wires the pieces together per layer: the input is repeat-packed and doubled
-once (layer 0's arrives already replicated by the client,
-``encrypt_input``), and both the activation-polynomial branch and the
-B-spline branch (one comparator call over every knot column) read that one
-packed operand; baby-step/giant-step matrix-vector products join them. When W_b's block
+Wires the pieces together per layer: the input is packed by one builder,
+``bspline.pack_operand`` (layer 0's arrives already replicated by the
+client, ``encrypt_input``), and both the activation-polynomial branch and
+the B-spline branch (one comparator call over every knot column) read that
+one packed operand; baby-step/giant-step matrix-vector products join them. When W_b's block
 sum costs fewer rotations on the geometry of the spline branch's last map,
 it runs there and that map's rotate-and-add folds finish both products:
 one fold chain per layer. One record per layer, path, comparator and slot
@@ -38,15 +38,7 @@ from .approx import (
     eval_poly_he,
 )
 from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make_backend
-from .bspline import (
-    GridMatrix,
-    _check_copies,
-    _double_copies,
-    basis_copies,
-    bspline_basis_he,
-    pack_rotations,
-    repeat_pack,
-)
+from .bspline import GridMatrix, _check_copies, basis_copies, bspline_basis_he, pack_operand
 from .errors import (
     DepthBudgetInfeasible,
     InvalidArgument,
@@ -339,13 +331,11 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     n_i slots hold the input (width None). Another width raises
     ShapeMismatch before any op.
 
-    The program: the input packed in comparator units (its mask carrying
-    the grid's 1/(2R), keeping the copies that arrived, up to the layout's,
-    and clearing every other slot) and doubled once, from the packed
-    copies (or those that arrived, when more) up to the layout's
-    (``LayerLayout.copies``: the basis's ``basis_copies(g, k)``, or the
-    power-of-two multiple of them that W_b's reads need;
-    ``bspline._double_copies``). Both branches
+    The program: the input packed in one call, ``bspline.pack_operand``,
+    into the layout's copies (``LayerLayout.copies``: the basis's
+    ``basis_copies(g, k)``, or the power-of-two multiple of them that
+    W_b's reads need) in comparator units, the grid's 1/(2R), over a zero
+    tail; the copies that arrived save their doublings. Both branches
     read that one operand: the activation branch (the packed SiLU
     polynomial, then W_b's block sum on the repeated operand) and the
     spline branch (the basis, then the path's linear maps, each on a
@@ -359,17 +349,14 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     layout = _layout(layer, path, comparator, ops.slot_count)
     if getattr(x, "width", None) not in (None, layer.n_i):
         raise ShapeMismatch(f"input of width {x.width} for a layer of n_i = {layer.n_i}")
-    arrived = min(getattr(x, "copies", 1), layout.copies)
-    xs = repeat_pack(x, layer.g, layer.k, layer.n_i, layer.grid.scale, arrived)
-    ops._stage("repeat_pack", x, xs)
-    pack = max(1 << pack_rotations(layer.g, layer.k), arrived)
-    xp = _double_copies(xs, layer.n_i, pack, layout.copies)
+    xp = pack_operand(x, layer.grid, layout.copies)
+    ops._stage("repeat_pack", x, xp)
     poly = eval_poly_he(xp, layer.packed_silu_poly)
     ops._stage("silu_poly", xp, poly)
     base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=layout.over)
     ops._stage("base_matvec", poly, base_out)
 
-    basis = spline_out = bspline_basis_he(xp, layer.grid, comparator, scaled=True, doubled=True)
+    basis = spline_out = bspline_basis_he(xp, layer.grid, comparator)
     *maps, last = layer.spline_maps(path)
     for W in maps:
         spline_out = bsgs_matvec(W, spline_out)

@@ -223,16 +223,30 @@ class Dataset:
             raise DimensionMismatch("inputs and targets have different lengths")
 
 
+def _read_csv(path) -> np.ndarray:
+    """The package's one CSV reader: the rows of a file of comma-separated
+    numbers as a 2-D float array. A field that is not a number raises
+    CorruptFile, and so does a file with no rows (only blank or ``#``
+    comment lines), before numpy sees it: numpy would warn and return an
+    empty array whose shape the caller then rejects with a misleading
+    message."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+        if not any(line.partition("#")[0].strip() for line in lines):
+            raise CorruptFile(f"{path}: holds no rows")
+        return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:  # a field that is not a number, or bytes that are not text
+        raise CorruptFile(f"{path}: {exc}") from exc
+
+
 def load_dataset_csv(path, n_targets: int = 1) -> Dataset:
     """CSV rows are samples; the trailing n_targets columns are targets. A
-    field that is not a number raises CorruptFile, a NaN or infinite one
-    NonFiniteInput."""
+    field that is not a number, or a file with no rows, raises CorruptFile
+    (``_read_csv``), a NaN or infinite one NonFiniteInput."""
     if n_targets < 1:
         raise InvalidArgument(f"need at least one target column, got {n_targets}")
-    try:
-        data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise CorruptFile(f"{path}: {exc}") from exc
+    data = _read_csv(path)
     if not np.all(np.isfinite(data)):
         raise NonFiniteInput(f"{path}: holds NaN or infinity")
     if data.shape[1] <= n_targets:

@@ -15,6 +15,7 @@ from hekan.bspline import (
     GridMatrix,
     bspline_basis_he,
     bspline_basis_plain,
+    pack_operand,
     pack_rotations,
     repeat_pack,
     repeat_pack_naive,
@@ -179,7 +180,7 @@ def test_criterion_5_bspline_correctness():
     for start in range(0, 1000, 4):
         x = pts[start:start + 4]
         be = HeBackend(bcfg)
-        xp = repeat_pack(be.encrypt(x), 10, 3, 4)
+        xp = pack_operand(be.encrypt(x), G)
         bv = bspline_basis_he(xp, G, EXACT_COMPARATOR)
         sums = bv.slots[: 4 * G.n_basis].reshape(G.n_basis, 4).sum(axis=0)
         worst_he = max(worst_he, float(np.max(np.abs(sums - 1.0))))
@@ -197,7 +198,7 @@ def test_criterion_5_bspline_correctness():
     for start in range(0, sweep.size - 3, 4):
         x = sweep[start:start + 4]
         be = HeBackend(bcfg_c)
-        xp = repeat_pack(be.encrypt(x), 3, 2, 4)
+        xp = pack_operand(be.encrypt(x), Gc)
         bv = bspline_basis_he(xp, Gc, cs)
         vals = bv.slots[: 4 * Gc.n_basis].reshape(Gc.n_basis, 4).T
         plain = np.array([bspline_basis_plain(xi, Gc.entries[i], 2)

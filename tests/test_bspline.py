@@ -17,6 +17,7 @@ from hekan.bspline import (
     col_tile,
     fuse_weights,
     gen_permutation,
+    pack_operand,
     pack_rotations,
     repeat_pack,
     repeat_pack_naive,
@@ -27,10 +28,11 @@ from hekan.errors import (
     IndexOutOfRange,
     InputOutOfRange,
     InsufficientKnots,
+    InvalidArgument,
     NonFiniteInput,
     PackingOverflow,
 )
-from hekan.inference import PipelineConfig, plan_layer
+from hekan.inference import PipelineConfig, encrypt_input, plan_layer
 from hekan.model import random_model
 
 
@@ -45,8 +47,7 @@ def he_basis_values(x, G, comparator, slots=512, depth=30):
     """Run the encrypted path and return the (n_i, g+k) value matrix."""
     be = backend(slots, depth)
     ct = be.encrypt(x)
-    xp = repeat_pack(ct, G.g, G.k, G.n_i)
-    bv = bspline_basis_he(xp, G, comparator)
+    bv = bspline_basis_he(pack_operand(ct, G), G, comparator)
     vals = bv.slots[: G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
     return vals, bv, be
 
@@ -54,7 +55,7 @@ def he_basis_values(x, G, comparator, slots=512, depth=30):
 def clear_basis_values(x, G, comparator):
     """The same packing and basis programs run on the input array (the
     mirror's run), as the (n_i, g+k) value matrix."""
-    b = bspline_basis_he(repeat_pack(x, G.g, G.k, G.n_i), G, comparator)
+    b = bspline_basis_he(pack_operand(x, G), G, comparator)
     return b[: G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
 
 
@@ -206,43 +207,54 @@ class TestDoubleCopies:
         assert not np.any(ct.slots[n_i * target:])
 
 
-class TestDoubledContract:
-    """bspline_basis_he(..., doubled=True) on an operand that already holds
-    basis_copies(g, k) copies gives the bits of the call that doubles its
-    own, one rotation fewer; where g + 2k is no power of two, the packing
-    already holds them and doubled changes nothing."""
+class TestPackOperand:
+    """pack_operand's contract: copies (basis_copies(g, k) by default, or
+    a power-of-two multiple) of x * G.scale over a zero tail, whatever the
+    arrival, with the same bits on a ciphertext and an array, and the input
+    the basis reads; copies that do not fit, or are no power of two of at
+    least basis_copies(g, k), raise before any op or noise draw."""
 
-    @staticmethod
-    def _basis(g, k, sigma, pre_doubled, doubled):
-        n_i = 4
-        G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+    @pytest.mark.parametrize("n_i, g, k", [(4, 5, 2), (3, 3, 2), (3, 2, 1), (2, 4, 2)])
+    @pytest.mark.parametrize("arrival", ["raw", "encrypt_input"])
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_copies_of_the_scaled_input(self, n_i, g, k, arrival, twice):
+        mdl = random_model([n_i, 1], g=g, k=k, seed=n_i + g)
+        G = mdl.layers[0].grid
+        copies = basis_copies(g, k) << twice
         x = np.random.default_rng(g + k).uniform(-1, 1, n_i)
-        be = HeBackend(BackendConfig(slot_count=n_i * basis_copies(g, k), depth_budget=30,
-                                     noise_std=sigma, rng_seed=5))
-        xp = repeat_pack(be.encrypt(x), g, k, n_i, G.scale)
-        if pre_doubled:
-            xp = bspline._double_copies(xp, n_i, 1 << pack_rotations(g, k), basis_copies(g, k))
-        before = be.counter.copy()
-        out = bspline_basis_he(xp, G, build_composite_sign(), scaled=True, doubled=doubled)
-        return be.decrypt(out).view(np.int64), out.level, be.counter.since(before)
+        be = backend(slots=256)
+        ct = be.encrypt(x) if arrival == "raw" else encrypt_input(x, mdl, be)
+        xp = pack_operand(ct, G, copies if twice else None)
+        he = be.decrypt(xp)
+        assert np.array_equal(he[:n_i * copies], np.tile(x * G.scale, copies))
+        assert not he[n_i * copies:].any()
+        clear = pack_operand(x, G, copies if twice else None)
+        assert clear.size == n_i * copies
+        assert np.array_equal(he[:n_i * copies].view(np.int64), clear.view(np.int64))
+        # one level, the mask; the copies that arrived save their doublings
+        assert xp.level == ct.level - 1 and be.counter.pt_mults == 1
+        assert 1 << be.counter.rotations == copies // ct.copies
+        bv = be.decrypt(bspline_basis_he(xp, G, EXACT_COMPARATOR))
+        vals = bv[:n_i * G.n_basis].reshape(G.n_basis, n_i).T
+        plain = np.array([bspline_basis_plain(xi, G.entries[i], k) for i, xi in enumerate(x)])
+        assert np.max(np.abs(vals - plain)) <= 1e-12
 
-    @pytest.mark.parametrize("sigma", [0.0, 1e-12])
-    @pytest.mark.parametrize("g, k", [(2, 1), (10, 3)])
-    def test_power_of_two_grid_takes_the_doubled_operand(self, g, k, sigma):
-        assert basis_copies(g, k) == 2 << pack_rotations(g, k)
-        own, own_level, own_ops = self._basis(g, k, sigma, pre_doubled=False, doubled=False)
-        bits, level, ops = self._basis(g, k, sigma, pre_doubled=True, doubled=True)
-        np.testing.assert_array_equal(bits, own)
-        assert level == own_level
-        assert ops.rotations == own_ops.rotations - 1 and ops.adds == own_ops.adds - 1
-
-    @pytest.mark.parametrize("sigma", [0.0, 1e-12])
-    def test_other_grids_ignore_doubled(self, sigma):
-        g, k = 5, 3
-        assert basis_copies(g, k) == 1 << pack_rotations(g, k)
-        runs = [self._basis(g, k, sigma, pre_doubled=False, doubled=d) for d in (False, True)]
-        np.testing.assert_array_equal(runs[0][0], runs[1][0])
-        assert runs[0][1:] == runs[1][1:]
+    @pytest.mark.parametrize("copies, error", [
+        (32, PackingOverflow),   # 32 copies of 4 slots, past 64
+        (24, InvalidArgument), (8, InvalidArgument), (0, InvalidArgument),
+        (16.0, InvalidArgument), (True, InvalidArgument)])
+    @pytest.mark.parametrize("arrival", ["raw", "encrypt_input"])
+    def test_rejected_copies_run_no_op(self, copies, error, arrival):
+        # the demo's (n_i, g, k) = (4, 5, 2): basis_copies 16, 64 slots
+        mdl = random_model([4, 1], g=5, k=2, seed=0)
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=10, noise_std=1e-12,
+                                     rng_seed=0))
+        x = np.random.default_rng(0).uniform(-1, 1, 4)
+        ct = be.encrypt(x) if arrival == "raw" else encrypt_input(x, mdl, be)
+        before = be.counter.copy(), be._rng.bit_generator.state
+        with pytest.raises(error):
+            pack_operand(ct, mdl.layers[0].grid, copies)
+        assert (be.counter, be._rng.bit_generator.state) == before
 
 
 class TestColTile:
@@ -374,12 +386,11 @@ class TestEncryptedBasis:
         included (the slot count is the width the basis reads,
         n_i * basis_copies(g, k), rounded up to a power of two, or twice
         that), also when the input holds values past slot
-        n_i, as a hidden layer's does. The basis runs on an unscaled packed
-        input and as the layer program runs it, on an input packed in
-        comparator units, with R drawn so that 1/(2R) rounds. About half
-        the features sit exactly on an interior knot t_m, where the two
-        order-0 blocks that meet there read the same step(0) (1/2), so
-        their values sum to 1 and the recursion's first order joins them
+        n_i, as a hidden layer's does. The basis runs on pack_operand's
+        output, in comparator units, with R drawn so that 1/(2R) rounds.
+        About half the features sit exactly on an interior knot t_m, where
+        the two order-0 blocks that meet there read the same step(0) (1/2),
+        so their values sum to 1 and the recursion's first order joins them
         into the continuous basis."""
         rng = np.random.default_rng(seed)
         knots = np.sort(rng.uniform(-1, 1, (n_i, g + 2 * k + 1)), axis=1)
@@ -392,16 +403,13 @@ class TestEncryptedBasis:
         plain = np.array([bspline_basis_plain(xi, G.entries[i], k)
                           for i, xi in enumerate(v[:n_i])])
         valid = n_i * (g + k)
-        for scaled in (False, True):
-            scale = G.scale if scaled else 1.0
-            for comp in (build_composite_sign(), EXACT_COMPARATOR):
-                xp = repeat_pack(backend(slots).encrypt(v), g, k, n_i, scale)
-                he = bspline_basis_he(xp, G, comp, scaled).slots
-                clear = bspline_basis_he(repeat_pack(v, g, k, n_i, scale), G, comp, scaled)
-                assert np.array_equal(he[:valid].view(np.int64), clear[:valid].view(np.int64))
-                assert np.all(he[valid:] == 0.0) and np.all(clear[valid:] == 0.0)
-            vals = he[:valid].reshape(g + k, n_i).T  # the exact comparator's run
-            assert np.max(np.abs(vals - plain)) <= 1e-12
+        for comp in (build_composite_sign(), EXACT_COMPARATOR):
+            he = bspline_basis_he(pack_operand(backend(slots).encrypt(v), G), G, comp).slots
+            clear = bspline_basis_he(pack_operand(v, G), G, comp)
+            assert np.array_equal(he[:valid].view(np.int64), clear[:valid].view(np.int64))
+            assert np.all(he[valid:] == 0.0) and np.all(clear[valid:] == 0.0)
+        vals = he[:valid].reshape(g + k, n_i).T  # the exact comparator's run
+        assert np.max(np.abs(vals - plain)) <= 1e-12
 
     @pytest.mark.parametrize("n_i, g, k", [(1, 1, 1), (3, 2, 4), (2, 5, 3)])
     def test_knot_tiles_cover_their_orders(self, n_i, g, k):
@@ -425,50 +433,51 @@ class TestEncryptedBasis:
     @pytest.mark.parametrize("n_i, g, k", [(3, 2, 1), (2, 4, 2), (3, 3, 2), (1, 1, 1)])
     def test_one_comparator_call_and_its_copies(self, n_i, g, k):
         """One comparator call over the g + 2k + 1 knot columns, then
-        h - rotate(h, n_i); a power-of-two g + 2k doubles the packed copies
-        first (one rotation and one add). The tightest slot count runs, half
-        of it raises PackingOverflow before any op."""
+        h - rotate(h, n_i); for a power-of-two g + 2k the packing doubles
+        its copies once more (one rotation and one add). The tightest slot
+        count runs, half of it raises PackingOverflow before any op."""
         G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
         x = np.random.default_rng(n_i + g).uniform(-1, 1, n_i)
         tight = 1 << (n_i * basis_copies(g, k) - 1).bit_length()
         be = backend(slots=tight)
-        xp = repeat_pack(be.encrypt(x), g, k, n_i, G.scale)
+        xp = pack_operand(be.encrypt(x), G)
         before = be.counter.copy()
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bspline, "poly_comp", lambda *a: calls.append(a) or poly_comp(*a))
-            out = bspline_basis_he(xp, G, EXACT_COMPARATOR, scaled=True)
+            out = bspline_basis_he(xp, G, EXACT_COMPARATOR)
         extra = basis_copies(g, k) > 1 << pack_rotations(g, k)
         assert extra == (((g + 2 * k) & (g + 2 * k - 1)) == 0)  # a power of two
         assert len(calls) == 1
-        assert be.counter.since(before).rotations == extra + 1 + k
+        assert before.rotations == pack_rotations(g, k) + extra
+        assert be.counter.since(before).rotations == 1 + k
         plain = np.array([bspline_basis_plain(xi, G.entries[i], k) for i, xi in enumerate(x)])
         vals = out.slots[:n_i * (g + k)].reshape(g + k, n_i).T
         assert np.max(np.abs(vals - plain)) <= 1e-12
         small = backend(slots=tight // 2)
         with pytest.raises(PackingOverflow):
-            bspline_basis_he(small.encrypt(x), G, EXACT_COMPARATOR, scaled=True)
+            pack_operand(small.encrypt(x), G)
+        with pytest.raises(PackingOverflow):
+            bspline_basis_he(small.encrypt(x), G, EXACT_COMPARATOR)
         assert small.counter == OpCounter()
 
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("mode", ["exact", "composite"])
     def test_depth_consumption(self, mode, k):
-        """The measured level drop of the basis run as the layer program
-        runs it (on an input packed in comparator units), basis_depth and
-        the plan's two basis stages agree: max(comparator depth, 1) + k.
-        An unscaled input costs one level more, its scale multiply."""
+        """The measured level drop of the basis run on pack_operand's
+        output, as the layer program runs it, basis_depth and the plan's
+        two basis stages agree: max(comparator depth, 1) + k; the packing
+        takes one level more, its mask."""
         cfg = PipelineConfig(comparator_mode=mode)
         comp = cfg.comparator()
         G = GridMatrix.uniform(2, 4, k, -1.0, 1.0)
         be = backend(slots=512, depth=30)
         ct = be.encrypt([0.1, 0.2])
-        bv = bspline_basis_he(repeat_pack(ct, 4, k, 2, G.scale), G, comp, scaled=True)
+        bv = bspline_basis_he(pack_operand(ct, G), G, comp)
         stages = plan_layer(random_model([2, 1], g=4, k=k).layers[0], cfg).stages
         planned = stages["comparator"] + stages["basis_recursion"]
         assert ct.level - bv.level == 1 + basis_depth(k, comp) == 1 + planned
         assert planned == max(comp.depth(), 1) + k
-        unscaled = bspline_basis_he(repeat_pack(ct, 4, k, 2), G, comp)
-        assert ct.level - unscaled.level == 2 + planned
 
     def test_exact_comparator_is_exact_near_a_knot(self):
         G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,13 +86,6 @@ class TestFitActivation:
                    "--sigma", "1", "--degree", "3"])
         assert rc == 2
 
-    def test_empty_samples_is_usage_error(self, tmp_path):
-        samples = tmp_path / "empty.csv"
-        samples.write_text("")
-        with pytest.warns(UserWarning):  # numpy: "Empty input file"
-            rc = main(["fit-activation", "--samples", str(samples), "--degree", "3"])
-        assert rc == 2
-
     def test_samples_source(self, tmp_path):
         samples = tmp_path / "s.csv"
         np.savetxt(samples, np.random.default_rng(3).normal(0, 1, 500), delimiter=",")
@@ -106,6 +100,28 @@ class TestFitActivation:
         rc = main(["fit-activation", "--preset", "mnist", "--degree", "10",
                    "--method", "remez", "--out", str(out)])
         assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["infer", "compare", "fit-layer", "fit-activation"])
+def test_empty_csv_is_a_usage_error(model_path, tmp_path, capsys, command):
+    """A CSV with no rows exits 2 with one message, from the one CSV
+    reader, and numpy warns nothing."""
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    argv = {"infer": ["infer", "--model", model_path, "--input", str(empty)],
+            "compare": ["compare", "--model", model_path, "--input", str(empty),
+                        "--backend", BACKEND],
+            "fit-layer": ["fit-layer", "--data", str(empty), "--g", "4", "--k", "2",
+                          "--out", str(tmp_path / "model.json")],
+            "fit-activation": ["fit-activation", "--samples", str(empty),
+                               "--degree", "3"]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {empty}: holds no rows" in err
+    assert "Warning" not in err and not caught
 
 
 class TestFitLayer:

@@ -968,13 +968,13 @@ class TestPackingRotationsPerStage:
             ct = arrive(be)
             rotations = []
             with pytest.MonkeyPatch.context() as mp:
-                def spy(*args, _run=inference.repeat_pack):
+                def spy(*args, _run=bspline.repeat_pack):
                     before = be.counter.rotations
                     out = _run(*args)
                     rotations.append(be.counter.rotations - before)
                     return out
 
-                mp.setattr(inference, "repeat_pack", spy)
+                mp.setattr(bspline, "repeat_pack", spy)
                 out, _ = model_forward_he(mdl, ct, cfg)
             assert rotations == [first] + [bspline.pack_rotations(g, k)] * (len(dims) - 2)
             assert np.array_equal(be.decrypt(out)[:mdl.n_out].view(np.int64),
@@ -1288,9 +1288,10 @@ class TestLayerLayout:
     count of the layer program (``inference._layout``): the least
     power-of-two multiple of the basis's basis_copies(g, k) that covers
     W_b's reads on ``over``; the fit errors are PackingOverflow for those
-    copies, then each spline map's DimensionMismatch; and the forward doubles
-    once, from the packed (or arrived) copies up to the record's, into the
-    one operand both branches read."""
+    copies, then each spline map's DimensionMismatch; and the forward packs
+    (``bspline.pack_operand``): repeat_pack doubles up to the packed (or
+    arrived) copies, one further chain up to the record's, into the one
+    operand both branches read."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_i=st.integers(1, 10), n_o=st.integers(1, 30), g=st.integers(1, 6),
@@ -1336,15 +1337,15 @@ class TestLayerLayout:
         check_capacity(mdl, cfg, slots)
         assert inference._layout(layer, path, comparator, slots) == layout
 
-        # the one operand both branches read, and the one doubling chain
-        # that makes it
+        # the one operand both branches read, and the two doubling chains
+        # that make it
         be = HeBackend(BackendConfig(slot_count=slots, depth_budget=plan_layer(layer, cfg).total))
         x = np.random.default_rng(seed).uniform(-1, 1, n_i)
         ct = be.encrypt(x) if raw else encrypt_input(x, mdl, be)
         arrived = min(ct.copies, layout.copies)
         doublings, operands = [], {}
 
-        def double(v, n, copies, target, _run=inference._double_copies):
+        def double(v, n, copies, target, _run=bspline._double_copies):
             before = be.counter.rotations
             out = _run(v, n, copies, target)
             doublings.append(be.counter.rotations - before)
@@ -1357,12 +1358,13 @@ class TestLayerLayout:
             return spy
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(inference, "_double_copies", double)
+            mp.setattr(bspline, "_double_copies", double)
             mp.setattr(inference, "eval_poly_he", reads("silu", inference.eval_poly_he))
             mp.setattr(inference, "bspline_basis_he", reads("basis", inference.bspline_basis_he))
             out = layer_forward_he(layer, ct, cfg)
-        assert len(doublings) == 1
-        assert 1 << doublings[0] == layout.copies // max(pack, arrived)
+        assert len(doublings) == 2  # repeat_pack's, then the one further chain
+        assert 1 << doublings[0] == max(pack, arrived) // arrived
+        assert 1 << doublings[1] == layout.copies // max(pack, arrived)
         scaled = x * layer.grid.scale
         for name in ("silu", "basis"):
             assert np.array_equal(operands[name][:n_i * copies], np.tile(scaled, copies))
@@ -1402,7 +1404,7 @@ class TestPlanStagesJoinMeasuredDrops:
         with pytest.MonkeyPatch.context() as mp:
             for module, name, operand in ((inference, "eval_poly_he", 0),
                                           (inference, "bsgs_matvec", 1),
-                                          (inference, "repeat_pack", 0),
+                                          (bspline, "repeat_pack", 0),
                                           (inference, "bspline_basis_he", 0),
                                           (bspline, "poly_comp", 0),
                                           (inference, "layer_forward_he", 1)):
@@ -1507,13 +1509,13 @@ class TestPlanIsReadOffTheProgram:
         mdl = random_model([2, 5, 1], g=5, k=3, seed=0)
         cfg = PipelineConfig()
         before = plan_layer(mdl.layers[0], cfg)
-        pack = inference.repeat_pack
+        pack = bspline.repeat_pack
 
         def costlier_pack(*args):
             xs = pack(*args)
             return _ops_of(xs).mul(xs, 1.0)
 
-        monkeypatch.setattr(inference, "repeat_pack", costlier_pack)
+        monkeypatch.setattr(bspline, "repeat_pack", costlier_pack)
         inference._plan.cache_clear()
         after = plan_layer(mdl.layers[0], cfg)
         assert after.stages["repeat_pack"] == before.stages["repeat_pack"] + 1

@@ -177,11 +177,11 @@ class TestReadOnly:
 
 
 class TestKnotTilesAtThePackedWidth:
-    """The knot tiles span the window the basis reads (repeat_pack's, with
-    the basis's own extra doubling when g + 2k is a power of two), so no
-    tile op of the basis evaluation on a layer-0 packed input copies a
-    tile into a wider window (backend._place), before or after the
-    comparator's step is read one block ahead."""
+    """The knot tiles span the window the basis reads (pack_operand's, one
+    doubling past repeat_pack's when g + 2k is a power of two), so no tile
+    op of the basis evaluation on a layer-0 packed input copies a tile into
+    a wider window (backend._place), before or after the comparator's step
+    is read one block ahead."""
 
     @pytest.mark.parametrize("n_i, g, k", [(64, 3, 2), (256, 10, 3), (256, 10, 5)])
     @pytest.mark.parametrize("comparator", [EXACT_COMPARATOR, build_composite_sign()],
@@ -190,7 +190,7 @@ class TestKnotTilesAtThePackedWidth:
         G = bspline.GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
         be = make_backend(BackendConfig(slot_count=2 ** 15, depth_budget=20))
         x = be.encrypt(np.random.default_rng(n_i).uniform(-1, 1, n_i))
-        xp = bspline.repeat_pack(x, g, k, n_i)
+        xp = bspline.pack_operand(x, G)
         knots, orders = G.tiles
         tiles = (knots, *orders)
         copied = []
@@ -203,5 +203,5 @@ class TestKnotTilesAtThePackedWidth:
         monkeypatch.setattr(backend, "_place", spy)
         bspline.bspline_basis_he(xp, G, comparator)
         assert copied == []
-        assert xp.start == 0 and xp.data.size == n_i << bspline.pack_rotations(g, k)
+        assert xp.start == 0 and xp.data.size == n_i * bspline.basis_copies(g, k)
         assert all(t.shape[-1] == n_i * bspline.basis_copies(g, k) for t in tiles)
