@@ -45,8 +45,9 @@ one) and each giant step are one numpy program over the slots the
 schedule reads, with the op counts and level of the op-by-op run. One
 exception to the bit-identity invariant: the result is the window [0, L)
 over a +0.0 tail (L the diagonals' length), where the op-by-op run leaves
-±0 partial products past slot L. Only the sign of those zeros differs,
-and no consumer reads them. A wide schedule's folds run the same way
+±0 partial products past slot L; an unfolded schedule's giant block i is
+likewise the window [base_i, base_i + L). Only the sign of those zeros
+differs, and no consumer reads them. A wide schedule's folds run the same way
 (:meth:`HeBackend.run_folds`), with no exception. A noisy backend runs
 both op by op, so each op draws its own noise.
 """
@@ -372,9 +373,12 @@ class HeBackend:
         out = program(_WindowOps(self, np.append(data, a.tail)))
         return CipherText(start, out[:-1], out[-1], a.level - depth, self)
 
-    def run_block_sum(self, a: CipherText, schedule) -> CipherText:
+    def run_block_sum(self, a: CipherText, schedule, giants=None):
         """Run a diagonal matvec schedule up to its folds and return the sum
-        of its rotated giant-step blocks at level ``a.level - 1``.
+        of its rotated giant-step blocks at level ``a.level - 1``, each
+        block plus ``giants``' block of the same step if given (the result's
+        level is then at most theirs); an ``unfolded`` schedule returns its
+        giant blocks unrotated instead (``MatvecSchedule.run``).
 
         a holds the operand as the schedule's contract says: its n_in
         values over zeros, which the block sum first duplicates (``a``
@@ -383,29 +387,40 @@ class HeBackend:
         already repeated with period n_in over the slots it reads
         (``schedule.reads``). On the exact backend that is one numpy program
         (``schedule.block_sum``), charged the op-by-op run's counts
-        (``schedule.block_sum_counts``), whose result is the window [0, L)
-        over a zero tail (see the module docstring); a noisy backend runs
-        it op by op (``schedule.block_sum_ops``). DepthExhausted is raised
-        before any of it when a has no level left, and DimensionMismatch
-        (``schedule.check_capacity``) first for a schedule that does not
-        fit one ciphertext.
+        (``schedule.block_sum_counts``, and one add per giant block), whose
+        result is the window [0, L) over a zero tail, or block i's window
+        [base_i, base_i + L) (see the module docstring); a noisy backend
+        runs it op by op (``schedule.block_sum_ops``). DepthExhausted is
+        raised before any of it when a has no level left, and
+        DimensionMismatch (``schedule.check_capacity``) first for a
+        schedule that does not fit one ciphertext.
         """
         schedule.check_capacity(self.config.slot_count)
         self._check_ours(a)
+        for g in giants or ():
+            self._check_ours(g)
         if a.level < 1:
             raise DepthExhausted(f"matrix-vector product at level {a.level}")
         if self.noisy:
-            return schedule.block_sum_ops(self, a)
-        m = schedule.reads
+            return schedule.block_sum_ops(self, a, giants)
+        m, L = schedule.reads, schedule.shape[1]
         x = _read(a, 0, m)
         if schedule.duplicates:
             x = x + _read(a, -schedule.period, m)
+        level, placed = a.level - 1, None
+        if giants is not None:
+            level = min(level, *(g.level for g in giants))
+            placed = [_read(g, base, L) for g, (base, _) in zip(giants, schedule.blocks())]
         rotations, adds, pt_mults = schedule.block_sum_counts
         c = self.counter
         c.rotations += rotations
-        c.adds += adds
+        c.adds += adds + len(placed or ())
         c.pt_mults += pt_mults
-        return CipherText(0, schedule.block_sum(x), 0.0, a.level - 1, self)
+        out = schedule.block_sum(x, placed)
+        if schedule.unfolded:
+            return tuple(CipherText(base, block, 0.0, level, self)
+                         for block, (base, _) in zip(out, schedule.blocks()))
+        return CipherText(0, out, 0.0, level, self)
 
     def run_folds(self, a: CipherText, shifts) -> CipherText:
         """a plus a rotated left by shifts[0], that plus itself rotated by
@@ -548,11 +563,12 @@ class _ArrayOps:
     _stage = HeBackend._stage
 
     @staticmethod
-    def run_block_sum(v, schedule):
+    def run_block_sum(v, schedule, giants=None):
         """The block sum on the slots the encrypted one reads: v's first n
         slots (n the period), zero-extended to n and duplicated, when the
         schedule duplicates; else v's first ``schedule.reads`` slots,
-        zero-extended."""
+        zero-extended. Giant block i, given or returned unrotated, holds
+        its step's sum in slots [base_i, base_i + L)."""
         if schedule.duplicates:
             n = schedule.period
             x = np.zeros(2 * n)
@@ -562,7 +578,12 @@ class _ArrayOps:
             m = schedule.reads
             x = np.zeros(m)
             x[: min(m, v.size)] = v[:m]
-        return schedule.block_sum(x)
+        L, bases = schedule.shape[1], [base for base, _ in schedule.blocks()]
+        placed = None if giants is None else [g[b:b + L] for g, b in zip(giants, bases)]
+        out = schedule.block_sum(x, placed)
+        if schedule.unfolded:
+            return tuple(np.concatenate((np.zeros(b), block)) for block, b in zip(out, bases))
+        return out
 
     @staticmethod
     def run_folds(a, shifts):

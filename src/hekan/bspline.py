@@ -27,6 +27,7 @@ from .errors import (
     InvalidArgument,
     NonFiniteInput,
     PackingOverflow,
+    ShapeMismatch,
 )
 
 
@@ -162,6 +163,15 @@ def _check_copies(slot_count: int, n_i: int, copies: int) -> None:
         raise PackingOverflow(f"{copies} copies of {n_i} slots exceed {slot_count} slots")
 
 
+def _check_width(ct, n_i: int) -> None:
+    """ShapeMismatch unless ct states no width (an array, or an op's
+    result) or n_i: copies of another width would be read as misaligned
+    blocks of n_i slots."""
+    width = getattr(ct, "width", None)
+    if width not in (None, n_i):
+        raise ShapeMismatch(f"input of width {width} for a layer of n_i = {n_i}")
+
+
 def _double_copies(x, n_i: int, copies: int, target: int):
     """The one doubling step of the packed layout: x, a ciphertext or an
     array holding copies blocks of n_i slots back to back, doubled by one
@@ -208,10 +218,14 @@ def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
     PackingOverflow is raised before any op unless those copies fit in the
     slot vector (the packed layout's fit law, ``_check_copies``); else the
     final shift would wrap onto the front copies.
-    InvalidArgument if arrived is not a power of two.
+    InvalidArgument if arrived is not a power of two, and ShapeMismatch
+    (``_check_width``) if more than one copy arrived and ct states a width
+    other than n_i.
     """
     if not _is_int(arrived) or arrived < 1 or arrived & (arrived - 1):
         raise InvalidArgument(f"arrived copies must be a power of two, got {arrived!r}")
+    if arrived > 1:
+        _check_width(ct, n_i)
     ops = _ops_of(ct)
     copies = _packed_copies(g, k, arrived)
     _check_copies(ops.slot_count, n_i, copies)
@@ -237,10 +251,12 @@ def pack_operand(ct: CipherText, G: GridMatrix, copies: int | None = None) -> Ci
     -1, 1) (g + 2k = 16 copies, one fewer than the comparator call reads)
     is 0.68 off the exact basis at x = 1.919, between its last knot and R.
 
-    Raises before any op: InvalidArgument unless copies is a power of two
+    Raises before any op: ShapeMismatch when ct states a width other than
+    n_i (``_check_width``), InvalidArgument unless copies is a power of two
     of at least basis_copies(g, k), then PackingOverflow unless n_i *
     copies slots fit (the packed layout's fit law, ``_check_copies``)."""
     g, k, n_i = G.g, G.k, G.n_i
+    _check_width(ct, n_i)
     basis = basis_copies(g, k)
     copies = basis if copies is None else copies
     if not _is_int(copies) or copies < basis or copies & (copies - 1):

@@ -6,8 +6,9 @@ client, ``encrypt_input``), and both the activation-polynomial branch and
 the B-spline branch (one comparator call over every knot column) read that
 one packed operand; baby-step/giant-step matrix-vector products join them. When W_b's block
 sum costs fewer rotations on the geometry of the spline branch's last map,
-it runs there and that map's rotate-and-add folds finish both products:
-one fold chain per layer. One record per layer, path, comparator and slot
+it runs there, and that map's giant-step rotations and rotate-and-add folds
+finish both products: one set of giant rotations and one fold chain per
+layer. One record per layer, path, comparator and slot
 count (``LayerLayout``, worked out once by ``_layout`` and kept on the
 layer) holds the copy count of that operand, by one rule from the
 basis's copies, and W_b's geometry; the layer program and
@@ -151,7 +152,7 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
 
 
 def bsgs_matvec(W, v: CipherText, repeated: bool = False, over: tuple | None = None,
-                plus=None) -> CipherText:
+                giants=None):
     """Diagonal-method matrix-vector product with baby/giant rotation steps.
 
     W is an n_o x n_in cleartext matrix, or a PermutationSpec (square, with
@@ -170,13 +171,15 @@ def bsgs_matvec(W, v: CipherText, repeated: bool = False, over: tuple | None = N
     matrix that cannot change (a layer's) reuses its schedule and
     diagonals from call to call (``matvec_schedule``).
 
-    Shared folds: with ``over``, the ``shape`` (p, L) of another matrix's
-    schedule, the repeated product runs on that geometry and is returned
-    unfolded; passing it as ``plus`` to that matrix's product adds it
-    before the folds, which then finish both (slots [0, n_o) hold the sum
-    of the two products).
+    Shared giant steps and folds: with ``over``, the ``shape`` (p, L) of
+    another matrix's schedule, the repeated product runs on that geometry
+    and returns its giant-step blocks, unrotated and unfolded, as a tuple
+    (baby rotations only). Passing them as ``giants`` to that matrix's
+    product adds each to the block of the same giant step before that
+    step's rotation, and its folds then finish both products (slots
+    [0, n_o) hold the sum of the two).
     """
-    return matvec_schedule(W, repeated, over).run(_ops_of(v), v, plus)
+    return matvec_schedule(W, repeated, over).run(_ops_of(v), v, giants)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +288,9 @@ def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
     reads may need more.
 
     W_b's block sum runs on the last spline map's geometry (``bsgs_matvec``'s
-    ``over`` and ``plus``) when that map folds (it is wide), when the shared
-    form costs fewer rotations than W_b's own schedule, ties going to fewer
+    ``over`` and ``giants``: shared giant steps and folds, so W_b pays its
+    b - 1 baby rotations only) when that map folds (it is wide), when the
+    shared form costs fewer rotations than W_b's own schedule, ties going to fewer
     plaintext multiplies (each with the doublings of the copies its reads
     need), and when the plan's SiLU branch is no deeper than its spline
     branch, so that the shared add leaves every stage's level drop as
@@ -329,7 +333,7 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     vector of x.width = n_i slots (a raw ``encrypt``), or a previous
     layer's output (one copy of x.width = its n_o slots); an array's first
     n_i slots hold the input (width None). Another width raises
-    ShapeMismatch before any op.
+    ShapeMismatch before any op (``pack_operand``).
 
     The program: the input packed in one call, ``bspline.pack_operand``,
     into the layout's copies (``LayerLayout.copies``: the basis's
@@ -340,28 +344,28 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     polynomial, then W_b's block sum on the repeated operand) and the
     spline branch (the basis, then the path's linear maps, each on a
     zero-tail operand). When W_b's block sum runs on the last map's
-    geometry (``LayerLayout.over``), the last map adds it before its
-    folds, and one fold chain finishes both branches; otherwise W_b folds
+    geometry (``LayerLayout.over``), it hands on its giant-step blocks
+    unrotated, the last map adds each to its own before that step's
+    rotation, and one set of giant rotations and one fold chain finish
+    both branches; otherwise W_b folds
     on its own and the two outputs are added. Slots [0, n_o) hold the
     output; a ciphertext result states its width, n_o."""
     layer.check_supported()
     ops = _ops_of(x)
     layout = _layout(layer, path, comparator, ops.slot_count)
-    if getattr(x, "width", None) not in (None, layer.n_i):
-        raise ShapeMismatch(f"input of width {x.width} for a layer of n_i = {layer.n_i}")
     xp = pack_operand(x, layer.grid, layout.copies)
     ops._stage("repeat_pack", x, xp)
     poly = eval_poly_he(xp, layer.packed_silu_poly)
     ops._stage("silu_poly", xp, poly)
+    shared = layout.over is not None
     base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=layout.over)
-    ops._stage("base_matvec", poly, base_out)
+    ops._stage("base_matvec", poly, base_out[0] if shared else base_out)
 
     basis = spline_out = bspline_basis_he(xp, layer.grid, comparator)
     *maps, last = layer.spline_maps(path)
     for W in maps:
         spline_out = bsgs_matvec(W, spline_out)
-    shared = layout.over is not None
-    spline_out = bsgs_matvec(last, spline_out, plus=base_out if shared else None)
+    spline_out = bsgs_matvec(last, spline_out, giants=base_out if shared else None)
     ops._stage("spline_matvec", basis, spline_out)
     out = spline_out if shared else ops.add(base_out, spline_out)
     return replace(out, width=layer.n_o) if isinstance(out, CipherText) else out

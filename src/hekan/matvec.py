@@ -44,16 +44,22 @@ packed input does, and skips the duplication. A tall repeated matrix
 the padded square. A single diagonal never wraps, so a one-row matrix is
 never duplicated either.
 
-Shared folds: ``matvec_schedule(W, True, over=(p, L))`` runs W's block
-sum on another schedule's geometry, p diagonals over L slots, with W
-zero-padded to p x L, and leaves it unfolded (``unfolded``). It needs
-n_o <= p, n_in <= L, and the operand's period n_in dividing L when
-p > 1, so that the diagonals that wrap past L read the same copies.
-``run(ops, v, plus)`` of the schedule that lent its geometry adds such
-a block sum to its own before its folds, and its folds then finish both
-products: slot r of the folded sum is row r of W's product plus row r
-of its own (the hybrid method's fold sums every slot t = r mod p, and
-its diagonals d < p cover every column of the p x L matrix once).
+Shared giant steps and folds: ``matvec_schedule(W, True, over=(p, L))``
+runs W's block sum on another schedule's geometry, p diagonals over L
+slots, with W zero-padded to p x L, and leaves it unfolded (``unfolded``).
+It needs n_o <= p, n_in <= L, and the operand's period n_in dividing L
+when p > 1, so that the diagonals that wrap past L read the same copies.
+Both schedules then have the same (b, gs) split over the same p
+diagonals, and a rotation is linear, so the sum over giant steps g of
+rot(A_g, base_g) + rot(B_g, base_g) is that of rot(A_g + B_g, base_g)
+(Halevi and Shoup's baby-step/giant-step identity). So the unfolded
+schedule's ``run`` returns its gs giant blocks unrotated, paying its b - 1
+baby rotations only, and ``run(ops, v, giants)`` of the schedule that lent
+its geometry adds each to its own block of the same step before that
+step's rotation. Its giant rotations and folds then finish both products:
+slot r of the folded sum is row r of W's product plus row r of its own
+(the hybrid method's fold sums every slot t = r mod p, and its diagonals
+d < p cover every column of the p x L matrix once).
 
 Permutation operand: a :class:`PermutationSpec` takes the square path with
 its diagonals read from ``source_of`` (diagonal d is 1 where
@@ -108,7 +114,7 @@ class MatvecSchedule:
     Slot r' < r of the folded sum holds row r'; only slots [0, n_out) are
     promised, the others may hold partial sums. An ``unfolded`` schedule
     (a block sum on another schedule's geometry, see the module docstring)
-    has no folds of its own.
+    has neither giant rotations nor folds of its own.
     """
 
     W: np.ndarray | None  # (r, n): rows zero-padded to r, columns to the period n
@@ -189,12 +195,17 @@ class MatvecSchedule:
     def block_sum_counts(self) -> tuple:
         """(rotations, adds, pt_mults) of the op-by-op block sum, which
         HeBackend.run_block_sum charges: the wraparound duplication
-        (``duplicates``) rotates and adds once, each baby and giant step
-        after the first rotates, and the p diagonal products are summed by
-        p - 1 adds."""
+        (``duplicates``) rotates and adds once, each baby step after the
+        first rotates, and so does each giant step after the first, except
+        in an ``unfolded`` schedule, whose giant blocks are handed on
+        unrotated; the p diagonal products are summed by p - 1 adds, of
+        which an unfolded schedule makes only the p - gs inside its giant
+        steps."""
         p = self.shape[0]
         b, gs = self.split
         dup = self.duplicates
+        if self.unfolded:
+            return dup + b - 1, dup + p - gs, p
         return dup + (b - 1) + (gs - 1), dup + p - 1, p
 
     @property
@@ -222,24 +233,27 @@ class MatvecSchedule:
             raise DimensionMismatch(f"the block sum reads {self.reads} slots, more than "
                                     f"{slot_count} (single-ciphertext scope)")
 
-    def block_sum(self, x: np.ndarray) -> np.ndarray:
-        """The giant steps, one array program each. Slot t < L of the
-        result is the sum over giant steps, in order, of
-        sum_d x[t + d] * diag_d[t] (diag_d zero past n), each step's terms
-        reduced in diagonal order: the block sum rotated into place. x holds
-        at least slots [0, L + p - 1) of the duplicated or repeated
-        operand; the babies are rows of one sliding window over it, and a
-        step computes its block's slots [base, base + L) only.
+    def block_sum(self, x: np.ndarray, placed=None):
+        """The giant steps, one array program each. Slot t < L of step
+        base's block is sum_d x[t + d] * diag_d[t] (diag_d zero past n) over
+        its diagonals, reduced in diagonal order, then plus ``placed``'s
+        array of the same step if given (another block sum's giant block
+        read into place, L slots): the block rotated into place. The result
+        is the sum of the blocks in step order, or, for an ``unfolded``
+        schedule, the list of blocks. x holds at least slots [0, L + p - 1)
+        of the duplicated or repeated operand; the babies are rows of one
+        sliding window over it, and a step computes its block's slots
+        [base, base + L) only.
 
-        A permutation operand (W is None) is one gather with the same bits.
-        Column t's only nonzero diagonal is offset[t], so it is
-        v = x[t + offset[t]] when v != 0. Otherwise every term is a signed
-        zero, and the sum is -0.0 only if all of x[t : t + n] have the sign
-        bit set. A non-finite x takes the dense loop, where inf * 0 makes
-        every column that reads it NaN.
+        A permutation operand (W is None) with nothing placed is one gather with
+        the same bits. Column t's only nonzero diagonal is offset[t], so it
+        is v = x[t + offset[t]] when v != 0. Otherwise every term is a
+        signed zero, and the sum is -0.0 only if all of x[t : t + n] have
+        the sign bit set. A non-finite x takes the dense loop, where inf * 0
+        makes every column that reads it NaN.
         """
         L = self.shape[1]
-        if self.W is None:
+        if self.W is None and placed is None:
             read = x[:2 * L - 1]
             if np.isfinite(read).all():
                 t = np.arange(L)
@@ -248,43 +262,60 @@ class MatvecSchedule:
                 all_neg = signs[t + L] - signs[t] == L
                 return np.where(v != 0, v, np.where(all_neg, -0.0, 0.0))
         rows = sliding_window_view(x, L)
-        acc = None
-        for base, diags in self.blocks():
+        acc, unrotated = None, []
+        for step, (base, diags) in enumerate(self.blocks()):
             terms = rows[base:base + len(diags)] * self.diagonals(diags)
             # numpy reduces axis 0 row by row, in the schedule's order; it
             # starts from the identity, and -0.0 + t0 == t0 keeps t0's sign
             block = np.add.reduce(terms, axis=0, initial=-0.0)
-            acc = block if acc is None else acc + block
-        return acc
+            if placed is not None:
+                block = block + placed[step]
+            if self.unfolded:
+                unrotated.append(block)
+            else:
+                acc = block if acc is None else acc + block
+        return unrotated if self.unfolded else acc
 
-    def block_sum_ops(self, ops, a):
+    def block_sum_ops(self, ops, a, giants=None):
         """The block sum op by op, on a ciphertext a before its duplication
         (``duplicates``): the baby rotations, then per giant step the babies
         times its diagonals shifted right by its base, summed in diagonal
-        order, rotated left by the base and added to the sum."""
+        order, plus ``giants``' block of the same step if given, rotated
+        left by the base and added to the sum. An ``unfolded`` schedule
+        returns its giant blocks unrotated instead, as a tuple."""
         if self.duplicates:
             a = ops.add(a, ops.rotate(a, -self.period))
         babies = [ops.rotate(a, i) for i in range(self.split[0])]
-        acc = None
-        for base, diags in self.blocks():
+        acc, unrotated = None, []
+        for step, (base, diags) in enumerate(self.blocks()):
             block = None
             for baby, diag in zip(babies, self.diagonals(diags)):
                 term = ops.mul(baby, np.concatenate((np.zeros(base), diag)))
                 block = term if block is None else ops.add(block, term)
+            if giants is not None:
+                block = ops.add(block, giants[step])
+            if self.unfolded:
+                unrotated.append(block)
+                continue
             block = ops.rotate(block, base)
             acc = block if acc is None else ops.add(acc, block)
-        return acc
+        return tuple(unrotated) if self.unfolded else acc
 
-    def run(self, ops, v, plus=None):
-        """The schedule on v, run by ops: the block sum, plus ``plus`` if
-        given (an unfolded block sum on this schedule's geometry, see the
-        module docstring), then the folds (``ops.run_folds``).
+    def run(self, ops, v, giants=None):
+        """The schedule on v, run by ops: the block sum, each giant step's
+        block plus ``giants``' block of the same step if given (the giant
+        blocks of an unfolded block sum on this schedule's geometry, see
+        the module docstring), then the folds (``ops.run_folds``). An
+        ``unfolded`` schedule returns its giant blocks, unrotated, as a
+        tuple: block i holds step i's sum in slots [base_i, base_i + L).
         v is zero past its n_in values, or repeated if the schedule is.
-        Only slots [0, n_out) of the result are promised."""
-        acc = ops.run_block_sum(v, self)
-        if plus is not None:
-            acc = ops.add(acc, plus)
-        return ops.run_folds(acc, self.folds)
+        Only slots [0, n_out) of the folded result are promised.
+        DimensionMismatch unless giants has one block per giant step."""
+        if giants is not None and len(giants) != self.split[1]:
+            raise DimensionMismatch(f"{len(giants)} giant blocks for a schedule of "
+                                    f"{self.split[1]} giant steps")
+        acc = ops.run_block_sum(v, self, giants)
+        return acc if self.unfolded else ops.run_folds(acc, self.folds)
 
 
 # id(matrix) -> (weak reference to the matrix, {(repeated, over): its schedule}).
@@ -313,7 +344,8 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None) -> Mat
     ``repeated`` says the operand is repeated with period n_in over the
     slots the block sum reads (see the module docstring). With ``over``,
     another schedule's ``shape`` (p, L), W's repeated block sum runs on
-    that geometry, unfolded (shared folds, see the module docstring);
+    that geometry and hands on its giant blocks unrotated and unfolded
+    (shared giant steps and folds, see the module docstring);
     ``over`` needs ``repeated``, and a W that does not fit the geometry
     raises DimensionMismatch.
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +33,7 @@ from hekan.errors import (
     InvalidArgument,
     NonFiniteInput,
     PackingOverflow,
+    ShapeMismatch,
 )
 from hekan.inference import PipelineConfig, encrypt_input, plan_layer
 from hekan.model import random_model
@@ -164,10 +167,12 @@ class TestRepeatPack:
     @pytest.mark.parametrize("arrived", [1, 2, 4, 8, 16])
     def test_arrived_copies_save_their_doublings(self, arrived):
         # g + 2k = 7 packs 8 copies of 3: arrived copies double from there,
-        # keep the mask's one multiply and scale, and clear the slots past them
+        # keep the mask's one multiply and scale, and clear the slots past
+        # them; the ciphertext states its copies' width, as encrypt_input's
         x = np.array([0.5, -0.25, 0.75])
         be = backend(slots=64)
-        ct = be.encrypt(np.concatenate((np.tile(x, arrived), [9.0])))
+        ct = replace(be.encrypt(np.concatenate((np.tile(x, arrived), [9.0]))),
+                     copies=arrived, width=3)
         xp = repeat_pack(ct, g=3, k=2, n_i=3, scale=0.5, arrived=arrived)
         copies = max(8, arrived)
         assert be.counter.rotations == max(0, 3 - arrived.bit_length() + 1)
@@ -254,6 +259,26 @@ class TestPackOperand:
         before = be.counter.copy(), be._rng.bit_generator.state
         with pytest.raises(error):
             pack_operand(ct, mdl.layers[0].grid, copies)
+        assert (be.counter, be._rng.bit_generator.state) == before
+
+
+    @pytest.mark.parametrize("arrival", ["raw", "encrypt_input"])
+    def test_another_width_runs_no_op(self, arrival):
+        # 16 copies of 3 slots, or one, fed to a grid of n_i = 4: the
+        # copies would be read as misaligned 4-slot blocks
+        G = GridMatrix.uniform(4, 5, 2, -1, 1)
+        mdl = random_model([3, 1], g=5, k=2, seed=0)
+        be = HeBackend(BackendConfig(slot_count=256, depth_budget=10, noise_std=1e-12,
+                                     rng_seed=0))
+        x = np.random.default_rng(0).uniform(-1, 1, 3)
+        ct = be.encrypt(x) if arrival == "raw" else encrypt_input(x, mdl, be)
+        assert (ct.copies, ct.width) == ((1, 3) if arrival == "raw" else (16, 3))
+        before = be.counter.copy(), be._rng.bit_generator.state
+        with pytest.raises(ShapeMismatch, match="input of width 3 for a layer of n_i = 4"):
+            pack_operand(ct, G)
+        if ct.copies > 1:
+            with pytest.raises(ShapeMismatch):
+                repeat_pack(ct, G.g, G.k, G.n_i, G.scale, ct.copies)
         assert (be.counter, be._rng.bit_generator.state) == before
 
 
@@ -386,7 +411,7 @@ class TestEncryptedBasis:
         included (the slot count is the width the basis reads,
         n_i * basis_copies(g, k), rounded up to a power of two, or twice
         that), also when the input holds values past slot
-        n_i, as a hidden layer's does. The basis runs on pack_operand's
+        n_i, as a hidden layer's does (and, like it, states width n_i). The basis runs on pack_operand's
         output, in comparator units, with R drawn so that 1/(2R) rounds.
         About half the features sit exactly on an interior knot t_m, where
         the two order-0 blocks that meet there read the same step(0) (1/2),
@@ -404,7 +429,8 @@ class TestEncryptedBasis:
                           for i, xi in enumerate(v[:n_i])])
         valid = n_i * (g + k)
         for comp in (build_composite_sign(), EXACT_COMPARATOR):
-            he = bspline_basis_he(pack_operand(backend(slots).encrypt(v), G), G, comp).slots
+            ct = replace(backend(slots).encrypt(v), width=n_i)
+            he = bspline_basis_he(pack_operand(ct, G), G, comp).slots
             clear = bspline_basis_he(pack_operand(v, G), G, comp)
             assert np.array_equal(he[:valid].view(np.int64), clear[:valid].view(np.int64))
             assert np.all(he[valid:] == 0.0) and np.all(clear[valid:] == 0.0)

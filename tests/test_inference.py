@@ -397,29 +397,85 @@ class TestWideMatvec:
 
 
 class TestSharedFolds:
-    """A repeated product on another matrix's geometry, left unfolded, then
-    added before that matrix's folds: the folded sum holds both products."""
+    """A repeated product on another matrix's geometry hands on its giant
+    blocks unrotated and unfolded; that matrix adds each to its own block
+    of the same giant step before the step's rotation, and its folds
+    finish both products: the second product pays its b - 1 baby
+    rotations only."""
 
     @pytest.mark.parametrize("a_shape, b_shape", [((10, 64), (10, 320)), ((1, 5), (1, 40)),
                                                   ((3, 4), (3, 16)), ((4, 8), (5, 40))])
     def test_one_fold_chain_gives_both_products(self, a_shape, b_shape):
         rng = np.random.default_rng(a_shape[1])
         A, B = rng.normal(size=a_shape), rng.normal(size=b_shape)
-        x, v = rng.normal(size=A.shape[1]), rng.normal(size=B.shape[1])
-        geometry = matvec_schedule(B).shape
+        self._check(A, B, rng.normal(size=A.shape[1]), rng.normal(size=B.shape[1]), 0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(p0=st.integers(1, 12), j=st.integers(1, 3), sigma=st.sampled_from([0.0, 1e-12]),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_shared_giant_law(self, p0, j, sigma, seed, data):
+        # B is wide: n_in = p0 * 2^j >= 2 n_o, so its schedule folds; A
+        # fits B's geometry: at most p rows, and a period dividing L (any
+        # period up to L on one diagonal)
+        n_o = data.draw(st.integers(1, p0), label="n_o")
+        B = np.random.default_rng(seed).normal(size=(n_o, p0 << j))
+        p, L = matvec_schedule(B).shape
+        periods = [d for d in range(1, L + 1) if p == 1 or L % d == 0]
+        a_shape = (data.draw(st.integers(1, p), label="a_rows"),
+                   data.draw(st.sampled_from(periods), label="a_period"))
+        rng = np.random.default_rng(seed + 1)
+        A = rng.normal(size=a_shape)
+        self._check(A, B, rng.normal(size=a_shape[1]), rng.normal(size=B.shape[1]), sigma)
+
+    @staticmethod
+    def _check(A, B, x, v, sigma):
+        """The encrypted pair on B's geometry against the cleartext sum,
+        the mirror, the rotation law and, op by op, the fused kernel's
+        counts and one noise draw per counted op."""
+        own, geometry = matvec_schedule(B), matvec_schedule(B).shape
         shared = matvec_schedule(A, True, geometry)
-        assert shared.shape == geometry and not shared.folds and matvec_schedule(B).folds
-        reads = -(-shared.reads // A.shape[1])
-        be = cleartext(slots=4096)
-        repeated = np.tile(x, reads)
-        a_sum = bsgs_matvec(A, be.encrypt(repeated), repeated=True, over=geometry)
-        out = bsgs_matvec(B, be.encrypt(v), plus=a_sum)
-        n_o = B.shape[0]
-        expect = np.pad(A @ x, (0, n_o - A.shape[0])) + B @ v  # A padded with zero rows
-        np.testing.assert_allclose(out.slots[:n_o], expect, atol=1e-12)
-        mirrored = bsgs_matvec(B, v, plus=bsgs_matvec(A, repeated, True, geometry))
+        assert shared.shape == geometry and not shared.folds and own.folds
+        assert shared.split == own.split
+        repeated = np.tile(x, -(-shared.reads // A.shape[1]))
+        # slot r < p of the folded sum holds row r of both products, each
+        # padded with zero rows to p
+        n_o, L = max(A.shape[0], B.shape[0]), geometry[1]
+        slots = 1 << (4 * L - 1).bit_length()
+
+        def run(noise_std):
+            be = HeBackend(BackendConfig(slot_count=slots, depth_budget=4,
+                                         noise_std=noise_std))
+            a, w = be.encrypt(repeated), be.encrypt(v)
+            draws = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(HeBackend, "_noise", lambda self, _run=HeBackend._noise:
+                           draws.append(1) or _run(self))
+                giants = bsgs_matvec(A, a, repeated=True, over=geometry)
+                out = bsgs_matvec(B, w, giants=giants)
+            assert isinstance(giants, tuple) and len(giants) == own.split[1]
+            assert all(g.level == a.level - 1 for g in giants)
+            assert out.level == a.level - 1
+            return be, out, len(draws)
+
+        be, out, _ = run(0.0)
+        expect = np.pad(A @ x, (0, n_o - A.shape[0])) + np.pad(B @ v, (0, n_o - B.shape[0]))
+        np.testing.assert_allclose(out.slots[:n_o], expect, rtol=0, atol=1e-12)
+        mirrored = bsgs_matvec(B, v, giants=bsgs_matvec(A, repeated, True, geometry))
         assert np.array_equal(out.slots[:n_o].view(np.int64), mirrored[:n_o].view(np.int64))
-        assert be.counter.rotations == shared.rotations + matvec_schedule(B).rotations
+        b = shared.split[0]
+        assert shared.rotations == b - 1
+        assert be.counter.rotations == (b - 1) + own.rotations
+        if sigma:
+            noisy, out, draws = run(sigma)
+            c = noisy.counter
+            assert (c.rotations, c.adds, c.pt_mults) == (
+                be.counter.rotations, be.counter.adds, be.counter.pt_mults)
+            assert draws == c.adds + c.subs + c.ct_mults + c.pt_mults  # the encryptions' are not seen
+            # every draw reaches the output at most scaled by a column sum
+            # of |A| or |B|, and every one of L slots is folded in
+            scale = 1 + np.abs(A).sum(axis=0).max() + np.abs(B).sum(axis=0).max()
+            bound = 10 * sigma * scale * math.sqrt(draws * L)
+            np.testing.assert_allclose(out.slots[:n_o], expect, rtol=0, atol=1e-12 + bound)
 
     def test_geometry_must_fit(self):
         with pytest.raises(InvalidArgument):
@@ -1062,9 +1118,9 @@ class TestSiluReadsThePackedInput:
         ct = encrypt_input(x, mdl, be)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            def spy(W, v, repeated=False, over=None, plus=None, _run=inference.bsgs_matvec):
+            def spy(W, v, repeated=False, over=None, giants=None, _run=inference.bsgs_matvec):
                 before = be.counter.copy()
-                out = _run(W, v, repeated, over, plus)
+                out = _run(W, v, repeated, over, giants)
                 calls.append((W, repeated, over, be.counter.since(before)))
                 return out
 
@@ -1177,9 +1233,10 @@ class TestSiluReadsThePackedInput:
 
 
 class TestOneFoldChain:
-    """One comparator call per layer, and one fold chain when W_b's block
-    sum on the last spline map's geometry saves rotations (ties: plaintext
-    multiplies) and the SiLU branch is no deeper than the spline branch."""
+    """One comparator call per layer, and one set of giant rotations and
+    one fold chain when W_b's block sum on the last spline map's geometry
+    saves rotations (ties: plaintext multiplies) and the SiLU branch is no
+    deeper than the spline branch."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n_i=st.integers(1, 12), n_o=st.integers(1, 12), g=st.integers(1, 6),
@@ -1203,9 +1260,9 @@ class TestOneFoldChain:
         ct = encrypt_input(x, mdl, be)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            def spy(W, v, repeated=False, over=None, plus=None, _run=inference.bsgs_matvec):
-                calls.append((W, over, plus is not None))
-                return _run(W, v, repeated, over, plus)
+            def spy(W, v, repeated=False, over=None, giants=None, _run=inference.bsgs_matvec):
+                calls.append((W, over, giants is not None))
+                return _run(W, v, repeated, over, giants)
 
             mp.setattr(inference, "bsgs_matvec", spy)
             out = layer_forward_he(layer, ct, cfg)
@@ -1240,8 +1297,9 @@ class TestOneFoldChain:
         # the closed form: packing and the doublings up to the copies both
         # branches read, less those the client's copies save, the
         # telescoping rotation, one per recursion order, W_b's block sum
-        # (folds included when it keeps them), the spline maps (the last
-        # one's folds shared when W_b's are not its own)
+        # (giant rotations and folds included when it keeps them; its baby
+        # rotations alone when shared), the spline maps (the last one's
+        # giant rotations and folds shared when W_b's are not its own)
         alone = HeBackend(BackendConfig(slot_count=4, depth_budget=plan.total))
         eval_poly_he(alone.encrypt([0.1]), layer.packed_silu_poly)
         poly_comp(alone.encrypt([0.1]), 0.0, comparator)
@@ -1397,8 +1455,8 @@ class TestPlanStagesJoinMeasuredDrops:
         (name, first argument, level in, level out), the layer's own call
         last. The plan must be cached already, or its probe run would be
         traced too."""
-        def level(obj):
-            return obj.level
+        def level(obj):  # a shared W_b's giant blocks: the first one's, as perfbench reads it
+            return (obj[0] if isinstance(obj, tuple) else obj).level
 
         events = []
         with pytest.MonkeyPatch.context() as mp:
@@ -1782,13 +1840,14 @@ class TestBench:
     def test_table_config_op_counts_are_pinned(self):
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15
         # slots; the input arrives as basis_copies(g, k) copies, so layer 0
-        # packs with no rotation
+        # packs with no rotation, and W_b shares the last map's giant
+        # rotations and folds
         pinned = {
-            "(64,3,2)": {"lazy": (19, 43, 24), "naive": (54, 363, 24)},
-            "(128,5,3)": {"lazy": (23, 56, 25), "naive": (86, 1080, 25)},
-            "(256,5,3)": {"lazy": (24, 56, 25), "naive": (114, 2104, 25)},
-            "(256,10,3)": {"lazy": (25, 50, 25), "naive": (140, 3378, 25)},
-            "(256,10,5)": {"lazy": (27, 56, 27), "naive": (150, 3896, 27)},
+            "(64,3,2)": {"lazy": (17, 43, 24), "naive": (52, 363, 24)},
+            "(128,5,3)": {"lazy": (20, 56, 25), "naive": (83, 1080, 25)},
+            "(256,5,3)": {"lazy": (21, 56, 25), "naive": (111, 2104, 25)},
+            "(256,10,3)": {"lazy": (22, 50, 25), "naive": (137, 3378, 25)},
+            "(256,10,5)": {"lazy": (24, 56, 27), "naive": (147, 3896, 27)},
         }
         configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
         rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,
@@ -1798,6 +1857,23 @@ class TestBench:
             measured.setdefault(row["config"], {})[row["path"]] = (
                 row["rotations"], row["pt_mults"], row["ct_mults"])
         assert measured == pinned
+
+    def test_two_layer_op_counts_are_pinned(self):
+        # perfbench's kan_small model, [2, 5, 1] with g = 5, k = 3, on the
+        # lazy path at 2^15 slots: layer 0 keeps W_b's own schedule, and
+        # layer 1's one-row W_b shares the last map's geometry on p = 1,
+        # where there is no giant step to share
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=3)
+        cfg = PipelineConfig()
+        layouts = [inference._layout(layer, "lazy", cfg.comparator(), 2 ** 15)
+                   for layer in mdl.layers]
+        assert layouts[0].over is None
+        assert layouts[1].over is not None and layouts[1].over[0] == 1
+        be = HeBackend(BackendConfig(slot_count=2 ** 15, depth_budget=plan_model(mdl, cfg).total))
+        ct = encrypt_input(np.array([0.3, -0.6]), mdl, be)
+        out, _ = model_forward_he(mdl, ct, cfg)
+        c = be.counter
+        assert (c.rotations, c.pt_mults, c.ct_mults, ct.level - out.level) == (25, 60, 50, 30)
 
     def test_determinism_across_runs(self):
         kwargs = dict(slot_count=512, depth_budget=40, n_o=3, seed=5)
