@@ -1,7 +1,7 @@
 """Encrypted B-spline machinery.
 
 Packs an input vector in repeat layout with logarithmically many rotations
-into one operand in comparator units (``pack_operand``, the one builder of
+into one operand in comparator units (``repeat_pack``, the one builder of
 what the basis and the layer's SiLU branch read), evaluates all B-spline
 basis functions in parallel on it through comparator-based interval tests
 (one comparator call over every knot column) and the Cox-de Boor
@@ -12,7 +12,7 @@ the basis output feed a linear layer without any homomorphic reordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,8 +38,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class GridMatrix:
-    """Per-input-feature knot matrix: n_i rows of g + 2k + 1 knots, with
-    g >= 1 and k >= 0 (InvalidArgument otherwise).
+    """Per-input-feature knot matrix: n_i >= 1 rows of g + 2k + 1 knots
+    (DimensionMismatch otherwise), with g >= 1 and k >= 0
+    (InvalidArgument otherwise).
 
     Rows must be strictly increasing; repeated knots would put a zero in the
     recursion denominators and are rejected up front. R bounds |input| and
@@ -58,9 +59,10 @@ class GridMatrix:
         entries = np.array(self.entries, dtype=float)  # own copy, frozen below
         object.__setattr__(self, "entries", entries)
         entries.setflags(write=False)
-        if entries.ndim != 2 or entries.shape[1] != self.g + 2 * self.k + 1:
-            raise DimensionMismatch(
-                f"grid needs shape (n_i, {self.g + 2 * self.k + 1}), got {entries.shape}")
+        if (entries.ndim != 2 or entries.shape[0] < 1
+                or entries.shape[1] != self.g + 2 * self.k + 1):
+            raise DimensionMismatch(f"grid needs shape (n_i >= 1, {self.g + 2 * self.k + 1}), "
+                                    f"got {entries.shape}")
         if not (np.all(np.isfinite(entries)) and math.isfinite(self.R)):
             raise NonFiniteInput("knots and R must be finite")
         if np.any(np.diff(entries, axis=1) <= 0):
@@ -146,19 +148,13 @@ class PermutationSpec:
 # ---------------------------------------------------------------------------
 
 
-def pack_rotations(g: int, k: int) -> int:
-    """Rotations the fast packing consumes: ceil(log2(g + 2k))."""
-    copies = g + 2 * k
-    return 0 if copies <= 1 else math.ceil(math.log2(copies))
-
-
 def _check_copies(slot_count: int, n_i: int, copies: int) -> None:
     """The one fit law of the packed layout: raise PackingOverflow unless
     copies blocks of n_i slots fit in slot_count, before any op reads them.
     Every packed copy count obeys it, under one error: the client's
-    (``inference.encrypt_input``), the packing's (``repeat_pack``), the
-    operand's (``pack_operand``, at the copies the layer reads,
-    ``inference._layout``) and the basis's (``bspline_basis_he``)."""
+    (``inference.encrypt_input``), the packing's (``repeat_pack``, at the
+    copies the layer reads, ``inference._layout``) and the basis's
+    (``bspline_basis_he``)."""
     if n_i * copies > slot_count:
         raise PackingOverflow(f"{copies} copies of {n_i} slots exceed {slot_count} slots")
 
@@ -170,6 +166,11 @@ def _check_width(ct, n_i: int) -> None:
     width = getattr(ct, "width", None)
     if width not in (None, n_i):
         raise ShapeMismatch(f"input of width {width} for a layer of n_i = {n_i}")
+
+
+def _check_power_of_two(name: str, copies) -> None:
+    if not _is_int(copies) or copies < 1 or copies & (copies - 1):
+        raise InvalidArgument(f"{name} must be a power of two, got {copies!r}")
 
 
 def _double_copies(x, n_i: int, copies: int, target: int):
@@ -187,84 +188,47 @@ def _double_copies(x, n_i: int, copies: int, target: int):
 def basis_copies(g: int, k: int) -> int:
     """Copies of the input the basis reads: 2^ceil(log2(g + 2k + 1)),
     which hold the g + 2k + 1 its one comparator call needs, and the
-    copies ``pack_operand`` makes by default. That is repeat_pack's
-    2^ceil(log2(g + 2k)) copies, doubled once more when g + 2k is a power
-    of two."""
+    copies ``repeat_pack`` makes by default. That is the paper's g + 2k
+    copies, rounded up to a power of two, doubled once more when g + 2k is
+    a power of two."""
     return 1 << (g + 2 * k).bit_length()
 
 
-def _packed_copies(g: int, k: int, arrived: int) -> int:
-    """The copies repeat_pack hands on: max(arrived, 2^ceil(log2(g + 2k)))."""
-    return max(arrived, 1 << pack_rotations(g, k))
+def repeat_pack(ct: CipherText, G: GridMatrix, copies: int | None = None) -> CipherText:
+    """Fast repeat packing, the one builder of the operand the basis reads
+    (and the layer's SiLU branch with it), on a ciphertext or an array
+    (the mirror): ct's n_i input slots times G.scale, the comparator's
+    unit, as ``copies`` copies back to back over a zero tail. copies
+    defaults to ``basis_copies(g, k)``; the layer program passes its
+    layout's (``inference.LayerLayout.copies``), a power-of-two multiple
+    of it.
 
-
-def repeat_pack(ct: CipherText, g: int, k: int, n_i: int,
-                scale: float = 1.0, arrived: int = 1) -> CipherText:
-    """Fast repeat packing: one mask multiply plus doubling rotations, on a
-    ciphertext or an array (the mirror). ct holds ``arrived`` copies of
-    the input's n_i slots back to back (a power of two: one for a raw
-    encryption or a hidden layer's output, more when the client encrypted
-    them, ``encrypt_input``). The result holds them, times scale, as
-    max(arrived, 2^ceil(log2(g+2k))) copies back to back: the mask
-    full(n_i * arrived, scale) keeps the arrived copies, and the doublings
-    start from them, so arrived copies save as many rotations as they
-    double. The mask carries the scale at no extra cost. The result's
-    tail, past the copies, is zero. Each doubling adds exact zeros, so
-    every copy holds the value of copy 0 however many arrived (a doubling
-    turns a -0 into +0). This is the first step of ``pack_operand``, which
-    packs with the grid's scale and doubles on to the copies the basis
-    reads; the basis needs that operand, not this one.
-
-    PackingOverflow is raised before any op unless those copies fit in the
-    slot vector (the packed layout's fit law, ``_check_copies``); else the
-    final shift would wrap onto the front copies.
-    InvalidArgument if arrived is not a power of two, and ShapeMismatch
-    (``_check_width``) if more than one copy arrived and ct states a width
-    other than n_i.
-    """
-    if not _is_int(arrived) or arrived < 1 or arrived & (arrived - 1):
-        raise InvalidArgument(f"arrived copies must be a power of two, got {arrived!r}")
-    if arrived > 1:
-        _check_width(ct, n_i)
-    ops = _ops_of(ct)
-    copies = _packed_copies(g, k, arrived)
-    _check_copies(ops.slot_count, n_i, copies)
-    return _double_copies(ops.mul(ct, np.full(n_i * arrived, scale)), n_i, arrived, copies)
-
-
-def pack_operand(ct: CipherText, G: GridMatrix, copies: int | None = None) -> CipherText:
-    """The one builder of the packed operand the basis reads (and the
-    layer's SiLU branch with it), on a ciphertext or an array (the
-    mirror): ct's n_i input slots times G.scale, the comparator's unit, as
-    ``copies`` copies back to back over a zero tail. copies defaults to
-    ``basis_copies(g, k)``; the layer program passes its layout's
-    (``inference.LayerLayout.copies``), a power-of-two multiple of it.
-
-    Three steps. The copies ct arrived with (``ct.copies``, set by
+    One mask multiply, then one doubling chain (``_double_copies``). ct
+    arrives holding ``ct.copies`` copies (set by
     ``inference.encrypt_input``; 1 for an array or a raw ``encrypt``),
-    capped at copies; ``repeat_pack`` with the grid's scale, whose mask
-    carries it at no extra multiply and keeps the arrived copies; then
-    ``_double_copies`` from the copies it hands on up to copies. It costs
-    one level (the mask) and at most log2(copies) rotations, one fewer per
-    doubling of the copies that arrived. The basis needs the last doubling
-    too: fed ``repeat_pack``'s copies alone, GridMatrix.uniform(4, 10, 3,
-    -1, 1) (g + 2k = 16 copies, one fewer than the comparator call reads)
-    is 0.68 off the exact basis at x = 1.919, between its last knot and R.
+    capped at copies; the mask full(n_i * arrived, G.scale) keeps them and
+    carries the scale at no extra cost, and the doublings start from them,
+    so the copies that arrived save as many rotations as they double. It
+    costs one level (the mask) and log2(copies / arrived) rotations. Each
+    doubling adds exact zeros, so every copy holds the value of copy 0
+    however many arrived (a doubling turns a -0 into +0). A ciphertext
+    result states its copies and width n_i.
 
-    Raises before any op: ShapeMismatch when ct states a width other than
-    n_i (``_check_width``), InvalidArgument unless copies is a power of two
-    of at least basis_copies(g, k), then PackingOverflow unless n_i *
-    copies slots fit (the packed layout's fit law, ``_check_copies``)."""
-    g, k, n_i = G.g, G.k, G.n_i
-    _check_width(ct, n_i)
-    basis = basis_copies(g, k)
-    copies = basis if copies is None else copies
-    if not _is_int(copies) or copies < basis or copies & (copies - 1):
-        raise InvalidArgument(f"copies must be a power of two of at least {basis}, got {copies!r}")
-    _check_copies(_ops_of(ct).slot_count, n_i, copies)
+    Raises before any op: InvalidArgument unless copies and the arrived
+    copies are powers of two, ShapeMismatch when ct states a width other
+    than n_i (``_check_width``), then PackingOverflow unless n_i * copies
+    slots fit (the packed layout's fit law, ``_check_copies``); else the
+    final shift would wrap onto the front copies."""
+    n_i = G.n_i
+    copies = basis_copies(G.g, G.k) if copies is None else copies
+    _check_power_of_two("copies", copies)
     arrived = min(getattr(ct, "copies", 1), copies)
-    packed = repeat_pack(ct, g, k, n_i, G.scale, arrived)
-    return _double_copies(packed, n_i, _packed_copies(g, k, arrived), copies)
+    _check_power_of_two("arrived copies", arrived)
+    _check_width(ct, n_i)
+    ops = _ops_of(ct)
+    _check_copies(ops.slot_count, n_i, copies)
+    xp = _double_copies(ops.mul(ct, np.full(n_i * arrived, G.scale)), n_i, arrived, copies)
+    return replace(xp, copies=copies, width=n_i) if isinstance(xp, CipherText) else xp
 
 
 def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:
@@ -303,7 +267,7 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 
 
 def basis_depth(k: int, comparator) -> int:
-    """Levels bspline_basis_he consumes from its input, ``pack_operand``'s
+    """Levels bspline_basis_he consumes from its input, ``repeat_pack``'s
     output, read off one run on a probe backend: for k >= 1,
     max(comparator.depth(), 1) + k."""
     ct = _Probe().encrypt(0.0)
@@ -355,7 +319,7 @@ def basis_tiles(G: GridMatrix):
 
 
 def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
-    """All-basis evaluation on xp, ``pack_operand``'s output: the input in
+    """All-basis evaluation on xp, ``repeat_pack``'s output: the input in
     comparator units (times G.scale, as the knot tiles are, basis_tiles)
     as at least basis_copies(g, k) copies over a zero tail, a ciphertext
     or an array (the mirror). Interval membership comes from one
@@ -363,11 +327,20 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     step h differs from itself read one block ahead by the order-0 basis,
     then the slot-parallel Cox-de Boor recursion, one rotation per order.
     Slot m * n_i + i of the result holds B_m(x_i) for m < g + k. The
-    public composition is ``bspline_basis_he(pack_operand(ct, G), G,
+    public composition is ``bspline_basis_he(repeat_pack(ct, G), G,
     comparator)``; copies past the g + 2k + 1 the call reads hold the same
-    values and change nothing. PackingOverflow is raised before any op
-    unless n_i * basis_copies(g, k) slots fit (the packed layout's fit
-    law, ``_check_copies``).
+    values and change nothing.
+
+    Raises before any op: PackingOverflow unless n_i * basis_copies(g, k)
+    slots fit (the packed layout's fit law, ``_check_copies``), then
+    ShapeMismatch when xp visibly holds fewer copies than that: a
+    ciphertext stating width n_i with fewer ``copies`` (a raw
+    ``encrypt``, or one packed short), or an array shorter than
+    n_i * basis_copies(g, k). Read as packed, such an operand gives a
+    wrong basis: GridMatrix.uniform(4, 10, 3, -1, 1) packed to the
+    paper's g + 2k = 16 copies, one fewer than the comparator call reads,
+    is 0.68 off the exact basis at x = 1.919, between its last knot and R.
+    A scalar (the depth probe's) or a width-less ciphertext passes.
 
     With exact steps, step(t_{m+1} - x) = 1 - step(x - t_{m+1}), so the
     order-0 basis step(x - t_m) * step(t_{m+1} - x) is
@@ -387,7 +360,12 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     (the range contract, KanModel.check_input_range) keeps every
     comparator operand in [-1, 1]."""
     ops = _ops_of(xp)
-    _check_copies(ops.slot_count, G.n_i, basis_copies(G.g, G.k))
+    basis = basis_copies(G.g, G.k)
+    _check_copies(ops.slot_count, G.n_i, basis)
+    if (xp.width == G.n_i and xp.copies < basis if isinstance(xp, CipherText)
+            else np.ndim(xp) and np.size(xp) < G.n_i * basis):
+        raise ShapeMismatch(f"the basis reads {basis} copies of {G.n_i} slots, "
+                            "more than its operand holds: pack it with repeat_pack")
     knots, orders = G.tiles
     h = poly_comp(xp, knots, comparator)
     b = steps = ops.sub(h, ops.rotate(h, G.n_i))

@@ -1,7 +1,7 @@
 """Encrypted KAN inference pipeline.
 
-Wires the pieces together per layer: the input is packed by one builder,
-``bspline.pack_operand`` (layer 0's arrives already replicated by the
+Wires the pieces together per layer: the input is packed by one call,
+``bspline.repeat_pack`` (layer 0's arrives already replicated by the
 client, ``encrypt_input``), and both the activation-polynomial branch and
 the B-spline branch (one comparator call over every knot column) read that
 one packed operand; baby-step/giant-step matrix-vector products join them. When W_b's block
@@ -39,7 +39,7 @@ from .approx import (
     eval_poly_he,
 )
 from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make_backend
-from .bspline import GridMatrix, _check_copies, basis_copies, bspline_basis_he, pack_operand
+from .bspline import GridMatrix, _check_copies, basis_copies, bspline_basis_he, repeat_pack
 from .errors import (
     DepthBudgetInfeasible,
     InvalidArgument,
@@ -164,7 +164,8 @@ def bsgs_matvec(W, v: CipherText, repeated: bool = False, over: tuple | None = N
     the layer's packed input does: no duplication, and a tall W takes n_in
     diagonals over n_o slots. The result is valid in slots [0, n_o); other
     slots may hold partial sums. Consumes one level; DimensionMismatch is
-    raised before any op when the schedule does not fit one ciphertext.
+    raised before any op when W is not a non-empty matrix (a vector is
+    one row) or the schedule does not fit one ciphertext.
     The schedule follows the shape (see ``matvec_schedule``); its
     baby/giant split is derived from the matrix (``MatvecSchedule.split``).
     The schedule's ``rotations`` and ``pt_mults`` give the exact counts. A
@@ -333,27 +334,33 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     vector of x.width = n_i slots (a raw ``encrypt``), or a previous
     layer's output (one copy of x.width = its n_o slots); an array's first
     n_i slots hold the input (width None). Another width raises
-    ShapeMismatch before any op (``pack_operand``).
+    ShapeMismatch before any op (``repeat_pack``).
 
-    The program: the input packed in one call, ``bspline.pack_operand``,
-    into the layout's copies (``LayerLayout.copies``: the basis's
-    ``basis_copies(g, k)``, or the power-of-two multiple of them that
-    W_b's reads need) in comparator units, the grid's 1/(2R), over a zero
-    tail; the copies that arrived save their doublings. Both branches
-    read that one operand: the activation branch (the packed SiLU
-    polynomial, then W_b's block sum on the repeated operand) and the
-    spline branch (the basis, then the path's linear maps, each on a
-    zero-tail operand). When W_b's block sum runs on the last map's
-    geometry (``LayerLayout.over``), it hands on its giant-step blocks
-    unrotated, the last map adds each to its own before that step's
-    rotation, and one set of giant rotations and one fold chain finish
-    both branches; otherwise W_b folds
-    on its own and the two outputs are added. Slots [0, n_o) hold the
-    output; a ciphertext result states its width, n_o."""
+    The program: the input packed in one call, ``bspline.repeat_pack``
+    (one mask multiply and one doubling chain), into the layout's copies
+    (``LayerLayout.copies``: the basis's ``basis_copies(g, k)``, or the
+    power-of-two multiple of them that W_b's reads need) in comparator
+    units, the grid's 1/(2R), over a zero tail; the copies that arrived
+    save their doublings. Both branches read that one operand: the
+    activation branch (the packed SiLU polynomial, then W_b's block sum on
+    the repeated operand) and the spline branch (the basis, then the
+    path's linear maps, each on a zero-tail operand). When W_b's block sum
+    runs on the last map's geometry (``LayerLayout.over``), it hands on
+    its giant-step blocks unrotated, the last map adds each to its own
+    before that step's rotation, and one set of giant rotations and one
+    fold chain finish both branches; otherwise W_b folds on its own and
+    the two outputs are added. Slots [0, n_o) hold the output; a
+    ciphertext result states its width, n_o.
+
+    perfbench's traced join reads these public calls, so a refactor must
+    keep them: ``bspline.repeat_pack`` (its one-level drop),
+    ``approx.eval_poly_he`` called directly here, ``approx.poly_comp``,
+    ``bspline.bspline_basis_he``, and ``inference.bsgs_matvec`` with
+    ``layer.W_b`` or a spline map as its first argument."""
     layer.check_supported()
     ops = _ops_of(x)
     layout = _layout(layer, path, comparator, ops.slot_count)
-    xp = pack_operand(x, layer.grid, layout.copies)
+    xp = repeat_pack(x, layer.grid, layout.copies)
     ops._stage("repeat_pack", x, xp)
     poly = eval_poly_he(xp, layer.packed_silu_poly)
     ops._stage("silu_poly", xp, poly)

@@ -384,6 +384,8 @@ def _build_schedule(W, repeated: bool, over: tuple | None) -> MatvecSchedule:
         n = W.size
         return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n, repeated)
     W = np.atleast_2d(np.asarray(W, dtype=float))
+    if W.ndim != 2 or 0 in W.shape:
+        raise DimensionMismatch(f"W must be a non-empty matrix, got shape {W.shape}")
     n_o, n_in = W.shape
     if over is not None:
         p, L = over

@@ -70,8 +70,10 @@ class KanLayer:
     first use (``packed_silu_poly``, ``w_prime``, ``w_fused``, the matvec
     schedules and their diagonals) cannot go stale: rebinding a field raises
     FrozenInstanceError, an in-place write ValueError. To change a weight,
-    build a new layer (``dataclasses.replace``). W_b, S and silu_poly's
-    coefficients must be finite (NonFiniteInput)."""
+    build a new layer (``dataclasses.replace``). W_b must be an n_o x n_i
+    matrix with n_o >= 1, its grid n_i rows and S of its shape
+    (DimensionMismatch otherwise); W_b, S and silu_poly's coefficients must
+    be finite (NonFiniteInput)."""
 
     W_b: np.ndarray          # (n_o, n_i)
     S: np.ndarray            # (n_o, n_i, g + k)
@@ -84,8 +86,8 @@ class KanLayer:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.W_b.ndim != 2:
-            raise DimensionMismatch("W_b must be 2-D")
+        if self.W_b.ndim != 2 or self.W_b.shape[0] < 1:
+            raise DimensionMismatch(f"W_b must be 2-D with n_o >= 1, got shape {self.W_b.shape}")
         n_o, n_i = self.W_b.shape
         if self.S.shape != (n_o, n_i, self.grid.n_basis):
             raise DimensionMismatch(
@@ -180,6 +182,8 @@ class KanModel:
     def __post_init__(self):
         if not self.layers:
             raise DimensionMismatch("model needs at least one layer")
+        if len(self.input_shape) != 3:
+            raise DimensionMismatch(f"input shape {self.input_shape} is not (h, w, c)")
         h, w, c = self.input_shape
         if h * w * c != self.layers[0].n_i:
             raise DimensionMismatch(

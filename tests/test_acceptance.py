@@ -15,8 +15,6 @@ from hekan.bspline import (
     GridMatrix,
     bspline_basis_he,
     bspline_basis_plain,
-    pack_operand,
-    pack_rotations,
     repeat_pack,
     repeat_pack_naive,
 )
@@ -76,19 +74,19 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_repeat_packing_rotation_law():
-    """Fast packing uses exactly ceil(log2(g+2k)) rotations for
-    g+2k in 2..64 and n_i in {4, 64}; the naive reference uses g+2k-1."""
+    """Fast packing to 2^ceil(log2(g+2k)) copies uses exactly
+    ceil(log2(g+2k)) rotations for g+2k in 2..64 and n_i in {4, 64}; the
+    naive reference uses g+2k-1."""
     bcfg = BackendConfig(slot_count=8192, depth_budget=4)
     checked = 0
     for n_i in (4, 64):
         for copies in range(2, 65):
             g, k = (copies - 2, 1) if copies >= 3 else (copies, 0)
             expected = int(np.ceil(np.log2(copies)))
-            assert pack_rotations(g, k) == expected
 
             be = HeBackend(bcfg)
             ct = be.encrypt(np.arange(1.0, n_i + 1))
-            packed = repeat_pack(ct, g, k, n_i)
+            packed = repeat_pack(ct, GridMatrix.uniform(n_i, g, k, -1.0, 1.0), 2 ** expected)
             assert be.counter.rotations == expected, (n_i, copies)
             blocks = packed.slots[: n_i * copies].reshape(copies, n_i)
             np.testing.assert_array_equal(blocks, np.tile(blocks[0], (copies, 1)))
@@ -180,7 +178,7 @@ def test_criterion_5_bspline_correctness():
     for start in range(0, 1000, 4):
         x = pts[start:start + 4]
         be = HeBackend(bcfg)
-        xp = pack_operand(be.encrypt(x), G)
+        xp = repeat_pack(be.encrypt(x), G)
         bv = bspline_basis_he(xp, G, EXACT_COMPARATOR)
         sums = bv.slots[: 4 * G.n_basis].reshape(G.n_basis, 4).sum(axis=0)
         worst_he = max(worst_he, float(np.max(np.abs(sums - 1.0))))
@@ -198,7 +196,7 @@ def test_criterion_5_bspline_correctness():
     for start in range(0, sweep.size - 3, 4):
         x = sweep[start:start + 4]
         be = HeBackend(bcfg_c)
-        xp = pack_operand(be.encrypt(x), Gc)
+        xp = repeat_pack(be.encrypt(x), Gc)
         bv = bspline_basis_he(xp, Gc, cs)
         vals = bv.slots[: 4 * Gc.n_basis].reshape(Gc.n_basis, 4).T
         plain = np.array([bspline_basis_plain(xi, Gc.entries[i], 2)

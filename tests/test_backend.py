@@ -18,7 +18,7 @@ from hekan.backend import (
     _read,
     make_backend,
 )
-from hekan.bspline import repeat_pack
+from hekan.bspline import GridMatrix, repeat_pack
 from hekan.errors import (
     DepthExhausted,
     HeKanError,
@@ -521,9 +521,10 @@ class TestArrayOpsSlotSemantics:
 
     def test_repeat_pack_equals_the_ciphertext_run(self):
         x = np.random.default_rng(3).normal(size=3)
-        packed = repeat_pack(x, 3, 2, 3)  # 7 copies, doubled to 8
+        G = GridMatrix.uniform(3, 3, 2, -1.0, 1.0)
+        packed = repeat_pack(x, G)  # g + 2k = 7 copies, rounded up to 8
         be = fresh(slot_count=64)
-        ct = repeat_pack(be.encrypt(x), 3, 2, 3)
+        ct = repeat_pack(be.encrypt(x), G)
         assert packed.size == 3 * 8
         np.testing.assert_array_equal(packed, ct.slots[: packed.size])
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
@@ -19,8 +19,6 @@ from hekan.bspline import (
     col_tile,
     fuse_weights,
     gen_permutation,
-    pack_operand,
-    pack_rotations,
     repeat_pack,
     repeat_pack_naive,
 )
@@ -50,7 +48,7 @@ def he_basis_values(x, G, comparator, slots=512, depth=30):
     """Run the encrypted path and return the (n_i, g+k) value matrix."""
     be = backend(slots, depth)
     ct = be.encrypt(x)
-    bv = bspline_basis_he(pack_operand(ct, G), G, comparator)
+    bv = bspline_basis_he(repeat_pack(ct, G), G, comparator)
     vals = bv.slots[: G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
     return vals, bv, be
 
@@ -58,7 +56,7 @@ def he_basis_values(x, G, comparator, slots=512, depth=30):
 def clear_basis_values(x, G, comparator):
     """The same packing and basis programs run on the input array (the
     mirror's run), as the (n_i, g+k) value matrix."""
-    b = bspline_basis_he(pack_operand(x, G), G, comparator)
+    b = bspline_basis_he(repeat_pack(x, G), G, comparator)
     return b[: G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
 
 
@@ -78,6 +76,10 @@ class TestGridMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatch):
             GridMatrix(np.zeros((2, 5)), g=3, k=1, R=1.0)
+        with pytest.raises(DimensionMismatch, match="n_i >= 1"):  # no features
+            GridMatrix(np.zeros((0, 6)), g=3, k=1, R=1.0)
+        with pytest.raises(DimensionMismatch):
+            GridMatrix.uniform(0, 3, 1, -1.0, 1.0)
 
     def test_rejects_R_below_the_largest_knot(self):
         rows = np.array([[-1.0, -0.5, 0.0, 0.5, 2.0]])
@@ -113,83 +115,95 @@ class TestGridMatrix:
         assert not G.entries.flags.writeable
 
 
+def paper_copies(g: int, k: int) -> int:
+    """The paper's g + 2k copies, rounded up to a power of two."""
+    return 1 << (g + 2 * k - 1).bit_length()
+
+
 class TestRepeatPack:
     def test_small_example(self):
         be = backend()
-        xp = repeat_pack(be.encrypt([1.0, 2.0]), g=2, k=1, n_i=2)
-        np.testing.assert_array_equal(xp.slots[:8], [1, 2, 1, 2, 1, 2, 1, 2])
+        G = GridMatrix.uniform(2, 2, 1, -1.0, 1.0, R=2.0)  # scale 1/4
+        xp = repeat_pack(be.encrypt([1.0, 2.0]), G, 4)
+        np.testing.assert_array_equal(xp.slots[:8], [.25, .5, .25, .5, .25, .5, .25, .5])
+        assert not xp.slots[8:].any()
 
     def test_rotation_count_log(self):
         be = backend()
-        repeat_pack(be.encrypt([1.0, 2.0]), g=3, k=2, n_i=2)  # 7 copies
-        assert be.counter.rotations == 3
+        repeat_pack(be.encrypt([1.0, 2.0]), GridMatrix.uniform(2, 3, 2, -1.0, 1.0))
+        assert be.counter.rotations == 3  # 7 copies, rounded up to 8
 
     def test_rotation_count_twenty_copies(self):
         be = backend(slots=1024)
-        repeat_pack(be.encrypt(np.arange(4.0)), g=10, k=5, n_i=4)
+        repeat_pack(be.encrypt(np.arange(4.0)), GridMatrix.uniform(4, 10, 5, -1.0, 1.0))
         assert be.counter.rotations == 5  # ceil(log2 20)
-        assert pack_rotations(10, 5) == 5
 
     def test_block_equality(self):
         rng = np.random.default_rng(8)
         be = backend(slots=512)
         x = rng.normal(size=5)
-        xp = repeat_pack(be.encrypt(x), g=6, k=2, n_i=5)
-        blocks = xp.slots[: 5 * 10].reshape(10, 5)
+        G = GridMatrix.uniform(5, 6, 2, -1.0, 1.0, R=4.0)
+        xp = repeat_pack(be.encrypt(x), G)
+        blocks = xp.slots[: 5 * 16].reshape(16, 5)
         for blk in blocks:
-            np.testing.assert_array_equal(blk, x)
+            np.testing.assert_array_equal(blk, x * G.scale)
 
     def test_overflow(self):
         be = backend(slots=16)
         with pytest.raises(PackingOverflow):
-            repeat_pack(be.encrypt(np.arange(4.0)), g=3, k=1, n_i=4)
+            repeat_pack(be.encrypt(np.arange(4.0)), GridMatrix.uniform(4, 3, 1, -1.0, 1.0), 8)
 
     def test_doubling_headroom_overflow(self):
         # 3 * 5 = 15 fits in 16 slots but the doubling needs 3 * 8 = 24
         be = backend(slots=16)
         with pytest.raises(PackingOverflow):
-            repeat_pack(be.encrypt(np.arange(3.0)), g=3, k=1, n_i=3)
+            repeat_pack(be.encrypt(np.arange(3.0)), GridMatrix.uniform(3, 3, 1, -1.0, 1.0), 8)
 
     def test_naive_packing_count_and_equality(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=3)
         be1, be2 = backend(), backend()
-        fast = repeat_pack(be1.encrypt(x), g=4, k=2, n_i=3)
+        G = GridMatrix.uniform(3, 4, 2, -1.0, 1.0, R=2.0)  # scale 1/4
+        fast = repeat_pack(be1.encrypt(x), G, 8)
         slow = repeat_pack_naive(be2.encrypt(x), g=4, k=2, n_i=3)
         assert be2.counter.rotations == 4 + 2 * 2 - 1
-        np.testing.assert_array_equal(fast.slots[: 3 * 8], slow.slots[: 3 * 8])
+        np.testing.assert_array_equal(fast.slots[: 3 * 8], slow.slots[: 3 * 8] / 4)
 
     def test_mask_costs_one_pt_mult(self):
         be = backend()
-        repeat_pack(be.encrypt([1.0]), g=2, k=1, n_i=1)
+        repeat_pack(be.encrypt([1.0]), GridMatrix.uniform(1, 2, 1, -1.0, 1.0))
         assert be.counter.pt_mults == 1
 
     @pytest.mark.parametrize("arrived", [1, 2, 4, 8, 16])
     def test_arrived_copies_save_their_doublings(self, arrived):
-        # g + 2k = 7 packs 8 copies of 3: arrived copies double from there,
-        # keep the mask's one multiply and scale, and clear the slots past
-        # them; the ciphertext states its copies' width, as encrypt_input's
+        # packing 8 copies of 3: the copies that arrived (capped at 8)
+        # double from there, keep the mask's one multiply and scale, and
+        # clear the slots past them; the result states its copies and width
         x = np.array([0.5, -0.25, 0.75])
         be = backend(slots=64)
+        G = GridMatrix.uniform(3, 3, 2, -1.0, 1.0)
         ct = replace(be.encrypt(np.concatenate((np.tile(x, arrived), [9.0]))),
                      copies=arrived, width=3)
-        xp = repeat_pack(ct, g=3, k=2, n_i=3, scale=0.5, arrived=arrived)
-        copies = max(8, arrived)
+        xp = repeat_pack(ct, G, 8)
         assert be.counter.rotations == max(0, 3 - arrived.bit_length() + 1)
         assert be.counter.pt_mults == 1 and xp.level == ct.level - 1
-        np.testing.assert_array_equal(xp.slots[:3 * copies], np.tile(0.5 * x, copies))
-        np.testing.assert_array_equal(xp.slots[3 * copies:], 0.0)
+        assert (xp.copies, xp.width) == (8, 3)
+        np.testing.assert_array_equal(xp.slots[:3 * 8], np.tile(x * G.scale, 8))
+        np.testing.assert_array_equal(xp.slots[3 * 8:], 0.0)
 
     @pytest.mark.parametrize("arrived", [0, 3, 6, -2, 2.0, True])
     def test_arrived_copies_are_a_power_of_two(self, arrived):
-        with pytest.raises(HeKanError):
-            repeat_pack(backend().encrypt([1.0]), g=2, k=1, n_i=1, arrived=arrived)
+        be = backend()
+        ct = replace(be.encrypt([1.0]), copies=arrived)
+        with pytest.raises(InvalidArgument):
+            repeat_pack(ct, GridMatrix.uniform(1, 2, 1, -1.0, 1.0))
+        assert be.counter == OpCounter()
 
     def test_arrived_copies_must_fit(self):
         # 32 copies of 3 are 96 slots, past 64
         be = backend(slots=64)
         with pytest.raises(PackingOverflow):
-            repeat_pack(be.encrypt(np.ones(3)), g=3, k=2, n_i=3, arrived=32)
+            repeat_pack(be.encrypt(np.ones(3)), GridMatrix.uniform(3, 3, 2, -1.0, 1.0), 32)
         assert be.counter == OpCounter()
 
 
@@ -212,12 +226,49 @@ class TestDoubleCopies:
         assert not np.any(ct.slots[n_i * target:])
 
 
-class TestPackOperand:
-    """pack_operand's contract: copies (basis_copies(g, k) by default, or
-    a power-of-two multiple) of x * G.scale over a zero tail, whatever the
-    arrival, with the same bits on a ciphertext and an array, and the input
-    the basis reads; copies that do not fit, or are no power of two of at
-    least basis_copies(g, k), raise before any op or noise draw."""
+class TestRepeatPackContract:
+    """repeat_pack's contract: copies (basis_copies(g, k) by default, or
+    any power of two) of x * G.scale over a zero tail, whatever the
+    arrival, with the same bits on a ciphertext and an array, one level
+    and log2(copies / arrived) rotations, and at basis_copies(g, k) the
+    input the basis reads; copies that do not fit, or are no power of two,
+    raise before any op or noise draw."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_i=st.integers(1, 6), g=st.integers(1, 6), k=st.integers(0, 3),
+           log_copies=st.integers(0, 6),
+           arrival=st.sampled_from(["raw", "encrypt_input", "stated"]),
+           log_stated=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
+    @example(n_i=2, g=3, k=1, log_copies=4, arrival="encrypt_input", log_stated=0, seed=0)
+    @example(n_i=2, g=3, k=1, log_copies=4, arrival="stated", log_stated=3, seed=0)
+    @example(n_i=3, g=2, k=1, log_copies=1, arrival="encrypt_input", log_stated=0, seed=1)
+    def test_copies_rotations_and_level(self, n_i, g, k, log_copies, arrival, log_stated,
+                                        seed):
+        # arrivals: one copy, the client's basis_copies(g, k), or any
+        # stated power of two; each is capped at the copies asked for
+        copies, stated = 1 << log_copies, 1 << log_stated
+        mdl = random_model([n_i, 1], g=g, k=k, seed=seed)
+        G = mdl.layers[0].grid
+        x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+        be = backend(slots=1 << (n_i * max(copies, stated, basis_copies(g, k)) - 1).bit_length())
+        if arrival == "raw":
+            ct = be.encrypt(x)
+        elif arrival == "encrypt_input":
+            ct = encrypt_input(x, mdl, be)
+        else:
+            ct = replace(be.encrypt(np.tile(x, stated)), copies=stated, width=n_i)
+        before = be.counter.copy()
+        xp = repeat_pack(ct, G, copies)
+        he = be.decrypt(xp)
+        assert np.array_equal(he[:n_i * copies], np.tile(x * G.scale, copies))
+        assert not he[n_i * copies:].any()
+        assert (xp.copies, xp.width) == (copies, n_i)
+        spent = be.counter.since(before)
+        assert 1 << spent.rotations == copies // min(ct.copies, copies)
+        assert spent.pt_mults == 1 and xp.level == ct.level - 1
+        clear = repeat_pack(x, G, copies)
+        assert clear.size == n_i * copies
+        assert np.array_equal(he[:n_i * copies].view(np.int64), clear.view(np.int64))
 
     @pytest.mark.parametrize("n_i, g, k", [(4, 5, 2), (3, 3, 2), (3, 2, 1), (2, 4, 2)])
     @pytest.mark.parametrize("arrival", ["raw", "encrypt_input"])
@@ -229,11 +280,11 @@ class TestPackOperand:
         x = np.random.default_rng(g + k).uniform(-1, 1, n_i)
         be = backend(slots=256)
         ct = be.encrypt(x) if arrival == "raw" else encrypt_input(x, mdl, be)
-        xp = pack_operand(ct, G, copies if twice else None)
+        xp = repeat_pack(ct, G, copies if twice else None)
         he = be.decrypt(xp)
         assert np.array_equal(he[:n_i * copies], np.tile(x * G.scale, copies))
         assert not he[n_i * copies:].any()
-        clear = pack_operand(x, G, copies if twice else None)
+        clear = repeat_pack(x, G, copies if twice else None)
         assert clear.size == n_i * copies
         assert np.array_equal(he[:n_i * copies].view(np.int64), clear.view(np.int64))
         # one level, the mask; the copies that arrived save their doublings
@@ -246,7 +297,7 @@ class TestPackOperand:
 
     @pytest.mark.parametrize("copies, error", [
         (32, PackingOverflow),   # 32 copies of 4 slots, past 64
-        (24, InvalidArgument), (8, InvalidArgument), (0, InvalidArgument),
+        (24, InvalidArgument), (12, InvalidArgument), (0, InvalidArgument),
         (16.0, InvalidArgument), (True, InvalidArgument)])
     @pytest.mark.parametrize("arrival", ["raw", "encrypt_input"])
     def test_rejected_copies_run_no_op(self, copies, error, arrival):
@@ -258,9 +309,8 @@ class TestPackOperand:
         ct = be.encrypt(x) if arrival == "raw" else encrypt_input(x, mdl, be)
         before = be.counter.copy(), be._rng.bit_generator.state
         with pytest.raises(error):
-            pack_operand(ct, mdl.layers[0].grid, copies)
+            repeat_pack(ct, mdl.layers[0].grid, copies)
         assert (be.counter, be._rng.bit_generator.state) == before
-
 
     @pytest.mark.parametrize("arrival", ["raw", "encrypt_input"])
     def test_another_width_runs_no_op(self, arrival):
@@ -274,11 +324,9 @@ class TestPackOperand:
         ct = be.encrypt(x) if arrival == "raw" else encrypt_input(x, mdl, be)
         assert (ct.copies, ct.width) == ((1, 3) if arrival == "raw" else (16, 3))
         before = be.counter.copy(), be._rng.bit_generator.state
-        with pytest.raises(ShapeMismatch, match="input of width 3 for a layer of n_i = 4"):
-            pack_operand(ct, G)
-        if ct.copies > 1:
-            with pytest.raises(ShapeMismatch):
-                repeat_pack(ct, G.g, G.k, G.n_i, G.scale, ct.copies)
+        for copies in (None, 32):
+            with pytest.raises(ShapeMismatch, match="input of width 3 for a layer of n_i = 4"):
+                repeat_pack(ct, G, copies)
         assert (be.counter, be._rng.bit_generator.state) == before
 
 
@@ -410,9 +458,10 @@ class TestEncryptedBasis:
         orders rely on: every slot past n_i(g + k) is zero, the wrapped end
         included (the slot count is the width the basis reads,
         n_i * basis_copies(g, k), rounded up to a power of two, or twice
-        that), also when the input holds values past slot
-        n_i, as a hidden layer's does (and, like it, states width n_i). The basis runs on pack_operand's
-        output, in comparator units, with R drawn so that 1/(2R) rounds.
+        that), also when the input holds values past slot n_i, as a hidden
+        layer's does (and, like it, states width n_i). The basis runs on
+        repeat_pack's output, in comparator units, with R drawn so that
+        1/(2R) rounds.
         About half the features sit exactly on an interior knot t_m, where
         the two order-0 blocks that meet there read the same step(0) (1/2),
         so their values sum to 1 and the recursion's first order joins them
@@ -430,8 +479,8 @@ class TestEncryptedBasis:
         valid = n_i * (g + k)
         for comp in (build_composite_sign(), EXACT_COMPARATOR):
             ct = replace(backend(slots).encrypt(v), width=n_i)
-            he = bspline_basis_he(pack_operand(ct, G), G, comp).slots
-            clear = bspline_basis_he(pack_operand(v, G), G, comp)
+            he = bspline_basis_he(repeat_pack(ct, G), G, comp).slots
+            clear = bspline_basis_he(repeat_pack(v, G), G, comp)
             assert np.array_equal(he[:valid].view(np.int64), clear[:valid].view(np.int64))
             assert np.all(he[valid:] == 0.0) and np.all(clear[valid:] == 0.0)
         vals = he[:valid].reshape(g + k, n_i).T  # the exact comparator's run
@@ -466,23 +515,23 @@ class TestEncryptedBasis:
         x = np.random.default_rng(n_i + g).uniform(-1, 1, n_i)
         tight = 1 << (n_i * basis_copies(g, k) - 1).bit_length()
         be = backend(slots=tight)
-        xp = pack_operand(be.encrypt(x), G)
+        xp = repeat_pack(be.encrypt(x), G)
         before = be.counter.copy()
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bspline, "poly_comp", lambda *a: calls.append(a) or poly_comp(*a))
             out = bspline_basis_he(xp, G, EXACT_COMPARATOR)
-        extra = basis_copies(g, k) > 1 << pack_rotations(g, k)
+        extra = basis_copies(g, k) > paper_copies(g, k)
         assert extra == (((g + 2 * k) & (g + 2 * k - 1)) == 0)  # a power of two
         assert len(calls) == 1
-        assert before.rotations == pack_rotations(g, k) + extra
+        assert before.rotations == paper_copies(g, k).bit_length() - 1 + extra
         assert be.counter.since(before).rotations == 1 + k
         plain = np.array([bspline_basis_plain(xi, G.entries[i], k) for i, xi in enumerate(x)])
         vals = out.slots[:n_i * (g + k)].reshape(g + k, n_i).T
         assert np.max(np.abs(vals - plain)) <= 1e-12
         small = backend(slots=tight // 2)
         with pytest.raises(PackingOverflow):
-            pack_operand(small.encrypt(x), G)
+            repeat_pack(small.encrypt(x), G)
         with pytest.raises(PackingOverflow):
             bspline_basis_he(small.encrypt(x), G, EXACT_COMPARATOR)
         assert small.counter == OpCounter()
@@ -490,7 +539,7 @@ class TestEncryptedBasis:
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("mode", ["exact", "composite"])
     def test_depth_consumption(self, mode, k):
-        """The measured level drop of the basis run on pack_operand's
+        """The measured level drop of the basis run on repeat_pack's
         output, as the layer program runs it, basis_depth and the plan's
         two basis stages agree: max(comparator depth, 1) + k; the packing
         takes one level more, its mask."""
@@ -499,7 +548,7 @@ class TestEncryptedBasis:
         G = GridMatrix.uniform(2, 4, k, -1.0, 1.0)
         be = backend(slots=512, depth=30)
         ct = be.encrypt([0.1, 0.2])
-        bv = bspline_basis_he(pack_operand(ct, G), G, comp)
+        bv = bspline_basis_he(repeat_pack(ct, G), G, comp)
         stages = plan_layer(random_model([2, 1], g=4, k=k).layers[0], cfg).stages
         planned = stages["comparator"] + stages["basis_recursion"]
         assert ct.level - bv.level == 1 + basis_depth(k, comp) == 1 + planned
@@ -521,6 +570,60 @@ class TestEncryptedBasis:
         # slots whose true basis value is zero stay near zero
         for m in np.nonzero(plain == 0.0)[0]:
             assert abs(vals[0, m]) <= 10 * cs.target_eps
+
+
+class TestBasisReadsAPackedOperand:
+    """The basis raises ShapeMismatch before any op or noise draw when its
+    operand visibly holds fewer than basis_copies(g, k) copies: a
+    ciphertext stating width n_i with fewer copies, or an array shorter
+    than n_i * basis_copies(g, k). Read as packed, a raw input gave
+    [0, .5, .5, 0] for both features below, and the paper's 16 copies for
+    (g, k) = (10, 3) a basis 0.68 off."""
+
+    CASES = {  # (grid, input, copies packed; None: not packed at all)
+        "raw": (GridMatrix.uniform(2, 3, 1, -1, 1), np.array([0.4, -0.3]), None),
+        "under-packed": (GridMatrix.uniform(4, 10, 3, -1, 1),
+                         np.array([1.919, 0.3, -0.7, 1.2]), 16),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ciphertext_runs_no_op(self, case):
+        G, x, copies = self.CASES[case]
+        be = HeBackend(BackendConfig(slot_count=256, depth_budget=30, noise_std=1e-12,
+                                     rng_seed=0))
+        xp = be.encrypt(x) if copies is None else repeat_pack(be.encrypt(x), G, copies)
+        assert (xp.copies, xp.width) == (copies or 1, G.n_i)
+        before = be.counter.copy(), be._rng.bit_generator.state
+        with pytest.raises(ShapeMismatch, match=f"the basis reads {basis_copies(G.g, G.k)} "):
+            bspline_basis_he(xp, G, EXACT_COMPARATOR)
+        assert (be.counter, be._rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_array_runs_no_op(self, case, monkeypatch):
+        G, x, copies = self.CASES[case]
+        xp = x if copies is None else repeat_pack(x, G, copies)
+        calls = []
+        monkeypatch.setattr(bspline, "poly_comp", lambda *a: calls.append(a))
+        with pytest.raises(ShapeMismatch):
+            bspline_basis_he(xp, G, EXACT_COMPARATOR)
+        assert calls == []
+
+    def test_packed_operand_gives_the_exact_basis(self):
+        for G, x, _ in self.CASES.values():
+            vals, _, _ = he_basis_values(x, G, EXACT_COMPARATOR)
+            plain = np.array([bspline_basis_plain(xi, G.entries[i], G.k)
+                              for i, xi in enumerate(x)])
+            assert np.max(np.abs(vals - plain)) <= 1e-12
+            assert np.array_equal(vals, clear_basis_values(x, G, EXACT_COMPARATOR))
+
+    def test_scalars_and_width_less_ciphertexts_pass(self):
+        # the depth probe's scalar, and an op's result, state no width
+        G = GridMatrix.uniform(2, 3, 1, -1, 1)
+        be = backend()
+        for ct in (be.encrypt(0.0), be.mul(be.encrypt([0.4, -0.3]), 1.0)):
+            assert ct.width is None
+            bspline_basis_he(ct, G, EXACT_COMPARATOR)
+        assert basis_depth(1, EXACT_COMPARATOR) == 2
 
 
 class TestPermutation:

@@ -1002,9 +1002,9 @@ class TestArrivalContract:
 
 
 class TestPackingRotationsPerStage:
-    """Each layer's repeat_pack stage rotates ceil(log2(g + 2k)) times on
-    the server, except layer 0's on the client's basis_copies(g, k) copies,
-    which rotates none."""
+    """Each layer's repeat_pack stage rotates log2 of its layout's copies
+    on the server, less one per doubling the client's basis_copies(g, k)
+    copies save on layer 0."""
 
     @pytest.mark.parametrize("dims, g, k", [
         ([2, 5, 1], 5, 3), ([4, 8, 8, 2], 5, 3), ([9, 29], 2, 1), ([3, 4, 2], 2, 1),
@@ -1018,23 +1018,32 @@ class TestPackingRotationsPerStage:
                                        path=path)
         bcfg = BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
                              depth_budget=plan_model(mdl, cfg).total)
-        for arrive, first in ((lambda be: encrypt_input(x, mdl, be), 0),
-                              (lambda be: be.encrypt(x), bspline.pack_rotations(g, k))):
+        doublings = [inference._layout(layer, path, cfg.comparator(), bcfg.slot_count)
+                     .copies.bit_length() - 1 for layer in mdl.layers]
+        saved = bspline.basis_copies(g, k).bit_length() - 1
+        for arrive, first in ((lambda be: encrypt_input(x, mdl, be), doublings[0] - saved),
+                              (lambda be: be.encrypt(x), doublings[0])):
             be = HeBackend(bcfg)
             ct = arrive(be)
             rotations = []
             with pytest.MonkeyPatch.context() as mp:
-                def spy(*args, _run=bspline.repeat_pack):
+                def spy(*args, _run=inference.repeat_pack):
                     before = be.counter.rotations
                     out = _run(*args)
                     rotations.append(be.counter.rotations - before)
                     return out
 
-                mp.setattr(bspline, "repeat_pack", spy)
+                mp.setattr(inference, "repeat_pack", spy)
                 out, _ = model_forward_he(mdl, ct, cfg)
-            assert rotations == [first] + [bspline.pack_rotations(g, k)] * (len(dims) - 2)
+            assert rotations == [first] + doublings[1:]
+            assert min(doublings) >= _paper_copies(g, k).bit_length() - 1
             assert np.array_equal(be.decrypt(out)[:mdl.n_out].view(np.int64),
                                   mirrored.view(np.int64))
+
+
+def _paper_copies(g: int, k: int) -> int:
+    """The paper's g + 2k copies, rounded up to a power of two."""
+    return 1 << (g + 2 * k - 1).bit_length()
 
 
 def _parent_matvec_slots(n_o: int, n_in: int) -> int:
@@ -1104,7 +1113,7 @@ class TestSiluReadsThePackedInput:
     @example(kind="tall past the copies", n_i=9, g=1, k=1, path="lazy",
              comparator_mode="exact", seed=0, data=None)
     def test_layer_shapes(self, kind, n_i, g, k, path, comparator_mode, seed, data):
-        pack = 1 << bspline.pack_rotations(g, k)
+        pack = _paper_copies(g, k)
         n_o = 29 if data is None else self._n_o(data, kind, n_i, pack)
         mdl = random_model([n_i, n_o], g=g, k=k, seed=seed)
         layer = mdl.layers[0]
@@ -1275,7 +1284,7 @@ class TestOneFoldChain:
         own = matvec_schedule(layer.W_b, True)
         shared = matvec_schedule(layer.W_b, True, maps[-1].shape) if maps[-1].folds else None
 
-        pack = 1 << bspline.pack_rotations(g, k)
+        pack = _paper_copies(g, k)
 
         def doublings_for(sched):
             return _operand_copies(n_i, g, k, sched.reads).bit_length() - pack.bit_length()
@@ -1347,9 +1356,9 @@ class TestLayerLayout:
     power-of-two multiple of the basis's basis_copies(g, k) that covers
     W_b's reads on ``over``; the fit errors are PackingOverflow for those
     copies, then each spline map's DimensionMismatch; and the forward packs
-    (``bspline.pack_operand``): repeat_pack doubles up to the packed (or
-    arrived) copies, one further chain up to the record's, into the one
-    operand both branches read."""
+    in one call (``bspline.repeat_pack``): one doubling chain from the
+    arrived copies up to the record's, into the one operand both branches
+    read."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n_i=st.integers(1, 10), n_o=st.integers(1, 30), g=st.integers(1, 6),
@@ -1365,7 +1374,6 @@ class TestLayerLayout:
         layer = mdl.layers[0]
         cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
         comparator = cfg.comparator()
-        pack = 1 << bspline.pack_rotations(g, k)
         layout = inference._layout(layer, path, comparator, math.inf)  # the mirror's
         maps = [matvec_schedule(W) for W in layer.spline_maps(path)]
         assert layout.over in (None, maps[-1].shape)
@@ -1395,8 +1403,8 @@ class TestLayerLayout:
         check_capacity(mdl, cfg, slots)
         assert inference._layout(layer, path, comparator, slots) == layout
 
-        # the one operand both branches read, and the two doubling chains
-        # that make it
+        # the one operand both branches read, and the one doubling chain
+        # that makes it
         be = HeBackend(BackendConfig(slot_count=slots, depth_budget=plan_layer(layer, cfg).total))
         x = np.random.default_rng(seed).uniform(-1, 1, n_i)
         ct = be.encrypt(x) if raw else encrypt_input(x, mdl, be)
@@ -1420,9 +1428,8 @@ class TestLayerLayout:
             mp.setattr(inference, "eval_poly_he", reads("silu", inference.eval_poly_he))
             mp.setattr(inference, "bspline_basis_he", reads("basis", inference.bspline_basis_he))
             out = layer_forward_he(layer, ct, cfg)
-        assert len(doublings) == 2  # repeat_pack's, then the one further chain
-        assert 1 << doublings[0] == max(pack, arrived) // arrived
-        assert 1 << doublings[1] == layout.copies // max(pack, arrived)
+        assert len(doublings) == 1  # one chain, from the copies that arrived
+        assert 1 << doublings[0] == layout.copies // arrived
         scaled = x * layer.grid.scale
         for name in ("silu", "basis"):
             assert np.array_equal(operands[name][:n_i * copies], np.tile(scaled, copies))
@@ -1462,7 +1469,7 @@ class TestPlanStagesJoinMeasuredDrops:
         with pytest.MonkeyPatch.context() as mp:
             for module, name, operand in ((inference, "eval_poly_he", 0),
                                           (inference, "bsgs_matvec", 1),
-                                          (bspline, "repeat_pack", 0),
+                                          (inference, "repeat_pack", 0),
                                           (inference, "bspline_basis_he", 0),
                                           (bspline, "poly_comp", 0),
                                           (inference, "layer_forward_he", 1)):
@@ -1567,13 +1574,13 @@ class TestPlanIsReadOffTheProgram:
         mdl = random_model([2, 5, 1], g=5, k=3, seed=0)
         cfg = PipelineConfig()
         before = plan_layer(mdl.layers[0], cfg)
-        pack = bspline.repeat_pack
+        pack = inference.repeat_pack
 
         def costlier_pack(*args):
             xs = pack(*args)
             return _ops_of(xs).mul(xs, 1.0)
 
-        monkeypatch.setattr(bspline, "repeat_pack", costlier_pack)
+        monkeypatch.setattr(inference, "repeat_pack", costlier_pack)
         inference._plan.cache_clear()
         after = plan_layer(mdl.layers[0], cfg)
         assert after.stages["repeat_pack"] == before.stages["repeat_pack"] + 1
@@ -1700,11 +1707,12 @@ class TestPackingFeasibility:
             be = HeBackend(bcfg)
             ct = be.encrypt(np.ones(4))
             feasible = 4 * copies <= 64
+            G = bspline.GridMatrix.uniform(4, copies, 0, -1.0, 1.0)
             if feasible:
-                repeat_pack(ct, copies, 0, 4)
+                repeat_pack(ct, G, _paper_copies(copies, 0))
             else:
                 with pytest.raises(PackingOverflow):
-                    repeat_pack(ct, copies, 0, 4)
+                    repeat_pack(ct, G, _paper_copies(copies, 0))
 
     @pytest.mark.parametrize("dims, g, k, error", [
         ([9, 29], 1, 1, PackingOverflow),     # W_b reads 37 slots: 4 copies of 9 doubled, 72 > 64

@@ -177,11 +177,11 @@ class TestReadOnly:
 
 
 class TestKnotTilesAtThePackedWidth:
-    """The knot tiles span the window the basis reads (pack_operand's, one
-    doubling past repeat_pack's when g + 2k is a power of two), so no tile
-    op of the basis evaluation on a layer-0 packed input copies a tile into
-    a wider window (backend._place), before or after the comparator's step
-    is read one block ahead."""
+    """The knot tiles span the window the basis reads (repeat_pack's, one
+    doubling past the paper's g + 2k copies when g + 2k is a power of
+    two), so no tile op of the basis evaluation on a layer-0 packed input
+    copies a tile into a wider window (backend._place), before or after the
+    comparator's step is read one block ahead."""
 
     @pytest.mark.parametrize("n_i, g, k", [(64, 3, 2), (256, 10, 3), (256, 10, 5)])
     @pytest.mark.parametrize("comparator", [EXACT_COMPARATOR, build_composite_sign()],
@@ -190,7 +190,7 @@ class TestKnotTilesAtThePackedWidth:
         G = bspline.GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
         be = make_backend(BackendConfig(slot_count=2 ** 15, depth_budget=20))
         x = be.encrypt(np.random.default_rng(n_i).uniform(-1, 1, n_i))
-        xp = bspline.pack_operand(x, G)
+        xp = bspline.repeat_pack(x, G)
         knots, orders = G.tiles
         tiles = (knots, *orders)
         copied = []

@@ -262,6 +262,16 @@ class TestKernelLimits:
         assert np.array_equal(be.decrypt(out)[:3840], P.apply(x))
         assert np.array_equal(clear, P.apply(x))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (0, 2), (2, 0), (0,)])
+    def test_malformed_matrix_raises_before_any_op(self, shape):
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=2))
+        v = be.encrypt(np.ones(2))
+        with pytest.raises(DimensionMismatch, match="non-empty matrix"):
+            bsgs_matvec(np.ones(shape), v)
+        with pytest.raises(DimensionMismatch):
+            bsgs_matvec(np.ones(shape), np.ones(2))
+        assert be.counter == OpCounter()
+
     def test_level_zero_raises_before_any_op(self):
         be = HeBackend(BackendConfig(slot_count=64, depth_budget=2))
         v = be.encrypt(np.ones(8), level=0)

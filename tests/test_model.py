@@ -60,11 +60,21 @@ class TestLayerShapeChecks:
         (np.zeros(2), np.zeros((1, 2, 6)), 2, "W_b must be 2-D"),
         (np.zeros((1, 2)), np.zeros((1, 2, 5)), 2, "S shape"),
         (np.zeros((1, 2)), np.zeros((1, 2, 6)), 3, "grid has 3 rows"),
-    ], ids=["W_b-not-2d", "S-shape", "grid-rows"])
+        (np.zeros((0, 2)), np.zeros((0, 2, 6)), 2, "n_o >= 1"),
+    ], ids=["W_b-not-2d", "S-shape", "grid-rows", "no-outputs"])
     def test_shape_mismatch_rejected(self, W_b, S, n_i, match):
         grid = GridMatrix.uniform(n_i, 4, 2, -1.0, 1.0)
         with pytest.raises(DimensionMismatch, match=match):
             KanLayer(W_b=W_b, S=S, grid=grid, silu_poly=Polynomial((0.0, 1.0)))
+
+    @pytest.mark.parametrize("dims", [[2, 0, 1], [0, 2], [3, 0]])
+    def test_zero_width_layers_rejected(self, dims):
+        # a zero-width layer failed late (np.stack, save_model's
+        # IndexError), or divided by zero in the weight scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch):
+                random_model(dims, g=3, k=1)
 
     @pytest.mark.parametrize("field, bad", [
         ("W_b", np.array([[0.0, np.nan]])),
@@ -195,6 +205,11 @@ class TestModelForward:
     def test_input_shape_validated(self):
         with pytest.raises(DimensionMismatch):
             KanModel(layers=[tiny_layer(2, 3)], input_shape=(1, 1, 5))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 1, 1, 2), ()])
+    def test_input_shape_needs_three_dimensions(self, shape):
+        with pytest.raises(DimensionMismatch, match=r"is not \(h, w, c\)"):
+            KanModel(layers=[tiny_layer(2, 3)], input_shape=shape)
 
 
 class TestFitLayer:
