@@ -333,7 +333,9 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
 
     Raises before any op: PackingOverflow unless n_i * basis_copies(g, k)
     slots fit (the packed layout's fit law, ``_check_copies``), then
-    ShapeMismatch when xp visibly holds fewer copies than that: a
+    ShapeMismatch when xp states a width other than n_i (``_check_width``:
+    its copies would be read as misaligned blocks of n_i slots), or
+    visibly holds fewer copies than basis_copies(g, k): a
     ciphertext stating width n_i with fewer ``copies`` (a raw
     ``encrypt``, or one packed short), or an array shorter than
     n_i * basis_copies(g, k). Read as packed, such an operand gives a
@@ -362,6 +364,7 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     ops = _ops_of(xp)
     basis = basis_copies(G.g, G.k)
     _check_copies(ops.slot_count, G.n_i, basis)
+    _check_width(xp, G.n_i)
     if (xp.width == G.n_i and xp.copies < basis if isinstance(xp, CipherText)
             else np.ndim(xp) and np.size(xp) < G.n_i * basis):
         raise ShapeMismatch(f"the basis reads {basis} copies of {G.n_i} slots, "
@@ -424,7 +427,7 @@ def bspline_basis_plain(x, knots, k: int) -> np.ndarray:
 def gen_permutation(n_r: int, n_c: int) -> PermutationSpec:
     """Permutation sending column-major index (c-1)*n_r + r to row-major
     (r-1)*n_c + c (both 1-indexed). Its ``source_of`` is read-only, so
-    ``matvec_schedule`` builds its schedule once."""
+    the schedule a layer keeps of it cannot go stale."""
     if n_r < 1 or n_c < 1:
         raise InvalidArgument(f"n_r and n_c must be >= 1, got n_r = {n_r}, n_c = {n_c}")
     source_of = np.arange(n_r * n_c).reshape(n_c, n_r).T.flatten()  # owns its memory

@@ -8,12 +8,13 @@ one packed operand; baby-step/giant-step matrix-vector products join them. When 
 sum costs fewer rotations on the geometry of the spline branch's last map,
 it runs there, and that map's giant-step rotations and rotate-and-add folds
 finish both products: one set of giant rotations and one fold chain per
-layer. One record per layer, path, comparator and slot
-count (``LayerLayout``, worked out once by ``_layout`` and kept on the
-layer) holds the copy count of that operand, by one rule from the
-basis's copies, and W_b's geometry; the layer program and
-``check_capacity`` both read it, and one error, PackingOverflow, rejects
-copies that do not fit. The lazy path
+layer. One record per layer, path and comparator (``LayerLayout``,
+worked out once by ``_layout`` and kept on the layer) holds the copy
+count of that operand, by one rule from the basis's copies, and the
+schedules of W_b and the spline maps, so each schedule's diagonals are
+built once; the layer program and ``check_capacity`` both read it, and
+one check (``_check_fit``) fits it to a slot count: one error,
+PackingOverflow, rejects copies that do not fit. The lazy path
 applies permutation-fused weights directly to the basis layout; the naive
 path first reorders homomorphically via a permutation-matrix product. The
 depth planner reads each layer's levels off one run of the layer program
@@ -46,7 +47,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from .matvec import matvec_schedule
+from .matvec import MatvecSchedule, matvec_schedule
 from .model import KanLayer, KanModel
 
 
@@ -151,36 +152,36 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
 # ---------------------------------------------------------------------------
 
 
-def bsgs_matvec(W, v: CipherText, repeated: bool = False, over: tuple | None = None,
-                giants=None):
+def bsgs_matvec(W, v: CipherText, schedule: MatvecSchedule | None = None, giants=None):
     """Diagonal-method matrix-vector product with baby/giant rotation steps.
 
     W is an n_o x n_in cleartext matrix, or a PermutationSpec (square, with
     its diagonals read from ``source_of``). v is a ciphertext or an array
-    (the mirror). By default v holds the operand in its first n_in slots
-    with zeros elsewhere, and the schedule duplicates it for the diagonals
-    that wrap. With ``repeated``, v holds the operand repeated with period
-    n_in over every slot the schedule reads (``MatvecSchedule.reads``), as
-    the layer's packed input does: no duplication, and a tall W takes n_in
-    diagonals over n_o slots. The result is valid in slots [0, n_o); other
-    slots may hold partial sums. Consumes one level; DimensionMismatch is
-    raised before any op when W is not a non-empty matrix (a vector is
-    one row) or the schedule does not fit one ciphertext.
-    The schedule follows the shape (see ``matvec_schedule``); its
-    baby/giant split is derived from the matrix (``MatvecSchedule.split``).
-    The schedule's ``rotations`` and ``pt_mults`` give the exact counts. A
-    matrix that cannot change (a layer's) reuses its schedule and
-    diagonals from call to call (``matvec_schedule``).
+    (the mirror). ``schedule`` is W's MatvecSchedule. By default it is
+    ``matvec_schedule(W)``, built for this call: v holds the operand in
+    its first n_in slots with zeros elsewhere, and the schedule duplicates
+    it for the diagonals that wrap. A caller that multiplies by W again
+    passes the schedule it keeps, so its diagonals are built once; the
+    layer program passes its layout's (``LayerLayout``). W is then not read
+    again, and names the product. A repeated schedule reads v repeated
+    with period n_in over every slot it reads (``MatvecSchedule.reads``),
+    as the layer's packed input is. The result is valid in slots [0, n_o);
+    other slots may hold partial sums. Consumes one level;
+    DimensionMismatch is raised before any op when W is not a non-empty
+    matrix (a vector is one row) or the schedule does not fit one
+    ciphertext. The schedule's ``rotations`` and ``pt_mults`` give the
+    exact counts.
 
-    Shared giant steps and folds: with ``over``, the ``shape`` (p, L) of
-    another matrix's schedule, the repeated product runs on that geometry
-    and returns its giant-step blocks, unrotated and unfolded, as a tuple
-    (baby rotations only). Passing them as ``giants`` to that matrix's
-    product adds each to the block of the same giant step before that
-    step's rotation, and its folds then finish both products (slots
-    [0, n_o) hold the sum of the two).
+    Shared giant steps and folds: an ``unfolded`` schedule (W's block sum
+    on another matrix's geometry, ``matvec_schedule(W, True, over)``)
+    returns its giant-step blocks, unrotated and unfolded, as a tuple (baby
+    rotations only). Passing them as ``giants`` to that matrix's product
+    adds each to the block of the same giant step before that step's
+    rotation, and its folds then finish both products (slots [0, n_o) hold
+    the sum of the two).
     """
-    return matvec_schedule(W, repeated, over).run(_ops_of(v), v, giants)
+    schedule = matvec_schedule(W) if schedule is None else schedule
+    return schedule.run(_ops_of(v), v, giants)
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +245,25 @@ def plan_model(model: KanModel, cfg: PipelineConfig) -> ModelPlan:
 
 def check_depth_budget(model: KanModel, cfg: PipelineConfig, available: int) -> ModelPlan:
     plan = plan_model(model, cfg)
+    _check_depth(plan, available)
+    return plan
+
+
+def _check_depth(plan: ModelPlan, available: int) -> None:
     if plan.total > available:
         raise DepthBudgetInfeasible(
             f"planned depth {plan.total} exceeds available level {available}\n"
             + plan.describe(), plan=plan)
-    return plan
 
 
 def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> None:
     """Raise before any homomorphic op unless every layer fits in one
-    ciphertext of slot_count slots: each layer's layout (``_layout``),
-    PackingOverflow unless the copies of its packed operand fit, then
-    DimensionMismatch unless each of its spline maps does."""
+    ciphertext of slot_count slots (``_check_fit`` on each layer's
+    ``_layout``): PackingOverflow unless the copies of its packed operand
+    fit, then DimensionMismatch unless each of its spline maps does."""
     comparator = cfg.comparator()
     for layer in model.layers:
-        _layout(layer, cfg.path, comparator, slot_count)
+        _check_fit(layer, _layout(layer, cfg.path, comparator), slot_count)
 
 
 # ---------------------------------------------------------------------------
@@ -266,42 +271,39 @@ def check_capacity(model: KanModel, cfg: PipelineConfig, slot_count: int) -> Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerLayout:
-    """The packed layout of a layer's input: the copies of its n_i slots
-    that both branches read (``copies``: the least power-of-two multiple
-    of the basis's ``basis_copies(g, k)`` whose blocks cover the slots
-    W_b's schedule reads), with the geometry W_b's block sum runs on
-    (``over``: the last spline map's shape when one fold chain finishes
-    both products, else None)."""
+    """A layer's program on one path and comparator, fixed by shapes and
+    the plan alone: the copies of its n_i slots that both branches read
+    (``copies``: the least power-of-two multiple of the basis's
+    ``basis_copies(g, k)`` whose blocks cover the slots W_b's schedule
+    reads), W_b's schedule on that repeated operand (``base``: ``unfolded``
+    on the last spline map's shape when one fold chain finishes both
+    products), and the spline maps' schedules in order (``maps``). The
+    schedules keep their diagonals, so each is built once per record."""
 
     copies: int
-    over: tuple | None
+    base: MatvecSchedule
+    maps: tuple
 
 
-def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
-    """The layer's LayerLayout on this path, comparator and slot count,
-    worked out on first use and kept on the layer (``KanLayer.layouts``):
-    W_b's geometry, and the copies both branches read. One rule gives the
-    copies a schedule of W_b needs: the least power-of-two multiple of
-    ``basis_copies(g, k)`` whose blocks of n_i slots cover the schedule's
-    reads. The basis reads those copies whatever W_b's shape, and W_b's
-    reads may need more.
+def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
+    """The layer's LayerLayout on this path and comparator, worked out on
+    first use and kept on the layer (``KanLayer.layouts``), so the mirror
+    and every slot count share it. One rule gives the copies a schedule of
+    W_b needs: the least power-of-two multiple of ``basis_copies(g, k)``
+    whose blocks of n_i slots cover the schedule's reads. The basis reads
+    those copies whatever W_b's shape, and W_b's reads may need more.
 
-    W_b's block sum runs on the last spline map's geometry (``bsgs_matvec``'s
-    ``over`` and ``giants``: shared giant steps and folds, so W_b pays its
-    b - 1 baby rotations only) when that map folds (it is wide), when the
-    shared form costs fewer rotations than W_b's own schedule, ties going to fewer
-    plaintext multiplies (each with the doublings of the copies its reads
-    need), and when the plan's SiLU branch is no deeper than its spline
-    branch, so that the shared add leaves every stage's level drop as
-    planned. Shapes and the plan decide, so the mirror decides the same.
-
-    Raises before any op unless the layer fits slot_count, in this order:
-    PackingOverflow unless the copies fit (the packed layout's one fit
-    law, ``bspline._check_copies``), then each spline map schedule's
-    DimensionMismatch (``MatvecSchedule.check_capacity``)."""
-    key = (path, comparator, slot_count)
+    W_b's block sum runs on the last spline map's geometry (shared giant
+    steps and folds, so W_b pays its b - 1 baby rotations only) when that
+    map folds (it is wide), when the shared form costs fewer rotations than
+    W_b's own schedule, ties going to fewer plaintext multiplies (each with
+    the doublings of the copies its reads need), and when the plan's SiLU
+    branch is no deeper than its spline branch, so that the shared add
+    leaves every stage's level drop as planned. Whether it fits a slot
+    count is ``_check_fit``'s."""
+    key = (path, comparator)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
     basis = basis_copies(layer.g, layer.k)
@@ -312,19 +314,29 @@ def _layout(layer: KanLayer, path: str, comparator, slot_count) -> LayerLayout:
     def cost(schedule):  # rotations, the doublings up to a constant
         return schedule.rotations + copies(schedule).bit_length(), schedule.pt_mults
 
-    last, over = matvec_schedule(layer.spline_maps(path)[-1]), None
+    maps = tuple(matvec_schedule(W) for W in layer.spline_maps(path))
+    base = matvec_schedule(layer.W_b, True)
     # a 1 x 1 W_b, the planner's stand-in, costs (0, 1) on its own and is
     # never beaten, so _plan never runs on the stand-in it plans with
-    if last.folds and (cost(matvec_schedule(layer.W_b, True, last.shape))
-                       < cost(matvec_schedule(layer.W_b, True))):
-        plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
-        over = last.shape if plan.silu_branch <= plan.spline_branch else None
-    layout = LayerLayout(copies(matvec_schedule(layer.W_b, True, over)), over)
-    _check_copies(slot_count, layer.n_i, layout.copies)
-    for W in layer.spline_maps(path):
-        matvec_schedule(W).check_capacity(slot_count)
-    layer.layouts[key] = layout
+    if maps[-1].folds:
+        shared = matvec_schedule(layer.W_b, True, maps[-1].shape)
+        if cost(shared) < cost(base):
+            plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
+            if plan.silu_branch <= plan.spline_branch:
+                base = shared
+    layout = layer.layouts[key] = LayerLayout(copies(base), base, maps)
     return layout
+
+
+def _check_fit(layer: KanLayer, layout: LayerLayout, slot_count) -> None:
+    """Raise before any op unless the layer's layout fits slot_count, in
+    this order: PackingOverflow unless the copies fit (the packed layout's
+    one fit law, ``bspline._check_copies``), then each spline map
+    schedule's DimensionMismatch (``MatvecSchedule.check_capacity``). The
+    mirror's slot count is infinite, so it always fits."""
+    _check_copies(slot_count, layer.n_i, layout.copies)
+    for schedule in layout.maps:
+        schedule.check_capacity(slot_count)
 
 
 def _layer(layer: KanLayer, x, path: str, comparator):
@@ -333,8 +345,9 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     holds: x.copies blocks of x.width = n_i slots (``encrypt_input``), one
     vector of x.width = n_i slots (a raw ``encrypt``), or a previous
     layer's output (one copy of x.width = its n_o slots); an array's first
-    n_i slots hold the input (width None). Another width raises
-    ShapeMismatch before any op (``repeat_pack``).
+    n_i slots hold the input (width None). Before any op the layout's fit
+    (``_check_fit``) raises PackingOverflow or DimensionMismatch, then
+    another width ShapeMismatch (``repeat_pack``).
 
     The program: the input packed in one call, ``bspline.repeat_pack``
     (one mask multiply and one doubling chain), into the layout's copies
@@ -344,12 +357,13 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     save their doublings. Both branches read that one operand: the
     activation branch (the packed SiLU polynomial, then W_b's block sum on
     the repeated operand) and the spline branch (the basis, then the
-    path's linear maps, each on a zero-tail operand). When W_b's block sum
-    runs on the last map's geometry (``LayerLayout.over``), it hands on
-    its giant-step blocks unrotated, the last map adds each to its own
-    before that step's rotation, and one set of giant rotations and one
-    fold chain finish both branches; otherwise W_b folds on its own and
-    the two outputs are added. Slots [0, n_o) hold the output; a
+    path's linear maps, each on a zero-tail operand), every product on
+    the layout's schedule of its matrix (``LayerLayout.base`` and
+    ``maps``). When W_b's block sum runs on the last map's geometry (an
+    ``unfolded`` ``base``), it hands on its giant-step blocks unrotated,
+    the last map adds each to its own before that step's rotation, and one
+    set of giant rotations and one fold chain finish both branches;
+    otherwise W_b folds on its own and the two outputs are added. Slots [0, n_o) hold the output; a
     ciphertext result states its width, n_o.
 
     perfbench's traced join reads these public calls, so a refactor must
@@ -359,27 +373,34 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     ``layer.W_b`` or a spline map as its first argument."""
     layer.check_supported()
     ops = _ops_of(x)
-    layout = _layout(layer, path, comparator, ops.slot_count)
+    layout = _layout(layer, path, comparator)
+    _check_fit(layer, layout, ops.slot_count)
     xp = repeat_pack(x, layer.grid, layout.copies)
     ops._stage("repeat_pack", x, xp)
     poly = eval_poly_he(xp, layer.packed_silu_poly)
     ops._stage("silu_poly", xp, poly)
-    shared = layout.over is not None
-    base_out = bsgs_matvec(layer.W_b, poly, repeated=True, over=layout.over)
+    shared = layout.base.unfolded
+    base_out = bsgs_matvec(layer.W_b, poly, layout.base)
     ops._stage("base_matvec", poly, base_out[0] if shared else base_out)
 
     basis = spline_out = bspline_basis_he(xp, layer.grid, comparator)
-    *maps, last = layer.spline_maps(path)
-    for W in maps:
-        spline_out = bsgs_matvec(W, spline_out)
-    spline_out = bsgs_matvec(last, spline_out, giants=base_out if shared else None)
+    *maps, (last, last_schedule) = zip(layer.spline_maps(path), layout.maps)
+    for W, schedule in maps:
+        spline_out = bsgs_matvec(W, spline_out, schedule)
+    spline_out = bsgs_matvec(last, spline_out, last_schedule, base_out if shared else None)
     ops._stage("spline_matvec", basis, spline_out)
     out = spline_out if shared else ops.add(base_out, spline_out)
     return replace(out, width=layer.n_o) if isinstance(out, CipherText) else out
 
 
 def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> CipherText:
-    return _layer(layer, ct, cfg.path, cfg.comparator())
+    """One layer's encrypted forward (``_layer``). Raises
+    DepthBudgetInfeasible before any op when the layer's plan needs more
+    levels than ct has, as ``model_forward_he`` does for the model."""
+    comparator = cfg.comparator()
+    _check_depth(ModelPlan((_plan(layer.packed_silu_poly, layer.k, cfg.path, comparator),)),
+                 ct.level)
+    return _layer(layer, ct, cfg.path, comparator)
 
 
 def model_forward_he(model: KanModel, ct: CipherText,

@@ -17,12 +17,11 @@ its one level. A noisy backend runs the schedule op by op
 (``block_sum_ops``), so each op draws its own noise.
 
 Built once: a schedule computes its matrix's p diagonals on first use and
-keeps them, read-only, for every later giant step. ``matvec_schedule``
-returns the same schedule for the same matrix object as long as the matrix
-cannot change (a non-writeable array over read-only memory, or a
-PermutationSpec whose ``source_of`` is such an array); its memo holds the
-matrix by weak reference, so an entry dies with its matrix. A writeable
-matrix gets a new schedule on every call, so an in-place change is seen.
+keeps them, read-only, for every later giant step. ``matvec_schedule`` is a
+plain builder, a new schedule per call; a caller that multiplies by the
+same matrix again keeps the schedule (a layer keeps its own in its
+``inference.LayerLayout``), and ``bsgs_matvec`` builds one per call when
+given none.
 
 Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
@@ -74,8 +73,7 @@ The op counts are those of the op-by-op schedule either way.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,6 +96,7 @@ def _pad(W: np.ndarray, rows: int, cols: int) -> np.ndarray:
         return W
     out = np.zeros((rows, cols))
     out[: W.shape[0], : W.shape[1]] = W
+    out.setflags(write=False)
     return out
 
 
@@ -318,25 +317,8 @@ class MatvecSchedule:
         return acc if self.unfolded else ops.run_folds(acc, self.folds)
 
 
-# id(matrix) -> (weak reference to the matrix, {(repeated, over): its schedule}).
-# Process-wide, since callers pass the matrix alone (bsgs_matvec(W, v)); it
-# holds only schedules of matrices that cannot change, so no caller sees
-# another's state.
-_memo = {}
-
-
-def _frozen(a) -> bool:
-    """True when a is an array whose values cannot change: it and every
-    array it views are non-writeable, down to memory it or bytes own."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None or isinstance(a, bytes)
-
-
 def matvec_schedule(W, repeated: bool = False, over: tuple | None = None) -> MatvecSchedule:
-    """The schedule for W, chosen by its shape alone: one diagonal over
+    """A new schedule for W, chosen by its shape alone: one diagonal over
     the next power-of-two period for one row; wide when n_in = p * 2^j
     (j >= 1) with p >= n_o (smallest such p); with ``repeated``, n_in
     diagonals over n_o slots when tall (n_o > n_in); square otherwise. A
@@ -347,39 +329,9 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None) -> Mat
     that geometry and hands on its giant blocks unrotated and unfolded
     (shared giant steps and folds, see the module docstring);
     ``over`` needs ``repeated``, and a W that does not fit the geometry
-    raises DimensionMismatch.
-
-    A matrix that cannot change (``_frozen``, or a PermutationSpec over a
-    frozen ``source_of``) gets the same schedule on every call, and so
-    its diagonals are built once; the memo entry dies with the matrix.
-    Any other W gets a new schedule per call."""
-    if not _frozen(W.source_of if isinstance(W, PermutationSpec) else W):
-        return _build_schedule(W, repeated, over)
-    key = id(W)
-    hit = _memo.get(key)
-    if hit is None or hit[0]() is not W:
-        hit = _memo[key] = (weakref.ref(W, _forget(key)), {})
-    schedules, flavour = hit[1], (repeated, over)
-    if flavour not in schedules:
-        schedule = _build_schedule(W, repeated, over)
-        if schedule.W is not None:
-            # a shared schedule is read-only, and must not keep W alive
-            own = schedule.W.copy() if np.may_share_memory(schedule.W, W) else schedule.W
-            own.setflags(write=False)
-            schedule = replace(schedule, W=own)
-        schedules[flavour] = schedule
-    return schedules[flavour]
-
-
-def _forget(key: int):
-    """The weak reference's callback: drop the memo entry of a dead matrix.
-    It holds the memo itself: at interpreter exit the module's globals may
-    be gone."""
-    memo = _memo
-    return lambda ref: memo.pop(key, None)
-
-
-def _build_schedule(W, repeated: bool, over: tuple | None) -> MatvecSchedule:
+    raises DimensionMismatch. The schedule holds W itself when W needs no
+    padding, so W must not change while the schedule is kept (a layer's
+    matrices are read-only); a padded copy is made read-only here."""
     if isinstance(W, PermutationSpec):
         n = W.size
         return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n, repeated)

@@ -154,10 +154,11 @@ class KanLayer:
 
     @cached_property
     def layouts(self) -> dict:
-        """The layer program's packed layout, an ``inference.LayerLayout``
-        (the copies both branches read and W_b's geometry) per (path,
-        comparator, slot count), filled on first use by
-        ``inference._layout``; it lives as long as the layer."""
+        """The layer program's ``inference.LayerLayout`` (the copies both
+        branches read and the schedules of W_b and the spline maps) per
+        (path, comparator), filled on first use by ``inference._layout``;
+        the encrypted forward at any slot count and the mirror share it,
+        and it lives as long as the layer."""
         return {}
 
     def spline_maps(self, path: str) -> tuple:

@@ -608,6 +608,18 @@ class TestBasisReadsAPackedOperand:
             bspline_basis_he(xp, G, EXACT_COMPARATOR)
         assert calls == []
 
+    def test_operand_of_another_width_runs_no_op(self):
+        # 8 copies of width 3 read as blocks of 4 slots gave values such as
+        # 1.35 and -0.1, a basis lies in [0, 1]
+        be = HeBackend(BackendConfig(slot_count=256, depth_budget=30, noise_std=1e-12,
+                                     rng_seed=0))
+        xp = repeat_pack(be.encrypt([0.4, -0.3, 0.1]), GridMatrix.uniform(3, 3, 1, -1, 1))
+        assert (xp.copies, xp.width) == (8, 3)
+        before = be.counter.copy(), be._rng.bit_generator.state
+        with pytest.raises(ShapeMismatch, match="input of width 3 for a layer of n_i = 4"):
+            bspline_basis_he(xp, GridMatrix.uniform(4, 3, 1, -1, 1), EXACT_COMPARATOR)
+        assert (be.counter, be._rng.bit_generator.state) == before
+
     def test_packed_operand_gives_the_exact_basis(self):
         for G, x, _ in self.CASES.values():
             vals, _, _ = he_basis_values(x, G, EXACT_COMPARATOR)

@@ -39,7 +39,6 @@ from hekan.errors import (
     UnsupportedLayer,
 )
 from hekan.inference import (
-    LayerLayout,
     PipelineConfig,
     bench_compare,
     bench_lazy_vs_naive,
@@ -450,7 +449,7 @@ class TestSharedFolds:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(HeBackend, "_noise", lambda self, _run=HeBackend._noise:
                            draws.append(1) or _run(self))
-                giants = bsgs_matvec(A, a, repeated=True, over=geometry)
+                giants = bsgs_matvec(A, a, schedule=matvec_schedule(A, True, geometry))
                 out = bsgs_matvec(B, w, giants=giants)
             assert isinstance(giants, tuple) and len(giants) == own.split[1]
             assert all(g.level == a.level - 1 for g in giants)
@@ -460,7 +459,8 @@ class TestSharedFolds:
         be, out, _ = run(0.0)
         expect = np.pad(A @ x, (0, n_o - A.shape[0])) + np.pad(B @ v, (0, n_o - B.shape[0]))
         np.testing.assert_allclose(out.slots[:n_o], expect, rtol=0, atol=1e-12)
-        mirrored = bsgs_matvec(B, v, giants=bsgs_matvec(A, repeated, True, geometry))
+        mirrored = bsgs_matvec(B, v, giants=bsgs_matvec(
+            A, repeated, schedule=matvec_schedule(A, True, geometry)))
         assert np.array_equal(out.slots[:n_o].view(np.int64), mirrored[:n_o].view(np.int64))
         b = shared.split[0]
         assert shared.rotations == b - 1
@@ -742,6 +742,23 @@ class TestModelForward:
         # nothing ran: the check is static
         assert be.counter.mults == 0
 
+    def test_layer_forward_checks_its_plan_before_any_op(self):
+        # layer 0 plans 15 levels; on 5 it charged 16 ops before running
+        # out of depth
+        mdl = random_model([2, 3], g=5, k=3, seed=0)
+        cfg = PipelineConfig()
+        be = HeBackend(BackendConfig(slot_count=1024, depth_budget=5, noise_std=1e-12,
+                                     rng_seed=0))
+        ct = encrypt_input(np.array([0.4, -0.3]), mdl, be)
+        before = be.counter.copy(), be._rng.bit_generator.state
+        for run in (lambda: model_forward_he(mdl, ct, cfg),
+                    lambda: layer_forward_he(mdl.layers[0], ct, cfg)):
+            with pytest.raises(DepthBudgetInfeasible, match="planned depth 15 exceeds "
+                                                            "available level 5") as err:
+                run()
+            assert err.value.plan.total == plan_layer(mdl.layers[0], cfg).total == 15
+            assert (be.counter, be._rng.bit_generator.state) == before
+
     def test_check_depth_budget_passes_when_feasible(self):
         mdl = random_model([4, 2], g=4, k=1, seed=19)
         cfg = PipelineConfig(comparator_mode="exact")
@@ -1018,8 +1035,8 @@ class TestPackingRotationsPerStage:
                                        path=path)
         bcfg = BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
                              depth_budget=plan_model(mdl, cfg).total)
-        doublings = [inference._layout(layer, path, cfg.comparator(), bcfg.slot_count)
-                     .copies.bit_length() - 1 for layer in mdl.layers]
+        doublings = [inference._layout(layer, path, cfg.comparator()).copies.bit_length() - 1
+                     for layer in mdl.layers]
         saved = bspline.basis_copies(g, k).bit_length() - 1
         for arrive, first in ((lambda be: encrypt_input(x, mdl, be), doublings[0] - saved),
                               (lambda be: be.encrypt(x), doublings[0])):
@@ -1080,6 +1097,18 @@ def _operand_copies(n_i: int, g: int, k: int, reads: int) -> int:
     return copies
 
 
+def _same_schedule(a, b) -> bool:
+    """Whether two schedules multiply by the same matrix, or permutation,
+    in the same way: flavour, geometry and values."""
+    def same(x, y):
+        return x is y is None or (x is not None and y is not None and np.array_equal(x, y))
+
+    def flavour(s):
+        return s.n_out, s.repeated, s.unfolded, s.shape
+
+    return flavour(a) == flavour(b) and same(a.W, b.W) and same(a.offset, b.offset)
+
+
 def _zero_layer_model(n_i: int, n_o: int, g: int, k: int) -> KanModel:
     grid = bspline.GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
     layer = KanLayer(W_b=np.zeros((n_o, n_i)), S=np.zeros((n_o, n_i, grid.n_basis)),
@@ -1112,9 +1141,12 @@ class TestSiluReadsThePackedInput:
            seed=st.integers(0, 2 ** 16), data=st.data())
     @example(kind="tall past the copies", n_i=9, g=1, k=1, path="lazy",
              comparator_mode="exact", seed=0, data=None)
+    @example(kind="tall", n_i=6, g=1, k=2, path="lazy",  # shares the 9 x 18 map's folds
+             comparator_mode="composite", seed=0, data=None)
     def test_layer_shapes(self, kind, n_i, g, k, path, comparator_mode, seed, data):
         pack = _paper_copies(g, k)
-        n_o = 29 if data is None else self._n_o(data, kind, n_i, pack)
+        n_o = {"tall": 7, "tall past the copies": 29}[kind] if data is None else self._n_o(
+            data, kind, n_i, pack)
         mdl = random_model([n_i, n_o], g=g, k=k, seed=seed)
         layer = mdl.layers[0]
         cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
@@ -1127,10 +1159,10 @@ class TestSiluReadsThePackedInput:
         ct = encrypt_input(x, mdl, be)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            def spy(W, v, repeated=False, over=None, giants=None, _run=inference.bsgs_matvec):
+            def spy(W, v, schedule=None, giants=None, _run=inference.bsgs_matvec):
                 before = be.counter.copy()
-                out = _run(W, v, repeated, over, giants)
-                calls.append((W, repeated, over, be.counter.since(before)))
+                out = _run(W, v, schedule, giants)
+                calls.append((W, schedule, be.counter.since(before)))
                 return out
 
             mp.setattr(inference, "bsgs_matvec", spy)
@@ -1138,14 +1170,17 @@ class TestSiluReadsThePackedInput:
 
         assert np.array_equal(be.decrypt(out)[:n_o].view(np.int64), mirrored.view(np.int64))
         assert ct.level - out.level == plan.total
-        assert calls[0][:2] == (layer.W_b, True)
+        assert calls[0][0] is layer.W_b and calls[0][1].repeated
         assert [W for W, *_ in calls[1:]] == list(layer.spline_maps(path))
-        scheds = [matvec_schedule(W, repeated, over) for W, repeated, over, _ in calls]
+        scheds = [sched for _, sched, _ in calls]
         for sched, (*_, delta) in zip(scheds, calls):
             assert (delta.rotations, delta.pt_mults) == (sched.rotations, sched.pt_mults)
-        layout = inference._layout(layer, path, cfg.comparator(), be.slot_count)
-        over, copies = layout.over, _operand_copies(n_i, g, k, scheds[0].reads)
-        assert calls[0][2] == over
+        layout = inference._layout(layer, path, cfg.comparator())
+        over = layout.maps[-1].shape if layout.base.unfolded else None
+        assert _same_schedule(scheds[0], matvec_schedule(layer.W_b, True, over))
+        assert all(_same_schedule(sched, matvec_schedule(W))
+                   for (W, *_), sched in zip(calls[1:], scheds[1:]))
+        copies = _operand_copies(n_i, g, k, scheds[0].reads)
         assert layout.copies == copies
         own = matvec_schedule(layer.W_b, True).reads > n_i * pack
         assert own == (n_o > (pack - 1) * n_i + 1) == (kind == "tall past the copies")
@@ -1154,8 +1189,9 @@ class TestSiluReadsThePackedInput:
         assert ct.copies == bspline.basis_copies(g, k)
         assert be.counter.rotations == (copies.bit_length() - ct.copies.bit_length() + 1 + k
                                         + sum(s.rotations for s in scheds))
-        if n_o > n_i:
-            assert over is None and scheds[0].shape == (n_i, n_o)  # n_i diagonals, n_o slots
+        if n_o > n_i:  # W_b's own schedule: n_i diagonals, n_o slots
+            assert matvec_schedule(layer.W_b, True).shape == (n_i, n_o)
+            assert over is not None or scheds[0].shape == (n_i, n_o)
         assert not scheds[0].duplicates
 
     def test_no_shape_within_the_copies_needs_more_slots(self):
@@ -1177,20 +1213,21 @@ class TestSiluReadsThePackedInput:
         cfg = PipelineConfig(comparator_mode="exact")
         assert _parent_slot_count(9, 29, 1, 1, "lazy") == 64
         assert _smallest_slot_count(mdl, cfg) == 128
-        assert (inference._layout(mdl.layers[0], "lazy", cfg.comparator(), 128)
-                == LayerLayout(copies=8, over=None))
+        layout = inference._layout(mdl.layers[0], "lazy", cfg.comparator())
+        assert layout.copies == 8 and not layout.base.unfolded
         with pytest.raises(PackingOverflow, match="8 copies of 9 slots exceed 64"):
             check_capacity(mdl, cfg, 64)
 
     def test_geometry_is_worked_out_once_per_layer(self, monkeypatch):
-        # check_capacity and every forward after the first reuse the
-        # geometry kept on the layer, and nothing else keeps the layer alive
+        # check_capacity, the mirror and every forward after the first
+        # reuse the layout kept on the layer, and nothing else keeps the
+        # layer alive
         mdl = random_model([2, 5, 1], g=5, k=3, seed=1)
         calls = []
 
-        def spy(layer, path, comparator, slot_count, _run=inference._layout):
-            kept = layer.layouts.get((path, comparator, slot_count))
-            layout = _run(layer, path, comparator, slot_count)
+        def spy(layer, path, comparator, _run=inference._layout):
+            kept = layer.layouts.get((path, comparator))
+            layout = _run(layer, path, comparator)
             if kept is None:
                 calls.append(id(layer))  # worked out
             else:
@@ -1204,10 +1241,10 @@ class TestSiluReadsThePackedInput:
             be = make_backend(cfg.backend)
             model_forward_he(mdl, encrypt_input(x, mdl, be), cfg)
             model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator())
-        # one per layer on 4096 slots, one per layer in the mirror (the
-        # planner's stand-in layers may add their own)
+        # one per layer, shared by the encrypted forward on 4096 slots and
+        # the mirror (the planner's stand-in layers may add their own)
         ids = [id(layer) for layer in mdl.layers]
-        assert sorted(c for c in calls if c in ids) == sorted(2 * ids)
+        assert sorted(c for c in calls if c in ids) == sorted(ids)
         layer = weakref.ref(mdl.layers[0])
         del mdl
         gc.collect()
@@ -1228,8 +1265,8 @@ class TestSiluReadsThePackedInput:
                 (lambda be: be.encrypt(x), 19, 1), (lambda be: encrypt_input(x, mdl, be), 16, 0)):
             be = HeBackend(BackendConfig(slot_count=128,
                                          depth_budget=plan_layer(layer, cfg).total))
-            assert (inference._layout(layer, "lazy", cfg.comparator(), 128)
-                    == LayerLayout(copies=8, over=None))
+            layout = inference._layout(layer, "lazy", cfg.comparator())
+            assert layout.copies == 8 and not layout.base.unfolded
             shifts = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(HeBackend, "rotate",
@@ -1269,9 +1306,9 @@ class TestOneFoldChain:
         ct = encrypt_input(x, mdl, be)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            def spy(W, v, repeated=False, over=None, giants=None, _run=inference.bsgs_matvec):
-                calls.append((W, over, giants is not None))
-                return _run(W, v, repeated, over, giants)
+            def spy(W, v, schedule=None, giants=None, _run=inference.bsgs_matvec):
+                calls.append((W, schedule, giants is not None))
+                return _run(W, v, schedule, giants)
 
             mp.setattr(inference, "bsgs_matvec", spy)
             out = layer_forward_he(layer, ct, cfg)
@@ -1295,13 +1332,17 @@ class TestOneFoldChain:
         saves = (shared is not None and cost(shared) < cost(own)
                  and plan.silu_branch <= plan.spline_branch)
         base = shared if saves else own
-        assert calls == [(layer.W_b, maps[-1].shape if saves else None, False),
-                         *[(W, None, False) for W in layer.spline_maps(path)[:-1]],
-                         (layer.spline_maps(path)[-1], None, saves)]
+        layout = inference._layout(layer, path, comparator)
+        assert [(W, joined) for W, _, joined in calls] == [
+            (layer.W_b, False), *[(W, False) for W in layer.spline_maps(path)[:-1]],
+            (layer.spline_maps(path)[-1], saves)]
+        assert all(sched is kept for (_, sched, _), kept in zip(calls, (layout.base,
+                                                                       *layout.maps)))
+        assert _same_schedule(layout.base, base)  # unfolded on the last map's shape iff saves
+        assert all(map(_same_schedule, layout.maps, maps))
         assert not base.folds or not saves
         copies = _operand_copies(n_i, g, k, base.reads)
-        assert inference._layout(layer, path, comparator, be.slot_count) == LayerLayout(
-            copies=copies, over=maps[-1].shape if saves else None)
+        assert layout.copies == copies
 
         # the closed form: packing and the doublings up to the copies both
         # branches read, less those the client's copies save, the
@@ -1351,11 +1392,12 @@ class TestOneFoldChain:
 
 
 class TestLayerLayout:
-    """One record per (layer, path, comparator, slot count) gives the copy
-    count of the layer program (``inference._layout``): the least
-    power-of-two multiple of the basis's basis_copies(g, k) that covers
-    W_b's reads on ``over``; the fit errors are PackingOverflow for those
-    copies, then each spline map's DimensionMismatch; and the forward packs
+    """One record per (layer, path, comparator) gives the copy count of the
+    layer program (``inference._layout``): the least power-of-two multiple
+    of the basis's basis_copies(g, k) that covers the reads of W_b's
+    schedule (``base``); the fit errors (``inference._check_fit``) are
+    PackingOverflow for those copies, then each spline map's
+    DimensionMismatch; and the forward packs
     in one call (``bspline.repeat_pack``): one doubling chain from the
     arrived copies up to the record's, into the one operand both branches
     read."""
@@ -1374,11 +1416,12 @@ class TestLayerLayout:
         layer = mdl.layers[0]
         cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
         comparator = cfg.comparator()
-        layout = inference._layout(layer, path, comparator, math.inf)  # the mirror's
+        layout = inference._layout(layer, path, comparator)
         maps = [matvec_schedule(W) for W in layer.spline_maps(path)]
-        assert layout.over in (None, maps[-1].shape)
-        copies = _operand_copies(n_i, g, k,
-                                 matvec_schedule(layer.W_b, True, layout.over).reads)
+        over = maps[-1].shape if layout.base.unfolded else None
+        assert _same_schedule(layout.base, matvec_schedule(layer.W_b, True, over))
+        assert all(map(_same_schedule, layout.maps, maps))
+        copies = _operand_copies(n_i, g, k, matvec_schedule(layer.W_b, True, over).reads)
         assert layout.copies == copies
 
         # the fit errors: the operand's copies, then each map
@@ -1398,10 +1441,11 @@ class TestLayerLayout:
             with pytest.raises(error):
                 check_capacity(mdl, cfg, slots)
             with pytest.raises(error):
-                inference._layout(layer, path, comparator, slots)
+                inference._check_fit(layer, layout, slots)
             slots = _smallest_slot_count(mdl, cfg)
         check_capacity(mdl, cfg, slots)
-        assert inference._layout(layer, path, comparator, slots) == layout
+        inference._check_fit(layer, layout, math.inf)  # the mirror's
+        assert inference._layout(layer, path, comparator) is layout
 
         # the one operand both branches read, and the one doubling chain
         # that makes it
@@ -1449,7 +1493,7 @@ class TestLayerLayout:
 
             mp.setattr(inference, "_layout", spy)
             inference._plan.__wrapped__(layer.packed_silu_poly, k, path, comparator)
-        assert stand_ins and all(found.over is None for found in stand_ins)
+        assert stand_ins and not any(found.base.unfolded for found in stand_ins)
 
 
 class TestPlanStagesJoinMeasuredDrops:
@@ -1873,10 +1917,10 @@ class TestBench:
         # where there is no giant step to share
         mdl = random_model([2, 5, 1], g=5, k=3, seed=3)
         cfg = PipelineConfig()
-        layouts = [inference._layout(layer, "lazy", cfg.comparator(), 2 ** 15)
-                   for layer in mdl.layers]
-        assert layouts[0].over is None
-        assert layouts[1].over is not None and layouts[1].over[0] == 1
+        layouts = [inference._layout(layer, "lazy", cfg.comparator()) for layer in mdl.layers]
+        assert not layouts[0].base.unfolded
+        assert layouts[1].base.unfolded and layouts[1].base.shape == layouts[1].maps[-1].shape
+        assert layouts[1].base.shape[0] == 1
         be = HeBackend(BackendConfig(slot_count=2 ** 15, depth_budget=plan_model(mdl, cfg).total))
         ct = encrypt_input(np.array([0.3, -0.6]), mdl, be)
         out, _ = model_forward_he(mdl, ct, cfg)

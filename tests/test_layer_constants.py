@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from hekan import backend, bspline, matvec, model
+from hekan import backend, bspline, inference, model
 from hekan.approx import EXACT_COMPARATOR, build_composite_sign
 from hekan.backend import BackendConfig, make_backend
 from hekan.inference import (
@@ -27,11 +27,11 @@ from hekan.model import model_forward_plain, random_model
 PATHS = ("lazy", "naive")
 
 
-def _forward(mdl, path, noise=0.0, x=None):
+def _forward(mdl, path, noise=0.0, x=None, slots=512):
     """One encrypted forward on a fresh backend: (decrypted slots, levels
     left, per-layer counters)."""
     depth = plan_model(mdl, PipelineConfig(path=path)).total
-    bcfg = BackendConfig(slot_count=512, depth_budget=depth, noise_std=noise, rng_seed=3)
+    bcfg = BackendConfig(slot_count=slots, depth_budget=depth, noise_std=noise, rng_seed=3)
     cfg = PipelineConfig(path=path, backend=bcfg)
     be = make_backend(bcfg)
     if x is None:
@@ -52,8 +52,8 @@ def builds(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(matvec, "_build_schedule",
-                        counting("schedule", matvec._build_schedule))
+    monkeypatch.setattr(inference, "matvec_schedule",
+                        counting("schedule", inference.matvec_schedule))
     monkeypatch.setattr(bspline, "basis_tiles", counting("tiles", bspline.basis_tiles))
     monkeypatch.setattr(model, "gen_permutation",
                         counting("permutation", model.gen_permutation))
@@ -91,36 +91,64 @@ class TestBuiltOnce:
         np.testing.assert_array_equal(warm_slots.view(np.int64), cold_slots.view(np.int64))
         assert warm_level == cold_level and warm_counts == cold_counts
 
-    def test_one_schedule_per_layer_matrix(self):
-        layer = random_model([3, 2], g=3, k=2, seed=3).layers[0]
-        for W in (layer.W_b, layer.w_prime, layer.w_fused, layer.permutation):
-            assert matvec_schedule(W) is matvec_schedule(W)
-        assert layer.spline_maps("naive")[0] is layer.permutation
 
+class TestLayoutKeepsSchedules:
+    """A layer's matvec schedules live in its layout, one record per (path,
+    comparator), shared by every slot count and the mirror; matvec_schedule
+    itself keeps nothing."""
 
-class TestMemo:
-    @pytest.mark.parametrize("shape", [(3, 8), (8, 8)], ids=["padded", "unpadded"])
-    def test_entry_dies_with_its_matrix(self, shape):
-        W = np.random.default_rng(4).normal(size=shape)
-        W.setflags(write=False)
-        key, ref = id(W), weakref.ref(W)
-        sched = matvec_schedule(W)
-        assert matvec_schedule(W) is sched and key in matvec._memo
-        del W
-        gc.collect()
-        assert ref() is None and key not in matvec._memo
-        sched.all_diagonals  # the schedule itself still works
+    @pytest.mark.parametrize("path", PATHS)
+    def test_one_record_per_path_and_comparator(self, request, path):
+        mdl = random_model([3, 4, 2], g=3, k=2, seed=1)
+        plan_model(mdl, PipelineConfig(path=path))  # the planner's stand-in builds its own
+        builds = request.getfixturevalue("builds")
+        x = np.linspace(-0.8, 0.7, 3)
+        _forward(mdl, path, x=x, slots=512)
+        done = dict(builds)
+        _forward(mdl, path, x=x, slots=1024)
+        model_forward_plain(mdl, x, mode="mirrored", comparator=build_composite_sign(),
+                            path=path)
+        assert builds == done
+        kept = [sched for layer in mdl.layers for layout in layer.layouts.values()
+                for sched in (layout.base, *layout.maps)]
+        assert builds["diagonals"] == sum(sched.W is not None for sched in kept)
+        for layer in mdl.layers:
+            assert list(layer.layouts) == [(path, build_composite_sign())]
+            layout = inference._layout(layer, path, build_composite_sign())
+            assert layer.layouts[(path, build_composite_sign())] is layout
+            assert len(layout.maps) == len(layer.spline_maps(path))
 
-    def test_models_leave_no_entries(self):
-        before = len(matvec._memo)
-        for seed in range(3):
-            mdl = random_model([3, 4, 2], g=3, k=2, seed=seed)
-            for path in PATHS:
-                _forward(mdl, path)
-            assert len(matvec._memo) > before
+    @pytest.mark.parametrize("path", PATHS)
+    def test_layer_passes_the_layout_schedules(self, monkeypatch, path):
+        mdl = random_model([3, 4, 2], g=3, k=2, seed=2)
+        passed = []
+
+        def spy(W, v, schedule=None, giants=None, _run=inference.bsgs_matvec):
+            passed.append(schedule)
+            return _run(W, v, schedule, giants)
+
+        monkeypatch.setattr(inference, "bsgs_matvec", spy)
+        x = np.linspace(-0.8, 0.7, 3)
+        _forward(mdl, path, x=x)
+        model_forward_plain(mdl, x, mode="mirrored", comparator=build_composite_sign(),
+                            path=path)
+        kept = []
+        for layer in mdl.layers:
+            layout = inference._layout(layer, path, build_composite_sign())
+            kept.extend((layout.base, *layout.maps))
+        assert len(passed) == 2 * len(kept)
+        assert all(a is b for a, b in zip(passed, 2 * kept))
+
+    def test_records_die_with_the_layer(self):
+        mdl = random_model([3, 4, 2], g=3, k=2, seed=3)
+        for path in PATHS:
+            _forward(mdl, path)
+        refs = [weakref.ref(obj) for layer in mdl.layers for layout in layer.layouts.values()
+                for obj in (layout, layout.base, *layout.maps)]
+        assert len(refs) == 2 * (3 + 4)  # per layer: lazy, a record, base and one map; naive, two maps
         del mdl
         gc.collect()
-        assert len(matvec._memo) == before
+        assert all(ref() is None for ref in refs)
 
     def test_writeable_matrix_is_read_on_every_call(self):
         be = make_backend(BackendConfig(slot_count=64, depth_budget=4))
@@ -132,28 +160,16 @@ class TestMemo:
         got = be.decrypt(bsgs_matvec(W, be.encrypt(v)))[:3]
         np.testing.assert_allclose(got, W @ v, rtol=1e-12)
 
-    def test_read_only_view_of_a_writeable_base_is_not_memoised(self):
-        base = np.ones((3, 8))
-        view = base[:]
-        view.setflags(write=False)
-        assert matvec_schedule(view) is not matvec_schedule(view)
-        spec = bspline.PermutationSpec(2, 2, np.array([0, 2, 1, 3]))
-        assert matvec_schedule(spec) is not matvec_schedule(spec)
-
-    def test_shared_schedule_holds_its_own_matrix(self):
-        W = np.eye(8)
-        W.setflags(write=False)
-        sched = matvec_schedule(W)
-        assert sched.W is not W and np.array_equal(sched.W, W)
-
 
 class TestReadOnly:
     def test_layer_constants_reject_in_place_writes(self):
         layer = random_model([3, 2], g=3, k=2, seed=5).layers[0]
         sched = matvec_schedule(layer.w_fused)
+        padded = matvec_schedule(np.ones((3, 8)))  # zero-padded to 4 x 8
+        assert padded.W.shape == (4, 8)
         targets = [layer.W_b, layer.S, layer.w_prime, layer.w_fused,
                    sched.all_diagonals, sched.diagonals(range(2)),
-                   sched.W, layer.permutation.source_of, layer.grid.tiles[0],
+                   sched.W, padded.W, layer.permutation.source_of, layer.grid.tiles[0],
                    layer.grid.tiles[1][0]]
         for a in targets:
             with pytest.raises(ValueError, match="read-only"):
