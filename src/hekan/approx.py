@@ -357,19 +357,9 @@ def _estrin(ops, x, coeffs):
     to right and merges two blocks of 2^j as lo + x^(2^j) * hi as soon as
     both exist: the balanced tree's post-order. A constant block stays a
     float and zero terms are skipped. The schedule is identical between the
-    backend and array adapters, so cleartext mirroring is bit-exact.
-
-    x^3 leaves use the tree's slack. A lo block may finish one level after
-    its hi sibling, so the 4-coefficient block q (coefficients 4q … 4q+3)
-    may finish at level m - popcount(q) and the tree still ends at level m.
-    A block whose budget is at least 3, whose even coefficients are 0.0 and
-    whose c_{4q+3} is nonzero is formed directly as c_{4q+1} x + c_{4q+3} x^3
-    (level 3): the same pt mults and add as its pair merge, one ct mult
-    fewer. When at least two blocks qualify, x^3 = x * x^2 is computed once
-    (one ct mult) and each such block enters the post-order as a finished
-    block of 4; otherwise the schedule is the plain power tree. An odd
-    polynomial with nonzero odd coefficients costs 13 ct mults instead of
-    19 at degree 31 and 8 instead of 10 at degree 15.
+    backend and array adapters, so cleartext mirroring is bit-exact. The
+    comparator's odd sign stages do not run here: they run in product form
+    (_OddStage), which costs fewer multiplies.
     """
     n = len(coeffs)
     if n == 1:
@@ -378,13 +368,6 @@ def _estrin(ops, x, coeffs):
     pows = [x]
     for _ in range(m - 1):
         pows.append(ops.mul(pows[-1], pows[-1]))
-    cubic = {4 * q for q in range(n // 4)
-             if m - q.bit_count() >= 3 and coeffs[4 * q] == 0.0
-             and coeffs[4 * q + 2] == 0.0 and coeffs[4 * q + 3] != 0.0}
-    if len(cubic) >= 2:
-        x3 = ops.mul(x, pows[1])
-    else:
-        cubic = ()
 
     def merge(lo, power, hi):  # lo + power * hi, zero terms skipped
         if isinstance(hi, float) and hi == 0.0:
@@ -393,13 +376,8 @@ def _estrin(ops, x, coeffs):
         return val if isinstance(lo, float) and lo == 0.0 else ops.add(val, lo)
 
     blocks = []  # (j, value): the pending blocks of 2^j coefficients
-    i = 0
-    while i < 1 << m:
-        if i in cubic:  # the leaf c_{i+1} x + c_{i+3} x^3, formed here
-            val = merge(merge(0.0, x, float(coeffs[i + 1])), x3, float(coeffs[i + 3]))
-            j, i = 2, i + 4
-        else:
-            j, val, i = 0, float(coeffs[i]) if i < n else 0.0, i + 1
+    for i in range(1 << m):
+        j, val = 0, float(coeffs[i]) if i < n else 0.0
         while blocks and blocks[-1][0] == j:
             val = merge(blocks.pop()[1], pows[j], val)
             j += 1
@@ -438,6 +416,96 @@ def eval_poly_he(a: CipherText, p: Polynomial) -> CipherText:
 # in [-R, R], see KanModel.check_input_range) keeps each operand in [-1, 1].
 
 
+def _quartic(f, g):
+    """(a, b, c', d') with ((y + a)^2 + b)^2 + c' y + d' equal to the
+    product of the quadratics f = (a1, b1) and g = (a2, b2), each
+    (y + a_i)^2 + b_i, read off the product's coefficients e3 ... e0."""
+    (a1, b1), (a2, b2) = f, g
+    s1, s2 = a1 * a1 + b1, a2 * a2 + b2
+    e3, e2, e1, e0 = 2 * (a1 + a2), s1 + s2 + 4 * a1 * a2, 2 * (a1 * s2 + a2 * s1), s1 * s2
+    a = e3 / 4
+    b = (e2 - 6 * a * a) / 2
+    return a, b, e1 - 4 * a * (a * a + b), e0 - (a * a + b) ** 2
+
+
+@dataclass(frozen=True)
+class _OddStage:
+    """An odd sign stage p(x) = x Q(y), y = x^2, in product form with
+    preconditioned coefficients (Knuth, TAOCP vol. 2, 4.6.4):
+
+        p(x) = c x * (y - root) * ((y + a)^2 + b) * prod_i (((y + a_i)^2 + b_i)^2 + c'_i y + d'_i)
+
+    with the linear factor present when deg Q is odd, at most one
+    quadratic, and one quartic per two more quadratic factors of Q.
+
+    ``run`` spends one pt mult on c x and one ct mult on y, one ct mult per
+    quadratic, two ct mults and one pt mult per quartic, then multiplies
+    the two shallowest factors until one is left. At every odd degree from
+    1 to 63 that consumes poly_eval_depth(p) levels and as many adds as
+    the power tree (_estrin). A degree-7 stage costs 4 ct and 1 pt mults,
+    degree 15 costs 7 and 2, degree 31 costs 13 and 4, where the power
+    tree spends 5 and 4, 10 and 8, 19 and 16. Above degree 37 the product
+    form costs 1 to 3 ct mults more than a power tree that forms its odd
+    blocks of four as c x + c' x^3 from one x^3 = x x^2 (13 ct mults at
+    degree 31); no plan in _STAGE_PLANS goes above 31.
+    """
+
+    c: float
+    root: float | None  # Q's linear factor y - root
+    quadratic: tuple | None  # (a, b)
+    quartics: tuple  # (a, b, c', d') each
+
+    @classmethod
+    def of(cls, p: Polynomial) -> "_OddStage":
+        """Factor p from the roots of Q (np.roots). Conjugate pairs give
+        quadratics, and so do the real roots left after the linear factor
+        takes the largest, paired in order. The quadratics are sorted by
+        the product of their two roots, a^2 + b; the smallest is the lone
+        quadratic when their count is odd, and the rest pair smallest with
+        largest into quartics: on a noisy backend at sigma = 1e-8 criterion
+        4's comparator (two degree-31 stages) then stays within 7.4e-3 of
+        its noiseless output, where pairing neighbours gives 2.8.
+        InvalidArgument unless p is odd."""
+        if p.degree % 2 == 0 or any(p.coeffs[0::2]):
+            raise InvalidArgument(f"a sign stage is an odd polynomial, got {p.coeffs}")
+        q = np.asarray(p.coeffs[1::2])
+        roots = np.roots(q[::-1])
+        real = sorted(float(z.real) for z in roots if z.imag == 0)
+        root = real.pop() if q.size % 2 == 0 else None
+        quads = [(float(-z.real), float(z.imag) ** 2) for z in roots if z.imag > 0]
+        quads += [(-(u + v) / 2, -((u - v) / 2) ** 2) for u, v in zip(real[0::2], real[1::2])]
+        quads.sort(key=lambda f: f[0] * f[0] + f[1])
+        quadratic = quads.pop(0) if len(quads) % 2 else None
+        half = len(quads) // 2
+        quartics = tuple(map(_quartic, quads[:half], reversed(quads[half:])))
+        return cls(float(q[-1]), root, quadratic, quartics)
+
+    def run(self, ops, x, scale: float = 1.0):
+        """scale * p(x), run by ops: c x with c scaled (exact for a power
+        of two), then the factors as the class docstring says."""
+        factors = [(1, ops.mul(x, scale * self.c))]  # (levels, value)
+        if self.root is None and self.quadratic is None and not self.quartics:
+            return factors[0][1]
+        y = ops.mul(x, x)
+
+        def quadratic(a, b):  # (y + a)^2 + b
+            t = ops.add(y, a)
+            return ops.add(ops.mul(t, t), b)
+
+        if self.root is not None:
+            factors.append((1, ops.add(y, -self.root)))
+        if self.quadratic is not None:
+            factors.append((2, quadratic(*self.quadratic)))
+        for a, b, c, d in self.quartics:
+            u = quadratic(a, b)
+            factors.append((3, ops.add(ops.mul(u, u), ops.add(ops.mul(y, c), d))))
+        while len(factors) > 1:
+            factors.sort(key=lambda f: f[0])
+            (i, u), (j, v), *factors = factors
+            factors.append((max(i, j) + 1, ops.mul(u, v)))
+        return factors[0][1]
+
+
 @dataclass(frozen=True)
 class CompositeSign:
     """Composition of odd minimax polynomials approximating sign on
@@ -451,13 +519,10 @@ class CompositeSign:
     def __post_init__(self):
         if not self.stages:
             raise InvalidArgument("a composite sign needs at least one stage")
-        # The last stage with its coefficients halved, built once. Halving
-        # is exact, so each of its Estrin nodes is half the original node
-        # (up to subnormal rounding, far below what adding 1/2 keeps), and
-        # s/2 + 1/2 rounds to round(s + 1)/2: step's bits are those of
-        # (s + 1) * 0.5, without the multiply's level.
-        object.__setattr__(self, "_half_last",
-                           tuple(0.5 * c for c in self.stages[-1].coeffs))
+        # Each stage factored once. sign, step and certified_max_error all
+        # run the factors, so the certificate checks the program that runs
+        # and a badly conditioned factoring fails it instead of running.
+        object.__setattr__(self, "_factored", tuple(map(_OddStage.of, self.stages)))
 
     @property
     def delta(self) -> float:
@@ -468,17 +533,22 @@ class CompositeSign:
         return sum(poly_eval_depth(s) for s in self.stages)
 
     def sign(self, ops, s):
-        """The composed sign stages on s, run by ops (see _estrin)."""
-        for stage in self.stages:
-            s = _estrin(ops, s, stage.coeffs)
+        """The composed sign stages on s, run by ops (see _OddStage)."""
+        for stage in self._factored:
+            s = stage.run(ops, s)
         return s
 
     def step(self, ops, d):
         """The comparator's program: (s + 1)/2 of the sign s, as the sign
-        stages with the last one's coefficients halved, plus 1/2."""
-        for stage in self.stages[:-1]:
-            d = _estrin(ops, d, stage.coeffs)
-        return ops.add(_estrin(ops, d, self._half_last), 0.5)
+        stages with the last one's c halved, plus 1/2. Halving is exact, so
+        every product holding c x is half the sign's (up to subnormal
+        rounding, far below what adding 1/2 keeps), and s/2 + 1/2 rounds to
+        round(s + 1)/2: step's bits are those of (s + 1) * 0.5, without the
+        multiply's level."""
+        *first, last = self._factored
+        for stage in first:
+            d = stage.run(ops, d)
+        return ops.add(last.run(ops, d, 0.5), 0.5)
 
     def certified_max_error(self) -> float:
         """Max |composed(y) - 1| over 100000 points of [delta, 1]."""
@@ -509,12 +579,12 @@ def step_clear(d: np.ndarray) -> np.ndarray:
 
 
 # Candidate stage-degree plans in the order they are tried: by total depth,
-# then by the ct and pt mults of one call's program (_estrin's counts for
-# odd stages with nonzero odd coefficients). Degree 7 costs 3 levels, 15
-# costs 4, 31 costs 5. At depth 10, three degree-7/15 stages cost 18 ct and
-# 16 pt mults per call against 26 and 32 for (31, 31). Of the three tied
-# plans, (7, 7, 15) composes the smallest error at the defaults (2.1e-7,
-# against 4.2e-7 and 5.9e-7), so it goes first.
+# then by the ct and pt mults of one call's program (_OddStage's counts).
+# Degree 7 costs 3 levels, 15 costs 4, 31 costs 5. At depth 10, three
+# degree-7/15 stages cost 15 ct and 4 pt mults per call against 26 and 8
+# for (31, 31). Of the three tied plans, (7, 7, 15) composes the smallest
+# error at the defaults (2.1e-7, against 4.2e-7 and 5.9e-7), so it goes
+# first.
 _STAGE_PLANS = (
     (15, 15),
     (31, 15),
@@ -532,13 +602,14 @@ _STAGE_PLANS = (
 
 # The default comparator: certified to 2^-20 for inputs at least 2^-5 from
 # zero. Its first certifying plan is (7, 7, 15): depth 10 (the step map's
-# 1/2 is folded into the last stage), 18 ct mults, 16 pt mults and 14 adds
-# per call, a composed error of 2.1e-7 and coefficients of at most 96 in
-# absolute value, so a noisy backend's errors are not amplified into
-# divergence. In a B-spline basis the far-field residual is what the
-# Cox-de Boor factors amplify, while a blurred step near a knot barely
-# moves a continuous basis, so the default buys flatness (eps) rather than
-# sharpness (alpha). PipelineConfig reads these.
+# 1/2 is folded into the last stage), 15 ct mults, 4 pt mults and 14 adds
+# per call, a composed error of 2.1e-7 and power-basis coefficients of at
+# most 96 in absolute value. Run in product form, a noisy backend's
+# sigma = 1e-8 moves its output by at most about 4e-7. In a B-spline basis
+# the far-field residual is what the Cox-de Boor factors amplify, while a
+# blurred step near a knot barely moves a continuous basis, so the default
+# buys flatness (eps) rather than sharpness (alpha). PipelineConfig reads
+# these.
 DEFAULT_ALPHA = 5.0
 DEFAULT_TARGET_EPS = 2.0 ** -20
 

@@ -302,7 +302,12 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     the doublings of the copies its reads need), and when the plan's SiLU
     branch is no deeper than its spline branch, so that the shared add
     leaves every stage's level drop as planned. Whether it fits a slot
-    count is ``_check_fit``'s."""
+    count is ``_check_fit``'s.
+
+    Only that last condition reads the comparator. So a record of another
+    comparator on the same path lends its schedules: its maps, and its W_b
+    schedule when this record chooses the same form, each with the
+    diagonals it has built."""
     key = (path, comparator)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
@@ -314,12 +319,14 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     def cost(schedule):  # rotations, the doublings up to a constant
         return schedule.rotations + copies(schedule).bit_length(), schedule.pt_mults
 
-    maps = tuple(matvec_schedule(W) for W in layer.spline_maps(path))
-    base = matvec_schedule(layer.W_b, True)
+    kin = [kept for (kept_path, _), kept in layer.layouts.items() if kept_path == path]
+    lent = {kept.base.unfolded: kept.base for kept in kin}
+    maps = kin[0].maps if kin else tuple(matvec_schedule(W) for W in layer.spline_maps(path))
+    base = lent.get(False) or matvec_schedule(layer.W_b, True)
     # a 1 x 1 W_b, the planner's stand-in, costs (0, 1) on its own and is
     # never beaten, so _plan never runs on the stand-in it plans with
     if maps[-1].folds:
-        shared = matvec_schedule(layer.W_b, True, maps[-1].shape)
+        shared = lent.get(True) or matvec_schedule(layer.W_b, True, maps[-1].shape)
         if cost(shared) < cost(base):
             plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
             if plan.silu_branch <= plan.spline_branch:

@@ -260,18 +260,6 @@ class TestEvalPolyHe:
         assert consumed <= 5
         assert consumed == poly_eval_depth(p) == 4
 
-    @pytest.mark.parametrize("degree, ct, pt, adds, levels",
-                             [(31, 13, 16, 15, 5), (15, 8, 8, 7, 4)])
-    def test_odd_sign_stage_costs(self, degree, ct, pt, adds, levels):
-        # x^3 leaves: 4 squarings, x^3 and 8 merges at degree 31 (19
-        # without them), 3 squarings, x^3 and 4 merges at degree 15 (10)
-        p, _ = fit_odd_sign_stage(2.0 ** -5, 1.0, degree)
-        be = backend(slots=8, depth=6)
-        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
-        out = eval_poly_he(a, p)
-        c = be.counter
-        assert (c.ct_mults, c.pt_mults, c.adds, a.level - out.level) == (ct, pt, adds, levels)
-
     def test_depth_formula(self):
         assert poly_eval_depth(0) == 0
         assert poly_eval_depth(1) == 1
@@ -380,58 +368,6 @@ def _estrin_recursive(ops, x, coeffs):
     return block(0, 1 << m)
 
 
-def _x3_leaves(coeffs):
-    """First coefficient of each block of four that may be an x^3 leaf:
-    the tree's level budget m - popcount(q) of block q is at least 3, its
-    even coefficients are zero and its last one is not."""
-    m = max(1, (len(coeffs) - 1).bit_length())
-    padded = np.zeros(1 << m)
-    padded[:len(coeffs)] = coeffs
-    return [lo for lo in range(0, 1 << m, 4)
-            if m - bin(lo // 4).count("1") >= 3
-            and padded[lo] == padded[lo + 2] == 0.0 and padded[lo + 3] != 0.0]
-
-
-def _estrin_recursive_x3(ops, x, coeffs):
-    """Reference for the flat power tree: the balanced recursion of
-    _estrin_recursive, except that when at least two blocks of four may be
-    x^3 leaves, x^3 = x * x^2 follows the squarings and each such block is
-    c_{lo+1} x + c_{lo+3} x^3, its zero term skipped."""
-    n = len(coeffs)
-    if n == 1:
-        return ops.const(coeffs[0])
-    m = max(1, (n - 1).bit_length())
-    padded = np.zeros(1 << m)
-    padded[:n] = coeffs
-    pows = [x]
-    for _ in range(m - 1):
-        pows.append(ops.mul(pows[-1], pows[-1]))
-    leaves = _x3_leaves(coeffs)
-    if len(leaves) >= 2:
-        x3 = ops.mul(x, pows[1])
-    else:
-        leaves = []
-
-    def block(lo, size):
-        if size == 1:
-            return float(padded[lo])
-        if size == 4 and lo in leaves:
-            terms = [ops.mul(power, float(padded[lo + e]))
-                     for power, e in ((x, 1), (x3, 3)) if padded[lo + e] != 0.0]
-            return terms[0] if len(terms) == 1 else ops.add(terms[1], terms[0])
-        half = size // 2
-        lo_val = block(lo, half)
-        hi_val = block(lo + half, half)
-        if isinstance(hi_val, float) and hi_val == 0.0:
-            return lo_val
-        term = ops.mul(pows[half.bit_length() - 1], hi_val)
-        if isinstance(lo_val, float) and lo_val == 0.0:
-            return term
-        return ops.add(term, lo_val)
-
-    return block(0, 1 << m)
-
-
 def _draw_coeffs(draw):
     """Coefficients of degree 0 to 31, of any, odd or even parity, zeros
     (signed ones too) included, trimmed as a Polynomial trims them."""
@@ -459,36 +395,8 @@ class TestEstrinOpOrder:
     def test_matches_recursive_reference(self, data):
         coeffs = _draw_coeffs(data.draw)
         got, want = _Recorder(), _Recorder()
-        assert approx._estrin(got, got.x, coeffs) == _estrin_recursive_x3(want, want.x, coeffs)
+        assert approx._estrin(got, got.x, coeffs) == _estrin_recursive(want, want.x, coeffs)
         assert got.log == want.log
-
-
-class TestEstrinX3Leaves:
-    """The x^3 leaves against the plain power tree (_estrin_recursive): the
-    same pt mults and adds, one ct mult fewer per leaf but one for x^3, at
-    the depth of poly_eval_depth; the plain tree's ops exactly when fewer
-    than two blocks qualify."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_never_costs_more_than_the_plain_tree(self, data):
-        coeffs = _draw_coeffs(data.draw)
-        got, old = _Recorder(), _Recorder()
-        approx._estrin(got, got.x, coeffs)
-        _estrin_recursive(old, old.x, coeffs)
-        (ct, pt, adds), (old_ct, old_pt, old_adds) = _op_counts(got.log), _op_counts(old.log)
-        assert (pt, adds) == (old_pt, old_adds)
-        assert ct <= old_ct
-        leaves = _x3_leaves(coeffs)
-        if len(leaves) < 2:
-            assert got.log == old.log
-        else:
-            assert ct == old_ct - len(leaves) + 1
-
-        be = backend(slots=8, depth=6)
-        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
-        out = approx._estrin(_OneOpAtATime(a), a, coeffs)
-        assert a.level - out.level == poly_eval_depth(len(coeffs) - 1)
 
 
 class TestEvalPolyHeWindow:
@@ -534,9 +442,31 @@ class TestEvalPolyHeWindow:
             assert got_ops == want_ops
 
 
+# One call of an odd stage's product form (approx._OddStage): (ct, pt)
+# mults by degree
+STAGE_COSTS = {7: (4, 1), 15: (7, 2), 31: (13, 4)}
+
+
+def _random_sign(draw):
+    """A hand-built CompositeSign: one to three odd stages of random
+    degree 1 to 63 (7, 15 and 31 drawn often), each with random odd
+    coefficients and a nonzero leading one."""
+    degree = st.sampled_from(sorted(STAGE_COSTS)) | st.sampled_from(range(1, 64, 2))
+    degrees = draw(st.lists(degree, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stages = []
+    for degree in degrees:
+        coeffs = np.zeros(degree + 1)
+        coeffs[1::2] = rng.uniform(-3.0, 3.0, (degree + 1) // 2)
+        coeffs[-1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 3.0)
+        stages.append(Polynomial(tuple(coeffs)))
+    return approx.CompositeSign(tuple(stages), 5.0, 0.5)
+
+
 class TestComparatorProgramsWindow:
     """poly_comp, the one runner of both comparators, against the same
-    subtraction and comparator program run one backend op at a time."""
+    subtraction and comparator program run one backend op at a time: the
+    default comparators and hand-built ones of random odd stages."""
 
     @staticmethod
     def _op_by_op(a, b, comparator):
@@ -549,12 +479,13 @@ class TestComparatorProgramsWindow:
 
     @pytest.mark.parametrize("window", ["wrapped", "full", "empty"])
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
-    @pytest.mark.parametrize("name", ["exact", "composite"])
+    @pytest.mark.parametrize("name", ["exact", "composite", "random"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches_op_by_op_program(self, name, noise, window, data):
         draw = data.draw
-        comparator = EXACT_COMPARATOR if name == "exact" else build_composite_sign()
+        comparator = {"exact": lambda: EXACT_COMPARATOR, "composite": build_composite_sign,
+                      "random": lambda: _random_sign(draw)}[name]()
         S = draw(st.sampled_from([8, 16, 64]))
         if window == "wrapped":
             start = draw(st.integers(2, S - 1))
@@ -585,6 +516,13 @@ class TestComparatorProgramsWindow:
             assert got_level == want_level == level - depth
             assert got_ops == want_ops
 
+        if name == "random":
+            for stage in comparator.stages:
+                rec = _Recorder()
+                approx._OddStage.of(stage).run(rec, rec.x)
+                ct, pt, _ = _op_counts(rec.log)
+                assert STAGE_COSTS.get(stage.degree, (ct, pt)) == (ct, pt)
+
 
 class TestCompositeSign:
     def test_default_build_certifies(self):
@@ -609,8 +547,8 @@ class TestCompositeSign:
 
     def test_stage_plans_ordered_by_depth_then_call_cost(self):
         """Plans are tried by depth, then by one call's ct mults, then pt
-        mults, as step schedules odd stages whose odd coefficients are all
-        nonzero (as fitted ones are)."""
+        mults, as step runs the stages (in product form, whose counts
+        depend on the degrees alone)."""
         def key(plan):
             stages = tuple(Polynomial(tuple(float(i % 2) for i in range(d + 1)))
                            for d in plan)
@@ -624,15 +562,68 @@ class TestCompositeSign:
         assert keys == sorted(keys)
 
     def test_default_call_costs(self):
-        # stages 7, 7, 15: 5, 5 and 8 ct mults, one pt mult per odd
-        # coefficient (4, 4, 8), 3, 3 and 7 adds, plus the 1/2
+        # stages 7, 7, 15: 4, 4 and 7 ct mults, 1, 1 and 2 pt mults, 3, 3
+        # and 7 adds, plus the 1/2
         cs = build_composite_sign()
         be = backend(slots=8, depth=12)
         a = be.encrypt(np.linspace(-1.0, 1.0, 8))
         out = poly_comp(a, 0.25, cs)
         c = be.counter
-        assert (c.ct_mults, c.pt_mults, c.adds, c.subs) == (18, 16, 14, 1)
+        assert (c.ct_mults, c.pt_mults, c.adds, c.subs) == (15, 4, 14, 1)
         assert a.level - out.level == cs.depth() == 10
+
+    @pytest.mark.parametrize("degree, ct, pt, adds, levels",
+                             [(7, 4, 1, 3, 3), (15, 7, 2, 7, 4), (31, 13, 4, 15, 5)])
+    def test_fitted_stage_costs(self, degree, ct, pt, adds, levels):
+        # c x and y = x^2, then at degree 31 the linear factor, one
+        # quadratic and three quartics, merged by five products
+        p, _ = fit_odd_sign_stage(2.0 ** -5, 1.0, degree)
+        be = backend(slots=8, depth=6)
+        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
+        out = approx._OddStage.of(p).run(_OneOpAtATime(a), a)
+        c = be.counter
+        assert (c.ct_mults, c.pt_mults, c.adds, a.level - out.level) == (ct, pt, adds, levels)
+        # the degree-31 stage's power-basis coefficients reach 2.2e10: at
+        # |x| = 1 the factors and polyval each round about 1e-6 off
+        np.testing.assert_allclose(be.decrypt(out), p(np.linspace(-1.0, 1.0, 8)), rtol=1e-5)
+
+    @pytest.mark.parametrize("degree", range(1, 64, 2))
+    def test_stage_level_drop_is_the_power_trees(self, degree):
+        # the two shallowest factors first: ceil(log2(degree + 1)) levels
+        coeffs = np.zeros(degree + 1)
+        coeffs[1::2] = np.random.default_rng(degree).uniform(0.5, 1.5, (degree + 1) // 2)
+        cs = approx.CompositeSign((Polynomial(tuple(coeffs)),), 5.0, 0.5)
+        be = backend(slots=8, depth=7)
+        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
+        out = be.run_on_window(a, lambda w: cs.sign(w, w.x), cs.depth())
+        assert cs.depth() == poly_eval_depth(degree)
+        assert a.level - cs.sign(_OneOpAtATime(a), a).level == cs.depth()
+        np.testing.assert_allclose(out.slots, Polynomial(tuple(coeffs))(a.slots), atol=1e-9)
+
+    def test_stages_must_be_odd(self):
+        for coeffs in ((0.5, 1.0), (0.0, 1.0, 1.0), (0.0,)):
+            with pytest.raises(InvalidArgument):
+                approx.CompositeSign((Polynomial(coeffs),), 5.0, 0.5)
+
+    @pytest.mark.parametrize("alpha, eps, bound", [
+        (approx.DEFAULT_ALPHA, approx.DEFAULT_TARGET_EPS, 1e-6), (7.0, 2.0 ** -10, 2e-2)],
+        ids=["default", "criterion4"])
+    def test_noise_stays_bounded(self, alpha, eps, bound):
+        """On a noisy backend (sigma = 1e-8, five seeds) the comparator's
+        output stays within bound of the noiseless one at every point of
+        [delta, 1] and its mirror: the product form keeps the stages from
+        amplifying the noise. The power tree reaches 1.4e-6 on the default
+        and 1e111 on criterion 4's; pairing neighbouring quadratics into
+        quartics, 2.8 on criterion 4's."""
+        cs = build_composite_sign(alpha, eps)
+        half = np.linspace(cs.delta, 1.0, 8192)
+        d = np.concatenate([half, -half])
+        exact = poly_comp(d, 0.0, cs)
+        for seed in range(5):
+            be = make_backend(BackendConfig(slot_count=d.size, depth_budget=cs.depth(),
+                                            noise_std=1e-8, rng_seed=seed))
+            out = be.decrypt(poly_comp(be.encrypt(d), 0.0, cs))
+            assert np.max(np.abs(out - exact)) < bound
 
     def test_depth_is_stage_sum(self):
         cs = build_composite_sign()

@@ -119,6 +119,27 @@ class TestLayoutKeepsSchedules:
             assert len(layout.maps) == len(layer.spline_maps(path))
 
     @pytest.mark.parametrize("path", PATHS)
+    def test_comparators_share_the_path_schedules(self, request, path):
+        # W_b's shared-or-own choice is the only one a comparator makes: the
+        # second comparator's record takes the first's schedules, diagonals
+        # included
+        mdl = random_model([256, 10], g=10, k=5, seed=0)
+        for mode in ("composite", "exact"):  # the planner's stand-ins build their own
+            plan_model(mdl, PipelineConfig(path=path, comparator_mode=mode))
+        builds = request.getfixturevalue("builds")
+        comparators = (build_composite_sign(), EXACT_COMPARATOR)
+        for comparator in comparators:
+            model_forward_plain(mdl, np.linspace(-0.8, 0.7, 256), mode="mirrored",
+                                comparator=comparator, path=path)
+        layer = mdl.layers[0]
+        first, second = (layer.layouts[(path, comparator)] for comparator in comparators)
+        assert first is not second
+        assert len(first.maps) == len(second.maps) == len(layer.spline_maps(path))
+        assert all(a is b for a, b in zip(first.maps, second.maps))
+        assert first.base.unfolded and second.base is first.base
+        assert builds["diagonals"] == sum(s.W is not None for s in (first.base, *first.maps))
+
+    @pytest.mark.parametrize("path", PATHS)
     def test_layer_passes_the_layout_schedules(self, monkeypatch, path):
         mdl = random_model([3, 4, 2], g=3, k=2, seed=2)
         passed = []
