@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -614,6 +615,17 @@ DEFAULT_ALPHA = 5.0
 DEFAULT_TARGET_EPS = 2.0 ** -20
 
 
+def _check_target(alpha, target_eps) -> None:
+    """The comparator target's domain, stated once for
+    ``build_composite_sign`` and ``inference.PipelineConfig``: alpha and
+    target_eps are real numbers (not bools) in (0, inf) and (0, 1) (at
+    delta = 2^-alpha >= 1 the certified interval [delta, 1] is empty; NaN
+    lies in neither). InvalidArgument otherwise."""
+    for name, value, hi in (("alpha", alpha, math.inf), ("target_eps", target_eps, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < hi:
+            raise InvalidArgument(f"{name} must be a real number in (0, {hi}), got {value!r}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_composite_sign(alpha: float = DEFAULT_ALPHA,
                          target_eps: float = DEFAULT_TARGET_EPS) -> CompositeSign:
@@ -622,14 +634,10 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
     Tries the stage-degree plans of _STAGE_PLANS (by depth, then by one
     call's ct and pt mults) and returns the first whose composed error
     certifies below target_eps on a dense grid.
-    alpha must be positive and finite (at delta = 2^-alpha >= 1 the
-    certified interval [delta, 1] is empty) and target_eps must lie in
-    (0, 1); InvalidArgument otherwise, before any fit.
+    InvalidArgument before any fit for a target outside its domain
+    (``_check_target``).
     """
-    if not 0 < alpha < math.inf:  # NaN included
-        raise InvalidArgument(f"alpha must be positive and finite, got {alpha}")
-    if not 0 < target_eps < 1:
-        raise InvalidArgument(f"target_eps must lie in (0, 1), got {target_eps}")
+    _check_target(alpha, target_eps)
     delta = 2.0 ** (-alpha)
     for degrees in _STAGE_PLANS:
         stages = []

@@ -178,6 +178,13 @@ def _read(a: "CipherText", s: int, m: int) -> np.ndarray:
     return _place(a.start, a.data, a.tail, s, m, S)
 
 
+def _slice(a: np.ndarray, s: int, m: int) -> np.ndarray:
+    """The mirror's ``_read``: fresh array of slots s .. s+m-1 of the array
+    a over a zero tail, placed as a window at slot 0 of a slot count too
+    large for the read to wrap (the mirror has no slot limit)."""
+    return _place(0, a, 0.0, s, m, a.size + m + abs(s))
+
+
 def _plain(b) -> tuple:
     """(data, tail) of a plaintext, whose window starts at slot 0: a scalar
     is an empty window over itself, an array fills slots [0, len) over a
@@ -374,49 +381,38 @@ class HeBackend:
         return CipherText(start, out[:-1], out[-1], a.level - depth, self)
 
     def run_block_sum(self, a: CipherText, schedule, giants=None):
-        """Run a diagonal matvec schedule up to its folds and return the sum
-        of its rotated giant-step blocks at level ``a.level - 1``, each
-        block plus ``giants``' block of the same step if given (the result's
-        level is then at most theirs); an ``unfolded`` schedule returns its
-        giant blocks unrotated instead (``MatvecSchedule.run``).
+        """Run a diagonal matvec schedule up to its folds on the operand a
+        and return the sum of its rotated giant-step blocks at level
+        ``a.level - 1``, each block plus ``giants``' block of the same step
+        if given (the result's level is then at most theirs); an
+        ``unfolded`` schedule returns its giant blocks unrotated instead
+        (``MatvecSchedule.run``).
 
-        a holds the operand as the schedule's contract says: its n_in
-        values over zeros, which the block sum first duplicates (``a``
-        plus ``a`` rotated right by the period n, when
-        ``schedule.duplicates``), or, for a repeated schedule, those values
-        already repeated with period n_in over the slots it reads
-        (``schedule.reads``). On the exact backend that is one numpy program
-        (``schedule.block_sum``), charged the op-by-op run's counts
-        (``schedule.block_sum_counts``, and one add per giant block), whose
-        result is the window [0, L) over a zero tail, or block i's window
-        [base_i, base_i + L) (see the module docstring); a noisy backend
-        runs it op by op (``schedule.block_sum_ops``). DepthExhausted is
-        raised before any of it when a has no level left, and
-        DimensionMismatch (``schedule.check_capacity``) first for a
-        schedule that does not fit one ciphertext.
+        On the exact backend that is one numpy program,
+        ``schedule.block_sum`` over the slots it reads (``_read``),
+        charged the op-by-op run's counts (``schedule.block_sum_counts``,
+        and one add per giant block), whose result is the window [0, L)
+        over a zero tail, or block i's window [base_i, base_i + L) (see the
+        module docstring); a noisy backend runs it op by op
+        (``schedule.block_sum_ops``). DepthExhausted is raised before any
+        of it when a has no level left, and DimensionMismatch
+        (``schedule.check_capacity``) first for a schedule that does not
+        fit one ciphertext.
         """
         schedule.check_capacity(self.config.slot_count)
-        self._check_ours(a)
-        for g in giants or ():
-            self._check_ours(g)
+        giants = giants or ()
+        for ct in (a, *giants):
+            self._check_ours(ct)
         if a.level < 1:
             raise DepthExhausted(f"matrix-vector product at level {a.level}")
         if self.noisy:
             return schedule.block_sum_ops(self, a, giants)
-        m, L = schedule.reads, schedule.shape[1]
-        x = _read(a, 0, m)
-        if schedule.duplicates:
-            x = x + _read(a, -schedule.period, m)
-        level, placed = a.level - 1, None
-        if giants is not None:
-            level = min(level, *(g.level for g in giants))
-            placed = [_read(g, base, L) for g, (base, _) in zip(giants, schedule.blocks())]
+        level = min((a.level - 1, *(g.level for g in giants)))
         rotations, adds, pt_mults = schedule.block_sum_counts
-        c = self.counter
-        c.rotations += rotations
-        c.adds += adds + len(placed or ())
-        c.pt_mults += pt_mults
-        out = schedule.block_sum(x, placed)
+        self.counter.rotations += rotations
+        self.counter.adds += adds + len(giants)
+        self.counter.pt_mults += pt_mults
+        out = schedule.block_sum(_read, a, giants)
         if schedule.unfolded:
             return tuple(CipherText(base, block, 0.0, level, self)
                          for block, (base, _) in zip(out, schedule.blocks()))
@@ -564,25 +560,13 @@ class _ArrayOps:
 
     @staticmethod
     def run_block_sum(v, schedule, giants=None):
-        """The block sum on the slots the encrypted one reads: v's first n
-        slots (n the period), zero-extended to n and duplicated, when the
-        schedule duplicates; else v's first ``schedule.reads`` slots,
-        zero-extended. Giant block i, given or returned unrotated, holds
-        its step's sum in slots [base_i, base_i + L)."""
-        if schedule.duplicates:
-            n = schedule.period
-            x = np.zeros(2 * n)
-            x[: min(n, v.size)] = v[:n]
-            x[n:] = x[:n]
-        else:
-            m = schedule.reads
-            x = np.zeros(m)
-            x[: min(m, v.size)] = v[:m]
-        L, bases = schedule.shape[1], [base for base, _ in schedule.blocks()]
-        placed = None if giants is None else [g[b:b + L] for g, b in zip(giants, bases)]
-        out = schedule.block_sum(x, placed)
+        """``MatvecSchedule.block_sum`` on arrays read over a zero tail
+        (``_slice``); an unfolded schedule's giant block i, returned
+        unrotated, is padded to start at its base."""
+        out = schedule.block_sum(_slice, v, giants)
         if schedule.unfolded:
-            return tuple(np.concatenate((np.zeros(b), block)) for block, b in zip(out, bases))
+            return tuple(np.concatenate((np.zeros(base), block))
+                         for block, (base, _) in zip(out, schedule.blocks()))
         return out
 
     @staticmethod

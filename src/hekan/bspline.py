@@ -159,13 +159,31 @@ def _check_copies(slot_count: int, n_i: int, copies: int) -> None:
         raise PackingOverflow(f"{copies} copies of {n_i} slots exceed {slot_count} slots")
 
 
-def _check_width(ct, n_i: int) -> None:
-    """ShapeMismatch unless ct states no width (an array, or an op's
-    result) or n_i: copies of another width would be read as misaligned
-    blocks of n_i slots."""
-    width = getattr(ct, "width", None)
-    if width not in (None, n_i):
-        raise ShapeMismatch(f"input of width {width} for a layer of n_i = {n_i}")
+def _check_layout(x, n: int, fewest: int = 0, most: float = math.inf,
+                  reader: str = "the basis", owner: str = "a layer of n_i") -> None:
+    """The one check of a stated layout, made before any op reads x:
+    ShapeMismatch unless x holds copies of n slots, at least ``fewest`` of
+    them (the copies the reader needs that a zero tail cannot supply) and
+    at most ``most``. A ciphertext states its layout, ``width`` and
+    ``copies``; one that states no width (an op's result, or a scalar's
+    encryption) passes. An array (the mirror's) states only its length,
+    which must hold fewest copies. Copies of another width would be read
+    as misaligned blocks of n slots, and a reader given fewer copies than
+    it reads would read zeros as copies. Its callers: ``repeat_pack``,
+    ``bspline_basis_he`` and ``inference.bsgs_matvec``."""
+    if not isinstance(x, CipherText):  # an array states its length only
+        copies, most = (np.size(x) // n if np.ndim(x) else fewest), math.inf
+    elif x.width is None:
+        return
+    elif x.width != n:
+        raise ShapeMismatch(f"input of width {x.width} for {owner} = {n}")
+    else:
+        copies = x.copies
+    if copies < fewest:
+        raise ShapeMismatch(f"{reader} reads {fewest} copies of {n} slots, "
+                            f"more than its operand's {copies}")
+    if copies > most:
+        raise ShapeMismatch(f"{copies} copies of {n} slots, more than the {most} {reader} reads")
 
 
 def _check_power_of_two(name: str, copies) -> None:
@@ -216,7 +234,7 @@ def repeat_pack(ct: CipherText, G: GridMatrix, copies: int | None = None) -> Cip
 
     Raises before any op: InvalidArgument unless copies and the arrived
     copies are powers of two, ShapeMismatch when ct states a width other
-    than n_i (``_check_width``), then PackingOverflow unless n_i * copies
+    than n_i (``_check_layout``), then PackingOverflow unless n_i * copies
     slots fit (the packed layout's fit law, ``_check_copies``); else the
     final shift would wrap onto the front copies."""
     n_i = G.n_i
@@ -224,7 +242,7 @@ def repeat_pack(ct: CipherText, G: GridMatrix, copies: int | None = None) -> Cip
     _check_power_of_two("copies", copies)
     arrived = min(getattr(ct, "copies", 1), copies)
     _check_power_of_two("arrived copies", arrived)
-    _check_width(ct, n_i)
+    _check_layout(ct, n_i)
     ops = _ops_of(ct)
     _check_copies(ops.slot_count, n_i, copies)
     xp = _double_copies(ops.mul(ct, np.full(n_i * arrived, G.scale)), n_i, arrived, copies)
@@ -333,9 +351,8 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
 
     Raises before any op: PackingOverflow unless n_i * basis_copies(g, k)
     slots fit (the packed layout's fit law, ``_check_copies``), then
-    ShapeMismatch when xp states a width other than n_i (``_check_width``:
-    its copies would be read as misaligned blocks of n_i slots), or
-    visibly holds fewer copies than basis_copies(g, k): a
+    ShapeMismatch (``_check_layout``) when xp states a width other than
+    n_i, or visibly holds fewer copies than basis_copies(g, k): a
     ciphertext stating width n_i with fewer ``copies`` (a raw
     ``encrypt``, or one packed short), or an array shorter than
     n_i * basis_copies(g, k). Read as packed, such an operand gives a
@@ -364,11 +381,7 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     ops = _ops_of(xp)
     basis = basis_copies(G.g, G.k)
     _check_copies(ops.slot_count, G.n_i, basis)
-    _check_width(xp, G.n_i)
-    if (xp.width == G.n_i and xp.copies < basis if isinstance(xp, CipherText)
-            else np.ndim(xp) and np.size(xp) < G.n_i * basis):
-        raise ShapeMismatch(f"the basis reads {basis} copies of {G.n_i} slots, "
-                            "more than its operand holds: pack it with repeat_pack")
+    _check_layout(xp, G.n_i, basis)
     knots, orders = G.tiles
     h = poly_comp(xp, knots, comparator)
     b = steps = ops.sub(h, ops.rotate(h, G.n_i))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
@@ -36,11 +35,19 @@ from .approx import (
     DEFAULT_ALPHA,
     DEFAULT_TARGET_EPS,
     EXACT_COMPARATOR,
+    _check_target,
     build_composite_sign,
     eval_poly_he,
 )
 from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make_backend
-from .bspline import GridMatrix, _check_copies, basis_copies, bspline_basis_he, repeat_pack
+from .bspline import (
+    GridMatrix,
+    _check_copies,
+    _check_layout,
+    basis_copies,
+    bspline_basis_he,
+    repeat_pack,
+)
 from .errors import (
     DepthBudgetInfeasible,
     InvalidArgument,
@@ -72,15 +79,7 @@ class PipelineConfig:
             raise InvalidArgument(f"unknown comparator_mode {self.comparator_mode!r}")
         if self.path not in ("lazy", "naive"):
             raise InvalidArgument(f"unknown path {self.path!r}")
-        for name in ("alpha", "target_eps"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise InvalidArgument(f"{name} must be a finite real number, got {value!r}")
-        if self.alpha <= 0:
-            raise InvalidArgument(f"alpha must be positive (2^-alpha < 1), got {self.alpha}")
-        if not 0 < self.target_eps < 1:
-            raise InvalidArgument(f"target_eps must lie in (0, 1), got {self.target_eps}")
+        _check_target(self.alpha, self.target_eps)
         if not isinstance(self.label, str):
             raise InvalidArgument(f"label must be a string, got {self.label!r}")
 
@@ -158,18 +157,25 @@ def bsgs_matvec(W, v: CipherText, schedule: MatvecSchedule | None = None, giants
     W is an n_o x n_in cleartext matrix, or a PermutationSpec (square, with
     its diagonals read from ``source_of``). v is a ciphertext or an array
     (the mirror). ``schedule`` is W's MatvecSchedule. By default it is
-    ``matvec_schedule(W)``, built for this call: v holds the operand in
-    its first n_in slots with zeros elsewhere, and the schedule duplicates
-    it for the diagonals that wrap. A caller that multiplies by W again
-    passes the schedule it keeps, so its diagonals are built once; the
-    layer program passes its layout's (``LayerLayout``). W is then not read
-    again, and names the product. A repeated schedule reads v repeated
-    with period n_in over every slot it reads (``MatvecSchedule.reads``),
-    as the layer's packed input is. The result is valid in slots [0, n_o);
-    other slots may hold partial sums. Consumes one level;
-    DimensionMismatch is raised before any op when W is not a non-empty
-    matrix (a vector is one row) or the schedule does not fit one
-    ciphertext. The schedule's ``rotations`` and ``pt_mults`` give the
+    ``matvec_schedule(W)``, built for this call, whose operand is v's n_in
+    values over zeros. A caller that multiplies by W again passes the
+    schedule it keeps, so its diagonals are built once; the layer program
+    passes its layout's (``LayerLayout``). W then names the product and
+    gives n_in. A repeated schedule reads v repeated with period n_in, as
+    the layer's packed input is. The slots the block sum reads are stated
+    once, in ``MatvecSchedule.block_sum``. The result is valid in slots
+    [0, n_o); other slots may hold partial sums. Consumes one level.
+
+    Raised before any op: DimensionMismatch when W is not a non-empty
+    matrix (a vector is one row), then ShapeMismatch when v states a
+    layout the schedule does not read (``bspline._check_layout``): a width
+    other than n_in, more than one copy for a schedule that is not
+    repeated, or, for a repeated one, fewer copies of n_in than cover
+    its ``reads``; an array shorter than those copies raises it too, and
+    one stated vector at least as long (a raw ``encrypt`` of the repeated
+    operand) passes as such an array does. Then DimensionMismatch when
+    the schedule does not fit one ciphertext. A width-less ciphertext (an
+    op's result) states nothing and passes. The schedule's ``rotations`` and ``pt_mults`` give the
     exact counts.
 
     Shared giant steps and folds: an ``unfolded`` schedule (W's block sum
@@ -181,6 +187,11 @@ def bsgs_matvec(W, v: CipherText, schedule: MatvecSchedule | None = None, giants
     the sum of the two).
     """
     schedule = matvec_schedule(W) if schedule is None else schedule
+    n_in = schedule.period if schedule.W is None else np.shape(W)[-1]  # W's, unpadded
+    fewest, most = (-(-schedule.reads // n_in), math.inf) if schedule.repeated else (0, 1)
+    # a repeated schedule takes one stated vector (a raw encrypt) that long as it takes an array
+    if not schedule.repeated or getattr(v, "copies", 0) != 1 or (v.width or 0) < fewest * n_in:
+        _check_layout(v, n_in, fewest, most, "the block sum", "a matrix of n_in")
     return schedule.run(_ops_of(v), v, giants)
 
 
@@ -304,10 +315,12 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     leaves every stage's level drop as planned. Whether it fits a slot
     count is ``_check_fit``'s.
 
-    Only that last condition reads the comparator. So a record of another
-    comparator on the same path lends its schedules: its maps, and its W_b
-    schedule when this record chooses the same form, each with the
-    diagonals it has built."""
+    Only that last condition reads the comparator, and W_b's two
+    candidates read only W_b and the last map's shape, which both paths
+    share (the lazy path's fused weights and the naive path's W' are both
+    n_o x n_i(g + k)). So any record of the layer lends its W_b schedule
+    when this record chooses the same form, and a record of the same path
+    its maps, each with the diagonals it has built."""
     key = (path, comparator)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
@@ -319,9 +332,9 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     def cost(schedule):  # rotations, the doublings up to a constant
         return schedule.rotations + copies(schedule).bit_length(), schedule.pt_mults
 
-    kin = [kept for (kept_path, _), kept in layer.layouts.items() if kept_path == path]
-    lent = {kept.base.unfolded: kept.base for kept in kin}
-    maps = kin[0].maps if kin else tuple(matvec_schedule(W) for W in layer.spline_maps(path))
+    lent = {kept.base.unfolded: kept.base for kept in layer.layouts.values()}
+    maps = [kept.maps for (kept_path, _), kept in layer.layouts.items() if kept_path == path]
+    maps = maps[0] if maps else tuple(matvec_schedule(W) for W in layer.spline_maps(path))
     base = lent.get(False) or matvec_schedule(layer.W_b, True)
     # a 1 x 1 W_b, the planner's stand-in, costs (0, 1) on its own and is
     # never beaten, so _plan never runs on the stand-in it plans with

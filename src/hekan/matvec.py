@@ -6,10 +6,11 @@ summed, and the rotate-and-add folds that finish a wide matrix. ``run``
 is its one program, the block sum and then the folds; the encrypted
 forward passes the backend as ``ops``, the mirror its array adapter
 (``inference.bsgs_matvec`` picks one by ``backend._ops_of``). The mirror
-and the exact backend run one block-sum kernel, ``block_sum``: each giant
-step is one array program that multiplies the step's babies (rows of a
-sliding window over the duplicated or repeated operand) by the step's
-diagonals and reduces them in diagonal order. So the mirrored forward
+and the exact backend run one block-sum kernel, ``block_sum``, each
+reading its operand through its own slot reader: each giant step is one
+array program that multiplies the step's babies (rows of a sliding
+window over the duplicated or repeated operand) by the step's diagonals
+and reduces them in diagonal order. So the mirrored forward
 reproduces the encrypted result bit for bit on the exact backend, where
 ``HeBackend.run_block_sum`` checks the slot capacity (``check_capacity``),
 charges the op-by-op schedule's counts (``block_sum_counts``) and spends
@@ -32,15 +33,16 @@ over its columns zero-padded to the next power of two. The choice depends
 on the shape alone, so a caller without a slot count (the mirror) makes
 the same one.
 
-Operand contracts: by default the operand holds its n_in values in slots
-[0, n_in) over zeros, and the block sum first duplicates it with the
-schedule's period (one rotation and one add) so that the diagonals can
-wrap. A repeated schedule (``matvec_schedule(W, repeated=True)``) takes an
-operand that already holds its values repeated with period n_in over
-every slot the block sum reads (``MatvecSchedule.reads``), as the layer's
-packed input does, and skips the duplication. A tall repeated matrix
-(n_o > n_in) then takes n_in diagonals over n_o output slots instead of
-the padded square. A single diagonal never wraps, so a one-row matrix is
+Operand contracts: by default the operand holds its n_in values over
+zeros, and the block sum duplicates it (one rotation and one add) so that
+the diagonals can wrap. A repeated schedule
+(``matvec_schedule(W, repeated=True)``) takes an operand that already
+repeats with period n_in, as the layer's packed input does, and skips the
+duplication. The slots each reads are stated once, in
+``MatvecSchedule.block_sum``; ``inference.bsgs_matvec`` checks the layout
+a ciphertext states against them before any op. A tall repeated matrix
+(n_o > n_in) takes n_in diagonals over n_o output slots instead of the
+padded square. A single diagonal never wraps, so a one-row matrix is
 never duplicated either.
 
 Shared giant steps and folds: ``matvec_schedule(W, True, over=(p, L))``
@@ -232,34 +234,47 @@ class MatvecSchedule:
             raise DimensionMismatch(f"the block sum reads {self.reads} slots, more than "
                                     f"{slot_count} (single-ciphertext scope)")
 
-    def block_sum(self, x: np.ndarray, placed=None):
-        """The giant steps, one array program each. Slot t < L of step
-        base's block is sum_d x[t + d] * diag_d[t] (diag_d zero past n) over
-        its diagonals, reduced in diagonal order, then plus ``placed``'s
-        array of the same step if given (another block sum's giant block
-        read into place, L slots): the block rotated into place. The result
-        is the sum of the blocks in step order, or, for an ``unfolded``
-        schedule, the list of blocks. x holds at least slots [0, L + p - 1)
-        of the duplicated or repeated operand; the babies are rows of one
-        sliding window over it, and a step computes its block's slots
-        [base, base + L) only.
+    def block_sum(self, read, v, giants=None):
+        """The block sum on v, one array program per giant step; the one
+        statement of the slots it reads, through ``read(a, s, m)``, the
+        executor's reader of slots s .. s + m - 1 of a (``backend._read``
+        for a ciphertext, ``backend._slice`` for the mirror's array, over
+        a zero tail):
 
-        A permutation operand (W is None) with nothing placed is one gather with
+        - x, v's slots [0, reads) (``reads`` = L + p - 1), plus v's slots
+          [-n, reads - n) when the schedule ``duplicates`` (n the period),
+          so that with v zero past n, x holds v and its copy n slots on;
+        - each of ``giants``' blocks, when given (another block sum's
+          giant blocks, see the module docstring), at its step's base:
+          slots [base, base + L).
+
+        Slot t < L of step base's block is sum_d x[t + d] * diag_d[t]
+        (diag_d zero past n) over its diagonals, reduced in diagonal order,
+        then plus the giant block of the same step: the block rotated into
+        place. The result is the sum of the blocks in step order, or, for
+        an ``unfolded`` schedule, the list of blocks, each of L slots. The
+        babies are rows of one sliding window over x, and a step computes
+        its block's slots [base, base + L) only.
+
+        A permutation operand (W is None) with no giants is one gather with
         the same bits. Column t's only nonzero diagonal is offset[t], so it
-        is v = x[t + offset[t]] when v != 0. Otherwise every term is a
+        is h = x[t + offset[t]] when h != 0. Otherwise every term is a
         signed zero, and the sum is -0.0 only if all of x[t : t + n] have
         the sign bit set. A non-finite x takes the dense loop, where inf * 0
         makes every column that reads it NaN.
         """
-        L = self.shape[1]
-        if self.W is None and placed is None:
-            read = x[:2 * L - 1]
-            if np.isfinite(read).all():
+        m, L = self.reads, self.shape[1]
+        x = read(v, 0, m)
+        if self.duplicates:
+            x = x + read(v, -self.period, m)
+        placed = [read(g, base, L) for g, (base, _) in zip(giants or (), self.blocks())]
+        if self.W is None and not placed:
+            if np.isfinite(x).all():  # x is [0, 2n - 1): p = L = n
                 t = np.arange(L)
-                v = read[t + self.offset]
-                signs = np.concatenate(([0], np.cumsum(np.signbit(read))))
+                hit = x[t + self.offset]
+                signs = np.concatenate(([0], np.cumsum(np.signbit(x))))
                 all_neg = signs[t + L] - signs[t] == L
-                return np.where(v != 0, v, np.where(all_neg, -0.0, 0.0))
+                return np.where(hit != 0, hit, np.where(all_neg, -0.0, 0.0))
         rows = sliding_window_view(x, L)
         acc, unrotated = None, []
         for step, (base, diags) in enumerate(self.blocks()):
@@ -267,7 +282,7 @@ class MatvecSchedule:
             # numpy reduces axis 0 row by row, in the schedule's order; it
             # starts from the identity, and -0.0 + t0 == t0 keeps t0's sign
             block = np.add.reduce(terms, axis=0, initial=-0.0)
-            if placed is not None:
+            if placed:
                 block = block + placed[step]
             if self.unfolded:
                 unrotated.append(block)
@@ -291,7 +306,7 @@ class MatvecSchedule:
             for baby, diag in zip(babies, self.diagonals(diags)):
                 term = ops.mul(baby, np.concatenate((np.zeros(base), diag)))
                 block = term if block is None else ops.add(block, term)
-            if giants is not None:
+            if giants:
                 block = ops.add(block, giants[step])
             if self.unfolded:
                 unrotated.append(block)

@@ -18,7 +18,7 @@ from hekan.backend import (
     _read,
     make_backend,
 )
-from hekan.bspline import GridMatrix, repeat_pack
+from hekan.bspline import GridMatrix, gen_permutation, repeat_pack
 from hekan.errors import (
     DepthExhausted,
     HeKanError,
@@ -528,16 +528,42 @@ class TestArrayOpsSlotSemantics:
         assert packed.size == 3 * 8
         np.testing.assert_array_equal(packed, ct.slots[: packed.size])
 
-    def test_block_sum_reads_the_first_period(self):
-        W = np.random.default_rng(4).normal(size=(3, 4))
-        sched = matvec_schedule(W)
-        n = sched.shape[1]
-        v = np.random.default_rng(5).normal(size=3 * n)
+    @pytest.mark.parametrize("W, repeated", [
+        ((3, 4), False),  # wide: the duplication reads past the period
+        ((5, 5), False),  # square
+        ((1, 6), False),  # one row: one diagonal, no duplication
+        ((7, 3), True),   # tall repeated
+        (gen_permutation(2, 3), False),
+    ], ids=["wide", "square", "one-row", "tall-repeated", "permutation"])
+    def test_block_sum_reads_the_slots_the_ciphertext_does(self, W, repeated):
+        # one statement of the block sum's reads: an operand with nonzero
+        # slots past its period gives the mirror what it gives the exact
+        # backend, slot for slot, duplication included
+        if isinstance(W, tuple):
+            W = np.random.default_rng(4).normal(size=W)
+        sched = matvec_schedule(W, repeated)
+        v = np.random.default_rng(5).normal(size=3 * sched.period)
+        v[::4] = -0.0
         out = _ArrayOps.run_block_sum(v, sched)
-        np.testing.assert_array_equal(out, _ArrayOps.run_block_sum(v[:n], sched))
-        be = fresh(slot_count=16)
-        want = be.run_block_sum(be.encrypt(v[:n]), sched)
-        np.testing.assert_array_equal(out, be.decrypt(want)[:n])
+        be = fresh(slot_count=64)
+        want = be.decrypt(be.run_block_sum(be.encrypt(v), sched))
+        assert np.array_equal(out.view(np.int64), want[:out.size].view(np.int64))
+        assert np.all(want[out.size:] == 0.0)
+
+    def test_unfolded_blocks_read_the_slots_the_ciphertext_does(self):
+        B = np.random.default_rng(6).normal(size=(2, 16))
+        A = np.random.default_rng(7).normal(size=(2, 4))
+        own = matvec_schedule(B)
+        shared = matvec_schedule(A, True, own.shape)
+        v, w = np.random.default_rng(8).normal(size=(2, 40))
+        be = fresh(slot_count=64)
+        mirrored = _ArrayOps.run_block_sum(v, shared)
+        blocks = be.run_block_sum(be.encrypt(v), shared)
+        for got, block in zip(mirrored, blocks):
+            assert np.array_equal(got.view(np.int64), be.decrypt(block)[:got.size].view(np.int64))
+        out = _ArrayOps.run_block_sum(w, own, mirrored)
+        want = be.decrypt(be.run_block_sum(be.encrypt(w), own, blocks))
+        assert np.array_equal(out.view(np.int64), want[:out.size].view(np.int64))
 
     def test_no_slot_limit(self):
         assert _ArrayOps(self.A).slot_count == math.inf

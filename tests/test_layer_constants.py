@@ -139,6 +139,23 @@ class TestLayoutKeepsSchedules:
         assert first.base.unfolded and second.base is first.base
         assert builds["diagonals"] == sum(s.W is not None for s in (first.base, *first.maps))
 
+    def test_paths_share_the_base_schedule(self):
+        # W_b's schedule on the last map's geometry reads only W_b and that
+        # map's shape, which the lazy path's fused weights and the naive
+        # path's W' share: one record lends it to the other path, so the
+        # layer keeps one 460.8 KB copy of its diagonals (15 of 3840 slots)
+        mdl = random_model([256, 10], g=10, k=5, seed=0)
+        for path in PATHS:
+            for comparator in (build_composite_sign(), EXACT_COMPARATOR):
+                model_forward_plain(mdl, np.linspace(-0.8, 0.7, 256), mode="mirrored",
+                                    comparator=comparator, path=path)
+        layouts = list(mdl.layers[0].layouts.values())
+        assert len(layouts) == 4 and all(layout.base.unfolded for layout in layouts)
+        bases = {id(layout.base): layout.base for layout in layouts}.values()
+        assert sum(base.all_diagonals.nbytes for base in bases) == 460_800
+        lazy, naive = (mdl.layers[0].layouts[(path, EXACT_COMPARATOR)] for path in PATHS)
+        assert lazy.maps[-1] is not naive.maps[-1]  # the maps stay the path's own
+
     @pytest.mark.parametrize("path", PATHS)
     def test_layer_passes_the_layout_schedules(self, monkeypatch, path):
         mdl = random_model([3, 4, 2], g=3, k=2, seed=2)

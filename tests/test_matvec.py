@@ -9,6 +9,7 @@ everywhere, for schedules on a zero-tail operand and on a repeated one.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter
 from hekan.bspline import PermutationSpec, gen_permutation
-from hekan.errors import DepthExhausted, DimensionMismatch
+from hekan.errors import DepthExhausted, DimensionMismatch, HeKanError, ShapeMismatch
 from hekan.inference import bsgs_matvec
 from hekan.matvec import MatvecSchedule, matvec_schedule
 
@@ -299,3 +300,102 @@ class TestNoisyKernelMemory:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20, peak
         np.testing.assert_allclose(be.decrypt(out)[:3840], P.apply(x), atol=1e-6)
+
+
+def _stated(be, v, width, copies):
+    """A ciphertext stating ``copies`` copies of ``width`` slots that holds
+    what it states: v repeated or cut to width values, copies times."""
+    ct = be.encrypt(np.tile(np.resize(v, width), copies))
+    return replace(ct, copies=copies, width=width)
+
+
+class TestStatedLayouts:
+    """bsgs_matvec reads the layout a ciphertext states (``width`` and
+    ``copies``) before any op: a width other than W's n_in, more than one
+    copy for a schedule that is not repeated, and too few copies to cover
+    a repeated schedule's reads raise ShapeMismatch. Read as the schedule's
+    operand, each of them gave a wrong product with no error."""
+
+    W = np.arange(12.0).reshape(3, 4) / 10  # W @ v = [2, 6, 10]
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    @pytest.mark.parametrize("case, match", [
+        ("width-6", "input of width 6 for a matrix of n_in = 4"),
+        ("two-copies", "2 copies of 4 slots, more than the 1 the block sum reads"),
+    ], ids=["width-6", "two-copies"])
+    def test_live_cases_raise_before_any_op(self, noise, case, match):
+        # read as the default schedule's operand, they gave [2, 8, 19.4]
+        # and [2, 6.4, 12.6]
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=2, noise_std=noise))
+        ct = (be.encrypt([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) if case == "width-6"
+              else replace(be.encrypt(np.tile(self.v, 2)), copies=2, width=4))
+        before = be.counter.copy(), be._rng.bit_generator.state
+        with pytest.raises(ShapeMismatch, match=match):
+            bsgs_matvec(self.W, ct)
+        assert (be.counter, be._rng.bit_generator.state) == before
+        out = bsgs_matvec(self.W, be.encrypt(self.v))
+        np.testing.assert_allclose(be.decrypt(out)[:3], [2.0, 6.0, 10.0], atol=1e-6)
+
+    def test_repeated_schedule_needs_the_copies_it_reads(self):
+        sched = matvec_schedule(np.ones((7, 3)), True)  # tall: reads 7 + 3 - 1 = 9 slots
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=2))
+        with pytest.raises(ShapeMismatch, match="the block sum reads 3 copies of 3 slots"):
+            bsgs_matvec(np.ones((7, 3)), _stated(be, [1.0, 2.0, 3.0], 3, 2), sched)
+        with pytest.raises(ShapeMismatch, match="the block sum reads 3 copies"):
+            bsgs_matvec(np.ones((7, 3)), np.tile([1.0, 2.0, 3.0], 2), sched)
+        assert be.counter == OpCounter()
+        out = bsgs_matvec(np.ones((7, 3)), _stated(be, [1.0, 2.0, 3.0], 3, 4), sched)
+        np.testing.assert_allclose(be.decrypt(out)[:7], 6.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["square", "tall-repeated", "wide", "one-row", "permutation",
+                            "unfolded"]),
+           st.integers(1, 12), st.integers(1, 12), st.booleans(),
+           st.integers(1, 40) | st.just(0), st.integers(1, 6), st.booleans(),
+           st.integers(0, 2 ** 16))
+    @example("wide", 2, 4, False, 6, 1, True, 0)           # another width
+    @example("wide", 2, 4, False, 0, 2, True, 0)           # two copies, not repeated
+    @example("tall-repeated", 7, 3, True, 0, 3, True, 1)   # 3 copies for 10 reads
+    @example("tall-repeated", 7, 3, True, 12, 1, True, 1)  # one vector: 4 copies' slots
+    @example("unfolded", 3, 2, True, 0, 8, True, 2)        # 8 copies of 4 for 17 reads
+    def test_raises_before_any_op_or_multiplies(self, kind, a, b, repeated, width, copies,
+                                                stated, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "square":
+            W = rng.normal(size=(a, a))
+        elif kind == "tall-repeated":
+            W, repeated = rng.normal(size=(max(a, b) + 1, min(a, b))), True
+        elif kind == "wide":
+            W = rng.normal(size=(min(a, b), max(a, b) << 1))
+        elif kind == "one-row":
+            W = rng.normal(size=(1, a + 1))
+        elif kind == "permutation":
+            W, repeated = gen_permutation(a % 4 + 1, b % 4 + 1), False
+        else:  # A's block sum on B's geometry, B 2 x 16: p = 2 over L = 16
+            B = rng.normal(size=(2, 16))
+            W, repeated = rng.normal(size=(a % 2 + 1, 1 << b % 5)), True
+        n_in = W.size if isinstance(W, PermutationSpec) else W.shape[1]
+        width = width or n_in  # 0 draws W's own width
+        sched = (matvec_schedule(W, True, matvec_schedule(B).shape) if kind == "unfolded"
+                 else matvec_schedule(W, repeated))
+        x = rng.normal(size=n_in)
+        slots = 1 << (2 * sched.period + sched.reads + width * copies).bit_length()
+        be = HeBackend(BackendConfig(slot_count=slots, depth_budget=2))
+        if stated:
+            ct = _stated(be, x, width, copies)
+        else:  # states nothing: the operand as the schedule reads it
+            ct = replace(be.encrypt(np.resize(x, sched.reads) if repeated else x), width=None)
+        before = be.counter.copy()
+        try:
+            out = bsgs_matvec(W, ct, sched)
+        except HeKanError:
+            assert stated and be.counter == before
+            return
+        if kind == "unfolded":
+            w = rng.normal(size=16)
+            out = bsgs_matvec(B, be.encrypt(w), giants=out)
+            want = np.pad(W @ x, (0, 2 - W.shape[0])) + B @ w
+        else:
+            want = W.apply(x) if isinstance(W, PermutationSpec) else W @ x
+        np.testing.assert_allclose(be.decrypt(out)[:want.size], want, rtol=0, atol=1e-9)

@@ -1,6 +1,7 @@
 """The output contracts of the scripts under ``tools/``, each run as a
 subprocess the way its docstring says to run it: ``bit_digest.py`` prints
-its run count, one sha256 per noise level and one over everything;
+its run count, one sha256 per noise level, one per comparator mode and one
+over everything;
 ``code_lines.py`` prints one count per ``src/hekan`` module, then their
 total. No linter ships with the project, so one more check here walks the
 package's syntax trees: no module imports a name it never references."""
@@ -35,7 +36,8 @@ def test_bit_digest_prints_runs_and_digests():
     runs, *digests = _run("bit_digest")
     # shapes x 2 paths x 2 comparators x 2 noise levels x 2 arrivals
     assert runs == f"runs {16 * len(tool.SHAPES)}"
-    labels = ["sha256 sigma=0", "sha256 sigma=1e-12", "sha256"]
+    labels = ["sha256 sigma=0", "sha256 sigma=1e-12", "sha256 comparator=composite",
+              "sha256 comparator=exact", "sha256"]
     assert [line.rsplit(" ", 1)[0] for line in digests] == labels
     hexes = [line.rsplit(" ", 1)[1] for line in digests]
     assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in hexes)

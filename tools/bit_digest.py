@@ -1,9 +1,10 @@
 """Bit-identity digest of the encrypted pipeline.
 
 Runs a fixed matrix of encrypted forwards and prints the number of runs,
-one sha256 per noise level and one over everything they produce, so that a
-refactor meant to change no result can be checked by running this script
-in the old and the new checkout and comparing the lines:
+one sha256 per noise level, one per comparator mode and one over
+everything they produce, so that a refactor meant to change no result can
+be checked by running this script in the old and the new checkout and
+comparing the lines:
 
     python tools/bit_digest.py
 
@@ -18,9 +19,11 @@ name. Each (shape, path, comparator) also hashes the error that half that
 slot count raises and the op counts it left.
 
 A noise level's digest covers its own runs and the mirrored outputs and
-capacity errors that every level shares; the last line covers them all. A
+capacity errors that every level shares; a comparator mode's covers
+everything hashed under that mode; the last line covers them all. A
 change that only reorders noise draws keeps the sigma=0 line and moves
-the others.
+the other noise lines, and one confined to one comparator moves that
+mode's line only.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ SHAPES = (
     ([8, 2], 5, 1), ([5, 1], 5, 3), ([1, 5], 2, 1), ([6, 6, 6], 2, 3), ([4, 1], 2, 1),
 )
 SIGMAS = (0.0, 1e-12)
+MODES = ("composite", "exact")
 
 
 def smallest_slot_count(model, cfg) -> int:
@@ -72,9 +76,11 @@ def smallest_slot_count(model, cfg) -> int:
 def main() -> None:
     combined = hashlib.sha256()
     by_sigma = {sigma: hashlib.sha256() for sigma in SIGMAS}
+    by_mode = {mode: hashlib.sha256() for mode in MODES}
 
     def update(data: bytes, sigmas=SIGMAS) -> None:
         combined.update(data)
+        by_mode[mode].update(data)  # the mode of the loop below
         for sigma in sigmas:
             by_sigma[sigma].update(data)
 
@@ -83,7 +89,7 @@ def main() -> None:
         model = random_model(dims, g=g, k=k, seed=i)
         x = np.random.default_rng(i).uniform(-1, 1, dims[0])
         for path in ("lazy", "naive"):
-            for mode in ("composite", "exact"):
+            for mode in MODES:
                 cfg = PipelineConfig(path=path, comparator_mode=mode)
                 try:
                     mirrored = model_forward_plain(model, x, "mirrored",
@@ -117,6 +123,8 @@ def main() -> None:
     print(f"runs {runs}")
     for sigma, digest in by_sigma.items():
         print(f"sha256 sigma={sigma:g} {digest.hexdigest()}")
+    for mode, digest in by_mode.items():
+        print(f"sha256 comparator={mode} {digest.hexdigest()}")
     print(f"sha256 {combined.hexdigest()}")
 
 
