@@ -179,12 +179,15 @@ def bsgs_matvec(W, v: CipherText, schedule: MatvecSchedule | None = None, giants
     exact counts.
 
     Shared giant steps and folds: an ``unfolded`` schedule (W's block sum
-    on another matrix's geometry, ``matvec_schedule(W, True, over)``)
-    returns its giant-step blocks, unrotated and unfolded, as a tuple (baby
-    rotations only). Passing them as ``giants`` to that matrix's product
-    adds each to the block of the same giant step before that step's
-    rotation, and its folds then finish both products (slots [0, n_o) hold
-    the sum of the two).
+    on the geometry (p, L) of a matrix that folds to its p rows,
+    ``matvec_schedule(W, True, over)``: gcd(p, n_in) diagonals of
+    lcm(p, n_in) slots) returns its giant-step blocks, unrotated and
+    unfolded, as a tuple (baby rotations only). Passing them as ``giants``
+    to that matrix's product adds each to the block of the same giant step
+    before that step's rotation, and its folds then finish both products
+    (slots [0, n_o) hold the sum of the two). That product raises
+    DimensionMismatch before any op when its schedule does not fold to its
+    p rows (a tall or unfolded one) or has fewer giant steps than blocks.
     """
     schedule = matvec_schedule(W) if schedule is None else schedule
     n_in = schedule.period if schedule.W is None else np.shape(W)[-1]  # W's, unpadded
@@ -289,9 +292,10 @@ class LayerLayout:
     (``copies``: the least power-of-two multiple of the basis's
     ``basis_copies(g, k)`` whose blocks cover the slots W_b's schedule
     reads), W_b's schedule on that repeated operand (``base``: ``unfolded``
-    on the last spline map's shape when one fold chain finishes both
-    products), and the spline maps' schedules in order (``maps``). The
-    schedules keep their diagonals, so each is built once per record."""
+    on the last spline map's shape (p, L) when one fold chain finishes both
+    products, gcd(p, n_i) diagonals of lcm(p, n_i) slots), and the spline
+    maps' schedules in order (``maps``). The schedules keep their
+    diagonals, so each is built once per record."""
 
     copies: int
     base: MatvecSchedule
@@ -307,13 +311,14 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     those copies whatever W_b's shape, and W_b's reads may need more.
 
     W_b's block sum runs on the last spline map's geometry (shared giant
-    steps and folds, so W_b pays its b - 1 baby rotations only) when that
-    map folds (it is wide), when the shared form costs fewer rotations than
-    W_b's own schedule, ties going to fewer plaintext multiplies (each with
-    the doublings of the copies its reads need), and when the plan's SiLU
-    branch is no deeper than its spline branch, so that the shared add
-    leaves every stage's level drop as planned. Whether it fits a slot
-    count is ``_check_fit``'s.
+    steps and folds: with that map's p diagonals and b babies, W_b
+    multiplies gcd(p, n_i) diagonals and pays their min(b, gcd) - 1 baby
+    rotations only) when that map folds (it is wide), when the shared
+    form costs fewer rotations than W_b's own schedule, ties going to
+    fewer plaintext multiplies (each with the doublings of the copies its
+    reads need), and when the plan's SiLU branch is no deeper than its
+    spline branch, so that the shared add leaves every stage's level drop
+    as planned. Whether it fits a slot count is ``_check_fit``'s.
 
     Only that last condition reads the comparator, and W_b's two
     candidates read only W_b and the last map's shape, which both paths

@@ -46,21 +46,26 @@ padded square. A single diagonal never wraps, so a one-row matrix is
 never duplicated either.
 
 Shared giant steps and folds: ``matvec_schedule(W, True, over=(p, L))``
-runs W's block sum on another schedule's geometry, p diagonals over L
-slots, with W zero-padded to p x L, and leaves it unfolded (``unfolded``).
-It needs n_o <= p, n_in <= L, and the operand's period n_in dividing L
-when p > 1, so that the diagonals that wrap past L read the same copies.
-Both schedules then have the same (b, gs) split over the same p
-diagonals, and a rotation is linear, so the sum over giant steps g of
-rot(A_g, base_g) + rot(B_g, base_g) is that of rot(A_g + B_g, base_g)
+runs W's block sum on the geometry of another schedule that folds to its
+p rows (wide, or square with no folds) and leaves it unfolded
+(``unfolded``). W's operand repeats with period n = n_in, and the folds
+add every slot t = r mod p of [0, L) into slot r, so by the Chinese
+remainder theorem slot t < l = lcm(p, n) may pair row t mod p with
+column t mod n: W takes g = gcd(p, n) diagonals of l slots,
+diag_d[t] = W[t mod p, (t + d) mod n] with rows past n_o zero, and each
+W[r, c] is read once, on diagonal (c - r) mod g. It needs p dividing L
+with L / p a power of two (the folds), n_o <= p and l <= L. Its giant
+steps take the lending schedule's b babies, or g when fewer, so its
+ceil(g / b) giant blocks have the bases of that schedule's first giant
+steps, and a rotation is linear, so the sum over steps s of
+rot(A_s, base_s) + rot(B_s, base_s) is that of rot(A_s + B_s, base_s)
 (Halevi and Shoup's baby-step/giant-step identity). So the unfolded
-schedule's ``run`` returns its gs giant blocks unrotated, paying its b - 1
-baby rotations only, and ``run(ops, v, giants)`` of the schedule that lent
-its geometry adds each to its own block of the same step before that
-step's rotation. Its giant rotations and folds then finish both products:
-slot r of the folded sum is row r of W's product plus row r of its own
-(the hybrid method's fold sums every slot t = r mod p, and its diagonals
-d < p cover every column of the p x L matrix once).
+schedule's ``run`` returns its giant blocks unrotated, paying its
+min(b, g) - 1 baby rotations and g plaintext multiplies only, and
+``run(ops, v, giants)`` of the lending schedule adds each to its own
+block of the same step before that step's rotation. Its giant rotations
+and folds then finish both products: slot r of the folded sum is row r
+of W's product plus row r of its own.
 
 Permutation operand: a :class:`PermutationSpec` takes the square path with
 its diagonals read from ``source_of`` (diagonal d is 1 where
@@ -115,7 +120,9 @@ class MatvecSchedule:
     Slot r' < r of the folded sum holds row r'; only slots [0, n_out) are
     promised, the others may hold partial sums. An ``unfolded`` schedule
     (a block sum on another schedule's geometry, see the module docstring)
-    has neither giant rotations nor folds of its own.
+    holds W with its rows zero-padded to that geometry's p; it multiplies
+    gcd(p, n) diagonals of lcm(p, n) slots by the same formula, and has
+    neither giant rotations nor folds of its own.
     """
 
     W: np.ndarray | None  # (r, n): rows zero-padded to r, columns to the period n
@@ -126,9 +133,12 @@ class MatvecSchedule:
 
     @property
     def shape(self) -> tuple:
-        """(p, L): the diagonals multiplied, and the slots each spans."""
+        """(p, L): the diagonals multiplied, and the slots each spans; for
+        an ``unfolded`` schedule, (gcd(r, n), lcm(r, n))."""
         if self.W is None:
             return self.offset.size, self.offset.size
+        if self.unfolded:
+            return math.gcd(*self.W.shape), math.lcm(*self.W.shape)
         return min(self.W.shape), max(self.W.shape)
 
     @property
@@ -172,10 +182,16 @@ class MatvecSchedule:
 
     @property
     def split(self) -> tuple:
-        """(babies, giants) = default_bsgs_split(p) over the p diagonals.
-        It always has b <= p <= b * giants, so every baby is used and the
-        giant steps cover the diagonals exactly."""
-        return default_bsgs_split(self.shape[0])
+        """(babies, giants) = default_bsgs_split(p) over the p diagonals;
+        an ``unfolded`` schedule takes the babies of the geometry it runs
+        on (default_bsgs_split(r)), or p when fewer, and the giant steps
+        they need. It always has b <= p <= b * giants, so every baby is
+        used and the giant steps cover the diagonals exactly."""
+        p = self.shape[0]
+        if not self.unfolded:
+            return default_bsgs_split(p)
+        b = min(default_bsgs_split(self.W.shape[0])[0], p)
+        return b, -(-p // b)
 
     def blocks(self):
         """Giant steps in order: (base, the diagonals base + i it sums)."""
@@ -245,8 +261,8 @@ class MatvecSchedule:
           [-n, reads - n) when the schedule ``duplicates`` (n the period),
           so that with v zero past n, x holds v and its copy n slots on;
         - each of ``giants``' blocks, when given (another block sum's
-          giant blocks, see the module docstring), at its step's base:
-          slots [base, base + L).
+          giant blocks, one for each of the first giant steps, see the
+          module docstring), at its step's base: slots [base, base + L).
 
         Slot t < L of step base's block is sum_d x[t + d] * diag_d[t]
         (diag_d zero past n) over its diagonals, reduced in diagonal order,
@@ -282,7 +298,7 @@ class MatvecSchedule:
             # numpy reduces axis 0 row by row, in the schedule's order; it
             # starts from the identity, and -0.0 + t0 == t0 keeps t0's sign
             block = np.add.reduce(terms, axis=0, initial=-0.0)
-            if placed:
+            if step < len(placed):
                 block = block + placed[step]
             if self.unfolded:
                 unrotated.append(block)
@@ -294,7 +310,7 @@ class MatvecSchedule:
         """The block sum op by op, on a ciphertext a before its duplication
         (``duplicates``): the baby rotations, then per giant step the babies
         times its diagonals shifted right by its base, summed in diagonal
-        order, plus ``giants``' block of the same step if given, rotated
+        order, plus ``giants``' block of the same step if any, rotated
         left by the base and added to the sum. An ``unfolded`` schedule
         returns its giant blocks unrotated instead, as a tuple."""
         if self.duplicates:
@@ -306,7 +322,7 @@ class MatvecSchedule:
             for baby, diag in zip(babies, self.diagonals(diags)):
                 term = ops.mul(baby, np.concatenate((np.zeros(base), diag)))
                 block = term if block is None else ops.add(block, term)
-            if giants:
+            if step < len(giants or ()):
                 block = ops.add(block, giants[step])
             if self.unfolded:
                 unrotated.append(block)
@@ -316,18 +332,26 @@ class MatvecSchedule:
         return tuple(unrotated) if self.unfolded else acc
 
     def run(self, ops, v, giants=None):
-        """The schedule on v, run by ops: the block sum, each giant step's
-        block plus ``giants``' block of the same step if given (the giant
-        blocks of an unfolded block sum on this schedule's geometry, see
-        the module docstring), then the folds (``ops.run_folds``). An
-        ``unfolded`` schedule returns its giant blocks, unrotated, as a
-        tuple: block i holds step i's sum in slots [base_i, base_i + L).
-        v is zero past its n_in values, or repeated if the schedule is.
-        Only slots [0, n_out) of the folded result are promised.
-        DimensionMismatch unless giants has one block per giant step."""
-        if giants is not None and len(giants) != self.split[1]:
-            raise DimensionMismatch(f"{len(giants)} giant blocks for a schedule of "
-                                    f"{self.split[1]} giant steps")
+        """The schedule on v, run by ops: the block sum, each of the first
+        giant steps' blocks plus ``giants``' block of the same step if
+        given (the giant blocks of an unfolded block sum on this
+        schedule's geometry, see the module docstring), then the folds
+        (``ops.run_folds``). An ``unfolded`` schedule returns its giant
+        blocks, unrotated, as a tuple: block i holds step i's sum in slots
+        [base_i, base_i + L). v is zero past its n_in values, or repeated
+        if the schedule is. Only slots [0, n_out) of the folded result are
+        promised. Raised before any op, when giants are given:
+        DimensionMismatch unless this schedule's folds end at its p rows
+        (wide, or square; not tall, nor unfolded itself), and unless there
+        are no more giant blocks than giant steps."""
+        if giants is not None:
+            rows = self.period if self.W is None else self.W.shape[0]
+            if self.unfolded or rows != self.shape[0]:
+                raise DimensionMismatch("giant blocks need a wide or square schedule, not "
+                                        + ("an unfolded" if self.unfolded else "a tall") + " one")
+            if len(giants) > self.split[1]:
+                raise DimensionMismatch(f"{len(giants)} giant blocks for a schedule of "
+                                        f"{self.split[1]} giant steps")
         acc = ops.run_block_sum(v, self, giants)
         return acc if self.unfolded else ops.run_folds(acc, self.folds)
 
@@ -340,11 +364,13 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None) -> Mat
     PermutationSpec is square, with its diagonals read from ``source_of``.
     ``repeated`` says the operand is repeated with period n_in over the
     slots the block sum reads (see the module docstring). With ``over``,
-    another schedule's ``shape`` (p, L), W's repeated block sum runs on
-    that geometry and hands on its giant blocks unrotated and unfolded
-    (shared giant steps and folds, see the module docstring);
-    ``over`` needs ``repeated``, and a W that does not fit the geometry
-    raises DimensionMismatch. The schedule holds W itself when W needs no
+    the ``shape`` (p, L) of a schedule that folds to its p rows, W's
+    repeated block sum runs on that geometry, gcd(p, n_in) diagonals of
+    lcm(p, n_in) slots, and hands on its giant blocks unrotated and
+    unfolded (shared giant steps and folds, see the module docstring).
+    ``over`` needs ``repeated`` (InvalidArgument), and DimensionMismatch
+    is raised unless p divides L, L / p is a power of two, n_o <= p and
+    lcm(p, n_in) <= L. The schedule holds W itself when W needs no
     padding, so W must not change while the schedule is kept (a layer's
     matrices are read-only); a padded copy is made read-only here."""
     if isinstance(W, PermutationSpec):
@@ -358,10 +384,11 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None) -> Mat
         p, L = over
         if not repeated:
             raise InvalidArgument("a block sum on another geometry needs a repeated operand")
-        if n_o > p or n_in > L or (p > 1 and L % n_in):
+        ratio = L // p if p >= 1 and L % p == 0 else 0  # the folds: a power of two
+        if ratio < 1 or ratio & (ratio - 1) or n_o > p or math.lcm(p, n_in) > L:
             raise DimensionMismatch(f"a {n_o} x {n_in} matrix does not fit {p} diagonals "
-                                    f"of {L} slots")
-        return MatvecSchedule(_pad(W, p, L), n_o, repeated=True, unfolded=True)
+                                    f"of {L} slots folded to {p}")
+        return MatvecSchedule(_pad(W, p, n_in), n_o, repeated=True, unfolded=True)
     if n_o == 1:
         n_in = 1 << (n_in - 1).bit_length()  # the wide path below takes p = 1
     elif repeated and n_o > n_in:

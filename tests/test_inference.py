@@ -396,49 +396,86 @@ class TestWideMatvec:
 
 
 class TestSharedFolds:
-    """A repeated product on another matrix's geometry hands on its giant
-    blocks unrotated and unfolded; that matrix adds each to its own block
-    of the same giant step before the step's rotation, and its folds
-    finish both products: the second product pays its b - 1 baby
-    rotations only."""
+    """A repeated product on the geometry (p, L) of a matrix that folds to
+    its p rows hands on its giant blocks unrotated and unfolded; that
+    matrix adds each to its own block of the same giant step before the
+    step's rotation, and its folds finish both products. By the Chinese
+    remainder theorem the second product needs g = gcd(p, n_i) diagonals
+    of lcm(p, n_i) slots only: it pays min(b, g) - 1 baby rotations and g
+    plaintext multiplies, and hands on ceil(g / b) giant blocks."""
 
-    @pytest.mark.parametrize("a_shape, b_shape", [((10, 64), (10, 320)), ((1, 5), (1, 40)),
-                                                  ((3, 4), (3, 16)), ((4, 8), (5, 40))])
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((10, 64), (10, 320)),   # p = 10: g = 2
+        ((1, 5), (1, 40)),       # one row over 64: g = 1
+        ((3, 4), (3, 16)),       # p = 4: g = 4 = n_i
+        ((4, 8), (5, 40)),       # p = 5: g = 1, lcm 40 = L
+        ((12, 12), (12, 48)),    # p = 12, b = 4: g = 12, three giant blocks
+        ((7, 18), (12, 48)),     # g = 6: two giant blocks of B's three steps
+        ((2, 3), (2, 8)),        # a period not dividing L: lcm(2, 3) = 6 <= 8
+    ])
     def test_one_fold_chain_gives_both_products(self, a_shape, b_shape):
         rng = np.random.default_rng(a_shape[1])
         A, B = rng.normal(size=a_shape), rng.normal(size=b_shape)
         self._check(A, B, rng.normal(size=A.shape[1]), rng.normal(size=B.shape[1]), 0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-12])
+    def test_every_divisor_of_p_is_a_gcd(self, sigma):
+        # B 12 x 48 folds to p = 12 over L = 48: one period per divisor of p
+        rng = np.random.default_rng(7)
+        B = rng.normal(size=(12, 48))
+        for g, n_i in ((1, 1), (2, 2), (3, 9), (4, 16), (6, 18), (12, 24)):
+            assert math.gcd(12, n_i) == g
+            A = rng.normal(size=(5, n_i))
+            self._check(A, B, rng.normal(size=n_i), rng.normal(size=48), sigma)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(p0=st.integers(1, 12), j=st.integers(1, 3), sigma=st.sampled_from([0.0, 1e-12]),
            seed=st.integers(0, 2 ** 16), data=st.data())
     def test_shared_giant_law(self, p0, j, sigma, seed, data):
         # B is wide: n_in = p0 * 2^j >= 2 n_o, so its schedule folds; A
-        # fits B's geometry: at most p rows, and a period dividing L (any
-        # period up to L on one diagonal)
+        # fits B's geometry: at most p rows, and a period whose lcm with p
+        # is at most L, drawn by its gcd with p, any divisor of p
         n_o = data.draw(st.integers(1, p0), label="n_o")
         B = np.random.default_rng(seed).normal(size=(n_o, p0 << j))
         p, L = matvec_schedule(B).shape
-        periods = [d for d in range(1, L + 1) if p == 1 or L % d == 0]
+        gcd = data.draw(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]), label="gcd")
+        periods = [n for n in range(1, L + 1) if math.gcd(p, n) == gcd and math.lcm(p, n) <= L]
         a_shape = (data.draw(st.integers(1, p), label="a_rows"),
                    data.draw(st.sampled_from(periods), label="a_period"))
         rng = np.random.default_rng(seed + 1)
         A = rng.normal(size=a_shape)
         self._check(A, B, rng.normal(size=a_shape[1]), rng.normal(size=B.shape[1]), sigma)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 40), j=st.integers(0, 6), data=st.data())
+    def test_never_costs_more_than_the_padded_form(self, p, j, data):
+        # the padded form multiplied W zero-padded to p x L: p diagonals and
+        # b - 1 baby rotations, (b, _) = default_bsgs_split(p); a period
+        # d * m (d | p, m <= L / p) has lcm(p, d * m) <= p * m <= L
+        d = data.draw(st.sampled_from([d for d in range(1, p + 1) if p % d == 0]), label="d")
+        n_i = d * data.draw(st.integers(1, 1 << j), label="m")
+        A = np.ones((data.draw(st.integers(1, p), label="rows"), n_i))
+        shared = matvec_schedule(A, True, (p, p << j))
+        assert shared.rotations <= default_bsgs_split(p)[0] - 1
+        assert shared.pt_mults <= p
+
     @staticmethod
     def _check(A, B, x, v, sigma):
         """The encrypted pair on B's geometry against the cleartext sum,
-        the mirror, the rotation law and, op by op, the fused kernel's
-        counts and one noise draw per counted op."""
+        the mirror, the CRT schedule's shape and counts and, op by op, the
+        fused kernel's counts and one noise draw per counted op."""
         own, geometry = matvec_schedule(B), matvec_schedule(B).shape
         shared = matvec_schedule(A, True, geometry)
-        assert shared.shape == geometry and not shared.folds and own.folds
-        assert shared.split == own.split
-        repeated = np.tile(x, -(-shared.reads // A.shape[1]))
+        (p, L), n_i = geometry, A.shape[1]
+        g, b = math.gcd(p, n_i), own.split[0]
+        assert shared.shape == (g, math.lcm(p, n_i)) and not shared.folds and own.folds
+        assert shared.split == (min(b, g), -(-g // b))
+        assert (shared.pt_mults, shared.rotations) == (g, min(b, g) - 1)
+        assert shared.reads == math.lcm(p, n_i) + g - 1
+        repeated = np.tile(x, -(-shared.reads // n_i))
         # slot r < p of the folded sum holds row r of both products, each
         # padded with zero rows to p
-        n_o, L = max(A.shape[0], B.shape[0]), geometry[1]
+        n_o = max(A.shape[0], B.shape[0])
         slots = 1 << (4 * L - 1).bit_length()
 
         def run(noise_std):
@@ -451,7 +488,7 @@ class TestSharedFolds:
                            draws.append(1) or _run(self))
                 giants = bsgs_matvec(A, a, schedule=matvec_schedule(A, True, geometry))
                 out = bsgs_matvec(B, w, giants=giants)
-            assert isinstance(giants, tuple) and len(giants) == own.split[1]
+            assert isinstance(giants, tuple) and len(giants) == -(-g // b)
             assert all(g.level == a.level - 1 for g in giants)
             assert out.level == a.level - 1
             return be, out, len(draws)
@@ -462,9 +499,8 @@ class TestSharedFolds:
         mirrored = bsgs_matvec(B, v, giants=bsgs_matvec(
             A, repeated, schedule=matvec_schedule(A, True, geometry)))
         assert np.array_equal(out.slots[:n_o].view(np.int64), mirrored[:n_o].view(np.int64))
-        b = shared.split[0]
-        assert shared.rotations == b - 1
-        assert be.counter.rotations == (b - 1) + own.rotations
+        assert (be.counter.rotations, be.counter.pt_mults) == (
+            min(b, g) - 1 + own.rotations, g + own.pt_mults)
         if sigma:
             noisy, out, draws = run(sigma)
             c = noisy.counter
@@ -480,9 +516,53 @@ class TestSharedFolds:
     def test_geometry_must_fit(self):
         with pytest.raises(InvalidArgument):
             matvec_schedule(np.ones((2, 4)), False, (2, 8))    # the operand must be repeated
-        for shape, geometry in (((3, 4), (2, 8)), ((2, 8), (2, 4)), ((2, 3), (2, 8))):
-            with pytest.raises(DimensionMismatch):              # rows, columns, period
+        for shape, geometry in (((3, 4), (2, 8)),    # rows past p
+                                ((2, 8), (2, 4)),    # lcm(2, 8) = 8 > 4
+                                ((2, 3), (2, 4)),    # lcm(2, 3) = 6 > 4
+                                ((2, 7), (3, 7)),    # 3 does not divide 7
+                                ((1, 2), (2, 12)),   # 12 / 2 = 6 folds no power of two
+                                ((1, 1), (0, 8))):   # no diagonal
+            with pytest.raises(DimensionMismatch):
                 matvec_schedule(np.ones(shape), True, geometry)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 7), (7, 3)), ((3, 8), (8, 4))])
+    def test_giants_need_a_lender_that_folds_to_p(self, noise, a_shape, b_shape):
+        # a tall repeated B puts row t in slot t and never folds: A's block
+        # sum on its (p, L) shape gave a sum up to 1.78 (2 x 7 on 7 x 3) and
+        # 1.39 (3 x 8 on 8 x 4) off B v + A x with no error
+        rng = np.random.default_rng(11)
+        A, B = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        lender = matvec_schedule(B, True)
+        assert not lender.folds
+        if lender.shape[1] % lender.shape[0]:
+            with pytest.raises(DimensionMismatch):
+                matvec_schedule(A, True, lender.shape)
+            return
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=4, noise_std=noise))
+        shared = matvec_schedule(A, True, lender.shape)
+        a = be.encrypt(np.tile(rng.normal(size=A.shape[1]), -(-shared.reads // A.shape[1])))
+        w = be.encrypt(np.tile(rng.normal(size=B.shape[1]), -(-lender.reads // B.shape[1])))
+        giants = bsgs_matvec(A, a, shared)
+        before = be.counter.copy(), be._rng.bit_generator.state
+        with pytest.raises(DimensionMismatch, match="wide or square schedule, not a tall one"):
+            bsgs_matvec(B, w, lender, giants)
+        with pytest.raises(DimensionMismatch, match="not an unfolded one"):
+            bsgs_matvec(A, a, shared, giants)  # an unfolded schedule lends nothing
+        assert (be.counter, be._rng.bit_generator.state) == before
+
+    def test_no_more_giant_blocks_than_giant_steps(self):
+        rng = np.random.default_rng(12)
+        A, B = rng.normal(size=(12, 12)), rng.normal(size=(12, 48))
+        own = matvec_schedule(B)
+        shared = matvec_schedule(A, True, own.shape)
+        be = HeBackend(BackendConfig(slot_count=256, depth_budget=4))
+        giants = bsgs_matvec(A, be.encrypt(np.tile(rng.normal(size=12), 5)), shared)
+        assert len(giants) == own.split[1] == 3
+        before = be.counter.copy()
+        with pytest.raises(DimensionMismatch, match="4 giant blocks for a schedule of 3"):
+            bsgs_matvec(B, be.encrypt(rng.normal(size=48)), own, giants + giants[:1])
+        assert be.counter == before
 
 
 class TestPermutationMatvec:
@@ -1361,13 +1441,17 @@ class TestOneFoldChain:
         assert (counter.rotations, counter.pt_mults) == (rotations, pt_mults)
         assert counter.ct_mults == alone.counter.ct_mults + k + 1
 
-    @pytest.mark.parametrize("dims, g, k, tight, error", [
-        ([4, 1], 2, 1, 32, PackingOverflow),     # g + 2k = 4: the basis reads 8 copies of 4
-        ([7, 1], 3, 2, 128, PackingOverflow),    # W_b's block sum on 1 x 64 doubles 8 copies of 7
+    @pytest.mark.parametrize("dims, g, k, path, tight, error", [
+        # g + 2k = 4: the basis reads 8 copies of 4
+        ([4, 1], 2, 1, "lazy", 32, PackingOverflow),
+        ([4, 1], 2, 1, "naive", 32, PackingOverflow),
+        # W_b's block sum on 1 x 64 reads lcm(1, 7) = 7 slots: the basis's 8 copies of 7
+        ([7, 1], 3, 2, "lazy", 64, PackingOverflow),
+        # the 35 x 35 permutation's wraparound needs 2 * 35 slots
+        ([7, 1], 3, 2, "naive", 128, DimensionMismatch),
     ])
-    @pytest.mark.parametrize("path", ["lazy", "naive"])
-    def test_tightest_slot_count_runs_and_the_next_is_rejected(self, dims, g, k, tight, error,
-                                                              path):
+    def test_tightest_slot_count_runs_and_the_next_is_rejected(self, dims, g, k, path, tight,
+                                                              error):
         mdl = random_model(dims, g=g, k=k, seed=5)
         cfg = PipelineConfig(path=path)
         x = np.random.default_rng(5).uniform(-1, 1, dims[0])
@@ -1860,8 +1944,8 @@ class TestBench:
         # packs with log2(8) = 3 rotations fewer than a raw encryption's
         assert [(r["rotations"], r["ct_mults"], r["pt_mults"], r["depth"],
                  r["speedup_vs_naive_counts"]) for r in rows] == [
-            (52, 84, 98, 28, 1.4274), (52, 24, 82, 10, 1.6329),
-            (82, 84, 168, 30, 1.0), (82, 24, 152, 12, 1.0)]
+            (48, 84, 92, 28, 1.4464), (48, 24, 76, 10, 1.6757),
+            (78, 84, 162, 30, 1.0), (78, 24, 146, 12, 1.0)]
 
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
@@ -1893,13 +1977,13 @@ class TestBench:
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15
         # slots; the input arrives as basis_copies(g, k) copies, so layer 0
         # packs with no rotation, and W_b shares the last map's giant
-        # rotations and folds
+        # rotations and folds on gcd(p, n_i) diagonals: 2, 16, 16, 1 and 1
         pinned = {
-            "(64,3,2)": {"lazy": (17, 31, 21), "naive": (52, 351, 21)},
+            "(64,3,2)": {"lazy": (15, 23, 21), "naive": (50, 343, 21)},
             "(128,5,3)": {"lazy": (20, 44, 22), "naive": (83, 1068, 22)},
             "(256,5,3)": {"lazy": (21, 44, 22), "naive": (111, 2092, 22)},
-            "(256,10,3)": {"lazy": (22, 38, 22), "naive": (137, 3366, 22)},
-            "(256,10,5)": {"lazy": (24, 44, 24), "naive": (147, 3884, 24)},
+            "(256,10,3)": {"lazy": (19, 26, 22), "naive": (134, 3354, 22)},
+            "(256,10,5)": {"lazy": (21, 30, 24), "naive": (144, 3870, 24)},
         }
         configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
         rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,
@@ -1914,13 +1998,14 @@ class TestBench:
         # perfbench's kan_small model, [2, 5, 1] with g = 5, k = 3, on the
         # lazy path at 2^15 slots: layer 0 keeps W_b's own schedule, and
         # layer 1's one-row W_b shares the last map's geometry on p = 1,
-        # where there is no giant step to share
+        # where there is no giant step to share: one diagonal of lcm(1, 5)
+        # slots
         mdl = random_model([2, 5, 1], g=5, k=3, seed=3)
         cfg = PipelineConfig()
         layouts = [inference._layout(layer, "lazy", cfg.comparator()) for layer in mdl.layers]
         assert not layouts[0].base.unfolded
-        assert layouts[1].base.unfolded and layouts[1].base.shape == layouts[1].maps[-1].shape
-        assert layouts[1].base.shape[0] == 1
+        assert layouts[1].base.unfolded and layouts[1].maps[-1].shape == (1, 64)
+        assert layouts[1].base.shape == (1, 5)
         be = HeBackend(BackendConfig(slot_count=2 ** 15, depth_budget=plan_model(mdl, cfg).total))
         ct = encrypt_input(np.array([0.3, -0.6]), mdl, be)
         out, _ = model_forward_he(mdl, ct, cfg)

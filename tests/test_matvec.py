@@ -358,7 +358,8 @@ class TestStatedLayouts:
     @example("wide", 2, 4, False, 0, 2, True, 0)           # two copies, not repeated
     @example("tall-repeated", 7, 3, True, 0, 3, True, 1)   # 3 copies for 10 reads
     @example("tall-repeated", 7, 3, True, 12, 1, True, 1)  # one vector: 4 copies' slots
-    @example("unfolded", 3, 2, True, 0, 8, True, 2)        # 8 copies of 4 for 17 reads
+    @example("unfolded", 3, 2, True, 0, 8, True, 2)        # 8 copies of 4 for 5 reads
+    @example("unfolded", 3, 2, True, 0, 1, True, 2)        # 1 copy of 4 for 5 reads
     def test_raises_before_any_op_or_multiplies(self, kind, a, b, repeated, width, copies,
                                                 stated, seed):
         rng = np.random.default_rng(seed)
@@ -380,7 +381,9 @@ class TestStatedLayouts:
         sched = (matvec_schedule(W, True, matvec_schedule(B).shape) if kind == "unfolded"
                  else matvec_schedule(W, repeated))
         x = rng.normal(size=n_in)
-        slots = 1 << (2 * sched.period + sched.reads + width * copies).bit_length()
+        # an unfolded block sum's giants go to B's schedule, whose period is 16
+        period = 16 if kind == "unfolded" else sched.period
+        slots = 1 << (2 * period + sched.reads + width * copies).bit_length()
         be = HeBackend(BackendConfig(slot_count=slots, depth_budget=2))
         if stated:
             ct = _stated(be, x, width, copies)

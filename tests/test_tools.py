@@ -3,7 +3,8 @@ subprocess the way its docstring says to run it: ``bit_digest.py`` prints
 its run count, one sha256 per noise level, one per comparator mode and one
 over everything;
 ``code_lines.py`` prints one count per ``src/hekan`` module, then their
-total. No linter ships with the project, so one more check here walks the
+total; ``stage_counts.py`` prints each labelled stage's op counts and a
+total per (model, path). No linter ships with the project, so one more check here walks the
 package's syntax trees: no module imports a name it never references."""
 
 import ast
@@ -12,6 +13,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
@@ -59,6 +62,26 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
                       'class A:\n    """One line."""\n\n    def f(self):\n'
                       '        """Two\n        lines."""\n        return os.sep\n')
     assert _load("code_lines").code_lines(source) == 4  # import, class, def, return
+
+
+def test_stage_counts_prints_each_stage_and_the_total():
+    tool = _load("stage_counts")
+    header, *lines = _run("stage_counts")
+    assert header == "model path stage rotations pt_mults ct_mults"
+    rows = [line.split(" ") for line in lines]
+    keys = [(model, path) for model, *_ in tool.MODELS for path in ("lazy", "naive")]
+    assert [tuple(row[:3]) for row in rows] == [
+        (*key, stage) for key in keys for stage in (*tool.STAGES, "total")]
+    assert {model for model, *_ in keys} == {
+        "(64,3,2)", "(128,5,3)", "(256,5,3)", "(256,10,3)", "(256,10,5)", "kan_small"}
+    assert tool.STAGES == ("repeat_pack", "silu_poly", "base_matvec", "comparator",
+                           "basis_recursion", "spline_matvec")
+    counts = np.array([[int(c) for c in row[3:]] for row in rows]).reshape(len(keys), -1, 3)
+    assert (counts >= 0).all()
+    # the stages account for every rotation and multiply of the forward
+    assert np.array_equal(counts[:, :-1].sum(axis=1), counts[:, -1])
+    # kan_small's lazy forward is perfbench's pinned one: 25 / 36 / 44
+    assert counts[keys.index(("kan_small", "lazy")), -1].tolist() == [25, 36, 44]
 
 
 def _unused_imports(path: Path) -> list:

@@ -1,0 +1,82 @@
+"""Per-stage op counts of one encrypted forward.
+
+Runs one forward of each of the paper's five table configs (n_i, g, k),
+each with n_o = 10, and of the two-layer ``kan_small`` model ([2, 5, 1],
+g = 5, k = 3), on both paths, on the exact backend at 2^15 slots with the
+default composite comparator, and prints a header, then for each (model,
+path) one line per labelled stage and a total line:
+
+    python tools/stage_counts.py
+
+Each line reads ``<model> <path> <stage> <rotations> <pt_mults>
+<ct_mults>``. The stages are the layer program's labels in pipeline order
+(STAGES), summed over the model's layers; ``total`` is the forward's
+whole count. A stage is charged the ops counted since the label before it
+(the forward's start for the first), read through a ``HeBackend``
+subclass whose label hook ``_stage`` records them. When W_b's block sum
+shares the last spline map's fold chain, its baby rotations and products
+are charged to ``base_matvec`` and the shared giant rotations and folds to
+``spline_matvec``. Counts depend on shapes alone, so every model is drawn
+with seed 0. The script imports hekan from the ``src`` directory next to it.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hekan import (  # noqa: E402
+    BackendConfig,
+    HeBackend,
+    PipelineConfig,
+    encrypt_input,
+    model_forward_he,
+    plan_model,
+    random_model,
+)
+
+STAGES = ("repeat_pack", "silu_poly", "base_matvec", "comparator", "basis_recursion",
+          "spline_matvec")
+MODELS = (*((f"({n},{g},{k})", [n, 10], g, k) for n, g, k in
+            ((64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5))),
+          ("kan_small", [2, 5, 1], 5, 3))
+SLOT_COUNT = 2 ** 15
+
+
+class StageCounts(HeBackend):
+    """An exact backend whose label hook charges each stage the rotations,
+    plaintext and ciphertext multiplies counted since the previous label."""
+
+    def __init__(self, config: BackendConfig):
+        super().__init__(config)
+        self.stages = {name: np.zeros(3, dtype=int) for name in STAGES}
+        self._mark = self.counter.copy()
+
+    def _stage(self, name, v_in, v_out):
+        spent = self.counter.since(self._mark)
+        self.stages[name] += (spent.rotations, spent.pt_mults, spent.ct_mults)
+        self._mark = self.counter.copy()
+
+
+def main() -> None:
+    print("model path stage rotations pt_mults ct_mults")
+    for label, dims, g, k in MODELS:
+        model = random_model(dims, g=g, k=k, seed=0)
+        x = np.random.default_rng(0).uniform(-0.9, 0.9, dims[0])
+        for path in ("lazy", "naive"):
+            cfg = PipelineConfig(path=path)
+            be = StageCounts(BackendConfig(slot_count=SLOT_COUNT,
+                                           depth_budget=plan_model(model, cfg).total))
+            model_forward_he(model, encrypt_input(x, model, be), cfg)
+            c = be.counter
+            for name, counts in (*be.stages.items(),
+                                 ("total", (c.rotations, c.pt_mults, c.ct_mults))):
+                print(label, path, name, *map(int, counts))
+
+
+if __name__ == "__main__":
+    main()
