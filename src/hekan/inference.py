@@ -4,12 +4,14 @@ Wires the pieces together per layer: the input is packed by one call,
 ``bspline.repeat_pack`` (layer 0's arrives already replicated by the
 client, ``encrypt_input``), and both the activation-polynomial branch and
 the B-spline branch (one comparator call over every knot column) read that
-one packed operand; baby-step/giant-step matrix-vector products join them. When W_b's block
-sum costs fewer rotations on the geometry of the spline branch's last map,
-it runs there, and that map's giant-step rotations and rotate-and-add folds
-finish both products: one set of giant rotations and one fold chain per
-layer. One record per layer, path and comparator (``LayerLayout``,
-worked out once by ``_layout`` and kept on the layer) holds the copy
+one packed operand; baby-step/giant-step matrix-vector products join
+them. The spline branch's last map takes its default geometry or a
+front-padded one, chosen together with W_b's schedule; when W_b's block
+sum costs fewer rotations on that map's geometry, it runs there, and that
+map's giant-step rotations and rotate-and-add folds finish both products:
+one set of giant rotations and one fold chain per layer. One record per
+layer, path and comparator (``LayerLayout``, worked out once by
+``_layout`` and kept on the layer) holds the copy
 count of that operand, by one rule from the basis's copies, and the
 schedules of W_b and the spline maps, so each schedule's diagonals are
 built once; the layer program and ``check_capacity`` both read it, and
@@ -179,15 +181,17 @@ def bsgs_matvec(W, v: CipherText, schedule: MatvecSchedule | None = None, giants
     exact counts.
 
     Shared giant steps and folds: an ``unfolded`` schedule (W's block sum
-    on the geometry (p, L) of a matrix that folds to its p rows,
+    on the geometry (p, L, front) of a matrix that folds to its p rows,
     ``matvec_schedule(W, True, over)``: gcd(p, n_in) diagonals of
     lcm(p, n_in) slots) returns its giant-step blocks, unrotated and
-    unfolded, as a tuple (baby rotations only). Passing them as ``giants``
-    to that matrix's product adds each to the block of the same giant step
+    unfolded, as a tuple (baby rotations only), paired with that geometry:
+    (blocks, (p, L, front)). Passing the pair as ``giants`` to that
+    matrix's product adds each block to the block of the same giant step
     before that step's rotation, and its folds then finish both products
     (slots [0, n_o) hold the sum of the two). That product raises
     DimensionMismatch before any op when its schedule does not fold to its
-    p rows (a tall or unfolded one) or has fewer giant steps than blocks.
+    p rows (a tall or unfolded one), has another geometry (``geometry``)
+    than the blocks were built on, or has fewer giant steps than blocks.
     """
     schedule = matvec_schedule(W) if schedule is None else schedule
     n_in = schedule.period if schedule.W is None else np.shape(W)[-1]  # W's, unpadded
@@ -292,10 +296,11 @@ class LayerLayout:
     (``copies``: the least power-of-two multiple of the basis's
     ``basis_copies(g, k)`` whose blocks cover the slots W_b's schedule
     reads), W_b's schedule on that repeated operand (``base``: ``unfolded``
-    on the last spline map's shape (p, L) when one fold chain finishes both
-    products, gcd(p, n_i) diagonals of lcm(p, n_i) slots), and the spline
-    maps' schedules in order (``maps``). The schedules keep their
-    diagonals, so each is built once per record."""
+    on the last spline map's geometry (p, L, front) when one fold chain
+    finishes both products, gcd(p, n_i) diagonals of lcm(p, n_i) slots),
+    and the spline maps' schedules in order (``maps``; the last one's
+    default or front-padded geometry chosen together with ``base``). The
+    schedules keep their diagonals, so each is built once per record."""
 
     copies: int
     base: MatvecSchedule
@@ -310,22 +315,34 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     whose blocks of n_i slots cover the schedule's reads. The basis reads
     those copies whatever W_b's shape, and W_b's reads may need more.
 
-    W_b's block sum runs on the last spline map's geometry (shared giant
-    steps and folds: with that map's p diagonals and b babies, W_b
-    multiplies gcd(p, n_i) diagonals and pays their min(b, gcd) - 1 baby
-    rotations only) when that map folds (it is wide), when the shared
-    form costs fewer rotations than W_b's own schedule, ties going to
-    fewer plaintext multiplies (each with the doublings of the copies its
-    reads need), and when the plan's SiLU branch is no deeper than its
-    spline branch, so that the shared add leaves every stage's level drop
-    as planned. Whether it fits a slot count is ``_check_fit``'s.
+    The last spline map's geometry and W_b's schedule are chosen together.
+    The map's candidates are its default schedule and the front-padded
+    form (``matvec_schedule(W, front=(p, L))``) for every p from n_o up
+    to the default's p, each at the least L = p * 2^j >= n_in + p - 1 and
+    at 2L. W_b's are its own schedule and, on a candidate that folds (is
+    wide) and that W_b fits (lcm(p, n_i) <= L), its block sum on that
+    geometry (shared giant steps and folds: gcd(p, n_i) diagonals and
+    their baby rotations only). A pair costs the two schedules' rotations
+    plus the doublings of the copies W_b's reads need, ties going to fewer
+    plaintext multiplies; the default map's cheaper pair is chosen first,
+    and another pair replaces it only when strictly cheaper and when the
+    layer's slot need (the copies, and the last map's ``slots``; the other
+    maps are every pair's) stays within the default pair's power of two,
+    so no smallest slot count rises. A shared pair also needs the plan's
+    SiLU branch no deeper than its spline branch, so that the shared add
+    leaves every stage's level drop as planned. Whether it fits a slot
+    count is ``_check_fit``'s.
 
-    Only that last condition reads the comparator, and W_b's two
-    candidates read only W_b and the last map's shape, which both paths
-    share (the lazy path's fused weights and the naive path's W' are both
-    n_o x n_i(g + k)). So any record of the layer lends its W_b schedule
-    when this record chooses the same form, and a record of the same path
-    its maps, each with the diagonals it has built."""
+    Only that last condition reads the comparator and the path (through
+    the plan), and the candidates read only W_b and the last map's shape,
+    which both paths share (the lazy path's fused weights and the naive
+    path's W' are both n_o x n_i(g + k)). So both paths choose alike
+    whenever the plan lets both share or neither (with any composite
+    comparator; the exact one at k = 1 lets only the naive path share), a
+    record of the layer lends its W_b schedule when this record chooses
+    the same one (form and geometry), and a record of the same path its
+    maps, the last one when its geometry is the chosen one, each with the
+    diagonals it has built. The search builds no diagonals."""
     key = (path, comparator)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
@@ -334,22 +351,55 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     def copies(schedule):  # basis times ceil(reads / (n_i * basis)) rounded up to 2^d
         return basis << (-(-schedule.reads // (layer.n_i * basis)) - 1).bit_length()
 
-    def cost(schedule):  # rotations, the doublings up to a constant
-        return schedule.rotations + copies(schedule).bit_length(), schedule.pt_mults
+    def cost(pair):  # rotations, the doublings up to a constant; then pt mults
+        base, last = pair
+        return (base.rotations + last.rotations + copies(base).bit_length(),
+                base.pt_mults + last.pt_mults)
 
-    lent = {kept.base.unfolded: kept.base for kept in layer.layouts.values()}
-    maps = [kept.maps for (kept_path, _), kept in layer.layouts.items() if kept_path == path]
-    maps = maps[0] if maps else tuple(matvec_schedule(W) for W in layer.spline_maps(path))
-    base = lent.get(False) or matvec_schedule(layer.W_b, True)
-    # a 1 x 1 W_b, the planner's stand-in, costs (0, 1) on its own and is
-    # never beaten, so _plan never runs on the stand-in it plans with
-    if maps[-1].folds:
-        shared = lent.get(True) or matvec_schedule(layer.W_b, True, maps[-1].shape)
-        if cost(shared) < cost(base):
-            plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
-            if plan.silu_branch <= plan.spline_branch:
-                base = shared
-    layout = layer.layouts[key] = LayerLayout(copies(base), base, maps)
+    def need(pair):
+        return max(layer.n_i * copies(pair[0]), pair[1].slots)
+
+    @functools.cache
+    def plan_shares():
+        plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
+        return plan.silu_branch <= plan.spline_branch
+
+    own = matvec_schedule(layer.W_b, True)
+
+    def pairs(last):
+        yield own, last
+        p, L = last.shape
+        if last.folds and math.lcm(p, layer.n_i) <= L:
+            yield matvec_schedule(layer.W_b, True, last.geometry), last
+
+    def cheapest(candidates, best=None, limit=math.inf):
+        # a 1 x 1 W_b, the planner's stand-in, costs no less shared than on
+        # its own, so _plan never runs on the stand-in it plans with
+        for pair in candidates:
+            if (need(pair) <= limit and (best is None or cost(pair) < cost(best))
+                    and (not pair[0].unfolded or plan_shares())):
+                best = pair
+        return best
+
+    *firsts, W = layer.spline_maps(path)
+    n_o, n_in = W.shape
+    default = matvec_schedule(W)
+
+    def fronts():  # p from n_o to the default's, at the least L = p 2^j >= n_in + p - 1 and 2L
+        for p in range(n_o, default.shape[0] + 1):
+            L = p << ((n_in + p - 2) // p).bit_length()
+            yield from (matvec_schedule(W, front=(p, L)), matvec_schedule(W, front=(p, 2 * L)))
+
+    best = cheapest(pairs(default))
+    limit = 1 << (need(best) - 1).bit_length()
+    base, last = cheapest((pair for front in fronts() for pair in pairs(front)), best, limit)
+
+    base = next((kept.base for kept in layer.layouts.values() if kept.base.over == base.over),
+                base)
+    same_path = [kept.maps for (kept_path, _), kept in layer.layouts.items() if kept_path == path]
+    head = same_path[0][:-1] if same_path else tuple(map(matvec_schedule, firsts))
+    last = next((maps[-1] for maps in same_path if maps[-1].geometry == last.geometry), last)
+    layout = layer.layouts[key] = LayerLayout(copies(base), base, (*head, last))
     return layout
 
 
@@ -386,8 +436,9 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     the layout's schedule of its matrix (``LayerLayout.base`` and
     ``maps``). When W_b's block sum runs on the last map's geometry (an
     ``unfolded`` ``base``), it hands on its giant-step blocks unrotated,
-    the last map adds each to its own before that step's rotation, and one
-    set of giant rotations and one fold chain finish both branches;
+    paired with that geometry, the last map adds each to its own before
+    that step's rotation, and one set of giant rotations and one fold
+    chain finish both branches;
     otherwise W_b folds on its own and the two outputs are added. Slots [0, n_o) hold the output; a
     ciphertext result states its width, n_o.
 
@@ -406,7 +457,7 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     ops._stage("silu_poly", xp, poly)
     shared = layout.base.unfolded
     base_out = bsgs_matvec(layer.W_b, poly, layout.base)
-    ops._stage("base_matvec", poly, base_out[0] if shared else base_out)
+    ops._stage("base_matvec", poly, base_out[0][0] if shared else base_out)
 
     basis = spline_out = bspline_basis_he(xp, layer.grid, comparator)
     *maps, (last, last_schedule) = zip(layer.spline_maps(path), layout.maps)

@@ -33,6 +33,16 @@ over its columns zero-padded to the next power of two. The choice depends
 on the shape alone, so a caller without a slot count (the mirror) makes
 the same one.
 
+Front-padded form (``matvec_schedule(W, front=(p, L))``): a second wide
+schedule, for any p >= n_o. W is zero-padded to p rows and L = p * 2^j >=
+n_in + p - 1 columns, and its diagonals are d = 0, -1, ..., -(p - 1),
+diag_d[t] = W[t mod p, t + d]: every product reads the operand's own
+slots or its zero tail below slot 0, so nothing wraps and the operand is
+not duplicated. Its babies are rotate(x, -i); giant step s rotates right
+by s * b, so step 0 is free, and multiplies the diagonals from slot s * b
+on. It costs (b - 1) + (gs - 1) + log2(L / p) rotations and p plaintext
+multiplies, and reads L + p - 1 slots, its zero front included.
+
 Operand contracts: by default the operand holds its n_in values over
 zeros, and the block sum duplicates it (one rotation and one add) so that
 the diagonals can wrap. A repeated schedule
@@ -43,15 +53,16 @@ duplication. The slots each reads are stated once, in
 a ciphertext states against them before any op. A tall repeated matrix
 (n_o > n_in) takes n_in diagonals over n_o output slots instead of the
 padded square. A single diagonal never wraps, so a one-row matrix is
-never duplicated either.
+never duplicated either, and the front-padded form reads the zero-tail
+operand's zeros below slot 0 instead of a duplicate.
 
-Shared giant steps and folds: ``matvec_schedule(W, True, over=(p, L))``
-runs W's block sum on the geometry of another schedule that folds to its
-p rows (wide, or square with no folds) and leaves it unfolded
-(``unfolded``). W's operand repeats with period n = n_in, and the folds
-add every slot t = r mod p of [0, L) into slot r, so by the Chinese
-remainder theorem slot t < l = lcm(p, n) may pair row t mod p with
-column t mod n: W takes g = gcd(p, n) diagonals of l slots,
+Shared giant steps and folds: ``matvec_schedule(W, True, over)`` runs
+W's block sum on the ``geometry`` (p, L, front) of another schedule that
+folds to its p rows (wide in either form, or square with no folds) and
+leaves it unfolded (``unfolded``). W's operand repeats with period n =
+n_in, and the folds add every slot t = r mod p of [0, L) into slot r, so
+by the Chinese remainder theorem slot t < l = lcm(p, n) may pair row
+t mod p with column t mod n: W takes g = gcd(p, n) diagonals of l slots,
 diag_d[t] = W[t mod p, (t + d) mod n] with rows past n_o zero, and each
 W[r, c] is read once, on diagonal (c - r) mod g. It needs p dividing L
 with L / p a power of two (the folds), n_o <= p and l <= L. Its giant
@@ -59,13 +70,17 @@ steps take the lending schedule's b babies, or g when fewer, so its
 ceil(g / b) giant blocks have the bases of that schedule's first giant
 steps, and a rotation is linear, so the sum over steps s of
 rot(A_s, base_s) + rot(B_s, base_s) is that of rot(A_s + B_s, base_s)
-(Halevi and Shoup's baby-step/giant-step identity). So the unfolded
-schedule's ``run`` returns its giant blocks unrotated, paying its
-min(b, g) - 1 baby rotations and g plaintext multiplies only, and
-``run(ops, v, giants)`` of the lending schedule adds each to its own
-block of the same step before that step's rotation. Its giant rotations
-and folds then finish both products: slot r of the folded sum is row r
-of W's product plus row r of its own.
+(Halevi and Shoup's baby-step/giant-step identity). A front-padded
+lender's giant steps rotate the other way, so on its geometry W takes all
+g babies in one giant step, whose block lands in step 0, which no
+rotation moves. So the unfolded schedule's ``run`` returns its giant
+blocks unrotated, paying its baby rotations and g plaintext multiplies
+only, paired with the geometry they were built on, and
+``run(ops, v, giants)`` of the lending schedule, after checking that
+geometry against its own, adds each to its own block of the same step
+before that step's rotation. Its giant rotations and folds then finish
+both products: slot r of the folded sum is row r of W's product plus row
+r of its own.
 
 Permutation operand: a :class:`PermutationSpec` takes the square path with
 its diagonals read from ``source_of`` (diagonal d is 1 where
@@ -116,7 +131,10 @@ class MatvecSchedule:
     permutation operand, diag_d[t] = 1 where offset[t] == d. The operand
     is duplicated with period n so that rotations read wrapped coordinates,
     unless the schedule is ``repeated`` (the caller's operand is already
-    periodic over the slots read) or has one diagonal (nothing wraps).
+    periodic over the slots read), has one diagonal (nothing wraps) or is
+    ``front``-padded on (p, L): W zero-padded to p x L and its diagonals
+    negated, diag_d[t] = W[t mod p, (t - d) mod L], read over the zero
+    tail below slot 0 (see the module docstring).
     Slot r' < r of the folded sum holds row r'; only slots [0, n_out) are
     promised, the others may hold partial sums. An ``unfolded`` schedule
     (a block sum on another schedule's geometry, see the module docstring)
@@ -125,21 +143,37 @@ class MatvecSchedule:
     neither giant rotations nor folds of its own.
     """
 
-    W: np.ndarray | None  # (r, n): rows zero-padded to r, columns to the period n
+    # (r, n): rows zero-padded to r, columns to the period n; the front-padded
+    # form holds W as given and pads it to (p, L) only to build its diagonals
+    W: np.ndarray | None
     n_out: int
     offset: np.ndarray | None = None  # permutation operand (W is None): (source_of[t] - t) mod n
     repeated: bool = False
-    unfolded: bool = False
+    front: tuple | None = None  # the front-padded form's (p, L): diagonals 0, -1, ..., 1 - p
+    over: tuple | None = None  # an unfolded block sum: its lender's ``geometry``
 
     @property
+    def unfolded(self) -> bool:
+        """Whether this is a block sum on another schedule's geometry."""
+        return self.over is not None
+
+    @cached_property
     def shape(self) -> tuple:
         """(p, L): the diagonals multiplied, and the slots each spans; for
         an ``unfolded`` schedule, (gcd(r, n), lcm(r, n))."""
         if self.W is None:
             return self.offset.size, self.offset.size
+        if self.front:
+            return self.front
         if self.unfolded:
             return math.gcd(*self.W.shape), math.lcm(*self.W.shape)
         return min(self.W.shape), max(self.W.shape)
+
+    @property
+    def geometry(self) -> tuple:
+        """(p, L, front): the shape and the operand form another block sum
+        needs to hand this schedule its giant blocks."""
+        return (*self.shape, self.front is not None)
 
     @property
     def period(self) -> int:
@@ -149,15 +183,23 @@ class MatvecSchedule:
     @property
     def duplicates(self) -> bool:
         """Whether the block sum duplicates its operand first: only when
-        the diagonals wrap (p > 1) and the operand is not repeated."""
-        return not self.repeated and self.shape[0] > 1
+        the diagonals wrap (p > 1) and the operand is neither repeated nor
+        read with a zero front."""
+        return not (self.repeated or self.front) and self.shape[0] > 1
 
     @property
     def reads(self) -> int:
-        """Slots [0, L + p - 1) of the duplicated or repeated operand that
-        the block sum reads."""
+        """How many slots the block sum reads: L + p - 1 of the duplicated
+        or repeated operand from slot 0, or of the front-padded one from
+        slot 1 - p (its zero tail below slot 0, then its slots [0, L))."""
         p, L = self.shape
         return L + p - 1
+
+    @property
+    def slots(self) -> int:
+        """The fewest slots ``check_capacity`` accepts: the period twice
+        over when the block sum ``duplicates``, else its ``reads``."""
+        return 2 * self.period if self.duplicates else self.reads
 
     def diagonals(self, ds) -> np.ndarray:
         """Diagonals ds as the rows of one (len(ds), L) array: for a matrix
@@ -173,24 +215,35 @@ class MatvecSchedule:
     @cached_property
     def all_diagonals(self) -> np.ndarray:
         """The (p, L) diagonals of a matrix operand, built on first use and
-        read-only: row d is diag_d."""
-        (r, n), (p, L) = self.W.shape, self.shape
+        read-only: row d is diag_d, or diag_-d in the ``front`` form."""
+        p, L = self.shape
+        W = _pad(self.W, p, L) if self.front else self.W
+        r, n = W.shape
         t = np.arange(L)
-        D = self.W[t % r, (t + np.arange(p)[:, None]) % n]
+        D = W[t % r, (t + self.sign * np.arange(p)[:, None]) % n]
         D.setflags(write=False)
         return D
 
     @property
+    def sign(self) -> int:
+        """The direction of the diagonals, the babies and the giant steps:
+        -1 in the ``front`` form (rotations right), else 1 (left)."""
+        return -1 if self.front else 1
+
+    @cached_property
     def split(self) -> tuple:
         """(babies, giants) = default_bsgs_split(p) over the p diagonals;
         an ``unfolded`` schedule takes the babies of the geometry it runs
         on (default_bsgs_split(r)), or p when fewer, and the giant steps
-        they need. It always has b <= p <= b * giants, so every baby is
-        used and the giant steps cover the diagonals exactly."""
+        they need; on a ``front`` geometry, whose giant steps rotate the
+        other way, it takes all p babies and one giant step. It always has
+        b <= p <= b * giants, so every baby is used and the giant steps
+        cover the diagonals exactly."""
         p = self.shape[0]
         if not self.unfolded:
             return default_bsgs_split(p)
-        b = min(default_bsgs_split(self.W.shape[0])[0], p)
+        lender_p, _, lender_front = self.over
+        b = p if lender_front else min(default_bsgs_split(lender_p)[0], p)
         return b, -(-p // b)
 
     def blocks(self):
@@ -205,7 +258,7 @@ class MatvecSchedule:
         rows); none otherwise, nor for an ``unfolded`` schedule."""
         if self.W is None or self.unfolded:
             return ()
-        r, n = self.W.shape
+        r, n = self.front or self.W.shape
         return tuple(n >> i for i in range(1, (n // r).bit_length()))
 
     @property
@@ -236,19 +289,20 @@ class MatvecSchedule:
         return self.block_sum_counts[2]
 
     def check_capacity(self, slot_count: int) -> None:
-        """The single-ciphertext law: the period fits twice over when the
-        wraparound duplication is needed (``duplicates``); otherwise the
-        slots the block sum reads fit (``reads``: n for a one-row matrix).
-        A repeated operand's copies are the caller's to fit
+        """The single-ciphertext law, ``slots`` <= slot_count: the period
+        fits twice over when the wraparound duplication is needed
+        (``duplicates``); otherwise the slots the block sum reads fit
+        (``reads``: n for a one-row matrix, and in the ``front`` form its
+        zero front too, so that the front never meets slots [0, L)). A
+        repeated operand's copies are the caller's to fit
         (``inference.check_capacity``)."""
-        n = self.period
+        if self.slots <= slot_count:
+            return
         if self.duplicates:
-            if 2 * n > slot_count:
-                raise DimensionMismatch(f"diagonal wraparound needs 2 * {n} <= {slot_count} "
-                                        "slots (single-ciphertext scope)")
-        elif self.reads > slot_count:
-            raise DimensionMismatch(f"the block sum reads {self.reads} slots, more than "
-                                    f"{slot_count} (single-ciphertext scope)")
+            raise DimensionMismatch(f"diagonal wraparound needs 2 * {self.period} <= "
+                                    f"{slot_count} slots (single-ciphertext scope)")
+        raise DimensionMismatch(f"the block sum reads {self.reads} slots, more than "
+                                f"{slot_count} (single-ciphertext scope)")
 
     def block_sum(self, read, v, giants=None):
         """The block sum on v, one array program per giant step; the one
@@ -257,20 +311,22 @@ class MatvecSchedule:
         for a ciphertext, ``backend._slice`` for the mirror's array, over
         a zero tail):
 
-        - x, v's slots [0, reads) (``reads`` = L + p - 1), plus v's slots
-          [-n, reads - n) when the schedule ``duplicates`` (n the period),
-          so that with v zero past n, x holds v and its copy n slots on;
+        - x, v's ``reads`` = L + p - 1 slots from slot 0, or from slot
+          1 - p in the ``front`` form (so that with v zero below slot 0,
+          x holds p - 1 zeros, then v), plus v's slots [-n, reads - n)
+          when the schedule ``duplicates`` (n the period), so that with v
+          zero past n, x holds v and its copy n slots on;
         - each of ``giants``' blocks, when given (another block sum's
           giant blocks, one for each of the first giant steps, see the
           module docstring), at its step's base: slots [base, base + L).
 
-        Slot t < L of step base's block is sum_d x[t + d] * diag_d[t]
-        (diag_d zero past n) over its diagonals, reduced in diagonal order,
-        then plus the giant block of the same step: the block rotated into
-        place. The result is the sum of the blocks in step order, or, for
-        an ``unfolded`` schedule, the list of blocks, each of L slots. The
-        babies are rows of one sliding window over x, and a step computes
-        its block's slots [base, base + L) only.
+        Slot t < L of step base's block is sum_d v[t + s d] * diag_d[t]
+        over its diagonals (s the ``sign``; diag_d zero past n), reduced
+        in diagonal order, then plus the giant block of the same step: the
+        block rotated into place. The result is the sum of the blocks in
+        step order, or, for an ``unfolded`` schedule, the list of blocks,
+        each of L slots. The babies are rows of one sliding window over x,
+        and a step computes its block's slots [0, L) in place only.
 
         A permutation operand (W is None) with no giants is one gather with
         the same bits. Column t's only nonzero diagonal is offset[t], so it
@@ -279,8 +335,8 @@ class MatvecSchedule:
         the sign bit set. A non-finite x takes the dense loop, where inf * 0
         makes every column that reads it NaN.
         """
-        m, L = self.reads, self.shape[1]
-        x = read(v, 0, m)
+        m, (p, L) = self.reads, self.shape
+        x = read(v, 1 - p if self.front else 0, m)
         if self.duplicates:
             x = x + read(v, -self.period, m)
         placed = [read(g, base, L) for g, (base, _) in zip(giants or (), self.blocks())]
@@ -291,7 +347,7 @@ class MatvecSchedule:
                 signs = np.concatenate(([0], np.cumsum(np.signbit(x))))
                 all_neg = signs[t + L] - signs[t] == L
                 return np.where(hit != 0, hit, np.where(all_neg, -0.0, 0.0))
-        rows = sliding_window_view(x, L)
+        rows = sliding_window_view(x, L)[::self.sign]  # row d reads v[t + s d]
         acc, unrotated = None, []
         for step, (base, diags) in enumerate(self.blocks()):
             terms = rows[base:base + len(diags)] * self.diagonals(diags)
@@ -308,71 +364,101 @@ class MatvecSchedule:
 
     def block_sum_ops(self, ops, a, giants=None):
         """The block sum op by op, on a ciphertext a before its duplication
-        (``duplicates``): the baby rotations, then per giant step the babies
-        times its diagonals shifted right by its base, summed in diagonal
-        order, plus ``giants``' block of the same step if any, rotated
-        left by the base and added to the sum. An ``unfolded`` schedule
-        returns its giant blocks unrotated instead, as a tuple."""
+        (``duplicates``): the baby rotations (left by i, or right in the
+        ``front`` form), then per giant step the babies times its
+        diagonals shifted right by its base (left in the front form),
+        summed in diagonal order, plus ``giants``' block of the same step
+        if any, rotated left by the base (right in the front form) and
+        added to the sum. An ``unfolded`` schedule returns its giant
+        blocks unrotated instead, as a tuple."""
         if self.duplicates:
             a = ops.add(a, ops.rotate(a, -self.period))
-        babies = [ops.rotate(a, i) for i in range(self.split[0])]
+        s = self.sign
+        babies = [ops.rotate(a, s * i) for i in range(self.split[0])]
         acc, unrotated = None, []
         for step, (base, diags) in enumerate(self.blocks()):
             block = None
             for baby, diag in zip(babies, self.diagonals(diags)):
-                term = ops.mul(baby, np.concatenate((np.zeros(base), diag)))
+                plain = diag[base:] if self.front else np.concatenate((np.zeros(base), diag))
+                term = ops.mul(baby, plain)
                 block = term if block is None else ops.add(block, term)
             if step < len(giants or ()):
                 block = ops.add(block, giants[step])
             if self.unfolded:
                 unrotated.append(block)
                 continue
-            block = ops.rotate(block, base)
+            block = ops.rotate(block, s * base)
             acc = block if acc is None else ops.add(acc, block)
         return tuple(unrotated) if self.unfolded else acc
 
     def run(self, ops, v, giants=None):
         """The schedule on v, run by ops: the block sum, each of the first
-        giant steps' blocks plus ``giants``' block of the same step if
-        given (the giant blocks of an unfolded block sum on this
-        schedule's geometry, see the module docstring), then the folds
-        (``ops.run_folds``). An ``unfolded`` schedule returns its giant
-        blocks, unrotated, as a tuple: block i holds step i's sum in slots
-        [base_i, base_i + L). v is zero past its n_in values, or repeated
-        if the schedule is. Only slots [0, n_out) of the folded result are
-        promised. Raised before any op, when giants are given:
-        DimensionMismatch unless this schedule's folds end at its p rows
-        (wide, or square; not tall, nor unfolded itself), and unless there
-        are no more giant blocks than giant steps."""
+        giant steps' blocks plus the giant block of the same step if
+        ``giants`` are given, then the folds (``ops.run_folds``). An
+        ``unfolded`` schedule returns the pair (blocks, ``over``): its
+        giant blocks, unrotated, as a tuple (block i holds step i's sum
+        in slots [base_i, base_i + L)) and the geometry they were built
+        on, which is what ``giants`` takes (see the module docstring). v
+        is zero past its n_in values, or repeated if the schedule is. Only
+        slots [0, n_out) of the folded result are promised. Raised before
+        any op, when giants are given: DimensionMismatch unless this
+        schedule's folds end at its p rows (wide, or square; not tall, nor
+        unfolded itself), unless the blocks were built on this schedule's
+        ``geometry``, and unless there are no more of them than giant
+        steps."""
+        blocks = None
         if giants is not None:
+            blocks, built_on = giants
             rows = self.period if self.W is None else self.W.shape[0]
-            if self.unfolded or rows != self.shape[0]:
+            if self.unfolded or rows > self.shape[0]:
                 raise DimensionMismatch("giant blocks need a wide or square schedule, not "
                                         + ("an unfolded" if self.unfolded else "a tall") + " one")
-            if len(giants) > self.split[1]:
-                raise DimensionMismatch(f"{len(giants)} giant blocks for a schedule of "
+            if tuple(built_on) != self.geometry:
+                raise DimensionMismatch(f"giant blocks built on (p, L, front) = {built_on} "
+                                        f"for a schedule of geometry {self.geometry}")
+            if len(blocks) > self.split[1]:
+                raise DimensionMismatch(f"{len(blocks)} giant blocks for a schedule of "
                                         f"{self.split[1]} giant steps")
-        acc = ops.run_block_sum(v, self, giants)
-        return acc if self.unfolded else ops.run_folds(acc, self.folds)
+        acc = ops.run_block_sum(v, self, blocks)
+        return (acc, self.over) if self.unfolded else ops.run_folds(acc, self.folds)
 
 
-def matvec_schedule(W, repeated: bool = False, over: tuple | None = None) -> MatvecSchedule:
+def _folds_to(p: int, L: int) -> bool:
+    """Whether log2(L / p) folds take L slots to p rows: p >= 1 divides L
+    and L / p is a power of two."""
+    ratio = L // p if p >= 1 and L % p == 0 else 0
+    return ratio >= 1 and not ratio & (ratio - 1)
+
+
+def matvec_schedule(W, repeated: bool = False, over: tuple | None = None,
+                    front: tuple | None = None) -> MatvecSchedule:
     """A new schedule for W, chosen by its shape alone: one diagonal over
     the next power-of-two period for one row; wide when n_in = p * 2^j
     (j >= 1) with p >= n_o (smallest such p); with ``repeated``, n_in
     diagonals over n_o slots when tall (n_o > n_in); square otherwise. A
     PermutationSpec is square, with its diagonals read from ``source_of``.
     ``repeated`` says the operand is repeated with period n_in over the
-    slots the block sum reads (see the module docstring). With ``over``,
-    the ``shape`` (p, L) of a schedule that folds to its p rows, W's
-    repeated block sum runs on that geometry, gcd(p, n_in) diagonals of
+    slots the block sum reads (see the module docstring).
+
+    With ``front`` = (p, L), the front-padded wide form instead: W
+    zero-padded to p x L, p diagonals 0, -1, ..., -(p - 1) over a
+    zero-tail operand (see the module docstring). It needs n_o <= p, L / p
+    a power of two and L >= n_in + p - 1 (DimensionMismatch), and an
+    operand that is not repeated (InvalidArgument).
+
+    With ``over``, the ``geometry`` (p, L, front) of a schedule that
+    folds to its p rows ((p, L) reads as (p, L, False)), W's repeated
+    block sum runs on that geometry, gcd(p, n_in) diagonals of
     lcm(p, n_in) slots, and hands on its giant blocks unrotated and
     unfolded (shared giant steps and folds, see the module docstring).
     ``over`` needs ``repeated`` (InvalidArgument), and DimensionMismatch
     is raised unless p divides L, L / p is a power of two, n_o <= p and
-    lcm(p, n_in) <= L. The schedule holds W itself when W needs no
-    padding, so W must not change while the schedule is kept (a layer's
-    matrices are read-only); a padded copy is made read-only here."""
+    lcm(p, n_in) <= L.
+
+    The schedule holds W itself when W needs no padding, and the
+    front-padded form always, so W must not change while the schedule is
+    kept (a layer's matrices are read-only); a padded copy is made
+    read-only here."""
     if isinstance(W, PermutationSpec):
         n = W.size
         return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n, repeated)
@@ -381,14 +467,23 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None) -> Mat
         raise DimensionMismatch(f"W must be a non-empty matrix, got shape {W.shape}")
     n_o, n_in = W.shape
     if over is not None:
-        p, L = over
+        p, L, *form = over
         if not repeated:
             raise InvalidArgument("a block sum on another geometry needs a repeated operand")
-        ratio = L // p if p >= 1 and L % p == 0 else 0  # the folds: a power of two
-        if ratio < 1 or ratio & (ratio - 1) or n_o > p or math.lcm(p, n_in) > L:
+        if not _folds_to(p, L) or n_o > p or math.lcm(p, n_in) > L:
             raise DimensionMismatch(f"a {n_o} x {n_in} matrix does not fit {p} diagonals "
                                     f"of {L} slots folded to {p}")
-        return MatvecSchedule(_pad(W, p, n_in), n_o, repeated=True, unfolded=True)
+        return MatvecSchedule(_pad(W, p, n_in), n_o, repeated=True,
+                              over=(p, L, bool(form and form[0])))
+    if front is not None:
+        p, L = front
+        if repeated:
+            raise InvalidArgument("the front-padded form reads a zero tail, not a repeated "
+                                  "operand")
+        if not _folds_to(p, L) or n_o > p or L < n_in + p - 1:
+            raise DimensionMismatch(f"a {n_o} x {n_in} matrix does not fit {p} diagonals "
+                                    f"of {L} slots behind a zero front")
+        return MatvecSchedule(W, n_o, front=(p, L))
     if n_o == 1:
         n_in = 1 << (n_in - 1).bit_length()  # the wide path below takes p = 1
     elif repeated and n_o > n_in:

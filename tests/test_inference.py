@@ -396,13 +396,15 @@ class TestWideMatvec:
 
 
 class TestSharedFolds:
-    """A repeated product on the geometry (p, L) of a matrix that folds to
-    its p rows hands on its giant blocks unrotated and unfolded; that
-    matrix adds each to its own block of the same giant step before the
-    step's rotation, and its folds finish both products. By the Chinese
-    remainder theorem the second product needs g = gcd(p, n_i) diagonals
-    of lcm(p, n_i) slots only: it pays min(b, g) - 1 baby rotations and g
-    plaintext multiplies, and hands on ceil(g / b) giant blocks."""
+    """A repeated product on the geometry (p, L, front) of a matrix that
+    folds to its p rows hands on its giant blocks unrotated and unfolded,
+    with that geometry; that matrix checks it, adds each block to its own
+    block of the same giant step before the step's rotation, and its folds
+    finish both products. By the Chinese remainder theorem the second
+    product needs g = gcd(p, n_i) diagonals of lcm(p, n_i) slots only: it
+    pays min(b, g) - 1 baby rotations and g plaintext multiplies, and
+    hands on ceil(g / b) giant blocks; on a front-padded geometry, g - 1
+    rotations and one block."""
 
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((10, 64), (10, 320)),   # p = 10: g = 2
@@ -459,18 +461,37 @@ class TestSharedFolds:
         assert shared.rotations <= default_bsgs_split(p)[0] - 1
         assert shared.pt_mults <= p
 
+    @pytest.mark.parametrize("a_shape, b_shape, front", [
+        ((10, 128), (10, 1024), (11, 1408)),  # the (128, 5, 3) table layer: g = 1
+        ((5, 2), (5, 16), (5, 20)),           # kan_small's layer 0: g = 1 of lcm 10
+        ((3, 4), (3, 20), (3, 24)),           # g = 1 of lcm 12
+        ((4, 6), (4, 10), (4, 16)),           # g = 2 = b
+        ((12, 12), (12, 48), (12, 96)),       # g = 12 > b = 4: twelve babies, one block
+    ])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-12])
+    def test_a_front_lender_takes_one_giant_block(self, a_shape, b_shape, front, sigma):
+        # B's front-padded form rotates its giant steps right, so A's block
+        # sum hands it one block, for step 0, which no rotation moves
+        rng = np.random.default_rng(a_shape[1] + b_shape[1])
+        A, B = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        self._check(A, B, rng.normal(size=A.shape[1]), rng.normal(size=B.shape[1]), sigma,
+                    front)
+
     @staticmethod
-    def _check(A, B, x, v, sigma):
-        """The encrypted pair on B's geometry against the cleartext sum,
-        the mirror, the CRT schedule's shape and counts and, op by op, the
+    def _check(A, B, x, v, sigma, front=None):
+        """The encrypted pair on B's geometry (its default schedule's, or
+        its front-padded form on ``front``) against the cleartext sum, the
+        mirror, the CRT schedule's shape and counts and, op by op, the
         fused kernel's counts and one noise draw per counted op."""
-        own, geometry = matvec_schedule(B), matvec_schedule(B).shape
+        own = matvec_schedule(B, front=front)
+        geometry = own.geometry
         shared = matvec_schedule(A, True, geometry)
-        (p, L), n_i = geometry, A.shape[1]
-        g, b = math.gcd(p, n_i), own.split[0]
+        (p, L, _), n_i = geometry, A.shape[1]
+        g = math.gcd(p, n_i)
+        b = g if front else min(own.split[0], g)  # a front lender's one giant step
         assert shared.shape == (g, math.lcm(p, n_i)) and not shared.folds and own.folds
-        assert shared.split == (min(b, g), -(-g // b))
-        assert (shared.pt_mults, shared.rotations) == (g, min(b, g) - 1)
+        assert shared.split == (b, -(-g // b))
+        assert (shared.pt_mults, shared.rotations) == (g, b - 1)
         assert shared.reads == math.lcm(p, n_i) + g - 1
         repeated = np.tile(x, -(-shared.reads // n_i))
         # slot r < p of the folded sum holds row r of both products, each
@@ -487,20 +508,22 @@ class TestSharedFolds:
                 mp.setattr(HeBackend, "_noise", lambda self, _run=HeBackend._noise:
                            draws.append(1) or _run(self))
                 giants = bsgs_matvec(A, a, schedule=matvec_schedule(A, True, geometry))
-                out = bsgs_matvec(B, w, giants=giants)
-            assert isinstance(giants, tuple) and len(giants) == -(-g // b)
-            assert all(g.level == a.level - 1 for g in giants)
+                out = bsgs_matvec(B, w, matvec_schedule(B, front=front), giants)
+            blocks, built_on = giants
+            assert built_on == geometry == (p, L, front is not None)
+            assert isinstance(blocks, tuple) and len(blocks) == -(-g // b)
+            assert all(block.level == a.level - 1 for block in blocks)
             assert out.level == a.level - 1
             return be, out, len(draws)
 
         be, out, _ = run(0.0)
         expect = np.pad(A @ x, (0, n_o - A.shape[0])) + np.pad(B @ v, (0, n_o - B.shape[0]))
         np.testing.assert_allclose(out.slots[:n_o], expect, rtol=0, atol=1e-12)
-        mirrored = bsgs_matvec(B, v, giants=bsgs_matvec(
+        mirrored = bsgs_matvec(B, v, own, bsgs_matvec(
             A, repeated, schedule=matvec_schedule(A, True, geometry)))
         assert np.array_equal(out.slots[:n_o].view(np.int64), mirrored[:n_o].view(np.int64))
         assert (be.counter.rotations, be.counter.pt_mults) == (
-            min(b, g) - 1 + own.rotations, g + own.pt_mults)
+            b - 1 + own.rotations, g + own.pt_mults)
         if sigma:
             noisy, out, draws = run(sigma)
             c = noisy.counter
@@ -512,6 +535,21 @@ class TestSharedFolds:
             scale = 1 + np.abs(A).sum(axis=0).max() + np.abs(B).sum(axis=0).max()
             bound = 10 * sigma * scale * math.sqrt(draws * L)
             np.testing.assert_allclose(out.slots[:n_o], expect, rtol=0, atol=1e-12 + bound)
+
+    def test_front_form_must_fit(self):
+        # W 3 x 8 behind a zero front: p >= 3 diagonals over L = p 2^j >= 8 + p - 1
+        W = np.ones((3, 8))
+        assert matvec_schedule(W, front=(3, 12)).geometry == (3, 12, True)
+        assert matvec_schedule(W, front=(5, 20)).reads == 24
+        with pytest.raises(InvalidArgument):
+            matvec_schedule(W, True, front=(3, 12))  # a repeated operand has no zero tail
+        for front in ((2, 16),   # rows past p
+                      (3, 6),    # 6 < 8 + 3 - 1: the last column's diagonals wrap
+                      (3, 9),    # 9 / 3 folds no power of two
+                      (4, 10),   # 4 does not divide 10
+                      (0, 8)):   # no diagonal
+            with pytest.raises(DimensionMismatch):
+                matvec_schedule(W, front=front)
 
     def test_geometry_must_fit(self):
         with pytest.raises(InvalidArgument):
@@ -551,17 +589,43 @@ class TestSharedFolds:
             bsgs_matvec(A, a, shared, giants)  # an unfolded schedule lends nothing
         assert (be.counter, be._rng.bit_generator.state) == before
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_giants_state_the_geometry_they_were_built_on(self, noise):
+        # A 4 x 5's blocks on (5, 10) handed to B 4 x 8 on (4, 8) gave a
+        # sum 2.10 off A x + B w with no error; on the same (p, L), blocks
+        # built for one operand form land wrong in the other's giant steps
+        rng = np.random.default_rng(13)
+        A, B = rng.normal(size=(4, 5)), rng.normal(size=(4, 8))
+        A4, B16 = rng.normal(size=(4, 4)), rng.normal(size=(4, 16))
+        cases = (
+            (A, matvec_schedule(A, True, (5, 10)), B, matvec_schedule(B)),
+            (A4, matvec_schedule(A4, True, (4, 16)), B, matvec_schedule(B, front=(4, 16))),
+            (A4, matvec_schedule(A4, True, (4, 16, True)), B16, matvec_schedule(B16)),
+        )
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=4, noise_std=noise))
+        for W, shared, lender_W, lender in cases:
+            assert shared.over != lender.geometry
+            n_i = W.shape[1]
+            giants = bsgs_matvec(W, be.encrypt(np.tile(rng.normal(size=n_i),
+                                                       -(-shared.reads // n_i))), shared)
+            assert giants[1] == shared.over
+            w = be.encrypt(rng.normal(size=lender_W.shape[1]))
+            before = be.counter.copy(), be._rng.bit_generator.state
+            with pytest.raises(DimensionMismatch, match="giant blocks built on"):
+                bsgs_matvec(lender_W, w, lender, giants)
+            assert (be.counter, be._rng.bit_generator.state) == before
+
     def test_no_more_giant_blocks_than_giant_steps(self):
         rng = np.random.default_rng(12)
         A, B = rng.normal(size=(12, 12)), rng.normal(size=(12, 48))
         own = matvec_schedule(B)
         shared = matvec_schedule(A, True, own.shape)
         be = HeBackend(BackendConfig(slot_count=256, depth_budget=4))
-        giants = bsgs_matvec(A, be.encrypt(np.tile(rng.normal(size=12), 5)), shared)
-        assert len(giants) == own.split[1] == 3
+        blocks, built_on = bsgs_matvec(A, be.encrypt(np.tile(rng.normal(size=12), 5)), shared)
+        assert len(blocks) == own.split[1] == 3
         before = be.counter.copy()
         with pytest.raises(DimensionMismatch, match="4 giant blocks for a schedule of 3"):
-            bsgs_matvec(B, be.encrypt(rng.normal(size=48)), own, giants + giants[:1])
+            bsgs_matvec(B, be.encrypt(rng.normal(size=48)), own, (blocks + blocks[:1], built_on))
         assert be.counter == before
 
 
@@ -1184,9 +1248,57 @@ def _same_schedule(a, b) -> bool:
         return x is y is None or (x is not None and y is not None and np.array_equal(x, y))
 
     def flavour(s):
-        return s.n_out, s.repeated, s.unfolded, s.shape
+        return s.n_out, s.repeated, s.over, s.front, s.shape
 
     return flavour(a) == flavour(b) and same(a.W, b.W) and same(a.offset, b.offset)
+
+
+def _expected_layout(layer, path: str, plan) -> tuple:
+    """(W_b's schedule, the spline maps' schedules) by the layout rule as
+    stated: the last map's default schedule or its front-padded form on
+    p in [n_o, the default's p] at the least L = p 2^j >= n_in + p - 1 or
+    2L; W_b on its own or, when that map folds, W_b fits (lcm(p, n_i) <=
+    L) and the plan's SiLU branch is no deeper than its spline branch, on
+    the map's geometry. The cheapest pair (rotations plus W_b's copy
+    doublings, then pt mults) on the default map is kept unless another
+    is strictly cheaper and needs no more slots (the operand's copies,
+    the last map's capacity) than the power of two the kept one does."""
+    n_i, g, k = layer.n_i, layer.g, layer.k
+    *head, W = layer.spline_maps(path)
+    n_o, n_in = W.shape
+    default = matvec_schedule(W)
+    candidates = []
+    for p in range(n_o, default.shape[0] + 1):
+        L = p
+        while L < n_in + p - 1:
+            L *= 2
+        candidates += [matvec_schedule(W, front=(p, L)), matvec_schedule(W, front=(p, 2 * L))]
+
+    def pairs(last):
+        yield matvec_schedule(layer.W_b, True), last
+        p, L = last.shape
+        if (last.folds and math.lcm(p, n_i) <= L
+                and plan.silu_branch <= plan.spline_branch):
+            yield matvec_schedule(layer.W_b, True, last.geometry), last
+
+    def copies(base):
+        return _operand_copies(n_i, g, k, base.reads)
+
+    def cost(pair):
+        base, last = pair
+        return (base.rotations + last.rotations + copies(base).bit_length(),
+                base.pt_mults + last.pt_mults)
+
+    def need(pair):
+        base, last = pair
+        slots = 2 * last.period if last.duplicates else last.reads
+        return max(n_i * copies(base), slots)
+
+    kept = min(pairs(default), key=cost)  # min keeps the first of equal costs
+    limit = 1 << (need(kept) - 1).bit_length()
+    base, last = min([kept, *(pair for c in candidates for pair in pairs(c)
+                              if need(pair) <= limit)], key=cost)
+    return base, (*(matvec_schedule(M) for M in head), last)
 
 
 def _zero_layer_model(n_i: int, n_o: int, g: int, k: int) -> KanModel:
@@ -1256,10 +1368,9 @@ class TestSiluReadsThePackedInput:
         for sched, (*_, delta) in zip(scheds, calls):
             assert (delta.rotations, delta.pt_mults) == (sched.rotations, sched.pt_mults)
         layout = inference._layout(layer, path, cfg.comparator())
-        over = layout.maps[-1].shape if layout.base.unfolded else None
-        assert _same_schedule(scheds[0], matvec_schedule(layer.W_b, True, over))
-        assert all(_same_schedule(sched, matvec_schedule(W))
-                   for (W, *_), sched in zip(calls[1:], scheds[1:]))
+        base, maps = _expected_layout(layer, path, plan)
+        over = base.over
+        assert all(map(_same_schedule, scheds, (base, *maps)))
         copies = _operand_copies(n_i, g, k, scheds[0].reads)
         assert layout.copies == copies
         own = matvec_schedule(layer.W_b, True).reads > n_i * pack
@@ -1396,30 +1507,18 @@ class TestOneFoldChain:
         assert np.array_equal(be.decrypt(out)[:n_o].view(np.int64), mirrored.view(np.int64))
         assert ct.level - out.level == plan.total
 
-        # the shared chain is chosen exactly when it saves
-        maps = [matvec_schedule(W) for W in layer.spline_maps(path)]
-        own = matvec_schedule(layer.W_b, True)
-        shared = matvec_schedule(layer.W_b, True, maps[-1].shape) if maps[-1].folds else None
-
-        pack = _paper_copies(g, k)
-
-        def doublings_for(sched):
-            return _operand_copies(n_i, g, k, sched.reads).bit_length() - pack.bit_length()
-
-        def cost(sched):
-            return sched.rotations + doublings_for(sched), sched.pt_mults
-
-        saves = (shared is not None and cost(shared) < cost(own)
-                 and plan.silu_branch <= plan.spline_branch)
-        base = shared if saves else own
+        # the last map's geometry and the shared chain are chosen by the rule
+        base, maps = _expected_layout(layer, path, plan)
+        saves = base.unfolded
         layout = inference._layout(layer, path, comparator)
         assert [(W, joined) for W, _, joined in calls] == [
             (layer.W_b, False), *[(W, False) for W in layer.spline_maps(path)[:-1]],
             (layer.spline_maps(path)[-1], saves)]
         assert all(sched is kept for (_, sched, _), kept in zip(calls, (layout.base,
                                                                        *layout.maps)))
-        assert _same_schedule(layout.base, base)  # unfolded on the last map's shape iff saves
+        assert _same_schedule(layout.base, base)  # unfolded on the last map's geometry iff saves
         assert all(map(_same_schedule, layout.maps, maps))
+        assert not saves or base.over == maps[-1].geometry
         assert not base.folds or not saves
         copies = _operand_copies(n_i, g, k, base.reads)
         assert layout.copies == copies
@@ -1475,6 +1574,50 @@ class TestOneFoldChain:
         assert small.counter == OpCounter()
 
 
+class TestLastMapGeometry:
+    """The last spline map's geometry is chosen together with W_b
+    (``inference._layout``): the choice raises no smallest slot count, and
+    it reads only shapes, W_b and the plan, so both paths choose alike."""
+
+    @pytest.mark.parametrize("dims, g, k, slots", [
+        ([64, 10], 3, 2, 2 ** 10),
+        ([128, 10], 5, 3, 2 ** 11),
+        ([256, 10], 5, 3, 2 ** 12),
+        ([256, 10], 10, 3, 2 ** 13),
+        ([256, 10], 10, 5, 2 ** 13),
+        ([2, 5, 1], 5, 3, 2 ** 7),   # perfbench's kan_small
+    ])
+    def test_smallest_slot_counts_are_pinned(self, dims, g, k, slots):
+        mdl = random_model(dims, g=g, k=k, seed=0)
+        for path in ("lazy", "naive"):
+            assert _smallest_slot_count(mdl, PipelineConfig(path=path)) == slots
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_i=st.integers(1, 16), n_o=st.integers(1, 16), g=st.integers(1, 6),
+           k=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    @example(n_i=128, n_o=10, g=5, k=3, seed=0)  # a table layer on p = 11
+    def test_paths_choose_alike(self, n_i, n_o, g, k, seed):
+        # the naive path's forward is the lazy one's plus the n_i(g + k)
+        # permutation product: same W_b schedule, same last-map geometry
+        mdl = random_model([n_i, n_o], g=g, k=k, seed=seed)
+        layer = mdl.layers[0]
+        x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+        counters, chosen = {}, {}
+        for path in ("lazy", "naive"):
+            cfg = PipelineConfig(path=path)
+            layout = inference._layout(layer, path, cfg.comparator())
+            chosen[path] = layout.base.over, layout.maps[-1].geometry, layout.copies
+            be = HeBackend(BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
+                                         depth_budget=plan_model(mdl, cfg).total))
+            model_forward_he(mdl, encrypt_input(x, mdl, be), cfg)
+            counters[path] = be.counter
+        lazy, naive = counters["lazy"], counters["naive"]
+        perm = matvec_schedule(layer.permutation)
+        assert chosen["lazy"] == chosen["naive"]
+        assert naive.mults - lazy.mults == naive.pt_mults - lazy.pt_mults == n_i * (g + k)
+        assert naive.rotations - lazy.rotations == perm.rotations
+
+
 class TestLayerLayout:
     """One record per (layer, path, comparator) gives the copy count of the
     layer program (``inference._layout``): the least power-of-two multiple
@@ -1501,11 +1644,10 @@ class TestLayerLayout:
         cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
         comparator = cfg.comparator()
         layout = inference._layout(layer, path, comparator)
-        maps = [matvec_schedule(W) for W in layer.spline_maps(path)]
-        over = maps[-1].shape if layout.base.unfolded else None
-        assert _same_schedule(layout.base, matvec_schedule(layer.W_b, True, over))
+        base, maps = _expected_layout(layer, path, plan_layer(layer, cfg))
+        assert _same_schedule(layout.base, base)
         assert all(map(_same_schedule, layout.maps, maps))
-        copies = _operand_copies(n_i, g, k, matvec_schedule(layer.W_b, True, over).reads)
+        copies = _operand_copies(n_i, g, k, base.reads)
         assert layout.copies == copies
 
         # the fit errors: the operand's copies, then each map
@@ -1590,8 +1732,10 @@ class TestPlanStagesJoinMeasuredDrops:
         (name, first argument, level in, level out), the layer's own call
         last. The plan must be cached already, or its probe run would be
         traced too."""
-        def level(obj):  # a shared W_b's giant blocks: the first one's, as perfbench reads it
-            return (obj[0] if isinstance(obj, tuple) else obj).level
+        def level(obj):  # a shared W_b's (blocks, geometry): the first block's, as perfbench reads it
+            while isinstance(obj, tuple):
+                obj = obj[0]
+            return obj.level
 
         events = []
         with pytest.MonkeyPatch.context() as mp:
@@ -1944,8 +2088,8 @@ class TestBench:
         # packs with log2(8) = 3 rotations fewer than a raw encryption's
         assert [(r["rotations"], r["ct_mults"], r["pt_mults"], r["depth"],
                  r["speedup_vs_naive_counts"]) for r in rows] == [
-            (48, 84, 92, 28, 1.4464), (48, 24, 76, 10, 1.6757),
-            (78, 84, 162, 30, 1.0), (78, 24, 146, 12, 1.0)]
+            (36, 84, 58, 28, 1.5618), (36, 24, 42, 10, 1.9804),
+            (66, 84, 128, 30, 1.0), (66, 24, 112, 12, 1.0)]
 
     def test_config_from_json_takes_the_dataclass_defaults(self):
         bcfg = BackendConfig(slot_count=256, depth_budget=40)
@@ -1977,13 +2121,14 @@ class TestBench:
         # (rotations, pt_mults, ct_mults) per (n_i, g, k), n_o = 10, 2^15
         # slots; the input arrives as basis_copies(g, k) copies, so layer 0
         # packs with no rotation, and W_b shares the last map's giant
-        # rotations and folds on gcd(p, n_i) diagonals: 2, 16, 16, 1 and 1
+        # rotations and folds on gcd(p, n_i) diagonals: 2, 1, 1, 1 and 1,
+        # the last four on a front-padded map of p = 11 diagonals
         pinned = {
             "(64,3,2)": {"lazy": (15, 23, 21), "naive": (50, 343, 21)},
-            "(128,5,3)": {"lazy": (20, 44, 22), "naive": (83, 1068, 22)},
-            "(256,5,3)": {"lazy": (21, 44, 22), "naive": (111, 2092, 22)},
-            "(256,10,3)": {"lazy": (19, 26, 22), "naive": (134, 3354, 22)},
-            "(256,10,5)": {"lazy": (21, 30, 24), "naive": (144, 3870, 24)},
+            "(128,5,3)": {"lazy": (16, 24, 22), "naive": (79, 1048, 22)},
+            "(256,5,3)": {"lazy": (17, 24, 22), "naive": (107, 2072, 22)},
+            "(256,10,3)": {"lazy": (18, 24, 22), "naive": (133, 3352, 22)},
+            "(256,10,5)": {"lazy": (20, 26, 24), "naive": (143, 3866, 24)},
         }
         configs = [(64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5)]
         rows = bench_lazy_vs_naive(configs, slot_count=2 ** 15, depth_budget=32,
@@ -1996,21 +2141,23 @@ class TestBench:
 
     def test_two_layer_op_counts_are_pinned(self):
         # perfbench's kan_small model, [2, 5, 1] with g = 5, k = 3, on the
-        # lazy path at 2^15 slots: layer 0 keeps W_b's own schedule, and
-        # layer 1's one-row W_b shares the last map's geometry on p = 1,
-        # where there is no giant step to share: one diagonal of lcm(1, 5)
-        # slots
+        # lazy path at 2^15 slots: layer 0's 5 x 16 map takes the
+        # front-padded form on p = 5 over 20 slots, where W_b 5 x 2 shares
+        # one diagonal of lcm(5, 2) = 10 slots; layer 1's one-row W_b
+        # shares the last map's geometry on p = 1, where there is no giant
+        # step to share: one diagonal of lcm(1, 5) slots
         mdl = random_model([2, 5, 1], g=5, k=3, seed=3)
         cfg = PipelineConfig()
         layouts = [inference._layout(layer, "lazy", cfg.comparator()) for layer in mdl.layers]
-        assert not layouts[0].base.unfolded
-        assert layouts[1].base.unfolded and layouts[1].maps[-1].shape == (1, 64)
+        assert layouts[0].maps[-1].geometry == layouts[0].base.over == (5, 20, True)
+        assert layouts[0].base.shape == (1, 10)
+        assert layouts[1].maps[-1].geometry == layouts[1].base.over == (1, 64, False)
         assert layouts[1].base.shape == (1, 5)
         be = HeBackend(BackendConfig(slot_count=2 ** 15, depth_budget=plan_model(mdl, cfg).total))
         ct = encrypt_input(np.array([0.3, -0.6]), mdl, be)
         out, _ = model_forward_he(mdl, ct, cfg)
         c = be.counter
-        assert (c.rotations, c.pt_mults, c.ct_mults, ct.level - out.level) == (25, 36, 44, 30)
+        assert (c.rotations, c.pt_mults, c.ct_mults, ct.level - out.level) == (23, 32, 44, 30)
 
     def test_determinism_across_runs(self):
         kwargs = dict(slot_count=512, depth_budget=40, n_o=3, seed=5)

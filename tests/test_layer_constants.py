@@ -143,8 +143,8 @@ class TestLayoutKeepsSchedules:
         # W_b's schedule on the last map's geometry reads only W_b and that
         # map's shape, which the lazy path's fused weights and the naive
         # path's W' share: one record lends it to the other path, so the
-        # layer keeps one 30.7 KB copy of its diagonals (gcd(15, 256) = 1 of
-        # lcm(15, 256) = 3840 slots)
+        # layer keeps one 22.5 KB copy of its diagonals (gcd(11, 256) = 1 of
+        # lcm(11, 256) = 2816 slots, on the front-padded map's p = 11)
         mdl = random_model([256, 10], g=10, k=5, seed=0)
         for path in PATHS:
             for comparator in (build_composite_sign(), EXACT_COMPARATOR):
@@ -153,7 +153,7 @@ class TestLayoutKeepsSchedules:
         layouts = list(mdl.layers[0].layouts.values())
         assert len(layouts) == 4 and all(layout.base.unfolded for layout in layouts)
         bases = {id(layout.base): layout.base for layout in layouts}.values()
-        assert sum(base.all_diagonals.nbytes for base in bases) == 30_720
+        assert sum(base.all_diagonals.nbytes for base in bases) == 22_528
         lazy, naive = (mdl.layers[0].layouts[(path, EXACT_COMPARATOR)] for path in PATHS)
         assert lazy.maps[-1] is not naive.maps[-1]  # the maps stay the path's own
 

@@ -5,9 +5,12 @@ one backend rotation, plaintext multiply or add per schedule op, with the
 wraparound duplication only where the schedule has one. The kernel
 (``HeBackend.run_block_sum`` plus the folds) must give the same valid
 slots, op counts and level, and on a noisy backend the same slots
-everywhere, for schedules on a zero-tail operand and on a repeated one.
+everywhere, for schedules on a zero-tail operand and on a repeated one,
+and for the front-padded form, with and without another block sum's
+giant block.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -23,25 +26,36 @@ from hekan.inference import bsgs_matvec
 from hekan.matvec import MatvecSchedule, matvec_schedule
 
 
-def replay(sched, v):
+def replay(sched, v, giants=()):
     """The schedule op by op: (the giant-step sum before the folds, the
-    folded result). Diagonal d's plaintext is pre-rotated by its giant
-    step's base: a dense slot vector holding the diagonal from slot base."""
+    folded result), or for an unfolded schedule its giant blocks,
+    unrotated. Diagonal d's plaintext is pre-rotated by its giant step's
+    base: a dense slot vector holding the diagonal from slot base (from
+    slot -base in the front form, whose babies and giant steps rotate
+    right). Block i of ``giants`` is added to step i's block before the
+    step's rotation."""
     be = v.backend
     S = be.config.slot_count
-    L = sched.shape[1]
+    L, s = sched.shape[1], sched.sign
     vfull = be.add(v, be.rotate(v, -sched.period)) if sched.duplicates else v
-    babies = [be.rotate(vfull, i) for i in range(sched.split[0])]
-    acc = None
-    for base, diags in sched.blocks():
+    babies = [be.rotate(vfull, s * i) for i in range(sched.split[0])]
+    acc, blocks = None, []
+    for step, (base, diags) in enumerate(sched.blocks()):
         block = None
         for d in diags:
             plain = np.zeros(S)
             plain[:L] = sched.diagonals([d])[0]
-            term = be.mul(babies[d - base], np.roll(plain, base))
+            term = be.mul(babies[d - base], np.roll(plain, s * base))
             block = term if block is None else be.add(block, term)
-        rotated = be.rotate(block, base)
+        if step < len(giants):
+            block = be.add(block, giants[step])
+        if sched.unfolded:
+            blocks.append(block)
+            continue
+        rotated = be.rotate(block, s * base)
         acc = rotated if acc is None else be.add(acc, rotated)
+    if sched.unfolded:
+        return tuple(blocks)
     summed = acc
     for shift in sched.folds:
         acc = be.add(acc, be.rotate(acc, shift))
@@ -57,12 +71,15 @@ VALUES = ("normal", "signed zeros", "negative", "non-finite")
 
 @st.composite
 def operands(draw, values=("normal",)):
-    """(matrix or PermutationSpec, n_in, values, repeated) over the
-    schedule's shapes, with the operand's values drawn from ``values`` (see
-    ``case``); a matrix's operand is zero-tail or repeated."""
-    kind = draw(st.sampled_from(["square", "tall", "wide", "one-row", "permutation", "n1"]))
+    """(matrix or PermutationSpec, n_in, values, form) over the schedule's
+    shapes, with the operand's values drawn from ``values`` (see
+    ``case``); a matrix's operand is zero-tail (form False) or repeated
+    (True), or it takes the front-padded form: form (p, L, shared), with
+    another matrix's block sum handing it its giant block if shared."""
+    kind = draw(st.sampled_from(["square", "tall", "wide", "one-row", "permutation", "n1",
+                                 "front"]))
     fill = draw(st.sampled_from(values))
-    repeated = draw(st.booleans())
+    form = draw(st.booleans())
     if kind == "square":
         m = draw(st.integers(1, 40))
         shape = (m, m)
@@ -77,22 +94,32 @@ def operands(draw, values=("normal",)):
     elif kind == "permutation":
         P = gen_permutation(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
         return P, P.size, fill, False
+    elif kind == "front":
+        p = draw(st.integers(1, 12))
+        shape = (draw(st.integers(1, p)), draw(st.integers(1, 40)))
+        L = p << ((shape[1] + p - 2) // p).bit_length()  # least p 2^j >= n_in + p - 1
+        form = (p, L << draw(st.integers(0, 1)), draw(st.booleans()))
     else:
         shape = (1, 1)
     W = np.random.default_rng(draw(st.integers(0, 2 ** 16))).normal(size=shape)
-    return W, shape[1], fill, repeated
+    return W, shape[1], fill, form
 
 
-def case(W, n_in, values, repeated, seed, spare, neg_zero, tight):
-    """(schedule, config kwargs, input slots): the operand in [0, n_in), or
-    repeated with period n_in over the slots the schedule reads, with
-    ``spare`` more zeros (negative ones if neg_zero) inside its window, and
-    the smallest slot count the schedule accepts (2n == slot_count when it
-    duplicates a period n that is a power of two) or twice that. The
-    operand is normal, or has about a quarter of its values -0.0 and, for
-    "signed zeros", another quarter +0.0; "negative" makes the rest
-    negative, and "non-finite" puts inf, -inf or NaN in one slot."""
-    sched = matvec_schedule(W, repeated)
+def case(W, n_in, values, form, seed, spare, neg_zero, tight):
+    """(schedule, config kwargs, input slots, lender): the operand in
+    [0, n_in), or repeated with period n_in over the slots the schedule
+    reads, with ``spare`` more zeros (negative ones if neg_zero) inside
+    its window, and the smallest slot count the schedule accepts (2n ==
+    slot_count when it duplicates a period n that is a power of two;
+    reads == slot_count for the front-padded (3, 6), (11, 22) or (13, 52))
+    or twice that. The operand is normal, or has about a quarter of its
+    values -0.0 and, for "signed zeros", another quarter +0.0; "negative"
+    makes the rest negative, and "non-finite" puts inf, -inf or NaN in one
+    slot. The lender is None, or, for a shared front form, (A's block sum
+    on the schedule's geometry, A, A's repeated operand) for a random A
+    that fits it."""
+    front = isinstance(form, tuple)
+    sched = matvec_schedule(W, front=form[:2]) if front else matvec_schedule(W, form)
     slots = 2
     while True:
         try:
@@ -112,10 +139,17 @@ def case(W, n_in, values, repeated, seed, spare, neg_zero, tight):
         v[pick == 0] = -0.0
         if values == "signed zeros":
             v[pick == 1] = 0.0
-    if repeated:
+    if form is True:
         v = np.resize(v, max(n_in, sched.reads))
     pad = np.full(min(spare, slots - v.size), -0.0 if neg_zero else 0.0)
-    return sched, {"slot_count": slots, "depth_budget": 3}, np.concatenate((v, pad))
+    lender = None
+    if front and form[2]:
+        p, L = sched.shape
+        period = rng.choice([n for n in range(1, L + 1) if math.lcm(p, n) <= L])
+        A = rng.normal(size=(rng.integers(1, p + 1), period))
+        shared = matvec_schedule(A, True, sched.geometry)
+        lender = shared, A, np.resize(rng.normal(size=period), shared.reads)
+    return sched, {"slot_count": slots, "depth_budget": 3}, np.concatenate((v, pad)), lender
 
 
 flags = st.tuples(st.integers(0, 2 ** 16), st.integers(0, 8), st.booleans(), st.booleans())
@@ -136,33 +170,46 @@ class TestKernelEqualsReplay:
     @example((gen_permutation(2, 3), 6, "signed zeros", False), (2, 8, True, True))
     @example((gen_permutation(3, 3), 9, "negative", False), (1, 3, True, True))
     @example((gen_permutation(4, 4), 16, "non-finite", False), (0, 0, False, True))
+    # the front-padded form at reads == slot_count, its zero front in the
+    # slots below slot 0; with a shared giant block; at twice its least L
+    @example((np.ones((2, 4)), 4, "negative", (3, 6, False)), (1, 0, True, True))
+    @example((np.ones((11, 12)), 12, "normal", (11, 22, True)), (2, 0, False, True))
+    @example((np.ones((5, 40)), 40, "signed zeros", (13, 52, True)), (3, 4, True, True))
+    @example((np.ones((1, 7)), 7, "normal", (1, 16, True)), (4, 0, False, False))
     def test_exact(self, operand, flags):
-        sched, cfg, x = case(*operand, *flags)
+        sched, cfg, x, lender = case(*operand, *flags)
         S, n = cfg["slot_count"], sched.shape[1]
         # inf * 0 in a non-finite operand's products is NaN on both sides
         with np.errstate(invalid="ignore"):
             ref = HeBackend(BackendConfig(**cfg))
-            summed, want = replay(sched, ref.encrypt(x))
+            lent = replay(lender[0], ref.encrypt(lender[2])) if lender else ()
+            lent_ops = ref.counter.copy()
+            summed, want = replay(sched, ref.encrypt(x), lent)
             be = HeBackend(BackendConfig(**cfg))
+            giants = lender[0].run(be, be.encrypt(lender[2])) if lender else None
             v = be.encrypt(x)
-            got = sched.run(be, v)
+            got = sched.run(be, v, giants)
             before = be.counter.copy()
-            block_sum = be.run_block_sum(v, sched)
+            block_sum = be.run_block_sum(v, sched, giants and giants[0])
 
-        assert np.array_equal(bits(be.decrypt(got)[:sched.n_out]),
-                              bits(ref.decrypt(want)[:sched.n_out]))
+        rows = max(sched.n_out, lender[1].shape[0] if lender else 0)
+        assert np.array_equal(bits(be.decrypt(got)[:rows]), bits(ref.decrypt(want)[:rows]))
         assert before == ref.counter
         assert got.level == want.level == v.level - 1
         W, n_in, values, _ = operand
         if values == "normal" and not isinstance(W, PermutationSpec):
-            np.testing.assert_allclose(be.decrypt(got)[:sched.n_out], W @ x[:n_in], atol=1e-9)
+            expect = np.pad(W @ x[:n_in], (0, rows - W.shape[0]))
+            if lender:
+                _, A, a = lender
+                expect += np.pad(A @ a[:A.shape[1]], (0, rows - A.shape[0]))
+            np.testing.assert_allclose(be.decrypt(got)[:rows], expect, atol=1e-9)
 
         assert np.array_equal(bits(be.decrypt(block_sum)[:n]), bits(ref.decrypt(summed)[:n]))
         assert np.all(be.decrypt(block_sum)[n:] == 0.0)
         assert block_sum.level == v.level - 1
         folds = len(sched.folds)
         assert be.counter.since(before) == OpCounter(
-            adds=ref.counter.adds - folds, pt_mults=sched.pt_mults,
+            adds=ref.counter.since(lent_ops).adds - folds, pt_mults=sched.pt_mults,
             rotations=sched.rotations - folds)
 
     @settings(max_examples=60, deadline=None)
@@ -170,13 +217,17 @@ class TestKernelEqualsReplay:
     @example((gen_permutation(3, 5), 15, "normal", False), (4, 2, False, True))
     @example((np.ones((29, 9)), 9, "normal", True), (5, 1, False, True))     # tall, repeated
     @example((np.ones((1, 40)), 40, "normal", False), (6, 0, False, True))   # one row
+    @example((np.ones((3, 4)), 4, "normal", (3, 6, True)), (7, 0, False, True))  # reads == slots
+    @example((np.ones((9, 12)), 12, "normal", (11, 22, False)), (8, 2, True, True))
     def test_noisy(self, operand, flags):
-        sched, cfg, x = case(*operand, *flags)
+        sched, cfg, x, lender = case(*operand, *flags)
         cfg.update(noise_std=1e-6, rng_seed=flags[0])
         ref = HeBackend(BackendConfig(**cfg))
-        _, want = replay(sched, ref.encrypt(x))
+        lent = replay(lender[0], ref.encrypt(lender[2])) if lender else ()
+        _, want = replay(sched, ref.encrypt(x), lent)
         be = HeBackend(BackendConfig(**cfg))
-        got = sched.run(be, be.encrypt(x))
+        giants = lender[0].run(be, be.encrypt(lender[2])) if lender else None
+        got = sched.run(be, be.encrypt(x), giants)
         assert np.array_equal(bits(be.decrypt(got)), bits(ref.decrypt(want)))
         assert be.counter == ref.counter
         assert got.level == want.level
@@ -350,7 +401,7 @@ class TestStatedLayouts:
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["square", "tall-repeated", "wide", "one-row", "permutation",
-                            "unfolded"]),
+                            "unfolded", "front", "front-unfolded"]),
            st.integers(1, 12), st.integers(1, 12), st.booleans(),
            st.integers(1, 40) | st.just(0), st.integers(1, 6), st.booleans(),
            st.integers(0, 2 ** 16))
@@ -360,6 +411,8 @@ class TestStatedLayouts:
     @example("tall-repeated", 7, 3, True, 12, 1, True, 1)  # one vector: 4 copies' slots
     @example("unfolded", 3, 2, True, 0, 8, True, 2)        # 8 copies of 4 for 5 reads
     @example("unfolded", 3, 2, True, 0, 1, True, 2)        # 1 copy of 4 for 5 reads
+    @example("front", 3, 5, False, 0, 2, True, 3)          # two copies, a zero tail read
+    @example("front-unfolded", 3, 4, True, 0, 1, True, 4)  # 1 copy of 16 for 17 reads
     def test_raises_before_any_op_or_multiplies(self, kind, a, b, repeated, width, copies,
                                                 stated, seed):
         rng = np.random.default_rng(seed)
@@ -373,16 +426,25 @@ class TestStatedLayouts:
             W = rng.normal(size=(1, a + 1))
         elif kind == "permutation":
             W, repeated = gen_permutation(a % 4 + 1, b % 4 + 1), False
-        else:  # A's block sum on B's geometry, B 2 x 16: p = 2 over L = 16
+        elif kind == "front":  # p = n_o diagonals behind a zero front
+            W, repeated = rng.normal(size=(min(a, b), max(a, b))), False
+        else:  # A's block sum on B's geometry, B 2 x 16: p = 2 over L = 16, or 32 front-padded
             B = rng.normal(size=(2, 16))
             W, repeated = rng.normal(size=(a % 2 + 1, 1 << b % 5)), True
+            lender = (matvec_schedule(B, front=(2, 32)) if kind == "front-unfolded"
+                      else matvec_schedule(B))
         n_in = W.size if isinstance(W, PermutationSpec) else W.shape[1]
         width = width or n_in  # 0 draws W's own width
-        sched = (matvec_schedule(W, True, matvec_schedule(B).shape) if kind == "unfolded"
-                 else matvec_schedule(W, repeated))
+        if kind == "front":
+            p = W.shape[0]
+            sched = matvec_schedule(W, front=(p, p << ((n_in + p - 2) // p).bit_length()))
+        elif "unfolded" in kind:
+            sched = matvec_schedule(W, True, lender.geometry)
+        else:
+            sched = matvec_schedule(W, repeated)
         x = rng.normal(size=n_in)
-        # an unfolded block sum's giants go to B's schedule, whose period is 16
-        period = 16 if kind == "unfolded" else sched.period
+        # an unfolded block sum's giants go to B's schedule, whose period is 16 or 32
+        period = lender.period if "unfolded" in kind else sched.period
         slots = 1 << (2 * period + sched.reads + width * copies).bit_length()
         be = HeBackend(BackendConfig(slot_count=slots, depth_budget=2))
         if stated:
@@ -395,9 +457,9 @@ class TestStatedLayouts:
         except HeKanError:
             assert stated and be.counter == before
             return
-        if kind == "unfolded":
+        if "unfolded" in kind:
             w = rng.normal(size=16)
-            out = bsgs_matvec(B, be.encrypt(w), giants=out)
+            out = bsgs_matvec(B, be.encrypt(w), lender, giants=out)
             want = np.pad(W @ x, (0, 2 - W.shape[0])) + B @ w
         else:
             want = W.apply(x) if isinstance(W, PermutationSpec) else W @ x
