@@ -32,8 +32,9 @@ a = be.encrypt([0.5, 0.2, 0.37])
 b = np.array([0.2, 0.5, 0.37, 0, 0, 0, 0, 0])
 out = be.decrypt(poly_comp(a, b, cs))[:3]
 c = be.counter
-print(f"one call: {c.ct_mults} ct mults and {c.pt_mults} pt mults "
-      "(each stage as c*x times quadratic and quartic factors in x^2)")
+print(f"one call: {c.ct_mults} ct mults and {c.pt_mults} pt mult{'s' * (c.pt_mults != 1)} "
+      "(the first stage as c*x, each later one monic, times quadratic and "
+      "quartic factors in x^2)")
 print(f"comp(0.5, 0.2) ~ 1: {out[0]:.6f}")
 print(f"comp(0.2, 0.5) ~ 0: {out[1]:.6f}")
 print(f"comp(x, x) = 1/2 exactly: {out[2]}")

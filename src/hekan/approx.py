@@ -3,10 +3,11 @@
 Covers range estimation from activation samples, weighted/ordinary least
 squares and Remez minimax fitting, a depth-minimal homomorphic polynomial
 evaluator, and the two comparators used by the encrypted B-spline
-machinery: the composite-polynomial sign and the exact step oracle. Each
-schedule is one program in the backend's op vocabulary: the backend runs
-it on a ciphertext's live window (see eval_poly_he), the mirror on plain
-arrays (backend._ArrayOps), so the two agree bit for bit.
+machinery: the composite-polynomial sign (one scalar multiply per call,
+its later stages monic) and the exact step oracle. Each schedule is one
+program in the backend's op vocabulary: the backend runs it on a
+ciphertext's live window (see eval_poly_he), the mirror on plain arrays
+(backend._ArrayOps), so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -418,59 +419,75 @@ def eval_poly_he(a: CipherText, p: Polynomial) -> CipherText:
 
 
 def _quartic(f, g):
-    """(a, b, c', d') with ((y + a)^2 + b)^2 + c' y + d' equal to the
-    product of the quadratics f = (a1, b1) and g = (a2, b2), each
-    (y + a_i)^2 + b_i, read off the product's coefficients e3 ... e0."""
+    """(k0, k1, k2, k3) with u = (y + k0) y + k1 and (u + y + k2) u + k3
+    equal to the product of the quadratics f = (a1, b1) and g = (a2, b2),
+    each (y + a_i)^2 + b_i: Knuth's form of a monic quartic (TAOCP vol. 2,
+    4.6.4, eq. (9)), two ct mults and no pt mult, read off the product's
+    coefficients e3 ... e0. The k are real whatever the roots."""
     (a1, b1), (a2, b2) = f, g
     s1, s2 = a1 * a1 + b1, a2 * a2 + b2
     e3, e2, e1, e0 = 2 * (a1 + a2), s1 + s2 + 4 * a1 * a2, 2 * (a1 * s2 + a2 * s1), s1 * s2
-    a = e3 / 4
-    b = (e2 - 6 * a * a) / 2
-    return a, b, e1 - 4 * a * (a * a + b), e0 - (a * a + b) ** 2
+    k0 = (e3 - 1) / 2
+    beta = e2 - k0 * (k0 + 1)
+    k1 = e1 - k0 * beta
+    k2 = beta - 2 * k1
+    return k0, k1, k2, e0 - k1 * (k1 + k2)
 
 
 @dataclass(frozen=True)
 class _OddStage:
-    """An odd sign stage p(x) = x Q(y), y = x^2, in product form with
-    preconditioned coefficients (Knuth, TAOCP vol. 2, 4.6.4):
+    """An odd sign stage p(x) = c x Q(x^2), scaled by ``out``, in product
+    form with preconditioned coefficients (Knuth, TAOCP vol. 2, 4.6.4). It
+    runs on its input in the unit nu, z = nu x, and computes
 
-        p(x) = c x * (y - root) * ((y + a)^2 + b) * prod_i (((y + a_i)^2 + b_i)^2 + c'_i y + d'_i)
+        out p(z / nu) = c' z (w - root) ((w + a)^2 + b) prod_i K_i(w),  w = z^2,
 
-    with the linear factor present when deg Q is odd, at most one
-    quadratic, and one quartic per two more quadratic factors of Q.
+    c' = out c / nu^deg(p): the factors in w are those of Q(w / nu^2) made
+    monic, the linear one present when deg Q is odd, at most one
+    quadratic, and one quartic K_i in Knuth's form (``_quartic``) per two
+    more quadratic factors of Q. A ``monic`` stage takes for nu the real
+    deg(p)-th root of out c, so c' = 1 and z is its own factor, at level 0;
+    any other takes nu = 1 and spends one pt mult on c' z.
 
-    ``run`` spends one pt mult on c x and one ct mult on y, one ct mult per
-    quadratic, two ct mults and one pt mult per quartic, then multiplies
-    the two shallowest factors until one is left. At every odd degree from
-    1 to 63 that consumes poly_eval_depth(p) levels and as many adds as
-    the power tree (_estrin). A degree-7 stage costs 4 ct and 1 pt mults,
-    degree 15 costs 7 and 2, degree 31 costs 13 and 4, where the power
-    tree spends 5 and 4, 10 and 8, 19 and 16. Above degree 37 the product
+    ``run`` then spends one ct mult on w, one per quadratic and two per
+    quartic, and multiplies the two shallowest factors until one is left.
+    At every odd degree from 1 to 63 that consumes poly_eval_depth(p)
+    levels (``depth``; a monic stage's is poly_eval_depth(deg p - 1), the
+    same above degree 1, where the stage is z itself) and the power tree's
+    adds (_estrin) plus one per quartic. A degree-7 stage costs 4 ct mults,
+    degree 15 costs 7 and degree 31 costs 13, where the power tree spends 5
+    ct and 4 pt mults, 10 and 8, 19 and 16. Above degree 37 the product
     form costs 1 to 3 ct mults more than a power tree that forms its odd
     blocks of four as c x + c' x^3 from one x^3 = x x^2 (13 ct mults at
     degree 31); no plan in _STAGE_PLANS goes above 31.
     """
 
-    c: float
-    root: float | None  # Q's linear factor y - root
+    c: float | None  # z's scalar multiply; None when monic
+    nu: float  # the input's unit: the stage runs on z = nu x
+    depth: int  # levels run consumes
+    root: float | None  # the linear factor w - root
     quadratic: tuple | None  # (a, b)
-    quartics: tuple  # (a, b, c', d') each
+    quartics: tuple  # Knuth's (k0, k1, k2, k3) each
 
     @classmethod
-    def of(cls, p: Polynomial) -> "_OddStage":
-        """Factor p from the roots of Q (np.roots). Conjugate pairs give
-        quadratics, and so do the real roots left after the linear factor
-        takes the largest, paired in order. The quadratics are sorted by
-        the product of their two roots, a^2 + b; the smallest is the lone
-        quadratic when their count is odd, and the rest pair smallest with
-        largest into quartics: on a noisy backend at sigma = 1e-8 criterion
-        4's comparator (two degree-31 stages) then stays within 7.4e-3 of
-        its noiseless output, where pairing neighbours gives 2.8.
-        InvalidArgument unless p is odd."""
-        if p.degree % 2 == 0 or any(p.coeffs[0::2]):
-            raise InvalidArgument(f"a sign stage is an odd polynomial, got {p.coeffs}")
+    def of(cls, p: Polynomial, out: float = 1.0, monic: bool = False) -> "_OddStage":
+        """Factor out * p from the roots of Q (np.roots), each scaled by
+        nu^2 (see the class docstring). Conjugate pairs give quadratics,
+        and so do the real roots left after the linear factor takes the
+        largest, paired in order. The quadratics are sorted by the product
+        of their two roots, a^2 + b; the smallest is the lone quadratic
+        when their count is odd, and the rest pair smallest with largest
+        into quartics: on a noisy backend at sigma = 1e-8 criterion 4's
+        comparator (two degree-31 stages) then stays within 7.4e-3 of its
+        noiseless output, where pairing neighbours gives 2.8.
+        InvalidArgument unless p is odd with finite coefficients."""
+        if p.degree % 2 == 0 or any(p.coeffs[0::2]) or not np.isfinite(p.coeffs).all():
+            raise InvalidArgument(f"a sign stage is an odd polynomial with finite "
+                                  f"coefficients, got {p.coeffs}")
         q = np.asarray(p.coeffs[1::2])
-        roots = np.roots(q[::-1])
+        lead = out * float(q[-1])
+        nu = math.copysign(abs(lead) ** (1.0 / p.degree), lead) if monic else 1.0
+        roots = np.roots(q[::-1]) * (nu * nu)
         real = sorted(float(z.real) for z in roots if z.imag == 0)
         root = real.pop() if q.size % 2 == 0 else None
         quads = [(float(-z.real), float(z.imag) ** 2) for z in roots if z.imag > 0]
@@ -479,27 +496,27 @@ class _OddStage:
         quadratic = quads.pop(0) if len(quads) % 2 else None
         half = len(quads) // 2
         quartics = tuple(map(_quartic, quads[:half], reversed(quads[half:])))
-        return cls(float(q[-1]), root, quadratic, quartics)
+        depth = poly_eval_depth(p.degree - 1 if monic else p.degree)
+        return cls(None if monic else lead, nu, depth, root, quadratic, quartics)
 
-    def run(self, ops, x, scale: float = 1.0):
-        """scale * p(x), run by ops: c x with c scaled (exact for a power
-        of two), then the factors as the class docstring says."""
-        factors = [(1, ops.mul(x, scale * self.c))]  # (levels, value)
+    def run(self, ops, z):
+        """The stage on z, run by ops (see the class docstring)."""
+        factors = [(0, z) if self.c is None else (1, ops.mul(z, self.c))]  # (levels, value)
         if self.root is None and self.quadratic is None and not self.quartics:
             return factors[0][1]
-        y = ops.mul(x, x)
+        w = ops.mul(z, z)
 
-        def quadratic(a, b):  # (y + a)^2 + b
-            t = ops.add(y, a)
+        def quadratic(a, b):  # (w + a)^2 + b
+            t = ops.add(w, a)
             return ops.add(ops.mul(t, t), b)
 
         if self.root is not None:
-            factors.append((1, ops.add(y, -self.root)))
+            factors.append((1, ops.add(w, -self.root)))
         if self.quadratic is not None:
             factors.append((2, quadratic(*self.quadratic)))
-        for a, b, c, d in self.quartics:
-            u = quadratic(a, b)
-            factors.append((3, ops.add(ops.mul(u, u), ops.add(ops.mul(y, c), d))))
+        for k0, k1, k2, k3 in self.quartics:
+            u = ops.add(ops.mul(ops.add(w, k0), w), k1)
+            factors.append((3, ops.add(ops.mul(ops.add(ops.add(u, w), k2), u), k3)))
         while len(factors) > 1:
             factors.sort(key=lambda f: f[0])
             (i, u), (j, v), *factors = factors
@@ -511,50 +528,52 @@ class _OddStage:
 class CompositeSign:
     """Composition of odd minimax polynomials approximating sign on
     +-[delta, 1], with |composed(x) - sign(x)| <= target_eps certified for
-    |x| in [delta, 1]."""
+    |x| in [delta, 1]. Its target is checked as build_composite_sign's
+    (``_check_target``), before any factoring."""
 
     stages: tuple
     precision_alpha: float
     target_eps: float
 
     def __post_init__(self):
+        _check_target(self.precision_alpha, self.target_eps)
         if not self.stages:
             raise InvalidArgument("a composite sign needs at least one stage")
-        # Each stage factored once. sign, step and certified_max_error all
-        # run the factors, so the certificate checks the program that runs
-        # and a badly conditioned factoring fails it instead of running.
-        object.__setattr__(self, "_factored", tuple(map(_OddStage.of, self.stages)))
+        # Each stage factored once, from the last: each returns its output
+        # in the unit nu its successor reads (1/2 after the last stage, for
+        # step), and every stage after the first is monic in its own input's
+        # unit, so the first stage's scalar carries every leading constant.
+        # step and certified_max_error both run these factors, so the
+        # certificate checks the program that runs and a badly conditioned
+        # factoring fails it instead of running.
+        factored, out = [], 0.5
+        for i in reversed(range(len(self.stages))):
+            factored.append(_OddStage.of(self.stages[i], out, monic=i > 0))
+            out = factored[-1].nu
+        object.__setattr__(self, "_factored", tuple(reversed(factored)))
 
     @property
     def delta(self) -> float:
         return 2.0 ** (-self.precision_alpha)
 
     def depth(self) -> int:
-        """Levels consumed by poly_comp: the sum of the stages'."""
-        return sum(poly_eval_depth(s) for s in self.stages)
-
-    def sign(self, ops, s):
-        """The composed sign stages on s, run by ops (see _OddStage)."""
-        for stage in self._factored:
-            s = stage.run(ops, s)
-        return s
+        """Levels consumed by step: the sum of the stages' (_OddStage),
+        poly_eval_depth of each unless a later stage has degree 1."""
+        return sum(stage.depth for stage in self._factored)
 
     def step(self, ops, d):
-        """The comparator's program: (s + 1)/2 of the sign s, as the sign
-        stages with the last one's c halved, plus 1/2. Halving is exact, so
-        every product holding c x is half the sign's (up to subnormal
-        rounding, far below what adding 1/2 keeps), and s/2 + 1/2 rounds to
-        round(s + 1)/2: step's bits are those of (s + 1) * 0.5, without the
-        multiply's level."""
-        *first, last = self._factored
-        for stage in first:
+        """The comparator's program: (s + 1)/2 of the composed sign s, as
+        the stages (the first with its scalar, the rest monic), which
+        return s/2, plus 1/2."""
+        for stage in self._factored:
             d = stage.run(ops, d)
-        return ops.add(last.run(ops, d, 0.5), 0.5)
+        return ops.add(d, 0.5)
 
     def certified_max_error(self) -> float:
-        """Max |composed(y) - 1| over 100000 points of [delta, 1]."""
+        """Max |2 step(y) - 2| (that is, |composed(y) - 1| as step computes
+        it) over 100000 points of [delta, 1]."""
         y = np.linspace(self.delta, 1.0, 100_000)
-        return float(np.max(np.abs(self.sign(_ArrayOps(y), y) - 1.0)))
+        return float(np.max(np.abs(2.0 * self.step(_ArrayOps(y), y) - 2.0)))
 
 
 class ExactComparator:
@@ -580,10 +599,11 @@ def step_clear(d: np.ndarray) -> np.ndarray:
 
 
 # Candidate stage-degree plans in the order they are tried: by total depth,
-# then by the ct and pt mults of one call's program (_OddStage's counts).
-# Degree 7 costs 3 levels, 15 costs 4, 31 costs 5. At depth 10, three
-# degree-7/15 stages cost 15 ct and 4 pt mults per call against 26 and 8
-# for (31, 31). Of the three tied plans, (7, 7, 15) composes the smallest
+# then by the ct and pt mults of one call's program (_OddStage's counts;
+# every plan spends one pt mult, on its first stage's scalar). Degree 7
+# costs 3 levels, 15 costs 4, 31 costs 5. At depth 10, three degree-7/15
+# stages cost 15 ct mults and 1 pt mult per call against 26 and 1 for
+# (31, 31). Of the three tied plans, (7, 7, 15) composes the smallest
 # error at the defaults (2.1e-7, against 4.2e-7 and 5.9e-7), so it goes
 # first.
 _STAGE_PLANS = (
@@ -603,14 +623,15 @@ _STAGE_PLANS = (
 
 # The default comparator: certified to 2^-20 for inputs at least 2^-5 from
 # zero. Its first certifying plan is (7, 7, 15): depth 10 (the step map's
-# 1/2 is folded into the last stage), 15 ct mults, 4 pt mults and 14 adds
-# per call, a composed error of 2.1e-7 and power-basis coefficients of at
-# most 96 in absolute value. Run in product form, a noisy backend's
-# sigma = 1e-8 moves its output by at most about 4e-7. In a B-spline basis
-# the far-field residual is what the Cox-de Boor factors amplify, while a
-# blurred step near a knot barely moves a continuous basis, so the default
-# buys flatness (eps) rather than sharpness (alpha). PipelineConfig reads
-# these.
+# halving is carried into the first stage's scalar), 15 ct mults, 1 pt
+# mult and 15 adds per call, a composed error of 2.1e-7 and power-basis
+# coefficients of at most 96 in absolute value. Run in product form with
+# monic later stages (input units nu of 0.855 and -0.861, so every
+# intermediate stays near +-1), a noisy backend's sigma = 1e-8 moves its
+# output by at most about 1.3e-7. In a B-spline basis the far-field
+# residual is what the Cox-de Boor factors amplify, while a blurred step
+# near a knot barely moves a continuous basis, so the default buys
+# flatness (eps) rather than sharpness (alpha). PipelineConfig reads these.
 DEFAULT_ALPHA = 5.0
 DEFAULT_TARGET_EPS = 2.0 ** -20
 
@@ -649,7 +670,7 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
             except RemezNonConvergence:
                 feasible = False
                 break
-            if err >= 0.9:  # next stage's domain would touch zero
+            if not err < 0.9:  # next stage's domain would touch zero (or err is NaN)
                 feasible = False
                 break
             stages.append(stage)

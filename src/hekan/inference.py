@@ -56,7 +56,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from .matvec import MatvecSchedule, matvec_schedule
+from .matvec import MatvecSchedule, front_counts, matvec_schedule, shared_counts
 from .model import KanLayer, KanModel
 
 
@@ -342,22 +342,17 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     record of the layer lends its W_b schedule when this record chooses
     the same one (form and geometry), and a record of the same path its
     maps, the last one when its geometry is the chosen one, each with the
-    diagonals it has built. The search builds no diagonals."""
+    diagonals it has built. The search builds two schedules, W_b's own and
+    the last map's default, costs every other candidate by its schedule's
+    count law (``matvec.front_counts``, ``matvec.shared_counts``), and
+    builds only the pair it keeps; it builds no diagonals."""
     key = (path, comparator)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
-    basis = basis_copies(layer.g, layer.k)
+    basis, n_i = basis_copies(layer.g, layer.k), layer.n_i
 
-    def copies(schedule):  # basis times ceil(reads / (n_i * basis)) rounded up to 2^d
-        return basis << (-(-schedule.reads // (layer.n_i * basis)) - 1).bit_length()
-
-    def cost(pair):  # rotations, the doublings up to a constant; then pt mults
-        base, last = pair
-        return (base.rotations + last.rotations + copies(base).bit_length(),
-                base.pt_mults + last.pt_mults)
-
-    def need(pair):
-        return max(layer.n_i * copies(pair[0]), pair[1].slots)
+    def copies(reads):  # basis times ceil(reads / (n_i * basis)) rounded up to 2^d
+        return basis << (-(-reads // (n_i * basis)) - 1).bit_length()
 
     @functools.cache
     def plan_shares():
@@ -365,41 +360,55 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
         return plan.silu_branch <= plan.spline_branch
 
     own = matvec_schedule(layer.W_b, True)
+    own_counts = own.rotations, own.pt_mults, own.reads
+    *firsts, W = layer.spline_maps(path)
+    n_o, n_in = W.shape
+    default = matvec_schedule(W)
 
-    def pairs(last):
-        yield own, last
-        p, L = last.shape
-        if last.folds and math.lcm(p, layer.n_i) <= L:
-            yield matvec_schedule(layer.W_b, True, last.geometry), last
+    def pairs(last, geometry):
+        """Each W_b schedule paired with the last map's candidate on
+        ``geometry``, whose (rotations, pt_mults, slots) are ``last``, as
+        (cost, need, W_b's ``over`` or None, geometry): the cost is the
+        rotations plus the copies' doublings up to a constant, then the pt
+        mults."""
+        p, L, _ = geometry
+        bases = [(own_counts, None)]
+        if L > p and math.lcm(p, n_i) <= L:  # the map folds, and W_b fits
+            bases.append((shared_counts(n_i, geometry), geometry))
+        for (rotations, pt_mults, reads), over in bases:
+            c = copies(reads)
+            yield ((rotations + last[0] + c.bit_length(), pt_mults + last[1]),
+                   max(n_i * c, last[2]), over, geometry)
 
     def cheapest(candidates, best=None, limit=math.inf):
         # a 1 x 1 W_b, the planner's stand-in, costs no less shared than on
         # its own, so _plan never runs on the stand-in it plans with
         for pair in candidates:
-            if (need(pair) <= limit and (best is None or cost(pair) < cost(best))
-                    and (not pair[0].unfolded or plan_shares())):
+            if (pair[1] <= limit and (best is None or pair[0] < best[0])
+                    and (pair[2] is None or plan_shares())):
                 best = pair
         return best
-
-    *firsts, W = layer.spline_maps(path)
-    n_o, n_in = W.shape
-    default = matvec_schedule(W)
 
     def fronts():  # p from n_o to the default's, at the least L = p 2^j >= n_in + p - 1 and 2L
         for p in range(n_o, default.shape[0] + 1):
             L = p << ((n_in + p - 2) // p).bit_length()
-            yield from (matvec_schedule(W, front=(p, L)), matvec_schedule(W, front=(p, 2 * L)))
+            for front in ((p, L), (p, 2 * L)):
+                yield from pairs(front_counts(*front), (*front, True))
 
-    best = cheapest(pairs(default))
-    limit = 1 << (need(best) - 1).bit_length()
-    base, last = cheapest((pair for front in fronts() for pair in pairs(front)), best, limit)
+    best = cheapest(pairs((default.rotations, default.pt_mults, default.slots),
+                          default.geometry))
+    limit = 1 << (best[1] - 1).bit_length()
+    *_, over, geometry = cheapest(fronts(), best, limit)
 
-    base = next((kept.base for kept in layer.layouts.values() if kept.base.over == base.over),
-                base)
+    base = next((kept.base for kept in layer.layouts.values() if kept.base.over == over), None)
+    if base is None:
+        base = own if over is None else matvec_schedule(layer.W_b, True, over)
     same_path = [kept.maps for (kept_path, _), kept in layer.layouts.items() if kept_path == path]
     head = same_path[0][:-1] if same_path else tuple(map(matvec_schedule, firsts))
-    last = next((maps[-1] for maps in same_path if maps[-1].geometry == last.geometry), last)
-    layout = layer.layouts[key] = LayerLayout(copies(base), base, (*head, last))
+    last = next((maps[-1] for maps in same_path if maps[-1].geometry == geometry), None)
+    if last is None:
+        last = default if geometry == default.geometry else matvec_schedule(W, front=geometry[:2])
+    layout = layer.layouts[key] = LayerLayout(copies(base.reads), base, (*head, last))
     return layout
 
 

@@ -240,11 +240,7 @@ class MatvecSchedule:
         b <= p <= b * giants, so every baby is used and the giant steps
         cover the diagonals exactly."""
         p = self.shape[0]
-        if not self.unfolded:
-            return default_bsgs_split(p)
-        lender_p, _, lender_front = self.over
-        b = p if lender_front else min(default_bsgs_split(lender_p)[0], p)
-        return b, -(-p // b)
+        return _unfolded_split(p, self.over) if self.unfolded else default_bsgs_split(p)
 
     def blocks(self):
         """Giant steps in order: (base, the diagonals base + i it sums)."""
@@ -421,6 +417,32 @@ class MatvecSchedule:
                                         f"{self.split[1]} giant steps")
         acc = ops.run_block_sum(v, self, blocks)
         return (acc, self.over) if self.unfolded else ops.run_folds(acc, self.folds)
+
+
+def _unfolded_split(g: int, over: tuple) -> tuple:
+    """(babies, giants) of an ``unfolded`` schedule's g diagonals on the
+    geometry ``over`` (see ``MatvecSchedule.split``)."""
+    lender_p, _, lender_front = over
+    b = g if lender_front else min(default_bsgs_split(lender_p)[0], g)
+    return b, -(-g // b)
+
+
+def front_counts(p: int, L: int) -> tuple:
+    """(rotations, pt_mults, slots) of ``matvec_schedule(W, front=(p, L))``
+    from (p, L) alone, as the module docstring states them: (b - 1) +
+    (gs - 1) + log2(L / p) rotations, p pt mults and L + p - 1 slots read,
+    so that a caller can cost a geometry without building its schedule."""
+    b, gs = default_bsgs_split(p)
+    return (b - 1) + (gs - 1) + (L // p).bit_length() - 1, p, L + p - 1
+
+
+def shared_counts(n_in: int, over: tuple) -> tuple:
+    """(rotations, pt_mults, reads) of ``matvec_schedule(W, True, over)``
+    for a W of n_in columns, from (n_in, over) alone: g = gcd(p, n_in)
+    diagonals, the baby rotations of their split and lcm(p, n_in) + g - 1
+    slots read (see the module docstring)."""
+    g = math.gcd(over[0], n_in)
+    return _unfolded_split(g, over)[0] - 1, g, math.lcm(over[0], n_in) + g - 1
 
 
 def _folds_to(p: int, L: int) -> bool:

@@ -442,9 +442,30 @@ class TestEvalPolyHeWindow:
             assert got_ops == want_ops
 
 
-# One call of an odd stage's product form (approx._OddStage): (ct, pt)
-# mults by degree
-STAGE_COSTS = {7: (4, 1), 15: (7, 2), 31: (13, 4)}
+# ct mults of one call of an odd stage's product form (approx._OddStage),
+# by degree; a comparator call spends one pt mult in all, on its first
+# stage's scalar
+STAGE_COSTS = {7: 4, 15: 7, 31: 13}
+
+
+def _stage_ct_mults(degree):
+    """The product form's ct mults at an odd degree: w = z^2, then Q's m =
+    (degree - 1) / 2 roots as h = m // 2 quadratic factors (one ct mult for
+    a lone quadratic, two per quartic) and the linear factor when m is
+    odd, and one merge per factor past z."""
+    m = (degree - 1) // 2
+    h = m // 2
+    return 0 if m == 0 else 1 + m % 2 + 2 * (h % 2) + 3 * (h // 2)
+
+
+def _stage_law(comparator):
+    """(ct mults, pt mults, levels) of one call of a comparator of odd
+    stages: the stages' ct mults, one pt mult, and each stage's
+    poly_eval_depth, but none for a later stage of degree 1 (monic, it is
+    its input)."""
+    degrees = [s.degree for s in comparator.stages]
+    return (sum(map(_stage_ct_mults, degrees)), 1,
+            sum(poly_eval_depth(d) for i, d in enumerate(degrees) if i == 0 or d > 1))
 
 
 def _random_sign(draw):
@@ -516,12 +537,26 @@ class TestComparatorProgramsWindow:
             assert got_level == want_level == level - depth
             assert got_ops == want_ops
 
-        if name == "random":
-            for stage in comparator.stages:
-                rec = _Recorder()
-                approx._OddStage.of(stage).run(rec, rec.x)
-                ct, pt, _ = _op_counts(rec.log)
-                assert STAGE_COSTS.get(stage.degree, (ct, pt)) == (ct, pt)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_call_costs_one_pt_mult_and_the_stage_law(self, data):
+        """Every stage after the first is monic, so a call of any stage
+        chain spends one pt mult, on the first stage's scalar, and its ct
+        mults and levels are the stage law's (_stage_law), on the backend's
+        window program and op by op."""
+        comparator = _random_sign(data.draw)
+        ct, pt, depth = _stage_law(comparator)
+        assert comparator.depth() == depth
+        for compare in (poly_comp, self._op_by_op):
+            be = backend(slots=8, depth=depth)
+            a = be.encrypt(np.linspace(-1.0, 1.0, 8))
+            with np.errstate(all="ignore"):
+                out = compare(a, 0.25, comparator)
+            c = be.counter
+            assert (c.ct_mults, c.pt_mults, c.subs, a.level - out.level) == (ct, pt, 1, depth)
+
+    def test_stage_law_pins(self):
+        assert {d: _stage_ct_mults(d) for d in STAGE_COSTS} == STAGE_COSTS
 
 
 class TestCompositeSign:
@@ -562,59 +597,74 @@ class TestCompositeSign:
         assert keys == sorted(keys)
 
     def test_default_call_costs(self):
-        # stages 7, 7, 15: 4, 4 and 7 ct mults, 1, 1 and 2 pt mults, 3, 3
-        # and 7 adds, plus the 1/2
+        # stages 7, 7, 15: 4, 4 and 7 ct mults, one pt mult (the first
+        # stage's scalar; the others are monic), 3, 3 and 8 adds (the
+        # quartic's Knuth form adds once more), plus the 1/2
         cs = build_composite_sign()
         be = backend(slots=8, depth=12)
         a = be.encrypt(np.linspace(-1.0, 1.0, 8))
         out = poly_comp(a, 0.25, cs)
         c = be.counter
-        assert (c.ct_mults, c.pt_mults, c.adds, c.subs) == (15, 4, 14, 1)
+        assert (c.ct_mults, c.pt_mults, c.adds, c.subs) == (15, 1, 15, 1)
         assert a.level - out.level == cs.depth() == 10
 
-    @pytest.mark.parametrize("degree, ct, pt, adds, levels",
-                             [(7, 4, 1, 3, 3), (15, 7, 2, 7, 4), (31, 13, 4, 15, 5)])
-    def test_fitted_stage_costs(self, degree, ct, pt, adds, levels):
-        # c x and y = x^2, then at degree 31 the linear factor, one
-        # quadratic and three quartics, merged by five products
+    @pytest.mark.parametrize("monic", [False, True], ids=["scalar", "monic"])
+    @pytest.mark.parametrize("degree, ct, adds, levels",
+                             [(7, 4, 3, 3), (15, 7, 8, 4), (31, 13, 18, 5)])
+    def test_fitted_stage_costs(self, degree, ct, adds, levels, monic):
+        # c z (a monic stage: z itself) and w = z^2, then at degree 31 the
+        # linear factor, one quadratic and three Knuth quartics, merged by
+        # five products; the monic stage runs on z = nu x
         p, _ = fit_odd_sign_stage(2.0 ** -5, 1.0, degree)
+        stage = approx._OddStage.of(p, monic=monic)
+        x = np.linspace(-1.0, 1.0, 8)
         be = backend(slots=8, depth=6)
-        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
-        out = approx._OddStage.of(p).run(_OneOpAtATime(a), a)
+        a = be.encrypt(stage.nu * x)
+        out = stage.run(_OneOpAtATime(a), a)
         c = be.counter
-        assert (c.ct_mults, c.pt_mults, c.adds, a.level - out.level) == (ct, pt, adds, levels)
+        assert (c.ct_mults, c.pt_mults, c.adds, a.level - out.level) == (
+            ct, 0 if monic else 1, adds, levels)
         # the degree-31 stage's power-basis coefficients reach 2.2e10: at
         # |x| = 1 the factors and polyval each round about 1e-6 off
-        np.testing.assert_allclose(be.decrypt(out), p(np.linspace(-1.0, 1.0, 8)), rtol=1e-5)
+        np.testing.assert_allclose(be.decrypt(out), p(x), rtol=1e-5)
 
+    @pytest.mark.parametrize("monic", [False, True], ids=["scalar", "monic"])
     @pytest.mark.parametrize("degree", range(1, 64, 2))
-    def test_stage_level_drop_is_the_power_trees(self, degree):
-        # the two shallowest factors first: ceil(log2(degree + 1)) levels
+    def test_stage_level_drop_is_the_power_trees(self, degree, monic):
+        # the two shallowest factors first: ceil(log2(degree + 1)) levels,
+        # or with z at level 0, ceil(log2(degree)): the same above degree 1
         coeffs = np.zeros(degree + 1)
         coeffs[1::2] = np.random.default_rng(degree).uniform(0.5, 1.5, (degree + 1) // 2)
-        cs = approx.CompositeSign((Polynomial(tuple(coeffs)),), 5.0, 0.5)
+        p = Polynomial(tuple(coeffs))
+        stage = approx._OddStage.of(p, monic=monic)
         be = backend(slots=8, depth=7)
-        a = be.encrypt(np.linspace(-1.0, 1.0, 8))
-        out = be.run_on_window(a, lambda w: cs.sign(w, w.x), cs.depth())
-        assert cs.depth() == poly_eval_depth(degree)
-        assert a.level - cs.sign(_OneOpAtATime(a), a).level == cs.depth()
-        np.testing.assert_allclose(out.slots, Polynomial(tuple(coeffs))(a.slots), atol=1e-9)
+        x = np.linspace(-1.0, 1.0, 8)
+        a = be.encrypt(stage.nu * x)
+        out = be.run_on_window(a, lambda w: stage.run(w, w.x), stage.depth)
+        assert stage.depth == poly_eval_depth(degree - 1 if monic else degree)
+        assert a.level - stage.run(_OneOpAtATime(a), a).level == stage.depth
+        np.testing.assert_allclose(out.slots, p(x), atol=1e-9)
 
-    def test_stages_must_be_odd(self):
-        for coeffs in ((0.5, 1.0), (0.0, 1.0, 1.0), (0.0,)):
-            with pytest.raises(InvalidArgument):
-                approx.CompositeSign((Polynomial(coeffs),), 5.0, 0.5)
+    def test_stages_must_be_odd_and_finite(self):
+        for coeffs in ((0.5, 1.0), (0.0, 1.0, 1.0), (0.0,), (0.0, float("nan")),
+                       (0.0, 1.0, 0.0, float("inf"))):
+            for stages in ((Polynomial(coeffs),), (Polynomial((0.0, 1.0)), Polynomial(coeffs))):
+                with pytest.raises(InvalidArgument):
+                    approx.CompositeSign(stages, 5.0, 0.5)
 
     @pytest.mark.parametrize("alpha, eps, bound", [
-        (approx.DEFAULT_ALPHA, approx.DEFAULT_TARGET_EPS, 1e-6), (7.0, 2.0 ** -10, 2e-2)],
+        (approx.DEFAULT_ALPHA, approx.DEFAULT_TARGET_EPS, 2.5e-7), (7.0, 2.0 ** -10, 2e-2)],
         ids=["default", "criterion4"])
     def test_noise_stays_bounded(self, alpha, eps, bound):
         """On a noisy backend (sigma = 1e-8, five seeds) the comparator's
         output stays within bound of the noiseless one at every point of
         [delta, 1] and its mirror: the product form keeps the stages from
-        amplifying the noise. The power tree reaches 1.4e-6 on the default
-        and 1e111 on criterion 4's; pairing neighbouring quadratics into
-        quartics, 2.8 on criterion 4's."""
+        amplifying the noise, and carrying each stage's leading constant
+        into the first stage's scalar keeps every intermediate near +-1:
+        1.3e-7 on the default, where a scalar per stage reaches 3.8e-7. The
+        power tree reaches 1.4e-6 on the default and 1e111 on criterion
+        4's; pairing neighbouring quadratics into quartics, 2.8 on
+        criterion 4's."""
         cs = build_composite_sign(alpha, eps)
         half = np.linspace(cs.delta, 1.0, 8192)
         d = np.concatenate([half, -half])
@@ -667,14 +717,19 @@ class TestCompositeSign:
 
     @pytest.mark.parametrize("alpha, eps", [(approx.DEFAULT_ALPHA, approx.DEFAULT_TARGET_EPS),
                                             (7.0, 2.0 ** -10)], ids=["default", "criterion4"])
-    def test_folded_map_keeps_the_bits_of_sign_plus_one_halved(self, alpha, eps):
-        """step adds 1/2 to the last stage run with halved coefficients;
-        its bits are those of (sign + 1) * 0.5, on the backend and in the
-        mirror, at signed zeros and subnormals too."""
+    def test_certificate_reads_the_bits_poly_comp_returns(self, alpha, eps):
+        """certified_max_error runs step, the program poly_comp runs: its
+        value is max |2 out - 2| of the backend's output on its grid, and
+        step's bits are poly_comp's on the backend and in the mirror, at
+        signed zeros and subnormals too."""
         cs = build_composite_sign(alpha, eps)
+        y = np.linspace(cs.delta, 1.0, 100_000)
+        be = backend(slots=2 ** 17)
+        out = be.decrypt(poly_comp(be.encrypt(y), 0.0, cs))[:y.size]
+        assert cs.certified_max_error() == np.max(np.abs(2.0 * out - 2.0))
         d = np.concatenate(([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324],
                             np.linspace(-1.0, 1.0, 8001)))
-        want = ((cs.sign(_ArrayOps(d), d) + 1.0) * 0.5).view(np.int64)
+        want = cs.step(_ArrayOps(d), d).view(np.int64)
         be = backend(slots=16384)
         he = be.decrypt(poly_comp(be.encrypt(d), 0.0, cs))[:d.size]
         assert np.array_equal(he.view(np.int64), want)
@@ -695,3 +750,15 @@ class TestCompositeSign:
     def test_needs_a_stage(self):
         with pytest.raises(InvalidArgument):
             approx.CompositeSign((), 5.0, 2.0 ** -20)
+
+    @pytest.mark.parametrize("alpha, eps", [
+        (5.0, float("nan")), (5.0, 7.0), (float("nan"), 0.5), (0.0, 0.5), (True, 0.5),
+        (5.0, "0.5")])
+    def test_rejects_a_bad_target_before_any_factoring(self, monkeypatch, alpha, eps):
+        def no_factoring(*args, **kwargs):
+            raise AssertionError("factored before checking the target")
+
+        stages = build_composite_sign().stages
+        monkeypatch.setattr(approx._OddStage, "of", no_factoring)
+        with pytest.raises(InvalidArgument):
+            approx.CompositeSign(stages, alpha, eps)

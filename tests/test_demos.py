@@ -36,7 +36,7 @@ def test_demo_runs(demo):
 def test_demo_03_prints_one_comparator_call():
     proc = _run([str(ROOT / "demos" / "03_comparator_and_bspline.py")])
     assert proc.returncode == 0, proc.stderr
-    assert "one call: 15 ct mults and 4 pt mults" in proc.stdout
+    assert "one call: 15 ct mults and 1 pt mult " in proc.stdout
 
 
 def test_readme_quick_start_runs():
