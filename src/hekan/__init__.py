@@ -20,6 +20,7 @@ from .approx import (
     ApproxRange,
     CompositeSign,
     ExactComparator,
+    MonicSextic,
     Polynomial,
     WeightScheme,
     build_composite_sign,

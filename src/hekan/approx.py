@@ -2,7 +2,8 @@
 
 Covers range estimation from activation samples, weighted/ordinary least
 squares and Remez minimax fitting, a depth-minimal homomorphic polynomial
-evaluator, and the two comparators used by the encrypted B-spline
+evaluator (the balanced power tree, and Knuth's monic sextic form, which
+the layer's SiLU takes when it certifies), and the two comparators used by the encrypted B-spline
 machinery: the composite-polynomial sign (one scalar multiply per call,
 its later stages monic) and the exact step oracle. Each schedule is one
 program in the backend's op vocabulary: the backend runs it on a
@@ -395,17 +396,119 @@ def poly_eval_depth(p: Polynomial | int) -> int:
     return math.ceil(math.log2(degree + 1))
 
 
-def eval_poly_he(a: CipherText, p: Polynomial) -> CipherText:
+def eval_poly_he(a: CipherText, p) -> CipherText:
     """Apply a polynomial slot-wise to a ciphertext, or to an array (the
     mirror, which gets the same bits).
 
-    On a ciphertext the schedule runs as one array program on a's live
-    window (HeBackend.run_on_window). It adds and multiplies only values
-    derived from a and scalars, so the slots, op counts, level and noise
-    draws are those of running it one backend op at a time.
+    A ``Polynomial`` runs as the balanced power tree (_estrin), whatever
+    the domain of a; a ``MonicSextic`` runs in Knuth's form and returns its
+    monic part u, 3 ct mults, no pt mult, 7 adds and 3 levels, its ``lead``
+    left to the caller. On a ciphertext the schedule runs as one array
+    program on a's live window (HeBackend.run_on_window). It adds and
+    multiplies only values derived from a and scalars, so the slots, op
+    counts, level and noise draws are those of running it one backend op
+    at a time.
     """
+    if isinstance(p, MonicSextic):
+        return _ops_of(a).run_on_window(a, lambda ops: p.steps(ops, ops.x)[-1], p.depth)
     return _ops_of(a).run_on_window(a, lambda ops: _estrin(ops, ops.x, p.coeffs),
                                     poly_eval_depth(p))
+
+
+# A MonicSextic certifies when it reproduces its polynomial p within this
+# fraction of max(1, max |p|) at every point of its grid.
+SEXTIC_TOL = 1e-12
+
+
+def _knuth_sextic(u) -> list:
+    """The parameters (a0, ..., a5) of Knuth's form of the monic sextic
+    with coefficients u0 ... u5 (and u6 = 1), one tuple per root a0 of the
+    cubic the form leaves (TAOCP vol. 2, 4.6.4). Writing z = x^2 + a0 x +
+    a1, w = x^3 + b2 x^2 + b1 x + b0 and s = z + w + a4 = x^3 + (b2 + 1)
+    x^2 + (b1 + a0) x + s0, the coefficients of s w + a5 fix b2 from u5
+    and b1 from u4 given a0, then b0 and s0 from u3 and u2 (a linear
+    system of determinant -1), and u1 leaves a cubic in a0 with leading
+    coefficient 1/4, so one of its roots is real. A complex root's real
+    part gives parameters too, which the certificate then rejects."""
+    a0 = nppoly.Polynomial([0.0, 1.0])
+    b2 = (u[5] - 1) / 2
+    b1 = (u[4] - b2 * (b2 + 1) - a0) / 2
+    r3 = u[3] - (2 * b2 + 1) * b1 - b2 * a0  # = 2 b0 + (s0 - b0)
+    r2 = u[2] - (b1 + a0) * b1  # = (2 b2 + 1) b0 + b2 (s0 - b0)
+    b0 = r2 - b2 * r3
+    s0 = (b2 + 1) * r3 - r2
+    cubic = s0 * b1 + (b1 + a0) * b0 - u[1]
+    out = []
+    for root in cubic.roots() if np.isfinite(cubic.coef).all() else ():
+        x = float(root.real)
+        B1, B0, S0 = float(b1(x)), float(b0(x)), float(s0(x))
+        a2 = b2 - x
+        a1 = B1 - x * a2
+        out.append((x, a1, a2, B0 - a1 * a2, S0 - B0 - a1, u[0] - S0 * B0))
+    return out
+
+
+@dataclass(frozen=True)
+class MonicSextic:
+    """A degree-6 polynomial p = lead u, u monic, with u in Knuth's form
+    (TAOCP vol. 2, 4.6.4):
+
+        z = (x + a0) x + a1,  w = (x + a2) z + a3,  u = (z + w + a4) w + a5.
+
+    ``steps`` runs it: 3 ct mults, no pt mult, 7 adds and 3 levels, where
+    the power tree spends 3 ct mults, 3 pt mults and 4 adds at the same
+    depth on a packed SiLU (no x^3 or x^5 term), so both draw 10 noise
+    rows. It computes u alone: the caller
+    carries ``lead`` (the layer multiplies it into W_b, ``KanLayer.w_base``).
+    InvalidArgument unless lead and the a are finite."""
+
+    lead: float
+    a: tuple  # (a0, ..., a5)
+    depth = 3
+
+    def __post_init__(self):
+        if len(self.a) != 6 or not np.isfinite((self.lead, *self.a)).all():
+            raise InvalidArgument(f"a monic sextic needs a finite lead and six finite "
+                                  f"parameters, got {self.lead} and {self.a}")
+
+    @classmethod
+    def certified(cls, p: Polynomial, lo: float, hi: float) -> "MonicSextic | None":
+        """p in this form, certified on [lo, hi], or None (p then keeps the
+        power tree): None unless p has degree 6 and finite coefficients.
+        Of the parameters of each
+        root of Knuth's cubic (``_knuth_sextic``) that reproduce p within
+        SEXTIC_TOL (max |lead u - p| over 4097 points of [lo, hi], u as
+        ``steps`` computes it), the one whose intermediates z, w and z + w
+        + a4 are smallest there, so that the certificate checks the
+        program that runs. The form can be badly conditioned, and then
+        none certifies: x^6 + 10 x^5 errs by 1e-10 or more on [-1/2, 1/2]
+        at every root."""
+        if p.degree != 6 or not np.isfinite(p.coeffs).all():
+            return None
+        lead, best, least = p.coeffs[-1], None, math.inf
+        y = np.linspace(lo, hi, 4097)
+        # overflow on the way gives non-finite parameters or values, which
+        # fail the finite check or the certificate
+        with np.errstate(all="ignore"):
+            exact = p(y)
+            tol = SEXTIC_TOL * max(1.0, float(np.max(np.abs(exact))))
+            for a in _knuth_sextic(np.divide(p.coeffs, lead).tolist()):
+                if not np.isfinite(a).all():
+                    continue
+                form = cls(lead, a)
+                *inner, out = form.steps(_ArrayOps(y), y)
+                size = max(float(np.max(np.abs(v))) for v in inner)
+                if np.max(np.abs(lead * out - exact)) <= tol < math.inf and size < least:
+                    best, least = form, size
+        return best
+
+    def steps(self, ops, x) -> tuple:
+        """The form's program on x, run by ops: (z, w, z + w + a4, u)."""
+        a0, a1, a2, a3, a4, a5 = self.a
+        z = ops.add(ops.mul(ops.add(x, a0), x), a1)
+        w = ops.add(ops.mul(ops.add(x, a2), z), a3)
+        s = ops.add(ops.add(z, w), a4)
+        return z, w, s, ops.add(ops.mul(s, w), a5)
 
 
 # ---------------------------------------------------------------------------

@@ -295,9 +295,10 @@ class LayerLayout:
     the plan alone: the copies of its n_i slots that both branches read
     (``copies``: the least power-of-two multiple of the basis's
     ``basis_copies(g, k)`` whose blocks cover the slots W_b's schedule
-    reads), W_b's schedule on that repeated operand (``base``: ``unfolded``
-    on the last spline map's geometry (p, L, front) when one fold chain
-    finishes both products, gcd(p, n_i) diagonals of lcm(p, n_i) slots),
+    reads), W_b's schedule on that repeated operand (``base``, built on
+    ``KanLayer.w_base``: ``unfolded`` on the last spline map's geometry
+    (p, L, front) when one fold chain finishes both products, gcd(p, n_i)
+    diagonals of lcm(p, n_i) slots),
     and the spline maps' schedules in order (``maps``; the last one's
     default or front-padded geometry chosen together with ``base``). The
     schedules keep their diagonals, so each is built once per record."""
@@ -359,7 +360,7 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
         plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
         return plan.silu_branch <= plan.spline_branch
 
-    own = matvec_schedule(layer.W_b, True)
+    own = matvec_schedule(layer.w_base, True)
     own_counts = own.rotations, own.pt_mults, own.reads
     *firsts, W = layer.spline_maps(path)
     n_o, n_in = W.shape
@@ -402,7 +403,7 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
 
     base = next((kept.base for kept in layer.layouts.values() if kept.base.over == over), None)
     if base is None:
-        base = own if over is None else matvec_schedule(layer.W_b, True, over)
+        base = own if over is None else matvec_schedule(layer.w_base, True, over)
     same_path = [kept.maps for (kept_path, _), kept in layer.layouts.items() if kept_path == path]
     head = same_path[0][:-1] if same_path else tuple(map(matvec_schedule, firsts))
     last = next((maps[-1] for maps in same_path if maps[-1].geometry == geometry), None)
@@ -439,30 +440,36 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     power-of-two multiple of them that W_b's reads need) in comparator
     units, the grid's 1/(2R), over a zero tail; the copies that arrived
     save their doublings. Both branches read that one operand: the
-    activation branch (the packed SiLU polynomial, then W_b's block sum on
-    the repeated operand) and the spline branch (the basis, then the
-    path's linear maps, each on a zero-tail operand), every product on
-    the layout's schedule of its matrix (``LayerLayout.base`` and
-    ``maps``). When W_b's block sum runs on the last map's geometry (an
-    ``unfolded`` ``base``), it hands on its giant-step blocks unrotated,
-    paired with that geometry, the last map adds each to its own before
-    that step's rotation, and one set of giant rotations and one fold
-    chain finish both branches;
-    otherwise W_b folds on its own and the two outputs are added. Slots [0, n_o) hold the output; a
-    ciphertext result states its width, n_o.
+    activation branch (the packed SiLU polynomial as
+    ``KanLayer.silu_program`` runs it, then W_b's block sum on the
+    repeated operand) and the spline branch (the basis, then the path's
+    linear maps, each on a zero-tail operand), every product on the
+    layout's schedule of its matrix (``LayerLayout.base`` and ``maps``).
+    A certified degree-6 SiLU runs as the monic part u of Knuth's sextic
+    form, 3 ct mults and no pt mult, and W_b's schedule is built on
+    ``KanLayer.w_base``, lead * W_b, so the product is W_b times the SiLU;
+    any other runs as the power tree, on W_b's own schedule. When W_b's
+    block sum runs on the last map's geometry (an ``unfolded`` ``base``),
+    it hands on its giant-step blocks unrotated, paired with that
+    geometry, the last map adds each to its own before that step's
+    rotation, and one set of giant rotations and one fold chain finish
+    both branches; otherwise W_b folds on its own and the two outputs are
+    added. Slots [0, n_o) hold the output; a ciphertext result states its
+    width, n_o.
 
     perfbench's traced join reads these public calls, so a refactor must
     keep them: ``bspline.repeat_pack`` (its one-level drop),
-    ``approx.eval_poly_he`` called directly here, ``approx.poly_comp``,
-    ``bspline.bspline_basis_he``, and ``inference.bsgs_matvec`` with
-    ``layer.W_b`` or a spline map as its first argument."""
+    ``approx.eval_poly_he`` called directly here (the SiLU's drop),
+    ``approx.poly_comp``, ``bspline.bspline_basis_he``, and
+    ``inference.bsgs_matvec`` with ``layer.W_b`` (whose schedule is
+    built on ``w_base``) or a spline map as its first argument."""
     layer.check_supported()
     ops = _ops_of(x)
     layout = _layout(layer, path, comparator)
     _check_fit(layer, layout, ops.slot_count)
     xp = repeat_pack(x, layer.grid, layout.copies)
     ops._stage("repeat_pack", x, xp)
-    poly = eval_poly_he(xp, layer.packed_silu_poly)
+    poly = eval_poly_he(xp, layer.silu_program)
     ops._stage("silu_poly", xp, poly)
     shared = layout.base.unfolded
     base_out = bsgs_matvec(layer.W_b, poly, layout.base)

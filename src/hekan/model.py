@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .approx import (
+    MonicSextic,
     Polynomial,
     WeightScheme,
     drop_roundoff,
@@ -67,10 +68,11 @@ class KanLayer:
 
     The layer is frozen and keeps read-only copies of W_b and S, as
     GridMatrix does with its knots, so the values derived from them on
-    first use (``packed_silu_poly``, ``w_prime``, ``w_fused``, the matvec
-    schedules and their diagonals) cannot go stale: rebinding a field raises
-    FrozenInstanceError, an in-place write ValueError. To change a weight,
-    build a new layer (``dataclasses.replace``). W_b must be an n_o x n_i
+    first use (``packed_silu_poly``, ``silu_program``, ``w_base``,
+    ``w_prime``, ``w_fused``, the matvec schedules and their diagonals)
+    cannot go stale: rebinding a field raises FrozenInstanceError, an
+    in-place write ValueError. To change a weight, build a new layer
+    (``dataclasses.replace``). W_b must be an n_o x n_i
     matrix with n_o >= 1, its grid n_i rows and S of its shape
     (DimensionMismatch otherwise); W_b, S and silu_poly's coefficients must
     be finite (NonFiniteInput)."""
@@ -129,9 +131,31 @@ class KanLayer:
         """The SiLU polynomial in the packed input's unit, the grid's
         1/(2R): coefficient j is c_j * (2R)^j, so at x / (2R) it takes
         silu_poly's value at x. The layer program evaluates it on the
-        packed input, whose copies then feed W_b."""
+        packed input, whose copies then feed W_b: as ``silu_program``
+        runs it, in Knuth's monic sextic form or as the power tree."""
         two_r = 2.0 * self.grid.R
         return Polynomial(tuple(c * two_r ** j for j, c in enumerate(self.silu_poly.coeffs)))
+
+    @cached_property
+    def silu_program(self):
+        """What the layer program runs for the SiLU (``approx.eval_poly_he``),
+        by one rule: ``packed_silu_poly`` in Knuth's monic sextic form, an
+        ``approx.MonicSextic`` whose lead ``w_base`` carries (3 ct mults,
+        no pt mult, 3 levels), when it has degree 6 and the form certifies
+        on the packed input's domain [-1/2, 1/2]; else ``packed_silu_poly``
+        itself, run as the power tree."""
+        return MonicSextic.certified(self.packed_silu_poly, -0.5, 0.5) or self.packed_silu_poly
+
+    @cached_property
+    def w_base(self) -> np.ndarray:
+        """The matrix W_b's block sum multiplies, read-only: lead * W_b
+        when ``silu_program`` is a monic sextic of that lead, so the lead
+        costs nothing at run time; W_b itself otherwise."""
+        if not isinstance(self.silu_program, MonicSextic):
+            return self.W_b
+        scaled = self.silu_program.lead * self.W_b
+        scaled.setflags(write=False)
+        return scaled
 
     @cached_property
     def w_prime(self) -> np.ndarray:

@@ -8,6 +8,7 @@ from hekan.approx import (
     ACTIVATION_PRESETS,
     EXACT_COMPARATOR,
     ApproxRange,
+    MonicSextic,
     Polynomial,
     WeightScheme,
     build_composite_sign,
@@ -32,7 +33,8 @@ from hekan.errors import (
     InvalidArgument,
     RemezNonConvergence,
 )
-from hekan.model import silu
+from hekan.bspline import GridMatrix
+from hekan.model import Dataset, KanLayer, fit_layer_ls, random_model, silu
 
 
 def backend(slots=64, depth=30):
@@ -440,6 +442,129 @@ class TestEvalPolyHeWindow:
             assert np.array_equal(got, want)
             assert got_level == want_level == level - poly_eval_depth(p)
             assert got_ops == want_ops
+
+
+def _silu_layer(source, R, g, k, seed):
+    """A layer whose packed SiLU is a degree-6 fit on a grid of bound
+    about R: random_model's (degree 7, its odd terms dropped as roundoff
+    on a symmetric range) or fit_layer_ls's at degree 6."""
+    hi = R / 1.2 * g / (g + 2 * k)  # GridMatrix.uniform's R = 1.2 (hi + k h)
+    if source == "random_model":
+        return random_model([2, 3], g=g, k=k, seed=seed, lo=-hi, hi=hi).layers[0]
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-hi, hi, (150, 2)) * rng.uniform(0.3, 1.0)
+    data = Dataset(X, np.sin(X.sum(axis=1, keepdims=True)))
+    return fit_layer_ls(data, 1, GridMatrix.uniform(2, g, k, -hi, hi), silu_degree=6)[0]
+
+
+class TestMonicSextic:
+    """The layer's SiLU in Knuth's monic sextic form: certified on the
+    packed domain [-1/2, 1/2] for the SiLU fits layers make, rejected
+    (the power tree kept) where the form is badly conditioned or the
+    degree is not 6, and run as one window program with the op-by-op
+    schedule's bits, counts and noise draws."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(source=st.sampled_from(["random_model", "fit_layer_ls"]),
+           R=st.floats(0.5, 25.0), g=st.integers(1, 10), k=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 16))
+    def test_silu_fits_take_the_form(self, source, R, g, k, seed):
+        layer = _silu_layer(source, R, g, k, seed)
+        p, form = layer.packed_silu_poly, layer.silu_program
+        assert p.degree == 6 and isinstance(form, MonicSextic)
+        assert form.lead == p.coeffs[-1]
+        y = np.linspace(-0.5, 0.5, 10_001)  # another grid than the certificate's
+        u = eval_poly_he(y, form)
+        assert np.max(np.abs(form.lead * u - p(y))) <= 1e-12 * max(1.0, np.max(np.abs(p(y))))
+        np.testing.assert_array_equal(layer.w_base, form.lead * layer.W_b)
+
+    @pytest.mark.parametrize("p", [
+        Polynomial((0, 0, 0, 0, 0, 10, 1)),  # x^6 + 10 x^5: every root errs by 1e-10 or more
+        Polynomial((1, 0, 0, 0, 0, 0, 5e-324)),  # its monic part overflows
+        Polynomial((0, 0.5, 0.2, 0, -0.01, 0, 4e-4, 1e-5)),  # degree 7
+        Polynomial((0, 0.5, 0.2)),
+    ])
+    def test_rejected_polynomials_keep_the_power_tree(self, p):
+        assert MonicSextic.certified(p, -0.5, 0.5) is None
+        grid = GridMatrix(np.linspace(-0.5, 0.5, 8)[None], 3, 2, 0.5)  # R = 1/2: packed is p
+        layer = KanLayer(W_b=np.ones((1, 1)), S=np.zeros((1, 1, grid.n_basis)), grid=grid,
+                         silu_poly=p)
+        assert layer.silu_program is layer.packed_silu_poly
+        assert layer.w_base is layer.W_b
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_polynomials_are_not_certified(self, bad):
+        for j in (0, 6):
+            coeffs = [0.1, 0.5, 0.2, 0, -0.01, 0, 4e-4]
+            coeffs[j] = bad
+            assert MonicSextic.certified(Polynomial(tuple(coeffs)), -0.5, 0.5) is None
+
+    def test_degree_10_fit_keeps_the_power_tree(self):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-1, 1, (150, 2))
+        layer, _ = fit_layer_ls(Dataset(X, X[:, :1] ** 2), 1,
+                                GridMatrix.uniform(2, 3, 2, -1.0, 1.0))
+        assert layer.packed_silu_poly.degree == 10
+        assert layer.silu_program is layer.packed_silu_poly and layer.w_base is layer.W_b
+
+    @pytest.mark.parametrize("lead, a", [
+        (1.0, (np.nan, 0, 0, 0, 0, 0)), (np.inf, (0, 0, 0, 0, 0, 0)),
+        (1.0, (0, 0, 0, 0, 0, -np.inf)), (1.0, (0, 0, 0, 0, 0))])
+    def test_bad_parameters_raise_before_any_op(self, lead, a):
+        be = backend()
+        ct = be.encrypt(np.arange(4.0))
+        before = be.counter.copy()
+        with pytest.raises(InvalidArgument):
+            eval_poly_he(ct, MonicSextic(lead, a))
+        assert be.counter == before
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+           S=st.sampled_from([8, 64]), noise=st.sampled_from([0.0, 1e-3]),
+           level=st.integers(0, 5))
+    def test_window_program_is_the_op_by_op_schedule(self, a, S, noise, level):
+        form = MonicSextic(1.5, tuple(a))
+        x = np.random.default_rng(S).uniform(-0.5, 0.5, S - 3)
+
+        def run(evaluate):
+            be = make_backend(BackendConfig(slot_count=S, depth_budget=5, noise_std=noise,
+                                            rng_seed=5))
+            ct = be.encrypt(x, level=level)
+            before = be.counter.copy()
+            if level < form.depth:  # raised before any op
+                with pytest.raises(DepthExhausted):
+                    evaluate(ct, form)
+                assert be.counter == before
+                return None
+            out = evaluate(ct, form)
+            return be.decrypt(out).view(np.int64), out.level, be.counter.since(before)
+
+        got = run(eval_poly_he)
+        if got is None:
+            return
+        want = run(lambda ct, f: f.steps(_OneOpAtATime(ct), ct)[-1])
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:] and got[1] == level - 3
+        assert (got[2].ct_mults, got[2].pt_mults, got[2].adds) == (3, 0, 7)
+        z = (x + a[0]) * x + a[1]
+        w = (x + a[2]) * z + a[3]
+        if not noise:
+            np.testing.assert_array_equal(got[0].view(float)[:x.size], (z + w + a[4]) * w + a[5])
+
+    @pytest.mark.parametrize("form", [
+        MonicSextic(2.0, (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)),
+        Polynomial((0.1, 0.5, 0.3, 0, -0.5, 0, 2.0))])  # a packed SiLU's terms
+    def test_both_programs_draw_ten_noise_rows(self, form, monkeypatch):
+        be = make_backend(BackendConfig(slot_count=16, depth_budget=5, noise_std=1e-9))
+        ct = be.encrypt(np.linspace(-0.5, 0.5, 16))
+        draws = []
+        monkeypatch.setattr(HeBackend, "_noise",
+                            lambda self, _run=HeBackend._noise: draws.append(1) or _run(self))
+        before = be.counter.copy()
+        out = eval_poly_he(ct, form)
+        spent = be.counter.since(before)
+        assert len(draws) == spent.adds + spent.ct_mults + spent.pt_mults == 10
+        assert ct.level - out.level == 3
 
 
 # ct mults of one call of an odd stage's product form (approx._OddStage),
