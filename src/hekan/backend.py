@@ -15,11 +15,16 @@ other slot holds. A rotation moves ``start`` only; a slot-wise op computes
 over the smallest cyclic window covering both operands and combines the
 two tails, so it costs O(window), not O(slot_count). Invariant: every slot
 is bit-identical to the same arithmetic on dense slot_count-long vectors,
-since each slot sees the same float operation on the same operands.
-Windows never shrink (``x * 0`` keeps the sign of ``x``, ``inf * 0`` is
-NaN). A plaintext operand is an array, which fills slots [0, len) over a
-zero tail, or a scalar, an empty window whose tail is the scalar. A noisy
-backend perturbs every slot, so its results are full windows.
+since each slot sees the same float operation on the same operands, but
+for the sign of some zeros. A product with a plaintext whose tail is zero
+(an array, or a scalar zero) keeps the plaintext's window when every slot
+of the ciphertext is finite: past that window each slot is x * 0, a zero
+whose sign is x's, and the tail a.tail * 0 stands for all of them, so a
+mask or a knot tile shrinks a wide window to its own. Any other op keeps
+the window of its operands (``inf * 0`` is NaN). A plaintext operand is
+an array, which fills slots [0, len) over a zero tail, or a scalar, an
+empty window whose tail is the scalar. A noisy backend perturbs every
+slot, so its results are full windows.
 
 Polynomial schedules run through :meth:`HeBackend.run_on_window`: the
 whole schedule is one numpy program over the input's window with its tail
@@ -43,7 +48,7 @@ Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
 on the exact backend, the wraparound duplication (if the schedule needs
 one) and each giant step are one numpy program over the slots the
 schedule reads, with the op counts and level of the op-by-op run. One
-exception to the bit-identity invariant: the result is the window [0, L)
+more exception to the bit-identity invariant: the result is the window [0, L)
 over a +0.0 tail (L the diagonals' length), where the op-by-op run leaves
 ±0 partial products past slot L; an unfolded schedule's giant block i is
 likewise the window [base_i, base_i + L). Only the sign of those zeros
@@ -303,7 +308,9 @@ class HeBackend:
         """Element-wise add/sub/mul of a ciphertext with a cipher or plain
         operand (an array of at most slot_count values, LengthMismatch
         otherwise, or a scalar), over the smallest cyclic window holding
-        both operands' windows; the tails combine into the result's tail."""
+        both operands' windows, or over the plaintext's own for a product
+        of a finite ciphertext with a zero-tail plaintext (see the module
+        docstring); the tails combine into the result's tail."""
         if op_kind not in _ARITH:
             raise InvalidArgument(f"unknown op_kind {op_kind!r}")
         self._check_ours(a)
@@ -336,7 +343,10 @@ class HeBackend:
                 self.counter.pt_mults += 1
 
         S = self.config.slot_count
-        s, n = _cover(a.start, a.data.size, sb, db.size, S)
+        # a product with a zero-tail plaintext keeps its window: past it,
+        # a.tail * 0 stands for each x * 0, the same zero up to its sign
+        own = op_kind == "mul_pt" and tb == 0 and np.isfinite(a.tail) and np.isfinite(a.data).all()
+        s, n = (sb, db.size) if own else _cover(a.start, a.data.size, sb, db.size, S)
         fn = _ARITH[op_kind]
         data = (fn(_over(a.start, a.data, a.tail, s, n, S), _over(sb, db, tb, s, n, S))
                 if n else _EMPTY)

@@ -35,6 +35,8 @@ from .errors import (
 # types
 # ---------------------------------------------------------------------------
 
+SPACING_TOL = 1e-12  # relative: a knot row is equally spaced when every gap is within it
+
 
 @dataclass(frozen=True)
 class GridMatrix:
@@ -87,10 +89,10 @@ class GridMatrix:
     def tiles(self) -> tuple:
         """basis_tiles of this grid, built on first use and read-only: the
         knots cannot change, so every basis evaluation reuses them."""
-        knots, orders = basis_tiles(self)
-        for a in (knots, *orders):
+        tiles = basis_tiles(self)
+        for a in tiles:
             a.setflags(write=False)
-        return knots, orders
+        return tiles
 
     @property
     def n_basis(self) -> int:
@@ -294,46 +296,64 @@ def basis_depth(k: int, comparator) -> int:
 
 
 def basis_tiles(G: GridMatrix):
-    """Plaintext knot tiles of the basis evaluation, in comparator units
-    (the knots times G.scale, as the packed input is), column-tiled and
+    """Plaintext tiles of the basis evaluation, in comparator units (the
+    knots times G.scale, as the packed input is), column-tiled and
     zero-padded to the width the basis reads, n_i * basis_copies(g, k),
-    so a tile op on a layer-0 packed input reuses the tile.
+    so a tile op on a packed input reuses the tile.
 
-    Returns (knots, orders) in terms of the scaled knots t: the comparator
-    call's tile, all g + 2k + 1 knot columns t_0 .. t_{g+2k} (zero past
-    slot n_i(g + 2k + 1)), and for each recursion order j = 1..k its
-    tiles. Orders j < k take the de Boor form
-    B_{m,j} = w_m B_{m,j-1} + (1 - w_{m+1}) B_{m+1,j-1} with
-    w_m = (x - t_m) / (t_{m+j} - t_m): a (2, width) array of the tiles
-    (t_m, 1/(t_{m+j} - t_m)) for m = 0..g + 2k - j, zero past them. The
-    last order keeps the two-factor form
-    b_k = (x - t1) / (t2 - t1) * b + (t3 - x) / (t3 - t4) * b', where b'
-    reads b one tile ahead: a (4, width) array of the tiles
-    (t1, 1/(t2 - t1), t3, -1/(t3 - t4)), zero past slot n_i(g + k), so
-    that order zeroes every later slot. There a slot gets what the zero
-    tail of a shorter plaintext would give. The ratios are those of the
-    unscaled knots: the scale cancels.
+    Returns (knots, de_boor, last) in terms of the scaled knots t. knots
+    is the comparator call's tile, the g + 2k + 1 knot columns less 1/2
+    (zero past them): the call compares x - 1/2 with it, which is x
+    against a knot tile padded with R (1/2 in comparator units) in every
+    slot past the knots, past the width included.
+
+    The recursion runs on N_j = j! B_j (de Boor's cardinal form), so an
+    order's weights need no 1/j: N_{m,j} = v_m N_{m,j-1} + (j - v_{m+1})
+    N_{m+1,j-1} with v_m = j (x - t_m) / (t_{m+j} - t_m), and B_k = N_k / k!.
+    Each weight is an affine map of the input, x * s - t * s. de_boor is
+    an (m, 2, width) array of (slope, offset) tiles for orders 1..k-1,
+    order j's on blocks m = 0..g + 2k - j, zero past them. last holds the
+    last order's slopes, then its two offsets: the factors
+    (x - t_m) / ((k-1)! (t_{m+k} - t_m)) of N_m and
+    (x - t_{m+k+1}) / ((k-1)! (t_{m+k+1} - t_{m+1})) of N_{m+1}, on blocks
+    m < g + k and zero past slot n_i(g + k), so that order zeroes every
+    later slot.
+
+    The rule, made once from the knots alone: a grid whose every row i is
+    equally spaced, each gap within SPACING_TOL (1e-12) * h_i of
+    h_i = (t_{g+2k} - t_0) / (g + 2k), has v_m = (x - t_m) / h_i at every
+    order. Its de_boor holds one pair, (1/h_i, t_m/h_i) on blocks
+    m < g + 2k, which every order shares, and its last order one slope,
+    1 / (k! h_i), which both factors share: 2 plaintext multiplies for the
+    whole recursion. ``GridMatrix.uniform`` (so ``random_model``, the CLI
+    and a model file's uniform grid) builds such grids, and knots written
+    as short decimals stay within the tolerance. Any other grid keeps one
+    slope per weight: k - 1 pairs in de_boor and two slopes in last, k + 1
+    plaintext multiplies. The ratios are those of the unscaled knots: the
+    scale cancels.
     """
-    k, r = G.k, G.g + 2 * G.k + 1
-    knots = G.entries * G.scale
-    width = G.n_i * basis_copies(G.g, k)
-    orders = []
-    for j in range(1, k):
-        t = col_tile(knots, 1, r - j + 1)
-        tiles = np.zeros((2, width))
-        tiles[:, :t.size] = t, 1.0 / (col_tile(knots, j + 1, r + 1) - t)
-        orders.append(tiles)
-    if k:
-        t1 = col_tile(knots, 1, r - k)
-        t2 = col_tile(knots, k + 1, r)
-        t3 = col_tile(knots, k + 2, r + 1)
-        t4 = col_tile(knots, 2, r - k + 1)
-        tiles = np.zeros((4, width))
-        tiles[:, :t1.size] = t1, 1.0 / (t2 - t1), t3, -1.0 / (t3 - t4)
-        orders.append(tiles)
-    columns = np.zeros(width)
-    columns[:G.n_i * r] = col_tile(knots, 1, r + 1)
-    return columns, orders
+    k, n_i, r = G.k, G.n_i, G.g + 2 * G.k + 1
+    t = G.entries * G.scale
+    width = n_i * basis_copies(G.g, k)
+
+    def tiles(*blocks):  # n_i x c blocks, each column-tiled over a zero tail
+        out = np.zeros((len(blocks), width))
+        for row, block in zip(out, blocks):
+            row[:block.size] = block.T.ravel()
+        return out
+
+    if not k:
+        return tiles(t - 0.5)[0], np.zeros((0, 2, width)), np.zeros((0, width))
+    h, c = (t[:, -1:] - t[:, :1]) / (r - 1), math.factorial(k - 1)
+    if np.all(np.abs(np.diff(t, axis=1) - h) <= SPACING_TOL * h):  # one shared slope
+        slopes = [np.broadcast_to(1 / h, (n_i, r - 1))][:k - 1]
+        last = (np.broadcast_to(1 / (k * c * h), (n_i, r - k - 1)),)
+    else:
+        slopes = [j / (t[:, j:] - t[:, :-j]) for j in range(1, k)]
+        last = (1 / (c * (t[:, k:-1] - t[:, :-k - 1])), 1 / (c * (t[:, k + 1:] - t[:, 1:-k])))
+    de_boor = np.reshape([tiles(s, t[:, :s.shape[1]] * s) for s in slopes], (-1, 2, width))
+    return tiles(t - 0.5)[0], de_boor, tiles(*last, t[:, :-k - 1] * last[0],
+                                             t[:, k + 1:] * last[-1])
 
 
 def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
@@ -358,7 +378,7 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     n_i * basis_copies(g, k). Read as packed, such an operand gives a
     wrong basis: GridMatrix.uniform(4, 10, 3, -1, 1) packed to the
     paper's g + 2k = 16 copies, one fewer than the comparator call reads,
-    is 0.68 off the exact basis at x = 1.919, between its last knot and R.
+    is up to 253 off the exact basis (at x = -0.7).
     A scalar (the depth probe's) or a width-less ciphertext passes.
 
     With exact steps, step(t_{m+1} - x) = 1 - step(x - t_{m+1}), so the
@@ -367,36 +387,72 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     m + 1 of the packed input holds the same bits as block m. It costs no
     multiply, and one comparator call where the two steps took two. At a
     knot t_m the two blocks that meet there read the same step(0) = 1/2,
-    so their values sum to 1, as the recursion's first order needs.
-    Orders 1..k-1 run in de Boor form, one plaintext and one ciphertext
-    multiply each: u = w * b, b <- u + (b - u) one tile ahead
-    (basis_tiles). Past its valid region a de Boor order leaves
+    so their values sum to 1, as the recursion's first order needs. The
+    comparator reads x - 1/2 against the knots less 1/2 (basis_tiles), so
+    every block past the knots, and every slot past the width, reads
+    step(x - 1/2), in comparator units: 0, or 1/2 at x = R.
+
+    The recursion runs on N_j = j! B_j (basis_tiles): each weight is
+    x * s - t * s, one plaintext multiply per slope tile, and orders
+    1..k-1 run in de Boor form, one ciphertext multiply each:
+    u = v * N, N <- u + (j N - u) one tile ahead, j N from adds alone
+    (``_times``: at most 2 adds for j < 5, no level). The last order keeps
+    the two-factor form, N_m and N_{m+1} times factors that carry its 1/k!,
+    one subtracted from the other. On an equally spaced grid every de Boor
+    order shares one weight and the last order's two factors one slope: 2
+    plaintext multiplies for the recursion, against k + 1 with a slope
+    per weight on any other grid; one program runs both, on the tiles.
+    Either way k + 1 ciphertext multiplies and rotations, and the depth
+    max(comparator depth, 1) + k: the weights read xp, off the critical
+    path.
+
+    The slot contract. Past its valid region a de Boor order leaves
     finite values, which move left one tile per order as the region
     shrinks by one, so they never reach it; nor do those that the rotation
     wraps to the end, as the packing leaves g + 2k tiles of room. The last
-    order's knot factors are zero past slot n_i(g + k), so with k >= 1
-    every later slot is zero with no extra masking. An input in [-R, R]
-    (the range contract, KanModel.check_input_range) keeps every
-    comparator operand in [-1, 1]."""
+    order's factors are zero past slot n_i(g + k), so with k >= 1 every
+    later slot is exactly zero (up to its sign) with no extra masking.
+    Every intermediate of the program stays at most 64 in magnitude on
+    the mirror and on a ciphertext with slots past its packed width, for
+    every uniform grid with g <= 10, k <= 5 and x in [-R, R] (27.0 at
+    most). When the packed width fills the slot count, the rotation wraps
+    block 0's step into the last block, and on an equally spaced grid with
+    basis_copies(g, k) < g + 3k - 1 the shared weights grow that stray
+    value by up to g + 2k per order (1.0e4 at g = 5, k = 5), in slots no
+    output reads. An input in [-R, R] (the range contract,
+    KanModel.check_input_range) keeps every comparator operand in
+    [-1, 1]."""
     ops = _ops_of(xp)
     basis = basis_copies(G.g, G.k)
     _check_copies(ops.slot_count, G.n_i, basis)
     _check_layout(xp, G.n_i, basis)
-    knots, orders = G.tiles
-    h = poly_comp(xp, knots, comparator)
+    knots, de_boor, last = G.tiles
+    h = poly_comp(ops.sub(xp, 0.5), knots, comparator)
     b = steps = ops.sub(h, ops.rotate(h, G.n_i))
     ops._stage("comparator", xp, steps)
-    if not orders:
+    if not G.k:
         return b
-    *de_boor, (t1, recip1, t3, neg_recip2) = orders
-    for t, recip in de_boor:
-        u = ops.mul(ops.mul(ops.sub(xp, t), recip), b)
-        b = ops.add(u, ops.rotate(ops.sub(b, u), G.n_i))
-    b1 = ops.mul(ops.mul(ops.sub(xp, t1), recip1), b)
-    b2 = ops.mul(ops.mul(ops.sub(xp, t3), neg_recip2), ops.rotate(b, G.n_i))
-    basis = ops.add(b1, b2)
+    weights = [ops.sub(ops.mul(xp, s), o) for s, o in de_boor]
+    for j in range(1, G.k):
+        u = ops.mul(weights[min(j, len(weights)) - 1], b)  # order j's own, or the shared one
+        b = ops.add(u, ops.rotate(ops.sub(_times(ops, b, j), u), G.n_i))
+    *slopes, o1, o3 = last  # one shared slope, or one per factor
+    x = [ops.mul(xp, s) for s in slopes]
+    basis = ops.sub(ops.mul(ops.sub(x[0], o1), b),
+                    ops.mul(ops.sub(x[-1], o3), ops.rotate(b, G.n_i)))
     ops._stage("basis_recursion", steps, basis)
     return basis
+
+
+def _times(ops, b, j: int):
+    """j * b from adds alone, no level: left-to-right binary, one doubling
+    per bit of j after the first and one add per later set bit."""
+    out = b
+    for bit in bin(j)[3:]:
+        out = ops.add(out, out)
+        if bit == "1":
+            out = ops.add(out, b)
+    return out
 
 
 # ---------------------------------------------------------------------------

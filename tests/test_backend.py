@@ -448,7 +448,15 @@ class TestWindowedSlots:
                         vals = values(S, S)
                         b, db = vals, vals
                     out = be.slotwise(kind, a, b)
-                    want = perturb(ARITH[kind](da, db))
+                    want = ARITH[kind](da, db)
+                    # a product with a zero-tail plaintext of a finite ciphertext
+                    # keeps the plaintext's window: past it, a.tail * 0 stands for
+                    # each x * 0, the same zero up to its sign
+                    if kind == "mul_pt":
+                        pt_len, pt_tail = (0, b) if operand == "scalar" else (len(b), 0.0)
+                        if pt_tail == 0 and np.isfinite(a.tail) and np.isfinite(a.data).all():
+                            want[pt_len:] = a.tail * pt_tail
+                    want = perturb(want)
                     level -= kind.startswith("mul")
                     name = {"add": "adds", "sub": "subs",
                             "mul_ct": "ct_mults", "mul_pt": "pt_mults"}[kind]
@@ -476,6 +484,17 @@ class TestWindowedSlots:
         assert out.data.size == 3
         np.testing.assert_array_equal(out.slots[:4], [-1.0, np.nan, 0.0, 0.0])
         assert np.signbit(zeroed.slots[0]) and np.isnan(zeroed.slots[1])
+
+    def test_product_with_a_zero_tail_plaintext_keeps_its_window(self):
+        # past the plaintext each slot of a finite ciphertext is x * 0, for
+        # which the tail a.tail * 0 stands: the same zero up to its sign
+        be = fresh(slot_count=16)
+        a = be.rotate(be.encrypt([-1.0, 2.0, -3.0, 4.0, 5.0]), 2)  # window [14, 19)
+        out = be.mul(a, np.array([2.0, 0.5]))
+        assert (out.start, out.data.size, out.tail) == (0, 2, 0.0)
+        np.testing.assert_array_equal(out.slots, np.r_[-6.0, 2.0, np.zeros(14)])
+        assert (be.mul(a, 0.0).data.size, be.mul(a, 0.0).tail) == (0, 0.0)
+        assert be.mul(a, 2.0).data.size == 5  # a nonzero tail keeps a's window
 
     def test_constants_stay_compact(self):
         be = fresh(slot_count=1 << 20)

@@ -1,3 +1,5 @@
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -33,8 +35,21 @@ from hekan.errors import (
     PackingOverflow,
     ShapeMismatch,
 )
-from hekan.inference import PipelineConfig, encrypt_input, plan_layer
-from hekan.model import random_model
+from hekan.inference import (
+    PipelineConfig,
+    encrypt_input,
+    model_forward_he,
+    plan_layer,
+    plan_model,
+)
+from hekan.model import (
+    KanLayer,
+    KanModel,
+    load_model,
+    model_forward_plain,
+    random_model,
+    save_model,
+)
 
 
 def backend(slots=256, depth=30):
@@ -51,6 +66,18 @@ def he_basis_values(x, G, comparator, slots=512, depth=30):
     bv = bspline_basis_he(repeat_pack(ct, G), G, comparator)
     vals = bv.slots[: G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
     return vals, bv, be
+
+
+def _jittered(n_i, g, k, rows, seed=0):
+    """GridMatrix.uniform(n_i, g, k, -1, 1) with the interior knots of the
+    given rows moved by up to a tenth of the spacing: strictly increasing,
+    within the same R, and not equally spaced."""
+    G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+    knots = G.entries.copy()
+    h = 2.0 / g
+    jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, (len(rows), g + 2 * k - 1))
+    knots[rows, 1:-1] += h * jitter
+    return GridMatrix(knots, g, k, G.R)
 
 
 def clear_basis_values(x, G, comparator):
@@ -487,23 +514,37 @@ class TestEncryptedBasis:
         assert np.max(np.abs(vals - plain)) <= 1e-12
 
     @pytest.mark.parametrize("n_i, g, k", [(1, 1, 1), (3, 2, 4), (2, 5, 3)])
-    def test_knot_tiles_cover_their_orders(self, n_i, g, k):
-        """The comparator's tile holds all g + 2k + 1 knot columns and is
-        zero past them; order j < k's de Boor tiles cover blocks
-        0..g + 2k - j and are zero past them; the last order's four tiles
-        are zero past block g + k - 1."""
-        G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
-        knots, orders = G.tiles
-        columns = n_i * (g + 2 * k + 1)
-        assert np.array_equal(knots[:columns], G.entries.T.ravel() * G.scale)
-        assert not np.any(knots[columns:])
-        assert [o.shape[0] for o in orders] == [2] * (k - 1) + [4]
-        for j, (t, recip) in enumerate(orders[:-1], start=1):
-            cover = n_i * (g + 2 * k - j + 1)
-            assert np.all(recip[:cover] > 0) and not np.any(recip[cover:])
-            assert not np.any(t[cover:])
-        last = orders[-1]
-        assert np.all(last[1, :n_i * (g + k)] > 0) and not np.any(last[:, n_i * (g + k):])
+    @pytest.mark.parametrize("spaced", [True, False], ids=["equal", "jittered"])
+    def test_knot_tiles_cover_their_orders(self, n_i, g, k, spaced):
+        """The comparator's tile holds the g + 2k + 1 knot columns less 1/2
+        and is zero past them. An equally spaced grid has one de Boor
+        (slope, offset) pair, slope 1/h on blocks 0..g + 2k - 1, that every
+        order shares, and one last-order slope, 1/(k! h); a grid with one
+        jittered row has order j's pair, slope j/(t_{m+j} - t_m) on blocks
+        0..g + 2k - j, and one slope per last-order factor. Every offset
+        is its slope times the knots, and the last order's tiles are zero
+        past block g + k - 1."""
+        G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0) if spaced else _jittered(n_i, g, k, [0])
+        knots, de_boor, last = G.tiles
+        width, columns, valid = (n_i * c for c in (basis_copies(g, k), g + 2 * k + 1, g + k))
+        t = G.entries.T.ravel() * G.scale
+        assert np.array_equal(knots[:columns], t - 0.5) and not np.any(knots[columns:])
+        assert de_boor.shape == (min(k - 1, 1) if spaced else k - 1, 2, width)
+        assert last.shape == (3 if spaced else 4, width)
+        padded = np.r_[t, np.zeros(width)]  # t_m at slot m * n_i + i, then zeros
+        for j, (slope, offset) in enumerate(de_boor, start=1):
+            cover = n_i * (g + 2 * k + 1 - j)
+            assert np.all(slope[:cover] > 0) and not np.any(slope[cover:])
+            assert np.array_equal(offset, slope * padded[:width])
+            spans = padded[n_i * j:][:cover] - t[:cover]
+            np.testing.assert_allclose(slope[:cover], j / spans, rtol=1e-12)
+        *slopes, o1, o3 = last
+        assert np.all(slopes[0][:valid] > 0) and not np.any(last[:, valid:])
+        assert np.array_equal(o1, slopes[0] * padded[:width])
+        assert np.array_equal(o3, slopes[-1] * padded[n_i * (k + 1):][:width])  # t_{m+k+1}
+        spans = padded[n_i * k:][:valid] - t[:valid]
+        np.testing.assert_allclose(slopes[0][:valid], 1 / (math.factorial(k - 1) * spans),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("n_i, g, k", [(3, 2, 1), (2, 4, 2), (3, 3, 2), (1, 1, 1)])
     def test_one_comparator_call_and_its_copies(self, n_i, g, k):
@@ -576,9 +617,9 @@ class TestBasisReadsAPackedOperand:
     """The basis raises ShapeMismatch before any op or noise draw when its
     operand visibly holds fewer than basis_copies(g, k) copies: a
     ciphertext stating width n_i with fewer copies, or an array shorter
-    than n_i * basis_copies(g, k). Read as packed, a raw input gave
-    [0, .5, .5, 0] for both features below, and the paper's 16 copies for
-    (g, k) = (10, 3) a basis 0.68 off."""
+    than n_i * basis_copies(g, k). Read as packed, a raw input gives
+    a zero basis for both features below, and the paper's 16 copies for
+    (g, k) = (10, 3) a basis up to 253 off."""
 
     CASES = {  # (grid, input, copies packed; None: not packed at all)
         "raw": (GridMatrix.uniform(2, 3, 1, -1, 1), np.array([0.4, -0.3]), None),
@@ -636,6 +677,146 @@ class TestBasisReadsAPackedOperand:
             assert ct.width is None
             bspline_basis_he(ct, G, EXACT_COMPARATOR)
         assert basis_depth(1, EXACT_COMPARATOR) == 2
+
+
+class _StageCounts(HeBackend):
+    """An exact backend whose label hook keeps each stage's plaintext
+    multiplies (those counted since the previous label) and level drop."""
+
+    def __init__(self, slots, depth):
+        super().__init__(BackendConfig(slot_count=slots, depth_budget=depth))
+        self.pt_mults, self.drops, self._mark = {}, {}, 0
+
+    def _stage(self, name, v_in, v_out):
+        self.pt_mults[name] = self.counter.pt_mults - self._mark
+        self._mark = self.counter.pt_mults
+        self.drops[name] = v_in.level - v_out.level
+
+
+def _peak_ops(peaks):
+    """The mirror's ops, each result's largest magnitude appended to peaks."""
+    def recorded(op):
+        def run(*args):
+            out = op(*args)
+            peaks.append(float(np.max(np.abs(out), initial=0.0)))
+            return out
+        return staticmethod(run)
+
+    class PeakOps(_ArrayOps):
+        add, sub, mul, rotate = map(recorded, (_ArrayOps.add, _ArrayOps.sub, _ArrayOps.mul,
+                                               _ArrayOps.rotate))
+    return PeakOps
+
+
+class _PeakBackend(_StageCounts):
+    """_StageCounts that also appends each op's largest slot magnitude to
+    peaks."""
+
+    def __init__(self, slots, peaks):
+        super().__init__(slots, 30)
+        self.peaks = peaks
+
+    def slotwise(self, op_kind, a, b):
+        out = super().slotwise(op_kind, a, b)
+        self.peaks.append(float(np.max(np.abs(out.slots))))
+        return out
+
+
+class TestSharedSlope:
+    """On a grid whose every knot row is equally spaced the recursion runs
+    with one shared slope, 2 plaintext multiplies; any other grid keeps a
+    slope per weight, k + 1, as before. The choice is the knots' alone."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n_i=st.integers(1, 6), n_o=st.integers(1, 4), g=st.integers(1, 6),
+           k=st.integers(1, 4), every_row=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(n_i=4, n_o=3, g=5, k=3, every_row=False, seed=1)
+    def test_unequal_grids_keep_a_slope_per_weight(self, n_i, n_o, g, k, every_row, seed):
+        """One jittered row in an otherwise uniform grid, or every row
+        jittered: encrypted == mirrored on both paths, the plan's stage
+        drops are the measured ones, the recursion spends k + 1 plaintext
+        multiplies, and the basis is the exact one under the exact
+        comparator."""
+        G = _jittered(n_i, g, k, range(n_i) if every_row else [seed % n_i], seed)
+        base = random_model([n_i, n_o], g=g, k=k, seed=seed).layers[0]
+        layer = KanLayer(W_b=base.W_b, S=base.S, grid=G, silu_poly=base.silu_poly,
+                         act_stats=base.act_stats)
+        mdl = KanModel(layers=[layer], input_shape=(1, 1, n_i))
+        x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+        assert (G.tiles[1].shape[0], G.tiles[2].shape[0]) == (k - 1, 4)
+        for path in ("lazy", "naive"):
+            cfg = PipelineConfig(path=path)
+            plan = plan_layer(layer, cfg)
+            be = _StageCounts(2 ** 12, plan.total)
+            out, _ = model_forward_he(mdl, encrypt_input(x, mdl, be), cfg)
+            mirrored = model_forward_plain(mdl, x, "mirrored", comparator=cfg.comparator(),
+                                           path=path)
+            assert np.max(np.abs(be.decrypt(out)[:n_o] - mirrored)) <= 1e-9
+            assert out.level == 0 and be.drops == dict(plan.stages)
+            assert be.pt_mults["basis_recursion"] == k + 1
+        plain = np.array([bspline_basis_plain(xi, G.entries[i], k) for i, xi in enumerate(x)])
+        assert np.max(np.abs(clear_basis_values(x, G, EXACT_COMPARATOR) - plain)) <= 1e-12
+        assert np.max(np.abs(he_basis_values(x, G, EXACT_COMPARATOR)[0] - plain)) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
+    def test_slot_contract_on_equally_spaced_grids(self, monkeypatch, comparator, k):
+        """For g = 1..10, at x across [-R, R] and on every knot (one
+        feature each): every slot past n_i(g + k) is exactly zero, and
+        every intermediate of the program stays at most 64 in magnitude,
+        on the mirror and on a ciphertext with slots past its packed
+        width. The recursion spends 2 plaintext multiplies (1 for k = 1)."""
+        comp = COMPARATORS[comparator]()
+        for g in range(1, 11):
+            span = GridMatrix.uniform(1, g, k, -1.0, 1.0)
+            x = np.r_[np.linspace(-span.R, span.R, 41), span.entries[0]]
+            G = GridMatrix.uniform(x.size, g, k, -1.0, 1.0)
+            valid = G.n_i * (g + k)
+            peaks = []
+            with monkeypatch.context() as mp:
+                mp.setattr(bspline, "_ops_of", _peak_ops(peaks))
+                out = bspline_basis_he(repeat_pack(x, G), G, comp)
+            assert not np.any(out[valid:]) and max(peaks) <= 64
+            roomy = 2 << (G.n_i * basis_copies(g, k) - 1).bit_length()
+            peaks = []
+            be = _PeakBackend(roomy, peaks)
+            out = bspline_basis_he(repeat_pack(be.encrypt(x), G), G, comp)
+            assert not np.any(out.slots[valid:]) and max(peaks) <= 64
+            assert be.pt_mults["basis_recursion"] == min(k, 2)
+
+    def test_a_saved_model_keeps_the_shared_slope(self, tmp_path):
+        """A save_model / load_model round trip of perfbench's kan_small
+        model keeps the shared slope: the same tiles, op counts and output
+        bits. A model file whose knots are written out as short decimals
+        is equally spaced within SPACING_TOL, and takes the same path."""
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=0)
+        path = tmp_path / "model.json"
+        save_model(mdl, path)
+        loaded = load_model(path)
+        doc = json.loads(path.read_text())
+        for layer in doc["layers"]:
+            del layer["uniform_grid"]
+            layer["grid"] = [[float(f"{t:.6g}") for t in row] for row in
+                             GridMatrix.uniform(layer["n_i"], 5, 3, -1.0, 1.0).entries]
+        decimals = tmp_path / "decimals.json"
+        decimals.write_text(json.dumps(doc))
+        typed = load_model(decimals)
+        assert typed.layers[0].grid.entries[0, 1] == -1.8  # as written
+        assert not np.array_equal(typed.layers[0].grid.entries, mdl.layers[0].grid.entries)
+        x = np.array([0.3, -0.6])
+        runs = []
+        for m in (mdl, loaded, typed):
+            assert all((lay.grid.tiles[1].shape[0], lay.grid.tiles[2].shape[0]) == (1, 3)
+                       for lay in m.layers)
+            cfg = PipelineConfig()
+            be = _StageCounts(2 ** 15, plan_model(m, cfg).total)
+            out, per_layer = model_forward_he(m, encrypt_input(x, m, be), cfg)
+            assert be.pt_mults["basis_recursion"] == 2  # the last layer's
+            runs.append((be.decrypt(out), per_layer))
+        (want, counts), (got, loaded_counts), (typed_out, typed_counts) = runs
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert loaded_counts == counts == typed_counts
+        assert np.max(np.abs(typed_out[:1] - want[:1])) <= 1e-12
 
 
 class TestPermutation:

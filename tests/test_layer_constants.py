@@ -208,7 +208,7 @@ class TestReadOnly:
         assert padded.W.shape == (4, 8)
         targets = [layer.W_b, layer.S, layer.w_prime, layer.w_fused,
                    sched.all_diagonals, sched.diagonals(range(2)),
-                   sched.W, padded.W, layer.permutation.source_of, layer.grid.tiles[0],
+                   sched.W, padded.W, layer.permutation.source_of, *layer.grid.tiles,
                    layer.grid.tiles[1][0]]
         for a in targets:
             with pytest.raises(ValueError, match="read-only"):
@@ -234,9 +234,29 @@ class TestReadOnly:
 class TestKnotTilesAtThePackedWidth:
     """The knot tiles span the window the basis reads (repeat_pack's, one
     doubling past the paper's g + 2k copies when g + 2k is a power of
-    two), so no tile op of the basis evaluation on a layer-0 packed input
-    copies a tile into a wider window (backend._place), before or after the
-    comparator's step is read one block ahead."""
+    two), so no tile op of the basis evaluation on a packed input copies a
+    tile into a wider window (backend._place), before or after the
+    comparator's step is read one block ahead. A hidden layer's input
+    arrives in a wider window (its previous layer's folds start it before
+    slot 0), which repeat_pack's mask multiply narrows to the mask's own."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_no_tile_of_a_hidden_layer_is_copied(self, monkeypatch, path):
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=1)
+        cfg = PipelineConfig(path=path)
+        be = make_backend(BackendConfig(slot_count=2 ** 15,
+                                        depth_budget=plan_model(mdl, cfg).total))
+        tiles = [t for layer in mdl.layers for t in layer.grid.tiles]
+        copied = []
+
+        def spy(start, data, *args):
+            copied.extend(t for t in tiles if np.shares_memory(data, t))
+            return place(start, data, *args)
+
+        place = backend._place
+        monkeypatch.setattr(backend, "_place", spy)
+        model_forward_he(mdl, encrypt_input(np.array([0.3, -0.6]), mdl, be), cfg)
+        assert copied == []
 
     @pytest.mark.parametrize("n_i, g, k", [(64, 3, 2), (256, 10, 3), (256, 10, 5)])
     @pytest.mark.parametrize("comparator", [EXACT_COMPARATOR, build_composite_sign()],
@@ -246,8 +266,7 @@ class TestKnotTilesAtThePackedWidth:
         be = make_backend(BackendConfig(slot_count=2 ** 15, depth_budget=20))
         x = be.encrypt(np.random.default_rng(n_i).uniform(-1, 1, n_i))
         xp = bspline.repeat_pack(x, G)
-        knots, orders = G.tiles
-        tiles = (knots, *orders)
+        tiles = G.tiles
         copied = []
 
         def spy(start, data, *args):

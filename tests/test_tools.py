@@ -72,16 +72,28 @@ def test_stage_counts_prints_each_stage_and_the_total():
     keys = [(model, path) for model, *_ in tool.MODELS for path in ("lazy", "naive")]
     assert [tuple(row[:3]) for row in rows] == [
         (*key, stage) for key in keys for stage in (*tool.STAGES, "total")]
-    assert {model for model, *_ in keys} == {
-        "(64,3,2)", "(128,5,3)", "(256,5,3)", "(256,10,3)", "(256,10,5)", "kan_small"}
+    tables = ["(64,3,2)", "(128,5,3)", "(256,5,3)", "(256,10,3)", "(256,10,5)"]
+    assert {model for model, *_ in keys} == {*tables, "jittered(64,3,2)", "kan_small"}
     assert tool.STAGES == ("repeat_pack", "silu_poly", "base_matvec", "comparator",
                            "basis_recursion", "spline_matvec")
     counts = np.array([[int(c) for c in row[3:]] for row in rows]).reshape(len(keys), -1, 3)
     assert (counts >= 0).all()
     # the stages account for every rotation and multiply of the forward
     assert np.array_equal(counts[:, :-1].sum(axis=1), counts[:, -1])
-    # kan_small's lazy forward is perfbench's pinned one: 23 / 20 / 44
-    assert counts[keys.index(("kan_small", "lazy")), -1].tolist() == [23, 20, 44]
+    # kan_small's lazy forward is perfbench's pinned one: 23 / 16 / 44
+    assert counts[keys.index(("kan_small", "lazy")), -1].tolist() == [23, 16, 44]
+    # the basis recursion: a rotation per order, k + 1 ct mults, and 2 pt
+    # mults on an equally spaced grid, k + 1 = 3 with one jittered knot row
+    recursion = tool.STAGES.index("basis_recursion")
+    for (model, path), stages in zip(keys, counts):
+        k = next(k for label, _, _, k in tool.MODELS if label == model)
+        layers = 2 if model == "kan_small" else 1
+        pt = k + 1 if model.startswith("jittered") else 2
+        assert stages[recursion].tolist() == [layers * k, layers * pt, layers * (k + 1)]
+    # and nothing else moves: the recursion's and the total's one pt mult
+    jittered, spaced = (counts[keys.index((m, "lazy"))] for m in ("jittered(64,3,2)", "(64,3,2)"))
+    assert (jittered - spaced).tolist() == [[0, 1, 0] if i in (recursion, len(tool.STAGES))
+                                            else [0, 0, 0] for i in range(len(tool.STAGES) + 1)]
 
 
 def _unused_imports(path: Path) -> list:

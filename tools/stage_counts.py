@@ -1,10 +1,14 @@
 """Per-stage op counts of one encrypted forward.
 
 Runs one forward of each of the paper's five table configs (n_i, g, k),
-each with n_o = 10, and of the two-layer ``kan_small`` model ([2, 5, 1],
-g = 5, k = 3), on both paths, on the exact backend at 2^15 slots with the
-default composite comparator, and prints a header, then for each (model,
-path) one line per labelled stage and a total line:
+each with n_o = 10, of ``jittered(64,3,2)``, the first config with one
+knot row no longer equally spaced (its interior knots moved by up to a
+tenth of the spacing), so that its basis recursion keeps a slope per
+weight (k + 1 plaintext multiplies against the equally spaced grid's 2),
+and of the two-layer ``kan_small`` model ([2, 5, 1], g = 5, k = 3), on
+both paths, on the exact backend at 2^15 slots with the default composite
+comparator, and prints a header, then for each (model, path) one line per
+labelled stage and a total line:
 
     python tools/stage_counts.py
 
@@ -23,6 +27,7 @@ with seed 0. The script imports hekan from the ``src`` directory next to it.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +36,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hekan import (  # noqa: E402
     BackendConfig,
+    GridMatrix,
     HeBackend,
+    KanModel,
     PipelineConfig,
     encrypt_input,
     model_forward_he,
@@ -43,8 +50,19 @@ STAGES = ("repeat_pack", "silu_poly", "base_matvec", "comparator", "basis_recurs
           "spline_matvec")
 MODELS = (*((f"({n},{g},{k})", [n, 10], g, k) for n, g, k in
             ((64, 3, 2), (128, 5, 3), (256, 5, 3), (256, 10, 3), (256, 10, 5))),
-          ("kan_small", [2, 5, 1], 5, 3))
+          ("jittered(64,3,2)", [64, 10], 3, 2), ("kan_small", [2, 5, 1], 5, 3))
 SLOT_COUNT = 2 ** 15
+
+
+def jittered(model: KanModel) -> KanModel:
+    """model with the interior knots of its first layer's first row moved
+    by up to a tenth of the knot spacing (seed 0)."""
+    layer = model.layers[0]
+    knots = layer.grid.entries.copy()
+    spacing = knots[0, 1] - knots[0, 0]
+    knots[0, 1:-1] += spacing * np.random.default_rng(0).uniform(-0.1, 0.1, knots.shape[1] - 2)
+    grid = GridMatrix(knots, layer.g, layer.k, layer.grid.R)
+    return KanModel([replace(layer, grid=grid), *model.layers[1:]], model.input_shape)
 
 
 class StageCounts(HeBackend):
@@ -66,6 +84,8 @@ def main() -> None:
     print("model path stage rotations pt_mults ct_mults")
     for label, dims, g, k in MODELS:
         model = random_model(dims, g=g, k=k, seed=0)
+        if label.startswith("jittered"):
+            model = jittered(model)
         x = np.random.default_rng(0).uniform(-0.9, 0.9, dims[0])
         for path in ("lazy", "naive"):
             cfg = PipelineConfig(path=path)
