@@ -300,8 +300,9 @@ class LayerLayout:
     (p, L, front) when one fold chain finishes both products, gcd(p, n_i)
     diagonals of lcm(p, n_i) slots),
     and the spline maps' schedules in order (``maps``; the last one's
-    default or front-padded geometry chosen together with ``base``). The
-    schedules keep their diagonals, so each is built once per record."""
+    default or front-padded geometry chosen together with ``base``). Each
+    record builds its own schedules and shares none with the layer's other
+    records; they keep their diagonals, so each is built once per record."""
 
     copies: int
     base: MatvecSchedule
@@ -334,19 +335,12 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     leaves every stage's level drop as planned. Whether it fits a slot
     count is ``_check_fit``'s.
 
-    Only that last condition reads the comparator and the path (through
-    the plan), and the candidates read only W_b and the last map's shape,
-    which both paths share (the lazy path's fused weights and the naive
-    path's W' are both n_o x n_i(g + k)). So both paths choose alike
-    whenever the plan lets both share or neither (with any composite
-    comparator; the exact one at k = 1 lets only the naive path share), a
-    record of the layer lends its W_b schedule when this record chooses
-    the same one (form and geometry), and a record of the same path its
-    maps, the last one when its geometry is the chosen one, each with the
-    diagonals it has built. The search builds two schedules, W_b's own and
-    the last map's default, costs every other candidate by its schedule's
-    count law (``matvec.front_counts``, ``matvec.shared_counts``), and
-    builds only the pair it keeps; it builds no diagonals."""
+    The record is built from its own search and reads nothing from the
+    layer's other records, so it holds schedules of its own. The search
+    builds two schedules, W_b's own and the last map's default, costs
+    every other candidate by its schedule's count law
+    (``matvec.front_counts``, ``matvec.shared_counts``), and builds only
+    the pair it keeps; it builds no diagonals."""
     key = (path, comparator)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
@@ -401,15 +395,10 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     limit = 1 << (best[1] - 1).bit_length()
     *_, over, geometry = cheapest(fronts(), best, limit)
 
-    base = next((kept.base for kept in layer.layouts.values() if kept.base.over == over), None)
-    if base is None:
-        base = own if over is None else matvec_schedule(layer.w_base, True, over)
-    same_path = [kept.maps for (kept_path, _), kept in layer.layouts.items() if kept_path == path]
-    head = same_path[0][:-1] if same_path else tuple(map(matvec_schedule, firsts))
-    last = next((maps[-1] for maps in same_path if maps[-1].geometry == geometry), None)
-    if last is None:
-        last = default if geometry == default.geometry else matvec_schedule(W, front=geometry[:2])
-    layout = layer.layouts[key] = LayerLayout(copies(base.reads), base, (*head, last))
+    base = own if over is None else matvec_schedule(layer.w_base, True, over)
+    last = default if geometry == default.geometry else matvec_schedule(W, front=geometry[:2])
+    layout = layer.layouts[key] = LayerLayout(copies(base.reads), base,
+                                              (*map(matvec_schedule, firsts), last))
     return layout
 
 

@@ -182,7 +182,8 @@ class KanLayer:
         branches read and the schedules of W_b and the spline maps) per
         (path, comparator), filled on first use by ``inference._layout``;
         the encrypted forward at any slot count and the mirror share it,
-        and it lives as long as the layer."""
+        and it lives as long as the layer. Each record holds schedules of
+        its own: no two records share one."""
         return {}
 
     def spline_maps(self, path: str) -> tuple:

@@ -784,6 +784,28 @@ class TestSharedSlope:
             assert not np.any(out.slots[valid:]) and max(peaks) <= 64
             assert be.pt_mults["basis_recursion"] == min(k, 2)
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
+    def test_tightest_slot_count_keeps_the_valid_slots(self, comparator, k):
+        """For g = 1..10 with n_i * basis_copies(g, k) == slot_count (64
+        features: x across [-R, R] and every knot), the valid slots
+        [0, n_i(g + k)) equal the mirror's bit for bit. The rotation wraps
+        block 0's step into the last block, and where basis_copies(g, k) <
+        g + 3k - 1 the shared weights grow it: every intermediate stays
+        under 2^14 there (1.11e4 at g = 5, k = 5), at most 64 elsewhere."""
+        comp = COMPARATORS[comparator]()
+        for g in range(1, 11):
+            span = GridMatrix.uniform(1, g, k, -1.0, 1.0)
+            x = np.r_[np.linspace(-span.R, span.R, 64 - span.entries.shape[1]), span.entries[0]]
+            G = GridMatrix.uniform(x.size, g, k, -1.0, 1.0)
+            valid = G.n_i * (g + k)
+            mirror = bspline_basis_he(repeat_pack(x, G), G, comp)
+            peaks = []
+            be = _PeakBackend(G.n_i * basis_copies(g, k), peaks)
+            out = bspline_basis_he(repeat_pack(be.encrypt(x), G), G, comp)
+            assert np.array_equal(out.slots[:valid].view(np.int64), mirror[:valid].view(np.int64))
+            assert max(peaks) <= (64 if basis_copies(g, k) >= g + 3 * k - 1 else 2 ** 14)
+
     def test_a_saved_model_keeps_the_shared_slope(self, tmp_path):
         """A save_model / load_model round trip of perfbench's kan_small
         model keeps the shared slope: the same tiles, op counts and output

@@ -1807,6 +1807,42 @@ class TestLayerLayout:
         assert stand_ins and not any(found.base.unfolded for found in stand_ins)
 
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dims=st.lists(st.integers(1, 8), min_size=2, max_size=4), g=st.integers(1, 6),
+           k=st.integers(1, 4), path=st.sampled_from(["lazy", "naive"]),
+           comparator_mode=st.sampled_from(["composite", "exact"]), seed=st.integers(0, 2 ** 16))
+    @example(dims=[3, 4], g=2, k=1, path="lazy", comparator_mode="exact", seed=0)
+    @example(dims=[64, 10], g=3, k=1, path="lazy", comparator_mode="exact", seed=0)
+    def test_planner_never_nests(self, dims, g, k, path, comparator_mode, seed):
+        # _layout asks for the plan only when a shared pair is strictly
+        # cheaper, and the planner's 1 x 1 stand-in has none, so no plan
+        # runs inside another; the spy runs every plan uncached, so a nested
+        # call would show even when the cache holds its key, and stops it
+        # before it recurses (at the exact comparator's k = 1 on the lazy
+        # path the plan forbids sharing)
+        running, calls = [], []
+
+        def spy(*args, _run=inference._plan.__wrapped__):
+            assert not running, f"a plan of {args[1:3]} ran inside the plan of {running}"
+            calls.append(args)
+            running.append(args[1:3])
+            try:
+                return _run(*args)
+            finally:
+                running.pop()
+
+        mdl = random_model(dims, g=g, k=k, seed=seed)
+        cfg = PipelineConfig(path=path, comparator_mode=comparator_mode)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_plan", spy)
+            plan = plan_model(mdl, cfg)
+            be = HeBackend(BackendConfig(slot_count=_smallest_slot_count(mdl, cfg),
+                                         depth_budget=plan.total))
+            x = np.random.default_rng(seed).uniform(-1, 1, dims[0])
+            model_forward_he(mdl, encrypt_input(x, mdl, be), cfg)
+        assert calls
+
+
 class TestPlanStagesJoinMeasuredDrops:
     """Each planned stage joined to the level drop of the function that
     runs it, layer by layer, as perfbench's plan_mismatch joins them."""

@@ -119,43 +119,75 @@ class TestLayoutKeepsSchedules:
             assert len(layout.maps) == len(layer.spline_maps(path))
 
     @pytest.mark.parametrize("path", PATHS)
-    def test_comparators_share_the_path_schedules(self, request, path):
-        # W_b's shared-or-own choice is the only one a comparator makes: the
-        # second comparator's record takes the first's schedules, diagonals
-        # included
+    def test_comparators_keep_their_own_schedules(self, request, path):
+        # the two comparators' records of one path choose alike (W_b's block
+        # sum on the last map's geometry) but share no schedule object; each
+        # schedule builds its diagonals once, and a second mirror builds none
         mdl = random_model([256, 10], g=10, k=5, seed=0)
         for mode in ("composite", "exact"):  # the planner's stand-ins build their own
             plan_model(mdl, PipelineConfig(path=path, comparator_mode=mode))
         builds = request.getfixturevalue("builds")
         comparators = (build_composite_sign(), EXACT_COMPARATOR)
+        x = np.linspace(-0.8, 0.7, 256)
         for comparator in comparators:
-            model_forward_plain(mdl, np.linspace(-0.8, 0.7, 256), mode="mirrored",
-                                comparator=comparator, path=path)
+            model_forward_plain(mdl, x, mode="mirrored", comparator=comparator, path=path)
+        done = dict(builds)
+        for comparator in comparators:
+            model_forward_plain(mdl, x, mode="mirrored", comparator=comparator, path=path)
+        assert builds == done
         layer = mdl.layers[0]
         first, second = (layer.layouts[(path, comparator)] for comparator in comparators)
-        assert first is not second
         assert len(first.maps) == len(second.maps) == len(layer.spline_maps(path))
-        assert all(a is b for a, b in zip(first.maps, second.maps))
-        assert first.base.unfolded and second.base is first.base
-        assert builds["diagonals"] == sum(s.W is not None for s in (first.base, *first.maps))
+        assert first.base.unfolded and second.base.unfolded
+        assert [s.geometry for s in first.maps] == [s.geometry for s in second.maps]
+        kept = [s for layout in (first, second) for s in (layout.base, *layout.maps)]
+        assert len({id(s) for s in kept}) == len(kept)
+        assert builds["diagonals"] == sum(s.W is not None for s in kept)
 
-    def test_paths_share_the_base_schedule(self):
-        # W_b's schedule on the last map's geometry reads only W_b and that
-        # map's shape, which the lazy path's fused weights and the naive
-        # path's W' share: one record lends it to the other path, so the
-        # layer keeps one 22.5 KB copy of its diagonals (gcd(11, 256) = 1 of
-        # lcm(11, 256) = 2816 slots, on the front-padded map's p = 11)
+    def test_records_hold_their_own_schedules(self):
+        # the four (path, comparator) records of one layer share no schedule
+        # object: each keeps its own 22.5 KB copy of W_b's diagonals
+        # (gcd(11, 256) = 1 of lcm(11, 256) = 2816 slots, on the front-padded
+        # map's p = 11), and each gives the encrypted output its mirror gives,
+        # bit for bit
         mdl = random_model([256, 10], g=10, k=5, seed=0)
+        x = np.linspace(-0.8, 0.7, 256)
         for path in PATHS:
-            for comparator in (build_composite_sign(), EXACT_COMPARATOR):
-                model_forward_plain(mdl, np.linspace(-0.8, 0.7, 256), mode="mirrored",
-                                    comparator=comparator, path=path)
+            for mode in ("composite", "exact"):
+                cfg = PipelineConfig(path=path, comparator_mode=mode)
+                mirrored = model_forward_plain(mdl, x, mode="mirrored",
+                                               comparator=cfg.comparator(), path=path)
+                be = make_backend(BackendConfig(slot_count=2 ** 15,
+                                                depth_budget=plan_model(mdl, cfg).total))
+                out, _ = model_forward_he(mdl, encrypt_input(x, mdl, be), cfg)
+                np.testing.assert_array_equal(be.decrypt(out)[:10].view(np.int64),
+                                              mirrored.view(np.int64))
         layouts = list(mdl.layers[0].layouts.values())
         assert len(layouts) == 4 and all(layout.base.unfolded for layout in layouts)
-        bases = {id(layout.base): layout.base for layout in layouts}.values()
-        assert sum(base.all_diagonals.nbytes for base in bases) == 22_528
-        lazy, naive = (mdl.layers[0].layouts[(path, EXACT_COMPARATOR)] for path in PATHS)
-        assert lazy.maps[-1] is not naive.maps[-1]  # the maps stay the path's own
+        kept = [s for layout in layouts for s in (layout.base, *layout.maps)]
+        assert len({id(s) for s in kept}) == len(kept)
+        assert [layout.base.all_diagonals.nbytes for layout in layouts] == [22_528] * 4
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_record_does_not_depend_on_the_others(self, order):
+        # a record built after the layer's other records equals the one a
+        # fresh copy of the layer builds first: same copies, same schedules,
+        # same diagonals (a permutation's offsets)
+        def fingerprint(layout):
+            return (layout.copies, *((s.geometry, s.over, s.repeated, s.n_out,
+                                      (s.offset if s.W is None else s.all_diagonals).tobytes())
+                                     for s in (layout.base, *layout.maps)))
+
+        keys = [(path, comparator) for path in PATHS
+                for comparator in (build_composite_sign(), EXACT_COMPARATOR)]
+        keys = keys[order:] + keys[:order]
+        mdl = random_model([64, 10], g=3, k=1, seed=0)
+        warm = mdl.layers[0]
+        for path, comparator in keys:
+            inference._layout(warm, path, comparator)
+        for key in keys:
+            cold = random_model([64, 10], g=3, k=1, seed=0).layers[0]
+            assert fingerprint(inference._layout(cold, *key)) == fingerprint(warm.layouts[key])
 
     @pytest.mark.parametrize("path", PATHS)
     def test_layer_passes_the_layout_schedules(self, monkeypatch, path):

@@ -4,10 +4,11 @@ its run count, one sha256 per noise level, one per comparator mode and one
 over everything;
 ``code_lines.py`` prints one count per ``src/hekan`` module, then their
 total; ``stage_counts.py`` prints each labelled stage's op counts and a
-total per (model, path). No linter ships with the project, so one more check here walks the
+total per (model, path), then each layer's layout. No linter ships with the project, so one more check here walks the
 package's syntax trees: no module imports a name it never references."""
 
 import ast
+import functools
 import importlib.util
 import re
 import subprocess
@@ -27,11 +28,12 @@ def _load(name: str):
     return module
 
 
-def _run(name: str) -> list:
+@functools.cache
+def _run(name: str) -> tuple:
     done = subprocess.run([sys.executable, str(TOOLS / f"{name}.py")], cwd=ROOT,
                           capture_output=True, text=True, check=True, timeout=300)
     assert done.stderr == ""
-    return done.stdout.splitlines()
+    return tuple(done.stdout.splitlines())
 
 
 def test_bit_digest_prints_runs_and_digests():
@@ -68,7 +70,7 @@ def test_stage_counts_prints_each_stage_and_the_total():
     tool = _load("stage_counts")
     header, *lines = _run("stage_counts")
     assert header == "model path stage rotations pt_mults ct_mults"
-    rows = [line.split(" ") for line in lines]
+    rows = [line.split(" ") for line in lines if line.split(" ")[2] != "layout"]
     keys = [(model, path) for model, *_ in tool.MODELS for path in ("lazy", "naive")]
     assert [tuple(row[:3]) for row in rows] == [
         (*key, stage) for key in keys for stage in (*tool.STAGES, "total")]
@@ -94,6 +96,26 @@ def test_stage_counts_prints_each_stage_and_the_total():
     jittered, spaced = (counts[keys.index((m, "lazy"))] for m in ("jittered(64,3,2)", "(64,3,2)"))
     assert (jittered - spaced).tolist() == [[0, 1, 0] if i in (recursion, len(tool.STAGES))
                                             else [0, 0, 0] for i in range(len(tool.STAGES) + 1)]
+
+
+def test_stage_counts_prints_each_layers_layout_after_its_total():
+    tool = _load("stage_counts")
+    _, *lines = _run("stage_counts")
+    layers = {model: len(dims) - 1 for model, dims, *_ in tool.MODELS}
+    heads = [tuple(line.split(" ")[:4 if " layout " in line else 3]) for line in lines]
+    assert heads == [head for model, *_ in tool.MODELS for path in ("lazy", "naive")
+                     for head in (*((model, path, stage) for stage in (*tool.STAGES, "total")),
+                                  *((model, path, "layout", str(i)) for i in range(layers[model])))]
+    layouts = {head: line.split(" ", 4)[4] for head, line in zip(heads, lines) if len(head) == 4}
+    form = r"last=\d+,\d+,(front|default) base=(own|shared,g=\d+,giants=\d+) copies=\d+"
+    assert all(re.fullmatch(form, fields) for fields in layouts.values())
+    # perfbench's pinned layers: the front-padded p = 11 map with W_b's one
+    # shared diagonal on (256,10,5), and kan_small's two layers
+    assert layouts["(256,10,5)", "lazy", "layout", "0"] == (
+        "last=11,5632,front base=shared,g=1,giants=1 copies=32")
+    assert [layouts["kan_small", "lazy", "layout", i] for i in "01"] == [
+        "last=5,20,front base=shared,g=1,giants=1 copies=16",
+        "last=1,64,default base=shared,g=1,giants=1 copies=16"]
 
 
 def _unused_imports(path: Path) -> list:

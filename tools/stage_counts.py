@@ -12,7 +12,7 @@ labelled stage and a total line:
 
     python tools/stage_counts.py
 
-Each line reads ``<model> <path> <stage> <rotations> <pt_mults>
+A count line reads ``<model> <path> <stage> <rotations> <pt_mults>
 <ct_mults>``. The stages are the layer program's labels in pipeline order
 (STAGES), summed over the model's layers; ``total`` is the forward's
 whole count. A stage is charged the ops counted since the label before it
@@ -21,7 +21,18 @@ subclass whose label hook ``_stage`` records them. When W_b's block sum
 shares the last spline map's fold chain, its baby rotations and products
 are charged to ``base_matvec`` and the shared giant rotations and folds to
 ``spline_matvec``. Counts depend on shapes alone, so every model is drawn
-with seed 0. The script imports hekan from the ``src`` directory next to it.
+with seed 0.
+
+After each (model, path)'s total, one line per layer gives the layer's
+record (``KanLayer.layouts``) that the forward ran:
+
+    <model> <path> layout <layer> last=<p>,<L>,<front|default> base=<form> copies=<c>
+
+``last`` is the last spline map's geometry, front-padded or its default;
+``base`` is W_b's schedule, ``own`` or ``shared,g=<g>,giants=<gs>`` (its
+block sum on the last map's geometry: g diagonals in gs giant blocks);
+``copies`` is the packed operand's copy count. The script imports hekan
+from the ``src`` directory next to it.
 """
 
 from __future__ import annotations
@@ -96,6 +107,17 @@ def main() -> None:
             for name, counts in (*be.stages.items(),
                                  ("total", (c.rotations, c.pt_mults, c.ct_mults))):
                 print(label, path, name, *map(int, counts))
+            comparator = cfg.comparator()
+            for i, layer in enumerate(model.layers):
+                print(label, path, "layout", i, layout_fields(layer.layouts[path, comparator]))
+
+
+def layout_fields(layout) -> str:
+    """The last map's geometry, W_b's form and the copies of a layout."""
+    p, L, front = layout.maps[-1].geometry
+    base = layout.base
+    form = f"shared,g={base.shape[0]},giants={base.split[1]}" if base.unfolded else "own"
+    return f"last={p},{L},{'front' if front else 'default'} base={form} copies={layout.copies}"
 
 
 if __name__ == "__main__":
