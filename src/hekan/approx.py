@@ -4,8 +4,9 @@ Covers range estimation from activation samples, weighted/ordinary least
 squares and Remez minimax fitting, a depth-minimal homomorphic polynomial
 evaluator (the balanced power tree, and Knuth's monic sextic form, which
 the layer's SiLU takes when it certifies), and the two comparators used by the encrypted B-spline
-machinery: the composite-polynomial sign (one scalar multiply per call,
-its later stages monic) and the exact step oracle. Each schedule is one
+machinery: the composite-polynomial sign (one scalar multiply per call on
+a raw difference, none on one folded into its first stage's unit; its
+later stages monic) and the exact step oracle. Each schedule is one
 program in the backend's op vocabulary: the backend runs it on a
 ciphertext's live window (see eval_poly_he), the mirror on plain arrays
 (backend._ArrayOps), so the two agree bit for bit.
@@ -632,7 +633,13 @@ class CompositeSign:
     """Composition of odd minimax polynomials approximating sign on
     +-[delta, 1], with |composed(x) - sign(x)| <= target_eps certified for
     |x| in [delta, 1]. Its target is checked as build_composite_sign's
-    (``_check_target``), before any factoring."""
+    (``_check_target``), before any factoring.
+
+    ``unit`` is the first stage's own input unit nu_1, the real deg-th
+    root of its leading constant (times the later stages' units): a
+    difference that arrives already times nu_1 (``folded``) runs the first
+    stage monic too, with no pt mult. -1.7204 for the default comparator,
+    1.9288 for criterion 4's (7, 2^-10)."""
 
     stages: tuple
     precision_alpha: float
@@ -646,49 +653,70 @@ class CompositeSign:
         # in the unit nu its successor reads (1/2 after the last stage, for
         # step), and every stage after the first is monic in its own input's
         # unit, so the first stage's scalar carries every leading constant.
-        # step and certified_max_error both run these factors, so the
-        # certificate checks the program that runs and a badly conditioned
-        # factoring fails it instead of running.
-        factored, out = [], 0.5
-        for i in reversed(range(len(self.stages))):
-            factored.append(_OddStage.of(self.stages[i], out, monic=i > 0))
-            out = factored[-1].nu
-        object.__setattr__(self, "_factored", tuple(reversed(factored)))
+        # The first stage is factored twice: with that scalar, for a raw
+        # difference, and monic in its own unit, for a folded one. step and
+        # certified_max_error both run these factors, so the certificate
+        # checks the programs that run and a badly conditioned factoring
+        # fails it instead of running.
+        later, out = [], 0.5
+        for stage in reversed(self.stages[1:]):
+            later.insert(0, _OddStage.of(stage, out, monic=True))
+            out = later[0].nu
+        programs = tuple((_OddStage.of(self.stages[0], out, monic), *later)
+                         for monic in (False, True))
+        object.__setattr__(self, "_programs", programs)
 
     @property
     def delta(self) -> float:
         return 2.0 ** (-self.precision_alpha)
 
-    def depth(self) -> int:
-        """Levels consumed by step: the sum of the stages' (_OddStage),
-        poly_eval_depth of each unless a later stage has degree 1."""
-        return sum(stage.depth for stage in self._factored)
+    @property
+    def unit(self) -> float:
+        return self._programs[True][0].nu
 
-    def step(self, ops, d):
+    def depth(self, folded: bool = False) -> int:
+        """Levels consumed by step: the sum of the stages' (_OddStage),
+        poly_eval_depth of each unless a later stage has degree 1; a
+        folded degree-1 first stage spends none."""
+        return sum(stage.depth for stage in self._programs[folded])
+
+    def step(self, ops, d, folded: bool = False):
         """The comparator's program: (s + 1)/2 of the composed sign s, as
-        the stages (the first with its scalar, the rest monic), which
-        return s/2, plus 1/2."""
-        for stage in self._factored:
+        the stages (the first with its scalar, or monic on a ``folded`` d,
+        which arrives times ``unit``; the rest monic), which return s/2,
+        plus 1/2."""
+        for stage in self._programs[folded]:
             d = stage.run(ops, d)
         return ops.add(d, 0.5)
 
     def certified_max_error(self) -> float:
         """Max |2 step(y) - 2| (that is, |composed(y) - 1| as step computes
-        it) over 100000 points of [delta, 1]."""
+        it) over 100000 points of [delta, 1], of both programs: on y, and
+        folded on y times ``unit``."""
+        return max(self._errors())
+
+    def _errors(self):
+        """certified_max_error's two maxima, the raw program's first, each
+        computed when asked for (``build_composite_sign`` stops at the
+        first past its target)."""
         y = np.linspace(self.delta, 1.0, 100_000)
-        return float(np.max(np.abs(2.0 * self.step(_ArrayOps(y), y) - 2.0)))
+        for d, folded in ((y, False), (y * self.unit, True)):
+            yield float(np.max(np.abs(2.0 * self.step(_ArrayOps(d), d, folded) - 2.0)))
 
 
 class ExactComparator:
     """Step-function oracle: its program is the exact step of d as a
     trivial encryption (ops.const), so it consumes no depth and counts no
     operations. Only meaningful on the arithmetic simulator; useful to
-    isolate comparator error from the rest of the pipeline."""
+    isolate comparator error from the rest of the pipeline. It has no
+    scalar to fold: its unit is 1."""
 
-    def depth(self) -> int:
+    unit = 1.0
+
+    def depth(self, folded: bool = False) -> int:
         return 0
 
-    def step(self, ops, d):
+    def step(self, ops, d, folded: bool = False):
         return ops.const(step_clear(d))
 
 
@@ -703,7 +731,8 @@ def step_clear(d: np.ndarray) -> np.ndarray:
 
 # Candidate stage-degree plans in the order they are tried: by total depth,
 # then by the ct and pt mults of one call's program (_OddStage's counts;
-# every plan spends one pt mult, on its first stage's scalar). Degree 7
+# every plan spends one pt mult on a raw difference, on its first stage's
+# scalar, and none on a folded one). Degree 7
 # costs 3 levels, 15 costs 4, 31 costs 5. At depth 10, three degree-7/15
 # stages cost 15 ct mults and 1 pt mult per call against 26 and 1 for
 # (31, 31). Of the three tied plans, (7, 7, 15) composes the smallest
@@ -727,8 +756,9 @@ _STAGE_PLANS = (
 # The default comparator: certified to 2^-20 for inputs at least 2^-5 from
 # zero. Its first certifying plan is (7, 7, 15): depth 10 (the step map's
 # halving is carried into the first stage's scalar), 15 ct mults, 1 pt
-# mult and 15 adds per call, a composed error of 2.1e-7 and power-basis
-# coefficients of at most 96 in absolute value. Run in product form with
+# mult (none folded, in its unit -1.7204) and 15 adds per call, a
+# composed error of 2.1e-7 and power-basis coefficients of at most 96 in
+# absolute value. Run in product form with
 # monic later stages (input units nu of 0.855 and -0.861, so every
 # intermediate stays near +-1), a noisy backend's sigma = 1e-8 moves its
 # output by at most about 1.3e-7. In a B-spline basis the far-field
@@ -757,7 +787,7 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
 
     Tries the stage-degree plans of _STAGE_PLANS (by depth, then by one
     call's ct and pt mults) and returns the first whose composed error
-    certifies below target_eps on a dense grid.
+    certifies below target_eps on a dense grid, raw and folded.
     InvalidArgument before any fit for a target outside its domain
     (``_check_target``).
     """
@@ -781,24 +811,28 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
         if not feasible:
             continue
         cs = CompositeSign(tuple(stages), float(alpha), float(target_eps))
-        if cs.certified_max_error() <= target_eps:
+        if all(error <= target_eps for error in cs._errors()):
             return cs
     raise RemezNonConvergence(
         f"no stage plan certified eps <= {target_eps} for alpha = {alpha}")
 
 
-def poly_comp(a: CipherText, b, comparator) -> CipherText:
+def poly_comp(a: CipherText, b, comparator, folded: bool = False) -> CipherText:
     """Slot-wise step(a - b): ~1 where a > b, ~0 where a < b, 1/2 at ties.
 
     The one runner of both comparators: comparator.step runs on the
     difference's window (HeBackend.run_on_window) and consumes
-    comparator.depth() levels; on an array (the mirror) it runs on the
-    array. The caller keeps |a - b| <= 1; in the
+    comparator.depth(folded) levels; on an array (the mirror) it runs on
+    the array. The caller keeps |a - b| <= 1; in the
     pipeline the range contract does (input and knots in [-R, R], both in
     units of 2R: the packing mask scales the input by 1/(2R), and the knot
     tiles are built scaled). The composite comparator is certified only
-    for |a - b| >= its delta.
+    for |a - b| >= its delta. A raw difference costs the composite its
+    first stage's scalar, one pt mult. ``folded``: a - b arrives times
+    ``comparator.unit`` as well (the basis's, whose packing mask carries
+    it), and the step is that of (a - b) / unit, with no pt mult.
     """
     ops = _ops_of(a)
     d = ops.sub(a, b)
-    return ops.run_on_window(d, lambda w: comparator.step(w, w.x), comparator.depth())
+    return ops.run_on_window(d, lambda w: comparator.step(w, w.x, folded),
+                             comparator.depth(folded))

@@ -5,8 +5,9 @@ into one operand in comparator units (``repeat_pack``, the one builder of
 what the basis and the layer's SiLU branch read), evaluates all B-spline
 basis functions in parallel on it through comparator-based interval tests
 (one comparator call over every knot column) and the Cox-de Boor
-recursion, and provides the permutation / weight-fusion algebra that lets
-the basis output feed a linear layer without any homomorphic reordering.
+recursion (two orders a level on equally spaced grids), and provides the
+permutation / weight-fusion algebra that lets the basis output feed a
+linear layer without any homomorphic reordering.
 """
 
 from __future__ import annotations
@@ -82,17 +83,36 @@ class GridMatrix:
     @property
     def scale(self) -> float:
         """1/(2R), the comparator's unit: it maps an input and a knot in
-        [-R, R] to a difference in [-1, 1]. The basis runs in this unit."""
+        [-R, R] to a difference in [-1, 1]. The basis runs in this unit,
+        times the comparator's first scalar in the layer (``repeat_pack``'s
+        ``unit``)."""
         return 1.0 / (2.0 * self.R)
 
     @cached_property
-    def tiles(self) -> tuple:
-        """basis_tiles of this grid, built on first use and read-only: the
-        knots cannot change, so every basis evaluation reuses them."""
-        tiles = basis_tiles(self)
-        for a in tiles:
-            a.setflags(write=False)
+    def equally_spaced(self) -> bool:
+        """The one spacing rule, made once from the knots alone: every row
+        i is equally spaced, each gap within SPACING_TOL (1e-12) * h_i of
+        h_i = (t_{g+2k} - t_0) / (g + 2k). ``GridMatrix.uniform`` (so
+        ``random_model``, the CLI and a model file's uniform grid) builds
+        such grids, and knots written as short decimals stay within the
+        tolerance. The basis program (``bspline_basis_he``) and the
+        planner's key (``inference.plan_layer``) read it."""
+        h = (self.entries[:, -1:] - self.entries[:, :1]) / (self.entries.shape[1] - 1)
+        return bool(np.all(np.abs(np.diff(self.entries, axis=1) - h) <= SPACING_TOL * h))
+
+    def tiles(self, unit: float = 1.0) -> tuple:
+        """basis_tiles(self, unit), built on first use per unit and
+        read-only: the knots cannot change, so every basis evaluation in
+        that unit reuses them."""
+        if (tiles := self._tiles.get(unit)) is None:
+            tiles = self._tiles[unit] = basis_tiles(self, unit)
+            for a in tiles[:3]:
+                a.setflags(write=False)
         return tiles
+
+    @cached_property
+    def _tiles(self) -> dict:
+        return {}
 
     @property
     def n_basis(self) -> int:
@@ -214,25 +234,28 @@ def basis_copies(g: int, k: int) -> int:
     return 1 << (g + 2 * k).bit_length()
 
 
-def repeat_pack(ct: CipherText, G: GridMatrix, copies: int | None = None) -> CipherText:
+def repeat_pack(ct: CipherText, G: GridMatrix, copies: int | None = None,
+                unit: float = 1.0) -> CipherText:
     """Fast repeat packing, the one builder of the operand the basis reads
     (and the layer's SiLU branch with it), on a ciphertext or an array
-    (the mirror): ct's n_i input slots times G.scale, the comparator's
-    unit, as ``copies`` copies back to back over a zero tail. copies
-    defaults to ``basis_copies(g, k)``; the layer program passes its
-    layout's (``inference.LayerLayout.copies``), a power-of-two multiple
-    of it.
+    (the mirror): ct's n_i input slots times G.scale * unit, as ``copies``
+    copies back to back over a zero tail. G.scale maps [-R, R] into the
+    comparator's [-1/2, 1/2]; the layer program passes its comparator's
+    ``unit`` as well, so that the comparator's first scalar rides on the
+    mask (``bspline_basis_he``'s ``folded``). copies defaults to
+    ``basis_copies(g, k)``; the layer program passes its layout's
+    (``inference.LayerLayout.copies``), a power-of-two multiple of it.
 
     One mask multiply, then one doubling chain (``_double_copies``). ct
     arrives holding ``ct.copies`` copies (set by
     ``inference.encrypt_input``; 1 for an array or a raw ``encrypt``),
-    capped at copies; the mask full(n_i * arrived, G.scale) keeps them and
-    carries the scale at no extra cost, and the doublings start from them,
-    so the copies that arrived save as many rotations as they double. It
-    costs one level (the mask) and log2(copies / arrived) rotations. Each
-    doubling adds exact zeros, so every copy holds the value of copy 0
-    however many arrived (a doubling turns a -0 into +0). A ciphertext
-    result states its copies and width n_i.
+    capped at copies; the mask full(n_i * arrived, G.scale * unit) keeps
+    them and carries the scale at no extra cost, and the doublings start
+    from them, so the copies that arrived save as many rotations as they
+    double. It costs one level (the mask) and log2(copies / arrived)
+    rotations. Each doubling adds exact zeros, so every copy holds the
+    value of copy 0 however many arrived (a doubling turns a -0 into +0).
+    A ciphertext result states its copies and width n_i.
 
     Raises before any op: InvalidArgument unless copies and the arrived
     copies are powers of two, ShapeMismatch when ct states a width other
@@ -247,7 +270,8 @@ def repeat_pack(ct: CipherText, G: GridMatrix, copies: int | None = None) -> Cip
     _check_layout(ct, n_i)
     ops = _ops_of(ct)
     _check_copies(ops.slot_count, n_i, copies)
-    xp = _double_copies(ops.mul(ct, np.full(n_i * arrived, G.scale)), n_i, arrived, copies)
+    xp = _double_copies(ops.mul(ct, np.full(n_i * arrived, G.scale * unit)), n_i, arrived,
+                        copies)
     return replace(xp, copies=copies, width=n_i) if isinstance(xp, CipherText) else xp
 
 
@@ -286,54 +310,70 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def basis_depth(k: int, comparator) -> int:
+def basis_depth(k: int, comparator, equally_spaced: bool = True) -> int:
     """Levels bspline_basis_he consumes from its input, ``repeat_pack``'s
-    output, read off one run on a probe backend: for k >= 1,
-    max(comparator.depth(), 1) + k."""
+    output, as the layer program runs it (folded into the comparator's
+    unit), read off one run on a probe backend. With d =
+    comparator.depth(True) and k >= 1: max(d, 1) + k on a grid of unequal
+    spacing; on an equally spaced one max(d, 1) + ceil((k - 1) / 2) + 1,
+    or max(d, 2) + (k - 1) / 2 + 1 for odd k >= 3, whose first pair reads
+    w * w (bspline_basis_he)."""
     ct = _Probe().encrypt(0.0)
-    G = GridMatrix.uniform(1, 1, k, -1.0, 1.0)
-    return ct.level - bspline_basis_he(ct, G, comparator).level
+    return ct.level - bspline_basis_he(ct, _stand_in(k, equally_spaced), comparator,
+                                       folded=True).level
 
 
-def basis_tiles(G: GridMatrix):
-    """Plaintext tiles of the basis evaluation, in comparator units (the
-    knots times G.scale, as the packed input is), column-tiled and
-    zero-padded to the width the basis reads, n_i * basis_copies(g, k),
-    so a tile op on a packed input reuses the tile.
+def _stand_in(k: int, equally_spaced: bool) -> GridMatrix:
+    """The planners' one-feature grid for every grid of degree k and that
+    spacing class: g = 1, R = 1/2 and knots spread over [-1/2, 1/2],
+    equally spaced, or not, with every other interior knot moved by a
+    tenth of the spacing."""
+    knots = np.linspace(-0.5, 0.5, 2 * k + 2)
+    if not equally_spaced:
+        knots[1:-1:2] += 0.1 / (2 * k + 1)
+    return GridMatrix(knots[None], 1, k, 0.5)
 
-    Returns (knots, de_boor, last) in terms of the scaled knots t. knots
-    is the comparator call's tile, the g + 2k + 1 knot columns less 1/2
-    (zero past them): the call compares x - 1/2 with it, which is x
-    against a knot tile padded with R (1/2 in comparator units) in every
-    slot past the knots, past the width included.
+
+def basis_tiles(G: GridMatrix, unit: float = 1.0):
+    """Plaintext tiles of the basis evaluation on an input in units of
+    G.scale * unit (``repeat_pack``'s), the knots t times that unit,
+    column-tiled and zero-padded to the width the basis reads,
+    n_i * basis_copies(g, k), so a tile op on a packed input reuses the
+    tile.
+
+    Returns (knots, weights, last, c). knots is the comparator call's
+    tile, the g + 2k + 1 knot columns less unit/2 (zero past them): the
+    call compares x - unit/2 with it, which is x against a knot tile
+    padded with R (unit/2 in these units) in every slot past the knots,
+    past the width included.
 
     The recursion runs on N_j = j! B_j (de Boor's cardinal form), so an
     order's weights need no 1/j: N_{m,j} = v_m N_{m,j-1} + (j - v_{m+1})
     N_{m+1,j-1} with v_m = j (x - t_m) / (t_{m+j} - t_m), and B_k = N_k / k!.
-    Each weight is an affine map of the input, x * s - t * s. de_boor is
-    an (m, 2, width) array of (slope, offset) tiles for orders 1..k-1,
-    order j's on blocks m = 0..g + 2k - j, zero past them. last holds the
-    last order's slopes, then its two offsets: the factors
-    (x - t_m) / ((k-1)! (t_{m+k} - t_m)) of N_m and
-    (x - t_{m+k+1}) / ((k-1)! (t_{m+k+1} - t_{m+1})) of N_{m+1}, on blocks
-    m < g + k and zero past slot n_i(g + k), so that order zeroes every
-    later slot.
+    Each weight is an affine map of the input, x * s - t * s, held in
+    weights, an (m, 2, width) array of (slope, offset) tiles. The ratios
+    are those of the unscaled knots: the unit cancels.
 
-    The rule, made once from the knots alone: a grid whose every row i is
-    equally spaced, each gap within SPACING_TOL (1e-12) * h_i of
-    h_i = (t_{g+2k} - t_0) / (g + 2k), has v_m = (x - t_m) / h_i at every
-    order. Its de_boor holds one pair, (1/h_i, t_m/h_i) on blocks
-    m < g + 2k, which every order shares, and its last order one slope,
-    1 / (k! h_i), which both factors share: 2 plaintext multiplies for the
-    whole recursion. ``GridMatrix.uniform`` (so ``random_model``, the CLI
-    and a model file's uniform grid) builds such grids, and knots written
-    as short decimals stay within the tolerance. Any other grid keeps one
-    slope per weight: k - 1 pairs in de_boor and two slopes in last, k + 1
-    plaintext multiplies. The ratios are those of the unscaled knots: the
-    scale cancels.
+    On an equally spaced grid (``GridMatrix.equally_spaced``) v_m =
+    (x - t_m) / h_i at every order, h_i row i's spacing. weights holds one
+    pair (none for k = 1), for w = v / c on blocks m < g + 2k, which every
+    order shares; c is the least integer >= 1 with |v| <= 8c for every x
+    in [-R, R] on those blocks (1 to 3 on uniform grids with g <= 10,
+    k <= 5), so w * w <= 64. last holds the last order's first factor
+    f1 = (x - t_m) / (k! h_i), as its slope and offset, and the constant
+    C = (k + 1) / k!, by which the second factor falls short of f1, on
+    blocks m < g + k and zero past slot n_i(g + k), so that order zeroes
+    every later slot.
+
+    Any other grid keeps one weight per order, c = 0: weights holds order
+    j's pair for j = 1..k-1, on blocks m = 0..g + 2k - j, zero past them,
+    and last the last order's two slopes, then its two offsets: the
+    factors (x - t_m) / ((k-1)! (t_{m+k} - t_m)) of N_m and
+    (x - t_{m+k+1}) / ((k-1)! (t_{m+k+1} - t_{m+1})) of N_{m+1}, on blocks
+    m < g + k and zero past slot n_i(g + k).
     """
     k, n_i, r = G.k, G.n_i, G.g + 2 * G.k + 1
-    t = G.entries * G.scale
+    t = G.entries * (G.scale * unit)
     width = n_i * basis_copies(G.g, k)
 
     def tiles(*blocks):  # n_i x c blocks, each column-tiled over a zero tail
@@ -342,32 +382,43 @@ def basis_tiles(G: GridMatrix):
             row[:block.size] = block.T.ravel()
         return out
 
+    knots = tiles(t - unit / 2)[0]
     if not k:
-        return tiles(t - 0.5)[0], np.zeros((0, 2, width)), np.zeros((0, width))
-    h, c = (t[:, -1:] - t[:, :1]) / (r - 1), math.factorial(k - 1)
-    if np.all(np.abs(np.diff(t, axis=1) - h) <= SPACING_TOL * h):  # one shared slope
-        slopes = [np.broadcast_to(1 / h, (n_i, r - 1))][:k - 1]
-        last = (np.broadcast_to(1 / (k * c * h), (n_i, r - k - 1)),)
+        return knots, np.zeros((0, 2, width)), np.zeros((0, width)), 0
+    fact = math.factorial(k - 1)
+    if G.equally_spaced:
+        h, E = (t[:, -1:] - t[:, :1]) / (r - 1), G.entries
+        v = (G.R + np.max(np.abs(E[:, :-1]), axis=1)) * (r - 1) / (E[:, -1] - E[:, 0])
+        c = max(1, math.ceil(float(np.max(v)) / 8))
+        slopes = [np.broadcast_to(1 / (c * h), (n_i, r - 1))][:k - 1]
+        s1 = np.broadcast_to(1 / (k * fact * h), (n_i, r - k - 1))
+        last = tiles(s1, t[:, :-k - 1] * s1, np.full(s1.shape, (k + 1) / (k * fact)))
     else:
+        c = 0
         slopes = [j / (t[:, j:] - t[:, :-j]) for j in range(1, k)]
-        last = (1 / (c * (t[:, k:-1] - t[:, :-k - 1])), 1 / (c * (t[:, k + 1:] - t[:, 1:-k])))
-    de_boor = np.reshape([tiles(s, t[:, :s.shape[1]] * s) for s in slopes], (-1, 2, width))
-    return tiles(t - 0.5)[0], de_boor, tiles(*last, t[:, :-k - 1] * last[0],
-                                             t[:, k + 1:] * last[-1])
+        s1, s3 = (1 / (fact * (t[:, k:-1] - t[:, :-k - 1])),
+                  1 / (fact * (t[:, k + 1:] - t[:, 1:-k])))
+        last = tiles(s1, s3, t[:, :-k - 1] * s1, t[:, k + 1:] * s3)
+    weights = np.reshape([tiles(s, t[:, :s.shape[1]] * s) for s in slopes], (-1, 2, width))
+    return knots, weights, last, c
 
 
-def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
+def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
+                     folded: bool = False) -> CipherText:
     """All-basis evaluation on xp, ``repeat_pack``'s output: the input in
     comparator units (times G.scale, as the knot tiles are, basis_tiles)
     as at least basis_copies(g, k) copies over a zero tail, a ciphertext
-    or an array (the mirror). Interval membership comes from one
+    or an array (the mirror). ``folded``: xp is
+    ``repeat_pack(ct, G, unit=comparator.unit)``'s, times the comparator's
+    first scalar as well, as the layer program packs it; the tiles are
+    built in that unit and the comparator runs with no pt mult
+    (``approx.poly_comp``). Interval membership comes from one
     comparator call (poly_comp) against all g + 2k + 1 knot columns, whose
     step h differs from itself read one block ahead by the order-0 basis,
-    then the slot-parallel Cox-de Boor recursion, one rotation per order.
-    Slot m * n_i + i of the result holds B_m(x_i) for m < g + k. The
-    public composition is ``bspline_basis_he(repeat_pack(ct, G), G,
-    comparator)``; copies past the g + 2k + 1 the call reads hold the same
-    values and change nothing.
+    then the slot-parallel Cox-de Boor recursion. Slot m * n_i + i of the
+    result holds B_m(x_i) for m < g + k. The public composition is
+    ``bspline_basis_he(repeat_pack(ct, G), G, comparator)``; copies past
+    the g + 2k + 1 the call reads hold the same values and change nothing.
 
     Raises before any op: PackingOverflow unless n_i * basis_copies(g, k)
     slots fit (the packed layout's fit law, ``_check_copies``), then
@@ -388,60 +439,92 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     multiply, and one comparator call where the two steps took two. At a
     knot t_m the two blocks that meet there read the same step(0) = 1/2,
     so their values sum to 1, as the recursion's first order needs. The
-    comparator reads x - 1/2 against the knots less 1/2 (basis_tiles), so
-    every block past the knots, and every slot past the width, reads
-    step(x - 1/2), in comparator units: 0, or 1/2 at x = R.
+    comparator reads x - unit/2 against the knots less unit/2
+    (basis_tiles), so every block past the knots, and every slot past the
+    width, reads step(x - 1/2), in comparator units: 0, or 1/2 at x = R.
 
-    The recursion runs on N_j = j! B_j (basis_tiles): each weight is
-    x * s - t * s, one plaintext multiply per slope tile, and orders
-    1..k-1 run in de Boor form, one ciphertext multiply each:
-    u = v * N, N <- u + (j N - u) one tile ahead, j N from adds alone
-    (``_times``: at most 2 adds for j < 5, no level). The last order keeps
-    the two-factor form, N_m and N_{m+1} times factors that carry its 1/k!,
-    one subtracted from the other. On an equally spaced grid every de Boor
-    order shares one weight and the last order's two factors one slope: 2
-    plaintext multiplies for the recursion, against k + 1 with a slope
-    per weight on any other grid; one program runs both, on the tiles.
-    Either way k + 1 ciphertext multiplies and rotations, and the depth
-    max(comparator depth, 1) + k: the weights read xp, off the critical
-    path.
+    The recursion runs on N_j = j! B_j (basis_tiles); each weight is
+    x * s - t * s, one plaintext multiply per slope tile, off the critical
+    path (the weights read xp). R below is a rotation by n_i (block m + 1
+    read at block m).
 
-    The slot contract. Past its valid region a de Boor order leaves
-    finite values, which move left one tile per order as the region
-    shrinks by one, so they never reach it; nor do those that the rotation
-    wraps to the end, as the packing leaves g + 2k tiles of room. The last
-    order's factors are zero past slot n_i(g + k), so with k >= 1 every
-    later slot is exactly zero (up to its sign) with no extra masking.
-    Every intermediate of the program stays at most 64 in magnitude on
-    the mirror and on a ciphertext with slots past its packed width, for
-    every uniform grid with g <= 10, k <= 5 and x in [-R, R] (27.0 at
-    most). When the packed width fills the slot count, the rotation wraps
-    block 0's step into the last block, and on an equally spaced grid with
-    basis_copies(g, k) < g + 3k - 1 the shared weights grow that stray
-    value by up to g + 2k per order (1.0e4 at g = 5, k = 5), in slots no
-    output reads. An input in [-R, R] (the range contract,
-    KanModel.check_input_range) keeps every comparator operand in
-    [-1, 1]."""
+    On an equally spaced grid every order reads one weight w = v / c
+    (basis_tiles), and the de Boor orders 1..k-1 run two a level: from
+    N (order j - 1), A = (w * w) N and B = (2v) N (2 ct mults; w * w and
+    2v = 2c w are formed once, the latter by adds), P0 = c^2 A = v^2 N
+    and U = jB (adds), P2 = P0 - U + j^2 N = (v - j)^2 N, and order j + 1
+    is P0 + R(jN + U - 2 P0 + R(P2)), which is P0 + R(j(j + 1)N - P0 - P2
+    + R(P2)): the two orders' v_{m+1} = v_m - 1 and v_{m+2} = v_m - 2
+    give its three coefficients. M = P0 - U serves both P2 = M + j^2 N and
+    the inner jN - P0 - M. An odd count of orders runs order 1 alone
+    first, on the tile v = c w: u = v N, N <- u + R(N - u). The last order
+    is f1 (N - RN) + C RN, one ct and one pt mult: f1 N - (f1 - C) RN,
+    the second factor being f1 less C. So 3 plaintext multiplies (2 for
+    k = 1), k rotations, k + 1 ct mults (k for k <= 2) and
+    ceil((k - 1) / 2) + 1 levels.
+    Any other grid keeps one order a level: orders 1..k-1 in de Boor form,
+    one ciphertext multiply each, u = v N, N <- u + R(jN - u), jN from
+    adds alone (``_times``: at most 2 adds for j < 5, no level), and the
+    last order in two-factor form, N and RN times factors that carry its
+    1/k!, one subtracted from the other: k + 1 plaintext and ciphertext
+    multiplies, k rotations and k levels. ``basis_depth`` states the
+    whole depth.
+
+    The slot contract. Past its valid region an order leaves finite
+    values, which move left one tile per order as the region shrinks by
+    one, so they never reach it; nor do those that the rotation wraps to
+    the end, as the packing leaves g + 2k tiles of room. The last order's
+    factors are zero past slot n_i(g + k), so with k >= 1 every later slot
+    is exactly zero (up to its sign) with no extra masking. Every
+    intermediate of the program stays at most 64 in magnitude on the
+    mirror and on a ciphertext with slots past its packed width, for
+    every uniform grid with g <= 10, k <= 5 and x in [-R, R], folded or
+    not (w * w <= 64 by c). When the packed width fills the slot count,
+    the rotation wraps block 0's step into the last block, and on an
+    equally spaced grid with basis_copies(g, k) < g + 3k - 1 the shared
+    weight grows that stray value order by order (to 703 at most, at
+    g = 7, k = 4; 648 at g = 5, k = 5), in slots no output reads. An
+    input in [-R, R] (the range contract, KanModel.check_input_range)
+    keeps every comparator operand in [-1, 1], times the unit when
+    folded."""
     ops = _ops_of(xp)
-    basis = basis_copies(G.g, G.k)
-    _check_copies(ops.slot_count, G.n_i, basis)
-    _check_layout(xp, G.n_i, basis)
-    knots, de_boor, last = G.tiles
-    h = poly_comp(ops.sub(xp, 0.5), knots, comparator)
-    b = steps = ops.sub(h, ops.rotate(h, G.n_i))
+    basis, n = basis_copies(G.g, G.k), G.n_i
+    _check_copies(ops.slot_count, n, basis)
+    _check_layout(xp, n, basis)
+    unit = comparator.unit if folded else 1.0
+    knots, weights, last, c = G.tiles(unit)
+    h = poly_comp(ops.sub(xp, unit / 2), knots, comparator, folded)
+    b = steps = ops.sub(h, ops.rotate(h, n))
     ops._stage("comparator", xp, steps)
     if not G.k:
         return b
-    weights = [ops.sub(ops.mul(xp, s), o) for s, o in de_boor]
-    for j in range(1, G.k):
-        u = ops.mul(weights[min(j, len(weights)) - 1], b)  # order j's own, or the shared one
-        b = ops.add(u, ops.rotate(ops.sub(_times(ops, b, j), u), G.n_i))
-    *slopes, o1, o3 = last  # one shared slope, or one per factor
-    x = [ops.mul(xp, s) for s in slopes]
-    basis = ops.sub(ops.mul(ops.sub(x[0], o1), b),
-                    ops.mul(ops.sub(x[-1], o3), ops.rotate(b, G.n_i)))
-    ops._stage("basis_recursion", steps, basis)
-    return basis
+    w = [ops.sub(ops.mul(xp, s), o) for s, o in weights]
+    if c:  # equally spaced: one weight w = v / c, two orders a level
+        j = 1
+        if G.k % 2 == 0:  # an odd count of de Boor orders: order 1 alone
+            v = _times(ops, w[0], c)
+            u = ops.mul(v, b)
+            b, j = ops.add(u, ops.rotate(ops.sub(b, u), n)), 2
+        if j < G.k:
+            ww, v2 = ops.mul(w[0], w[0]), ops.add(v, v) if j == 2 else _times(ops, w[0], 2 * c)
+        for j in range(j, G.k, 2):  # orders j and j + 1
+            p0, jb = _times(ops, ops.mul(ww, b), c * c), _times(ops, b, j)
+            m = ops.sub(p0, _times(ops, ops.mul(v2, b), j))  # P0 - U
+            q = ops.sub(ops.sub(jb, p0), m)
+            b = ops.add(p0, ops.rotate(ops.add(q, ops.rotate(ops.add(m, _times(ops, jb, j)), n)),
+                                       n))
+        s1, o1, C = last
+        f1, nb = ops.sub(ops.mul(xp, s1), o1), ops.rotate(b, n)
+        out = ops.add(ops.mul(f1, ops.sub(b, nb)), ops.mul(nb, C))
+    else:
+        for j in range(1, G.k):
+            u = ops.mul(w[j - 1], b)
+            b = ops.add(u, ops.rotate(ops.sub(_times(ops, b, j), u), n))
+        s1, s3, o1, o3 = last
+        x1, x3 = ops.mul(xp, s1), ops.mul(xp, s3)
+        out = ops.sub(ops.mul(ops.sub(x1, o1), b), ops.mul(ops.sub(x3, o3), ops.rotate(b, n)))
+    ops._stage("basis_recursion", steps, out)
+    return out
 
 
 def _times(ops, b, j: int):

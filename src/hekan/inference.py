@@ -43,9 +43,9 @@ from .approx import (
 )
 from .backend import BackendConfig, CipherText, HeBackend, _ops_of, _Probe, make_backend
 from .bspline import (
-    GridMatrix,
     _check_copies,
     _check_layout,
+    _stand_in,
     basis_copies,
     bspline_basis_he,
     repeat_pack,
@@ -237,16 +237,26 @@ class ModelPlan:
 
 
 def plan_layer(layer: KanLayer, cfg: PipelineConfig) -> LayerPlan:
-    return _plan(layer.packed_silu_poly, layer.k, cfg.path, cfg.comparator())
+    return _layer_plan(layer, cfg.path, cfg.comparator())
+
+
+def _layer_plan(layer: KanLayer, path: str, comparator) -> LayerPlan:
+    """The layer's plan, by its key: its packed SiLU polynomial, k, the
+    path, the comparator and its grid's spacing class
+    (``GridMatrix.equally_spaced``, which picks the basis program)."""
+    return _plan(layer.packed_silu_poly, layer.k, path, comparator,
+                 layer.grid.equally_spaced)
 
 
 @functools.lru_cache(maxsize=None)
-def _plan(packed_silu_poly, k: int, path: str, comparator) -> LayerPlan:
-    """The plan of every layer with this packed SiLU polynomial, k, path and
-    comparator: one run of the layer program on a probe. Levels do not depend
-    on width, grid size or weights, so it runs a one-feature zero-weight
-    stand-in. Its grid has R = 1/2, so its own packed polynomial is this one."""
-    grid = GridMatrix(np.linspace(-0.5, 0.5, 2 * k + 2)[None], 1, k, 0.5)
+def _plan(packed_silu_poly, k: int, path: str, comparator, equally_spaced: bool) -> LayerPlan:
+    """The plan of every layer with this packed SiLU polynomial, k, path,
+    comparator and spacing class: one run of the layer program on a probe.
+    Levels do not depend on width, grid size or weights, so it runs a
+    one-feature zero-weight stand-in of that spacing class
+    (``bspline._stand_in``). Its grid has R = 1/2, so its own packed
+    polynomial is this one."""
+    grid = _stand_in(k, equally_spaced)
     stand_in = KanLayer(W_b=np.zeros((1, 1)), S=np.zeros((1, 1, grid.n_basis)),
                         grid=grid, silu_poly=packed_silu_poly)
     probe = _Probe()
@@ -296,11 +306,12 @@ class LayerLayout:
     (``copies``: the least power-of-two multiple of the basis's
     ``basis_copies(g, k)`` whose blocks cover the slots W_b's schedule
     reads), W_b's schedule on that repeated operand (``base``, built on
-    ``KanLayer.w_base``: ``unfolded`` on the last spline map's geometry
-    (p, L, front) when one fold chain finishes both products, gcd(p, n_i)
-    diagonals of lcm(p, n_i) slots),
-    and the spline maps' schedules in order (``maps``; the last one's
-    default or front-padded geometry chosen together with ``base``). Each
+    ``KanLayer.w_base`` in the comparator's unit, so it carries the lead
+    of that unit's SiLU program: ``unfolded`` on the last spline map's
+    geometry (p, L, front) when one fold chain finishes both products,
+    gcd(p, n_i) diagonals of lcm(p, n_i) slots), and the spline maps'
+    schedules in order (``maps``; the last one's default or front-padded
+    geometry chosen together with ``base``). Each
     record builds its own schedules and shares none with the layer's other
     records; they keep their diagonals, so each is built once per record."""
 
@@ -351,10 +362,11 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
 
     @functools.cache
     def plan_shares():
-        plan = _plan(layer.packed_silu_poly, layer.k, path, comparator)
+        plan = _layer_plan(layer, path, comparator)
         return plan.silu_branch <= plan.spline_branch
 
-    own = matvec_schedule(layer.w_base, True)
+    w_base = layer.w_base(comparator.unit)
+    own = matvec_schedule(w_base, True)
     own_counts = own.rotations, own.pt_mults, own.reads
     *firsts, W = layer.spline_maps(path)
     n_o, n_in = W.shape
@@ -395,7 +407,7 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     limit = 1 << (best[1] - 1).bit_length()
     *_, over, geometry = cheapest(fronts(), best, limit)
 
-    base = own if over is None else matvec_schedule(layer.w_base, True, over)
+    base = own if over is None else matvec_schedule(w_base, True, over)
     last = default if geometry == default.geometry else matvec_schedule(W, front=geometry[:2])
     layout = layer.layouts[key] = LayerLayout(copies(base.reads), base,
                                               (*map(matvec_schedule, firsts), last))
@@ -427,20 +439,22 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     (one mask multiply and one doubling chain), into the layout's copies
     (``LayerLayout.copies``: the basis's ``basis_copies(g, k)``, or the
     power-of-two multiple of them that W_b's reads need) in comparator
-    units, the grid's 1/(2R), over a zero tail; the copies that arrived
-    save their doublings. Both branches read that one operand: the
-    activation branch (the packed SiLU polynomial as
-    ``KanLayer.silu_program`` runs it, then W_b's block sum on the
+    units, the grid's 1/(2R) times the comparator's ``unit`` (its first
+    stage's scalar, which the mask carries, so the basis's comparator call
+    runs ``folded``, with no pt mult), over a zero tail; the copies that
+    arrived save their doublings. Both branches read that one operand: the
+    activation branch (the packed SiLU polynomial in that unit as
+    ``KanLayer.silu_program(unit)`` runs it, then W_b's block sum on the
     repeated operand) and the spline branch (the basis, then the path's
     linear maps, each on a zero-tail operand), every product on the
     layout's schedule of its matrix (``LayerLayout.base`` and ``maps``).
     A certified degree-6 SiLU runs as the monic part u of Knuth's sextic
     form, 3 ct mults and no pt mult, and W_b's schedule is built on
-    ``KanLayer.w_base``, lead * W_b, so the product is W_b times the SiLU;
-    any other runs as the power tree, on W_b's own schedule. When W_b's
-    block sum runs on the last map's geometry (an ``unfolded`` ``base``),
-    it hands on its giant-step blocks unrotated, paired with that
-    geometry, the last map adds each to its own before that step's
+    ``KanLayer.w_base(unit)``, lead * W_b, so the product is W_b times the
+    SiLU; any other runs as the power tree, on W_b's own schedule. When
+    W_b's block sum runs on the last map's geometry (an ``unfolded``
+    ``base``), it hands on its giant-step blocks unrotated, paired with
+    that geometry, the last map adds each to its own before that step's
     rotation, and one set of giant rotations and one fold chain finish
     both branches; otherwise W_b folds on its own and the two outputs are
     added. Slots [0, n_o) hold the output; a ciphertext result states its
@@ -456,15 +470,15 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     ops = _ops_of(x)
     layout = _layout(layer, path, comparator)
     _check_fit(layer, layout, ops.slot_count)
-    xp = repeat_pack(x, layer.grid, layout.copies)
+    xp = repeat_pack(x, layer.grid, layout.copies, comparator.unit)
     ops._stage("repeat_pack", x, xp)
-    poly = eval_poly_he(xp, layer.silu_program)
+    poly = eval_poly_he(xp, layer.silu_program(comparator.unit))
     ops._stage("silu_poly", xp, poly)
     shared = layout.base.unfolded
     base_out = bsgs_matvec(layer.W_b, poly, layout.base)
     ops._stage("base_matvec", poly, base_out[0][0] if shared else base_out)
 
-    basis = spline_out = bspline_basis_he(xp, layer.grid, comparator)
+    basis = spline_out = bspline_basis_he(xp, layer.grid, comparator, folded=True)
     *maps, (last, last_schedule) = zip(layer.spline_maps(path), layout.maps)
     for W, schedule in maps:
         spline_out = bsgs_matvec(W, spline_out, schedule)
@@ -478,10 +492,8 @@ def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> Ci
     """One layer's encrypted forward (``_layer``). Raises
     DepthBudgetInfeasible before any op when the layer's plan needs more
     levels than ct has, as ``model_forward_he`` does for the model."""
-    comparator = cfg.comparator()
-    _check_depth(ModelPlan((_plan(layer.packed_silu_poly, layer.k, cfg.path, comparator),)),
-                 ct.level)
-    return _layer(layer, ct, cfg.path, comparator)
+    _check_depth(ModelPlan((plan_layer(layer, cfg),)), ct.level)
+    return _layer(layer, ct, cfg.path, cfg.comparator())
 
 
 def model_forward_he(model: KanModel, ct: CipherText,

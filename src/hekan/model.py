@@ -8,6 +8,7 @@ it predicts the encrypted pipeline on the arithmetic backend.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,32 +129,36 @@ class KanLayer:
 
     @cached_property
     def packed_silu_poly(self) -> Polynomial:
-        """The SiLU polynomial in the packed input's unit, the grid's
-        1/(2R): coefficient j is c_j * (2R)^j, so at x / (2R) it takes
-        silu_poly's value at x. The layer program evaluates it on the
-        packed input, whose copies then feed W_b: as ``silu_program``
-        runs it, in Knuth's monic sextic form or as the power tree."""
+        """The SiLU polynomial in the grid's 1/(2R): coefficient j is
+        c_j * (2R)^j, so at x / (2R) it takes silu_poly's value at x. The
+        layer program evaluates it on the packed input, whose copies then
+        feed W_b, in the packing's unit: as ``silu_program`` runs it."""
         two_r = 2.0 * self.grid.R
         return Polynomial(tuple(c * two_r ** j for j, c in enumerate(self.silu_poly.coeffs)))
 
-    @cached_property
-    def silu_program(self):
-        """What the layer program runs for the SiLU (``approx.eval_poly_he``),
-        by one rule: ``packed_silu_poly`` in Knuth's monic sextic form, an
-        ``approx.MonicSextic`` whose lead ``w_base`` carries (3 ct mults,
-        no pt mult, 3 levels), when it has degree 6 and the form certifies
-        on the packed input's domain [-1/2, 1/2]; else ``packed_silu_poly``
-        itself, run as the power tree."""
-        return MonicSextic.certified(self.packed_silu_poly, -0.5, 0.5) or self.packed_silu_poly
+    def silu_program(self, unit: float = 1.0):
+        """What the layer program runs for the SiLU (``approx.eval_poly_he``)
+        on the packed input in units of the grid's 1/(2R) times ``unit``
+        (``bspline.repeat_pack``'s; the layer passes its comparator's
+        unit), by one rule: ``packed_silu_poly`` rescaled to that unit,
+        coefficient j over unit^j, in Knuth's monic sextic form, an
+        ``approx.MonicSextic`` whose lead ``w_base(unit)`` carries (3 ct
+        mults, no pt mult, 3 levels), when it has degree 6 and the form
+        certifies on the packed input's domain [-|unit|/2, |unit|/2]; else
+        the rescaled polynomial itself, run as the power tree. Made once
+        per polynomial and unit."""
+        return _silu_program(self.packed_silu_poly, unit)
 
-    @cached_property
-    def w_base(self) -> np.ndarray:
-        """The matrix W_b's block sum multiplies, read-only: lead * W_b
-        when ``silu_program`` is a monic sextic of that lead, so the lead
-        costs nothing at run time; W_b itself otherwise."""
-        if not isinstance(self.silu_program, MonicSextic):
+    def w_base(self, unit: float = 1.0) -> np.ndarray:
+        """The matrix W_b's block sum multiplies after ``silu_program(unit)``,
+        read-only: lead * W_b when that is a monic sextic of that lead, so
+        the lead costs nothing at run time; W_b itself otherwise. The
+        layer's record (``inference.LayerLayout``) builds its schedule on
+        it once."""
+        program = self.silu_program(unit)
+        if not isinstance(program, MonicSextic):
             return self.W_b
-        scaled = self.silu_program.lead * self.W_b
+        scaled = program.lead * self.W_b
         scaled.setflags(write=False)
         return scaled
 
@@ -198,6 +203,13 @@ class KanLayer:
         if path == "naive":
             return (self.permutation, self.w_prime)
         raise InvalidArgument(f"unknown path {path!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _silu_program(packed: Polynomial, unit: float):
+    """KanLayer.silu_program's rule, once per packed polynomial and unit."""
+    p = Polynomial(tuple(c / unit ** j for j, c in enumerate(packed.coeffs)))
+    return MonicSextic.certified(p, -abs(unit) / 2, abs(unit) / 2) or p
 
 
 @dataclass(eq=False)

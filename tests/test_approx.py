@@ -459,7 +459,8 @@ def _silu_layer(source, R, g, k, seed):
 
 class TestMonicSextic:
     """The layer's SiLU in Knuth's monic sextic form: certified on the
-    packed domain [-1/2, 1/2] for the SiLU fits layers make, rejected
+    packed domain [-|unit|/2, |unit|/2] for the SiLU fits layers make, in
+    the grid's unit and folded into the default comparator's, rejected
     (the power tree kept) where the form is badly conditioned or the
     degree is not 6, and run as one window program with the op-by-op
     schedule's bits, counts and noise draws."""
@@ -470,13 +471,17 @@ class TestMonicSextic:
            seed=st.integers(0, 2 ** 16))
     def test_silu_fits_take_the_form(self, source, R, g, k, seed):
         layer = _silu_layer(source, R, g, k, seed)
-        p, form = layer.packed_silu_poly, layer.silu_program
-        assert p.degree == 6 and isinstance(form, MonicSextic)
-        assert form.lead == p.coeffs[-1]
-        y = np.linspace(-0.5, 0.5, 10_001)  # another grid than the certificate's
-        u = eval_poly_he(y, form)
-        assert np.max(np.abs(form.lead * u - p(y))) <= 1e-12 * max(1.0, np.max(np.abs(p(y))))
-        np.testing.assert_array_equal(layer.w_base, form.lead * layer.W_b)
+        packed = layer.packed_silu_poly
+        assert packed.degree == 6
+        for unit in (1.0, build_composite_sign().unit):
+            p = Polynomial(tuple(c / unit ** j for j, c in enumerate(packed.coeffs)))
+            form = layer.silu_program(unit)
+            assert isinstance(form, MonicSextic) and form.lead == p.coeffs[-1]
+            y = np.linspace(-abs(unit) / 2, abs(unit) / 2, 10_001)  # not the certificate's grid
+            u = eval_poly_he(y, form)
+            assert np.max(np.abs(form.lead * u - p(y))) <= 1e-12 * max(1.0, np.max(np.abs(p(y))))
+            assert np.max(np.abs(form.lead * u - packed(y / unit))) <= 1e-9
+            np.testing.assert_array_equal(layer.w_base(unit), form.lead * layer.W_b)
 
     @pytest.mark.parametrize("p", [
         Polynomial((0, 0, 0, 0, 0, 10, 1)),  # x^6 + 10 x^5: every root errs by 1e-10 or more
@@ -489,8 +494,8 @@ class TestMonicSextic:
         grid = GridMatrix(np.linspace(-0.5, 0.5, 8)[None], 3, 2, 0.5)  # R = 1/2: packed is p
         layer = KanLayer(W_b=np.ones((1, 1)), S=np.zeros((1, 1, grid.n_basis)), grid=grid,
                          silu_poly=p)
-        assert layer.silu_program is layer.packed_silu_poly
-        assert layer.w_base is layer.W_b
+        assert layer.silu_program() == layer.packed_silu_poly
+        assert layer.w_base() is layer.W_b
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_polynomials_are_not_certified(self, bad):
@@ -505,7 +510,7 @@ class TestMonicSextic:
         layer, _ = fit_layer_ls(Dataset(X, X[:, :1] ** 2), 1,
                                 GridMatrix.uniform(2, 3, 2, -1.0, 1.0))
         assert layer.packed_silu_poly.degree == 10
-        assert layer.silu_program is layer.packed_silu_poly and layer.w_base is layer.W_b
+        assert layer.silu_program() == layer.packed_silu_poly and layer.w_base() is layer.W_b
 
     @pytest.mark.parametrize("lead, a", [
         (1.0, (np.nan, 0, 0, 0, 0, 0)), (np.inf, (0, 0, 0, 0, 0, 0)),
@@ -733,6 +738,34 @@ class TestCompositeSign:
         assert (c.ct_mults, c.pt_mults, c.adds, c.subs) == (15, 1, 15, 1)
         assert a.level - out.level == cs.depth() == 10
 
+    @pytest.mark.parametrize("alpha, eps, unit", [
+        (approx.DEFAULT_ALPHA, approx.DEFAULT_TARGET_EPS, -1.7204), (7.0, 2.0 ** -10, 1.9288)],
+        ids=["default", "criterion4"])
+    def test_folded_call_spends_no_pt_mult(self, alpha, eps, unit):
+        """A difference that arrives times the comparator's unit (the real
+        deg-th root of its first stage's leading constant) runs that stage
+        monic: the raw call's counts and depth less its one pt mult, and
+        the same step within 1e-15 on [delta, 1] (2.3e-13 for criterion
+        4's degree-31 stages)."""
+        cs = build_composite_sign(alpha, eps)
+        assert round(cs.unit, 4) == unit
+        d = np.linspace(-1.0, 1.0, 4001)
+        counts = []
+        for operand, folded in ((d, False), (d * cs.unit, True)):
+            be = backend(slots=4096, depth=cs.depth())
+            a = be.encrypt(operand)
+            out = poly_comp(a, 0.0, cs, folded)
+            c = be.counter
+            counts.append((c.ct_mults, c.pt_mults, c.adds, a.level - out.level))
+            steps = be.decrypt(out)[:d.size]
+            assert np.array_equal(steps.view(np.int64), poly_comp(operand, 0.0, cs, folded).view(
+                np.int64))
+            counts[-1] += (steps,)
+        (*raw, raw_steps), (*folded, folded_steps) = counts
+        assert folded == [raw[0], raw[1] - 1, raw[2], raw[3]] and cs.depth(True) == raw[3]
+        far = np.abs(d) >= cs.delta
+        assert np.max(np.abs(folded_steps - raw_steps)[far]) <= (1e-15 if alpha == 5.0 else 3e-13)
+
     @pytest.mark.parametrize("monic", [False, True], ids=["scalar", "monic"])
     @pytest.mark.parametrize("degree, ct, adds, levels",
                              [(7, 4, 3, 3), (15, 7, 8, 4), (31, 13, 18, 5)])
@@ -849,16 +882,20 @@ class TestCompositeSign:
         signed zeros and subnormals too."""
         cs = build_composite_sign(alpha, eps)
         y = np.linspace(cs.delta, 1.0, 100_000)
-        be = backend(slots=2 ** 17)
-        out = be.decrypt(poly_comp(be.encrypt(y), 0.0, cs))[:y.size]
-        assert cs.certified_max_error() == np.max(np.abs(2.0 * out - 2.0))
+        errors = []
+        for d, folded in ((y, False), (y * cs.unit, True)):
+            be = backend(slots=2 ** 17)
+            out = be.decrypt(poly_comp(be.encrypt(d), 0.0, cs, folded))[:y.size]
+            errors.append(np.max(np.abs(2.0 * out - 2.0)))
+        assert cs.certified_max_error() == max(errors)
         d = np.concatenate(([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324],
                             np.linspace(-1.0, 1.0, 8001)))
-        want = cs.step(_ArrayOps(d), d).view(np.int64)
-        be = backend(slots=16384)
-        he = be.decrypt(poly_comp(be.encrypt(d), 0.0, cs))[:d.size]
-        assert np.array_equal(he.view(np.int64), want)
-        assert np.array_equal(poly_comp(d, 0.0, cs).view(np.int64), want)
+        for folded in (False, True):
+            want = cs.step(_ArrayOps(d), d, folded).view(np.int64)
+            be = backend(slots=16384)
+            he = be.decrypt(poly_comp(be.encrypt(d), 0.0, cs, folded))[:d.size]
+            assert np.array_equal(he.view(np.int64), want)
+            assert np.array_equal(poly_comp(d, 0.0, cs, folded).view(np.int64), want)
 
     @pytest.mark.parametrize("alpha, eps", [
         (5.0, float("nan")), (float("inf"), 2.0 ** -20), (float("nan"), 2.0 ** -20),

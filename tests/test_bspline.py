@@ -513,38 +513,59 @@ class TestEncryptedBasis:
         vals = he[:valid].reshape(g + k, n_i).T  # the exact comparator's run
         assert np.max(np.abs(vals - plain)) <= 1e-12
 
-    @pytest.mark.parametrize("n_i, g, k", [(1, 1, 1), (3, 2, 4), (2, 5, 3)])
+    @pytest.mark.parametrize("n_i, g, k", [(1, 1, 1), (3, 2, 4), (2, 5, 3), (2, 10, 5)])
     @pytest.mark.parametrize("spaced", [True, False], ids=["equal", "jittered"])
-    def test_knot_tiles_cover_their_orders(self, n_i, g, k, spaced):
-        """The comparator's tile holds the g + 2k + 1 knot columns less 1/2
-        and is zero past them. An equally spaced grid has one de Boor
-        (slope, offset) pair, slope 1/h on blocks 0..g + 2k - 1, that every
-        order shares, and one last-order slope, 1/(k! h); a grid with one
-        jittered row has order j's pair, slope j/(t_{m+j} - t_m) on blocks
-        0..g + 2k - j, and one slope per last-order factor. Every offset
-        is its slope times the knots, and the last order's tiles are zero
-        past block g + k - 1."""
+    @pytest.mark.parametrize("unit", [1.0, -1.7204080848211352], ids=["raw", "folded"])
+    def test_knot_tiles_cover_their_orders(self, n_i, g, k, spaced, unit):
+        """In units of G.scale * unit, the comparator's tile holds the
+        g + 2k + 1 knot columns less unit/2 and is zero past them. An
+        equally spaced grid has one weight pair, for w = v / c, slope
+        1/(c h) on blocks 0..g + 2k - 1, that every order shares, with c
+        the least integer >= 1 for which |v| <= 8c over [-R, R] there, and
+        for the last order the slope 1/(k! h) of its first factor, that
+        factor's offset, and C = (k + 1)/k!; a grid with one jittered row
+        has order j's pair, slope j/(t_{m+j} - t_m) on blocks
+        0..g + 2k - j, one slope per last-order factor, and c = 0. Every
+        offset is its slope times the knots, and the last order's tiles
+        are zero past block g + k - 1."""
         G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0) if spaced else _jittered(n_i, g, k, [0])
-        knots, de_boor, last = G.tiles
+        knots, weights, last, c = G.tiles(unit)
+        assert G.tiles(unit) is G.tiles(unit)
         width, columns, valid = (n_i * c for c in (basis_copies(g, k), g + 2 * k + 1, g + k))
-        t = G.entries.T.ravel() * G.scale
-        assert np.array_equal(knots[:columns], t - 0.5) and not np.any(knots[columns:])
-        assert de_boor.shape == (min(k - 1, 1) if spaced else k - 1, 2, width)
+        t = G.entries.T.ravel() * (G.scale * unit)
+        assert np.array_equal(knots[:columns], t - unit / 2) and not np.any(knots[columns:])
+        assert weights.shape == (min(k - 1, 1) if spaced else k - 1, 2, width)
         assert last.shape == (3 if spaced else 4, width)
         padded = np.r_[t, np.zeros(width)]  # t_m at slot m * n_i + i, then zeros
-        for j, (slope, offset) in enumerate(de_boor, start=1):
+        assert not np.any(last[:, valid:])
+        if spaced:
+            span = G.entries[0, -1] - G.entries[0, 0]
+            v = (G.R + np.max(np.abs(G.entries[0, :-1]))) * (g + 2 * k) / span
+            assert c == max(1, math.ceil(v / 8)) and (v / c) ** 2 <= 64
+            h = span / (g + 2 * k) * G.scale * unit
+            cover = n_i * (g + 2 * k)
+            for slope, offset in weights:
+                np.testing.assert_allclose(slope[:cover], 1 / (c * h), rtol=1e-12)
+                assert not np.any(slope[cover:])
+                assert np.array_equal(offset, slope * padded[:width])
+            s1, o1, C = last
+            np.testing.assert_allclose(s1[:valid], 1 / (math.factorial(k) * h), rtol=1e-12)
+            assert np.array_equal(o1, s1 * padded[:width])
+            assert np.all(C[:valid] == (k + 1) / math.factorial(k))
+            return
+        assert c == 0
+        for j, (slope, offset) in enumerate(weights, start=1):
             cover = n_i * (g + 2 * k + 1 - j)
-            assert np.all(slope[:cover] > 0) and not np.any(slope[cover:])
+            assert np.all(slope[:cover] * unit > 0) and not np.any(slope[cover:])
             assert np.array_equal(offset, slope * padded[:width])
             spans = padded[n_i * j:][:cover] - t[:cover]
             np.testing.assert_allclose(slope[:cover], j / spans, rtol=1e-12)
-        *slopes, o1, o3 = last
-        assert np.all(slopes[0][:valid] > 0) and not np.any(last[:, valid:])
-        assert np.array_equal(o1, slopes[0] * padded[:width])
-        assert np.array_equal(o3, slopes[-1] * padded[n_i * (k + 1):][:width])  # t_{m+k+1}
+        s1, s3, o1, o3 = last
+        assert np.all(s1[:valid] * unit > 0)
+        assert np.array_equal(o1, s1 * padded[:width])
+        assert np.array_equal(o3, s3 * padded[n_i * (k + 1):][:width])  # t_{m+k+1}
         spans = padded[n_i * k:][:valid] - t[:valid]
-        np.testing.assert_allclose(slopes[0][:valid], 1 / (math.factorial(k - 1) * spans),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(s1[:valid], 1 / (math.factorial(k - 1) * spans), rtol=1e-12)
 
     @pytest.mark.parametrize("n_i, g, k", [(3, 2, 1), (2, 4, 2), (3, 3, 2), (1, 1, 1)])
     def test_one_comparator_call_and_its_copies(self, n_i, g, k):
@@ -579,21 +600,28 @@ class TestEncryptedBasis:
 
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("mode", ["exact", "composite"])
-    def test_depth_consumption(self, mode, k):
+    @pytest.mark.parametrize("spaced", [True, False], ids=["equal", "jittered"])
+    def test_depth_consumption(self, mode, k, spaced):
         """The measured level drop of the basis run on repeat_pack's
-        output, as the layer program runs it, basis_depth and the plan's
-        two basis stages agree: max(comparator depth, 1) + k; the packing
-        takes one level more, its mask."""
+        output, folded as the layer program runs it, basis_depth and the
+        plan's two basis stages agree. With d the comparator's depth: on
+        unequal spacing max(d, 1) + k; equally spaced max(d, 1) +
+        ceil((k - 1)/2) + 1, or max(d, 2) + ... for odd k >= 3, whose first
+        pair reads w * w (two levels below the packing). The packing takes
+        one level more, its mask."""
         cfg = PipelineConfig(comparator_mode=mode)
         comp = cfg.comparator()
-        G = GridMatrix.uniform(2, 4, k, -1.0, 1.0)
+        G = GridMatrix.uniform(2, 4, k, -1.0, 1.0) if spaced else _jittered(2, 4, k, [1])
         be = backend(slots=512, depth=30)
         ct = be.encrypt([0.1, 0.2])
-        bv = bspline_basis_he(repeat_pack(ct, G), G, comp)
-        stages = plan_layer(random_model([2, 1], g=4, k=k).layers[0], cfg).stages
+        bv = bspline_basis_he(repeat_pack(ct, G, unit=comp.unit), G, comp, folded=True)
+        layer = replace(random_model([2, 1], g=4, k=k).layers[0], grid=G)
+        stages = plan_layer(layer, cfg).stages
         planned = stages["comparator"] + stages["basis_recursion"]
-        assert ct.level - bv.level == 1 + basis_depth(k, comp) == 1 + planned
-        assert planned == max(comp.depth(), 1) + k
+        assert ct.level - bv.level == 1 + basis_depth(k, comp, spaced) == 1 + planned
+        d = comp.depth(True)
+        assert planned == (max(d, 2 if k % 2 and k > 1 else 1) + k // 2 + 1 if spaced
+                           else max(d, 1) + k)
 
     def test_exact_comparator_is_exact_near_a_knot(self):
         G = GridMatrix.uniform(1, 4, 1, -1.0, 1.0)
@@ -724,8 +752,10 @@ class _PeakBackend(_StageCounts):
 
 class TestSharedSlope:
     """On a grid whose every knot row is equally spaced the recursion runs
-    with one shared slope, 2 plaintext multiplies; any other grid keeps a
-    slope per weight, k + 1, as before. The choice is the knots' alone."""
+    with one shared weight, two orders a level, and the last order's one
+    ct mult: 3 plaintext multiplies (2 for k = 1); any other grid keeps a
+    slope per weight and one order a level, k + 1 plaintext multiplies, as
+    before. The choice is the knots' alone (``GridMatrix.equally_spaced``)."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n_i=st.integers(1, 6), n_o=st.integers(1, 4), g=st.integers(1, 6),
@@ -743,7 +773,8 @@ class TestSharedSlope:
                          act_stats=base.act_stats)
         mdl = KanModel(layers=[layer], input_shape=(1, 1, n_i))
         x = np.random.default_rng(seed).uniform(-1, 1, n_i)
-        assert (G.tiles[1].shape[0], G.tiles[2].shape[0]) == (k - 1, 4)
+        assert not G.equally_spaced
+        assert (G.tiles()[1].shape[0], G.tiles()[2].shape[0]) == (k - 1, 4)
         for path in ("lazy", "naive"):
             cfg = PipelineConfig(path=path)
             plan = plan_layer(layer, cfg)
@@ -762,12 +793,16 @@ class TestSharedSlope:
     @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
     def test_slot_contract_on_equally_spaced_grids(self, monkeypatch, comparator, k):
         """For g = 1..10, at x across [-R, R] and on every knot (one
-        feature each): every slot past n_i(g + k) is exactly zero, and
-        every intermediate of the program stays at most 64 in magnitude,
-        on the mirror and on a ciphertext with slots past its packed
-        width. The recursion spends 2 plaintext multiplies (1 for k = 1)."""
+        feature each), raw and folded into the comparator's unit: every
+        slot past n_i(g + k) is exactly zero, and every intermediate of
+        the program stays at most 64 in magnitude (59.3 at most, w * w
+        among them), on the mirror and on a ciphertext with slots past its
+        packed width. The recursion spends 3 plaintext multiplies (2 for
+        k = 1), k rotations and, after the composite's steps,
+        ceil((k - 1)/2) + 1 levels."""
         comp = COMPARATORS[comparator]()
-        for g in range(1, 11):
+        for g, folded in ((g, folded) for g in range(1, 11) for folded in (False, True)):
+            unit = comp.unit if folded else 1.0
             span = GridMatrix.uniform(1, g, k, -1.0, 1.0)
             x = np.r_[np.linspace(-span.R, span.R, 41), span.entries[0]]
             G = GridMatrix.uniform(x.size, g, k, -1.0, 1.0)
@@ -775,36 +810,65 @@ class TestSharedSlope:
             peaks = []
             with monkeypatch.context() as mp:
                 mp.setattr(bspline, "_ops_of", _peak_ops(peaks))
-                out = bspline_basis_he(repeat_pack(x, G), G, comp)
+                out = bspline_basis_he(repeat_pack(x, G, unit=unit), G, comp, folded)
             assert not np.any(out[valid:]) and max(peaks) <= 64
             roomy = 2 << (G.n_i * basis_copies(g, k) - 1).bit_length()
             peaks = []
             be = _PeakBackend(roomy, peaks)
-            out = bspline_basis_he(repeat_pack(be.encrypt(x), G), G, comp)
+            rotations = be.counter.rotations
+            out = bspline_basis_he(repeat_pack(be.encrypt(x), G, unit=unit), G, comp, folded)
             assert not np.any(out.slots[valid:]) and max(peaks) <= 64
-            assert be.pt_mults["basis_recursion"] == min(k, 2)
+            assert be.pt_mults["basis_recursion"] == min(k + 1, 3)
+            if comparator == "composite":  # the weights are ready before the steps
+                assert be.drops["basis_recursion"] == k // 2 + 1
+            assert be.counter.rotations - rotations == 1 + k + basis_copies(g, k).bit_length() - 1
 
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
     def test_tightest_slot_count_keeps_the_valid_slots(self, comparator, k):
         """For g = 1..10 with n_i * basis_copies(g, k) == slot_count (64
-        features: x across [-R, R] and every knot), the valid slots
-        [0, n_i(g + k)) equal the mirror's bit for bit. The rotation wraps
-        block 0's step into the last block, and where basis_copies(g, k) <
-        g + 3k - 1 the shared weights grow it: every intermediate stays
-        under 2^14 there (1.11e4 at g = 5, k = 5), at most 64 elsewhere."""
+        features: x across [-R, R] and every knot), raw and folded into
+        the comparator's unit, the valid slots [0, n_i(g + k)) equal the
+        mirror's bit for bit. The rotation wraps block 0's step into the
+        last block, and where basis_copies(g, k) < g + 3k - 1 the shared
+        weight grows it: every intermediate stays under 2^10 there (703 at
+        g = 7, k = 4 and 648 at g = 5, k = 5, exact; 666 and 451
+        composite), at most 64 elsewhere."""
         comp = COMPARATORS[comparator]()
-        for g in range(1, 11):
+        for g, folded in ((g, folded) for g in range(1, 11) for folded in (False, True)):
+            unit = comp.unit if folded else 1.0
             span = GridMatrix.uniform(1, g, k, -1.0, 1.0)
             x = np.r_[np.linspace(-span.R, span.R, 64 - span.entries.shape[1]), span.entries[0]]
             G = GridMatrix.uniform(x.size, g, k, -1.0, 1.0)
             valid = G.n_i * (g + k)
-            mirror = bspline_basis_he(repeat_pack(x, G), G, comp)
+            mirror = bspline_basis_he(repeat_pack(x, G, unit=unit), G, comp, folded)
             peaks = []
             be = _PeakBackend(G.n_i * basis_copies(g, k), peaks)
-            out = bspline_basis_he(repeat_pack(be.encrypt(x), G), G, comp)
+            out = bspline_basis_he(repeat_pack(be.encrypt(x), G, unit=unit), G, comp, folded)
             assert np.array_equal(out.slots[:valid].view(np.int64), mirror[:valid].view(np.int64))
-            assert max(peaks) <= (64 if basis_copies(g, k) >= g + 3 * k - 1 else 2 ** 14)
+            assert max(peaks) <= (64 if basis_copies(g, k) >= g + 3 * k - 1 else 2 ** 10)
+
+    @pytest.mark.parametrize("n_i, g, k, bound", [(128, 5, 3, 3.56e-5), (256, 10, 5, 7.71e-3)])
+    def test_noise_does_not_grow(self, n_i, g, k, bound):
+        """The basis as the layer runs it (folded into the default
+        comparator's unit, two orders a level) moves at sigma = 1e-8 by no
+        more than 1.25 times what one order a level with the comparator's
+        scalar on a raw difference moved: max |noisy - noiseless| over the
+        valid slots, 5 seeds at 2^15 slots, was 2.85e-5 and 6.17e-3 on
+        these table configs, and is 2.67e-5 and 5.98e-3."""
+        cs = build_composite_sign()
+        G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
+        worst = 0.0
+        for seed in range(5):
+            x = np.random.default_rng(seed).uniform(-1, 1, n_i)
+            outs = []
+            for sigma in (0.0, 1e-8):
+                be = HeBackend(BackendConfig(slot_count=2 ** 15, depth_budget=20,
+                                             noise_std=sigma, rng_seed=seed))
+                xp = repeat_pack(be.encrypt(x), G, unit=cs.unit)
+                outs.append(be.decrypt(bspline_basis_he(xp, G, cs, folded=True))[:n_i * (g + k)])
+            worst = max(worst, float(np.max(np.abs(outs[1] - outs[0]))))
+        assert 0 < worst <= bound
 
     def test_a_saved_model_keeps_the_shared_slope(self, tmp_path):
         """A save_model / load_model round trip of perfbench's kan_small
@@ -828,12 +892,13 @@ class TestSharedSlope:
         x = np.array([0.3, -0.6])
         runs = []
         for m in (mdl, loaded, typed):
-            assert all((lay.grid.tiles[1].shape[0], lay.grid.tiles[2].shape[0]) == (1, 3)
+            assert all(lay.grid.equally_spaced for lay in m.layers)
+            assert all((lay.grid.tiles()[1].shape[0], lay.grid.tiles()[2].shape[0]) == (1, 3)
                        for lay in m.layers)
             cfg = PipelineConfig()
             be = _StageCounts(2 ** 15, plan_model(m, cfg).total)
             out, per_layer = model_forward_he(m, encrypt_input(x, m, be), cfg)
-            assert be.pt_mults["basis_recursion"] == 2  # the last layer's
+            assert be.pt_mults["basis_recursion"] == 3  # the last layer's
             runs.append((be.decrypt(out), per_layer))
         (want, counts), (got, loaded_counts), (typed_out, typed_counts) = runs
         assert np.array_equal(got.view(np.int64), want.view(np.int64))

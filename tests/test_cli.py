@@ -357,7 +357,7 @@ class TestDefaultBackendDepth:
             assert rc == 0
             outputs[mode] = np.array(json.loads(out.read_text())["outputs"])
         doc = json.loads((tmp_path / "he.json").read_text())
-        assert doc["stats"][0]["levels"] == {"lazy": 30, "naive": 32}[path]
+        assert doc["stats"][0]["levels"] == {"lazy": 28, "naive": 30}[path]
         assert np.max(np.abs(outputs["he"] - outputs["plain-mirrored"])) <= 1e-9
 
     def test_compare(self, files, tmp_path):
@@ -373,7 +373,7 @@ class TestDefaultBackendDepth:
         out = tmp_path / "bench.csv"
         rc = main(["bench", "--model", model, "--configs", str(cfgs), "--out", str(out)])
         assert rc == 0
-        assert [int(r["depth"]) for r in _csv_rows(out)] == [30, 32]
+        assert [int(r["depth"]) for r in _csv_rows(out)] == [28, 30]
 
 
 class TestRangeContract:
@@ -413,7 +413,9 @@ class TestRangeContract:
 class TestDivergedOutput:
     """A decrypted NaN is a numerical failure, never printed as a result.
     With the default comparator the forward stays finite at sigma = 1e-9
-    (and up to 1e-3) and overflows to NaN at sigma = 1e-2."""
+    (and up to 1e-3) and overflows to NaN at sigma = 5e-2 (at 1e-2 it
+    reaches 6.4e147, finite, where it overflowed before the comparator's
+    first scalar rode on the packing mask)."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -424,7 +426,7 @@ class TestDivergedOutput:
         return ["--model", str(path), "--input", str(row)]
 
     @pytest.mark.parametrize("command", ["infer", "compare"])
-    @pytest.mark.parametrize("noise,rc", [(1e-2, 3), (1e-9, 0), (0.0, 0)])
+    @pytest.mark.parametrize("noise,rc", [(5e-2, 3), (1e-9, 0), (0.0, 0)])
     def test_non_finite_output_is_a_numerical_failure(self, files, capsys, command,
                                                       noise, rc):
         backend = json.dumps({"slot_count": 4096, "depth_budget": 80, "noise_std": noise})

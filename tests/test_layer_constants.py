@@ -240,8 +240,9 @@ class TestReadOnly:
         assert padded.W.shape == (4, 8)
         targets = [layer.W_b, layer.S, layer.w_prime, layer.w_fused,
                    sched.all_diagonals, sched.diagonals(range(2)),
-                   sched.W, padded.W, layer.permutation.source_of, *layer.grid.tiles,
-                   layer.grid.tiles[1][0]]
+                   sched.W, padded.W, layer.permutation.source_of,
+                   *(t for unit in (1.0, build_composite_sign().unit)
+                     for t in (*layer.grid.tiles(unit)[:3], layer.grid.tiles(unit)[1][0]))]
         for a in targets:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1.0
@@ -278,7 +279,7 @@ class TestKnotTilesAtThePackedWidth:
         cfg = PipelineConfig(path=path)
         be = make_backend(BackendConfig(slot_count=2 ** 15,
                                         depth_budget=plan_model(mdl, cfg).total))
-        tiles = [t for layer in mdl.layers for t in layer.grid.tiles]
+        tiles = [t for layer in mdl.layers for t in layer.grid.tiles(cfg.comparator().unit)[:3]]
         copied = []
 
         def spy(start, data, *args):
@@ -293,12 +294,14 @@ class TestKnotTilesAtThePackedWidth:
     @pytest.mark.parametrize("n_i, g, k", [(64, 3, 2), (256, 10, 3), (256, 10, 5)])
     @pytest.mark.parametrize("comparator", [EXACT_COMPARATOR, build_composite_sign()],
                              ids=["exact", "composite"])
-    def test_no_tile_is_copied(self, monkeypatch, n_i, g, k, comparator):
+    @pytest.mark.parametrize("folded", [False, True], ids=["raw", "folded"])
+    def test_no_tile_is_copied(self, monkeypatch, n_i, g, k, comparator, folded):
         G = bspline.GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
         be = make_backend(BackendConfig(slot_count=2 ** 15, depth_budget=20))
         x = be.encrypt(np.random.default_rng(n_i).uniform(-1, 1, n_i))
-        xp = bspline.repeat_pack(x, G)
-        tiles = G.tiles
+        unit = comparator.unit if folded else 1.0
+        xp = bspline.repeat_pack(x, G, unit=unit)
+        tiles = G.tiles(unit)[:3]
         copied = []
 
         def spy(start, data, *args):
@@ -307,7 +310,7 @@ class TestKnotTilesAtThePackedWidth:
 
         place = backend._place
         monkeypatch.setattr(backend, "_place", spy)
-        bspline.bspline_basis_he(xp, G, comparator)
+        bspline.bspline_basis_he(xp, G, comparator, folded)
         assert copied == []
         assert xp.start == 0 and xp.data.size == n_i * bspline.basis_copies(g, k)
         assert all(t.shape[-1] == n_i * bspline.basis_copies(g, k) for t in tiles)

@@ -4,7 +4,8 @@ its run count, one sha256 per noise level, one per comparator mode and one
 over everything;
 ``code_lines.py`` prints one count per ``src/hekan`` module, then their
 total; ``stage_counts.py`` prints each labelled stage's op counts and a
-total per (model, path), then each layer's layout. No linter ships with the project, so one more check here walks the
+total per (model, path), each with its level drop, then each layer's
+layout. No linter ships with the project, so one more check here walks the
 package's syntax trees: no module imports a name it never references."""
 
 import ast
@@ -69,7 +70,7 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
 def test_stage_counts_prints_each_stage_and_the_total():
     tool = _load("stage_counts")
     header, *lines = _run("stage_counts")
-    assert header == "model path stage rotations pt_mults ct_mults"
+    assert header == "model path stage rotations pt_mults ct_mults levels"
     rows = [line.split(" ") for line in lines if line.split(" ")[2] != "layout"]
     keys = [(model, path) for model, *_ in tool.MODELS for path in ("lazy", "naive")]
     assert [tuple(row[:3]) for row in rows] == [
@@ -78,24 +79,36 @@ def test_stage_counts_prints_each_stage_and_the_total():
     assert {model for model, *_ in keys} == {*tables, "jittered(64,3,2)", "kan_small"}
     assert tool.STAGES == ("repeat_pack", "silu_poly", "base_matvec", "comparator",
                            "basis_recursion", "spline_matvec")
-    counts = np.array([[int(c) for c in row[3:]] for row in rows]).reshape(len(keys), -1, 3)
-    assert (counts >= 0).all()
+    table = np.array([[int(c) for c in row[3:]] for row in rows]).reshape(len(keys), -1, 4)
+    counts, levels = table[..., :3], table[..., 3]
+    assert (table >= 0).all()
     # the stages account for every rotation and multiply of the forward
     assert np.array_equal(counts[:, :-1].sum(axis=1), counts[:, -1])
-    # kan_small's lazy forward is perfbench's pinned one: 23 / 16 / 44
-    assert counts[keys.index(("kan_small", "lazy")), -1].tolist() == [23, 16, 44]
-    # the basis recursion: a rotation per order, k + 1 ct mults, and 2 pt
-    # mults on an equally spaced grid, k + 1 = 3 with one jittered knot row
-    recursion = tool.STAGES.index("basis_recursion")
-    for (model, path), stages in zip(keys, counts):
+    # kan_small's lazy forward is perfbench's pinned one: 23 / 16 / 44 at
+    # depth 28; the deepest table layer, (256,10,5), takes 15 levels lazy
+    # and 16 naive (the naive path's permutation product one more)
+    assert table[keys.index(("kan_small", "lazy")), -1].tolist() == [23, 16, 44, 28]
+    assert [levels[keys.index(key), -1] for key in keys if key[0] in tables] == [
+        14, 15, 14, 15, 14, 15, 14, 15, 15, 16]
+    # the comparator: one rotation (the order-0 difference), no pt mult (its
+    # first scalar rides on the packing mask), 15 ct mults, 10 levels
+    comparator, recursion = (tool.STAGES.index(name) for name in ("comparator",
+                                                                  "basis_recursion"))
+    # the basis recursion: a rotation per order; on an equally spaced grid
+    # 3 pt mults, k + 1 ct mults (k for k = 2) and ceil((k - 1)/2) + 1
+    # levels, two orders a level; with one jittered knot row k + 1 pt and
+    # ct mults and k levels
+    for (model, path), stages in zip(keys, table):
         k = next(k for label, _, _, k in tool.MODELS if label == model)
         layers = 2 if model == "kan_small" else 1
-        pt = k + 1 if model.startswith("jittered") else 2
-        assert stages[recursion].tolist() == [layers * k, layers * pt, layers * (k + 1)]
-    # and nothing else moves: the recursion's and the total's one pt mult
-    jittered, spaced = (counts[keys.index((m, "lazy"))] for m in ("jittered(64,3,2)", "(64,3,2)"))
-    assert (jittered - spaced).tolist() == [[0, 1, 0] if i in (recursion, len(tool.STAGES))
-                                            else [0, 0, 0] for i in range(len(tool.STAGES) + 1)]
+        assert stages[comparator].tolist() == [layers, 0, 15 * layers, 10 * layers]
+        want = ([k, k + 1, k + 1, k] if model.startswith("jittered")
+                else [k, 3, k + (k >= 3), k // 2 + 1])
+        assert stages[recursion].tolist() == [layers * n for n in want]
+    # and nothing else moves: the recursion's and the total's one ct mult
+    jittered, spaced = (table[keys.index((m, "lazy"))] for m in ("jittered(64,3,2)", "(64,3,2)"))
+    assert (jittered - spaced).tolist() == [[0, 0, 1, 0] if i in (recursion, len(tool.STAGES))
+                                            else [0, 0, 0, 0] for i in range(len(tool.STAGES) + 1)]
 
 
 def test_stage_counts_prints_each_layers_layout_after_its_total():

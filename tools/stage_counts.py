@@ -4,20 +4,25 @@ Runs one forward of each of the paper's five table configs (n_i, g, k),
 each with n_o = 10, of ``jittered(64,3,2)``, the first config with one
 knot row no longer equally spaced (its interior knots moved by up to a
 tenth of the spacing), so that its basis recursion keeps a slope per
-weight (k + 1 plaintext multiplies against the equally spaced grid's 2),
-and of the two-layer ``kan_small`` model ([2, 5, 1], g = 5, k = 3), on
-both paths, on the exact backend at 2^15 slots with the default composite
+weight and one order a level (k + 1 plaintext multiplies against the
+equally spaced grid's 3, with k ct mults for k = 2), and of the
+two-layer ``kan_small`` model ([2, 5, 1], g = 5, k = 3), on both paths,
+on the exact backend at 2^15 slots with the default composite
 comparator, and prints a header, then for each (model, path) one line per
 labelled stage and a total line:
 
     python tools/stage_counts.py
 
 A count line reads ``<model> <path> <stage> <rotations> <pt_mults>
-<ct_mults>``. The stages are the layer program's labels in pipeline order
-(STAGES), summed over the model's layers; ``total`` is the forward's
-whole count. A stage is charged the ops counted since the label before it
-(the forward's start for the first), read through a ``HeBackend``
-subclass whose label hook ``_stage`` records them. When W_b's block sum
+<ct_mults> <levels>``. The stages are the layer program's labels in
+pipeline order (STAGES), summed over the model's layers; ``total`` is the
+forward's whole count. A stage is charged the ops counted since the label
+before it (the forward's start for the first), read through a
+``HeBackend`` subclass whose label hook ``_stage`` records them, and its
+levels are its level drop (the level of the value it labels against that
+of its input), summed over the layers; the total's are the forward's
+depth. The two branches of a layer run side by side, so the stages'
+levels do not sum to the depth. When W_b's block sum
 shares the last spline map's fold chain, its baby rotations and products
 are charged to ``base_matvec`` and the shared giant rotations and folds to
 ``spline_matvec``. Counts depend on shapes alone, so every model is drawn
@@ -82,17 +87,18 @@ class StageCounts(HeBackend):
 
     def __init__(self, config: BackendConfig):
         super().__init__(config)
-        self.stages = {name: np.zeros(3, dtype=int) for name in STAGES}
+        self.stages = {name: np.zeros(4, dtype=int) for name in STAGES}
         self._mark = self.counter.copy()
 
     def _stage(self, name, v_in, v_out):
         spent = self.counter.since(self._mark)
-        self.stages[name] += (spent.rotations, spent.pt_mults, spent.ct_mults)
+        self.stages[name] += (spent.rotations, spent.pt_mults, spent.ct_mults,
+                              v_in.level - v_out.level)
         self._mark = self.counter.copy()
 
 
 def main() -> None:
-    print("model path stage rotations pt_mults ct_mults")
+    print("model path stage rotations pt_mults ct_mults levels")
     for label, dims, g, k in MODELS:
         model = random_model(dims, g=g, k=k, seed=0)
         if label.startswith("jittered"):
@@ -102,10 +108,11 @@ def main() -> None:
             cfg = PipelineConfig(path=path)
             be = StageCounts(BackendConfig(slot_count=SLOT_COUNT,
                                            depth_budget=plan_model(model, cfg).total))
-            model_forward_he(model, encrypt_input(x, model, be), cfg)
+            ct = encrypt_input(x, model, be)
+            out, _ = model_forward_he(model, ct, cfg)
             c = be.counter
-            for name, counts in (*be.stages.items(),
-                                 ("total", (c.rotations, c.pt_mults, c.ct_mults))):
+            total = c.rotations, c.pt_mults, c.ct_mults, ct.level - out.level
+            for name, counts in (*be.stages.items(), ("total", total)):
                 print(label, path, name, *map(int, counts))
             comparator = cfg.comparator()
             for i, layer in enumerate(model.layers):
