@@ -689,19 +689,13 @@ class CompositeSign:
             d = stage.run(ops, d)
         return ops.add(d, 0.5)
 
-    def certified_max_error(self) -> float:
+    def certified_max_error(self, folded: bool = False) -> float:
         """Max |2 step(y) - 2| (that is, |composed(y) - 1| as step computes
-        it) over 100000 points of [delta, 1], of both programs: on y, and
-        folded on y times ``unit``."""
-        return max(self._errors())
-
-    def _errors(self):
-        """certified_max_error's two maxima, the raw program's first, each
-        computed when asked for (``build_composite_sign`` stops at the
-        first past its target)."""
+        it) over 100000 points of [delta, 1]: of the raw program on y, or
+        of the ``folded`` one on y times ``unit``."""
         y = np.linspace(self.delta, 1.0, 100_000)
-        for d, folded in ((y, False), (y * self.unit, True)):
-            yield float(np.max(np.abs(2.0 * self.step(_ArrayOps(d), d, folded) - 2.0)))
+        d = y * self.unit if folded else y
+        return float(np.max(np.abs(2.0 * self.step(_ArrayOps(d), d, folded) - 2.0)))
 
 
 class ExactComparator:
@@ -787,7 +781,9 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
 
     Tries the stage-degree plans of _STAGE_PLANS (by depth, then by one
     call's ct and pt mults) and returns the first whose composed error
-    certifies below target_eps on a dense grid, raw and folded.
+    certifies below target_eps on a dense grid, as a raw ``poly_comp``
+    runs it. The layer program runs it folded, and certifies that program
+    itself before its first use (``inference._layout``).
     InvalidArgument before any fit for a target outside its domain
     (``_check_target``).
     """
@@ -811,7 +807,7 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
         if not feasible:
             continue
         cs = CompositeSign(tuple(stages), float(alpha), float(target_eps))
-        if all(error <= target_eps for error in cs._errors()):
+        if cs.certified_max_error() <= target_eps:
             return cs
     raise RemezNonConvergence(
         f"no stage plan certified eps <= {target_eps} for alpha = {alpha}")

@@ -83,9 +83,8 @@ class GridMatrix:
     @property
     def scale(self) -> float:
         """1/(2R), the comparator's unit: it maps an input and a knot in
-        [-R, R] to a difference in [-1, 1]. The basis runs in this unit,
-        times the comparator's first scalar in the layer (``repeat_pack``'s
-        ``unit``)."""
+        [-R, R] to a difference in [-1, 1]. The basis runs in this unit
+        times its comparator's ``unit`` (``repeat_pack``)."""
         return 1.0 / (2.0 * self.R)
 
     @cached_property
@@ -100,7 +99,7 @@ class GridMatrix:
         h = (self.entries[:, -1:] - self.entries[:, :1]) / (self.entries.shape[1] - 1)
         return bool(np.all(np.abs(np.diff(self.entries, axis=1) - h) <= SPACING_TOL * h))
 
-    def tiles(self, unit: float = 1.0) -> tuple:
+    def tiles(self, unit: float) -> tuple:
         """basis_tiles(self, unit), built on first use per unit and
         read-only: the knots cannot change, so every basis evaluation in
         that unit reuses them."""
@@ -234,15 +233,16 @@ def basis_copies(g: int, k: int) -> int:
     return 1 << (g + 2 * k).bit_length()
 
 
-def repeat_pack(ct: CipherText, G: GridMatrix, copies: int | None = None,
-                unit: float = 1.0) -> CipherText:
+def repeat_pack(ct: CipherText, G: GridMatrix, comparator,
+                copies: int | None = None) -> CipherText:
     """Fast repeat packing, the one builder of the operand the basis reads
     (and the layer's SiLU branch with it), on a ciphertext or an array
-    (the mirror): ct's n_i input slots times G.scale * unit, as ``copies``
-    copies back to back over a zero tail. G.scale maps [-R, R] into the
-    comparator's [-1/2, 1/2]; the layer program passes its comparator's
-    ``unit`` as well, so that the comparator's first scalar rides on the
-    mask (``bspline_basis_he``'s ``folded``). copies defaults to
+    (the mirror): ct's n_i input slots times G.scale * comparator.unit,
+    the comparator's units, as ``copies`` copies back to back over a zero
+    tail. G.scale maps [-R, R] into [-1/2, 1/2]; ``unit`` is the
+    comparator's first stage's own input unit (1 for the exact one), so
+    that stage's scalar rides on the mask and ``bspline_basis_he`` with
+    the same comparator spends no pt mult on it. copies defaults to
     ``basis_copies(g, k)``; the layer program passes its layout's
     (``inference.LayerLayout.copies``), a power-of-two multiple of it.
 
@@ -270,8 +270,8 @@ def repeat_pack(ct: CipherText, G: GridMatrix, copies: int | None = None,
     _check_layout(ct, n_i)
     ops = _ops_of(ct)
     _check_copies(ops.slot_count, n_i, copies)
-    xp = _double_copies(ops.mul(ct, np.full(n_i * arrived, G.scale * unit)), n_i, arrived,
-                        copies)
+    mask = np.full(n_i * arrived, G.scale * comparator.unit)
+    xp = _double_copies(ops.mul(ct, mask), n_i, arrived, copies)
     return replace(xp, copies=copies, width=n_i) if isinstance(xp, CipherText) else xp
 
 
@@ -310,17 +310,17 @@ def col_tile(matrix, l: int, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def basis_depth(k: int, comparator, equally_spaced: bool = True) -> int:
+def basis_depth(k: int, comparator) -> int:
     """Levels bspline_basis_he consumes from its input, ``repeat_pack``'s
-    output, as the layer program runs it (folded into the comparator's
-    unit), read off one run on a probe backend. With d =
-    comparator.depth(True) and k >= 1: max(d, 1) + k on a grid of unequal
-    spacing; on an equally spaced one max(d, 1) + ceil((k - 1) / 2) + 1,
-    or max(d, 2) + (k - 1) / 2 + 1 for odd k >= 3, whose first pair reads
-    w * w (bspline_basis_he)."""
+    output, on an equally spaced grid of degree k (every grid
+    ``GridMatrix.uniform`` builds), read off one run on a probe backend.
+    With d = comparator.depth(True) and k >= 1: max(d, 1) +
+    ceil((k - 1) / 2) + 1, or max(d, 2) + (k - 1) / 2 + 1 for odd k >= 3,
+    whose first pair reads w * w (bspline_basis_he). A grid of unequal
+    spacing spends max(d, 1) + k (its plan, ``inference.plan_layer``, runs
+    ``_stand_in(k, False)``)."""
     ct = _Probe().encrypt(0.0)
-    return ct.level - bspline_basis_he(ct, _stand_in(k, equally_spaced), comparator,
-                                       folded=True).level
+    return ct.level - bspline_basis_he(ct, _stand_in(k, True), comparator).level
 
 
 def _stand_in(k: int, equally_spaced: bool) -> GridMatrix:
@@ -334,7 +334,7 @@ def _stand_in(k: int, equally_spaced: bool) -> GridMatrix:
     return GridMatrix(knots[None], 1, k, 0.5)
 
 
-def basis_tiles(G: GridMatrix, unit: float = 1.0):
+def basis_tiles(G: GridMatrix, unit: float):
     """Plaintext tiles of the basis evaluation on an input in units of
     G.scale * unit (``repeat_pack``'s), the knots t times that unit,
     column-tiled and zero-padded to the width the basis reads,
@@ -403,22 +403,21 @@ def basis_tiles(G: GridMatrix, unit: float = 1.0):
     return knots, weights, last, c
 
 
-def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
-                     folded: bool = False) -> CipherText:
-    """All-basis evaluation on xp, ``repeat_pack``'s output: the input in
-    comparator units (times G.scale, as the knot tiles are, basis_tiles)
-    as at least basis_copies(g, k) copies over a zero tail, a ciphertext
-    or an array (the mirror). ``folded``: xp is
-    ``repeat_pack(ct, G, unit=comparator.unit)``'s, times the comparator's
-    first scalar as well, as the layer program packs it; the tiles are
-    built in that unit and the comparator runs with no pt mult
-    (``approx.poly_comp``). Interval membership comes from one
-    comparator call (poly_comp) against all g + 2k + 1 knot columns, whose
+def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
+    """All-basis evaluation on xp, ``repeat_pack(ct, G, comparator)``'s
+    output: the input in the comparator's units (times G.scale *
+    comparator.unit, as the knot tiles are, basis_tiles) as at least
+    basis_copies(g, k) copies over a zero tail, a ciphertext or an array
+    (the mirror). The mask has carried the comparator's first scalar, so
+    its call runs folded, with no pt mult (``approx.poly_comp``).
+    Interval membership comes from one comparator call (poly_comp)
+    against all g + 2k + 1 knot columns, whose
     step h differs from itself read one block ahead by the order-0 basis,
     then the slot-parallel Cox-de Boor recursion. Slot m * n_i + i of the
     result holds B_m(x_i) for m < g + k. The public composition is
-    ``bspline_basis_he(repeat_pack(ct, G), G, comparator)``; copies past
-    the g + 2k + 1 the call reads hold the same values and change nothing.
+    ``bspline_basis_he(repeat_pack(ct, G, comparator), G, comparator)``;
+    copies past the g + 2k + 1 the call reads hold the same values and
+    change nothing.
 
     Raises before any op: PackingOverflow unless n_i * basis_copies(g, k)
     slots fit (the packed layout's fit law, ``_check_copies``), then
@@ -468,7 +467,7 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     last order in two-factor form, N and RN times factors that carry its
     1/k!, one subtracted from the other: k + 1 plaintext and ciphertext
     multiplies, k rotations and k levels. ``basis_depth`` states the
-    whole depth.
+    whole depth of the equally spaced program.
 
     The slot contract. Past its valid region an order leaves finite
     values, which move left one tile per order as the region shrinks by
@@ -478,22 +477,21 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator,
     is exactly zero (up to its sign) with no extra masking. Every
     intermediate of the program stays at most 64 in magnitude on the
     mirror and on a ciphertext with slots past its packed width, for
-    every uniform grid with g <= 10, k <= 5 and x in [-R, R], folded or
-    not (w * w <= 64 by c). When the packed width fills the slot count,
-    the rotation wraps block 0's step into the last block, and on an
-    equally spaced grid with basis_copies(g, k) < g + 3k - 1 the shared
-    weight grows that stray value order by order (to 703 at most, at
-    g = 7, k = 4; 648 at g = 5, k = 5), in slots no output reads. An
+    every uniform grid with g <= 10, k <= 5 and x in [-R, R] (w * w <= 64
+    by c). When the packed width fills the slot count, the rotation wraps
+    block 0's step into the last block, and on an equally spaced grid with
+    basis_copies(g, k) < g + 3k - 1 the shared weight grows that stray
+    value order by order (to 703 at most, at g = 7, k = 4; 648 at g = 5,
+    k = 5), in slots no output reads. An
     input in [-R, R] (the range contract, KanModel.check_input_range)
-    keeps every comparator operand in [-1, 1], times the unit when
-    folded."""
+    keeps every comparator operand in [-1, 1], times the unit."""
     ops = _ops_of(xp)
     basis, n = basis_copies(G.g, G.k), G.n_i
     _check_copies(ops.slot_count, n, basis)
     _check_layout(xp, n, basis)
-    unit = comparator.unit if folded else 1.0
+    unit = comparator.unit
     knots, weights, last, c = G.tiles(unit)
-    h = poly_comp(ops.sub(xp, unit / 2), knots, comparator, folded)
+    h = poly_comp(ops.sub(xp, unit / 2), knots, comparator, folded=True)
     b = steps = ops.sub(h, ops.rotate(h, n))
     ops._stage("comparator", xp, steps)
     if not G.k:

@@ -6,8 +6,9 @@ Exit codes follow the error's category in ``hekan.errors``: 0 success,
 input file, an input the model rejects, a model the backend cannot fit or
 run) or a file that cannot be opened, read or written (``OSError``),
 3 ``NumericalFailure`` (a fitter that fails, a decrypted output that is
-NaN or infinite) or any other ``HeKanError``, 4 ``DepthBudgetInfeasible``. All subcommands are deterministic for a fixed
---seed (HEKAN_SEED is the fallback).
+NaN, infinite or past the model's output bound) or any other
+``HeKanError``, 4 ``DepthBudgetInfeasible``. All subcommands are
+deterministic for a fixed --seed (HEKAN_SEED is the fallback).
 """
 
 from __future__ import annotations
@@ -211,14 +212,18 @@ def _encrypted_setup(args, mdl) -> tuple:
 def _run_encrypted(mdl, row, cfg, backend) -> tuple:
     """One row through the encrypted forward: (outputs, levels used,
     per-layer OpCounter deltas). The client side decrypts the outputs and
-    rejects a diverged computation, so a NaN or infinity is never reported
-    as a result."""
+    rejects a diverged computation, so a NaN, an infinity or a value past
+    2 * B + 1 is never reported as a result, B the last layer's
+    ``output_bound``. The factor and the 1 leave room for the comparator's
+    and the noise's errors: converged forwards of random models read at
+    most 0.26 B."""
     ct = encrypt_input(row.reshape(mdl.input_shape), mdl, backend)
     out_ct, per_layer = model_forward_he(mdl, ct, cfg)
     out = backend.decrypt(out_ct)[:mdl.n_out]
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteOutput(f"decrypted output {out} holds NaN or infinity: "
-                              "the encrypted computation diverged")
+    bound = 2.0 * mdl.layers[-1].output_bound + 1.0
+    if not np.all(np.abs(out) <= bound):  # NaN included
+        raise NonFiniteOutput(f"decrypted output {out} holds NaN or infinity, or a value "
+                              f"past {bound:.6g}: the encrypted computation diverged")
     return out, ct.level - out_ct.level, per_layer
 
 

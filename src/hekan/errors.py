@@ -104,8 +104,9 @@ class UnsupportedLayer(UsageError):
 
 
 class NonFiniteOutput(NumericalFailure):
-    """A decrypted output holds NaN or infinity: the encrypted computation
-    diverged (e.g. under backend noise far above the data's precision)."""
+    """A decrypted output holds NaN or infinity, or a value past the bound
+    no converged forward reaches: the encrypted computation diverged (e.g.
+    under backend noise far above the data's precision)."""
 
 
 class DepthBudgetInfeasible(HeKanError):

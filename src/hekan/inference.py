@@ -37,6 +37,7 @@ from .approx import (
     DEFAULT_ALPHA,
     DEFAULT_TARGET_EPS,
     EXACT_COMPARATOR,
+    CompositeSign,
     _check_target,
     build_composite_sign,
     eval_poly_he,
@@ -54,6 +55,7 @@ from .errors import (
     DepthBudgetInfeasible,
     InvalidArgument,
     NonFiniteInput,
+    RemezNonConvergence,
     ShapeMismatch,
 )
 from .matvec import MatvecSchedule, front_counts, matvec_schedule, shared_counts
@@ -320,6 +322,20 @@ class LayerLayout:
     maps: tuple
 
 
+@functools.lru_cache(maxsize=None)
+def _check_folded(comparator) -> None:
+    """The layer runs a composite comparator folded (``bspline_basis_he``),
+    a program ``build_composite_sign`` does not certify: raise
+    RemezNonConvergence unless it certifies the comparator's target as
+    well, checked once per comparator before its first layer record. The
+    two programs' errors agree to 3 digits on every target that builds in
+    a sweep of alpha 3..8 and target_eps 2^-6..2^-24."""
+    if (isinstance(comparator, CompositeSign)
+            and (error := comparator.certified_max_error(True)) > comparator.target_eps):
+        raise RemezNonConvergence(f"the comparator's folded program errs by {error}, "
+                                  f"past its target {comparator.target_eps}")
+
+
 def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     """The layer's LayerLayout on this path and comparator, worked out on
     first use and kept on the layer (``KanLayer.layouts``), so the mirror
@@ -355,6 +371,7 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
     key = (path, comparator)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
+    _check_folded(comparator)
     basis, n_i = basis_copies(layer.g, layer.k), layer.n_i
 
     def copies(reads):  # basis times ceil(reads / (n_i * basis)) rounded up to 2^d
@@ -470,7 +487,7 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     ops = _ops_of(x)
     layout = _layout(layer, path, comparator)
     _check_fit(layer, layout, ops.slot_count)
-    xp = repeat_pack(x, layer.grid, layout.copies, comparator.unit)
+    xp = repeat_pack(x, layer.grid, comparator, layout.copies)
     ops._stage("repeat_pack", x, xp)
     poly = eval_poly_he(xp, layer.silu_program(comparator.unit))
     ops._stage("silu_poly", xp, poly)
@@ -478,7 +495,7 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     base_out = bsgs_matvec(layer.W_b, poly, layout.base)
     ops._stage("base_matvec", poly, base_out[0][0] if shared else base_out)
 
-    basis = spline_out = bspline_basis_he(xp, layer.grid, comparator, folded=True)
+    basis = spline_out = bspline_basis_he(xp, layer.grid, comparator)
     *maps, (last, last_schedule) = zip(layer.spline_maps(path), layout.maps)
     for W, schedule in maps:
         spline_out = bsgs_matvec(W, spline_out, schedule)

@@ -136,12 +136,12 @@ class KanLayer:
         two_r = 2.0 * self.grid.R
         return Polynomial(tuple(c * two_r ** j for j, c in enumerate(self.silu_poly.coeffs)))
 
-    def silu_program(self, unit: float = 1.0):
+    def silu_program(self, unit: float):
         """What the layer program runs for the SiLU (``approx.eval_poly_he``)
         on the packed input in units of the grid's 1/(2R) times ``unit``
-        (``bspline.repeat_pack``'s; the layer passes its comparator's
-        unit), by one rule: ``packed_silu_poly`` rescaled to that unit,
-        coefficient j over unit^j, in Knuth's monic sextic form, an
+        (``bspline.repeat_pack``'s with a comparator of that unit, as the
+        layer packs it), by one rule: ``packed_silu_poly`` rescaled to that
+        unit, coefficient j over unit^j, in Knuth's monic sextic form, an
         ``approx.MonicSextic`` whose lead ``w_base(unit)`` carries (3 ct
         mults, no pt mult, 3 levels), when it has degree 6 and the form
         certifies on the packed input's domain [-|unit|/2, |unit|/2]; else
@@ -149,7 +149,7 @@ class KanLayer:
         per polynomial and unit."""
         return _silu_program(self.packed_silu_poly, unit)
 
-    def w_base(self, unit: float = 1.0) -> np.ndarray:
+    def w_base(self, unit: float) -> np.ndarray:
         """The matrix W_b's block sum multiplies after ``silu_program(unit)``,
         read-only: lead * W_b when that is a monic sextic of that lead, so
         the lead costs nothing at run time; W_b itself otherwise. The
@@ -180,6 +180,20 @@ class KanLayer:
         fused = fuse_weights(self.w_prime, self.permutation)
         fused.setflags(write=False)
         return fused
+
+    @cached_property
+    def output_bound(self) -> float:
+        """The largest |output| the layer gives on an input in its grid's
+        [-R, R] with its SiLU polynomial and exact basis values (at least
+        0, summing to at most 1): the max over rows o of
+        sum_i |W_b[o, i]| * max |silu_poly| on [-R, R] + max_m |S[o, i, m]|.
+        The polynomial's max is taken at the ends and its critical points."""
+        R, c = self.grid.R, self.silu_poly.coeffs
+        crit = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(c))
+        x = np.clip(np.r_[-R, R, crit.real], -R, R)
+        top = float(np.max(np.abs(self.silu_poly(x))))
+        return float(np.max(np.abs(self.W_b).sum(axis=1) * top
+                            + np.abs(self.S).max(axis=2).sum(axis=1)))
 
     @cached_property
     def layouts(self) -> dict:

@@ -86,7 +86,7 @@ def test_criterion_2_repeat_packing_rotation_law():
 
             be = HeBackend(bcfg)
             ct = be.encrypt(np.arange(1.0, n_i + 1))
-            packed = repeat_pack(ct, GridMatrix.uniform(n_i, g, k, -1.0, 1.0), 2 ** expected)
+            packed = repeat_pack(ct, GridMatrix.uniform(n_i, g, k, -1.0, 1.0), EXACT_COMPARATOR, 2 ** expected)
             assert be.counter.rotations == expected, (n_i, copies)
             blocks = packed.slots[: n_i * copies].reshape(copies, n_i)
             np.testing.assert_array_equal(blocks, np.tile(blocks[0], (copies, 1)))
@@ -178,7 +178,7 @@ def test_criterion_5_bspline_correctness():
     for start in range(0, 1000, 4):
         x = pts[start:start + 4]
         be = HeBackend(bcfg)
-        xp = repeat_pack(be.encrypt(x), G)
+        xp = repeat_pack(be.encrypt(x), G, EXACT_COMPARATOR)
         bv = bspline_basis_he(xp, G, EXACT_COMPARATOR)
         sums = bv.slots[: 4 * G.n_basis].reshape(G.n_basis, 4).sum(axis=0)
         worst_he = max(worst_he, float(np.max(np.abs(sums - 1.0))))
@@ -196,7 +196,7 @@ def test_criterion_5_bspline_correctness():
     for start in range(0, sweep.size - 3, 4):
         x = sweep[start:start + 4]
         be = HeBackend(bcfg_c)
-        xp = repeat_pack(be.encrypt(x), Gc)
+        xp = repeat_pack(be.encrypt(x), Gc, cs)
         bv = bspline_basis_he(xp, Gc, cs)
         vals = bv.slots[: 4 * Gc.n_basis].reshape(Gc.n_basis, 4).T
         plain = np.array([bspline_basis_plain(xi, Gc.entries[i], 2)

@@ -494,8 +494,8 @@ class TestMonicSextic:
         grid = GridMatrix(np.linspace(-0.5, 0.5, 8)[None], 3, 2, 0.5)  # R = 1/2: packed is p
         layer = KanLayer(W_b=np.ones((1, 1)), S=np.zeros((1, 1, grid.n_basis)), grid=grid,
                          silu_poly=p)
-        assert layer.silu_program() == layer.packed_silu_poly
-        assert layer.w_base() is layer.W_b
+        assert layer.silu_program(1.0) == layer.packed_silu_poly
+        assert layer.w_base(1.0) is layer.W_b
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_polynomials_are_not_certified(self, bad):
@@ -510,7 +510,8 @@ class TestMonicSextic:
         layer, _ = fit_layer_ls(Dataset(X, X[:, :1] ** 2), 1,
                                 GridMatrix.uniform(2, 3, 2, -1.0, 1.0))
         assert layer.packed_silu_poly.degree == 10
-        assert layer.silu_program() == layer.packed_silu_poly and layer.w_base() is layer.W_b
+        assert layer.silu_program(1.0) == layer.packed_silu_poly
+        assert layer.w_base(1.0) is layer.W_b
 
     @pytest.mark.parametrize("lead, a", [
         (1.0, (np.nan, 0, 0, 0, 0, 0)), (np.inf, (0, 0, 0, 0, 0, 0)),
@@ -876,18 +877,19 @@ class TestCompositeSign:
     @pytest.mark.parametrize("alpha, eps", [(approx.DEFAULT_ALPHA, approx.DEFAULT_TARGET_EPS),
                                             (7.0, 2.0 ** -10)], ids=["default", "criterion4"])
     def test_certificate_reads_the_bits_poly_comp_returns(self, alpha, eps):
-        """certified_max_error runs step, the program poly_comp runs: its
-        value is max |2 out - 2| of the backend's output on its grid, and
-        step's bits are poly_comp's on the backend and in the mirror, at
-        signed zeros and subnormals too."""
+        """certified_max_error runs step, the program poly_comp runs, raw
+        or folded: its value is max |2 out - 2| of the backend's output on
+        its grid, and step's bits are poly_comp's on the backend and in
+        the mirror, at signed zeros and subnormals too. The build accepts
+        the raw program's; on these targets the folded one, which the
+        layer runs, certifies too."""
         cs = build_composite_sign(alpha, eps)
         y = np.linspace(cs.delta, 1.0, 100_000)
-        errors = []
         for d, folded in ((y, False), (y * cs.unit, True)):
             be = backend(slots=2 ** 17)
             out = be.decrypt(poly_comp(be.encrypt(d), 0.0, cs, folded))[:y.size]
-            errors.append(np.max(np.abs(2.0 * out - 2.0)))
-        assert cs.certified_max_error() == max(errors)
+            error = np.max(np.abs(2.0 * out - 2.0))
+            assert cs.certified_max_error(folded) == error <= eps
         d = np.concatenate(([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324],
                             np.linspace(-1.0, 1.0, 8001)))
         for folded in (False, True):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hekan.approx import EXACT_COMPARATOR
 from hekan.backend import (
     BackendConfig,
     CipherText,
@@ -541,9 +542,9 @@ class TestArrayOpsSlotSemantics:
     def test_repeat_pack_equals_the_ciphertext_run(self):
         x = np.random.default_rng(3).normal(size=3)
         G = GridMatrix.uniform(3, 3, 2, -1.0, 1.0)
-        packed = repeat_pack(x, G)  # g + 2k = 7 copies, rounded up to 8
+        packed = repeat_pack(x, G, EXACT_COMPARATOR)  # g + 2k = 7 copies, rounded up to 8
         be = fresh(slot_count=64)
-        ct = repeat_pack(be.encrypt(x), G)
+        ct = repeat_pack(be.encrypt(x), G, EXACT_COMPARATOR)
         assert packed.size == 3 * 8
         np.testing.assert_array_equal(packed, ct.slots[: packed.size])
 

@@ -63,7 +63,7 @@ def he_basis_values(x, G, comparator, slots=512, depth=30):
     """Run the encrypted path and return the (n_i, g+k) value matrix."""
     be = backend(slots, depth)
     ct = be.encrypt(x)
-    bv = bspline_basis_he(repeat_pack(ct, G), G, comparator)
+    bv = bspline_basis_he(repeat_pack(ct, G, comparator), G, comparator)
     vals = bv.slots[: G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
     return vals, bv, be
 
@@ -83,7 +83,7 @@ def _jittered(n_i, g, k, rows, seed=0):
 def clear_basis_values(x, G, comparator):
     """The same packing and basis programs run on the input array (the
     mirror's run), as the (n_i, g+k) value matrix."""
-    b = bspline_basis_he(repeat_pack(x, G), G, comparator)
+    b = bspline_basis_he(repeat_pack(x, G, comparator), G, comparator)
     return b[: G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
 
 
@@ -151,18 +151,18 @@ class TestRepeatPack:
     def test_small_example(self):
         be = backend()
         G = GridMatrix.uniform(2, 2, 1, -1.0, 1.0, R=2.0)  # scale 1/4
-        xp = repeat_pack(be.encrypt([1.0, 2.0]), G, 4)
+        xp = repeat_pack(be.encrypt([1.0, 2.0]), G, EXACT_COMPARATOR, 4)
         np.testing.assert_array_equal(xp.slots[:8], [.25, .5, .25, .5, .25, .5, .25, .5])
         assert not xp.slots[8:].any()
 
     def test_rotation_count_log(self):
         be = backend()
-        repeat_pack(be.encrypt([1.0, 2.0]), GridMatrix.uniform(2, 3, 2, -1.0, 1.0))
+        repeat_pack(be.encrypt([1.0, 2.0]), GridMatrix.uniform(2, 3, 2, -1.0, 1.0), EXACT_COMPARATOR)
         assert be.counter.rotations == 3  # 7 copies, rounded up to 8
 
     def test_rotation_count_twenty_copies(self):
         be = backend(slots=1024)
-        repeat_pack(be.encrypt(np.arange(4.0)), GridMatrix.uniform(4, 10, 5, -1.0, 1.0))
+        repeat_pack(be.encrypt(np.arange(4.0)), GridMatrix.uniform(4, 10, 5, -1.0, 1.0), EXACT_COMPARATOR)
         assert be.counter.rotations == 5  # ceil(log2 20)
 
     def test_block_equality(self):
@@ -170,7 +170,7 @@ class TestRepeatPack:
         be = backend(slots=512)
         x = rng.normal(size=5)
         G = GridMatrix.uniform(5, 6, 2, -1.0, 1.0, R=4.0)
-        xp = repeat_pack(be.encrypt(x), G)
+        xp = repeat_pack(be.encrypt(x), G, EXACT_COMPARATOR)
         blocks = xp.slots[: 5 * 16].reshape(16, 5)
         for blk in blocks:
             np.testing.assert_array_equal(blk, x * G.scale)
@@ -178,27 +178,27 @@ class TestRepeatPack:
     def test_overflow(self):
         be = backend(slots=16)
         with pytest.raises(PackingOverflow):
-            repeat_pack(be.encrypt(np.arange(4.0)), GridMatrix.uniform(4, 3, 1, -1.0, 1.0), 8)
+            repeat_pack(be.encrypt(np.arange(4.0)), GridMatrix.uniform(4, 3, 1, -1.0, 1.0), EXACT_COMPARATOR, 8)
 
     def test_doubling_headroom_overflow(self):
         # 3 * 5 = 15 fits in 16 slots but the doubling needs 3 * 8 = 24
         be = backend(slots=16)
         with pytest.raises(PackingOverflow):
-            repeat_pack(be.encrypt(np.arange(3.0)), GridMatrix.uniform(3, 3, 1, -1.0, 1.0), 8)
+            repeat_pack(be.encrypt(np.arange(3.0)), GridMatrix.uniform(3, 3, 1, -1.0, 1.0), EXACT_COMPARATOR, 8)
 
     def test_naive_packing_count_and_equality(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=3)
         be1, be2 = backend(), backend()
         G = GridMatrix.uniform(3, 4, 2, -1.0, 1.0, R=2.0)  # scale 1/4
-        fast = repeat_pack(be1.encrypt(x), G, 8)
+        fast = repeat_pack(be1.encrypt(x), G, EXACT_COMPARATOR, 8)
         slow = repeat_pack_naive(be2.encrypt(x), g=4, k=2, n_i=3)
         assert be2.counter.rotations == 4 + 2 * 2 - 1
         np.testing.assert_array_equal(fast.slots[: 3 * 8], slow.slots[: 3 * 8] / 4)
 
     def test_mask_costs_one_pt_mult(self):
         be = backend()
-        repeat_pack(be.encrypt([1.0]), GridMatrix.uniform(1, 2, 1, -1.0, 1.0))
+        repeat_pack(be.encrypt([1.0]), GridMatrix.uniform(1, 2, 1, -1.0, 1.0), EXACT_COMPARATOR)
         assert be.counter.pt_mults == 1
 
     @pytest.mark.parametrize("arrived", [1, 2, 4, 8, 16])
@@ -211,7 +211,7 @@ class TestRepeatPack:
         G = GridMatrix.uniform(3, 3, 2, -1.0, 1.0)
         ct = replace(be.encrypt(np.concatenate((np.tile(x, arrived), [9.0]))),
                      copies=arrived, width=3)
-        xp = repeat_pack(ct, G, 8)
+        xp = repeat_pack(ct, G, EXACT_COMPARATOR, 8)
         assert be.counter.rotations == max(0, 3 - arrived.bit_length() + 1)
         assert be.counter.pt_mults == 1 and xp.level == ct.level - 1
         assert (xp.copies, xp.width) == (8, 3)
@@ -223,14 +223,14 @@ class TestRepeatPack:
         be = backend()
         ct = replace(be.encrypt([1.0]), copies=arrived)
         with pytest.raises(InvalidArgument):
-            repeat_pack(ct, GridMatrix.uniform(1, 2, 1, -1.0, 1.0))
+            repeat_pack(ct, GridMatrix.uniform(1, 2, 1, -1.0, 1.0), EXACT_COMPARATOR)
         assert be.counter == OpCounter()
 
     def test_arrived_copies_must_fit(self):
         # 32 copies of 3 are 96 slots, past 64
         be = backend(slots=64)
         with pytest.raises(PackingOverflow):
-            repeat_pack(be.encrypt(np.ones(3)), GridMatrix.uniform(3, 3, 2, -1.0, 1.0), 32)
+            repeat_pack(be.encrypt(np.ones(3)), GridMatrix.uniform(3, 3, 2, -1.0, 1.0), EXACT_COMPARATOR, 32)
         assert be.counter == OpCounter()
 
 
@@ -285,7 +285,7 @@ class TestRepeatPackContract:
         else:
             ct = replace(be.encrypt(np.tile(x, stated)), copies=stated, width=n_i)
         before = be.counter.copy()
-        xp = repeat_pack(ct, G, copies)
+        xp = repeat_pack(ct, G, EXACT_COMPARATOR, copies)
         he = be.decrypt(xp)
         assert np.array_equal(he[:n_i * copies], np.tile(x * G.scale, copies))
         assert not he[n_i * copies:].any()
@@ -293,7 +293,7 @@ class TestRepeatPackContract:
         spent = be.counter.since(before)
         assert 1 << spent.rotations == copies // min(ct.copies, copies)
         assert spent.pt_mults == 1 and xp.level == ct.level - 1
-        clear = repeat_pack(x, G, copies)
+        clear = repeat_pack(x, G, EXACT_COMPARATOR, copies)
         assert clear.size == n_i * copies
         assert np.array_equal(he[:n_i * copies].view(np.int64), clear.view(np.int64))
 
@@ -307,11 +307,11 @@ class TestRepeatPackContract:
         x = np.random.default_rng(g + k).uniform(-1, 1, n_i)
         be = backend(slots=256)
         ct = be.encrypt(x) if arrival == "raw" else encrypt_input(x, mdl, be)
-        xp = repeat_pack(ct, G, copies if twice else None)
+        xp = repeat_pack(ct, G, EXACT_COMPARATOR, copies if twice else None)
         he = be.decrypt(xp)
         assert np.array_equal(he[:n_i * copies], np.tile(x * G.scale, copies))
         assert not he[n_i * copies:].any()
-        clear = repeat_pack(x, G, copies if twice else None)
+        clear = repeat_pack(x, G, EXACT_COMPARATOR, copies if twice else None)
         assert clear.size == n_i * copies
         assert np.array_equal(he[:n_i * copies].view(np.int64), clear.view(np.int64))
         # one level, the mask; the copies that arrived save their doublings
@@ -336,7 +336,7 @@ class TestRepeatPackContract:
         ct = be.encrypt(x) if arrival == "raw" else encrypt_input(x, mdl, be)
         before = be.counter.copy(), be._rng.bit_generator.state
         with pytest.raises(error):
-            repeat_pack(ct, mdl.layers[0].grid, copies)
+            repeat_pack(ct, mdl.layers[0].grid, EXACT_COMPARATOR, copies)
         assert (be.counter, be._rng.bit_generator.state) == before
 
     @pytest.mark.parametrize("arrival", ["raw", "encrypt_input"])
@@ -353,7 +353,7 @@ class TestRepeatPackContract:
         before = be.counter.copy(), be._rng.bit_generator.state
         for copies in (None, 32):
             with pytest.raises(ShapeMismatch, match="input of width 3 for a layer of n_i = 4"):
-                repeat_pack(ct, G, copies)
+                repeat_pack(ct, G, EXACT_COMPARATOR, copies)
         assert (be.counter, be._rng.bit_generator.state) == before
 
 
@@ -506,8 +506,8 @@ class TestEncryptedBasis:
         valid = n_i * (g + k)
         for comp in (build_composite_sign(), EXACT_COMPARATOR):
             ct = replace(backend(slots).encrypt(v), width=n_i)
-            he = bspline_basis_he(repeat_pack(ct, G), G, comp).slots
-            clear = bspline_basis_he(repeat_pack(v, G), G, comp)
+            he = bspline_basis_he(repeat_pack(ct, G, comp), G, comp).slots
+            clear = bspline_basis_he(repeat_pack(v, G, comp), G, comp)
             assert np.array_equal(he[:valid].view(np.int64), clear[:valid].view(np.int64))
             assert np.all(he[valid:] == 0.0) and np.all(clear[valid:] == 0.0)
         vals = he[:valid].reshape(g + k, n_i).T  # the exact comparator's run
@@ -577,11 +577,12 @@ class TestEncryptedBasis:
         x = np.random.default_rng(n_i + g).uniform(-1, 1, n_i)
         tight = 1 << (n_i * basis_copies(g, k) - 1).bit_length()
         be = backend(slots=tight)
-        xp = repeat_pack(be.encrypt(x), G)
+        xp = repeat_pack(be.encrypt(x), G, EXACT_COMPARATOR)
         before = be.counter.copy()
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bspline, "poly_comp", lambda *a: calls.append(a) or poly_comp(*a))
+            mp.setattr(bspline, "poly_comp",
+                       lambda *a, **kw: calls.append(a) or poly_comp(*a, **kw))
             out = bspline_basis_he(xp, G, EXACT_COMPARATOR)
         extra = basis_copies(g, k) > paper_copies(g, k)
         assert extra == (((g + 2 * k) & (g + 2 * k - 1)) == 0)  # a power of two
@@ -593,7 +594,7 @@ class TestEncryptedBasis:
         assert np.max(np.abs(vals - plain)) <= 1e-12
         small = backend(slots=tight // 2)
         with pytest.raises(PackingOverflow):
-            repeat_pack(small.encrypt(x), G)
+            repeat_pack(small.encrypt(x), G, EXACT_COMPARATOR)
         with pytest.raises(PackingOverflow):
             bspline_basis_he(small.encrypt(x), G, EXACT_COMPARATOR)
         assert small.counter == OpCounter()
@@ -603,22 +604,24 @@ class TestEncryptedBasis:
     @pytest.mark.parametrize("spaced", [True, False], ids=["equal", "jittered"])
     def test_depth_consumption(self, mode, k, spaced):
         """The measured level drop of the basis run on repeat_pack's
-        output, folded as the layer program runs it, basis_depth and the
-        plan's two basis stages agree. With d the comparator's depth: on
-        unequal spacing max(d, 1) + k; equally spaced max(d, 1) +
-        ceil((k - 1)/2) + 1, or max(d, 2) + ... for odd k >= 3, whose first
-        pair reads w * w (two levels below the packing). The packing takes
-        one level more, its mask."""
+        output and the plan's two basis stages agree, and so does
+        basis_depth on an equally spaced grid. With d the comparator's
+        folded depth: on unequal spacing max(d, 1) + k; equally spaced
+        max(d, 1) + ceil((k - 1)/2) + 1, or max(d, 2) + ... for odd k >= 3,
+        whose first pair reads w * w (two levels below the packing). The
+        packing takes one level more, its mask."""
         cfg = PipelineConfig(comparator_mode=mode)
         comp = cfg.comparator()
         G = GridMatrix.uniform(2, 4, k, -1.0, 1.0) if spaced else _jittered(2, 4, k, [1])
         be = backend(slots=512, depth=30)
         ct = be.encrypt([0.1, 0.2])
-        bv = bspline_basis_he(repeat_pack(ct, G, unit=comp.unit), G, comp, folded=True)
+        bv = bspline_basis_he(repeat_pack(ct, G, comp), G, comp)
         layer = replace(random_model([2, 1], g=4, k=k).layers[0], grid=G)
         stages = plan_layer(layer, cfg).stages
         planned = stages["comparator"] + stages["basis_recursion"]
-        assert ct.level - bv.level == 1 + basis_depth(k, comp, spaced) == 1 + planned
+        assert ct.level - bv.level == 1 + planned
+        if spaced:
+            assert basis_depth(k, comp) == planned
         d = comp.depth(True)
         assert planned == (max(d, 2 if k % 2 and k > 1 else 1) + k // 2 + 1 if spaced
                            else max(d, 1) + k)
@@ -660,7 +663,7 @@ class TestBasisReadsAPackedOperand:
         G, x, copies = self.CASES[case]
         be = HeBackend(BackendConfig(slot_count=256, depth_budget=30, noise_std=1e-12,
                                      rng_seed=0))
-        xp = be.encrypt(x) if copies is None else repeat_pack(be.encrypt(x), G, copies)
+        xp = be.encrypt(x) if copies is None else repeat_pack(be.encrypt(x), G, EXACT_COMPARATOR, copies)
         assert (xp.copies, xp.width) == (copies or 1, G.n_i)
         before = be.counter.copy(), be._rng.bit_generator.state
         with pytest.raises(ShapeMismatch, match=f"the basis reads {basis_copies(G.g, G.k)} "):
@@ -670,7 +673,7 @@ class TestBasisReadsAPackedOperand:
     @pytest.mark.parametrize("case", CASES)
     def test_array_runs_no_op(self, case, monkeypatch):
         G, x, copies = self.CASES[case]
-        xp = x if copies is None else repeat_pack(x, G, copies)
+        xp = x if copies is None else repeat_pack(x, G, EXACT_COMPARATOR, copies)
         calls = []
         monkeypatch.setattr(bspline, "poly_comp", lambda *a: calls.append(a))
         with pytest.raises(ShapeMismatch):
@@ -682,7 +685,7 @@ class TestBasisReadsAPackedOperand:
         # 1.35 and -0.1, a basis lies in [0, 1]
         be = HeBackend(BackendConfig(slot_count=256, depth_budget=30, noise_std=1e-12,
                                      rng_seed=0))
-        xp = repeat_pack(be.encrypt([0.4, -0.3, 0.1]), GridMatrix.uniform(3, 3, 1, -1, 1))
+        xp = repeat_pack(be.encrypt([0.4, -0.3, 0.1]), GridMatrix.uniform(3, 3, 1, -1, 1), EXACT_COMPARATOR)
         assert (xp.copies, xp.width) == (8, 3)
         before = be.counter.copy(), be._rng.bit_generator.state
         with pytest.raises(ShapeMismatch, match="input of width 3 for a layer of n_i = 4"):
@@ -774,7 +777,7 @@ class TestSharedSlope:
         mdl = KanModel(layers=[layer], input_shape=(1, 1, n_i))
         x = np.random.default_rng(seed).uniform(-1, 1, n_i)
         assert not G.equally_spaced
-        assert (G.tiles()[1].shape[0], G.tiles()[2].shape[0]) == (k - 1, 4)
+        assert (G.tiles(1.0)[1].shape[0], G.tiles(1.0)[2].shape[0]) == (k - 1, 4)
         for path in ("lazy", "naive"):
             cfg = PipelineConfig(path=path)
             plan = plan_layer(layer, cfg)
@@ -793,7 +796,7 @@ class TestSharedSlope:
     @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
     def test_slot_contract_on_equally_spaced_grids(self, monkeypatch, comparator, k):
         """For g = 1..10, at x across [-R, R] and on every knot (one
-        feature each), raw and folded into the comparator's unit: every
+        feature each), in the comparator's unit: every
         slot past n_i(g + k) is exactly zero, and every intermediate of
         the program stays at most 64 in magnitude (59.3 at most, w * w
         among them), on the mirror and on a ciphertext with slots past its
@@ -801,8 +804,7 @@ class TestSharedSlope:
         k = 1), k rotations and, after the composite's steps,
         ceil((k - 1)/2) + 1 levels."""
         comp = COMPARATORS[comparator]()
-        for g, folded in ((g, folded) for g in range(1, 11) for folded in (False, True)):
-            unit = comp.unit if folded else 1.0
+        for g in range(1, 11):
             span = GridMatrix.uniform(1, g, k, -1.0, 1.0)
             x = np.r_[np.linspace(-span.R, span.R, 41), span.entries[0]]
             G = GridMatrix.uniform(x.size, g, k, -1.0, 1.0)
@@ -810,13 +812,13 @@ class TestSharedSlope:
             peaks = []
             with monkeypatch.context() as mp:
                 mp.setattr(bspline, "_ops_of", _peak_ops(peaks))
-                out = bspline_basis_he(repeat_pack(x, G, unit=unit), G, comp, folded)
+                out = bspline_basis_he(repeat_pack(x, G, comp), G, comp)
             assert not np.any(out[valid:]) and max(peaks) <= 64
             roomy = 2 << (G.n_i * basis_copies(g, k) - 1).bit_length()
             peaks = []
             be = _PeakBackend(roomy, peaks)
             rotations = be.counter.rotations
-            out = bspline_basis_he(repeat_pack(be.encrypt(x), G, unit=unit), G, comp, folded)
+            out = bspline_basis_he(repeat_pack(be.encrypt(x), G, comp), G, comp)
             assert not np.any(out.slots[valid:]) and max(peaks) <= 64
             assert be.pt_mults["basis_recursion"] == min(k + 1, 3)
             if comparator == "composite":  # the weights are ready before the steps
@@ -827,24 +829,23 @@ class TestSharedSlope:
     @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
     def test_tightest_slot_count_keeps_the_valid_slots(self, comparator, k):
         """For g = 1..10 with n_i * basis_copies(g, k) == slot_count (64
-        features: x across [-R, R] and every knot), raw and folded into
-        the comparator's unit, the valid slots [0, n_i(g + k)) equal the
+        features: x across [-R, R] and every knot), in the comparator's
+        unit, the valid slots [0, n_i(g + k)) equal the
         mirror's bit for bit. The rotation wraps block 0's step into the
         last block, and where basis_copies(g, k) < g + 3k - 1 the shared
         weight grows it: every intermediate stays under 2^10 there (703 at
         g = 7, k = 4 and 648 at g = 5, k = 5, exact; 666 and 451
         composite), at most 64 elsewhere."""
         comp = COMPARATORS[comparator]()
-        for g, folded in ((g, folded) for g in range(1, 11) for folded in (False, True)):
-            unit = comp.unit if folded else 1.0
+        for g in range(1, 11):
             span = GridMatrix.uniform(1, g, k, -1.0, 1.0)
             x = np.r_[np.linspace(-span.R, span.R, 64 - span.entries.shape[1]), span.entries[0]]
             G = GridMatrix.uniform(x.size, g, k, -1.0, 1.0)
             valid = G.n_i * (g + k)
-            mirror = bspline_basis_he(repeat_pack(x, G, unit=unit), G, comp, folded)
+            mirror = bspline_basis_he(repeat_pack(x, G, comp), G, comp)
             peaks = []
             be = _PeakBackend(G.n_i * basis_copies(g, k), peaks)
-            out = bspline_basis_he(repeat_pack(be.encrypt(x), G, unit=unit), G, comp, folded)
+            out = bspline_basis_he(repeat_pack(be.encrypt(x), G, comp), G, comp)
             assert np.array_equal(out.slots[:valid].view(np.int64), mirror[:valid].view(np.int64))
             assert max(peaks) <= (64 if basis_copies(g, k) >= g + 3 * k - 1 else 2 ** 10)
 
@@ -853,9 +854,12 @@ class TestSharedSlope:
         """The basis as the layer runs it (folded into the default
         comparator's unit, two orders a level) moves at sigma = 1e-8 by no
         more than 1.25 times what one order a level with the comparator's
-        scalar on a raw difference moved: max |noisy - noiseless| over the
-        valid slots, 5 seeds at 2^15 slots, was 2.85e-5 and 6.17e-3 on
-        these table configs, and is 2.67e-5 and 5.98e-3."""
+        scalar on a raw difference moved on these inputs and noise draws:
+        max |noisy - noiseless| over the valid slots, 5 seeds at 2^15
+        slots, was 2.85e-5 and 6.17e-3 on these table configs, and is
+        2.65e-5 and 5.92e-3. One seed's value spreads by a factor of about
+        1.6 between seeds (1.58e-5 to 2.85e-5 and 3.82e-3 to 6.17e-3
+        before), so the bound holds only against the same seeds."""
         cs = build_composite_sign()
         G = GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
         worst = 0.0
@@ -865,8 +869,8 @@ class TestSharedSlope:
             for sigma in (0.0, 1e-8):
                 be = HeBackend(BackendConfig(slot_count=2 ** 15, depth_budget=20,
                                              noise_std=sigma, rng_seed=seed))
-                xp = repeat_pack(be.encrypt(x), G, unit=cs.unit)
-                outs.append(be.decrypt(bspline_basis_he(xp, G, cs, folded=True))[:n_i * (g + k)])
+                xp = repeat_pack(be.encrypt(x), G, cs)
+                outs.append(be.decrypt(bspline_basis_he(xp, G, cs))[:n_i * (g + k)])
             worst = max(worst, float(np.max(np.abs(outs[1] - outs[0]))))
         assert 0 < worst <= bound
 
@@ -893,7 +897,7 @@ class TestSharedSlope:
         runs = []
         for m in (mdl, loaded, typed):
             assert all(lay.grid.equally_spaced for lay in m.layers)
-            assert all((lay.grid.tiles()[1].shape[0], lay.grid.tiles()[2].shape[0]) == (1, 3)
+            assert all((lay.grid.tiles(1.0)[1].shape[0], lay.grid.tiles(1.0)[2].shape[0]) == (1, 3)
                        for lay in m.layers)
             cfg = PipelineConfig()
             be = _StageCounts(2 ** 15, plan_model(m, cfg).total)

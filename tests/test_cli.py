@@ -380,7 +380,8 @@ class TestRangeContract:
     """Every layer's input lies in its grid's [-R, R]. With layer 0's S
     scaled by 14, the input (0.4, -0.3) of random_model([2, 3, 1], g=5,
     k=3, seed=0) lies inside layer 0's R = 2.64 but gives layer 1 an input
-    of 3.22: the encrypted output is about -2.4e58 against an exact -0.39."""
+    of 3.22: the encrypted output is about -27.9 against an exact -0.39,
+    past twice the model's output bound (1.07) plus 1."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -403,6 +404,13 @@ class TestRangeContract:
         assert "layer 1" in captured.err
         assert "output:" not in captured.out and "|he - mirrored|" not in captured.out
 
+    def test_encrypted_infer_rejects_the_diverged_output(self, files, capsys):
+        # the client cannot see layer 1's input, only the output it decrypts
+        rc = main(["infer", *files])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "diverged" in captured.err and "output:" not in captured.out
+
     @pytest.mark.parametrize("command", ["infer", "compare"])
     def test_check_range_flag_is_gone(self, files, command):
         with pytest.raises(SystemExit) as err:
@@ -411,11 +419,11 @@ class TestRangeContract:
 
 
 class TestDivergedOutput:
-    """A decrypted NaN is a numerical failure, never printed as a result.
-    With the default comparator the forward stays finite at sigma = 1e-9
-    (and up to 1e-3) and overflows to NaN at sigma = 5e-2 (at 1e-2 it
-    reaches 6.4e147, finite, where it overflowed before the comparator's
-    first scalar rode on the packing mask)."""
+    """A decrypted NaN is a numerical failure, never printed as a result,
+    and so is a finite output past twice the model's output bound plus 1.
+    With the default comparator the forward reads -0.0928 at sigma = 1e-9
+    and -0.360 at 5e-3 (exact -0.0925, bound 1.64), diverges to 3.9e149 at
+    1e-2 and overflows to NaN at 5e-2."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -426,7 +434,7 @@ class TestDivergedOutput:
         return ["--model", str(path), "--input", str(row)]
 
     @pytest.mark.parametrize("command", ["infer", "compare"])
-    @pytest.mark.parametrize("noise,rc", [(5e-2, 3), (1e-9, 0), (0.0, 0)])
+    @pytest.mark.parametrize("noise,rc", [(1e-2, 3), (5e-2, 3), (5e-3, 0), (1e-9, 0), (0.0, 0)])
     def test_non_finite_output_is_a_numerical_failure(self, files, capsys, command,
                                                       noise, rc):
         backend = json.dumps({"slot_count": 4096, "depth_budget": 80, "noise_std": noise})

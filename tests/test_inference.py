@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hekan import bspline, inference
 from hekan.approx import (
     EXACT_COMPARATOR,
+    CompositeSign,
     MonicSextic,
     Polynomial,
     build_composite_sign,
@@ -37,6 +38,7 @@ from hekan.errors import (
     InvalidArgument,
     NonFiniteInput,
     PackingOverflow,
+    RemezNonConvergence,
     ShapeMismatch,
     UnsupportedLayer,
 )
@@ -725,6 +727,24 @@ class TestLayerForward:
         ct = be.encrypt([0.1, 0.2, 0.3])
         out = layer_forward_he(layer, ct, PipelineConfig(backend=bcfg))
         np.testing.assert_array_equal(out.slots, np.zeros(256))
+
+    def test_folded_comparator_is_certified_before_any_op(self):
+        """The layer runs its comparator folded, a program the build does
+        not certify, and checks it against the comparator's target before
+        any op: criterion 4's stages with the raw program's error as their
+        target certify raw (7.111202803335992e-4) but not folded
+        (7.111202803806727e-4)."""
+        cs = build_composite_sign(7.0, 2.0 ** -10)
+        tight = CompositeSign(cs.stages, cs.precision_alpha, cs.certified_max_error())
+        assert tight.certified_max_error() <= tight.target_eps < tight.certified_max_error(True)
+        layer = random_model([3, 2], g=4, k=2, seed=3).layers[0]
+        be = cleartext(slots=256, depth=80)
+        ct = be.encrypt([0.1, 0.2, 0.3])
+        with pytest.raises(RemezNonConvergence, match="folded program"):
+            inference._layer(layer, ct, "lazy", tight)
+        assert be.counter == OpCounter() and not layer.layouts
+        with pytest.raises(RemezNonConvergence, match="folded program"):
+            layer_forward_plain(layer, [0.1, 0.2, 0.3], "mirrored", comparator=tight)
 
     def test_lazy_and_naive_agree(self):
         rng = np.random.default_rng(4)
@@ -2146,10 +2166,10 @@ class TestPackingFeasibility:
             feasible = 4 * copies <= 64
             G = bspline.GridMatrix.uniform(4, copies, 0, -1.0, 1.0)
             if feasible:
-                repeat_pack(ct, G, _paper_copies(copies, 0))
+                repeat_pack(ct, G, EXACT_COMPARATOR, _paper_copies(copies, 0))
             else:
                 with pytest.raises(PackingOverflow):
-                    repeat_pack(ct, G, _paper_copies(copies, 0))
+                    repeat_pack(ct, G, EXACT_COMPARATOR, _paper_copies(copies, 0))
 
     @pytest.mark.parametrize("dims, g, k, error", [
         ([9, 29], 1, 1, PackingOverflow),     # W_b reads 37 slots: 4 copies of 9 doubled, 72 > 64

@@ -294,14 +294,12 @@ class TestKnotTilesAtThePackedWidth:
     @pytest.mark.parametrize("n_i, g, k", [(64, 3, 2), (256, 10, 3), (256, 10, 5)])
     @pytest.mark.parametrize("comparator", [EXACT_COMPARATOR, build_composite_sign()],
                              ids=["exact", "composite"])
-    @pytest.mark.parametrize("folded", [False, True], ids=["raw", "folded"])
-    def test_no_tile_is_copied(self, monkeypatch, n_i, g, k, comparator, folded):
+    def test_no_tile_is_copied(self, monkeypatch, n_i, g, k, comparator):
         G = bspline.GridMatrix.uniform(n_i, g, k, -1.0, 1.0)
         be = make_backend(BackendConfig(slot_count=2 ** 15, depth_budget=20))
         x = be.encrypt(np.random.default_rng(n_i).uniform(-1, 1, n_i))
-        unit = comparator.unit if folded else 1.0
-        xp = bspline.repeat_pack(x, G, unit=unit)
-        tiles = G.tiles(unit)[:3]
+        xp = bspline.repeat_pack(x, G, comparator)
+        tiles = G.tiles(comparator.unit)[:3]
         copied = []
 
         def spy(start, data, *args):
@@ -310,7 +308,7 @@ class TestKnotTilesAtThePackedWidth:
 
         place = backend._place
         monkeypatch.setattr(backend, "_place", spy)
-        bspline.bspline_basis_he(xp, G, comparator, folded)
+        bspline.bspline_basis_he(xp, G, comparator)
         assert copied == []
         assert xp.start == 0 and xp.data.size == n_i * bspline.basis_copies(g, k)
         assert all(t.shape[-1] == n_i * bspline.basis_copies(g, k) for t in tiles)

@@ -176,6 +176,34 @@ class TestLayerForward:
         with pytest.raises(HeKanError):
             tiny_layer().spline_maps("sideways")
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_output_bound_holds_on_in_range_inputs(self, seed):
+        """With the SiLU polynomial and an exact basis, no input in [-R, R]
+        takes an output past output_bound; nor does the mirrored forward
+        with the default comparator, whose basis errs a little. It is a
+        max: an input at the SiLU's extremum where every row's largest
+        coefficient has weight 1 reaches it."""
+        layer = random_model([3, 2], g=5, k=3, seed=seed).layers[0]
+        R = layer.grid.R
+        x = np.random.default_rng(seed).uniform(-R, R, (200, 3))
+        cs = build_composite_sign()
+        for row in x[:20]:
+            assert np.max(np.abs(layer_forward_plain(layer, row, "mirrored",
+                                                     comparator=cs))) <= layer.output_bound
+        poly = layer.silu_poly(x) @ layer.W_b.T  # the SiLU branch, polynomial as run
+        spline = _basis_matrix_exact(layer.grid, x).reshape(len(x), -1) @ layer.w_prime.T
+        assert np.max(np.abs(poly + spline)) <= layer.output_bound
+
+    def test_output_bound_is_reached(self):
+        # one edge, W_b = 0: the bound is the largest |coefficient|, and
+        # the basis function holding it peaks at 1 for k = 0
+        grid = GridMatrix.uniform(1, 4, 0, -1.0, 1.0)
+        coeffs = np.array([0.5, -2.0, 1.0, 0.25])
+        layer = KanLayer(W_b=np.zeros((1, 1)), S=coeffs.reshape(1, 1, 4), grid=grid,
+                         silu_poly=Polynomial((0.0, 1.0)))
+        assert layer.output_bound == 2.0
+        assert layer_forward_plain(layer, [-0.25])[0] == -2.0
+
 
 class TestModelForward:
     def test_one_layer_model_reduces_to_layer(self):
