@@ -411,9 +411,8 @@ def eval_poly_he(a: CipherText, p) -> CipherText:
     at a time.
     """
     if isinstance(p, MonicSextic):
-        return _ops_of(a).run_on_window(a, lambda ops: p.steps(ops, ops.x)[-1], p.depth)
-    return _ops_of(a).run_on_window(a, lambda ops: _estrin(ops, ops.x, p.coeffs),
-                                    poly_eval_depth(p))
+        return _ops_of(a).run_on_window(lambda ops, x: p.steps(ops, x)[-1], a)
+    return _ops_of(a).run_on_window(lambda ops, x: _estrin(ops, x, p.coeffs), a)
 
 
 # A MonicSextic certifies when it reproduces its polynomial p within this
@@ -465,7 +464,6 @@ class MonicSextic:
 
     lead: float
     a: tuple  # (a0, ..., a5)
-    depth = 3
 
     def __post_init__(self):
         if len(self.a) != 6 or not np.isfinite((self.lead, *self.a)).all():
@@ -829,6 +827,4 @@ def poly_comp(a: CipherText, b, comparator, folded: bool = False) -> CipherText:
     it), and the step is that of (a - b) / unit, with no pt mult.
     """
     ops = _ops_of(a)
-    d = ops.sub(a, b)
-    return ops.run_on_window(d, lambda w: comparator.step(w, w.x, folded),
-                             comparator.depth(folded))
+    return ops.run_on_window(lambda w, d: comparator.step(w, d, folded), ops.sub(a, b))

@@ -26,23 +26,36 @@ an array, which fills slots [0, len) over a zero tail, or a scalar, an
 empty window whose tail is the scalar. A noisy backend perturbs every
 slot, so its results are full windows.
 
-Polynomial schedules run through :meth:`HeBackend.run_on_window`: the
-whole schedule is one numpy program over the input's window with its tail
-appended, instead of one ``slotwise`` call per operation. It multiplies
-and adds only ciphertexts derived from the input and scalars, so every
-intermediate keeps the input's window, and each array op is the float op
-``slotwise`` would perform on the same operands; the results, op counts,
-levels and noise draws are those of the op-by-op run.
+Straight-line programs run through :meth:`HeBackend.run_on_window`: a
+polynomial schedule, a comparator, the B-spline basis recursion and a
+matvec's folds are each one numpy program over their operands' window,
+each value an array of the window's slots with the tail appended, instead
+of one ``slotwise`` call per operation. The caller states the program's
+``reach``, the largest total left shift of its rotations (none for a
+polynomial, (k + 1) n_i for the basis, the sum of the shifts for the
+folds); the window is widened by that many slots in front and a rotation
+is a shift filled from the tail. Where the widened window could wrap onto
+itself (len + 2 reach >= slot_count), and on a noisy backend, whose ops
+return full windows, the program runs on all slot_count slots from slot 0
+and a rotation is cyclic. Its plaintexts are scalars and zero-tail tiles
+inside the operands' window. Each array op is the float op ``slotwise``
+would perform on the same operands, each value carries its level, and the
+counts are charged when the program finishes; so the slots, op counts,
+level and noise draws are those of the op-by-op run, and an op that
+raises leaves the backend as it was.
 
 Every stage program speaks one op vocabulary (add, sub, mul, rotate,
-const, run_on_window, run_block_sum, run_folds): HeBackend, ``_WindowOps`` (inside
-``run_on_window``) and the mirror's ``_ArrayOps`` each implement the ops
-their programs use; ``_ops_of(v)`` picks HeBackend for a ciphertext and
-``_ArrayOps`` for an array, so one stage function serves both forwards.
-``_ArrayOps`` reads an array as a ciphertext over a zero tail: the shorter
-operand of a slot-wise op is zero-extended, a right rotation prepends
-zeros and a left rotation drops the leading slots.
-The label hook ``_stage(name, v_in, v_out)`` is a no-op except on ``_Probe``.
+const, run_on_window, run_block_sum): HeBackend, ``_WindowOps`` (inside
+``run_on_window``, on its values, ``_Slots``) and the mirror's
+``_ArrayOps`` each implement the ops their programs use; ``_ops_of(v)``
+picks HeBackend for a ciphertext and ``_ArrayOps`` for an array, so one
+stage function serves both forwards, and refuses a window value, which
+only its program's ops take. ``_ArrayOps`` reads an array as a
+ciphertext over a zero tail: the shorter operand of a slot-wise op is
+zero-extended, a right rotation prepends zeros and a left rotation drops
+the leading slots. The label hook ``_stage(name, v_in, v_out)`` is a
+no-op except on ``_Probe``; inside a window program it is recorded and
+called when the program's counts are charged.
 
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
 on the exact backend, the wraparound duplication (if the schedule needs
@@ -52,9 +65,8 @@ more exception to the bit-identity invariant: the result is the window [0, L)
 over a +0.0 tail (L the diagonals' length), where the op-by-op run leaves
 ±0 partial products past slot L; an unfolded schedule's giant block i is
 likewise the window [base_i, base_i + L). Only the sign of those zeros
-differs, and no consumer reads them. A wide schedule's folds run the same way
-(:meth:`HeBackend.run_folds`), with no exception. A noisy backend runs
-both op by op, so each op draws its own noise.
+differs, and no consumer reads them. A noisy backend runs it op by op,
+so each op draws its own noise.
 """
 
 from __future__ import annotations
@@ -363,32 +375,63 @@ class HeBackend:
         kind = "mul_ct" if isinstance(b, CipherText) else "mul_pt"
         return self.slotwise(kind, a, b)
 
-    def run_on_window(self, a: CipherText, program, depth: int) -> CipherText:
-        """Run ``program(ops)`` as one numpy program over a's live window
-        and return its result at level ``a.level - depth``.
+    def run_on_window(self, program, *operands, reach: int = 0) -> CipherText:
+        """Run ``program(ops, *values)`` as one numpy program over the
+        operands' live window and return its result.
 
-        ``program`` runs ``ops.add``, ``mul`` and ``const`` on values
-        derived from ``ops.x``, a's window with its tail as the last
-        element. In a window program every array is a ciphertext value and
-        every plaintext is a scalar. So every intermediate keeps a's window,
-        and each op counts, perturbs and computes exactly as the matching
-        ``slotwise`` call (``const``, of a scalar or of values computed
-        from ``ops.x``, as ``encrypt``).
-        ``depth`` is the levels the program consumes; DepthExhausted is
-        raised before any op when a has fewer. A noisy backend runs on the
-        full window, as its ops would produce it.
+        ``values`` are the operands (ciphertexts of this backend) placed
+        over one window; ``ops`` (``_WindowOps``) adds, subtracts,
+        multiplies, rotates and makes constants as ``slotwise``,
+        ``rotate`` and ``encrypt`` would, and records the label hook's
+        calls (``_stage``). A plaintext operand is a scalar, or an array
+        over a zero tail (a tile) that lies inside the operands' window.
+        Every value carries its level, and a constant is at the first
+        operand's; the result's is read off the program. Op counts are
+        charged, and the labels replayed in order, when the program
+        finishes, so an op that raises (DepthExhausted for a multiply at
+        level 0) leaves the counter, the labels and the noise generator
+        as they were.
+
+        ``reach`` is the largest total left shift along any chain of the
+        program's rotations (none by default). The window is the operands'
+        cover widened by reach slots in front, and a rotation left by
+        t <= reach shifts it, filling from the tail (InvalidArgument for
+        any other t); the result keeps that window. Where the widened
+        window could wrap onto itself (len + 2 reach >= slot_count) or the
+        backend is noisy (its ops return full windows), the program runs
+        on all slot_count slots from slot 0 and a rotation is cyclic. A
+        tile outside the operands' window raises LengthMismatch. Either
+        way each slot is bit-identical to the op-by-op run's, and so are
+        the op counts, the level and the noise draws. It pays: op by op, the
+        lazy spline-map folds of every table config take 2.0-2.2 times as
+        long as their window program (199 against 92 us on (256, 10, 5);
+        2-core x86-64, Python 3.11, numpy 2.4).
         """
-        self._check_ours(a)
-        if a.level < depth:
-            raise DepthExhausted(f"{depth} levels needed at level {a.level}")
+        if not _is_int(reach) or reach < 0:
+            raise InvalidArgument(f"reach must be an integer >= 0, got {reach!r}")
         S = self.config.slot_count
-        start, data = a.start, a.data
-        # a noisy backend's ops return full windows at slot 0, so the
-        # program starts there; a full window is aligned to slot 0 as well
-        if (data.size == S or self.noisy) and (start or data.size < S):
-            start, data = 0, _place(a.start, a.data, a.tail, 0, S, S)
-        out = program(_WindowOps(self, np.append(data, a.tail)))
-        return CipherText(start, out[:-1], out[-1], a.level - depth, self)
+        self._check_ours(operands[0])
+        start, size = operands[0].start, operands[0].data.size
+        for a in operands[1:]:
+            self._check_ours(a)
+            start, size = _cover(start, size, a.start, a.data.size, S)
+        if self.noisy or size + 2 * reach >= S:
+            start, size, reach = 0, S, None
+        else:
+            start, size = (start - reach) % S, size + reach
+        ops = _WindowOps(self, start, size, reach, operands[0].level)
+        values = [_Slots(_window(a, start, size, S), a.level) for a in operands]
+        if not self.noisy:
+            out = program(ops, *values)
+        else:
+            state = self._rng.bit_generator.state
+            try:
+                out = program(ops, *values)
+            except BaseException:
+                self._rng.bit_generator.state = state
+                raise
+        ops.charge()
+        return CipherText(start, out.v[:-1], out.v[-1], out.level, self)
 
     def run_block_sum(self, a: CipherText, schedule, giants=None):
         """Run a diagonal matvec schedule up to its folds on the operand a
@@ -427,30 +470,6 @@ class HeBackend:
             return tuple(CipherText(base, block, 0.0, level, self)
                          for block, (base, _) in zip(out, schedule.blocks()))
         return CipherText(0, out, 0.0, level, self)
-
-    def run_folds(self, a: CipherText, shifts) -> CipherText:
-        """a plus a rotated left by shifts[0], that plus itself rotated by
-        shifts[1], and so on: a matvec's folds. An exact window that cannot
-        wrap onto itself (len + 2F <= slot_count, F = sum(shifts)) is one
-        numpy program over the op-by-op run's window [start - F, start +
-        len), tail padded in, with its slots and op counts; every other
-        case runs op by op (``_folds``). The fused program stays because
-        the op-by-op folds, bit-identical, take 1.3-2.7 times as long on
-        every table config's lazy spline-map folds (277 against 106 us on
-        (256, 10, 5); 2-core x86-64, Python 3.11)."""
-        S = self.config.slot_count
-        F = sum(shifts)
-        if self.noisy or not shifts or a.data.size + 2 * F > S:
-            return _folds(self, a, shifts)
-        self._check_ours(a)
-        self.counter.rotations += len(shifts)
-        self.counter.adds += len(shifts)
-        tail = a.tail
-        z = np.concatenate((np.full(F, tail), a.data))
-        for t in shifts:
-            z = z + np.concatenate((z[t:], np.full(t, tail)))
-            tail = tail + tail
-        return CipherText((a.start - F) % S, z, tail, a.level, self)
 
     def rotate(self, a: CipherText, t: int) -> CipherText:
         """Cyclic shift: left for t > 0, right for t < 0. Level unchanged.
@@ -491,37 +510,152 @@ class HeBackend:
         return self._rng.normal(0.0, self.config.noise_std, self.config.slot_count)
 
 
+def _window(a: CipherText, s: int, n: int, S: int) -> np.ndarray:
+    """Slots s .. s+n-1 of a, then its tail: a window program's operand.
+    Slot s+n of a window narrower than S lies past a's, so it is the tail."""
+    if n < S:
+        return _place(a.start, a.data, a.tail, s, n + 1, S)
+    return np.append(_place(a.start, a.data, a.tail, s, n, S), a.tail)
+
+
+class _Slots:
+    """A value of a window program (HeBackend.run_on_window): its slots
+    over the program's window with the tail as the last element (``v``),
+    and its level. Only its program's ops take it; ``_ops_of`` refuses
+    it. numpy reads it as ``v`` (the exact comparator's step does)."""
+
+    __slots__ = ("v", "level")
+
+    def __init__(self, v: np.ndarray, level: int):
+        self.v, self.level = v, level
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.v, dtype) if copy else np.asarray(self.v, dtype)
+
+
 class _WindowOps:
-    """The ops of HeBackend.run_on_window: arrays of one window's slots
-    plus the tail as the last element, counted on the backend's counter as
-    slotwise counts them and perturbed as slotwise perturbs them."""
+    """The ops of HeBackend.run_on_window on _Slots over a window of
+    ``size`` slots from slot ``start``: each computes, draws noise and
+    counts as the matching slotwise, rotate or encrypt call, its counts
+    kept here until ``charge``. ``reach`` is the padded window's largest
+    left shift, None for a full window, whose rotations are cyclic. A
+    constant is at the first operand's ``level``."""
 
-    def __init__(self, be: HeBackend, x: np.ndarray):
-        self.be = be
-        self.x = x
+    adds = subs = ct_mults = pt_mults = rotations = 0
 
-    def mul(self, a, b):
-        if isinstance(b, np.ndarray):  # a ciphertext value, as in HeBackend.mul
-            self.be.counter.ct_mults += 1
-        else:
-            self.be.counter.pt_mults += 1
-        return self._out(a * b)
+    def __init__(self, be: HeBackend, start: int, size: int, reach, level: int):
+        self.be, self.noisy, self.start, self.size, self.reach, self.level = (
+            be, be.noisy, start, size, reach, level)
+        self.labels = []
 
     def add(self, a, b):
-        self.be.counter.adds += 1
-        return self._out(a + b)
+        self.adds += 1
+        if type(b) is _Slots:
+            v, level = a.v + b.v, a.level if a.level < b.level else b.level
+        else:
+            v = self._tile(operator.add, a.v, b) if type(b) is np.ndarray else a.v + b
+            level = a.level
+        return self._noisy(v, level) if self.noisy else _Slots(v, level)
+
+    def sub(self, a, b):
+        self.subs += 1
+        if type(b) is _Slots:
+            v, level = a.v - b.v, a.level if a.level < b.level else b.level
+        else:
+            v = self._tile(operator.sub, a.v, b) if type(b) is np.ndarray else a.v - b
+            level = a.level
+        return self._noisy(v, level) if self.noisy else _Slots(v, level)
+
+    def mul(self, a, b):
+        ct = type(b) is _Slots  # a ciphertext value, as in HeBackend.mul
+        level = (b.level if ct and b.level < a.level else a.level) - 1
+        if level < 0:
+            raise DepthExhausted(f"multiplication at level {level + 1}")
+        if ct:
+            self.ct_mults += 1
+            v = a.v * b.v
+        else:
+            self.pt_mults += 1
+            v = (self._tile(operator.mul, a.v, b) if type(b) is np.ndarray or b == 0
+                 else a.v * b)
+        return self._noisy(v, level) if self.noisy else _Slots(v, level)
+
+    def _tile(self, fn, x, b):
+        """fn of x and a plaintext over a zero tail at slots [0, len(b))
+        (a scalar zero: no slots over itself), as slotwise computes it:
+        x op 0 past b, or, for the product of a finite x, x's tail times
+        0."""
+        b, zero = _plain(b)
+        lo = -self.start % self.be.config.slot_count  # slot 0's index
+        hi = lo + b.size
+        if b.size and (lo < (self.reach or 0) or hi > self.size):
+            raise LengthMismatch(f"a plaintext of {b.size} slots from slot 0 outside the "
+                                 f"operands' window")
+        out = (np.full(x.size, x[-1] * zero) if fn is operator.mul and np.isfinite(x).all()
+               else fn(x, zero))
+        out[lo:hi] = fn(x[lo:hi], b)
+        return out
+
+    def rotate(self, a, t):
+        """Left by t > 0: a shift of a padded window by t <= reach,
+        filled from the tail, or a cyclic shift of a full window (right for
+        t < 0). Counted as HeBackend.rotate counts it."""
+        S = self.be.config.slot_count
+        if not _is_int(t) or abs(t) >= S:
+            raise InvalidArgument(f"rotation amount must be an integer of |t| < {S}, got {t!r}")
+        if t == 0:
+            return a
+        v = a.v
+        if self.reach is None:
+            t %= S
+            out = np.concatenate((v[t:S], v[:t], v[S:]))
+        elif 0 < t <= self.reach:
+            out = np.empty_like(v)
+            out[:self.size - t] = v[t:self.size]
+            out[self.size - t:] = v[-1]
+        else:
+            raise InvalidArgument(f"rotation by {t} outside the program's reach {self.reach}")
+        self.rotations += 1
+        return _Slots(out, a.level)
 
     def const(self, c):
-        """A trivial encryption of c, a scalar or one value per element of
-        x (the exact comparator's step of x): no depth, no op count, and
-        the noise draw of ``encrypt``."""
-        return self._out(np.full_like(self.x, c))
+        """A trivial encryption of c, a scalar or one value per slot of the
+        window and its tail (the exact comparator's step of a value): no
+        depth, no op count, and the noise draw of ``encrypt``."""
+        v = np.full(self.size + 1, c)
+        return self._noisy(v, self.level) if self.noisy else _Slots(v, self.level)
 
-    def _out(self, arr: np.ndarray) -> np.ndarray:
-        if not self.be.noisy:
-            return arr
-        _, data, tail = self.be._perturb(0, arr[:-1], arr[-1])
-        return np.append(data, tail)
+    def _stage(self, name, v_in, v_out):
+        """The label hook, recorded with the counts so far and replayed by
+        ``charge``."""
+        self.labels.append((name, v_in, v_out, self._counts()))
+
+    def _counts(self) -> tuple:
+        return self.adds, self.subs, self.ct_mults, self.pt_mults, self.rotations
+
+    def charge(self) -> None:
+        """Charge the program's counts to the backend's counter, calling its
+        label hook at each recorded label once the counts before it are."""
+        done = 0, 0, 0, 0, 0
+        for name, v_in, v_out, counts in self.labels:
+            self._charge(counts, done)
+            self.be._stage(name, v_in, v_out)
+            done = counts
+        self._charge(self._counts(), done)
+
+    def _charge(self, counts: tuple, done: tuple) -> None:
+        """Add counts less those already charged (done) to the counter."""
+        c = self.be.counter
+        c.adds += counts[0] - done[0]
+        c.subs += counts[1] - done[1]
+        c.ct_mults += counts[2] - done[2]
+        c.pt_mults += counts[3] - done[3]
+        c.rotations += counts[4] - done[4]
+
+    def _noisy(self, v: np.ndarray, level: int) -> _Slots:
+        """v perturbed as slotwise perturbs an op's result."""
+        _, data, tail = self.be._perturb(0, v[:-1], v[-1])
+        return _Slots(np.append(data, tail), level)
 
 
 def _zero_extending(fn):
@@ -562,9 +696,10 @@ class _ArrayOps:
         -t zeros."""
         return a[t:] if t >= 0 else np.concatenate((np.zeros(-t), a))
 
-    @staticmethod
-    def run_on_window(a, program, depth):
-        return program(_ArrayOps(a))
+    @classmethod
+    def run_on_window(cls, program, *operands, reach=0):
+        """program on the arrays themselves, run by this adapter."""
+        return program(cls(operands[0]), *operands)
 
     _stage = HeBackend._stage
 
@@ -579,14 +714,11 @@ class _ArrayOps:
                          for block, (base, _) in zip(out, schedule.blocks()))
         return out
 
-    @staticmethod
-    def run_folds(a, shifts):
-        return _folds(_ArrayOps, a, shifts)
-
 
 def _folds(ops, a, shifts):
-    """A matvec's folds op by op, one ops.rotate and ops.add per shift (see
-    HeBackend.run_folds); the mirror's rotations drop leading slots."""
+    """A matvec's folds, one ops.rotate and ops.add per shift, a window
+    program of reach sum(shifts) (``MatvecSchedule.run``); the mirror's
+    rotations drop leading slots."""
     for t in shifts:
         a = ops.add(a, ops.rotate(a, t))
     return a
@@ -607,8 +739,14 @@ class _Probe(HeBackend):
 
 def _ops_of(v):
     """The ops that run a stage program on v: the backend of a ciphertext,
-    the mirror's array adapter for anything else."""
-    return v.backend if isinstance(v, CipherText) else _ArrayOps(v)
+    the mirror's array adapter for an array. A window program's value
+    (_Slots) raises InvalidArgument: only its own program's ops take it."""
+    if isinstance(v, CipherText):
+        return v.backend
+    if isinstance(v, _Slots):
+        raise InvalidArgument("a window program's value runs on its program's ops, "
+                              "not on a stage function's own")
+    return _ArrayOps(v)
 
 
 def make_backend(config: BackendConfig) -> HeBackend:

@@ -445,7 +445,12 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     The recursion runs on N_j = j! B_j (basis_tiles); each weight is
     x * s - t * s, one plaintext multiply per slope tile, off the critical
     path (the weights read xp). R below is a rotation by n_i (block m + 1
-    read at block m).
+    read at block m). The order-0 difference and the whole recursion are
+    one window program (``_cox_de_boor``) on the steps h and xp, whose
+    rotations shift by (k + 1) n_i in all (``HeBackend.run_on_window``'s
+    reach): on a ciphertext the basis makes two slotwise calls (the
+    comparator's subtractions) and two window programs (the comparator's
+    and this one), whatever k.
 
     On an equally spaced grid every order reads one weight w = v / c
     (basis_tiles), and the de Boor orders 1..k-1 run two a level: from
@@ -490,8 +495,18 @@ def bspline_basis_he(xp: CipherText, G: GridMatrix, comparator) -> CipherText:
     _check_copies(ops.slot_count, n, basis)
     _check_layout(xp, n, basis)
     unit = comparator.unit
-    knots, weights, last, c = G.tiles(unit)
-    h = poly_comp(ops.sub(xp, unit / 2), knots, comparator, folded=True)
+    h = poly_comp(ops.sub(xp, unit / 2), G.tiles(unit)[0], comparator, folded=True)
+    return ops.run_on_window(lambda w, h, x: _cox_de_boor(w, h, x, G, unit), h, xp,
+                             reach=(G.k + 1) * n)
+
+
+def _cox_de_boor(ops, h, xp, G: GridMatrix, unit: float):
+    """bspline_basis_he's window program on the comparator's steps h and
+    the packed input xp: the order-0 basis, labelled ``comparator`` (the
+    stage that began with the comparator's call), then the recursion,
+    labelled ``basis_recursion``."""
+    n = G.n_i
+    _, weights, last, c = G.tiles(unit)
     b = steps = ops.sub(h, ops.rotate(h, n))
     ops._stage("comparator", xp, steps)
     if not G.k:

@@ -101,6 +101,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .backend import _folds
 from .bspline import PermutationSpec
 from .errors import DimensionMismatch, InvalidArgument
 
@@ -390,7 +391,8 @@ class MatvecSchedule:
     def run(self, ops, v, giants=None):
         """The schedule on v, run by ops: the block sum, each of the first
         giant steps' blocks plus the giant block of the same step if
-        ``giants`` are given, then the folds (``ops.run_folds``). An
+        ``giants`` are given, then the folds, one window program of reach
+        sum(folds) (``ops.run_on_window`` of ``backend._folds``). An
         ``unfolded`` schedule returns the pair (blocks, ``over``): its
         giant blocks, unrotated, as a tuple (block i holds step i's sum
         in slots [base_i, base_i + L)) and the geometry they were built
@@ -416,7 +418,12 @@ class MatvecSchedule:
                 raise DimensionMismatch(f"{len(blocks)} giant blocks for a schedule of "
                                         f"{self.split[1]} giant steps")
         acc = ops.run_block_sum(v, self, blocks)
-        return (acc, self.over) if self.unfolded else ops.run_folds(acc, self.folds)
+        if self.unfolded:
+            return acc, self.over
+        folds = self.folds
+        if not folds:
+            return acc
+        return ops.run_on_window(lambda w, a: _folds(w, a, folds), acc, reach=sum(folds))
 
 
 def _unfolded_split(g: int, over: tuple) -> tuple:

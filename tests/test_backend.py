@@ -6,13 +6,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hekan.approx import EXACT_COMPARATOR
+from hekan.approx import EXACT_COMPARATOR, poly_comp
 from hekan.backend import (
     BackendConfig,
     CipherText,
+    HeBackend,
     OpCounter,
     _ArrayOps,
     _ops_of,
@@ -621,3 +622,113 @@ class TestRead:
         be = fresh(slot_count=8)
         with pytest.raises(LengthMismatch):
             _read(be.encrypt([1.0, 2.0]), 0, 9)
+
+
+_TAILS = (0.0, -0.0, 0.5, -1.25)
+_SCALARS = (0.0, -0.0, 2.0, -0.5, 3.0)
+_STEPS = ("add", "sub", "mul", "add_scalar", "mul_scalar", "add_tile", "sub_tile", "mul_tile",
+          "rotate")
+
+
+def _chain(ops, values, steps, tiles):
+    """The program a chain of steps makes, run by ops (a backend, or a
+    window program's ops): each step's result is appended to the values
+    it may read, and the last one is returned."""
+    values = list(values)
+    for kind, i, j, t in steps:
+        a, b = values[i % len(values)], values[j % len(values)]
+        op, _, of = kind.partition("_")
+        if op == "rotate":
+            values.append(ops.rotate(a, t))
+        else:
+            b = {"scalar": _SCALARS[j % len(_SCALARS)], "tile": tiles[j % len(tiles)]}.get(of, b)
+            values.append(getattr(ops, op)(a, b))
+    return values[-1]
+
+
+@st.composite
+def _chains(draw):
+    """A slot count, one or two operands (start, size, tail, level), a
+    chain of steps (kind, operand, operand, left shift) and tile lengths."""
+    S = draw(st.sampled_from([16, 64, 256]))
+    operands = draw(st.lists(st.tuples(st.integers(0, S - 1), st.integers(0, S),
+                                       st.sampled_from(_TAILS), st.integers(0, 6)),
+                             min_size=1, max_size=2))
+    steps = draw(st.lists(st.tuples(st.sampled_from(_STEPS), st.integers(0, 9),
+                                    st.integers(0, 9), st.integers(1, S // 4)),
+                          min_size=1, max_size=10))
+    return S, operands, steps, draw(st.lists(st.integers(0, S), min_size=1, max_size=3))
+
+
+class TestWindowProgram:
+    """HeBackend.run_on_window against the same ops one backend call each."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_chains(), st.booleans(), st.integers(0, 2 ** 16))
+    def test_rotations_match_the_op_by_op_ops(self, chain, noisy, seed):
+        """Random chains of adds, subs, products (by a ciphertext, a
+        scalar or a zero-tail tile) and left rotations within the stated
+        reach, on one or two operands of any window, tail and level: every
+        slot, the op counts, the level and the next noise draws equal the
+        op-by-op run's, in a padded window, in one that would wrap (run on
+        every slot) and on a noisy backend; where the op-by-op run
+        exhausts its depth the program raises too and leaves the backend
+        as it was."""
+        S, shapes, steps, lengths = chain
+        reach = sum(t for kind, _, _, t in steps if kind == "rotate")
+        rng = np.random.default_rng(seed)
+        start, size = shapes[0][:2]
+        room = size - (-start % S) if -start % S < size else 0  # operand 0's slots from slot 0
+        tiles = [rng.normal(size=m % (room + 1)) for m in lengths]
+        cfg = BackendConfig(slot_count=S, depth_budget=6, noise_std=1e-3 if noisy else 0.0,
+                            rng_seed=seed)
+        ref, be, untouched = HeBackend(cfg), HeBackend(cfg), HeBackend(cfg)
+        operands = []
+        for start, size, tail, level in shapes:
+            data = rng.normal(size=size)
+            data[rng.integers(0, 4, size) == 0] = -0.0
+            operands.append((start, data, tail, level))
+        try:
+            want = _chain(ref, [CipherText(*op, ref) for op in operands], steps, tiles)
+        except DepthExhausted:
+            with pytest.raises(DepthExhausted):
+                be.run_on_window(lambda w, *xs: _chain(w, xs, steps, tiles),
+                                 *(CipherText(*op, be) for op in operands), reach=reach)
+            assert be.counter == OpCounter()
+            assert np.array_equal(be._rng.standard_normal(4), untouched._rng.standard_normal(4))
+            return
+        got = be.run_on_window(lambda w, *xs: _chain(w, xs, steps, tiles),
+                               *(CipherText(*op, be) for op in operands), reach=reach)
+        assert np.array_equal(be.decrypt(got).view(np.int64), ref.decrypt(want).view(np.int64))
+        assert be.counter == ref.counter and got.level == want.level
+        assert np.array_equal(be._rng.standard_normal(4), ref._rng.standard_normal(4))
+
+    def test_a_window_value_is_refused_by_ops_of(self):
+        """A stage function that picks its own ops (approx.poly_comp) is not
+        a window program's op: handed a window value, it raises instead of
+        running the mirror's array ops on it."""
+        be = fresh(slot_count=16)
+        ct = be.encrypt(np.linspace(-0.5, 0.5, 8))
+        for program in (lambda w, x: _ops_of(x),
+                        lambda w, x: poly_comp(x, 0.25, EXACT_COMPARATOR)):
+            with pytest.raises(InvalidArgument):
+                be.run_on_window(program, ct)
+        assert be.counter == OpCounter()
+
+    def test_tiles_and_rotations_stay_in_the_stated_window(self):
+        """A tile lies in the operands' window, not in the reach's padding
+        before it nor past it, and a padded window's rotation stays within
+        the reach; otherwise the program raises and charges nothing."""
+        be = fresh(slot_count=64)
+        ct = CipherText(2, np.arange(1.0, 9.0), 0.0, 5, be)  # slots [2, 10)
+        for tile, t, error in ((np.ones(4), 1, LengthMismatch),   # slots 0, 1 are padding
+                               (None, 5, InvalidArgument)):        # past the reach of 4
+            def program(w, x):
+                y = w.rotate(x, t)
+                return y if tile is None else w.add(y, tile)
+            with pytest.raises(error):
+                be.run_on_window(program, ct, reach=4)
+        assert be.counter == OpCounter()
+        got = be.run_on_window(lambda w, x: w.mul(w.rotate(x, 4), np.ones(6)),
+                               CipherText(0, np.arange(1.0, 9.0), 0.0, 5, be), reach=4)
+        assert np.array_equal(be.decrypt(got)[:8], [5, 6, 7, 8, 0, 0, 0, 0])

@@ -436,6 +436,26 @@ class TestPlainBasis:
 
 
 class TestEncryptedBasis:
+    @pytest.mark.parametrize("equally_spaced", [True, False], ids=["equal", "jittered"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_backend_calls_do_not_grow_with_k(self, monkeypatch, equally_spaced, noise):
+        """One basis call on a packed ciphertext makes the same two
+        slotwise calls, the comparator's subtractions, for every k: the
+        order-0 difference and the whole recursion run as one window
+        program (HeBackend.run_on_window)."""
+        comp = build_composite_sign()
+        calls = []
+        slotwise = HeBackend.slotwise
+        monkeypatch.setattr(HeBackend, "slotwise",
+                            lambda self, *args: calls.append(args[0]) or slotwise(self, *args))
+        for k in range(1, 6):
+            G = GridMatrix.uniform(4, 3, k, -1.0, 1.0) if equally_spaced else _jittered(4, 3, k, [1])
+            be = HeBackend(BackendConfig(slot_count=512, depth_budget=30, noise_std=noise))
+            xp = repeat_pack(be.encrypt(np.linspace(-0.9, 0.9, 4)), G, comp)
+            calls.clear()
+            bspline_basis_he(xp, G, comp)
+            assert calls == ["sub", "sub"]
+
     def test_exact_comparator_matches_plain(self):
         rng = np.random.default_rng(13)
         G = GridMatrix.uniform(4, 5, 2, -1.0, 1.0)
@@ -741,7 +761,7 @@ def _peak_ops(peaks):
 
 class _PeakBackend(_StageCounts):
     """_StageCounts that also appends each op's largest slot magnitude to
-    peaks."""
+    peaks, the arithmetic ops of its window programs included."""
 
     def __init__(self, slots, peaks):
         super().__init__(slots, 30)
@@ -751,6 +771,36 @@ class _PeakBackend(_StageCounts):
         out = super().slotwise(op_kind, a, b)
         self.peaks.append(float(np.max(np.abs(out.slots))))
         return out
+
+    def run_on_window(self, program, *operands, reach=0):
+        return super().run_on_window(
+            lambda ops, *values: program(_PeakWindowOps(ops, self.peaks), *values),
+            *operands, reach=reach)
+
+
+class _PeakWindowOps:
+    """A window program's ops, each add, sub and mul result's largest
+    magnitude (over the window's slots and the tail, so over every slot)
+    appended to peaks."""
+
+    def __init__(self, ops, peaks):
+        self.ops, self.peaks = ops, peaks
+
+    def __getattr__(self, name):
+        return getattr(self.ops, name)
+
+    def _recorded(self, out):
+        self.peaks.append(float(np.max(np.abs(out.v))))
+        return out
+
+    def add(self, a, b):
+        return self._recorded(self.ops.add(a, b))
+
+    def sub(self, a, b):
+        return self._recorded(self.ops.sub(a, b))
+
+    def mul(self, a, b):
+        return self._recorded(self.ops.mul(a, b))
 
 
 class TestSharedSlope:

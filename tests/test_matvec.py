@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter
+from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, _folds
 from hekan.bspline import PermutationSpec, gen_permutation
 from hekan.errors import DepthExhausted, DimensionMismatch, HeKanError, ShapeMismatch
 from hekan.inference import bsgs_matvec
@@ -244,8 +244,9 @@ class TestKernelEqualsReplay:
 
 
 class TestFoldsEqualReplay:
-    """HeBackend.run_folds against the op-by-op folds, every slot, on any
-    window and tail, including windows the folds would wrap onto."""
+    """The folds as a window program of reach sum(shifts)
+    (``MatvecSchedule.run``) against the op-by-op folds, every slot, on
+    any window and tail, including windows the folds would wrap onto."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda j: st.tuples(
@@ -266,7 +267,8 @@ class TestFoldsEqualReplay:
         want = CipherText(start, data, tail, 2, ref)
         for t in shifts:
             want = ref.add(want, ref.rotate(want, t))
-        got = be.run_folds(CipherText(start, data, tail, 2, be), shifts)
+        got = be.run_on_window(lambda w, a: _folds(w, a, shifts),
+                               CipherText(start, data, tail, 2, be), reach=sum(shifts))
         assert np.array_equal(bits(be.decrypt(got)), bits(ref.decrypt(want)))
         assert bits(got.tail) == bits(want.tail)
         assert be.counter == ref.counter and got.level == want.level
