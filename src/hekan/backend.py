@@ -17,14 +17,16 @@ two tails, so it costs O(window), not O(slot_count). Invariant: every slot
 is bit-identical to the same arithmetic on dense slot_count-long vectors,
 since each slot sees the same float operation on the same operands, but
 for the sign of some zeros. A product with a plaintext whose tail is zero
-(an array, or a scalar zero) keeps the plaintext's window when every slot
+(a tile, or a scalar zero) keeps the plaintext's window when every slot
 of the ciphertext is finite: past that window each slot is x * 0, a zero
 whose sign is x's, and the tail a.tail * 0 stands for all of them, so a
 mask or a knot tile shrinks a wide window to its own. Any other op keeps
 the window of its operands (``inf * 0`` is NaN). A plaintext operand is
-an array, which fills slots [0, len) over a zero tail, or a scalar, an
-empty window whose tail is the scalar. A noisy backend perturbs every
-slot, so its results are full windows.
+a tile, an array of at least one dimension, which fills slots [0, len)
+over a zero tail, or a scalar (a number or a 0-d array), an empty window
+whose tail is the scalar: ``_is_tile``, the one rule every op adapter
+reads. A noisy backend perturbs every slot, so its results are full
+windows.
 
 Straight-line programs run through :meth:`HeBackend.run_on_window`: a
 polynomial schedule, a comparator, the B-spline basis recursion and a
@@ -37,12 +39,16 @@ folds); the window is widened by that many slots in front and a rotation
 is a shift filled from the tail. Where the widened window could wrap onto
 itself (len + 2 reach >= slot_count), and on a noisy backend, whose ops
 return full windows, the program runs on all slot_count slots from slot 0
-and a rotation is cyclic. Its plaintexts are scalars and zero-tail tiles
-inside the operands' window. Each array op is the float op ``slotwise``
-would perform on the same operands, each value carries its level, and the
-counts are charged when the program finishes; so the slots, op counts,
-level and noise draws are those of the op-by-op run, and an op that
-raises leaves the backend as it was.
+and a rotation is cyclic; in every mode a rotation past the reach raises.
+Its plaintexts are scalars and zero-tail tiles inside the operands'
+window. Each array op is the float op ``slotwise`` would perform on the
+same operands, each value carries its level, and each op counts on the
+backend's counter, and each stage label calls its hook, as the program
+runs, where the op-by-op run would; so the slots, op counts, level, noise
+draws and labels are those of the op-by-op run. A program that raises
+leaves the counter and the noise generator as they were (one snapshot
+before it runs, restored on the way out); the hook has seen the labels
+before the failing op, as in the op-by-op run.
 
 Every stage program speaks one op vocabulary (add, sub, mul, rotate,
 const, run_on_window, run_block_sum): HeBackend, ``_WindowOps`` (inside
@@ -54,8 +60,9 @@ only its program's ops take. ``_ArrayOps`` reads an array as a
 ciphertext over a zero tail: the shorter operand of a slot-wise op is
 zero-extended, a right rotation prepends zeros and a left rotation drops
 the leading slots. The label hook ``_stage(name, v_in, v_out)`` is a
-no-op except on ``_Probe``; inside a window program it is recorded and
-called when the program's counts are charged.
+no-op except on ``_Probe``; inside a window program ``_WindowOps`` calls
+the backend's hook on the program's values, which carry their levels, at
+the point where the op-by-op run calls it.
 
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
 on the exact backend, the wraparound duplication (if the schedule needs
@@ -202,13 +209,20 @@ def _slice(a: np.ndarray, s: int, m: int) -> np.ndarray:
     return _place(0, a, 0.0, s, m, a.size + m + abs(s))
 
 
+def _is_tile(b) -> bool:
+    """The one scalar-or-tile rule of a plaintext: an array of at least one
+    dimension is a tile, slots [0, len) over a zero tail; a number or a
+    0-d array is a scalar, every slot of it."""
+    return getattr(b, "ndim", 0) > 0
+
+
 def _plain(b) -> tuple:
     """(data, tail) of a plaintext, whose window starts at slot 0: a scalar
-    is an empty window over itself, an array fills slots [0, len) over a
-    zero tail. Never padded to the slot count."""
-    if np.isscalar(b):
-        return _EMPTY, float(b)
-    return np.asarray(b, dtype=float).ravel(), 0.0
+    is an empty window over itself, a tile its slots over a zero tail
+    (``_is_tile``). Never padded to the slot count."""
+    if _is_tile(b):
+        return np.asarray(b, dtype=float).ravel(), 0.0
+    return _EMPTY, float(b)
 
 
 def _cover(sa: int, na: int, sb: int, nb: int, S: int) -> tuple:
@@ -301,10 +315,11 @@ class HeBackend:
         if not _is_int(level) or not 0 <= level <= self.config.depth_budget:
             raise InvalidArgument(f"level {level!r} is not an integer or lies outside "
                                   f"[0, {self.config.depth_budget}]")
+        values = np.asarray(values, dtype=float)
         data, tail = _plain(values)
         if data.size > self.config.slot_count:
             raise InputTooLong(f"{data.size} values > {self.config.slot_count} slots")
-        width = None if np.isscalar(values) else data.size
+        width = data.size if _is_tile(values) else None
         return CipherText(*self._perturb(0, data.copy(), tail), level, self, width=width)
 
     def decrypt(self, a: CipherText) -> np.ndarray:
@@ -379,34 +394,40 @@ class HeBackend:
         """Run ``program(ops, *values)`` as one numpy program over the
         operands' live window and return its result.
 
-        ``values`` are the operands (ciphertexts of this backend) placed
-        over one window; ``ops`` (``_WindowOps``) adds, subtracts,
-        multiplies, rotates and makes constants as ``slotwise``,
-        ``rotate`` and ``encrypt`` would, and records the label hook's
-        calls (``_stage``). A plaintext operand is a scalar, or an array
-        over a zero tail (a tile) that lies inside the operands' window.
-        Every value carries its level, and a constant is at the first
-        operand's; the result's is read off the program. Op counts are
-        charged, and the labels replayed in order, when the program
-        finishes, so an op that raises (DepthExhausted for a multiply at
-        level 0) leaves the counter, the labels and the noise generator
-        as they were.
+        ``values`` are the operands (at least one; ciphertexts of this
+        backend) placed over one window; ``ops`` (``_WindowOps``) adds,
+        subtracts, multiplies, rotates and makes constants as
+        ``slotwise``, ``rotate`` and ``encrypt`` would, counting each op
+        on the backend's counter as it runs, and calls the backend's
+        label hook (``_stage``). A plaintext operand is a scalar, or a
+        tile over a zero tail (``_is_tile``) that lies inside the
+        operands' window. Every value carries its level, and a constant
+        is at the first operand's; the result's is read off the program.
+        The counts and, on a noisy backend, the generator's state are
+        snapshot before the program and restored if it raises, so a
+        program that raises (DepthExhausted for a multiply at level 0)
+        leaves the counter and the noise generator as they were; the
+        label hook keeps the calls it has seen.
 
         ``reach`` is the largest total left shift along any chain of the
         program's rotations (none by default). The window is the operands'
         cover widened by reach slots in front, and a rotation left by
-        t <= reach shifts it, filling from the tail (InvalidArgument for
-        any other t); the result keeps that window. Where the widened
-        window could wrap onto itself (len + 2 reach >= slot_count) or the
-        backend is noisy (its ops return full windows), the program runs
-        on all slot_count slots from slot 0 and a rotation is cyclic. A
-        tile outside the operands' window raises LengthMismatch. Either
+        t <= reach shifts it, filling from the tail; the result keeps that
+        window. Where the widened window could wrap onto itself (len +
+        2 reach >= slot_count) or the backend is noisy (its ops return
+        full windows), the program runs on all slot_count slots from
+        slot 0 and a rotation by t <= reach is cyclic. In either mode a
+        rotation by any other t than 0 <= t <= reach raises
+        InvalidArgument (t = 0 is a no-op), and a tile outside the
+        operands' window LengthMismatch. Either
         way each slot is bit-identical to the op-by-op run's, and so are
         the op counts, the level and the noise draws. It pays: op by op, the
         lazy spline-map folds of every table config take 2.0-2.2 times as
         long as their window program (199 against 92 us on (256, 10, 5);
         2-core x86-64, Python 3.11, numpy 2.4).
         """
+        if not operands:
+            raise InvalidArgument("a window program runs on at least one operand")
         if not _is_int(reach) or reach < 0:
             raise InvalidArgument(f"reach must be an integer >= 0, got {reach!r}")
         S = self.config.slot_count
@@ -416,21 +437,20 @@ class HeBackend:
             self._check_ours(a)
             start, size = _cover(start, size, a.start, a.data.size, S)
         if self.noisy or size + 2 * reach >= S:
-            start, size, reach = 0, S, None
+            start, size = 0, S
         else:
             start, size = (start - reach) % S, size + reach
         ops = _WindowOps(self, start, size, reach, operands[0].level)
         values = [_Slots(_window(a, start, size, S), a.level) for a in operands]
-        if not self.noisy:
+        counts = vars(self.counter).copy()
+        state = self._rng.bit_generator.state if self.noisy else None
+        try:
             out = program(ops, *values)
-        else:
-            state = self._rng.bit_generator.state
-            try:
-                out = program(ops, *values)
-            except BaseException:
+        except BaseException:
+            vars(self.counter).update(counts)
+            if state:
                 self._rng.bit_generator.state = state
-                raise
-        ops.charge()
+            raise
         return CipherText(start, out.v[:-1], out.v[-1], out.level, self)
 
     def run_block_sum(self, a: CipherText, schedule, giants=None):
@@ -533,52 +553,45 @@ class _Slots:
         return np.array(self.v, dtype) if copy else np.asarray(self.v, dtype)
 
 
+def _window_op(fn, count: str, drop: int = 0):
+    """A window program's slot-wise op: fn of a value and a value or a
+    plaintext, as slotwise computes it, at the lower of their levels less
+    drop (DepthExhausted below 0), counted on the backend's counter under
+    count (a product of two values under ct_mults)."""
+    def op(self, a, b):
+        ct = type(b) is _Slots  # a ciphertext value, as in HeBackend.mul
+        level = (b.level if ct and b.level < a.level else a.level) - drop
+        if level < 0:
+            raise DepthExhausted(f"multiplication at level {level + drop}")
+        if ct:
+            v = fn(a.v, b.v)
+        elif _is_tile(b) or drop and b == 0:  # a product by a scalar 0 keeps no window
+            v = self._tile(fn, a.v, b)
+        else:
+            v = fn(a.v, b)
+        self.counts["ct_mults" if ct and drop else count] += 1
+        return self._value(v, level)
+    return op
+
+
 class _WindowOps:
     """The ops of HeBackend.run_on_window on _Slots over a window of
-    ``size`` slots from slot ``start``: each computes, draws noise and
-    counts as the matching slotwise, rotate or encrypt call, its counts
-    kept here until ``charge``. ``reach`` is the padded window's largest
-    left shift, None for a full window, whose rotations are cyclic. A
-    constant is at the first operand's ``level``."""
+    ``size`` slots from slot ``start``: each computes, draws noise, counts
+    on the backend's counter and calls its label hook as the matching
+    slotwise, rotate, encrypt or _stage call would, as it runs. A rotation
+    moves by at most ``reach``; ``front`` is the padding before the
+    operands' window, none in a full window (``size`` == slot_count),
+    whose rotations are cyclic. A constant is at the first operand's
+    ``level``."""
 
-    adds = subs = ct_mults = pt_mults = rotations = 0
+    add, sub = _window_op(operator.add, "adds"), _window_op(operator.sub, "subs")
+    mul = _window_op(operator.mul, "pt_mults", 1)
 
-    def __init__(self, be: HeBackend, start: int, size: int, reach, level: int):
-        self.be, self.noisy, self.start, self.size, self.reach, self.level = (
-            be, be.noisy, start, size, reach, level)
-        self.labels = []
-
-    def add(self, a, b):
-        self.adds += 1
-        if type(b) is _Slots:
-            v, level = a.v + b.v, a.level if a.level < b.level else b.level
-        else:
-            v = self._tile(operator.add, a.v, b) if type(b) is np.ndarray else a.v + b
-            level = a.level
-        return self._noisy(v, level) if self.noisy else _Slots(v, level)
-
-    def sub(self, a, b):
-        self.subs += 1
-        if type(b) is _Slots:
-            v, level = a.v - b.v, a.level if a.level < b.level else b.level
-        else:
-            v = self._tile(operator.sub, a.v, b) if type(b) is np.ndarray else a.v - b
-            level = a.level
-        return self._noisy(v, level) if self.noisy else _Slots(v, level)
-
-    def mul(self, a, b):
-        ct = type(b) is _Slots  # a ciphertext value, as in HeBackend.mul
-        level = (b.level if ct and b.level < a.level else a.level) - 1
-        if level < 0:
-            raise DepthExhausted(f"multiplication at level {level + 1}")
-        if ct:
-            self.ct_mults += 1
-            v = a.v * b.v
-        else:
-            self.pt_mults += 1
-            v = (self._tile(operator.mul, a.v, b) if type(b) is np.ndarray or b == 0
-                 else a.v * b)
-        return self._noisy(v, level) if self.noisy else _Slots(v, level)
+    def __init__(self, be: HeBackend, start: int, size: int, reach: int, level: int):
+        self.be, self.counts, self.noisy, self.start, self.size, self.reach, self.level = (
+            be, vars(be.counter), be.noisy, start, size, reach, level)
+        self.front = 0 if size == be.config.slot_count else reach
+        self._stage = be._stage
 
     def _tile(self, fn, x, b):
         """fn of x and a plaintext over a zero tail at slots [0, len(b))
@@ -588,7 +601,7 @@ class _WindowOps:
         b, zero = _plain(b)
         lo = -self.start % self.be.config.slot_count  # slot 0's index
         hi = lo + b.size
-        if b.size and (lo < (self.reach or 0) or hi > self.size):
+        if b.size and (lo < self.front or hi > self.size):
             raise LengthMismatch(f"a plaintext of {b.size} slots from slot 0 outside the "
                                  f"operands' window")
         out = (np.full(x.size, x[-1] * zero) if fn is operator.mul and np.isfinite(x).all()
@@ -597,72 +610,45 @@ class _WindowOps:
         return out
 
     def rotate(self, a, t):
-        """Left by t > 0: a shift of a padded window by t <= reach,
-        filled from the tail, or a cyclic shift of a full window (right for
-        t < 0). Counted as HeBackend.rotate counts it."""
+        """Left by t, 0 <= t <= reach and t < slot_count (InvalidArgument
+        otherwise): a shift of a padded window filled from the tail, or a
+        cyclic shift of a full window. Counted as HeBackend.rotate counts
+        it, so t = 0 is a no-op."""
         S = self.be.config.slot_count
-        if not _is_int(t) or abs(t) >= S:
-            raise InvalidArgument(f"rotation amount must be an integer of |t| < {S}, got {t!r}")
+        if not _is_int(t) or not 0 <= t <= self.reach or t >= S:
+            raise InvalidArgument(f"rotation by {t!r} outside [0, {self.reach}], the program's "
+                                  f"reach, or not below the slot count {S}")
         if t == 0:
             return a
+        self.counts["rotations"] += 1
         v = a.v
-        if self.reach is None:
-            t %= S
-            out = np.concatenate((v[t:S], v[:t], v[S:]))
-        elif 0 < t <= self.reach:
-            out = np.empty_like(v)
-            out[:self.size - t] = v[t:self.size]
-            out[self.size - t:] = v[-1]
-        else:
-            raise InvalidArgument(f"rotation by {t} outside the program's reach {self.reach}")
-        self.rotations += 1
+        if self.size == S:
+            return _Slots(np.concatenate((v[t:S], v[:t], v[S:])), a.level)
+        out = np.empty_like(v)
+        out[:self.size - t] = v[t:self.size]
+        out[self.size - t:] = v[-1]
         return _Slots(out, a.level)
 
     def const(self, c):
         """A trivial encryption of c, a scalar or one value per slot of the
         window and its tail (the exact comparator's step of a value): no
         depth, no op count, and the noise draw of ``encrypt``."""
-        v = np.full(self.size + 1, c)
-        return self._noisy(v, self.level) if self.noisy else _Slots(v, self.level)
+        return self._value(np.full(self.size + 1, c), self.level)
 
-    def _stage(self, name, v_in, v_out):
-        """The label hook, recorded with the counts so far and replayed by
-        ``charge``."""
-        self.labels.append((name, v_in, v_out, self._counts()))
-
-    def _counts(self) -> tuple:
-        return self.adds, self.subs, self.ct_mults, self.pt_mults, self.rotations
-
-    def charge(self) -> None:
-        """Charge the program's counts to the backend's counter, calling its
-        label hook at each recorded label once the counts before it are."""
-        done = 0, 0, 0, 0, 0
-        for name, v_in, v_out, counts in self.labels:
-            self._charge(counts, done)
-            self.be._stage(name, v_in, v_out)
-            done = counts
-        self._charge(self._counts(), done)
-
-    def _charge(self, counts: tuple, done: tuple) -> None:
-        """Add counts less those already charged (done) to the counter."""
-        c = self.be.counter
-        c.adds += counts[0] - done[0]
-        c.subs += counts[1] - done[1]
-        c.ct_mults += counts[2] - done[2]
-        c.pt_mults += counts[3] - done[3]
-        c.rotations += counts[4] - done[4]
-
-    def _noisy(self, v: np.ndarray, level: int) -> _Slots:
-        """v perturbed as slotwise perturbs an op's result."""
-        _, data, tail = self.be._perturb(0, v[:-1], v[-1])
-        return _Slots(np.append(data, tail), level)
+    def _value(self, v: np.ndarray, level: int) -> _Slots:
+        """The value of the slots v at level, perturbed on a noisy backend
+        as slotwise perturbs an op's result."""
+        if self.noisy:
+            _, data, tail = self.be._perturb(0, v[:-1], v[-1])
+            v = np.append(data, tail)
+        return _Slots(v, level)
 
 
 def _zero_extending(fn):
     """fn as an op on two operands, the shorter of two arrays zero-extended
     to the other's length as a plaintext's zero tail extends it."""
     def op(a, b):
-        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.size != b.size:
+        if _is_tile(a) and _is_tile(b) and a.size != b.size:
             if a.size < b.size:
                 a = np.concatenate((a, np.zeros(b.size - a.size)))
             else:

@@ -512,6 +512,33 @@ class TestWindowedSlots:
             a.slots[0] = 2.0
 
 
+class TestZeroDimensionalPlaintext:
+    """A 0-d array plaintext is the scalar it holds on every adapter: the
+    same slots, op counts and level as the call with a Python scalar."""
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("c", [2.0, 0.0])
+    def test_slotwise_window_program_and_mirror(self, op, c):
+        x = np.array([1.0, 2.0, 3.0])
+        for run in (lambda be, ct, b: getattr(be, op)(ct, b),
+                    lambda be, ct, b: be.run_on_window(lambda w, v: getattr(w, op)(v, b), ct)):
+            got_be, want_be = fresh(), fresh()
+            got = run(got_be, got_be.encrypt(x), np.array(c))
+            want = run(want_be, want_be.encrypt(x), c)
+            assert np.array_equal(got_be.decrypt(got).view(np.int64),
+                                  want_be.decrypt(want).view(np.int64))
+            assert got_be.counter == want_be.counter and got.level == want.level
+        mirrored = getattr(_ArrayOps, op)(x, np.array(c))
+        assert np.array_equal(mirrored, getattr(_ArrayOps, op)(x, c))
+        assert np.array_equal(mirrored, getattr(operator, op)(x, c))
+
+    def test_encrypt_fills_every_slot(self):
+        be = fresh()
+        got, want = be.encrypt(np.array(2.0)), be.encrypt(2.0)
+        assert np.array_equal(be.decrypt(got), be.decrypt(want))
+        assert np.all(be.decrypt(got) == 2.0) and got.width is want.width is None
+
+
 class TestArrayOpsSlotSemantics:
     """The mirror's adapter treats an array as slots [0, len) of an endless
     vector whose other slots are zero, so it computes what a ciphertext over
@@ -714,6 +741,35 @@ class TestWindowProgram:
             with pytest.raises(InvalidArgument):
                 be.run_on_window(program, ct)
         assert be.counter == OpCounter()
+
+    @pytest.mark.parametrize("mode", ["padded", "tight", "noisy"])
+    def test_the_stated_reach_binds_in_every_mode(self, mode):
+        """A rotation outside [0, reach] raises InvalidArgument in a padded
+        window, in a full one that would wrap and on a noisy backend, as
+        does a program with no operand, and the counter and the generator
+        stay as they were; t = 0 is a no-op and 0 < t <= reach rotates as
+        HeBackend.rotate does."""
+        S, reach, noise = {"padded": (64, 2, 0.0), "tight": (16, 5, 0.0),
+                           "noisy": (64, 2, 1e-9)}[mode]
+        x = np.arange(1.0, 7.0)
+
+        def program(t):
+            return lambda w, v: w.rotate(w.add(v, 1.0), t)
+        be, untouched = fresh(S, noise=noise), fresh(S, noise=noise)
+        ct, _ = be.encrypt(x), untouched.encrypt(x)
+        for t in (reach + 1, reach + 2, -2, 1.0):
+            with pytest.raises(InvalidArgument):
+                be.run_on_window(program(t), ct, reach=reach)
+        with pytest.raises(InvalidArgument):
+            be.run_on_window(lambda w: w, reach=reach)
+        assert be.counter == OpCounter()
+        assert np.array_equal(be._rng.standard_normal(4), untouched._rng.standard_normal(4))
+        for t in (0, 1, reach):
+            be, ref = fresh(S, noise=noise), fresh(S, noise=noise)
+            got = be.run_on_window(program(t), be.encrypt(x), reach=reach)
+            want = ref.rotate(ref.add(ref.encrypt(x), 1.0), t)
+            assert np.array_equal(be.decrypt(got).view(np.int64), ref.decrypt(want).view(np.int64))
+            assert be.counter == ref.counter == OpCounter(adds=1, rotations=int(t > 0))
 
     def test_tiles_and_rotations_stay_in_the_stated_window(self):
         """A tile lies in the operands' window, not in the reach's padding

@@ -25,6 +25,7 @@ from hekan.bspline import (
     repeat_pack_naive,
 )
 from hekan.errors import (
+    DepthExhausted,
     DimensionMismatch,
     HeKanError,
     IndexOutOfRange,
@@ -66,6 +67,29 @@ def he_basis_values(x, G, comparator, slots=512, depth=30):
     bv = bspline_basis_he(repeat_pack(ct, G, comparator), G, comparator)
     vals = bv.slots[: G.n_i * G.n_basis].reshape(G.n_basis, G.n_i).T
     return vals, bv, be
+
+
+class _Recorder(HeBackend):
+    """A backend whose label hook records each label with the five counts
+    so far and the levels in and out."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.records = []
+
+    def _stage(self, name, v_in, v_out):
+        c = self.counter
+        self.records.append((name, c.adds, c.subs, c.ct_mults, c.pt_mults, c.rotations,
+                             v_in.level, v_out.level))
+
+
+def _basis_op_by_op(be, ct, G, comparator):
+    """bspline_basis_he(repeat_pack(ct, G, comparator), G, comparator) with
+    its window programs run one backend call per op."""
+    unit = comparator.unit
+    xp = repeat_pack(ct, G, comparator)
+    d = be.sub(be.sub(xp, unit / 2), G.tiles(unit)[0])
+    return bspline._cox_de_boor(be, comparator.step(be, d, folded=True), xp, G, unit)
 
 
 def _jittered(n_i, g, k, rows, seed=0):
@@ -455,6 +479,50 @@ class TestEncryptedBasis:
             calls.clear()
             bspline_basis_he(xp, G, comp)
             assert calls == ["sub", "sub"]
+
+    @pytest.mark.parametrize("equally_spaced", [True, False], ids=["equal", "jittered"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_stage_labels_see_the_op_by_op_counts(self, equally_spaced, noise):
+        """The label hook inside the basis's window programs sees the
+        counts and levels the op-by-op run shows at each label (the
+        comparator's program run by comparator.step on the backend, the
+        recursion by bspline._cox_de_boor), and the basis equals the
+        op-by-op one bit for bit."""
+        comp = build_composite_sign()
+        for k in range(1, 6):
+            G = GridMatrix.uniform(4, 3, k, -1.0, 1.0) if equally_spaced else _jittered(4, 3, k, [1])
+            cfg = BackendConfig(slot_count=512, depth_budget=30, noise_std=noise)
+            x = np.linspace(-0.9, 0.9, 4)
+            be, ref = _Recorder(cfg), _Recorder(cfg)
+            got = bspline_basis_he(repeat_pack(be.encrypt(x), G, comp), G, comp)
+            want = _basis_op_by_op(ref, ref.encrypt(x), G, comp)
+            assert be.records == ref.records and [r[0] for r in be.records] == [
+                "comparator", "basis_recursion"]
+            assert np.array_equal(be.decrypt(got).view(np.int64), ref.decrypt(want).view(np.int64))
+            assert be.counter == ref.counter and got.level == want.level
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_a_program_out_of_levels_leaves_the_labels_it_reached(self, noise):
+        """A ciphertext with too few levels for the recursion: the basis
+        raises DepthExhausted, the hook has seen the labels the op-by-op
+        run reaches before its failing multiply, and the counter and the
+        generator equal those of a fresh backend that ran only the steps
+        before the recursion's program (packing and comparator)."""
+        comp = build_composite_sign()
+        G = GridMatrix.uniform(4, 3, 3, -1.0, 1.0)
+        cfg = BackendConfig(slot_count=512, depth_budget=30, noise_std=noise)
+        # the packing's level, the comparator's, and one of the recursion's two (k = 3)
+        x, level = np.linspace(-0.9, 0.9, 4), 1 + comp.depth(folded=True) + 1
+        be, ref, before = _Recorder(cfg), _Recorder(cfg), _Recorder(cfg)
+        with pytest.raises(DepthExhausted):
+            bspline_basis_he(repeat_pack(be.encrypt(x, level), G, comp), G, comp)
+        with pytest.raises(DepthExhausted):
+            _basis_op_by_op(ref, ref.encrypt(x, level), G, comp)
+        assert be.records == ref.records and [r[0] for r in be.records] == ["comparator"]
+        xp = repeat_pack(before.encrypt(x, level), G, comp)
+        poly_comp(before.sub(xp, comp.unit / 2), G.tiles(comp.unit)[0], comp, folded=True)
+        assert be.counter == before.counter
+        assert np.array_equal(be._rng.standard_normal(4), before._rng.standard_normal(4))
 
     def test_exact_comparator_matches_plain(self):
         rng = np.random.default_rng(13)
