@@ -22,11 +22,20 @@ of the ciphertext is finite: past that window each slot is x * 0, a zero
 whose sign is x's, and the tail a.tail * 0 stands for all of them, so a
 mask or a knot tile shrinks a wide window to its own. Any other op keeps
 the window of its operands (``inf * 0`` is NaN). A plaintext operand is
-a tile, an array of at least one dimension, which fills slots [0, len)
-over a zero tail, or a scalar (a number or a 0-d array), an empty window
-whose tail is the scalar: ``_is_tile``, the one rule every op adapter
-reads. A noisy backend perturbs every slot, so its results are full
-windows.
+a tile, a list, a tuple or an array of at least one dimension, which
+fills slots [0, len) over a zero tail, or a scalar (a real number or a
+0-d array of one), an empty window whose tail is the scalar:
+``_is_tile``, the one rule every op adapter reads. Any other plaintext,
+or a tile whose entries are not real numbers, raises InvalidArgument
+before any op, and so does an operand that is not a ciphertext where an
+op takes one (``_check_ours``, the one ciphertext check; another
+backend's ciphertext raises LengthMismatch). A noisy backend perturbs
+every slot, so its results are full windows.
+
+Each op's cost is charged by one rule, ``_charge``: an op counts once,
+under its kind, and a multiply drops one level, raising DepthExhausted
+at level 0 before any count. ``slotwise`` and a window program's ops
+both charge through it.
 
 Straight-line programs run through :meth:`HeBackend.run_on_window`: a
 polynomial schedule, a comparator, the B-spline basis recursion and a
@@ -43,9 +52,10 @@ and a rotation is cyclic; in every mode a rotation past the reach raises.
 Its plaintexts are scalars and zero-tail tiles inside the operands'
 window. Each array op is the float op ``slotwise`` would perform on the
 same operands, each value carries its level, and each op counts on the
-backend's counter, and each stage label calls its hook, as the program
-runs, where the op-by-op run would; so the slots, op counts, level, noise
-draws and labels are those of the op-by-op run. A program that raises
+backend's counter, and each stage label calls its hook on the stage's
+values as ciphertexts, as the program runs, where the op-by-op run
+would; so the slots, op counts, level, noise draws and labels are those
+of the op-by-op run. A program that raises
 leaves the counter and the noise generator as they were (one snapshot
 before it runs, restored on the way out); the hook has seen the labels
 before the failing op, as in the op-by-op run.
@@ -61,8 +71,9 @@ ciphertext over a zero tail: the shorter operand of a slot-wise op is
 zero-extended, a right rotation prepends zeros and a left rotation drops
 the leading slots. The label hook ``_stage(name, v_in, v_out)`` is a
 no-op except on ``_Probe``; inside a window program ``_WindowOps`` calls
-the backend's hook on the program's values, which carry their levels, at
-the point where the op-by-op run calls it.
+the backend's hook at the point where the op-by-op run calls it, on the
+program's values as ciphertexts over its window (``_WindowOps._ct``), so
+a hook reads the slots and levels the op-by-op run's hook reads.
 
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
 on the exact backend, the wraparound duplication (if the schedule needs
@@ -173,8 +184,20 @@ class OpCounter:
 _EMPTY = np.empty(0)
 _EMPTY.setflags(write=False)
 
-_ARITH = {"add": operator.add, "sub": operator.sub,
-          "mul_ct": operator.mul, "mul_pt": operator.mul}
+# each slot-wise op kind's (arithmetic, OpCounter field, levels it drops)
+_ARITH = {"add": (operator.add, "adds", 0), "sub": (operator.sub, "subs", 0),
+          "mul_ct": (operator.mul, "ct_mults", 1), "mul_pt": (operator.mul, "pt_mults", 1)}
+
+
+def _charge(counts: dict, name: str, level: int, drop: int) -> int:
+    """The one cost rule of an op: it counts once under its kind, ``name``
+    in ``counts`` (an OpCounter's fields), and its result is at ``level``
+    less ``drop``; a multiply (drop 1) at level 0 raises DepthExhausted
+    before any count."""
+    if level < drop:
+        raise DepthExhausted(f"multiplication at level {level}")
+    counts[name] += 1
+    return level - drop
 
 
 def _place(start: int, data: np.ndarray, tail: float, s: int, n: int, S: int) -> np.ndarray:
@@ -210,19 +233,30 @@ def _slice(a: np.ndarray, s: int, m: int) -> np.ndarray:
 
 
 def _is_tile(b) -> bool:
-    """The one scalar-or-tile rule of a plaintext: an array of at least one
-    dimension is a tile, slots [0, len) over a zero tail; a number or a
-    0-d array is a scalar, every slot of it."""
-    return getattr(b, "ndim", 0) > 0
+    """The one scalar-or-tile rule of a plaintext: a list, a tuple or an
+    array of at least one dimension is a tile, slots [0, len) over a zero
+    tail; a real number or a 0-d array of one is a scalar, every slot of
+    it; anything else raises InvalidArgument. A float, the common scalar,
+    costs one isinstance and an array one getattr more, no numpy call."""
+    if isinstance(b, float):
+        return False
+    if getattr(b, "ndim", 0) > 0 or isinstance(b, (list, tuple)):
+        return True
+    if getattr(getattr(b, "dtype", None), "kind", "O") in "biuf" or isinstance(b, numbers.Real):
+        return False
+    raise InvalidArgument(f"a plaintext is a real number or an array of them, not {b!r}")
 
 
 def _plain(b) -> tuple:
     """(data, tail) of a plaintext, whose window starts at slot 0: a scalar
     is an empty window over itself, a tile its slots over a zero tail
-    (``_is_tile``). Never padded to the slot count."""
-    if _is_tile(b):
-        return np.asarray(b, dtype=float).ravel(), 0.0
-    return _EMPTY, float(b)
+    (``_is_tile``; InvalidArgument unless its entries are real numbers).
+    Never padded to the slot count."""
+    if not _is_tile(b):
+        return _EMPTY, float(b)
+    if (data := np.asarray(b)).dtype.kind not in "biuf":
+        raise InvalidArgument(f"a plaintext tile holds {data.dtype} entries, not real numbers")
+    return data.astype(float, copy=False).ravel(), 0.0
 
 
 def _cover(sa: int, na: int, sb: int, nb: int, S: int) -> tuple:
@@ -315,7 +349,6 @@ class HeBackend:
         if not _is_int(level) or not 0 <= level <= self.config.depth_budget:
             raise InvalidArgument(f"level {level!r} is not an integer or lies outside "
                                   f"[0, {self.config.depth_budget}]")
-        values = np.asarray(values, dtype=float)
         data, tail = _plain(values)
         if data.size > self.config.slot_count:
             raise InputTooLong(f"{data.size} values > {self.config.slot_count} slots")
@@ -337,9 +370,12 @@ class HeBackend:
         otherwise, or a scalar), over the smallest cyclic window holding
         both operands' windows, or over the plaintext's own for a product
         of a finite ciphertext with a zero-tail plaintext (see the module
-        docstring); the tails combine into the result's tail."""
+        docstring); the tails combine into the result's tail. Charged by
+        ``_charge`` after the operands pass their checks (``_check_ours``,
+        ``_plain``), so a rejected operand leaves the counter as it was."""
         if op_kind not in _ARITH:
             raise InvalidArgument(f"unknown op_kind {op_kind!r}")
+        fn, name, drop = _ARITH[op_kind]
         self._check_ours(a)
         is_ct = isinstance(b, CipherText)
         if op_kind == "mul_ct" and not is_ct:
@@ -355,26 +391,12 @@ class HeBackend:
                 raise LengthMismatch(
                     f"plain operand has {db.size} slots, backend {self.config.slot_count}")
             sb, level = 0, a.level
-
-        if op_kind == "add":
-            self.counter.adds += 1
-        elif op_kind == "sub":
-            self.counter.subs += 1
-        else:
-            if level < 1:
-                raise DepthExhausted(f"multiplication at level {level}")
-            level -= 1
-            if op_kind == "mul_ct":
-                self.counter.ct_mults += 1
-            else:
-                self.counter.pt_mults += 1
-
+        level = _charge(vars(self.counter), name, level, drop)
         S = self.config.slot_count
         # a product with a zero-tail plaintext keeps its window: past it,
         # a.tail * 0 stands for each x * 0, the same zero up to its sign
         own = op_kind == "mul_pt" and tb == 0 and np.isfinite(a.tail) and np.isfinite(a.data).all()
         s, n = (sb, db.size) if own else _cover(a.start, a.data.size, sb, db.size, S)
-        fn = _ARITH[op_kind]
         data = (fn(_over(a.start, a.data, a.tail, s, n, S), _over(sb, db, tb, s, n, S))
                 if n else _EMPTY)
         return CipherText(*self._perturb(s, data, fn(a.tail, tb)), level, self)
@@ -399,7 +421,8 @@ class HeBackend:
         subtracts, multiplies, rotates and makes constants as
         ``slotwise``, ``rotate`` and ``encrypt`` would, counting each op
         on the backend's counter as it runs, and calls the backend's
-        label hook (``_stage``). A plaintext operand is a scalar, or a
+        label hook (``_stage``) on the stage's values as ciphertexts over
+        the window. A plaintext operand is a scalar, or a
         tile over a zero tail (``_is_tile``) that lies inside the
         operands' window. Every value carries its level, and a constant
         is at the first operand's; the result's is read off the program.
@@ -451,7 +474,7 @@ class HeBackend:
             if state:
                 self._rng.bit_generator.state = state
             raise
-        return CipherText(start, out.v[:-1], out.v[-1], out.level, self)
+        return ops._ct(out)
 
     def run_block_sum(self, a: CipherText, schedule, giants=None):
         """Run a diagonal matvec schedule up to its folds on the operand a
@@ -513,6 +536,10 @@ class HeBackend:
     # ------------------------------------------------------------------
 
     def _check_ours(self, a: CipherText) -> None:
+        """The one ciphertext check of an op's operand: InvalidArgument for
+        anything but a ciphertext, LengthMismatch for another backend's."""
+        if not isinstance(a, CipherText):
+            raise InvalidArgument(f"an op takes a ciphertext here, not {type(a).__name__}")
         if a.backend is not self:
             raise LengthMismatch("ciphertext belongs to a different backend")
 
@@ -555,21 +582,19 @@ class _Slots:
 
 def _window_op(fn, count: str, drop: int = 0):
     """A window program's slot-wise op: fn of a value and a value or a
-    plaintext, as slotwise computes it, at the lower of their levels less
-    drop (DepthExhausted below 0), counted on the backend's counter under
-    count (a product of two values under ct_mults)."""
+    plaintext, as slotwise computes it, charged as slotwise charges it
+    (``_charge``) at the lower of their levels, on the backend's counter
+    under count (a product of two values under ct_mults)."""
     def op(self, a, b):
         ct = type(b) is _Slots  # a ciphertext value, as in HeBackend.mul
-        level = (b.level if ct and b.level < a.level else a.level) - drop
-        if level < 0:
-            raise DepthExhausted(f"multiplication at level {level + drop}")
+        level = _charge(self.counts, "ct_mults" if ct and drop else count,
+                        b.level if ct and b.level < a.level else a.level, drop)
         if ct:
             v = fn(a.v, b.v)
         elif _is_tile(b) or drop and b == 0:  # a product by a scalar 0 keeps no window
             v = self._tile(fn, a.v, b)
         else:
             v = fn(a.v, b)
-        self.counts["ct_mults" if ct and drop else count] += 1
         return self._value(v, level)
     return op
 
@@ -591,7 +616,6 @@ class _WindowOps:
         self.be, self.counts, self.noisy, self.start, self.size, self.reach, self.level = (
             be, vars(be.counter), be.noisy, start, size, reach, level)
         self.front = 0 if size == be.config.slot_count else reach
-        self._stage = be._stage
 
     def _tile(self, fn, x, b):
         """fn of x and a plaintext over a zero tail at slots [0, len(b))
@@ -635,6 +659,16 @@ class _WindowOps:
         depth, no op count, and the noise draw of ``encrypt``."""
         return self._value(np.full(self.size + 1, c), self.level)
 
+    def _stage(self, name, v_in, v_out):
+        """The backend's label hook, on v_in and v_out as ciphertexts
+        (``_ct``), so a hook reads a stage's slots as it would op by op."""
+        self.be._stage(name, self._ct(v_in), self._ct(v_out))
+
+    def _ct(self, v: _Slots) -> CipherText:
+        """v as a ciphertext: its slots over the program's window from
+        ``start``, over its tail, at its level."""
+        return CipherText(self.start, v.v[:-1], v.v[-1], v.level, self.be)
+
     def _value(self, v: np.ndarray, level: int) -> _Slots:
         """The value of the slots v at level, perturbed on a noisy backend
         as slotwise perturbs an op's result."""
@@ -648,11 +682,9 @@ def _zero_extending(fn):
     """fn as an op on two operands, the shorter of two arrays zero-extended
     to the other's length as a plaintext's zero tail extends it."""
     def op(a, b):
-        if _is_tile(a) and _is_tile(b) and a.size != b.size:
-            if a.size < b.size:
-                a = np.concatenate((a, np.zeros(b.size - a.size)))
-            else:
-                b = np.concatenate((b, np.zeros(a.size - b.size)))
+        if _is_tile(a) and _is_tile(b) and np.size(a) != np.size(b):
+            n = max(np.size(a), np.size(b))
+            a, b = (np.concatenate((v, np.zeros(n - np.size(v)))) for v in (a, b))
         return fn(a, b)
     return staticmethod(op)
 

@@ -58,7 +58,7 @@ from .errors import (
     RemezNonConvergence,
     ShapeMismatch,
 )
-from .matvec import MatvecSchedule, front_counts, matvec_schedule, shared_counts
+from .matvec import MatvecSchedule, matvec_schedule
 from .model import KanLayer, KanModel
 
 
@@ -364,10 +364,10 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
 
     The record is built from its own search and reads nothing from the
     layer's other records, so it holds schedules of its own. The search
-    builds two schedules, W_b's own and the last map's default, costs
-    every other candidate by its schedule's count law
-    (``matvec.front_counts``, ``matvec.shared_counts``), and builds only
-    the pair it keeps; it builds no diagonals."""
+    builds every candidate's schedules, the last map's and W_b's on its
+    geometry, costs each pair by their own ``rotations``, ``pt_mults``,
+    ``reads`` and ``slots``, and keeps the winning pair as built; a
+    schedule builds no diagonal until it runs, so the search builds none."""
     key = (path, comparator)
     if (layout := layer.layouts.get(key)) is not None:
         return layout
@@ -384,32 +384,29 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
 
     w_base = layer.w_base(comparator.unit)
     own = matvec_schedule(w_base, True)
-    own_counts = own.rotations, own.pt_mults, own.reads
     *firsts, W = layer.spline_maps(path)
     n_o, n_in = W.shape
     default = matvec_schedule(W)
 
-    def pairs(last, geometry):
-        """Each W_b schedule paired with the last map's candidate on
-        ``geometry``, whose (rotations, pt_mults, slots) are ``last``, as
-        (cost, need, W_b's ``over`` or None, geometry): the cost is the
-        rotations plus the copies' doublings up to a constant, then the pt
-        mults."""
-        p, L, _ = geometry
-        bases = [(own_counts, None)]
+    def pairs(last):
+        """Each W_b schedule paired with ``last``, a candidate last map, as
+        (cost, need, W_b's schedule, last): the cost is the rotations plus
+        the copies' doublings up to a constant, then the pt mults."""
+        p, L = last.shape
+        bases = [own]
         if L > p and math.lcm(p, n_i) <= L:  # the map folds, and W_b fits
-            bases.append((shared_counts(n_i, geometry), geometry))
-        for (rotations, pt_mults, reads), over in bases:
-            c = copies(reads)
-            yield ((rotations + last[0] + c.bit_length(), pt_mults + last[1]),
-                   max(n_i * c, last[2]), over, geometry)
+            bases.append(matvec_schedule(w_base, True, last.geometry))
+        for base in bases:
+            c = copies(base.reads)
+            yield ((base.rotations + last.rotations + c.bit_length(),
+                    base.pt_mults + last.pt_mults), max(n_i * c, last.slots), base, last)
 
     def cheapest(candidates, best=None, limit=math.inf):
         # a 1 x 1 W_b, the planner's stand-in, costs no less shared than on
         # its own, so _plan never runs on the stand-in it plans with
         for pair in candidates:
             if (pair[1] <= limit and (best is None or pair[0] < best[0])
-                    and (pair[2] is None or plan_shares())):
+                    and (not pair[2].unfolded or plan_shares())):
                 best = pair
         return best
 
@@ -417,15 +414,11 @@ def _layout(layer: KanLayer, path: str, comparator) -> LayerLayout:
         for p in range(n_o, default.shape[0] + 1):
             L = p << ((n_in + p - 2) // p).bit_length()
             for front in ((p, L), (p, 2 * L)):
-                yield from pairs(front_counts(*front), (*front, True))
+                yield from pairs(matvec_schedule(W, front=front))
 
-    best = cheapest(pairs((default.rotations, default.pt_mults, default.slots),
-                          default.geometry))
+    best = cheapest(pairs(default))
     limit = 1 << (best[1] - 1).bit_length()
-    *_, over, geometry = cheapest(fronts(), best, limit)
-
-    base = own if over is None else matvec_schedule(w_base, True, over)
-    last = default if geometry == default.geometry else matvec_schedule(W, front=geometry[:2])
+    *_, base, last = cheapest(fronts(), best, limit)
     layout = layer.layouts[key] = LayerLayout(copies(base.reads), base,
                                               (*map(matvec_schedule, firsts), last))
     return layout

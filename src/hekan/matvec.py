@@ -22,7 +22,11 @@ keeps them, read-only, for every later giant step. ``matvec_schedule`` is a
 plain builder, a new schedule per call; a caller that multiplies by the
 same matrix again keeps the schedule (a layer keeps its own in its
 ``inference.LayerLayout``), and ``bsgs_matvec`` builds one per call when
-given none.
+given none. A schedule builds no diagonal until it runs, and its counts
+(``rotations``, ``pt_mults``, ``reads``, ``slots``) follow from its shape
+alone, each stated once (``block_sum_counts``, ``folds``), so a caller
+costs a candidate by building its schedule: ``inference._layout`` costs
+every candidate geometry that way and keeps the schedules it chooses.
 
 Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
@@ -241,7 +245,11 @@ class MatvecSchedule:
         b <= p <= b * giants, so every baby is used and the giant steps
         cover the diagonals exactly."""
         p = self.shape[0]
-        return _unfolded_split(p, self.over) if self.unfolded else default_bsgs_split(p)
+        if not self.unfolded:
+            return default_bsgs_split(p)
+        lender_p, _, lender_front = self.over
+        b = p if lender_front else min(default_bsgs_split(lender_p)[0], p)
+        return b, -(-p // b)
 
     def blocks(self):
         """Giant steps in order: (base, the diagonals base + i it sums)."""
@@ -424,32 +432,6 @@ class MatvecSchedule:
         if not folds:
             return acc
         return ops.run_on_window(lambda w, a: _folds(w, a, folds), acc, reach=sum(folds))
-
-
-def _unfolded_split(g: int, over: tuple) -> tuple:
-    """(babies, giants) of an ``unfolded`` schedule's g diagonals on the
-    geometry ``over`` (see ``MatvecSchedule.split``)."""
-    lender_p, _, lender_front = over
-    b = g if lender_front else min(default_bsgs_split(lender_p)[0], g)
-    return b, -(-g // b)
-
-
-def front_counts(p: int, L: int) -> tuple:
-    """(rotations, pt_mults, slots) of ``matvec_schedule(W, front=(p, L))``
-    from (p, L) alone, as the module docstring states them: (b - 1) +
-    (gs - 1) + log2(L / p) rotations, p pt mults and L + p - 1 slots read,
-    so that a caller can cost a geometry without building its schedule."""
-    b, gs = default_bsgs_split(p)
-    return (b - 1) + (gs - 1) + (L // p).bit_length() - 1, p, L + p - 1
-
-
-def shared_counts(n_in: int, over: tuple) -> tuple:
-    """(rotations, pt_mults, reads) of ``matvec_schedule(W, True, over)``
-    for a W of n_in columns, from (n_in, over) alone: g = gcd(p, n_in)
-    diagonals, the baby rotations of their split and lcm(p, n_in) + g - 1
-    slots read (see the module docstring)."""
-    g = math.gcd(over[0], n_in)
-    return _unfolded_split(g, over)[0] - 1, g, math.lcm(over[0], n_in) + g - 1
 
 
 def _folds_to(p: int, L: int) -> bool:

@@ -539,6 +539,67 @@ class TestZeroDimensionalPlaintext:
         assert np.all(be.decrypt(got) == 2.0) and got.width is want.width is None
 
 
+class TestOperandTypes:
+    """The op API rejects a wrong operand with a typed error before any op
+    (the counter and the noise generator untouched), and reads a list or
+    tuple plaintext as the equal array, as ``encrypt`` does."""
+
+    @staticmethod
+    def _untouched(be, noise):
+        assert be.counter == OpCounter()
+        fresh_draws = fresh(16, noise=noise)._rng.standard_normal(4)
+        assert np.array_equal(be._rng.standard_normal(4), fresh_draws)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_a_non_ciphertext_or_a_non_numeric_plaintext_raises_first(self, noise):
+        sched = matvec_schedule(np.ones((2, 4)))
+        calls = [
+            (InvalidArgument, lambda be, ct: be.decrypt(np.zeros(4))),
+            (InvalidArgument, lambda be, ct: be.add(np.zeros(4), ct)),
+            (InvalidArgument, lambda be, ct: be.rotate(np.zeros(4), 1)),
+            (InvalidArgument, lambda be, ct: be.run_on_window(lambda w, v: v, np.zeros(4))),
+            (InvalidArgument, lambda be, ct: be.run_on_window(lambda w, v: v, ct, [1.0])),
+            (InvalidArgument, lambda be, ct: be.run_block_sum(np.zeros(4), sched)),
+            (LengthMismatch, lambda be, ct: be.add(ct, fresh(16).encrypt(1.0))),
+            (LengthMismatch, lambda be, ct: be.rotate(fresh(16).encrypt(1.0), 1)),
+            *((InvalidArgument, lambda be, ct, b=b, op=op: getattr(be, op)(ct, b))
+              for op in ("add", "sub", "mul") for b in (None, "a", "2", 1j, ["a"], [None])),
+            *((InvalidArgument, lambda be, ct, b=b: be.run_on_window(lambda w, v: w.add(v, b), ct))
+              for b in (None, "a", ["a"])),
+            (InvalidArgument, lambda be, ct: be.encrypt(None)),
+            (InvalidArgument, lambda be, ct: be.encrypt(["a", "b"])),
+        ]
+        for error, call in calls:
+            be = fresh(16, noise=noise)
+            ct = CipherText(0, np.arange(3.0), 0.0, 20, be)  # no noise drawn
+            with pytest.raises(error):
+                call(be, ct)
+            self._untouched(be, noise)
+        for b in (None, "a"):  # the mirror's scalar test is the same rule
+            with pytest.raises(InvalidArgument):
+                _ArrayOps.add(np.arange(3.0), b)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_a_list_is_the_equal_array(self, op, noise):
+        x = np.array([1.0, -2.0, 3.0, 0.5])
+        for b in ([2.0, -0.0, 1.5], (2, 0, 1), [4.0]):
+            array = np.asarray(b, dtype=float)
+            for run in (lambda be, ct, b: getattr(be, op)(ct, b),
+                        lambda be, ct, b: be.run_on_window(lambda w, v: getattr(w, op)(v, b), ct)):
+                got_be, want_be = fresh(16, noise=noise), fresh(16, noise=noise)
+                got = run(got_be, got_be.encrypt(x), b)
+                want = run(want_be, want_be.encrypt(x), array)
+                assert got_be.decrypt(got).tobytes() == want_be.decrypt(want).tobytes()
+                assert got_be.counter == want_be.counter and got.level == want.level
+            mirrored = getattr(_ArrayOps, op)(x, b)
+            assert mirrored.tobytes() == getattr(_ArrayOps, op)(x, array).tobytes()
+        be = fresh(16)
+        assert be.decrypt(be.encrypt([1, 2])).tobytes() == be.decrypt(be.encrypt(
+            np.array([1.0, 2.0]))).tobytes()
+        assert be.encrypt((1.0, 2.0)).width == 2
+
+
 class TestArrayOpsSlotSemantics:
     """The mirror's adapter treats an array as slots [0, len) of an endless
     vector whose other slots are zero, so it computes what a ciphertext over

@@ -83,6 +83,18 @@ class _Recorder(HeBackend):
                              v_in.level, v_out.level))
 
 
+class _Decrypter(HeBackend):
+    """A backend whose label hook decrypts what it is handed: it records
+    each label with the bits of its input's and its output's slots."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.records = []
+
+    def _stage(self, name, v_in, v_out):
+        self.records.append((name, *(self.decrypt(v).tobytes() for v in (v_in, v_out))))
+
+
 def _basis_op_by_op(be, ct, G, comparator):
     """bspline_basis_he(repeat_pack(ct, G, comparator), G, comparator) with
     its window programs run one backend call per op."""
@@ -500,6 +512,52 @@ class TestEncryptedBasis:
                 "comparator", "basis_recursion"]
             assert np.array_equal(be.decrypt(got).view(np.int64), ref.decrypt(want).view(np.int64))
             assert be.counter == ref.counter and got.level == want.level
+
+    @pytest.mark.parametrize("equally_spaced", [True, False], ids=["equal", "jittered"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_the_label_hook_decrypts_the_op_by_op_slots(self, equally_spaced, noise):
+        """Inside the basis's window program the label hook is handed
+        ciphertexts: a hook that decrypts them reads, label by label, the
+        bits the op-by-op run's hook reads, and draws no noise (the
+        generator then equals that of a backend whose hook does nothing)."""
+        comp = build_composite_sign()
+        for k in range(1, 6):
+            G = GridMatrix.uniform(4, 3, k, -1.0, 1.0) if equally_spaced else _jittered(4, 3, k, [1])
+            cfg = BackendConfig(slot_count=512, depth_budget=30, noise_std=noise)
+            x = np.linspace(-0.9, 0.9, 4)
+            be, ref, quiet = _Decrypter(cfg), _Decrypter(cfg), HeBackend(cfg)
+            got = bspline_basis_he(repeat_pack(be.encrypt(x), G, comp), G, comp)
+            want = _basis_op_by_op(ref, ref.encrypt(x), G, comp)
+            bspline_basis_he(repeat_pack(quiet.encrypt(x), G, comp), G, comp)
+            assert be.records == ref.records and [r[0] for r in be.records] == [
+                "comparator", "basis_recursion"]
+            assert be.decrypt(got).tobytes() == ref.decrypt(want).tobytes()
+            assert np.array_equal(be._rng.standard_normal(4), quiet._rng.standard_normal(4))
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_a_decrypting_hook_reads_a_forward_as_op_by_op(self, noise):
+        """The same hook on a kan_small forward reads, label by label, the
+        bits it reads with every window program run one backend call per
+        op, and draws no noise."""
+        class OpByOp(_Decrypter):
+            def run_on_window(self, program, *operands, reach=0):
+                return program(self, *operands)
+
+        mdl = random_model([2, 5, 1], g=5, k=3, seed=1)
+        cfg = PipelineConfig()
+        config = BackendConfig(slot_count=2 ** 10, depth_budget=plan_model(mdl, cfg).total,
+                               noise_std=noise)
+        runs = []
+        for be in (_Decrypter(config), OpByOp(config), HeBackend(config)):
+            out, _ = model_forward_he(mdl, encrypt_input(np.array([0.3, -0.6]), mdl, be), cfg)
+            runs.append((be, be.decrypt(out).tobytes(), be._rng.standard_normal(4)))
+        (be, got, draws), (ref, want, ref_draws), (_, quiet, quiet_draws) = runs
+        assert [r[0] for r in be.records] == 2 * ["repeat_pack", "silu_poly", "base_matvec",
+                                                   "comparator", "basis_recursion",
+                                                   "spline_matvec"]
+        assert be.records == ref.records and be.counter == ref.counter
+        assert got == want == quiet
+        assert np.array_equal(draws, ref_draws) and np.array_equal(draws, quiet_draws)
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
     def test_a_program_out_of_levels_leaves_the_labels_it_reached(self, noise):

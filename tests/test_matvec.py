@@ -23,7 +23,7 @@ from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, _fold
 from hekan.bspline import PermutationSpec, gen_permutation
 from hekan.errors import DepthExhausted, DimensionMismatch, HeKanError, ShapeMismatch
 from hekan.inference import bsgs_matvec
-from hekan.matvec import MatvecSchedule, front_counts, matvec_schedule, shared_counts
+from hekan.matvec import MatvecSchedule, matvec_schedule
 
 
 def replay(sched, v, giants=()):
@@ -273,30 +273,6 @@ class TestFoldsEqualReplay:
         assert bits(got.tail) == bits(want.tail)
         assert be.counter == ref.counter and got.level == want.level
         assert np.array_equal(be.decrypt(be.encrypt(0.0)), ref.decrypt(ref.encrypt(0.0)))
-
-
-class TestCountLaws:
-    """The geometry-only count laws a layout search costs candidates by
-    agree with the schedules they stand for."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(n_o=st.integers(1, 40), n_in=st.integers(1, 300), extra=st.integers(0, 20),
-           doublings=st.integers(0, 2))
-    def test_front_counts_are_the_schedules(self, n_o, n_in, extra, doublings):
-        p = n_o + extra
-        L = p << ((n_in + p - 2) // p).bit_length() + doublings
-        sched = matvec_schedule(np.ones((n_o, n_in)), front=(p, L))
-        assert front_counts(p, L) == (sched.rotations, sched.pt_mults, sched.slots)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(n_o=st.integers(1, 40), n_in=st.integers(1, 300), extra=st.integers(0, 20),
-           doublings=st.integers(0, 3), front=st.booleans())
-    def test_shared_counts_are_the_schedules(self, n_o, n_in, extra, doublings, front):
-        p = n_o + extra
-        L = p << (-(-math.lcm(p, n_in) // p) - 1).bit_length() + doublings
-        over = (p, L, front)
-        sched = matvec_schedule(np.ones((n_o, n_in)), True, over)
-        assert shared_counts(n_in, over) == (sched.rotations, sched.pt_mults, sched.reads)
 
 
 class TestKernelLimits:

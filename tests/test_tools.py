@@ -5,7 +5,9 @@ over everything;
 ``code_lines.py`` prints one count per ``src/hekan`` module, then their
 total; ``stage_counts.py`` prints each labelled stage's op counts and a
 total per (model, path), each with its level drop, then each layer's
-layout. No linter ships with the project, so one more check here walks the
+layout. ``same_bits.py``'s comparison, loaded as a module, reports the
+lines in which two trees' outputs of those last two scripts differ. No
+linter ships with the project, so one more check here walks the
 package's syntax trees: no module imports a name it never references."""
 
 import ast
@@ -129,6 +131,22 @@ def test_stage_counts_prints_each_layers_layout_after_its_total():
     assert [layouts["kan_small", "lazy", "layout", i] for i in "01"] == [
         "last=5,20,front base=shared,g=1,giants=1 copies=16",
         "last=1,64,default base=shared,g=1,giants=1 copies=16"]
+
+
+def test_same_bits_compares_each_scripts_lines():
+    differences = _load("same_bits").differences
+    ref = {"bit_digest.py": ["runs 4", "sha256 1f"],
+           "stage_counts.py": ["header", "a lazy total 1 2 3 4", "a naive total 1 2 3 5"]}
+    assert differences(ref, {name: list(lines) for name, lines in ref.items()}) == []
+    new = {"bit_digest.py": ["runs 4", "sha256 2e"],
+           "stage_counts.py": ["header", "a lazy total 1 2 3 4", "a naive total 1 2 3 6",
+                               "a naive layout 0"]}
+    assert differences(ref, new) == [
+        "bit_digest.py - sha256 1f", "bit_digest.py + sha256 2e",
+        "stage_counts.py - a naive total 1 2 3 5", "stage_counts.py + a naive total 1 2 3 6",
+        "stage_counts.py + a naive layout 0"]
+    assert differences(ref, {"bit_digest.py": ref["bit_digest.py"]}) == [
+        f"stage_counts.py - {line}" for line in ref["stage_counts.py"]]
 
 
 def _unused_imports(path: Path) -> list:
