@@ -26,11 +26,12 @@ a tile, a list, a tuple or an array of at least one dimension, which
 fills slots [0, len) over a zero tail, or a scalar (a real number or a
 0-d array of one), an empty window whose tail is the scalar:
 ``_is_tile``, the one rule every op adapter reads. Any other plaintext,
-or a tile whose entries are not real numbers, raises InvalidArgument
-before any op, and so does an operand that is not a ciphertext where an
-op takes one (``_check_ours``, the one ciphertext check; another
-backend's ciphertext raises LengthMismatch). A noisy backend perturbs
-every slot, so its results are full windows.
+or a tile whose entries are not real numbers in one regular shape
+(``_entries``; a ragged list too), raises InvalidArgument before any op,
+and so does an operand that is not a ciphertext where an op takes one
+(``_check_ours``, the one ciphertext check; another backend's ciphertext
+raises LengthMismatch). A noisy backend perturbs every slot, so its
+results are full windows.
 
 Each op's cost is charged by one rule, ``_charge``: an op counts once,
 under its kind, and a multiply drops one level, raising DepthExhausted
@@ -52,13 +53,12 @@ and a rotation is cyclic; in every mode a rotation past the reach raises.
 Its plaintexts are scalars and zero-tail tiles inside the operands'
 window. Each array op is the float op ``slotwise`` would perform on the
 same operands, each value carries its level, and each op counts on the
-backend's counter, and each stage label calls its hook on the stage's
-values as ciphertexts, as the program runs, where the op-by-op run
-would; so the slots, op counts, level, noise draws and labels are those
-of the op-by-op run. A program that raises
-leaves the counter and the noise generator as they were (one snapshot
-before it runs, restored on the way out); the hook has seen the labels
-before the failing op, as in the op-by-op run.
+backend's counter, and each stage label calls the backend's hook, as the
+program runs, where the op-by-op run would; so the slots, op counts,
+level, noise draws and labels are those of the op-by-op run. A program
+that raises leaves the counter and the noise generator as they were (one
+snapshot before it runs, restored on the way out); the hook has seen the
+labels before the failing op, as in the op-by-op run.
 
 Every stage program speaks one op vocabulary (add, sub, mul, rotate,
 const, run_on_window, run_block_sum): HeBackend, ``_WindowOps`` (inside
@@ -73,7 +73,9 @@ the leading slots. The label hook ``_stage(name, v_in, v_out)`` is a
 no-op except on ``_Probe``; inside a window program ``_WindowOps`` calls
 the backend's hook at the point where the op-by-op run calls it, on the
 program's values as ciphertexts over its window (``_WindowOps._ct``), so
-a hook reads the slots and levels the op-by-op run's hook reads.
+a hook reads the slots and levels the op-by-op run's hook reads. Those
+ciphertexts are built only for a hook that can read them: for the no-op
+``HeBackend._stage`` itself (one identity check) a label builds none.
 
 Diagonal matvec schedules run through :meth:`HeBackend.run_block_sum`:
 on the exact backend, the wraparound duplication (if the schedule needs
@@ -94,7 +96,7 @@ import math
 import numbers
 import operator
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -164,17 +166,15 @@ class OpCounter:
     rotations: int = 0
 
     def copy(self) -> "OpCounter":
-        return replace(self)
+        """A new counter holding these counts: one constructor call, as a
+        forward snapshots its counter once per layer."""
+        return OpCounter(self.adds, self.subs, self.ct_mults, self.pt_mults, self.rotations)
 
     def since(self, earlier: "OpCounter") -> "OpCounter":
         """Per-field difference against an earlier snapshot."""
-        return OpCounter(
-            adds=self.adds - earlier.adds,
-            subs=self.subs - earlier.subs,
-            ct_mults=self.ct_mults - earlier.ct_mults,
-            pt_mults=self.pt_mults - earlier.pt_mults,
-            rotations=self.rotations - earlier.rotations,
-        )
+        return OpCounter(self.adds - earlier.adds, self.subs - earlier.subs,
+                         self.ct_mults - earlier.ct_mults, self.pt_mults - earlier.pt_mults,
+                         self.rotations - earlier.rotations)
 
     @property
     def mults(self) -> int:
@@ -247,16 +247,27 @@ def _is_tile(b) -> bool:
     raise InvalidArgument(f"a plaintext is a real number or an array of them, not {b!r}")
 
 
+def _entries(b) -> np.ndarray:
+    """A tile's entries as an array, InvalidArgument unless they are real
+    numbers in one regular shape (a ragged list raises it too). A numeric
+    array passes as it is, with no numpy call."""
+    try:
+        data = b if isinstance(b, np.ndarray) else np.asarray(b)
+    except ValueError:  # numpy's inhomogeneous shape: a ragged list
+        data = None
+    if data is None or data.dtype.kind not in "biuf":
+        raise InvalidArgument(f"a plaintext tile holds real numbers in one shape, not {b!r}")
+    return data
+
+
 def _plain(b) -> tuple:
     """(data, tail) of a plaintext, whose window starts at slot 0: a scalar
     is an empty window over itself, a tile its slots over a zero tail
-    (``_is_tile``; InvalidArgument unless its entries are real numbers).
-    Never padded to the slot count."""
+    (``_is_tile``; InvalidArgument unless its entries are real numbers,
+    ``_entries``). Never padded to the slot count."""
     if not _is_tile(b):
         return _EMPTY, float(b)
-    if (data := np.asarray(b)).dtype.kind not in "biuf":
-        raise InvalidArgument(f"a plaintext tile holds {data.dtype} entries, not real numbers")
-    return data.astype(float, copy=False).ravel(), 0.0
+    return _entries(b).astype(float, copy=False).ravel(), 0.0
 
 
 def _cover(sa: int, na: int, sb: int, nb: int, S: int) -> tuple:
@@ -294,7 +305,9 @@ class CipherText:
     vector holds one copy of its length, a layer's output one copy of its
     n_o slots, and every other operation's result (and a scalar's
     encryption) one copy of unknown width (None). The layer program
-    rejects a known width other than its n_i before any op.
+    rejects a known width other than its n_i before any op. Those that
+    state a layout (``encrypt_input``, ``bspline.repeat_pack``, the layer
+    program) restate a result's through ``stating``, one constructor call.
     """
 
     start: int
@@ -305,8 +318,15 @@ class CipherText:
     copies: int = 1
     width: int | None = None
 
-    def __post_init__(self):
-        self.data.setflags(write=False)
+    def __init__(self, start, data, tail, level, backend, copies=1, width=None):
+        data.setflags(write=False)
+        vars(self).update(start=start, data=data, tail=tail, level=level, backend=backend,
+                          copies=copies, width=width)
+
+    def stating(self, copies: int, width: int | None) -> "CipherText":
+        """This ciphertext's slots and level, stating ``copies`` copies of
+        ``width`` slots: one constructor call, sharing ``data``."""
+        return CipherText(self.start, self.data, self.tail, self.level, self.backend, copies, width)
 
     @property
     def slots(self) -> np.ndarray:
@@ -661,8 +681,11 @@ class _WindowOps:
 
     def _stage(self, name, v_in, v_out):
         """The backend's label hook, on v_in and v_out as ciphertexts
-        (``_ct``), so a hook reads a stage's slots as it would op by op."""
-        self.be._stage(name, self._ct(v_in), self._ct(v_out))
+        (``_ct``), so a hook reads a stage's slots as it would op by op.
+        The no-op ``HeBackend._stage`` reads nothing, so for it (one
+        identity check) no ciphertext is built."""
+        if getattr(self.be._stage, "__func__", None) is not HeBackend._stage:
+            self.be._stage(name, self._ct(v_in), self._ct(v_out))
 
     def _ct(self, v: _Slots) -> CipherText:
         """v as a ciphertext: its slots over the program's window from
@@ -680,11 +703,13 @@ class _WindowOps:
 
 def _zero_extending(fn):
     """fn as an op on two operands, the shorter of two arrays zero-extended
-    to the other's length as a plaintext's zero tail extends it."""
+    to the other's length as a plaintext's zero tail extends it; a tile
+    whose entries are not real numbers raises InvalidArgument (``_entries``)."""
     def op(a, b):
-        if _is_tile(a) and _is_tile(b) and np.size(a) != np.size(b):
-            n = max(np.size(a), np.size(b))
-            a, b = (np.concatenate((v, np.zeros(n - np.size(v)))) for v in (a, b))
+        if _is_tile(a) and _is_tile(b):
+            a, b = _entries(a), _entries(b)
+            n = max(a.size, b.size)
+            a, b = (np.concatenate((v, np.zeros(n - v.size))) if v.size < n else v for v in (a, b))
         return fn(a, b)
     return staticmethod(op)
 

@@ -13,7 +13,7 @@ linear layer without any homomorphic reordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -272,7 +272,7 @@ def repeat_pack(ct: CipherText, G: GridMatrix, comparator,
     _check_copies(ops.slot_count, n_i, copies)
     mask = np.full(n_i * arrived, G.scale * comparator.unit)
     xp = _double_copies(ops.mul(ct, mask), n_i, arrived, copies)
-    return replace(xp, copies=copies, width=n_i) if isinstance(xp, CipherText) else xp
+    return xp.stating(copies, n_i) if isinstance(xp, CipherText) else xp
 
 
 def repeat_pack_naive(ct: CipherText, g: int, k: int, n_i: int) -> CipherText:

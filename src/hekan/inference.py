@@ -147,7 +147,7 @@ def encrypt_input(tensor, model: KanModel, backend: HeBackend) -> CipherText:
     copies = basis_copies(first.g, first.k)
     _check_copies(backend.config.slot_count, arr.size, copies)
     ct = backend.encrypt(np.tile(arr.reshape(-1), copies))  # raster order, C times
-    return replace(ct, copies=copies, width=arr.size)
+    return ct.stating(copies, arr.size)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +495,7 @@ def _layer(layer: KanLayer, x, path: str, comparator):
     spline_out = bsgs_matvec(last, spline_out, last_schedule, base_out if shared else None)
     ops._stage("spline_matvec", basis, spline_out)
     out = spline_out if shared else ops.add(base_out, spline_out)
-    return replace(out, width=layer.n_o) if isinstance(out, CipherText) else out
+    return out.stating(1, layer.n_o) if isinstance(out, CipherText) else out
 
 
 def layer_forward_he(layer: KanLayer, ct: CipherText, cfg: PipelineConfig) -> CipherText:

@@ -8,8 +8,9 @@ forward passes the backend as ``ops``, the mirror its array adapter
 (``inference.bsgs_matvec`` picks one by ``backend._ops_of``). The mirror
 and the exact backend run one block-sum kernel, ``block_sum``, each
 reading its operand through its own slot reader: each giant step is one
-array program that multiplies the step's babies (rows of a sliding
-window over the duplicated or repeated operand) by the step's diagonals
+array program that multiplies the step's babies (the rows of one strided
+view of the duplicated or repeated operand, row d starting d slots on, a
+view that costs no copy) by the step's diagonals
 and reduces them in diagonal order. So the mirrored forward
 reproduces the encrypted result bit for bit on the exact backend, where
 ``HeBackend.run_block_sum`` checks the slot capacity (``check_capacity``),
@@ -24,7 +25,8 @@ same matrix again keeps the schedule (a layer keeps its own in its
 ``inference.LayerLayout``), and ``bsgs_matvec`` builds one per call when
 given none. A schedule builds no diagonal until it runs, and its counts
 (``rotations``, ``pt_mults``, ``reads``, ``slots``) follow from its shape
-alone, each stated once (``block_sum_counts``, ``folds``), so a caller
+alone, each stated once (``block_sum_counts``, ``folds``) and computed on
+its first read only (cached properties, as ``shape`` is), so a caller
 costs a candidate by building its schedule: ``inference._layout`` costs
 every candidate geometry that way and keeps the schedules it chooses.
 
@@ -103,7 +105,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .backend import _folds
 from .bspline import PermutationSpec
@@ -185,14 +186,14 @@ class MatvecSchedule:
         """n, the operand's period: the padded matrix's columns."""
         return self.offset.size if self.W is None else self.W.shape[1]
 
-    @property
+    @cached_property
     def duplicates(self) -> bool:
         """Whether the block sum duplicates its operand first: only when
         the diagonals wrap (p > 1) and the operand is neither repeated nor
         read with a zero front."""
         return not (self.repeated or self.front) and self.shape[0] > 1
 
-    @property
+    @cached_property
     def reads(self) -> int:
         """How many slots the block sum reads: L + p - 1 of the duplicated
         or repeated operand from slot 0, or of the front-padded one from
@@ -200,7 +201,7 @@ class MatvecSchedule:
         p, L = self.shape
         return L + p - 1
 
-    @property
+    @cached_property
     def slots(self) -> int:
         """The fewest slots ``check_capacity`` accepts: the period twice
         over when the block sum ``duplicates``, else its ``reads``."""
@@ -257,7 +258,7 @@ class MatvecSchedule:
         for base in range(0, p, b):
             yield base, range(base, min(base + b, p))
 
-    @property
+    @cached_property
     def folds(self) -> tuple:
         """Rotate-and-add shifts n/2, n/4, ..., r on the wide path (r < n
         rows); none otherwise, nor for an ``unfolded`` schedule."""
@@ -266,7 +267,7 @@ class MatvecSchedule:
         r, n = self.front or self.W.shape
         return tuple(n >> i for i in range(1, (n // r).bit_length()))
 
-    @property
+    @cached_property
     def block_sum_counts(self) -> tuple:
         """(rotations, adds, pt_mults) of the op-by-op block sum, which
         HeBackend.run_block_sum charges: the wraparound duplication
@@ -330,8 +331,9 @@ class MatvecSchedule:
         in diagonal order, then plus the giant block of the same step: the
         block rotated into place. The result is the sum of the blocks in
         step order, or, for an ``unfolded`` schedule, the list of blocks,
-        each of L slots. The babies are rows of one sliding window over x,
-        and a step computes its block's slots [0, L) in place only.
+        each of L slots. The babies are the rows of one strided view of x,
+        row d its slots [d, d + L), and a step computes its block's slots
+        [0, L) only.
 
         A permutation operand (W is None) with no giants is one gather with
         the same bits. Column t's only nonzero diagonal is offset[t], so it
@@ -352,7 +354,10 @@ class MatvecSchedule:
                 signs = np.concatenate(([0], np.cumsum(np.signbit(x))))
                 all_neg = signs[t + L] - signs[t] == L
                 return np.where(hit != 0, hit, np.where(all_neg, -0.0, 0.0))
-        rows = sliding_window_view(x, L)[::self.sign]  # row d reads v[t + s d]
+        # row d, x's slots [d, d + L), reads v[t + s d]: a read-only view
+        # over the fresh, contiguous x, built in O(1)
+        rows = np.ndarray((x.size - L + 1, L), x.dtype, x, 0, x.strides * 2)[::self.sign]
+        rows.setflags(write=False)
         acc, unrotated = None, []
         for step, (base, diags) in enumerate(self.blocks()):
             terms = rows[base:base + len(diags)] * self.diagonals(diags)

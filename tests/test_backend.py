@@ -579,6 +579,31 @@ class TestOperandTypes:
             with pytest.raises(InvalidArgument):
                 _ArrayOps.add(np.arange(3.0), b)
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_a_ragged_or_non_numeric_tile_raises_first(self, noise):
+        # numpy's own ValueError (inhomogeneous shape) or UFuncTypeError
+        # escaped here before the tile's entries were checked
+        ragged = ([[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]], [1.0, [2.0]])
+        calls = [
+            *(lambda be, ct, b=b, op=op: getattr(be, op)(ct, b)
+              for op in ("add", "sub", "mul") for b in ragged),
+            *(lambda be, ct, b=b: be.encrypt(b) for b in ragged),
+            *(lambda be, ct, b=b, op=op: be.run_on_window(lambda w, v: getattr(w, op)(v, b), ct)
+              for op in ("add", "sub", "mul") for b in ragged),
+            # a ragged tile after an op that counted: the program's snapshot restores it
+            lambda be, ct: be.run_on_window(lambda w, v: w.add(w.mul(v, 2.0), ragged[1]), ct),
+        ]
+        for call in calls:
+            be = fresh(16, noise=noise)
+            ct = CipherText(0, np.arange(3.0), 0.0, 20, be)  # no noise drawn
+            with pytest.raises(InvalidArgument):
+                call(be, ct)
+            self._untouched(be, noise)
+        for op in ("add", "sub", "mul"):  # the mirror: shorter, equal and longer tiles
+            for b in (["a"], ["a", "b", "c"], [None, 1.0, 2.0, 3.0], np.array(["a"]), *ragged):
+                with pytest.raises(InvalidArgument):
+                    getattr(_ArrayOps, op)(np.arange(3.0), b)
+
     @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
     def test_a_list_is_the_equal_array(self, op, noise):
@@ -802,6 +827,54 @@ class TestWindowProgram:
             with pytest.raises(InvalidArgument):
                 be.run_on_window(program, ct)
         assert be.counter == OpCounter()
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_a_label_builds_ciphertexts_only_for_a_hook_that_reads_them(self, noise,
+                                                                         monkeypatch):
+        """Inside a window program a stage label calls a subclass's hook, or
+        a hook set on the backend itself, on the stage's values as
+        ciphertexts over the window, with the slots and levels the op-by-op
+        run's label sees; for the no-op HeBackend._stage it builds none, so
+        the program builds one ciphertext, its result."""
+        x = np.arange(1.0, 7.0)
+        cfg = BackendConfig(slot_count=64, depth_budget=20, noise_std=noise)
+
+        def entry(be, name, a, b):
+            return name, be.decrypt(a).tobytes(), be.decrypt(b).tobytes(), a.level, b.level
+
+        class Recording(HeBackend):
+            def _stage(self, name, v_in, v_out):
+                self.seen.append(entry(self, name, v_in, v_out))
+
+        def program(w, v):
+            y = w.mul(v, 2.0)
+            w._stage("double", v, y)
+            return w.add(y, 1.0)
+
+        ref = Recording(cfg)
+        ref.seen = []
+        ct = ref.encrypt(x)
+        ref._stage("double", ct, ref.mul(ct, 2.0))
+        assert len(ref.seen) == 1
+        built = []
+        init = CipherText.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        subclass, plain, own_hook = Recording(cfg), HeBackend(cfg), HeBackend(cfg)
+        subclass.seen, own_hook.seen = [], []
+        own_hook._stage = lambda name, a, b: own_hook.seen.append(entry(own_hook, name, a, b))
+        for be in (subclass, plain, own_hook):
+            ct = be.encrypt(x)
+            monkeypatch.setattr(CipherText, "__init__", counting)
+            be.run_on_window(program, ct)
+            monkeypatch.undo()
+            assert len(built) == (1 if be is plain else 3)
+            built.clear()
+            if be is not plain:
+                assert be.seen == ref.seen
 
     @pytest.mark.parametrize("mode", ["padded", "tight", "noisy"])
     def test_the_stated_reach_binds_in_every_mode(self, mode):

@@ -316,6 +316,26 @@ class TestKernelLimits:
         assert np.array_equal(be.decrypt(out)[:3840], P.apply(x))
         assert np.array_equal(clear, P.apply(x))
 
+    def test_derived_counts_are_computed_once(self, monkeypatch):
+        # the layout search and every run_block_sum read a schedule's
+        # counts; each is worked out on its first read and kept
+        names = ("duplicates", "reads", "slots", "folds", "block_sum_counts")
+        calls = []
+        for name in names:
+            prop = vars(MatvecSchedule)[name]
+            monkeypatch.setattr(prop, "func", lambda self, f=prop.func, name=name:
+                                calls.append(name) or f(self))
+        sched = matvec_schedule(np.ones((3, 8)))  # wide, p = 4: duplicated, one fold
+        assert sched.duplicates and sched.folds == (4,)
+        be = HeBackend(BackendConfig(slot_count=64, depth_budget=2))
+        for _ in range(2):
+            # rotations: the duplication, one baby, one giant step, one fold
+            assert (sched.rotations, sched.pt_mults, sched.slots) == (4, 4, 16)
+            sched.check_capacity(64)
+            out = sched.run(be, be.encrypt(np.arange(8.0)))
+            assert np.array_equal(be.decrypt(out)[:3], np.full(3, 28.0))
+        assert sorted(calls) == sorted(names)
+
     @pytest.mark.parametrize("shape", [(2, 2, 2), (0, 2), (2, 0), (0,)])
     def test_malformed_matrix_raises_before_any_op(self, shape):
         be = HeBackend(BackendConfig(slot_count=64, depth_budget=2))

@@ -6,9 +6,12 @@ over everything;
 total; ``stage_counts.py`` prints each labelled stage's op counts and a
 total per (model, path), each with its level drop, then each layer's
 layout. ``same_bits.py``'s comparison, loaded as a module, reports the
-lines in which two trees' outputs of those last two scripts differ. No
-linter ships with the project, so one more check here walks the
-package's syntax trees: no module imports a name it never references."""
+lines in which two trees' outputs of those last two scripts differ.
+``forward_cost.py`` prints, per model, what one warmed forward builds and
+enters and its in-process time; its counting function also pins a
+kan_small forward's bookkeeping. No linter ships with the project, so one
+more check here walks the package's syntax trees: no module imports a
+name it never references."""
 
 import ast
 import functools
@@ -131,6 +134,34 @@ def test_stage_counts_prints_each_layers_layout_after_its_total():
     assert [layouts["kan_small", "lazy", "layout", i] for i in "01"] == [
         "last=5,20,front base=shared,g=1,giants=1 copies=16",
         "last=1,64,default base=shared,g=1,giants=1 copies=16"]
+
+
+def test_forward_cost_prints_kan_small_counts_and_times():
+    done = subprocess.run([sys.executable, str(TOOLS / "forward_cost.py"), "kan_small"],
+                          cwd=ROOT, capture_output=True, text=True, check=True, timeout=60)
+    assert done.stderr == ""
+    (line,) = done.stdout.splitlines()
+    label, *fields = line.split(" ")
+    assert label == "kan_small"
+    names = [*_load("forward_cost").COUNTED, "python_calls", "min_us", "median_us"]
+    assert [field.split("=")[0] for field in fields] == names
+    values = dict(field.split("=") for field in fields)
+    assert values["run_block_sum"] == "4"
+    assert 0 < float(values["min_us"]) <= float(values["median_us"])
+
+
+def test_a_kan_small_forward_pays_for_arithmetic_not_bookkeeping():
+    # encrypt_input -> model_forward_he -> decrypt: the ciphertexts it
+    # builds (no replace() copy, none for the no-op label hook inside a
+    # window program), no block sum's sliding_window_view, and the backend
+    # entries that carry its arithmetic
+    tool = _load("forward_cost")
+    forward = tool.set_up("kan_small")
+    counts = tool.forward_counts(forward)
+    assert counts.pop("ciphertexts") <= 32
+    assert counts.pop("python_calls") > 0
+    assert counts == {"replace": 0, "sliding_window_view": 0, "slotwise": 10, "rotate": 4,
+                      "run_on_window": 8, "run_block_sum": 4}
 
 
 def test_same_bits_compares_each_scripts_lines():
