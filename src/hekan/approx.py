@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
+from numpy.polynomial import polyutils as nppu
 
 from .backend import CipherText, _ArrayOps, _ops_of
 from .errors import (
@@ -202,8 +203,28 @@ def fit_weighted_ls(target, rng: ApproxRange, degree: int,
     if rank < degree + 1:
         raise IllConditioned(
             f"rank {rank} < {degree + 1}: degree too high for the sample grid/range")
-    mono = series.convert(kind=nppoly.Polynomial)
-    return Polynomial(tuple(mono.coef))
+    return Polynomial(tuple(_cheb_to_power(series.coef, *series.domain)))
+
+
+def _cheb_to_power(c, lo: float, hi: float) -> np.ndarray:
+    """Power-basis coefficients of the Chebyshev series c on [lo, hi]:
+    the bits of ``Chebyshev(c, domain=[lo, hi]).convert(kind=Polynomial)``,
+    signed zeros included. That call runs chebval's Clenshaw recursion on
+    the identity line mapped by ``mapparms`` (off + scl x), one class
+    instance per step; this runs the same recursion, each operation with
+    the same operands in the same order, on coefficient arrays
+    (nppoly.polyadd, polysub, polymul)."""
+    off, scl = nppu.mapparms((lo, hi), (-1.0, 1.0))
+    x = nppoly.polyadd(off, nppoly.polymul(scl, (0.0, 1.0)))
+    c = np.asarray(c, dtype=float)
+    if len(c) < 3:
+        c0, c1 = c[0], c[1] if len(c) == 2 else 0
+    else:
+        x2 = nppoly.polymul(2, x)
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            c0, c1 = nppoly.polysub(c[-i], c1), nppoly.polyadd(c0, nppoly.polymul(c1, x2))
+    return nppoly.polyadd(c0, nppoly.polymul(c1, x))
 
 
 # A fitted coefficient whose largest term on the fit range,
@@ -319,17 +340,24 @@ def fit_remez(target, rng: ApproxRange, degree: int,
 
     coeffs, _ = _remez_core(target, lo, hi, basis_eval, degree + 1,
                             max_iter=max_iter, rel_tol=rel_tol)
-    series = npcheb.Chebyshev(coeffs, domain=[lo, hi])
-    mono = series.convert(kind=nppoly.Polynomial)
-    return Polynomial(tuple(mono.coef))
+    return Polynomial(tuple(_cheb_to_power(coeffs, lo, hi)))
 
 
 def fit_odd_sign_stage(lo: float, hi: float, degree: int,
                        rel_tol: float = 1e-3):
     """Best odd polynomial approximation of +1 on [lo, hi] (hence of the
-    sign function on [-hi, -lo] by symmetry). Returns (Polynomial, max_err)."""
-    if degree < 1 or degree % 2 == 0:
-        raise InvalidArgument(f"sign stages need odd degree >= 1, got {degree}")
+    sign function on [-hi, -lo] by symmetry), by Remez exchange in the odd
+    Chebyshev polynomials of x / hi. Returns (Polynomial, max_err), the
+    error on the exchange's grid of 8192 points. InvalidArgument before
+    any sampling unless 0 <= lo < hi, both finite, and degree is an odd
+    int (not a bool) in [1, MAX_FIT_DEGREE]."""
+    if (isinstance(degree, bool) or not isinstance(degree, numbers.Integral)
+            or degree % 2 == 0 or not 1 <= degree <= MAX_FIT_DEGREE):
+        raise InvalidArgument(f"sign stages need an odd degree in [1, {MAX_FIT_DEGREE}] "
+                              f"(MAX_FIT_DEGREE), got {degree!r}")
+    if not 0 <= lo < hi < math.inf:  # NaN fails too
+        raise InvalidArgument(f"a sign stage is fitted on [lo, hi] with 0 <= lo < hi, "
+                              f"both finite, got [{lo}, {hi}]")
     n_basis = (degree + 1) // 2
 
     def basis_eval(x):
@@ -340,9 +368,7 @@ def fit_odd_sign_stage(lo: float, hi: float, degree: int,
                                   basis_eval, n_basis, rel_tol=rel_tol)
     cvec = np.zeros(degree + 1)
     cvec[1::2] = coeffs
-    series = npcheb.Chebyshev(cvec, domain=[-hi, hi])
-    mono = np.asarray(series.convert(kind=nppoly.Polynomial).coef)
-    mono = np.resize(mono, degree + 1)
+    mono = np.resize(_cheb_to_power(cvec, -hi, hi), degree + 1)
     mono[0::2] = 0.0  # exact oddness; conversion dust would break antisymmetry
     return Polynomial(tuple(mono)), max_err
 
@@ -626,6 +652,11 @@ class _OddStage:
         return factors[0][1]
 
 
+# The comparator's certificate grid, and the points it evaluates at once.
+CERTIFICATE_POINTS = 100_000
+CERTIFICATE_CHUNK = 8192
+
+
 @dataclass(frozen=True)
 class CompositeSign:
     """Composition of odd minimax polynomials approximating sign on
@@ -637,11 +668,17 @@ class CompositeSign:
     root of its leading constant (times the later stages' units): a
     difference that arrives already times nu_1 (``folded``) runs the first
     stage monic too, with no pt mult. -1.7204 for the default comparator,
-    1.9288 for criterion 4's (7, 2^-10)."""
+    1.9288 for criterion 4's (7, 2^-10).
+
+    Its hash is computed once, from the fields, as the generated one would
+    be: the layer's caches key on the comparator at every forward."""
 
     stages: tuple
     precision_alpha: float
     target_eps: float
+
+    def __hash__(self):
+        return self._hash
 
     def __post_init__(self):
         _check_target(self.precision_alpha, self.target_eps)
@@ -663,6 +700,8 @@ class CompositeSign:
         programs = tuple((_OddStage.of(self.stages[0], out, monic), *later)
                          for monic in (False, True))
         object.__setattr__(self, "_programs", programs)
+        object.__setattr__(self, "_hash", hash((self.stages, self.precision_alpha,
+                                                self.target_eps)))
 
     @property
     def delta(self) -> float:
@@ -689,11 +728,29 @@ class CompositeSign:
 
     def certified_max_error(self, folded: bool = False) -> float:
         """Max |2 step(y) - 2| (that is, |composed(y) - 1| as step computes
-        it) over 100000 points of [delta, 1]: of the raw program on y, or
-        of the ``folded`` one on y times ``unit``."""
-        y = np.linspace(self.delta, 1.0, 100_000)
-        d = y * self.unit if folded else y
-        return float(np.max(np.abs(2.0 * self.step(_ArrayOps(d), d, folded) - 2.0)))
+        it) over the CERTIFICATE_POINTS points of np.linspace(delta, 1,
+        CERTIFICATE_POINTS): of the raw program on y, or of the ``folded``
+        one on y times ``unit``. The points run CERTIFICATE_CHUNK at a time
+        (``_chunk_errors``), so each of step's ops allocates one chunk, not
+        the grid; the value is the one-pass maximum's, bit for bit, and NaN
+        if any point's error is (np.max keeps it)."""
+        return float(np.max([*self._chunk_errors(folded)]))
+
+    def certifies(self, folded: bool = False) -> bool:
+        """certified_max_error(folded) <= target_eps, decided chunk by
+        chunk: it stops at the first chunk whose error is past the target
+        or NaN, as the maximum over every point then is."""
+        return all(error <= self.target_eps for error in self._chunk_errors(folded))
+
+    def _chunk_errors(self, folded: bool):
+        """The certificate's error on each run of CERTIFICATE_CHUNK
+        consecutive points of its grid, in order, each computed as it is
+        read."""
+        y = np.linspace(self.delta, 1.0, CERTIFICATE_POINTS)
+        for start in range(0, y.size, CERTIFICATE_CHUNK):
+            d = y[start:start + CERTIFICATE_CHUNK]
+            d = d * self.unit if folded else d
+            yield np.max(np.abs(2.0 * self.step(_ArrayOps(d), d, folded) - 2.0))
 
 
 class ExactComparator:
@@ -780,33 +837,36 @@ def build_composite_sign(alpha: float = DEFAULT_ALPHA,
     Tries the stage-degree plans of _STAGE_PLANS (by depth, then by one
     call's ct and pt mults) and returns the first whose composed error
     certifies below target_eps on a dense grid, as a raw ``poly_comp``
-    runs it. The layer program runs it folded, and certifies that program
-    itself before its first use (``inference._layout``).
-    InvalidArgument before any fit for a target outside its domain
-    (``_check_target``).
+    runs it (``CompositeSign.certifies``, which rejects a plan at its
+    first chunk past the target). Plans that share leading stages share
+    their fits: each distinct (lo, hi, degree) stage is fitted once per
+    call, and nothing but the returned comparator (this function's
+    lru_cache) outlives the call. The layer program runs it folded, and
+    certifies that program itself before its first use
+    (``inference._check_folded``). InvalidArgument before any fit for a
+    target outside its domain (``_check_target``).
     """
     _check_target(alpha, target_eps)
-    delta = 2.0 ** (-alpha)
+
+    @functools.cache  # this call's fits only
+    def fit(lo, hi, degree):
+        try:
+            return fit_odd_sign_stage(lo, hi, degree)
+        except RemezNonConvergence:
+            return None, math.nan
+
     for degrees in _STAGE_PLANS:
-        stages = []
-        lo, hi = delta, 1.0
-        feasible = True
-        for deg in degrees:
-            try:
-                stage, err = fit_odd_sign_stage(lo, hi, deg)
-            except RemezNonConvergence:
-                feasible = False
-                break
-            if not err < 0.9:  # next stage's domain would touch zero (or err is NaN)
-                feasible = False
+        stages, lo, hi = [], 2.0 ** (-alpha), 1.0
+        for degree in degrees:
+            stage, err = fit(lo, hi, degree)
+            if not err < 0.9:  # next stage's domain would touch zero (or no fit, or NaN)
                 break
             stages.append(stage)
             lo, hi = 1.0 - err, 1.0 + err
-        if not feasible:
-            continue
-        cs = CompositeSign(tuple(stages), float(alpha), float(target_eps))
-        if cs.certified_max_error() <= target_eps:
-            return cs
+        else:
+            cs = CompositeSign(tuple(stages), float(alpha), float(target_eps))
+            if cs.certifies():
+                return cs
     raise RemezNonConvergence(
         f"no stage plan certified eps <= {target_eps} for alpha = {alpha}")
 

@@ -1,9 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as npcheb
+from numpy.polynomial import polynomial as nppoly
 
-from hekan import approx
+from hekan import approx, inference
 from hekan.approx import (
     ACTIVATION_PRESETS,
     EXACT_COMPARATOR,
@@ -229,6 +234,40 @@ class TestRemez:
     def test_sign_stage_of_even_degree_is_a_library_error(self, degree):
         with pytest.raises(HeKanError, match="odd degree"):
             fit_odd_sign_stage(0.1, 1.0, degree)
+
+    @pytest.mark.parametrize("lo, hi, degree", [
+        (0.5, 0.1, 7), (-0.5, -0.1, 7), (0.5, 0.5, 7), (-0.1, 1.0, 7),
+        (0.1, 1.0, approx.MAX_FIT_DEGREE + 2), (0.1, 1.0, 10 ** 5), (0.1, 1.0, 7.0),
+        (0.1, 1.0, True), (0.1, 1.0, "7"), (math.nan, 1.0, 7), (0.1, math.nan, 7),
+        (0.1, math.inf, 7), (-math.inf, 1.0, 7), (math.inf, math.inf, 7)])
+    def test_sign_stage_rejects_bad_arguments_before_sampling(self, monkeypatch, lo, hi, degree):
+        # an inverted or negative interval once returned a bogus stage, a
+        # degree past the cap asked for an 8192 x (degree + 1) grid matrix
+        # (6.5 GB at 10^5), and NaN bounds warned before failing to converge
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the arguments")
+
+        monkeypatch.setattr(approx, "_remez_core", no_sampling)
+        with pytest.raises(InvalidArgument):
+            fit_odd_sign_stage(lo, hi, degree)
+
+    def test_sign_stage_accepts_the_degree_cap_and_numpy_ints(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(approx, "_remez_core", no_sampling)
+        for degree in (1, approx.MAX_FIT_DEGREE, np.int64(7)):
+            with pytest.raises(AssertionError, match="sampled"):
+                fit_odd_sign_stage(0.0, 1.0, degree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=32),
+           st.floats(-8.0, 8.0), st.floats(1e-3, 16.0))
+    def test_chebyshev_conversion_is_numpys_bit_for_bit(self, coef, lo, width):
+        # signed zeros included: the fitters once called numpy's class
+        want = npcheb.Chebyshev(coef, domain=[lo, lo + width]).convert(kind=nppoly.Polynomial)
+        got = approx._cheb_to_power(coef, lo, lo + width)
+        assert np.array_equal(got.view(np.int64), want.coef.view(np.int64))
 
     def test_odd_sign_stage_is_odd(self):
         p, err = fit_odd_sign_stage(0.1, 1.0, 15)
@@ -898,6 +937,96 @@ class TestCompositeSign:
             he = be.decrypt(poly_comp(be.encrypt(d), 0.0, cs, folded))[:d.size]
             assert np.array_equal(he.view(np.int64), want)
             assert np.array_equal(poly_comp(d, 0.0, cs, folded).view(np.int64), want)
+
+    @pytest.mark.parametrize("alpha, eps", [(approx.DEFAULT_ALPHA, approx.DEFAULT_TARGET_EPS),
+                                            (7.0, 2.0 ** -10)], ids=["default", "criterion4"])
+    def test_streamed_certificate_is_the_one_pass_maximum(self, alpha, eps):
+        cs = build_composite_sign(alpha, eps)
+        y = np.linspace(cs.delta, 1.0, approx.CERTIFICATE_POINTS)
+        for d, folded in ((y, False), (y * cs.unit, True)):
+            error = np.max(np.abs(2.0 * cs.step(_ArrayOps(d), d, folded) - 2.0))
+            got = cs.certified_max_error(folded)
+            assert np.float64(got).view(np.int64) == error.view(np.int64)
+            assert cs.certifies(folded)
+
+    def test_a_nan_chunk_fails_the_certificate_and_the_plan(self, monkeypatch):
+        # NaN at the grid's last point, in its last chunk: the certificate
+        # is NaN (np.max, not max), and the build rejects every plan
+        step = approx.CompositeSign.step
+
+        def nan_at_one(self, ops, d, folded=False):
+            out = step(self, ops, d, folded)
+            if isinstance(d, np.ndarray) and d[-1] == (self.unit if folded else 1.0):
+                out = out.copy()
+                out[-1] = np.nan
+            return out
+
+        cs = build_composite_sign()
+        monkeypatch.setattr(approx.CompositeSign, "step", nan_at_one)
+        for folded in (False, True):
+            assert math.isnan(cs.certified_max_error(folded)) and not cs.certifies(folded)
+        build_composite_sign.cache_clear()
+        try:
+            with pytest.raises(RemezNonConvergence):
+                build_composite_sign()
+        finally:
+            build_composite_sign.cache_clear()
+
+    def test_an_error_exactly_at_the_target_certifies(self):
+        cs = build_composite_sign()
+        error = cs.certified_max_error()
+        assert approx.CompositeSign(cs.stages, cs.precision_alpha, error).certifies()
+        below = approx.CompositeSign(cs.stages, cs.precision_alpha, np.nextafter(error, 0.0))
+        assert not below.certifies()
+        assert build_composite_sign(cs.precision_alpha, error).stages == cs.stages
+
+    def test_a_build_fits_each_distinct_stage_once(self, monkeypatch):
+        # plans (15, 15) and (15, 31) share their first stage: 8 fits, not 9
+        calls, fit = [], approx.fit_odd_sign_stage
+
+        def counted(lo, hi, degree):
+            calls.append((lo, hi, degree))
+            return fit(lo, hi, degree)
+
+        monkeypatch.setattr(approx, "fit_odd_sign_stage", counted)
+        build_composite_sign.cache_clear()
+        try:
+            cs = build_composite_sign()
+        finally:
+            build_composite_sign.cache_clear()
+        assert len(calls) == len(set(calls)) == 8
+        assert cs == build_composite_sign()
+
+    def test_build_and_certificate_memory(self):
+        # the certificate runs a chunk at a time: 8 and 7.2 MB traced when
+        # it ran 100,000 points in one pass
+        build_composite_sign.cache_clear()
+        tracemalloc.start()
+        try:
+            cs = build_composite_sign()
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            cs.certified_max_error(True)
+            certificate_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            build_composite_sign.cache_clear()
+        assert build_peak <= 3e6 and certificate_peak <= 2e6
+
+    def test_hash_is_computed_once_and_equal_for_a_rebuild(self, monkeypatch):
+        cs = build_composite_sign()
+        build_composite_sign.cache_clear()
+        rebuilt = build_composite_sign()
+        assert rebuilt is not cs and rebuilt == cs and hash(rebuilt) == hash(cs)
+        hits = inference._check_folded.cache_info().hits
+        inference._check_folded(cs)
+        inference._check_folded(rebuilt)
+        assert inference._check_folded.cache_info().hits >= hits + 1
+        calls = []
+        polynomial_hash = Polynomial.__hash__
+        monkeypatch.setattr(Polynomial, "__hash__",
+                            lambda p: calls.append(p) or polynomial_hash(p))
+        assert hash(rebuilt) == hash(cs) and calls == []
 
     @pytest.mark.parametrize("alpha, eps", [
         (5.0, float("nan")), (float("inf"), 2.0 ** -20), (float("nan"), 2.0 ** -20),

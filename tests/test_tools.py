@@ -9,7 +9,9 @@ layout. ``same_bits.py``'s comparison, loaded as a module, reports the
 lines in which two trees' outputs of those last two scripts differ.
 ``forward_cost.py`` prints, per model, what one warmed forward builds and
 enters and its in-process time; its counting function also pins a
-kan_small forward's bookkeeping. No linter ships with the project, so one
+kan_small forward's bookkeeping. ``setup_cost.py`` prints, per comparator
+target, what one fresh comparator build fits, certifies and allocates, and
+its time. No linter ships with the project, so one
 more check here walks the package's syntax trees: no module imports a
 name it never references."""
 
@@ -162,6 +164,22 @@ def test_a_kan_small_forward_pays_for_arithmetic_not_bookkeeping():
     assert counts.pop("python_calls") > 0
     assert counts == {"replace": 0, "sliding_window_view": 0, "slotwise": 10, "rotate": 4,
                       "run_on_window": 8, "run_block_sum": 4}
+
+
+def test_setup_cost_prints_each_targets_fits_points_peak_and_times():
+    done = subprocess.run([sys.executable, str(TOOLS / "setup_cost.py")], cwd=ROOT,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stderr == ""
+    lines = [line.split(" ") for line in done.stdout.splitlines()]
+    assert [label for label, *_ in lines] == [label for label, *_ in _load("setup_cost").TARGETS]
+    values = [dict(field.split("=") for field in fields) for _, *fields in lines]
+    assert all(list(v) == ["fits", "points", "peak_mib", "min_ms", "median_ms"] for v in values)
+    # the default build fits the shared first stage of (15, 15) and (15, 31)
+    # once; it certifies three rejected plans on one chunk each, then the
+    # whole grid of (7, 7, 15)
+    assert (values[0]["fits"], values[0]["points"]) == ("8", str(3 * 8192 + 100_000))
+    assert all(0 < float(v["peak_mib"]) <= 3 for v in values)
+    assert all(0 < float(v["min_ms"]) <= float(v["median_ms"]) for v in values)
 
 
 def test_same_bits_compares_each_scripts_lines():
