@@ -23,12 +23,14 @@ keeps them, read-only, for every later giant step. ``matvec_schedule`` is a
 plain builder, a new schedule per call; a caller that multiplies by the
 same matrix again keeps the schedule (a layer keeps its own in its
 ``inference.LayerLayout``), and ``bsgs_matvec`` builds one per call when
-given none. A schedule builds no diagonal until it runs, and its counts
-(``rotations``, ``pt_mults``, ``reads``, ``slots``) follow from its shape
-alone, each stated once (``block_sum_counts``, ``folds``) and computed on
-its first read only (cached properties, as ``shape`` is), so a caller
-costs a candidate by building its schedule: ``inference._layout`` costs
-every candidate geometry that way and keeps the schedules it chooses.
+given none. A schedule is settled when it is built: each branch of
+``matvec_schedule`` states its form's (p, L), period and folds, and one
+constructor, ``_settled``, works out the split, the duplication, the
+slots read and needed and the block sum's counts from them, once, as the
+schedule's fields (``rotations`` and ``pt_mults`` read them). Only the
+diagonals wait until it runs, so a caller costs a candidate by building
+its schedule: ``inference._layout`` costs every candidate geometry that
+way and keeps the schedules it chooses.
 
 Square path (Halevi-Shoup): W is zero-padded to m x m, m = max(n_o, n_in),
 and all m diagonals are multiplied. Wide path (GAZELLE's hybrid method):
@@ -132,15 +134,15 @@ def _pad(W: np.ndarray, rows: int, cols: int) -> np.ndarray:
 class MatvecSchedule:
     """W @ v as p extended diagonals of L slots over an operand of period n.
 
-    For the (r, n) matrix W, p = min(r, n), L = max(r, n) and
+    ``matvec_schedule`` settles every field: for the (r, n) matrix W,
     diag_d[t] = W[t mod r, (t + d) mod n] for d < p and t < L; for a
     permutation operand, diag_d[t] = 1 where offset[t] == d. The operand
     is duplicated with period n so that rotations read wrapped coordinates,
     unless the schedule is ``repeated`` (the caller's operand is already
     periodic over the slots read), has one diagonal (nothing wraps) or is
-    ``front``-padded on (p, L): W zero-padded to p x L and its diagonals
-    negated, diag_d[t] = W[t mod p, (t - d) mod L], read over the zero
-    tail below slot 0 (see the module docstring).
+    ``front``-padded: W zero-padded to p x L and its diagonals negated,
+    diag_d[t] = W[t mod p, (t - d) mod L], read over the zero tail below
+    slot 0 (see the module docstring).
     Slot r' < r of the folded sum holds row r'; only slots [0, n_out) are
     promised, the others may hold partial sums. An ``unfolded`` schedule
     (a block sum on another schedule's geometry, see the module docstring)
@@ -153,9 +155,17 @@ class MatvecSchedule:
     # form holds W as given and pads it to (p, L) only to build its diagonals
     W: np.ndarray | None
     n_out: int
+    shape: tuple  # (p, L): the diagonals multiplied, and the slots each spans
+    period: int  # n, the operand's period
+    split: tuple  # (babies, giants), b <= p <= b * giants: see ``_settled``
+    folds: tuple  # rotate-and-add shifts L/2, L/4, ..., p; none unless wide
+    duplicates: bool  # whether the block sum duplicates its operand first
+    reads: int  # the slots the block sum reads, L + p - 1 (``block_sum``)
+    slots: int  # the fewest slots ``check_capacity`` accepts
+    block_sum_counts: tuple  # (rotations, adds, pt_mults) of the op-by-op block sum
     offset: np.ndarray | None = None  # permutation operand (W is None): (source_of[t] - t) mod n
     repeated: bool = False
-    front: tuple | None = None  # the front-padded form's (p, L): diagonals 0, -1, ..., 1 - p
+    front: bool = False  # the front-padded form: diagonals 0, -1, ..., 1 - p
     over: tuple | None = None  # an unfolded block sum: its lender's ``geometry``
 
     @property
@@ -163,49 +173,11 @@ class MatvecSchedule:
         """Whether this is a block sum on another schedule's geometry."""
         return self.over is not None
 
-    @cached_property
-    def shape(self) -> tuple:
-        """(p, L): the diagonals multiplied, and the slots each spans; for
-        an ``unfolded`` schedule, (gcd(r, n), lcm(r, n))."""
-        if self.W is None:
-            return self.offset.size, self.offset.size
-        if self.front:
-            return self.front
-        if self.unfolded:
-            return math.gcd(*self.W.shape), math.lcm(*self.W.shape)
-        return min(self.W.shape), max(self.W.shape)
-
     @property
     def geometry(self) -> tuple:
         """(p, L, front): the shape and the operand form another block sum
         needs to hand this schedule its giant blocks."""
-        return (*self.shape, self.front is not None)
-
-    @property
-    def period(self) -> int:
-        """n, the operand's period: the padded matrix's columns."""
-        return self.offset.size if self.W is None else self.W.shape[1]
-
-    @cached_property
-    def duplicates(self) -> bool:
-        """Whether the block sum duplicates its operand first: only when
-        the diagonals wrap (p > 1) and the operand is neither repeated nor
-        read with a zero front."""
-        return not (self.repeated or self.front) and self.shape[0] > 1
-
-    @cached_property
-    def reads(self) -> int:
-        """How many slots the block sum reads: L + p - 1 of the duplicated
-        or repeated operand from slot 0, or of the front-padded one from
-        slot 1 - p (its zero tail below slot 0, then its slots [0, L))."""
-        p, L = self.shape
-        return L + p - 1
-
-    @cached_property
-    def slots(self) -> int:
-        """The fewest slots ``check_capacity`` accepts: the period twice
-        over when the block sum ``duplicates``, else its ``reads``."""
-        return 2 * self.period if self.duplicates else self.reads
+        return (*self.shape, self.front)
 
     def diagonals(self, ds) -> np.ndarray:
         """Diagonals ds as the rows of one (len(ds), L) array: for a matrix
@@ -236,53 +208,11 @@ class MatvecSchedule:
         -1 in the ``front`` form (rotations right), else 1 (left)."""
         return -1 if self.front else 1
 
-    @cached_property
-    def split(self) -> tuple:
-        """(babies, giants) = default_bsgs_split(p) over the p diagonals;
-        an ``unfolded`` schedule takes the babies of the geometry it runs
-        on (default_bsgs_split(r)), or p when fewer, and the giant steps
-        they need; on a ``front`` geometry, whose giant steps rotate the
-        other way, it takes all p babies and one giant step. It always has
-        b <= p <= b * giants, so every baby is used and the giant steps
-        cover the diagonals exactly."""
-        p = self.shape[0]
-        if not self.unfolded:
-            return default_bsgs_split(p)
-        lender_p, _, lender_front = self.over
-        b = p if lender_front else min(default_bsgs_split(lender_p)[0], p)
-        return b, -(-p // b)
-
     def blocks(self):
         """Giant steps in order: (base, the diagonals base + i it sums)."""
         b, p = self.split[0], self.shape[0]
         for base in range(0, p, b):
             yield base, range(base, min(base + b, p))
-
-    @cached_property
-    def folds(self) -> tuple:
-        """Rotate-and-add shifts n/2, n/4, ..., r on the wide path (r < n
-        rows); none otherwise, nor for an ``unfolded`` schedule."""
-        if self.W is None or self.unfolded:
-            return ()
-        r, n = self.front or self.W.shape
-        return tuple(n >> i for i in range(1, (n // r).bit_length()))
-
-    @cached_property
-    def block_sum_counts(self) -> tuple:
-        """(rotations, adds, pt_mults) of the op-by-op block sum, which
-        HeBackend.run_block_sum charges: the wraparound duplication
-        (``duplicates``) rotates and adds once, each baby step after the
-        first rotates, and so does each giant step after the first, except
-        in an ``unfolded`` schedule, whose giant blocks are handed on
-        unrotated; the p diagonal products are summed by p - 1 adds, of
-        which an unfolded schedule makes only the p - gs inside its giant
-        steps."""
-        p = self.shape[0]
-        b, gs = self.split
-        dup = self.duplicates
-        if self.unfolded:
-            return dup + b - 1, dup + p - gs, p
-        return dup + (b - 1) + (gs - 1), dup + p - 1, p
 
     @property
     def rotations(self) -> int:
@@ -420,8 +350,7 @@ class MatvecSchedule:
         blocks = None
         if giants is not None:
             blocks, built_on = giants
-            rows = self.period if self.W is None else self.W.shape[0]
-            if self.unfolded or rows > self.shape[0]:
+            if self.unfolded or self.n_out > self.shape[0]:
                 raise DimensionMismatch("giant blocks need a wide or square schedule, not "
                                         + ("an unfolded" if self.unfolded else "a tall") + " one")
             if tuple(built_on) != self.geometry:
@@ -446,6 +375,45 @@ def _folds_to(p: int, L: int) -> bool:
     return ratio >= 1 and not ratio & (ratio - 1)
 
 
+def _halvings(p: int, L: int) -> tuple:
+    """The folds from L slots to p rows: shifts L/2, L/4, ..., p."""
+    return tuple(L >> i for i in range(1, (L // p).bit_length()))
+
+
+def _settled(W, n_out, p, L, period, folds=(), offset=None, repeated=False, front=False,
+             over=None) -> MatvecSchedule:
+    """The schedule of one form, its (p, L), period and folds as its
+    branch of ``matvec_schedule`` decided them, with the rest worked out
+    here once. The split is (babies, giants) = default_bsgs_split(p),
+    except for an unfolded schedule, which takes the babies of its
+    lender's geometry (default_bsgs_split of the lender's p), or p when
+    fewer, and the giant steps they need; on a front geometry, whose
+    giant steps rotate the other way, all p babies and one giant step.
+    The block sum duplicates its operand only when the diagonals wrap
+    (p > 1) and the operand is neither repeated nor read with a zero
+    front; it reads L + p - 1 slots (of the front-padded operand from
+    slot 1 - p, its zero tail below slot 0 first), and the fewest slots
+    that hold it are the period twice over when it duplicates, else its
+    reads. Its op-by-op counts (rotations, adds, pt_mults), which
+    HeBackend.run_block_sum charges: the duplication rotates and adds
+    once, each baby step after the first rotates, and so does each giant
+    step after the first, except in an unfolded schedule, whose giant
+    blocks are handed on unrotated; the p diagonal products are summed
+    by p - 1 adds, of which an unfolded schedule makes only the p - gs
+    inside its giant steps."""
+    if over is None:
+        b, gs = default_bsgs_split(p)
+    else:
+        b = p if over[2] else min(default_bsgs_split(over[0])[0], p)
+        gs = -(-p // b)
+    dup = not (repeated or front) and p > 1
+    reads = L + p - 1
+    counts = ((dup + b - 1, dup + p - gs, p) if over else
+              (dup + (b - 1) + (gs - 1), dup + p - 1, p))
+    return MatvecSchedule(W, n_out, (p, L), period, (b, gs), folds, dup, reads,
+                          2 * period if dup else reads, counts, offset, repeated, front, over)
+
+
 def matvec_schedule(W, repeated: bool = False, over: tuple | None = None,
                     front: tuple | None = None) -> MatvecSchedule:
     """A new schedule for W, chosen by its shape alone: one diagonal over
@@ -454,7 +422,8 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None,
     diagonals over n_o slots when tall (n_o > n_in); square otherwise. A
     PermutationSpec is square, with its diagonals read from ``source_of``.
     ``repeated`` says the operand is repeated with period n_in over the
-    slots the block sum reads (see the module docstring).
+    slots the block sum reads (see the module docstring). Each branch
+    states its form's (p, L), period and folds, and ``_settled`` the rest.
 
     With ``front`` = (p, L), the front-padded wide form instead: W
     zero-padded to p x L, p diagonals 0, -1, ..., -(p - 1) over a
@@ -477,7 +446,8 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None,
     read-only here."""
     if isinstance(W, PermutationSpec):
         n = W.size
-        return MatvecSchedule(None, n, (W.source_of - np.arange(n)) % n, repeated)
+        return _settled(None, n, n, n, n, offset=(W.source_of - np.arange(n)) % n,
+                        repeated=repeated)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.ndim != 2 or 0 in W.shape:
         raise DimensionMismatch(f"W must be a non-empty matrix, got shape {W.shape}")
@@ -489,8 +459,8 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None,
         if not _folds_to(p, L) or n_o > p or math.lcm(p, n_in) > L:
             raise DimensionMismatch(f"a {n_o} x {n_in} matrix does not fit {p} diagonals "
                                     f"of {L} slots folded to {p}")
-        return MatvecSchedule(_pad(W, p, n_in), n_o, repeated=True,
-                              over=(p, L, bool(form and form[0])))
+        return _settled(_pad(W, p, n_in), n_o, math.gcd(p, n_in), math.lcm(p, n_in), n_in,
+                        repeated=True, over=(p, L, bool(form and form[0])))
     if front is not None:
         p, L = front
         if repeated:
@@ -499,17 +469,16 @@ def matvec_schedule(W, repeated: bool = False, over: tuple | None = None,
         if not _folds_to(p, L) or n_o > p or L < n_in + p - 1:
             raise DimensionMismatch(f"a {n_o} x {n_in} matrix does not fit {p} diagonals "
                                     f"of {L} slots behind a zero front")
-        return MatvecSchedule(W, n_o, front=(p, L))
+        return _settled(W, n_o, p, L, n_in, _halvings(p, L), front=True)
     if n_o == 1:
         n_in = 1 << (n_in - 1).bit_length()  # the wide path below takes p = 1
     elif repeated and n_o > n_in:
-        return MatvecSchedule(W, n_o, repeated=True)
+        return _settled(W, n_o, n_in, n_o, n_in, repeated=True)
     p = n_in
     while p % 2 == 0 and p // 2 >= n_o:
         p //= 2
     if p < n_in:
-        W = _pad(W, p, n_in)
-    else:
-        p = max(n_o, n_in)
-        W = _pad(W, p, p)
-    return MatvecSchedule(W, n_o, repeated=repeated)
+        return _settled(_pad(W, p, n_in), n_o, p, n_in, n_in, _halvings(p, n_in),
+                        repeated=repeated)
+    m = max(n_o, n_in)
+    return _settled(_pad(W, m, m), n_o, m, m, m, repeated=repeated)

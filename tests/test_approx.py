@@ -171,6 +171,19 @@ class TestLeastSquares:
         with pytest.raises(IllConditioned):
             fit_weighted_ls(silu, degenerate, 3)
 
+    def test_rank_deficient_fit_is_ill_conditioned(self):
+        # 61 equally spaced samples do not separate a degree-60 Chebyshev
+        # basis: the solve's numerical rank falls short of 61
+        with pytest.raises(IllConditioned, match=r"rank \d+ < 61"):
+            fit_weighted_ls(np.sin, ApproxRange(-1.0, 1.0, 0.0, 1.0), 60, n_samples=61)
+
+    def test_a_solve_that_fails_is_ill_conditioned(self):
+        # an infinite inner weight passes WeightScheme's check, and the
+        # weighted least-squares SVD does not converge (LinAlgError)
+        w = WeightScheme(-0.5, 0.5, inner_weight=math.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(IllConditioned, match="SVD"):
+            fit_weighted_ls(silu, ApproxRange(-1.0, 1.0, 0.0, 1.0), 3, w=w)
+
     def test_sample_count_validation(self):
         r = ApproxRange(-1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -222,6 +235,18 @@ class TestRemez:
         r = ApproxRange(-1.0, 1.0, 0.0, 0.5)
         with pytest.raises(RemezNonConvergence):
             fit_remez(np.abs, r, 8, max_iter=0)
+
+    def test_an_error_of_one_sign_has_no_alternating_reference(self):
+        # degree 1 starts from the reference (0, mid, 1); the target is -1
+        # at mid only, which the 8192-point grid misses, so on the grid
+        # the error keeps one sign: one candidate run, fewer than m = 3
+        mid = 0.5 + 0.5 * math.cos(math.pi / 2)
+
+        def target(x):
+            return np.where(x == mid, -1.0, 10.0 * np.exp(-((x - 0.25) / 0.05) ** 2))
+
+        with pytest.raises(RemezNonConvergence, match="alternating reference"):
+            fit_remez(target, ApproxRange(0.0, 1.0, 0.5, 0.1), 1)
 
     def test_infeasible_comparator_raises_without_a_warning(self):
         # the Chebyshev reference's end point rounds just below lo; the

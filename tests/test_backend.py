@@ -905,6 +905,14 @@ class TestWindowProgram:
             assert np.array_equal(be.decrypt(got).view(np.int64), ref.decrypt(want).view(np.int64))
             assert be.counter == ref.counter == OpCounter(adds=1, rotations=int(t > 0))
 
+    @pytest.mark.parametrize("reach", [-1, 2.0, None])
+    def test_reach_is_a_whole_number(self, reach):
+        be = fresh(64)
+        ct = be.encrypt(np.arange(1.0, 7.0))
+        with pytest.raises(InvalidArgument, match="reach must be an integer >= 0"):
+            be.run_on_window(lambda w, v: w.rotate(v, 1), ct, reach=reach)
+        assert be.counter == OpCounter()
+
     def test_tiles_and_rotations_stay_in_the_stated_window(self):
         """A tile lies in the operands' window, not in the reach's padding
         before it nor past it, and a padded window's rotation stays within

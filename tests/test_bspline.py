@@ -425,6 +425,10 @@ class TestPlainBasis:
         with pytest.raises(InsufficientKnots):
             bspline_basis_plain(0.5, [0.0, 1.0], 1)
 
+    def test_decreasing_knots(self):
+        with pytest.raises(InsufficientKnots, match="non-decreasing"):
+            bspline_basis_plain(0.5, [0.0, 2.0, 1.0, 3.0], 1)
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(11)
         for k in (1, 2, 3):
@@ -472,6 +476,27 @@ class TestPlainBasis:
 
 
 class TestEncryptedBasis:
+    @pytest.mark.parametrize("comparator", sorted(COMPARATORS))
+    def test_order_zero_is_the_plain_basis(self, comparator):
+        """k = 0: the basis is the comparator's steps read one block apart,
+        with no recursion (``basis_tiles`` has no weights). On inputs at
+        least the composite's certified separation 2R delta from every
+        knot, its valid slots are the plain basis: exactly with exact
+        steps, within two step errors with the composite."""
+        comp = COMPARATORS[comparator]()
+        G = GridMatrix.uniform(3, 4, 0, -1, 1)
+        assert G.tiles(comp.unit)[1].shape[0] == 0
+        separation = 2 * G.R * build_composite_sign().delta
+        xs = np.random.default_rng(3).uniform(-1.1, 1.1, (40, 3))
+        knots = G.entries[0]
+        xs = xs[(np.abs(xs[..., None] - knots) >= separation).all(axis=(1, 2))][:8]
+        assert len(xs) == 8
+        for x in xs:
+            vals, _, _ = he_basis_values(x, G, comp, slots=256)
+            want = np.array([bspline_basis_plain(xi, row, 0) for xi, row in zip(x, G.entries)])
+            tol = 0.0 if comp is EXACT_COMPARATOR else 2 * comp.target_eps
+            assert np.abs(vals - want).max() <= tol
+
     @pytest.mark.parametrize("equally_spaced", [True, False], ids=["equal", "jittered"])
     @pytest.mark.parametrize("noise", [0.0, 1e-9])
     def test_backend_calls_do_not_grow_with_k(self, monkeypatch, equally_spaced, noise):
@@ -1105,6 +1130,10 @@ class TestPermutation:
         coltile = data.T.ravel()
         P = gen_permutation(3, 4)
         np.testing.assert_array_equal(P.apply(coltile), data.ravel())
+
+    def test_apply_rejects_another_length(self):
+        with pytest.raises(DimensionMismatch, match="vector length 11 != 12"):
+            gen_permutation(3, 4).apply(np.ones(11))
 
     @pytest.mark.parametrize("n_r, n_c", [(0, 3), (3, 0)])
     def test_rejects_empty_dimensions_as_a_library_error(self, n_r, n_c):

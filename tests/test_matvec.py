@@ -12,7 +12,8 @@ giant block.
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hekan.backend import BackendConfig, CipherText, HeBackend, OpCounter, _fold
 from hekan.bspline import PermutationSpec, gen_permutation
 from hekan.errors import DepthExhausted, DimensionMismatch, HeKanError, ShapeMismatch
 from hekan.inference import bsgs_matvec
+from hekan import matvec
 from hekan.matvec import MatvecSchedule, matvec_schedule
 
 
@@ -318,23 +320,26 @@ class TestKernelLimits:
 
     def test_derived_counts_are_computed_once(self, monkeypatch):
         # the layout search and every run_block_sum read a schedule's
-        # counts; each is worked out on its first read and kept
-        names = ("duplicates", "reads", "slots", "folds", "block_sum_counts")
-        calls = []
-        for name in names:
-            prop = vars(MatvecSchedule)[name]
-            monkeypatch.setattr(prop, "func", lambda self, f=prop.func, name=name:
-                                calls.append(name) or f(self))
+        # counts; each is worked out once, when the schedule is settled,
+        # and kept as a field: reading or running it derives nothing more
+        settled = []
+        monkeypatch.setattr(matvec, "_settled", lambda *args, f=matvec._settled, **kw:
+                            settled.append(args) or f(*args, **kw))
         sched = matvec_schedule(np.ones((3, 8)))  # wide, p = 4: duplicated, one fold
+        assert len(settled) == 1
+        assert not any(isinstance(v, cached_property) for name, v in vars(MatvecSchedule).items()
+                       if name != "all_diagonals")
         assert sched.duplicates and sched.folds == (4,)
         be = HeBackend(BackendConfig(slot_count=64, depth_budget=2))
         for _ in range(2):
             # rotations: the duplication, one baby, one giant step, one fold
             assert (sched.rotations, sched.pt_mults, sched.slots) == (4, 4, 16)
+            assert (sched.reads, sched.split, sched.block_sum_counts) == (11, (2, 2), (3, 4, 4))
             sched.check_capacity(64)
             out = sched.run(be, be.encrypt(np.arange(8.0)))
             assert np.array_equal(be.decrypt(out)[:3], np.full(3, 28.0))
-        assert sorted(calls) == sorted(names)
+        assert len(settled) == 1
+        assert set(vars(sched)) <= {f.name for f in fields(MatvecSchedule)} | {"all_diagonals"}
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (0, 2), (2, 0), (0,)])
     def test_malformed_matrix_raises_before_any_op(self, shape):

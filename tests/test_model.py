@@ -122,6 +122,11 @@ class TestPhi:
         knots = np.linspace(-2, 2, 9)
         assert phi(0.4, 0.0, 0.0, np.zeros(5), knots, 3) == 0.0
 
+    def test_coefficient_count_is_the_basis_count(self):
+        knots = np.linspace(-2, 2, 9)
+        with pytest.raises(DimensionMismatch, match="4 coefficients for 5 basis functions"):
+            phi(0.4, 1.0, 1.0, np.ones(4), knots, 3)
+
     def test_linearity_in_coefficients(self):
         rng = np.random.default_rng(1)
         knots = np.linspace(-2, 2, 9)
@@ -350,6 +355,15 @@ class TestFitLayer:
         with pytest.raises(DimensionMismatch):
             fit_layer_ls(ds, 1, grid)
 
+    def test_grid_rows_are_the_features(self):
+        ds = Dataset(np.zeros((10, 2)), np.zeros((10, 1)))
+        with pytest.raises(DimensionMismatch, match="grid rows 3 != data features 2"):
+            fit_layer_ls(ds, 1, GridMatrix.uniform(3, 4, 2, -1.0, 1.0))
+
+    def test_dataset_lengths_agree(self):
+        with pytest.raises(DimensionMismatch, match="different lengths"):
+            Dataset(np.zeros((3, 2)), np.zeros((4, 1)))
+
 
 class TestSerialization:
     def test_round_trip_structural_equality(self, tmp_path):
@@ -463,6 +477,12 @@ class TestSerialization:
         ds = load_dataset_csv(path, n_targets=1)
         np.testing.assert_array_equal(ds.inputs, data[:, :2])
         np.testing.assert_array_equal(ds.targets, data[:, 2:])
+
+    def test_dataset_csv_needs_a_feature_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.ones((2, 2)), delimiter=",")
+        with pytest.raises(DimensionMismatch, match="2 columns cannot hold 2 targets"):
+            load_dataset_csv(path, n_targets=2)
 
 
 class TestMirrorEquivalence:

@@ -11,13 +11,17 @@ lines in which two trees' outputs of those last two scripts differ.
 enters and its in-process time; its counting function also pins a
 kan_small forward's bookkeeping. ``setup_cost.py`` prints, per comparator
 target, what one fresh comparator build fits, certifies and allocates, and
-its time. No linter ships with the project, so one
+its time. ``paired_bench.py`` runs ``perfbench/run.py`` from REF and the
+working tree in alternating order and writes one summary schema, whose
+wins, losses and bound checks are also pinned on made-up runs. No linter
+ships with the project, so one
 more check here walks the package's syntax trees: no module imports a
 name it never references."""
 
 import ast
 import functools
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -196,6 +200,55 @@ def test_same_bits_compares_each_scripts_lines():
         "stage_counts.py + a naive layout 0"]
     assert differences(ref, {"bit_digest.py": ref["bit_digest.py"]}) == [
         f"stage_counts.py - {line}" for line in ref["stage_counts.py"]]
+
+
+def test_paired_bench_runs_both_trees_in_alternating_order():
+    done = subprocess.run([sys.executable, str(TOOLS / "paired_bench.py"), "HEAD", "--workload",
+                           "kan_small", "--pairs", "2", "--seconds", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.stderr == ""
+    doc = json.loads(done.stdout)
+    assert done.returncode == (0 if doc["within_bounds"] else 1)
+    assert re.fullmatch(r"[0-9a-f]{40}", doc["ref"])
+    assert doc["command"] == ("python3 perfbench/run.py --workload W --seed N --seconds 1 "
+                              "--trace 0")
+    assert set(doc["environment"]) == {"nproc", "python", "numpy", "machine"}
+    assert doc["failed"] == {"kan_small": {"ref": 0, "change": 0}}
+    assert [(r["seed"], r["tree"], r["first"]) for r in doc["runs"]] == [
+        (1, "ref", "ref"), (1, "change", "ref"), (2, "change", "change"), (2, "ref", "change")]
+    bounds = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    rows = doc["summary"]["kan_small"]
+    assert list(rows) == list(bounds)
+    for name, row in rows.items():
+        assert set(row) == {"better", "pairs", "ref_median", "change_median", "ref_quartiles",
+                            "change_quartiles", "change_wins", "change_losses", "bound",
+                            "worse_by", "within_bound"}
+        assert (row["better"], row["bound"], row["pairs"]) == (bounds[name]["better"],
+                                                               bounds[name]["bound"], 2)
+        assert row["change_wins"] + row["change_losses"] <= 2
+    # the op counts and the depth are exact: the same in both trees
+    assert rows["he_ops_per_infer"]["ref_median"] == 83.0
+    for name in ("he_ops_per_infer", "rotations_per_infer", "depth_max"):
+        row = rows[name]
+        assert row["ref_median"] == row["change_median"]
+        assert (row["change_wins"], row["change_losses"], row["worse_by"]) == (0, 0, 0.0)
+
+
+def test_paired_bench_summary_counts_wins_and_checks_bounds():
+    summarise = _load("paired_bench").summarise
+    runs = [{"workload": "w", "seed": seed, "tree": tree, "metrics": {"t": t, "r": r, "n": 1.0}}
+            for seed, tree, t, r in ((1, "ref", 1.0, 100.0), (1, "change", 2.0, 110.0),
+                                     (2, "change", 1.0, 90.0), (2, "ref", 1.0, 80.0),
+                                     (3, "ref", 1.0, 100.0))]  # seed 3 has no pair
+    bounds = {"t": {"better": "lower", "bound": 0.25}, "r": {"better": "higher", "bound": 0.1}}
+    rows = summarise(runs, bounds)["w"]
+    assert rows["t"] == {"better": "lower", "pairs": 2, "ref_median": 1.0, "change_median": 1.5,
+                         "ref_quartiles": [1.0, 1.0], "change_quartiles": [1.25, 1.75],
+                         "change_wins": 0, "change_losses": 1, "bound": 0.25,
+                         "worse_by": 0.5, "within_bound": False}
+    assert (rows["r"]["change_wins"], rows["r"]["change_losses"]) == (2, 0)
+    assert rows["r"]["worse_by"] == (90.0 - 100.0) / 90.0 and rows["r"]["within_bound"]
+    assert "bound" not in rows["n"] and (rows["n"]["change_wins"], rows["n"]["change_losses"]) == (0, 0)
 
 
 def _unused_imports(path: Path) -> list:
